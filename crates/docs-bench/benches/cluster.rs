@@ -31,8 +31,8 @@
 
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, ClusterNode, ClusterRouter, DocsService, DurabilityConfig, ServiceConfig,
-    ServiceHandle,
+    AdaptiveCommit, Client, ClusterNode, ClusterRouter, DocsService, DurabilityConfig,
+    ServiceConfig, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -161,12 +161,15 @@ fn replay_pipelined(router: &ClusterRouter, campaign: CampaignId, ops: &[Op]) ->
         match op {
             Op::Golden(w, picks) => golden_tickets.push(
                 router
-                    .submit_golden_ticket_in(campaign, *w, picks.clone())
+                    .submit(docs_service::Op::submit_golden(campaign, *w, picks.clone()))
                     .expect("golden ticket"),
             ),
             Op::Batch(batch) => batch_tickets.push(
                 router
-                    .submit_answer_batch_ticket_in(campaign, batch.clone())
+                    .submit(docs_service::Op::submit_answer_batch(
+                        campaign,
+                        batch.clone(),
+                    ))
                     .expect("batch ticket"),
             ),
         }
@@ -192,10 +195,15 @@ fn drive_paced(router: &ClusterRouter, campaign: CampaignId, pace: Duration) -> 
         let mut progressed = false;
         for w in 0..workers {
             let w = WorkerId(w);
-            match router.request_tasks_in(campaign, w).expect("request") {
+            match router
+                .call(docs_service::Op::request_tasks(campaign, w))
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-                    router.submit_golden_in(campaign, w, picks).expect("golden");
+                    router
+                        .call(docs_service::Op::submit_golden(campaign, w, picks))
+                        .expect("golden");
                     progressed = true;
                     std::thread::sleep(pace);
                 }
@@ -205,7 +213,7 @@ fn drive_paced(router: &ClusterRouter, campaign: CampaignId, pace: Duration) -> 
                         .map(|&t| Answer::new(w, t, (t.index() + w.0 as usize) % 2))
                         .collect();
                     let outcome = router
-                        .submit_answer_batch_in(campaign, batch)
+                        .call(docs_service::Op::submit_answer_batch(campaign, batch))
                         .expect("batch");
                     if outcome.accepted > 0 {
                         answers += outcome.accepted as u64;
@@ -218,7 +226,9 @@ fn drive_paced(router: &ClusterRouter, campaign: CampaignId, pace: Duration) -> 
         }
         idle_rounds = if progressed { 0 } else { idle_rounds + 1 };
     }
-    router.finish_in(campaign).expect("finish");
+    router
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish");
     answers
 }
 
@@ -367,7 +377,7 @@ fn main() {
         // covers every acknowledged submission.
         let report = cluster
             .router
-            .peek_report_in(campaign)
+            .call(docs_service::Op::peek_report(campaign))
             .expect("report after migration");
         assert!(report.answers_collected >= answers as usize);
         let stats = cluster.router.stats();
@@ -398,7 +408,10 @@ fn main() {
     for round in 0..repeats {
         let (cluster, a, b) = two_nodes(&format!("tput1-{round}"));
         let (answers, wall) = aggregate_tput(&cluster.router, a, b, &ops);
-        let report = cluster.router.finish_in(a).expect("finish A");
+        let report = cluster
+            .router
+            .call(docs_service::Op::finish(a))
+            .expect("finish A");
         assert_eq!(report.truths, reference.truths, "campaign A diverged");
         assert_eq!(report.answers_collected, reference.answers_collected);
         let tput = answers as f64 / wall;
@@ -414,7 +427,10 @@ fn main() {
         let (cluster, a, b) = two_nodes(&format!("tput2-{round}"));
         migrate_and_flip(&cluster, b);
         let (answers, wall) = aggregate_tput(&cluster.router, a, b, &ops);
-        let report = cluster.router.finish_in(b).expect("finish B");
+        let report = cluster
+            .router
+            .call(docs_service::Op::finish(b))
+            .expect("finish B");
         assert_eq!(
             report.truths, reference.truths,
             "migrated campaign diverged"

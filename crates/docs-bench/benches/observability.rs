@@ -27,7 +27,9 @@
 
 use docs_obs::{AtomicHistogram, SpanKind};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
-use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceHandle};
+use docs_service::{
+    AdaptiveCommit, Client, DocsService, DurabilityConfig, Op, ServiceConfig, ServiceHandle,
+};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, WorkerId};
@@ -93,10 +95,15 @@ fn drive_to_budget(handle: &ServiceHandle, campaign: CampaignId) -> u64 {
         let mut progressed = false;
         for w in 0..workers {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .call(Op::request_tasks(campaign, w))
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-                    handle.submit_golden_in(campaign, w, picks).expect("golden");
+                    handle
+                        .call(Op::submit_golden(campaign, w, picks))
+                        .expect("golden");
                     progressed = true;
                 }
                 WorkRequest::Tasks(hit) => {
@@ -105,7 +112,7 @@ fn drive_to_budget(handle: &ServiceHandle, campaign: CampaignId) -> u64 {
                         .map(|&t| Answer::new(w, t, (t.index() + w.0 as usize) % 2))
                         .collect();
                     let outcome = handle
-                        .submit_answer_batch_in(campaign, batch)
+                        .call(Op::submit_answer_batch(campaign, batch))
                         .expect("batch");
                     if outcome.accepted > 0 {
                         answers += outcome.accepted as u64;
@@ -117,7 +124,7 @@ fn drive_to_budget(handle: &ServiceHandle, campaign: CampaignId) -> u64 {
         }
         idle_rounds = if progressed { 0 } else { idle_rounds + 1 };
     }
-    handle.finish_in(campaign).expect("finish");
+    handle.call(Op::finish(campaign)).expect("finish");
     answers
 }
 

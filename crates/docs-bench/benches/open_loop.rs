@@ -47,7 +47,8 @@
 
 use docs_bench::hist::LatencyHistogram;
 use docs_service::{
-    DispatchMode, DocsService, ServiceConfig, ServiceError, ServiceHandle, Ticket, TicketWait,
+    Client, DispatchMode, DocsService, Op, ServiceConfig, ServiceError, ServiceHandle, Ticket,
+    TicketWait,
 };
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, TaskId, WorkerId};
@@ -185,20 +186,25 @@ fn prime_worker(
     mode: DispatchMode,
     id: WorkerId,
 ) -> Worker {
-    let golden = match handle.request_tasks_in(campaign, id).expect("golden req") {
+    let golden = match handle
+        .call(Op::request_tasks(campaign, id))
+        .expect("golden req")
+    {
         WorkRequest::Golden(g) => g,
         other => panic!("fresh worker got {other:?}"),
     };
     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
     handle
-        .submit_golden_in(campaign, id, picks)
+        .call(Op::submit_golden(campaign, id, picks))
         .expect("golden submit");
     let hit = match mode {
-        DispatchMode::Pull => handle.request_tasks_in(campaign, id).expect("first hit"),
+        DispatchMode::Pull => handle
+            .call(Op::request_tasks(campaign, id))
+            .expect("first hit"),
         // A subscribe below the in-flight cap serves immediately — and
         // leases, so the standing subscription issued next parks.
         DispatchMode::Push | DispatchMode::Hybrid => handle
-            .subscribe_assignments_ticket_in(campaign, id)
+            .submit(Op::subscribe(campaign, id))
             .expect("first subscribe")
             .wait()
             .expect("first pushed hit"),
@@ -211,7 +217,7 @@ fn prime_worker(
         DispatchMode::Pull => None,
         DispatchMode::Push | DispatchMode::Hybrid => Some(
             handle
-                .subscribe_assignments_ticket_in(campaign, id)
+                .submit(Op::subscribe(campaign, id))
                 .expect("standing subscribe"),
         ),
     };
@@ -232,7 +238,7 @@ fn next_assignment_pushed(
         // Re-establishing after a fallback: the fresh subscription is
         // queued *behind* this cycle's submit, so it serves immediately
         // with the post-submit pick — and leases it.
-        let ticket = match handle.subscribe_assignments_ticket_in(campaign, worker.id) {
+        let ticket = match handle.submit(Op::subscribe(campaign, worker.id)) {
             Ok(t) => t,
             Err(e) => return (Err(e), false, false),
         };
@@ -251,7 +257,7 @@ fn next_assignment_pushed(
     match standing.wait_timeout(HYBRID_FALLBACK) {
         TicketWait::Ready(work) => (work, true, false),
         TicketWait::Pending(ticket) => {
-            if let Err(e) = handle.unsubscribe_in(campaign, worker.id) {
+            if let Err(e) = handle.call(Op::unsubscribe(campaign, worker.id)) {
                 return (Err(e), false, false);
             }
             match ticket.wait() {
@@ -260,7 +266,11 @@ fn next_assignment_pushed(
                     // (unleased — the next standing subscribe is deferred
                     // to ride behind the next submit, so it cannot
                     // double-pick the poll's HIT).
-                    (handle.request_tasks_in(campaign, worker.id), false, true)
+                    (
+                        handle.call(Op::request_tasks(campaign, worker.id)),
+                        false,
+                        true,
+                    )
                 }
                 work => (work, true, true),
             }
@@ -306,14 +316,14 @@ fn generator_thread(
         let worker = &mut workers[next];
         let batch = answers_for(worker.id, &worker.hit);
         let submit_ticket = handle
-            .submit_answer_batch_ticket_in(campaign, batch)
+            .submit(Op::submit_answer_batch(campaign, batch))
             .expect("submit batch");
         let (work, leased, fell_back) = match mode {
             DispatchMode::Pull => {
                 // Pipelined poll: picks post-submit state (FIFO), but
                 // waits its own turn in the ingress queue.
                 let ticket = handle
-                    .request_tasks_ticket_in(campaign, worker.id)
+                    .submit(Op::request_tasks(campaign, worker.id))
                     .expect("poll");
                 (ticket.wait(), false, false)
             }
@@ -337,7 +347,7 @@ fn generator_thread(
                 if leased {
                     worker.standing = Some(
                         handle
-                            .subscribe_assignments_ticket_in(campaign, worker.id)
+                            .submit(Op::subscribe(campaign, worker.id))
                             .expect("standing subscribe"),
                     );
                 }

@@ -22,7 +22,7 @@
 //! for a diverged replica would be meaningless.
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
-use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig};
+use docs_service::{AdaptiveCommit, Client, DocsService, DurabilityConfig, Op, ServiceConfig};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, WorkerId};
@@ -151,13 +151,13 @@ fn drive_to_budget(pair: &Pair) -> (u64, u64) {
             let w = WorkerId(w);
             match pair
                 .handle
-                .request_tasks_in(pair.campaign, w)
+                .call(Op::request_tasks(pair.campaign, w))
                 .expect("request")
             {
                 WorkRequest::Golden(golden) => {
                     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
                     pair.handle
-                        .submit_golden_in(pair.campaign, w, picks)
+                        .call(Op::submit_golden(pair.campaign, w, picks))
                         .expect("golden");
                     events += 1;
                     progressed = true;
@@ -169,7 +169,7 @@ fn drive_to_budget(pair: &Pair) -> (u64, u64) {
                         .collect();
                     let outcome = pair
                         .handle
-                        .submit_answer_batch_in(pair.campaign, batch)
+                        .call(Op::submit_answer_batch(pair.campaign, batch))
                         .expect("batch");
                     if outcome.accepted > 0 {
                         events += 1; // one batch event per accepted sub-batch
@@ -186,7 +186,7 @@ fn drive_to_budget(pair: &Pair) -> (u64, u64) {
     // under `Batch(n)`), and only durable events ship. `finish` hardens
     // everything unconditionally — the requester's "my report is final"
     // moment is also the replication frontier's.
-    pair.handle.finish_in(pair.campaign).expect("finish");
+    pair.handle.call(Op::finish(pair.campaign)).expect("finish");
     events += 1; // the Finished event
     (answers, events)
 }
@@ -216,10 +216,10 @@ fn main() {
         assert_eq!(
             pair.replica
                 .handle()
-                .snapshot_state_in(pair.campaign)
+                .call(Op::snapshot_state(pair.campaign))
                 .expect("replica state"),
             pair.handle
-                .snapshot_state_in(pair.campaign)
+                .call(Op::snapshot_state(pair.campaign))
                 .expect("primary state"),
             "follower diverged from primary"
         );
@@ -244,12 +244,12 @@ fn main() {
     let w = WorkerId(0);
     if let WorkRequest::Golden(golden) = pair
         .handle
-        .request_tasks_in(pair.campaign, w)
+        .call(Op::request_tasks(pair.campaign, w))
         .expect("request")
     {
         let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
         pair.handle
-            .submit_golden_in(pair.campaign, w, picks)
+            .call(Op::submit_golden(pair.campaign, w, picks))
             .expect("golden");
     }
     let mut seq = 2u64; // Published + golden
@@ -259,7 +259,11 @@ fn main() {
     for i in 0..lag_rounds {
         let answer = Answer::new(w, docs_types::TaskId((i % num_tasks()) as u32), i % 2);
         let started = Instant::now();
-        if pair.handle.submit_answer_in(pair.campaign, answer).is_err() {
+        if pair
+            .handle
+            .call(Op::submit_answer(pair.campaign, answer))
+            .is_err()
+        {
             continue; // duplicate/budget: not a lag sample
         }
         seq += 1;

@@ -24,7 +24,8 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_service::{
-    drive_workers_blocking_on, drive_workers_on, DocsService, ServiceConfig, ServiceHandle,
+    drive_workers_blocking_on, drive_workers_on, Client, DocsService, Op, ServiceConfig,
+    ServiceHandle,
 };
 use docs_system::{Docs, DocsConfig};
 use docs_types::{CampaignId, ChoiceIndex, Task, TaskBuilder};
@@ -130,7 +131,7 @@ fn run_pool(pipelined: bool) -> (f64, usize, Vec<Vec<ChoiceIndex>>) {
                     )
                 }
                 .expect("drive campaign");
-                let final_report = handle.finish_in(campaign).expect("finish campaign");
+                let final_report = handle.call(Op::finish(campaign)).expect("finish campaign");
                 (report.total_answers(), final_report.truths)
             })
         })

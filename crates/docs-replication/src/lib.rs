@@ -24,8 +24,8 @@
 //!   `validate_event`/`apply` transition, advancing the per-campaign
 //!   watermark table that doubles as the ack channel. Followers refuse
 //!   mutations (`RejectReason::ReadOnlyReplica`) but serve status, truth,
-//!   and state reads locally — [`ReadRouter`](docs_service::ReadRouter)
-//!   fans client reads out to them;
+//!   and state reads locally — a one-node
+//!   [`ClusterRouter`](docs_service::ClusterRouter) fans reads out to them;
 //! * **failover**: [`Replica::promote`] drains every shipped frame, flips
 //!   the pool to primary at a recorded watermark, and the service resumes
 //!   accepting writes. Under `FlushPolicy::EveryEvent`, no event the old

@@ -15,7 +15,7 @@ use crate::spec::{ScenarioSpec, ServiceSpec};
 use docs_crowd::{AdversarialPopulation, AnswerContext, ArrivalSampler, WorkerPopulation};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, ClusterNode, ClusterRouter, DocsService, DriveTarget, DurabilityConfig,
+    AdaptiveCommit, Client, ClusterNode, ClusterRouter, DocsService, DurabilityConfig, Op,
     ServiceConfig,
 };
 use docs_storage::FlushPolicy;
@@ -127,7 +127,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             let campaign = handle.default_campaign();
             let started = Instant::now();
             let mirror = drive(&handle, campaign, &tasks, &population, spec, budget);
-            let report = handle.finish_in(campaign).expect("finish");
+            let report = handle.call(Op::finish(campaign)).expect("finish");
             let wall = started.elapsed();
             drop(handle);
             service.join_all();
@@ -140,7 +140,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             let campaign = handle.default_campaign();
             let started = Instant::now();
             let mirror = drive(&handle, campaign, &tasks, &population, spec, budget);
-            let report = handle.finish_in(campaign).expect("finish");
+            let report = handle.call(Op::finish(campaign)).expect("finish");
             let wall = started.elapsed();
             drop(handle);
             service.join_all();
@@ -163,7 +163,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 
             let started = Instant::now();
             let mirror = drive(&handle, campaign, &tasks, &population, spec, budget);
-            let report = handle.finish_in(campaign).expect("finish");
+            let report = handle.call(Op::finish(campaign)).expect("finish");
             let wall = started.elapsed();
 
             // The replica must tail the whole run: wait for zero lag, then
@@ -180,7 +180,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             }
             let replica_view = replica
                 .handle()
-                .peek_report_in(campaign)
+                .call(Op::peek_report(campaign))
                 .expect("replica read");
             assert_eq!(
                 replica_view.truths, report.truths,
@@ -231,7 +231,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             );
             let started = Instant::now();
             let mirror = drive(&router, campaign, &tasks, &population, spec, budget);
-            let report = router.finish_in(campaign).expect("finish");
+            let report = router.call(Op::finish(campaign)).expect("finish");
             let wall = started.elapsed();
             drop(router);
             drop(handle0);
@@ -254,8 +254,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 }
 
 /// The deterministic single-client drive loop shared by every topology.
-fn drive<T: DriveTarget>(
-    target: &T,
+fn drive<C: Client>(
+    target: &C,
     campaign: CampaignId,
     tasks: &[Task],
     population: &AdversarialPopulation,
@@ -284,9 +284,7 @@ fn drive<T: DriveTarget>(
         let w = sampler.next(&mut rng);
         let progress = mirror.answers_collected as f64 / budget as f64;
         let work = target
-            .request_tasks_ticket_in(campaign, w)
-            .expect("request submit")
-            .wait()
+            .call(Op::request_tasks(campaign, w))
             .expect("request tasks");
         match work {
             docs_system::WorkRequest::Golden(golden_ids) => {
@@ -303,9 +301,7 @@ fn drive<T: DriveTarget>(
                     mirror.golden.push((w, g, c));
                 }
                 target
-                    .submit_golden_ticket_in(campaign, w, answers)
-                    .expect("golden submit")
-                    .wait()
+                    .call(Op::submit_golden(campaign, w, answers))
                     .expect("golden ack");
             }
             docs_system::WorkRequest::Tasks(assigned) => {
@@ -321,9 +317,7 @@ fn drive<T: DriveTarget>(
                     })
                     .collect();
                 let outcome = target
-                    .submit_answer_batch_ticket_in(campaign, batch.clone())
-                    .expect("batch submit")
-                    .wait()
+                    .call(Op::submit_answer_batch(campaign, batch.clone()))
                     .expect("batch ack");
                 let rejected: Vec<usize> = outcome.rejected.iter().map(|&(i, _)| i).collect();
                 for (i, answer) in batch.into_iter().enumerate() {

@@ -3,7 +3,7 @@
 //!
 //! On AMT the workers are independent humans hitting the web server in
 //! parallel; the single-threaded campaign loop in `docs-system` cannot
-//! exercise that. [`drive_workers`] shards the population across `threads`
+//! exercise that. [`drive_workers_on`] shards the population across `threads`
 //! OS threads, each of which repeatedly: picks one of its workers, requests
 //! work, answers the golden HIT on first contact, answers and submits
 //! assigned tasks, and stops once the service reports the budget consumed.
@@ -18,157 +18,16 @@
 //! strict request/response loop as the seed-architecture reference; the
 //! `service_pipeline` bench measures the two against each other.
 
+use crate::handle::{Client, Op};
 use crate::message::BatchOutcome;
-use crate::routing::ClusterRouter;
-use crate::server::{ServiceError, ServiceHandle};
+use crate::server::ServiceError;
 use crate::ticket::Ticket;
 use docs_crowd::{AnswerModel, WorkerPopulation};
-use docs_system::{CampaignStatus, RequesterReport, WorkRequest};
-use docs_types::{Answer, CampaignId, ChoiceIndex, NodeId, RejectReason, Task, TaskId, WorkerId};
+use docs_system::WorkRequest;
+use docs_types::{Answer, CampaignId, RejectReason, Task, WorkerId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Redirect budget of one drive-side operation; mirrors the router's
-/// blocking write path (~10 s of 1 ms parks across a fence window).
-const DRIVE_REDIRECT_LIMIT: usize = 10_000;
-
-/// Anything a crowd drive can aim at: a single service pool
-/// ([`ServiceHandle`]) or a whole multi-primary cluster
-/// ([`ClusterRouter`]). The drive only needs the three pipelined
-/// submission entry points plus redirect bookkeeping — a stale-map
-/// [`RejectReason::WrongNode`] answer is a *retry* signal, not a
-/// submission failure, so the drive resubmits against the owner the
-/// service named instead of counting a rejection.
-pub trait DriveTarget: Clone + Send + Sync + 'static {
-    /// The campaign the target serves when the caller names none.
-    fn default_campaign(&self) -> CampaignId;
-
-    /// Pipelined assignment request.
-    fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError>;
-
-    /// Pipelined golden-HIT submission.
-    fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError>;
-
-    /// Pipelined batched answer submission.
-    fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError>;
-
-    /// A `WrongNode` answer was harvested: learn the placement so the
-    /// retry aims right. A single pool has nothing to learn.
-    fn note_redirect(&self, _campaign: CampaignId, _owner: NodeId) {}
-
-    /// An operation succeeded after at least one redirect (forwarding
-    /// accounting). A single pool keeps no such ledger.
-    fn note_forwarded(&self, _campaign: CampaignId) {}
-
-    /// Blocking finish: run full inference and return the requester
-    /// report. Harness entry point — the scenario driver scores whatever
-    /// topology it drove through the same call.
-    fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError>;
-
-    /// Blocking read of the campaign's serving status.
-    fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError>;
-}
-
-impl DriveTarget for ServiceHandle {
-    fn default_campaign(&self) -> CampaignId {
-        ServiceHandle::default_campaign(self)
-    }
-
-    fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        ServiceHandle::request_tasks_ticket_in(self, campaign, worker)
-    }
-
-    fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        ServiceHandle::submit_golden_ticket_in(self, campaign, worker, answers)
-    }
-
-    fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError> {
-        ServiceHandle::submit_answer_batch_ticket_in(self, campaign, answers)
-    }
-
-    fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        ServiceHandle::finish_in(self, campaign)
-    }
-
-    fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        ServiceHandle::status_in(self, campaign)
-    }
-}
-
-impl DriveTarget for ClusterRouter {
-    fn default_campaign(&self) -> CampaignId {
-        self.nodes()[0].primary.default_campaign()
-    }
-
-    fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        ClusterRouter::request_tasks_ticket_in(self, campaign, worker)
-    }
-
-    fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        ClusterRouter::submit_golden_ticket_in(self, campaign, worker, answers)
-    }
-
-    fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError> {
-        ClusterRouter::submit_answer_batch_ticket_in(self, campaign, answers)
-    }
-
-    fn note_redirect(&self, campaign: CampaignId, owner: NodeId) {
-        ClusterRouter::note_redirect(self, campaign, owner)
-    }
-
-    fn note_forwarded(&self, campaign: CampaignId) {
-        ClusterRouter::note_forwarded(self, campaign)
-    }
-
-    fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        ClusterRouter::finish_in(self, campaign)
-    }
-
-    fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        ClusterRouter::status_in(self, campaign)
-    }
-}
 
 /// Per-thread outcome of a drive run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -218,48 +77,29 @@ enum DriveMode {
     Blocking,
 }
 
-/// Drives `population` against the service from `threads` parallel client
+/// Drives `population` against one campaign from `threads` parallel client
 /// threads until every thread observes [`WorkRequest::Done`], pipelining
-/// each client's next request behind its in-flight submission.
+/// each client's next request behind its in-flight submission. Several
+/// campaigns can be driven concurrently from independent thread pools;
+/// each campaign's request stream stays deterministic for a given `seed`
+/// because campaigns share no state.
 ///
 /// Workers are sharded round-robin across threads (worker `w` lives on
 /// thread `w % threads`), so a given worker identity never races with
 /// itself; different workers still interleave arbitrarily at the service,
 /// which is the concurrency the deployment sees.
 ///
-/// `tasks` must be the service's published task list (ids align by index);
-/// the simulated workers need the ground truth and true domain it carries.
+/// `tasks` must be the campaign's published task list (ids align by
+/// index); the simulated workers need the ground truth and true domain it
+/// carries.
 ///
 /// Returns the first [`ServiceError`] a client thread could not absorb
 /// (rejections are absorbed into the report; disconnects are not).
 ///
 /// # Panics
 /// Panics if `threads` is zero or the population is empty.
-pub fn drive_workers<T: DriveTarget>(
-    handle: &T,
-    tasks: Arc<Vec<Task>>,
-    population: &WorkerPopulation,
-    model: AnswerModel,
-    threads: usize,
-    seed: u64,
-) -> Result<DriveReport, ServiceError> {
-    drive_workers_on(
-        handle,
-        handle.default_campaign(),
-        tasks,
-        population,
-        model,
-        threads,
-        seed,
-    )
-}
-
-/// [`drive_workers`] against one specific campaign of a multi-campaign
-/// service. Several campaigns can be driven concurrently from independent
-/// thread pools; each campaign's request stream stays deterministic for a
-/// given `seed` because campaigns share no state.
-pub fn drive_workers_on<T: DriveTarget>(
-    handle: &T,
+pub fn drive_workers_on<C: Client>(
+    client: &C,
     campaign: CampaignId,
     tasks: Arc<Vec<Task>>,
     population: &WorkerPopulation,
@@ -268,7 +108,7 @@ pub fn drive_workers_on<T: DriveTarget>(
     seed: u64,
 ) -> Result<DriveReport, ServiceError> {
     run_drive(
-        handle,
+        client,
         campaign,
         tasks,
         population,
@@ -279,32 +119,12 @@ pub fn drive_workers_on<T: DriveTarget>(
     )
 }
 
-/// The strict request/response driver (default campaign): every operation
-/// is one synchronous round-trip, exactly like the paper's HTTP clients.
-/// Kept as the reference the pipelined driver is measured — and pinned
-/// byte-identical — against.
-pub fn drive_workers_blocking<T: DriveTarget>(
-    handle: &T,
-    tasks: Arc<Vec<Task>>,
-    population: &WorkerPopulation,
-    model: AnswerModel,
-    threads: usize,
-    seed: u64,
-) -> Result<DriveReport, ServiceError> {
-    drive_workers_blocking_on(
-        handle,
-        handle.default_campaign(),
-        tasks,
-        population,
-        model,
-        threads,
-        seed,
-    )
-}
-
-/// [`drive_workers_blocking`] against one specific campaign.
-pub fn drive_workers_blocking_on<T: DriveTarget>(
-    handle: &T,
+/// The strict request/response driver: every operation is one synchronous
+/// round-trip, exactly like the paper's HTTP clients. Kept as the
+/// reference the pipelined driver is measured — and pinned byte-identical
+/// — against.
+pub fn drive_workers_blocking_on<C: Client>(
+    client: &C,
     campaign: CampaignId,
     tasks: Arc<Vec<Task>>,
     population: &WorkerPopulation,
@@ -313,7 +133,7 @@ pub fn drive_workers_blocking_on<T: DriveTarget>(
     seed: u64,
 ) -> Result<DriveReport, ServiceError> {
     run_drive(
-        handle,
+        client,
         campaign,
         tasks,
         population,
@@ -325,8 +145,8 @@ pub fn drive_workers_blocking_on<T: DriveTarget>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_drive<T: DriveTarget>(
-    handle: &T,
+fn run_drive<C: Client>(
+    client: &C,
     campaign: CampaignId,
     tasks: Arc<Vec<Task>>,
     population: &WorkerPopulation,
@@ -341,14 +161,14 @@ fn run_drive<T: DriveTarget>(
 
     let joins: Vec<_> = (0..threads)
         .map(|shard| {
-            let handle = handle.clone();
+            let client = client.clone();
             let tasks = Arc::clone(&tasks);
             let population = Arc::clone(&population);
             std::thread::Builder::new()
                 .name(format!("crowd-client-{campaign}-{shard}"))
                 .spawn(move || {
                     drive_shard(
-                        &handle,
+                        &client,
                         campaign,
                         &tasks,
                         &population,
@@ -378,128 +198,62 @@ fn run_drive<T: DriveTarget>(
 }
 
 /// A submission whose ack is still in flight, with what its settlement
-/// contributes to the drive accounting. The original payload rides along
-/// so a stale-map redirect can resubmit against the owner the service
-/// named (a `WrongNode` answer guarantees the submission was *not*
-/// applied, so the retry cannot double-count).
+/// contributes to the drive accounting. The op rides along so a stale-map
+/// redirect can be re-sent (a `WrongNode` answer guarantees the submission
+/// was *not* applied, so the retry cannot double-count).
 enum PendingAck {
     /// A golden HIT; counts one golden submission when acked.
-    Golden {
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-        ticket: Ticket<()>,
-    },
-    /// An answer batch; counts per-answer outcomes.
+    Golden(Op<()>, Ticket<()>),
+    /// A batch of `len` answers; counts per-answer outcomes.
     Batch {
-        answers: Vec<Answer>,
+        op: Op<BatchOutcome>,
         ticket: Ticket<BatchOutcome>,
+        len: usize,
     },
 }
 
-/// Waits on a pipelined ack, absorbing stale-map redirects: every
-/// `WrongNode` answer teaches the target the named owner and resubmits
-/// there. The inner result carries ordinary rejections for the caller to
-/// account; the outer one aborts the drive (disconnects, full queues on
-/// resubmission).
-fn wait_absorbing_redirects<T: DriveTarget, R>(
-    target: &T,
-    campaign: CampaignId,
-    mut ticket: Ticket<R>,
-    resubmit: impl Fn(&T) -> Result<Ticket<R>, ServiceError>,
-) -> Result<Result<R, ServiceError>, ServiceError> {
-    let mut redirects = 0usize;
-    loop {
-        match ticket.wait() {
-            Ok(value) => {
-                if redirects > 0 {
-                    target.note_forwarded(campaign);
-                }
-                return Ok(Ok(value));
-            }
-            Err(ServiceError::Rejected(RejectReason::WrongNode { owner })) => {
-                redirects += 1;
-                if redirects > DRIVE_REDIRECT_LIMIT {
-                    return Ok(Err(ServiceError::Rejected(RejectReason::WrongNode {
-                        owner,
-                    })));
-                }
-                target.note_redirect(campaign, owner);
-                if redirects > 1 {
-                    // Fence window: source and destination both redirect
-                    // until the tail is adopted; park instead of spinning.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                ticket = match resubmit(target) {
-                    Ok(t) => t,
-                    // The named owner is outside the target's node set;
-                    // nothing to retry against — surface the rejection.
-                    Err(e @ ServiceError::Rejected(RejectReason::WrongNode { .. })) => {
-                        return Ok(Err(e))
-                    }
-                    Err(e) => return Err(e),
-                };
-            }
-            Err(e) => return Ok(Err(e)),
-        }
+/// Waits on a pipelined completion. A stale-map `WrongNode` answer is a
+/// *retry* signal, not a failure: the op goes back through
+/// [`Client::call`], whose retry policy re-aims it — a router learns the
+/// named owner and forwards; a bare handle has nowhere else to send it, so
+/// the rejection comes straight back.
+fn harvest<C: Client, T>(client: &C, op: Op<T>, ticket: Ticket<T>) -> Result<T, ServiceError> {
+    match ticket.wait() {
+        Err(ServiceError::Rejected(RejectReason::WrongNode { .. })) => client.call(op),
+        settled => settled,
     }
 }
 
-/// Harvests a pending ack into the outcome. Stale-map redirects are
-/// *retried* (see [`wait_absorbing_redirects`]); ordinary rejections are
+/// Harvests a pending ack into the outcome. Ordinary rejections are
 /// absorbed (they are per-worker races, exactly what the deployment
 /// sees); anything else aborts the drive.
-fn settle<T: DriveTarget>(
-    target: &T,
-    campaign: CampaignId,
+fn settle<C: Client>(
+    client: &C,
     pending: &mut Option<PendingAck>,
     outcome: &mut DriveOutcome,
 ) -> Result<(), ServiceError> {
     match pending.take() {
-        None => Ok(()),
-        Some(PendingAck::Golden {
-            worker,
-            answers,
-            ticket,
-        }) => {
-            let settled = wait_absorbing_redirects(target, campaign, ticket, |t| {
-                t.submit_golden_ticket_in(campaign, worker, answers.clone())
-            })?;
-            match settled {
-                Ok(()) => {
-                    outcome.golden_hits += 1;
-                    Ok(())
-                }
-                Err(ServiceError::Rejected(_)) => {
-                    outcome.rejected += 1;
-                    Ok(())
-                }
-                Err(e) => Err(e),
+        None => {}
+        Some(PendingAck::Golden(op, ticket)) => match harvest(client, op, ticket) {
+            Ok(()) => outcome.golden_hits += 1,
+            Err(ServiceError::Rejected(_)) => outcome.rejected += 1,
+            Err(e) => return Err(e),
+        },
+        Some(PendingAck::Batch { op, ticket, len }) => match harvest(client, op, ticket) {
+            Ok(batch) => {
+                outcome.answers += batch.accepted;
+                outcome.rejected += batch.rejected.len();
             }
-        }
-        Some(PendingAck::Batch { answers, ticket }) => {
-            let len = answers.len();
-            let settled = wait_absorbing_redirects(target, campaign, ticket, |t| {
-                t.submit_answer_batch_ticket_in(campaign, answers.clone())
-            })?;
-            match settled {
-                Ok(batch) => {
-                    outcome.answers += batch.accepted;
-                    outcome.rejected += batch.rejected.len();
-                    Ok(())
-                }
-                Err(ServiceError::Rejected(_)) => {
-                    outcome.rejected += len;
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            }
-        }
+            Err(ServiceError::Rejected(_)) => outcome.rejected += len,
+            Err(e) => return Err(e),
+        },
     }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive_shard<T: DriveTarget>(
-    handle: &T,
+fn drive_shard<C: Client>(
+    client: &C,
     campaign: CampaignId,
     tasks: &[Task],
     population: &WorkerPopulation,
@@ -531,13 +285,9 @@ fn drive_shard<T: DriveTarget>(
     while outcome.arrivals < max_arrivals {
         outcome.arrivals += 1;
         let w = my_workers[rng.gen_range(0..my_workers.len())];
-        let work = wait_absorbing_redirects(
-            handle,
-            campaign,
-            handle.request_tasks_ticket_in(campaign, w)?,
-            |t| t.request_tasks_ticket_in(campaign, w),
-        )??;
-        settle(handle, campaign, &mut pending, &mut outcome)?;
+        let request = Op::request_tasks(campaign, w);
+        let work = harvest(client, request.clone(), client.submit(request)?)?;
+        settle(client, &mut pending, &mut outcome)?;
         match work {
             WorkRequest::Golden(golden) => {
                 let worker = population.worker(w);
@@ -545,12 +295,8 @@ fn drive_shard<T: DriveTarget>(
                     .iter()
                     .map(|&gid| (gid, worker.answer(&tasks[gid.index()], model, &mut rng)))
                     .collect();
-                let ticket = handle.submit_golden_ticket_in(campaign, w, answers.clone())?;
-                pending = Some(PendingAck::Golden {
-                    worker: w,
-                    answers,
-                    ticket,
-                });
+                let op = Op::submit_golden(campaign, w, answers);
+                pending = Some(PendingAck::Golden(op.clone(), client.submit(op)?));
             }
             WorkRequest::Tasks(hit) => {
                 // The whole HIT goes back in one batched round-trip — the
@@ -565,28 +311,34 @@ fn drive_shard<T: DriveTarget>(
                         Answer::new(w, tid, choice)
                     })
                     .collect();
-                let ticket = handle.submit_answer_batch_ticket_in(campaign, answers.clone())?;
-                pending = Some(PendingAck::Batch { answers, ticket });
+                let len = answers.len();
+                let op = Op::submit_answer_batch(campaign, answers);
+                pending = Some(PendingAck::Batch {
+                    op: op.clone(),
+                    ticket: client.submit(op)?,
+                    len,
+                });
             }
             WorkRequest::Done => break,
         }
         if matches!(mode, DriveMode::Blocking) {
             // Strict request/response: the ack rendezvous happens before
             // the next arrival, like the paper's HTTP clients.
-            settle(handle, campaign, &mut pending, &mut outcome)?;
+            settle(client, &mut pending, &mut outcome)?;
         }
     }
-    settle(handle, campaign, &mut pending, &mut outcome)?;
+    settle(client, &mut pending, &mut outcome)?;
     Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DocsService;
+    use crate::{ClusterRouter, DocsService, ServiceHandle};
     use docs_crowd::PopulationConfig;
     use docs_kb::table2_example_kb;
     use docs_system::{Docs, DocsConfig};
+    use docs_types::NodeId;
     use docs_types::TaskBuilder;
 
     fn publish(n: usize, answers_per_task: usize) -> (DocsService, ServiceHandle, Arc<Vec<Task>>) {
@@ -627,8 +379,10 @@ mod tests {
     #[test]
     fn concurrent_drive_consumes_the_budget() {
         let (service, handle, tasks) = publish(24, 4);
+        let c = handle.default_campaign();
         let pop = population(12);
-        let report = drive_workers(&handle, tasks, &pop, AnswerModel::DomainUniform, 4, 7).unwrap();
+        let report =
+            drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 4, 7).unwrap();
         // Budget is answers_per_task × n; the drive must reach it (golden
         // answers are accounted separately).
         assert!(
@@ -637,7 +391,7 @@ mod tests {
             report.total_answers()
         );
         assert!(report.total_golden() >= 1);
-        let final_report = handle.finish().unwrap();
+        let final_report = handle.call(Op::finish(c)).unwrap();
         assert_eq!(final_report.truths.len(), 24);
         assert!(final_report.answers_collected >= 24 * 4);
         drop(handle);
@@ -648,8 +402,10 @@ mod tests {
     fn single_thread_drive_matches_protocol() {
         let workers = 6;
         let (service, handle, tasks) = publish(12, 2);
+        let c = handle.default_campaign();
         let pop = population(workers);
-        let report = drive_workers(&handle, tasks, &pop, AnswerModel::DomainUniform, 1, 9).unwrap();
+        let report =
+            drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 1, 9).unwrap();
         assert_eq!(report.per_thread.len(), 1);
         assert!(report.total_answers() >= 12 * 2);
         // One golden HIT per *first-time* worker: at least one worker
@@ -671,11 +427,45 @@ mod tests {
     #[test]
     fn more_threads_than_workers_is_fine() {
         let (service, handle, tasks) = publish(8, 2);
+        let c = handle.default_campaign();
         let pop = population(2);
         let report =
-            drive_workers(&handle, tasks, &pop, AnswerModel::DomainUniform, 6, 11).unwrap();
+            drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 6, 11).unwrap();
         assert!(report.total_answers() >= 8 * 2 || report.total_rejected() > 0);
         drop(handle);
+        service.join();
+    }
+
+    /// Regression: a `WrongNode` answer naming an owner the client cannot
+    /// reach used to be retried through the whole redirect budget (10,000
+    /// absorbed redirects, ~13 s) by a one-node router and by a drive over
+    /// a bare handle. Nowhere to forward to means the rejection comes back
+    /// at once.
+    #[test]
+    fn an_unreachable_owner_is_rejected_at_once_not_retried() {
+        let (service, handle, tasks) = publish(6, 2);
+        let c = handle.default_campaign();
+        handle.fence_in(c, NodeId(7)).unwrap();
+        let gone = ServiceError::Rejected(RejectReason::WrongNode { owner: NodeId(7) });
+        let started = std::time::Instant::now();
+
+        let router = ClusterRouter::single(NodeId(0), handle.clone(), vec![]);
+        let answer = Answer::new(WorkerId(0), docs_types::TaskId(0), 0);
+        let err = router.call(Op::submit_answer(c, answer)).unwrap_err();
+        assert_eq!(err, gone);
+        assert_eq!(router.stats().wrong_node_redirects, 1);
+        assert_eq!(router.stats().forwarded_writes, 0);
+
+        let pop = population(2);
+        let err = drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 1, 3)
+            .unwrap_err();
+        assert_eq!(err, gone);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "rejections took {:?}",
+            started.elapsed()
+        );
+        drop((router, handle));
         service.join();
     }
 
@@ -687,14 +477,23 @@ mod tests {
     fn pipelined_drive_is_byte_identical_to_blocking_drive() {
         let run = |blocking: bool| {
             let (service, handle, tasks) = publish(15, 3);
+            let c = handle.default_campaign();
             let pop = population(5);
             let report = if blocking {
-                drive_workers_blocking(&handle, tasks, &pop, AnswerModel::DomainUniform, 1, 0xAB)
+                drive_workers_blocking_on(
+                    &handle,
+                    c,
+                    tasks,
+                    &pop,
+                    AnswerModel::DomainUniform,
+                    1,
+                    0xAB,
+                )
             } else {
-                drive_workers(&handle, tasks, &pop, AnswerModel::DomainUniform, 1, 0xAB)
+                drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 1, 0xAB)
             }
             .unwrap();
-            let final_report = handle.finish().unwrap();
+            let final_report = handle.call(Op::finish(c)).unwrap();
             drop(handle);
             service.join();
             (

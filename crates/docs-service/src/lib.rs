@@ -16,27 +16,27 @@
 //!   arrival order on its owning shard — the same serialization a
 //!   single-writer web backend provides — while different campaigns
 //!   progress in parallel on different shards,
-//! * [`ServiceHandle`] is a cheaply cloneable routing client with two API
-//!   styles over one wire protocol: blocking methods (`request_tasks_in`,
-//!   `submit_answer_batch_in`, …: submit + wait, one synchronous
-//!   round-trip) and pipelined submissions (`*_ticket_in` / `try_*_in`)
-//!   that enqueue a correlation-tagged envelope and return a [`Ticket`] —
-//!   a one-shot completion handle with [`Ticket::wait`],
-//!   [`Ticket::wait_timeout`], and [`Ticket::try_take`] — so one client
-//!   thread can keep many requests in flight per shard,
+//! * **One op-typed call path**: each client operation is declared once,
+//!   as an [`Op`] value (`Op::request_tasks`, `Op::submit_answer_batch`,
+//!   `Op::finish`, …), and sent through one of three verbs on the
+//!   [`Client`] trait that [`ServiceHandle`] (one pool) and
+//!   [`ClusterRouter`] both implement: [`Client::call`] (one synchronous
+//!   round-trip), [`Client::submit`] (returns a [`Ticket`] — a one-shot
+//!   completion handle — so one client thread can keep many requests in
+//!   flight per shard) and [`Client::try_submit`],
 //! * **Backpressure**: per-shard ingress queues are bounded
-//!   ([`ServiceConfig::queue_capacity`]); blocking submissions park on a
-//!   full queue while the `try_*` forms fail fast with
-//!   [`ServiceError::Busy`] and bump the shard's `busy_rejections`
+//!   ([`ServiceConfig::queue_capacity`]); `submit` and `call` park on a
+//!   full queue while `try_submit` fails fast with
+//!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections`
 //!   counter,
 //! * **Push/hybrid dispatch** ([`ServiceConfig::dispatch`]): instead of
 //!   polling, a worker can register a long-lived assignment subscription
-//!   ([`ServiceHandle::subscribe_assignments_ticket_in`]); the owning
-//!   shard serves it immediately when possible and otherwise *parks* the
-//!   completion, pushing the next assignment when the campaign's dispatch
-//!   epoch advances — the benefit index is consulted once per state
-//!   change instead of once per worker poll, with picks byte-identical to
-//!   pull mode (see ARCHITECTURE.md, "Task dispatch"),
+//!   (`submit(Op::subscribe(..))`); the owning shard serves it
+//!   immediately when possible and otherwise *parks* the completion,
+//!   pushing the next assignment when the campaign's dispatch epoch
+//!   advances — the benefit index is consulted once per state change
+//!   instead of once per worker poll, with picks byte-identical to pull
+//!   mode (see ARCHITECTURE.md, "Task dispatch"),
 //! * **Typed errors**: every refusal carries a matchable
 //!   [`RejectReason`](docs_types::RejectReason)
 //!   (`DuplicateAnswer`, `UnknownCampaign`, `BudgetExhausted`, …) whose
@@ -64,11 +64,10 @@
 //!   (ship-after-flush, ship-before-ack); a follower pool
 //!   ([`DocsService::spawn_replica`]) refuses mutations with
 //!   [`RejectReason::ReadOnlyReplica`](docs_types::RejectReason) while
-//!   serving the pure reads ([`ServiceHandle::status_in`],
-//!   [`ServiceHandle::peek_report_in`],
-//!   [`ServiceHandle::snapshot_state_in`]) locally, and
-//!   [`ReadRouter`] fans client reads out to replicas while pinning
-//!   writes to the primary. The streaming hub, applier, and
+//!   serving the pure reads (`Op::status`, `Op::peek_report`,
+//!   `Op::snapshot_state`) locally, and [`ClusterRouter::single`] fans
+//!   client reads out to replicas while pinning writes to the primary.
+//!   The streaming hub, applier, and
 //!   promotion/failover live in the `docs-replication` crate (see
 //!   ARCHITECTURE.md, "Replication & failover"),
 //! * **Cluster routing** ([`ClusterRouter`]): campaigns partition across
@@ -81,34 +80,33 @@
 //!   (fence → chase tail → adopt → flip the directory epoch) lives in
 //!   `docs-replication::migrate_campaign` (see ARCHITECTURE.md,
 //!   "Cluster & migration"),
-//! * [`drive_workers`] / [`drive_workers_on`] run a whole simulated crowd
-//!   (from `docs-crowd`) against one campaign from `threads` parallel
-//!   clients until the budget is consumed, **pipelining** each client's
-//!   next HIT request behind its in-flight submission;
+//! * [`drive_workers_on`] runs a whole simulated crowd (from
+//!   `docs-crowd`) against one campaign of any [`Client`] from `threads`
+//!   parallel clients until the budget is consumed, **pipelining** each
+//!   client's next HIT request behind its in-flight submission;
 //!   [`drive_workers_blocking_on`] keeps the strict request/response loop
 //!   as the seed-architecture reference (byte-identical truths, measurably
 //!   lower throughput — see the `service_pipeline` bench).
 
 mod client;
+mod handle;
 mod message;
 mod metrics;
 mod routing;
 mod server;
 mod ticket;
 
-pub use client::{
-    drive_workers, drive_workers_blocking, drive_workers_blocking_on, drive_workers_on,
-    DriveOutcome, DriveReport, DriveTarget,
-};
+pub use client::{drive_workers_blocking_on, drive_workers_on, DriveOutcome, DriveReport};
+pub use handle::{Client, Op, ServiceHandle};
 pub use message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
 pub use metrics::{
     DurabilityStats, FollowerLagSample, HubHealth, OpKind, OpStats, ReplicationStats, RoutingStats,
     ServiceMetrics, ShardStats,
 };
-pub use routing::{ClusterNode, ClusterRouter, ClusterRouterStats, ReadRouter, ReadRoutingStats};
+pub use routing::{ClusterNode, ClusterRouter, ClusterRouterStats};
 pub use server::{
     DispatchConfig, DispatchMode, DocsService, DurabilityConfig, ReplicationSink, ServiceConfig,
-    ServiceError, ServiceHandle,
+    ServiceError,
 };
 // Adaptive group-commit bounds appear in `DurabilityConfig`; re-exported
 // so configuring a service doesn't require a direct docs-storage import.

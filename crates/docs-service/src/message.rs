@@ -247,8 +247,9 @@ impl Request {
             | Request::PrepareMigration { campaign, .. }
             | Request::CompleteMigration { campaign } => *campaign,
             // A directory install is broadcast by the handle (one copy per
-            // shard); the nominal route only matters if a caller submits
-            // it through the campaign-routed path anyway.
+            // shard) and no `Op` constructor builds one, so nothing outside
+            // this crate can send it down the campaign-routed path: the
+            // arm only keeps the match total.
             Request::InstallMap { .. } => CampaignId(0),
         }
     }

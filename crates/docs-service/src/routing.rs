@@ -11,33 +11,34 @@
 //! migration"). A [`ClusterRouter`] wraps any number of [`ClusterNode`]s
 //! (each a primary [`ServiceHandle`] plus its read replicas):
 //!
-//! * **writes** (`request_tasks_in`, `submit_*`, `finish_in`) resolve the
+//! * **writes** (every [`Op`] but the three pure reads) resolve the
 //!   campaign's owner through the router's map and go to that node's
 //!   primary. A [`RejectReason::WrongNode`] answer means the map is stale
-//!   (the campaign was migrated): the router learns the returned owner and
-//!   retries there — one retry for a settled directory, a brief
+//!   (the campaign was migrated): [`Client::call`] learns the returned
+//!   owner and retries there — one retry for a settled directory, a brief
 //!   park-and-ping-pong during a migration's fence window (both sides
 //!   redirect until the new owner adopts the tail, which is exactly the
 //!   "buffer and forward in-flight submissions" phase),
-//! * **reads** (`status_in`, `peek_report_in`, `snapshot_state_in`) go to
-//!   the owning node's next replica in round-robin order, falling back to
-//!   that node's primary when a replica is gone, refuses, or has not
-//!   bootstrapped the campaign yet (its lag shows as `UnknownCampaign`).
+//! * **reads** (`Op::status`, `Op::peek_report`, `Op::snapshot_state`) go
+//!   to the owning node's next replica in round-robin order; `call` falls
+//!   back to that node's primary when a replica is gone, refuses, or has
+//!   not bootstrapped the campaign yet (its lag shows as
+//!   `UnknownCampaign`).
+//!
+//! [`Client::submit`] / [`Client::try_submit`] aim once and hand back the
+//! ticket: a redirect or a lagging replica surfaces through it, and the
+//! caller settles it by `call`ing the op again.
 //!
 //! Replicas serve *their watermark's* state: a read routed to a lagging
 //! follower is consistent-but-stale, exactly like any asynchronous read
-//! replica. Callers that need read-your-writes read from the primary.
-//!
-//! [`ReadRouter`] — the single-node primary+replicas client from the
-//! replication era — survives as a thin wrapper around a one-node
-//! [`ClusterRouter`]: same API, same counters, one routing engine.
+//! replica. Callers that need read-your-writes read from the primary. A
+//! single primary + replicas deployment is the one-node special case
+//! ([`ClusterRouter::single`]).
 
-use crate::server::{ServiceError, ServiceHandle};
+use crate::handle::{Client, Op, ServiceHandle};
+use crate::server::ServiceError;
 use crate::ticket::Ticket;
-use docs_system::{CampaignStatus, RequesterReport, WorkRequest};
-use docs_types::{
-    Answer, CampaignId, ChoiceIndex, ClusterMap, NodeId, RejectReason, TaskId, WorkerId,
-};
+use docs_types::{CampaignId, ClusterMap, NodeId, RejectReason};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -151,7 +152,7 @@ impl ClusterRouter {
     }
 
     /// A one-node cluster: every campaign lives on `primary`, reads fan
-    /// out to `replicas` — the [`ReadRouter`] deployment shape.
+    /// out to `replicas` — the primary + read-replicas deployment shape.
     pub fn single(id: NodeId, primary: ServiceHandle, replicas: Vec<ServiceHandle>) -> Self {
         Self::new(
             vec![ClusterNode {
@@ -198,34 +199,9 @@ impl ClusterRouter {
         }
     }
 
-    /// Records a `WrongNode` answer observed *outside* the router's own
-    /// retry loop (a pipelined ticket harvested by the caller): the
-    /// router learns the placement so the caller's retry aims right.
-    pub fn note_redirect(&self, campaign: CampaignId, owner: NodeId) {
-        self.wrong_node_redirects.fetch_add(1, Ordering::Relaxed);
-        self.learn(campaign, owner);
-    }
-
-    /// Records a write that succeeded after an out-of-loop redirect (the
-    /// pipelined twin of the blocking path's forwarding accounting).
-    pub fn note_forwarded(&self, campaign: CampaignId) {
-        self.forwarded_writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.entry_of(self.owner_of(campaign)) {
-            entry.node.primary.metrics().forwarded_submission();
-        }
-    }
-
-    fn learn(&self, campaign: CampaignId, owner: NodeId) {
-        self.learned.lock().insert(campaign, owner);
-    }
-
     /// The node currently believed to own `campaign`: a learned placement
-    /// if one is pending, the directory otherwise. A one-node router
-    /// skips the lookup — there is nothing to resolve.
+    /// if one is pending, the directory otherwise.
     fn owner_of(&self, campaign: CampaignId) -> NodeId {
-        if self.nodes.len() == 1 {
-            return self.nodes[0].node.id;
-        }
         if let Some(&owner) = self.learned.lock().get(&campaign) {
             return owner;
         }
@@ -236,10 +212,10 @@ impl ClusterRouter {
         self.nodes.iter().find(|e| e.node.id == id)
     }
 
-    /// The primary handle a pipelined submission for `campaign` should
-    /// target right now. An owner outside the router's node set surfaces
-    /// as the same `WrongNode` rejection the service would send.
-    pub fn owner_primary(&self, campaign: CampaignId) -> Result<&ServiceHandle, ServiceError> {
+    /// The owning node's primary. An owner outside the router's node set
+    /// surfaces as the same `WrongNode` rejection the service would send:
+    /// there is nowhere to forward to, so retrying cannot help.
+    fn owner_primary(&self, campaign: CampaignId) -> Result<&ServiceHandle, ServiceError> {
         let owner = self.owner_of(campaign);
         match self.entry_of(owner) {
             Some(entry) => Ok(&entry.node.primary),
@@ -247,49 +223,71 @@ impl ClusterRouter {
         }
     }
 
-    /// Runs one write with redirect-retry: resolve the owner, call its
-    /// primary, and absorb `WrongNode` answers by learning the named
-    /// owner and retrying there. The first retry is immediate (the
-    /// settled stale-map case converges in one); later ones park ~1 ms,
-    /// riding out a migration's fence window in which source and
-    /// destination both redirect until the tail is adopted.
-    fn write<T>(
-        &self,
-        campaign: CampaignId,
-        op: impl Fn(&ServiceHandle) -> Result<T, ServiceError>,
-    ) -> Result<T, ServiceError> {
+    /// The node serving reads of `campaign` and its next replica in
+    /// round-robin order (`None` when it has no replicas). An owner
+    /// outside the router's node set falls back to the first node — a
+    /// fenced ex-owner still serves reads as a consistent-but-stale
+    /// replica, so any node beats an error for read traffic.
+    fn read_target(&self, campaign: CampaignId) -> (&NodeEntry, Option<&ServiceHandle>) {
+        let entry = self
+            .entry_of(self.owner_of(campaign))
+            .unwrap_or(&self.nodes[0]);
+        let replicas = &entry.node.replicas;
+        let replica = (!replicas.is_empty()).then(|| {
+            &replicas[entry.next_replica.fetch_add(1, Ordering::Relaxed) % replicas.len()]
+        });
+        (entry, replica)
+    }
+
+    /// Where one un-retried submission of `op` goes: the owner's primary
+    /// for a write, the owning node's next replica (its primary when it
+    /// has none) for a read — counted as a replica/primary read here, at
+    /// aim time, since the ticket's outcome is the caller's to harvest.
+    fn aim<T>(&self, op: &Op<T>) -> Result<&ServiceHandle, ServiceError> {
+        if !op.is_read() {
+            return self.owner_primary(op.campaign());
+        }
+        let (entry, replica) = self.read_target(op.campaign());
+        let counter = match replica {
+            Some(_) => &self.replica_reads,
+            None => &self.primary_reads,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(replica.unwrap_or(&entry.node.primary))
+    }
+
+    /// Runs one write with redirect-retry — the only redirect-absorb loop
+    /// in the workspace: resolve the owner, call its primary, and absorb
+    /// `WrongNode` answers by learning the named owner and retrying
+    /// there. The first retry is immediate (the settled stale-map case
+    /// converges in one); later ones park ~1 ms, riding out a migration's
+    /// fence window in which source and destination both redirect until
+    /// the tail is adopted.
+    fn write<T>(&self, op: Op<T>) -> Result<T, ServiceError> {
+        let campaign = op.campaign();
         let started = Instant::now();
         let mut redirects = 0usize;
         loop {
-            let owner = self.owner_of(campaign);
-            let Some(entry) = self.entry_of(owner) else {
-                return Err(ServiceError::Rejected(RejectReason::WrongNode { owner }));
-            };
+            let primary = self.owner_primary(campaign)?;
             // Routing work so far — directory lookup plus every absorbed
             // redirect and fence-window park — is what this hop cost the
             // request before it reached the node it is about to try.
-            entry
-                .node
-                .primary
-                .metrics()
-                .router_hop_recorded(started.elapsed());
-            match op(&entry.node.primary) {
+            primary.metrics().router_hop_recorded(started.elapsed());
+            match primary.call(op.clone()) {
                 Ok(value) => {
                     if redirects > 0 {
                         self.forwarded_writes.fetch_add(1, Ordering::Relaxed);
-                        entry.node.primary.metrics().forwarded_submission();
+                        primary.metrics().forwarded_submission();
                     }
                     return Ok(value);
                 }
-                Err(ServiceError::Rejected(RejectReason::WrongNode { owner: actual })) => {
+                Err(ServiceError::Rejected(RejectReason::WrongNode { owner })) => {
                     redirects += 1;
                     if redirects > WRITE_REDIRECT_LIMIT {
-                        return Err(ServiceError::Rejected(RejectReason::WrongNode {
-                            owner: actual,
-                        }));
+                        return Err(ServiceError::Rejected(RejectReason::WrongNode { owner }));
                     }
                     self.wrong_node_redirects.fetch_add(1, Ordering::Relaxed);
-                    self.learn(campaign, actual);
+                    self.learned.lock().insert(campaign, owner);
                     if redirects > 1 {
                         std::thread::sleep(Duration::from_millis(1));
                     }
@@ -299,170 +297,52 @@ impl ClusterRouter {
         }
     }
 
-    /// Whether a replica's refusal warrants retrying on its primary: the
-    /// replica is gone, lagging (campaign not bootstrapped yet), or was
-    /// promoted/demoted out from under the router.
-    fn retry_on_primary(error: &ServiceError) -> bool {
-        matches!(
-            error,
-            ServiceError::Disconnected
-                | ServiceError::Busy { .. }
-                | ServiceError::Rejected(RejectReason::UnknownCampaign(_))
-        )
-    }
-
     /// Runs one read on the owning node: next replica in round-robin
-    /// order, primary fallback. An owner outside the router's node set
-    /// falls back to the first node — a fenced ex-owner still serves
-    /// reads as a consistent-but-stale replica, so any node beats an
-    /// error for read traffic.
-    fn read<T>(
-        &self,
-        campaign: CampaignId,
-        op: impl Fn(&ServiceHandle) -> Result<T, ServiceError>,
-    ) -> Result<T, ServiceError> {
-        let owner = self.owner_of(campaign);
-        let entry = self.entry_of(owner).unwrap_or(&self.nodes[0]);
-        let replicas = &entry.node.replicas;
-        if replicas.is_empty() {
+    /// order, primary fallback.
+    fn read<T>(&self, op: Op<T>) -> Result<T, ServiceError> {
+        let (entry, replica) = self.read_target(op.campaign());
+        let Some(replica) = replica else {
             self.primary_reads.fetch_add(1, Ordering::Relaxed);
-            return op(&entry.node.primary);
-        }
-        let pick = entry.next_replica.fetch_add(1, Ordering::Relaxed) % replicas.len();
-        match op(&replicas[pick]) {
+            return entry.node.primary.call(op);
+        };
+        match replica.call(op.clone()) {
             Ok(value) => {
                 self.replica_reads.fetch_add(1, Ordering::Relaxed);
                 Ok(value)
             }
-            Err(e) if Self::retry_on_primary(&e) => {
+            // The replica is gone, lagging (campaign not bootstrapped
+            // yet), or was promoted/demoted out from under the router.
+            Err(
+                ServiceError::Disconnected
+                | ServiceError::Busy { .. }
+                | ServiceError::Rejected(RejectReason::UnknownCampaign(_)),
+            ) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 self.primary_reads.fetch_add(1, Ordering::Relaxed);
-                op(&entry.node.primary)
+                entry.node.primary.call(op)
             }
             Err(e) => Err(e),
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Reads: owning node, replica-first.
-    // ------------------------------------------------------------------
-
-    /// Campaign status, served replica-first on the owning node.
-    pub fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        self.read(campaign, |h| h.status_in(campaign))
+impl Client for ClusterRouter {
+    fn submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError> {
+        self.aim(&op)?.submit(op)
     }
 
-    /// Inferred truths under the current state, served replica-first.
-    pub fn peek_report_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.read(campaign, |h| h.peek_report_in(campaign))
+    fn try_submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError> {
+        self.aim(&op)?.try_submit(op)
     }
 
-    /// Serialized campaign state, served replica-first.
-    pub fn snapshot_state_in(&self, campaign: CampaignId) -> Result<Vec<u8>, ServiceError> {
-        self.read(campaign, |h| h.snapshot_state_in(campaign))
-    }
-
-    // ------------------------------------------------------------------
-    // Writes: owner-routed, redirect-retried.
-    // ------------------------------------------------------------------
-
-    /// "A worker comes and requests tasks" — owner's primary (assignment
-    /// reads *and then consumes* budget as answers flow back).
-    pub fn request_tasks_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<WorkRequest, ServiceError> {
-        self.write(campaign, |h| h.request_tasks_in(campaign, worker))
-    }
-
-    /// Pipelined assignment request against the current owner. Redirects
-    /// surface through the ticket; callers that harvest them should
-    /// [`note_redirect`](Self::note_redirect) and resubmit.
-    pub fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.owner_primary(campaign)?
-            .request_tasks_ticket_in(campaign, worker)
-    }
-
-    /// Assignment subscription (push/hybrid dispatch) — owner's primary.
-    pub fn subscribe_assignments_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.owner_primary(campaign)?
-            .subscribe_assignments_ticket_in(campaign, worker)
-    }
-
-    /// Drops a parked assignment subscription — owner's primary.
-    pub fn unsubscribe_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<(), ServiceError> {
-        self.write(campaign, |h| h.unsubscribe_in(campaign, worker))
-    }
-
-    /// Golden-HIT submission — owner's primary.
-    pub fn submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.write(campaign, |h| {
-            h.submit_golden_in(campaign, worker, answers.clone())
-        })
-    }
-
-    /// Pipelined golden-HIT submission against the current owner.
-    pub fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.owner_primary(campaign)?
-            .submit_golden_ticket_in(campaign, worker, answers)
-    }
-
-    /// Single-answer submission — owner's primary.
-    pub fn submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<(), ServiceError> {
-        self.write(campaign, |h| h.submit_answer_in(campaign, answer))
-    }
-
-    /// Batched answer submission — owner's primary.
-    pub fn submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<crate::message::BatchOutcome, ServiceError> {
-        self.write(campaign, |h| {
-            h.submit_answer_batch_in(campaign, answers.clone())
-        })
-    }
-
-    /// Pipelined batched submission against the current owner.
-    pub fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<crate::message::BatchOutcome>, ServiceError> {
-        self.owner_primary(campaign)?
-            .submit_answer_batch_ticket_in(campaign, answers)
-    }
-
-    /// Finalization (runs inference, logs `Finished`) — owner's primary.
-    pub fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.write(campaign, |h| h.finish_in(campaign))
+    /// Submit + wait under the router's retry policies: redirect-absorb
+    /// for writes, primary fallback for reads.
+    fn call<T>(&self, op: Op<T>) -> Result<T, ServiceError> {
+        if op.is_read() {
+            self.read(op)
+        } else {
+            self.write(op)
+        }
     }
 }
 
@@ -471,154 +351,6 @@ impl std::fmt::Debug for ClusterRouter {
         f.debug_struct("ClusterRouter")
             .field("nodes", &self.nodes.len())
             .field("epoch", &self.map.lock().epoch())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// Where a [`ReadRouter`] sent reads so far (observability for tests,
-/// examples, and capacity planning).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadRoutingStats {
-    /// Reads served by a replica.
-    pub replica_reads: u64,
-    /// Reads served by the primary (no replicas, or fallback).
-    pub primary_reads: u64,
-    /// Reads that fell back to the primary after a replica refused or
-    /// disconnected.
-    pub fallbacks: u64,
-}
-
-impl std::fmt::Display for ReadRoutingStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "reads: {} replica / {} primary ({} fallbacks)",
-            self.replica_reads, self.primary_reads, self.fallbacks
-        )
-    }
-}
-
-/// The routing client of a single primary + replicas deployment — a
-/// one-node [`ClusterRouter`] with the pre-cluster API kept intact.
-#[derive(Clone)]
-pub struct ReadRouter {
-    inner: ClusterRouter,
-}
-
-impl ReadRouter {
-    /// Routes writes to `primary` and fans reads out across `replicas`
-    /// (an empty list degrades to an all-primary router).
-    pub fn new(primary: ServiceHandle, replicas: Vec<ServiceHandle>) -> Self {
-        ReadRouter {
-            inner: ClusterRouter::single(NodeId(0), primary, replicas),
-        }
-    }
-
-    /// The write-side handle.
-    pub fn primary(&self) -> &ServiceHandle {
-        &self.inner.nodes[0].node.primary
-    }
-
-    /// The attached replica handles.
-    pub fn replicas(&self) -> &[ServiceHandle] {
-        &self.inner.nodes[0].node.replicas
-    }
-
-    /// Read-routing accounting so far.
-    pub fn stats(&self) -> ReadRoutingStats {
-        let stats = self.inner.stats();
-        ReadRoutingStats {
-            replica_reads: stats.replica_reads,
-            primary_reads: stats.primary_reads,
-            fallbacks: stats.fallbacks,
-        }
-    }
-
-    /// Campaign status, served replica-first.
-    pub fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        self.inner.status_in(campaign)
-    }
-
-    /// Inferred truths under the current state, served replica-first.
-    pub fn peek_report_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.inner.peek_report_in(campaign)
-    }
-
-    /// Serialized campaign state, served replica-first.
-    pub fn snapshot_state_in(&self, campaign: CampaignId) -> Result<Vec<u8>, ServiceError> {
-        self.inner.snapshot_state_in(campaign)
-    }
-
-    /// "A worker comes and requests tasks" — primary only (assignment
-    /// reads *and then consumes* budget as answers flow back; a follower
-    /// refuses it).
-    pub fn request_tasks_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<WorkRequest, ServiceError> {
-        self.inner.request_tasks_in(campaign, worker)
-    }
-
-    /// Assignment subscription (push/hybrid dispatch) — primary only:
-    /// like polling, a pushed assignment leads to answers that consume the
-    /// primary's budget, and a follower refuses the subscribe outright.
-    pub fn subscribe_assignments_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.inner.subscribe_assignments_ticket_in(campaign, worker)
-    }
-
-    /// Drops a parked assignment subscription — primary only.
-    pub fn unsubscribe_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<(), ServiceError> {
-        self.inner.unsubscribe_in(campaign, worker)
-    }
-
-    /// Golden-HIT submission — primary only.
-    pub fn submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.inner.submit_golden_in(campaign, worker, answers)
-    }
-
-    /// Single-answer submission — primary only.
-    pub fn submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<(), ServiceError> {
-        self.inner.submit_answer_in(campaign, answer)
-    }
-
-    /// Batched answer submission — primary only.
-    pub fn submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<crate::message::BatchOutcome, ServiceError> {
-        self.inner.submit_answer_batch_in(campaign, answers)
-    }
-
-    /// Finalization (runs inference, logs `Finished`) — primary only.
-    pub fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.inner.finish_in(campaign)
-    }
-}
-
-impl std::fmt::Debug for ReadRouter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadRouter")
-            .field("replicas", &self.replicas().len())
             .field("stats", &self.stats())
             .finish()
     }

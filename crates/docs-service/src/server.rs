@@ -1,6 +1,7 @@
 //! The sharded service runtime: a pool of shard threads, each owning a
-//! [`CampaignRegistry`] of the campaigns hashed to it, plus a cloneable
-//! routing handle speaking the submission/completion protocol.
+//! [`CampaignRegistry`] of the campaigns hashed to it. The client side —
+//! the op table, the three verbs and the routing [`ServiceHandle`] — lives
+//! in [`crate::handle`].
 //!
 //! The paper's deployment is one Django backend serving one requester batch;
 //! the seed mirrored that with a single server thread owning a single
@@ -11,19 +12,10 @@
 //!   ([`CampaignId::shard`]), so campaign state is share-nothing — no locks,
 //!   and requests for one campaign keep the paper's strict arrival-order
 //!   serialization.
-//! * **The router is the handle**: [`ServiceHandle`] computes the owning
-//!   shard client-side and enqueues directly on that shard's channel —
-//!   routing adds no extra hop or thread.
-//! * **Submission and completion are split**: every operation has a
-//!   non-blocking `*_ticket_in` form that enqueues a correlation-tagged
-//!   [`RequestEnvelope`](crate::message::RequestEnvelope) and returns a
-//!   [`Ticket`] immediately, so one client thread can keep many requests
-//!   pipelined per shard. The blocking methods are thin `submit().wait()`
-//!   wrappers over the same path.
 //! * **Ingress is bounded**: each shard's queue admits at most
-//!   [`ServiceConfig::queue_capacity`] requests. Blocking submissions park
-//!   until a slot frees (backpressure); the `try_*` forms fail fast with
-//!   [`ServiceError::Busy`] and bump the shard's `busy_rejections` counter
+//!   [`ServiceConfig::queue_capacity`] requests. `submit` and `call` park
+//!   until a slot frees (backpressure); `try_submit` fails fast with
+//!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections` counter
 //!   instead of letting the queue grow without limit.
 //! * **Failures are data**: every refusal carries a matchable
 //!   [`RejectReason`] ([`ServiceError::Rejected`]) whose `Display` output
@@ -39,22 +31,20 @@
 //!   [`DocsService::recover`] rebuilds the whole registry from snapshots +
 //!   log replay — across restarts that change the shard count.
 //! * **Backward compatibility**: [`DocsService::spawn`] registers its
-//!   `Docs` as the *default campaign* and the un-suffixed handle methods
-//!   target it, so single-campaign callers are unchanged.
+//!   `Docs` as the *default campaign*
+//!   ([`ServiceHandle::default_campaign`]) and [`DocsService::join`]
+//!   returns it, so single-campaign callers need no campaign bookkeeping.
 
+use crate::handle::ServiceHandle;
 use crate::message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
 use crate::metrics::{OpKind, ServiceMetrics};
-use crate::ticket::Ticket;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use docs_obs::{JournalKind, SpanKind, TraceContext};
 use docs_storage::{recover_tree, AdaptiveCommit, CampaignLog, FlushPolicy};
-use docs_system::{
-    CampaignRegistry, CampaignStatus, Docs, MutationAdmission, OwnershipTable, RequesterReport,
-    WorkRequest,
-};
+use docs_system::{CampaignRegistry, Docs, MutationAdmission, OwnershipTable, WorkRequest};
 use docs_types::{
-    codec, Answer, CampaignEvent, CampaignId, ChoiceIndex, ClusterMap, EventFrame, NodeId,
-    PublishedEvent, RejectReason, ReplicaRole, ReplicationFrame, SnapshotFrame, TaskId, WorkerId,
+    codec, Answer, CampaignEvent, CampaignId, EventFrame, NodeId, PublishedEvent, RejectReason,
+    ReplicaRole, ReplicationFrame, SnapshotFrame, WorkerId,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -137,17 +127,17 @@ impl fmt::Debug for ReplicationSink {
 /// Shared mutable role of a running service: shards consult it per
 /// request, promotion flips it exactly once.
 #[derive(Debug, Clone)]
-struct RoleCell(Arc<AtomicU8>);
+pub(crate) struct RoleCell(Arc<AtomicU8>);
 
 impl RoleCell {
-    fn new(role: ReplicaRole) -> Self {
+    pub(crate) fn new(role: ReplicaRole) -> Self {
         RoleCell(Arc::new(AtomicU8::new(match role {
             ReplicaRole::Primary => 0,
             ReplicaRole::Follower => 1,
         })))
     }
 
-    fn get(&self) -> ReplicaRole {
+    pub(crate) fn get(&self) -> ReplicaRole {
         if self.0.load(Ordering::SeqCst) == 0 {
             ReplicaRole::Primary
         } else {
@@ -155,7 +145,7 @@ impl RoleCell {
         }
     }
 
-    fn set(&self, role: ReplicaRole) {
+    pub(crate) fn set(&self, role: ReplicaRole) {
         self.0.store(
             match role {
                 ReplicaRole::Primary => 0,
@@ -285,8 +275,8 @@ pub struct ServiceConfig {
     /// Per-shard ingress-queue bound: at most this many requests can sit
     /// in a shard's queue (one more may already be executing on the shard
     /// thread, so worst-case in-shard demand is `queue_capacity + 1`).
-    /// Blocking submissions park until a slot frees; `try_*` submissions
-    /// fail fast with [`ServiceError::Busy`]. `0` removes the bound (the
+    /// `submit` and `call` park until a slot frees; `try_submit` fails
+    /// fast with [`ServiceError::Busy`]. `0` removes the bound (the
     /// pre-backpressure behavior, kept as an escape hatch for harnesses
     /// that measure raw queue growth).
     pub queue_capacity: usize,
@@ -416,725 +406,9 @@ type PoolSeeds = Vec<(CampaignRegistry, Vec<(CampaignId, FlushPolicy, u64)>)>;
 
 /// One admitted submission on a shard's ingress queue: the wire envelope
 /// plus the sender of the submitter's one-shot completion slot.
-struct Inbound {
-    envelope: RequestEnvelope,
-    completions: Sender<Completion>,
-}
-
-/// How a submission behaves when the shard's ingress queue is full.
-#[derive(Clone, Copy)]
-enum Admission {
-    /// Park until a slot frees — backpressure, the blocking API's choice.
-    Block,
-    /// Fail fast with [`ServiceError::Busy`].
-    FailFast,
-}
-
-/// Cloneable routing client for a running [`DocsService`].
-///
-/// Two API styles over one wire protocol:
-///
-/// * the **blocking** methods ([`ServiceHandle::request_tasks_in`],
-///   [`ServiceHandle::submit_answer_batch_in`], …) submit and immediately
-///   [`Ticket::wait`] — one synchronous round-trip, exactly like an HTTP
-///   call to the paper's Django backend;
-/// * the **pipelined** methods (`*_ticket_in` to park on a full queue,
-///   `try_*_in` to fail fast with [`ServiceError::Busy`]) return the
-///   [`Ticket`] itself, letting one client thread keep many operations in
-///   flight per shard and harvest completions when it pleases.
-///
-/// Handles are cheap to clone and safe to use from many threads.
-#[derive(Clone)]
-pub struct ServiceHandle {
-    shards: Arc<Vec<Sender<Inbound>>>,
-    next_campaign: Arc<AtomicU32>,
-    next_correlation: Arc<AtomicU64>,
-    metrics: ServiceMetrics,
-    default_campaign: CampaignId,
-    default_flush: Option<FlushPolicy>,
-    crash: Arc<AtomicBool>,
-    role: RoleCell,
-}
-
-impl ServiceHandle {
-    /// The submission half of every operation: tags the request with a
-    /// fresh correlation id, admits it onto the owning shard's bounded
-    /// queue under `admission`, and returns the typed completion handle.
-    fn submit_with<T>(
-        &self,
-        request: Request,
-        admission: Admission,
-        decode: fn(Response) -> Result<T, ServiceError>,
-    ) -> Result<Ticket<T>, ServiceError> {
-        let shard = request.campaign().shard(self.shards.len());
-        self.submit_to_shard(shard, request, admission, decode)
-    }
-
-    /// Like [`submit_with`](Self::submit_with) but with an explicit target
-    /// shard — the broadcast path (`InstallMap`) sends one copy per shard
-    /// instead of routing by campaign.
-    fn submit_to_shard<T>(
-        &self,
-        shard: usize,
-        request: Request,
-        admission: Admission,
-        decode: fn(Response) -> Result<T, ServiceError>,
-    ) -> Result<Ticket<T>, ServiceError> {
-        let correlation = self.next_correlation.fetch_add(1, Ordering::Relaxed);
-        let (completion_tx, completion_rx) = bounded(1);
-        // Sampled tracing: the unsampled path is one relaxed load inside
-        // `maybe_trace`. A sampled envelope closes its client-submit span
-        // here, so everything until the shard dequeues it is queue wait.
-        let trace = self.metrics.maybe_trace(correlation).map(|mut t| {
-            t.span(SpanKind::ClientSubmit);
-            Box::new(t)
-        });
-        let inbound = Inbound {
-            envelope: RequestEnvelope {
-                correlation,
-                request,
-                trace,
-            },
-            completions: completion_tx,
-        };
-        let depth = self.metrics.shard_enqueued(shard);
-        let outcome = match admission {
-            Admission::Block => self.shards[shard]
-                .send(inbound)
-                .map_err(|_| ServiceError::Disconnected),
-            Admission::FailFast => self.shards[shard].try_send(inbound).map_err(|e| match e {
-                TrySendError::Full(_) => {
-                    self.metrics.busy_rejection(shard);
-                    ServiceError::Busy { shard }
-                }
-                TrySendError::Disconnected(_) => ServiceError::Disconnected,
-            }),
-        };
-        if let Err(e) = outcome {
-            // The request never entered the queue: roll the depth back so
-            // no phantom high-water mark survives.
-            self.metrics.shard_enqueue_failed(shard);
-            return Err(e);
-        }
-        // High-water mark only once the request is really in the queue.
-        self.metrics.shard_send_recorded(shard, depth);
-        self.metrics.ticket_issued(shard);
-        Ok(Ticket::new(
-            completion_rx,
-            correlation,
-            shard,
-            decode,
-            self.metrics.clone(),
-        ))
-    }
-
-    fn create_campaign_inner(
-        &self,
-        docs: Docs,
-        persistence: Option<FlushPolicy>,
-    ) -> Result<CampaignId, ServiceError> {
-        let campaign = CampaignId(self.next_campaign.fetch_add(1, Ordering::Relaxed));
-        self.submit_with(
-            Request::CreateCampaign {
-                campaign,
-                docs: Box::new(docs),
-                persistence,
-            },
-            Admission::Block,
-            decode_created,
-        )?
-        .wait()
-    }
-
-    /// Registers a published system as a new campaign and returns its id.
-    /// The campaign is persisted iff its own `DocsConfig::durable_flush`
-    /// asks for it (and the service was spawned with durability).
-    pub fn create_campaign(&self, docs: Docs) -> Result<CampaignId, ServiceError> {
-        self.create_campaign_inner(docs, None)
-    }
-
-    /// Registers a campaign with an explicit persistence override: the
-    /// campaign's events are logged under `policy` regardless of what its
-    /// `DocsConfig` says. Fails if the service has no durability directory.
-    pub fn create_campaign_with(
-        &self,
-        docs: Docs,
-        policy: FlushPolicy,
-    ) -> Result<CampaignId, ServiceError> {
-        self.create_campaign_inner(docs, Some(policy))
-    }
-
-    /// Registers a durable campaign under the service's default flush
-    /// policy ([`DurabilityConfig::default_flush`]).
-    pub fn create_campaign_durable(&self, docs: Docs) -> Result<CampaignId, ServiceError> {
-        let policy = self.default_flush.ok_or(ServiceError::Rejected(
-            RejectReason::DurabilityUnavailable { campaign: None },
-        ))?;
-        self.create_campaign_inner(docs, Some(policy))
-    }
-
-    /// The campaign the un-suffixed convenience methods target.
-    pub fn default_campaign(&self) -> CampaignId {
-        self.default_campaign
-    }
-
-    /// The service's current replica role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role.get()
-    }
-
-    /// Flips the service to [`ReplicaRole::Primary`]: mutations are
-    /// accepted from the next request on, and the replication plane is
-    /// refused. This is the *mechanism* of failover; the *policy* (drain
-    /// every received frame first, record the promotion watermark) lives in
-    /// `docs-replication`'s follower controller — prefer promoting through
-    /// it so no in-flight frame is abandoned below the promised watermark.
-    pub fn promote_to_primary(&self) {
-        self.role.set(ReplicaRole::Primary);
-        self.metrics
-            .journal()
-            .info(JournalKind::Promotion, "replica promoted to primary");
-    }
-
-    /// Fault injection: makes every shard behave as if the process died —
-    /// each shard thread stops at its next loop turn *without* flushing its
-    /// group-commit buffer, so acknowledged-but-unsynced events are lost
-    /// exactly as a real `kill -9` would lose them. Drop all handles
-    /// afterwards to unblock shards waiting on their queues; then recover
-    /// with [`DocsService::recover`].
-    pub fn simulate_crash(&self) {
-        self.crash.store(true, Ordering::SeqCst);
-    }
-
-    // ------------------------------------------------------------------
-    // Pipelined submissions: enqueue now, harvest the completion later.
-    // ------------------------------------------------------------------
-
-    /// Submits "a worker requests tasks" on one campaign and returns the
-    /// completion handle without waiting. Parks if the shard's ingress
-    /// queue is full.
-    pub fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.submit_with(
-            Request::RequestWork { campaign, worker },
-            Admission::Block,
-            decode_work,
-        )
-    }
-
-    /// Fail-fast form of [`ServiceHandle::request_tasks_ticket_in`]:
-    /// returns [`ServiceError::Busy`] instead of parking when the shard's
-    /// ingress queue is at capacity.
-    pub fn try_request_tasks_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.submit_with(
-            Request::RequestWork { campaign, worker },
-            Admission::FailFast,
-            decode_work,
-        )
-    }
-
-    /// Registers an assignment subscription for `(campaign, worker)` and
-    /// returns its completion handle: the push-dispatch plane's entry
-    /// point. The ticket resolves with [`WorkRequest`] — immediately when
-    /// the worker is servable right now, or when the shard's next dispatch
-    /// pass pushes an assignment (the subscription *parks* on the shard in
-    /// the meantime). On a [`DispatchMode::Pull`] service the ticket
-    /// resolves with [`RejectReason::Invalid`].
-    pub fn subscribe_assignments_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.submit_with(
-            Request::Subscribe { campaign, worker },
-            Admission::Block,
-            decode_work,
-        )
-    }
-
-    /// Fail-fast form of [`ServiceHandle::subscribe_assignments_ticket_in`].
-    pub fn try_subscribe_assignments_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.submit_with(
-            Request::Subscribe { campaign, worker },
-            Admission::FailFast,
-            decode_work,
-        )
-    }
-
-    /// Drops `(campaign, worker)`'s parked subscription, if any; the
-    /// outstanding subscribe ticket resolves with `Work(Done)`. Idempotent
-    /// — unsubscribing without a parked subscription still acks. The
-    /// hybrid client's fallback edge: unsubscribe, then poll.
-    pub fn unsubscribe_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::Unsubscribe { campaign, worker },
-            Admission::Block,
-            decode_ack,
-        )
-    }
-
-    /// Blocking form of [`ServiceHandle::unsubscribe_ticket_in`].
-    pub fn unsubscribe_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<(), ServiceError> {
-        self.unsubscribe_ticket_in(campaign, worker)?.wait()
-    }
-
-    /// Submits a golden HIT on one campaign without waiting for the ack.
-    pub fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::SubmitGolden {
-                campaign,
-                worker,
-                answers,
-            },
-            Admission::Block,
-            decode_ack,
-        )
-    }
-
-    /// Fail-fast form of [`ServiceHandle::submit_golden_ticket_in`].
-    pub fn try_submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::SubmitGolden {
-                campaign,
-                worker,
-                answers,
-            },
-            Admission::FailFast,
-            decode_ack,
-        )
-    }
-
-    /// Submits one answer on one campaign without waiting for the ack.
-    pub fn submit_answer_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::SubmitAnswer { campaign, answer },
-            Admission::Block,
-            decode_ack,
-        )
-    }
-
-    /// Fail-fast form of [`ServiceHandle::submit_answer_ticket_in`].
-    pub fn try_submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::SubmitAnswer { campaign, answer },
-            Admission::FailFast,
-            decode_ack,
-        )
-    }
-
-    /// Submits a whole HIT's answers on one campaign without waiting for
-    /// the per-answer outcome — the pipelined driver's hot path: the next
-    /// HIT request can ride the wire while this batch is still being
-    /// validated, logged, and applied.
-    pub fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError> {
-        self.submit_with(
-            Request::SubmitAnswerBatch { campaign, answers },
-            Admission::Block,
-            decode_batch,
-        )
-    }
-
-    /// Fail-fast form of [`ServiceHandle::submit_answer_batch_ticket_in`].
-    pub fn try_submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError> {
-        self.submit_with(
-            Request::SubmitAnswerBatch { campaign, answers },
-            Admission::FailFast,
-            decode_batch,
-        )
-    }
-
-    /// Submits a finish (final inference + report) without waiting.
-    pub fn finish_ticket_in(
-        &self,
-        campaign: CampaignId,
-    ) -> Result<Ticket<RequesterReport>, ServiceError> {
-        self.submit_with(
-            Request::Finish { campaign },
-            Admission::Block,
-            decode_report,
-        )
-    }
-
-    /// Fail-fast form of [`ServiceHandle::finish_ticket_in`].
-    pub fn try_finish_in(
-        &self,
-        campaign: CampaignId,
-    ) -> Result<Ticket<RequesterReport>, ServiceError> {
-        self.submit_with(
-            Request::Finish { campaign },
-            Admission::FailFast,
-            decode_report,
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Pure reads: served by primaries and followers alike — the
-    // operations read-routing fans out to replicas.
-    // ------------------------------------------------------------------
-
-    /// Submits a status read on one campaign without waiting.
-    pub fn status_ticket_in(
-        &self,
-        campaign: CampaignId,
-    ) -> Result<Ticket<CampaignStatus>, ServiceError> {
-        self.submit_with(
-            Request::Status { campaign },
-            Admission::Block,
-            decode_status,
-        )
-    }
-
-    /// The campaign's observable serving state (answers collected, worker
-    /// counts, budget) — a pure read, servable by a follower.
-    pub fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        self.status_ticket_in(campaign)?.wait()
-    }
-
-    /// Submits an inferred-truths read on one campaign without waiting.
-    pub fn peek_report_ticket_in(
-        &self,
-        campaign: CampaignId,
-    ) -> Result<Ticket<RequesterReport>, ServiceError> {
-        self.submit_with(
-            Request::PeekReport { campaign },
-            Admission::Block,
-            decode_report,
-        )
-    }
-
-    /// The requester report under the campaign's *current* state — unlike
-    /// [`ServiceHandle::finish_in`], no `Finished` event is applied (no
-    /// full-inference pass is forced, nothing is logged), so this is a
-    /// pure read a follower serves locally.
-    pub fn peek_report_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.peek_report_ticket_in(campaign)?.wait()
-    }
-
-    /// The campaign's full serialized `CampaignSnapshot` — the
-    /// byte-identity probe: a follower at watermark `w` returns exactly
-    /// the bytes the primary's state had at `w`.
-    pub fn snapshot_state_in(&self, campaign: CampaignId) -> Result<Vec<u8>, ServiceError> {
-        self.submit_with(
-            Request::SnapshotState { campaign },
-            Admission::Block,
-            decode_state,
-        )?
-        .wait()
-    }
-
-    // ------------------------------------------------------------------
-    // Replication plane: fed by a follower's applier, refused elsewhere.
-    // ------------------------------------------------------------------
-
-    /// Installs a replicated campaign snapshot on this follower (bootstrap
-    /// or fast-forward), covering sequences up to `seq`.
-    pub fn replicate_install_snapshot(
-        &self,
-        campaign: CampaignId,
-        seq: u64,
-        snapshot: Vec<u8>,
-    ) -> Result<(), ServiceError> {
-        self.submit_with(
-            Request::InstallSnapshot {
-                campaign,
-                seq,
-                snapshot,
-            },
-            Admission::Block,
-            decode_ack,
-        )?
-        .wait()
-    }
-
-    /// Applies one replicated event at its primary-assigned sequence
-    /// number on this follower. The caller (the applier) guarantees
-    /// per-campaign gap-free order.
-    pub fn replicate_apply(
-        &self,
-        campaign: CampaignId,
-        seq: u64,
-        event: CampaignEvent,
-    ) -> Result<(), ServiceError> {
-        self.submit_with(
-            Request::ApplyReplicated {
-                campaign,
-                seq,
-                event: Box::new(event),
-            },
-            Admission::Block,
-            decode_ack,
-        )?
-        .wait()
-    }
-
-    // ------------------------------------------------------------------
-    // Cluster control plane: fencing, migration intake, directory
-    // installs (see ARCHITECTURE.md, "Cluster & migration").
-    // ------------------------------------------------------------------
-
-    /// Fences `campaign` away to `owner`: the owning shard hardens the
-    /// campaign's buffered events, ships them, records the hand-off, and
-    /// returns the hardened watermark — every later mutation of the
-    /// campaign is refused with [`RejectReason::WrongNode`] naming
-    /// `owner`. The linearization point of a live migration.
-    pub fn fence_in(&self, campaign: CampaignId, owner: NodeId) -> Result<u64, ServiceError> {
-        self.submit_with(
-            Request::Fence { campaign, owner },
-            Admission::Block,
-            decode_fenced,
-        )?
-        .wait()
-    }
-
-    /// Begins migration intake for `campaign`: this pool admits the
-    /// replication plane for it (despite running as a primary) and
-    /// redirects mutations back to `source` until
-    /// [`ServiceHandle::complete_migration_in`].
-    pub fn prepare_migration_in(
-        &self,
-        campaign: CampaignId,
-        source: NodeId,
-    ) -> Result<(), ServiceError> {
-        self.submit_with(
-            Request::PrepareMigration { campaign, source },
-            Admission::Block,
-            decode_ack,
-        )?
-        .wait()
-    }
-
-    /// Adopts the migrated campaign's write path: ends intake, clears any
-    /// stale fence from a previous round-trip.
-    pub fn complete_migration_in(&self, campaign: CampaignId) -> Result<(), ServiceError> {
-        self.submit_with(
-            Request::CompleteMigration { campaign },
-            Admission::Block,
-            decode_ack,
-        )?
-        .wait()
-    }
-
-    /// Installs a routing directory on **every** shard of this pool
-    /// (broadcast — the one request not routed by campaign). Fresher
-    /// epochs win per shard; stale installs are acknowledged and dropped.
-    pub fn install_cluster_map(&self, map: &ClusterMap) -> Result<(), ServiceError> {
-        let tickets: Vec<Ticket<()>> = (0..self.shards.len())
-            .map(|shard| {
-                self.submit_to_shard(
-                    shard,
-                    Request::InstallMap {
-                        map: Box::new(map.clone()),
-                    },
-                    Admission::Block,
-                    decode_ack,
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        for ticket in tickets {
-            ticket.wait()?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Blocking API: submit + wait, one synchronous round-trip.
-    // ------------------------------------------------------------------
-
-    /// "A worker comes and requests tasks" on one campaign.
-    pub fn request_tasks_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<WorkRequest, ServiceError> {
-        self.request_tasks_ticket_in(campaign, worker)?.wait()
-    }
-
-    /// Submits a new worker's golden-HIT answers on one campaign.
-    pub fn submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.submit_golden_ticket_in(campaign, worker, answers)?
-            .wait()
-    }
-
-    /// Submits one answer on one campaign.
-    pub fn submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<(), ServiceError> {
-        self.submit_answer_ticket_in(campaign, answer)?.wait()
-    }
-
-    /// Submits a whole HIT's answers on one campaign in a single
-    /// round-trip (one WAL record, one group-commit sync, one
-    /// benefit-index repair on the owning shard). Rejection is per answer:
-    /// the returned [`BatchOutcome`] names which answers were refused and
-    /// why, exactly as individual submissions would have been.
-    pub fn submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<BatchOutcome, ServiceError> {
-        self.submit_answer_batch_ticket_in(campaign, answers)?
-            .wait()
-    }
-
-    /// Finalizes one campaign's inference and returns its report.
-    pub fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.finish_ticket_in(campaign)?.wait()
-    }
-
-    /// "A worker comes and requests tasks" (default campaign).
-    pub fn request_tasks(&self, worker: WorkerId) -> Result<WorkRequest, ServiceError> {
-        self.request_tasks_in(self.default_campaign, worker)
-    }
-
-    /// Submits a new worker's golden-HIT answers (default campaign).
-    pub fn submit_golden(
-        &self,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.submit_golden_in(self.default_campaign, worker, answers)
-    }
-
-    /// Submits one answer (default campaign).
-    pub fn submit_answer(&self, answer: Answer) -> Result<(), ServiceError> {
-        self.submit_answer_in(self.default_campaign, answer)
-    }
-
-    /// Submits an answer batch (default campaign).
-    pub fn submit_answer_batch(&self, answers: Vec<Answer>) -> Result<BatchOutcome, ServiceError> {
-        self.submit_answer_batch_in(self.default_campaign, answers)
-    }
-
-    /// Finalizes inference and returns the requester report (default
-    /// campaign).
-    pub fn finish(&self) -> Result<RequesterReport, ServiceError> {
-        self.finish_in(self.default_campaign)
-    }
-
-    /// The shared latency/queue/durability metrics.
-    pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
-    }
-}
-
-// Completion decoders: one per operation kind. Rejections pass through as
-// typed errors; a cross-typed response is a protocol violation (the shard
-// echoed the wrong correlation's payload), which per-ticket one-shot slots
-// make impossible short of a bug.
-fn decode_created(response: Response) -> Result<CampaignId, ServiceError> {
-    match response {
-        Response::CampaignCreated(id) => Ok(id),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
-fn decode_work(response: Response) -> Result<WorkRequest, ServiceError> {
-    match response {
-        Response::Work(w) => Ok(w),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
-fn decode_ack(response: Response) -> Result<(), ServiceError> {
-    match response {
-        Response::Ack => Ok(()),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
-fn decode_batch(response: Response) -> Result<BatchOutcome, ServiceError> {
-    match response {
-        Response::BatchAck(outcome) => Ok(outcome),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
-fn decode_report(response: Response) -> Result<RequesterReport, ServiceError> {
-    match response {
-        Response::Report(r) => Ok(*r),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
-fn decode_status(response: Response) -> Result<CampaignStatus, ServiceError> {
-    match response {
-        Response::Status(s) => Ok(*s),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
-fn decode_state(response: Response) -> Result<Vec<u8>, ServiceError> {
-    match response {
-        Response::State(bytes) => Ok(bytes),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
-fn decode_fenced(response: Response) -> Result<u64, ServiceError> {
-    match response {
-        Response::Fenced { watermark } => Ok(watermark),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
+pub(crate) struct Inbound {
+    pub(crate) envelope: RequestEnvelope,
+    pub(crate) completions: Sender<Completion>,
 }
 
 /// A running DOCS service (the shard-thread pool).
@@ -2536,11 +1810,10 @@ impl DocsService {
             &config,
             seeds,
             max_id.map_or(0, |m| m + 1),
-            // The un-suffixed handle API keeps pointing at campaign 0. If
-            // the original default campaign was not durable, those calls
-            // fail with "unknown campaign c0" — a clear diagnostic —
-            // instead of silently re-targeting some other recovered
-            // campaign.
+            // `default_campaign()` keeps pointing at campaign 0. If the
+            // original default campaign was not durable, calls on it fail
+            // with "unknown campaign c0" — a clear diagnostic — instead
+            // of silently re-targeting some other recovered campaign.
             CampaignId(0),
             metrics,
         )
@@ -2671,14 +1944,15 @@ impl DocsService {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::handle::{Client, Op};
     use crate::ticket::TicketWait;
     use docs_kb::table2_example_kb;
     use docs_system::DocsConfig;
-    use docs_types::TaskBuilder;
+    use docs_types::{TaskBuilder, TaskId};
 
-    fn published(n: usize) -> Docs {
+    pub(crate) fn published(n: usize) -> Docs {
         let kb = table2_example_kb();
         let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
         let tasks: Vec<_> = (0..n)
@@ -2705,24 +1979,6 @@ mod tests {
         DocsService::spawn(published(9))
     }
 
-    /// A handle whose single "shard" is a queue the test holds the
-    /// receiving end of — nothing is ever served, which makes admission
-    /// control and pending-ticket behavior deterministic.
-    fn stub_handle(capacity: usize) -> (ServiceHandle, Receiver<Inbound>) {
-        let (tx, rx) = bounded(capacity);
-        let handle = ServiceHandle {
-            shards: Arc::new(vec![tx]),
-            next_campaign: Arc::new(AtomicU32::new(1)),
-            next_correlation: Arc::new(AtomicU64::new(0)),
-            metrics: ServiceMetrics::new(1),
-            default_campaign: CampaignId(0),
-            default_flush: None,
-            crash: Arc::new(AtomicBool::new(false)),
-            role: RoleCell::new(ReplicaRole::Primary),
-        };
-        (handle, rx)
-    }
-
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("docs-server-test-{}-{name}", std::process::id()));
@@ -2731,42 +1987,40 @@ mod tests {
     }
 
     /// Answers golden tasks correctly (ground truth is i % 2 by id).
-    fn pass_golden(handle: &ServiceHandle, worker: WorkerId, golden: &[TaskId]) {
-        let answers: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-        handle.submit_golden(worker, answers).unwrap();
-    }
-
-    fn pass_golden_in(
+    fn pass_golden(
         handle: &ServiceHandle,
         campaign: CampaignId,
         worker: WorkerId,
         golden: &[TaskId],
     ) {
         let answers: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-        handle.submit_golden_in(campaign, worker, answers).unwrap();
+        handle
+            .call(Op::submit_golden(campaign, worker, answers))
+            .unwrap();
     }
 
     #[test]
     fn round_trip_golden_then_tasks_then_report() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(0);
-        let golden = match handle.request_tasks(w).unwrap() {
+        let golden = match handle.call(Op::request_tasks(c, w)).unwrap() {
             WorkRequest::Golden(g) => g,
             other => panic!("expected golden HIT, got {other:?}"),
         };
         assert_eq!(golden.len(), 2);
-        pass_golden(&handle, w, &golden);
-        let tasks = match handle.request_tasks(w).unwrap() {
+        pass_golden(&handle, c, w, &golden);
+        let tasks = match handle.call(Op::request_tasks(c, w)).unwrap() {
             WorkRequest::Tasks(t) => t,
             other => panic!("expected task HIT, got {other:?}"),
         };
         assert_eq!(tasks.len(), 3);
         for t in tasks {
             handle
-                .submit_answer(Answer::new(w, t, t.index() % 2))
+                .call(Op::submit_answer(c, Answer::new(w, t, t.index() % 2)))
                 .unwrap();
         }
-        let report = handle.finish().unwrap();
+        let report = handle.call(Op::finish(c)).unwrap();
         assert_eq!(report.truths.len(), 9);
         assert_eq!(report.answers_collected, 3);
         drop(handle);
@@ -2776,13 +2030,14 @@ mod tests {
     #[test]
     fn duplicate_answer_is_rejected_with_a_matchable_reason() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(1);
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
-            pass_golden(&handle, w, &g);
+        if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+            pass_golden(&handle, c, w, &g);
         }
         let answer = Answer::new(w, TaskId(0), 0);
-        handle.submit_answer(answer).unwrap();
-        let err = handle.submit_answer(answer).unwrap_err();
+        handle.call(Op::submit_answer(c, answer)).unwrap();
+        let err = handle.call(Op::submit_answer(c, answer)).unwrap_err();
         // The rejection is typed end to end…
         assert_eq!(
             err,
@@ -2797,7 +2052,7 @@ mod tests {
             "request rejected: worker w1 already answered task t0"
         );
         // The service keeps serving after the rejection.
-        assert!(handle.request_tasks(w).is_ok());
+        assert!(handle.call(Op::request_tasks(c, w)).is_ok());
         drop(handle);
         service.join();
     }
@@ -2805,16 +2060,15 @@ mod tests {
     #[test]
     fn pipelined_tickets_complete_in_submission_order() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(0);
         // Golden first (blocking), so the pipelined requests get task HITs.
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
-            pass_golden(&handle, w, &g);
+        if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+            pass_golden(&handle, c, w, &g);
         }
         // Pipeline: a HIT request, its answers, and the next HIT request —
         // all in flight before the first completion is harvested.
-        let first = handle
-            .request_tasks_ticket_in(handle.default_campaign(), w)
-            .unwrap();
+        let first = handle.submit(Op::request_tasks(c, w)).unwrap();
         assert!(handle.metrics().shard(0).in_flight >= 1);
         let hit = match first.wait().unwrap() {
             WorkRequest::Tasks(t) => t,
@@ -2824,12 +2078,8 @@ mod tests {
             .iter()
             .map(|&t| Answer::new(w, t, t.index() % 2))
             .collect();
-        let batch_ticket = handle
-            .submit_answer_batch_ticket_in(handle.default_campaign(), answers)
-            .unwrap();
-        let next_ticket = handle
-            .request_tasks_ticket_in(handle.default_campaign(), w)
-            .unwrap();
+        let batch_ticket = handle.submit(Op::submit_answer_batch(c, answers)).unwrap();
+        let next_ticket = handle.submit(Op::request_tasks(c, w)).unwrap();
         assert!(
             batch_ticket.correlation() < next_ticket.correlation(),
             "correlation ids are monotone per handle"
@@ -2855,81 +2105,13 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_fails_fast_with_busy_when_the_queue_is_full() {
-        let (handle, rx) = stub_handle(2);
-        let c = handle.default_campaign();
-        // Two admissions fill the queue; nothing serves it.
-        let _t1 = handle.try_request_tasks_in(c, WorkerId(0)).unwrap();
-        let _t2 = handle.try_request_tasks_in(c, WorkerId(1)).unwrap();
-        let err = handle.try_request_tasks_in(c, WorkerId(2)).unwrap_err();
-        assert_eq!(err, ServiceError::Busy { shard: 0 });
-        assert_eq!(err.to_string(), "shard 0 ingress queue is full");
-        let stats = handle.metrics().shard(0);
-        assert_eq!(stats.busy_rejections, 1, "refusal counted");
-        assert_eq!(stats.queued, 2, "refused request rolled its depth back");
-        assert_eq!(stats.max_queued, 2, "no phantom high-water mark");
-        assert_eq!(stats.in_flight, 2, "no ticket issued for the refusal");
-        // Draining one slot re-opens admission.
-        let served = rx.recv().unwrap();
-        handle
-            .metrics()
-            .shard_processed(0, Duration::from_micros(1));
-        let _t3 = handle.try_request_tasks_in(c, WorkerId(2)).unwrap();
-        assert_eq!(handle.metrics().shard(0).busy_rejections, 1);
-        // A dead shard is Disconnected, not Busy.
-        drop(rx);
-        drop(served);
-        let err = handle.try_request_tasks_in(c, WorkerId(3)).unwrap_err();
-        assert_eq!(err, ServiceError::Disconnected);
-    }
-
-    #[test]
-    fn pending_tickets_time_out_and_resolve_once_served() {
-        let (handle, rx) = stub_handle(4);
-        let c = handle.default_campaign();
-        let ticket = handle.request_tasks_ticket_in(c, WorkerId(0)).unwrap();
-        assert_eq!(handle.metrics().shard(0).in_flight, 1);
-        // Nothing serves the queue: the wait elapses and hands the ticket
-        // back, still pending, still counted in flight.
-        let ticket = match ticket.wait_timeout(Duration::from_millis(10)) {
-            TicketWait::Pending(t) => t,
-            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
-        };
-        let ticket = match ticket.try_take() {
-            TicketWait::Pending(t) => t,
-            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
-        };
-        assert_eq!(handle.metrics().shard(0).in_flight, 1);
-        // Serve it by hand: the completion must echo the correlation id.
-        let inbound = rx.recv().unwrap();
-        assert_eq!(inbound.envelope.correlation, ticket.correlation());
-        inbound
-            .completions
-            .send(Completion {
-                correlation: inbound.envelope.correlation,
-                response: Response::Work(WorkRequest::Done),
-            })
-            .unwrap();
-        assert_eq!(ticket.wait().unwrap(), WorkRequest::Done);
-        assert_eq!(handle.metrics().shard(0).in_flight, 0);
-        // A ticket whose shard died reports Disconnected.
-        let orphan = handle.request_tasks_ticket_in(c, WorkerId(1)).unwrap();
-        drop(rx);
-        assert_eq!(orphan.wait().unwrap_err(), ServiceError::Disconnected);
-        // Dropping a pending ticket is fire-and-forget and still resolves
-        // the in-flight gauge.
-        let ticket = handle.request_tasks_ticket_in(c, WorkerId(2));
-        assert!(matches!(ticket, Err(ServiceError::Disconnected)));
-        assert_eq!(handle.metrics().shard(0).in_flight, 0);
-    }
-
-    #[test]
     fn metrics_count_operations() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(2);
-        let _ = handle.request_tasks(w);
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
-            pass_golden(&handle, w, &g);
+        let _ = handle.call(Op::request_tasks(c, w));
+        if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+            pass_golden(&handle, c, w, &g);
         }
         assert_eq!(handle.metrics().stats(OpKind::Assign).count, 2);
         assert_eq!(handle.metrics().stats(OpKind::Golden).count, 1);
@@ -2945,7 +2127,9 @@ mod tests {
         let extra = handle.clone();
         drop(handle);
         // Pool still alive: `extra` holds every shard's sender.
-        assert!(extra.request_tasks(WorkerId(3)).is_ok());
+        assert!(extra
+            .call(Op::request_tasks(extra.default_campaign(), WorkerId(3)))
+            .is_ok());
         drop(extra);
         let _docs = service.join();
     }
@@ -2953,11 +2137,12 @@ mod tests {
     #[test]
     fn many_threads_share_one_handle() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         // Seed golden for 4 workers, then hammer assignments concurrently.
         for w in 0..4u32 {
             let w = WorkerId(w);
-            if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
-                pass_golden(&handle, w, &g);
+            if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+                pass_golden(&handle, c, w, &g);
             }
         }
         let threads: Vec<_> = (0..4u32)
@@ -2966,7 +2151,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let w = WorkerId(w);
                     for _ in 0..10 {
-                        h.request_tasks(w).unwrap();
+                        h.call(Op::request_tasks(h.default_campaign(), w)).unwrap();
                     }
                 })
             })
@@ -2992,21 +2177,23 @@ mod tests {
         // independently: golden state is per campaign.
         let w = WorkerId(0);
         for (campaign, tasks_n) in [(CampaignId(0), 9), (c1, 6), (c2, 12)] {
-            let golden = match handle.request_tasks_in(campaign, w).unwrap() {
+            let golden = match handle.call(Op::request_tasks(campaign, w)).unwrap() {
                 WorkRequest::Golden(g) => g,
                 other => panic!("expected golden in {campaign}, got {other:?}"),
             };
-            pass_golden_in(&handle, campaign, w, &golden);
-            match handle.request_tasks_in(campaign, w).unwrap() {
+            pass_golden(&handle, campaign, w, &golden);
+            match handle.call(Op::request_tasks(campaign, w)).unwrap() {
                 WorkRequest::Tasks(t) => assert!(!t.is_empty()),
                 other => panic!("expected tasks in {campaign}, got {other:?}"),
             }
-            let report = handle.finish_in(campaign).unwrap();
+            let report = handle.call(Op::finish(campaign)).unwrap();
             assert_eq!(report.truths.len(), tasks_n);
         }
 
         // Unknown campaigns are rejected with the campaign id, not fatal.
-        let err = handle.request_tasks_in(CampaignId(99), w).unwrap_err();
+        let err = handle
+            .call(Op::request_tasks(CampaignId(99), w))
+            .unwrap_err();
         assert_eq!(
             err,
             ServiceError::Rejected(RejectReason::UnknownCampaign(CampaignId(99)))
@@ -3082,11 +2269,11 @@ mod tests {
             .create_campaign_with(published(6), FlushPolicy::EveryEvent)
             .unwrap();
         let w = WorkerId(0);
-        if let WorkRequest::Golden(g) = handle.request_tasks_in(c, w).unwrap() {
-            pass_golden_in(&handle, c, w, &g);
+        if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+            pass_golden(&handle, c, w, &g);
         }
         handle
-            .submit_answer_in(c, Answer::new(w, TaskId(0), 0))
+            .call(Op::submit_answer(c, Answer::new(w, TaskId(0), 0)))
             .unwrap();
         let d = handle.metrics().durability();
         assert!(
@@ -3107,18 +2294,21 @@ mod tests {
     #[test]
     fn batched_submission_round_trip_with_per_answer_rejections() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(0);
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
-            pass_golden(&handle, w, &g);
+        if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+            pass_golden(&handle, c, w, &g);
         }
-        handle.submit_answer(Answer::new(w, TaskId(0), 0)).unwrap();
+        handle
+            .call(Op::submit_answer(c, Answer::new(w, TaskId(0), 0)))
+            .unwrap();
         let batch = vec![
             Answer::new(w, TaskId(0), 1), // duplicate against the log
             Answer::new(w, TaskId(1), 1),
             Answer::new(w, TaskId(1), 0), // duplicate within the batch
             Answer::new(w, TaskId(2), 0),
         ];
-        let outcome = handle.submit_answer_batch(batch).unwrap();
+        let outcome = handle.call(Op::submit_answer_batch(c, batch)).unwrap();
         assert_eq!(outcome.accepted, 2);
         assert_eq!(
             outcome.rejected.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
@@ -3137,7 +2327,7 @@ mod tests {
             .to_string()
             .contains("already answered"));
         assert_eq!(handle.metrics().stats(OpKind::SubmitBatch).count, 1);
-        let report = handle.finish().unwrap();
+        let report = handle.call(Op::finish(c)).unwrap();
         assert_eq!(report.answers_collected, 3);
         drop(handle);
         service.join();
@@ -3154,12 +2344,12 @@ mod tests {
             .create_campaign_with(published(9), FlushPolicy::EveryEvent)
             .unwrap();
         let w = WorkerId(0);
-        if let WorkRequest::Golden(g) = handle.request_tasks_in(c, w).unwrap() {
-            pass_golden_in(&handle, c, w, &g);
+        if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+            pass_golden(&handle, c, w, &g);
         }
         let flushes_before = handle.metrics().durability().log_flushes;
         let batch: Vec<Answer> = (0..6).map(|t| Answer::new(w, TaskId(t), 0)).collect();
-        let outcome = handle.submit_answer_batch_in(c, batch).unwrap();
+        let outcome = handle.call(Op::submit_answer_batch(c, batch)).unwrap();
         assert_eq!(outcome.accepted, 6);
         let flushes_after = handle.metrics().durability().log_flushes;
         assert_eq!(
@@ -3175,7 +2365,7 @@ mod tests {
         let rec = &tree.campaigns[&c];
         assert_eq!(rec.events.len(), 3, "published + golden + one batch");
         let (service, handle) = DocsService::recover(ServiceConfig::durable(1, &dir)).unwrap();
-        let report = handle.finish_in(c).unwrap();
+        let report = handle.call(Op::finish(c)).unwrap();
         assert_eq!(report.answers_collected, 6);
         drop(handle);
         service.join_all();
@@ -3187,7 +2377,9 @@ mod tests {
         let dir = tmp_dir("recover-empty");
         let (service, handle) = DocsService::recover(ServiceConfig::durable(2, &dir)).unwrap();
         // No campaigns recovered: the default campaign does not exist.
-        let err = handle.request_tasks(WorkerId(0)).unwrap_err();
+        let err = handle
+            .call(Op::request_tasks(handle.default_campaign(), WorkerId(0)))
+            .unwrap_err();
         assert_eq!(
             err,
             ServiceError::Rejected(RejectReason::UnknownCampaign(CampaignId(0)))

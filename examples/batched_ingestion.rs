@@ -22,7 +22,7 @@
 //! produce byte-identical truths** — the levers change cost, never
 //! answers.
 
-use docs_service::{DocsService, OpKind, ServiceConfig, ServiceHandle};
+use docs_service::{Client, DocsService, Op, OpKind, ServiceConfig, ServiceHandle};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, ChoiceIndex, Task, TaskBuilder, TaskId, WorkerId};
@@ -127,11 +127,14 @@ fn run(label: &str, use_index: bool, batched: bool) -> RunReport {
         let mut progressed = false;
         for w in 0..NUM_WORKERS {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .call(Op::request_tasks(campaign, w))
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let answers: Vec<_> = golden.iter().map(|&g| (g, choice_of(w, g))).collect();
                     handle
-                        .submit_golden_in(campaign, w, answers)
+                        .call(Op::submit_golden(campaign, w, answers))
                         .expect("golden");
                     progressed = true;
                 }
@@ -145,7 +148,7 @@ fn run(label: &str, use_index: bool, batched: bool) -> RunReport {
         idle_rounds = if progressed { 0 } else { idle_rounds + 1 };
     }
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let report = handle.finish_in(campaign).expect("finish");
+    let report = handle.call(Op::finish(campaign)).expect("finish");
     let assign = handle.metrics().stats(OpKind::Assign);
     let submits = handle.metrics().stats(OpKind::Submit).count
         + handle.metrics().stats(OpKind::SubmitBatch).count;
@@ -176,12 +179,15 @@ fn submit_hit(
             .map(|&t| Answer::new(w, t, choice_of(w, t)))
             .collect();
         handle
-            .submit_answer_batch_in(campaign, answers)
+            .call(Op::submit_answer_batch(campaign, answers))
             .expect("batch");
     } else {
         for &t in hit {
             handle
-                .submit_answer_in(campaign, Answer::new(w, t, choice_of(w, t)))
+                .call(Op::submit_answer(
+                    campaign,
+                    Answer::new(w, t, choice_of(w, t)),
+                ))
                 .expect("answer");
         }
     }

@@ -16,7 +16,8 @@
 
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, ClusterNode, ClusterRouter, DocsService, DurabilityConfig, ServiceConfig,
+    AdaptiveCommit, Client, ClusterNode, ClusterRouter, DocsService, DurabilityConfig,
+    ServiceConfig,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -112,10 +113,14 @@ fn oracle() -> (Vec<Op>, RequesterReport) {
 fn submit_via(router: &ClusterRouter, campaign: CampaignId, op: &Op) {
     match op {
         Op::Golden(w, answers) => router
-            .submit_golden_in(campaign, *w, answers.clone())
+            .call(docs_service::Op::submit_golden(
+                campaign,
+                *w,
+                answers.clone(),
+            ))
             .expect("golden submission must be acknowledged"),
         Op::Answer(answer) => router
-            .submit_answer_in(campaign, *answer)
+            .call(docs_service::Op::submit_answer(campaign, *answer))
             .expect("answer submission must be acknowledged"),
     }
 }
@@ -218,7 +223,9 @@ fn main() {
     driver.join().expect("driver thread panicked");
 
     // Zero lost acks: the post-migration report matches the oracle's bytes.
-    let report = router.finish_in(campaign).expect("finish after migration");
+    let report = router
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish after migration");
     assert_eq!(report.truths, reference.truths, "truths diverged");
     assert_eq!(
         report.truth_distributions, reference.truth_distributions,

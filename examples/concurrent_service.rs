@@ -19,7 +19,7 @@
 //! and the per-shard queue statistics.
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
-use docs_service::{drive_workers_on, DocsService, OpKind, ServiceConfig};
+use docs_service::{drive_workers_on, Client, DocsService, Op, OpKind, ServiceConfig};
 use docs_system::{Docs, DocsConfig};
 use docs_types::Task;
 use std::sync::Arc;
@@ -83,7 +83,7 @@ fn run_pool(shards: usize) -> (f64, usize, docs_service::ServiceMetrics) {
                     0xD0C5 + i as u64,
                 )
                 .expect("drive campaign");
-                let final_report = handle.finish_in(campaign).expect("finish campaign");
+                let final_report = handle.call(Op::finish(campaign)).expect("finish campaign");
                 (report.total_answers(), final_report.accuracy)
             })
         })

@@ -24,8 +24,8 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_service::{
-    drive_workers_on, AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
-    ServiceHandle,
+    drive_workers_on, AdaptiveCommit, Client, DocsService, DurabilityConfig, ServiceConfig,
+    ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -121,8 +121,12 @@ fn oracle() -> (Vec<Op>, RequesterReport) {
 
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
     let result = match op {
-        Op::Golden(w, answers) => handle.submit_golden_in(campaign, *w, answers.clone()),
-        Op::Answer(a) => handle.submit_answer_in(campaign, *a),
+        Op::Golden(w, answers) => handle.call(docs_service::Op::submit_golden(
+            campaign,
+            *w,
+            answers.clone(),
+        )),
+        Op::Answer(a) => handle.call(docs_service::Op::submit_answer(campaign, *a)),
     };
     match result {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}
@@ -172,7 +176,9 @@ fn recovery_smoke(dir: &Path) {
     for op in &ops {
         submit(&handle, campaign, op);
     }
-    let report = handle.finish_in(campaign).expect("finish after recovery");
+    let report = handle
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish after recovery");
     assert_eq!(
         report.truths, reference.truths,
         "truths must be byte-identical"

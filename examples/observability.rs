@@ -19,7 +19,9 @@
 
 use docs_obs::{validate_prometheus, SpanKind};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
-use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceHandle};
+use docs_service::{
+    AdaptiveCommit, Client, DocsService, DurabilityConfig, Op, ServiceConfig, ServiceHandle,
+};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, WorkerId};
@@ -63,21 +65,24 @@ fn drive(handle: &ServiceHandle, campaign: CampaignId, rounds: usize) -> u64 {
     for round in 0..rounds {
         for w in 0..NUM_WORKERS {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .call(Op::request_tasks(campaign, w))
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let answers: Vec<_> = golden
                         .iter()
                         .map(|&g| (g, (g.index() + round) % 2))
                         .collect();
                     handle
-                        .submit_golden_in(campaign, w, answers)
+                        .call(Op::submit_golden(campaign, w, answers))
                         .expect("golden");
                     served += 1;
                 }
                 WorkRequest::Tasks(hit) => {
                     for t in hit {
                         let answer = Answer::new(w, t, (t.index() + w.0 as usize) % 2);
-                        if handle.submit_answer_in(campaign, answer).is_ok() {
+                        if handle.call(Op::submit_answer(campaign, answer)).is_ok() {
                             served += 1;
                         }
                     }
@@ -221,7 +226,7 @@ fn main() {
         );
     }
 
-    promoted.handle.finish_in(campaign).expect("finish");
+    promoted.handle.call(Op::finish(campaign)).expect("finish");
     drop(promoted.handle);
     promoted.service.join_all();
     let _ = std::fs::remove_dir_all(&dir);

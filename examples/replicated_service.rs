@@ -16,11 +16,12 @@
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, DocsService, DurabilityConfig, ReadRouter, ServiceConfig, ServiceHandle,
+    AdaptiveCommit, Client, ClusterRouter, DocsService, DurabilityConfig, Op, ServiceConfig,
+    ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
-use docs_types::{Answer, CampaignId, ReplicaRole, Task, TaskBuilder, WorkerId};
+use docs_types::{Answer, CampaignId, NodeId, ReplicaRole, Task, TaskBuilder, WorkerId};
 use std::time::{Duration, Instant};
 
 const NUM_TASKS: usize = 18;
@@ -62,21 +63,24 @@ fn drive(handle: &ServiceHandle, campaign: CampaignId, rounds: usize) -> u64 {
     for round in 0..rounds {
         for w in 0..NUM_WORKERS {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .call(Op::request_tasks(campaign, w))
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let answers: Vec<_> = golden
                         .iter()
                         .map(|&g| (g, (g.index() + round) % 2))
                         .collect();
                     handle
-                        .submit_golden_in(campaign, w, answers)
+                        .call(Op::submit_golden(campaign, w, answers))
                         .expect("golden");
                     served += 1;
                 }
                 WorkRequest::Tasks(hit) => {
                     for t in hit {
                         let answer = Answer::new(w, t, (t.index() + w.0 as usize) % 2);
-                        if handle.submit_answer_in(campaign, answer).is_ok() {
+                        if handle.call(Op::submit_answer(campaign, answer)).is_ok() {
                             served += 1;
                         }
                     }
@@ -134,13 +138,19 @@ fn main() {
 
     // ---- Reads are served by the follower. ----
     await_watermark(&replica, campaign, acked_events);
-    let router = ReadRouter::new(primary.clone(), vec![replica.handle().clone()]);
-    let status = router.status_in(campaign).expect("status via replica");
-    let primary_status = primary.status_in(campaign).expect("status via primary");
+    let router = ClusterRouter::single(NodeId(0), primary.clone(), vec![replica.handle().clone()]);
+    let status = router
+        .call(Op::status(campaign))
+        .expect("status via replica");
+    let primary_status = primary
+        .call(Op::status(campaign))
+        .expect("status via primary");
     assert_eq!(status, primary_status, "replica status diverged");
-    let replica_truths = router.peek_report_in(campaign).expect("truths via replica");
+    let replica_truths = router
+        .call(Op::peek_report(campaign))
+        .expect("truths via replica");
     let primary_truths = primary
-        .peek_report_in(campaign)
+        .call(Op::peek_report(campaign))
         .expect("truths via primary");
     assert_eq!(replica_truths.truths, primary_truths.truths);
     assert_eq!(
@@ -148,6 +158,7 @@ fn main() {
         primary_truths.truth_distributions
     );
     assert_eq!(router.stats().replica_reads, 2, "reads routed to replica");
+    println!("routing: {}", router.stats());
     let lag = hub.lag();
     println!(
         "replicated: {} answers in, follower '{}' lag {} events, {} frames / {} bytes shipped",
@@ -181,14 +192,14 @@ fn main() {
 
     // Truths before the crash == truths after the failover, byte for byte.
     let post = promoted
-        .peek_report_in(campaign)
+        .call(Op::peek_report(campaign))
         .expect("post-failover read");
     assert_eq!(post.truths, replica_truths.truths, "failover lost state");
     assert_eq!(post.truth_distributions, replica_truths.truth_distributions);
 
     // ---- Traffic resumes on the promoted primary. ----
     let resumed = drive(&promoted, campaign, 3);
-    let report = promoted.finish_in(campaign).expect("finish");
+    let report = promoted.call(Op::finish(campaign)).expect("finish");
     println!(
         "promoted at watermark {watermark}; {resumed} more answers after failover, \
          {} total, accuracy {:.2}",

@@ -16,8 +16,8 @@
 
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, ClusterNode, ClusterRouter, DocsService, DurabilityConfig, ServiceConfig,
-    ServiceError, ServiceHandle,
+    AdaptiveCommit, Client, ClusterNode, ClusterRouter, DocsService, DurabilityConfig,
+    ServiceConfig, ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -120,10 +120,14 @@ fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
 fn submit_via(router: &ClusterRouter, campaign: CampaignId, op: &Op) {
     match op {
         Op::Golden(w, answers) => router
-            .submit_golden_in(campaign, *w, answers.clone())
+            .call(docs_service::Op::submit_golden(
+                campaign,
+                *w,
+                answers.clone(),
+            ))
             .expect("golden submission must be acknowledged"),
         Op::Answer(answer) => router
-            .submit_answer_in(campaign, *answer)
+            .call(docs_service::Op::submit_answer(campaign, *answer))
             .expect("answer submission must be acknowledged"),
     }
 }
@@ -312,12 +316,16 @@ fn rebalance_under_traffic_case(shards: usize, task_shards: usize) {
     // must produce the oracle's bytes — nothing was lost in the hand-off.
     let report = cluster
         .router
-        .finish_in(campaign)
+        .call(docs_service::Op::finish(campaign))
         .expect("finish after migration");
     assert_byte_identical(&report, &reference, &label);
 
     // The destination refuses nothing it owns: a direct finish also works.
-    let direct = cluster.node1.1.peek_report_in(campaign).unwrap();
+    let direct = cluster
+        .node1
+        .1
+        .call(docs_service::Op::peek_report(campaign))
+        .unwrap();
     assert_eq!(direct.truths, reference.truths, "{label}: direct read");
 
     // Migration observability: the campaign was fenced on node 0 and
@@ -336,7 +344,7 @@ fn rebalance_under_traffic_case(shards: usize, task_shards: usize) {
     let (recovered_service, recovered_handle) =
         DocsService::recover(durable_node(shards, &dir1, NodeId(1))).expect("recover node 1");
     let recovered = recovered_handle
-        .finish_in(campaign)
+        .call(docs_service::Op::finish(campaign))
         .expect("finish after recovery");
     assert_byte_identical(&recovered, &reference, &format!("{label}: recovery"));
     drop(recovered_handle);
@@ -449,7 +457,10 @@ fn an_installed_directory_redirects_mutations_but_keeps_serving_reads() {
     let err = cluster
         .node0
         .1
-        .submit_answer_in(campaign, Answer::new(WorkerId(0), TaskId(0), 0))
+        .call(docs_service::Op::submit_answer(
+            campaign,
+            Answer::new(WorkerId(0), TaskId(0), 0),
+        ))
         .unwrap_err();
     assert_eq!(
         err,
@@ -457,6 +468,10 @@ fn an_installed_directory_redirects_mutations_but_keeps_serving_reads() {
     );
     assert!(err.to_string().contains("owned by cluster node n1"));
     // Reads are never redirected: the local copy serves them.
-    assert!(cluster.node0.1.status_in(campaign).is_ok());
+    assert!(cluster
+        .node0
+        .1
+        .call(docs_service::Op::status(campaign))
+        .is_ok());
     cluster.teardown();
 }

@@ -10,8 +10,8 @@
 //! runs the same schedule across shards {1,4} × task_shards {1,4}.
 
 use docs_service::{
-    DispatchConfig, DispatchMode, DocsService, RejectReason, ServiceConfig, ServiceError,
-    ServiceHandle, TicketWait,
+    Client, DispatchConfig, DispatchMode, DocsService, Op, RejectReason, ServiceConfig,
+    ServiceError, ServiceHandle, TicketWait,
 };
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, TaskId, WorkerId};
@@ -58,7 +58,7 @@ fn answers_for(worker: WorkerId, hit: &[TaskId]) -> Vec<Answer> {
 /// Golden bootstrap over the pull plane (which stays on in every mode).
 fn pass_golden(handle: &ServiceHandle, campaign: CampaignId, worker: WorkerId) {
     let golden = match handle
-        .request_tasks_in(campaign, worker)
+        .call(Op::request_tasks(campaign, worker))
         .expect("golden request")
     {
         WorkRequest::Golden(g) => g,
@@ -66,14 +66,14 @@ fn pass_golden(handle: &ServiceHandle, campaign: CampaignId, worker: WorkerId) {
     };
     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
     handle
-        .submit_golden_in(campaign, worker, picks)
+        .call(Op::submit_golden(campaign, worker, picks))
         .expect("golden submit");
 }
 
 /// Blocks until the worker's subscription is served.
 fn subscribe_wait(handle: &ServiceHandle, campaign: CampaignId, worker: WorkerId) -> WorkRequest {
     handle
-        .subscribe_assignments_ticket_in(campaign, worker)
+        .submit(Op::subscribe(campaign, worker))
         .expect("subscribe")
         .wait()
         .expect("subscription served")
@@ -89,22 +89,24 @@ fn next_work(
     worker: WorkerId,
 ) -> WorkRequest {
     match mode {
-        DispatchMode::Pull => handle.request_tasks_in(campaign, worker).expect("poll"),
+        DispatchMode::Pull => handle
+            .call(Op::request_tasks(campaign, worker))
+            .expect("poll"),
         DispatchMode::Push => subscribe_wait(handle, campaign, worker),
         DispatchMode::Hybrid => {
             let ticket = handle
-                .subscribe_assignments_ticket_in(campaign, worker)
+                .submit(Op::subscribe(campaign, worker))
                 .expect("subscribe");
             match ticket.wait_timeout(Duration::from_millis(100)) {
                 TicketWait::Ready(work) => work.expect("subscription served"),
                 TicketWait::Pending(ticket) => {
                     handle
-                        .unsubscribe_in(campaign, worker)
+                        .call(Op::unsubscribe(campaign, worker))
                         .expect("unsubscribe");
                     match ticket.wait().expect("settled") {
-                        WorkRequest::Done => {
-                            handle.request_tasks_in(campaign, worker).expect("fallback")
-                        }
+                        WorkRequest::Done => handle
+                            .call(Op::request_tasks(campaign, worker))
+                            .expect("fallback"),
                         work => work,
                     }
                 }
@@ -133,13 +135,13 @@ fn run_schedule(
             WorkRequest::Golden(golden) => {
                 let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
                 handle
-                    .submit_golden_in(campaign, worker, picks)
+                    .call(Op::submit_golden(campaign, worker, picks))
                     .expect("golden submit");
                 0
             }
             WorkRequest::Tasks(hit) => {
                 handle
-                    .submit_answer_batch_in(campaign, answers_for(worker, hit))
+                    .call(Op::submit_answer_batch(campaign, answers_for(worker, hit)))
                     .expect("batch submit")
                     .accepted
             }
@@ -208,13 +210,13 @@ fn worker_timeout_re_enqueues_the_worker_without_budget_leak() {
     };
     assert!(!hit_a1.is_empty());
     let standing = handle
-        .subscribe_assignments_ticket_in(campaign, a)
+        .submit(Op::subscribe(campaign, a))
         .expect("standing subscribe");
     let standing = match standing.wait_timeout(Duration::from_millis(50)) {
         TicketWait::Pending(ticket) => ticket,
         TicketWait::Ready(work) => panic!("subscription served at the in-flight cap: {work:?}"),
     };
-    handle.status_in(campaign).expect("status barrier");
+    handle.call(Op::status(campaign)).expect("status barrier");
     assert_eq!(handle.metrics().shard(0).subscriptions, 1);
 
     // Past the timeout, the next request's dispatch pass expires A's lease
@@ -244,7 +246,7 @@ fn worker_timeout_re_enqueues_the_worker_without_budget_leak() {
         let mut hit = first;
         for _ in 0..32 {
             handle
-                .submit_answer_batch_in(campaign, answers_for(worker, &hit))
+                .call(Op::submit_answer_batch(campaign, answers_for(worker, &hit)))
                 .expect("batch submit");
             match subscribe_wait(&handle, campaign, worker) {
                 WorkRequest::Tasks(next) => hit = next,
@@ -254,7 +256,7 @@ fn worker_timeout_re_enqueues_the_worker_without_budget_leak() {
         }
     }
 
-    let status = handle.status_in(campaign).expect("status");
+    let status = handle.call(Op::status(campaign)).expect("status");
     assert!(status.budget_exhausted, "the campaign never finished");
     assert_eq!(
         status.answers_collected, 12,
@@ -282,17 +284,17 @@ fn at_cap_subscription_parks_until_the_workers_own_submit() {
         other => panic!("worker got {other:?}"),
     };
     let parked = handle
-        .subscribe_assignments_ticket_in(campaign, w)
+        .submit(Op::subscribe(campaign, w))
         .expect("subscribe");
     let parked = match parked.wait_timeout(Duration::from_millis(50)) {
         TicketWait::Pending(ticket) => ticket,
         TicketWait::Ready(work) => panic!("subscription served at the in-flight cap: {work:?}"),
     };
-    handle.status_in(campaign).expect("status barrier");
+    handle.call(Op::status(campaign)).expect("status barrier");
     assert_eq!(handle.metrics().shard(0).subscriptions, 1);
 
     let outcome = handle
-        .submit_answer_batch_in(campaign, answers_for(w, &hit1))
+        .call(Op::submit_answer_batch(campaign, answers_for(w, &hit1)))
         .expect("batch submit");
     assert_eq!(outcome.accepted, hit1.len());
     let hit2 = match parked.wait().expect("served by own submit") {
@@ -326,19 +328,21 @@ fn displacement_and_unsubscribe_settle_parked_subscriptions_with_done() {
     }
 
     let first = handle
-        .subscribe_assignments_ticket_in(campaign, w)
+        .submit(Op::subscribe(campaign, w))
         .expect("first parked subscribe");
     let second = handle
-        .subscribe_assignments_ticket_in(campaign, w)
+        .submit(Op::subscribe(campaign, w))
         .expect("second parked subscribe");
     // Newest wins: the displaced ticket settles immediately with `Done`.
     assert_eq!(first.wait().expect("displaced"), WorkRequest::Done);
     // The displaced ticket settles *mid*-Subscribe; a status round-trip
     // (per-shard FIFO) waits out the rest before reading the gauge.
-    handle.status_in(campaign).expect("status barrier");
+    handle.call(Op::status(campaign)).expect("status barrier");
     assert_eq!(handle.metrics().shard(0).subscriptions, 1);
 
-    handle.unsubscribe_in(campaign, w).expect("unsubscribe");
+    handle
+        .call(Op::unsubscribe(campaign, w))
+        .expect("unsubscribe");
     assert_eq!(second.wait().expect("unsubscribed"), WorkRequest::Done);
     assert_eq!(handle.metrics().shard(0).subscriptions, 0);
     drop(handle);
@@ -352,7 +356,7 @@ fn pull_mode_refuses_subscriptions() {
     let (service, handle) = DocsService::spawn_sharded(publish(8, 2, 1), ServiceConfig::sharded(1));
     let campaign = handle.default_campaign();
     let err = handle
-        .subscribe_assignments_ticket_in(campaign, WorkerId(0))
+        .submit(Op::subscribe(campaign, WorkerId(0)))
         .expect("enqueue")
         .wait()
         .expect_err("pull mode must refuse subscriptions");
@@ -383,22 +387,22 @@ fn budget_exhaustion_drains_parked_subscriptions() {
         other => panic!("worker A got {other:?}"),
     }
     let standing = handle
-        .subscribe_assignments_ticket_in(campaign, a)
+        .submit(Op::subscribe(campaign, a))
         .expect("standing subscribe");
 
     // B polls (the pull plane stays on) and submits the whole budget.
-    let hit_b = match handle.request_tasks_in(campaign, b).expect("poll") {
+    let hit_b = match handle.call(Op::request_tasks(campaign, b)).expect("poll") {
         WorkRequest::Tasks(hit) => hit,
         other => panic!("worker B got {other:?}"),
     };
     assert_eq!(hit_b.len(), 4, "B should see every task");
     handle
-        .submit_answer_batch_in(campaign, answers_for(b, &hit_b))
+        .call(Op::submit_answer_batch(campaign, answers_for(b, &hit_b)))
         .expect("batch submit");
 
     assert_eq!(standing.wait().expect("drained"), WorkRequest::Done);
     assert_eq!(handle.metrics().shard(0).subscriptions, 0);
-    let status = handle.status_in(campaign).expect("status");
+    let status = handle.call(Op::status(campaign)).expect("status");
     assert!(status.budget_exhausted);
     drop(handle);
     let _ = service.join_all();

@@ -18,7 +18,8 @@
 //! deterministic no-ops.
 
 use docs_service::{
-    AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceError, ServiceHandle,
+    AdaptiveCommit, Client, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
+    ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -118,8 +119,12 @@ fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
 /// already-recovered prefix).
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
     let result = match op {
-        Op::Golden(w, answers) => handle.submit_golden_in(campaign, *w, answers.clone()),
-        Op::Answer(answer) => handle.submit_answer_in(campaign, *answer),
+        Op::Golden(w, answers) => handle.call(docs_service::Op::submit_golden(
+            campaign,
+            *w,
+            answers.clone(),
+        )),
+        Op::Answer(answer) => handle.call(docs_service::Op::submit_answer(campaign, *answer)),
     };
     match result {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}
@@ -234,7 +239,9 @@ fn crash_recover_case(
     for op in &ops {
         submit(&handle, campaign, op);
     }
-    let report = handle.finish_in(campaign).expect("finish after recovery");
+    let report = handle
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish after recovery");
     assert_byte_identical(&report, &reference, &label);
     drop(handle);
     let _ = service.join_all();
@@ -408,7 +415,9 @@ fn interval_crash_with_unsynced_buffer_replays_to_the_last_synced_event() {
     }
     // Finish hardens everything buffered so far (the unconditional sync on
     // finish) — the durable frontier.
-    let _ = handle.finish_in(campaign).expect("finish");
+    let _ = handle
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish");
     let synced_seq = 1 + split as u64 + 1; // Published + prefix + Finished
                                            // More acknowledged-but-unsynced events, then the kill.
     for op in &ops[split..] {
@@ -432,7 +441,9 @@ fn interval_crash_with_unsynced_buffer_replays_to_the_last_synced_event() {
     for op in &ops {
         submit(&handle, campaign, op);
     }
-    let report = handle.finish_in(campaign).expect("finish after recovery");
+    let report = handle
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish after recovery");
     let (_, reference) = oracle(2);
     assert_byte_identical(&report, &reference, "interval unsynced buffer");
     drop(handle);
@@ -463,15 +474,17 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     let (service, handle) = DocsService::recover(service_config(4, &dir, policy)).unwrap();
     // The memory-only campaign died with the process; both durable ones
     // came back and can run to an identical report.
-    let err = handle.request_tasks_in(c2, WorkerId(0)).unwrap_err();
+    let err = handle
+        .call(docs_service::Op::request_tasks(c2, WorkerId(0)))
+        .unwrap_err();
     assert!(matches!(err, ServiceError::Rejected(_)));
     for op in &ops {
         submit(&handle, c0, op);
         submit(&handle, c1, op);
     }
-    let r0 = handle.finish_in(c0).unwrap();
+    let r0 = handle.call(docs_service::Op::finish(c0)).unwrap();
     assert_byte_identical(&r0, &reference, "multi-campaign c0");
-    let r1 = handle.finish_in(c1).unwrap();
+    let r1 = handle.call(docs_service::Op::finish(c1)).unwrap();
     assert_eq!(r1.truths.len(), NUM_TASKS);
     let d = handle.metrics().durability();
     assert_eq!(d.snapshots_loaded, 2);
@@ -549,7 +562,7 @@ fn mixed_format_log_json_seed_plus_binary_appends_recovers_byte_identical() {
         submit(&handle, campaign, op);
     }
     let report = handle
-        .finish_in(campaign)
+        .call(docs_service::Op::finish(campaign))
         .expect("finish after mixed replay");
     assert_byte_identical(&report, &reference, "mixed-format log");
     drop(handle);

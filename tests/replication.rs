@@ -18,14 +18,14 @@
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, DocsService, DurabilityConfig, ReadRouter, RejectReason, ReplicaRole,
-    ServiceConfig, ServiceError, ServiceHandle,
+    AdaptiveCommit, Client, ClusterRouter, DocsService, DurabilityConfig, RejectReason,
+    ReplicaRole, ServiceConfig, ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
 use docs_types::{
-    Answer, CampaignEvent, CampaignId, ChoiceIndex, ReplicationFrame, Task, TaskBuilder, TaskId,
-    WorkerId,
+    Answer, CampaignEvent, CampaignId, ChoiceIndex, NodeId, ReplicationFrame, Task, TaskBuilder,
+    TaskId, WorkerId,
 };
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -119,8 +119,12 @@ fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
 /// already-applied prefix when a stream is re-driven).
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
     let result = match op {
-        Op::Golden(w, answers) => handle.submit_golden_in(campaign, *w, answers.clone()),
-        Op::Answer(answer) => handle.submit_answer_in(campaign, *answer),
+        Op::Golden(w, answers) => handle.call(docs_service::Op::submit_golden(
+            campaign,
+            *w,
+            answers.clone(),
+        )),
+        Op::Answer(answer) => handle.call(docs_service::Op::submit_answer(campaign, *answer)),
     };
     match result {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}
@@ -228,8 +232,13 @@ fn byte_identity_case(shards: usize, follower_shards: usize, task_shards: usize)
     let mut seq = 1 + prefix as u64;
     await_watermark(&replica, campaign, seq);
     assert_eq!(
-        replica.handle().snapshot_state_in(campaign).unwrap(),
-        handle.snapshot_state_in(campaign).unwrap(),
+        replica
+            .handle()
+            .call(docs_service::Op::snapshot_state(campaign))
+            .unwrap(),
+        handle
+            .call(docs_service::Op::snapshot_state(campaign))
+            .unwrap(),
         "{label}: bootstrap state diverged at watermark {seq}"
     );
 
@@ -240,23 +249,36 @@ fn byte_identity_case(shards: usize, follower_shards: usize, task_shards: usize)
         seq += 1;
         await_watermark(&replica, campaign, seq);
         assert_eq!(
-            replica.handle().snapshot_state_in(campaign).unwrap(),
-            handle.snapshot_state_in(campaign).unwrap(),
+            replica
+                .handle()
+                .call(docs_service::Op::snapshot_state(campaign))
+                .unwrap(),
+            handle
+                .call(docs_service::Op::snapshot_state(campaign))
+                .unwrap(),
             "{label}: state diverged at watermark {seq}"
         );
     }
 
     // Replica-served reads match the primary's answers.
-    let primary_report = handle.peek_report_in(campaign).unwrap();
-    let replica_report = replica.handle().peek_report_in(campaign).unwrap();
+    let primary_report = handle
+        .call(docs_service::Op::peek_report(campaign))
+        .unwrap();
+    let replica_report = replica
+        .handle()
+        .call(docs_service::Op::peek_report(campaign))
+        .unwrap();
     assert_eq!(replica_report.truths, primary_report.truths, "{label}");
     assert_eq!(
         replica_report.truth_distributions, primary_report.truth_distributions,
         "{label}"
     );
     assert_eq!(
-        replica.handle().status_in(campaign).unwrap(),
-        handle.status_in(campaign).unwrap(),
+        replica
+            .handle()
+            .call(docs_service::Op::status(campaign))
+            .unwrap(),
+        handle.call(docs_service::Op::status(campaign)).unwrap(),
         "{label}"
     );
 
@@ -314,12 +336,19 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     // Reads fan out to the replica through the router; writes pin to the
     // primary.
     await_watermark(&replica, campaign, acked_seq);
-    let router = ReadRouter::new(handle.clone(), vec![replica.handle().clone()]);
-    let routed_status = router.status_in(campaign).unwrap();
-    assert_eq!(routed_status, handle.status_in(campaign).unwrap());
+    let router = ClusterRouter::single(NodeId(0), handle.clone(), vec![replica.handle().clone()]);
+    let routed_status = router.call(docs_service::Op::status(campaign)).unwrap();
+    assert_eq!(
+        routed_status,
+        handle.call(docs_service::Op::status(campaign)).unwrap()
+    );
     assert_eq!(routed_status.answers_collected, prefix - 5); // 5 golden HITs
-    let routed_report = router.peek_report_in(campaign).unwrap();
-    let primary_report = handle.peek_report_in(campaign).unwrap();
+    let routed_report = router
+        .call(docs_service::Op::peek_report(campaign))
+        .unwrap();
+    let primary_report = handle
+        .call(docs_service::Op::peek_report(campaign))
+        .unwrap();
     assert_eq!(routed_report.truths, primary_report.truths);
     assert_eq!(
         routed_report.truth_distributions,
@@ -329,7 +358,9 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     assert_eq!(routing.replica_reads, 2, "reads served by the follower");
     assert_eq!(routing.primary_reads, 0);
     // A read for a campaign the replica never bootstrapped falls back.
-    let err = router.status_in(CampaignId(99)).unwrap_err();
+    let err = router
+        .call(docs_service::Op::status(CampaignId(99)))
+        .unwrap_err();
     assert!(matches!(
         err,
         ServiceError::Rejected(RejectReason::UnknownCampaign(_))
@@ -340,7 +371,10 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     assert_eq!(replica.handle().role(), ReplicaRole::Follower);
     let err = replica
         .handle()
-        .submit_answer_in(campaign, Answer::new(WorkerId(0), TaskId(0), 0))
+        .call(docs_service::Op::submit_answer(
+            campaign,
+            Answer::new(WorkerId(0), TaskId(0), 0),
+        ))
         .unwrap_err();
     assert_eq!(
         err,
@@ -364,7 +398,10 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     );
 
     // ---- The fault injection: kill the primary. ----
-    let pre_crash_truths = replica.handle().peek_report_in(campaign).unwrap();
+    let pre_crash_truths = replica
+        .handle()
+        .call(docs_service::Op::peek_report(campaign))
+        .unwrap();
     handle.simulate_crash();
     drop(router);
     drop(handle);
@@ -386,7 +423,9 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
         "promotion watermark must cover every acknowledged event"
     );
     // Truths served before the crash are exactly the promoted state's.
-    let post_promotion = promoted.peek_report_in(campaign).unwrap();
+    let post_promotion = promoted
+        .call(docs_service::Op::peek_report(campaign))
+        .unwrap();
     assert_eq!(post_promotion.truths, pre_crash_truths.truths);
     assert_eq!(
         post_promotion.truth_distributions,
@@ -410,7 +449,9 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     for op in &ops {
         submit(&promoted, campaign, op);
     }
-    let report = promoted.finish_in(campaign).expect("finish after failover");
+    let report = promoted
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish after failover");
     assert_byte_identical(&report, &reference, "crash → promotion → resume");
 
     // The promoted primary wrote its own durable log: a later recovery
@@ -420,7 +461,7 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     let (recovered_service, recovered_handle) =
         DocsService::recover(ServiceConfig::durable(2, &follower_dir)).expect("recover follower");
     let recovered = recovered_handle
-        .finish_in(campaign)
+        .call(docs_service::Op::finish(campaign))
         .expect("finish after recovery");
     assert_byte_identical(&recovered, &reference, "recovery of the promoted follower");
     drop(recovered_handle);

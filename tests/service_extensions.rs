@@ -5,7 +5,7 @@
 use docs_core::ota::BudgetPlanner;
 use docs_core::ti::{IncrementalTi, StoppingPolicy, StoppingRule, WorkerRegistry};
 use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
-use docs_service::{drive_workers, DocsService, OpKind};
+use docs_service::{drive_workers_on, Client, DocsService, Op, OpKind};
 use docs_system::{Docs, DocsConfig};
 use docs_types::{Answer, TaskId, WorkerId};
 use rand::rngs::SmallRng;
@@ -38,8 +38,9 @@ fn concurrent_campaign_through_the_service_matches_protocol() {
     let (service, handle) = DocsService::spawn(docs);
 
     let pop = population(m, 30, 0x11);
-    let report = drive_workers(
+    let report = drive_workers_on(
         &handle,
+        handle.default_campaign(),
         Arc::clone(&published),
         &pop,
         AnswerModel::DomainUniform,
@@ -56,7 +57,7 @@ fn concurrent_campaign_through_the_service_matches_protocol() {
     );
     assert_eq!(report.total_rejected(), 0, "sharded workers never race");
 
-    let final_report = handle.finish().unwrap();
+    let final_report = handle.call(Op::finish(handle.default_campaign())).unwrap();
     assert_eq!(final_report.truths.len(), n);
     assert!(
         final_report.accuracy > 0.5,

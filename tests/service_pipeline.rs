@@ -6,8 +6,8 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_service::{
-    drive_workers_blocking_on, drive_workers_on, DocsService, RejectReason, ServiceConfig,
-    ServiceError, TicketWait,
+    drive_workers_blocking_on, drive_workers_on, Client, DocsService, Op, RejectReason,
+    ServiceConfig, ServiceError, TicketWait,
 };
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, Task, TaskBuilder, TaskId, WorkerId};
@@ -97,7 +97,7 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
             )
         }
         .unwrap();
-        let report = handle.finish_in(campaign).unwrap();
+        let report = handle.call(Op::finish(campaign)).unwrap();
         drop(handle);
         service.join();
         (drive, report.truths, report.truth_distributions)
@@ -153,7 +153,7 @@ fn bounded_ingress_backpressure_loses_no_answers() {
         0x77,
     )
     .unwrap();
-    let final_report = handle.finish_in(campaign).unwrap();
+    let final_report = handle.call(Op::finish(campaign)).unwrap();
     assert_eq!(
         report.total_answers(),
         final_report.answers_collected,
@@ -197,14 +197,15 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
     )
     .unwrap();
     let (service, handle) = DocsService::spawn(docs);
+    let c = handle.default_campaign();
     for t in 0..2u32 {
         handle
-            .submit_answer(Answer::new(WorkerId(0), TaskId(t), 0))
+            .call(Op::submit_answer(c, Answer::new(WorkerId(0), TaskId(t), 0)))
             .unwrap();
     }
     // Budget (2 × 1) consumed: the straggler is refused, with the reason.
     let err = handle
-        .submit_answer(Answer::new(WorkerId(1), TaskId(0), 1))
+        .call(Op::submit_answer(c, Answer::new(WorkerId(1), TaskId(0), 1)))
         .unwrap_err();
     assert_eq!(err, ServiceError::Rejected(RejectReason::BudgetExhausted));
     assert_eq!(
@@ -213,7 +214,10 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
         "reason() exposes the taxonomy"
     );
     let outcome = handle
-        .submit_answer_batch(vec![Answer::new(WorkerId(1), TaskId(1), 1)])
+        .call(Op::submit_answer_batch(
+            c,
+            vec![Answer::new(WorkerId(1), TaskId(1), 1)],
+        ))
         .unwrap();
     assert_eq!(outcome.accepted, 0);
     assert_eq!(outcome.rejected, vec![(0, RejectReason::BudgetExhausted)]);
@@ -232,7 +236,7 @@ fn tickets_resolve_against_a_live_service() {
     // Pipeline the golden hand-shake: request ticket, poll it, submit the
     // golden answers as a ticket, then request again — two operations in
     // flight back to back.
-    let mut ticket = handle.request_tasks_ticket_in(campaign, w).unwrap();
+    let mut ticket = handle.submit(Op::request_tasks(campaign, w)).unwrap();
     let work = loop {
         match ticket.try_take() {
             TicketWait::Ready(result) => break result.unwrap(),
@@ -250,9 +254,9 @@ fn tickets_resolve_against_a_live_service() {
     };
     let answers: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
     let golden_ack = handle
-        .submit_golden_ticket_in(campaign, w, answers)
+        .submit(Op::submit_golden(campaign, w, answers))
         .unwrap();
-    let next = handle.request_tasks_ticket_in(campaign, w).unwrap();
+    let next = handle.submit(Op::request_tasks(campaign, w)).unwrap();
     // FIFO: by the time the later request completed, the golden ack landed.
     let hit = match next.wait().unwrap() {
         WorkRequest::Tasks(t) => t,

@@ -5,7 +5,9 @@
 //! single-shard (seed-architecture) path.
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
-use docs_service::{drive_workers_on, DocsService, DriveReport, ServiceConfig, ServiceHandle};
+use docs_service::{
+    drive_workers_on, Client, DocsService, DriveReport, Op, ServiceConfig, ServiceHandle,
+};
 use docs_system::{Docs, DocsConfig};
 use docs_types::{CampaignId, Task, TaskBuilder};
 use std::sync::Arc;
@@ -76,7 +78,7 @@ fn drive_campaign(
         seed,
     )
     .unwrap();
-    let final_report = handle.finish_in(campaign).unwrap();
+    let final_report = handle.call(Op::finish(campaign)).unwrap();
     (report, final_report.truths, final_report.answers_collected)
 }
 
@@ -164,7 +166,7 @@ fn sharded_truths_equal_single_shard_truths() {
             seed,
         )
         .unwrap();
-        let report = handle.finish_in(campaign).unwrap();
+        let report = handle.call(Op::finish(campaign)).unwrap();
         reference.push((report.truths, report.truth_distributions));
         drop(handle);
         service.join();
@@ -198,7 +200,7 @@ fn sharded_truths_equal_single_shard_truths() {
                     seed,
                 )
                 .unwrap();
-                let report = handle.finish_in(campaign).unwrap();
+                let report = handle.call(Op::finish(campaign)).unwrap();
                 (report.truths, report.truth_distributions)
             })
         })
@@ -247,7 +249,7 @@ fn indexed_truths_equal_scan_truths_for_every_shard_combination() {
             seed,
         )
         .unwrap();
-        let report = handle.finish_in(campaign).unwrap();
+        let report = handle.call(Op::finish(campaign)).unwrap();
         drop(handle);
         service.join();
         (report.truths, report.truth_distributions)
