@@ -1,7 +1,7 @@
 //! The benefit function (Definition 5) and its ingredients
 //! (Theorems 2 and 3, Eq. 8).
 
-use crate::ti::{clamp_quality, TaskState};
+use crate::ti::{clamp_quality, miss_likelihood, TaskState};
 use docs_types::{prob, DomainVector};
 
 /// **Theorem 2**: the probability that the coming worker answers each choice,
@@ -35,19 +35,94 @@ pub fn answer_probabilities(state: &TaskState, r: &DomainVector, quality: &[f64]
     p
 }
 
+/// Reusable buffers of the benefit kernel. One per request (or per scanning
+/// thread) makes every [`benefit_with`] call after the first allocation-free.
+#[derive(Debug, Default)]
+pub struct BenefitScratch {
+    /// The task's support rows with the worker's Eq. 4 likelihoods on them.
+    rows: Vec<SupportRow>,
+    /// Three length-`ℓ` vectors: `Pr(v = a)`, `ŝ` and one row of `M|a`.
+    buf: Vec<f64>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct SupportRow {
+    k: usize,
+    r: f64,
+    hit: f64,
+    miss: f64,
+}
+
 /// **Eq. 8**: the expected entropy of the task's truth after the worker
 /// answers, `H(ŝ_i) = Σ_a H(r × M^{(i)}|a) · Pr(v^w_i = a | V(i))`, with
 /// `M^{(i)}|a` from Theorem 3.
 pub fn expected_posterior_entropy(state: &TaskState, r: &DomainVector, quality: &[f64]) -> f64 {
-    let probs = answer_probabilities(state, r, quality);
+    expected_posterior_entropy_with(&mut BenefitScratch::default(), state, r, quality)
+}
+
+/// Theorem 2, Theorem 3 and Eq. 8 in one pass over the support rows
+/// `{k : r_k ≠ 0}` — `ŝ = r × (M|a)` reads no other row of `M|a`. The same
+/// bits as composing [`answer_probabilities`],
+/// [`TaskState::m_given_answer`] and [`TaskState::s_from_matrix`], which
+/// stay as the textbook forms the tests compare against.
+fn expected_posterior_entropy_with(
+    scratch: &mut BenefitScratch,
+    state: &TaskState,
+    r: &DomainVector,
+    quality: &[f64],
+) -> f64 {
+    let l = state.num_choices();
+    debug_assert_eq!(r.len(), state.num_domains());
+    debug_assert_eq!(quality.len(), state.num_domains());
+    let BenefitScratch { rows, buf } = scratch;
+    rows.clear();
+    rows.extend(r.support().map(|(k, r)| {
+        let hit = clamp_quality(quality[k]);
+        SupportRow {
+            k,
+            r,
+            hit,
+            miss: miss_likelihood(hit, l),
+        }
+    }));
+    buf.clear();
+    buf.resize(3 * l, 0.0);
+    let (probs, rest) = buf.split_at_mut(l);
+    let (s_hat, updated) = rest.split_at_mut(l);
+
+    // Theorem 2.
+    for row in rows.iter() {
+        for (slot, &mka) in probs.iter_mut().zip(state.m_row(row.k)) {
+            *slot += row.r * (row.hit * mka + row.miss * (1.0 - mka));
+        }
+    }
+    prob::normalize_in_place(probs);
+
     let mut h = 0.0;
     for (a, &pa) in probs.iter().enumerate() {
         if pa == 0.0 {
             continue;
         }
-        let updated = state.m_given_answer(quality, a);
-        let s_hat = state.s_from_matrix(r, &updated);
-        h += prob::entropy(&s_hat) * pa;
+        s_hat.fill(0.0);
+        for row in rows.iter() {
+            // Theorem 3: row `k` of `M|a`, renormalized.
+            let mut sum = 0.0;
+            for (j, (slot, &mkj)) in updated.iter_mut().zip(state.m_row(row.k)).enumerate() {
+                let v = mkj * if a == j { row.hit } else { row.miss };
+                *slot = v;
+                sum += v;
+            }
+            if sum > 0.0 {
+                updated.iter_mut().for_each(|x| *x /= sum);
+            } else {
+                updated.fill(1.0 / l as f64);
+            }
+            for (slot, &u) in s_hat.iter_mut().zip(updated.iter()) {
+                *slot += row.r * u;
+            }
+        }
+        prob::normalize_in_place(s_hat);
+        h += prob::entropy(s_hat) * pa;
     }
     h
 }
@@ -61,13 +136,84 @@ pub fn expected_posterior_entropy(state: &TaskState, r: &DomainVector, quality: 
 /// the last request would put an O(ℓ) log-sum per task back on the
 /// latency-critical assignment path.
 pub fn benefit(state: &TaskState, r: &DomainVector, quality: &[f64]) -> f64 {
-    state.entropy() - expected_posterior_entropy(state, r, quality)
+    benefit_with(&mut BenefitScratch::default(), state, r, quality)
+}
+
+/// [`benefit`] into caller-provided scratch — the form a candidate scan
+/// uses: no heap allocation once the scratch has seen the largest `ℓ` and
+/// support of the campaign.
+pub fn benefit_with(
+    scratch: &mut BenefitScratch,
+    state: &TaskState,
+    r: &DomainVector,
+    quality: &[f64],
+) -> f64 {
+    state.entropy() - expected_posterior_entropy_with(scratch, state, r, quality)
+}
+
+/// Test oracle: Eq. 8 composed from the public textbook forms, one
+/// allocation per intermediate — what [`expected_posterior_entropy`] was
+/// before the support-row kernel.
+#[cfg(test)]
+pub(super) fn expected_posterior_entropy_textbook(
+    state: &TaskState,
+    r: &DomainVector,
+    quality: &[f64],
+) -> f64 {
+    let probs = answer_probabilities(state, r, quality);
+    let mut h = 0.0;
+    for (a, &pa) in probs.iter().enumerate() {
+        if pa == 0.0 {
+            continue;
+        }
+        let updated = state.m_given_answer(quality, a);
+        let s_hat = state.s_from_matrix(r, &updated);
+        h += prob::entropy(&s_hat) * pa;
+    }
+    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ti::oracle::{campaign, Sparsity};
+    use crate::ti::TruthInference;
     use docs_types::DomainVector;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Over converged and fresh states of every sparsity and mixed `ℓ`,
+        /// and qualities that include the clamped endpoints, the kernel
+        /// returns the textbook composition's bits — through one scratch
+        /// reused across tasks of different `ℓ` and support.
+        #[test]
+        fn benefit_is_bit_identical_to_the_textbook_composition(
+            seed in any::<u64>(),
+            quality in prop::collection::vec(-0.1f64..1.1, 7)
+        ) {
+            let quality: Vec<f64> = quality.iter().map(|q| q.clamp(0.0, 1.0)).collect();
+            let mut scratch = BenefitScratch::default();
+            for sparsity in Sparsity::ALL {
+                let (tasks, log, registry) = campaign(seed, sparsity);
+                let quality = &quality[..registry.num_domains()];
+                let converged = TruthInference::default().run(&tasks, &log, &registry).states;
+                let fresh: Vec<TaskState> = tasks
+                    .iter()
+                    .map(|t| TaskState::new(registry.num_domains(), t.num_choices()))
+                    .collect();
+                for (task, state) in tasks.iter().zip(&converged).chain(tasks.iter().zip(&fresh)) {
+                    let r = task.domain_vector();
+                    let want = state.entropy()
+                        - expected_posterior_entropy_textbook(state, r, quality);
+                    let got = benefit_with(&mut scratch, state, r, quality);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "seed {} {:?}", seed, sparsity);
+                    prop_assert_eq!(benefit(state, r, quality).to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
 
     fn fresh(m: usize, l: usize) -> TaskState {
         TaskState::new(m, l)

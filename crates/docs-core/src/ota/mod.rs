@@ -12,7 +12,9 @@ pub mod budget;
 mod index;
 mod select;
 
-pub use benefit::{answer_probabilities, benefit, expected_posterior_entropy};
+pub use benefit::{
+    answer_probabilities, benefit, benefit_with, expected_posterior_entropy, BenefitScratch,
+};
 pub use budget::{BudgetPlanner, Plan};
 pub use index::BenefitIndex;
 pub use select::{
@@ -105,8 +107,10 @@ impl Assigner {
     /// benefit for the requesting worker — the one shared body of the flat
     /// scan, every shard of the sharded scan, and the indexed
     /// pop-and-revalidate, so the three paths cannot diverge.
+    #[allow(clippy::too_many_arguments)]
     fn score_task(
         &self,
+        scratch: &mut BenefitScratch,
         quality: &[f64],
         tasks: &[Task],
         states: &[TaskState],
@@ -123,7 +127,12 @@ impl Assigner {
                 return None;
             }
         }
-        Some(benefit(&states[i], task.domain_vector(), quality))
+        Some(benefit_with(
+            scratch,
+            &states[i],
+            task.domain_vector(),
+            quality,
+        ))
     }
 
     /// The candidate walk over a set of task indices, built on
@@ -139,8 +148,17 @@ impl Assigner {
     ) -> Vec<(f64, TaskId)> {
         let indices = indices.into_iter();
         let mut candidates = Vec::with_capacity(indices.size_hint().0);
+        let mut scratch = BenefitScratch::default();
         for i in indices {
-            if let Some(b) = self.score_task(quality, tasks, states, i, answered, answer_count) {
+            if let Some(b) = self.score_task(
+                &mut scratch,
+                quality,
+                tasks,
+                states,
+                i,
+                answered,
+                answer_count,
+            ) {
                 candidates.push((b, tasks[i].id));
             }
         }
@@ -246,11 +264,13 @@ impl Assigner {
         let k = self.config.k;
         let mut answered = |t| answered(t);
         let mut answer_count = |t| answer_count(t);
+        let mut scratch = BenefitScratch::default();
         let mut per_shard = Vec::with_capacity(sharding.num_shards());
         let mut counts = Vec::with_capacity(sharding.num_shards());
         for shard in 0..sharding.num_shards() {
             let (pairs, candidates) = index.select_top_k(shard, k, |t| {
                 self.score_task(
+                    &mut scratch,
                     quality,
                     tasks,
                     states,
@@ -441,6 +461,66 @@ mod tests {
             let again = assigner
                 .assign_indexed(&q, &tasks, &states, &sharding, &mut index, answered, count);
             assert_eq!(again, flat, "shards = {shards}, second request");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The three ways to find the candidates — flat scan, sharded scan,
+        /// indexed pop-and-revalidate — pick exactly what a top-`k` over
+        /// the textbook benefits picks, under a filter and an answer cap.
+        #[test]
+        fn every_assignment_path_picks_the_textbook_top_k(
+            seed in proptest::any::<u64>(),
+            quality in proptest::collection::vec(0.0f64..1.0, 7),
+            k in 1usize..8,
+            shards in 1usize..4
+        ) {
+            use crate::ti::oracle::{campaign, Sparsity};
+            use crate::ti::{ShardedTiState, TruthInference};
+            for sparsity in Sparsity::ALL {
+                let (tasks, log, registry) = campaign(seed, sparsity);
+                let quality = &quality[..registry.num_domains()];
+                let states = TruthInference::default().run(&tasks, &log, &registry).states;
+                let assigner = Assigner::new(AssignerConfig {
+                    k,
+                    max_answers_per_task: Some(6),
+                    ..Default::default()
+                });
+                let answered = |t: TaskId| t.index() % 5 == 4;
+                let count = |t: TaskId| log.answer_count(t);
+                let textbook: Vec<(f64, TaskId)> = tasks
+                    .iter()
+                    .zip(&states)
+                    .filter(|(t, _)| !answered(t.id) && count(t.id) < 6)
+                    .map(|(t, st)| {
+                        let h = benefit::expected_posterior_entropy_textbook(
+                            st,
+                            t.domain_vector(),
+                            quality,
+                        );
+                        (st.entropy() - h, t.id)
+                    })
+                    .collect();
+                let want = top_k_linear(textbook, k);
+                let sharding = ShardedTiState::new(tasks.len(), shards);
+                let mut index = BenefitIndex::new(&states, &sharding);
+                proptest::prop_assert_eq!(
+                    &assigner.assign(quality, &tasks, &states, answered, count),
+                    &want
+                );
+                proptest::prop_assert_eq!(
+                    &assigner.assign_sharded(quality, &tasks, &states, &sharding, answered, count),
+                    &want
+                );
+                proptest::prop_assert_eq!(
+                    &assigner.assign_indexed(
+                        quality, &tasks, &states, &sharding, &mut index, answered, count
+                    ),
+                    &want
+                );
+            }
         }
     }
 

@@ -77,6 +77,9 @@ pub struct IncrementalTi {
     /// ingested answer, rebuilt after periodic full inference, and excluded
     /// from snapshots — restore rebuilds it.
     index: Option<BenefitIndex>,
+    /// Scratch of [`IncrementalTi::submit`]: the task's truth before the
+    /// answer is applied.
+    s_before: Vec<f64>,
 }
 
 impl IncrementalTi {
@@ -101,6 +104,7 @@ impl IncrementalTi {
             ti: TruthInference::new(TiConfig::default()),
             sharding,
             index: None,
+            s_before: Vec::new(),
         }
     }
 
@@ -223,36 +227,40 @@ impl IncrementalTi {
             return Err(docs_types::Error::UnknownTask(answer.task));
         }
         self.tasks[i].check_choice(answer.choice)?;
-        // Snapshot prior answerers and the pre-update truth s̃_i.
-        let prior: Vec<(WorkerId, ChoiceIndex)> = self.log.task_answers(answer.task).clone();
         self.log.record(answer)?;
 
         // Sharded ingestion: only the owning shard's state is touched below.
         self.sharding.record_ingest(answer.task);
 
-        let r = self.tasks[i].domain_vector().clone();
-        let s_before = self.states[i].s().to_vec();
+        let r = self.tasks[i].domain_vector();
+        let state = &mut self.states[i];
+        // The pre-update truth s̃_i, for revising the earlier answerers.
+        self.s_before.clear();
+        self.s_before.extend_from_slice(state.s());
 
         // Step 1 (incremental): update M̂^{(i)}, M^{(i)}, s_i.
-        let q_w = self.registry.quality(answer.worker);
-        self.states[i].apply_answer(&r, &q_w, answer.choice);
+        let submitter = self.registry.get_or_insert(answer.worker);
+        state.apply_answer(r, &submitter.quality, answer.choice);
         // The task's entropy (the index's benefit bound) just moved:
         // re-key its heap entry.
         if let Some(index) = &mut self.index {
-            index.bump(i, self.states[i].entropy());
+            index.bump(i, state.entropy());
         }
-        let s_after = self.states[i].s().to_vec();
+        let s_after = state.s();
 
         // Step 2 (incremental): the submitting worker absorbs the new task…
-        self.registry
-            .get_or_insert(answer.worker)
-            .absorb_answer(&r, s_after[answer.choice]);
+        submitter.absorb_answer(r, s_after[answer.choice]);
         // …and every earlier answerer's quality is revised for the moved
         // truth probability of their recorded choice.
-        for (w_prev, j) in prior {
+        let (_, prior) = self
+            .log
+            .task_answers(answer.task)
+            .split_last()
+            .expect("the answer was just recorded");
+        for &(w_prev, j) in prior {
             self.registry
                 .get_or_insert(w_prev)
-                .revise_answer(&r, s_before[j], s_after[j]);
+                .revise_answer(r, self.s_before[j], s_after[j]);
         }
 
         self.submissions += 1;
@@ -313,15 +321,24 @@ impl IncrementalTi {
     /// Runs the full iterative approach over everything received so far and
     /// replaces the incremental estimates with the converged ones. Worker
     /// weights are rebuilt from the log (`u^w_k = Σ_{t∈T(w)} r^t_k`).
-    pub fn run_full(&mut self) -> TiResult {
-        let result = self.ti.run(&self.tasks, &self.log, &self.golden_registry);
-        // Replace task states with converged ones.
-        self.states = result.states.clone();
+    ///
+    /// The converged states and qualities move into the engine (read them
+    /// back through [`IncrementalTi::states`], [`IncrementalTi::truths`] and
+    /// [`IncrementalTi::registry`]); what is returned is the per-iteration
+    /// Δ series of the run.
+    pub fn run_full(&mut self) -> Vec<f64> {
+        let TiResult {
+            states,
+            qualities,
+            deltas,
+            ..
+        } = self.ti.run(&self.tasks, &self.log, &self.golden_registry);
+        self.states = states;
         // Replace worker statistics: converged quality (which already blends
         // the golden/prior evidence) with weight = prior weight + batch
         // weight, keeping Theorem 1's bookkeeping exact.
         let m = self.registry.num_domains();
-        for (&w, q) in &result.qualities {
+        for (w, quality) in qualities {
             let mut weight = self
                 .golden_registry
                 .get(w)
@@ -333,19 +350,14 @@ impl IncrementalTi {
                     weight[k] += r[k];
                 }
             }
-            self.registry.put(
-                w,
-                super::stats::WorkerStats {
-                    quality: q.clone(),
-                    weight,
-                },
-            );
+            self.registry
+                .put(w, super::stats::WorkerStats { quality, weight });
         }
         // Every task state was just replaced: one rebuild beats n bumps.
         if let Some(index) = &mut self.index {
             index.rebuild(&self.states, &self.sharding);
         }
-        result
+        deltas
     }
 
     /// Captures the engine's full state for the durable runtime.
@@ -390,6 +402,7 @@ impl IncrementalTi {
             // Derived state: the restoring owner re-enables it
             // (`with_benefit_index`) when its config asks for the index.
             index: None,
+            s_before: Vec::new(),
         }
     }
 
@@ -539,22 +552,17 @@ mod tests {
                 log.record(a).unwrap();
             }
         }
-        let incremental_result = inc.run_full();
+        let deltas = inc.run_full();
         let standalone = TruthInference::default().run(&tasks, &log, &registry);
-        assert_eq!(incremental_result.truths, standalone.truths);
-        for (w, q) in &standalone.qualities {
-            let qi = &incremental_result.qualities[w];
-            for k in 0..2 {
-                assert!((q[k] - qi[k]).abs() < 1e-12);
-            }
+        assert_eq!(deltas, standalone.deltas);
+        assert_eq!(inc.truths(), standalone.truths);
+        // The engine's states and live registry were overwritten with the
+        // converged ones.
+        for (live, converged) in inc.states().iter().zip(&standalone.states) {
+            assert_eq!(live.s(), converged.s());
         }
-        // And the engine's live registry was overwritten with the converged
-        // qualities.
         for (w, q) in &standalone.qualities {
-            let live = inc.registry().quality(*w);
-            for k in 0..2 {
-                assert!((q[k] - live[k]).abs() < 1e-12);
-            }
+            assert_eq!(&inc.registry().quality(*w), q);
         }
     }
 
@@ -724,7 +732,7 @@ mod tests {
         assert!(q[0] > 0.5);
         // The golden registry feeds run_full as the initial point.
         inc.submit(ans(0, 0, 0)).unwrap();
-        let result = inc.run_full();
-        assert!(result.qualities[&WorkerId(0)][0] > 0.5);
+        inc.run_full();
+        assert!(inc.registry().quality(WorkerId(0))[0] > 0.5);
     }
 }

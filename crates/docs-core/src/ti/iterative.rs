@@ -1,6 +1,6 @@
 //! The iterative truth-inference approach of Section 4.1.
 
-use super::state::TaskState;
+use super::state::{clamp_quality, miss_likelihood, TaskState};
 use super::stats::WorkerRegistry;
 use docs_types::{prob, AnswerLog, ChoiceIndex, Task, WorkerId};
 use std::collections::HashMap;
@@ -109,9 +109,16 @@ impl TruthInference {
     /// * `registry` — initial worker qualities (golden-task initialization
     ///   per Section 5.2; unseen workers get the registry prior).
     ///
+    /// The loop is support-sparse and allocation-free (see "Inference
+    /// kernels" in ARCHITECTURE.md): `s_i = r × M^{(i)}` reads only the rows
+    /// `k` with `r_k ≠ 0`, so Steps 1 and 2 touch only those, and the rows
+    /// outside each task's support are filled once after convergence. Every
+    /// stored value is the same bits the dense textbook loop produces
+    /// (`ti::oracle` holds that loop and the tests comparing the two).
+    ///
     /// # Panics
-    /// Panics if a task lacks a domain vector or the log covers a different
-    /// number of tasks.
+    /// Panics if a task lacks a domain vector, a domain vector is not of the
+    /// registry's length `m`, or the log covers a different number of tasks.
     pub fn run(&self, tasks: &[Task], answers: &AnswerLog, registry: &WorkerRegistry) -> TiResult {
         assert_eq!(
             tasks.len(),
@@ -119,6 +126,36 @@ impl TruthInference {
             "answer log and task set disagree on n"
         );
         let m = registry.num_domains();
+        let n = tasks.len();
+
+        // Dense worker index in sorted id order (see `AnswerLog::workers`):
+        // Step 2 accumulates `delta_q` over workers, and the accumulation
+        // order must not depend on hash-map layout or convergence becomes
+        // process-random.
+        let worker_ids: Vec<WorkerId> = answers.workers().collect();
+        let num_workers = worker_ids.len();
+        let wm = num_workers * m;
+        let dense = |w: WorkerId| {
+            worker_ids
+                .binary_search(&w)
+                .expect("every answering worker is in the log's worker set")
+        };
+
+        // `V(i)`, `T(w)` and each task's support, each in one allocation and
+        // in the log's arrival order.
+        let votes = Csr::from_rows(tasks.iter().map(|t| {
+            let v = answers.task_answers(t.id);
+            v.iter().map(|&(w, choice)| (dense(w), choice))
+        }));
+        let answered = Csr::from_rows(worker_ids.iter().map(|&w| {
+            let t = answers.worker_answers(w);
+            t.iter().map(|&(tid, choice)| (tid.index(), choice))
+        }));
+        let support = Csr::from_rows(tasks.iter().map(|t| {
+            let r = t.domain_vector();
+            assert_eq!(r.len(), m, "task {} domain vector is not of length m", t.id);
+            r.support()
+        }));
 
         // Initial qualities from the registry (golden-task initialized), and
         // the registry's evidence weights. Golden tasks are tasks the worker
@@ -126,76 +163,86 @@ impl TruthInference {
         // with their recorded weight `u^w_k` — the Theorem 1 merge between
         // stored statistics and the current batch. Unseen workers carry zero
         // weight and reduce to the plain Eq. 5.
-        // Sorted id order (see `AnswerLog::workers`): Step 2 accumulates
-        // `delta_q` over workers, and the accumulation order must not
-        // depend on hash-map layout or convergence becomes process-random.
-        let worker_ids: Vec<WorkerId> = answers.workers().collect();
-        let mut qualities: HashMap<WorkerId, Vec<f64>> = worker_ids
-            .iter()
-            .map(|&w| (w, registry.quality(w)))
-            .collect();
+        let mut qualities: Vec<f64> = Vec::with_capacity(wm);
+        let mut den: Vec<f64> = Vec::with_capacity(wm);
+        for &w in &worker_ids {
+            match registry.get(w) {
+                Some(stats) => {
+                    qualities.extend_from_slice(&stats.quality[..m]);
+                    den.extend_from_slice(&stats.weight[..m]);
+                }
+                None => {
+                    qualities.extend(std::iter::repeat_n(registry.prior_quality(), m));
+                    den.extend(std::iter::repeat_n(0.0, m));
+                }
+            }
+        }
         let init_qualities = qualities.clone();
-        let prior_weights: HashMap<WorkerId, Vec<f64>> = answers
-            .workers()
-            .map(|w| {
-                let weight = registry
-                    .get(w)
-                    .map(|s| s.weight.clone())
-                    .unwrap_or_else(|| vec![0.0; m]);
-                (w, weight)
-            })
+        // Eq. 5's sums seeded with the registry evidence (golden answers /
+        // previous batches): numerator q̂_k·û_k, denominator û_k. The
+        // denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on `s`, so
+        // it is summed once. The `+ 0.0` is what the dense loop's first
+        // `r_k · s = 0` term did to a `-0.0` seed.
+        let num_seed: Vec<f64> = init_qualities
+            .iter()
+            .zip(&den)
+            .map(|(&q, &u)| q * u + 0.0)
             .collect();
+        for w in 0..num_workers {
+            for &(i, _) in answered.row(w) {
+                for &(k, rk) in support.row(i) {
+                    den[w * m + k] += rk;
+                }
+            }
+        }
+
+        let mut likelihoods = LikelihoodTables::new(tasks, num_workers, m);
 
         let mut states: Vec<TaskState> = tasks
             .iter()
             .map(|t| TaskState::new(m, t.num_choices()))
             .collect();
+        let mut prev_s: Vec<f64> = Vec::new();
+        let mut num = vec![0.0; m];
 
-        let mut deltas = Vec::new();
+        // (The paper's runs converge within ~20 iterations.)
+        let mut deltas = Vec::with_capacity(self.config.max_iterations.min(32));
         for _ in 0..self.config.max_iterations {
+            likelihoods.refresh(&qualities);
+
             // ---- Step 1: infer the truth (q^w → s_i), Eqs. 2-4. ----
             let mut delta_s = 0.0;
-            for (task, state) in tasks.iter().zip(states.iter_mut()) {
-                let v = answers.task_answers(task.id);
-                let prev_s = state.s().to_vec();
-                state.recompute(task.domain_vector(), v, |w| {
-                    qualities
-                        .get(&w)
-                        .map(|q| q.as_slice())
-                        .expect("every answering worker has a quality entry")
-                });
-                delta_s += prob::l1_distance(&prev_s, state.s())
-                    / (tasks.len() as f64 * task.num_choices() as f64);
+            for (i, state) in states.iter_mut().enumerate() {
+                prev_s.clear();
+                prev_s.extend_from_slice(state.s());
+                for &(k, _) in support.row(i) {
+                    state.recompute_row(k, likelihoods.of_row(i, votes.row(i), k));
+                }
+                state.recompute_s_over(support.row(i).iter().copied());
+                delta_s +=
+                    prob::l1_distance(&prev_s, state.s()) / (n as f64 * state.num_choices() as f64);
             }
 
             // ---- Step 2: estimate worker quality (s_i → q^w), Eq. 5. ----
             let mut delta_q = 0.0;
-            let num_workers = qualities.len().max(1);
-            for w in &worker_ids {
-                let q = qualities.get_mut(w).expect("worker id from the log");
-                let prior_w = &prior_weights[w];
-                let init_q = &init_qualities[w];
-                // Seed Eq. 5's sums with the registry evidence (golden
-                // answers / previous batches): numerator q̂_k·û_k,
-                // denominator û_k.
-                let mut num: Vec<f64> = (0..m).map(|k| init_q[k] * prior_w[k]).collect();
-                let mut den = prior_w.clone();
-                for &(tid, choice) in answers.worker_answers(*w) {
-                    let r = tasks[tid.index()].domain_vector();
-                    let s = states[tid.index()].s();
-                    for k in 0..m {
-                        num[k] += r[k] * s[choice];
-                        den[k] += r[k];
+            for w in 0..num_workers {
+                let base = w * m;
+                let q = &mut qualities[base..base + m];
+                num.copy_from_slice(&num_seed[base..base + m]);
+                for &(i, choice) in answered.row(w) {
+                    let s_choice = states[i].s()[choice];
+                    for &(k, rk) in support.row(i) {
+                        num[k] += rk * s_choice;
                     }
                 }
                 let mut change = 0.0;
                 for k in 0..m {
-                    let new_q = if den[k] > 0.0 {
-                        num[k] / den[k]
+                    let new_q = if den[base + k] > 0.0 {
+                        num[k] / den[base + k]
                     } else {
                         // No evidence at all for this domain: keep the
                         // initial (prior) value.
-                        init_q[k]
+                        init_qualities[base + k]
                     };
                     change += (new_q - q[k]).abs();
                     q[k] = new_q;
@@ -210,7 +257,26 @@ impl TruthInference {
             }
         }
 
+        // The rows outside each support never reached `s`, so no iteration
+        // needed them; what the dense loop leaves there is the product of
+        // the *last* Step 1's likelihoods — still in the tables, which Step 2
+        // does not touch. (No iteration ran: the fresh all-ones rows
+        // are already what the dense loop leaves.)
+        if !deltas.is_empty() {
+            for (i, (state, task)) in states.iter_mut().zip(tasks).enumerate() {
+                let r = task.domain_vector();
+                for k in (0..m).filter(|&k| r[k] == 0.0) {
+                    state.recompute_row(k, likelihoods.of_row(i, votes.row(i), k));
+                }
+            }
+        }
+
         let truths = states.iter().map(|st| st.truth()).collect();
+        let qualities = worker_ids
+            .iter()
+            .enumerate()
+            .map(|(w, &id)| (id, qualities[w * m..(w + 1) * m].to_vec()))
+            .collect();
         TiResult {
             states,
             qualities,
@@ -253,6 +319,95 @@ impl TruthInference {
             );
         }
         result
+    }
+}
+
+/// Compressed sparse rows: `row(i)` is the `i`-th of a sequence of
+/// variable-length lists held in one allocation.
+struct Csr<T> {
+    ptr: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    fn from_rows<R: Iterator<Item = T>>(rows: impl Iterator<Item = R>) -> Self {
+        let mut ptr = Vec::with_capacity(rows.size_hint().0 + 1);
+        let mut items = Vec::new();
+        ptr.push(0);
+        for row in rows {
+            items.extend(row);
+            ptr.push(items.len());
+        }
+        Csr { ptr, items }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.ptr[i]..self.ptr[i + 1]]
+    }
+}
+
+/// Eq. 4 per (worker, domain), refreshed once per iteration instead of
+/// evaluated per (answer, domain, choice): `hit` for an answer that matches
+/// the truth, and one `miss` table per distinct `ℓ` in the campaign.
+struct LikelihoodTables {
+    m: usize,
+    /// `W × m`, worker-major like the flat quality buffer.
+    hit: Vec<f64>,
+    /// One `W × m` table per entry of `ells`, in that order.
+    miss: Vec<f64>,
+    /// The distinct `ℓ` of the campaign, ascending.
+    ells: Vec<usize>,
+    /// Per task: which `miss` table its `ℓ` selects.
+    ell_slot: Vec<usize>,
+}
+
+impl LikelihoodTables {
+    fn new(tasks: &[Task], num_workers: usize, m: usize) -> Self {
+        let mut ells: Vec<usize> = tasks.iter().map(Task::num_choices).collect();
+        ells.sort_unstable();
+        ells.dedup();
+        let ell_slot = tasks
+            .iter()
+            .map(|t| {
+                ells.binary_search(&t.num_choices())
+                    .expect("collected above")
+            })
+            .collect();
+        LikelihoodTables {
+            m,
+            hit: vec![0.0; num_workers * m],
+            miss: vec![0.0; ells.len() * num_workers * m],
+            ells,
+            ell_slot,
+        }
+    }
+
+    fn refresh(&mut self, qualities: &[f64]) {
+        for (hit, &q) in self.hit.iter_mut().zip(qualities) {
+            *hit = clamp_quality(q);
+        }
+        let wm = self.hit.len();
+        for (slot, &l) in self.ells.iter().enumerate() {
+            for (miss, &hit) in self.miss[slot * wm..][..wm].iter_mut().zip(&self.hit) {
+                *miss = miss_likelihood(hit, l);
+            }
+        }
+    }
+
+    /// The `(hit, miss, choice)` factors of row `k` of task `i`'s `M̂`, one
+    /// per answer of `votes = V(i)`, in arrival order.
+    fn of_row<'a>(
+        &'a self,
+        i: usize,
+        votes: &'a [(usize, ChoiceIndex)],
+        k: usize,
+    ) -> impl Iterator<Item = (f64, f64, ChoiceIndex)> + 'a {
+        let miss = &self.miss[self.ell_slot[i] * self.hit.len()..][..self.hit.len()];
+        votes.iter().map(move |&(w, choice)| {
+            let at = w * self.m + k;
+            (self.hit[at], miss[at], choice)
+        })
     }
 }
 
@@ -402,6 +557,44 @@ mod tests {
         let result = TruthInference::default().run(&tasks, &log, &registry);
         assert_eq!(result.states[0].s(), &[0.5, 0.5]);
         assert!(result.qualities.is_empty());
+    }
+
+    /// 750 answers on one task: the plain product of their likelihoods
+    /// underflows in *both* slots of the row (0.9^400 · 0.1^350 < 1e-368),
+    /// which used to read as "no evidence" and reset the row to uniform.
+    /// Full inference must keep the evidence, as the incremental step does.
+    #[test]
+    fn step1_keeps_the_evidence_of_hundreds_of_answers() {
+        use crate::ti::IncrementalTi;
+        let task = TaskBuilder::new(0usize, "t")
+            .yes_no()
+            .with_domain_vector(DomainVector::one_hot(1, 0))
+            .build()
+            .unwrap();
+        let registry = WorkerRegistry::new(1, 0.9);
+        let mut incremental = IncrementalTi::new(vec![task.clone()], registry.clone(), 0);
+        let mut log = AnswerLog::new(1);
+        for w in 0..750usize {
+            let answer = Answer {
+                task: TaskId(0),
+                worker: WorkerId::from(w),
+                // 400 "yes" (choice 0), 350 "no", interleaved.
+                choice: usize::from(w % 15 >= 8),
+            };
+            log.record(answer).unwrap();
+            incremental.submit(answer).unwrap();
+        }
+        let one_step = TruthInference::new(TiConfig {
+            max_iterations: 1,
+            ..TiConfig::default()
+        })
+        .run(std::slice::from_ref(&task), &log, &registry);
+        assert!(one_step.states[0].s()[0] > 0.99, "{:?}", one_step.states[0]);
+        let converged = TruthInference::default().run(&[task], &log, &registry);
+        assert!(converged.states[0].s()[0] > 0.99);
+        assert_eq!(converged.truths, vec![0]);
+        assert_eq!(incremental.truths(), converged.truths);
+        assert!(incremental.states()[0].s()[0] > 0.99);
     }
 
     #[test]

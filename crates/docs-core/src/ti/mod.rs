@@ -22,6 +22,8 @@
 
 mod incremental;
 mod iterative;
+#[cfg(test)]
+pub(crate) mod oracle;
 mod sharded;
 mod state;
 mod stats;
@@ -30,6 +32,7 @@ pub mod stopping;
 pub use incremental::{IncrementalTi, TiSnapshot};
 pub use iterative::{TiConfig, TiResult, TruthInference};
 pub use sharded::ShardedTiState;
+pub(crate) use state::miss_likelihood;
 pub use state::{clamp_quality, TaskState};
 pub use stats::{WorkerRegistry, WorkerStats};
 pub use stopping::{stable_point_of_curve, StoppingPolicy, StoppingRule, TruthFlipTracker};

@@ -1,18 +1,78 @@
 //! Per-task inference state: the matrix `M^{(i)}`, its unnormalized
 //! numerator `M̂^{(i)}`, and the probabilistic truth `s_i`.
 
-use docs_types::{prob, ChoiceIndex, DomainVector, WorkerId};
+use docs_types::{prob, ChoiceIndex, DomainVector};
 use serde::Serialize;
 
 /// Worker qualities are probabilities; products in Eq. 3 divide by `1 - q`
 /// and by `q`, so both are kept away from the exact endpoints.
 const Q_EPS: f64 = 1e-6;
 
+/// A row of `M̂` whose largest entry fell below this is rescaled to max 1:
+/// a long product of likelihoods must not underflow to an all-zero row,
+/// which would read as "no evidence" and reset the row to uniform.
+const RESCALE_BELOW: f64 = 1e-100;
+
 /// Clamps a quality value into `[Q_EPS, 1 - Q_EPS]` for use inside
-/// likelihood products.
+/// likelihood products — Eq. 4's likelihood of an answer that *hits* the
+/// truth.
 #[inline]
 pub fn clamp_quality(q: f64) -> f64 {
     q.clamp(Q_EPS, 1.0 - Q_EPS)
+}
+
+/// Eq. 4's likelihood of an answer that *misses* the truth of an
+/// `ℓ`-choice task, `(1 − hit)/(ℓ − 1)` with `hit = clamp_quality(q_k)`.
+///
+/// Every kernel evaluates exactly this expression (a division, never a
+/// multiplication by a reciprocal): it is what keeps the hoisted and the
+/// textbook forms bit-identical.
+#[inline]
+pub(crate) fn miss_likelihood(hit: f64, num_choices: usize) -> f64 {
+    (1.0 - hit) / (num_choices as f64 - 1.0)
+}
+
+/// Per-worker answer likelihood (Eq. 4), textbook form:
+/// `Pr(v^w_i | o_i = k, v*_i = j) = q_k^{1{v=j}} · ((1-q_k)/(ℓ-1))^{1{v≠j}}`.
+#[inline]
+fn likelihood(qk: f64, answered: ChoiceIndex, truth_j: usize, num_choices: usize) -> f64 {
+    let hit = clamp_quality(qk);
+    if answered == truth_j {
+        hit
+    } else {
+        miss_likelihood(hit, num_choices)
+    }
+}
+
+/// Multiplies one answer's likelihoods (Eq. 4) into a row of `M̂`: the
+/// answered choice's slot by `hit`, every other slot by `miss`. The one
+/// body shared by the incremental update and full inference's Step 1; both
+/// therefore keep the evidence of arbitrarily many answers (the rescale
+/// leaves the normalized row unchanged).
+#[inline]
+fn absorb(hat: &mut [f64], hit: f64, miss: f64, choice: ChoiceIndex) {
+    let mut max = 0.0_f64;
+    for (j, slot) in hat.iter_mut().enumerate() {
+        *slot *= if j == choice { hit } else { miss };
+        max = max.max(*slot);
+    }
+    if max > 0.0 && max < RESCALE_BELOW {
+        hat.iter_mut().for_each(|x| *x /= max);
+    }
+}
+
+/// Normalizes a row of `M̂` into the matching row of `M` (Eq. 3); a row
+/// without usable mass falls back to the uniform prior.
+#[inline]
+fn normalize_row(hat: &[f64], row: &mut [f64]) {
+    let sum: f64 = hat.iter().sum();
+    if sum > 0.0 && sum.is_finite() {
+        for (slot, &h) in row.iter_mut().zip(hat) {
+            *slot = h / sum;
+        }
+    } else {
+        row.fill(1.0 / hat.len() as f64);
+    }
 }
 
 /// The per-task state Section 4.2 stores in the database: the `m × ℓ`
@@ -48,16 +108,50 @@ impl serde::Deserialize for TaskState {
             .as_map()
             .ok_or_else(|| serde::DeError::expected("map for TaskState", v))?;
         let field = |name: &str| serde::map_get(map, name).unwrap_or(&serde::Value::Null);
-        let s: Vec<f64> =
-            serde::Deserialize::from_value(field("s")).map_err(|e| e.in_field("s"))?;
+        fn get<T: serde::Deserialize>(
+            v: &serde::Value,
+            name: &'static str,
+        ) -> Result<T, serde::DeError> {
+            T::from_value(v).map_err(|e| e.in_field(name))
+        }
+        let m: usize = get(field("m"), "m")?;
+        let num_choices: usize = get(field("num_choices"), "num_choices")?;
+        let m_hat: Vec<f64> = get(field("m_hat"), "m_hat")?;
+        let m_matrix: Vec<f64> = get(field("m_matrix"), "m_matrix")?;
+        let s: Vec<f64> = get(field("s"), "s")?;
+        // The kernels index `m × ℓ` row-major matrices and a length-`ℓ`
+        // truth without further checks, so a state of any other shape is
+        // refused here, at the decode boundary.
+        let refuse = |name: &str, what: String| Err(serde::DeError(what).in_field(name));
+        if m == 0 {
+            return refuse("m", "expected at least 1 domain, found 0".into());
+        }
+        if num_choices < 2 {
+            return refuse(
+                "num_choices",
+                format!("expected at least 2 choices, found {num_choices}"),
+            );
+        }
+        let cells = m.saturating_mul(num_choices);
+        for (name, found, expected) in [
+            ("m_hat", m_hat.len(), cells),
+            ("m_matrix", m_matrix.len(), cells),
+            ("s", s.len(), num_choices),
+        ] {
+            if found != expected {
+                return refuse(
+                    name,
+                    format!(
+                        "expected {expected} entries for m = {m}, ℓ = {num_choices}, found {found}"
+                    ),
+                );
+            }
+        }
         Ok(TaskState {
-            m: serde::Deserialize::from_value(field("m")).map_err(|e| e.in_field("m"))?,
-            num_choices: serde::Deserialize::from_value(field("num_choices"))
-                .map_err(|e| e.in_field("num_choices"))?,
-            m_hat: serde::Deserialize::from_value(field("m_hat"))
-                .map_err(|e| e.in_field("m_hat"))?,
-            m_matrix: serde::Deserialize::from_value(field("m_matrix"))
-                .map_err(|e| e.in_field("m_matrix"))?,
+            m,
+            num_choices,
+            m_hat,
+            m_matrix,
             s_entropy: prob::entropy(&s),
             s,
         })
@@ -105,6 +199,12 @@ impl TaskState {
         &self.m_matrix[k * self.num_choices..(k + 1) * self.num_choices]
     }
 
+    /// The numerator matrix `M̂^{(i)}`, row-major — for the oracle tests.
+    #[cfg(test)]
+    pub(crate) fn m_hat(&self) -> &[f64] {
+        &self.m_hat
+    }
+
     /// The probabilistic truth `s_i`.
     #[inline]
     pub fn s(&self) -> &[f64] {
@@ -126,47 +226,22 @@ impl TaskState {
         prob::argmax(&self.s)
     }
 
-    /// Per-worker answer likelihood (Eq. 4):
-    /// `Pr(v^w_i | o_i = k, v*_i = j) = q_k^{1{v=j}} · ((1-q_k)/(ℓ-1))^{1{v≠j}}`.
-    #[inline]
-    fn likelihood(qk: f64, answered: ChoiceIndex, truth_j: usize, num_choices: usize) -> f64 {
-        let q = clamp_quality(qk);
-        if answered == truth_j {
-            q
-        } else {
-            (1.0 - q) / (num_choices as f64 - 1.0)
-        }
-    }
-
-    /// Recomputes `M̂`, `M` and `s` from scratch for a given answer set and
-    /// quality lookup — Step 1 of the iterative approach (Eqs. 2–4).
-    ///
-    /// `quality_of` must return the answering worker's length-`m` quality
-    /// vector.
-    pub fn recompute<'q>(
+    /// Step 1 for one row (Eq. 3): rebuilds `M̂_{k,•}` as the product of
+    /// the given answers' `(hit, miss, choice)` likelihoods — in `V(i)`
+    /// order — and renormalizes `M_{k,•}`. `s` is left to
+    /// [`TaskState::recompute_s`], once the task's support rows are done.
+    pub(super) fn recompute_row(
         &mut self,
-        r: &DomainVector,
-        answers: &[(WorkerId, ChoiceIndex)],
-        mut quality_of: impl FnMut(WorkerId) -> &'q [f64],
+        k: usize,
+        answers: impl Iterator<Item = (f64, f64, ChoiceIndex)>,
     ) {
-        debug_assert_eq!(r.len(), self.m);
         let l = self.num_choices;
-        self.m_hat.iter_mut().for_each(|v| *v = 1.0);
-        for &(w, v) in answers {
-            let q = quality_of(w);
-            debug_assert_eq!(q.len(), self.m);
-            // `k` both indexes `q` and derives the row slice; an iterator
-            // chain here obscures the M̂ row structure.
-            #[allow(clippy::needless_range_loop)]
-            for k in 0..self.m {
-                let row = &mut self.m_hat[k * l..(k + 1) * l];
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot *= Self::likelihood(q[k], v, j, l);
-                }
-            }
+        let hat = &mut self.m_hat[k * l..(k + 1) * l];
+        hat.fill(1.0);
+        for (hit, miss, choice) in answers {
+            absorb(hat, hit, miss, choice);
         }
-        self.normalize_rows();
-        self.recompute_s(r);
+        normalize_row(hat, &mut self.m_matrix[k * l..(k + 1) * l]);
     }
 
     /// Applies one newly arrived answer in O(m·ℓ) — the incremental Step 1
@@ -176,15 +251,12 @@ impl TaskState {
         debug_assert_eq!(quality.len(), self.m);
         debug_assert!(choice < self.num_choices);
         let l = self.num_choices;
-        // Same row-slice structure as `recompute` above.
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..self.m {
-            let row = &mut self.m_hat[k * l..(k + 1) * l];
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot *= Self::likelihood(quality[k], choice, j, l);
-            }
+        for (k, &qk) in quality[..self.m].iter().enumerate() {
+            let hit = clamp_quality(qk);
+            let hat = &mut self.m_hat[k * l..(k + 1) * l];
+            absorb(hat, hit, miss_likelihood(hit, l), choice);
+            normalize_row(hat, &mut self.m_matrix[k * l..(k + 1) * l]);
         }
-        self.normalize_rows();
         self.recompute_s(r);
     }
 
@@ -198,7 +270,7 @@ impl TaskState {
             let row = &mut out[k * l..(k + 1) * l];
             let mut sum = 0.0;
             for (j, slot) in row.iter_mut().enumerate() {
-                let v = self.m_entry(k, j) * Self::likelihood(quality[k], a, j, l);
+                let v = self.m_entry(k, j) * likelihood(quality[k], a, j, l);
                 *slot = v;
                 sum += v;
             }
@@ -233,42 +305,20 @@ impl TaskState {
         s
     }
 
-    fn normalize_rows(&mut self) {
-        let l = self.num_choices;
-        for k in 0..self.m {
-            let hat = &self.m_hat[k * l..(k + 1) * l];
-            let sum: f64 = hat.iter().sum();
-            let row = &mut self.m_matrix[k * l..(k + 1) * l];
-            if sum > 0.0 && sum.is_finite() {
-                for (slot, &h) in row.iter_mut().zip(hat) {
-                    *slot = h / sum;
-                }
-            } else {
-                row.iter_mut().for_each(|x| *x = 1.0 / l as f64);
-            }
-        }
-        // Guard against underflow in long-lived numerators: rescale M̂ rows
-        // whose mass collapsed; the normalized M is unaffected.
-        for k in 0..self.m {
-            let hat = &mut self.m_hat[k * l..(k + 1) * l];
-            let max = hat.iter().cloned().fold(0.0_f64, f64::max);
-            if max > 0.0 && max < 1e-100 {
-                hat.iter_mut().for_each(|x| *x /= max);
-            }
-        }
+    /// Recomputes `s_i = r^{t_i} × M^{(i)}` (Eq. 2) and its entropy cache.
+    pub fn recompute_s(&mut self, r: &DomainVector) {
+        debug_assert_eq!(r.len(), self.m);
+        self.recompute_s_over(r.support());
     }
 
-    /// Recomputes `s_i = r^{t_i} × M^{(i)}` (Eq. 2).
-    pub fn recompute_s(&mut self, r: &DomainVector) {
+    /// [`TaskState::recompute_s`] over an already extracted support
+    /// `{(k, r_k) : r_k ≠ 0}` in ascending `k` — the only rows Eq. 2 reads.
+    pub(super) fn recompute_s_over(&mut self, support: impl Iterator<Item = (usize, f64)>) {
         let l = self.num_choices;
-        self.s.iter_mut().for_each(|x| *x = 0.0);
-        for k in 0..self.m {
-            let rk = r[k];
-            if rk == 0.0 {
-                continue;
-            }
-            for (j, slot) in self.s.iter_mut().enumerate() {
-                *slot += rk * self.m_matrix[k * l + j];
+        self.s.fill(0.0);
+        for (k, rk) in support {
+            for (slot, &mkj) in self.s.iter_mut().zip(&self.m_matrix[k * l..(k + 1) * l]) {
+                *slot += rk * mkj;
             }
         }
         prob::normalize_in_place(&mut self.s);
@@ -279,7 +329,29 @@ impl TaskState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use docs_types::WorkerId;
+
+    /// Step 1 for a whole task through the row kernel: every row rebuilt
+    /// from `answers = [(worker, choice)]` and `qualities[worker]`, then `s`.
+    fn recompute(
+        st: &mut TaskState,
+        r: &DomainVector,
+        answers: &[(usize, ChoiceIndex)],
+        qualities: &[Vec<f64>],
+    ) {
+        let l = st.num_choices();
+        // `k` selects the row and the column of every worker's quality.
+        #[allow(clippy::needless_range_loop)]
+        for k in 0..st.num_domains() {
+            st.recompute_row(
+                k,
+                answers.iter().map(|&(w, choice)| {
+                    let hit = clamp_quality(qualities[w][k]);
+                    (hit, miss_likelihood(hit, l), choice)
+                }),
+            );
+        }
+        st.recompute_s(r);
+    }
 
     /// Table 1 / Section 4.1 running example: three workers answer task t1
     /// (r = [0, 0.78, 0.22]); the computed s must favor "yes" despite two
@@ -293,12 +365,12 @@ mod tests {
             vec![0.6, 0.3, 0.9], // w3
         ];
         let answers = [
-            (WorkerId(0), 0usize), // yes
-            (WorkerId(1), 1usize), // no
-            (WorkerId(2), 1usize), // no
+            (0, 0usize), // w1: yes
+            (1, 1usize), // w2: no
+            (2, 1usize), // w3: no
         ];
         let mut st = TaskState::new(3, 2);
-        st.recompute(&r, &answers, |w| qualities[w.index()].as_slice());
+        recompute(&mut st, &r, &answers, &qualities);
 
         // Paper: M_{2,•} = [0.93, 0.07], M_{1,•} = [0.03, 0.97],
         // M_{3,•} = [0.28, 0.72] (1-indexed domains).
@@ -328,10 +400,10 @@ mod tests {
     fn incremental_apply_matches_recompute() {
         let r = DomainVector::new(vec![0.2, 0.5, 0.3]).unwrap();
         let qualities = [vec![0.9, 0.4, 0.7], vec![0.5, 0.8, 0.2]];
-        let answers = [(WorkerId(0), 1usize), (WorkerId(1), 0usize)];
+        let answers = [(0, 1usize), (1, 0usize)];
 
         let mut batch = TaskState::new(3, 2);
-        batch.recompute(&r, &answers, |w| qualities[w.index()].as_slice());
+        recompute(&mut batch, &r, &answers, &qualities);
 
         let mut inc = TaskState::new(3, 2);
         inc.apply_answer(&r, &qualities[0], 1);
@@ -423,8 +495,8 @@ mod tests {
         assert!((st.entropy() - prob::entropy(st.s())).abs() < 1e-15);
         st.apply_answer(&r, &[0.8, 0.6], 1);
         assert!((st.entropy() - prob::entropy(st.s())).abs() < 1e-15);
-        let answers = [(WorkerId(0), 2usize), (WorkerId(1), 2usize)];
-        st.recompute(&r, &answers, |_| &[0.7, 0.9][..]);
+        let answers = [(0, 2usize), (1, 2usize)];
+        recompute(&mut st, &r, &answers, &[vec![0.7, 0.9], vec![0.7, 0.9]]);
         assert!((st.entropy() - prob::entropy(st.s())).abs() < 1e-15);
         st.recompute_s(&r);
         assert!((st.entropy() - prob::entropy(st.s())).abs() < 1e-15);

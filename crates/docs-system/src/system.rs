@@ -1348,6 +1348,53 @@ mod tests {
         assert_eq!(ra.truth_distributions, rb.truth_distributions);
     }
 
+    /// A snapshot whose task state has the wrong shape is refused where it
+    /// is decoded, naming the field — not accepted and left to panic on the
+    /// first `apply_answer` / `benefit` index.
+    #[test]
+    fn restore_refuses_a_task_state_of_the_wrong_shape() {
+        use serde::{Deserialize, Serialize, Value};
+        let kb = table2_example_kb();
+        let docs = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
+        let good = docs.snapshot().to_value();
+        fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+            match v {
+                Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                other => panic!("expected a map, found {}", other.kind()),
+            }
+        }
+        let restore_with = |field: &str, value: Value| {
+            let mut tampered = good.clone();
+            let Value::Seq(states) = entry(entry(&mut tampered, "engine"), "states") else {
+                panic!("states serialize as a sequence");
+            };
+            *entry(&mut states[2], field) = value;
+            CampaignSnapshot::from_value(&tampered)
+                .map_err(|e| e.to_string())
+                .and_then(|snapshot| Docs::restore(snapshot).map_err(|e| e.to_string()))
+        };
+        let floats = |n: usize| Value::Seq(vec![Value::Float(0.5); n]);
+        // 3 domains × 2 choices: matrices hold 6 entries, `s` holds 2.
+        assert!(restore_with("s", floats(2)).is_ok(), "control: right shape");
+        // (field tampered, value, field the error names: a consistent
+        // `m`/`ℓ` that the matrices contradict is reported at `m_hat`.)
+        for (field, value, named) in [
+            ("m_hat", floats(5), "m_hat"),
+            ("m_matrix", floats(8), "m_matrix"),
+            ("s", floats(3), "s"),
+            ("m", Value::UInt(0), "m"),
+            ("m", Value::UInt(4), "m_hat"),
+            ("num_choices", Value::UInt(1), "num_choices"),
+            ("num_choices", Value::UInt(3), "m_hat"),
+        ] {
+            let err = restore_with(field, value.clone())
+                .err()
+                .unwrap_or_else(|| panic!("{field} = {value:?} restored"));
+            assert!(err.contains("states"), "{err}");
+            assert!(err.contains(&format!("`{named}`")), "{field}: {err}");
+        }
+    }
+
     #[test]
     fn registry_replays_snapshot_plus_event_suffix() {
         use docs_types::{CampaignEvent, CampaignId};

@@ -73,6 +73,19 @@ impl DomainVector {
         &self.0
     }
 
+    /// The support `{(k, r_k) : r_k ≠ 0}` in ascending `k` — the only rows
+    /// of `M^{(i)}` that reach `s_i = r × M^{(i)}` (Eq. 2). DVE leaves one
+    /// or two of 26 domains non-zero on a typical task, which is what the
+    /// inference kernels exploit.
+    #[inline]
+    pub fn support(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.0
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, rk)| rk != 0.0)
+    }
+
     /// The domain with the highest probability — the "detected domain" used
     /// by the Figure 3 evaluation.
     pub fn dominant_domain(&self) -> usize {
