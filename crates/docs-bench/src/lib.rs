@@ -28,8 +28,7 @@ pub fn pct(x: f64) -> String {
 /// Merges headline bench numbers into a `BENCH_<name>.json` file at the
 /// workspace root (read–merge–sort–write, creating the file if absent), so
 /// every bench tracks its perf trajectory from PR to PR in one flat
-/// `{key: number}` document. Shared by the `ota_index`, `durability`, and
-/// `service_pipeline` benches.
+/// `{key: number}` document. Shared by the service-level benches.
 pub fn merge_bench_json(file_name: &str, updates: &[(String, f64)]) {
     // Anchor at the workspace root whatever cargo set as the bench CWD.
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))

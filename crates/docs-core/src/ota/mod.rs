@@ -9,14 +9,12 @@
 
 mod benefit;
 pub mod budget;
-mod index;
 mod select;
 
 pub use benefit::{
     answer_probabilities, benefit, benefit_with, expected_posterior_entropy, BenefitScratch,
 };
 pub use budget::{BudgetPlanner, Plan};
-pub use index::BenefitIndex;
 pub use select::{
     merge_top_k, merge_top_k_checked, top_k_by_sort, top_k_linear, top_k_linear_pairs,
 };
@@ -105,8 +103,7 @@ impl Assigner {
     /// Filters and scores one candidate task: `None` when the task is
     /// excluded (already answered, answer cap reached), otherwise its
     /// benefit for the requesting worker — the one shared body of the flat
-    /// scan, every shard of the sharded scan, and the indexed
-    /// pop-and-revalidate, so the three paths cannot diverge.
+    /// scan and every shard of the sharded scan, so the two cannot diverge.
     #[allow(clippy::too_many_arguments)]
     fn score_task(
         &self,
@@ -224,72 +221,6 @@ impl Assigner {
         merge_top_k_checked(&per_shard, &counts, k)
             .expect("per-shard top-k lists are well-formed by construction")
     }
-
-    /// Indexed assignment: per-shard pop-and-revalidate over a
-    /// [`BenefitIndex`] followed by the same k-way merge as the sharded
-    /// scan.
-    ///
-    /// Produces exactly [`Assigner::assign`]'s picks (same benefits, same
-    /// tie-breaks) for every shard count — see the exactness argument in
-    /// the [`index`] module docs — while evaluating the benefit function
-    /// only for tasks whose entropy bound can still reach the top-`k`.
-    ///
-    /// The index must be current: every state mutation since it was built
-    /// must have been [`BenefitIndex::bump`]ed (answer ingestion) or
-    /// followed by a [`BenefitIndex::rebuild`] (periodic full inference) —
-    /// the maintenance `IncrementalTi` performs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assign_indexed(
-        &self,
-        quality: &[f64],
-        tasks: &[Task],
-        states: &[TaskState],
-        sharding: &ShardedTiState,
-        index: &mut BenefitIndex,
-        answered: impl Fn(TaskId) -> bool,
-        answer_count: impl Fn(TaskId) -> usize,
-    ) -> Vec<TaskId> {
-        debug_assert_eq!(tasks.len(), states.len());
-        debug_assert_eq!(tasks.len(), sharding.num_tasks());
-        assert_eq!(
-            index.num_tasks(),
-            tasks.len(),
-            "benefit index covers a different task set"
-        );
-        assert_eq!(
-            index.num_shards(),
-            sharding.num_shards(),
-            "benefit index partitioned differently from the scan geometry"
-        );
-        let k = self.config.k;
-        let mut answered = |t| answered(t);
-        let mut answer_count = |t| answer_count(t);
-        let mut scratch = BenefitScratch::default();
-        let mut per_shard = Vec::with_capacity(sharding.num_shards());
-        let mut counts = Vec::with_capacity(sharding.num_shards());
-        for shard in 0..sharding.num_shards() {
-            let (pairs, candidates) = index.select_top_k(shard, k, |t| {
-                self.score_task(
-                    &mut scratch,
-                    quality,
-                    tasks,
-                    states,
-                    t.index(),
-                    &mut answered,
-                    &mut answer_count,
-                )
-            });
-            per_shard.push(pairs);
-            counts.push(candidates);
-        }
-        // `counts` are *evaluated*-candidate counts (the index's whole point
-        // is not knowing the full pool size), so the checked merge's
-        // under-fill guard is structural here — it enforces arity and
-        // sortedness, while top-k completeness rests on the entropy-bound
-        // argument in [`index`] plus the scan/index equivalence tests.
-        merge_top_k_checked(&per_shard, &counts, k)
-            .expect("indexed per-shard lists are sorted and counted by construction")
-    }
 }
 
 #[cfg(test)]
@@ -400,76 +331,73 @@ mod tests {
         assert_eq!(linear, sorted);
     }
 
+    /// `n` three-domain tasks of mixed warmth: task `i` has absorbed
+    /// `i % 7` answers, so benefits repeat and tie-breaks matter.
+    fn mixed_warmth_pool(n: usize) -> (Vec<Task>, Vec<TaskState>) {
+        let m = 3;
+        let tasks: Vec<Task> = (0..n).map(|i| task(i, i % m, m)).collect();
+        let states = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let mut st = TaskState::new(m, 2);
+                for _ in 0..(i % 7) {
+                    st.apply_answer(t.domain_vector(), &[0.85, 0.6, 0.72], i % 2);
+                }
+                st
+            })
+            .collect();
+        (tasks, states)
+    }
+
     #[test]
     fn sharded_scan_equals_flat_scan_for_every_shard_count() {
         use crate::ti::ShardedTiState;
-        let m = 3;
-        let n = 200;
-        let tasks: Vec<Task> = (0..n).map(|i| task(i, i % m, m)).collect();
-        let r: Vec<DomainVector> = tasks.iter().map(|t| t.domain_vector().clone()).collect();
-        let mut states: Vec<TaskState> = (0..n).map(|_| TaskState::new(m, 2)).collect();
-        for (i, st) in states.iter_mut().enumerate() {
-            for _ in 0..(i % 7) {
-                st.apply_answer(&r[i], &[0.85, 0.6, 0.72], i % 2);
-            }
-        }
+        use std::sync::atomic::{AtomicBool, Ordering};
         let q = vec![0.9, 0.55, 0.7];
         let assigner = Assigner::new(AssignerConfig {
             k: 9,
             max_answers_per_task: Some(5),
             ..Default::default()
         });
-        let answered = |t: TaskId| t.index().is_multiple_of(11);
-        let count = |t: TaskId| t.index() % 7;
-        let flat = assigner.assign(&q, &tasks, &states, answered, count);
-        for shards in [1, 2, 4, 7] {
-            let sharding = ShardedTiState::new(n, shards);
-            let sharded = assigner.assign_sharded(&q, &tasks, &states, &sharding, answered, count);
-            assert_eq!(sharded, flat, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn indexed_assignment_equals_flat_scan_for_every_shard_count() {
-        use crate::ti::ShardedTiState;
-        let m = 3;
-        let n = 200;
-        let tasks: Vec<Task> = (0..n).map(|i| task(i, i % m, m)).collect();
-        let r: Vec<DomainVector> = tasks.iter().map(|t| t.domain_vector().clone()).collect();
-        let mut states: Vec<TaskState> = (0..n).map(|_| TaskState::new(m, 2)).collect();
-        for (i, st) in states.iter_mut().enumerate() {
-            for _ in 0..(i % 9) {
-                st.apply_answer(&r[i], &[0.85, 0.6, 0.72], i % 2);
+        let caller = std::thread::current().id();
+        // The last row reaches the scoped-thread branch: more than one shard
+        // and PARALLEL_SCAN_MIN_TASKS_PER_SHARD tasks per shard.
+        for (n, shard_counts, threaded) in [
+            (200, &[1, 2, 4, 7][..], false),
+            (2 * PARALLEL_SCAN_MIN_TASKS_PER_SHARD, &[2][..], true),
+        ] {
+            let (tasks, states) = mixed_warmth_pool(n);
+            let off_thread = AtomicBool::new(false);
+            let answered = |t: TaskId| {
+                if std::thread::current().id() != caller {
+                    off_thread.store(true, Ordering::Relaxed);
+                }
+                t.index().is_multiple_of(11)
+            };
+            let count = |t: TaskId| t.index() % 7;
+            let flat = assigner.assign(&q, &tasks, &states, answered, count);
+            assert_eq!(flat.len(), 9);
+            for &shards in shard_counts {
+                let sharding = ShardedTiState::new(n, shards);
+                let sharded =
+                    assigner.assign_sharded(&q, &tasks, &states, &sharding, answered, count);
+                assert_eq!(sharded, flat, "n = {n}, shards = {shards}");
             }
-        }
-        let q = vec![0.9, 0.55, 0.7];
-        let assigner = Assigner::new(AssignerConfig {
-            k: 9,
-            max_answers_per_task: Some(6),
-            ..Default::default()
-        });
-        let answered = |t: TaskId| t.index().is_multiple_of(11);
-        let count = |t: TaskId| t.index() % 7;
-        let flat = assigner.assign(&q, &tasks, &states, answered, count);
-        for shards in [1, 2, 4, 7] {
-            let sharding = ShardedTiState::new(n, shards);
-            let mut index = BenefitIndex::new(&states, &sharding);
-            let picks = assigner
-                .assign_indexed(&q, &tasks, &states, &sharding, &mut index, answered, count);
-            assert_eq!(picks, flat, "shards = {shards}");
-            // And again: selection must not consume the index.
-            let again = assigner
-                .assign_indexed(&q, &tasks, &states, &sharding, &mut index, answered, count);
-            assert_eq!(again, flat, "shards = {shards}, second request");
+            assert_eq!(
+                off_thread.load(Ordering::Relaxed),
+                threaded,
+                "n = {n}: which threads scanned"
+            );
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// The three ways to find the candidates — flat scan, sharded scan,
-        /// indexed pop-and-revalidate — pick exactly what a top-`k` over
-        /// the textbook benefits picks, under a filter and an answer cap.
+        /// Both ways to find the candidates — flat scan, sharded scan —
+        /// pick exactly what a top-`k` over the textbook benefits picks,
+        /// under a filter and an answer cap.
         #[test]
         fn every_assignment_path_picks_the_textbook_top_k(
             seed in proptest::any::<u64>(),
@@ -505,19 +433,12 @@ mod tests {
                     .collect();
                 let want = top_k_linear(textbook, k);
                 let sharding = ShardedTiState::new(tasks.len(), shards);
-                let mut index = BenefitIndex::new(&states, &sharding);
                 proptest::prop_assert_eq!(
                     &assigner.assign(quality, &tasks, &states, answered, count),
                     &want
                 );
                 proptest::prop_assert_eq!(
                     &assigner.assign_sharded(quality, &tasks, &states, &sharding, answered, count),
-                    &want
-                );
-                proptest::prop_assert_eq!(
-                    &assigner.assign_indexed(
-                        quality, &tasks, &states, &sharding, &mut index, answered, count
-                    ),
                     &want
                 );
             }

@@ -12,7 +12,6 @@ use super::iterative::{TiConfig, TiResult, TruthInference};
 use super::sharded::ShardedTiState;
 use super::state::TaskState;
 use super::stats::WorkerRegistry;
-use crate::ota::BenefitIndex;
 use docs_types::{Answer, AnswerLog, ChoiceIndex, Result, Task, TaskId, WorkerId};
 use serde::{Deserialize, Serialize};
 
@@ -72,11 +71,6 @@ pub struct IncrementalTi {
     /// ingestion is recorded against the owning shard, and the OTA scan
     /// partitions its candidate walk along the same mapping.
     sharding: ShardedTiState,
-    /// Optional incremental benefit index over the same partition. Derived
-    /// state (a pure function of `states` + `sharding`): re-keyed on every
-    /// ingested answer, rebuilt after periodic full inference, and excluded
-    /// from snapshots — restore rebuilds it.
-    index: Option<BenefitIndex>,
     /// Scratch of [`IncrementalTi::submit`]: the task's truth before the
     /// answer is applied.
     s_before: Vec<f64>,
@@ -103,7 +97,6 @@ impl IncrementalTi {
             submissions: 0,
             ti: TruthInference::new(TiConfig::default()),
             sharding,
-            index: None,
             s_before: Vec::new(),
         }
     }
@@ -115,35 +108,7 @@ impl IncrementalTi {
     /// model is untouched, so truths are identical for every shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.sharding = ShardedTiState::new(self.tasks.len(), shards);
-        if let Some(index) = &mut self.index {
-            index.rebuild(&self.states, &self.sharding);
-        }
         self
-    }
-
-    /// Enables (or drops) the incremental benefit index (builder-style).
-    ///
-    /// Like sharding, the index changes how candidates are *found*, never
-    /// what is found: `Assigner::assign_indexed` over it returns exactly
-    /// the flat scan's picks. Maintenance costs one O(log n) heap re-key
-    /// per ingested answer and one O(n) rebuild per periodic full
-    /// inference.
-    pub fn with_benefit_index(mut self, enabled: bool) -> Self {
-        self.index = enabled.then(|| BenefitIndex::new(&self.states, &self.sharding));
-        self
-    }
-
-    /// Whether the benefit index is maintained.
-    pub fn has_benefit_index(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// The benefit index's maintenance generation, when one is maintained:
-    /// advances once per index-visible state change (answer-ingestion bump
-    /// or full-inference rebuild), never on reads. `None` on scan-only
-    /// campaigns.
-    pub fn index_generation(&self) -> Option<u64> {
-        self.index.as_ref().map(|index| index.generation())
     }
 
     /// The shard view over the task state space.
@@ -176,27 +141,13 @@ impl IncrementalTi {
         &self.log
     }
 
-    /// Split-borrow view for the assignment path: everything a request
-    /// needs to score candidates, plus mutable access to the benefit index
-    /// (whose pop-and-revalidate re-keys entries) — disjoint fields, so one
-    /// `&mut self` serves them all simultaneously.
-    #[allow(clippy::type_complexity)]
-    pub fn assign_view(
-        &mut self,
-    ) -> (
-        &[Task],
-        &[TaskState],
-        &AnswerLog,
-        &ShardedTiState,
-        Option<&mut BenefitIndex>,
-    ) {
-        (
-            &self.tasks,
-            &self.states,
-            &self.log,
-            &self.sharding,
-            self.index.as_mut(),
-        )
+    /// Everything a request needs to score candidates, in one call.
+    ///
+    /// Pinned by the frozen `bench/` (which destructures five elements and
+    /// ignores the last): the trailing `()` only keeps that arity and goes
+    /// when benchmark v2 moves to the accessors (ROADMAP item 1(a)).
+    pub fn assign_view(&self) -> (&[Task], &[TaskState], &AnswerLog, &ShardedTiState, ()) {
+        (&self.tasks, &self.states, &self.log, &self.sharding, ())
     }
 
     /// Number of submissions processed.
@@ -241,11 +192,6 @@ impl IncrementalTi {
         // Step 1 (incremental): update M̂^{(i)}, M^{(i)}, s_i.
         let submitter = self.registry.get_or_insert(answer.worker);
         state.apply_answer(r, &submitter.quality, answer.choice);
-        // The task's entropy (the index's benefit bound) just moved:
-        // re-key its heap entry.
-        if let Some(index) = &mut self.index {
-            index.bump(i, state.entropy());
-        }
         let s_after = state.s();
 
         // Step 2 (incremental): the submitting worker absorbs the new task…
@@ -271,51 +217,18 @@ impl IncrementalTi {
         Ok(false)
     }
 
-    /// Processes a batch of answers with **one index-repair pass** instead
-    /// of a heap re-key per answer: a batch that hits the same task several
-    /// times re-keys it once, with its final entropy.
-    ///
-    /// Answers are applied strictly in order through [`IncrementalTi::submit`]
-    /// (so the z-periodic full inference fires at exactly the same points
-    /// as individual submissions — replaying a logged batch is
-    /// byte-identical to having served it live). The first rejected answer
-    /// aborts the batch with its error; the already-applied prefix stays
-    /// applied and the index is repaired for it. Callers that must not see
-    /// a partial batch validate every answer first (the durable service
-    /// does).
+    /// Processes a batch of answers, strictly in order through
+    /// [`IncrementalTi::submit`] (so the z-periodic full inference fires at
+    /// exactly the same points as individual submissions — replaying a
+    /// logged batch is byte-identical to having served it live). The first
+    /// rejected answer aborts the batch with its error; the already-applied
+    /// prefix stays applied. Callers that must not see a partial batch
+    /// validate every answer first (the durable service does).
     pub fn submit_batch(&mut self, answers: &[Answer]) -> Result<()> {
-        // Detach the index so per-answer bumps (and mid-batch full-run
-        // rebuilds) are skipped; one repair pass follows.
-        let index = self.index.take();
-        let mut touched: Vec<usize> = Vec::with_capacity(answers.len());
-        let mut full_ran = false;
-        let mut result = Ok(());
         for &answer in answers {
-            match self.submit(answer) {
-                Ok(ran) => {
-                    full_ran |= ran;
-                    touched.push(answer.task.index());
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
+            self.submit(answer)?;
         }
-        self.index = index;
-        if let Some(index) = &mut self.index {
-            if full_ran {
-                // A periodic full inference replaced every state mid-batch.
-                index.rebuild(&self.states, &self.sharding);
-            } else {
-                touched.sort_unstable();
-                touched.dedup();
-                for i in touched {
-                    index.bump(i, self.states[i].entropy());
-                }
-            }
-        }
-        result
+        Ok(())
     }
 
     /// Runs the full iterative approach over everything received so far and
@@ -353,10 +266,6 @@ impl IncrementalTi {
             self.registry
                 .put(w, super::stats::WorkerStats { quality, weight });
         }
-        // Every task state was just replaced: one rebuild beats n bumps.
-        if let Some(index) = &mut self.index {
-            index.rebuild(&self.states, &self.sharding);
-        }
         deltas
     }
 
@@ -380,13 +289,27 @@ impl IncrementalTi {
 
     /// Rebuilds an engine from a snapshot, byte-identical to the captured
     /// one (continuing the same submission stream yields the same states).
-    pub fn restore(snapshot: TiSnapshot) -> Self {
-        let sharding = ShardedTiState::restore(
-            snapshot.tasks.len(),
-            snapshot.task_shards.max(1),
-            snapshot.shard_ingested,
-        );
-        IncrementalTi {
+    ///
+    /// A snapshot is outside input (a WAL file, a replication frame), so
+    /// parts that disagree about the task count (`states`, `log`) or the
+    /// shard count (`shard_ingested`) are refused here, naming the field —
+    /// the scan and ingestion index all three without further checks.
+    pub fn restore(snapshot: TiSnapshot) -> Result<Self> {
+        let num_tasks = snapshot.tasks.len();
+        let task_shards = snapshot.task_shards.max(1);
+        for (field, found, expected) in [
+            ("states", snapshot.states.len(), num_tasks),
+            ("log", snapshot.log.num_tasks(), num_tasks),
+            ("shard_ingested", snapshot.shard_ingested.len(), task_shards),
+        ] {
+            if found != expected {
+                return Err(docs_types::Error::Storage(format!(
+                    "snapshot field `{field}`: expected {expected} entries, found {found}"
+                )));
+            }
+        }
+        Ok(IncrementalTi {
+            sharding: ShardedTiState::restore(num_tasks, task_shards, snapshot.shard_ingested),
             tasks: snapshot.tasks,
             states: snapshot.states,
             registry: snapshot.registry,
@@ -398,12 +321,8 @@ impl IncrementalTi {
                 max_iterations: snapshot.max_iterations,
                 epsilon: snapshot.epsilon,
             }),
-            sharding,
-            // Derived state: the restoring owner re-enables it
-            // (`with_benefit_index`) when its config asks for the index.
-            index: None,
             s_before: Vec::new(),
-        }
+        })
     }
 
     /// Inferred truths under the current (incremental) states.
@@ -590,7 +509,7 @@ mod tests {
         }
         // Snapshot → JSON → restore must reproduce every float exactly.
         let json = serde_json::to_vec(&inc.snapshot()).unwrap();
-        let mut restored = IncrementalTi::restore(serde_json::from_slice(&json).unwrap());
+        let mut restored = IncrementalTi::restore(serde_json::from_slice(&json).unwrap()).unwrap();
         assert_eq!(restored.submissions(), inc.submissions());
         assert_eq!(restored.log().len(), inc.log().len());
         assert_eq!(restored.sharding().num_shards(), 3);
@@ -622,9 +541,7 @@ mod tests {
         let tasks = make_tasks(6, 2);
         // z = 4: the periodic full inference fires *inside* the batch.
         let mut one_by_one = IncrementalTi::new(tasks.clone(), WorkerRegistry::new(2, 0.7), 4);
-        let mut batched = IncrementalTi::new(tasks, WorkerRegistry::new(2, 0.7), 4)
-            .with_benefit_index(true)
-            .with_shards(3);
+        let mut batched = IncrementalTi::new(tasks, WorkerRegistry::new(2, 0.7), 4).with_shards(3);
         let stream = [
             ans(0, 0, 0),
             ans(1, 1, 1),
@@ -648,10 +565,9 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_stops_at_the_first_rejection_and_repairs_the_index() {
+    fn submit_batch_stops_at_the_first_rejection() {
         let tasks = make_tasks(4, 2);
-        let mut inc =
-            IncrementalTi::new(tasks, WorkerRegistry::new(2, 0.7), 0).with_benefit_index(true);
+        let mut inc = IncrementalTi::new(tasks, WorkerRegistry::new(2, 0.7), 0);
         let stream = [
             ans(0, 0, 0),
             ans(0, 0, 1), // duplicate: aborts here
@@ -660,66 +576,6 @@ mod tests {
         assert!(inc.submit_batch(&stream).is_err());
         assert_eq!(inc.submissions(), 1, "prefix before the rejection applied");
         assert_eq!(inc.log().len(), 1);
-        // The index was repaired for the applied prefix: an indexed
-        // assignment over it matches a fresh flat scan.
-        let assigner = crate::ota::Assigner::new(crate::ota::AssignerConfig {
-            k: 4,
-            ..Default::default()
-        });
-        let (tasks, states, _, sharding, index) = inc.assign_view();
-        let indexed = assigner.assign_indexed(
-            &[0.8, 0.8],
-            tasks,
-            states,
-            sharding,
-            index.expect("index enabled"),
-            |_| false,
-            |_| 0,
-        );
-        let flat = assigner.assign(&[0.8, 0.8], tasks, states, |_| false, |_| 0);
-        assert_eq!(indexed, flat);
-    }
-
-    #[test]
-    fn maintained_index_tracks_every_mutation_path() {
-        // Interleave single submissions, batches, and z-periodic full runs;
-        // after each step the maintained index must assign exactly like the
-        // flat scan (i.e. like an index rebuilt from scratch).
-        let tasks = make_tasks(8, 2);
-        let mut inc = IncrementalTi::new(tasks, WorkerRegistry::new(2, 0.7), 3)
-            .with_shards(2)
-            .with_benefit_index(true);
-        assert!(inc.has_benefit_index());
-        let assigner = crate::ota::Assigner::new(crate::ota::AssignerConfig {
-            k: 5,
-            ..Default::default()
-        });
-        let steps: Vec<Vec<Answer>> = vec![
-            vec![ans(0, 0, 0)],
-            vec![ans(1, 0, 1), ans(2, 1, 0), ans(3, 1, 1)], // crosses z = 3
-            vec![ans(4, 0, 0)],
-            vec![ans(5, 2, 1), ans(0, 2, 0)],
-        ];
-        for (step, batch) in steps.into_iter().enumerate() {
-            if batch.len() == 1 {
-                inc.submit(batch[0]).unwrap();
-            } else {
-                inc.submit_batch(&batch).unwrap();
-            }
-            let q = [0.9, 0.6];
-            let (tasks, states, _, sharding, index) = inc.assign_view();
-            let indexed = assigner.assign_indexed(
-                &q,
-                tasks,
-                states,
-                sharding,
-                index.expect("index enabled"),
-                |_| false,
-                |_| 0,
-            );
-            let flat = assigner.assign(&q, tasks, states, |_| false, |_| 0);
-            assert_eq!(indexed, flat, "step {step}");
-        }
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl Op<()> {
 
 impl Op<BatchOutcome> {
     /// A whole HIT's answers in a single round-trip (one WAL record, one
-    /// group-commit sync, one benefit-index repair on the owning shard).
+    /// group-commit sync).
     /// Rejection is per answer: the [`BatchOutcome`] names which answers
     /// were refused and why, exactly as individual submissions would have
     /// been.

@@ -34,8 +34,8 @@
 //!   (`submit(Op::subscribe(..))`); the owning shard serves it
 //!   immediately when possible and otherwise *parks* the completion,
 //!   pushing the next assignment when the campaign's dispatch epoch
-//!   advances — the benefit index is consulted once per state change
-//!   instead of once per worker poll, with picks byte-identical to pull
+//!   advances — OTA runs once per state change instead of once per
+//!   worker poll, with picks byte-identical to pull
 //!   mode (see ARCHITECTURE.md, "Task dispatch"),
 //! * **Typed errors**: every refusal carries a matchable
 //!   [`RejectReason`](docs_types::RejectReason)

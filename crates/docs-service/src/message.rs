@@ -101,9 +101,8 @@ pub enum Request {
     /// A whole HIT's worth of answers in one round-trip: the batched
     /// ingestion path. The shard validates every answer up front, logs the
     /// accepted sub-batch as **one** write-ahead-log record (one group
-    /// commit, one `fdatasync`), applies it with one benefit-index repair
-    /// pass, and reports the per-answer outcome in
-    /// [`Response::BatchAck`].
+    /// commit, one `fdatasync`), applies it as one transition, and reports
+    /// the per-answer outcome in [`Response::BatchAck`].
     SubmitAnswerBatch {
         /// Campaign the answered tasks belong to.
         campaign: CampaignId,
@@ -115,9 +114,8 @@ pub enum Request {
     /// shard completes the subscription immediately with
     /// [`Response::Work`]; otherwise (worker at its in-flight cap) the
     /// completion sender is **parked** in the shard's subscription table
-    /// and resolved when the campaign's dispatch epoch next advances — the
-    /// benefit index is consulted once per state change instead of once
-    /// per worker poll. Refused with `RejectReason::Invalid` on a
+    /// and resolved when the campaign's dispatch epoch next advances — OTA
+    /// runs once per state change instead of once per worker poll. Refused with `RejectReason::Invalid` on a
     /// [`DispatchMode::Pull`](crate::DispatchMode::Pull) service.
     Subscribe {
         /// Campaign the worker wants assignments from.

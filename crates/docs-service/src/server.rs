@@ -200,13 +200,12 @@ impl DurabilityConfig {
 /// How assignments travel from shards to workers.
 ///
 /// The paper's deployment is pull-only: every worker polls
-/// `RequestWork`, and every poll pays one benefit-index consultation (or a
-/// flat candidate scan). Under thousands of concurrent workers those polls
-/// contend on the assignment path even when nothing changed since the last
-/// one. Push mode inverts the flow: workers register long-lived
-/// subscriptions ([`Request::Subscribe`]) and the shard dispatches
-/// assignments *as state changes* — the benefit index is consulted once
-/// per ingested answer instead of once per worker poll. Picks are
+/// `RequestWork`, and every poll pays one candidate scan. Under thousands
+/// of concurrent workers those polls contend on the assignment path even
+/// when nothing changed since the last one. Push mode inverts the flow:
+/// workers register long-lived subscriptions ([`Request::Subscribe`]) and
+/// the shard dispatches assignments *as state changes* — OTA runs once per
+/// ingested answer instead of once per worker poll. Picks are
 /// byte-identical across modes: a pushed assignment is computed by the
 /// exact same [`Docs::request_tasks`] call a poll would have made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -959,8 +958,8 @@ fn on_subscribe(
 /// The push plane's heart: runs after any request that may have advanced
 /// `campaign`'s dispatch epoch and serves every parked subscriber that
 /// became servable. The epoch guard makes the common no-change case one
-/// hash lookup and one integer compare — the benefit index is consulted
-/// once per *state change*, not once per worker poll.
+/// hash lookup and one integer compare — OTA runs once per *state
+/// change*, not once per worker poll.
 ///
 /// A subscription only parks when its worker is at the in-flight cap, and
 /// a cap only opens through that worker's own accepted submission

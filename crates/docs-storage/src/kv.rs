@@ -68,8 +68,7 @@ fn decode(mut record: &[u8]) -> Result<(u8, &str, &[u8])> {
 /// deterministic bytes), `[klen u32 LE][key][vlen u32 LE][value]`, and a
 /// trailing `crc32` (u32 LE) over everything before it. A `BufWriter` plus an
 /// incremental [`Crc32`] keep the write single-pass with no intermediate
-/// whole-map buffer — the old path serialized the entire map to one JSON
-/// `Vec<u8>` before touching the disk.
+/// whole-map buffer.
 fn write_snapshot_bin(path: &Path, map: &HashMap<String, Vec<u8>>) -> Result<()> {
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut out = BufWriter::new(file);
@@ -154,8 +153,7 @@ struct Inner {
 /// Every mutation is logged to the WAL before the in-memory index is
 /// touched; [`KvStore::snapshot`] streams the whole index to a CRC-trailed
 /// binary snapshot and truncates the log. Reopening a directory recovers
-/// snapshot + log suffix; legacy JSON snapshots from older builds are still
-/// read and upgraded at the next snapshot.
+/// snapshot + log suffix.
 #[derive(Debug)]
 pub struct KvStore {
     inner: Mutex<Inner>,
@@ -163,23 +161,12 @@ pub struct KvStore {
 
 impl KvStore {
     /// Opens (or creates) a store rooted at `dir`.
-    ///
-    /// Prefers the binary `snapshot.bin`; a store last compacted by an older
-    /// build falls back to its legacy `snapshot.json`, which the next
-    /// [`KvStore::snapshot`] replaces (upgrade-on-snapshot).
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(io_err)?;
         let mut map: HashMap<String, Vec<u8>> = match std::fs::read(dir.join("snapshot.bin")) {
             Ok(data) => read_snapshot_bin(&data)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                match std::fs::read(dir.join("snapshot.json")) {
-                    Ok(data) => serde_json::from_slice(&data)
-                        .map_err(|e| Error::Storage(format!("bad snapshot: {e}")))?,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashMap::new(),
-                    Err(e) => return Err(io_err(e)),
-                }
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashMap::new(),
             Err(e) => return Err(io_err(e)),
         };
         let wal_path = dir.join("wal.log");
@@ -261,19 +248,13 @@ impl KvStore {
     }
 
     /// Writes an atomic binary snapshot (`tmp` + rename) and truncates the
-    /// WAL. Any legacy `snapshot.json` left by an older build is removed
-    /// once the binary snapshot is durable, completing the format upgrade.
+    /// WAL.
     pub fn snapshot(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         let tmp = inner.dir.join("snapshot.bin.tmp");
         let dst = inner.dir.join("snapshot.bin");
         write_snapshot_bin(&tmp, &inner.map)?;
         std::fs::rename(&tmp, &dst).map_err(io_err)?;
-        match std::fs::remove_file(inner.dir.join("snapshot.json")) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err(e)),
-        }
         inner.wal.truncate()
     }
 
@@ -393,33 +374,6 @@ mod tests {
         assert_eq!(store.len(), 1);
         // And the store still accepts writes.
         store.put("after", b"crash").unwrap();
-    }
-
-    #[test]
-    fn legacy_json_snapshot_is_read_and_upgraded() {
-        let dir = tmp_dir("legacy-json");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A snapshot written by an older build: the whole map as JSON.
-        let mut legacy: HashMap<String, Vec<u8>> = HashMap::new();
-        legacy.insert("old/1".into(), b"alpha".to_vec());
-        legacy.insert("old/2".into(), b"beta".to_vec());
-        std::fs::write(
-            dir.join("snapshot.json"),
-            serde_json::to_vec(&legacy).unwrap(),
-        )
-        .unwrap();
-        let store = KvStore::open(&dir).unwrap();
-        assert_eq!(store.get("old/1").unwrap(), b"alpha");
-        assert_eq!(store.get("old/2").unwrap(), b"beta");
-        store.put("new/1", b"gamma").unwrap();
-        // Compaction upgrades the on-disk format and retires the JSON file.
-        store.snapshot().unwrap();
-        assert!(dir.join("snapshot.bin").exists());
-        assert!(!dir.join("snapshot.json").exists());
-        drop(store);
-        let store = KvStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.get("new/1").unwrap(), b"gamma");
     }
 
     #[test]

@@ -8,9 +8,7 @@ use std::path::PathBuf;
 
 /// Stores and retrieves the inference parameters Section 4.2 enumerates:
 /// per-worker statistics under `worker/<id>` and per-task state under
-/// `task/<id>`, each written as a compact CRC-framed binary record. Values
-/// persisted as JSON by older builds still decode (the codec sniffs the
-/// magic byte and falls back) and are rewritten in binary on the next put.
+/// `task/<id>`, each written as a compact CRC-framed binary record.
 ///
 /// The value types are generic: `docs-system` persists
 /// `docs_core::ti::WorkerStats` and `docs_core::ti::TaskState` through this
@@ -163,25 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_values_still_decode() {
-        let store = ParamStore::open(tmp_dir("legacy-json")).unwrap();
-        let stats = FakeStats {
-            quality: vec![0.1, 0.2],
-            weight: vec![1.0, 2.0],
-        };
-        // A value persisted by an older (JSON-era) build.
-        store
-            .kv()
-            .put("worker/1", &serde_json::to_vec(&stats).unwrap())
-            .unwrap();
-        let loaded: FakeStats = store.get_worker(WorkerId(1)).unwrap().unwrap();
-        assert_eq!(loaded, stats);
-    }
-
-    #[test]
     fn decode_error_is_reported() {
         let store = ParamStore::open(tmp_dir("decode")).unwrap();
-        store.kv().put("worker/1", b"not json").unwrap();
+        store.kv().put("worker/1", b"not a record").unwrap();
         let err = store.get_worker::<FakeStats>(WorkerId(1)).unwrap_err();
         assert!(matches!(err, Error::Storage(_)));
     }

@@ -106,13 +106,10 @@ impl CampaignRegistry {
     /// event suffix the write-ahead log recovered after it, and registers
     /// the result under `id` — the recovery path of the durable service.
     ///
-    /// Event payloads are the encoded [`CampaignEvent`]s the service logged
-    /// — the compact binary codec records current builds write, or the JSON
-    /// that older builds wrote (the codec sniffs the magic byte, so a log
-    /// may freely mix both). Malformed bytes fail loudly
-    /// ([`Error::Storage`]), while events whose *application* is rejected
-    /// are counted and skipped (the same rejection happened live,
-    /// deterministically).
+    /// Event payloads are the codec records of the [`CampaignEvent`]s the
+    /// service logged. Malformed bytes fail loudly ([`Error::Storage`]),
+    /// while events whose *application* is rejected are counted and skipped
+    /// (the same rejection happened live, deterministically).
     ///
     /// The events are generic over any borrowable byte container so the
     /// zero-copy recovery path can pass arena-backed views without first

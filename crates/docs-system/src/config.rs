@@ -41,15 +41,6 @@ pub struct DocsConfig {
     /// walk-order/parallelism knob: truths are byte-identical for every
     /// value. `1` reproduces the paper's flat scan.
     pub task_shards: usize,
-    /// Serve `request_tasks` from the incremental benefit index (a
-    /// per-task-shard entropy-bounded max-heap, maintained at
-    /// answer-ingestion time) instead of rescanning every task's benefit
-    /// per request. Like `task_shards`, purely a how-candidates-are-found
-    /// knob: picks, truths, and reports are byte-identical either way —
-    /// only the request latency changes (O(k log n) pop-and-revalidate on
-    /// a warm pool vs the paper's O(n) scan). `false` reproduces the
-    /// paper's scan.
-    pub use_benefit_index: bool,
     /// Strict budget admission: when `true`, answers arriving after the
     /// collection budget is consumed are rejected
     /// ([`docs_types::Error::BudgetExhausted`]) instead of absorbed. The
@@ -90,7 +81,6 @@ impl Default for DocsConfig {
             storage_dir: None,
             stopping: None,
             task_shards: 1,
-            use_benefit_index: false,
             strict_budget: false,
             durable_flush: None,
         }
@@ -112,7 +102,6 @@ mod tests {
         assert!(c.storage_dir.is_none());
         assert!(c.stopping.is_none(), "uniform protocol by default");
         assert_eq!(c.task_shards, 1, "flat scan by default");
-        assert!(!c.use_benefit_index, "paper's rescan by default");
         assert!(!c.strict_budget, "late answers absorbed by default");
         assert!(c.durable_flush.is_none(), "memory-only by default");
     }

@@ -95,6 +95,17 @@ pub struct CampaignSnapshot {
     pub config: DocsConfig,
 }
 
+/// Refuses a configuration the request path cannot serve: OTA assigns
+/// `k_per_hit` tasks per request and needs at least one.
+fn check_config(config: &DocsConfig) -> Result<()> {
+    if config.k_per_hit == 0 {
+        return Err(Error::Storage(
+            "config field `k_per_hit`: a HIT needs at least 1 task, found 0".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// The deployed DOCS system for one requester batch.
 #[derive(Debug)]
 pub struct Docs {
@@ -119,6 +130,7 @@ impl Docs {
     /// tasks must have ground truth (the paper has them manually labeled);
     /// `publish` verifies this after selection.
     pub fn publish(kb: &KnowledgeBase, mut tasks: Vec<Task>, config: DocsConfig) -> Result<Self> {
+        check_config(&config)?;
         if tasks.is_empty() {
             return Err(Error::Empty("task set"));
         }
@@ -155,9 +167,8 @@ impl Docs {
                 }
             }
         }
-        let engine = IncrementalTi::new(tasks, registry, config.z)
-            .with_shards(config.task_shards.max(1))
-            .with_benefit_index(config.use_benefit_index);
+        let engine =
+            IncrementalTi::new(tasks, registry, config.z).with_shards(config.task_shards.max(1));
         Ok(Docs {
             engine,
             golden_ids,
@@ -288,7 +299,8 @@ impl Docs {
             linear_select: true,
         });
         let stopping = self.config.stopping;
-        let (tasks, states, log, sharding, index) = self.engine.assign_view();
+        let engine = &self.engine;
+        let (states, log) = (engine.states(), engine.log());
         // Adaptive stopping excludes confident tasks the same way an
         // already-answered task is excluded.
         let answered = |t: docs_types::TaskId| {
@@ -297,25 +309,16 @@ impl Docs {
                     policy.should_stop(&states[t.index()], log.answer_count(t))
                 })
         };
-        let answer_count = |t: docs_types::TaskId| log.answer_count(t);
-        // Two ways to find the same candidates: the indexed
-        // pop-and-revalidate (`use_benefit_index`) and the sharded scan
-        // merged by `merge_top_k` (flat list when `task_shards == 1`).
-        // Either way the picks match the paper's single scan exactly.
-        let picks = match index {
-            Some(index) => assigner.assign_indexed(
-                &quality,
-                tasks,
-                states,
-                sharding,
-                index,
-                answered,
-                answer_count,
-            ),
-            None => {
-                assigner.assign_sharded(&quality, tasks, states, sharding, answered, answer_count)
-            }
-        };
+        // The paper's benefit scan, walked per task shard and merged (one
+        // flat list when `task_shards == 1`).
+        let picks = assigner.assign_sharded(
+            &quality,
+            engine.tasks(),
+            states,
+            engine.sharding(),
+            answered,
+            |t| log.answer_count(t),
+        );
         if picks.is_empty() {
             WorkRequest::Done
         } else {
@@ -346,8 +349,8 @@ impl Docs {
     /// ones as a single [`CampaignEvent::AnswerBatchSubmitted`] transition,
     /// and reports the per-answer outcome. Applying a batch is
     /// byte-identical to submitting its accepted answers one by one — only
-    /// the bookkeeping (one event, one index-repair pass, one WAL record in
-    /// the durable service) is amortized.
+    /// the bookkeeping (one event, one WAL record in the durable service) is
+    /// amortized.
     pub fn submit_answer_batch(&mut self, answers: &[Answer]) -> Result<BatchSubmitReport> {
         let (accepted, rejected) = self.validate_answer_batch(answers);
         let accepted_count = accepted.len();
@@ -512,15 +515,12 @@ impl Docs {
 
     /// The campaign's dispatch epoch: a monotone counter that moves exactly
     /// when the assignment candidate space can have moved — once per applied
-    /// event, plus once per benefit-index maintenance step (bump/rebuild)
-    /// when the campaign runs the incremental index, so the index's own
-    /// maintenance bump is the literal trigger. The service's push plane
-    /// caches the epoch per campaign and dispatches parked subscriptions
-    /// only when it advanced: the index is consulted once per state change
-    /// instead of once per worker poll.
+    /// event, never on reads or rejections. The service's push plane caches
+    /// the epoch per campaign and dispatches parked subscriptions only when
+    /// it advanced: OTA runs once per state change instead of once per
+    /// worker poll.
     pub fn dispatch_epoch(&self) -> u64 {
         self.version
-            .wrapping_add(self.engine.index_generation().unwrap_or(0))
     }
 
     fn apply_golden(&mut self, worker: WorkerId, answers: &[(TaskId, ChoiceIndex)]) -> Result<()> {
@@ -569,10 +569,10 @@ impl Docs {
     }
 
     fn apply_answer_batch(&mut self, answers: &[Answer]) -> Result<()> {
-        // One engine pass (single index repair), then one parameter-store
-        // write per distinct worker/task — the same final store contents
-        // as per-answer persistence, without rewriting a hot task's state
-        // once per answer. BTreeSets keep the write order deterministic.
+        // One engine pass, then one parameter-store write per distinct
+        // worker/task — the same final store contents as per-answer
+        // persistence, without rewriting a hot task's state once per
+        // answer. BTreeSets keep the write order deterministic.
         // A batch applies *in full*, so admission requires budget capacity
         // for its last answer — the validation front truncates straddling
         // batches to exactly this capacity.
@@ -647,16 +647,19 @@ impl Docs {
     /// reopened from `config.storage_dir` when one was configured; its
     /// contents are *not* re-merged into the registry — the snapshot already
     /// carries the exact live statistics.
+    ///
+    /// A snapshot is outside input (a WAL file, a follower's
+    /// `install_snapshot`): one whose config or parts the request path
+    /// cannot serve is refused here, naming the field.
     pub fn restore(snapshot: CampaignSnapshot) -> Result<Self> {
+        check_config(&snapshot.config)?;
+        let engine = IncrementalTi::restore(snapshot.engine)?;
         let store = match &snapshot.config.storage_dir {
             Some(dir) => Some(ParamStore::open(dir)?),
             None => None,
         };
         Ok(Docs {
-            // The benefit index is derived state: rebuilt here rather than
-            // snapshotted, per the campaign's own config.
-            engine: IncrementalTi::restore(snapshot.engine)
-                .with_benefit_index(snapshot.config.use_benefit_index),
+            engine,
             golden_ids: snapshot.golden_ids,
             seen_workers: snapshot.seen_workers.into_iter().collect(),
             config: snapshot.config,
@@ -684,7 +687,7 @@ impl Docs {
 mod tests {
     use super::*;
     use docs_kb::table2_example_kb;
-    use docs_types::TaskBuilder;
+    use docs_types::{codec, TaskBuilder};
 
     fn example_tasks(n: usize) -> Vec<Task> {
         // Texts built from the Table 2 KB aliases so DVE has signal.
@@ -1210,67 +1213,9 @@ mod tests {
     }
 
     #[test]
-    fn indexed_campaign_serves_identically_to_the_scan_campaign() {
-        // The DocsConfig switch: same request stream, byte-identical HITs,
-        // answers, and final report — the index only changes how candidates
-        // are found.
-        let kb = table2_example_kb();
-        let run = |use_benefit_index: bool| {
-            let config = DocsConfig {
-                use_benefit_index,
-                task_shards: 2,
-                ..small_config()
-            };
-            let mut docs = Docs::publish(&kb, example_tasks(9), config).unwrap();
-            let mut trace: Vec<WorkRequest> = Vec::new();
-            for round in 0..6 {
-                for w in 0..3u32 {
-                    let w = WorkerId(w);
-                    let req = docs.request_tasks(w);
-                    match &req {
-                        WorkRequest::Golden(g) => {
-                            let answers: Vec<_> = g
-                                .iter()
-                                .map(|&gid| (gid, docs.tasks()[gid.index()].ground_truth.unwrap()))
-                                .collect();
-                            docs.submit_golden(w, &answers).unwrap();
-                        }
-                        WorkRequest::Tasks(hit) => {
-                            let answers: Vec<Answer> = hit
-                                .iter()
-                                .map(|&t| Answer {
-                                    task: t,
-                                    worker: w,
-                                    choice: (t.index() + round) % 2,
-                                })
-                                .collect();
-                            docs.submit_answer_batch(&answers).unwrap();
-                        }
-                        WorkRequest::Done => {}
-                    }
-                    trace.push(req);
-                }
-            }
-            (trace, docs.finish().unwrap())
-        };
-        let (scan_trace, scan_report) = run(false);
-        let (index_trace, index_report) = run(true);
-        assert_eq!(index_trace, scan_trace, "assignments diverged");
-        assert_eq!(index_report.truths, scan_report.truths);
-        assert_eq!(
-            index_report.truth_distributions,
-            scan_report.truth_distributions
-        );
-    }
-
-    #[test]
     fn dispatch_epoch_advances_on_state_changes_not_polls() {
         let kb = table2_example_kb();
-        let config = DocsConfig {
-            use_benefit_index: true,
-            ..small_config()
-        };
-        let mut docs = Docs::publish(&kb, example_tasks(6), config).unwrap();
+        let mut docs = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
         let w = WorkerId(0);
         let e0 = docs.dispatch_epoch();
         // Golden init is a state change.
@@ -1283,12 +1228,11 @@ mod tests {
         docs.submit_golden(w, &golden).unwrap();
         let e1 = docs.dispatch_epoch();
         assert!(e1 > e0, "golden init must advance the epoch");
-        // Polling (assignment) is a read of the candidate space: the indexed
-        // pop-and-revalidate re-pushes live entries and must not advance.
+        // Polling (assignment) is a read of the candidate space.
         let _ = docs.request_tasks(w);
         let _ = docs.request_tasks(w);
         assert_eq!(docs.dispatch_epoch(), e1, "polls must not advance");
-        // An ingested answer advances (apply + index bump).
+        // An ingested answer advances.
         docs.submit_answer(Answer {
             task: TaskId(0),
             worker: w,
@@ -1326,10 +1270,10 @@ mod tests {
             choice: 0,
         })
         .unwrap();
-        // Snapshot → JSON → restore: every probability must round-trip
+        // Snapshot → record → restore: every probability must round-trip
         // exactly, and the restored machine must serve identically.
-        let json = serde_json::to_vec(&docs.snapshot()).unwrap();
-        let mut restored = Docs::restore(serde_json::from_slice(&json).unwrap()).unwrap();
+        let bytes = codec::to_bytes(&docs.snapshot());
+        let mut restored = Docs::restore(codec::from_bytes(&bytes).unwrap()).unwrap();
         assert_eq!(restored.answers_collected(), docs.answers_collected());
         assert_eq!(restored.golden_ids(), docs.golden_ids());
         for (a, b) in docs
@@ -1395,6 +1339,78 @@ mod tests {
         }
     }
 
+    /// A snapshot written by an older build still carries the retired
+    /// `config.use_benefit_index`; the derive looks fields up by name, so
+    /// the extra key is ignored and the campaign restores onto the scan.
+    #[test]
+    fn restore_ignores_the_retired_index_flag_of_older_snapshots() {
+        use serde::{Deserialize, Serialize, Value};
+        let kb = table2_example_kb();
+        let docs = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
+        let mut old = docs.snapshot().to_value();
+        let Value::Map(top) = &mut old else {
+            panic!("snapshots serialize as a map");
+        };
+        let config = top.iter_mut().find(|(k, _)| k == "config").unwrap();
+        let Value::Map(config) = &mut config.1 else {
+            panic!("configs serialize as a map");
+        };
+        config.push(("use_benefit_index".into(), Value::Bool(true)));
+        let snapshot = CampaignSnapshot::from_value(&old).unwrap();
+        assert!(Docs::restore(snapshot).is_ok());
+    }
+
+    /// Restores `snapshot` the way a WAL snapshot or a follower's
+    /// `install_snapshot` does: through the codec record.
+    fn restore_through_codec(snapshot: &CampaignSnapshot) -> Result<Docs> {
+        let decoded = codec::from_bytes::<CampaignSnapshot>(&codec::to_bytes(snapshot))?;
+        Docs::restore(decoded)
+    }
+
+    /// `k_per_hit = 0` used to pass publish/restore and panic the owning
+    /// shard thread in `Assigner::new` on the first OTA request.
+    #[test]
+    fn publish_and_restore_refuse_a_hit_of_zero_tasks() {
+        let kb = table2_example_kb();
+        let zero = DocsConfig {
+            k_per_hit: 0,
+            ..small_config()
+        };
+        let err = Docs::publish(&kb, example_tasks(6), zero.clone()).unwrap_err();
+        assert!(err.to_string().contains("`k_per_hit`"), "{err}");
+        let mut snapshot = Docs::publish(&kb, example_tasks(6), small_config())
+            .unwrap()
+            .snapshot();
+        assert!(restore_through_codec(&snapshot).is_ok(), "control");
+        snapshot.config = zero;
+        let err = restore_through_codec(&snapshot).unwrap_err();
+        assert!(err.to_string().contains("`k_per_hit`"), "{err}");
+    }
+
+    /// A snapshot whose parts disagree about the task count or the shard
+    /// geometry is refused at restore, naming the field — not accepted and
+    /// left to panic in `ShardedTiState::restore` or on the first scan.
+    #[test]
+    fn restore_refuses_a_snapshot_whose_parts_disagree() {
+        let kb = table2_example_kb();
+        let good = Docs::publish(&kb, example_tasks(6), small_config())
+            .unwrap()
+            .snapshot();
+        assert!(restore_through_codec(&good).is_ok(), "control");
+        type Tamper = fn(&mut CampaignSnapshot);
+        let shards: Tamper = |s| s.engine.task_shards = 4;
+        let states: Tamper = |s| s.engine.states.truncate(5);
+        let log: Tamper = |s| s.engine.log = docs_types::AnswerLog::new(5);
+        for (field, tamper) in [("shard_ingested", shards), ("states", states), ("log", log)] {
+            let mut snapshot = good.clone();
+            tamper(&mut snapshot);
+            let err = restore_through_codec(&snapshot)
+                .err()
+                .unwrap_or_else(|| panic!("tampered `{field}` restored"));
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+        }
+    }
+
     #[test]
     fn registry_replays_snapshot_plus_event_suffix() {
         use docs_types::{CampaignEvent, CampaignId};
@@ -1407,7 +1423,7 @@ mod tests {
             .iter()
             .map(|&gid| (gid, live.tasks()[gid.index()].ground_truth.unwrap()))
             .collect();
-        let snapshot = serde_json::to_vec(&live.snapshot()).unwrap();
+        let snapshot = codec::to_bytes(&live.snapshot());
         // Events after the snapshot: golden init, one answer, one duplicate
         // (a deterministic rejection), finish.
         let events = [
@@ -1424,10 +1440,7 @@ mod tests {
             }),
             CampaignEvent::finished(),
         ];
-        let payloads: Vec<Vec<u8>> = events
-            .iter()
-            .map(|e| serde_json::to_vec(e).unwrap())
-            .collect();
+        let payloads: Vec<Vec<u8>> = events.iter().map(codec::encode_event).collect();
         // Drive the live machine through the same (accepted) transitions.
         live.submit_golden(w, &golden_answers).unwrap();
         live.submit_answer(Answer {
@@ -1449,17 +1462,17 @@ mod tests {
         assert_eq!(replayed.truth_distributions, reference.truth_distributions);
         // Garbage event bytes fail loudly.
         let err = registry
-            .replay(CampaignId(4), &snapshot, &[b"not json".to_vec()])
+            .replay(CampaignId(4), &snapshot, &[b"not a record".to_vec()])
             .unwrap_err();
         assert!(matches!(err, Error::Storage(_)), "{err}");
         // A `Published` marker disagreeing with the snapshot's task count
         // means the snapshot and log are mispaired — refuse to replay.
-        let mispaired = serde_json::to_vec(&CampaignEvent::Published(docs_types::PublishedEvent {
-            campaign: CampaignId(5),
-            num_tasks: 999,
-            num_golden: 2,
-        }))
-        .unwrap();
+        let mispaired =
+            codec::encode_event(&CampaignEvent::Published(docs_types::PublishedEvent {
+                campaign: CampaignId(5),
+                num_tasks: 999,
+                num_golden: 2,
+            }));
         let err = registry
             .replay(CampaignId(5), &snapshot, &[mispaired])
             .unwrap_err();

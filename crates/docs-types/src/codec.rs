@@ -11,14 +11,12 @@
 //!   magic   1 byte  1 byte      4 bytes           4 bytes       body_len
 //! ```
 //!
-//! * **Magic + version gate.** `0xDC` can never begin a JSON document, so a
-//!   decoder sniffs the first byte: magic → binary record, anything else →
-//!   the legacy serde_json format. Mixed-format logs (a JSON prefix written
-//!   by an older build, binary records appended after an upgrade) replay
-//!   byte-identically; old snapshots are upgraded to binary the next time a
-//!   snapshot is cut, never rewritten in place. The version byte must match
-//!   exactly — a record from a future format version is a clean error, not
-//!   a misparse.
+//! * **Magic + version gate.** This is the only record format: a payload
+//!   whose first byte is not `0xDC` is an error naming that byte (there is
+//!   no text fallback — the vendored JSON parser recurses without a depth
+//!   bound, so feeding it outside input could overflow the stack). The
+//!   version byte must match exactly — a record from a future format
+//!   version is a clean error, not a misparse.
 //! * **CRC framing.** `crc32(body)` plus an exact length check refuse any
 //!   single flipped bit anywhere in the record (header fields included).
 //! * **Two body kinds.** [`KIND_EVENT`] is a hand-rolled layout for
@@ -43,8 +41,7 @@ pub use bytes::BytesMut;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
-/// First byte of every binary record. `0xDC` is not valid UTF-8 text, so no
-/// JSON payload can collide with it.
+/// First byte of every record.
 pub const CODEC_MAGIC: u8 = 0xDC;
 
 /// Current format version. Decoders require an exact match.
@@ -86,11 +83,6 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
     Err(CodecError(msg.into()))
 }
 
-/// True when `bytes` starts a binary codec record (versus legacy JSON).
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&CODEC_MAGIC)
-}
-
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
@@ -107,11 +99,13 @@ fn frame_into(kind: u8, body: &[u8], buf: &mut BytesMut) {
 
 /// Verifies magic / version / kind / length / CRC and returns the body.
 fn unframe(expected_kind: u8, bytes: &[u8]) -> Result<&[u8], CodecError> {
+    if let Some(first) = bytes.first().filter(|&&b| b != CODEC_MAGIC) {
+        return err(format!(
+            "first byte 0x{first:02X} is not the record magic 0x{CODEC_MAGIC:02X}"
+        ));
+    }
     if bytes.len() < HEADER_LEN {
         return err(format!("record truncated at {} bytes", bytes.len()));
-    }
-    if bytes[0] != CODEC_MAGIC {
-        return err("missing magic byte");
     }
     if bytes[1] != CODEC_VERSION {
         return err(format!(
@@ -348,15 +342,9 @@ pub fn encode_event(event: &CampaignEvent) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Decodes an event payload of either format: binary records are verified
-/// and parsed; anything else falls back to the legacy JSON decoder, so
-/// pre-upgrade logs replay unchanged.
+/// Verifies and decodes one framed event record.
 pub fn decode_event(bytes: &[u8]) -> Result<CampaignEvent, CodecError> {
-    if is_binary(bytes) {
-        decode_event_body(unframe(KIND_EVENT, bytes)?)
-    } else {
-        serde_json::from_slice(bytes).map_err(|e| CodecError(format!("legacy json event: {e}")))
-    }
+    decode_event_body(unframe(KIND_EVENT, bytes)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -483,18 +471,13 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Decodes a payload of either format into `T`: binary records are verified
-/// and parsed; anything else falls back to the legacy JSON decoder.
+/// Verifies and decodes one framed value record into `T`.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    if is_binary(bytes) {
-        let body = unframe(KIND_VALUE, bytes)?;
-        let mut cursor = Cursor::new(body);
-        let tree = decode_value_body(&mut cursor, 0)?;
-        cursor.finish()?;
-        T::from_value(&tree).map_err(|e| CodecError(format!("value shape: {e}")))
-    } else {
-        serde_json::from_slice(bytes).map_err(|e| CodecError(format!("legacy json: {e}")))
-    }
+    let body = unframe(KIND_VALUE, bytes)?;
+    let mut cursor = Cursor::new(body);
+    let tree = decode_value_body(&mut cursor, 0)?;
+    cursor.finish()?;
+    T::from_value(&tree).map_err(|e| CodecError(format!("value shape: {e}")))
 }
 
 #[cfg(test)]
@@ -524,7 +507,6 @@ mod tests {
     fn every_event_variant_roundtrips() {
         for event in sample_events() {
             let bytes = encode_event(&event);
-            assert!(is_binary(&bytes));
             assert_eq!(decode_event(&bytes).unwrap(), event, "{}", event.kind());
         }
     }
@@ -548,15 +530,6 @@ mod tests {
             single.len(),
             json.len()
         );
-    }
-
-    #[test]
-    fn json_events_still_decode() {
-        for event in sample_events() {
-            let json = serde_json::to_vec(&event).unwrap();
-            assert!(!is_binary(&json));
-            assert_eq!(decode_event(&json).unwrap(), event, "{}", event.kind());
-        }
     }
 
     #[test]
@@ -637,17 +610,13 @@ mod tests {
     }
 
     #[test]
-    fn generic_types_roundtrip_and_fall_back_to_json() {
+    fn generic_types_roundtrip() {
         let table: std::collections::HashMap<String, Vec<u32>> =
             [("a".to_string(), vec![1, 2, 3]), ("b".to_string(), vec![])]
                 .into_iter()
                 .collect();
-        let binary = to_bytes(&table);
-        assert!(is_binary(&binary));
-        let back: std::collections::HashMap<String, Vec<u32>> = from_bytes(&binary).unwrap();
-        assert_eq!(back, table);
-        let json = serde_json::to_vec(&table).unwrap();
-        let back: std::collections::HashMap<String, Vec<u32>> = from_bytes(&json).unwrap();
+        let back: std::collections::HashMap<String, Vec<u32>> =
+            from_bytes(&to_bytes(&table)).unwrap();
         assert_eq!(back, table);
     }
 

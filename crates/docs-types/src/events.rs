@@ -9,9 +9,9 @@
 //! the full input of its deterministic transition — nothing inferred at
 //! apply time may depend on wall clock, randomness, or map iteration order.
 //!
-//! Events are externally tagged in their serialized form (`{"AnswerSubmitted":
-//! {...}}`), matching what the vendored serde derive emits for enums, so the
-//! on-disk log is auditable JSON.
+//! On disk and on the wire an event is one [`crate::codec`] event record;
+//! the serde derives remain for diagnostics and the codec bench's JSON
+//! comparison.
 
 use crate::{Answer, CampaignId, ChoiceIndex, TaskId, WorkerId};
 use serde::{Deserialize, Serialize};
@@ -51,7 +51,7 @@ pub struct AnswerSubmittedEvent {
 
 /// A batch of already-validated answers ingested as one transition — the
 /// batched ingestion path: one wire round-trip, one write-ahead-log record
-/// (one group-commit `fdatasync`), one benefit-index repair pass.
+/// (one group-commit `fdatasync`).
 ///
 /// The answers are applied strictly in order, so replaying the batch is
 /// byte-identical to having submitted its answers individually (including

@@ -1,26 +1,17 @@
-//! The OTA hot path at scale: incremental benefit index + batched answer
-//! ingestion.
+//! Batched answer ingestion against a durable campaign.
 //!
 //! ```text
 //! cargo run --release --example batched_ingestion
 //! ```
 //!
-//! §5.1's assignment path scans every task's benefit per worker request —
-//! fine for the paper's 2k-task batches, ruinous at the "millions of
-//! users" scale the service runtime targets. This example runs the same
-//! deterministic workload against one campaign four ways, crossing the two
-//! new levers:
-//!
-//! * `use_benefit_index`: serve `request_tasks` from the per-task-shard
-//!   entropy-bounded heap (pop-and-revalidate) instead of the flat rescan,
-//! * batched ingestion: return each HIT's answers in one
-//!   `SubmitAnswerBatch` round-trip (one WAL record, one group-commit
-//!   `fdatasync`) instead of one `SubmitAnswer` per answer.
+//! This example runs the same deterministic workload against one durable
+//! campaign two ways: one `SubmitAnswer` round-trip per answer, and each
+//! HIT's answers returned in one `SubmitAnswerBatch` round-trip (one WAL
+//! record, one group-commit `fdatasync`).
 //!
 //! It prints assignment latency, ingestion round-trips, and group-commit
-//! flush counts, and asserts the headline invariant: **all four runs
-//! produce byte-identical truths** — the levers change cost, never
-//! answers.
+//! flush counts, and asserts the headline invariant: **both runs produce
+//! byte-identical truths** — batching changes cost, never answers.
 
 use docs_service::{Client, DocsService, Op, OpKind, ServiceConfig, ServiceHandle};
 use docs_storage::FlushPolicy;
@@ -45,7 +36,7 @@ fn tasks() -> Vec<Task> {
         .collect()
 }
 
-fn publish(use_benefit_index: bool) -> Docs {
+fn publish() -> Docs {
     Docs::publish(
         &docs_kb::table2_example_kb(),
         tasks(),
@@ -55,7 +46,6 @@ fn publish(use_benefit_index: bool) -> Docs {
             answers_per_task: 2,
             z: 500,
             task_shards: 4,
-            use_benefit_index,
             ..Default::default()
         },
     )
@@ -107,7 +97,7 @@ struct RunReport {
 
 /// Drives the fixed workload: workers arrive round-robin, answer golden on
 /// first contact, then answer every assigned HIT until the budget is done.
-fn run(label: &str, use_index: bool, batched: bool) -> RunReport {
+fn run(label: &str, batched: bool) -> RunReport {
     let dir = std::env::temp_dir().join(format!(
         "docs-batched-ingestion-{}-{label}",
         std::process::id()
@@ -119,7 +109,7 @@ fn run(label: &str, use_index: bool, batched: bool) -> RunReport {
     let (service, handle) =
         DocsService::spawn_sharded(placeholder(), ServiceConfig::durable(2, &dir));
     let campaign = handle
-        .create_campaign_with(publish(use_index), FlushPolicy::EveryEvent)
+        .create_campaign_with(publish(), FlushPolicy::EveryEvent)
         .expect("durable campaign");
     let started = Instant::now();
     let mut idle_rounds = 0;
@@ -195,46 +185,30 @@ fn submit_hit(
 
 fn main() {
     println!(
-        "batched ingestion + benefit index: {NUM_TASKS} tasks, {NUM_WORKERS} workers, \
+        "batched ingestion: {NUM_TASKS} tasks, {NUM_WORKERS} workers, \
          durable EveryEvent campaign\n"
     );
-    let configs = [
-        ("scan + per-answer", false, false),
-        ("scan + batched", false, true),
-        ("index + per-answer", true, false),
-        ("index + batched", true, true),
-    ];
-    let mut reports = Vec::new();
-    for (label, use_index, batched) in configs {
-        let r = run(label, use_index, batched);
-        println!(
-            "{label:20} assign {:>8.1} µs/req ({} reqs) · {:>5} ingest round-trips · \
+    let [per_answer, batched] =
+        [("per-answer", false), ("batched", true)].map(|(label, batched)| {
+            let r = run(label, batched);
+            println!(
+                "{label:12} assign {:>8.1} µs/req ({} reqs) · {:>5} ingest round-trips · \
              {:>5} fsyncs · {:>7.0} ms wall",
-            r.assign_mean_us, r.assign_count, r.submit_round_trips, r.log_flushes, r.wall_ms
-        );
-        reports.push((label, r));
-    }
-    // The headline invariant: four cost profiles, one answer.
-    let reference = &reports[0].1.truths;
-    for (label, r) in &reports[1..] {
-        assert_eq!(
-            &r.truths, reference,
-            "{label}: truths diverged from the scan + per-answer reference"
-        );
-    }
-    let scan = &reports[1].1; // scan + batched
-    let index = &reports[3].1; // index + batched
-    println!(
-        "\nindexed assignment: {:.1}x faster than the flat scan on this pool",
-        scan.assign_mean_us / index.assign_mean_us.max(1e-9)
+                r.assign_mean_us, r.assign_count, r.submit_round_trips, r.log_flushes, r.wall_ms
+            );
+            r
+        });
+    // The headline invariant: two cost profiles, one answer.
+    assert_eq!(
+        batched.truths, per_answer.truths,
+        "batched: truths diverged from the per-answer reference"
     );
-    let per_answer = &reports[2].1;
     println!(
-        "batched ingestion: {} -> {} ingestion round-trips, {} -> {} fsyncs",
+        "\nbatched ingestion: {} -> {} ingestion round-trips, {} -> {} fsyncs",
         per_answer.submit_round_trips,
-        index.submit_round_trips,
+        batched.submit_round_trips,
         per_answer.log_flushes,
-        index.log_flushes
+        batched.log_flushes
     );
-    println!("all four runs produced byte-identical truths ✓");
+    println!("both runs produced byte-identical truths ✓");
 }

@@ -28,10 +28,13 @@ multiplier is an overhead, not a speedup). A metric (or whole file) with no
 committed baseline is a **warning, never a failure** — new metrics appear
 with every bench added and old ones retire; the gate only protects metrics
 with a real baseline, and the warnings make the unprotected ones visible
-so a typo'd key can't silently opt a metric out of the gate.
+so a typo'd key can't silently opt a metric out of the gate. A key, or a
+whole ``BENCH_*.json``, that the baseline has and the tree does not is
+printed as ``retired``.
 """
 
 import argparse
+import fnmatch
 import glob
 import json
 import os
@@ -80,6 +83,16 @@ def baseline_json(repo: str, rev: str, name: str) -> dict | None:
         return None
 
 
+def retired_files(baseline_tree: list[str], current: list[str]) -> list[str]:
+    """``BENCH_*.json`` names in the baseline revision's root tree that the
+    working tree no longer has."""
+    return sorted(
+        name
+        for name in baseline_tree
+        if fnmatch.fnmatch(name, "BENCH_*.json") and name not in current
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -104,7 +117,17 @@ def main() -> int:
         warnings.append(message)
         print(f"WARNING: {message}")
 
-    for path in sorted(glob.glob(os.path.join(repo, "BENCH_*.json"))):
+    paths = sorted(glob.glob(os.path.join(repo, "BENCH_*.json")))
+    baseline_tree = subprocess.run(
+        ["git", "-C", repo, "ls-tree", "--name-only", args.baseline],
+        capture_output=True,
+        text=True,
+    ).stdout.splitlines()
+    for name in retired_files(baseline_tree, [os.path.basename(p) for p in paths]):
+        base = baseline_json(repo, args.baseline, name) or {}
+        print(f"{name}: retired ({len(base)} metric(s) no longer tracked)")
+
+    for path in paths:
         name = os.path.basename(path)
         with open(path) as f:
             current = json.load(f)

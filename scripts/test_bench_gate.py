@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for bench_gate.py's direction inference.
+"""Unit tests for bench_gate.py's direction inference and retired-file
+report.
 
 Run directly (CI does): ``python3 scripts/test_bench_gate.py``
 
@@ -12,7 +13,7 @@ that lower-is-better markers win when both kinds match.
 
 import unittest
 
-from bench_gate import direction
+from bench_gate import direction, retired_files
 
 
 class DirectionInference(unittest.TestCase):
@@ -59,6 +60,17 @@ class DirectionInference(unittest.TestCase):
         # `_count` keys are informational in main(); direction() itself
         # must not claim them either way unless another marker matches.
         self.assertIsNone(direction("migration_forwarded_count"))
+
+
+class RetiredFiles(unittest.TestCase):
+    def test_a_whole_file_missing_from_the_tree_is_reported(self):
+        # The baseline's root tree holds more than bench files; only a
+        # BENCH_*.json the working tree lost is retired.
+        tree = ["BENCH_codec.json", "BENCH_ota.json", "Cargo.toml", "README.md"]
+        self.assertEqual(retired_files(tree, ["BENCH_codec.json"]), ["BENCH_ota.json"])
+        self.assertEqual(retired_files(tree, ["BENCH_codec.json", "BENCH_ota.json"]), [])
+        # A file new in the tree is not the baseline's to retire.
+        self.assertEqual(retired_files(["BENCH_codec.json"], ["BENCH_codec.json", "BENCH_new.json"]), [])
 
 
 if __name__ == "__main__":

@@ -3,9 +3,8 @@
 //! frames; plus corruption refusal — flipping any single bit anywhere in a
 //! framed record makes decoding fail instead of yielding a different value.
 //!
-//! The JSON fallback is exercised alongside: every generated event also
-//! round-trips through its legacy serde_json encoding via the same decode
-//! entry points, pinning the mixed-format guarantee at the codec layer.
+//! There is one record format: a payload that does not start with the
+//! magic byte — JSON included — is an error at both decode entry points.
 
 use docs_replication::{decode_frame, encode_frame};
 use docs_types::{
@@ -92,34 +91,19 @@ proptest! {
     #[test]
     fn every_event_variant_roundtrips_binary(event in arb_event()) {
         let bytes = codec::encode_event(&event);
-        prop_assert!(codec::is_binary(&bytes));
         prop_assert_eq!(codec::encode_event(&event), bytes.clone());
         let decoded = codec::decode_event(&bytes).expect("decode own encoding");
         prop_assert_eq!(decoded, event);
     }
 
-    /// The same decode entry point accepts the legacy serde_json rendering
-    /// of every variant — the mixed-format log guarantee.
-    #[test]
-    fn every_event_variant_decodes_from_legacy_json(event in arb_event()) {
-        let json = serde_json::to_vec(&event).expect("encode json");
-        prop_assert!(!codec::is_binary(&json));
-        let decoded = codec::decode_event(&json).expect("decode legacy json");
-        prop_assert_eq!(decoded, event);
-    }
-
     /// Generic value records (the snapshot path) round-trip through the
-    /// binary framing and through the JSON fallback.
+    /// framing.
     #[test]
-    fn value_records_roundtrip_both_formats(
+    fn value_records_roundtrip(
         pairs in prop::collection::vec((0u32..1000, arb_answer()), 0..8)
     ) {
         let bytes = codec::to_bytes(&pairs);
-        prop_assert!(codec::is_binary(&bytes));
         let decoded: Vec<(u32, Answer)> = codec::from_bytes(&bytes).expect("decode value");
-        prop_assert_eq!(&decoded, &pairs);
-        let json = serde_json::to_vec(&pairs).expect("encode json");
-        let decoded: Vec<(u32, Answer)> = codec::from_bytes(&json).expect("decode json value");
         prop_assert_eq!(&decoded, &pairs);
     }
 
@@ -183,4 +167,21 @@ proptest! {
             );
         }
     }
+}
+
+/// Anything that is not a record is an error at both entry points. 1 MB of
+/// `[` used to reach a JSON fallback whose parser recurses without a depth
+/// bound: the stack overflowed and the process aborted — from follower
+/// apply, recovery replay, snapshot install and the parameter store alike.
+#[test]
+fn non_record_payloads_are_errors_at_both_entry_points() {
+    let deep = vec![b'['; 1_000_000];
+    let object = serde_json::to_vec(&CampaignEvent::finished()).expect("encode json");
+    assert_eq!(object[0], b'{');
+    for payload in [&deep[..], &object[..], &b""[..]] {
+        assert!(codec::decode_event(payload).is_err());
+        assert!(codec::from_bytes::<CampaignEvent>(payload).is_err());
+    }
+    let err = codec::decode_event(&deep).unwrap_err();
+    assert!(err.to_string().contains("0x5B"), "{err}");
 }

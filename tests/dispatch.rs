@@ -40,7 +40,6 @@ fn publish(n_tasks: usize, answers_per_task: usize, task_shards: usize) -> Docs 
             answers_per_task,
             z: 25,
             task_shards,
-            use_benefit_index: true,
             ..Default::default()
         },
     )

@@ -86,64 +86,6 @@ proptest! {
         prop_assert!(b <= prob::entropy(st.s()) + 1e-9);
     }
 
-    /// The incremental benefit index is *exactly* the flat scan: for any
-    /// answer stream (driven through the engine so the index is maintained
-    /// incrementally, periodic full inference included), any worker quality
-    /// and any k / shard count, the indexed pop-and-revalidate returns the
-    /// flat scan's picks bit-for-bit — same benefits, same tie-breaks.
-    #[test]
-    fn benefit_index_selection_equals_flat_scan(
-        answers in prop::collection::vec(
-            (0usize..24, 0usize..6, 0usize..2), 0..60
-        ),
-        quality in prop::collection::vec(0.05f64..0.95, 3),
-        k in 1usize..12,
-        task_shards in 1usize..5,
-        z in 0usize..8
-    ) {
-        use docs_core::ota::{Assigner, AssignerConfig};
-        use docs_core::ti::{IncrementalTi, WorkerRegistry};
-        use docs_types::{Answer, TaskBuilder, TaskId};
-        let n = 24;
-        let m = 3;
-        let tasks: Vec<docs_types::Task> = (0..n)
-            .map(|i| {
-                TaskBuilder::new(i, format!("t{i}"))
-                    .yes_no()
-                    .with_domain_vector(DomainVector::one_hot(m, i % m))
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let mut engine = IncrementalTi::new(tasks, WorkerRegistry::new(m, 0.7), z)
-            .with_shards(task_shards)
-            .with_benefit_index(true);
-        for &(task, worker, choice) in &answers {
-            // Duplicates reject deterministically; both paths see the
-            // same accepted stream.
-            let _ = engine.submit(Answer {
-                task: TaskId::from(task),
-                worker: WorkerId::from(worker),
-                choice,
-            });
-        }
-        let assigner = Assigner::new(AssignerConfig { k, ..Default::default() });
-        let answered = |t: TaskId| t.index().is_multiple_of(13);
-        let count = |t: TaskId| t.index() % 3;
-        let (tasks, states, _, sharding, index) = engine.assign_view();
-        let flat = assigner.assign(&quality, tasks, states, answered, count);
-        let indexed = assigner.assign_indexed(
-            &quality,
-            tasks,
-            states,
-            sharding,
-            index.expect("index enabled"),
-            answered,
-            count,
-        );
-        prop_assert_eq!(indexed, flat);
-    }
-
     /// Theorem 1: merging per-batch statistics equals computing statistics
     /// over the concatenated batches.
     #[test]

@@ -492,80 +492,3 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     let _ = service.join_all();
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// Satellite pin: a pre-upgrade durability directory — serde_json snapshot
-/// payload plus serde_json event records, the exact bytes every log before
-/// the binary codec was written in — recovers byte-identically, accepts
-/// binary appends into the *same* log (mixed-format segments), survives a
-/// crash, and replays both formats on the second recovery. The binary-era
-/// snapshot cadence then rewrites the baseline in the new format
-/// (upgrade-on-snapshot) without ever rewriting history.
-#[test]
-fn mixed_format_log_json_seed_plus_binary_appends_recovers_byte_identical() {
-    use docs_types::{CampaignEvent, PublishedEvent};
-
-    let policy = FlushPolicy::EveryEvent;
-    let (ops, reference) = oracle(1);
-    let prefix = ops.len() / 2;
-    assert!(prefix > 0);
-    let dir = tmp_dir("mixed-format");
-
-    // Phase 1: hand-write the JSON-era directory, mirroring what the old
-    // service's create path produced: snapshot at sequence 0, the
-    // Published event at 1, then the op stream — all payloads serde_json.
-    {
-        let docs = publish(1, Some(policy));
-        let campaign = CampaignId(0);
-        let mut log = docs_storage::CampaignLog::open(dir.join("shard-0")).expect("open log");
-        log.register(campaign, policy, 0);
-        log.write_snapshot(campaign, &serde_json::to_vec(&docs.snapshot()).unwrap())
-            .expect("json snapshot");
-        let published = CampaignEvent::Published(PublishedEvent {
-            campaign,
-            num_tasks: docs.tasks().len() as u32,
-            num_golden: docs.golden_ids().len() as u32,
-        });
-        log.append_event(campaign, &serde_json::to_vec(&published).unwrap())
-            .expect("published event");
-        for op in &ops[..prefix] {
-            let event = match op {
-                Op::Golden(w, answers) => CampaignEvent::golden(*w, answers.clone()),
-                Op::Answer(answer) => CampaignEvent::answer(*answer),
-            };
-            log.append_event(campaign, &serde_json::to_vec(&event).unwrap())
-                .expect("json event");
-        }
-        log.flush().expect("seed flush");
-    }
-
-    // Phase 2: recover the JSON-era directory, re-drive the stream (the
-    // service appends *binary* records after the JSON prefix), then die
-    // without flushing.
-    let (service, handle) =
-        DocsService::recover(service_config(1, &dir, policy)).expect("recover JSON-era directory");
-    let campaign = handle.default_campaign();
-    assert_eq!(campaign, CampaignId(0), "seeded campaign came back");
-    assert!(handle.metrics().durability().snapshots_loaded >= 1);
-    for op in &ops {
-        submit(&handle, campaign, op);
-    }
-    handle.simulate_crash();
-    drop(handle);
-    let _ = service.join_all();
-
-    // Phase 3: recover the now mixed-format log (JSON prefix + binary
-    // suffix, possibly within one segment), re-drive, finish — the report
-    // must be byte-identical to the uninterrupted in-memory run.
-    let (service, handle) =
-        DocsService::recover(service_config(1, &dir, policy)).expect("recover mixed-format log");
-    for op in &ops {
-        submit(&handle, campaign, op);
-    }
-    let report = handle
-        .call(docs_service::Op::finish(campaign))
-        .expect("finish after mixed replay");
-    assert_byte_identical(&report, &reference, "mixed-format log");
-    drop(handle);
-    let _ = service.join_all();
-    let _ = std::fs::remove_dir_all(&dir);
-}

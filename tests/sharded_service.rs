@@ -13,15 +13,6 @@ use docs_types::{CampaignId, Task, TaskBuilder};
 use std::sync::Arc;
 
 fn publish(n_tasks: usize, answers_per_task: usize, task_shards: usize) -> Docs {
-    publish_indexed(n_tasks, answers_per_task, task_shards, false)
-}
-
-fn publish_indexed(
-    n_tasks: usize,
-    answers_per_task: usize,
-    task_shards: usize,
-    use_benefit_index: bool,
-) -> Docs {
     let kb = docs_kb::table2_example_kb();
     let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
     let tasks: Vec<Task> = (0..n_tasks)
@@ -43,7 +34,6 @@ fn publish_indexed(
             answers_per_task,
             z: 25,
             task_shards,
-            use_benefit_index,
             ..Default::default()
         },
     )
@@ -220,20 +210,18 @@ fn sharded_truths_equal_single_shard_truths() {
     service.join_all();
 }
 
-/// The scan/index equivalence bar of the incremental benefit index, at the
-/// service level: the same deterministically driven campaign must produce
-/// **byte-identical** truths and truth distributions with the benefit index
-/// on and off, for every `service shards × task_shards` combination in
-/// {1,4} × {1,4}. One client thread per campaign keeps the request stream
-/// deterministic, so any divergence is the index picking different tasks —
-/// exactly what the invariant forbids.
+/// The same deterministically driven campaign must produce
+/// **byte-identical** truths and truth distributions for every
+/// `service shards × task_shards` combination in {1,4} × {1,4}. One client
+/// thread per campaign keeps the request stream deterministic, so any
+/// divergence is the sharded scan picking different tasks.
 #[test]
-fn indexed_truths_equal_scan_truths_for_every_shard_combination() {
+fn truths_are_identical_for_every_shard_combination() {
     let n_tasks = 21;
     let seed = 0xD0C5;
-    let run = |service_shards: usize, task_shards: usize, use_index: bool| {
+    let run = |service_shards: usize, task_shards: usize| {
         let (service, handle) = DocsService::spawn_sharded(
-            publish_indexed(n_tasks, 3, task_shards, use_index),
+            publish(n_tasks, 3, task_shards),
             ServiceConfig::sharded(service_shards),
         );
         let campaign = handle.default_campaign();
@@ -254,17 +242,12 @@ fn indexed_truths_equal_scan_truths_for_every_shard_combination() {
         service.join();
         (report.truths, report.truth_distributions)
     };
-    let reference = run(1, 1, false);
-    for service_shards in [1usize, 4] {
-        for task_shards in [1usize, 4] {
-            for use_index in [false, true] {
-                let (truths, dists) = run(service_shards, task_shards, use_index);
-                let label =
-                    format!("shards={service_shards} task_shards={task_shards} index={use_index}");
-                assert_eq!(truths, reference.0, "truths diverged: {label}");
-                assert_eq!(dists, reference.1, "distributions diverged: {label}");
-            }
-        }
+    let reference = run(1, 1);
+    for (service_shards, task_shards) in [(1usize, 4usize), (4, 1), (4, 4)] {
+        let (truths, dists) = run(service_shards, task_shards);
+        let label = format!("shards={service_shards} task_shards={task_shards}");
+        assert_eq!(truths, reference.0, "truths diverged: {label}");
+        assert_eq!(dists, reference.1, "distributions diverged: {label}");
     }
 }
 
