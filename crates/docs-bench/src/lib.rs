@@ -4,8 +4,7 @@
 //! Each module computes one table/figure's data series and returns plain
 //! structs; the `figures` binary prints them in the paper's row/series
 //! format, and the criterion benches in `benches/` measure the timing
-//! claims. The per-experiment index lives in `DESIGN.md`; measured-vs-paper
-//! notes live in `EXPERIMENTS.md`.
+//! claims.
 
 pub mod extensions;
 pub mod fig3;

@@ -1,7 +1,7 @@
 //! Control-plane journal: a bounded ring of timestamped, severity-tagged
 //! events for everything that changes the *shape* of the service — role
 //! promotions, campaign fences, migrations, map installs — plus the rare
-//! bad news (flush failures, follower disconnects, dispatch timeouts)
+//! bad news (flush failures, follower disconnects, wrong-node redirects)
 //! that previously went to `eprintln!` and vanished.
 //!
 //! The journal is the operator's answer to "what happened around 12:04?":
@@ -21,7 +21,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub enum Severity {
     /// Expected control-plane activity (promotion, map install, ...).
     Info,
-    /// Degraded but self-healing (dispatch timeout, follower cut, ...).
+    /// Degraded but self-healing (follower cut, wrong-node redirect, ...).
     Warn,
     /// Something was lost or refused that should not have been.
     Error,
@@ -57,8 +57,6 @@ pub enum JournalKind {
     SnapshotFailure,
     /// A follower was cut from the replication stream for lagging.
     FollowerDisconnect,
-    /// A pushed task lease expired and the task was re-enqueued.
-    DispatchTimeout,
     /// A submission was refused because this node does not own the
     /// campaign (the `WrongNode` redirect).
     WrongNodeRejection,
@@ -66,7 +64,7 @@ pub enum JournalKind {
 
 impl JournalKind {
     /// Every kind, for exposition rendering.
-    pub const ALL: [JournalKind; 9] = [
+    pub const ALL: [JournalKind; 8] = [
         JournalKind::Promotion,
         JournalKind::Fence,
         JournalKind::MigrationAdopted,
@@ -74,7 +72,6 @@ impl JournalKind {
         JournalKind::FlushFailure,
         JournalKind::SnapshotFailure,
         JournalKind::FollowerDisconnect,
-        JournalKind::DispatchTimeout,
         JournalKind::WrongNodeRejection,
     ];
 
@@ -88,7 +85,6 @@ impl JournalKind {
             JournalKind::FlushFailure => "flush_failure",
             JournalKind::SnapshotFailure => "snapshot_failure",
             JournalKind::FollowerDisconnect => "follower_disconnect",
-            JournalKind::DispatchTimeout => "dispatch_timeout",
             JournalKind::WrongNodeRejection => "wrong_node_rejection",
         }
     }
@@ -277,14 +273,17 @@ mod tests {
     fn entries_are_sequenced_and_timestamped() {
         let j = ControlJournal::new();
         j.info(JournalKind::Promotion, "node n1 promoted to primary");
-        j.warn(JournalKind::DispatchTimeout, "lease expired for w3/t9");
+        j.warn(
+            JournalKind::FollowerDisconnect,
+            "follower f1 cut for lagging",
+        );
         let snap = j.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].seq, 0);
         assert_eq!(snap[1].seq, 1);
         assert!(snap[0].unix_ms > 1_500_000_000_000, "plausible wall clock");
         assert_eq!(snap[0].severity, Severity::Info);
-        assert_eq!(snap[1].kind, JournalKind::DispatchTimeout);
+        assert_eq!(snap[1].kind, JournalKind::FollowerDisconnect);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   traces land in a bounded [`FlightRecorder`] harvestable as JSON.
 //! * [`journal`] — the [`ControlJournal`]: timestamped, severity-tagged
 //!   control-plane events (promotions, fences, migrations, map installs,
-//!   flush failures, follower disconnects, dispatch timeouts).
+//!   flush failures, follower disconnects, wrong-node redirects).
 //! * [`expo`] — [`Exposition`]: renders one coherent snapshot of every
 //!   counter/gauge/histogram as Prometheus text (`render_prometheus`)
 //!   and JSON, with [`validate_prometheus`] for smoke assertions.

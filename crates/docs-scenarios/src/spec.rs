@@ -418,6 +418,22 @@ mod tests {
     }
 
     #[test]
+    fn manifest_nesting_is_bounded() {
+        // A manifest is outside input: hostile nesting is an error (on an
+        // unbounded parser these two overflow the stack and abort)…
+        assert!(ScenarioSpec::from_json(&"[".repeat(1_000_000)).is_err());
+        assert!(ScenarioSpec::from_json(&"{\"a\":".repeat(200_000)).is_err());
+        // …while a legal 96-deep document still parses: unknown keys are
+        // ignored, so the nested extra rides along harmlessly.
+        let spec = registry().remove(0);
+        let extra = format!("{}{}", "[".repeat(95), "]".repeat(95));
+        let json = spec
+            .to_json()
+            .replacen('{', &format!("{{\"extra\":{extra},"), 1);
+        assert_eq!(ScenarioSpec::from_json(&json).expect("parse"), spec);
+    }
+
+    #[test]
     fn named_lookup_finds_every_registry_entry() {
         for spec in registry() {
             assert_eq!(named(&spec.name), Some(spec));

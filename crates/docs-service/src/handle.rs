@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One client operation: the wire request plus the decoder that turns the
-/// shard's response into the operation's typed reply `T`. The ten
+/// shard's response into the operation's typed reply `T`. The eight
 /// constructors below are the whole client-facing protocol; everything
 /// else about an operation — where it is routed, whether a follower may
 /// serve it — is read off the request.
@@ -56,8 +56,6 @@ impl<T> Clone for Op<T> {
         use Request::*;
         let request = match &self.request {
             &RequestWork { campaign, worker } => RequestWork { campaign, worker },
-            &Subscribe { campaign, worker } => Subscribe { campaign, worker },
-            &Unsubscribe { campaign, worker } => Unsubscribe { campaign, worker },
             SubmitGolden {
                 campaign,
                 worker,
@@ -93,34 +91,9 @@ impl Op<WorkRequest> {
             decode: decode_work,
         }
     }
-
-    /// Registers an assignment subscription for `(campaign, worker)` — the
-    /// push-dispatch plane's entry point. The reply arrives immediately
-    /// when the worker is servable right now, or when the shard's next
-    /// dispatch pass pushes an assignment (the subscription *parks* on the
-    /// shard in the meantime, so `submit` it rather than `call`ing). On a
-    /// [`DispatchMode::Pull`](crate::DispatchMode::Pull) service it is
-    /// refused with [`RejectReason::Invalid`].
-    pub fn subscribe(campaign: CampaignId, worker: WorkerId) -> Self {
-        Op {
-            request: Request::Subscribe { campaign, worker },
-            decode: decode_work,
-        }
-    }
 }
 
 impl Op<()> {
-    /// Drops `(campaign, worker)`'s parked subscription, if any; the
-    /// outstanding subscribe ticket resolves with `Work(Done)`. Idempotent
-    /// — unsubscribing without a parked subscription still acks. The
-    /// hybrid client's fallback edge: unsubscribe, then poll.
-    pub fn unsubscribe(campaign: CampaignId, worker: WorkerId) -> Self {
-        Op {
-            request: Request::Unsubscribe { campaign, worker },
-            decode: decode_ack,
-        }
-    }
-
     /// A new worker's golden-HIT answers (Section 5.2).
     pub fn submit_golden(
         campaign: CampaignId,
@@ -651,7 +624,7 @@ mod tests {
     use crate::message::Completion;
     use crate::server::tests::published;
     use crate::ticket::TicketWait;
-    use crate::{ClusterRouter, DispatchMode, DocsService, ServiceConfig};
+    use crate::{ClusterRouter, DocsService, ServiceConfig};
     use crossbeam::channel::Receiver;
     use std::fmt::Debug;
     use std::time::Duration;
@@ -674,9 +647,9 @@ mod tests {
         (handle, rx)
     }
 
-    /// A push-dispatch primary serving one 9-task campaign on which
-    /// worker 0 has passed the golden gate, plus a follower holding
-    /// exactly that state — every op of the table succeeds against it.
+    /// A primary serving one 9-task campaign on which worker 0 has passed
+    /// the golden gate, plus a follower holding exactly that state — every
+    /// op of the table succeeds against it. Both trace every submission.
     struct Fixture {
         campaign: CampaignId,
         primary: ServiceHandle,
@@ -689,7 +662,7 @@ mod tests {
     fn fixture() -> Fixture {
         let (service, primary) = DocsService::spawn_sharded(
             published(9),
-            ServiceConfig::default().with_dispatch(DispatchMode::Push),
+            ServiceConfig::default().with_trace_sampling(1),
         );
         let campaign = primary.default_campaign();
         let golden = match primary.call(Op::request_tasks(campaign, WORKER)).unwrap() {
@@ -702,7 +675,7 @@ mod tests {
             .unwrap();
         let snapshot = primary.call(Op::snapshot_state(campaign)).unwrap();
         let (follower_service, follower) =
-            DocsService::spawn_replica(ServiceConfig::follower(1)).unwrap();
+            DocsService::spawn_replica(ServiceConfig::follower(1).with_trace_sampling(1)).unwrap();
         follower
             .replicate_install_snapshot(campaign, 0, snapshot)
             .unwrap();
@@ -732,8 +705,9 @@ mod tests {
     }
 
     /// One row of the op table: `op` must behave the same through every
-    /// verb and both clients, route by its read/write class, and bounce
-    /// off a full queue without leaving a trace.
+    /// verb and both clients, route by its read/write class, end in one
+    /// completion and one closed trace on the pool that served it, and
+    /// bounce off a full queue without leaving a ticket behind.
     fn check_op<T: Debug>(name: &str, read: bool, op: Op<T>) {
         assert_eq!(op.is_read(), read, "{name}: class is Request::is_read");
         let mut replies = Vec::new();
@@ -744,6 +718,8 @@ mod tests {
                 assert_eq!(op.campaign(), fx.campaign, "{label}");
                 let served = |h: &ServiceHandle| h.metrics().total_ops();
                 let before = (served(&fx.primary), served(&fx.follower));
+                let traced = |h: &ServiceHandle| h.metrics().flight().len();
+                let traces_before = traced(&fx.primary) + traced(&fx.follower);
                 let reply = if routed {
                     let router = ClusterRouter::single(
                         NodeId(0),
@@ -770,6 +746,20 @@ mod tests {
                     send(&fx.primary, verb, op.clone())
                 };
                 assert!(reply.is_ok(), "{label}: {reply:?}");
+                // The dequeued request left exactly one finished trace, on
+                // the pool that served it, with its queue wait closed.
+                let server = if routed && read {
+                    &fx.follower
+                } else {
+                    &fx.primary
+                };
+                assert_eq!(
+                    traced(&fx.primary) + traced(&fx.follower),
+                    traces_before + 1,
+                    "{label}"
+                );
+                let trace = server.metrics().flight().latest().unwrap();
+                assert!(trace.span_ns(SpanKind::QueueWait).is_some(), "{label}");
                 replies.push((label, format!("{reply:?}")));
                 fx.shutdown();
             }
@@ -813,8 +803,6 @@ mod tests {
         let batch = vec![answer(3), answer(4), answer(3)];
 
         check_op("request_tasks", false, Op::request_tasks(c, WORKER));
-        check_op("subscribe", false, Op::subscribe(c, WORKER));
-        check_op("unsubscribe", false, Op::unsubscribe(c, WORKER));
         // Any labeled task can grade a new worker.
         let golden = vec![(TaskId(0), 0), (TaskId(1), 1)];
         check_op(

@@ -29,14 +29,11 @@
 //!   full queue while `try_submit` fails fast with
 //!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections`
 //!   counter,
-//! * **Push/hybrid dispatch** ([`ServiceConfig::dispatch`]): instead of
-//!   polling, a worker can register a long-lived assignment subscription
-//!   (`submit(Op::subscribe(..))`); the owning shard serves it
-//!   immediately when possible and otherwise *parks* the completion,
-//!   pushing the next assignment when the campaign's dispatch epoch
-//!   advances — OTA runs once per state change instead of once per
-//!   worker poll, with picks byte-identical to pull
-//!   mode (see ARCHITECTURE.md, "Task dispatch"),
+//! * **One dispatch path**: assignment is pull-only, as in the paper
+//!   (Figure 1 ④) — a worker that wants its next HIT the moment its
+//!   answers land pipelines `submit(Op::submit_answer_batch(..))` and
+//!   `submit(Op::request_tasks(..))` on the per-campaign FIFO (see
+//!   ARCHITECTURE.md, "One dispatch path"),
 //! * **Typed errors**: every refusal carries a matchable
 //!   [`RejectReason`](docs_types::RejectReason)
 //!   (`DuplicateAnswer`, `UnknownCampaign`, `BudgetExhausted`, …) whose
@@ -104,10 +101,7 @@ pub use metrics::{
     ServiceMetrics, ShardStats,
 };
 pub use routing::{ClusterNode, ClusterRouter, ClusterRouterStats};
-pub use server::{
-    DispatchConfig, DispatchMode, DocsService, DurabilityConfig, ReplicationSink, ServiceConfig,
-    ServiceError,
-};
+pub use server::{DocsService, DurabilityConfig, ReplicationSink, ServiceConfig, ServiceError};
 // Adaptive group-commit bounds appear in `DurabilityConfig`; re-exported
 // so configuring a service doesn't require a direct docs-storage import.
 pub use docs_storage::AdaptiveCommit;

@@ -109,32 +109,6 @@ pub enum Request {
         /// The submitted answers, in submission order.
         answers: Vec<Answer>,
     },
-    /// Push-dispatch plane: register a long-lived assignment subscription
-    /// for `(campaign, worker)`. If the worker can be served right now the
-    /// shard completes the subscription immediately with
-    /// [`Response::Work`]; otherwise (worker at its in-flight cap) the
-    /// completion sender is **parked** in the shard's subscription table
-    /// and resolved when the campaign's dispatch epoch next advances — OTA
-    /// runs once per state change instead of once per worker poll. Refused with `RejectReason::Invalid` on a
-    /// [`DispatchMode::Pull`](crate::DispatchMode::Pull) service.
-    Subscribe {
-        /// Campaign the worker wants assignments from.
-        campaign: CampaignId,
-        /// The subscribing worker.
-        worker: WorkerId,
-    },
-    /// Push-dispatch plane: drop `(campaign, worker)`'s parked subscription
-    /// if one exists. The parked completion (the client's outstanding
-    /// subscribe ticket) resolves with `Work(Done)` so an abandoning worker
-    /// is told to stop rather than left waiting; the unsubscribe itself is
-    /// acknowledged with [`Response::Ack`] whether or not a subscription
-    /// was parked (idempotent).
-    Unsubscribe {
-        /// Campaign the subscription targeted.
-        campaign: CampaignId,
-        /// The unsubscribing worker.
-        worker: WorkerId,
-    },
     /// Requester-side: finalize one campaign's inference and produce its
     /// report. The campaign keeps serving afterwards (reports are
     /// repeatable), matching the single-campaign service's behavior.
@@ -233,8 +207,6 @@ impl Request {
             | Request::SubmitGolden { campaign, .. }
             | Request::SubmitAnswer { campaign, .. }
             | Request::SubmitAnswerBatch { campaign, .. }
-            | Request::Subscribe { campaign, .. }
-            | Request::Unsubscribe { campaign, .. }
             | Request::Finish { campaign }
             | Request::Status { campaign }
             | Request::PeekReport { campaign }

@@ -14,8 +14,8 @@
 //! * per-shard queue depth (current + high-water mark) and service-time
 //!   counters on atomics, updated on the enqueue/dequeue hot path,
 //! * pipeline-stage histograms: group-commit batch size and fdatasync
-//!   duration, replication ship→applied lag, dispatch park-to-assign
-//!   wait, router hop time, and migration fence windows,
+//!   duration, replication ship→applied lag, router hop time, and
+//!   migration fence windows,
 //! * a sampled-request [`FlightRecorder`] and a [`ControlJournal`] of
 //!   promotions / fences / migrations / failures,
 //! * [`ServiceMetrics::render_prometheus`] and
@@ -61,11 +61,6 @@ pub enum OpKind {
     /// Replication plane: snapshot install or replicated event apply on a
     /// follower.
     Replicate,
-    /// Push-dispatch plane: subscription registration/cancellation, plus
-    /// the park-to-dispatch wait of every parked subscription (recorded
-    /// when the shard resolves it) — so the push plane's time-to-assignment
-    /// is visible next to `Assign`'s pull latency.
-    Subscribe,
     /// Cluster control plane: fencing, migration intake, directory
     /// installs — ownership bookkeeping, not campaign work.
     Cluster,
@@ -76,7 +71,7 @@ impl OpKind {
     /// and [`OpKind::index`] are all derived from this array, so adding a
     /// variant means adding it here (and the cross-check test fails if the
     /// orders drift).
-    pub const ALL: [OpKind; 10] = [
+    pub const ALL: [OpKind; 9] = [
         OpKind::Assign,
         OpKind::Golden,
         OpKind::Submit,
@@ -85,7 +80,6 @@ impl OpKind {
         OpKind::Create,
         OpKind::Read,
         OpKind::Replicate,
-        OpKind::Subscribe,
         OpKind::Cluster,
     ];
 
@@ -105,7 +99,6 @@ impl OpKind {
             OpKind::Create => "create",
             OpKind::Read => "read",
             OpKind::Replicate => "replicate",
-            OpKind::Subscribe => "subscribe",
             OpKind::Cluster => "cluster",
         }
     }
@@ -128,14 +121,21 @@ pub struct OpStats {
     pub max: Duration,
 }
 
+/// `total / count`, zero when nothing was recorded. u128 math: a count
+/// passes u32::MAX on a long-lived service, where a `Duration / u32`
+/// division truncates — and panics outright at exact multiples of 2^32.
+fn mean_duration(total: Duration, count: u64) -> Duration {
+    if count == 0 {
+        Duration::ZERO
+    } else {
+        Duration::from_nanos((total.as_nanos() / count as u128) as u64)
+    }
+}
+
 impl OpStats {
     /// Mean service time, or zero when nothing was recorded.
     pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
+        mean_duration(self.total, self.count)
     }
 }
 
@@ -174,15 +174,6 @@ struct ShardCounters {
     max_flush_nanos: AtomicU64,
     /// Bytes across this shard's on-disk log segments (gauge).
     log_bytes: AtomicU64,
-    /// Assignment subscriptions currently parked in this shard's
-    /// subscription table (gauge).
-    subscriptions: AtomicUsize,
-    /// Tasks pushed to subscribed workers by the dispatch plane (counter).
-    dispatched_tasks: AtomicU64,
-    /// Pushed HITs whose worker lease expired before an answer came back —
-    /// their cap slot was released and the tasks became re-dispatchable
-    /// (counter).
-    dispatch_timeouts: AtomicU64,
 }
 
 /// Snapshot of one shard's counters.
@@ -217,13 +208,6 @@ pub struct ShardStats {
     pub max_flush: Duration,
     /// Bytes across the shard's on-disk log segments.
     pub log_bytes: u64,
-    /// Assignment subscriptions currently parked on the shard.
-    pub subscriptions: usize,
-    /// Tasks pushed to subscribed workers by the dispatch plane.
-    pub dispatched_tasks: u64,
-    /// Pushed HITs whose worker lease timed out (cap slot released, tasks
-    /// re-dispatchable).
-    pub dispatch_timeouts: u64,
 }
 
 /// Service-wide durability counters (replay happens before the pool runs,
@@ -262,7 +246,7 @@ struct RoutingCounters {
 
 /// Pipeline-stage histograms: where a durable replicated request's time
 /// goes *between* the per-operation service times — group commit, the
-/// replication stream, the push plane, routing, and migrations.
+/// replication stream, routing, and migrations.
 #[derive(Debug, Default)]
 struct PipelineHistograms {
     /// Events per group-commit flush (a size distribution, recorded
@@ -273,8 +257,6 @@ struct PipelineHistograms {
     /// Ship→applied lag of replicated events as observed by the follower
     /// applier, ns.
     replication_lag_ns: AtomicHistogram,
-    /// Park→assignment wait of push-dispatch subscriptions, ns.
-    dispatch_park_ns: AtomicHistogram,
     /// One routing hop (map consult / redirect absorb + retry), ns.
     router_hop_ns: AtomicHistogram,
     /// Write-unavailability window of one campaign migration, ns.
@@ -407,13 +389,7 @@ pub struct DurabilityStats {
 impl ShardStats {
     /// Mean per-request service time on this shard.
     pub fn mean_latency(&self) -> Duration {
-        if self.processed == 0 {
-            Duration::ZERO
-        } else {
-            // u128 math: `processed` can exceed u32::MAX on a long-lived
-            // shard, where a `Duration / u32` division would truncate.
-            Duration::from_nanos((self.busy.as_nanos() / self.processed as u128) as u64)
-        }
+        mean_duration(self.busy, self.processed)
     }
 }
 
@@ -587,38 +563,6 @@ impl ServiceMetrics {
         c.max_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
 
-    /// Notes an assignment subscription parked in `shard`'s subscription
-    /// table. Paired with [`ServiceMetrics::subscription_resolved`] when
-    /// the shard dispatches, replaces, or cancels it.
-    pub fn subscription_parked(&self, shard: usize) {
-        self.shards[shard]
-            .subscriptions
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Notes a parked subscription leaving `shard`'s table (dispatched,
-    /// replaced, or cancelled). Saturating like the other gauges: a stray
-    /// decrement degrades to "slightly wrong", never wraps.
-    pub fn subscription_resolved(&self, shard: usize) {
-        saturating_dec(&self.shards[shard].subscriptions);
-    }
-
-    /// Counts `tasks` pushed to a subscribed worker by `shard`'s dispatch
-    /// plane.
-    pub fn tasks_dispatched(&self, shard: usize, tasks: u64) {
-        self.shards[shard]
-            .dispatched_tasks
-            .fetch_add(tasks, Ordering::Relaxed);
-    }
-
-    /// Counts one pushed HIT whose worker lease expired before its answers
-    /// arrived: the cap slot is released and the tasks are re-dispatchable.
-    pub fn dispatch_timeout(&self, shard: usize) {
-        self.shards[shard]
-            .dispatch_timeouts
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Publishes a shard's campaign-log gauges (called by the shard thread
     /// on flush boundaries and at shutdown).
     pub fn shard_log_observed(
@@ -761,11 +705,6 @@ impl ServiceMetrics {
         self.pipeline.replication_lag_ns.record(lag);
     }
 
-    /// Records one push-dispatch subscription's park→assignment wait.
-    pub fn dispatch_park_recorded(&self, wait: Duration) {
-        self.pipeline.dispatch_park_ns.record(wait);
-    }
-
     /// Records one routing hop (map consult, or redirect absorb + retry).
     pub fn router_hop_recorded(&self, hop: Duration) {
         self.pipeline.router_hop_ns.record(hop);
@@ -790,11 +729,6 @@ impl ServiceMetrics {
     /// Distribution of replication ship→applied lag.
     pub fn replication_lag_histogram(&self) -> LatencyHistogram {
         self.pipeline.replication_lag_ns.snapshot()
-    }
-
-    /// Distribution of push-dispatch park→assignment waits.
-    pub fn dispatch_park_histogram(&self) -> LatencyHistogram {
-        self.pipeline.dispatch_park_ns.snapshot()
     }
 
     /// Distribution of routing hop times.
@@ -923,9 +857,6 @@ impl ServiceMetrics {
             last_flush: Duration::from_nanos(c.last_flush_nanos.load(Ordering::Relaxed)),
             max_flush: Duration::from_nanos(c.max_flush_nanos.load(Ordering::Relaxed)),
             log_bytes: c.log_bytes.load(Ordering::Relaxed),
-            subscriptions: c.subscriptions.load(Ordering::Relaxed),
-            dispatched_tasks: c.dispatched_tasks.load(Ordering::Relaxed),
-            dispatch_timeouts: c.dispatch_timeouts.load(Ordering::Relaxed),
         }
     }
 
@@ -1050,24 +981,6 @@ impl ServiceMetrics {
             MetricKind::Gauge,
             log_bytes
         );
-        shard_family!(
-            "docs_shard_subscriptions",
-            "Assignment subscriptions parked on the shard.",
-            MetricKind::Gauge,
-            subscriptions
-        );
-        shard_family!(
-            "docs_shard_dispatched_tasks_total",
-            "Tasks pushed to subscribed workers by the dispatch plane.",
-            MetricKind::Counter,
-            dispatched_tasks
-        );
-        shard_family!(
-            "docs_shard_dispatch_timeouts_total",
-            "Pushed HITs whose worker lease expired (tasks re-dispatchable).",
-            MetricKind::Counter,
-            dispatch_timeouts
-        );
 
         // Durability / replication / routing counters.
         let d = self.durability();
@@ -1165,7 +1078,7 @@ impl ServiceMetrics {
         );
 
         // Pipeline-stage histograms.
-        let summaries: [(&str, &str, LatencyHistogram); 6] = [
+        let summaries: [(&str, &str, LatencyHistogram); 5] = [
             (
                 "docs_flush_batch_events",
                 "Events per group-commit flush (unitless).",
@@ -1180,11 +1093,6 @@ impl ServiceMetrics {
                 "docs_replication_lag_ns",
                 "Replicated event ship-to-applied lag.",
                 self.replication_lag_histogram(),
-            ),
-            (
-                "docs_dispatch_park_ns",
-                "Push-dispatch subscription park-to-assignment wait.",
-                self.dispatch_park_histogram(),
             ),
             (
                 "docs_router_hop_ns",
@@ -1375,6 +1283,20 @@ mod tests {
     }
 
     #[test]
+    fn op_mean_survives_counts_past_u32() {
+        // `count as u32` is 0 for the first (a `Duration / 0` panic) and 6
+        // for the second (a mean ~7e8 times too large).
+        for count in [1u64 << 32, u32::MAX as u64 + 7] {
+            let stats = OpStats {
+                count,
+                total: Duration::from_nanos(2 * count),
+                ..Default::default()
+            };
+            assert_eq!(stats.mean(), Duration::from_nanos(2), "{count}");
+        }
+    }
+
+    #[test]
     fn clones_share_the_recorder() {
         let m = ServiceMetrics::new(2);
         let m2 = m.clone();
@@ -1498,35 +1420,6 @@ mod tests {
             m.ticket_resolved(0);
         }
         assert_eq!(m.shard(0).in_flight, 0, "drain must saturate at zero");
-    }
-
-    #[test]
-    fn subscription_gauge_and_dispatch_counters_track_the_push_plane() {
-        let m = ServiceMetrics::new(2);
-        m.subscription_parked(0);
-        m.subscription_parked(0);
-        m.subscription_parked(1);
-        assert_eq!(m.shard(0).subscriptions, 2);
-        assert_eq!(m.shard(1).subscriptions, 1);
-        m.subscription_resolved(0);
-        assert_eq!(m.shard(0).subscriptions, 1);
-        // Saturating: a stray resolve must not wrap the gauge.
-        m.subscription_resolved(1);
-        m.subscription_resolved(1);
-        assert_eq!(m.shard(1).subscriptions, 0, "no underflow wrap");
-        m.tasks_dispatched(0, 3);
-        m.tasks_dispatched(0, 2);
-        m.dispatch_timeout(0);
-        let s = m.shard(0);
-        assert_eq!(s.dispatched_tasks, 5);
-        assert_eq!(s.dispatch_timeouts, 1);
-        assert_eq!(m.shard(1).dispatched_tasks, 0);
-        // Subscribe latency shares the histogram machinery.
-        m.record(OpKind::Subscribe, Duration::from_micros(12));
-        assert_eq!(m.stats(OpKind::Subscribe).count, 1);
-        // The park-to-assignment wait also lands in its own histogram.
-        m.dispatch_park_recorded(Duration::from_micros(250));
-        assert_eq!(m.dispatch_park_histogram().count(), 1);
     }
 
     #[test]

@@ -36,17 +36,17 @@
 //!   returns it, so single-campaign callers need no campaign bookkeeping.
 
 use crate::handle::ServiceHandle;
-use crate::message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
+use crate::message::{BatchOutcome, Completion, Request, RequestEnvelope, Response};
 use crate::metrics::{OpKind, ServiceMetrics};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use docs_obs::{JournalKind, SpanKind, TraceContext};
 use docs_storage::{recover_tree, AdaptiveCommit, CampaignLog, FlushPolicy};
-use docs_system::{CampaignRegistry, Docs, MutationAdmission, OwnershipTable, WorkRequest};
+use docs_system::{CampaignRegistry, Docs, MutationAdmission, OwnershipTable};
 use docs_types::{
     codec, Answer, CampaignEvent, CampaignId, EventFrame, NodeId, PublishedEvent, RejectReason,
-    ReplicaRole, ReplicationFrame, SnapshotFrame, WorkerId,
+    ReplicaRole, ReplicationFrame, SnapshotFrame,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -197,71 +197,6 @@ impl DurabilityConfig {
     }
 }
 
-/// How assignments travel from shards to workers.
-///
-/// The paper's deployment is pull-only: every worker polls
-/// `RequestWork`, and every poll pays one candidate scan. Under thousands
-/// of concurrent workers those polls contend on the assignment path even
-/// when nothing changed since the last one. Push mode inverts the flow:
-/// workers register long-lived subscriptions ([`Request::Subscribe`]) and
-/// the shard dispatches assignments *as state changes* — OTA runs once per
-/// ingested answer instead of once per worker poll. Picks are
-/// byte-identical across modes: a pushed assignment is computed by the
-/// exact same [`Docs::request_tasks`] call a poll would have made.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Workers poll with `RequestWork`; [`Request::Subscribe`] is refused
-    /// with [`RejectReason::Invalid`]. The seed's behavior, and the
-    /// default.
-    Pull,
-    /// Workers subscribe; the shard pushes assignments when the campaign's
-    /// dispatch epoch advances. Polling still works (the pull plane is
-    /// never switched off), but subscribed workers are served without it.
-    Push,
-    /// Push with a client-side pull fallback: a worker whose subscription
-    /// does not resolve promptly unsubscribes and polls instead. The
-    /// server side is identical to [`DispatchMode::Push`]; the difference
-    /// is client strategy (see the open-loop harness).
-    Hybrid,
-}
-
-/// Knobs of the push-dispatch plane (ignored under [`DispatchMode::Pull`]).
-#[derive(Debug, Clone)]
-pub struct DispatchConfig {
-    /// The dispatch mode the pool runs in.
-    pub mode: DispatchMode,
-    /// How many pushed HITs a worker may hold unanswered before further
-    /// subscriptions from it park instead of being served immediately. Any
-    /// accepted submission from the worker retires its outstanding lease.
-    pub max_in_flight_per_worker: usize,
-    /// A worker whose pushed HIT goes unanswered this long is presumed
-    /// gone: its lease is expired (freeing its in-flight slot) at the next
-    /// dispatch pass and counted in `ShardStats::dispatch_timeouts`. Tasks
-    /// are never reserved, so the timed-out HIT's tasks were re-assignable
-    /// all along — expiry re-enqueues the *worker*, not the tasks.
-    pub worker_timeout: Duration,
-}
-
-impl Default for DispatchConfig {
-    fn default() -> Self {
-        DispatchConfig {
-            mode: DispatchMode::Pull,
-            max_in_flight_per_worker: 1,
-            worker_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
-impl DispatchConfig {
-    /// The given mode with default cap and timeout.
-    pub fn new(mode: DispatchMode) -> Self {
-        DispatchConfig {
-            mode,
-            ..Default::default()
-        }
-    }
-}
-
 /// Deployment knobs of the service runtime.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -275,9 +210,7 @@ pub struct ServiceConfig {
     /// in a shard's queue (one more may already be executing on the shard
     /// thread, so worst-case in-shard demand is `queue_capacity + 1`).
     /// `submit` and `call` park until a slot frees; `try_submit` fails
-    /// fast with [`ServiceError::Busy`]. `0` removes the bound (the
-    /// pre-backpressure behavior, kept as an escape hatch for harnesses
-    /// that measure raw queue growth).
+    /// fast with [`ServiceError::Busy`]. `0` is treated as `1`.
     pub queue_capacity: usize,
     /// The role the pool starts in. A [`ReplicaRole::Follower`] refuses
     /// every mutation with [`RejectReason::ReadOnlyReplica`], serves the
@@ -288,9 +221,6 @@ pub struct ServiceConfig {
     /// every flushed (durable) event is also handed to this sink as a
     /// [`ReplicationFrame`] — the WAL-shipping feed followers apply.
     pub replication: Option<ReplicationSink>,
-    /// How assignments reach workers: polled ([`DispatchMode::Pull`], the
-    /// default) or pushed through subscriptions.
-    pub dispatch: DispatchConfig,
     /// Sample every Nth submission into the flight recorder as a full
     /// request trace (`0` disables tracing). Sampling is cheap enough to
     /// leave on in production at, say, `1024`; traced requests pay one
@@ -312,7 +242,6 @@ impl Default for ServiceConfig {
             role: ReplicaRole::Primary,
             replication: None,
             trace_sample_every: 0,
-            dispatch: DispatchConfig::default(),
             node: NodeId(0),
         }
     }
@@ -341,7 +270,7 @@ impl ServiceConfig {
         }
     }
 
-    /// Overrides the per-shard ingress bound (`0` = unbounded).
+    /// Overrides the per-shard ingress bound.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
@@ -376,21 +305,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the dispatch mode (default cap and worker timeout).
-    pub fn with_dispatch(mut self, mode: DispatchMode) -> Self {
-        self.dispatch.mode = mode;
-        self
-    }
-
     /// Sets this pool's cluster node identity.
     pub fn with_node(mut self, node: NodeId) -> Self {
         self.node = node;
-        self
-    }
-
-    /// Overrides the full push-dispatch configuration.
-    pub fn with_dispatch_config(mut self, dispatch: DispatchConfig) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -734,291 +651,6 @@ fn apply_replicated(
     response
 }
 
-/// One parked assignment subscription: the subscriber's one-shot
-/// completion slot, held by the shard until the campaign's dispatch epoch
-/// advances (or the worker unsubscribes / the budget exhausts).
-struct ParkedSub {
-    completions: Sender<Completion>,
-    correlation: CorrelationId,
-    parked_at: Instant,
-}
-
-/// One worker's outstanding pushed-HIT lease: how many pushed HITs it
-/// holds unanswered and when the last one was dispatched.
-struct Lease {
-    outstanding: usize,
-    last_dispatch: Instant,
-}
-
-/// Per-shard push-dispatch state: parked subscriptions, in-flight leases,
-/// and the last dispatch epoch consulted per campaign. Lives on the shard
-/// thread next to the registry — share-nothing like everything else.
-struct DispatchTable {
-    config: DispatchConfig,
-    /// Parked subscriptions per campaign. A `BTreeMap` keyed by worker so
-    /// a dispatch pass serves subscribers in a deterministic order.
-    parked: HashMap<CampaignId, BTreeMap<WorkerId, ParkedSub>>,
-    /// Outstanding pushed-HIT leases per campaign.
-    leases: HashMap<CampaignId, HashMap<WorkerId, Lease>>,
-    /// The dispatch epoch each campaign was last served at: a pass whose
-    /// epoch matches is a no-op (nothing changed since), which is what
-    /// keeps the per-request trigger O(1) when no answers land.
-    epochs: HashMap<CampaignId, u64>,
-    /// When the leases were last scanned for expiry. The scan is O(live
-    /// leases) — with thousands of concurrent workers that is thousands of
-    /// map entries — so it runs at a bounded cadence (a fraction of the
-    /// worker timeout), not once per request.
-    last_expiry_scan: Instant,
-}
-
-impl DispatchTable {
-    fn new(config: DispatchConfig) -> Self {
-        DispatchTable {
-            config,
-            parked: HashMap::new(),
-            leases: HashMap::new(),
-            epochs: HashMap::new(),
-            last_expiry_scan: Instant::now(),
-        }
-    }
-
-    fn push_enabled(&self) -> bool {
-        self.config.mode != DispatchMode::Pull
-    }
-
-    fn at_capacity(&self, campaign: CampaignId, worker: WorkerId) -> bool {
-        self.leases
-            .get(&campaign)
-            .and_then(|l| l.get(&worker))
-            .map_or(0, |lease| lease.outstanding)
-            >= self.config.max_in_flight_per_worker
-    }
-
-    /// Records one pushed HIT against the worker's lease when the served
-    /// work actually hands it tasks (`Done` leases nothing).
-    fn lease_if_hit(&mut self, campaign: CampaignId, worker: WorkerId, work: &WorkRequest) {
-        if matches!(work, WorkRequest::Done) {
-            return;
-        }
-        let now = Instant::now();
-        let lease = self
-            .leases
-            .entry(campaign)
-            .or_default()
-            .entry(worker)
-            .or_insert(Lease {
-                outstanding: 0,
-                last_dispatch: now,
-            });
-        lease.outstanding += 1;
-        lease.last_dispatch = now;
-    }
-
-    /// Any accepted submission from the worker retires its outstanding
-    /// pushed HIT(s): the worker proved it is alive and delivering.
-    fn clear_lease(&mut self, campaign: CampaignId, worker: WorkerId) {
-        if let Some(leases) = self.leases.get_mut(&campaign) {
-            leases.remove(&worker);
-        }
-    }
-
-    /// Expires leases older than the worker timeout, freeing their
-    /// in-flight slots and returning the timed-out workers (each a
-    /// dispatch-pass candidate: its parked re-subscription, if any, is
-    /// servable again). Tasks were never reserved, so nothing needs to be
-    /// returned to a queue — the timed-out HIT's tasks stayed assignable
-    /// throughout; expiry re-enqueues the *worker's cap slot*.
-    fn expire_leases(
-        &mut self,
-        shard: usize,
-        campaign: CampaignId,
-        metrics: &ServiceMetrics,
-    ) -> Vec<WorkerId> {
-        let timeout = self.config.worker_timeout;
-        let now = Instant::now();
-        // Cadence gate: at most one full scan per timeout/8, so detection
-        // lags expiry by at most one eighth of the timeout — noise against
-        // a human-scale worker timeout, and the per-request cost between
-        // scans is a single clock read.
-        if now.duration_since(self.last_expiry_scan) < timeout / 8 {
-            return Vec::new();
-        }
-        self.last_expiry_scan = now;
-        let Some(leases) = self.leases.get_mut(&campaign) else {
-            return Vec::new();
-        };
-        let mut expired = Vec::new();
-        leases.retain(|worker, lease| {
-            let live = now.duration_since(lease.last_dispatch) < timeout;
-            if !live {
-                expired.push(*worker);
-            }
-            live
-        });
-        for worker in &expired {
-            metrics.dispatch_timeout(shard);
-            metrics.journal().warn(
-                JournalKind::DispatchTimeout,
-                format!("shard {shard}: lease for {worker} on {campaign} expired"),
-            );
-        }
-        expired
-    }
-
-    /// Parks a subscription, returning any older one it displaced
-    /// (newest-wins: the stale ticket must not be left hanging).
-    fn park(
-        &mut self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        sub: ParkedSub,
-    ) -> Option<ParkedSub> {
-        self.parked.entry(campaign).or_default().insert(worker, sub)
-    }
-
-    fn remove_parked(&mut self, campaign: CampaignId, worker: WorkerId) -> Option<ParkedSub> {
-        self.parked.get_mut(&campaign)?.remove(&worker)
-    }
-}
-
-/// Resolves a parked subscription with `work`, accounting the park-to-
-/// dispatch wait under [`OpKind::Subscribe`] and the dispatched task count.
-fn resolve_parked(shard: usize, metrics: &ServiceMetrics, sub: ParkedSub, work: WorkRequest) {
-    let dispatched = match &work {
-        WorkRequest::Golden(t) | WorkRequest::Tasks(t) => t.len() as u64,
-        WorkRequest::Done => 0,
-    };
-    metrics.subscription_resolved(shard);
-    if dispatched > 0 {
-        metrics.tasks_dispatched(shard, dispatched);
-    }
-    let parked_for = sub.parked_at.elapsed();
-    metrics.record_on(shard, OpKind::Subscribe, parked_for);
-    metrics.dispatch_park_recorded(parked_for);
-    let _ = sub.completions.send(Completion {
-        correlation: sub.correlation,
-        response: Response::Work(work),
-    });
-}
-
-/// Handles [`Request::Subscribe`]: immediate service when the worker can
-/// be served right now, parking when it is at its in-flight cap with
-/// budget still open. Returns `None` when the subscription parked (no
-/// completion is sent yet — the dispatch pass owns it now).
-#[allow(clippy::too_many_arguments)]
-fn on_subscribe(
-    shard: usize,
-    registry: &mut CampaignRegistry,
-    table: &mut DispatchTable,
-    metrics: &ServiceMetrics,
-    campaign: CampaignId,
-    worker: WorkerId,
-    correlation: CorrelationId,
-    completions: &Sender<Completion>,
-) -> Option<Response> {
-    if !table.push_enabled() {
-        return Some(Response::Rejected(RejectReason::Invalid(
-            "assignment subscriptions require push or hybrid dispatch".into(),
-        )));
-    }
-    let Some(docs) = registry.get_mut(campaign) else {
-        return Some(Response::Rejected(RejectReason::UnknownCampaign(campaign)));
-    };
-    // At the in-flight cap with budget remaining: park until an answer
-    // lands (every dispatch pass rechecks) or the lease times out. With
-    // the budget exhausted there may never be another state change, so
-    // fall through and let `request_tasks` answer `Done` immediately.
-    if !docs.budget_exhausted() && table.at_capacity(campaign, worker) {
-        let stale = table.park(
-            campaign,
-            worker,
-            ParkedSub {
-                completions: completions.clone(),
-                correlation,
-                parked_at: Instant::now(),
-            },
-        );
-        if let Some(stale) = stale {
-            // Newest wins; the displaced ticket is told to stop waiting.
-            resolve_parked(shard, metrics, stale, WorkRequest::Done);
-        }
-        metrics.subscription_parked(shard);
-        return None;
-    }
-    // Servable now: the pick is the exact call a `RequestWork` poll makes,
-    // so push picks are byte-identical to pull picks by construction.
-    let work = docs.request_tasks(worker);
-    table.lease_if_hit(campaign, worker, &work);
-    if let WorkRequest::Golden(t) | WorkRequest::Tasks(t) = &work {
-        metrics.tasks_dispatched(shard, t.len() as u64);
-    }
-    Some(Response::Work(work))
-}
-
-/// The push plane's heart: runs after any request that may have advanced
-/// `campaign`'s dispatch epoch and serves every parked subscriber that
-/// became servable. The epoch guard makes the common no-change case one
-/// hash lookup and one integer compare — OTA runs once per *state
-/// change*, not once per worker poll.
-///
-/// A subscription only parks when its worker is at the in-flight cap, and
-/// a cap only opens through that worker's own accepted submission
-/// (`freed`), its lease timing out (`expire_leases`), or the budget
-/// running out (drain everything with a final serve). So the pass visits
-/// exactly those workers instead of rescanning the whole table: cost is
-/// O(state changes), independent of how many subscribers sit parked.
-fn dispatch_pass(
-    shard: usize,
-    registry: &mut CampaignRegistry,
-    table: &mut DispatchTable,
-    metrics: &ServiceMetrics,
-    campaign: CampaignId,
-    freed: &[WorkerId],
-) {
-    if !table.push_enabled() {
-        return;
-    }
-    let expired = table.expire_leases(shard, campaign, metrics);
-    let Some(docs) = registry.get_mut(campaign) else {
-        return;
-    };
-    let epoch = docs.dispatch_epoch();
-    if expired.is_empty() && table.epochs.get(&campaign) == Some(&epoch) {
-        return;
-    }
-    table.epochs.insert(campaign, epoch);
-    if table.parked.get(&campaign).is_none_or(|p| p.is_empty()) {
-        return;
-    }
-    let workers: Vec<WorkerId> = if docs.budget_exhausted() {
-        // The budget is gone: every parked subscriber is drained with a
-        // final pick (which answers `Done`) so no ticket waits forever on
-        // a campaign that will never change again.
-        table.parked[&campaign].keys().copied().collect()
-    } else {
-        let parked = &table.parked[&campaign];
-        freed
-            .iter()
-            .chain(expired.iter())
-            .copied()
-            .filter(|w| parked.contains_key(w))
-            .collect()
-    };
-    for worker in workers {
-        // Still at cap (e.g. a batch cleared one lease but the worker
-        // re-leased in between): stays parked for the next opening.
-        if !docs.budget_exhausted() && table.at_capacity(campaign, worker) {
-            continue;
-        }
-        let Some(sub) = table.remove_parked(campaign, worker) else {
-            continue;
-        };
-        let work = docs.request_tasks(worker);
-        table.lease_if_hit(campaign, worker, &work);
-        resolve_parked(shard, metrics, sub, work);
-    }
-}
-
 /// The metrics bucket each request kind lands in.
 fn kind_of(request: &Request) -> OpKind {
     match request {
@@ -1027,7 +659,6 @@ fn kind_of(request: &Request) -> OpKind {
         Request::SubmitGolden { .. } => OpKind::Golden,
         Request::SubmitAnswer { .. } => OpKind::Submit,
         Request::SubmitAnswerBatch { .. } => OpKind::SubmitBatch,
-        Request::Subscribe { .. } | Request::Unsubscribe { .. } => OpKind::Subscribe,
         Request::Finish { .. } => OpKind::Finish,
         Request::Status { .. } | Request::PeekReport { .. } | Request::SnapshotState { .. } => {
             OpKind::Read
@@ -1052,7 +683,6 @@ struct ShardSeed {
     /// The handle-level campaign-id allocator, shared so snapshot installs
     /// keep it ahead of every replicated id (see `install_snapshot`).
     next_campaign: Arc<AtomicU32>,
-    dispatch: DispatchConfig,
     node: NodeId,
 }
 
@@ -1066,7 +696,6 @@ fn shard_loop(
 ) -> CampaignRegistry {
     let mut registry = seed.registry;
     let seed_next_campaign = seed.next_campaign;
-    let mut dispatch = DispatchTable::new(seed.dispatch);
     let mut ownership = OwnershipTable::new(seed.node);
     let mut durability = seed.log.map(|log| ShardDurability {
         log,
@@ -1124,7 +753,6 @@ fn shard_loop(
                         inbound,
                         &mut registry,
                         &mut durability,
-                        &mut dispatch,
                         &mut ownership,
                         &metrics,
                         &role,
@@ -1206,7 +834,6 @@ fn shard_loop(
             inbound,
             &mut registry,
             &mut durability,
-            &mut dispatch,
             &mut ownership,
             &metrics,
             &role,
@@ -1282,7 +909,7 @@ fn release_deferred(deferred: &mut Vec<DeferredCompletion>, metrics: &ServiceMet
     }
 }
 
-/// Handles one inbound request end to end: role gate, dispatch, finish
+/// Handles one inbound request end to end: role gate, the request, finish
 /// hardening, snapshot cadence, shipping, and the completion — which is
 /// either sent immediately or withheld in `deferred` while adaptive group
 /// commit keeps the event it acknowledges buffered.
@@ -1292,7 +919,6 @@ fn process_one(
     inbound: Inbound,
     registry: &mut CampaignRegistry,
     durability: &mut Option<ShardDurability>,
-    dispatch: &mut DispatchTable,
     ownership: &mut OwnershipTable,
     metrics: &ServiceMetrics,
     role: &RoleCell,
@@ -1313,24 +939,6 @@ fn process_one(
     }
     let campaign = request.campaign();
     let kind = kind_of(&request);
-    // Under push/hybrid dispatch, remember which workers this request
-    // carries answers from: an accepted submission retires the worker's
-    // pushed-HIT lease before the dispatch pass runs.
-    let submitters: Vec<WorkerId> = if dispatch.push_enabled() {
-        match &request {
-            Request::SubmitGolden { worker, .. } => vec![*worker],
-            Request::SubmitAnswer { answer, .. } => vec![answer.worker],
-            Request::SubmitAnswerBatch { answers, .. } => {
-                let mut workers: Vec<WorkerId> = answers.iter().map(|a| a.worker).collect();
-                workers.sort_unstable();
-                workers.dedup();
-                workers
-            }
-            _ => Vec::new(),
-        }
-    } else {
-        Vec::new()
-    };
     // The role gate: a follower refuses every external mutation (pure
     // reads and the replication plane pass), a primary refuses the
     // replication plane — unless the campaign is in migration intake,
@@ -1402,38 +1010,6 @@ fn process_one(
             ),
             Request::SubmitAnswerBatch { answers, .. } => {
                 apply_answer_batch(registry, durability, metrics, shard, campaign, answers)
-            }
-            Request::Subscribe { worker, .. } => {
-                match on_subscribe(
-                    shard,
-                    registry,
-                    dispatch,
-                    metrics,
-                    campaign,
-                    worker,
-                    correlation,
-                    &inbound.completions,
-                ) {
-                    Some(response) => response,
-                    None => {
-                        // Parked: no completion leaves yet — the dispatch
-                        // pass owns the slot now. The request itself *was*
-                        // dequeued, so the ingress bookkeeping still runs.
-                        // A sampled trace ends here unrecorded: the park can
-                        // outlive the envelope by an unbounded dispatch wait,
-                        // which the park-time histogram tracks instead.
-                        let elapsed = start.elapsed();
-                        metrics.record_on(shard, kind, elapsed);
-                        metrics.shard_processed(shard, elapsed);
-                        return;
-                    }
-                }
-            }
-            Request::Unsubscribe { worker, .. } => {
-                if let Some(sub) = dispatch.remove_parked(campaign, worker) {
-                    resolve_parked(shard, metrics, sub, WorkRequest::Done);
-                }
-                Response::Ack
             }
             Request::Finish { .. } => apply_event(
                 registry,
@@ -1549,7 +1125,6 @@ fn process_one(
     let elapsed = start.elapsed();
     metrics.record_on(shard, kind, elapsed);
     metrics.shard_processed(shard, elapsed);
-    let accepted = !matches!(response, Response::Rejected(_));
     // The completion echoes the submission's correlation id. A client
     // that dropped its ticket after submitting is fine.
     let completion = Completion {
@@ -1575,19 +1150,6 @@ fn process_one(
             metrics.flight().record(t.finish());
         }
         let _ = inbound.completions.send(completion);
-    }
-    // The push plane rides the same state changes the request made: an
-    // accepted submission retires its workers' pushed-HIT leases, then the
-    // dispatch pass serves whatever parked subscriptions became servable.
-    // Pushed assignments are sent directly (above, via `resolve_parked`),
-    // never deferred — an assignment promises nothing durable, and each
-    // ticket owns a one-shot slot so inter-ticket order is meaningless.
-    if dispatch.push_enabled() {
-        let freed: &[WorkerId] = if accepted { &submitters } else { &[] };
-        for &worker in freed {
-            dispatch.clear_lease(campaign, worker);
-        }
-        dispatch_pass(shard, registry, dispatch, metrics, campaign, freed);
     }
 }
 
@@ -1870,15 +1432,11 @@ impl DocsService {
                 snapshot_every: config.durability.as_ref().map_or(0, |d| d.snapshot_every),
                 sink: config.replication.clone(),
                 next_campaign: Arc::clone(&next_campaign),
-                dispatch: config.dispatch.clone(),
                 node: config.node,
             };
             // The ingress bound is the pool's admission control: blocking
             // submissions park on a full queue, fail-fast ones bounce.
-            let (tx, rx) = match config.queue_capacity {
-                0 => unbounded::<Inbound>(),
-                cap => bounded::<Inbound>(cap),
-            };
+            let (tx, rx) = bounded::<Inbound>(config.queue_capacity.max(1));
             let shard_metrics = metrics.clone();
             let shard_crash = Arc::clone(&crash);
             let shard_role = role.clone();
@@ -1948,8 +1506,8 @@ pub(crate) mod tests {
     use crate::handle::{Client, Op};
     use crate::ticket::TicketWait;
     use docs_kb::table2_example_kb;
-    use docs_system::DocsConfig;
-    use docs_types::{TaskBuilder, TaskId};
+    use docs_system::{DocsConfig, WorkRequest};
+    use docs_types::{TaskBuilder, TaskId, WorkerId};
 
     pub(crate) fn published(n: usize) -> Docs {
         let kb = table2_example_kb();
@@ -2000,30 +1558,45 @@ pub(crate) mod tests {
 
     #[test]
     fn round_trip_golden_then_tasks_then_report() {
-        let (service, handle) = service();
-        let c = handle.default_campaign();
-        let w = WorkerId(0);
-        let golden = match handle.call(Op::request_tasks(c, w)).unwrap() {
-            WorkRequest::Golden(g) => g,
-            other => panic!("expected golden HIT, got {other:?}"),
-        };
-        assert_eq!(golden.len(), 2);
-        pass_golden(&handle, c, w, &golden);
-        let tasks = match handle.call(Op::request_tasks(c, w)).unwrap() {
-            WorkRequest::Tasks(t) => t,
-            other => panic!("expected task HIT, got {other:?}"),
-        };
-        assert_eq!(tasks.len(), 3);
-        for t in tasks {
-            handle
-                .call(Op::submit_answer(c, Answer::new(w, t, t.index() % 2)))
-                .unwrap();
+        // A zero capacity is a one-slot queue, not an unbounded one.
+        for capacity in [ServiceConfig::DEFAULT_QUEUE_CAPACITY, 0] {
+            let config = ServiceConfig::default().with_queue_capacity(capacity);
+            let (service, handle) = DocsService::spawn_sharded(published(9), config);
+            let c = handle.default_campaign();
+            let w = WorkerId(0);
+            let golden = match handle.call(Op::request_tasks(c, w)).unwrap() {
+                WorkRequest::Golden(g) => g,
+                other => panic!("expected golden HIT, got {other:?}"),
+            };
+            assert_eq!(golden.len(), 2);
+            pass_golden(&handle, c, w, &golden);
+            let tasks = match handle.call(Op::request_tasks(c, w)).unwrap() {
+                WorkRequest::Tasks(t) => t,
+                other => panic!("expected task HIT, got {other:?}"),
+            };
+            assert_eq!(tasks.len(), 3);
+            for t in tasks {
+                handle
+                    .call(Op::submit_answer(c, Answer::new(w, t, t.index() % 2)))
+                    .unwrap();
+            }
+            let report = handle.call(Op::finish(c)).unwrap();
+            assert_eq!(report.truths.len(), 9);
+            assert_eq!(report.answers_collected, 3);
+            // A pipelined burst parks on the full queue instead of growing
+            // it: demand is the queue, the request executing and the one
+            // parked submitter.
+            let burst: Vec<_> = (0..32)
+                .map(|_| handle.submit(Op::status(c)).unwrap())
+                .collect();
+            for ticket in burst {
+                assert_eq!(ticket.wait().unwrap().answers_collected, 3);
+            }
+            let demand = handle.metrics().shard(0).max_queued;
+            assert!(demand <= capacity.max(1) + 2, "{capacity}: {demand}");
+            drop(handle);
+            let _docs = service.join();
         }
-        let report = handle.call(Op::finish(c)).unwrap();
-        assert_eq!(report.truths.len(), 9);
-        assert_eq!(report.answers_collected, 3);
-        drop(handle);
-        let _docs = service.join();
     }
 
     #[test]

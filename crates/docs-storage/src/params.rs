@@ -1,18 +1,19 @@
 //! Typed parameter store: the key scheme DOCS uses over the KV store.
 
 use crate::KvStore;
-use docs_types::{codec, Error, Result, TaskId, WorkerId};
+use docs_types::{codec, Error, Result, WorkerId};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::path::PathBuf;
 
-/// Stores and retrieves the inference parameters Section 4.2 enumerates:
-/// per-worker statistics under `worker/<id>` and per-task state under
-/// `task/<id>`, each written as a compact CRC-framed binary record.
+/// Stores and retrieves the parameters Section 4.2 carries from one
+/// requester's batch to the next: per-worker statistics under
+/// `worker/<id>`, each written as a compact CRC-framed binary record.
+/// (Per-task state belongs to one campaign and travels in its snapshots.)
 ///
-/// The value types are generic: `docs-system` persists
-/// `docs_core::ti::WorkerStats` and `docs_core::ti::TaskState` through this
-/// interface without this crate depending on the algorithm crates.
+/// The value type is generic: `docs-system` persists
+/// `docs_core::ti::WorkerStats` through this interface without this crate
+/// depending on the algorithm crates.
 #[derive(Debug)]
 pub struct ParamStore {
     kv: KvStore,
@@ -31,37 +32,21 @@ impl ParamStore {
         &self.kv
     }
 
-    fn put_value<T: Serialize>(&self, key: &str, value: &T) -> Result<()> {
-        self.kv.put(key, &codec::to_bytes(value))
+    /// Persists a worker's statistics.
+    pub fn put_worker<T: Serialize>(&self, w: WorkerId, stats: &T) -> Result<()> {
+        self.kv
+            .put(&format!("worker/{}", w.0), &codec::to_bytes(stats))
     }
 
-    fn get_value<T: DeserializeOwned>(&self, key: &str) -> Result<Option<T>> {
-        match self.kv.get(key) {
+    /// Loads a worker's statistics.
+    pub fn get_worker<T: DeserializeOwned>(&self, w: WorkerId) -> Result<Option<T>> {
+        let key = format!("worker/{}", w.0);
+        match self.kv.get(&key) {
             None => Ok(None),
             Some(bytes) => codec::from_bytes(&bytes)
                 .map(Some)
                 .map_err(|e| Error::Storage(format!("decode {key}: {e}"))),
         }
-    }
-
-    /// Persists a worker's statistics.
-    pub fn put_worker<T: Serialize>(&self, w: WorkerId, stats: &T) -> Result<()> {
-        self.put_value(&format!("worker/{}", w.0), stats)
-    }
-
-    /// Loads a worker's statistics.
-    pub fn get_worker<T: DeserializeOwned>(&self, w: WorkerId) -> Result<Option<T>> {
-        self.get_value(&format!("worker/{}", w.0))
-    }
-
-    /// Persists a task's inference state.
-    pub fn put_task<T: Serialize>(&self, t: TaskId, state: &T) -> Result<()> {
-        self.put_value(&format!("task/{}", t.0), state)
-    }
-
-    /// Loads a task's inference state.
-    pub fn get_task<T: DeserializeOwned>(&self, t: TaskId) -> Result<Option<T>> {
-        self.get_value(&format!("task/{}", t.0))
     }
 
     /// Ids of all persisted workers, ascending.
@@ -72,19 +57,6 @@ impl ParamStore {
             .iter()
             .filter_map(|k| k.strip_prefix("worker/")?.parse::<u32>().ok())
             .map(WorkerId)
-            .collect();
-        ids.sort();
-        ids
-    }
-
-    /// Ids of all persisted tasks, ascending.
-    pub fn task_ids(&self) -> Vec<TaskId> {
-        let mut ids: Vec<TaskId> = self
-            .kv
-            .keys_with_prefix("task/")
-            .iter()
-            .filter_map(|k| k.strip_prefix("task/")?.parse::<u32>().ok())
-            .map(TaskId)
             .collect();
         ids.sort();
         ids
@@ -135,13 +107,11 @@ mod tests {
         let store = ParamStore::open(tmp_dir("ids")).unwrap();
         for id in [3u32, 1, 10] {
             store.put_worker(WorkerId(id), &vec![0.5]).unwrap();
-            store.put_task(TaskId(id), &vec![0.5]).unwrap();
         }
         assert_eq!(
             store.worker_ids(),
             vec![WorkerId(1), WorkerId(3), WorkerId(10)]
         );
-        assert_eq!(store.task_ids(), vec![TaskId(1), TaskId(3), TaskId(10)]);
     }
 
     #[test]
@@ -149,13 +119,13 @@ mod tests {
         let dir = tmp_dir("reopen");
         {
             let store = ParamStore::open(&dir).unwrap();
-            store.put_task(TaskId(0), &vec![0.25, 0.75]).unwrap();
+            store.put_worker(WorkerId(0), &vec![0.25, 0.75]).unwrap();
             store.compact().unwrap();
-            store.put_task(TaskId(1), &vec![0.5, 0.5]).unwrap();
+            store.put_worker(WorkerId(1), &vec![0.5, 0.5]).unwrap();
         }
         let store = ParamStore::open(&dir).unwrap();
-        let s0: Vec<f64> = store.get_task(TaskId(0)).unwrap().unwrap();
-        let s1: Vec<f64> = store.get_task(TaskId(1)).unwrap().unwrap();
+        let s0: Vec<f64> = store.get_worker(WorkerId(0)).unwrap().unwrap();
+        let s1: Vec<f64> = store.get_worker(WorkerId(1)).unwrap().unwrap();
         assert_eq!(s0, vec![0.25, 0.75]);
         assert_eq!(s1, vec![0.5, 0.5]);
     }

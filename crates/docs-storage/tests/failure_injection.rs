@@ -13,7 +13,7 @@
 //! mid-log entries → clean error, not a panic).
 
 use docs_storage::{recover_tree, CampaignLog, FlushPolicy, KvStore, ParamStore, Wal, WalEntry};
-use docs_types::{CampaignId, TaskId, WorkerId};
+use docs_types::{CampaignId, WorkerId};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -204,7 +204,6 @@ fn param_store_survives_a_torn_wal_tail() {
     {
         let store = ParamStore::open(&dir).unwrap();
         store.put_worker(WorkerId(1), &stats).unwrap();
-        store.put_task(TaskId(0), &vec![0.25, 0.75]).unwrap();
     }
     {
         use std::io::Write;
@@ -217,8 +216,6 @@ fn param_store_survives_a_torn_wal_tail() {
     let store = ParamStore::open(&dir).unwrap();
     let loaded: FakeStats = store.get_worker(WorkerId(1)).unwrap().unwrap();
     assert_eq!(loaded, stats);
-    let s: Vec<f64> = store.get_task(TaskId(0)).unwrap().unwrap();
-    assert_eq!(s, vec![0.25, 0.75]);
     // The typed façade stays writable after the torn tail.
     store.put_worker(WorkerId(2), &stats).unwrap();
     assert_eq!(store.worker_ids(), vec![WorkerId(1), WorkerId(2)]);

@@ -114,11 +114,6 @@ pub struct Docs {
     seen_workers: HashSet<WorkerId>,
     config: DocsConfig,
     store: Option<ParamStore>,
-    /// Monotone per-process state version: advanced once per successfully
-    /// applied event. Not part of the snapshot — it tells "did anything
-    /// change since I last looked" apart within one process lifetime, which
-    /// is all the push-dispatch plane needs (see [`Docs::dispatch_epoch`]).
-    version: u64,
 }
 
 impl Docs {
@@ -175,7 +170,6 @@ impl Docs {
             seen_workers: HashSet::new(),
             config,
             store,
-            version: 0,
         })
     }
 
@@ -498,7 +492,7 @@ impl Docs {
     /// reproduces the live state exactly — the transition reads no clock, no
     /// randomness, and no iteration order of unordered containers.
     pub fn apply(&mut self, event: &CampaignEvent) -> Result<()> {
-        let applied = match event {
+        match event {
             // `Published` marks the birth of the log; the state it describes
             // is the snapshot it rides with, so applying it is a no-op.
             CampaignEvent::Published(_) => Ok(()),
@@ -506,21 +500,7 @@ impl Docs {
             CampaignEvent::AnswerSubmitted(a) => self.apply_answer(a.answer),
             CampaignEvent::AnswerBatchSubmitted(b) => self.apply_answer_batch(&b.answers),
             CampaignEvent::Finished(_) => self.apply_finished(),
-        };
-        if applied.is_ok() {
-            self.version = self.version.wrapping_add(1);
         }
-        applied
-    }
-
-    /// The campaign's dispatch epoch: a monotone counter that moves exactly
-    /// when the assignment candidate space can have moved — once per applied
-    /// event, never on reads or rejections. The service's push plane caches
-    /// the epoch per campaign and dispatches parked subscriptions only when
-    /// it advanced: OTA runs once per state change instead of once per
-    /// worker poll.
-    pub fn dispatch_epoch(&self) -> u64 {
-        self.version
     }
 
     fn apply_golden(&mut self, worker: WorkerId, answers: &[(TaskId, ChoiceIndex)]) -> Result<()> {
@@ -563,16 +543,13 @@ impl Docs {
         self.validate_answer(&answer)?;
         self.engine.submit(answer)?;
         self.seen_workers.insert(answer.worker);
-        self.persist_worker(answer.worker)?;
-        self.persist_task(answer.task)?;
-        Ok(())
+        self.persist_worker(answer.worker)
     }
 
     fn apply_answer_batch(&mut self, answers: &[Answer]) -> Result<()> {
         // One engine pass, then one parameter-store write per distinct
-        // worker/task — the same final store contents as per-answer
-        // persistence, without rewriting a hot task's state once per
-        // answer. BTreeSets keep the write order deterministic.
+        // worker — the same final store contents as per-answer persistence.
+        // The BTreeSet keeps the write order deterministic.
         // A batch applies *in full*, so admission requires budget capacity
         // for its last answer — the validation front truncates straddling
         // batches to exactly this capacity.
@@ -581,17 +558,12 @@ impl Docs {
         }
         self.engine.submit_batch(answers)?;
         let mut workers: std::collections::BTreeSet<WorkerId> = std::collections::BTreeSet::new();
-        let mut tasks: std::collections::BTreeSet<TaskId> = std::collections::BTreeSet::new();
         for answer in answers {
             self.seen_workers.insert(answer.worker);
             workers.insert(answer.worker);
-            tasks.insert(answer.task);
         }
         for worker in workers {
             self.persist_worker(worker)?;
-        }
-        for task in tasks {
-            self.persist_task(task)?;
         }
         Ok(())
     }
@@ -601,9 +573,6 @@ impl Docs {
         if let Some(store) = &self.store {
             for (w, stats) in self.engine.registry().iter() {
                 store.put_worker(w, stats)?;
-            }
-            for (i, state) in self.engine.states().iter().enumerate() {
-                store.put_task(TaskId::from(i), state)?;
             }
             store.compact()?;
         }
@@ -664,20 +633,12 @@ impl Docs {
             seen_workers: snapshot.seen_workers.into_iter().collect(),
             config: snapshot.config,
             store,
-            version: 0,
         })
     }
 
     fn persist_worker(&self, worker: WorkerId) -> Result<()> {
         if let (Some(store), Some(stats)) = (&self.store, self.engine.registry().get(worker)) {
             store.put_worker(worker, stats)?;
-        }
-        Ok(())
-    }
-
-    fn persist_task(&self, task: TaskId) -> Result<()> {
-        if let Some(store) = &self.store {
-            store.put_task(task, self.engine.state(task))?;
         }
         Ok(())
     }
@@ -1210,46 +1171,6 @@ mod tests {
         let empty = docs.submit_answer_batch(&[]).unwrap();
         assert_eq!((empty.accepted, empty.rejected.len()), (0, 0));
         assert_eq!(docs.answers_collected(), 3);
-    }
-
-    #[test]
-    fn dispatch_epoch_advances_on_state_changes_not_polls() {
-        let kb = table2_example_kb();
-        let mut docs = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
-        let w = WorkerId(0);
-        let e0 = docs.dispatch_epoch();
-        // Golden init is a state change.
-        let golden: Vec<_> = docs
-            .golden_ids()
-            .to_vec()
-            .iter()
-            .map(|&g| (g, docs.tasks()[g.index()].ground_truth.unwrap()))
-            .collect();
-        docs.submit_golden(w, &golden).unwrap();
-        let e1 = docs.dispatch_epoch();
-        assert!(e1 > e0, "golden init must advance the epoch");
-        // Polling (assignment) is a read of the candidate space.
-        let _ = docs.request_tasks(w);
-        let _ = docs.request_tasks(w);
-        assert_eq!(docs.dispatch_epoch(), e1, "polls must not advance");
-        // An ingested answer advances.
-        docs.submit_answer(Answer {
-            task: TaskId(0),
-            worker: w,
-            choice: 0,
-        })
-        .unwrap();
-        let e2 = docs.dispatch_epoch();
-        assert!(e2 > e1);
-        // A rejected submission leaves the epoch alone.
-        assert!(docs
-            .submit_answer(Answer {
-                task: TaskId(0),
-                worker: w,
-                choice: 1,
-            })
-            .is_err());
-        assert_eq!(docs.dispatch_epoch(), e2, "rejections must not advance");
     }
 
     #[test]

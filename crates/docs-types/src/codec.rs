@@ -13,10 +13,8 @@
 //!
 //! * **Magic + version gate.** This is the only record format: a payload
 //!   whose first byte is not `0xDC` is an error naming that byte (there is
-//!   no text fallback — the vendored JSON parser recurses without a depth
-//!   bound, so feeding it outside input could overflow the stack). The
-//!   version byte must match exactly — a record from a future format
-//!   version is a clean error, not a misparse.
+//!   no text fallback). The version byte must match exactly — a record
+//!   from a future format version is a clean error, not a misparse.
 //! * **CRC framing.** `crc32(body)` plus an exact length check refuse any
 //!   single flipped bit anywhere in the record (header fields included).
 //! * **Two body kinds.** [`KIND_EVENT`] is a hand-rolled layout for

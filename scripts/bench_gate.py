@@ -93,6 +93,11 @@ def retired_files(baseline_tree: list[str], current: list[str]) -> list[str]:
     )
 
 
+def retired_keys(base: dict, current: dict) -> list[str]:
+    """Keys of one ``BENCH_*.json`` the baseline has and the tree dropped."""
+    return sorted(set(base) - set(current))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -165,7 +170,7 @@ def main() -> int:
             )
             if regressed:
                 failures.append(f"{name}: {key} {old:.6g} -> {new:.6g} ({change:+.1%})")
-        for key in sorted(set(base) - set(current)):
+        for key in retired_keys(base, current):
             print(f"{name}: {key} retired (was {base[key]:.6g})")
 
     print(

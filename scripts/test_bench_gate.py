@@ -13,7 +13,7 @@ that lower-is-better markers win when both kinds match.
 
 import unittest
 
-from bench_gate import direction, retired_files
+from bench_gate import direction, retired_files, retired_keys
 
 
 class DirectionInference(unittest.TestCase):
@@ -22,7 +22,7 @@ class DirectionInference(unittest.TestCase):
             "obs_traced_submit_e2e_p99",
             "open_loop_assign_p50",
             "flush_sync_p999",
-            "dispatch_park_P99",  # case-insensitive
+            "router_hop_P99",  # case-insensitive
         ):
             self.assertEqual(direction(key), "lower", key)
 
@@ -71,6 +71,29 @@ class RetiredFiles(unittest.TestCase):
         self.assertEqual(retired_files(tree, ["BENCH_codec.json", "BENCH_ota.json"]), [])
         # A file new in the tree is not the baseline's to retire.
         self.assertEqual(retired_files(["BENCH_codec.json"], ["BENCH_codec.json", "BENCH_new.json"]), [])
+
+
+class RetiredKeys(unittest.TestCase):
+    def test_a_partially_emptied_file_reports_what_it_dropped(self):
+        # BENCH_latency.json after the push plane went: the pull keys of
+        # the gated cells stay (and are compared), the rest retire.
+        base = {
+            "openloop_pull_w100_assign_p99_ms": 1.1,
+            "openloop_pull_w5000_assign_p99_ms": 58.7,
+            "openloop_push_w100_assign_p99_ms": 1.2,
+            "openloop_push_p99_assign_speedup_w100": 0.94,
+        }
+        current = {"openloop_pull_w100_assign_p99_ms": 0.6, "openloop_new_key": 1.0}
+        self.assertEqual(
+            retired_keys(base, current),
+            [
+                "openloop_pull_w5000_assign_p99_ms",
+                "openloop_push_p99_assign_speedup_w100",
+                "openloop_push_w100_assign_p99_ms",
+            ],
+        )
+        # Nothing dropped, nothing retired; a new key is not a retirement.
+        self.assertEqual(retired_keys(base, {**base, "extra": 1.0}), [])
 
 
 if __name__ == "__main__":
