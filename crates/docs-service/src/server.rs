@@ -364,7 +364,6 @@ struct ShardDurability {
     snapshotted_at: HashMap<CampaignId, u64>,
     snapshot_every: u64,
     events_since_snapshot: u64,
-    observed_flushes: u64,
     /// Replication feed (primary side): frames queue here at append time
     /// and ship only once the log's buffer is empty — i.e. once the events
     /// they carry are actually on disk.
@@ -475,13 +474,10 @@ impl ShardDurability {
         Ok(())
     }
 
-    /// Publishes flush gauges when the log flushed since the last look.
-    fn observe(&mut self, shard: usize, metrics: &ServiceMetrics) {
+    /// Publishes the log gauges. Unconditional: appends between flushes
+    /// move `events_logged`, and a prune resets `log_bytes` without one.
+    fn observe(&self, shard: usize, metrics: &ServiceMetrics) {
         let stats = self.log.stats();
-        if stats.flushes == self.observed_flushes {
-            return;
-        }
-        self.observed_flushes = stats.flushes;
         metrics.shard_log_observed(
             shard,
             stats.appended,
@@ -703,7 +699,6 @@ fn shard_loop(
         snapshotted_at: HashMap::new(),
         snapshot_every: seed.snapshot_every,
         events_since_snapshot: 0,
-        observed_flushes: 0,
         sink: seed.sink,
         unshipped: Vec::new(),
     });
@@ -1961,5 +1956,57 @@ pub(crate) mod tests {
         assert_eq!(c, CampaignId(0));
         drop(handle);
         assert_eq!(service.join_all().len(), 1);
+    }
+
+    /// Bytes across the `*.wal` segments in one shard's log directory.
+    fn wal_bytes(dir: &std::path::Path) -> u64 {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
+            .map(|path| std::fs::metadata(path).unwrap().len())
+            .sum()
+    }
+
+    #[test]
+    fn shard_log_gauges_match_the_log_after_every_answer() {
+        // A snapshot cycle every 3 events prunes the segments; the gauges
+        // must follow the prune and every append, not only flushes.
+        for policy in [
+            FlushPolicy::EveryEvent,
+            FlushPolicy::Batch(1),
+            FlushPolicy::Batch(8),
+        ] {
+            for adaptive in [None, Some(AdaptiveCommit::default())] {
+                let label = format!("{}/{}", policy.label(), adaptive.is_some());
+                let dir = tmp_dir(&format!("log-gauges-{}", label.replace('/', "-")));
+                let mut config = ServiceConfig::durable(1, &dir);
+                let durability = config.durability.as_mut().unwrap();
+                durability.snapshot_every = 3;
+                durability.adaptive = adaptive;
+                let (service, handle) = DocsService::spawn_empty(config).unwrap();
+                let c = handle.create_campaign_with(published(9), policy).unwrap();
+                let w = WorkerId(0);
+                if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
+                    pass_golden(&handle, c, w, &g);
+                }
+                for t in 0..6u32 {
+                    handle
+                        .call(Op::submit_answer(c, Answer::new(w, TaskId(t), 0)))
+                        .unwrap();
+                    let d = handle.metrics().durability();
+                    let appended = 2 + u64::from(t) + 1; // published + golden + answers
+                    assert_eq!(d.events_logged, appended, "{label}: answer {t}");
+                    assert_eq!(
+                        d.log_bytes,
+                        wal_bytes(&dir.join("shard-0")),
+                        "{label}: answer {t}"
+                    );
+                }
+                drop(handle);
+                service.join_all();
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }
