@@ -39,7 +39,7 @@ impl Severity {
 }
 
 /// What happened. One variant per control-plane event class the service
-/// emits; the set mirrors the counters in `RoutingStats` and friends so
+/// emits; the set mirrors the service's `Counter` table (docs-service) so
 /// every counted event class can also be journaled with its context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JournalKind {

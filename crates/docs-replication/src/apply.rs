@@ -24,7 +24,7 @@
 use crate::frame::decode_frame;
 use crate::ship::{FollowerLink, ShippedRecord};
 use crossbeam::channel::RecvTimeoutError;
-use docs_service::{DocsService, ServiceConfig, ServiceError, ServiceHandle};
+use docs_service::{DocsService, ServiceConfig, ServiceError, ServiceHandle, Stage};
 use docs_system::{ReplicaWatermarks, WatermarkAdmission};
 use docs_types::{codec, CampaignEvent, CampaignId, Error, ReplicationFrame, Result};
 use parking_lot::Mutex;
@@ -251,9 +251,10 @@ fn decode_and_apply(
     apply_frame(handle, acked, decode_frame(record.bytes())?)?;
     // Ship→applied lag, as the follower experienced it: the pump stamped
     // the record at fan-out, the frame is applied (and acked) now.
-    handle
-        .metrics()
-        .replication_lag_recorded(record.shipped_at.elapsed());
+    handle.metrics().observe(
+        Stage::ReplicationLag,
+        record.shipped_at.elapsed().as_nanos() as u64,
+    );
     Ok(())
 }
 

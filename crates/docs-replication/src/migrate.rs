@@ -50,7 +50,7 @@ use crate::apply::apply_frame;
 use crate::frame::decode_frame;
 use crate::ship::{bootstrap_frames, FollowerLink, ReplicationHub};
 use crossbeam::channel::RecvTimeoutError;
-use docs_service::{ServiceError, ServiceHandle};
+use docs_service::{ServiceError, ServiceHandle, Stage};
 use docs_types::{CampaignId, Error, NodeId, ReplicationFrame, Result};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -178,7 +178,8 @@ pub fn migrate_campaign(
     let fence_window = fence_started.elapsed();
     // The adopting node owns the campaign now; the fence window is its
     // unavailability story, so its histogram gets the sample.
-    dst.metrics().fence_window_recorded(fence_window);
+    dst.metrics()
+        .observe(Stage::FenceWindow, fence_window.as_nanos() as u64);
     let applied = link.acked.lock().get(campaign);
     Ok(MigrationOutcome {
         campaign,

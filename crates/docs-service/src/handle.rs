@@ -622,6 +622,7 @@ fn decode_fenced(response: Response) -> Result<u64, ServiceError> {
 mod tests {
     use super::*;
     use crate::message::Completion;
+    use crate::metrics::OpKind;
     use crate::server::tests::published;
     use crate::ticket::TicketWait;
     use crate::{ClusterRouter, DocsService, ServiceConfig};
@@ -784,7 +785,7 @@ mod tests {
         let served = rx.recv().unwrap();
         handle
             .metrics()
-            .shard_processed(0, Duration::from_micros(1));
+            .op_done(0, OpKind::Read, Duration::from_micros(1));
         let _t3 = handle.try_submit(op.clone()).unwrap();
         assert_eq!(handle.metrics().shard(0).busy_rejections, 1, "{name}");
         // A dead shard is Disconnected, not Busy.

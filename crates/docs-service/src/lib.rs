@@ -97,8 +97,8 @@ pub use client::{drive_workers_blocking_on, drive_workers_on, DriveOutcome, Driv
 pub use handle::{Client, Op, ServiceHandle};
 pub use message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
 pub use metrics::{
-    DurabilityStats, FollowerLagSample, HubHealth, OpKind, OpStats, ReplicationStats, RoutingStats,
-    ServiceMetrics, ShardStats,
+    Counter, DurabilityStats, FollowerLagSample, HubHealth, OpKind, OpStats, ServiceMetrics,
+    ShardStats, Stage,
 };
 pub use routing::{ClusterNode, ClusterRouter, ClusterRouterStats};
 pub use server::{DocsService, DurabilityConfig, ReplicationSink, ServiceConfig, ServiceError};

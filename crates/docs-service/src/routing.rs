@@ -36,6 +36,7 @@
 //! ([`ClusterRouter::single`]).
 
 use crate::handle::{Client, Op, ServiceHandle};
+use crate::metrics::{Counter, Stage};
 use crate::server::ServiceError;
 use crate::ticket::Ticket;
 use docs_types::{CampaignId, ClusterMap, NodeId, RejectReason};
@@ -272,12 +273,14 @@ impl ClusterRouter {
             // Routing work so far — directory lookup plus every absorbed
             // redirect and fence-window park — is what this hop cost the
             // request before it reached the node it is about to try.
-            primary.metrics().router_hop_recorded(started.elapsed());
+            primary
+                .metrics()
+                .observe(Stage::RouterHop, started.elapsed().as_nanos() as u64);
             match primary.call(op.clone()) {
                 Ok(value) => {
                     if redirects > 0 {
                         self.forwarded_writes.fetch_add(1, Ordering::Relaxed);
-                        primary.metrics().forwarded_submission();
+                        primary.metrics().count(Counter::ForwardedSubmissions, 1);
                     }
                     return Ok(value);
                 }

@@ -37,7 +37,7 @@
 
 use crate::handle::ServiceHandle;
 use crate::message::{BatchOutcome, Completion, Request, RequestEnvelope, Response};
-use crate::metrics::{OpKind, ServiceMetrics};
+use crate::metrics::{Counter, OpKind, ServiceMetrics, Stage};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use docs_obs::{JournalKind, SpanKind, TraceContext};
 use docs_storage::{recover_tree, AdaptiveCommit, CampaignLog, FlushPolicy};
@@ -381,7 +381,7 @@ impl ShardDurability {
         let bytes = codec::to_bytes(&docs.snapshot());
         let seq = self.log.write_snapshot(campaign, &bytes)?;
         self.snapshotted_at.insert(campaign, seq);
-        metrics.snapshot_written();
+        metrics.count(Counter::SnapshotsWritten, 1);
         if self.sink.is_some() {
             self.unshipped.push(Unshipped::Snapshot(SnapshotFrame {
                 campaign,
@@ -444,7 +444,8 @@ impl ShardDurability {
                 self.unshipped.clear();
                 return;
             }
-            metrics.frame_shipped(events);
+            metrics.count(Counter::FramesShipped, 1);
+            metrics.count(Counter::EventsShipped, events);
         }
     }
 
@@ -586,7 +587,7 @@ fn install_snapshot(
     // first `create_campaign` after this follower is promoted cannot
     // collide with a campaign it replicated.
     next_campaign.fetch_max(campaign.0 + 1, Ordering::SeqCst);
-    metrics.snapshot_installed();
+    metrics.count(Counter::SnapshotsInstalled, 1);
     if let Some(d) = durability.as_mut() {
         let policy = registry
             .get(campaign)
@@ -642,7 +643,7 @@ fn apply_replicated(
         |_| Response::Ack,
     );
     if matches!(response, Response::Ack) {
-        metrics.replicated_applied();
+        metrics.count(Counter::EventsApplied, 1);
     }
     response
 }
@@ -945,7 +946,7 @@ fn process_one(
     // consistent-but-stale replica of its new owner.
     let refusal = match role.get() {
         ReplicaRole::Follower if !request.is_read() && !request.is_replication() => {
-            metrics.read_only_rejection();
+            metrics.count(Counter::ReadOnlyRejections, 1);
             Some(Response::Rejected(RejectReason::ReadOnlyReplica {
                 campaign,
             }))
@@ -961,7 +962,7 @@ fn process_one(
             match ownership.admit_mutation(campaign) {
                 MutationAdmission::Allowed => None,
                 MutationAdmission::Redirect { owner } => {
-                    metrics.wrong_node_rejection();
+                    metrics.count(Counter::WrongNodeRejections, 1);
                     metrics.journal().warn(
                         JournalKind::WrongNodeRejection,
                         format!("campaign {campaign}: mutation redirected to {owner}"),
@@ -1045,7 +1046,7 @@ fn process_one(
             }
             Request::CompleteMigration { .. } => {
                 ownership.complete_intake(campaign);
-                metrics.migration_adopted();
+                metrics.count(Counter::MigrationsAdopted, 1);
                 metrics.journal().info(
                     JournalKind::MigrationAdopted,
                     format!("campaign {campaign} adopted after migration intake"),
@@ -1054,7 +1055,7 @@ fn process_one(
             }
             Request::InstallMap { map } => {
                 if ownership.install_map(&map) {
-                    metrics.map_installed();
+                    metrics.count(Counter::MapsInstalled, 1);
                     metrics.journal().info(
                         JournalKind::MapInstall,
                         format!("cluster map epoch {} installed", map.epoch()),
@@ -1117,9 +1118,7 @@ fn process_one(
             t.span(SpanKind::Ship);
         }
     }
-    let elapsed = start.elapsed();
-    metrics.record_on(shard, kind, elapsed);
-    metrics.shard_processed(shard, elapsed);
+    metrics.op_done(shard, kind, start.elapsed());
     // The completion echoes the submission's correlation id. A client
     // that dropped its ticket after submitting is fine.
     let completion = Completion {
@@ -1236,7 +1235,7 @@ fn on_fence(
         watermark = d.log.last_seq(campaign);
     }
     ownership.fence(campaign, owner, watermark);
-    metrics.campaign_fenced();
+    metrics.count(Counter::CampaignsFenced, 1);
     metrics.journal().info(
         JournalKind::Fence,
         format!("campaign {campaign} fenced to {owner} at watermark {watermark}"),
@@ -1327,7 +1326,7 @@ impl DocsService {
         // Torn segment tails are tolerated crash artifacts — but they are
         // *observations* of a crash, so they surface as a counter instead
         // of being dropped after classification.
-        metrics.torn_tail_recovered(tree.torn_tails);
+        metrics.count(Counter::TornTailRecoveries, tree.torn_tails);
         let mut seeds: PoolSeeds = (0..shards)
             .map(|_| (CampaignRegistry::new(), Vec::new()))
             .collect();
@@ -1352,8 +1351,9 @@ impl DocsService {
                 .0
                 .replay(*id, snapshot, &events)
                 .map_err(|e| ServiceError::Rejected(e.into()))?;
-            metrics.replay_recorded(stats.applied, stats.rejected);
-            metrics.snapshot_loaded();
+            metrics.count(Counter::EventsReplayed, stats.applied);
+            metrics.count(Counter::ReplayRejected, stats.rejected);
+            metrics.count(Counter::SnapshotsLoaded, 1);
             let policy = seeds[shard]
                 .0
                 .get(*id)
@@ -1414,7 +1414,8 @@ impl DocsService {
                     // latency straight into the lock-free histograms.
                     let flush_metrics = metrics.clone();
                     log.set_flush_observer(Some(Arc::new(move |events, sync| {
-                        flush_metrics.flush_recorded(events, sync);
+                        flush_metrics.observe(Stage::FlushBatch, events);
+                        flush_metrics.observe(Stage::FlushSync, sync.as_nanos() as u64);
                     })));
                     Some(log)
                 }

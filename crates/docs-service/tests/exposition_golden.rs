@@ -11,16 +11,10 @@
 //! target's tmp dir for diffing.
 
 use docs_obs::{JournalKind, TraceContext};
-use docs_service::{FollowerLagSample, HubHealth, OpKind, ServiceMetrics};
+use docs_service::{Counter, FollowerLagSample, HubHealth, OpKind, ServiceMetrics, Stage};
 use docs_types::TraceId;
 use std::path::Path;
 use std::time::Duration;
-
-/// One request served end to end on `shard`.
-fn served(m: &ServiceMetrics, shard: usize, kind: OpKind, elapsed: Duration) {
-    m.record_on(shard, kind, elapsed);
-    m.shard_processed(shard, elapsed);
-}
 
 fn populated() -> ServiceMetrics {
     let m = ServiceMetrics::new(3);
@@ -32,7 +26,7 @@ fn populated() -> ServiceMetrics {
             let depth = m.shard_enqueued(shard);
             m.shard_send_recorded(shard, depth);
             let ns = 1_000 * (i as u64 + 1) * (j + 1) * (j + 1) + 17 * j;
-            served(&m, shard, kind, Duration::from_nanos(ns));
+            m.op_done(shard, kind, Duration::from_nanos(ns));
         }
     }
     // Queue gauges: requests still queued, and a rolled-back send.
@@ -76,53 +70,38 @@ fn populated() -> ServiceMetrics {
         512,
     );
     // Each service counter at a distinct value.
-    m.replay_recorded(11, 2);
-    for _ in 0..3 {
-        m.snapshot_loaded();
-    }
-    for _ in 0..4 {
-        m.snapshot_written();
-    }
-    m.torn_tail_recovered(5);
-    for events in [1, 2, 3, 4, 7, 0] {
-        m.frame_shipped(events);
-    }
-    for _ in 0..8 {
-        m.replicated_applied();
-    }
-    for _ in 0..9 {
-        m.snapshot_installed();
-    }
-    for _ in 0..10 {
-        m.read_only_rejection();
-    }
-    for _ in 0..12 {
-        m.wrong_node_rejection();
-    }
-    for _ in 0..13 {
-        m.map_installed();
-    }
-    for _ in 0..14 {
-        m.campaign_fenced();
-    }
-    for _ in 0..15 {
-        m.migration_adopted();
-    }
-    for _ in 0..16 {
-        m.forwarded_submission();
+    for (counter, n) in [
+        (Counter::EventsReplayed, 11),
+        (Counter::ReplayRejected, 2),
+        (Counter::SnapshotsLoaded, 3),
+        (Counter::SnapshotsWritten, 4),
+        (Counter::TornTailRecoveries, 5),
+        (Counter::FramesShipped, 6),
+        (Counter::EventsShipped, 17),
+        (Counter::EventsApplied, 8),
+        (Counter::SnapshotsInstalled, 9),
+        (Counter::ReadOnlyRejections, 10),
+        (Counter::WrongNodeRejections, 12),
+        (Counter::MapsInstalled, 13),
+        (Counter::CampaignsFenced, 14),
+        (Counter::MigrationsAdopted, 15),
+        (Counter::ForwardedSubmissions, 16),
+    ] {
+        m.count(counter, n);
     }
     // Every pipeline stage.
     for (events, sync_us) in [(1, 90), (8, 140), (16, 210), (64, 1_900), (3, 75)] {
-        m.flush_recorded(events, Duration::from_micros(sync_us));
+        m.observe(Stage::FlushBatch, events);
+        m.observe(Stage::FlushSync, sync_us * 1_000);
     }
     for us in [40, 55, 70, 3_000] {
-        m.replication_lag_recorded(Duration::from_micros(us));
+        m.observe(Stage::ReplicationLag, us * 1_000);
     }
     for ns in [900, 1_500, 250_000] {
-        m.router_hop_recorded(Duration::from_nanos(ns));
+        m.observe(Stage::RouterHop, ns);
     }
     for ms in [2, 7] {
-        m.fence_window_recorded(Duration::from_millis(ms));
+        m.observe(Stage::FenceWindow, ms * 1_000_000);
     }
     m.hub_observed(HubHealth {
         frames_shipped: 21,

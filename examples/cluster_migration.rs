@@ -16,7 +16,7 @@
 
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, Client, ClusterNode, ClusterRouter, DocsService, DurabilityConfig,
+    AdaptiveCommit, Client, ClusterNode, ClusterRouter, Counter, DocsService, DurabilityConfig,
     ServiceConfig,
 };
 use docs_storage::FlushPolicy;
@@ -251,12 +251,12 @@ fn main() {
         report.accuracy,
     );
     assert_eq!(
-        handle0.metrics().routing().campaigns_fenced,
+        handle0.metrics().counter(Counter::CampaignsFenced),
         1,
         "node 0 fenced the campaign"
     );
     assert_eq!(
-        handle1.metrics().routing().migrations_adopted,
+        handle1.metrics().counter(Counter::MigrationsAdopted),
         1,
         "node 1 adopted the campaign"
     );

@@ -18,7 +18,7 @@
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, Client, ClusterRouter, DocsService, DurabilityConfig, RejectReason,
+    AdaptiveCommit, Client, ClusterRouter, Counter, DocsService, DurabilityConfig, RejectReason,
     ReplicaRole, ServiceConfig, ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
@@ -385,8 +385,7 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
         replica
             .handle()
             .metrics()
-            .replication()
-            .read_only_rejections
+            .counter(Counter::ReadOnlyRejections)
             >= 1
     );
     let err = handle
