@@ -24,7 +24,7 @@
 //! interleave between a worker's submit and its next HIT.
 //!
 //! Latencies land in the fixed-footprint log-bucketed
-//! [`docs_bench::hist::LatencyHistogram`]; the full run merges
+//! [`docs_obs::LatencyHistogram`]; the full run merges
 //! p50/p99/p999 assignment and p99 submit latency of the 100- and
 //! 1 000-worker cells into `BENCH_latency.json`. The 5 000-worker cell is
 //! printed only: identical server code read 6.8 vs 17.8 ms and 6.55 vs
@@ -34,7 +34,7 @@
 //! never writes machine-speed-dependent numbers over the committed
 //! trajectory.
 
-use docs_bench::hist::LatencyHistogram;
+use docs_obs::LatencyHistogram;
 use docs_service::{Client, DocsService, Op, ServiceConfig, ServiceHandle};
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, TaskId, WorkerId};

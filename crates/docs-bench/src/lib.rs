@@ -13,7 +13,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod hist;
 pub mod population;
 pub mod protocol;
 pub mod robustness;

@@ -311,6 +311,7 @@ mod tests {
         assert_eq!(h.quantile(1.0), 10);
         assert_eq!(h.max_ns(), 10);
         assert!((h.mean_ns() - 5.5).abs() < 1e-9);
+        assert_eq!(h.quantile_ms(1.0), 10.0 / 1e6);
     }
 
     #[test]
