@@ -49,12 +49,15 @@
 //!   [`DocsService::recover`] rebuilds the whole registry from snapshots +
 //!   log replay — byte-identical reports, even across a shard-count change
 //!   (see ARCHITECTURE.md, "Durability & recovery"),
-//! * [`ServiceMetrics`] records per-operation latency (count/mean/max),
-//!   per-shard queue depth / in-flight tickets / busy rejections / service
-//!   time ([`ShardStats`]), and the durability counters
-//!   ([`DurabilityStats`]), so the Figure 8(b) "worst-case assignment
-//!   time" measurement works under real concurrency and the pool's
-//!   balance and admission pressure are observable,
+//! * [`ServiceMetrics`] records per-operation latency histograms (one
+//!   [`ServiceMetrics::op_done`] per request), per-shard queue depth /
+//!   in-flight tickets / busy rejections ([`ShardStats`]), and one table
+//!   each of service-wide [`Counter`]s and pipeline [`Stage`]s
+//!   (`count` / `counter`, `observe` / `histogram`); [`DurabilityStats`]
+//!   and the Prometheus / JSON exposition are derived from those tables,
+//!   so the Figure 8(b) "worst-case assignment time" measurement works
+//!   under real concurrency and the pool's balance and admission pressure
+//!   are observable,
 //! * **Replication** ([`ServiceConfig::role`] +
 //!   [`ServiceConfig::with_replication`]): a primary ships every durable
 //!   event and snapshot as [`docs_types::ReplicationFrame`]s
