@@ -1979,8 +1979,8 @@ pub(crate) mod tests {
             FlushPolicy::Batch(8),
         ] {
             for adaptive in [None, Some(AdaptiveCommit::default())] {
-                let label = format!("{}/{}", policy.label(), adaptive.is_some());
-                let dir = tmp_dir(&format!("log-gauges-{}", label.replace('/', "-")));
+                let label = format!("{}-adaptive-{}", policy.label(), adaptive.is_some());
+                let dir = tmp_dir(&format!("log-gauges-{label}"));
                 let mut config = ServiceConfig::durable(1, &dir);
                 let durability = config.durability.as_mut().unwrap();
                 durability.snapshot_every = 3;

@@ -404,22 +404,13 @@ fn stale_map_case(shards: usize) {
     // The service side kept score too: node 0 refused with WrongNode at
     // least once (the stale write, plus any fence-window traffic), and
     // node 1 counted the forwarded submission.
+    let (metrics0, metrics1) = (cluster.node0.1.metrics(), cluster.node1.1.metrics());
     assert!(
-        cluster
-            .node0
-            .1
-            .metrics()
-            .counter(Counter::WrongNodeRejections)
-            >= 1,
+        metrics0.counter(Counter::WrongNodeRejections) >= 1,
         "{label}"
     );
     assert!(
-        cluster
-            .node1
-            .1
-            .metrics()
-            .counter(Counter::ForwardedSubmissions)
-            >= 1,
+        metrics1.counter(Counter::ForwardedSubmissions) >= 1,
         "{label}"
     );
 
