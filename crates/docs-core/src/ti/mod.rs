@@ -20,6 +20,8 @@
 //! shard, the OTA benefit scan runs shard-by-shard, and the periodic full
 //! inference still converges globally over the union.
 
+#[cfg(test)]
+mod fingerprint;
 mod incremental;
 mod iterative;
 #[cfg(test)]
