@@ -2,7 +2,7 @@
 
 use super::{top_k, unanswered};
 use crate::ti::{DawidSkene, TruthMethod};
-use docs_core::ti::TaskState;
+use docs_core::ti::TaskArena;
 use docs_crowd::AssignmentStrategy;
 use docs_types::{Answer, AnswerLog, ChoiceIndex, DomainVector, Task, TaskId, WorkerId};
 use std::collections::HashMap;
@@ -14,28 +14,25 @@ use std::collections::HashMap;
 /// model is a single quality value (domain-blind — the gap DOCS exploits);
 /// final truths come from Dawid-Skene, as in the original system.
 ///
-/// Internally each task's posterior is a DOCS [`TaskState`] with `m = 1`:
+/// Internally each task's posterior is a DOCS task state with `m = 1`:
 /// with one "domain" the DOCS update rules reduce exactly to the scalar
 /// worker-probability model QASCA maintains online.
 #[derive(Debug)]
 pub struct Qasca {
     tasks: Vec<Task>,
     log: AnswerLog,
-    states: Vec<TaskState>,
+    states: TaskArena,
     quality: HashMap<WorkerId, f64>,
     golden: HashMap<WorkerId, Vec<(TaskId, ChoiceIndex)>>,
     prior: f64,
-    r1: DomainVector,
 }
 
 impl Qasca {
     /// Creates the strategy over the published tasks.
     pub fn new(tasks: Vec<Task>) -> Self {
         let log = AnswerLog::new(tasks.len());
-        let states = tasks
-            .iter()
-            .map(|t| TaskState::new(1, t.num_choices()))
-            .collect();
+        let r1 = DomainVector::one_hot(1, 0);
+        let states = TaskArena::new(1, tasks.iter().map(|t| (&r1, t.num_choices())));
         Qasca {
             tasks,
             log,
@@ -43,7 +40,6 @@ impl Qasca {
             quality: HashMap::new(),
             golden: HashMap::new(),
             prior: 0.7,
-            r1: DomainVector::one_hot(1, 0),
         }
     }
 
@@ -54,16 +50,16 @@ impl Qasca {
     /// Expected accuracy gain of assigning a task to a worker with scalar
     /// quality `q`.
     fn gain(&self, task_idx: usize, q: f64) -> f64 {
-        let state = &self.states[task_idx];
+        let state = self.states.view(task_idx);
         let quality = [q];
         let current = state.s().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let probs = docs_core::ota::answer_probabilities(state, &self.r1, &quality);
+        let probs = docs_core::ota::answer_probabilities(state, &quality);
         let mut expected = 0.0;
         for (a, &pa) in probs.iter().enumerate() {
             if pa == 0.0 {
                 continue;
             }
-            let s_hat = state.s_from_matrix(&self.r1, &state.m_given_answer(&quality, a));
+            let s_hat = state.s_from_matrix(&state.m_given_answer(&quality, a));
             expected += pa * s_hat.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         }
         expected - current
@@ -98,13 +94,17 @@ impl AssignmentStrategy for Qasca {
             .record(answer)
             .expect("platform delivers valid answers");
         let q = self.worker_quality(answer.worker);
-        self.states[answer.task.index()].apply_answer(&self.r1, &[q], answer.choice);
+        self.states
+            .apply_answer(answer.task.index(), &[q], answer.choice);
         // Online quality refresh: the worker's quality is the average
         // posterior probability of her recorded answers (QASCA's online
         // parameter maintenance).
         let ws = self.log.worker_answers(answer.worker);
         if !ws.is_empty() {
-            let total: f64 = ws.iter().map(|&(t, v)| self.states[t.index()].s()[v]).sum();
+            let total: f64 = ws
+                .iter()
+                .map(|&(t, v)| self.states.view(t.index()).s()[v])
+                .sum();
             self.quality.insert(answer.worker, total / ws.len() as f64);
         }
     }

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use docs_core::dve::{domain_vector, domain_vector_tuple_key};
 use docs_core::ota::{benefit, top_k_by_sort, top_k_linear};
-use docs_core::ti::{IncrementalTi, TaskState, WorkerRegistry};
+use docs_core::ti::{IncrementalTi, TaskArena, WorkerRegistry};
 use docs_kb::generator::synthetic_entities;
 use docs_types::{Answer, DomainVector, TaskId, WorkerId};
 use rand::rngs::SmallRng;
@@ -93,12 +93,13 @@ fn bench_incremental_vs_iterative(c: &mut Criterion) {
 
 fn bench_entropy_benefit(c: &mut Criterion) {
     let r = DomainVector::uniform(20);
-    let mut st = TaskState::new(20, 2);
+    let mut states = TaskArena::new(20, [(&r, 2)]);
     let q: Vec<f64> = (0..20).map(|k| 0.5 + (k as f64) * 0.02).collect();
-    st.apply_answer(&r, &q, 0);
+    states.apply_answer(0, &q, 0);
+    let st = states.view(0);
     let mut group = c.benchmark_group("ablation_benefit");
     group.bench_function("entropy_reduction", |b| {
-        b.iter(|| black_box(benefit(&st, &r, &q)))
+        b.iter(|| black_box(benefit(st, &q)))
     });
     group.bench_function("confidence_gap", |b| {
         b.iter(|| {

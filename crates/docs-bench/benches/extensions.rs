@@ -14,7 +14,7 @@ use docs_core::dve::{
     domain_vector_reranked, CorrelationConfig,
 };
 use docs_core::ota::BudgetPlanner;
-use docs_core::ti::{StoppingPolicy, StoppingRule, TaskState};
+use docs_core::ti::{StoppingPolicy, StoppingRule, TaskArena};
 use docs_kb::generator::synthetic_entities;
 use docs_types::DomainVector;
 use std::hint::black_box;
@@ -62,9 +62,9 @@ fn bench_correlated_dve(c: &mut Criterion) {
 fn bench_stopping_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("stopping_policy");
     let r = DomainVector::uniform(26);
-    let mut state = TaskState::new(26, 4);
+    let mut states = TaskArena::new(26, [(&r, 4)]);
     for _ in 0..5 {
-        state.apply_answer(&r, &vec![0.8; 26], 0);
+        states.apply_answer(0, &vec![0.8; 26], 0);
     }
     for (name, rule) in [
         ("entropy", StoppingRule::EntropyBelow(0.15)),
@@ -77,7 +77,7 @@ fn bench_stopping_policy(c: &mut Criterion) {
             max_answers: 10,
         };
         group.bench_function(name, |b| {
-            b.iter(|| black_box(policy.should_stop(black_box(&state), 5)))
+            b.iter(|| black_box(policy.should_stop(black_box(states.view(0)), 5)))
         });
     }
     group.finish();
@@ -88,25 +88,21 @@ fn bench_budget_planner(c: &mut Criterion) {
     group.sample_size(20);
     for n in [200usize, 1_000] {
         let m = 20;
-        let states: Vec<TaskState> = (0..n)
-            .map(|i| {
-                let r = DomainVector::one_hot(m, i % m);
-                let mut st = TaskState::new(m, 2);
-                for _ in 0..(i % 6) {
-                    st.apply_answer(&r, &vec![0.8; m], 0);
-                }
-                st
-            })
-            .collect();
         let rs: Vec<DomainVector> = (0..n).map(|i| DomainVector::one_hot(m, i % m)).collect();
+        let mut states = TaskArena::new(m, rs.iter().map(|r| (r, 2)));
+        for i in 0..n {
+            for _ in 0..(i % 6) {
+                states.apply_answer(i, &vec![0.8; m], 0);
+            }
+        }
         let collected: Vec<usize> = (0..n).map(|i| i % 6).collect();
         let quality = vec![0.8; m];
         let planner = BudgetPlanner::new(2 * n, 10);
         group.bench_with_input(
             BenchmarkId::new("greedy_plan", n),
-            &(states, rs, collected),
-            |b, (states, rs, collected)| {
-                b.iter(|| black_box(planner.plan(states, rs, collected, &quality)))
+            &(states, collected),
+            |b, (states, collected)| {
+                b.iter(|| black_box(planner.plan(states, collected, &quality)))
             },
         );
     }

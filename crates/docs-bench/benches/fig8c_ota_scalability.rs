@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use docs_core::ota::{Assigner, AssignerConfig};
-use docs_core::ti::TaskState;
+use docs_core::ti::TaskArena;
 use docs_datasets::scalability_tasks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -15,17 +15,13 @@ fn bench_ota_scalability(c: &mut Criterion) {
     for n in [1_000usize, 5_000, 10_000] {
         let tasks = scalability_tasks(n, 20, 0x8C);
         let mut rng = SmallRng::seed_from_u64(0x8C ^ n as u64);
-        let states: Vec<TaskState> = tasks
-            .iter()
-            .map(|t| {
-                let mut st = TaskState::new(20, t.num_choices());
-                for _ in 0..rng.gen_range(0..5) {
-                    let q: Vec<f64> = (0..20).map(|_| rng.gen_range(0.4..0.95)).collect();
-                    st.apply_answer(t.domain_vector(), &q, rng.gen_range(0..t.num_choices()));
-                }
-                st
-            })
-            .collect();
+        let mut states = TaskArena::for_tasks(20, &tasks);
+        for (i, t) in tasks.iter().enumerate() {
+            for _ in 0..rng.gen_range(0..5) {
+                let q: Vec<f64> = (0..20).map(|_| rng.gen_range(0.4..0.95)).collect();
+                states.apply_answer(i, &q, rng.gen_range(0..t.num_choices()));
+            }
+        }
         let quality: Vec<f64> = (0..20).map(|_| rng.gen_range(0.4..0.95)).collect();
         for k in [5usize, 10, 50] {
             let assigner = Assigner::new(AssignerConfig {

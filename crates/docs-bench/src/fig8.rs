@@ -5,7 +5,7 @@
 use crate::protocol::PreparedDataset;
 use docs_baselines::ota::{AskIt, Bandit, DMax, DocsAssign, ICrowdAssign, Qasca, RandomBaseline};
 use docs_core::ota::{Assigner, AssignerConfig};
-use docs_core::ti::TaskState;
+use docs_core::ti::TaskArena;
 use docs_crowd::{AssignmentStrategy, ExperimentOutcome, Platform, PlatformConfig};
 use docs_datasets::scalability_tasks;
 use docs_types::DomainVector;
@@ -76,18 +76,13 @@ pub fn fig8c(ns: &[usize], ks: &[usize], seed: u64) -> Vec<Fig8cPoint> {
         let tasks = scalability_tasks(n, 20, seed);
         // Random current states: a few answers of random quality per task.
         let mut rng = SmallRng::seed_from_u64(seed ^ n as u64);
-        let states: Vec<TaskState> = tasks
-            .iter()
-            .map(|t| {
-                let mut st = TaskState::new(20, t.num_choices());
-                let r = t.domain_vector();
-                for _ in 0..rng.gen_range(0..5) {
-                    let q: Vec<f64> = (0..20).map(|_| rng.gen_range(0.4..0.95)).collect();
-                    st.apply_answer(r, &q, rng.gen_range(0..t.num_choices()));
-                }
-                st
-            })
-            .collect();
+        let mut states = TaskArena::for_tasks(20, &tasks);
+        for (i, t) in tasks.iter().enumerate() {
+            for _ in 0..rng.gen_range(0..5) {
+                let q: Vec<f64> = (0..20).map(|_| rng.gen_range(0.4..0.95)).collect();
+                states.apply_answer(i, &q, rng.gen_range(0..t.num_choices()));
+            }
+        }
         let quality: Vec<f64> = (0..20).map(|_| rng.gen_range(0.4..0.95)).collect();
         for &k in ks {
             let assigner = Assigner::new(AssignerConfig {

@@ -26,5 +26,6 @@ pub use dve::{domain_vector, domain_vector_enumeration};
 pub use golden::{golden_counts, golden_counts_enumeration, select_golden_tasks};
 pub use ota::{Assigner, AssignerConfig};
 pub use ti::{
-    IncrementalTi, TaskState, TiConfig, TiResult, TruthInference, WorkerRegistry, WorkerStats,
+    IncrementalTi, TaskArena, TaskView, TiConfig, TiResult, TruthInference, WorkerRegistry,
+    WorkerStats,
 };

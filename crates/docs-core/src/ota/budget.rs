@@ -23,8 +23,8 @@
 //! paper's cost accounting ($0.1 per HIT of 20 tasks) is.
 
 use crate::ota::benefit::expected_posterior_entropy;
-use crate::ti::TaskState;
-use docs_types::{prob, DomainVector, TaskId};
+use crate::ti::{TaskArena, TaskView};
+use docs_types::{prob, TaskId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -112,7 +112,7 @@ impl BudgetPlanner {
 
     /// Plans the allocation.
     ///
-    /// * `states` / `domain_vectors` — current per-task inference state,
+    /// * `states` — current per-task inference state,
     /// * `collected` — answers already collected per task,
     /// * `reference_quality` — the quality vector used to evaluate marginal
     ///   benefits (typically the population mean; using a specific worker's
@@ -122,14 +122,7 @@ impl BudgetPlanner {
     /// the benefit of the second extra answer for a task is computed on the
     /// state expected after the first (the most likely answer applied), so
     /// diminishing returns are priced in rather than assumed.
-    pub fn plan(
-        &self,
-        states: &[TaskState],
-        domain_vectors: &[DomainVector],
-        collected: &[usize],
-        reference_quality: &[f64],
-    ) -> Plan {
-        assert_eq!(states.len(), domain_vectors.len(), "state/vector mismatch");
+    pub fn plan(&self, states: &TaskArena, collected: &[usize], reference_quality: &[f64]) -> Plan {
         assert_eq!(states.len(), collected.len(), "state/collected mismatch");
         let n = states.len();
         let mut extra = vec![0usize; n];
@@ -141,10 +134,10 @@ impl BudgetPlanner {
         }
 
         // Simulated states evolve as answers are (hypothetically) granted.
-        let mut sim: Vec<TaskState> = states.to_vec();
+        let mut sim = states.clone();
         let mut heap: BinaryHeap<Candidate> = (0..n)
             .map(|i| Candidate {
-                marginal: marginal_benefit(&sim[i], &domain_vectors[i], reference_quality),
+                marginal: marginal_benefit(sim.view(i), reference_quality),
                 idx: i,
                 given: 0,
             })
@@ -157,11 +150,7 @@ impl BudgetPlanner {
                 // Stale entry (the task advanced since this was pushed);
                 // re-price it at the current trajectory point.
                 heap.push(Candidate {
-                    marginal: marginal_benefit(
-                        &sim[top.idx],
-                        &domain_vectors[top.idx],
-                        reference_quality,
-                    ),
+                    marginal: marginal_benefit(sim.view(top.idx), reference_quality),
                     idx: top.idx,
                     given: extra[top.idx],
                 });
@@ -174,18 +163,16 @@ impl BudgetPlanner {
             }
             // Grant the answer: advance the simulated state with the most
             // likely answer from the reference worker.
-            let r = &domain_vectors[top.idx];
             let predicted = prob::argmax(&crate::ota::answer_probabilities(
-                &sim[top.idx],
-                r,
+                sim.view(top.idx),
                 reference_quality,
             ));
-            sim[top.idx].apply_answer(r, reference_quality, predicted);
+            sim.apply_answer(top.idx, reference_quality, predicted);
             extra[top.idx] += 1;
             remaining -= 1;
             if extra[top.idx] < self.per_task_cap {
                 heap.push(Candidate {
-                    marginal: marginal_benefit(&sim[top.idx], r, reference_quality),
+                    marginal: marginal_benefit(sim.view(top.idx), reference_quality),
                     idx: top.idx,
                     given: extra[top.idx],
                 });
@@ -201,8 +188,8 @@ impl BudgetPlanner {
 
 /// Marginal benefit of one more answer on the (simulated) current state:
 /// Definition 5 evaluated at the reference quality.
-fn marginal_benefit(state: &TaskState, r: &DomainVector, quality: &[f64]) -> f64 {
-    prob::entropy(state.s()) - expected_posterior_entropy(state, r, quality)
+fn marginal_benefit(state: TaskView<'_>, quality: &[f64]) -> f64 {
+    prob::entropy(state.s()) - expected_posterior_entropy(state, quality)
 }
 
 #[cfg(test)]
@@ -210,31 +197,26 @@ mod tests {
     use super::*;
     use docs_types::DomainVector;
 
-    fn confident_state(m: usize) -> TaskState {
-        let r = DomainVector::one_hot(m, 0);
-        let mut st = TaskState::new(m, 2);
-        for _ in 0..6 {
-            st.apply_answer(&r, &vec![0.9; m], 0);
-        }
-        st
+    /// Fresh states of binary tasks over the given domain vectors.
+    fn fresh(rs: &[DomainVector]) -> TaskArena {
+        TaskArena::new(rs[0].len(), rs.iter().map(|r| (r, 2)))
     }
 
     #[test]
     fn budget_flows_to_uncertain_tasks() {
         let m = 2;
-        let states = vec![
-            confident_state(m),
-            TaskState::new(m, 2),
-            TaskState::new(m, 2),
-        ];
         let rs = vec![
             DomainVector::one_hot(m, 0),
             DomainVector::one_hot(m, 0),
             DomainVector::one_hot(m, 1),
         ];
+        let mut states = fresh(&rs);
+        for _ in 0..6 {
+            states.apply_answer(0, &vec![0.9; m], 0);
+        }
         let collected = vec![6, 0, 0];
         let planner = BudgetPlanner::new(8, 10);
-        let plan = planner.plan(&states, &rs, &collected, &[0.85, 0.85]);
+        let plan = planner.plan(&states, &collected, &[0.85, 0.85]);
         assert_eq!(plan.spent(), 8);
         // The confident task gets (almost) nothing; the fresh ones split.
         assert!(plan.extra_answers[0] <= 1, "plan: {:?}", plan.extra_answers);
@@ -244,10 +226,9 @@ mod tests {
 
     #[test]
     fn per_task_cap_is_respected() {
-        let states = vec![TaskState::new(1, 2), TaskState::new(1, 2)];
-        let rs = vec![DomainVector::one_hot(1, 0), DomainVector::one_hot(1, 0)];
+        let states = fresh(&[DomainVector::one_hot(1, 0), DomainVector::one_hot(1, 0)]);
         let planner = BudgetPlanner::new(100, 5);
-        let plan = planner.plan(&states, &rs, &[0, 0], &[0.8]);
+        let plan = planner.plan(&states, &[0, 0], &[0.8]);
         assert!(plan.extra_answers.iter().all(|&e| e <= 5));
         // Budget beyond the caps is not force-spent.
         assert!(plan.spent() <= 10);
@@ -255,16 +236,16 @@ mod tests {
 
     #[test]
     fn zero_budget_plans_nothing() {
-        let states = vec![TaskState::new(1, 2)];
-        let rs = vec![DomainVector::one_hot(1, 0)];
-        let plan = BudgetPlanner::new(0, 10).plan(&states, &rs, &[3], &[0.8]);
+        let states = fresh(&[DomainVector::one_hot(1, 0)]);
+        let plan = BudgetPlanner::new(0, 10).plan(&states, &[3], &[0.8]);
         assert_eq!(plan.spent(), 0);
         assert_eq!(plan.cap_for(docs_types::TaskId(0)), 3);
     }
 
     #[test]
     fn empty_task_set_plans_nothing() {
-        let plan = BudgetPlanner::new(10, 10).plan(&[], &[], &[], &[0.8]);
+        let states = TaskArena::for_tasks(1, &[]);
+        let plan = BudgetPlanner::new(10, 10).plan(&states, &[], &[0.8]);
         assert_eq!(plan.spent(), 0);
         assert_eq!(plan.total(), 0);
     }
@@ -274,9 +255,8 @@ mod tests {
         // Two identical fresh tasks: the greedy must alternate rather than
         // dump everything on one, because each granted answer lowers the
         // task's remaining marginal benefit.
-        let states = vec![TaskState::new(1, 2), TaskState::new(1, 2)];
-        let rs = vec![DomainVector::one_hot(1, 0), DomainVector::one_hot(1, 0)];
-        let plan = BudgetPlanner::new(6, 10).plan(&states, &rs, &[0, 0], &[0.8]);
+        let states = fresh(&[DomainVector::one_hot(1, 0), DomainVector::one_hot(1, 0)]);
+        let plan = BudgetPlanner::new(6, 10).plan(&states, &[0, 0], &[0.8]);
         assert_eq!(plan.spent(), 6);
         let diff = plan.extra_answers[0].abs_diff(plan.extra_answers[1]);
         assert!(
@@ -288,9 +268,8 @@ mod tests {
 
     #[test]
     fn plan_accounting_matches_paper_pricing() {
-        let states = vec![TaskState::new(1, 2)];
-        let rs = vec![DomainVector::one_hot(1, 0)];
-        let plan = BudgetPlanner::new(4, 10).plan(&states, &rs, &[6], &[0.8]);
+        let states = fresh(&[DomainVector::one_hot(1, 0)]);
+        let plan = BudgetPlanner::new(4, 10).plan(&states, &[6], &[0.8]);
         assert_eq!(plan.total(), plan.spent() + 6);
         // $0.1 per 20-task HIT → $0.005 per answer.
         let cost = plan.dollar_cost(20);
@@ -299,9 +278,8 @@ mod tests {
 
     #[test]
     fn cap_for_combines_collected_and_extra() {
-        let states = vec![TaskState::new(1, 2), TaskState::new(1, 2)];
-        let rs = vec![DomainVector::one_hot(1, 0), DomainVector::one_hot(1, 0)];
-        let plan = BudgetPlanner::new(2, 1).plan(&states, &rs, &[4, 7], &[0.8]);
+        let states = fresh(&[DomainVector::one_hot(1, 0), DomainVector::one_hot(1, 0)]);
+        let plan = BudgetPlanner::new(2, 1).plan(&states, &[4, 7], &[0.8]);
         assert_eq!(
             plan.cap_for(docs_types::TaskId(0)),
             4 + plan.extra_answers[0]

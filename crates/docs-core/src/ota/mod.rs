@@ -19,7 +19,7 @@ pub use select::{
     merge_top_k, merge_top_k_checked, top_k_by_sort, top_k_linear, top_k_linear_pairs,
 };
 
-use crate::ti::{ShardedTiState, TaskState};
+use crate::ti::{ShardedTiState, TaskArena};
 use docs_types::{Task, TaskId};
 
 /// Below this many tasks *per shard* the sharded scan stays on the calling
@@ -80,7 +80,7 @@ impl Assigner {
         &self,
         quality: &[f64],
         tasks: &[Task],
-        states: &[TaskState],
+        states: &TaskArena,
         mut answered: impl FnMut(TaskId) -> bool,
         mut answer_count: impl FnMut(TaskId) -> usize,
     ) -> Vec<TaskId> {
@@ -110,7 +110,7 @@ impl Assigner {
         scratch: &mut BenefitScratch,
         quality: &[f64],
         tasks: &[Task],
-        states: &[TaskState],
+        states: &TaskArena,
         i: usize,
         answered: &mut impl FnMut(TaskId) -> bool,
         answer_count: &mut impl FnMut(TaskId) -> usize,
@@ -124,12 +124,7 @@ impl Assigner {
                 return None;
             }
         }
-        Some(benefit_with(
-            scratch,
-            &states[i],
-            task.domain_vector(),
-            quality,
-        ))
+        Some(benefit_with(scratch, states.view(i), quality))
     }
 
     /// The candidate walk over a set of task indices, built on
@@ -138,7 +133,7 @@ impl Assigner {
         &self,
         quality: &[f64],
         tasks: &[Task],
-        states: &[TaskState],
+        states: &TaskArena,
         indices: impl IntoIterator<Item = usize>,
         answered: &mut impl FnMut(TaskId) -> bool,
         answer_count: &mut impl FnMut(TaskId) -> usize,
@@ -178,7 +173,7 @@ impl Assigner {
         &self,
         quality: &[f64],
         tasks: &[Task],
-        states: &[TaskState],
+        states: &TaskArena,
         sharding: &ShardedTiState,
         answered: impl Fn(TaskId) -> bool + Sync,
         answer_count: impl Fn(TaskId) -> usize + Sync,
@@ -226,7 +221,6 @@ impl Assigner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ti::TaskState;
     use docs_types::{DomainVector, TaskBuilder};
 
     fn task(i: usize, domain: usize, m: usize) -> Task {
@@ -243,7 +237,7 @@ mod tests {
         // The domain-0 task must win: the expert's answer reduces entropy
         // more than a coin-flip answer would.
         let tasks = vec![task(0, 0, 2), task(1, 1, 2)];
-        let states = vec![TaskState::new(2, 2), TaskState::new(2, 2)];
+        let states = TaskArena::for_tasks(2, &tasks);
         let q = vec![0.95, 0.5];
         let assigner = Assigner::new(AssignerConfig {
             k: 1,
@@ -258,12 +252,10 @@ mod tests {
         // Task 0 already has a confident truth; task 1 is fresh. Even though
         // both are in the worker's expert domain, task 1 wins.
         let tasks = vec![task(0, 0, 1), task(1, 0, 1)];
-        let r = DomainVector::one_hot(1, 0);
-        let mut confident = TaskState::new(1, 2);
+        let mut states = TaskArena::for_tasks(1, &tasks);
         for _ in 0..6 {
-            confident.apply_answer(&r, &[0.9], 0);
+            states.apply_answer(0, &[0.9], 0);
         }
-        let states = vec![confident, TaskState::new(1, 2)];
         let assigner = Assigner::new(AssignerConfig {
             k: 1,
             ..Default::default()
@@ -275,7 +267,7 @@ mod tests {
     #[test]
     fn excludes_already_answered_tasks() {
         let tasks = vec![task(0, 0, 1), task(1, 0, 1)];
-        let states = vec![TaskState::new(1, 2), TaskState::new(1, 2)];
+        let states = TaskArena::for_tasks(1, &tasks);
         let assigner = Assigner::new(AssignerConfig {
             k: 2,
             ..Default::default()
@@ -287,7 +279,7 @@ mod tests {
     #[test]
     fn respects_answer_budget_cap() {
         let tasks = vec![task(0, 0, 1), task(1, 0, 1)];
-        let states = vec![TaskState::new(1, 2), TaskState::new(1, 2)];
+        let states = TaskArena::for_tasks(1, &tasks);
         let assigner = Assigner::new(AssignerConfig {
             k: 2,
             max_answers_per_task: Some(10),
@@ -307,12 +299,11 @@ mod tests {
     fn linear_and_sort_selection_agree() {
         let m = 3;
         let tasks: Vec<Task> = (0..30).map(|i| task(i, i % m, m)).collect();
-        let r: Vec<DomainVector> = tasks.iter().map(|t| t.domain_vector().clone()).collect();
-        let mut states: Vec<TaskState> = (0..30).map(|_| TaskState::new(m, 2)).collect();
+        let mut states = TaskArena::for_tasks(m, &tasks);
         // Give tasks varying confidence.
-        for (i, st) in states.iter_mut().enumerate() {
+        for i in 0..30 {
             for _ in 0..(i % 5) {
-                st.apply_answer(&r[i], &[0.8, 0.6, 0.7], 0);
+                states.apply_answer(i, &[0.8, 0.6, 0.7], 0);
             }
         }
         let q = vec![0.9, 0.55, 0.7];
@@ -333,20 +324,15 @@ mod tests {
 
     /// `n` three-domain tasks of mixed warmth: task `i` has absorbed
     /// `i % 7` answers, so benefits repeat and tie-breaks matter.
-    fn mixed_warmth_pool(n: usize) -> (Vec<Task>, Vec<TaskState>) {
+    fn mixed_warmth_pool(n: usize) -> (Vec<Task>, TaskArena) {
         let m = 3;
         let tasks: Vec<Task> = (0..n).map(|i| task(i, i % m, m)).collect();
-        let states = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let mut st = TaskState::new(m, 2);
-                for _ in 0..(i % 7) {
-                    st.apply_answer(t.domain_vector(), &[0.85, 0.6, 0.72], i % 2);
-                }
-                st
-            })
-            .collect();
+        let mut states = TaskArena::for_tasks(m, &tasks);
+        for i in 0..n {
+            for _ in 0..(i % 7) {
+                states.apply_answer(i, &[0.85, 0.6, 0.72], i % 2);
+            }
+        }
         (tasks, states)
     }
 
@@ -420,14 +406,10 @@ mod tests {
                 let count = |t: TaskId| log.answer_count(t);
                 let textbook: Vec<(f64, TaskId)> = tasks
                     .iter()
-                    .zip(&states)
+                    .zip(states.iter())
                     .filter(|(t, _)| !answered(t.id) && count(t.id) < 6)
                     .map(|(t, st)| {
-                        let h = benefit::expected_posterior_entropy_textbook(
-                            st,
-                            t.domain_vector(),
-                            quality,
-                        );
+                        let h = benefit::expected_posterior_entropy_textbook(st, quality);
                         (st.entropy() - h, t.id)
                     })
                     .collect();
@@ -448,7 +430,7 @@ mod tests {
     #[test]
     fn returns_fewer_when_not_enough_candidates() {
         let tasks = vec![task(0, 0, 1)];
-        let states = vec![TaskState::new(1, 2)];
+        let states = TaskArena::for_tasks(1, &tasks);
         let assigner = Assigner::new(AssignerConfig {
             k: 5,
             ..Default::default()

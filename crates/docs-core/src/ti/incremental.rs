@@ -4,13 +4,13 @@
 //! task and the worker change: the task's `M^{(i)}`/`s_i` (via the stored
 //! numerator `M̂^{(i)}`) and the qualities of the submitting worker and of
 //! the workers who answered the task before. The update costs
-//! `O(m · |V(i)|)`, so it keeps up with high-velocity answer streams; the
+//! `O(|support| · ℓ + m · |V(i)|)`, so it keeps up with high-velocity answer streams; the
 //! full iterative approach is re-run every `z` submissions (`z = 100` in
 //! DOCS) to restore full accuracy.
 
-use super::iterative::{TiConfig, TiResult, TruthInference};
+use super::iterative::{Converged, TiConfig, TruthInference};
 use super::sharded::ShardedTiState;
-use super::state::TaskState;
+use super::state::{TaskArena, TaskView};
 use super::stats::WorkerRegistry;
 use docs_types::{Answer, AnswerLog, ChoiceIndex, Result, Task, TaskId, WorkerId};
 use serde::{Deserialize, Serialize};
@@ -21,15 +21,18 @@ use serde::{Deserialize, Serialize};
 /// inference, the sharded-scan geometry, the iterative-approach knobs).
 ///
 /// Restoring a snapshot and continuing a submission stream produces the
-/// same states as never having stopped: every field either round-trips
-/// exactly (floats use shortest-round-trip JSON) or is a pure function of
-/// the others.
+/// same states as never having stopped: every field round-trips exactly,
+/// and what is not stored (each task's support and `M`, every `H(s)`) is a
+/// pure function of the stored fields.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TiSnapshot {
     /// Published tasks with their DVE-filled domain vectors.
     pub tasks: Vec<Task>,
-    /// Per-task inference state (`M̂`, `M`, `s`).
-    pub states: Vec<TaskState>,
+    /// The support rows of every task's `M̂`, in task order (row-major
+    /// `|support| × ℓ` per task).
+    pub m_hat: Vec<f64>,
+    /// Every task's `s`, in task order.
+    pub s: Vec<f64>,
     /// Live worker statistics.
     pub registry: WorkerRegistry,
     /// Golden-only statistics feeding periodic full re-inference.
@@ -55,7 +58,7 @@ pub struct TiSnapshot {
 #[derive(Debug, Clone)]
 pub struct IncrementalTi {
     tasks: Vec<Task>,
-    states: Vec<TaskState>,
+    states: TaskArena,
     /// Live worker statistics, updated on every answer.
     registry: WorkerRegistry,
     /// Golden-task initializations only — the starting point for periodic
@@ -77,14 +80,14 @@ pub struct IncrementalTi {
 }
 
 impl IncrementalTi {
-    /// Creates the engine. Every task must already carry its domain vector.
-    /// `z` is the full-inference period (the paper uses `z = 100`).
+    /// Creates the engine. `z` is the full-inference period (the paper uses
+    /// `z = 100`).
+    ///
+    /// # Panics
+    /// Panics if a task lacks its domain vector or that vector is not of the
+    /// registry's length `m`.
     pub fn new(tasks: Vec<Task>, registry: WorkerRegistry, z: usize) -> Self {
-        let m = registry.num_domains();
-        let states = tasks
-            .iter()
-            .map(|t| TaskState::new(m, t.num_choices()))
-            .collect();
+        let states = TaskArena::for_tasks(registry.num_domains(), &tasks);
         let log = AnswerLog::new(tasks.len());
         let sharding = ShardedTiState::new(tasks.len(), 1);
         IncrementalTi {
@@ -122,13 +125,13 @@ impl IncrementalTi {
     }
 
     /// Current per-task inference states.
-    pub fn states(&self) -> &[TaskState] {
+    pub fn states(&self) -> &TaskArena {
         &self.states
     }
 
     /// State of one task.
-    pub fn state(&self, task: TaskId) -> &TaskState {
-        &self.states[task.index()]
+    pub fn state(&self, task: TaskId) -> TaskView<'_> {
+        self.states.view(task.index())
     }
 
     /// Live worker statistics.
@@ -146,7 +149,7 @@ impl IncrementalTi {
     /// Pinned by the frozen `bench/` (which destructures five elements and
     /// ignores the last): the trailing `()` only keeps that arity and goes
     /// when benchmark v2 moves to the accessors (ROADMAP item 1(a)).
-    pub fn assign_view(&self) -> (&[Task], &[TaskState], &AnswerLog, &ShardedTiState, ()) {
+    pub fn assign_view(&self) -> (&[Task], &TaskArena, &AnswerLog, &ShardedTiState, ()) {
         (&self.tasks, &self.states, &self.log, &self.sharding, ())
     }
 
@@ -170,7 +173,7 @@ impl IncrementalTi {
             .init_from_golden(worker, golden_answers, task_info, smoothing);
     }
 
-    /// Processes one answer submission with the O(m·|V(i)|) update policy.
+    /// Processes one answer submission with the `O(m·|V(i)|)` update policy.
     /// Returns `true` when the periodic full inference ran afterwards.
     pub fn submit(&mut self, answer: Answer) -> Result<bool> {
         let i = answer.task.index();
@@ -184,15 +187,15 @@ impl IncrementalTi {
         self.sharding.record_ingest(answer.task);
 
         let r = self.tasks[i].domain_vector();
-        let state = &mut self.states[i];
         // The pre-update truth s̃_i, for revising the earlier answerers.
         self.s_before.clear();
-        self.s_before.extend_from_slice(state.s());
+        self.s_before.extend_from_slice(self.states.view(i).s());
 
         // Step 1 (incremental): update M̂^{(i)}, M^{(i)}, s_i.
         let submitter = self.registry.get_or_insert(answer.worker);
-        state.apply_answer(r, &submitter.quality, answer.choice);
-        let s_after = state.s();
+        self.states
+            .apply_answer(i, &submitter.quality, answer.choice);
+        let s_after = self.states.view(i).s();
 
         // Step 2 (incremental): the submitting worker absorbs the new task…
         submitter.absorb_answer(r, s_after[answer.choice]);
@@ -231,40 +234,36 @@ impl IncrementalTi {
         Ok(())
     }
 
-    /// Runs the full iterative approach over everything received so far and
-    /// replaces the incremental estimates with the converged ones. Worker
-    /// weights are rebuilt from the log (`u^w_k = Σ_{t∈T(w)} r^t_k`).
+    /// Runs the full iterative approach over everything received so far,
+    /// converging into the engine's own states (no per-run state is
+    /// allocated). Each answering worker's live statistics are overwritten
+    /// in place with the converged quality — which already blends the
+    /// golden/prior evidence — and the run's Eq. 5 denominator
+    /// `û_k + Σ_{t∈T(w)} r^t_k` as the weight, keeping Theorem 1's
+    /// bookkeeping exact.
     ///
-    /// The converged states and qualities move into the engine (read them
-    /// back through [`IncrementalTi::states`], [`IncrementalTi::truths`] and
-    /// [`IncrementalTi::registry`]); what is returned is the per-iteration
-    /// Δ series of the run.
+    /// Read the results back through [`IncrementalTi::states`],
+    /// [`IncrementalTi::truths`] and [`IncrementalTi::registry`]; what is
+    /// returned is the per-iteration Δ series of the run.
     pub fn run_full(&mut self) -> Vec<f64> {
-        let TiResult {
-            states,
+        let Converged {
+            workers,
             qualities,
+            weights,
             deltas,
-            ..
-        } = self.ti.run(&self.tasks, &self.log, &self.golden_registry);
-        self.states = states;
-        // Replace worker statistics: converged quality (which already blends
-        // the golden/prior evidence) with weight = prior weight + batch
-        // weight, keeping Theorem 1's bookkeeping exact.
+        } = self.ti.converge(
+            &self.tasks,
+            &self.log,
+            &self.golden_registry,
+            &mut self.states,
+        );
         let m = self.registry.num_domains();
-        for (w, quality) in qualities {
-            let mut weight = self
-                .golden_registry
-                .get(w)
-                .map(|s| s.weight.clone())
-                .unwrap_or_else(|| vec![0.0; m]);
-            for &(tid, _) in self.log.worker_answers(w) {
-                let r = self.tasks[tid.index()].domain_vector();
-                for k in 0..m {
-                    weight[k] += r[k];
-                }
-            }
-            self.registry
-                .put(w, super::stats::WorkerStats { quality, weight });
+        for (w, &id) in workers.iter().enumerate() {
+            let stats = self.registry.get_or_insert(id);
+            stats
+                .quality
+                .copy_from_slice(&qualities[w * m..(w + 1) * m]);
+            stats.weight.copy_from_slice(&weights[w * m..(w + 1) * m]);
         }
         deltas
     }
@@ -274,7 +273,8 @@ impl IncrementalTi {
         let config = self.ti.config();
         TiSnapshot {
             tasks: self.tasks.clone(),
-            states: self.states.clone(),
+            m_hat: self.states.all_m_hat().to_vec(),
+            s: self.states.all_s().to_vec(),
             registry: self.registry.clone(),
             golden_registry: self.golden_registry.clone(),
             log: self.log.clone(),
@@ -291,27 +291,90 @@ impl IncrementalTi {
     /// one (continuing the same submission stream yields the same states).
     ///
     /// A snapshot is outside input (a WAL file, a replication frame), so
-    /// parts that disagree about the task count (`states`, `log`) or the
-    /// shard count (`shard_ingested`) are refused here, naming the field —
-    /// the scan and ingestion index all three without further checks.
+    /// one the kernels would index out of bounds is refused here, naming
+    /// the field: tasks without a domain vector of one common length `m`
+    /// or with fewer than two choices, registries over another `m` or
+    /// holding statistics of another length, `m_hat` / `s` that do not fit
+    /// the tasks' supports and `ℓ`, and a `log` or `shard_ingested` that
+    /// disagrees about the task or shard count.
     pub fn restore(snapshot: TiSnapshot) -> Result<Self> {
+        let refuse = |field: &str, what: String| {
+            Err(docs_types::Error::Storage(format!(
+                "snapshot field `{field}`: {what}"
+            )))
+        };
         let num_tasks = snapshot.tasks.len();
+        let mut m = snapshot.registry.num_domains();
+        for (i, task) in snapshot.tasks.iter().enumerate() {
+            let Some(r) = &task.domain_vector else {
+                return refuse("tasks", format!("task {i} has no domain vector"));
+            };
+            if i == 0 {
+                m = r.len();
+            }
+            if r.len() != m {
+                return refuse(
+                    "tasks",
+                    format!(
+                        "task {i}'s domain vector has {} entries, task 0's {m}",
+                        r.len()
+                    ),
+                );
+            }
+            if task.num_choices() < 2 || task.id.index() != i {
+                return refuse(
+                    "tasks",
+                    format!(
+                        "task {i} has id {} and {} choices",
+                        task.id,
+                        task.num_choices()
+                    ),
+                );
+            }
+        }
+        for (field, registry) in [
+            ("registry", &snapshot.registry),
+            ("golden_registry", &snapshot.golden_registry),
+        ] {
+            if registry.num_domains() != m {
+                return refuse(
+                    field,
+                    format!(
+                        "{} domains, the tasks' domain vectors {m}",
+                        registry.num_domains()
+                    ),
+                );
+            }
+            for (w, stats) in registry.iter() {
+                if stats.quality.len() != m || stats.weight.len() != m {
+                    return refuse(
+                        field,
+                        format!(
+                            "worker {w} has {} qualities and {} weights over {m} domains",
+                            stats.quality.len(),
+                            stats.weight.len()
+                        ),
+                    );
+                }
+            }
+        }
+        let mut states = TaskArena::for_tasks(m, &snapshot.tasks);
         let task_shards = snapshot.task_shards.max(1);
         for (field, found, expected) in [
-            ("states", snapshot.states.len(), num_tasks),
+            ("m_hat", snapshot.m_hat.len(), states.all_m_hat().len()),
+            ("s", snapshot.s.len(), states.all_s().len()),
             ("log", snapshot.log.num_tasks(), num_tasks),
             ("shard_ingested", snapshot.shard_ingested.len(), task_shards),
         ] {
             if found != expected {
-                return Err(docs_types::Error::Storage(format!(
-                    "snapshot field `{field}`: expected {expected} entries, found {found}"
-                )));
+                return refuse(field, format!("expected {expected} entries, found {found}"));
             }
         }
+        states.load(&snapshot.m_hat, &snapshot.s);
         Ok(IncrementalTi {
             sharding: ShardedTiState::restore(num_tasks, task_shards, snapshot.shard_ingested),
             tasks: snapshot.tasks,
-            states: snapshot.states,
+            states,
             registry: snapshot.registry,
             golden_registry: snapshot.golden_registry,
             log: snapshot.log,
@@ -327,14 +390,14 @@ impl IncrementalTi {
 
     /// Inferred truths under the current (incremental) states.
     pub fn truths(&self) -> Vec<ChoiceIndex> {
-        self.states.iter().map(|st| st.truth()).collect()
+        self.states.truths()
     }
 
     /// Accuracy of the current truths against task ground truth.
     pub fn accuracy(&self) -> f64 {
         let mut correct = 0usize;
         let mut total = 0usize;
-        for (task, state) in self.tasks.iter().zip(&self.states) {
+        for (task, state) in self.tasks.iter().zip(self.states.iter()) {
             if let Some(gt) = task.ground_truth {
                 total += 1;
                 if gt == state.truth() {
@@ -383,19 +446,18 @@ mod tests {
         let mut inc = IncrementalTi::new(tasks.clone(), registry.clone(), 0);
         // Workers answer with fixed qualities: since registry holds priors
         // and the incremental step uses the *current* quality, replaying the
-        // same sequence against TaskState::apply_answer must agree.
+        // same sequence against TaskArena::apply_answer must agree.
         let stream = [ans(0, 0, 0), ans(0, 1, 1), ans(1, 0, 1), ans(0, 2, 0)];
-        let mut shadow = TaskState::new(2, 2);
-        let r0 = tasks[0].domain_vector().clone();
+        let mut shadow = TaskArena::for_tasks(2, &tasks[..1]);
         for a in stream {
             let q = inc.registry().quality(a.worker);
             if a.task.index() == 0 {
-                shadow.apply_answer(&r0, &q, a.choice);
+                shadow.apply_answer(0, &q, a.choice);
             }
             inc.submit(a).unwrap();
         }
         for j in 0..2 {
-            assert!((inc.state(TaskId(0)).s()[j] - shadow.s()[j]).abs() < 1e-12);
+            assert!((inc.state(TaskId(0)).s()[j] - shadow.view(0).s()[j]).abs() < 1e-12);
         }
     }
 
@@ -476,12 +538,23 @@ mod tests {
         assert_eq!(deltas, standalone.deltas);
         assert_eq!(inc.truths(), standalone.truths);
         // The engine's states and live registry were overwritten with the
-        // converged ones.
-        for (live, converged) in inc.states().iter().zip(&standalone.states) {
+        // converged ones, and each weight is the prior weight (0 here) plus
+        // `Σ_{t ∈ T(w)} r^t_k`.
+        for (live, converged) in inc.states().iter().zip(standalone.states.iter()) {
             assert_eq!(live.s(), converged.s());
         }
         for (w, q) in &standalone.qualities {
-            assert_eq!(&inc.registry().quality(*w), q);
+            let stats = inc.registry().get(*w).unwrap();
+            assert_eq!(&stats.quality, q);
+            let answered = log.worker_answers(*w);
+            let weight: Vec<f64> = (0..2)
+                .map(|k| {
+                    answered
+                        .iter()
+                        .fold(0.0, |u, &(t, _)| u + tasks[t.index()].domain_vector()[k])
+                })
+                .collect();
+            assert_eq!(stats.weight, weight, "{w}");
         }
     }
 
@@ -517,7 +590,7 @@ mod tests {
             restored.sharding().ingestion_counters(),
             inc.sharding().ingestion_counters()
         );
-        for (a, b) in inc.states().iter().zip(restored.states()) {
+        for (a, b) in inc.states().iter().zip(restored.states().iter()) {
             assert_eq!(a.s(), b.s(), "restored s_i must be byte-identical");
         }
         // Continuing the same stream on both engines diverges nowhere —
@@ -528,7 +601,7 @@ mod tests {
             restored.submit(a).unwrap();
         }
         assert_eq!(inc.truths(), restored.truths());
-        for (a, b) in inc.states().iter().zip(restored.states()) {
+        for (a, b) in inc.states().iter().zip(restored.states().iter()) {
             assert_eq!(a.s(), b.s());
         }
         for (w, stats) in inc.registry().iter() {
@@ -556,7 +629,7 @@ mod tests {
         batched.submit_batch(&stream).unwrap();
         assert_eq!(batched.submissions(), one_by_one.submissions());
         assert_eq!(batched.truths(), one_by_one.truths());
-        for (a, b) in one_by_one.states().iter().zip(batched.states()) {
+        for (a, b) in one_by_one.states().iter().zip(batched.states().iter()) {
             assert_eq!(a.s(), b.s(), "batch application must be byte-identical");
         }
         for (w, stats) in one_by_one.registry().iter() {
@@ -576,6 +649,51 @@ mod tests {
         assert!(inc.submit_batch(&stream).is_err());
         assert_eq!(inc.submissions(), 1, "prefix before the rejection applied");
         assert_eq!(inc.log().len(), 1);
+    }
+
+    /// Restore refuses, naming the field, every snapshot whose shapes the
+    /// kernels would index out of bounds — none of these may restore and
+    /// then panic on the first answer.
+    #[test]
+    fn restore_refuses_shapes_the_kernels_cannot_serve() {
+        let mut inc = IncrementalTi::new(make_tasks(4, 3), WorkerRegistry::new(3, 0.7), 0);
+        inc.submit(ans(1, 0, 1)).unwrap();
+        let good = inc.snapshot();
+        assert!(IncrementalTi::restore(good.clone()).is_ok(), "control");
+        type Tamper = fn(&mut TiSnapshot);
+        let cases: [(&str, Tamper); 10] = [
+            ("registry", |s| s.registry = WorkerRegistry::new(2, 0.7)),
+            ("golden_registry", |s| {
+                s.golden_registry = WorkerRegistry::new(4, 0.7)
+            }),
+            ("registry", |s| {
+                s.registry.get_or_insert(WorkerId(0)).quality.pop();
+            }),
+            ("golden_registry", |s| {
+                s.golden_registry
+                    .get_or_insert(WorkerId(3))
+                    .weight
+                    .push(1.0);
+            }),
+            ("tasks", |s| s.tasks[2].domain_vector = None),
+            ("tasks", |s| {
+                s.tasks[3].domain_vector = Some(DomainVector::one_hot(2, 0))
+            }),
+            ("tasks", |s| s.tasks[1].choices.truncate(1)),
+            ("m_hat", |s| {
+                s.m_hat.pop();
+            }),
+            ("s", |s| s.s.push(0.5)),
+            ("log", |s| s.log = AnswerLog::new(3)),
+        ];
+        for (field, tamper) in cases {
+            let mut snapshot = good.clone();
+            tamper(&mut snapshot);
+            let err = IncrementalTi::restore(snapshot)
+                .err()
+                .unwrap_or_else(|| panic!("tampered `{field}` restored"));
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+        }
     }
 
     #[test]

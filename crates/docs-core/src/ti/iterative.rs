@@ -1,6 +1,6 @@
 //! The iterative truth-inference approach of Section 4.1.
 
-use super::state::{clamp_quality, miss_likelihood, TaskState};
+use super::state::{clamp_quality, miss_likelihood, TaskArena};
 use super::stats::WorkerRegistry;
 use docs_types::{prob, AnswerLog, ChoiceIndex, Task, WorkerId};
 use std::collections::HashMap;
@@ -30,7 +30,7 @@ impl Default for TiConfig {
 #[derive(Debug, Clone)]
 pub struct TiResult {
     /// Per-task inference state, indexable by `TaskId::index()`.
-    pub states: Vec<TaskState>,
+    pub states: TaskArena,
     /// Estimated quality vector per worker seen in the answer log.
     pub qualities: HashMap<WorkerId, Vec<f64>>,
     /// Inferred truth `v*_i = argmax_j s_{i,j}` per task.
@@ -109,22 +109,55 @@ impl TruthInference {
     /// * `registry` — initial worker qualities (golden-task initialization
     ///   per Section 5.2; unseen workers get the registry prior).
     ///
-    /// The loop is support-sparse and allocation-free (see "Inference
-    /// kernels" in ARCHITECTURE.md): `s_i = r × M^{(i)}` reads only the rows
-    /// `k` with `r_k ≠ 0`, so Steps 1 and 2 touch only those, and the rows
-    /// outside each task's support are filled once after convergence. Every
-    /// stored value is the same bits the dense textbook loop produces
-    /// (`ti::oracle` holds that loop and the tests comparing the two).
+    /// A fresh [`TaskArena`] through the one convergence body
+    /// [`IncrementalTi::run_full`](super::IncrementalTi::run_full) runs in
+    /// place.
     ///
     /// # Panics
     /// Panics if a task lacks a domain vector, a domain vector is not of the
     /// registry's length `m`, or the log covers a different number of tasks.
     pub fn run(&self, tasks: &[Task], answers: &AnswerLog, registry: &WorkerRegistry) -> TiResult {
+        let m = registry.num_domains();
+        let mut states = TaskArena::for_tasks(m, tasks);
+        let run = self.converge(tasks, answers, registry, &mut states);
+        let qualities = run
+            .workers
+            .iter()
+            .enumerate()
+            .map(|(w, &id)| (id, run.qualities[w * m..(w + 1) * m].to_vec()))
+            .collect();
+        TiResult {
+            truths: states.truths(),
+            states,
+            qualities,
+            deltas: run.deltas,
+        }
+    }
+
+    /// The iterative approach, converged into `states`: every task restarts
+    /// from the uniform prior (so Δ is measured against it, whatever the
+    /// arena held), then Steps 1 and 2 alternate until Δ < ε.
+    ///
+    /// The loop is support-sparse and allocation-free (see "Inference
+    /// kernels" in ARCHITECTURE.md): `s_i = r × M^{(i)}` reads only the rows
+    /// `k` with `r_k ≠ 0`, which are the only rows the arena stores, so
+    /// Steps 1 and 2 touch only those. Every stored value is the same bits
+    /// the dense textbook loop produces on those rows (`ti::oracle` holds
+    /// that loop and the tests comparing the two). A run's allocations are
+    /// its index and its output, a number the task count does not move.
+    pub(super) fn converge(
+        &self,
+        tasks: &[Task],
+        answers: &AnswerLog,
+        registry: &WorkerRegistry,
+        states: &mut TaskArena,
+    ) -> Converged {
         assert_eq!(
             tasks.len(),
             answers.num_tasks(),
             "answer log and task set disagree on n"
         );
+        debug_assert_eq!(states.len(), tasks.len());
         let m = registry.num_domains();
         let n = tasks.len();
 
@@ -141,21 +174,22 @@ impl TruthInference {
                 .expect("every answering worker is in the log's worker set")
         };
 
-        // `V(i)`, `T(w)` and each task's support, each in one allocation and
-        // in the log's arrival order.
-        let votes = Csr::from_rows(tasks.iter().map(|t| {
-            let v = answers.task_answers(t.id);
-            v.iter().map(|&(w, choice)| (dense(w), choice))
-        }));
-        let answered = Csr::from_rows(worker_ids.iter().map(|&w| {
-            let t = answers.worker_answers(w);
-            t.iter().map(|&(tid, choice)| (tid.index(), choice))
-        }));
-        let support = Csr::from_rows(tasks.iter().map(|t| {
-            let r = t.domain_vector();
-            assert_eq!(r.len(), m, "task {} domain vector is not of length m", t.id);
-            r.support()
-        }));
+        // `V(i)` and `T(w)`, each in one allocation and in the log's
+        // arrival order.
+        let votes = Csr::from_rows(
+            answers.len(),
+            tasks.iter().map(|t| {
+                let v = answers.task_answers(t.id);
+                v.iter().map(|&(w, choice)| (dense(w), choice))
+            }),
+        );
+        let answered = Csr::from_rows(
+            answers.len(),
+            worker_ids.iter().map(|&w| {
+                let t = answers.worker_answers(w);
+                t.iter().map(|&(tid, choice)| (tid.index(), choice))
+            }),
+        );
 
         // Initial qualities from the registry (golden-task initialized), and
         // the registry's evidence weights. Golden tasks are tasks the worker
@@ -169,7 +203,9 @@ impl TruthInference {
             match registry.get(w) {
                 Some(stats) => {
                     qualities.extend_from_slice(&stats.quality[..m]);
-                    den.extend_from_slice(&stats.weight[..m]);
+                    // `+ 0.0`: a `-0.0` weight leaves as `+0.0`, as the
+                    // dense loop's first `+ r_k` left it in every domain.
+                    den.extend(stats.weight[..m].iter().map(|&u| u + 0.0));
                 }
                 None => {
                     qualities.extend(std::iter::repeat_n(registry.prior_quality(), m));
@@ -181,8 +217,9 @@ impl TruthInference {
         // Eq. 5's sums seeded with the registry evidence (golden answers /
         // previous batches): numerator q̂_k·û_k, denominator û_k. The
         // denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on `s`, so
-        // it is summed once. The `+ 0.0` is what the dense loop's first
-        // `r_k · s = 0` term did to a `-0.0` seed.
+        // it is summed once; it is also the worker's new weight. The
+        // `+ 0.0` is what the dense loop's first `r_k · s = 0` term did to
+        // a `-0.0` seed.
         let num_seed: Vec<f64> = init_qualities
             .iter()
             .zip(&den)
@@ -190,7 +227,7 @@ impl TruthInference {
             .collect();
         for w in 0..num_workers {
             for &(i, _) in answered.row(w) {
-                for &(k, rk) in support.row(i) {
+                for &(k, rk) in states.view(i).support() {
                     den[w * m + k] += rk;
                 }
             }
@@ -198,11 +235,11 @@ impl TruthInference {
 
         let mut likelihoods = LikelihoodTables::new(tasks, num_workers, m);
 
-        let mut states: Vec<TaskState> = tasks
-            .iter()
-            .map(|t| TaskState::new(m, t.num_choices()))
-            .collect();
-        let mut prev_s: Vec<f64> = Vec::new();
+        for i in 0..n {
+            states.reset(i);
+        }
+        let max_choices = tasks.iter().map(Task::num_choices).max().unwrap_or(0);
+        let mut prev_s: Vec<f64> = Vec::with_capacity(max_choices);
         let mut num = vec![0.0; m];
 
         // (The paper's runs converge within ~20 iterations.)
@@ -212,15 +249,12 @@ impl TruthInference {
 
             // ---- Step 1: infer the truth (q^w → s_i), Eqs. 2-4. ----
             let mut delta_s = 0.0;
-            for (i, state) in states.iter_mut().enumerate() {
+            for i in 0..n {
                 prev_s.clear();
-                prev_s.extend_from_slice(state.s());
-                for &(k, _) in support.row(i) {
-                    state.recompute_row(k, likelihoods.of_row(i, votes.row(i), k));
-                }
-                state.recompute_s_over(support.row(i).iter().copied());
-                delta_s +=
-                    prob::l1_distance(&prev_s, state.s()) / (n as f64 * state.num_choices() as f64);
+                prev_s.extend_from_slice(states.view(i).s());
+                states.recompute(i, |k| likelihoods.of_row(i, votes.row(i), k));
+                let s = states.view(i).s();
+                delta_s += prob::l1_distance(&prev_s, s) / (n as f64 * s.len() as f64);
             }
 
             // ---- Step 2: estimate worker quality (s_i → q^w), Eq. 5. ----
@@ -230,8 +264,9 @@ impl TruthInference {
                 let q = &mut qualities[base..base + m];
                 num.copy_from_slice(&num_seed[base..base + m]);
                 for &(i, choice) in answered.row(w) {
-                    let s_choice = states[i].s()[choice];
-                    for &(k, rk) in support.row(i) {
+                    let task = states.view(i);
+                    let s_choice = task.s()[choice];
+                    for &(k, rk) in task.support() {
                         num[k] += rk * s_choice;
                     }
                 }
@@ -257,69 +292,27 @@ impl TruthInference {
             }
         }
 
-        // The rows outside each support never reached `s`, so no iteration
-        // needed them; what the dense loop leaves there is the product of
-        // the *last* Step 1's likelihoods — still in the tables, which Step 2
-        // does not touch. (No iteration ran: the fresh all-ones rows
-        // are already what the dense loop leaves.)
-        if !deltas.is_empty() {
-            for (i, (state, task)) in states.iter_mut().zip(tasks).enumerate() {
-                let r = task.domain_vector();
-                for k in (0..m).filter(|&k| r[k] == 0.0) {
-                    state.recompute_row(k, likelihoods.of_row(i, votes.row(i), k));
-                }
-            }
-        }
-
-        let truths = states.iter().map(|st| st.truth()).collect();
-        let qualities = worker_ids
-            .iter()
-            .enumerate()
-            .map(|(w, &id)| (id, qualities[w * m..(w + 1) * m].to_vec()))
-            .collect();
-        TiResult {
-            states,
+        Converged {
+            workers: worker_ids,
             qualities,
-            truths,
+            weights: den,
             deltas,
         }
     }
+}
 
-    /// Runs inference and folds the estimated qualities back into the
-    /// registry via Theorem 1 (quality maintenance across requesters).
-    pub fn run_and_maintain(
-        &self,
-        tasks: &[Task],
-        answers: &AnswerLog,
-        registry: &mut WorkerRegistry,
-    ) -> TiResult {
-        let result = self.run(tasks, answers, registry);
-        let m = registry.num_domains();
-        for (&w, q) in &result.qualities {
-            // The converged quality already blends the registry's prior
-            // evidence (Step 2 seeds Eq. 5 with it), so store it directly
-            // with the combined weight û^w_k + Σ_{t ∈ T(w)} r^t_k — a
-            // second Theorem 1 merge would double-count the prior.
-            let mut weight = registry
-                .get(w)
-                .map(|s| s.weight.clone())
-                .unwrap_or_else(|| vec![0.0; m]);
-            for &(tid, _) in answers.worker_answers(w) {
-                let r = tasks[tid.index()].domain_vector();
-                for k in 0..m {
-                    weight[k] += r[k];
-                }
-            }
-            registry.put(
-                w,
-                super::stats::WorkerStats {
-                    quality: q.clone(),
-                    weight,
-                },
-            );
-        }
-        result
-    }
+/// What [`TruthInference::converge`] leaves beside the states, per worker
+/// of the log in ascending id order: flat `W × m` buffers.
+pub(super) struct Converged {
+    /// The log's workers, ascending.
+    pub(super) workers: Vec<WorkerId>,
+    /// Converged qualities.
+    pub(super) qualities: Vec<f64>,
+    /// Eq. 5's denominators `û_k + Σ_{t ∈ T(w)} r^t_k`: the registry weight
+    /// (Theorem 1) after the run.
+    pub(super) weights: Vec<f64>,
+    /// Δ after each iteration.
+    pub(super) deltas: Vec<f64>,
 }
 
 /// Compressed sparse rows: `row(i)` is the `i`-th of a sequence of
@@ -330,9 +323,13 @@ struct Csr<T> {
 }
 
 impl<T> Csr<T> {
-    fn from_rows<R: Iterator<Item = T>>(rows: impl Iterator<Item = R>) -> Self {
-        let mut ptr = Vec::with_capacity(rows.size_hint().0 + 1);
-        let mut items = Vec::new();
+    /// `len` is the total item count, so each buffer is allocated once.
+    fn from_rows<R: Iterator<Item = T>>(
+        len: usize,
+        rows: impl ExactSizeIterator<Item = R>,
+    ) -> Self {
+        let mut ptr = Vec::with_capacity(rows.len() + 1);
+        let mut items = Vec::with_capacity(len);
         ptr.push(0);
         for row in rows {
             items.extend(row);
@@ -555,7 +552,7 @@ mod tests {
         let log = AnswerLog::new(1);
         let registry = WorkerRegistry::new(2, 0.7);
         let result = TruthInference::default().run(&tasks, &log, &registry);
-        assert_eq!(result.states[0].s(), &[0.5, 0.5]);
+        assert_eq!(result.states.view(0).s(), &[0.5, 0.5]);
         assert!(result.qualities.is_empty());
     }
 
@@ -589,12 +586,16 @@ mod tests {
             ..TiConfig::default()
         })
         .run(std::slice::from_ref(&task), &log, &registry);
-        assert!(one_step.states[0].s()[0] > 0.99, "{:?}", one_step.states[0]);
+        assert!(
+            one_step.states.view(0).s()[0] > 0.99,
+            "{:?}",
+            one_step.states.view(0)
+        );
         let converged = TruthInference::default().run(&[task], &log, &registry);
-        assert!(converged.states[0].s()[0] > 0.99);
+        assert!(converged.states.view(0).s()[0] > 0.99);
         assert_eq!(converged.truths, vec![0]);
         assert_eq!(incremental.truths(), converged.truths);
-        assert!(incremental.states()[0].s()[0] > 0.99);
+        assert!(incremental.states().view(0).s()[0] > 0.99);
     }
 
     #[test]
@@ -650,19 +651,6 @@ mod tests {
         }
         let result = TruthInference::default().run(&tasks, &log, &registry);
         assert_eq!(result.accuracy(&tasks), 1.0);
-    }
-
-    #[test]
-    fn run_and_maintain_updates_registry() {
-        let (tasks, log, _) = build_world();
-        let mut registry = WorkerRegistry::new(2, 0.6);
-        let result = TruthInference::default().run_and_maintain(&tasks, &log, &mut registry);
-        let stats = registry.get(WorkerId(0)).unwrap();
-        // Worker 0 answered all 40 tasks; 20 fully in each domain.
-        assert!((stats.weight[0] - 20.0).abs() < 1e-9);
-        assert!((stats.weight[1] - 20.0).abs() < 1e-9);
-        // Registry quality equals the inferred quality (prior weight was 0).
-        assert!((stats.quality[0] - result.qualities[&WorkerId(0)][0]).abs() < 1e-9);
     }
 
     #[test]

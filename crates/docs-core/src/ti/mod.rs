@@ -35,6 +35,6 @@ pub use incremental::{IncrementalTi, TiSnapshot};
 pub use iterative::{TiConfig, TiResult, TruthInference};
 pub use sharded::ShardedTiState;
 pub(crate) use state::miss_likelihood;
-pub use state::{clamp_quality, TaskState};
+pub use state::{clamp_quality, TaskArena, TaskView};
 pub use stats::{WorkerRegistry, WorkerStats};
 pub use stopping::{stable_point_of_curve, StoppingPolicy, StoppingRule, TruthFlipTracker};

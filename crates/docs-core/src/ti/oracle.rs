@@ -3,16 +3,18 @@
 //!
 //! This is the loop [`TruthInference::run`] ran before its kernel went
 //! support-sparse — every row of every `M^{(i)}` rebuilt every iteration,
-//! Eq. 4 evaluated per (answer, domain, choice), workers looked up by id —
-//! kept as written so the tests below can hold the kernel to it bit for
-//! bit. [`campaign`] generates the inputs; the OTA tests reuse it.
+//! Eq. 4 evaluated per (answer, domain, choice), workers looked up by id,
+//! weights rebuilt over all `m` domains — kept as written so the tests
+//! below can hold the kernel to it bit for bit on the rows the arena
+//! stores. [`campaign`] generates the inputs; the OTA tests reuse it.
 
 // The loops stay index-for-index what the dense form was.
 #![allow(clippy::needless_range_loop)]
 
 use super::iterative::{TiConfig, TruthInference};
-use super::state::clamp_quality;
+use super::state::{clamp_quality, TaskArena};
 use super::stats::WorkerRegistry;
+use super::IncrementalTi;
 use docs_types::{
     prob, Answer, AnswerLog, ChoiceIndex, DomainVector, Task, TaskBuilder, TaskId, WorkerId,
 };
@@ -119,6 +121,9 @@ impl DenseState {
 pub(crate) struct DenseResult {
     pub states: Vec<DenseState>,
     pub qualities: HashMap<WorkerId, Vec<f64>>,
+    /// `û^w_k + Σ_{t ∈ T(w)} r^t_k` over every domain: the weight a full
+    /// run stores.
+    pub weights: HashMap<WorkerId, Vec<f64>>,
     pub deltas: Vec<f64>,
 }
 
@@ -198,9 +203,22 @@ pub(crate) fn run(
             break;
         }
     }
+    let weights = prior_weights
+        .into_iter()
+        .map(|(w, mut weight)| {
+            for &(tid, _) in answers.worker_answers(w) {
+                let r = tasks[tid.index()].domain_vector();
+                for k in 0..m {
+                    weight[k] += r[k];
+                }
+            }
+            (w, weight)
+        })
+        .collect();
     DenseResult {
         states,
         qualities,
+        weights,
         deltas,
     }
 }
@@ -313,8 +331,45 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Every value [`TruthInference::run`] stores is the dense loop's, bit for
-/// bit.
+/// Every support row of `M̂` and `M`, every `s` and `H(s)` and truth is the
+/// dense loop's, bit for bit.
+fn assert_states_match(states: &TaskArena, dense: &[DenseState], context: &str) {
+    assert_eq!(states.len(), dense.len());
+    for (i, (f, d)) in states.iter().zip(dense).enumerate() {
+        let l = d.num_choices;
+        let rows = |dense_rows: &[f64]| -> Vec<f64> {
+            let support = f.support().iter();
+            support
+                .flat_map(|&(k, _)| dense_rows[k * l..(k + 1) * l].to_vec())
+                .collect()
+        };
+        let m_hat = states.m_hat_of(i);
+        assert_eq!(
+            bits(m_hat),
+            bits(&rows(&d.m_hat)),
+            "{context}: M̂ of task {i}"
+        );
+        let m_matrix: Vec<f64> = f.rows().flat_map(|(_, _, row)| row.to_vec()).collect();
+        assert_eq!(
+            bits(&m_matrix),
+            bits(&rows(&d.m_matrix)),
+            "{context}: M of task {i}"
+        );
+        assert_eq!(bits(f.s()), bits(&d.s), "{context}: s of task {i}");
+        assert_eq!(
+            f.entropy().to_bits(),
+            d.entropy.to_bits(),
+            "{context}: H(s) of task {i}"
+        );
+        assert_eq!(f.truth(), prob::argmax(&d.s));
+    }
+}
+
+/// Every value full inference stores is the dense loop's, bit for bit:
+/// through [`TruthInference::run`] (a fresh arena), and through
+/// [`IncrementalTi::run_full`], which converges into an arena the answer
+/// stream has already moved and writes qualities and weights into the live
+/// registry.
 fn assert_bit_identical(
     config: TiConfig,
     tasks: &[Task],
@@ -325,28 +380,33 @@ fn assert_bit_identical(
     let fast = TruthInference::new(config).run(tasks, log, registry);
     let dense = run(config, tasks, log, registry);
     assert_eq!(bits(&fast.deltas), bits(&dense.deltas), "{context}: Δ");
-    assert_eq!(fast.states.len(), dense.states.len());
-    for (i, (f, d)) in fast.states.iter().zip(&dense.states).enumerate() {
-        assert_eq!(bits(f.m_hat()), bits(&d.m_hat), "{context}: M̂ of task {i}");
-        let m_matrix: Vec<f64> = (0..f.num_domains())
-            .flat_map(|k| f.m_row(k).iter().copied())
-            .collect();
-        assert_eq!(
-            bits(&m_matrix),
-            bits(&d.m_matrix),
-            "{context}: M of task {i}"
-        );
-        assert_eq!(bits(f.s()), bits(&d.s), "{context}: s of task {i}");
-        assert_eq!(
-            f.entropy().to_bits(),
-            d.entropy.to_bits(),
-            "{context}: H(s) of task {i}"
-        );
-        assert_eq!(fast.truths[i], prob::argmax(&d.s));
-    }
+    assert_states_match(&fast.states, &dense.states, context);
+    assert_eq!(fast.truths, fast.states.truths());
     assert_eq!(fast.qualities.len(), dense.qualities.len());
     for (w, q) in &dense.qualities {
         assert_eq!(bits(&fast.qualities[w]), bits(q), "{context}: q of {w:?}");
+    }
+
+    let mut engine = IncrementalTi::new(tasks.to_vec(), registry.clone(), 0);
+    for answer in log.iter_answers() {
+        engine.submit(answer).expect("the campaign's own answers");
+    }
+    let mut snapshot = engine.snapshot();
+    snapshot.max_iterations = config.max_iterations;
+    snapshot.epsilon = config.epsilon;
+    let mut engine = IncrementalTi::restore(snapshot).expect("own snapshot");
+    let deltas = engine.run_full();
+    // The replay is grouped by task, so `T(w)` is in another order than in
+    // `log`: the dense loop runs on the engine's own log.
+    let dense = run(config, tasks, engine.log(), registry);
+    let context = format!("{context} (in place)");
+    assert_eq!(bits(&deltas), bits(&dense.deltas), "{context}: Δ");
+    assert_states_match(engine.states(), &dense.states, &context);
+    for (w, q) in &dense.qualities {
+        let stats = engine.registry().get(*w).expect("every answerer is live");
+        assert_eq!(bits(&stats.quality), bits(q), "{context}: q of {w:?}");
+        let weight = &dense.weights[w];
+        assert_eq!(bits(&stats.weight), bits(weight), "{context}: u of {w:?}");
     }
 }
 
@@ -358,8 +418,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Dense, one-hot and mixed-sparsity campaigns; 0 and 1 iterations
-        /// (the dead rows are filled from the first Step 1, or not at
-        /// all), and up to 20.
+        /// (the prior the arena is reset to, one Step 1 from it), and up
+        /// to 20.
         #[test]
         fn full_inference_is_bit_identical_to_the_dense_loop(seed in any::<u64>()) {
             for sparsity in Sparsity::ALL {
@@ -380,7 +440,9 @@ mod tests {
 
     /// A `-0.0` quality with stored weight, in a domain none of the
     /// worker's tasks touch: the dense loop's `+ r_k·s = + 0.0` turns the
-    /// Eq. 5 numerator into `+0.0`, and so must the kernel.
+    /// Eq. 5 numerator into `+0.0`, and so must the kernel. A `-0.0` stored
+    /// weight there leaves a full run as `+0.0`, as the all-`m` rebuild's
+    /// `+ r_k` left it.
     #[test]
     fn a_negative_zero_quality_seed_follows_the_dense_loop() {
         let task = TaskBuilder::new(0usize, "t")
@@ -390,12 +452,18 @@ mod tests {
             .unwrap();
         let mut log = AnswerLog::new(1);
         log.record(Answer::new(WorkerId(4), TaskId(0), 1)).unwrap();
+        log.record(Answer::new(WorkerId(5), TaskId(0), 0)).unwrap();
         let mut registry = WorkerRegistry::new(2, 0.7);
         let stats = crate::ti::WorkerStats {
             quality: vec![0.6, -0.0],
             weight: vec![1.0, 2.0],
         };
         registry.put(WorkerId(4), stats);
+        let stats = crate::ti::WorkerStats {
+            quality: vec![0.6, 0.8],
+            weight: vec![1.0, -0.0],
+        };
+        registry.put(WorkerId(5), stats);
         assert_bit_identical(TiConfig::default(), &[task], &log, &registry, "-0.0");
     }
 

@@ -1,6 +1,6 @@
 //! Shard-partitioned view over per-task inference state.
 //!
-//! The paper's deployment keeps one flat `Vec<TaskState>` behind a single
+//! The paper's deployment keeps one flat task-state arena behind a single
 //! server loop; at service scale the OTA benefit scan (O(n) per worker
 //! request, Section 5.1) becomes the bottleneck. [`ShardedTiState`]
 //! partitions the task index space by [`TaskId::shard`] hash so that:

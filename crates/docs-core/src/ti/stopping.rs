@@ -19,7 +19,7 @@
 //!   truth from the rate of *truth flips* between checkpoints
 //!   ([`TruthFlipTracker`]).
 
-use crate::ti::TaskState;
+use crate::ti::TaskView;
 use docs_types::{prob, ChoiceIndex};
 use serde::{Deserialize, Serialize};
 
@@ -78,17 +78,17 @@ impl StoppingPolicy {
     /// at most 10.
     ///
     /// ```
-    /// use docs_core::ti::{StoppingPolicy, TaskState};
+    /// use docs_core::ti::{StoppingPolicy, TaskArena};
     /// use docs_types::DomainVector;
     ///
     /// let policy = StoppingPolicy::with_defaults();
     /// let r = DomainVector::one_hot(1, 0);
-    /// let mut state = TaskState::new(1, 2);
+    /// let mut states = TaskArena::new(1, [(&r, 2), (&r, 2)]);
     /// for _ in 0..4 {
-    ///     state.apply_answer(&r, &[0.9], 0); // four agreeing experts
+    ///     states.apply_answer(0, &[0.9], 0); // four agreeing experts
     /// }
-    /// assert!(policy.should_stop(&state, 4));
-    /// assert!(!policy.should_stop(&TaskState::new(1, 2), 4)); // uncertain
+    /// assert!(policy.should_stop(states.view(0), 4));
+    /// assert!(!policy.should_stop(states.view(1), 4)); // uncertain
     /// ```
     pub fn with_defaults() -> Self {
         StoppingPolicy {
@@ -99,7 +99,7 @@ impl StoppingPolicy {
     }
 
     /// Should answer collection for this task stop?
-    pub fn should_stop(&self, state: &TaskState, answers_collected: usize) -> bool {
+    pub fn should_stop(&self, state: TaskView<'_>, answers_collected: usize) -> bool {
         assert!(
             self.min_answers <= self.max_answers,
             "min_answers must not exceed max_answers"
@@ -230,15 +230,17 @@ impl TruthFlipTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ti::TaskArena;
     use docs_types::DomainVector;
 
-    fn state_with_confidence(p: f64) -> TaskState {
-        // Binary task fully in domain 0; feed answers until s ≈ [p, 1-p].
+    /// Two binary tasks fully in domain 0: the first at s = [p, 1-p], the
+    /// second uniform.
+    fn states_with_confidence(p: f64) -> TaskArena {
         let r = DomainVector::one_hot(1, 0);
-        let mut st = TaskState::new(1, 2);
+        let mut states = TaskArena::new(1, [(&r, 2), (&r, 2)]);
         // One answer from a worker of quality p produces s = [p, 1-p].
-        st.apply_answer(&r, &[p], 0);
-        st
+        states.apply_answer(0, &[p], 0);
+        states
     }
 
     #[test]
@@ -271,14 +273,14 @@ mod tests {
             min_answers: 3,
             max_answers: 10,
         };
-        let confident = state_with_confidence(0.97);
+        let states = states_with_confidence(0.97);
+        let (confident, uncertain) = (states.view(0), states.view(1));
         // Rule satisfied but min not reached.
-        assert!(!policy.should_stop(&confident, 2));
-        assert!(policy.should_stop(&confident, 3));
+        assert!(!policy.should_stop(confident, 2));
+        assert!(policy.should_stop(confident, 3));
         // Max reached stops regardless of confidence.
-        let uncertain = TaskState::new(1, 2);
-        assert!(policy.should_stop(&uncertain, 10));
-        assert!(!policy.should_stop(&uncertain, 9));
+        assert!(policy.should_stop(uncertain, 10));
+        assert!(!policy.should_stop(uncertain, 9));
     }
 
     #[test]

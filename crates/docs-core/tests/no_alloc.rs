@@ -1,11 +1,12 @@
 //! The inference kernels do not allocate: a counting allocator around
-//! `ota::benefit_with` (zero allocations per call once the scratch is warm)
-//! and `TruthInference::run` (an allocation count that the number of
-//! iterations does not move). Run with `--release` as well: the claim is
-//! about optimised code.
+//! `ota::benefit_with` and `TaskArena::apply_answer` (zero allocations per
+//! call), `TaskArena::new` (a fixed number whatever the task count) and
+//! full inference (an allocation count that neither the number of
+//! iterations nor the number of tasks moves). Run with `--release` as
+//! well: the claim is about optimised code.
 
 use docs_core::ota::{benefit_with, BenefitScratch};
-use docs_core::ti::{TaskState, TiConfig, TruthInference, WorkerRegistry};
+use docs_core::ti::{IncrementalTi, TaskArena, TiConfig, TruthInference, WorkerRegistry};
 use docs_types::{Answer, AnswerLog, DomainVector, Task, TaskBuilder, WorkerId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -50,11 +51,11 @@ fn allocations_during<T>(work: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-/// 40 tasks over 6 domains, `ℓ` cycling through 2, 3 and 5, supports of one
-/// to three domains; 12 workers answer every task.
-fn campaign() -> (Vec<Task>, AnswerLog) {
+/// `n` tasks over 6 domains, `ℓ` cycling through 2, 3 and 5, supports of
+/// one to three domains; 12 workers answer every task.
+fn campaign(n: usize) -> (Vec<Task>, AnswerLog) {
     let m = 6;
-    let tasks: Vec<Task> = (0..40usize)
+    let tasks: Vec<Task> = (0..n)
         .map(|i| {
             let mut weights = vec![0.0; m];
             for d in 0..=(i % 3) {
@@ -83,18 +84,17 @@ fn campaign() -> (Vec<Task>, AnswerLog) {
 
 #[test]
 fn benefit_allocates_nothing_once_the_scratch_is_warm() {
-    let (tasks, log) = campaign();
+    let (tasks, log) = campaign(40);
     let registry = WorkerRegistry::new(6, 0.7);
-    let states: Vec<TaskState> = TruthInference::default()
+    let states = TruthInference::default()
         .run(&tasks, &log, &registry)
         .states;
     let quality = [0.9, 0.55, 0.7, 0.2, 1.0, 0.0];
     let mut scratch = BenefitScratch::default();
     let scan = |scratch: &mut BenefitScratch| -> f64 {
-        tasks
+        states
             .iter()
-            .zip(&states)
-            .map(|(t, st)| benefit_with(scratch, st, t.domain_vector(), &quality))
+            .map(|st| benefit_with(scratch, st, &quality))
             .sum()
     };
     let warm_up = scan(&mut scratch);
@@ -104,8 +104,32 @@ fn benefit_allocates_nothing_once_the_scratch_is_warm() {
 }
 
 #[test]
+fn applying_an_answer_allocates_nothing() {
+    let (tasks, _) = campaign(40);
+    let mut states = TaskArena::for_tasks(6, &tasks);
+    let quality = [0.9, 0.55, 0.7, 0.2, 1.0, 0.0];
+    let (allocations, ()) = allocations_during(|| {
+        for (i, task) in tasks.iter().enumerate() {
+            states.apply_answer(i, &quality, i % task.num_choices());
+        }
+    });
+    assert_eq!(allocations, 0, "over {} answers", tasks.len());
+}
+
+#[test]
+fn creating_the_arena_takes_the_same_allocations_for_any_task_count() {
+    let create = |n| {
+        let (tasks, _) = campaign(n);
+        allocations_during(|| TaskArena::for_tasks(6, &tasks)).0
+    };
+    let small = create(40);
+    assert_eq!(create(400), small, "400 tasks against 40");
+    assert!(small <= 6, "one allocation per buffer, found {small}");
+}
+
+#[test]
 fn full_inference_allocations_do_not_grow_with_the_iteration_count() {
-    let (tasks, log) = campaign();
+    let (tasks, log) = campaign(40);
     let registry = WorkerRegistry::new(6, 0.7);
     // ε = 0 never converges: exactly `max_iterations` iterations run.
     let run = |max_iterations| {
@@ -117,9 +141,23 @@ fn full_inference_allocations_do_not_grow_with_the_iteration_count() {
         assert_eq!(result.deltas.len(), max_iterations);
         allocations
     };
-    let one = run(1);
-    assert_eq!(run(20), one, "20 iterations against 1");
-    // What is left is the output (three vectors per task state, one
-    // quality vector per worker, the maps) and the per-run index.
-    assert!(one < 4 * (tasks.len() as u64 + 12) + 64, "{one}");
+    assert_eq!(run(20), run(1), "20 iterations against 1");
+}
+
+/// The periodic full run converges into the engine's own arena and writes
+/// qualities and weights into the live registry in place: what it
+/// allocates is its index and scratch, as many buffers for 400 tasks as
+/// for 40.
+#[test]
+fn a_periodic_full_run_allocates_the_same_for_any_task_count() {
+    let run_full = |n| {
+        let (tasks, log) = campaign(n);
+        let mut engine = IncrementalTi::new(tasks, WorkerRegistry::new(6, 0.7), 0);
+        for answer in log.iter_answers() {
+            engine.submit(answer).unwrap();
+        }
+        allocations_during(|| engine.run_full()).0
+    };
+    let small = run_full(40);
+    assert_eq!(run_full(400), small, "400 tasks against 40");
 }

@@ -300,7 +300,7 @@ impl Docs {
         let answered = |t: docs_types::TaskId| {
             log.has_answered(worker, t)
                 || stopping.is_some_and(|policy| {
-                    policy.should_stop(&states[t.index()], log.answer_count(t))
+                    policy.should_stop(states.view(t.index()), log.answer_count(t))
                 })
         };
         // The paper's benefit scan, walked per task shard and merged (one
@@ -648,7 +648,7 @@ impl Docs {
 mod tests {
     use super::*;
     use docs_kb::table2_example_kb;
-    use docs_types::{codec, TaskBuilder};
+    use docs_types::{codec, DomainVector, TaskBuilder};
 
     fn example_tasks(n: usize) -> Vec<Task> {
         // Texts built from the Table 2 KB aliases so DVE has signal.
@@ -1201,7 +1201,7 @@ mod tests {
             .engine()
             .states()
             .iter()
-            .zip(restored.engine().states())
+            .zip(restored.engine().states().iter())
         {
             assert_eq!(a.s(), b.s());
         }
@@ -1213,50 +1213,73 @@ mod tests {
         assert_eq!(ra.truth_distributions, rb.truth_distributions);
     }
 
-    /// A snapshot whose task state has the wrong shape is refused where it
-    /// is decoded, naming the field — not accepted and left to panic on the
-    /// first `apply_answer` / `benefit` index.
+    /// A snapshot whose task state does not fit the tasks' supports and `ℓ`
+    /// is refused at restore, naming the field — not accepted and left to
+    /// panic on the first `apply_answer` / `benefit` index.
     #[test]
     fn restore_refuses_a_task_state_of_the_wrong_shape() {
-        use serde::{Deserialize, Serialize, Value};
         let kb = table2_example_kb();
-        let docs = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
-        let good = docs.snapshot().to_value();
-        fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
-            match v {
-                Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
-                other => panic!("expected a map, found {}", other.kind()),
-            }
-        }
-        let restore_with = |field: &str, value: Value| {
-            let mut tampered = good.clone();
-            let Value::Seq(states) = entry(entry(&mut tampered, "engine"), "states") else {
-                panic!("states serialize as a sequence");
-            };
-            *entry(&mut states[2], field) = value;
-            CampaignSnapshot::from_value(&tampered)
-                .map_err(|e| e.to_string())
-                .and_then(|snapshot| Docs::restore(snapshot).map_err(|e| e.to_string()))
-        };
-        let floats = |n: usize| Value::Seq(vec![Value::Float(0.5); n]);
-        // 3 domains × 2 choices: matrices hold 6 entries, `s` holds 2.
-        assert!(restore_with("s", floats(2)).is_ok(), "control: right shape");
-        // (field tampered, value, field the error names: a consistent
-        // `m`/`ℓ` that the matrices contradict is reported at `m_hat`.)
-        for (field, value, named) in [
-            ("m_hat", floats(5), "m_hat"),
-            ("m_matrix", floats(8), "m_matrix"),
-            ("s", floats(3), "s"),
-            ("m", Value::UInt(0), "m"),
-            ("m", Value::UInt(4), "m_hat"),
-            ("num_choices", Value::UInt(1), "num_choices"),
-            ("num_choices", Value::UInt(3), "m_hat"),
-        ] {
-            let err = restore_with(field, value.clone())
+        let good = Docs::publish(&kb, example_tasks(6), small_config())
+            .unwrap()
+            .snapshot();
+        assert!(restore_through_codec(&good).is_ok(), "control");
+        type Tamper = fn(&mut CampaignSnapshot);
+        let cases: [(&str, Tamper); 5] = [
+            ("m_hat", |s| {
+                s.engine.m_hat.pop();
+            }),
+            ("m_hat", |s| s.engine.m_hat.push(1.0)),
+            ("s", |s| {
+                s.engine.s.pop();
+            }),
+            ("s", |s| s.engine.s.push(0.5)),
+            // A third choice on one task: its stored rows no longer fit.
+            ("m_hat", |s| s.engine.tasks[2].choices.push("maybe".into())),
+        ];
+        for (field, tamper) in cases {
+            let mut snapshot = good.clone();
+            tamper(&mut snapshot);
+            let err = restore_through_codec(&snapshot)
                 .err()
-                .unwrap_or_else(|| panic!("{field} = {value:?} restored"));
-            assert!(err.contains("states"), "{err}");
-            assert!(err.contains(&format!("`{named}`")), "{field}: {err}");
+                .unwrap_or_else(|| panic!("tampered `{field}` restored"));
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+        }
+    }
+
+    /// A snapshot whose registries cover another number of domains than
+    /// the tasks' domain vectors used to restore, then panic the shard
+    /// thread on the first answer (`range end index 3 out of range for
+    /// slice of length 2`). Restore refuses it, naming the field.
+    #[test]
+    fn restore_refuses_registries_over_another_domain_count() {
+        let kb = table2_example_kb();
+        let good = Docs::publish(&kb, example_tasks(6), small_config())
+            .unwrap()
+            .snapshot();
+        let m = good.engine.tasks[0].domain_vector().len();
+        type Tamper = fn(&mut CampaignSnapshot, usize);
+        let cases: [(&str, Tamper); 4] = [
+            ("registry", |s, m| {
+                s.engine.registry = WorkerRegistry::new(m - 1, 0.7);
+                s.engine.golden_registry = WorkerRegistry::new(m - 1, 0.7);
+            }),
+            ("golden_registry", |s, m| {
+                s.engine.golden_registry = WorkerRegistry::new(m + 1, 0.7)
+            }),
+            ("registry", |s, _| {
+                s.engine.registry.get_or_insert(WorkerId(9)).quality.pop();
+            }),
+            ("tasks", |s, m| {
+                s.engine.tasks[4].domain_vector = Some(DomainVector::uniform(m + 1))
+            }),
+        ];
+        for (field, tamper) in cases {
+            let mut snapshot = good.clone();
+            tamper(&mut snapshot, m);
+            let err = restore_through_codec(&snapshot)
+                .err()
+                .unwrap_or_else(|| panic!("tampered `{field}` restored"));
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
         }
     }
 
@@ -1320,9 +1343,8 @@ mod tests {
         assert!(restore_through_codec(&good).is_ok(), "control");
         type Tamper = fn(&mut CampaignSnapshot);
         let shards: Tamper = |s| s.engine.task_shards = 4;
-        let states: Tamper = |s| s.engine.states.truncate(5);
         let log: Tamper = |s| s.engine.log = docs_types::AnswerLog::new(5);
-        for (field, tamper) in [("shard_ingested", shards), ("states", states), ("log", log)] {
+        for (field, tamper) in [("shard_ingested", shards), ("log", log)] {
             let mut snapshot = good.clone();
             tamper(&mut snapshot);
             let err = restore_through_codec(&snapshot)

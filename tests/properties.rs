@@ -7,7 +7,7 @@ use docs_core::dve::{
 };
 use docs_core::golden::{allocation_objective, golden_counts};
 use docs_core::ota::{answer_probabilities, benefit, BudgetPlanner};
-use docs_core::ti::{StoppingPolicy, StoppingRule, TaskState, WorkerStats};
+use docs_core::ti::{StoppingPolicy, StoppingRule, TaskArena, WorkerStats};
 use docs_kb::{IndicatorVector, LinkedEntity};
 use docs_types::{prob, DomainVector, WorkerId};
 use proptest::prelude::*;
@@ -57,12 +57,13 @@ proptest! {
         answers in prop::collection::vec((0usize..2, 0.05f64..0.95), 1..12)
     ) {
         let r = DomainVector::new(r).unwrap();
-        let mut incremental = TaskState::new(3, 2);
+        let mut incremental = TaskArena::new(3, [(&r, 2)]);
         for &(choice, q) in &answers {
-            incremental.apply_answer(&r, &[q, q * 0.9, (q * 1.1).min(1.0)], choice);
-            prop_assert!(prob::is_distribution(incremental.s()));
-            for k in 0..3 {
-                prop_assert!(prob::is_distribution(incremental.m_row(k)));
+            incremental.apply_answer(0, &[q, q * 0.9, (q * 1.1).min(1.0)], choice);
+            let st = incremental.view(0);
+            prop_assert!(prob::is_distribution(st.s()));
+            for (_, _, row) in st.rows() {
+                prop_assert!(prob::is_distribution(row));
             }
         }
     }
@@ -75,14 +76,15 @@ proptest! {
         prior_answers in prop::collection::vec(0usize..3, 0..6)
     ) {
         let r = DomainVector::new(r).unwrap();
-        let mut st = TaskState::new(4, 3);
+        let mut states = TaskArena::new(4, [(&r, 3)]);
         for &a in &prior_answers {
-            st.apply_answer(&r, &quality, a);
+            states.apply_answer(0, &quality, a);
         }
-        let p = answer_probabilities(&st, &r, &quality);
+        let st = states.view(0);
+        let p = answer_probabilities(st, &quality);
         prop_assert!(prob::is_distribution(&p));
         // Definition 5's benefit is bounded by the current entropy.
-        let b = benefit(&st, &r, &quality);
+        let b = benefit(st, &quality);
         prop_assert!(b <= prob::entropy(st.s()) + 1e-9);
     }
 
@@ -191,16 +193,17 @@ proptest! {
             max_answers,
         };
         let r = DomainVector::new(vec![0.5, 0.5]).unwrap();
-        let mut st = TaskState::new(2, 2);
+        let mut states = TaskArena::new(2, [(&r, 2)]);
         for &(choice, q) in &answers {
-            st.apply_answer(&r, &[q, q], choice);
+            states.apply_answer(0, &[q, q], choice);
         }
+        let st = states.view(0);
         // Below min: never stop (unless max == min forces it).
         if min_answers > 0 && max_answers > min_answers - 1 {
-            prop_assert!(!policy.should_stop(&st, min_answers - 1) || min_answers > max_answers);
+            prop_assert!(!policy.should_stop(st, min_answers - 1) || min_answers > max_answers);
         }
         // At max: always stop.
-        prop_assert!(policy.should_stop(&st, max_answers));
+        prop_assert!(policy.should_stop(st, max_answers));
     }
 
     /// The budget planner never overspends, never exceeds per-task caps,
@@ -213,10 +216,10 @@ proptest! {
         quality in 0.55f64..0.95
     ) {
         let m = 3;
-        let states: Vec<TaskState> = (0..n).map(|_| TaskState::new(m, 2)).collect();
         let rs: Vec<DomainVector> = (0..n).map(|i| DomainVector::one_hot(m, i % m)).collect();
+        let states = TaskArena::new(m, rs.iter().map(|r| (r, 2)));
         let collected: Vec<usize> = (0..n).map(|i| i % 4).collect();
-        let plan = BudgetPlanner::new(budget, cap).plan(&states, &rs, &collected, &[quality; 3]);
+        let plan = BudgetPlanner::new(budget, cap).plan(&states, &collected, &[quality; 3]);
         prop_assert!(plan.spent() <= budget);
         for (i, &e) in plan.extra_answers.iter().enumerate() {
             prop_assert!(e <= cap);
@@ -291,7 +294,7 @@ proptest! {
             docs_datasets::scalability_workload(30, 4, 12, 7, seed);
         let registry = docs_core::ti::WorkerRegistry::new(4, 0.7);
         let result = docs_core::ti::TruthInference::default().run(&tasks, &log, &registry);
-        for st in &result.states {
+        for st in result.states.iter() {
             prop_assert!(prob::is_distribution(st.s()));
         }
         for q in result.qualities.values() {

@@ -106,13 +106,8 @@ fn budget_planner_puts_extra_answers_on_hard_tasks() {
     let collected: Vec<usize> = (0..n)
         .map(|i| engine.log().answer_count(TaskId::from(i)))
         .collect();
-    let rs: Vec<_> = dataset
-        .tasks
-        .iter()
-        .map(|t| t.domain_vector().clone())
-        .collect();
     let budget = n; // one extra answer per task on average
-    let plan = BudgetPlanner::new(budget, 6).plan(engine.states(), &rs, &collected, &vec![0.75; m]);
+    let plan = BudgetPlanner::new(budget, 6).plan(engine.states(), &collected, &vec![0.75; m]);
     assert!(plan.spent() <= budget);
     assert!(plan.spent() > 0);
 
