@@ -100,7 +100,7 @@ struct Offsets {
 /// Eq. 2 weights row `k` by `r_k`, so a row outside the support reaches no
 /// output (`s`, `H(s)`, every benefit, Eq. 5's qualities) and is not stored.
 /// Each field is one allocation whatever the task count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskArena {
     m: usize,
     /// `n + 1` entries: task `i` spans `offsets[i]..offsets[i + 1]`.
@@ -215,6 +215,18 @@ impl TaskArena {
         }
     }
 
+    /// Task `i`'s support, without the rest of its view.
+    #[inline]
+    pub(super) fn support_of(&self, i: usize) -> &[(usize, f64)] {
+        &self.support[self.offsets[i].support..self.offsets[i + 1].support]
+    }
+
+    /// Task `i`'s `s`, without the rest of its view.
+    #[inline]
+    pub(super) fn s_of(&self, i: usize) -> &[f64] {
+        &self.s[self.offsets[i].s..self.offsets[i + 1].s]
+    }
+
     /// Every task's state, in task order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = TaskView<'_>> + '_ {
         (0..self.len()).map(|i| self.view(i))
@@ -225,16 +237,29 @@ impl TaskArena {
         self.iter().map(|st| st.truth()).collect()
     }
 
+    /// Task `i`'s slices, borrowed apart once so the kernels index plain
+    /// slices.
+    #[inline]
+    fn task_mut(&mut self, i: usize) -> TaskMut<'_> {
+        let (a, b) = self.span(i);
+        TaskMut {
+            support: &self.support[a.support..b.support],
+            m_hat: &mut self.m_hat[a.cells..b.cells],
+            m_matrix: &mut self.m_matrix[a.cells..b.cells],
+            s: &mut self.s[a.s..b.s],
+            entropy: &mut self.entropy[i],
+        }
+    }
+
     /// Back to the fresh prior — `M̂ = 1`, `M = s = 1/ℓ` and `H(s)` of that,
     /// filled in place — where every full inference starts.
     pub(super) fn reset(&mut self, i: usize) {
-        let (a, b) = self.span(i);
-        let uniform = 1.0 / (b.s - a.s) as f64;
-        self.m_hat[a.cells..b.cells].fill(1.0);
-        self.m_matrix[a.cells..b.cells].fill(uniform);
-        let s = &mut self.s[a.s..b.s];
-        s.fill(uniform);
-        self.entropy[i] = prob::entropy(s);
+        let t = self.task_mut(i);
+        let uniform = 1.0 / t.s.len() as f64;
+        t.m_hat.fill(1.0);
+        t.m_matrix.fill(uniform);
+        t.s.fill(uniform);
+        *t.entropy = prob::entropy(t.s);
     }
 
     /// Applies one newly arrived answer to task `i` in `O(|support|·ℓ)` —
@@ -243,21 +268,16 @@ impl TaskArena {
     /// refresh `s`.
     pub fn apply_answer(&mut self, i: usize, quality: &[f64], choice: ChoiceIndex) {
         debug_assert_eq!(quality.len(), self.m);
-        let (a, b) = self.span(i);
-        let l = b.s - a.s;
+        let mut t = self.task_mut(i);
+        let l = t.s.len();
         debug_assert!(choice < l);
-        let rows = self.m_hat[a.cells..b.cells].chunks_exact_mut(l);
-        let normalized = self.m_matrix[a.cells..b.cells].chunks_exact_mut(l);
-        for ((&(k, _), hat), row) in self.support[a.support..b.support]
-            .iter()
-            .zip(rows)
-            .zip(normalized)
-        {
+        for (pos, &(k, _)) in t.support.iter().enumerate() {
+            let hat = &mut t.m_hat[pos * l..(pos + 1) * l];
             let hit = clamp_quality(quality[k]);
             absorb(hat, hit, miss_likelihood(hit, l), choice);
-            normalize_row(hat, row);
+            normalize_row(hat, &mut t.m_matrix[pos * l..(pos + 1) * l]);
         }
-        self.recompute_s(i);
+        t.refresh_s();
     }
 
     /// Step 1 for task `i` (Eqs. 2–4): rebuilds each support row `k` of `M̂`
@@ -267,39 +287,17 @@ impl TaskArena {
     where
         I: Iterator<Item = (f64, f64, ChoiceIndex)>,
     {
-        let (a, b) = self.span(i);
-        let l = b.s - a.s;
-        let rows = self.m_hat[a.cells..b.cells].chunks_exact_mut(l);
-        let normalized = self.m_matrix[a.cells..b.cells].chunks_exact_mut(l);
-        for ((&(k, _), hat), row) in self.support[a.support..b.support]
-            .iter()
-            .zip(rows)
-            .zip(normalized)
-        {
+        let mut t = self.task_mut(i);
+        let l = t.s.len();
+        for (pos, &(k, _)) in t.support.iter().enumerate() {
+            let hat = &mut t.m_hat[pos * l..(pos + 1) * l];
             hat.fill(1.0);
             for (hit, miss, choice) in factors(k) {
                 absorb(hat, hit, miss, choice);
             }
-            normalize_row(hat, row);
+            normalize_row(hat, &mut t.m_matrix[pos * l..(pos + 1) * l]);
         }
-        self.recompute_s(i);
-    }
-
-    /// `s_i = r^{t_i} × M^{(i)}` (Eq. 2) over the support rows, ascending
-    /// `k`, and its entropy.
-    fn recompute_s(&mut self, i: usize) {
-        let (a, b) = self.span(i);
-        let l = b.s - a.s;
-        let s = &mut self.s[a.s..b.s];
-        s.fill(0.0);
-        let rows = self.m_matrix[a.cells..b.cells].chunks_exact(l);
-        for (&(_, rk), row) in self.support[a.support..b.support].iter().zip(rows) {
-            for (slot, &mkj) in s.iter_mut().zip(row) {
-                *slot += rk * mkj;
-            }
-        }
-        prob::normalize_in_place(s);
-        self.entropy[i] = prob::entropy(s);
+        t.refresh_s();
     }
 
     /// Task `i`'s support rows of `M̂`, row-major — for the oracle tests.
@@ -343,6 +341,33 @@ impl TaskArena {
     }
 }
 
+/// One task's slices of a [`TaskArena`], mutably.
+struct TaskMut<'a> {
+    support: &'a [(usize, f64)],
+    m_hat: &'a mut [f64],
+    m_matrix: &'a mut [f64],
+    s: &'a mut [f64],
+    entropy: &'a mut f64,
+}
+
+impl TaskMut<'_> {
+    /// `s_i = r^{t_i} × M^{(i)}` (Eq. 2) over the support rows, ascending
+    /// `k`, and its entropy.
+    #[inline]
+    fn refresh_s(&mut self) {
+        let l = self.s.len();
+        self.s.fill(0.0);
+        for (pos, &(_, rk)) in self.support.iter().enumerate() {
+            let row = &self.m_matrix[pos * l..(pos + 1) * l];
+            for (slot, &mkj) in self.s.iter_mut().zip(row) {
+                *slot += rk * mkj;
+            }
+        }
+        prob::normalize_in_place(self.s);
+        *self.entropy = prob::entropy(self.s);
+    }
+}
+
 /// One task's state, borrowed from its [`TaskArena`].
 #[derive(Debug, Clone, Copy)]
 pub struct TaskView<'a> {
@@ -375,11 +400,9 @@ impl<'a> TaskView<'a> {
 
     /// The support rows `(k, r_k, M^{(i)}_{k,•})`, ascending `k`.
     pub fn rows(&self) -> impl Iterator<Item = (usize, f64, &'a [f64])> + 'a {
-        let rows = self.m_matrix.chunks_exact(self.num_choices());
-        self.support
-            .iter()
-            .zip(rows)
-            .map(|(&(k, rk), row)| (k, rk, row))
+        let (l, m_matrix) = (self.num_choices(), self.m_matrix);
+        let rows = self.support.iter().enumerate();
+        rows.map(move |(pos, &(k, rk))| (k, rk, &m_matrix[pos * l..(pos + 1) * l]))
     }
 
     /// The probabilistic truth `s_i`.
