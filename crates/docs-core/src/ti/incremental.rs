@@ -4,9 +4,9 @@
 //! task and the worker change: the task's `M^{(i)}`/`s_i` (via the stored
 //! numerator `M̂^{(i)}`) and the qualities of the submitting worker and of
 //! the workers who answered the task before. The update costs
-//! `O(|support| · ℓ + m · |V(i)|)`, so it keeps up with high-velocity answer streams; the
-//! full iterative approach is re-run every `z` submissions (`z = 100` in
-//! DOCS) to restore full accuracy.
+//! `O(|support| · ℓ + m · |V(i)|)`, so it keeps up with high-velocity
+//! answer streams; the full iterative approach is re-run every `z`
+//! submissions (`z = 100` in DOCS) to restore full accuracy.
 
 use super::iterative::{Converged, TiConfig, TruthInference};
 use super::sharded::ShardedTiState;
@@ -173,7 +173,7 @@ impl IncrementalTi {
             .init_from_golden(worker, golden_answers, task_info, smoothing);
     }
 
-    /// Processes one answer submission with the `O(m·|V(i)|)` update policy.
+    /// Processes one answer submission with the O(m·|V(i)|) update policy.
     /// Returns `true` when the periodic full inference ran afterwards.
     pub fn submit(&mut self, answer: Answer) -> Result<bool> {
         let i = answer.task.index();
@@ -304,14 +304,16 @@ impl IncrementalTi {
             )))
         };
         let num_tasks = snapshot.tasks.len();
-        let mut m = snapshot.registry.num_domains();
+        // `m` is the tasks' domain-vector length; the registries must agree.
+        let first = snapshot
+            .tasks
+            .first()
+            .and_then(|t| t.domain_vector.as_ref());
+        let m = first.map_or(snapshot.registry.num_domains(), |r| r.len());
         for (i, task) in snapshot.tasks.iter().enumerate() {
             let Some(r) = &task.domain_vector else {
                 return refuse("tasks", format!("task {i} has no domain vector"));
             };
-            if i == 0 {
-                m = r.len();
-            }
             if r.len() != m {
                 return refuse(
                     "tasks",

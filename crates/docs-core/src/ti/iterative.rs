@@ -109,9 +109,9 @@ impl TruthInference {
     /// * `registry` — initial worker qualities (golden-task initialization
     ///   per Section 5.2; unseen workers get the registry prior).
     ///
-    /// A fresh [`TaskArena`] through the one convergence body
-    /// [`IncrementalTi::run_full`](super::IncrementalTi::run_full) runs in
-    /// place.
+    /// Converges a fresh [`TaskArena`] with the body
+    /// [`IncrementalTi::run_full`](super::IncrementalTi::run_full) runs on
+    /// the engine's own arena.
     ///
     /// # Panics
     /// Panics if a task lacks a domain vector, a domain vector is not of the
@@ -144,7 +144,7 @@ impl TruthInference {
     /// Steps 1 and 2 touch only those. Every stored value is the same bits
     /// the dense textbook loop produces on those rows (`ti::oracle` holds
     /// that loop and the tests comparing the two). A run's allocations are
-    /// its index and its output, a number the task count does not move.
+    /// its index and scratch, a count the number of tasks does not move.
     pub(super) fn converge(
         &self,
         tasks: &[Task],
