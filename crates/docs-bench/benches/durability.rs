@@ -12,7 +12,7 @@
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use docs_storage::{recover_tree, AdaptiveCommit, CampaignLog, FlushPolicy};
-use docs_system::{CampaignRegistry, Docs, DocsConfig};
+use docs_system::{Docs, DocsConfig};
 use docs_types::{Answer, CampaignEvent, CampaignId, Task, TaskBuilder, TaskId, WorkerId};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -124,10 +124,7 @@ fn snapshot_and_events(n: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
 /// Restores the snapshot and replays `events`; returns seconds.
 fn replay_latency(snapshot: &[u8], events: &[Vec<u8>]) -> f64 {
     let started = Instant::now();
-    let mut registry = CampaignRegistry::new();
-    let stats = registry
-        .replay(CAMPAIGN, snapshot, events)
-        .expect("replay succeeds");
+    let (_, stats) = Docs::replay(CAMPAIGN, snapshot, events).expect("replay succeeds");
     assert_eq!(stats.applied as usize, events.len());
     started.elapsed().as_secs_f64()
 }

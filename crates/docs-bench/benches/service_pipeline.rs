@@ -23,10 +23,8 @@
 //! example; see the verify notes in `.claude/skills/verify/SKILL.md`).
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
-use docs_service::{
-    drive_workers_blocking_on, drive_workers_on, Client, DocsService, Op, ServiceConfig,
-    ServiceHandle,
-};
+use docs_scenarios::{drive_workers_blocking_on, drive_workers_on};
+use docs_service::{Client, DocsService, Op, ServiceConfig, ServiceHandle};
 use docs_system::{Docs, DocsConfig};
 use docs_types::{CampaignId, ChoiceIndex, Task, TaskBuilder};
 use std::sync::Arc;

@@ -1,12 +1,13 @@
 //! Concurrent crowd driver: runs a simulated worker population against a
-//! live [`crate::DocsService`] from many client threads at once.
+//! live `docs_service::DocsService` from many client threads at once.
 //!
 //! On AMT the workers are independent humans hitting the web server in
-//! parallel; the single-threaded campaign loop in `docs-system` cannot
-//! exercise that. [`drive_workers_on`] shards the population across `threads`
-//! OS threads, each of which repeatedly: picks one of its workers, requests
-//! work, answers the golden HIT on first contact, answers and submits
-//! assigned tasks, and stops once the service reports the budget consumed.
+//! parallel; the single-threaded [`run_campaign`](crate::run_campaign) loop
+//! cannot exercise that. [`drive_workers_on`] shards the population across
+//! `threads` OS threads, each of which repeatedly: picks one of its workers,
+//! requests work, answers the golden HIT on first contact, answers and
+//! submits assigned tasks, and stops once the service reports the budget
+//! consumed.
 //!
 //! The driver **pipelines**: each client thread submits a HIT's answers as
 //! a ticket and immediately puts the *next* work request on the wire,
@@ -18,11 +19,8 @@
 //! strict request/response loop as the seed-architecture reference; the
 //! `service_pipeline` bench measures the two against each other.
 
-use crate::handle::{Client, Op};
-use crate::message::BatchOutcome;
-use crate::server::ServiceError;
-use crate::ticket::Ticket;
 use docs_crowd::{AnswerModel, WorkerPopulation};
+use docs_service::{BatchOutcome, Client, Op, ServiceError, Ticket};
 use docs_system::WorkRequest;
 use docs_types::{Answer, CampaignId, RejectReason, Task, WorkerId};
 use rand::rngs::SmallRng;
@@ -334,12 +332,11 @@ fn drive_shard<C: Client>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterRouter, DocsService, ServiceHandle};
     use docs_crowd::PopulationConfig;
     use docs_kb::table2_example_kb;
+    use docs_service::{ClusterRouter, DocsService, ServiceHandle};
     use docs_system::{Docs, DocsConfig};
-    use docs_types::NodeId;
-    use docs_types::TaskBuilder;
+    use docs_types::{NodeId, TaskBuilder};
 
     fn publish(n: usize, answers_per_task: usize) -> (DocsService, ServiceHandle, Arc<Vec<Task>>) {
         let kb = table2_example_kb();

@@ -26,11 +26,20 @@
 //! `quality` bench merges these into `BENCH_quality.json`, which
 //! `scripts/bench_gate.py` gates like any perf number — a PR that makes
 //! the service faster but dumber now fails CI.
+//!
+//! The crowd drivers live here too, so no production layer links a
+//! simulated crowd: [`drive_workers_on`] (pipelined, many client threads),
+//! its byte-identical reference [`drive_workers_blocking_on`], and the
+//! in-process [`run_campaign`].
 
+mod campaign;
+mod drivers;
 mod run;
 mod score;
 mod spec;
 
+pub use campaign::{run_campaign, CampaignReport};
+pub use drivers::{drive_workers_blocking_on, drive_workers_on, DriveOutcome, DriveReport};
 pub use run::{run_scenario, DriveMirror, ScenarioOutcome};
 pub use score::{bench_metrics, render_table, score, QualityReport};
 pub use spec::{

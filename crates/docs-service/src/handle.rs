@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// else about an operation — where it is routed, whether a follower may
 /// serve it — is read off the request.
 pub struct Op<T> {
-    request: Request,
+    pub(crate) request: Request,
     decode: fn(Response) -> Result<T, ServiceError>,
 }
 

@@ -10,7 +10,8 @@
 //! runtime** with a **pipelined submission/completion API** (see
 //! ARCHITECTURE.md at the workspace root):
 //!
-//! * [`DocsService`] runs a pool of shard threads; each shard owns a
+//! * [`DocsService`] runs a pool of shard threads; each thread drives one
+//!   steppable shard state machine that owns a
 //!   [`docs_system::CampaignRegistry`] of the campaigns hashed to it
 //!   (`CampaignId::shard`). A campaign's requests are processed strictly in
 //!   arrival order on its owning shard — the same serialization a
@@ -79,24 +80,19 @@
 //!   the owner and the router retries there. Live campaign migration
 //!   (fence → chase tail → adopt → flip the directory epoch) lives in
 //!   `docs-replication::migrate_campaign` (see ARCHITECTURE.md,
-//!   "Cluster & migration"),
-//! * [`drive_workers_on`] runs a whole simulated crowd (from
-//!   `docs-crowd`) against one campaign of any [`Client`] from `threads`
-//!   parallel clients until the budget is consumed, **pipelining** each
-//!   client's next HIT request behind its in-flight submission;
-//!   [`drive_workers_blocking_on`] keeps the strict request/response loop
-//!   as the seed-architecture reference (byte-identical truths, measurably
-//!   lower throughput — see the `service_pipeline` bench).
+//!   "Cluster & migration").
+//!
+//! The simulated crowd that drives the service in tests and experiments
+//! (`drive_workers_on`, `run_campaign`) lives in `docs-scenarios`.
 
-mod client;
 mod handle;
 mod message;
 mod metrics;
 mod routing;
 mod server;
+mod shard;
 mod ticket;
 
-pub use client::{drive_workers_blocking_on, drive_workers_on, DriveOutcome, DriveReport};
 pub use handle::{Client, Op, ServiceHandle};
 pub use message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
 pub use metrics::{

@@ -11,10 +11,9 @@
 //! 4. persists worker statistics and task state in the parameter database
 //!    (`docs-storage`), merging a returning worker's history by Theorem 1,
 //! 5. returns the inferred truths to the requester when the budget is
-//!    consumed.
-//!
-//! [`run_campaign`] additionally wires a whole simulated AMT campaign
-//! (`docs-crowd`) through the system for the examples and experiments.
+//!    consumed. Scoring those truths against ground truth is the
+//!    evaluation's job, not the requester's: the simulated crowd and its
+//!    scoring live in `docs-crowd` and `docs-scenarios`.
 
 mod campaign;
 mod config;
@@ -22,7 +21,7 @@ mod ownership;
 mod system;
 mod watermark;
 
-pub use campaign::{run_campaign, CampaignRegistry, CampaignReport, ReplayStats};
+pub use campaign::{CampaignRegistry, ReplayStats};
 pub use config::DocsConfig;
 pub use ownership::{MutationAdmission, OwnershipTable};
 pub use system::{

@@ -9,14 +9,16 @@
 //! exactly what the service's write-ahead log records, and what
 //! [`Docs::restore`] + replay rebuild after a crash.
 
-use crate::DocsConfig;
+use crate::{DocsConfig, ReplayStats};
 use docs_core::dve;
 use docs_core::golden::select_golden_tasks;
 use docs_core::ota::{Assigner, AssignerConfig};
 use docs_core::ti::{IncrementalTi, TiSnapshot, WorkerRegistry, WorkerStats};
 use docs_kb::{EntityLinker, KnowledgeBase};
 use docs_storage::ParamStore;
-use docs_types::{Answer, CampaignEvent, ChoiceIndex, Error, Result, Task, TaskId, WorkerId};
+use docs_types::{
+    codec, Answer, CampaignEvent, CampaignId, ChoiceIndex, Error, Result, Task, TaskId, WorkerId,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -41,8 +43,6 @@ pub struct RequesterReport {
     pub truth_distributions: Vec<Vec<f64>>,
     /// Total answers collected.
     pub answers_collected: usize,
-    /// Accuracy against ground truth where available (evaluation only).
-    pub accuracy: f64,
 }
 
 /// A campaign's observable serving state — the read-path summary a
@@ -585,8 +585,6 @@ impl Docs {
     /// recomputes everything from them), so a recovered campaign that
     /// reaches the same log reports byte-identical truths.
     pub fn report(&self) -> RequesterReport {
-        let truths = self.engine.truths();
-        let accuracy = docs_crowd::accuracy_of(&truths, self.engine.tasks());
         RequesterReport {
             truth_distributions: self
                 .engine
@@ -595,8 +593,7 @@ impl Docs {
                 .map(|s| s.s().to_vec())
                 .collect(),
             answers_collected: self.answers_collected(),
-            truths,
-            accuracy,
+            truths: self.engine.truths(),
         }
     }
 
@@ -634,6 +631,57 @@ impl Docs {
             config: snapshot.config,
             store,
         })
+    }
+
+    /// Rebuilds campaign `id` from its serialized snapshot plus the ordered
+    /// event suffix the write-ahead log recovered after it — the recovery
+    /// path of the durable service.
+    ///
+    /// Event payloads are the codec records of the [`CampaignEvent`]s the
+    /// service logged. Malformed bytes fail loudly ([`Error::Storage`]),
+    /// while events whose *application* is rejected are counted and skipped
+    /// (the same rejection happened live, deterministically).
+    ///
+    /// The events are generic over any borrowable byte container so the
+    /// zero-copy recovery path can pass arena-backed views without first
+    /// copying each payload into an owned `Vec<u8>`.
+    pub fn replay(
+        id: CampaignId,
+        snapshot: &[u8],
+        events: &[impl AsRef<[u8]>],
+    ) -> Result<(Docs, ReplayStats)> {
+        let snapshot: CampaignSnapshot = codec::from_bytes(snapshot)
+            .map_err(|e| Error::Storage(format!("campaign {id} snapshot: {e}")))?;
+        let mut docs = Docs::restore(snapshot)?;
+        let mut stats = ReplayStats::default();
+        for (i, raw) in events.iter().enumerate() {
+            let event: CampaignEvent = codec::decode_event(raw.as_ref())
+                .map_err(|e| Error::Storage(format!("campaign {id} event {i}: {e}")))?;
+            // A `Published` marker pins the shape the snapshot must
+            // satisfy — a mismatch means the snapshot and log belong to
+            // different campaigns (mispaired files, tampering).
+            if let CampaignEvent::Published(p) = &event {
+                if p.num_tasks as usize != docs.tasks().len() {
+                    return Err(Error::Storage(format!(
+                        "campaign {id} snapshot/log mismatch: log published {} tasks, \
+                         snapshot holds {}",
+                        p.num_tasks,
+                        docs.tasks().len()
+                    )));
+                }
+            }
+            match docs.apply(&event) {
+                Ok(()) => stats.applied += 1,
+                Err(Error::Storage(msg)) => {
+                    // A storage failure during replay (e.g. the campaign's
+                    // parameter database is unwritable) is not deterministic
+                    // rejection — surface it.
+                    return Err(Error::Storage(format!("campaign {id} event {i}: {msg}")));
+                }
+                Err(_) => stats.rejected += 1,
+            }
+        }
+        Ok((docs, stats))
     }
 
     fn persist_worker(&self, worker: WorkerId) -> Result<()> {
@@ -1071,8 +1119,12 @@ mod tests {
             }
         }
         let report = docs.finish().unwrap();
-        assert_eq!(report.truths.len(), 4);
-        assert_eq!(report.accuracy, 1.0);
+        let ground: Vec<_> = docs
+            .tasks()
+            .iter()
+            .map(|t| t.ground_truth.unwrap())
+            .collect();
+        assert_eq!(report.truths, ground);
         assert_eq!(report.answers_collected, 12);
     }
 
@@ -1355,7 +1407,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_replays_snapshot_plus_event_suffix() {
+    fn replay_restores_snapshot_plus_event_suffix() {
         use docs_types::{CampaignEvent, CampaignId};
         let kb = table2_example_kb();
         let mut live = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
@@ -1394,19 +1446,14 @@ mod tests {
         .unwrap();
         let reference = live.finish().unwrap();
 
-        let mut registry = crate::CampaignRegistry::new();
-        let stats = registry
-            .replay(CampaignId(3), &snapshot, &payloads)
-            .unwrap();
+        let (docs, stats) = Docs::replay(CampaignId(3), &snapshot, &payloads).unwrap();
         assert_eq!(stats.applied, 3);
         assert_eq!(stats.rejected, 1, "duplicate answer skipped");
-        let replayed = registry.get(CampaignId(3)).unwrap().report();
+        let replayed = docs.report();
         assert_eq!(replayed.truths, reference.truths);
         assert_eq!(replayed.truth_distributions, reference.truth_distributions);
         // Garbage event bytes fail loudly.
-        let err = registry
-            .replay(CampaignId(4), &snapshot, &[b"not a record".to_vec()])
-            .unwrap_err();
+        let err = Docs::replay(CampaignId(4), &snapshot, &[b"not a record".to_vec()]).unwrap_err();
         assert!(matches!(err, Error::Storage(_)), "{err}");
         // A `Published` marker disagreeing with the snapshot's task count
         // means the snapshot and log are mispaired — refuse to replay.
@@ -1416,9 +1463,7 @@ mod tests {
                 num_tasks: 999,
                 num_golden: 2,
             }));
-        let err = registry
-            .replay(CampaignId(5), &snapshot, &[mispaired])
-            .unwrap_err();
+        let err = Docs::replay(CampaignId(5), &snapshot, &[mispaired]).unwrap_err();
         assert!(err.to_string().contains("mismatch"), "{err}");
     }
 

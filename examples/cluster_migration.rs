@@ -14,6 +14,7 @@
 //! 3. the directory flip converges: after the new map is installed the
 //!    router sends writes straight to the new owner.
 
+use docs_crowd::accuracy_of;
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
     AdaptiveCommit, Client, ClusterNode, ClusterRouter, Counter, DocsService, DurabilityConfig,
@@ -248,7 +249,7 @@ fn main() {
         stats.wrong_node_redirects,
         stats.forwarded_writes,
         report.answers_collected,
-        report.accuracy,
+        accuracy_of(&report.truths, &tasks()),
     );
     assert_eq!(
         handle0.metrics().counter(Counter::CampaignsFenced),

@@ -18,8 +18,9 @@
 //! (the concurrent version of Figure 8(b)'s worst-case assignment time),
 //! and the per-shard queue statistics.
 
-use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
-use docs_service::{drive_workers_on, Client, DocsService, Op, OpKind, ServiceConfig};
+use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
+use docs_scenarios::drive_workers_on;
+use docs_service::{Client, DocsService, Op, OpKind, ServiceConfig};
 use docs_system::{Docs, DocsConfig};
 use docs_types::Task;
 use std::sync::Arc;
@@ -76,7 +77,7 @@ fn run_pool(shards: usize) -> (f64, usize, docs_service::ServiceMetrics) {
                 let report = drive_workers_on(
                     &handle,
                     campaign,
-                    tasks,
+                    Arc::clone(&tasks),
                     &population,
                     AnswerModel::DomainUniform,
                     CLIENTS_PER_CAMPAIGN,
@@ -84,7 +85,8 @@ fn run_pool(shards: usize) -> (f64, usize, docs_service::ServiceMetrics) {
                 )
                 .expect("drive campaign");
                 let final_report = handle.call(Op::finish(campaign)).expect("finish campaign");
-                (report.total_answers(), final_report.accuracy)
+                let accuracy = accuracy_of(&final_report.truths, &tasks);
+                (report.total_answers(), accuracy)
             })
         })
         .collect();

@@ -22,10 +22,11 @@
 //!    the `fdatasync` so durable throughput stays within ~2× of memory;
 //!    the numbers land in `BENCH_durability.json` for trend tracking.
 
-use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
+use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
+use docs_scenarios::drive_workers_on;
 use docs_service::{
-    drive_workers_on, AdaptiveCommit, Client, DocsService, DurabilityConfig, ServiceConfig,
-    ServiceError, ServiceHandle,
+    AdaptiveCommit, Client, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
+    ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -190,7 +191,8 @@ fn recovery_smoke(dir: &Path) {
     assert_eq!(report.answers_collected, reference.answers_collected);
     println!(
         "  report byte-identical to the uninterrupted run ✓ ({} answers, accuracy {:.3})",
-        report.answers_collected, report.accuracy
+        report.answers_collected,
+        accuracy_of(&report.truths, &smoke_tasks())
     );
     drop(handle);
     let _ = service.join_all();

@@ -12,7 +12,8 @@
 
 use docs_crowd::WorkerPopulation;
 use docs_datasets::pools::domains::{FOOD, SPORTS};
-use docs_system::{run_campaign, DocsConfig};
+use docs_scenarios::run_campaign;
+use docs_system::DocsConfig;
 use docs_types::TaskBuilder;
 
 fn sports_tasks(n: usize) -> Vec<docs_types::Task> {

@@ -10,7 +10,8 @@
 
 use docs_crowd::WorkerPopulation;
 use docs_datasets::pools::domains::SPORTS;
-use docs_system::{run_campaign, DocsConfig};
+use docs_scenarios::run_campaign;
+use docs_system::DocsConfig;
 use docs_types::TaskBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -14,6 +14,7 @@
 //! 3. the truths served before the crash are byte-identical to the
 //!    promoted primary's — and resumed traffic runs to a normal finish.
 
+use docs_crowd::accuracy_of;
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
     AdaptiveCommit, Client, ClusterRouter, DocsService, DurabilityConfig, Op, ServiceConfig,
@@ -203,7 +204,8 @@ fn main() {
     println!(
         "promoted at watermark {watermark}; {resumed} more answers after failover, \
          {} total, accuracy {:.2}",
-        report.answers_collected, report.accuracy
+        report.answers_collected,
+        accuracy_of(&report.truths, &tasks())
     );
     assert!(report.answers_collected >= status.answers_collected);
 

@@ -4,7 +4,8 @@
 use docs_baselines::ota::{DocsAssign, RandomBaseline};
 use docs_crowd::{AssignmentStrategy, Platform, PlatformConfig, WorkerPopulation};
 use docs_datasets::pools::domains::SPORTS;
-use docs_system::{run_campaign, Docs, DocsConfig, WorkRequest};
+use docs_scenarios::run_campaign;
+use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, TaskBuilder, TaskId, WorkerId};
 
 fn sports_population(size: usize) -> WorkerPopulation {

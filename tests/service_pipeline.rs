@@ -5,9 +5,9 @@
 //! push back without losing work.
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
+use docs_scenarios::{drive_workers_blocking_on, drive_workers_on};
 use docs_service::{
-    drive_workers_blocking_on, drive_workers_on, Client, DocsService, Op, RejectReason,
-    ServiceConfig, ServiceError, TicketWait,
+    Client, DocsService, Op, RejectReason, ServiceConfig, ServiceError, TicketWait,
 };
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, Task, TaskBuilder, TaskId, WorkerId};

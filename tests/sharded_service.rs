@@ -5,9 +5,8 @@
 //! single-shard (seed-architecture) path.
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
-use docs_service::{
-    drive_workers_on, Client, DocsService, DriveReport, Op, ServiceConfig, ServiceHandle,
-};
+use docs_scenarios::{drive_workers_on, DriveReport};
+use docs_service::{Client, DocsService, Op, ServiceConfig, ServiceHandle};
 use docs_system::{Docs, DocsConfig};
 use docs_types::{CampaignId, Task, TaskBuilder};
 use std::sync::Arc;
