@@ -186,7 +186,6 @@ impl IncrementalTi {
         // Sharded ingestion: only the owning shard's state is touched below.
         self.sharding.record_ingest(answer.task);
 
-        let r = self.tasks[i].domain_vector();
         // The pre-update truth s̃_i, for revising the earlier answerers.
         self.s_before.clear();
         self.s_before.extend_from_slice(self.states.view(i).s());
@@ -195,10 +194,11 @@ impl IncrementalTi {
         let submitter = self.registry.get_or_insert(answer.worker);
         self.states
             .apply_answer(i, &submitter.quality, answer.choice);
-        let s_after = self.states.view(i).s();
+        let (support, s_after) = self.states.support_and_s(i);
 
-        // Step 2 (incremental): the submitting worker absorbs the new task…
-        submitter.absorb_answer(r, s_after[answer.choice]);
+        // Step 2 (incremental), over the task's support only: the submitting
+        // worker absorbs the new task…
+        submitter.absorb_answer(support, s_after[answer.choice]);
         // …and every earlier answerer's quality is revised for the moved
         // truth probability of their recorded choice.
         let (_, prior) = self
@@ -207,9 +207,11 @@ impl IncrementalTi {
             .split_last()
             .expect("the answer was just recorded");
         for &(w_prev, j) in prior {
-            self.registry
-                .get_or_insert(w_prev)
-                .revise_answer(r, self.s_before[j], s_after[j]);
+            self.registry.get_or_insert(w_prev).revise_answer(
+                support,
+                self.s_before[j],
+                s_after[j],
+            );
         }
 
         self.submissions += 1;

@@ -257,7 +257,8 @@ impl TruthInference {
             for i in 0..n {
                 prev_s.clear();
                 prev_s.extend_from_slice(states.s_of(i));
-                states.recompute(i, |k| likelihoods.of_row(i, votes.row(i), k));
+                let (hit, miss) = likelihoods.of_task(i);
+                states.recompute(i, votes.row(i), hit, miss);
                 let s = states.s_of(i);
                 delta_s += prob::l1_distance(&prev_s, s) / (n as f64 * s.len() as f64);
             }
@@ -269,8 +270,9 @@ impl TruthInference {
                 let q = &mut qualities[base..base + m];
                 num.copy_from_slice(&num_seed[base..base + m]);
                 for &(i, choice) in answered.row(w) {
-                    let s_choice = states.s_of(i)[choice];
-                    for &(k, rk) in states.support_of(i) {
+                    let (support, s) = states.support_and_s(i);
+                    let s_choice = s[choice];
+                    for &(k, rk) in support {
                         num[k] += rk * s_choice;
                     }
                 }
@@ -295,6 +297,7 @@ impl TruthInference {
                 break;
             }
         }
+        states.refresh_entropy();
 
         *arena = owned;
         Converged {
@@ -353,7 +356,6 @@ impl<T> Csr<T> {
 /// evaluated per (answer, domain, choice): `hit` for an answer that matches
 /// the truth, and one `miss` table per distinct `ℓ` in the campaign.
 struct LikelihoodTables {
-    m: usize,
     /// `W × m`, worker-major like the flat quality buffer.
     hit: Vec<f64>,
     /// One `W × m` table per entry of `ells`, in that order.
@@ -377,7 +379,6 @@ impl LikelihoodTables {
             })
             .collect();
         LikelihoodTables {
-            m,
             hit: vec![0.0; num_workers * m],
             miss: vec![0.0; ells.len() * num_workers * m],
             ells,
@@ -397,19 +398,11 @@ impl LikelihoodTables {
         }
     }
 
-    /// The `(hit, miss, choice)` factors of row `k` of task `i`'s `M̂`, one
-    /// per answer of `votes = V(i)`, in arrival order.
-    fn of_row<'a>(
-        &'a self,
-        i: usize,
-        votes: &'a [(usize, ChoiceIndex)],
-        k: usize,
-    ) -> impl Iterator<Item = (f64, f64, ChoiceIndex)> + 'a {
-        let miss = &self.miss[self.ell_slot[i] * self.hit.len()..][..self.hit.len()];
-        votes.iter().map(move |&(w, choice)| {
-            let at = w * self.m + k;
-            (self.hit[at], miss[at], choice)
-        })
+    /// The `hit` table and task `i`'s `miss` table (its `ℓ`'s), both
+    /// `W × m`.
+    fn of_task(&self, i: usize) -> (&[f64], &[f64]) {
+        let wm = self.hit.len();
+        (&self.hit, &self.miss[self.ell_slot[i] * wm..][..wm])
     }
 }
 
@@ -564,7 +557,9 @@ mod tests {
     /// 750 answers on one task: the plain product of their likelihoods
     /// underflows in *both* slots of the row (0.9^400 · 0.1^350 < 1e-368),
     /// which used to read as "no evidence" and reset the row to uniform.
-    /// Full inference must keep the evidence, as the incremental step does.
+    /// Full inference must keep the evidence, as the incremental step does:
+    /// one iteration leaves the bits of the per-vote `apply_answer` chain at
+    /// the registry's prior quality.
     #[test]
     fn step1_keeps_the_evidence_of_hundreds_of_answers() {
         use crate::ti::IncrementalTi;
@@ -575,6 +570,7 @@ mod tests {
             .unwrap();
         let registry = WorkerRegistry::new(1, 0.9);
         let mut incremental = IncrementalTi::new(vec![task.clone()], registry.clone(), 0);
+        let mut chain = TaskArena::for_tasks(1, std::slice::from_ref(&task));
         let mut log = AnswerLog::new(1);
         for w in 0..750usize {
             let answer = Answer {
@@ -585,22 +581,69 @@ mod tests {
             };
             log.record(answer).unwrap();
             incremental.submit(answer).unwrap();
+            chain.apply_answer(0, &[0.9], answer.choice);
         }
         let one_step = TruthInference::new(TiConfig {
             max_iterations: 1,
             ..TiConfig::default()
         })
         .run(std::slice::from_ref(&task), &log, &registry);
-        assert!(
-            one_step.states.view(0).s()[0] > 0.99,
-            "{:?}",
-            one_step.states.view(0)
-        );
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows = |st: &TaskArena| -> Vec<u64> {
+            st.view(0).rows().flat_map(|(_, _, r)| bits(r)).collect()
+        };
+        let (st, want) = (&one_step.states, &chain);
+        assert_eq!(bits(st.m_hat_of(0)), bits(want.m_hat_of(0)));
+        assert_eq!(rows(st), rows(want));
+        assert_eq!(bits(st.view(0).s()), bits(want.view(0).s()));
+        assert!(st.view(0).s()[0] > 0.99, "{:?}", st.view(0));
         let converged = TruthInference::default().run(&[task], &log, &registry);
         assert!(converged.states.view(0).s()[0] > 0.99);
         assert_eq!(converged.truths, vec![0]);
         assert_eq!(incremental.truths(), converged.truths);
         assert!(incremental.states().view(0).s()[0] > 0.99);
+    }
+
+    /// Step 1 leaves `H(s)` stale and a run refreshes it once at its end:
+    /// after every run, whatever its iteration count (0 keeps `reset`'s),
+    /// each task's cached entropy is `prob::entropy(s)` to the bit.
+    #[test]
+    fn a_full_run_leaves_every_cached_entropy_current() {
+        use crate::ti::IncrementalTi;
+        let (tasks, log, _) = build_world();
+        let registry = WorkerRegistry::new(2, 0.6);
+        let mut live = IncrementalTi::new(tasks.clone(), registry.clone(), 0);
+        for i in 0..log.num_tasks() {
+            let task = TaskId::from(i);
+            for &(worker, choice) in log.task_answers(task) {
+                live.submit(Answer {
+                    task,
+                    worker,
+                    choice,
+                })
+                .unwrap();
+            }
+        }
+        let current = |states: &TaskArena| {
+            states
+                .iter()
+                .all(|t| t.entropy().to_bits() == prob::entropy(t.s()).to_bits())
+        };
+        for max_iterations in [0, 1, TiConfig::default().max_iterations] {
+            let config = TiConfig {
+                max_iterations,
+                ..TiConfig::default()
+            };
+            let run = TruthInference::new(config).run(&tasks, &log, &registry);
+            assert_eq!(run.deltas.is_empty(), max_iterations == 0);
+            assert!(current(&run.states), "run, {max_iterations} iterations");
+
+            let mut snapshot = live.snapshot();
+            snapshot.max_iterations = max_iterations;
+            let mut engine = IncrementalTi::restore(snapshot).unwrap();
+            engine.run_full();
+            assert!(current(engine.states()), "run_full, {max_iterations}");
+        }
     }
 
     #[test]

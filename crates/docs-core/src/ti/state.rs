@@ -63,6 +63,30 @@ fn absorb(hat: &mut [f64], hit: f64, miss: f64, choice: ChoiceIndex) {
     }
 }
 
+/// The plain products of Step 1: every answer `(w, choice)` of `votes`,
+/// once, multiplied into every support row of `m_hat` (`ℓ = l` wide) with
+/// its worker-major likelihood rows `hit[w·m..]` / `miss[w·m..]`.
+#[inline(always)]
+fn multiply_votes(
+    m_hat: &mut [f64],
+    support: &[(usize, f64)],
+    votes: &[(usize, ChoiceIndex)],
+    hit: &[f64],
+    miss: &[f64],
+    m: usize,
+    l: usize,
+) {
+    for &(w, choice) in votes {
+        let (hit, miss) = (&hit[w * m..][..m], &miss[w * m..][..m]);
+        for (&(k, _), hat) in support.iter().zip(m_hat.chunks_exact_mut(l)) {
+            let (hit, miss) = (hit[k], miss[k]);
+            for (j, slot) in hat.iter_mut().enumerate() {
+                *slot *= if j == choice { hit } else { miss };
+            }
+        }
+    }
+}
+
 /// Normalizes a row of `M̂` into the matching row of `M` (Eq. 3); a row
 /// without usable mass falls back to the uniform prior. Every update ends
 /// with this, so `M` is at all times a function of `M̂`.
@@ -114,9 +138,11 @@ pub struct TaskArena {
     m_matrix: Vec<f64>,
     /// Probabilistic truths `s_i`, `ℓ` entries per task.
     s: Vec<f64>,
-    /// `H(s_i)` per task, maintained whenever `s` changes, so the OTA
-    /// benefit scan reads it in O(1) instead of recomputing the entropy of
-    /// unchanged posteriors on every worker request.
+    /// `H(s_i)` per task, current whenever the arena is readable (every
+    /// update but full inference's Step 1 refreshes it with `s`; a full run
+    /// refreshes it once at its end), so the OTA benefit scan reads it in
+    /// O(1) instead of recomputing the entropy of unchanged posteriors on
+    /// every worker request.
     entropy: Vec<f64>,
 }
 
@@ -221,6 +247,13 @@ impl TaskArena {
         &self.support[self.offsets[i].support..self.offsets[i + 1].support]
     }
 
+    /// Task `i`'s support and `s`, from one read of its offsets.
+    #[inline]
+    pub(super) fn support_and_s(&self, i: usize) -> (&[(usize, f64)], &[f64]) {
+        let (a, b) = self.span(i);
+        (&self.support[a.support..b.support], &self.s[a.s..b.s])
+    }
+
     /// Task `i`'s `s`, without the rest of its view.
     #[inline]
     pub(super) fn s_of(&self, i: usize) -> &[f64] {
@@ -278,26 +311,63 @@ impl TaskArena {
             normalize_row(hat, &mut t.m_matrix[pos * l..(pos + 1) * l]);
         }
         t.refresh_s();
+        *t.entropy = prob::entropy(t.s);
     }
 
-    /// Step 1 for task `i` (Eqs. 2–4): rebuilds each support row `k` of `M̂`
-    /// as the product of the `(hit, miss, choice)` likelihoods `factors(k)`
-    /// yields — in `V(i)` order — renormalizes it, then recomputes `s`.
-    pub(super) fn recompute<I>(&mut self, i: usize, mut factors: impl FnMut(usize) -> I)
-    where
-        I: Iterator<Item = (f64, f64, ChoiceIndex)>,
-    {
+    /// Step 1 for task `i` (Eqs. 2–4), vote-major: each answer `(w, choice)`
+    /// of `votes = V(i)` is read once, and its worker-major Eq. 4 rows
+    /// `hit[w·m..]` / `miss[w·m..]` (`miss` for the task's `ℓ`) feed every
+    /// support row of `M̂` together. Then each row is normalized and `s`
+    /// recomputed; `H(s)` is left to [`TaskArena::refresh_entropy`].
+    ///
+    /// No rescale test runs per answer. Every factor is at most 1, so no
+    /// slot of a row, and so not the row's max, ever grows: a row whose final
+    /// max is still `≥ RESCALE_BELOW` never fell below it, and is bit for bit
+    /// the product `absorb` builds. Only a row ending below it is rebuilt
+    /// vote by vote through `absorb` (the max skips NaN, as `absorb`'s does,
+    /// so an all-zero or all-NaN row reads 0 and is rebuilt too).
+    pub(super) fn recompute(
+        &mut self,
+        i: usize,
+        votes: &[(usize, ChoiceIndex)],
+        hit: &[f64],
+        miss: &[f64],
+    ) {
+        let m = self.m;
         let mut t = self.task_mut(i);
         let l = t.s.len();
-        for (pos, &(k, _)) in t.support.iter().enumerate() {
-            let hat = &mut t.m_hat[pos * l..(pos + 1) * l];
-            hat.fill(1.0);
-            for (hit, miss, choice) in factors(k) {
-                absorb(hat, hit, miss, choice);
+        t.m_hat.fill(1.0);
+        // ℓ = 2 (yes/no and every canonical workload) gets its own copy of
+        // the loop with the row width known.
+        if l == 2 {
+            multiply_votes(t.m_hat, t.support, votes, hit, miss, m, 2);
+        } else {
+            multiply_votes(t.m_hat, t.support, votes, hit, miss, m, l);
+        }
+        let rows = t
+            .m_hat
+            .chunks_exact_mut(l)
+            .zip(t.m_matrix.chunks_exact_mut(l));
+        for (&(k, _), (hat, row)) in t.support.iter().zip(rows) {
+            let max = hat.iter().fold(0.0_f64, |max, &x| max.max(x));
+            if max < RESCALE_BELOW {
+                hat.fill(1.0);
+                for &(w, choice) in votes {
+                    absorb(hat, hit[w * m + k], miss[w * m + k], choice);
+                }
             }
-            normalize_row(hat, &mut t.m_matrix[pos * l..(pos + 1) * l]);
+            normalize_row(hat, row);
         }
         t.refresh_s();
+    }
+
+    /// `H(s_i)` of every task from its current `s`. Full inference's Step 1
+    /// leaves it stale (neither Step 2 nor Δ reads it), so a run refreshes
+    /// it once, after its last iteration.
+    pub(super) fn refresh_entropy(&mut self) {
+        for (h, span) in self.entropy.iter_mut().zip(self.offsets.windows(2)) {
+            *h = prob::entropy(&self.s[span[0].s..span[1].s]);
+        }
     }
 
     /// Task `i`'s support rows of `M̂`, row-major — for the oracle tests.
@@ -336,8 +406,8 @@ impl TaskArena {
             for (hat, row) in rows.zip(self.m_matrix[a.cells..b.cells].chunks_exact_mut(l)) {
                 normalize_row(hat, row);
             }
-            self.entropy[i] = prob::entropy(&self.s[a.s..b.s]);
         }
+        self.refresh_entropy();
     }
 }
 
@@ -352,7 +422,7 @@ struct TaskMut<'a> {
 
 impl TaskMut<'_> {
     /// `s_i = r^{t_i} × M^{(i)}` (Eq. 2) over the support rows, ascending
-    /// `k`, and its entropy.
+    /// `k`.
     #[inline]
     fn refresh_s(&mut self) {
         let l = self.s.len();
@@ -364,7 +434,6 @@ impl TaskMut<'_> {
             }
         }
         prob::normalize_in_place(self.s);
-        *self.entropy = prob::entropy(self.s);
     }
 }
 
@@ -474,16 +543,19 @@ mod tests {
         TaskArena::new(r.len(), [(r, num_choices)])
     }
 
-    /// Step 1 for the task through the row kernel: every support row
-    /// rebuilt from `answers = [(worker, choice)]` and `qualities[worker]`.
+    /// Step 1 for task 0 from `answers = [(worker, choice)]` and
+    /// `qualities[worker]`, through the worker-major likelihood tables full
+    /// inference builds, then its entropy.
     fn recompute(st: &mut TaskArena, answers: &[(usize, ChoiceIndex)], qualities: &[Vec<f64>]) {
         let l = st.view(0).num_choices();
-        st.recompute(0, |k| {
-            answers.iter().map(move |&(w, choice)| {
-                let hit = clamp_quality(qualities[w][k]);
-                (hit, miss_likelihood(hit, l), choice)
-            })
-        });
+        let hit: Vec<f64> = qualities
+            .iter()
+            .flatten()
+            .map(|&q| clamp_quality(q))
+            .collect();
+        let miss: Vec<f64> = hit.iter().map(|&h| miss_likelihood(h, l)).collect();
+        st.recompute(0, answers, &hit, &miss);
+        st.refresh_entropy();
     }
 
     /// Table 1 / Section 4.1 running example: three workers answer task t1
@@ -650,6 +722,64 @@ mod tests {
         assert!(fresh(&st) < 1e-15);
         st.reset(0);
         assert!(fresh(&st) < 1e-15);
+    }
+
+    /// The vote-major Step 1 leaves the bits of the per-vote `apply_answer`
+    /// chain on rows that took `absorb`'s rescale and on rows that did not.
+    /// 96 votes (60 for choice 0, 36 for choice 1) at qualities `[0.5, 1, 0]`,
+    /// two of them clamped: the `q = 1` row's plain product falls below
+    /// `RESCALE_BELOW` mid-stream, and the `q = 0` row keeps its max above it
+    /// while its choice-0 slot underflows to 0.
+    #[test]
+    fn vote_major_step1_matches_the_per_vote_chain_by_bits() {
+        let quality = vec![0.5, 1.0, 0.0];
+        let answers: Vec<(usize, ChoiceIndex)> =
+            (0..96).map(|w| (w, usize::from(w % 8 < 3))).collect();
+        let qualities = vec![quality.clone(); answers.len()];
+        let r = DomainVector::uniform(3);
+        let mut chain = one(&r, 3);
+        for &(_, choice) in &answers {
+            chain.apply_answer(0, &quality, choice);
+        }
+        let mut batch = one(&r, 3);
+        recompute(&mut batch, &answers, &qualities);
+
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let m_of = |st: &TaskArena| st.view(0).m_matrix.to_vec();
+        assert_eq!(bits(batch.m_hat_of(0)), bits(chain.m_hat_of(0)));
+        assert_eq!(bits(&m_of(&batch)), bits(&m_of(&chain)));
+        assert_eq!(bits(batch.view(0).s()), bits(chain.view(0).s()));
+        let (h_batch, h_chain) = (batch.view(0).entropy(), chain.view(0).entropy());
+        assert_eq!(h_batch.to_bits(), h_chain.to_bits());
+
+        // The plain products the vote-major pass starts from, per domain.
+        let plain = |k: usize| {
+            let hit = clamp_quality(quality[k]);
+            let miss = miss_likelihood(hit, 3);
+            let mut hat = [1.0; 3];
+            let mut crossed_at = None;
+            for (n, &(_, choice)) in answers.iter().enumerate() {
+                for (j, slot) in hat.iter_mut().enumerate() {
+                    *slot *= if j == choice { hit } else { miss };
+                }
+                if crossed_at.is_none() && hat.iter().all(|&x| x < RESCALE_BELOW) {
+                    crossed_at = Some(n);
+                }
+            }
+            (hat, crossed_at)
+        };
+        let (_, crossed) = plain(1);
+        let crossed = crossed.expect("the q = 1 row falls below the threshold");
+        assert!(
+            crossed > 0 && crossed < answers.len() / 2,
+            "at vote {crossed}"
+        );
+        let rescaled = &batch.m_hat_of(0)[3..6];
+        assert!(rescaled.iter().any(|&x| x >= RESCALE_BELOW), "{rescaled:?}");
+        let (hat, crossed) = plain(2);
+        assert_eq!(crossed, None, "the q = 0 row never rescales");
+        assert_eq!(hat[0], 0.0, "its choice-0 slot underflows");
+        assert_eq!(batch.m_hat_of(0)[6], 0.0);
     }
 
     #[test]

@@ -54,14 +54,11 @@ impl WorkerStats {
     /// Incremental self-update for one newly answered task (Section 4.2,
     /// Step 2, rule (1)): `q_k ← (q_k·u_k + s_{i,a}·r_k)/(u_k + r_k)`,
     /// `u_k ← u_k + r_k`, where `s_{i,a}` is the (updated) probability that
-    /// the worker's answer `a` is the truth.
-    pub fn absorb_answer(&mut self, r: &DomainVector, s_ia: f64) {
-        debug_assert_eq!(self.num_domains(), r.len());
-        for k in 0..self.quality.len() {
-            let rk = r[k];
-            if rk == 0.0 {
-                continue;
-            }
+    /// the worker's answer `a` is the truth. `support` is the task's
+    /// `{(k, r_k) : r_k ≠ 0}` ([`DomainVector::support`]): a domain with
+    /// `r_k = 0` is left as it is.
+    pub fn absorb_answer(&mut self, support: &[(usize, f64)], s_ia: f64) {
+        for &(k, rk) in support {
             let new_weight = self.weight[k] + rk;
             self.quality[k] = (self.quality[k] * self.weight[k] + s_ia * rk) / new_weight;
             self.weight[k] = new_weight;
@@ -71,12 +68,11 @@ impl WorkerStats {
     /// Incremental correction for a *previously counted* answer whose truth
     /// probability changed from `s_old` to `s_new` (Section 4.2, Step 2,
     /// rule (2)): `q_k ← (q_k·u_k − s̃_{i,j}·r_k + s_{i,j}·r_k)/u_k`.
-    /// The weight is unchanged — the task was already counted.
-    pub fn revise_answer(&mut self, r: &DomainVector, s_old: f64, s_new: f64) {
-        debug_assert_eq!(self.num_domains(), r.len());
-        for k in 0..self.quality.len() {
-            let rk = r[k];
-            if rk == 0.0 || self.weight[k] == 0.0 {
+    /// The weight is unchanged — the task was already counted. `support` is
+    /// as in [`WorkerStats::absorb_answer`].
+    pub fn revise_answer(&mut self, support: &[(usize, f64)], s_old: f64, s_new: f64) {
+        for &(k, rk) in support {
+            if self.weight[k] == 0.0 {
                 continue;
             }
             self.quality[k] =
@@ -271,7 +267,7 @@ mod tests {
 
     #[test]
     fn absorb_then_revise_matches_direct() {
-        let r = DomainVector::new(vec![1.0]).unwrap();
+        let r = [(0, 1.0)];
         let mut stats = WorkerStats {
             quality: vec![0.5],
             weight: vec![2.0],

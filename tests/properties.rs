@@ -238,7 +238,7 @@ proptest! {
         updates in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..30)
     ) {
         let mut stats = WorkerStats::with_prior(2, 0.7);
-        let r = DomainVector::new(vec![0.6, 0.4]).unwrap();
+        let r = [(0, 0.6), (1, 0.4)];
         for &(s_new, s_old, s_rev) in &updates {
             stats.absorb_answer(&r, s_new);
             stats.revise_answer(&r, s_old.min(s_rev), s_old.max(s_rev));
