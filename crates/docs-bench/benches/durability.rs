@@ -33,7 +33,6 @@ fn policies() -> Vec<FlushPolicy> {
         FlushPolicy::Batch(16),
         FlushPolicy::Batch(64),
         FlushPolicy::Batch(256),
-        FlushPolicy::IntervalMs(5),
     ]
 }
 

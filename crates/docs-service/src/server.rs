@@ -40,7 +40,7 @@ use crate::handle::ServiceHandle;
 use crate::message::{Completion, RequestEnvelope};
 use crate::metrics::{Counter, ServiceMetrics};
 use crate::shard::{Input, Recovered, Shard, Wait};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use docs_storage::{recover_tree, AdaptiveCommit, FlushPolicy};
 use docs_system::{CampaignRegistry, Docs};
 use docs_types::{CampaignId, NodeId, RejectReason, ReplicaRole, ReplicationFrame};
@@ -310,9 +310,9 @@ const DEFAULT_CAMPAIGN: CampaignId = CampaignId(0);
 
 /// The shard thread: a thin driver around one [`Shard`]. It receives the
 /// way [`Shard::wait`] says, stops as soon as a simulated crash is flagged —
-/// checked once per input, so neither the idle timer nor an adaptive batch
-/// close can harden the buffer a kill is meant to lose — and steps the
-/// shard. The loop ends when every handle (every sender) is dropped.
+/// checked once per input, so an adaptive batch close cannot harden the
+/// buffer a kill is meant to lose — and steps the shard. The loop ends
+/// when every handle (every sender) is dropped.
 fn shard_loop(mut shard: Shard, rx: Receiver<Inbound>, crash: Arc<AtomicBool>) -> CampaignRegistry {
     loop {
         let input = match shard.wait() {
@@ -320,11 +320,6 @@ fn shard_loop(mut shard: Shard, rx: Receiver<Inbound>, crash: Arc<AtomicBool>) -
                 Ok(inbound) => Input::Request(inbound),
                 Err(TryRecvError::Empty) => Input::QueueEmpty,
                 Err(TryRecvError::Disconnected) => break,
-            },
-            Wait::For(due) => match rx.recv_timeout(due) {
-                Ok(inbound) => Input::Request(inbound),
-                Err(RecvTimeoutError::Timeout) => Input::Timeout,
-                Err(RecvTimeoutError::Disconnected) => break,
             },
             Wait::Block => match rx.recv() {
                 Ok(inbound) => Input::Request(inbound),

@@ -2,13 +2,14 @@
 //!
 //! A [`Shard`] owns all of one shard's state: the [`CampaignRegistry`] of
 //! the campaigns hashed to it, their log ([`ShardDurability`]), the
-//! [`OwnershipTable`], the completions adaptive group commit withholds, and
-//! the idle-flush backoff. Its driver (the shard thread in `server.rs`)
-//! asks [`Shard::wait`] how to receive, hands what arrives to
-//! [`Shard::step`], and ends with [`Shard::stop`]. Nothing here touches a
-//! receiver, a thread or the crash flag, so a test can step a shard by
-//! hand. Effects leave through the existing seams only: each request's
-//! completion `Sender`, the [`ReplicationSink`] and the [`CampaignLog`].
+//! [`OwnershipTable`] and the completions adaptive group commit withholds.
+//! Its driver (the shard thread in `server.rs`) asks [`Shard::wait`] how to
+//! receive, hands what arrives to [`Shard::step`], and ends with
+//! [`Shard::stop`]. Every transition comes from a request or an empty
+//! queue, never from a clock, and nothing here touches a receiver, a thread
+//! or the crash flag, so a test can step a shard by hand. Effects leave
+//! through the existing seams only: each request's completion `Sender`, the
+//! [`ReplicationSink`] and the [`CampaignLog`].
 
 use crate::message::{BatchOutcome, Completion, Request, Response};
 use crate::metrics::{Counter, OpKind, ServiceMetrics, Stage};
@@ -24,7 +25,7 @@ use docs_types::{
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the driver should receive the shard's next input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +33,6 @@ pub(crate) enum Wait {
     /// Completions are withheld: take a queued request without blocking,
     /// or report [`Input::QueueEmpty`].
     Poll,
-    /// An idle flush is pending: block at most this long, then report
-    /// [`Input::Timeout`].
-    For(Duration),
     /// Nothing is pending: block until a request arrives.
     Block,
 }
@@ -45,8 +43,6 @@ pub(crate) enum Input {
     Request(Inbound),
     /// A [`Wait::Poll`] found the queue empty.
     QueueEmpty,
-    /// A [`Wait::For`] elapsed without a request.
-    Timeout,
 }
 
 /// A recovered campaign on its way into a shard: its replayed state, its
@@ -266,10 +262,6 @@ pub(crate) struct Shard {
     /// order, every completion behind it) queues here until the batch's one
     /// `fdatasync` lands.
     deferred: Vec<DeferredCompletion>,
-    /// After a *failed* idle flush the buffer stays pending and its
-    /// deadline stays at zero; retry only once per interval window instead
-    /// of busy-spinning on a disk that keeps erroring.
-    idle_flush_retry_at: Option<Instant>,
 }
 
 impl Shard {
@@ -319,7 +311,6 @@ impl Shard {
             role: role.clone(),
             next_campaign: Arc::clone(next_campaign),
             deferred: Vec::new(),
-            idle_flush_retry_at: None,
         };
         for (campaign, docs, policy, seq) in recovered {
             shard
@@ -337,26 +328,12 @@ impl Shard {
     /// keeps eating queued requests without blocking — the batch grows
     /// under load until a bound trips inside `append_event` — and the
     /// moment the queue is empty it closes the batch instead of sitting on
-    /// it: load grows the batch, idleness shrinks it. `IntervalMs`'s
-    /// elapsed check only runs at append time, so with such a deadline
-    /// pending an idle shard waits with a timeout and hardens the buffer
-    /// the moment the window elapses.
+    /// it: load grows the batch, idleness shrinks it.
     pub(crate) fn wait(&self) -> Wait {
-        if !self.deferred.is_empty() {
-            return Wait::Poll;
-        }
-        match self
-            .durability
-            .as_ref()
-            .and_then(|d| d.log.idle_flush_due_in())
-        {
-            None => Wait::Block,
-            Some(due) => {
-                let backoff = self.idle_flush_retry_at.map_or(Duration::ZERO, |retry| {
-                    retry.saturating_duration_since(Instant::now())
-                });
-                Wait::For(due.max(backoff).max(Duration::from_millis(1)))
-            }
+        if self.deferred.is_empty() {
+            Wait::Block
+        } else {
+            Wait::Poll
         }
     }
 
@@ -365,7 +342,6 @@ impl Shard {
         match input {
             Input::Request(inbound) => self.serve(inbound),
             Input::QueueEmpty => self.close_adaptive_batch(),
-            Input::Timeout => self.flush_idle(),
         }
     }
 
@@ -830,36 +806,6 @@ impl Shard {
             d.observe(self.index, &self.metrics);
         }
         self.release_deferred();
-    }
-
-    /// [`Input::Timeout`]: hardens a buffer whose interval elapsed while
-    /// the shard sat idle; idle-hardened events ship exactly like a
-    /// request-path group commit's would. A failure backs off for one
-    /// interval, floored so `IntervalMs(0)` cannot turn a broken disk into
-    /// a ~1 kHz retry spin.
-    fn flush_idle(&mut self) {
-        let Some(d) = self.durability.as_mut() else {
-            return;
-        };
-        match d.log.flush_if_due() {
-            Ok(flushed) => {
-                self.idle_flush_retry_at = None;
-                if flushed {
-                    d.ship(&self.metrics);
-                }
-            }
-            Err(e) => {
-                let kind = JournalKind::FlushFailure;
-                journal_failure(&self.metrics, self.index, kind, "idle interval flush", &e);
-                let backoff = d
-                    .log
-                    .min_interval()
-                    .unwrap_or(Duration::from_secs(1))
-                    .max(Duration::from_millis(100));
-                self.idle_flush_retry_at = Some(Instant::now() + backoff);
-            }
-        }
-        d.observe(self.index, &self.metrics);
     }
 
     /// Sends every withheld completion in arrival order. A sampled

@@ -16,7 +16,7 @@
 //! **Group commit.** Appends buffer in memory; a flush writes the whole
 //! batch in one syscall and `fdatasync`s once. [`FlushPolicy`] decides when:
 //! `EveryEvent` syncs per append (strict durability, slow), `Batch(n)`
-//! amortizes the sync over `n` events, `IntervalMs` over a time window.
+//! amortizes the sync over `n` events.
 //! Policies are per campaign — one strict campaign forces a flush that
 //! opportunistically hardens every buffered neighbor's events too.
 //!
@@ -53,9 +53,6 @@ pub enum FlushPolicy {
     /// `n - 1` acknowledged events (they are never *reordered* or
     /// half-applied — recovery sees a clean prefix).
     Batch(usize),
-    /// Group commit on a timer: sync when this many milliseconds have
-    /// passed since the previous sync (checked at append time).
-    IntervalMs(u64),
 }
 
 impl FlushPolicy {
@@ -64,7 +61,6 @@ impl FlushPolicy {
         match self {
             FlushPolicy::EveryEvent => "every_event".to_string(),
             FlushPolicy::Batch(n) => format!("batch_{n}"),
-            FlushPolicy::IntervalMs(ms) => format!("interval_{ms}ms"),
         }
     }
 }
@@ -78,7 +74,7 @@ impl FlushPolicy {
 /// Durability semantics are preserved by the *owner*, not the log: the
 /// service shard withholds acknowledgements for events in an open batch and
 /// releases them only after the batch flushes — acknowledged still implies
-/// durable, but the `fdatasync` cost is amortized like `Batch`/`IntervalMs`.
+/// durable, but the `fdatasync` cost is amortized like `Batch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveCommit {
     /// Flush once this many events are buffered.
@@ -110,8 +106,8 @@ pub struct FlushStats {
     /// Events made durable across those flushes.
     pub flushed_events: u64,
     /// Policy-triggered flushes that failed at append time; the buffered
-    /// events stay pending and the next flush trigger (append, idle
-    /// timer, finish, shutdown) resumes them.
+    /// events stay pending and the next flush trigger (append, batch
+    /// close, finish, shutdown) resumes them.
     pub flush_failures: u64,
     /// Wall time of the most recent flush.
     pub last_flush: Duration,
@@ -154,7 +150,6 @@ pub struct CampaignLog {
     /// (which would duplicate records in the segment).
     pending_written: usize,
     pending_events: usize,
-    last_flush_at: Instant,
     /// When the oldest event still in `pending` was appended — the anchor
     /// of the adaptive latency deadline.
     first_pending_at: Option<Instant>,
@@ -206,50 +201,13 @@ fn parse_snapshot_id(name: &str) -> Option<CampaignId> {
         .ok()
 }
 
-/// One decoded event record of a log segment: the campaign tag, the
-/// per-campaign sequence number, and the serialized event payload exactly
-/// as it was appended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentEvent {
-    /// Campaign the record belongs to.
-    pub campaign: CampaignId,
-    /// Per-campaign sequence number assigned at append time.
-    pub seq: u64,
-    /// The event payload (the bytes handed to `append_event`).
-    pub payload: Vec<u8>,
-}
-
 /// Lists the segment files present in one shard-log directory, ascending
-/// by segment index — the iteration entry point of the export API used by
-/// log-shipping replication and by [`recover_tree`] itself. A missing
-/// directory lists as empty.
-pub fn list_segments(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>> {
-    let dir = dir.as_ref();
+/// by segment index. A missing directory lists as empty.
+fn list_segments(dir: &Path) -> Result<Vec<PathBuf>> {
     Ok(segment_indices(dir)?
         .into_iter()
         .map(|idx| segment_path(dir, idx))
         .collect())
-}
-
-/// Reads every intact event record of one segment file and reports how the
-/// scan ended ([`WalTail`]), leaving the tail policy (tolerate torn,
-/// refuse corrupt) to the caller. Records decode to [`SegmentEvent`]s;
-/// a record too short to carry the campaign/sequence tag is an error.
-pub fn read_segment(path: impl AsRef<Path>) -> Result<(Vec<SegmentEvent>, WalTail)> {
-    let path = path.as_ref();
-    let data = Wal::load(path)?;
-    let (records, tail) = Wal::scan(&data);
-    let mut events = Vec::with_capacity(records.len());
-    for range in records {
-        let record = &data[range];
-        let (campaign, seq) = decode_event_tag(record, path)?;
-        events.push(SegmentEvent {
-            campaign,
-            seq,
-            payload: record[12..].to_vec(),
-        });
-    }
-    Ok((events, tail))
 }
 
 /// Lists the segment indices present in a directory, ascending.
@@ -297,7 +255,6 @@ impl CampaignLog {
             pending: BytesMut::new(),
             pending_written: 0,
             pending_events: 0,
-            last_flush_at: Instant::now(),
             first_pending_at: None,
             adaptive: None,
             pending_strict: 0,
@@ -306,11 +263,6 @@ impl CampaignLog {
             stats: FlushStats::default(),
             disk_bytes,
         })
-    }
-
-    /// Root directory of the log.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Installs (or clears) the per-flush observer. Called once at shard
@@ -328,7 +280,7 @@ impl CampaignLog {
     }
 
     /// The flush policy a campaign was registered with.
-    pub fn policy(&self, campaign: CampaignId) -> Option<FlushPolicy> {
+    fn policy(&self, campaign: CampaignId) -> Option<FlushPolicy> {
         self.policies.get(&campaign).copied()
     }
 
@@ -368,9 +320,9 @@ impl CampaignLog {
         self.stats.appended += 1;
         let due = match self.policy(campaign).unwrap_or(FlushPolicy::EveryEvent) {
             // Adaptive group commit defers the per-append sync: the batch
-            // grows until a bound trips here or the owner closes it (see
-            // [`CampaignLog::adaptive_flush_due_in`]); the owner withholds
-            // acknowledgements until the flush, preserving acked ⇒ durable.
+            // grows until a bound trips here or the owner closes it with
+            // [`CampaignLog::flush`]; the owner withholds acknowledgements
+            // until the flush, preserving acked ⇒ durable.
             FlushPolicy::EveryEvent => match self.adaptive {
                 None => true,
                 Some(cfg) => {
@@ -383,9 +335,6 @@ impl CampaignLog {
                 }
             },
             FlushPolicy::Batch(n) => self.pending_events >= n.max(1),
-            FlushPolicy::IntervalMs(ms) => {
-                self.last_flush_at.elapsed() >= Duration::from_millis(ms)
-            }
         };
         if due && self.flush().is_err() {
             self.stats.flush_failures += 1;
@@ -419,71 +368,9 @@ impl CampaignLog {
         self.pending_strict = 0;
     }
 
-    /// The adaptive group-commit configuration, if enabled.
-    pub fn adaptive(&self) -> Option<AdaptiveCommit> {
-        self.adaptive
-    }
-
-    /// Bytes buffered but not yet written + synced.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How long the adaptive latency deadline allows the current batch to
-    /// stay open: `Some(ZERO)` means overdue (flush now), `None` means no
-    /// deadline is running (adaptive off or nothing buffered).
-    pub fn adaptive_flush_due_in(&self) -> Option<Duration> {
-        let cfg = self.adaptive?;
-        if self.pending_events == 0 {
-            return None;
-        }
-        let first = self.first_pending_at?;
-        Some(cfg.max_delay.saturating_sub(first.elapsed()))
-    }
-
     /// Events buffered but not yet written + synced.
     pub fn pending_events(&self) -> usize {
         self.pending_events
-    }
-
-    /// The smallest [`FlushPolicy::IntervalMs`] window among registered
-    /// campaigns, if any campaign uses one.
-    pub fn min_interval(&self) -> Option<Duration> {
-        self.policies
-            .values()
-            .filter_map(|p| match p {
-                FlushPolicy::IntervalMs(ms) => Some(Duration::from_millis(*ms)),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// How long until buffered events must be hardened for an
-    /// `IntervalMs` campaign: `Some(ZERO)` means overdue, `None` means no
-    /// deadline (nothing buffered, or no interval policy registered).
-    ///
-    /// The append-path interval check only runs on the *next* append, so an
-    /// idle shard would otherwise keep acknowledged events buffered
-    /// indefinitely; owners poll this between requests and call
-    /// [`CampaignLog::flush_if_due`] when it reaches zero.
-    pub fn idle_flush_due_in(&self) -> Option<Duration> {
-        if self.pending_events == 0 {
-            return None;
-        }
-        let interval = self.min_interval()?;
-        Some(interval.saturating_sub(self.last_flush_at.elapsed()))
-    }
-
-    /// Flushes iff an interval window has elapsed with events still
-    /// buffered; returns whether a flush happened.
-    pub fn flush_if_due(&mut self) -> Result<bool> {
-        match self.idle_flush_due_in() {
-            Some(due) if due.is_zero() => {
-                self.flush()?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
     }
 
     /// Writes and `fdatasync`s everything buffered — the group commit.
@@ -491,7 +378,7 @@ impl CampaignLog {
     /// Failure-safe against retries: the write phase tracks how many bytes
     /// the OS has accepted, so a flush that failed midway (partial write,
     /// failed sync) is *resumed* on the next attempt — whether that comes
-    /// from the next append, the idle-flush timer, or shutdown — never
+    /// from the next append, a batch close, `finish`, or shutdown — never
     /// restarted, which would append the already-accepted prefix a second
     /// time and corrupt the segment with duplicate records.
     pub fn flush(&mut self) -> Result<()> {
@@ -520,7 +407,6 @@ impl CampaignLog {
         self.pending_events = 0;
         self.pending_strict = 0;
         self.first_pending_at = None;
-        self.last_flush_at = Instant::now();
         Ok(())
     }
 
@@ -596,45 +482,6 @@ impl CampaignLog {
         // can drop the new name even though its contents were synced.
         sync_dir(&self.dir)?;
         Ok(seq)
-    }
-
-    /// The on-disk segment files of this log, ascending by index — the
-    /// last entry is the segment currently being appended to; everything
-    /// before it is sealed (never written again). Replication bootstrap
-    /// iterates these with [`read_segment`].
-    pub fn segments(&self) -> Result<Vec<PathBuf>> {
-        list_segments(&self.dir)
-    }
-
-    /// Reads one campaign's **durable** events with sequence numbers
-    /// strictly beyond `after_seq` from this log's on-disk segments,
-    /// ascending. Buffered (unflushed) events are invisible by
-    /// construction — they are not durable, so a log shipper must not
-    /// hand them to a follower. A torn tail (crash artifact) ends the scan
-    /// of its segment cleanly; a mid-segment CRC failure is an error.
-    pub fn export_events_after(
-        &self,
-        campaign: CampaignId,
-        after_seq: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut out = Vec::new();
-        for path in self.segments()? {
-            let (events, tail) = read_segment(&path)?;
-            if let WalTail::Corrupt(offset) = tail {
-                return Err(Error::Storage(format!(
-                    "corrupt event record at byte {offset} of {}",
-                    path.display()
-                )));
-            }
-            for event in events {
-                if event.campaign == campaign && event.seq > after_seq {
-                    out.push((event.seq, event.payload));
-                }
-            }
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out.dedup_by(|a, b| a.0 == b.0);
-        Ok(out)
     }
 
     /// Starts a fresh segment and deletes all older ones. Call only after
@@ -946,16 +793,17 @@ mod tests {
         }
         assert_eq!(log.stats().flushes, 0);
         assert_eq!(log.pending_events(), 3);
-        assert!(
-            log.adaptive_flush_due_in().is_some(),
-            "a deadline is armed while events are pending"
+        assert_eq!(
+            log.pending_strict_events(),
+            3,
+            "acks must wait for the batch"
         );
         // The fourth trips the event bound: one fdatasync for the batch.
         log.append_event(C0, b"e4").unwrap();
         assert_eq!(log.stats().flushes, 1);
         assert_eq!(log.stats().flushed_events, 4);
         assert_eq!(log.pending_events(), 0);
-        assert!(log.adaptive_flush_due_in().is_none(), "nothing pending");
+        assert_eq!(log.pending_strict_events(), 0, "nothing pending");
         // Byte bound trips independently of the event bound.
         log.set_adaptive(Some(AdaptiveCommit {
             max_batch_events: 1000,
@@ -996,16 +844,13 @@ mod tests {
         }));
         log.append_event(C0, b"first").unwrap();
         assert_eq!(log.stats().flushes, 0, "within the latency window");
+        assert_eq!(log.pending_events(), 1);
         std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(
-            log.adaptive_flush_due_in(),
-            Some(Duration::ZERO),
-            "deadline passed — batch is overdue"
-        );
         // The next append observes the expired deadline and syncs the batch.
         log.append_event(C0, b"second").unwrap();
         assert_eq!(log.stats().flushes, 1);
         assert_eq!(log.stats().flushed_events, 2);
+        assert_eq!(log.pending_events(), 0);
     }
 
     #[test]
@@ -1040,82 +885,24 @@ mod tests {
     }
 
     #[test]
-    fn idle_flush_deadline_tracks_interval_policies() {
-        let base = tmp_dir("idle-deadline");
-        let mut log = CampaignLog::open(base.join("shard-0")).unwrap();
-        // No interval policy: never a deadline, even with events buffered.
-        log.register(C0, FlushPolicy::Batch(100), 0);
-        log.append_event(C0, b"e1").unwrap();
-        assert_eq!(log.idle_flush_due_in(), None);
-        assert!(!log.flush_if_due().unwrap());
-        assert_eq!(log.pending_events(), 1);
-        // An interval campaign joins: its window now bounds the buffer age
-        // of *everything* pending (group commit hardens neighbors too).
-        log.register(C1, FlushPolicy::IntervalMs(10_000), 0);
-        assert_eq!(log.min_interval(), Some(Duration::from_secs(10)));
-        let due = log.idle_flush_due_in().expect("deadline exists");
-        assert!(due <= Duration::from_secs(10) && due > Duration::from_secs(9));
-        assert!(!log.flush_if_due().unwrap(), "window has not elapsed");
-        // A zero-length interval is immediately overdue.
-        log.register(C1, FlushPolicy::IntervalMs(0), 0);
-        assert_eq!(log.idle_flush_due_in(), Some(Duration::ZERO));
-        assert!(log.flush_if_due().unwrap());
-        assert_eq!(log.pending_events(), 0);
-        assert_eq!(log.idle_flush_due_in(), None, "nothing left to harden");
-        assert_eq!(log.stats().flushes, 1);
-    }
-
-    #[test]
-    fn segment_export_sees_durable_events_only() {
-        let base = tmp_dir("export");
+    fn an_every_event_neighbor_hardens_a_buffered_batch_campaign() {
+        let base = tmp_dir("neighbor");
         let mut log = CampaignLog::open(base.join("shard-0")).unwrap();
         log.register(C0, FlushPolicy::Batch(3), 0);
         log.register(C1, FlushPolicy::EveryEvent, 0);
         log.append_event(C0, b"a1").unwrap();
-        // Buffered events are not durable, so the export must not see them.
-        assert!(
-            log.export_events_after(C0, 0).unwrap().is_empty(),
-            "unflushed events leaked into the export"
-        );
-        // An EveryEvent neighbor forces the group commit: both harden.
+        assert_eq!(log.pending_events(), 1, "batch of 3 not yet due");
+        // The EveryEvent append forces the group commit: both harden.
         log.append_event(C1, b"b1").unwrap();
-        assert_eq!(
-            log.export_events_after(C0, 0).unwrap(),
-            vec![(1, b"a1".to_vec())]
-        );
+        assert_eq!(log.pending_events(), 0);
+        assert_eq!(log.stats().flushed_events, 2);
+        // A later buffered event dies with the crash; the hardened ones stay.
         log.append_event(C0, b"a2").unwrap();
-        log.flush().unwrap();
-        // `after_seq` is exclusive, per-campaign.
-        assert_eq!(
-            log.export_events_after(C0, 1).unwrap(),
-            vec![(2, b"a2".to_vec())]
-        );
-        assert_eq!(
-            log.export_events_after(C1, 0).unwrap(),
-            vec![(1, b"b1".to_vec())]
-        );
-        // Export spans segments: prune starts a fresh one.
-        log.write_snapshot(C0, b"state").unwrap();
-        log.prune_segments().unwrap();
-        log.append_event(C0, b"a3").unwrap();
-        log.flush().unwrap();
-        assert_eq!(
-            log.export_events_after(C0, 2).unwrap(),
-            vec![(3, b"a3".to_vec())]
-        );
-        // The iteration API underneath: one live segment after the prune.
-        let segments = log.segments().unwrap();
-        assert_eq!(segments.len(), 1);
-        let (events, tail) = read_segment(&segments[0]).unwrap();
-        assert_eq!(tail, WalTail::Clean);
-        assert_eq!(
-            events,
-            vec![SegmentEvent {
-                campaign: C0,
-                seq: 3,
-                payload: b"a3".to_vec(),
-            }]
-        );
+        log.abandon();
+        drop(log);
+        let rec = recover_tree(&base).unwrap();
+        assert_eq!(owned(&rec.campaigns[&C0].events), vec![(1, b"a1".to_vec())]);
+        assert_eq!(owned(&rec.campaigns[&C1].events), vec![(1, b"b1".to_vec())]);
     }
 
     #[test]

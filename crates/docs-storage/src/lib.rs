@@ -31,8 +31,8 @@ mod wal;
 
 pub use arena::PayloadBytes;
 pub use campaign_log::{
-    list_segments, read_segment, recover_tree, AdaptiveCommit, CampaignLog, CampaignRecovery,
-    FlushObserver, FlushPolicy, FlushStats, SegmentEvent, TreeRecovery,
+    recover_tree, AdaptiveCommit, CampaignLog, CampaignRecovery, FlushObserver, FlushPolicy,
+    FlushStats, TreeRecovery,
 };
 pub use crc::{crc32, Crc32};
 pub use kv::KvStore;

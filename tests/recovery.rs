@@ -252,9 +252,9 @@ fn recovery_is_byte_identical_across_shards_task_shards_and_flush_policies() {
     let policies = [
         FlushPolicy::EveryEvent,
         FlushPolicy::Batch(8),
-        // Long interval: almost nothing auto-flushes, so recovery leans on
-        // creation/snapshot syncs — the worst case for durable coverage.
-        FlushPolicy::IntervalMs(10_000),
+        // A batch that never fills: nothing auto-flushes, so recovery leans
+        // on creation/snapshot syncs — the worst case for durable coverage.
+        FlushPolicy::Batch(usize::MAX),
     ];
     for shards in [1usize, 4] {
         for task_shards in [1usize, 4] {
@@ -310,92 +310,17 @@ fn recovery_rehomes_campaigns_when_the_shard_count_changes() {
     crash_recover_case("reshard-down", 4, 1, 1, FlushPolicy::EveryEvent, 23, true);
 }
 
-/// Satellite regression: `FlushPolicy::IntervalMs`'s elapsed check only
-/// runs at *append* time, so before the idle-flush fix a shard that went
-/// quiet kept acknowledged events buffered indefinitely — a crash then lost
-/// them even though the interval had long expired. Now the shard loop
-/// hardens the buffer when the window elapses with no traffic: a crash
-/// after the idle window recovers every acknowledged event.
+/// Satellite regression: crash with a non-empty *unsynced* buffer under a
+/// batch that never fills. Recovery must replay cleanly to the last synced
+/// event — the buffered suffix simply vanishes; it must not surface as a
+/// mid-log CRC error or sequence gap.
 #[test]
-fn interval_policy_flushes_on_idle_so_a_later_crash_loses_nothing() {
-    let policy = FlushPolicy::IntervalMs(40);
-    let (ops, _) = oracle(1);
-    let dir = tmp_dir("interval-idle-flush");
-    let config = service_config(1, &dir, policy);
-    let (service, handle) = DocsService::spawn_sharded(publish(1, Some(policy)), config);
-    let campaign = handle.default_campaign();
-    // Burst a prefix quickly (everything lands in the group-commit buffer;
-    // at most the first append syncs, via the creation flush resetting the
-    // window), then go idle past the interval.
-    let prefix = 9.min(ops.len());
-    for op in &ops[..prefix] {
-        submit(&handle, campaign, op);
-    }
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    // Crash: the in-process kill abandons whatever is still buffered. The
-    // idle flush must have left that buffer empty.
-    handle.simulate_crash();
-    drop(handle);
-    let _ = service.join_all();
-
-    let recovered = docs_storage::recover_tree(&dir).expect("clean recovery");
-    let rec = &recovered.campaigns[&campaign];
-    // Published + one event per prefix op: every acknowledged event
-    // survived the idle window + crash.
-    assert_eq!(
-        rec.last_seq,
-        1 + prefix as u64,
-        "acknowledged events were lost across the idle window"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The inverse guarantee: a *simulated kill* must not be defeated by the
-/// idle-flush timer. Once the crash flag is up, the timer firing must end
-/// the shard (abandoning the buffer) rather than harden the events the
-/// kill is supposed to lose.
-#[test]
-fn simulated_crash_is_not_defeated_by_the_idle_flush_timer() {
-    let policy = FlushPolicy::IntervalMs(100);
-    let (ops, _) = oracle(1);
-    let dir = tmp_dir("crash-vs-idle-timer");
-    let (service, handle) =
-        DocsService::spawn_sharded(publish(1, Some(policy)), service_config(1, &dir, policy));
-    let campaign = handle.default_campaign();
-    let prefix = 9.min(ops.len());
-    for op in &ops[..prefix] {
-        submit(&handle, campaign, op);
-    }
-    handle.simulate_crash();
-    // The handle stays alive: the only way the shard can stop is the idle
-    // timer waking it with the crash flag already set. Joining here both
-    // proves it stops and rules out the buggy flush-and-continue path
-    // (which would leave the shard blocked and this join hanging).
-    let _ = service.join_all();
-    drop(handle);
-    let recovered = docs_storage::recover_tree(&dir).expect("clean recovery");
-    let rec = &recovered.campaigns[&campaign];
-    assert!(
-        rec.last_seq < 1 + prefix as u64,
-        "the killed shard's unsynced tail must be lost, not idle-flushed \
-         (recovered seq {} of {})",
-        rec.last_seq,
-        1 + prefix
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Satellite regression: crash with a non-empty *unsynced* buffer under
-/// `IntervalMs`. Recovery must replay cleanly to the last synced event —
-/// the buffered suffix simply vanishes; it must not surface as a mid-log
-/// CRC error or sequence gap.
-#[test]
-fn interval_crash_with_unsynced_buffer_replays_to_the_last_synced_event() {
-    // A long window (and a huge snapshot cadence) so nothing auto-syncs
-    // between the explicit synced points.
-    let policy = FlushPolicy::IntervalMs(60_000);
+fn unfilled_batch_crash_with_unsynced_buffer_replays_to_the_last_synced_event() {
+    // An unbounded batch (and a huge snapshot cadence) so nothing
+    // auto-syncs between the explicit synced points.
+    let policy = FlushPolicy::Batch(usize::MAX);
     let (ops, _) = oracle(2);
-    let dir = tmp_dir("interval-unsynced-buffer");
+    let dir = tmp_dir("unfilled-batch-unsynced-buffer");
     let config = ServiceConfig {
         shards: 1,
         durability: Some(DurabilityConfig {
@@ -444,7 +369,7 @@ fn interval_crash_with_unsynced_buffer_replays_to_the_last_synced_event() {
         .call(docs_service::Op::finish(campaign))
         .expect("finish after recovery");
     let (_, reference) = oracle(2);
-    assert_byte_identical(&report, &reference, "interval unsynced buffer");
+    assert_byte_identical(&report, &reference, "unfilled batch unsynced buffer");
     drop(handle);
     let _ = service.join_all();
     let _ = std::fs::remove_dir_all(&dir);
