@@ -29,8 +29,10 @@ pub fn answer_probabilities(state: TaskView<'_>, quality: &[f64]) -> Vec<f64> {
     p
 }
 
-/// Reusable buffers of the benefit kernel. One per request (or per scanning
-/// thread) makes every [`benefit_with`] call after the first allocation-free.
+/// Reusable buffers of the benefit kernel for tasks with more than two
+/// choices. One per request (or per scanning thread) makes every
+/// [`benefit_with`] call after the first allocation-free. The `ℓ = 2` path
+/// keeps its vectors in fixed-width locals and does not touch it.
 #[derive(Debug, Default)]
 pub struct BenefitScratch {
     /// The task's support rows with the worker's Eq. 4 likelihoods on them.
@@ -53,12 +55,88 @@ pub fn expected_posterior_entropy(state: TaskView<'_>, quality: &[f64]) -> f64 {
     expected_posterior_entropy_with(&mut BenefitScratch::default(), state, quality)
 }
 
-/// Theorem 2, Theorem 3 and Eq. 8 in one pass over the support rows
-/// `{k : r_k ≠ 0}` — `ŝ = r × (M|a)` reads no other row of `M|a`. The same
-/// bits as composing [`answer_probabilities`],
-/// [`TaskView::m_given_answer`] and [`TaskView::s_from_matrix`], which
-/// stay as the textbook forms the tests compare against.
+/// Theorem 2, Theorem 3 and Eq. 8 over the support rows `{k : r_k ≠ 0}` —
+/// `ŝ = r × (M|a)` reads no other row of `M|a`. The same bits as composing
+/// [`answer_probabilities`], [`TaskView::m_given_answer`] and
+/// [`TaskView::s_from_matrix`], which stay as the textbook forms the tests
+/// compare against.
 fn expected_posterior_entropy_with(
+    scratch: &mut BenefitScratch,
+    state: TaskView<'_>,
+    quality: &[f64],
+) -> f64 {
+    // ℓ = 2 (yes/no and every canonical workload) gets its own kernel with
+    // the width known.
+    if state.num_choices() == 2 {
+        expected_posterior_entropy_2(state, quality)
+    } else {
+        expected_posterior_entropy_wide(scratch, state, quality)
+    }
+}
+
+/// The `ℓ = 2` kernel: `Pr(v = a)`, `ŝ` and the `M|a` row are `[f64; 2]`
+/// locals, and `miss_likelihood(hit, 2)` divides by the constant 1, which
+/// folds away. Every value is built by the operations of
+/// [`expected_posterior_entropy_wide`] in its order — the `0.0 +` sums over
+/// the rows, `normalize_in_place`'s sum and ½ fallback, the `pa == 0.0` skip,
+/// `prob::entropy` — so the bits are the same by construction. One walk over
+/// the rows feeds Theorem 2 and both answers' `ŝ`: each is its own
+/// accumulator, still summed in row order.
+fn expected_posterior_entropy_2(state: TaskView<'_>, quality: &[f64]) -> f64 {
+    debug_assert_eq!(quality.len(), state.num_domains());
+    let mut probs = [0.0; 2];
+    let mut s_hat = [[0.0; 2]; 2];
+    for (k, r, m_row) in state.rows() {
+        let &[m0, m1] = <&[f64; 2]>::try_from(m_row).expect("rows of an ℓ = 2 task");
+        let hit = clamp_quality(quality[k]);
+        let miss = miss_likelihood(hit, 2);
+        // Theorem 2.
+        probs[0] += r * (hit * m0 + miss * (1.0 - m0));
+        probs[1] += r * (hit * m1 + miss * (1.0 - m1));
+        // Theorem 3: row `k` of `M|a`, renormalized, for either answer.
+        for (s_hat, [like0, like1]) in s_hat.iter_mut().zip([[hit, miss], [miss, hit]]) {
+            let [u0, u1] = normalize_2([m0 * like0, m1 * like1]);
+            s_hat[0] += r * u0;
+            s_hat[1] += r * u1;
+        }
+    }
+    let mut h = 0.0;
+    for (pa, s_hat) in normalize_2(probs).into_iter().zip(s_hat) {
+        if pa == 0.0 {
+            continue;
+        }
+        h += entropy_2(normalize_2(s_hat)) * pa;
+    }
+    h
+}
+
+/// `prob::normalize_in_place` at width 2. `p0 + p1` is the bits of both the
+/// `iter().sum()` and a `0.0 +` row sum: adding a zero changes no non-zero
+/// value, and a zero sum takes the ½ fallback whatever its sign.
+#[inline(always)]
+fn normalize_2([p0, p1]: [f64; 2]) -> [f64; 2] {
+    let sum = p0 + p1;
+    if sum > 0.0 {
+        [p0 / sum, p1 / sum]
+    } else {
+        [0.5; 2]
+    }
+}
+
+/// `prob::entropy` at width 2, term for term.
+#[inline(always)]
+fn entropy_2(dist: [f64; 2]) -> f64 {
+    let mut h = 0.0;
+    for p in dist {
+        if p > 0.0 {
+            h -= p * p.ln();
+        }
+    }
+    h
+}
+
+/// The kernel for `ℓ > 2`, into the scratch's buffers.
+fn expected_posterior_entropy_wide(
     scratch: &mut BenefitScratch,
     state: TaskView<'_>,
     quality: &[f64],
@@ -131,7 +209,7 @@ pub fn benefit(state: TaskView<'_>, quality: &[f64]) -> f64 {
 
 /// [`benefit`] into caller-provided scratch — the form a candidate scan
 /// uses: no heap allocation once the scratch has seen the largest `ℓ` and
-/// support of the campaign.
+/// support of the campaign, and none at all for an `ℓ = 2` task.
 pub fn benefit_with(scratch: &mut BenefitScratch, state: TaskView<'_>, quality: &[f64]) -> f64 {
     state.entropy() - expected_posterior_entropy_with(scratch, state, quality)
 }
@@ -190,6 +268,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Arenas driven through hundreds of answers at the qualities
+    /// `[0, 1, 0.5]`, where `M` slots underflow to exactly 0 on the two
+    /// clamped domains, score the textbook composition's bits for `ℓ = 2`
+    /// and `ℓ ∈ {3, 5}`, through one scratch reused across them. The
+    /// requesting workers take every quality in `{0, 1, 0.5, NaN}` per
+    /// domain: `clamp_quality` passes a NaN through, and it is the one input
+    /// that reaches the ½ fallbacks. (`pa == 0.0` is out of reach: every
+    /// `Pr(v = a)` is at least `min(hit, miss) ≥ 1e-6 / (ℓ − 1)`.)
+    #[test]
+    fn benefit_is_bit_identical_on_saturated_arenas() {
+        let levels = [0.0, 1.0, 0.5, f64::NAN];
+        let r = [
+            DomainVector::uniform(3),
+            DomainVector::one_hot(3, 1),
+            DomainVector::new(vec![0.5, 0.0, 0.5]).unwrap(),
+        ];
+        let mut scratch = BenefitScratch::default();
+        let mut underflowed = 0;
+        for l in [2, 5, 3] {
+            let mut arena = TaskArena::new(3, r.iter().map(|r| (r, l)));
+            for step in 0..300 {
+                // Mostly choice 0; every fourth answer walks the others.
+                let choice = if step % 4 == 3 { (step / 4) % l } else { 0 };
+                for i in 0..arena.len() {
+                    arena.apply_answer(i, &[0.0, 1.0, 0.5], choice);
+                }
+                if step % 15 != 0 {
+                    continue;
+                }
+                for state in arena.iter() {
+                    underflowed += state
+                        .rows()
+                        .filter(|(_, _, row)| row.contains(&0.0))
+                        .count();
+                    for code in 0..64 {
+                        let worker = [levels[code % 4], levels[code / 4 % 4], levels[code / 16]];
+                        let want =
+                            state.entropy() - expected_posterior_entropy_textbook(state, &worker);
+                        let got = benefit_with(&mut scratch, state, &worker);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "ℓ = {l}, step {step}, worker {worker:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(underflowed > 0, "no slot of M underflowed to 0");
     }
 
     /// One task over `r` with `ℓ` choices.

@@ -39,7 +39,9 @@ pub struct AssignerConfig {
     /// "10 answers per task" collection budget).
     pub max_answers_per_task: Option<usize>,
     /// Use the linear quickselect (`true`, the paper's PICK-style selection)
-    /// or a full sort (`false`, kept for the `ablation_topk` bench).
+    /// or a full sort (`false`). Only a unit test sets `false`; the field
+    /// stays because the canonical benchmark under `bench/` names it. The
+    /// `ablation_topk` bench calls [`top_k_by_sort`] directly.
     pub linear_select: bool,
 }
 
@@ -100,35 +102,10 @@ impl Assigner {
         }
     }
 
-    /// Filters and scores one candidate task: `None` when the task is
-    /// excluded (already answered, answer cap reached), otherwise its
-    /// benefit for the requesting worker — the one shared body of the flat
-    /// scan and every shard of the sharded scan, so the two cannot diverge.
-    #[allow(clippy::too_many_arguments)]
-    fn score_task(
-        &self,
-        scratch: &mut BenefitScratch,
-        quality: &[f64],
-        tasks: &[Task],
-        states: &TaskArena,
-        i: usize,
-        answered: &mut impl FnMut(TaskId) -> bool,
-        answer_count: &mut impl FnMut(TaskId) -> usize,
-    ) -> Option<f64> {
-        let task = &tasks[i];
-        if answered(task.id) {
-            return None;
-        }
-        if let Some(cap) = self.config.max_answers_per_task {
-            if answer_count(task.id) >= cap {
-                return None;
-            }
-        }
-        Some(benefit_with(scratch, states.view(i), quality))
-    }
-
-    /// The candidate walk over a set of task indices, built on
-    /// [`Assigner::score_task`].
+    /// The candidate walk over a set of task indices: skips the tasks the
+    /// worker already answered or that reached the answer cap and scores the
+    /// rest for the requesting worker — the one shared body of the flat scan
+    /// and every shard of the sharded scan, so the two cannot diverge.
     fn scan_candidates(
         &self,
         quality: &[f64],
@@ -141,18 +118,13 @@ impl Assigner {
         let indices = indices.into_iter();
         let mut candidates = Vec::with_capacity(indices.size_hint().0);
         let mut scratch = BenefitScratch::default();
+        let cap = self.config.max_answers_per_task;
         for i in indices {
-            if let Some(b) = self.score_task(
-                &mut scratch,
-                quality,
-                tasks,
-                states,
-                i,
-                answered,
-                answer_count,
-            ) {
-                candidates.push((b, tasks[i].id));
+            let id = tasks[i].id;
+            if answered(id) || cap.is_some_and(|cap| answer_count(id) >= cap) {
+                continue;
             }
+            candidates.push((benefit_with(&mut scratch, states.view(i), quality), id));
         }
         candidates
     }

@@ -3,8 +3,10 @@
 //! The paper selects the top `k` benefits with a linear-time selection
 //! algorithm (the PICK algorithm of Blum et al. [7]); we use the standard
 //! library's introselect (`select_nth_unstable_by`), which has the same
-//! expected-linear behaviour. A full-sort variant exists for the
-//! `ablation_topk` benchmark.
+//! expected-linear behaviour. The full-sort variant [`top_k_by_sort`] is the
+//! baseline the `ablation_topk` bench calls directly, and what
+//! `AssignerConfig::linear_select = false` selects (set only by a unit
+//! test).
 //!
 //! For the sharded benefit scan, [`merge_top_k`] combines per-shard top-`k`
 //! lists into the global top-`k` with a `k`-way merge: since every shard

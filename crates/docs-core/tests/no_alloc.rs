@@ -1,13 +1,16 @@
 //! The inference kernels do not allocate: a counting allocator around
 //! `ota::benefit_with` and `TaskArena::apply_answer` (zero allocations per
-//! call), `TaskArena::new` (a fixed number whatever the task count) and
+//! call, and none at all for a yes/no task's benefit), `TaskArena::new`
+//! and a worker request's scan (a fixed number whatever the task count) and
 //! full inference (an allocation count that neither the number of
 //! iterations nor the number of tasks moves). Run with `--release` as
 //! well: the claim is about optimised code.
 
-use docs_core::ota::{benefit_with, BenefitScratch};
-use docs_core::ti::{IncrementalTi, TaskArena, TiConfig, TruthInference, WorkerRegistry};
-use docs_types::{Answer, AnswerLog, DomainVector, Task, TaskBuilder, WorkerId};
+use docs_core::ota::{benefit_with, Assigner, AssignerConfig, BenefitScratch};
+use docs_core::ti::{
+    IncrementalTi, ShardedTiState, TaskArena, TiConfig, TruthInference, WorkerRegistry,
+};
+use docs_types::{Answer, AnswerLog, DomainVector, Task, TaskBuilder, TaskId, WorkerId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -101,6 +104,60 @@ fn benefit_allocates_nothing_once_the_scratch_is_warm() {
     let (allocations, again) = allocations_during(|| scan(&mut scratch));
     assert_eq!(allocations, 0, "over {} benefit calls", tasks.len());
     assert_eq!(again.to_bits(), warm_up.to_bits());
+}
+
+/// The `ℓ = 2` kernel keeps its vectors in locals: even a fresh scratch
+/// stays empty on yes/no tasks.
+#[test]
+fn benefit_on_yes_no_tasks_allocates_nothing_with_a_fresh_scratch() {
+    let (tasks, log) = campaign(40);
+    let registry = WorkerRegistry::new(6, 0.7);
+    let states = TruthInference::default()
+        .run(&tasks, &log, &registry)
+        .states;
+    let quality = [0.9, 0.55, 0.7, 0.2, 1.0, 0.0];
+    let yes_no = || states.iter().filter(|st| st.num_choices() == 2);
+    let (allocations, _) = allocations_during(|| {
+        yes_no()
+            .map(|st| benefit_with(&mut BenefitScratch::default(), st, &quality))
+            .sum::<f64>()
+    });
+    assert_eq!(allocations, 0, "over {} yes/no tasks", yes_no().count());
+}
+
+/// What one worker request allocates — the candidate list, the scratch of
+/// the `ℓ > 2` tasks, the selection — does not grow with the pool: the flat
+/// and the sharded scan take as many allocations for 400 mixed-`ℓ` tasks as
+/// for 40.
+#[test]
+fn a_request_allocates_the_same_for_any_task_count() {
+    let assigner = Assigner::new(AssignerConfig {
+        k: 20,
+        max_answers_per_task: Some(12),
+        ..Default::default()
+    });
+    let quality = [0.9, 0.55, 0.7, 0.2, 1.0, 0.0];
+    let request = |n| {
+        let (tasks, log) = campaign(n);
+        let states = TruthInference::default()
+            .run(&tasks, &log, &WorkerRegistry::new(6, 0.7))
+            .states;
+        let sharding = ShardedTiState::new(n, 3);
+        let answered = |t: TaskId| t.index() % 5 == 4;
+        let count = |t: TaskId| t.index() % 13;
+        let flat =
+            allocations_during(|| assigner.assign(&quality, &tasks, &states, answered, count));
+        let sharded = allocations_during(|| {
+            assigner.assign_sharded(&quality, &tasks, &states, &sharding, answered, count)
+        });
+        assert_eq!(flat.1, sharded.1, "{n} tasks");
+        (flat.0, sharded.0)
+    };
+    assert_eq!(
+        request(400),
+        request(40),
+        "(flat, sharded) at 400 tasks against 40"
+    );
 }
 
 #[test]
