@@ -95,7 +95,7 @@ impl ShardDurability {
         docs: &Docs,
         metrics: &ServiceMetrics,
     ) -> docs_types::Result<()> {
-        let bytes = codec::to_bytes(&docs.snapshot());
+        let bytes = docs.snapshot_bytes();
         let seq = self.log.write_snapshot(campaign, &bytes)?;
         self.snapshotted_at.insert(campaign, seq);
         metrics.count(Counter::SnapshotsWritten, 1);
@@ -528,9 +528,9 @@ impl Shard {
             Request::PeekReport { .. } => {
                 self.on_campaign(campaign, |docs| Response::Report(Box::new(docs.report())))
             }
-            Request::SnapshotState { .. } => self.on_campaign(campaign, |docs| {
-                Response::State(codec::to_bytes(&docs.snapshot()))
-            }),
+            Request::SnapshotState { .. } => {
+                self.on_campaign(campaign, |docs| Response::State(docs.snapshot_bytes()))
+            }
             Request::InstallSnapshot { seq, snapshot, .. } => {
                 self.install_snapshot(campaign, seq, &snapshot)
             }

@@ -308,11 +308,11 @@ impl CampaignLog {
     pub fn append_event(&mut self, campaign: CampaignId, payload: &[u8]) -> Result<u64> {
         let seq = self.last_seq(campaign) + 1;
         self.seqs.insert(campaign, seq);
-        let mut record = BytesMut::with_capacity(12 + payload.len());
-        record.put_u32_le(campaign.0);
-        record.put_u64_le(seq);
-        record.put_slice(payload);
-        Wal::encode_record(&record, &mut self.pending);
+        Wal::encode_record_with(&mut self.pending, |record| {
+            record.put_u32_le(campaign.0);
+            record.put_u64_le(seq);
+            record.put_slice(payload);
+        });
         self.pending_events += 1;
         if self.pending_events == 1 {
             self.first_pending_at = Some(Instant::now());
@@ -468,14 +468,14 @@ impl CampaignLog {
     pub fn write_snapshot(&mut self, campaign: CampaignId, payload: &[u8]) -> Result<u64> {
         self.flush()?;
         let seq = self.last_seq(campaign);
-        let mut bytes = BytesMut::with_capacity(12 + payload.len());
-        bytes.put_u64_le(seq);
-        bytes.put_u32_le(crc32(payload));
-        bytes.put_slice(payload);
+        let mut header = [0u8; 12];
+        header[..8].copy_from_slice(&seq.to_le_bytes());
+        header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
         let dst = snapshot_path(&self.dir, campaign);
         let tmp = dst.with_extension("bin.tmp");
         let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(&bytes).map_err(io_err)?;
+        f.write_all(&header).map_err(io_err)?;
+        f.write_all(payload).map_err(io_err)?;
         f.sync_data().map_err(io_err)?;
         std::fs::rename(&tmp, &dst).map_err(io_err)?;
         // Pin the rename itself: without the directory fsync a power loss

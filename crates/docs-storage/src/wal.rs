@@ -58,9 +58,25 @@ impl Wal {
     /// callers batch several encoded records and hand them to
     /// [`Wal::write_raw`] in one write.
     pub fn encode_record(payload: &[u8], buf: &mut BytesMut) {
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_u32_le(crc32(payload));
-        buf.put_slice(payload);
+        Self::encode_record_with(buf, |b| b.put_slice(payload));
+    }
+
+    /// Encodes one record whose payload `write_payload` appends straight
+    /// into `buf`: the header goes first with a zero length and CRC, which
+    /// are then computed over the span just written. No payload copy is
+    /// made on the way into a group-commit buffer.
+    pub(crate) fn encode_record_with(
+        buf: &mut BytesMut,
+        write_payload: impl FnOnce(&mut BytesMut),
+    ) {
+        let start = buf.len();
+        buf.put_u64_le(0); // length and CRC, patched below
+        write_payload(buf);
+        let payload = start + 8;
+        let len = (buf.len() - payload) as u32;
+        let crc = crc32(&buf[payload..]);
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        buf[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Writes pre-encoded record bytes and flushes them to the OS (one

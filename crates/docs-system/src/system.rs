@@ -19,7 +19,7 @@ use docs_storage::ParamStore;
 use docs_types::{
     codec, Answer, CampaignEvent, CampaignId, ChoiceIndex, Error, Result, Task, TaskId, WorkerId,
 };
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use std::collections::HashSet;
 
 /// Response to a worker's task request.
@@ -93,6 +93,32 @@ pub struct CampaignSnapshot {
     pub seen_workers: Vec<WorkerId>,
     /// The publish-time configuration.
     pub config: DocsConfig,
+}
+
+/// A [`CampaignSnapshot`] borrowed from a live campaign: its streamed
+/// encoding writes the snapshot's fields in declaration order, reading the
+/// engine in place. Only `seen_workers` is materialised, to sort it.
+struct LiveSnapshot<'a> {
+    docs: &'a Docs,
+    seen_workers: Vec<WorkerId>,
+}
+
+impl Serialize for LiveSnapshot<'_> {
+    fn to_value(&self) -> serde::Value {
+        self.docs.snapshot().to_value()
+    }
+
+    fn encode<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.map(4);
+        sink.key("engine");
+        self.docs.engine.encode(sink);
+        sink.key("golden_ids");
+        self.docs.golden_ids.encode(sink);
+        sink.key("seen_workers");
+        self.seen_workers.encode(sink);
+        sink.key("config");
+        self.docs.config.encode(sink);
+    }
 }
 
 /// Refuses a configuration the request path cannot serve: OTA assigns
@@ -599,14 +625,29 @@ impl Docs {
 
     /// Captures the campaign's full state for the durable runtime.
     pub fn snapshot(&self) -> CampaignSnapshot {
-        let mut seen_workers: Vec<WorkerId> = self.seen_workers.iter().copied().collect();
-        seen_workers.sort_unstable();
         CampaignSnapshot {
             engine: self.engine.snapshot(),
             golden_ids: self.golden_ids.clone(),
-            seen_workers,
+            seen_workers: self.sorted_seen_workers(),
             config: self.config.clone(),
         }
+    }
+
+    /// The campaign's snapshot record: the bytes of
+    /// `codec::to_bytes(&self.snapshot())`, streamed from the live state
+    /// without copying it into a [`CampaignSnapshot`] first. This is what
+    /// the durable service writes and ships.
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        codec::to_bytes(&LiveSnapshot {
+            docs: self,
+            seen_workers: self.sorted_seen_workers(),
+        })
+    }
+
+    fn sorted_seen_workers(&self) -> Vec<WorkerId> {
+        let mut seen_workers: Vec<WorkerId> = self.seen_workers.iter().copied().collect();
+        seen_workers.sort_unstable();
+        seen_workers
     }
 
     /// Rebuilds a campaign from a snapshot. The parameter database is
@@ -1244,8 +1285,10 @@ mod tests {
         })
         .unwrap();
         // Snapshot → record → restore: every probability must round-trip
-        // exactly, and the restored machine must serve identically.
+        // exactly, and the restored machine must serve identically. The
+        // record streamed from the live campaign is the copy's, byte for byte.
         let bytes = codec::to_bytes(&docs.snapshot());
+        assert_eq!(docs.snapshot_bytes(), bytes);
         let mut restored = Docs::restore(codec::from_bytes(&bytes).unwrap()).unwrap();
         assert_eq!(restored.answers_collected(), docs.answers_collected());
         assert_eq!(restored.golden_ids(), docs.golden_ids());

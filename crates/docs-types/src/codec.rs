@@ -20,9 +20,18 @@
 //! * **Two body kinds.** [`KIND_EVENT`] is a hand-rolled layout for
 //!   [`CampaignEvent`] — variant tag + LEB128 varints, tens of bytes per
 //!   event versus hundreds for JSON. [`KIND_VALUE`] is a tagged binary
-//!   rendering of the self-describing serde `Value` tree, used for
-//!   snapshots and any other `Serialize` type; floats keep their exact
-//!   bits, so replay determinism is preserved.
+//!   rendering of a serde value tree, used for snapshots and any other
+//!   `Serialize` type; floats keep their exact bits, so replay determinism
+//!   is preserved.
+//! * **Streamed, written once.** A value body is written by
+//!   `Serialize::encode` and read by `Deserialize::decode` straight from
+//!   the bytes: no `serde::Value` tree is built on either side (the tree
+//!   is `serde_json`'s alone). The bytes are those of the tree's rendering,
+//!   which the test-only `tree` module keeps as the oracle. Every record is
+//!   written once, into its destination: the header goes first with a zero
+//!   length and CRC, then the body, then both header fields are patched
+//!   over the span just written. A fresh record is allocated at its exact
+//!   size, counted by a first pass over the same writer.
 //!
 //! Decoding is total: malformed input of any shape returns
 //! [`CodecError`], never a panic.
@@ -36,8 +45,12 @@ use bytes::BufMut;
 // The `*_into` encoders take a caller-owned `BytesMut`; re-exported so
 // callers don't need their own dependency on the vendored bytes crate.
 pub use bytes::BytesMut;
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Source, Token};
 use std::fmt;
+use std::ops::DerefMut;
+
+#[cfg(test)]
+mod tree;
 
 /// First byte of every record.
 pub const CODEC_MAGIC: u8 = 0xDC;
@@ -48,7 +61,7 @@ pub const CODEC_VERSION: u8 = 1;
 /// Body kind: hand-rolled [`CampaignEvent`] layout.
 pub const KIND_EVENT: u8 = 0x01;
 
-/// Body kind: tagged binary serde `Value` tree (snapshots, generic types).
+/// Body kind: tagged binary serde value tree (snapshots, generic types).
 pub const KIND_VALUE: u8 = 0x02;
 
 /// Bytes before the body: magic, version, kind, body length, body CRC.
@@ -77,6 +90,13 @@ impl From<CodecError> for crate::Error {
     }
 }
 
+impl From<CodecError> for DeError {
+    fn from(e: CodecError) -> Self {
+        DeError(e.0)
+    }
+}
+
+#[cold]
 fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
     Err(CodecError(msg.into()))
 }
@@ -85,14 +105,47 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Wraps an already-encoded `body` in the record header, appending to `buf`.
-fn frame_into(kind: u8, body: &[u8], buf: &mut BytesMut) {
+/// Appends one record of `kind` to `buf`: the header, then the body
+/// `write_body` appends, then the body's length and CRC patched into the
+/// header over the span just written.
+fn frame_into<B: BufMut + DerefMut<Target = [u8]>>(
+    kind: u8,
+    buf: &mut B,
+    write_body: impl FnOnce(&mut B),
+) {
+    let start = buf.len();
     buf.put_u8(CODEC_MAGIC);
     buf.put_u8(CODEC_VERSION);
     buf.put_u8(kind);
-    buf.put_u32_le(body.len() as u32);
-    buf.put_u32_le(crc32(body));
-    buf.put_slice(body);
+    buf.put_u64_le(0); // body length and CRC, patched below
+    write_body(buf);
+    let body = start + HEADER_LEN;
+    let body_len = (buf.len() - body) as u32;
+    let crc = crc32(&buf[body..]);
+    buf[start + 3..start + 7].copy_from_slice(&body_len.to_le_bytes());
+    buf[start + 7..body].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A `BufMut` that only counts what is written to it: the sizing pass that
+/// lets a fresh record be allocated at its exact size.
+struct Measure(usize);
+
+impl BufMut for Measure {
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn put_u32_le(&mut self, _: u32) {
+        self.0 += 4;
+    }
+
+    fn put_u64_le(&mut self, _: u64) {
+        self.0 += 8;
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
 }
 
 /// Verifies magic / version / kind / length / CRC and returns the body.
@@ -136,7 +189,7 @@ fn unframe(expected_kind: u8, bytes: &[u8]) -> Result<&[u8], CodecError> {
 // Varints + bounds-checked cursor
 // ---------------------------------------------------------------------------
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint<B: BufMut + ?Sized>(buf: &mut B, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -176,10 +229,21 @@ impl<'a> Cursor<'a> {
     }
 
     fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        match self.data.split_first() {
+            Some((&byte, rest)) => {
+                self.data = rest;
+                Ok(byte)
+            }
+            None => err("need 1 byte, 0 remain in record body"),
+        }
     }
 
     fn varint(&mut self) -> Result<u64, CodecError> {
+        // One byte holds every value below 128: tags' counts, ids, choices.
+        if let Some((&byte, rest)) = self.data.split_first().filter(|(&b, _)| b < 0x80) {
+            self.data = rest;
+            return Ok(u64::from(byte));
+        }
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let byte = self.u8()?;
@@ -215,6 +279,13 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
+    /// A length-prefixed UTF-8 string; `what` names it in the error.
+    fn str(&mut self, what: &str) -> Result<&'a str, CodecError> {
+        let len = self.count()?;
+        let raw = self.take(len)?;
+        std::str::from_utf8(raw).map_err(|_| CodecError(format!("{what} is not valid UTF-8")))
+    }
+
     fn f64(&mut self) -> Result<f64, CodecError> {
         let raw = self.take(8)?;
         Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
@@ -242,7 +313,7 @@ const EV_ANSWER: u8 = 3;
 const EV_ANSWER_BATCH: u8 = 4;
 const EV_FINISHED: u8 = 5;
 
-fn put_answer(buf: &mut BytesMut, answer: &Answer) {
+fn put_answer<B: BufMut>(buf: &mut B, answer: &Answer) {
     put_varint(buf, u64::from(answer.task.0));
     put_varint(buf, u64::from(answer.worker.0));
     put_varint(buf, answer.choice as u64);
@@ -255,7 +326,7 @@ fn get_answer(cursor: &mut Cursor<'_>) -> Result<Answer, CodecError> {
     Ok(Answer::new(worker, task, choice))
 }
 
-fn encode_event_body(event: &CampaignEvent, buf: &mut BytesMut) {
+fn encode_event_body<B: BufMut>(event: &CampaignEvent, buf: &mut B) {
     match event {
         CampaignEvent::Published(e) => {
             buf.put_u8(EV_PUBLISHED);
@@ -328,16 +399,16 @@ fn decode_event_body(body: &[u8]) -> Result<CampaignEvent, CodecError> {
 
 /// Appends one framed binary event record to `buf`.
 pub fn encode_event_into(event: &CampaignEvent, buf: &mut BytesMut) {
-    let mut body = BytesMut::with_capacity(64);
-    encode_event_body(event, &mut body);
-    frame_into(KIND_EVENT, &body, buf);
+    frame_into(KIND_EVENT, buf, |b| encode_event_body(event, b));
 }
 
-/// Encodes one event as a fresh framed record.
+/// Encodes one event as a fresh framed record of exactly its size.
 pub fn encode_event(event: &CampaignEvent) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + HEADER_LEN);
-    encode_event_into(event, &mut buf);
-    buf.to_vec()
+    let mut size = Measure(0);
+    encode_event_body(event, &mut size);
+    let mut record = Vec::with_capacity(HEADER_LEN + size.0);
+    frame_into(KIND_EVENT, &mut record, |b| encode_event_body(event, b));
+    record
 }
 
 /// Verifies and decodes one framed event record.
@@ -359,128 +430,160 @@ const VAL_STR: u8 = 6;
 const VAL_SEQ: u8 = 7;
 const VAL_MAP: u8 = 8;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
+/// The value-body encoder: each node of the walk as its tag and payload.
+struct Writer<'a, B>(&'a mut B);
 
-fn encode_value_body(value: &Value, buf: &mut BytesMut) {
-    match value {
-        Value::Null => buf.put_u8(VAL_NULL),
-        Value::Bool(false) => buf.put_u8(VAL_FALSE),
-        Value::Bool(true) => buf.put_u8(VAL_TRUE),
-        Value::UInt(v) => {
-            buf.put_u8(VAL_UINT);
-            put_varint(buf, *v);
-        }
-        Value::Int(v) => {
-            // ZigZag keeps small negatives small.
-            buf.put_u8(VAL_INT);
-            put_varint(buf, ((*v << 1) ^ (*v >> 63)) as u64);
-        }
-        Value::Float(v) => {
-            // Exact bit pattern: byte-identical replay depends on floats
-            // surviving the snapshot round-trip unchanged.
-            buf.put_u8(VAL_FLOAT);
-            buf.put_slice(&v.to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.put_u8(VAL_STR);
-            put_str(buf, s);
-        }
-        Value::Seq(items) => {
-            buf.put_u8(VAL_SEQ);
-            put_varint(buf, items.len() as u64);
-            for item in items {
-                encode_value_body(item, buf);
-            }
-        }
-        Value::Map(entries) => {
-            buf.put_u8(VAL_MAP);
-            put_varint(buf, entries.len() as u64);
-            for (key, val) in entries {
-                put_str(buf, key);
-                encode_value_body(val, buf);
-            }
-        }
+impl<B: BufMut> Writer<'_, B> {
+    fn str_bytes(&mut self, s: &str) {
+        put_varint(self.0, s.len() as u64);
+        self.0.put_slice(s.as_bytes());
     }
 }
 
-fn decode_value_body(cursor: &mut Cursor<'_>, depth: usize) -> Result<Value, CodecError> {
-    if depth > MAX_DEPTH {
-        return err(format!("value nesting deeper than {MAX_DEPTH}"));
+impl<B: BufMut> Sink for Writer<'_, B> {
+    fn null(&mut self) {
+        self.0.put_u8(VAL_NULL);
     }
-    let value = match cursor.u8()? {
-        VAL_NULL => Value::Null,
-        VAL_FALSE => Value::Bool(false),
-        VAL_TRUE => Value::Bool(true),
-        VAL_UINT => Value::UInt(cursor.varint()?),
-        VAL_INT => {
-            let z = cursor.varint()?;
-            Value::Int(((z >> 1) as i64) ^ -((z & 1) as i64))
+
+    fn bool(&mut self, v: bool) {
+        self.0.put_u8(if v { VAL_TRUE } else { VAL_FALSE });
+    }
+
+    fn uint(&mut self, v: u64) {
+        self.0.put_u8(VAL_UINT);
+        put_varint(self.0, v);
+    }
+
+    fn int(&mut self, v: i64) {
+        // ZigZag keeps small negatives small.
+        self.0.put_u8(VAL_INT);
+        put_varint(self.0, ((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    fn float(&mut self, v: f64) {
+        // Exact bit pattern: byte-identical replay depends on floats
+        // surviving the snapshot round-trip unchanged.
+        self.0.put_u8(VAL_FLOAT);
+        self.0.put_slice(&v.to_le_bytes());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.0.put_u8(VAL_STR);
+        self.str_bytes(v);
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.0.put_u8(VAL_SEQ);
+        put_varint(self.0, len as u64);
+    }
+
+    fn map(&mut self, len: usize) {
+        self.0.put_u8(VAL_MAP);
+        put_varint(self.0, len as u64);
+    }
+
+    fn key(&mut self, key: &str) {
+        self.str_bytes(key);
+    }
+}
+
+/// The value-body decoder. Nesting is bounded by [`MAX_DEPTH`] and every
+/// count by the bytes left, so hostile input can neither exhaust the stack
+/// nor size an allocation beyond the record.
+struct Reader<'a> {
+    cursor: Cursor<'a>,
+    /// Nesting depth of the next value; the record's root is at 0.
+    depth: usize,
+}
+
+impl Reader<'_> {
+    fn check_depth(&self) -> Result<(), CodecError> {
+        if self.depth > MAX_DEPTH {
+            return err(format!("value nesting deeper than {MAX_DEPTH}"));
         }
-        VAL_FLOAT => Value::Float(cursor.f64()?),
-        VAL_STR => {
-            let len = cursor.count()?;
-            let raw = cursor.take(len)?;
-            let s = std::str::from_utf8(raw)
-                .map_err(|_| CodecError("string is not valid UTF-8".into()))?;
-            Value::Str(s.to_owned())
-        }
-        VAL_SEQ => {
-            let n = cursor.count()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value_body(cursor, depth + 1)?);
+        Ok(())
+    }
+}
+
+impl Source for Reader<'_> {
+    fn token(&mut self) -> Result<Token<'_>, DeError> {
+        self.check_depth()?;
+        let token = match self.cursor.u8()? {
+            VAL_NULL => Token::Null,
+            VAL_FALSE => Token::Bool(false),
+            VAL_TRUE => Token::Bool(true),
+            VAL_UINT => Token::UInt(self.cursor.varint()?),
+            VAL_INT => {
+                let z = self.cursor.varint()?;
+                Token::Int(((z >> 1) as i64) ^ -((z & 1) as i64))
             }
-            Value::Seq(items)
-        }
-        VAL_MAP => {
-            let n = cursor.count()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let klen = cursor.count()?;
-                let raw = cursor.take(klen)?;
-                let key = std::str::from_utf8(raw)
-                    .map_err(|_| CodecError("map key is not valid UTF-8".into()))?
-                    .to_owned();
-                entries.push((key, decode_value_body(cursor, depth + 1)?));
+            VAL_FLOAT => Token::Float(self.cursor.f64()?),
+            VAL_STR => Token::Str(self.cursor.str("string")?),
+            VAL_SEQ => {
+                let n = self.cursor.count()?;
+                self.depth += 1;
+                Token::Seq(n)
             }
-            Value::Map(entries)
+            VAL_MAP => {
+                let n = self.cursor.count()?;
+                self.depth += 1;
+                Token::Map(n)
+            }
+            other => return Err(DeError(format!("unknown value tag {other}"))),
+        };
+        Ok(token)
+    }
+
+    fn key(&mut self) -> Result<&str, DeError> {
+        Ok(self.cursor.str("map key")?)
+    }
+
+    fn end(&mut self) {
+        self.depth -= 1;
+    }
+
+    fn take_null(&mut self) -> Result<bool, DeError> {
+        self.check_depth()?;
+        let null = self.cursor.data.first() == Some(&VAL_NULL);
+        if null {
+            self.cursor.take(1)?;
         }
-        other => return err(format!("unknown value tag {other}")),
-    };
-    Ok(value)
+        Ok(null)
+    }
 }
 
 /// Appends one framed binary record of any `Serialize` type to `buf`.
 pub fn encode_value_into<T: Serialize + ?Sized>(value: &T, buf: &mut BytesMut) {
-    let tree = value.to_value();
-    let mut body = BytesMut::with_capacity(256);
-    encode_value_body(&tree, &mut body);
-    frame_into(KIND_VALUE, &body, buf);
+    frame_into(KIND_VALUE, buf, |b| value.encode(&mut Writer(b)));
 }
 
-/// Encodes any `Serialize` type (snapshots, frames, …) as a framed binary
-/// record. The rendering is deterministic: the serde facade sorts map keys.
+/// Encodes any `Serialize` type (snapshots, frames, …) as a fresh framed
+/// binary record of exactly its size. The rendering is deterministic: the
+/// serde facade sorts map keys.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(256 + HEADER_LEN);
-    encode_value_into(value, &mut buf);
-    buf.to_vec()
+    let mut size = Measure(0);
+    value.encode(&mut Writer(&mut size));
+    let mut record = Vec::with_capacity(HEADER_LEN + size.0);
+    frame_into(KIND_VALUE, &mut record, |b| value.encode(&mut Writer(b)));
+    record
 }
 
 /// Verifies and decodes one framed value record into `T`.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    let body = unframe(KIND_VALUE, bytes)?;
-    let mut cursor = Cursor::new(body);
-    let tree = decode_value_body(&mut cursor, 0)?;
-    cursor.finish()?;
-    T::from_value(&tree).map_err(|e| CodecError(format!("value shape: {e}")))
+    let mut reader = Reader {
+        cursor: Cursor::new(unframe(KIND_VALUE, bytes)?),
+        depth: 0,
+    };
+    let value = T::decode(&mut reader).map_err(|e| CodecError(format!("value record: {e}")))?;
+    reader.cursor.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
+    use std::collections::HashMap;
 
     fn sample_events() -> Vec<CampaignEvent> {
         vec![
@@ -506,6 +609,20 @@ mod tests {
         for event in sample_events() {
             let bytes = encode_event(&event);
             assert_eq!(decode_event(&bytes).unwrap(), event, "{}", event.kind());
+        }
+    }
+
+    /// The fresh record is written once, at its exact size, and equals what
+    /// the append path writes into a shared buffer.
+    #[test]
+    fn a_fresh_event_record_is_exactly_sized() {
+        let mut shared = BytesMut::new();
+        for event in sample_events() {
+            let record = encode_event(&event);
+            assert_eq!(record.capacity(), record.len(), "{}", event.kind());
+            let start = shared.len();
+            encode_event_into(&event, &mut shared);
+            assert_eq!(&shared[start..], &record[..]);
         }
     }
 
@@ -567,66 +684,197 @@ mod tests {
         assert!(err.to_string().contains("version"), "{err}");
     }
 
+    /// Every node shape, the extreme integers and floats whose bits matter
+    /// (a third, the smallest normal, negative zero): the streamed record is
+    /// the tree's, and decodes back bit for bit.
     #[test]
-    fn value_roundtrip_preserves_every_shape_and_exact_floats() {
-        let value = Value::Map(vec![
-            ("null".into(), Value::Null),
-            ("flag".into(), Value::Bool(true)),
-            ("count".into(), Value::UInt(u64::MAX)),
-            ("delta".into(), Value::Int(-42)),
-            ("third".into(), Value::Float(1.0 / 3.0)),
-            ("tiny".into(), Value::Float(f64::MIN_POSITIVE)),
-            ("name".into(), Value::Str("snapshot ✓".into())),
-            (
-                "rows".into(),
-                Value::Seq(vec![Value::UInt(1), Value::Seq(vec![Value::Float(-0.0)])]),
-            ),
-        ]);
-        let mut buf = BytesMut::new();
-        encode_value_body(&value, &mut buf);
-        let mut cursor = Cursor::new(&buf);
-        let back = decode_value_body(&mut cursor, 0).unwrap();
-        cursor.finish().unwrap();
-        // Float equality here must be bit-exact, including the sign of -0.0.
-        fn bits_equal(a: &Value, b: &Value) -> bool {
-            match (a, b) {
-                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                (Value::Seq(xs), Value::Seq(ys)) => {
-                    xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| bits_equal(x, y))
-                }
-                (Value::Map(xs), Value::Map(ys)) => {
-                    xs.len() == ys.len()
-                        && xs
-                            .iter()
-                            .zip(ys)
-                            .all(|((k, x), (l, y))| k == l && bits_equal(x, y))
-                }
-                _ => a == b,
-            }
-        }
-        assert!(bits_equal(&value, &back), "{back:?}");
+    fn every_shape_streams_the_tree_bytes_and_exact_floats() {
+        type Shapes = (
+            (Option<u8>, bool, u64),
+            (i64, Vec<f64>, String),
+            HashMap<String, Vec<Vec<f64>>>,
+        );
+        let mut rows = HashMap::new();
+        rows.insert("rows".to_string(), vec![vec![-0.0], vec![]]);
+        rows.insert("w10".to_string(), vec![vec![f64::MIN_POSITIVE]]);
+        rows.insert("w2".to_string(), Vec::new());
+        let value: Shapes = (
+            (None, true, u64::MAX),
+            (-42, vec![1.0 / 3.0, f64::MAX], "snapshot ✓".to_string()),
+            rows,
+        );
+        let bytes = to_bytes(&value);
+        assert_eq!(bytes, tree::to_bytes(&value));
+        let back: Shapes = from_bytes(&bytes).unwrap();
+        assert_eq!(to_bytes(&back), bytes, "floats round-trip bit for bit");
+        assert_eq!(back.1 .1[0].to_bits(), (1.0f64 / 3.0).to_bits());
+        assert!(back.2["rows"][0][0].is_sign_negative());
     }
 
     #[test]
     fn generic_types_roundtrip() {
-        let table: std::collections::HashMap<String, Vec<u32>> =
+        let table: HashMap<String, Vec<u32>> =
             [("a".to_string(), vec![1, 2, 3]), ("b".to_string(), vec![])]
                 .into_iter()
                 .collect();
-        let back: std::collections::HashMap<String, Vec<u32>> =
-            from_bytes(&to_bytes(&table)).unwrap();
+        let bytes = to_bytes(&table);
+        assert_eq!(bytes, tree::to_bytes(&table));
+        let back: HashMap<String, Vec<u32>> = from_bytes(&bytes).unwrap();
         assert_eq!(back, table);
+    }
+
+    /// Appending to a shared buffer writes the same record as a fresh one.
+    #[test]
+    fn encode_value_into_appends_the_fresh_record() {
+        let mut shared = BytesMut::new();
+        encode_event_into(&CampaignEvent::finished(), &mut shared);
+        let start = shared.len();
+        let value = vec![(3u32, Answer::new(WorkerId(10), TaskId(2), 1))];
+        encode_value_into(&value, &mut shared);
+        assert_eq!(&shared[start..], &to_bytes(&value)[..]);
+    }
+
+    /// Hand-built trees the streamed decoder must treat as `from_value`
+    /// treats them: coercions, null fields, duplicate, unknown and missing
+    /// struct keys, wrong shapes, externally tagged enums.
+    #[test]
+    fn streamed_decoding_agrees_with_the_tree_on_odd_trees() {
+        fn agree<T: Deserialize + Serialize>(tree: Value) {
+            let record = tree::encode_tree(&tree);
+            match (from_bytes::<T>(&record), tree::from_bytes::<T>(&record)) {
+                (Ok(s), Ok(o)) => assert_eq!(tree::to_bytes(&s), tree::to_bytes(&o), "{tree:?}"),
+                (Err(_), Err(_)) => {}
+                (s, o) => panic!("{tree:?}: streamed {:?}, tree {:?}", s.is_ok(), o.is_ok()),
+            }
+        }
+        let answer = |fields: Vec<(&str, Value)>| {
+            Value::Map(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
+        for tree in [
+            answer(vec![
+                ("task", Value::Float(3.0)),
+                ("worker", Value::Int(4)),
+                ("choice", Value::UInt(1)),
+            ]),
+            answer(vec![
+                ("task", Value::UInt(1)),
+                ("task", Value::Str("later duplicates are ignored".into())),
+                ("unknown", Value::Seq(vec![Value::Map(vec![])])),
+                ("worker", Value::UInt(2)),
+                ("choice", Value::UInt(0)),
+            ]),
+            answer(vec![
+                ("task", Value::Str("first wins".into())),
+                ("task", Value::UInt(1)),
+                ("worker", Value::UInt(2)),
+                ("choice", Value::UInt(0)),
+            ]),
+            answer(vec![("task", Value::UInt(1)), ("worker", Value::UInt(2))]),
+            answer(vec![
+                ("task", Value::Float(0.5)),
+                ("worker", Value::UInt(2)),
+                ("choice", Value::UInt(0)),
+            ]),
+            answer(vec![
+                ("task", Value::UInt(1 << 40)),
+                ("worker", Value::UInt(2)),
+                ("choice", Value::UInt(0)),
+            ]),
+            Value::Seq(vec![]),
+        ] {
+            agree::<Answer>(tree);
+        }
+        for tree in [
+            Value::Str("Finished".into()),
+            Value::Str("Published".into()),
+            Value::Map(vec![("Finished".into(), Value::Map(vec![]))]),
+            Value::Map(vec![("Bogus".into(), Value::Null)]),
+            Value::Map(vec![
+                ("Finished".into(), Value::Map(vec![])),
+                ("Finished".into(), Value::Map(vec![])),
+            ]),
+            Value::Map(vec![(
+                "AnswerBatchSubmitted".into(),
+                Value::Map(vec![("answers".into(), Value::Seq(vec![]))]),
+            )]),
+            Value::Map(vec![(
+                "GoldenSubmitted".into(),
+                Value::Map(vec![
+                    ("worker".into(), Value::UInt(1)),
+                    (
+                        "answers".into(),
+                        Value::Seq(vec![Value::Seq(vec![Value::UInt(0)])]),
+                    ),
+                ]),
+            )]),
+            Value::Null,
+        ] {
+            agree::<CampaignEvent>(tree);
+        }
+        for tree in [
+            Value::Seq(vec![Value::Null, Value::Float(2.0), Value::Int(-1)]),
+            Value::Seq(vec![Value::Null, Value::Bool(true)]),
+        ] {
+            agree::<Vec<Option<u8>>>(tree);
+        }
+        for tree in [
+            Value::Map(vec![
+                ("3".into(), Value::UInt(1)),
+                ("3".into(), Value::UInt(2)),
+            ]),
+            Value::Map(vec![("x".into(), Value::UInt(1))]),
+        ] {
+            agree::<HashMap<u32, u8>>(tree);
+        }
+    }
+
+    /// Bodies the tree never built: deep nesting, counts past the bytes
+    /// left, bad tags, invalid UTF-8, trailing bytes. Both decoders refuse
+    /// them.
+    #[test]
+    fn hostile_value_bodies_are_refused_by_both_decoders() {
+        let record = |body: &[u8]| {
+            let mut record = BytesMut::new();
+            frame_into(KIND_VALUE, &mut record, |b| b.put_slice(body));
+            record.to_vec()
+        };
+        let mut huge_count = vec![VAL_SEQ];
+        put_varint(&mut huge_count, 1 << 60);
+        let mut deep_in_unknown_key = vec![VAL_MAP, 1, 1, b'z'];
+        deep_in_unknown_key.extend([VAL_SEQ, 1].repeat(MAX_DEPTH + 1));
+        deep_in_unknown_key.push(VAL_NULL);
+        for body in [
+            vec![VAL_SEQ; 1 << 20],
+            [VAL_SEQ, 1].repeat(MAX_DEPTH + 1),
+            huge_count,
+            deep_in_unknown_key,
+            vec![VAL_STR, 1, 0xFF],
+            vec![VAL_MAP, 1, 1, 0xFF, VAL_NULL],
+            vec![9],
+            vec![VAL_NULL, VAL_NULL],
+            vec![],
+        ] {
+            let record = record(&body);
+            assert!(from_bytes::<Vec<Vec<u8>>>(&record).is_err());
+            assert!(from_bytes::<HashMap<String, u8>>(&record).is_err());
+            assert!(from_bytes::<Answer>(&record).is_err());
+            assert!(tree::decode_tree(&record).is_err());
+        }
+        // A null one level short of the bound is still a value.
+        let mut body = [VAL_SEQ, 1].repeat(MAX_DEPTH);
+        body.push(VAL_NULL);
+        assert!(tree::decode_tree(&record(&body)).is_ok());
     }
 
     #[test]
     fn hostile_counts_do_not_allocate() {
         // A CRC-valid body claiming u32::MAX batch answers must be refused
         // by the count-vs-remaining check, not attempted.
-        let mut body = BytesMut::new();
-        body.put_u8(EV_ANSWER_BATCH);
-        put_varint(&mut body, u64::from(u32::MAX));
         let mut record = BytesMut::new();
-        frame_into(KIND_EVENT, &body, &mut record);
+        frame_into(KIND_EVENT, &mut record, |b| {
+            b.put_u8(EV_ANSWER_BATCH);
+            put_varint(b, u64::from(u32::MAX));
+        });
         let err = decode_event(&record).unwrap_err();
         assert!(err.to_string().contains("count"), "{err}");
     }

@@ -4,13 +4,17 @@
 //! records without depending on the storage crate; `docs-storage` re-exports
 //! these items so existing callers keep their import paths.
 
-/// Lazily built 256-entry lookup table for the reflected IEEE polynomial.
-fn table() -> &'static [u32; 256] {
+/// Lazily built lookup tables for the reflected IEEE polynomial,
+/// slicing-by-8: `t[0]` is the classic byte table and `t[k][i]` the CRC
+/// state after byte `i` followed by `k` zero bytes, so eight input bytes
+/// fold into the state with eight independent lookups instead of a chain
+/// of eight.
+fn tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -20,6 +24,12 @@ fn table() -> &'static [u32; 256] {
                 };
             }
             *slot = c;
+        }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
         }
         t
     })
@@ -48,10 +58,25 @@ impl Crc32 {
 
     /// Feeds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
-        let t = table();
-        for &b in data {
-            self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = tables();
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// The checksum of everything fed so far. Non-consuming: feeding more
@@ -87,6 +112,32 @@ mod tests {
             hasher.update(&data[..split]);
             hasher.update(&data[split..]);
             assert_eq!(hasher.finalize(), whole, "split at {split}");
+        }
+    }
+
+    /// Slicing-by-8 is the byte-at-a-time CRC, for every length and
+    /// alignment of the eight-byte steps.
+    #[test]
+    fn sliced_update_matches_the_bytewise_definition() {
+        fn bytewise(data: &[u8]) -> u32 {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in data {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB88320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            c ^ 0xFFFF_FFFF
+        }
+        let data: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "length {len}");
         }
     }
 
