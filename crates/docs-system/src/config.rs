@@ -15,8 +15,6 @@ use std::path::PathBuf;
 pub struct DocsConfig {
     /// Entity-linker configuration for DVE (top-20 concepts by default).
     pub linker: LinkerConfig,
-    /// Context-coherence weight used by the linker.
-    pub context_weight: f64,
     /// Number of golden tasks (`n′ = 20` in the deployment).
     pub num_golden: usize,
     /// Golden-initialization smoothing pseudo-weight.
@@ -72,7 +70,6 @@ impl Default for DocsConfig {
                 top_c: 20,
                 context_weight: 0.5,
             },
-            context_weight: 0.5,
             num_golden: 20,
             golden_smoothing: 1.0,
             z: 100,

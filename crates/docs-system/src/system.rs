@@ -1379,8 +1379,9 @@ mod tests {
     }
 
     /// A snapshot written by an older build still carries the retired
-    /// `config.use_benefit_index`; the derive looks fields up by name, so
-    /// the extra key is ignored and the campaign restores onto the scan.
+    /// `config.use_benefit_index` and `config.context_weight`; the derive
+    /// looks fields up by name, so the extra keys are ignored and the
+    /// campaign restores onto the scan.
     #[test]
     fn restore_ignores_the_retired_index_flag_of_older_snapshots() {
         use serde::{Deserialize, Serialize, Value};
@@ -1395,6 +1396,7 @@ mod tests {
             panic!("configs serialize as a map");
         };
         config.push(("use_benefit_index".into(), Value::Bool(true)));
+        config.push(("context_weight".into(), Value::Float(0.5)));
         let snapshot = CampaignSnapshot::from_value(&old).unwrap();
         assert!(Docs::restore(snapshot).is_ok());
     }

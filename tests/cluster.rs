@@ -14,103 +14,18 @@
 //!    absorbs the `WrongNode` answer, and converges on the new owner with
 //!    exactly one redirect.
 
+mod common;
+
+use common::{assert_byte_identical, oracle, publish, send, tmp_dir, Op};
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
     AdaptiveCommit, Client, ClusterNode, ClusterRouter, Counter, DocsService, DurabilityConfig,
     ServiceConfig, ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
-use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
-use docs_types::{
-    Answer, CampaignId, ChoiceIndex, ClusterMap, NodeId, Task, TaskBuilder, TaskId, WorkerId,
-};
+use docs_types::{Answer, CampaignId, ClusterMap, NodeId, TaskId, WorkerId};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-const NUM_TASKS: usize = 12;
-const NUM_WORKERS: u32 = 5;
-
-/// One recorded platform operation, replayable against any service.
-#[derive(Debug, Clone)]
-enum Op {
-    Golden(WorkerId, Vec<(TaskId, ChoiceIndex)>),
-    Answer(Answer),
-}
-
-fn tasks() -> Vec<Task> {
-    let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
-    (0..NUM_TASKS)
-        .map(|i| {
-            TaskBuilder::new(i, format!("Is {} great? ({i})", subjects[i % 3]))
-                .yes_no()
-                .with_ground_truth(i % 2)
-                .with_true_domain(1)
-                .build()
-                .unwrap()
-        })
-        .collect()
-}
-
-fn publish(task_shards: usize, durable_flush: Option<FlushPolicy>) -> Docs {
-    Docs::publish(
-        &docs_kb::table2_example_kb(),
-        tasks(),
-        DocsConfig {
-            num_golden: 3,
-            k_per_hit: 3,
-            answers_per_task: 3,
-            z: 5, // small period: the migration crosses full-inference runs
-            task_shards,
-            durable_flush,
-            ..Default::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Deterministic worker choice — varies by task and worker so TI has
-/// disagreement to resolve.
-fn choice_of(worker: WorkerId, task: TaskId) -> ChoiceIndex {
-    if worker.0.is_multiple_of(2) {
-        task.index() % 2
-    } else {
-        (task.index() + worker.0 as usize) % 2
-    }
-}
-
-/// Drives an uninterrupted in-memory campaign, recording every submission;
-/// returns the operation stream and the reference report.
-fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
-    let mut docs = publish(task_shards, None);
-    let mut ops = Vec::new();
-    let mut idle_rounds = 0;
-    while !docs.budget_exhausted() && idle_rounds < 2 {
-        let mut progressed = false;
-        for w in 0..NUM_WORKERS {
-            let w = WorkerId(w);
-            match docs.request_tasks(w) {
-                WorkRequest::Golden(golden) => {
-                    let answers: Vec<_> = golden.iter().map(|&g| (g, choice_of(w, g))).collect();
-                    docs.submit_golden(w, &answers).unwrap();
-                    ops.push(Op::Golden(w, answers));
-                    progressed = true;
-                }
-                WorkRequest::Tasks(hit) => {
-                    for t in hit {
-                        let answer = Answer::new(w, t, choice_of(w, t));
-                        docs.submit_answer(answer).unwrap();
-                        ops.push(Op::Answer(answer));
-                        progressed = true;
-                    }
-                }
-                WorkRequest::Done => {}
-            }
-        }
-        idle_rounds = if progressed { 0 } else { idle_rounds + 1 };
-    }
-    let report = docs.finish().unwrap();
-    (ops, report)
-}
 
 /// Submits one op through the router. Every op of the oracle stream is
 /// fresh (no duplicates), so under migration the only acceptable outcomes
@@ -118,24 +33,7 @@ fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
 /// panic: a surfaced rejection here would be a *lost* acknowledged-stream
 /// submission.
 fn submit_via(router: &ClusterRouter, campaign: CampaignId, op: &Op) {
-    match op {
-        Op::Golden(w, answers) => router
-            .call(docs_service::Op::submit_golden(
-                campaign,
-                *w,
-                answers.clone(),
-            ))
-            .expect("golden submission must be acknowledged"),
-        Op::Answer(answer) => router
-            .call(docs_service::Op::submit_answer(campaign, *answer))
-            .expect("answer submission must be acknowledged"),
-    }
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("docs-cluster-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    send(router, campaign, op).expect("submission must be acknowledged");
 }
 
 fn durable_node(shards: usize, dir: &Path, node: NodeId) -> ServiceConfig {
@@ -150,18 +48,6 @@ fn durable_node(shards: usize, dir: &Path, node: NodeId) -> ServiceConfig {
         ..Default::default()
     }
     .with_node(node)
-}
-
-fn assert_byte_identical(report: &RequesterReport, reference: &RequesterReport, label: &str) {
-    assert_eq!(report.truths, reference.truths, "truths diverged: {label}");
-    assert_eq!(
-        report.truth_distributions, reference.truth_distributions,
-        "probabilistic truths diverged: {label}"
-    );
-    assert_eq!(
-        report.answers_collected, reference.answers_collected,
-        "{label}"
-    );
 }
 
 /// A two-node cluster around one campaign living on node 0: pools, hub,

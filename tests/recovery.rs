@@ -17,151 +17,46 @@
 //! the duplicate-answer rule turns the already-recovered prefix into
 //! deterministic no-ops.
 
+mod common;
+
+use common::{assert_byte_identical, oracle, publish, send, tmp_dir, Op, NUM_TASKS};
 use docs_service::{
     AdaptiveCommit, Client, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
     ServiceHandle,
 };
 use docs_storage::FlushPolicy;
-use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
-use docs_types::{Answer, CampaignId, ChoiceIndex, Task, TaskBuilder, TaskId, WorkerId};
+use docs_types::{CampaignId, WorkerId};
 use std::path::{Path, PathBuf};
-
-const NUM_TASKS: usize = 12;
-const NUM_WORKERS: u32 = 5;
-
-/// One recorded platform operation, replayable against any service.
-#[derive(Debug, Clone)]
-enum Op {
-    Golden(WorkerId, Vec<(TaskId, ChoiceIndex)>),
-    Answer(Answer),
-}
-
-fn tasks() -> Vec<Task> {
-    let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
-    (0..NUM_TASKS)
-        .map(|i| {
-            TaskBuilder::new(i, format!("Is {} great? ({i})", subjects[i % 3]))
-                .yes_no()
-                .with_ground_truth(i % 2)
-                .with_true_domain(1)
-                .build()
-                .unwrap()
-        })
-        .collect()
-}
-
-fn docs_config(task_shards: usize, durable_flush: Option<FlushPolicy>) -> DocsConfig {
-    DocsConfig {
-        num_golden: 3,
-        k_per_hit: 3,
-        answers_per_task: 3,
-        z: 5, // small period: replay crosses several full-inference runs
-        task_shards,
-        durable_flush,
-        ..Default::default()
-    }
-}
-
-fn publish(task_shards: usize, durable_flush: Option<FlushPolicy>) -> Docs {
-    Docs::publish(
-        &docs_kb::table2_example_kb(),
-        tasks(),
-        docs_config(task_shards, durable_flush),
-    )
-    .unwrap()
-}
-
-/// Deterministic worker choice — varies by task and worker so TI has
-/// disagreement to resolve.
-fn choice_of(worker: WorkerId, task: TaskId) -> ChoiceIndex {
-    if worker.0.is_multiple_of(2) {
-        task.index() % 2 // majority answers the ground truth
-    } else {
-        (task.index() + worker.0 as usize) % 2
-    }
-}
-
-/// Drives an uninterrupted in-memory campaign, recording every submission;
-/// returns the operation stream and the reference report.
-fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
-    let mut docs = publish(task_shards, None);
-    let mut ops = Vec::new();
-    let mut idle_rounds = 0;
-    while !docs.budget_exhausted() && idle_rounds < 2 {
-        let mut progressed = false;
-        for w in 0..NUM_WORKERS {
-            let w = WorkerId(w);
-            match docs.request_tasks(w) {
-                WorkRequest::Golden(golden) => {
-                    let answers: Vec<_> = golden.iter().map(|&g| (g, choice_of(w, g))).collect();
-                    docs.submit_golden(w, &answers).unwrap();
-                    ops.push(Op::Golden(w, answers));
-                    progressed = true;
-                }
-                WorkRequest::Tasks(hit) => {
-                    for t in hit {
-                        let answer = Answer::new(w, t, choice_of(w, t));
-                        docs.submit_answer(answer).unwrap();
-                        ops.push(Op::Answer(answer));
-                        progressed = true;
-                    }
-                }
-                WorkRequest::Done => {}
-            }
-        }
-        idle_rounds = if progressed { 0 } else { idle_rounds + 1 };
-    }
-    let report = docs.finish().unwrap();
-    (ops, report)
-}
 
 /// Submits one op, tolerating deterministic rejections (duplicates of the
 /// already-recovered prefix).
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
-    let result = match op {
-        Op::Golden(w, answers) => handle.call(docs_service::Op::submit_golden(
-            campaign,
-            *w,
-            answers.clone(),
-        )),
-        Op::Answer(answer) => handle.call(docs_service::Op::submit_answer(campaign, *answer)),
-    };
-    match result {
+    match send(handle, campaign, op) {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}
         Err(e) => panic!("service failed: {e}"),
     }
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("docs-recovery-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+/// Snapshot cadence of most cases: small, so a run crosses snapshot +
+/// prune cycles.
+const CADENCE: u64 = 7;
 
-fn service_config(shards: usize, dir: &Path, policy: FlushPolicy) -> ServiceConfig {
+fn service_config(
+    shards: usize,
+    dir: &Path,
+    policy: FlushPolicy,
+    snapshot_every: u64,
+) -> ServiceConfig {
     ServiceConfig {
         shards,
         durability: Some(DurabilityConfig {
             dir: dir.to_path_buf(),
             default_flush: policy,
-            // Small cadence so the run crosses snapshot + prune cycles.
-            snapshot_every: 7,
+            snapshot_every,
             adaptive: Some(AdaptiveCommit::default()),
         }),
         ..Default::default()
     }
-}
-
-fn assert_byte_identical(report: &RequesterReport, reference: &RequesterReport, label: &str) {
-    assert_eq!(report.truths, reference.truths, "truths diverged: {label}");
-    assert_eq!(
-        report.truth_distributions, reference.truth_distributions,
-        "probabilistic truths diverged: {label}"
-    );
-    assert_eq!(
-        report.answers_collected, reference.answers_collected,
-        "{label}"
-    );
 }
 
 /// Runs the full kill → recover → resume cycle and checks byte-identity.
@@ -170,25 +65,28 @@ fn assert_byte_identical(report: &RequesterReport, reference: &RequesterReport, 
 /// than the writing one. `tear_tail` appends a partial WAL record to the
 /// campaign's segment after the kill (a crash mid-append).
 fn crash_recover_case(
-    name: &str,
     shards: usize,
     recover_shards: usize,
     task_shards: usize,
     policy: FlushPolicy,
+    snapshot_every: u64,
     crash_at: usize,
     tear_tail: bool,
 ) {
     let label = format!(
-        "{name}: shards {shards}→{recover_shards}, task_shards {task_shards}, \
-         policy {policy:?}, crash at {crash_at}"
+        "shards {shards}→{recover_shards}, task_shards {task_shards}, policy {policy:?}, \
+         snapshot every {snapshot_every}, crash at {crash_at}, torn tail {tear_tail}"
     );
     let (ops, reference) = oracle(task_shards);
     assert!(!ops.is_empty());
     let crash_at = crash_at.min(ops.len());
-    let dir = tmp_dir(name);
+    let dir = tmp_dir(&format!(
+        "crash-{shards}-{recover_shards}-{task_shards}-{}-{snapshot_every}-{crash_at}-{tear_tail}",
+        policy.label()
+    ));
 
     // Phase 1: serve the prefix durably, then die without flushing.
-    let config = service_config(shards, &dir, policy);
+    let config = service_config(shards, &dir, policy, snapshot_every);
     let (service, handle) = DocsService::spawn_sharded(publish(task_shards, Some(policy)), config);
     let campaign = handle.default_campaign();
     for op in &ops[..crash_at] {
@@ -219,7 +117,7 @@ fn crash_recover_case(
 
     // Phase 2: recover (possibly with a different shard count), re-drive
     // the whole stream, finish.
-    let config = service_config(recover_shards, &dir, policy);
+    let config = service_config(recover_shards, &dir, policy, snapshot_every);
     let (service, handle) = DocsService::recover(config).expect("recovery succeeds");
     assert_eq!(handle.default_campaign(), campaign, "{label}");
     assert!(
@@ -260,31 +158,35 @@ fn recovery_is_byte_identical_across_shards_task_shards_and_flush_policies() {
         for task_shards in [1usize, 4] {
             for policy in policies {
                 crash_recover_case(
-                    &format!("matrix-{shards}-{task_shards}-{}", policy.label()),
                     shards,
                     shards,
                     task_shards,
                     policy,
+                    CADENCE,
                     23, // mid-campaign, past golden bootstrap and a z-cycle
                     false,
                 );
             }
         }
     }
+    // A cadence longer than the stream: recovery replays a long suffix
+    // from the creation baseline alone, with no later snapshot to lean on.
+    let (ops, _) = oracle(2);
+    crash_recover_case(
+        2,
+        2,
+        2,
+        FlushPolicy::Batch(8),
+        500,
+        ops.len() * 6 / 10,
+        false,
+    );
 }
 
 #[test]
 fn recovery_survives_a_torn_final_wal_record() {
     for policy in [FlushPolicy::EveryEvent, FlushPolicy::Batch(4)] {
-        crash_recover_case(
-            &format!("torn-{}", policy.label()),
-            1,
-            1,
-            4,
-            policy,
-            17,
-            true,
-        );
+        crash_recover_case(1, 1, 4, policy, CADENCE, 17, true);
     }
 }
 
@@ -292,22 +194,14 @@ fn recovery_survives_a_torn_final_wal_record() {
 fn recovery_at_the_edges_of_the_stream() {
     // Crash before any event, after the first event, and after the last.
     for crash_at in [0usize, 1, usize::MAX] {
-        crash_recover_case(
-            &format!("edge-{crash_at}"),
-            1,
-            1,
-            1,
-            FlushPolicy::EveryEvent,
-            crash_at,
-            false,
-        );
+        crash_recover_case(1, 1, 1, FlushPolicy::EveryEvent, CADENCE, crash_at, false);
     }
 }
 
 #[test]
 fn recovery_rehomes_campaigns_when_the_shard_count_changes() {
-    crash_recover_case("reshard-up", 1, 4, 4, FlushPolicy::Batch(8), 23, false);
-    crash_recover_case("reshard-down", 4, 1, 1, FlushPolicy::EveryEvent, 23, true);
+    crash_recover_case(1, 4, 4, FlushPolicy::Batch(8), CADENCE, 23, false);
+    crash_recover_case(4, 1, 1, FlushPolicy::EveryEvent, CADENCE, 23, true);
 }
 
 /// Satellite regression: crash with a non-empty *unsynced* buffer under a
@@ -321,16 +215,7 @@ fn unfilled_batch_crash_with_unsynced_buffer_replays_to_the_last_synced_event() 
     let policy = FlushPolicy::Batch(usize::MAX);
     let (ops, _) = oracle(2);
     let dir = tmp_dir("unfilled-batch-unsynced-buffer");
-    let config = ServiceConfig {
-        shards: 1,
-        durability: Some(DurabilityConfig {
-            dir: dir.clone(),
-            default_flush: policy,
-            snapshot_every: 100_000,
-            adaptive: Some(AdaptiveCommit::default()),
-        }),
-        ..Default::default()
-    };
+    let config = service_config(1, &dir, policy, 100_000);
     let (service, handle) = DocsService::spawn_sharded(publish(2, Some(policy)), config.clone());
     let campaign = handle.default_campaign();
     let split = 11.min(ops.len());
@@ -380,7 +265,7 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     let dir = tmp_dir("multi");
     let policy = FlushPolicy::EveryEvent;
     let (ops, reference) = oracle(2);
-    let config = service_config(4, &dir, policy);
+    let config = service_config(4, &dir, policy, CADENCE);
     let (service, handle) = DocsService::spawn_sharded(publish(2, Some(policy)), config);
     let c0 = handle.default_campaign();
     // A second durable campaign (different geometry) and a memory-only one.
@@ -395,7 +280,7 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     drop(handle);
     let _ = service.join_all();
 
-    let (service, handle) = DocsService::recover(service_config(4, &dir, policy)).unwrap();
+    let (service, handle) = DocsService::recover(service_config(4, &dir, policy, CADENCE)).unwrap();
     // The memory-only campaign died with the process; both durable ones
     // came back and can run to an identical report.
     let err = handle
@@ -415,4 +300,43 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     drop(handle);
     let _ = service.join_all();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+        word.to_le_bytes().iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    })
+}
+
+/// Pins the shared oracle itself. Every suite checks against it, so a
+/// change to the scripted crowd or the fixture would move all of them the
+/// same way and pass; these constants do not move with it. A diff that
+/// changes them says why in one line beside the new values.
+#[test]
+fn the_shared_oracle_is_pinned() {
+    // 5 golden HITs + 12 tasks × 3 answers; `task_shards` only reorders
+    // the scan, so both geometries give the same stream and report.
+    for task_shards in [1, 4] {
+        let (ops, report) = oracle(task_shards);
+        let actual = (
+            ops.len(),
+            fnv1a(report.truths.iter().map(|&t| t as u64)),
+            fnv1a(
+                report
+                    .truth_distributions
+                    .iter()
+                    .flatten()
+                    .map(|p| p.to_bits()),
+            ),
+            report.answers_collected,
+        );
+        assert_eq!(
+            actual,
+            (41, 0x56b2_8d64_ccf8_19e5, 0x5de0_7ebd_701f_3655, 36),
+            "oracle moved at task_shards {task_shards}"
+        );
+    }
 }

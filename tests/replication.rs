@@ -14,128 +14,31 @@
 //!    promoting the follower yields a primary whose watermark covers every
 //!    acknowledged event, whose replica-served reads matched the primary's
 //!    answers before the failover, and whose resumed traffic converges to
-//!    the byte-identical oracle report.
+//!    the byte-identical oracle report. The primary traces every request,
+//!    so the same run checks that a traced submit's pipeline spans account
+//!    for its latency and that the promotion is journaled.
 
+mod common;
+
+use common::{assert_byte_identical, oracle, publish, send, tmp_dir, Op};
+use docs_obs::{JournalKind, SpanKind};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
     AdaptiveCommit, Client, ClusterRouter, Counter, DocsService, DurabilityConfig, RejectReason,
     ReplicaRole, ServiceConfig, ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
-use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
-use docs_types::{
-    Answer, CampaignEvent, CampaignId, ChoiceIndex, NodeId, ReplicationFrame, Task, TaskBuilder,
-    TaskId, WorkerId,
-};
-use std::path::{Path, PathBuf};
+use docs_types::{Answer, CampaignEvent, CampaignId, NodeId, ReplicationFrame, TaskId, WorkerId};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-const NUM_TASKS: usize = 12;
-const NUM_WORKERS: u32 = 5;
-
-/// One recorded platform operation, replayable against any service.
-#[derive(Debug, Clone)]
-enum Op {
-    Golden(WorkerId, Vec<(TaskId, ChoiceIndex)>),
-    Answer(Answer),
-}
-
-fn tasks() -> Vec<Task> {
-    let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
-    (0..NUM_TASKS)
-        .map(|i| {
-            TaskBuilder::new(i, format!("Is {} great? ({i})", subjects[i % 3]))
-                .yes_no()
-                .with_ground_truth(i % 2)
-                .with_true_domain(1)
-                .build()
-                .unwrap()
-        })
-        .collect()
-}
-
-fn publish(task_shards: usize, durable_flush: Option<FlushPolicy>) -> Docs {
-    Docs::publish(
-        &docs_kb::table2_example_kb(),
-        tasks(),
-        DocsConfig {
-            num_golden: 3,
-            k_per_hit: 3,
-            answers_per_task: 3,
-            z: 5, // small period: replication crosses several full-inference runs
-            task_shards,
-            durable_flush,
-            ..Default::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Deterministic worker choice — varies by task and worker so TI has
-/// disagreement to resolve.
-fn choice_of(worker: WorkerId, task: TaskId) -> ChoiceIndex {
-    if worker.0.is_multiple_of(2) {
-        task.index() % 2
-    } else {
-        (task.index() + worker.0 as usize) % 2
-    }
-}
-
-/// Drives an uninterrupted in-memory campaign, recording every submission;
-/// returns the operation stream and the reference report.
-fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
-    let mut docs = publish(task_shards, None);
-    let mut ops = Vec::new();
-    let mut idle_rounds = 0;
-    while !docs.budget_exhausted() && idle_rounds < 2 {
-        let mut progressed = false;
-        for w in 0..NUM_WORKERS {
-            let w = WorkerId(w);
-            match docs.request_tasks(w) {
-                WorkRequest::Golden(golden) => {
-                    let answers: Vec<_> = golden.iter().map(|&g| (g, choice_of(w, g))).collect();
-                    docs.submit_golden(w, &answers).unwrap();
-                    ops.push(Op::Golden(w, answers));
-                    progressed = true;
-                }
-                WorkRequest::Tasks(hit) => {
-                    for t in hit {
-                        let answer = Answer::new(w, t, choice_of(w, t));
-                        docs.submit_answer(answer).unwrap();
-                        ops.push(Op::Answer(answer));
-                        progressed = true;
-                    }
-                }
-                WorkRequest::Done => {}
-            }
-        }
-        idle_rounds = if progressed { 0 } else { idle_rounds + 1 };
-    }
-    let report = docs.finish().unwrap();
-    (ops, report)
-}
 
 /// Submits one op, tolerating deterministic rejections (duplicates of an
 /// already-applied prefix when a stream is re-driven).
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
-    let result = match op {
-        Op::Golden(w, answers) => handle.call(docs_service::Op::submit_golden(
-            campaign,
-            *w,
-            answers.clone(),
-        )),
-        Op::Answer(answer) => handle.call(docs_service::Op::submit_answer(campaign, *answer)),
-    };
-    match result {
+    match send(handle, campaign, op) {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}
         Err(e) => panic!("service failed: {e}"),
     }
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("docs-replication-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn primary_config(
@@ -170,18 +73,6 @@ fn await_watermark(replica: &Replica, campaign: CampaignId, seq: u64) {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-}
-
-fn assert_byte_identical(report: &RequesterReport, reference: &RequesterReport, label: &str) {
-    assert_eq!(report.truths, reference.truths, "truths diverged: {label}");
-    assert_eq!(
-        report.truth_distributions, reference.truth_distributions,
-        "probabilistic truths diverged: {label}"
-    );
-    assert_eq!(
-        report.answers_collected, reference.answers_collected,
-        "{label}"
-    );
 }
 
 /// One matrix cell: primary with `shards`, follower re-homed onto
@@ -314,7 +205,10 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     let policy = FlushPolicy::EveryEvent;
 
     let (sink, feed) = replication_channel();
-    let config = primary_config(2, &dir, policy, 1024).with_replication(sink);
+    // Every request is traced, so the prefix leaves full pipeline traces.
+    let config = primary_config(2, &dir, policy, 1024)
+        .with_replication(sink)
+        .with_trace_sampling(1);
     let (service, handle) = DocsService::spawn_sharded(publish(task_shards, Some(policy)), config);
     let campaign = handle.default_campaign();
     let hub = ReplicationHub::spawn(feed);
@@ -331,6 +225,25 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
         submit(&handle, campaign, op);
     }
     let acked_seq = 1 + prefix as u64; // Published + one event per op
+
+    // A traced durable replicated submit carries every pipeline span, and
+    // its spans account for (nearly) all of its end-to-end latency.
+    let traces = handle.metrics().flight().snapshot();
+    let pipeline = [
+        SpanKind::QueueWait,
+        SpanKind::Apply,
+        SpanKind::Ship,
+        SpanKind::FlushWait,
+    ];
+    let traced = traces
+        .iter()
+        .find(|t| pipeline.iter().all(|&k| t.span_ns(k).is_some()))
+        .expect("a traced submit carries the full pipeline spans");
+    assert!(
+        traced.spans_sum_ns() as f64 >= 0.9 * traced.total_ns as f64,
+        "spans cover under 90% of the trace: {}",
+        traced.to_json()
+    );
 
     // Reads fan out to the replica through the router; writes pin to the
     // primary.
@@ -410,6 +323,15 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     let promotion = replica.promote().expect("clean promotion");
     let promoted = promotion.handle;
     assert_eq!(promoted.role(), ReplicaRole::Primary);
+    assert!(
+        promoted
+            .metrics()
+            .journal()
+            .snapshot()
+            .iter()
+            .any(|e| e.kind == JournalKind::Promotion),
+        "the promotion is journaled on the promoted node"
+    );
     let watermark = promotion
         .watermarks
         .iter()
