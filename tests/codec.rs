@@ -278,6 +278,42 @@ fn drive(docs: &mut Docs, steps: usize, finish: bool) {
     }
 }
 
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Golden bytes: the snapshot record and the snapshot's JSON text of two
+/// driven and finished campaigns, and one scenario manifest's JSON, pinned
+/// by hash and length. A change to the serde facade, its derive or the
+/// codec must leave every one of them where it is.
+#[test]
+fn snapshot_and_json_bytes_are_pinned() {
+    let mut actual = Vec::new();
+    for (choices, options) in [(5, true), (2, false)] {
+        let mut docs = publish(choices, options);
+        drive(&mut docs, 24, true);
+        let record = docs.snapshot_bytes();
+        let json = serde_json::to_vec(&docs.snapshot()).expect("snapshots render as JSON");
+        actual.push((fnv1a(&record), record.len()));
+        actual.push((fnv1a(&json), json.len()));
+    }
+    let spec = docs_scenarios::registry().remove(0).to_json();
+    actual.push((fnv1a(spec.as_bytes()), spec.len()));
+    assert_eq!(
+        actual,
+        [
+            (0xc4f0_a109_4ebc_b514, 4969), // ℓ = 5, options: snapshot record
+            (0x77c3_09c0_071a_c1ed, 6932), // ℓ = 5, options: snapshot JSON
+            (0xa862_e7f0_d078_a30f, 3892), // ℓ = 2: snapshot record
+            (0x8a39_b05d_190f_0d24, 4629), // ℓ = 2: snapshot JSON
+            (0xeeb3_7cfd_b228_ebe6, 250),  // registry()[0].to_json()
+        ]
+    );
+}
+
 /// A value record around an arbitrary body, CRC and length made valid.
 fn value_record(body: &[u8]) -> Vec<u8> {
     let mut record = vec![CODEC_MAGIC, CODEC_VERSION, KIND_VALUE];
