@@ -13,7 +13,7 @@
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use docs_storage::{recover_tree, AdaptiveCommit, CampaignLog, FlushPolicy};
 use docs_system::{Docs, DocsConfig};
-use docs_types::{Answer, CampaignEvent, CampaignId, Task, TaskBuilder, TaskId, WorkerId};
+use docs_types::{codec, Answer, CampaignEvent, CampaignId, Task, TaskBuilder, TaskId, WorkerId};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -91,7 +91,7 @@ fn bench_tasks() -> Vec<Task> {
         .collect()
 }
 
-/// Builds one campaign's snapshot bytes plus `n` serialized answer events
+/// Builds one campaign's snapshot record plus `n` answer event records
 /// (distinct worker/task pairs, so replay accepts every one).
 fn snapshot_and_events(n: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
     let docs = Docs::publish(
@@ -106,7 +106,7 @@ fn snapshot_and_events(n: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
         },
     )
     .expect("publish bench campaign");
-    let snapshot = serde_json::to_vec(&docs.snapshot()).expect("encode snapshot");
+    let snapshot = codec::to_bytes(&docs.snapshot());
     let events: Vec<Vec<u8>> = (0..n)
         .map(|i| {
             let event = CampaignEvent::answer(Answer::new(
@@ -114,7 +114,7 @@ fn snapshot_and_events(n: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
                 TaskId((i % NUM_TASKS) as u32),
                 i % 2,
             ));
-            serde_json::to_vec(&event).expect("encode event")
+            codec::encode_event(&event)
         })
         .collect();
     (snapshot, events)

@@ -421,10 +421,6 @@ impl IncrementalTi {
 /// the snapshot's fields, in its declaration order, straight from the live
 /// state, so a durable snapshot costs no copy of the engine.
 impl Serialize for IncrementalTi {
-    fn to_value(&self) -> serde::Value {
-        self.snapshot().to_value()
-    }
-
     fn encode<S: Sink + ?Sized>(&self, sink: &mut S) {
         let config = self.ti.config();
         sink.map(12);

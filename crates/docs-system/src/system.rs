@@ -104,10 +104,6 @@ struct LiveSnapshot<'a> {
 }
 
 impl Serialize for LiveSnapshot<'_> {
-    fn to_value(&self) -> serde::Value {
-        self.docs.snapshot().to_value()
-    }
-
     fn encode<S: Sink + ?Sized>(&self, sink: &mut S) {
         sink.map(4);
         sink.key("engine");
@@ -1384,10 +1380,10 @@ mod tests {
     /// campaign restores onto the scan.
     #[test]
     fn restore_ignores_the_retired_index_flag_of_older_snapshots() {
-        use serde::{Deserialize, Serialize, Value};
+        use serde::Value;
         let kb = table2_example_kb();
         let docs = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
-        let mut old = docs.snapshot().to_value();
+        let mut old = serde::to_value(&docs.snapshot());
         let Value::Map(top) = &mut old else {
             panic!("snapshots serialize as a map");
         };
@@ -1397,7 +1393,7 @@ mod tests {
         };
         config.push(("use_benefit_index".into(), Value::Bool(true)));
         config.push(("context_weight".into(), Value::Float(0.5)));
-        let snapshot = CampaignSnapshot::from_value(&old).unwrap();
+        let snapshot: CampaignSnapshot = serde::from_value(&old).unwrap();
         assert!(Docs::restore(snapshot).is_ok());
     }
 

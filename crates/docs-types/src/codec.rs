@@ -24,10 +24,10 @@
 //!   `Serialize` type; floats keep their exact bits, so replay determinism
 //!   is preserved.
 //! * **Streamed, written once.** A value body is written by
-//!   `Serialize::encode` and read by `Deserialize::decode` straight from
-//!   the bytes: no `serde::Value` tree is built on either side (the tree
-//!   is `serde_json`'s alone). The bytes are those of the tree's rendering,
-//!   which the test-only `tree` module keeps as the oracle. Every record is
+//!   `Serialize::encode` into a [`Sink`] and read by `Deserialize::decode`
+//!   from a [`Source`] straight over the bytes; no `serde::Value` tree is
+//!   built on either side. The test-only `tree` module renders and parses
+//!   the same bytes on its own, as the oracle. Every record is
 //!   written once, into its destination: the header goes first with a zero
 //!   length and CRC, then the body, then both header fields are patched
 //!   over the span just written. A fresh record is allocated at its exact
@@ -686,7 +686,7 @@ mod tests {
 
     /// Every node shape, the extreme integers and floats whose bits matter
     /// (a third, the smallest normal, negative zero): the streamed record is
-    /// the tree's, and decodes back bit for bit.
+    /// the tree's, and both decoders read it back bit for bit.
     #[test]
     fn every_shape_streams_the_tree_bytes_and_exact_floats() {
         type Shapes = (
@@ -707,6 +707,8 @@ mod tests {
         assert_eq!(bytes, tree::to_bytes(&value));
         let back: Shapes = from_bytes(&bytes).unwrap();
         assert_eq!(to_bytes(&back), bytes, "floats round-trip bit for bit");
+        let oracle: Shapes = tree::from_bytes(&bytes).unwrap();
+        assert_eq!(to_bytes(&oracle), bytes, "the oracle reads the same value");
         assert_eq!(back.1 .1[0].to_bits(), (1.0f64 / 3.0).to_bits());
         assert!(back.2["rows"][0][0].is_sign_negative());
     }
@@ -734,28 +736,46 @@ mod tests {
         assert_eq!(&shared[start..], &to_bytes(&value)[..]);
     }
 
-    /// Hand-built trees the streamed decoder must treat as `from_value`
-    /// treats them: coercions, null fields, duplicate, unknown and missing
-    /// struct keys, wrong shapes, externally tagged enums.
-    #[test]
-    fn streamed_decoding_agrees_with_the_tree_on_odd_trees() {
-        fn agree<T: Deserialize + Serialize>(tree: Value) {
-            let record = tree::encode_tree(&tree);
-            match (from_bytes::<T>(&record), tree::from_bytes::<T>(&record)) {
-                (Ok(s), Ok(o)) => assert_eq!(tree::to_bytes(&s), tree::to_bytes(&o), "{tree:?}"),
-                (Err(_), Err(_)) => {}
-                (s, o) => panic!("{tree:?}: streamed {:?}, tree {:?}", s.is_ok(), o.is_ok()),
-            }
+    /// Decodes `tree` from its codec record and from the tree itself: the
+    /// two sources one decoder reads.
+    fn decode_both<T: Deserialize>(tree: &Value) -> [Result<T, String>; 2] {
+        [
+            from_bytes(&tree::encode_tree(tree)).map_err(|e| e.to_string()),
+            serde::from_value(tree).map_err(|e| e.to_string()),
+        ]
+    }
+
+    fn decodes_to<T: Deserialize + PartialEq + fmt::Debug>(tree: Value, expected: T) {
+        for decoded in decode_both::<T>(&tree) {
+            assert_eq!(decoded.as_ref(), Ok(&expected), "{tree:?}");
         }
+    }
+
+    fn is_refused<T: Deserialize + fmt::Debug>(tree: Value, naming: &str) {
+        for decoded in decode_both::<T>(&tree) {
+            let err = decoded.expect_err(&format!("{tree:?} decodes"));
+            assert!(err.contains(naming), "{tree:?}: {err}");
+        }
+    }
+
+    /// Hand-built trees pin the decode rules, through both sources: scalars
+    /// coerce within range, a missing field reads as null, unknown keys are
+    /// skipped, the first duplicate struct key wins and the last duplicate
+    /// hash-map key, and an enum is one externally tagged entry.
+    #[test]
+    fn odd_trees_decode_by_the_rules() {
         let answer = |fields: Vec<(&str, Value)>| {
             Value::Map(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
         };
-        for tree in [
+        decodes_to(
             answer(vec![
                 ("task", Value::Float(3.0)),
                 ("worker", Value::Int(4)),
                 ("choice", Value::UInt(1)),
             ]),
+            Answer::new(WorkerId(4), TaskId(3), 1),
+        );
+        decodes_to(
             answer(vec![
                 ("task", Value::UInt(1)),
                 ("task", Value::Str("later duplicates are ignored".into())),
@@ -763,42 +783,72 @@ mod tests {
                 ("worker", Value::UInt(2)),
                 ("choice", Value::UInt(0)),
             ]),
+            Answer::new(WorkerId(2), TaskId(1), 0),
+        );
+        is_refused::<Answer>(
             answer(vec![
                 ("task", Value::Str("first wins".into())),
                 ("task", Value::UInt(1)),
                 ("worker", Value::UInt(2)),
                 ("choice", Value::UInt(0)),
             ]),
+            "field `task`: expected unsigned integer, found string",
+        );
+        is_refused::<Answer>(
             answer(vec![("task", Value::UInt(1)), ("worker", Value::UInt(2))]),
+            "field `choice`: expected unsigned integer, found null",
+        );
+        is_refused::<Answer>(
             answer(vec![
                 ("task", Value::Float(0.5)),
                 ("worker", Value::UInt(2)),
                 ("choice", Value::UInt(0)),
             ]),
+            "field `task`: expected unsigned integer, found float",
+        );
+        is_refused::<Answer>(
             answer(vec![
                 ("task", Value::UInt(1 << 40)),
                 ("worker", Value::UInt(2)),
                 ("choice", Value::UInt(0)),
             ]),
-            Value::Seq(vec![]),
-        ] {
-            agree::<Answer>(tree);
+            "1099511627776 out of range for u32",
+        );
+        is_refused::<Answer>(Value::Seq(vec![]), "expected map for Answer");
+
+        let tagged = |tag: &str, inner: Value| Value::Map(vec![(tag.into(), inner)]);
+        decodes_to(
+            tagged("Finished", Value::Map(vec![])),
+            CampaignEvent::finished(),
+        );
+        decodes_to(
+            tagged(
+                "AnswerBatchSubmitted",
+                Value::Map(vec![("answers".into(), Value::Seq(vec![]))]),
+            ),
+            CampaignEvent::answer_batch(Vec::new()),
+        );
+        // Every variant carries a payload, so none is a bare string.
+        for tag in ["Finished", "Published"] {
+            is_refused::<CampaignEvent>(
+                Value::Str(tag.into()),
+                &format!("unknown CampaignEvent variant `{tag}`"),
+            );
         }
-        for tree in [
-            Value::Str("Finished".into()),
-            Value::Str("Published".into()),
-            Value::Map(vec![("Finished".into(), Value::Map(vec![]))]),
-            Value::Map(vec![("Bogus".into(), Value::Null)]),
+        is_refused::<CampaignEvent>(
+            tagged("Bogus", Value::Null),
+            "unknown CampaignEvent variant `Bogus`",
+        );
+        is_refused::<CampaignEvent>(
             Value::Map(vec![
                 ("Finished".into(), Value::Map(vec![])),
                 ("Finished".into(), Value::Map(vec![])),
             ]),
-            Value::Map(vec![(
-                "AnswerBatchSubmitted".into(),
-                Value::Map(vec![("answers".into(), Value::Seq(vec![]))]),
-            )]),
-            Value::Map(vec![(
-                "GoldenSubmitted".into(),
+            "expected CampaignEvent variant, found map",
+        );
+        is_refused::<CampaignEvent>(
+            tagged(
+                "GoldenSubmitted",
                 Value::Map(vec![
                     ("worker".into(), Value::UInt(1)),
                     (
@@ -806,26 +856,40 @@ mod tests {
                         Value::Seq(vec![Value::Seq(vec![Value::UInt(0)])]),
                     ),
                 ]),
-            )]),
-            Value::Null,
-        ] {
-            agree::<CampaignEvent>(tree);
-        }
-        for tree in [
-            Value::Seq(vec![Value::Null, Value::Float(2.0), Value::Int(-1)]),
+            ),
+            "expected 2-tuple, found 1 elements",
+        );
+        is_refused::<CampaignEvent>(Value::Null, "expected CampaignEvent variant, found null");
+
+        decodes_to(
+            Value::Seq(vec![Value::Null, Value::Float(2.0), Value::UInt(7)]),
+            vec![None, Some(2u8), Some(7)],
+        );
+        is_refused::<Vec<Option<u8>>>(
             Value::Seq(vec![Value::Null, Value::Bool(true)]),
-        ] {
-            agree::<Vec<Option<u8>>>(tree);
-        }
-        for tree in [
+            "expected unsigned integer, found bool",
+        );
+        is_refused::<Vec<Option<u8>>>(
+            Value::Seq(vec![Value::Int(-1)]),
+            "expected unsigned integer, found integer",
+        );
+
+        decodes_to(
             Value::Map(vec![
                 ("3".into(), Value::UInt(1)),
                 ("3".into(), Value::UInt(2)),
             ]),
+            HashMap::from([(3u32, 2u8)]),
+        );
+        is_refused::<HashMap<u32, u8>>(
             Value::Map(vec![("x".into(), Value::UInt(1))]),
-        ] {
-            agree::<HashMap<u32, u8>>(tree);
-        }
+            "expected unsigned integer, found string",
+        );
+        // A float of 2^64 is past `u64::MAX`, not `u64::MAX` saturated.
+        is_refused::<u64>(
+            Value::Float(18_446_744_073_709_551_616.0),
+            "expected unsigned integer, found float",
+        );
     }
 
     /// Bodies the tree never built: deep nesting, counts past the bytes

@@ -1,9 +1,10 @@
-//! The value codec as it was before it streamed, kept as the oracle the
-//! streamed one is tested against: [`to_bytes`] renders
-//! `Serialize::to_value`'s tree and frames it, [`from_bytes`] decodes the
-//! whole tree and then runs `Deserialize::from_value` over it. The streamed
-//! codec must write the same bytes, and accept exactly the records this one
-//! accepts, with the same values.
+//! The value codec as it was before it streamed, kept as the byte-level
+//! oracle the streamed one is tested against: [`to_bytes`] renders
+//! `serde::to_value`'s tree and frames it, [`from_bytes`] parses the whole
+//! tree and then runs `serde::from_value` over it. It renders and parses
+//! record bytes by its own code, not the codec's `Writer` / `Reader`: the
+//! streamed codec must write the same bytes, and accept exactly the records
+//! this one accepts, with the same values.
 //!
 //! It uses nothing of the streamed codec: only `CodecError`, `crc32` and
 //! the format constants, which it takes from its parent module. That is
@@ -24,12 +25,12 @@ const VAL_MAP: u8 = 8;
 
 /// Encodes `value` through its tree.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    encode_tree(&value.to_value())
+    encode_tree(&serde::to_value(value))
 }
 
 /// Decodes a record's whole tree, then `T` from it.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    T::from_value(&decode_tree(bytes)?).map_err(|e| CodecError(format!("value shape: {e}")))
+    serde::from_value(&decode_tree(bytes)?).map_err(|e| CodecError(format!("value shape: {e}")))
 }
 
 /// Frames `tree`'s rendering as a value record.

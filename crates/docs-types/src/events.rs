@@ -123,7 +123,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(event: &CampaignEvent) -> CampaignEvent {
-        serde::Deserialize::from_value(&serde::Serialize::to_value(event)).expect("roundtrip")
+        serde::from_value(&serde::to_value(event)).expect("roundtrip")
     }
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
             "Exploded".to_string(),
             serde::Value::Map(Vec::new()),
         )]);
-        let err = <CampaignEvent as serde::Deserialize>::from_value(&bogus).unwrap_err();
+        let err = serde::from_value::<CampaignEvent>(&bogus).unwrap_err();
         assert!(err.to_string().contains("Exploded"), "{err}");
     }
 }

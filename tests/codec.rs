@@ -8,10 +8,13 @@
 //!
 //! Value records stream (`Serialize::encode` / `Deserialize::decode`, no
 //! `serde::Value` tree). The tree codec they replaced is included below as
-//! the oracle: streamed bytes must equal its bytes for real campaign
-//! snapshots and every other record type, and on any input — hostile ones
-//! included — the streamed decoder must return the oracle's value or fail
-//! where it fails, at every entry point that decodes a snapshot.
+//! the byte-level oracle — it renders and parses record bytes by its own
+//! code, through `serde::to_value` / `serde::from_value`: streamed bytes
+//! must equal its bytes for real campaign snapshots and every other record
+//! type, and on any input — hostile ones included — the streamed decoder
+//! must return the oracle's value or fail where it fails, at every entry
+//! point that decodes a snapshot. Snapshot record bytes and JSON text are
+//! also pinned by hash.
 
 use docs_core::ti::{StoppingPolicy, StoppingRule, WorkerStats};
 use docs_replication::{decode_frame, encode_frame};
@@ -26,9 +29,9 @@ use docs_types::{
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
-/// The tree codec: `to_value` rendered whole, decoded whole, then
-/// `from_value`. It takes `CodecError`, `crc32`, the format constants and
-/// this bound from this module.
+/// The tree codec: `serde::to_value` rendered whole, parsed whole, then
+/// `serde::from_value`. It takes `CodecError`, `crc32`, the format
+/// constants and this bound from this module.
 #[path = "../crates/docs-types/src/codec/tree.rs"]
 mod tree;
 
@@ -444,7 +447,7 @@ proptest! {
 fn hand_built_snapshot_records_decode_as_the_oracle_does() {
     let mut docs = publish(2, true);
     drive(&mut docs, 8, false);
-    let Value::Map(top) = docs.snapshot().to_value() else {
+    let Value::Map(top) = serde::to_value(&docs.snapshot()) else {
         panic!("snapshots serialize as a map");
     };
     let field = |name: &str| top.iter().find(|(k, _)| k == name).unwrap().1.clone();
