@@ -18,8 +18,7 @@
 //! [`Error::Storage`], never a silently diverged replica.
 
 use bytes::Buf;
-use docs_storage::crc32;
-use docs_types::{CampaignId, Error, EventFrame, ReplicationFrame, Result, SnapshotFrame};
+use docs_types::{crc32, CampaignId, Error, EventFrame, ReplicationFrame, Result, SnapshotFrame};
 
 const KIND_SNAPSHOT: u8 = 0x01;
 const KIND_EVENTS: u8 = 0x02;

@@ -364,8 +364,8 @@ pub struct DurabilityStats {
     pub snapshots_written: u64,
     /// Log segments whose recovery scan ended in a torn record — the
     /// expected artifact of a crash mid-append, tolerated and counted
-    /// (previously classified by `Wal::replay_all` but silently dropped
-    /// after recovery).
+    /// (classified by `Wal::scan`, surfaced here rather than dropped after
+    /// recovery).
     pub torn_tail_recoveries: u64,
 }
 

@@ -20,8 +20,9 @@
 //! Policies are per campaign — one strict campaign forces a flush that
 //! opportunistically hardens every buffered neighbor's events too.
 //!
-//! **Snapshots and truncation.** Snapshots use the same atomic
-//! tmp-file-then-rename pattern as `KvStore`. After snapshotting every
+//! **Snapshots and truncation.** Snapshots are replaced through the same
+//! `write_atomically` helper the parameter store compacts with (tmp file,
+//! `fdatasync`, rename, directory `fsync`). After snapshotting every
 //! campaign it owns, a shard calls [`CampaignLog::prune_segments`]: a fresh
 //! segment starts and all older ones are deleted — replay cost stays
 //! bounded by the snapshot cadence, not by campaign lifetime.
@@ -34,11 +35,10 @@
 //! and ends that segment's scan cleanly; a CRC-corrupt *complete* record is
 //! data loss and fails recovery loudly instead of serving wrong state.
 
-use crate::{crc32, io_err, PayloadBytes, Wal, WalTail};
+use crate::{io_err, sync_dir, write_atomically, PayloadBytes, Wal, WalTail};
 use bytes::{Buf, BufMut, BytesMut};
-use docs_types::{CampaignId, Error, Result};
+use docs_types::{crc32, CampaignId, Error, Result};
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -166,14 +166,6 @@ pub struct CampaignLog {
     /// Bytes across this log's on-disk segments, tracked so hot paths can
     /// publish the gauge without re-scanning the directory.
     disk_bytes: u64,
-}
-
-/// `fsync`s a directory so freshly created or renamed entries survive
-/// power loss — file-content `fdatasync` alone does not pin the name.
-fn sync_dir(dir: &Path) -> Result<()> {
-    std::fs::File::open(dir)
-        .and_then(|f| f.sync_all())
-        .map_err(io_err)
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -471,16 +463,7 @@ impl CampaignLog {
         let mut header = [0u8; 12];
         header[..8].copy_from_slice(&seq.to_le_bytes());
         header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
-        let dst = snapshot_path(&self.dir, campaign);
-        let tmp = dst.with_extension("bin.tmp");
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(&header).map_err(io_err)?;
-        f.write_all(payload).map_err(io_err)?;
-        f.sync_data().map_err(io_err)?;
-        std::fs::rename(&tmp, &dst).map_err(io_err)?;
-        // Pin the rename itself: without the directory fsync a power loss
-        // can drop the new name even though its contents were synced.
-        sync_dir(&self.dir)?;
+        write_atomically(&snapshot_path(&self.dir, campaign), &[&header, payload])?;
         Ok(seq)
     }
 
@@ -952,7 +935,7 @@ mod tests {
                 .append(true)
                 .open(&segment)
                 .unwrap();
-            f.write_all(&[60, 0, 0, 0, 1, 2, 3]).unwrap();
+            std::io::Write::write_all(&mut f, &[60, 0, 0, 0, 1, 2, 3]).unwrap();
         }
         let rec = recover_tree(&base).unwrap();
         assert_eq!(rec.torn_tails, 1);

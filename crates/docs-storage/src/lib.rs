@@ -8,24 +8,26 @@
 //!
 //! * [`Wal`] — an append-only, CRC-checked, length-prefixed log that
 //!   tolerates torn writes at the tail (crash recovery),
-//! * [`KvStore`] — a keyed byte store: in-memory index + WAL of mutations +
-//!   atomic CRC-trailed binary snapshots with log truncation (compaction),
-//! * [`ParamStore`] — a typed façade with the key scheme DOCS uses
-//!   (`worker/<id>`, `task/<id>`), generic over any `serde` value,
+//! * [`ParamStore`] — worker statistics as `Wal` records in one log per
+//!   directory, last record per worker wins, compacted in place; one shared
+//!   handle per directory per process,
 //! * [`CampaignLog`] — the per-service-shard event log of the event-sourced
 //!   runtime: group-commit WAL segments ([`FlushPolicy`]), per-campaign
 //!   sequence numbers and snapshots, segment pruning, and whole-tree crash
 //!   recovery ([`recover_tree`]).
 //!
+//! Both stores replace whole files the same way (`write_atomically`: tmp
+//! file, `fdatasync`, rename, directory `fsync`) and read their logs by the
+//! same tail rule: a torn final record is a crash artifact and is dropped, a
+//! complete record that fails its CRC is an error naming file and offset.
+//!
 //! Concurrency follows the paper's server model: many platform threads hit
-//! the store, so the shared stores are `Send + Sync` (interior
-//! `parking_lot` locking); a `CampaignLog` is owned by exactly one shard
-//! thread and needs no lock.
+//! the parameter store, so it is `Send + Sync` (interior `parking_lot`
+//! locking); a `CampaignLog` is owned by exactly one shard thread and needs
+//! no lock.
 
 mod arena;
 mod campaign_log;
-mod crc;
-mod kv;
 mod params;
 mod wal;
 
@@ -34,14 +36,39 @@ pub use campaign_log::{
     recover_tree, AdaptiveCommit, CampaignLog, CampaignRecovery, FlushObserver, FlushPolicy,
     FlushStats, TreeRecovery,
 };
-pub use crc::{crc32, Crc32};
-pub use kv::KvStore;
 pub use params::ParamStore;
-pub use wal::{Wal, WalEntry, WalTail};
+pub use wal::{Wal, WalTail};
 
 use docs_types::Error;
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
 
 /// Maps I/O failures into the workspace error type.
 pub(crate) fn io_err(e: std::io::Error) -> Error {
     Error::Storage(e.to_string())
+}
+
+/// `fsync`s a directory so freshly created or renamed entries survive
+/// power loss — file-content `fdatasync` alone does not pin the name.
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), Error> {
+    File::open(dir).and_then(|f| f.sync_all()).map_err(io_err)
+}
+
+/// Replaces `dst` with the concatenation of `parts`: written to
+/// `<dst>.tmp`, `fdatasync`ed, renamed over `dst`, then the directory is
+/// `fsync`ed so the new name survives power loss too. A crash at any point
+/// leaves the old file or the new one, never a mix; a leftover tmp file is
+/// never read. Returns the written file, positioned at its end.
+pub(crate) fn write_atomically(dst: &Path, parts: &[&[u8]]) -> Result<File, Error> {
+    let mut tmp = dst.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp).map_err(io_err)?;
+    for part in parts {
+        file.write_all(part).map_err(io_err)?;
+    }
+    file.sync_data().map_err(io_err)?;
+    std::fs::rename(&tmp, dst).map_err(io_err)?;
+    sync_dir(dst.parent().unwrap_or(Path::new(".")))?;
+    Ok(file)
 }

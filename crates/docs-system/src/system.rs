@@ -21,6 +21,7 @@ use docs_types::{
 };
 use serde::{Deserialize, Serialize, Sink};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Response to a worker's task request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,7 +136,9 @@ pub struct Docs {
     golden_ids: Vec<TaskId>,
     seen_workers: HashSet<WorkerId>,
     config: DocsConfig,
-    store: Option<ParamStore>,
+    /// This process's one handle on `config.storage_dir`, shared with every
+    /// other campaign that names the same directory.
+    store: Option<Arc<ParamStore>>,
 }
 
 impl Docs {
@@ -590,11 +593,14 @@ impl Docs {
         Ok(())
     }
 
+    /// Writes back the workers this campaign saw — not the ones it only
+    /// loaded at publish, whose stored copy another requester may have
+    /// updated since — then compacts the store.
     fn apply_finished(&mut self) -> Result<()> {
         self.engine.run_full();
         if let Some(store) = &self.store {
-            for (w, stats) in self.engine.registry().iter() {
-                store.put_worker(w, stats)?;
+            for worker in self.sorted_seen_workers() {
+                self.persist_worker(worker)?;
             }
             store.compact()?;
         }
@@ -646,10 +652,11 @@ impl Docs {
         seen_workers
     }
 
-    /// Rebuilds a campaign from a snapshot. The parameter database is
-    /// reopened from `config.storage_dir` when one was configured; its
-    /// contents are *not* re-merged into the registry — the snapshot already
-    /// carries the exact live statistics.
+    /// Rebuilds a campaign from a snapshot. The parameter database at
+    /// `config.storage_dir`, when one was configured, is reopened (or its
+    /// live handle shared); its contents are *not* re-merged into the
+    /// registry — the snapshot already carries the exact live statistics,
+    /// and `Finished` writes back only the workers the campaign saw.
     ///
     /// A snapshot is outside input (a WAL file, a follower's
     /// `install_snapshot`): one whose config or parts the request path

@@ -2,6 +2,7 @@
 //! assignment protocol, and persistence across deployments.
 
 use docs_baselines::ota::{DocsAssign, RandomBaseline};
+use docs_core::ti::WorkerStats;
 use docs_crowd::{AssignmentStrategy, Platform, PlatformConfig, WorkerPopulation};
 use docs_datasets::pools::domains::SPORTS;
 use docs_scenarios::run_campaign;
@@ -187,6 +188,57 @@ fn persistence_survives_redeployment() {
         WorkRequest::Tasks(_) => {}
         other => panic!("returning worker should skip golden, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two requesters share one parameter database that already profiles
+/// worker 7; both load it at publish, but only B's crowd includes worker 7.
+/// B finishes, then A: A's copy of worker 7 is the stale one it loaded, and
+/// it must not overwrite B's update.
+#[test]
+fn finish_writes_back_only_the_workers_the_campaign_saw() {
+    let dir = std::env::temp_dir().join(format!("docs-e2e-writeback-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kb = docs_datasets::curated_kb();
+    let w7 = WorkerId(7);
+    let on_file = WorkerStats::with_prior(kb.num_domains(), 0.7);
+    docs_storage::ParamStore::open(&dir)
+        .unwrap()
+        .put_worker(w7, &on_file)
+        .unwrap();
+    let config = DocsConfig {
+        num_golden: 4,
+        k_per_hit: 4,
+        answers_per_task: 3,
+        storage_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let mut a = Docs::publish(&kb, sports_tasks(12), config.clone()).unwrap();
+    let mut b = Docs::publish(&kb, sports_tasks(12), config).unwrap();
+    let WorkRequest::Tasks(hit) = b.request_tasks(w7) else {
+        panic!("worker 7 is on file and should skip golden");
+    };
+    for task in hit {
+        let choice = b.tasks()[task.index()].ground_truth.unwrap();
+        b.submit_answer(Answer {
+            task,
+            worker: w7,
+            choice,
+        })
+        .unwrap();
+    }
+    b.finish().unwrap();
+    let from_b = b.engine().registry().get(w7).unwrap().clone();
+    assert_ne!(from_b, on_file, "precondition: B's answers moved worker 7");
+    a.finish().unwrap();
+    drop((a, b));
+
+    let stored: WorkerStats = docs_storage::ParamStore::open(&dir)
+        .unwrap()
+        .get_worker(w7)
+        .unwrap()
+        .unwrap();
+    assert_eq!(stored, from_b);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -253,35 +253,67 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// WAL + KV store: any sequence of puts/deletes survives a reopen.
+    /// The parameter store's log under random puts, an optional compaction
+    /// and an optional cut at any byte: after a reopen each worker holds its
+    /// last put whose record is intact, and a put after the cut survives the
+    /// next reopen.
     #[test]
-    fn kv_store_replay_reproduces_state(
-        ops in prop::collection::vec((0u8..2, 0u8..8, prop::collection::vec(0u8..255, 0..12)), 1..40)
+    fn param_store_reopen_keeps_each_workers_last_intact_put(
+        puts in prop::collection::vec((0u32..6, prop::collection::vec(-1.0f64..1.0, 0..4)), 1..30),
+        compact_after in prop::option::of(0usize..30),
+        cut_fraction in prop::option::of(0.0f64..1.0),
     ) {
+        use std::collections::BTreeMap;
         let dir = std::env::temp_dir().join(format!(
-            "docs-prop-kv-{}-{}", std::process::id(),
+            "docs-prop-params-{}-{}", std::process::id(),
             std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
         ));
-        let mut expected: std::collections::HashMap<String, Vec<u8>> = Default::default();
+        // The log as a model: each record's end offset and the put it holds.
+        // A record is the WAL header, the worker id and the stats record;
+        // compaction leaves one record per worker, ascending by id.
+        let mut log: Vec<(usize, u32, Vec<f64>)> = Vec::new();
+        let push = |log: &mut Vec<(usize, u32, Vec<f64>)>, w: u32, v: Vec<f64>| {
+            let end = log.last().map_or(0, |r| r.0) + 8 + 4 + docs_types::codec::to_bytes(&v).len();
+            log.push((end, w, v));
+        };
+        let last_puts = |log: &[(usize, u32, Vec<f64>)], cut: usize| -> BTreeMap<u32, Vec<f64>> {
+            log.iter().filter(|r| r.0 <= cut).map(|(_, w, v)| (*w, v.clone())).collect()
+        };
         {
-            let store = docs_storage::KvStore::open(&dir).unwrap();
-            for (op, key, value) in &ops {
-                let key = format!("k{key}");
-                if *op == 0 {
-                    store.put(&key, value).unwrap();
-                    expected.insert(key, value.clone());
-                } else {
-                    store.delete(&key).unwrap();
-                    expected.remove(&key);
+            let store = docs_storage::ParamStore::open(&dir).unwrap();
+            for (i, (w, v)) in puts.iter().enumerate() {
+                store.put_worker(WorkerId(*w), v).unwrap();
+                push(&mut log, *w, v.clone());
+                if compact_after == Some(i) {
+                    store.compact().unwrap();
+                    let live = last_puts(&log, usize::MAX);
+                    log.clear();
+                    for (w, v) in live {
+                        push(&mut log, w, v);
+                    }
                 }
             }
         }
-        let store = docs_storage::KvStore::open(&dir).unwrap();
-        prop_assert_eq!(store.len(), expected.len());
-        for (k, v) in &expected {
-            let got = store.get(k);
-            prop_assert_eq!(got.as_ref(), Some(v));
-        }
+        let path = dir.join("workers.wal");
+        let full = std::fs::read(&path).unwrap();
+        prop_assert_eq!(full.len(), log.last().unwrap().0);
+        let cut = cut_fraction.map_or(full.len(), |f| (full.len() as f64 * f) as usize);
+        std::fs::write(&path, &full[..cut]).unwrap();
+
+        let mut expected = last_puts(&log, cut);
+        let reopened = |expected: &BTreeMap<u32, Vec<f64>>| {
+            let store = docs_storage::ParamStore::open(&dir).unwrap();
+            let ids: Vec<WorkerId> = expected.keys().copied().map(WorkerId).collect();
+            prop_assert_eq!(store.worker_ids(), ids);
+            for (w, v) in expected {
+                let got: Vec<f64> = store.get_worker(WorkerId(*w)).unwrap().unwrap();
+                prop_assert_eq!(&got, v);
+            }
+        };
+        reopened(&expected);
+        docs_storage::ParamStore::open(&dir).unwrap().put_worker(WorkerId(99), &vec![0.5]).unwrap();
+        expected.insert(99, vec![0.5]);
+        reopened(&expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -124,7 +124,7 @@ fn crash_recover_case(
         handle.metrics().durability().snapshots_loaded >= 1,
         "{label}"
     );
-    // Satellite regression: `Wal::replay_all` classifies the torn tail,
+    // Regression: `Wal::scan` classifies the torn tail,
     // and the count must surface in `DurabilityStats` instead of being
     // silently dropped after recovery.
     if tear_tail {

@@ -7,11 +7,26 @@
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_on, DriveReport};
 use docs_service::{Client, DocsService, Op, ServiceConfig, ServiceHandle};
-use docs_system::{Docs, DocsConfig};
-use docs_types::{CampaignId, Task, TaskBuilder};
+use docs_system::{Docs, DocsConfig, WorkRequest};
+use docs_types::{CampaignId, Task, TaskBuilder, WorkerId};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn publish(n_tasks: usize, answers_per_task: usize, task_shards: usize) -> Docs {
+    publish_with(
+        n_tasks,
+        DocsConfig {
+            num_golden: 3,
+            k_per_hit: 4,
+            answers_per_task,
+            z: 25,
+            task_shards,
+            ..Default::default()
+        },
+    )
+}
+
+fn publish_with(n_tasks: usize, config: DocsConfig) -> Docs {
     let kb = docs_kb::table2_example_kb();
     let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
     let tasks: Vec<Task> = (0..n_tasks)
@@ -24,19 +39,7 @@ fn publish(n_tasks: usize, answers_per_task: usize, task_shards: usize) -> Docs 
                 .unwrap()
         })
         .collect();
-    Docs::publish(
-        &kb,
-        tasks,
-        DocsConfig {
-            num_golden: 3,
-            k_per_hit: 4,
-            answers_per_task,
-            z: 25,
-            task_shards,
-            ..Default::default()
-        },
-    )
-    .unwrap()
+    Docs::publish(&kb, tasks, config).unwrap()
 }
 
 fn population(workers: usize, seed: u64) -> WorkerPopulation {
@@ -257,4 +260,91 @@ fn truths_are_identical_for_every_shard_combination() {
 /// task list, so rebuilding yields the same tasks every campaign uses.
 fn published_tasks(n: usize) -> Vec<Task> {
     publish(n, 3, 1).tasks().to_vec()
+}
+
+/// Two campaigns that share one parameter database are driven at the same
+/// time on a 2-shard pool, so their workers' statistics are written from
+/// two shard threads. Once both finish, every worker who answered in either
+/// campaign is on file, and a third requester skips the golden HIT for all
+/// of them.
+#[test]
+fn campaigns_sharing_a_storage_dir_keep_every_workers_statistics() {
+    let dir = std::env::temp_dir().join(format!("docs-sharded-params-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let publish_shared = |n_tasks| {
+        publish_with(
+            n_tasks,
+            DocsConfig {
+                num_golden: 3,
+                k_per_hit: 4,
+                answers_per_task: 3,
+                z: 25,
+                storage_dir: Some(dir.clone()),
+                ..Default::default()
+            },
+        )
+    };
+    let (service, handle) =
+        DocsService::spawn_sharded(publish_shared(18), ServiceConfig::sharded(2));
+    let a = handle.default_campaign();
+    let b = handle.create_campaign(publish_shared(24)).unwrap();
+    // Campaign B's crowd is larger: it has workers A never sees.
+    let drivers: Vec<_> = [(a, 18, 6, 0xA1), (b, 24, 14, 0xB2)]
+        .into_iter()
+        .map(|(campaign, n_tasks, workers, seed)| {
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let tasks = Arc::new(published_tasks(n_tasks));
+                let pop = population(workers, seed);
+                drive_workers_on(
+                    &handle,
+                    campaign,
+                    tasks,
+                    &pop,
+                    AnswerModel::DomainUniform,
+                    2,
+                    seed,
+                )
+                .unwrap()
+            })
+        })
+        .collect();
+    for driver in drivers {
+        driver.join().unwrap();
+    }
+    // B finishes first: with a store handle per campaign, A's later
+    // compaction rewrote the directory from A's index alone.
+    handle.call(Op::finish(b)).unwrap();
+    handle.call(Op::finish(a)).unwrap();
+    drop(handle);
+    let seen: Vec<BTreeSet<WorkerId>> = service
+        .join_all()
+        .into_iter()
+        .map(|(_, docs)| docs.snapshot().seen_workers.into_iter().collect())
+        .collect();
+    assert!(
+        !seen[1].is_subset(&seen[0]) && !seen[0].is_empty(),
+        "precondition: B saw workers A did not ({seen:?})"
+    );
+    let answered: BTreeSet<WorkerId> = seen.into_iter().flatten().collect();
+
+    let stored: BTreeSet<WorkerId> = docs_storage::ParamStore::open(&dir)
+        .unwrap()
+        .worker_ids()
+        .into_iter()
+        .collect();
+    let missing: Vec<_> = answered.difference(&stored).collect();
+    assert!(
+        missing.is_empty(),
+        "workers missing from the store: {missing:?}"
+    );
+    let mut third = publish_shared(12);
+    for &w in &answered {
+        match third.request_tasks(w) {
+            WorkRequest::Tasks(_) => {}
+            other => panic!("returning worker {w} should skip golden, got {other:?}"),
+        }
+    }
+    drop(third);
+    let _ = std::fs::remove_dir_all(&dir);
 }
