@@ -20,13 +20,16 @@
 mod common;
 
 use common::{assert_byte_identical, oracle, publish, send, tmp_dir, Op, NUM_TASKS};
+use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, Client, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
-    ServiceHandle,
+    AdaptiveCommit, Client, DocsService, DurabilityConfig, RejectReason, ServiceConfig,
+    ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
-use docs_types::{CampaignId, WorkerId};
+use docs_system::CampaignSnapshot;
+use docs_types::{codec, CampaignId, WorkerId};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Submits one op, tolerating deterministic rejections (duplicates of the
 /// already-recovered prefix).
@@ -339,4 +342,93 @@ fn the_shared_oracle_is_pinned() {
             "oracle moved at task_shards {task_shards}"
         );
     }
+}
+
+/// The flush policy each durable campaign records in its snapshot, as a
+/// client reads it back through `Op::snapshot_state`.
+fn recorded_policy(client: &ServiceHandle, campaign: CampaignId) -> Option<FlushPolicy> {
+    let bytes = client
+        .call(docs_service::Op::snapshot_state(campaign))
+        .unwrap();
+    codec::from_bytes::<CampaignSnapshot>(&bytes)
+        .unwrap()
+        .config
+        .durable_flush
+}
+
+/// A campaign runs with exactly the policy its own config publishes, and
+/// create, recovery and a follower's snapshot install all read it the same
+/// way: the pool's `default_flush` never overrides a named policy, and a
+/// campaign that names none stays memory-only.
+#[test]
+fn each_campaign_keeps_the_flush_policy_it_published() {
+    let dir = tmp_dir("policy-primary");
+    let follower_dir = tmp_dir("policy-follower");
+    let (ops, _) = oracle(2);
+    let (sink, feed) = replication_channel();
+    let config = service_config(2, &dir, FlushPolicy::Batch(64), CADENCE).with_replication(sink);
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let hub = ReplicationHub::spawn(feed);
+    let durable: Vec<(CampaignId, FlushPolicy)> = [FlushPolicy::Batch(8), FlushPolicy::EveryEvent]
+        .into_iter()
+        .map(|policy| {
+            let c = handle.create_campaign(publish(2, Some(policy))).unwrap();
+            (c, policy)
+        })
+        .collect();
+    let memory_only = handle.create_campaign(publish(2, None)).unwrap();
+    for op in &ops[..9] {
+        for &(c, _) in &durable {
+            submit(&handle, c, op);
+        }
+        submit(&handle, memory_only, op);
+    }
+    for &(c, policy) in &durable {
+        assert_eq!(recorded_policy(&handle, c), Some(policy), "{c} live");
+    }
+    assert_eq!(recorded_policy(&handle, memory_only), None);
+
+    // A durable follower bootstrapped from the directory installs each
+    // campaign with the policy its snapshot records.
+    let link = hub.subscribe("policy-follower");
+    let bootstrap = bootstrap_frames(&dir).unwrap();
+    let replica =
+        Replica::spawn(ServiceConfig::durable(2, &follower_dir), link, bootstrap).unwrap();
+    for &(c, policy) in &durable {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while replica.watermark(c) < 1 {
+            assert!(Instant::now() < deadline, "{c} never installed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            recorded_policy(replica.handle(), c),
+            Some(policy),
+            "{c} follower"
+        );
+    }
+    let (replica_service, replica_handle) = replica.detach();
+    drop(replica_handle);
+    replica_service.join_all();
+
+    handle.simulate_crash();
+    drop(handle);
+    let _ = service.join_all();
+    hub.join();
+
+    let config = service_config(2, &dir, FlushPolicy::Batch(64), CADENCE);
+    let (service, handle) = DocsService::recover(config).unwrap();
+    for &(c, policy) in &durable {
+        assert_eq!(recorded_policy(&handle, c), Some(policy), "{c} recovered");
+    }
+    let err = handle
+        .call(docs_service::Op::status(memory_only))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ServiceError::Rejected(RejectReason::UnknownCampaign(memory_only))
+    );
+    drop(handle);
+    let _ = service.join_all();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
 }
