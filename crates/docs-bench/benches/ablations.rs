@@ -1,6 +1,5 @@
-//! Design-choice ablations called out in DESIGN.md:
+//! Design-choice ablations of the inference kernels:
 //!
-//! * `hashmap_key`: Algorithm 1 with packed-u64 vs tuple hash-map keys,
 //! * `topk`: linear quickselect vs full sort in OTA's top-k,
 //! * `incremental_vs_iterative`: one incremental TI update vs a full
 //!   iterative re-run (the z-period trade-off of Section 4.2),
@@ -8,28 +7,12 @@
 //!   confidence gap (what Definition 5 buys over a simpler score).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use docs_core::dve::{domain_vector, domain_vector_tuple_key};
 use docs_core::ota::{benefit, top_k_by_sort, top_k_linear};
 use docs_core::ti::{IncrementalTi, TaskArena, WorkerRegistry};
-use docs_kb::generator::synthetic_entities;
 use docs_types::{Answer, DomainVector, TaskId, WorkerId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-
-fn bench_hashmap_key(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_hashmap_key");
-    for entities in [4usize, 8] {
-        let es = synthetic_entities(26, entities, 20, 2, 0xAB);
-        group.bench_with_input(BenchmarkId::new("packed_u64", entities), &es, |b, es| {
-            b.iter(|| black_box(domain_vector(es, 26)))
-        });
-        group.bench_with_input(BenchmarkId::new("tuple", entities), &es, |b, es| {
-            b.iter(|| black_box(domain_vector_tuple_key(es, 26)))
-        });
-    }
-    group.finish();
-}
 
 fn bench_topk(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(0x70);
@@ -113,7 +96,6 @@ fn bench_entropy_benefit(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_hashmap_key,
     bench_topk,
     bench_incremental_vs_iterative,
     bench_entropy_benefit

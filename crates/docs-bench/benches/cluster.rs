@@ -263,11 +263,12 @@ fn two_nodes(label: &str) -> (TwoNode, CampaignId, CampaignId) {
     let dir1 = tmp_dir(&format!("{label}-n1"));
     let policy = FlushPolicy::Batch(8);
     let (sink, feed) = replication_channel();
-    let (service0, handle0) = DocsService::spawn_sharded(
-        publish(num_tasks(), Some(policy)),
-        durable_node(&dir0, NodeId(0)).with_replication(sink),
-    );
-    let campaign_a = handle0.default_campaign();
+    let (service0, handle0) =
+        DocsService::spawn_empty(durable_node(&dir0, NodeId(0)).with_replication(sink))
+            .expect("spawn node 0");
+    let campaign_a = handle0
+        .create_campaign(publish(num_tasks(), Some(policy)))
+        .expect("first campaign");
     let campaign_b = handle0
         .create_campaign(publish(num_tasks(), Some(policy)))
         .expect("second campaign");

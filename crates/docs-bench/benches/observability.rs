@@ -144,9 +144,10 @@ fn throughput_round(name: &str, sample_every: u64) -> (u64, f64) {
         ..Default::default()
     }
     .with_trace_sampling(sample_every);
-    let (service, handle) =
-        DocsService::spawn_sharded(publish(num_tasks(), FlushPolicy::Batch(8)), config);
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).expect("spawn pool");
+    let campaign = handle
+        .create_campaign(publish(num_tasks(), FlushPolicy::Batch(8)))
+        .expect("create campaign");
     let started = Instant::now();
     let answers = drive_to_budget(&handle, campaign);
     let wall = started.elapsed().as_secs_f64();
@@ -247,9 +248,10 @@ fn main() {
     }
     .with_replication(sink)
     .with_trace_sampling(1);
-    let (service, handle) =
-        DocsService::spawn_sharded(publish(num_tasks(), FlushPolicy::EveryEvent), config);
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).expect("spawn primary");
+    let campaign = handle
+        .create_campaign(publish(num_tasks(), FlushPolicy::EveryEvent))
+        .expect("create campaign");
     let hub = ReplicationHub::spawn(feed);
     hub.attach_metrics(handle.metrics());
     let link = hub.subscribe("obs-follower");

@@ -237,8 +237,10 @@ fn generator_thread(
 /// Runs one cell end to end.
 fn run_cell(cell: &Cell) -> Report {
     let (service, handle) =
-        DocsService::spawn_sharded(publish_campaign(), ServiceConfig::sharded(1));
-    let campaign = handle.default_campaign();
+        DocsService::spawn_empty(ServiceConfig::sharded(1)).expect("spawn pool");
+    let campaign = handle
+        .create_campaign(publish_campaign())
+        .expect("create campaign");
 
     let threads = 8.min(cell.workers as usize);
     let mut partitions: Vec<Vec<Worker>> = (0..threads).map(|_| Vec::new()).collect();

@@ -100,8 +100,10 @@ fn replicated_pair(name: &str, policy: FlushPolicy) -> Pair {
         ..Default::default()
     }
     .with_replication(sink);
-    let (service, handle) = DocsService::spawn_sharded(publish(num_tasks(), policy), config);
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).expect("spawn primary");
+    let campaign = handle
+        .create_campaign(publish(num_tasks(), policy))
+        .expect("create campaign");
     let hub = ReplicationHub::spawn(feed);
     let link = hub.subscribe("bench-follower");
     let bootstrap = bootstrap_frames(&dir).expect("bootstrap scan");

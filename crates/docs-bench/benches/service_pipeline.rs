@@ -78,15 +78,14 @@ fn publish_campaign(n_tasks: usize) -> Docs {
 fn run_pool(pipelined: bool) -> (f64, usize, Vec<Vec<ChoiceIndex>>) {
     let n_tasks = num_tasks();
     let (service, handle) =
-        DocsService::spawn_sharded(publish_campaign(n_tasks), ServiceConfig::sharded(SHARDS));
-    let mut campaigns = vec![handle.default_campaign()];
-    for _ in 1..CAMPAIGNS {
-        campaigns.push(
+        DocsService::spawn_empty(ServiceConfig::sharded(SHARDS)).expect("spawn pool");
+    let campaigns: Vec<CampaignId> = (0..CAMPAIGNS)
+        .map(|_| {
             handle
                 .create_campaign(publish_campaign(n_tasks))
-                .expect("create campaign"),
-        );
-    }
+                .expect("create campaign")
+        })
+        .collect();
     let tasks = Arc::new(publish_campaign(n_tasks).tasks().to_vec());
 
     let started = Instant::now();

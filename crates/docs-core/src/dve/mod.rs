@@ -31,8 +31,7 @@ use std::collections::BTreeMap;
 /// Pack a `(numerator, denominator)` pair into one `u64` hash-map key.
 ///
 /// `nm ≤ |E_t|` and `dm ≤ m·|E_t|` both comfortably fit in 32 bits; packing
-/// them avoids tuple hashing in the innermost loop (see the
-/// `ablation_hashmap_key` bench for the measured difference).
+/// them keeps the innermost loop's map key one word.
 #[inline]
 fn pack(nm: u32, dm: u32) -> u64 {
     ((nm as u64) << 32) | dm as u64
@@ -181,43 +180,6 @@ pub fn domain_vector_enumeration(
     }
 }
 
-/// Tuple-keyed variant of Algorithm 1, kept only for the
-/// `ablation_hashmap_key` benchmark. Semantically identical to
-/// [`domain_vector`].
-#[doc(hidden)]
-pub fn domain_vector_tuple_key(entities: &[LinkedEntity], m: usize) -> DomainVector {
-    if entities.is_empty() {
-        return DomainVector::uniform(m);
-    }
-    let x: Vec<Vec<u32>> = entities
-        .iter()
-        .map(|e| e.indicators.iter().map(|h| h.count()).collect())
-        .collect();
-    let mut r = vec![0.0; m];
-    for (k, rk) in r.iter_mut().enumerate() {
-        // Ordered for the same reason as `domain_vector`: the layers
-        // accumulate float mass, so iteration order must be key-derived.
-        let mut map: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-        map.insert((0, 0), 1.0);
-        for (i, e) in entities.iter().enumerate() {
-            let mut tmp: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-            for (&(nm, dm), &value) in &map {
-                for (j, &p) in e.probs.iter().enumerate() {
-                    let h = e.indicators[j].get(k);
-                    *tmp.entry((nm + h, dm + x[i][j])).or_insert(0.0) += value * p;
-                }
-            }
-            map = tmp;
-        }
-        for (&(nm, dm), &mass) in &map {
-            if dm != 0 {
-                *rk += nm as f64 / dm as f64 * mass;
-            }
-        }
-    }
-    DomainVector::from_weights(&r).expect("non-negative weights")
-}
-
 /// Convenience: link a task's text against a knowledge base and estimate its
 /// domain vector in one call — the full DVE pipeline of Figure 1, step ①→②.
 pub fn estimate_from_text(
@@ -269,16 +231,6 @@ mod tests {
         let slow = domain_vector_enumeration(&entities, 3, 1 << 20).unwrap();
         for k in 0..3 {
             assert!((fast[k] - slow[k]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn tuple_key_variant_agrees() {
-        let entities = table2_entities();
-        let a = domain_vector(&entities, 3);
-        let b = domain_vector_tuple_key(&entities, 3);
-        for k in 0..3 {
-            assert!((a[k] - b[k]).abs() < 1e-12);
         }
     }
 

@@ -3,7 +3,7 @@
 //! for the service hot path.
 //!
 //! Both share one bucket geometry, the classic HDR shape: values land in
-//! power-of-two octaves, each octave split into 2^[`SUB_BITS`] = 16 linear
+//! power-of-two octaves, each octave split into 2^`SUB_BITS` = 16 linear
 //! sub-buckets, so recording is a handful of bit operations, memory is a
 //! fixed ~8 KiB of counters, and any quantile is reported with bounded
 //! **relative** error (a bucket spans at most 1/16 ≈ 6.25% of its value)

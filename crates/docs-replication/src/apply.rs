@@ -26,7 +26,7 @@ use crate::ship::{FollowerLink, ShippedRecord};
 use crossbeam::channel::RecvTimeoutError;
 use docs_service::{DocsService, ServiceConfig, ServiceError, ServiceHandle, Stage};
 use docs_system::{ReplicaWatermarks, WatermarkAdmission};
-use docs_types::{codec, CampaignEvent, CampaignId, Error, ReplicationFrame, Result};
+use docs_types::{codec, CampaignEvent, CampaignId, Error, ReplicaRole, ReplicationFrame, Result};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,11 +65,12 @@ impl Replica {
     /// is impossible because anything flushed before the subscription is
     /// on disk for the scan.
     pub fn spawn(
-        config: ServiceConfig,
+        mut config: ServiceConfig,
         link: FollowerLink,
         bootstrap: Vec<ReplicationFrame>,
     ) -> std::result::Result<Replica, ServiceError> {
-        let (service, handle) = DocsService::spawn_replica(config)?;
+        config.role = ReplicaRole::Follower;
+        let (service, handle) = DocsService::spawn_empty(config)?;
         let stop = Arc::new(AtomicBool::new(false));
         let error = Arc::new(Mutex::new(None));
         let watermarks = Arc::clone(&link.acked);

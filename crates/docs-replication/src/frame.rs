@@ -74,7 +74,7 @@ pub fn encode_frame_into(frame: &ReplicationFrame, record: &mut Vec<u8>) {
 }
 
 /// Encodes one frame into its CRC-stamped wire record (a fresh allocation;
-/// hot paths use [`encode_frame_into`] with a retained buffer).
+/// hot paths use `encode_frame_into` with a retained buffer).
 pub fn encode_frame(frame: &ReplicationFrame) -> Vec<u8> {
     let mut record = Vec::new();
     encode_frame_into(frame, &mut record);

@@ -16,9 +16,10 @@
 //!   CRC-checked record (the WAL's own framing style) and fans it out to
 //!   subscribed followers, tracking shipped watermarks and per-follower
 //!   lag;
-//! * a [`Replica`] is a follower service pool
-//!   ([`DocsService::spawn_replica`](docs_service::DocsService)) plus an
-//!   applier thread: new followers bootstrap from the primary's snapshots
+//! * a [`Replica`] is a follower service pool (a
+//!   [`DocsService::spawn_empty`](docs_service::DocsService::spawn_empty)
+//!   pool in the follower role) plus an applier thread: new followers
+//!   bootstrap from the primary's snapshots
 //!   — including mid-campaign snapshots, via [`bootstrap_frames`] — then
 //!   apply the live stream through the identical deterministic
 //!   `validate_event`/`apply` transition, advancing the per-campaign

@@ -231,7 +231,7 @@ impl ReplicationHub {
     /// from [`bootstrap_frames`] — subscribe first, scan second, and the
     /// watermark table de-duplicates the overlap.
     ///
-    /// The stream is bounded ([`FOLLOWER_STREAM_CAPACITY`]): a follower
+    /// The stream is bounded (`FOLLOWER_STREAM_CAPACITY` frames): a follower
     /// that trails the pump by more than the bound is **disconnected**
     /// (counted in [`HubStats::followers_dropped`]) rather than allowed to
     /// grow the primary's memory without limit. Its applier drains what

@@ -334,11 +334,15 @@ mod tests {
     use super::*;
     use docs_crowd::PopulationConfig;
     use docs_kb::table2_example_kb;
-    use docs_service::{ClusterRouter, DocsService, ServiceHandle};
+    use docs_service::{ClusterRouter, DocsService, ServiceConfig, ServiceHandle};
     use docs_system::{Docs, DocsConfig};
     use docs_types::{NodeId, TaskBuilder};
 
-    fn publish(n: usize, answers_per_task: usize) -> (DocsService, ServiceHandle, Arc<Vec<Task>>) {
+    /// A one-shard pool serving one published `n`-task campaign.
+    fn publish(
+        n: usize,
+        answers_per_task: usize,
+    ) -> (DocsService, ServiceHandle, CampaignId, Arc<Vec<Task>>) {
         let kb = table2_example_kb();
         let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
         let tasks: Vec<_> = (0..n)
@@ -360,8 +364,9 @@ mod tests {
         };
         let docs = Docs::publish(&kb, tasks, config).unwrap();
         let published = Arc::new(docs.tasks().to_vec());
-        let (service, handle) = DocsService::spawn(docs);
-        (service, handle, published)
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
+        let c = handle.create_campaign(docs).unwrap();
+        (service, handle, c, published)
     }
 
     fn population(workers: usize) -> WorkerPopulation {
@@ -375,8 +380,7 @@ mod tests {
 
     #[test]
     fn concurrent_drive_consumes_the_budget() {
-        let (service, handle, tasks) = publish(24, 4);
-        let c = handle.default_campaign();
+        let (service, handle, c, tasks) = publish(24, 4);
         let pop = population(12);
         let report =
             drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 4, 7).unwrap();
@@ -392,14 +396,13 @@ mod tests {
         assert_eq!(final_report.truths.len(), 24);
         assert!(final_report.answers_collected >= 24 * 4);
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn single_thread_drive_matches_protocol() {
         let workers = 6;
-        let (service, handle, tasks) = publish(12, 2);
-        let c = handle.default_campaign();
+        let (service, handle, c, tasks) = publish(12, 2);
         let pop = population(workers);
         let report =
             drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 1, 9).unwrap();
@@ -418,19 +421,18 @@ mod tests {
             report.total_golden()
         );
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn more_threads_than_workers_is_fine() {
-        let (service, handle, tasks) = publish(8, 2);
-        let c = handle.default_campaign();
+        let (service, handle, c, tasks) = publish(8, 2);
         let pop = population(2);
         let report =
             drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 6, 11).unwrap();
         assert!(report.total_answers() >= 8 * 2 || report.total_rejected() > 0);
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     /// Regression: a `WrongNode` answer naming an owner the client cannot
@@ -440,8 +442,7 @@ mod tests {
     /// at once.
     #[test]
     fn an_unreachable_owner_is_rejected_at_once_not_retried() {
-        let (service, handle, tasks) = publish(6, 2);
-        let c = handle.default_campaign();
+        let (service, handle, c, tasks) = publish(6, 2);
         handle.fence_in(c, NodeId(7)).unwrap();
         let gone = ServiceError::Rejected(RejectReason::WrongNode { owner: NodeId(7) });
         let started = std::time::Instant::now();
@@ -463,7 +464,7 @@ mod tests {
             started.elapsed()
         );
         drop((router, handle));
-        service.join();
+        service.join_all();
     }
 
     /// The pipelining invariant at the driver level: a single-client drive
@@ -473,8 +474,7 @@ mod tests {
     #[test]
     fn pipelined_drive_is_byte_identical_to_blocking_drive() {
         let run = |blocking: bool| {
-            let (service, handle, tasks) = publish(15, 3);
-            let c = handle.default_campaign();
+            let (service, handle, c, tasks) = publish(15, 3);
             let pop = population(5);
             let report = if blocking {
                 drive_workers_blocking_on(
@@ -492,7 +492,7 @@ mod tests {
             .unwrap();
             let final_report = handle.call(Op::finish(c)).unwrap();
             drop(handle);
-            service.join();
+            service.join_all();
             (
                 report,
                 final_report.truths,

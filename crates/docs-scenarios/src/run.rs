@@ -117,14 +117,11 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 
     let (report, mirror, wall) = match spec.service {
         ServiceSpec::InMemory { shards } => {
-            let (service, handle) = DocsService::spawn_sharded(
-                publish(false),
-                ServiceConfig {
-                    shards,
-                    ..Default::default()
-                },
-            );
-            let campaign = handle.default_campaign();
+            let (service, handle) =
+                DocsService::spawn_empty(ServiceConfig::sharded(shards)).expect("spawn pool");
+            let campaign = handle
+                .create_campaign(publish(false))
+                .expect("create campaign");
             let started = Instant::now();
             let mirror = drive(&handle, campaign, &tasks, &population, spec, budget);
             let report = handle.call(Op::finish(campaign)).expect("finish");
@@ -136,8 +133,10 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         ServiceSpec::Durable { shards } => {
             let dir = scratch_dir(&spec.name);
             let (service, handle) =
-                DocsService::spawn_sharded(publish(true), durable_config(shards, &dir));
-            let campaign = handle.default_campaign();
+                DocsService::spawn_empty(durable_config(shards, &dir)).expect("spawn pool");
+            let campaign = handle
+                .create_campaign(publish(true))
+                .expect("create campaign");
             let started = Instant::now();
             let mirror = drive(&handle, campaign, &tasks, &population, spec, budget);
             let report = handle.call(Op::finish(campaign)).expect("finish");
@@ -150,11 +149,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         ServiceSpec::Replicated { shards } => {
             let dir = scratch_dir(&spec.name);
             let (sink, feed) = replication_channel();
-            let (service, handle) = DocsService::spawn_sharded(
-                publish(true),
-                durable_config(shards, &dir).with_replication(sink),
-            );
-            let campaign = handle.default_campaign();
+            let (service, handle) =
+                DocsService::spawn_empty(durable_config(shards, &dir).with_replication(sink))
+                    .expect("spawn pool");
+            let campaign = handle
+                .create_campaign(publish(true))
+                .expect("create campaign");
             let hub = ReplicationHub::spawn(feed);
             let link = hub.subscribe("scenario-replica");
             let bootstrap = bootstrap_frames(&dir).expect("bootstrap scan");
@@ -197,23 +197,15 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             (report, mirror, wall)
         }
         ServiceSpec::Clustered { shards } => {
-            let (service0, handle0) = DocsService::spawn_sharded(
-                publish(false),
-                ServiceConfig {
-                    shards,
-                    ..Default::default()
-                }
-                .with_node(NodeId(0)),
-            );
-            let campaign = handle0.default_campaign();
-            let (service1, handle1) = DocsService::spawn_empty(
-                ServiceConfig {
-                    shards,
-                    ..Default::default()
-                }
-                .with_node(NodeId(1)),
-            )
-            .expect("spawn node 1");
+            let (service0, handle0) =
+                DocsService::spawn_empty(ServiceConfig::sharded(shards).with_node(NodeId(0)))
+                    .expect("spawn node 0");
+            let campaign = handle0
+                .create_campaign(publish(false))
+                .expect("create campaign");
+            let (service1, handle1) =
+                DocsService::spawn_empty(ServiceConfig::sharded(shards).with_node(NodeId(1)))
+                    .expect("spawn node 1");
             let router = ClusterRouter::new(
                 vec![
                     ClusterNode {

@@ -15,11 +15,10 @@ use crate::server::{Inbound, RoleCell, ServiceError};
 use crate::ticket::Ticket;
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use docs_obs::{JournalKind, SpanKind};
-use docs_storage::FlushPolicy;
 use docs_system::{CampaignStatus, Docs, RequesterReport, WorkRequest};
 use docs_types::{
-    Answer, CampaignEvent, CampaignId, ChoiceIndex, ClusterMap, NodeId, RejectReason, ReplicaRole,
-    TaskId, WorkerId,
+    Answer, CampaignEvent, CampaignId, ChoiceIndex, ClusterMap, NodeId, ReplicaRole, TaskId,
+    WorkerId,
 };
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -223,8 +222,6 @@ pub struct ServiceHandle {
     pub(crate) next_campaign: Arc<AtomicU32>,
     pub(crate) next_correlation: Arc<AtomicU64>,
     pub(crate) metrics: ServiceMetrics,
-    pub(crate) default_campaign: CampaignId,
-    pub(crate) default_flush: Option<FlushPolicy>,
     pub(crate) crash: Arc<AtomicBool>,
     pub(crate) role: RoleCell,
 }
@@ -301,53 +298,20 @@ impl ServiceHandle {
         ))
     }
 
-    fn create_campaign_inner(
-        &self,
-        docs: Docs,
-        persistence: Option<FlushPolicy>,
-    ) -> Result<CampaignId, ServiceError> {
+    /// Registers a published system as a new campaign and returns its id —
+    /// the one way a campaign enters a pool. The campaign is logged iff its
+    /// own `DocsConfig::durable_flush` names a policy; on a pool spawned
+    /// without durability such a campaign is refused with
+    /// [`RejectReason::DurabilityUnavailable`](crate::RejectReason::DurabilityUnavailable).
+    pub fn create_campaign(&self, docs: Docs) -> Result<CampaignId, ServiceError> {
         let campaign = CampaignId(self.next_campaign.fetch_add(1, Ordering::Relaxed));
         self.call(Op {
             request: Request::CreateCampaign {
                 campaign,
                 docs: Box::new(docs),
-                persistence,
             },
             decode: decode_created,
         })
-    }
-
-    /// Registers a published system as a new campaign and returns its id.
-    /// The campaign is persisted iff its own `DocsConfig::durable_flush`
-    /// asks for it (and the service was spawned with durability).
-    pub fn create_campaign(&self, docs: Docs) -> Result<CampaignId, ServiceError> {
-        self.create_campaign_inner(docs, None)
-    }
-
-    /// Registers a campaign with an explicit persistence override: the
-    /// campaign's events are logged under `policy` regardless of what its
-    /// `DocsConfig` says. Fails if the service has no durability directory.
-    pub fn create_campaign_with(
-        &self,
-        docs: Docs,
-        policy: FlushPolicy,
-    ) -> Result<CampaignId, ServiceError> {
-        self.create_campaign_inner(docs, Some(policy))
-    }
-
-    /// Registers a durable campaign under the service's default flush
-    /// policy ([`DurabilityConfig::default_flush`](crate::DurabilityConfig)).
-    pub fn create_campaign_durable(&self, docs: Docs) -> Result<CampaignId, ServiceError> {
-        let policy = self.default_flush.ok_or(ServiceError::Rejected(
-            RejectReason::DurabilityUnavailable { campaign: None },
-        ))?;
-        self.create_campaign_inner(docs, Some(policy))
-    }
-
-    /// The campaign [`DocsService::spawn`](crate::DocsService::spawn)
-    /// registered its `Docs` as.
-    pub fn default_campaign(&self) -> CampaignId {
-        self.default_campaign
     }
 
     /// The service's current replica role.
@@ -427,7 +391,7 @@ impl ServiceHandle {
     /// Fences `campaign` away to `owner`: the owning shard hardens the
     /// campaign's buffered events, ships them, records the hand-off, and
     /// returns the hardened watermark — every later mutation of the
-    /// campaign is refused with [`RejectReason::WrongNode`] naming
+    /// campaign is refused with [`RejectReason::WrongNode`](crate::RejectReason::WrongNode) naming
     /// `owner`. The linearization point of a live migration.
     pub fn fence_in(&self, campaign: CampaignId, owner: NodeId) -> Result<u64, ServiceError> {
         self.call(Op {
@@ -640,8 +604,6 @@ mod tests {
             next_campaign: Arc::new(AtomicU32::new(1)),
             next_correlation: Arc::new(AtomicU64::new(0)),
             metrics: ServiceMetrics::new(1),
-            default_campaign: CampaignId(0),
-            default_flush: None,
             crash: Arc::new(AtomicBool::new(false)),
             role: RoleCell::new(ReplicaRole::Primary),
         };
@@ -661,11 +623,9 @@ mod tests {
     const WORKER: WorkerId = WorkerId(0);
 
     fn fixture() -> Fixture {
-        let (service, primary) = DocsService::spawn_sharded(
-            published(9),
-            ServiceConfig::default().with_trace_sampling(1),
-        );
-        let campaign = primary.default_campaign();
+        let (service, primary) =
+            DocsService::spawn_empty(ServiceConfig::default().with_trace_sampling(1)).unwrap();
+        let campaign = primary.create_campaign(published(9, None)).unwrap();
         let golden = match primary.call(Op::request_tasks(campaign, WORKER)).unwrap() {
             WorkRequest::Golden(g) => g,
             other => panic!("expected golden HIT, got {other:?}"),
@@ -676,7 +636,7 @@ mod tests {
             .unwrap();
         let snapshot = primary.call(Op::snapshot_state(campaign)).unwrap();
         let (follower_service, follower) =
-            DocsService::spawn_replica(ServiceConfig::follower(1).with_trace_sampling(1)).unwrap();
+            DocsService::spawn_empty(ServiceConfig::follower(1).with_trace_sampling(1)).unwrap();
         follower
             .replicate_install_snapshot(campaign, 0, snapshot)
             .unwrap();
@@ -826,7 +786,7 @@ mod tests {
     #[test]
     fn pending_tickets_time_out_and_resolve_once_served() {
         let (handle, rx) = stub_handle(4);
-        let c = handle.default_campaign();
+        let c = CampaignId(0);
         let ticket = handle.submit(Op::request_tasks(c, WorkerId(0))).unwrap();
         assert_eq!(handle.metrics().shard(0).in_flight, 1);
         // Nothing serves the queue: the wait elapses and hands the ticket

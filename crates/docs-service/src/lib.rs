@@ -11,12 +11,14 @@
 //! ARCHITECTURE.md at the workspace root):
 //!
 //! * [`DocsService`] runs a pool of shard threads; each thread drives one
-//!   steppable shard state machine that owns a
-//!   [`docs_system::CampaignRegistry`] of the campaigns hashed to it
-//!   (`CampaignId::shard`). A campaign's requests are processed strictly in
-//!   arrival order on its owning shard — the same serialization a
-//!   single-writer web backend provides — while different campaigns
-//!   progress in parallel on different shards,
+//!   steppable shard state machine that owns the campaigns hashed to it
+//!   (`CampaignId::shard`). A pool starts one of two ways
+//!   ([`DocsService::spawn_empty`], [`DocsService::recover`]) and a
+//!   campaign enters it one way ([`ServiceHandle::create_campaign`]). A
+//!   campaign's requests are processed strictly in arrival order on its
+//!   owning shard — the same serialization a single-writer web backend
+//!   provides — while different campaigns progress in parallel on
+//!   different shards,
 //! * **One op-typed call path**: each client operation is declared once,
 //!   as an [`Op`] value (`Op::request_tasks`, `Op::submit_answer_batch`,
 //!   `Op::finish`, …), and sent through one of three verbs on the
@@ -36,17 +38,17 @@
 //!   `submit(Op::request_tasks(..))` on the per-campaign FIFO (see
 //!   ARCHITECTURE.md, "One dispatch path"),
 //! * **Typed errors**: every refusal carries a matchable
-//!   [`RejectReason`](docs_types::RejectReason)
+//!   [`RejectReason`]
 //!   (`DuplicateAnswer`, `UnknownCampaign`, `BudgetExhausted`, …) whose
 //!   `Display` output preserves the pre-taxonomy message text, end to end
 //!   from docs-system validation through the wire to
 //!   [`ServiceError::Rejected`] and the per-answer [`BatchOutcome`],
 //! * **Durability** ([`ServiceConfig::durability`]): each shard owns a
-//!   `docs_storage::CampaignLog`; campaigns that opt in (per campaign, via
-//!   `DocsConfig::durable_flush` or
-//!   [`ServiceHandle::create_campaign_with`]) have every mutation
-//!   validated, logged as a `docs_types::CampaignEvent` (group-committed
-//!   per their `FlushPolicy`), and only then applied.
+//!   `docs_storage::CampaignLog`; campaigns that opt in (per campaign,
+//!   through their own `DocsConfig::durable_flush`, the only place the
+//!   choice is made) have every mutation validated, logged as a
+//!   `docs_types::CampaignEvent` (group-committed per their
+//!   `FlushPolicy`), and only then applied.
 //!   [`DocsService::recover`] rebuilds the whole registry from snapshots +
 //!   log replay — byte-identical reports, even across a shard-count change
 //!   (see ARCHITECTURE.md, "Durability & recovery"),
@@ -63,7 +65,8 @@
 //!   [`ServiceConfig::with_replication`]): a primary ships every durable
 //!   event and snapshot as [`docs_types::ReplicationFrame`]s
 //!   (ship-after-flush, ship-before-ack); a follower pool
-//!   ([`DocsService::spawn_replica`]) refuses mutations with
+//!   ([`DocsService::spawn_empty`] with [`ReplicaRole::Follower`]) refuses
+//!   mutations with
 //!   [`RejectReason::ReadOnlyReplica`](docs_types::RejectReason) while
 //!   serving the pure reads (`Op::status`, `Op::peek_report`,
 //!   `Op::snapshot_state`) locally, and [`ClusterRouter::single`] fans

@@ -20,7 +20,6 @@
 //! pre-pipelining protocol used.
 
 use docs_obs::TraceContext;
-use docs_storage::FlushPolicy;
 use docs_system::{CampaignStatus, Docs, RequesterReport, WorkRequest};
 use docs_types::{
     Answer, CampaignEvent, CampaignId, ChoiceIndex, ClusterMap, NodeId, RejectReason, TaskId,
@@ -62,18 +61,15 @@ pub struct Completion {
 pub enum Request {
     /// Requester-side: register a freshly published system as a new
     /// campaign. The id was allocated by the service handle; the receiving
-    /// shard is its owner by the shared hash mapping.
+    /// shard is its owner by the shared hash mapping. Whether the campaign
+    /// is logged, and under which flush policy, is its own
+    /// `DocsConfig::durable_flush` — read the same way a snapshot install
+    /// reads it.
     CreateCampaign {
         /// Pre-allocated id of the new campaign.
         campaign: CampaignId,
         /// The published system to serve.
         docs: Box<Docs>,
-        /// Per-campaign persistence override. `None` follows the published
-        /// system's own `DocsConfig::durable_flush`; `Some(policy)` forces
-        /// event-log persistence under `policy` regardless of the config.
-        /// Either way persistence is a *per-campaign* choice carried on the
-        /// wire — not a process-global switch.
-        persistence: Option<FlushPolicy>,
     },
     /// "A worker comes and requests tasks" (Figure 1, arrow ④).
     RequestWork {

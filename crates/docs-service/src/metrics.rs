@@ -171,7 +171,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in declaration order. The histogram table, exposition,
-    /// and [`OpKind::index`] are all derived from this array, so adding a
+    /// and `OpKind::index` are all derived from this array, so adding a
     /// variant means adding it here (and the cross-check test fails if the
     /// orders drift).
     pub const ALL: [OpKind; 9] = [

@@ -1,8 +1,7 @@
 //! The sharded service runtime: a pool of shard threads, each a thin driver
-//! around one [`Shard`](crate::shard::Shard) state machine that owns a
-//! [`CampaignRegistry`] of the campaigns hashed to it. The client side —
-//! the op table, the three verbs and the routing [`ServiceHandle`] — lives
-//! in [`crate::handle`].
+//! around one [`Shard`](crate::shard::Shard) state machine that owns the
+//! campaigns hashed to it. The client side — the op table, the three verbs
+//! and the routing [`ServiceHandle`] — lives in [`crate::handle`].
 //!
 //! The paper's deployment is one Django backend serving one requester batch;
 //! the seed mirrored that with a single server thread owning a single
@@ -23,18 +22,18 @@
 //!   reproduces the pre-taxonomy message text.
 //! * **Durability is event-sourced**: when [`ServiceConfig::durability`] is
 //!   set, each shard owns a `CampaignLog` under `dir/shard-<i>`. For a
-//!   campaign that opted in (per-campaign, via
-//!   `DocsConfig::durable_flush` or a wire-level override), every mutating
-//!   request is validated, rendered into a `CampaignEvent`, appended to
-//!   the log (group-committed per the campaign's [`FlushPolicy`]), and only
-//!   then applied. Periodic snapshots (`snapshot_every`) re-baseline every
-//!   campaign on the shard and prune old segments.
-//!   [`DocsService::recover`] rebuilds the whole registry from snapshots +
-//!   log replay — across restarts that change the shard count.
-//! * **Backward compatibility**: [`DocsService::spawn`] registers its
-//!   `Docs` as the *default campaign*
-//!   ([`ServiceHandle::default_campaign`]) and [`DocsService::join`]
-//!   returns it, so single-campaign callers need no campaign bookkeeping.
+//!   campaign that opted in (per campaign, through its own
+//!   `DocsConfig::durable_flush`), every mutating request is validated,
+//!   rendered into a `CampaignEvent`, appended to the log (group-committed
+//!   per the campaign's [`FlushPolicy`]), and only then applied. Periodic
+//!   snapshots (`snapshot_every`) re-baseline every campaign on the shard
+//!   and prune old segments. [`DocsService::recover`] rebuilds every
+//!   durable campaign from snapshots + log replay — across restarts that
+//!   change the shard count.
+//! * **One way in**: a pool starts with [`DocsService::spawn_empty`] or
+//!   [`DocsService::recover`], campaigns enter through
+//!   [`ServiceHandle::create_campaign`], and [`DocsService::join_all`]
+//!   returns every campaign's final state.
 
 use crate::handle::ServiceHandle;
 use crate::message::{Completion, RequestEnvelope};
@@ -42,8 +41,9 @@ use crate::metrics::{Counter, ServiceMetrics};
 use crate::shard::{Input, Recovered, Shard, Wait};
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use docs_storage::{recover_tree, AdaptiveCommit, FlushPolicy};
-use docs_system::{CampaignRegistry, Docs};
+use docs_system::Docs;
 use docs_types::{CampaignId, NodeId, RejectReason, ReplicaRole, ReplicationFrame};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -149,7 +149,9 @@ impl RoleCell {
 pub struct DurabilityConfig {
     /// Root directory; each shard logs under `dir/shard-<i>`.
     pub dir: PathBuf,
-    /// Flush policy for campaigns created durable without naming one.
+    /// Recovery's fallback only: the policy a recovered campaign runs
+    /// with when its snapshot's config names none. A live campaign's
+    /// policy is always its own `DocsConfig::durable_flush`.
     pub default_flush: FlushPolicy,
     /// After this many logged events, a shard snapshots every campaign it
     /// owns and prunes its log segments (bounds replay cost).
@@ -166,7 +168,7 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir` with group commit (`Batch(64)`), a
+    /// Durability rooted at `dir` with a `Batch(64)` recovery fallback, a
     /// 1024-event snapshot cadence, and adaptive commit for `EveryEvent`
     /// campaigns.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
@@ -301,19 +303,19 @@ pub(crate) struct Inbound {
 
 /// A running DOCS service (the shard-thread pool).
 pub struct DocsService {
-    joins: Vec<JoinHandle<CampaignRegistry>>,
+    joins: Vec<JoinHandle<BTreeMap<CampaignId, Docs>>>,
 }
-
-/// The campaign [`DocsService::spawn`] registers its `Docs` as, and the one
-/// [`ServiceHandle::default_campaign`] names on every pool.
-const DEFAULT_CAMPAIGN: CampaignId = CampaignId(0);
 
 /// The shard thread: a thin driver around one [`Shard`]. It receives the
 /// way [`Shard::wait`] says, stops as soon as a simulated crash is flagged —
 /// checked once per input, so an adaptive batch close cannot harden the
 /// buffer a kill is meant to lose — and steps the shard. The loop ends
 /// when every handle (every sender) is dropped.
-fn shard_loop(mut shard: Shard, rx: Receiver<Inbound>, crash: Arc<AtomicBool>) -> CampaignRegistry {
+fn shard_loop(
+    mut shard: Shard,
+    rx: Receiver<Inbound>,
+    crash: Arc<AtomicBool>,
+) -> BTreeMap<CampaignId, Docs> {
     loop {
         let input = match shard.wait() {
             Wait::Poll => match rx.try_recv() {
@@ -335,51 +337,17 @@ fn shard_loop(mut shard: Shard, rx: Receiver<Inbound>, crash: Arc<AtomicBool>) -
 }
 
 impl DocsService {
-    /// Spawns a single-shard service around one published [`Docs`] — the
-    /// seed's API, now routed through the shard pool.
-    pub fn spawn(docs: Docs) -> (DocsService, ServiceHandle) {
-        Self::spawn_sharded(docs, ServiceConfig::default())
-    }
-
-    /// Spawns the shard pool, registers `docs` as the default campaign, and
-    /// returns the service plus its first routing handle.
-    ///
-    /// # Panics
-    /// Panics if the durability directory (when configured) cannot be
-    /// opened, or if the default campaign is rejected (e.g. it requests
-    /// durability on a memory-only pool).
-    pub fn spawn_sharded(docs: Docs, config: ServiceConfig) -> (DocsService, ServiceHandle) {
-        let (service, handle) =
-            Self::spawn_empty(config).expect("open durability directory for the shard pool");
-        let default_campaign = handle
-            .create_campaign(docs)
-            .expect("fresh shard pool accepts the default campaign");
-        debug_assert_eq!(default_campaign, DEFAULT_CAMPAIGN);
-        (service, handle)
-    }
-
-    /// Spawns an **empty follower pool**: no default campaign, every
-    /// mutation refused with [`RejectReason::ReadOnlyReplica`]. Campaigns
-    /// arrive through the replication plane (snapshot installs + replicated
-    /// applies, normally fed by `docs-replication`'s applier), reads are
-    /// served locally, and [`ServiceHandle::promote_to_primary`] turns the
-    /// pool into a serving primary during failover.
-    ///
-    /// `config.role` is forced to [`ReplicaRole::Follower`]; durability is
-    /// honored (a durable follower writes its own log and is itself
-    /// recoverable and promotable into a shipping primary).
-    pub fn spawn_replica(
-        mut config: ServiceConfig,
-    ) -> Result<(DocsService, ServiceHandle), ServiceError> {
-        config.role = ReplicaRole::Follower;
-        Self::spawn_empty(config)
-    }
-
-    /// Spawns an **empty primary pool**: no default campaign. A cluster
-    /// node usually starts this way — campaigns arrive later through
-    /// [`ServiceHandle::create_campaign`] or through a migration's intake
-    /// (`docs-replication::migrate_campaign` ships a campaign in over the
-    /// replication plane and then hands it the write path).
+    /// Spawns a pool in `config.role` with no campaigns. A primary gains
+    /// them through [`ServiceHandle::create_campaign`] or a migration's
+    /// intake (`docs-replication::migrate_campaign` ships a campaign in
+    /// over the replication plane and then hands it the write path); a
+    /// [`ReplicaRole::Follower`] refuses every mutation with
+    /// [`RejectReason::ReadOnlyReplica`], gains campaigns through the
+    /// replication plane (snapshot installs + replicated applies, normally
+    /// fed by `docs-replication`'s applier), serves reads locally, and
+    /// becomes a primary through [`ServiceHandle::promote_to_primary`].
+    /// Durability is honored in either role: a durable follower writes its
+    /// own log and is itself recoverable.
     pub fn spawn_empty(
         config: ServiceConfig,
     ) -> Result<(DocsService, ServiceHandle), ServiceError> {
@@ -435,10 +403,6 @@ impl DocsService {
                 .unwrap_or(durability.default_flush);
             recovered.push((*id, docs, policy, campaign.last_seq));
         }
-        // `default_campaign()` keeps pointing at campaign 0. If the
-        // original default campaign was not durable, calls on it fail with
-        // "unknown campaign c0" — a clear diagnostic — instead of silently
-        // re-targeting some other recovered campaign.
         Self::spawn_pool(&config, recovered, metrics)
     }
 
@@ -492,8 +456,6 @@ impl DocsService {
             next_campaign,
             next_correlation: Arc::new(AtomicU64::new(0)),
             metrics,
-            default_campaign: DEFAULT_CAMPAIGN,
-            default_flush: config.durability.as_ref().map(|d| d.default_flush),
             crash,
             role,
         };
@@ -509,24 +471,10 @@ impl DocsService {
         let mut campaigns: Vec<(CampaignId, Docs)> = self
             .joins
             .into_iter()
-            .flat_map(|j| {
-                j.join()
-                    .expect("docs shard thread panicked")
-                    .into_campaigns()
-            })
+            .flat_map(|j| j.join().expect("docs shard thread panicked"))
             .collect();
         campaigns.sort_unstable_by_key(|(id, _)| *id);
         campaigns
-    }
-
-    /// Waits for shutdown and returns the default campaign's final state
-    /// (the seed's single-campaign API).
-    pub fn join(self) -> Docs {
-        self.join_all()
-            .into_iter()
-            .find(|(id, _)| *id == DEFAULT_CAMPAIGN)
-            .map(|(_, docs)| docs)
-            .expect("default campaign outlives the service")
     }
 }
 
@@ -540,7 +488,8 @@ pub(crate) mod tests {
     use docs_system::{DocsConfig, WorkRequest};
     use docs_types::{Answer, TaskBuilder, TaskId, WorkerId};
 
-    pub(crate) fn published(n: usize) -> Docs {
+    /// A published `n`-task campaign whose config names `durable_flush`.
+    pub(crate) fn published(n: usize, durable_flush: Option<FlushPolicy>) -> Docs {
         let kb = table2_example_kb();
         let subjects = ["Michael Jordan", "Kobe Bryant", "NBA"];
         let tasks: Vec<_> = (0..n)
@@ -558,13 +507,17 @@ pub(crate) mod tests {
             k_per_hit: 3,
             answers_per_task: 2,
             z: 10,
+            durable_flush,
             ..Default::default()
         };
         Docs::publish(&kb, tasks, config).unwrap()
     }
 
-    fn service() -> (DocsService, ServiceHandle) {
-        DocsService::spawn(published(9))
+    /// A one-shard memory-only pool serving one 9-task campaign.
+    fn service() -> (DocsService, ServiceHandle, CampaignId) {
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
+        let c = handle.create_campaign(published(9, None)).unwrap();
+        (service, handle, c)
     }
 
     pub(crate) fn tmp_dir(name: &str) -> PathBuf {
@@ -592,8 +545,8 @@ pub(crate) mod tests {
         // A zero capacity is a one-slot queue, not an unbounded one.
         for capacity in [ServiceConfig::DEFAULT_QUEUE_CAPACITY, 0] {
             let config = ServiceConfig::default().with_queue_capacity(capacity);
-            let (service, handle) = DocsService::spawn_sharded(published(9), config);
-            let c = handle.default_campaign();
+            let (service, handle) = DocsService::spawn_empty(config).unwrap();
+            let c = handle.create_campaign(published(9, None)).unwrap();
             let w = WorkerId(0);
             let golden = match handle.call(Op::request_tasks(c, w)).unwrap() {
                 WorkRequest::Golden(g) => g,
@@ -626,14 +579,13 @@ pub(crate) mod tests {
             let demand = handle.metrics().shard(0).max_queued;
             assert!(demand <= capacity.max(1) + 2, "{capacity}: {demand}");
             drop(handle);
-            let _docs = service.join();
+            service.join_all();
         }
     }
 
     #[test]
     fn duplicate_answer_is_rejected_with_a_matchable_reason() {
-        let (service, handle) = service();
-        let c = handle.default_campaign();
+        let (service, handle, c) = service();
         let w = WorkerId(1);
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
             pass_golden(&handle, c, w, &g);
@@ -657,13 +609,12 @@ pub(crate) mod tests {
         // The service keeps serving after the rejection.
         assert!(handle.call(Op::request_tasks(c, w)).is_ok());
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn pipelined_tickets_complete_in_submission_order() {
-        let (service, handle) = service();
-        let c = handle.default_campaign();
+        let (service, handle, c) = service();
         let w = WorkerId(0);
         // Golden first (blocking), so the pipelined requests get task HITs.
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
@@ -704,13 +655,12 @@ pub(crate) mod tests {
             "all tickets resolved"
         );
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn metrics_count_operations() {
-        let (service, handle) = service();
-        let c = handle.default_campaign();
+        let (service, handle, c) = service();
         let w = WorkerId(2);
         let _ = handle.call(Op::request_tasks(c, w));
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
@@ -721,26 +671,23 @@ pub(crate) mod tests {
         assert_eq!(handle.metrics().stats(OpKind::Create).count, 1);
         assert!(handle.metrics().stats(OpKind::Assign).max > std::time::Duration::ZERO);
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn calls_after_shutdown_fail_cleanly() {
-        let (service, handle) = service();
+        let (service, handle, c) = service();
         let extra = handle.clone();
         drop(handle);
         // Pool still alive: `extra` holds every shard's sender.
-        assert!(extra
-            .call(Op::request_tasks(extra.default_campaign(), WorkerId(3)))
-            .is_ok());
+        assert!(extra.call(Op::request_tasks(c, WorkerId(3))).is_ok());
         drop(extra);
-        let _docs = service.join();
+        service.join_all();
     }
 
     #[test]
     fn many_threads_share_one_handle() {
-        let (service, handle) = service();
-        let c = handle.default_campaign();
+        let (service, handle, c) = service();
         // Seed golden for 4 workers, then hammer assignments concurrently.
         for w in 0..4u32 {
             let w = WorkerId(w);
@@ -754,7 +701,7 @@ pub(crate) mod tests {
                 std::thread::spawn(move || {
                     let w = WorkerId(w);
                     for _ in 0..10 {
-                        h.call(Op::request_tasks(h.default_campaign(), w)).unwrap();
+                        h.call(Op::request_tasks(c, w)).unwrap();
                     }
                 })
             })
@@ -764,22 +711,22 @@ pub(crate) mod tests {
         }
         assert_eq!(handle.metrics().stats(OpKind::Assign).count, 4 + 40);
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn campaigns_route_to_stable_shards_and_stay_isolated() {
-        let (service, handle) = DocsService::spawn_sharded(published(9), ServiceConfig::sharded(4));
-        // Two extra campaigns with different task counts.
-        let c1 = handle.create_campaign(published(6)).unwrap();
-        let c2 = handle.create_campaign(published(12)).unwrap();
-        assert_eq!(handle.default_campaign(), CampaignId(0));
-        assert_eq!((c1, c2), (CampaignId(1), CampaignId(2)));
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::sharded(4)).unwrap();
+        // Three campaigns with different task counts; ids are dense.
+        let c0 = handle.create_campaign(published(9, None)).unwrap();
+        let c1 = handle.create_campaign(published(6, None)).unwrap();
+        let c2 = handle.create_campaign(published(12, None)).unwrap();
+        assert_eq!((c0, c1, c2), (CampaignId(0), CampaignId(1), CampaignId(2)));
 
         // The same worker id participates in all three campaigns
         // independently: golden state is per campaign.
         let w = WorkerId(0);
-        for (campaign, tasks_n) in [(CampaignId(0), 9), (c1, 6), (c2, 12)] {
+        for (campaign, tasks_n) in [(c0, 9), (c1, 6), (c2, 12)] {
             let golden = match handle.call(Op::request_tasks(campaign, w)).unwrap() {
                 WorkRequest::Golden(g) => g,
                 other => panic!("expected golden in {campaign}, got {other:?}"),
@@ -812,22 +759,24 @@ pub(crate) mod tests {
             .sum();
         assert_eq!(processed, handle.metrics().total_ops());
         drop(handle);
+        // `join_all` returns every campaign across the shards, ascending.
         let campaigns = service.join_all();
         assert_eq!(
             campaigns.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            vec![CampaignId(0), c1, c2]
+            vec![c0, c1, c2]
         );
     }
 
     #[test]
     fn create_campaign_ids_are_unique_under_concurrency() {
-        let (service, handle) = DocsService::spawn_sharded(published(3), ServiceConfig::sharded(3));
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::sharded(3)).unwrap();
+        let first = handle.create_campaign(published(3, None)).unwrap();
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let h = handle.clone();
                 std::thread::spawn(move || {
                     (0..3)
-                        .map(|_| h.create_campaign(published(3)).unwrap())
+                        .map(|_| h.create_campaign(published(3, None)).unwrap())
                         .collect::<Vec<_>>()
                 })
             })
@@ -836,40 +785,37 @@ pub(crate) mod tests {
             .into_iter()
             .flat_map(|t| t.join().unwrap())
             .collect();
-        ids.push(handle.default_campaign());
+        ids.push(first);
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 13, "12 created + 1 default, all distinct");
+        assert_eq!(ids.len(), 13, "12 concurrent + 1 first, all distinct");
         drop(handle);
         assert_eq!(service.join_all().len(), 13);
     }
 
     #[test]
     fn durable_campaign_on_memory_only_pool_is_rejected() {
-        let (service, handle) = service();
-        let err = handle.create_campaign_durable(published(3)).unwrap_err();
+        let (service, handle, c) = service();
+        let err = handle
+            .create_campaign(published(3, Some(FlushPolicy::EveryEvent)))
+            .unwrap_err();
+        // The owning shard refuses it, naming the campaign the handle
+        // allocated next.
+        let refused = CampaignId(c.0 + 1);
         assert_eq!(
             err,
-            ServiceError::Rejected(RejectReason::DurabilityUnavailable { campaign: None })
+            ServiceError::Rejected(RejectReason::DurabilityUnavailable { campaign: refused })
         );
-        let err = handle
-            .create_campaign_with(published(3), FlushPolicy::EveryEvent)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServiceError::Rejected(RejectReason::DurabilityUnavailable { campaign: Some(_) })
-        ));
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn durable_round_trip_writes_events_and_snapshots() {
         let dir = tmp_dir("durable-roundtrip");
-        let (service, handle) =
-            DocsService::spawn_sharded(published(9), ServiceConfig::durable(2, &dir));
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::durable(2, &dir)).unwrap();
         let c = handle
-            .create_campaign_with(published(6), FlushPolicy::EveryEvent)
+            .create_campaign(published(6, Some(FlushPolicy::EveryEvent)))
             .unwrap();
         let w = WorkerId(0);
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
@@ -886,7 +832,7 @@ pub(crate) mod tests {
         assert!(d.snapshots_written >= 1);
         assert!(d.log_bytes > 0);
         drop(handle);
-        service.join();
+        service.join_all();
         // The on-disk tree recovers the campaign with its events.
         let tree = recover_tree(&dir).unwrap();
         let rec = &tree.campaigns[&c];
@@ -896,8 +842,7 @@ pub(crate) mod tests {
 
     #[test]
     fn batched_submission_round_trip_with_per_answer_rejections() {
-        let (service, handle) = service();
-        let c = handle.default_campaign();
+        let (service, handle, c) = service();
         let w = WorkerId(0);
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
             pass_golden(&handle, c, w, &g);
@@ -933,18 +878,17 @@ pub(crate) mod tests {
         let report = handle.call(Op::finish(c)).unwrap();
         assert_eq!(report.answers_collected, 3);
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     #[test]
     fn durable_batch_is_one_log_record_and_one_flush() {
         let dir = tmp_dir("durable-batch");
-        let (service, handle) =
-            DocsService::spawn_sharded(published(9), ServiceConfig::durable(1, &dir));
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::durable(1, &dir)).unwrap();
         // EveryEvent: the strictest policy — yet a whole batch must cost
         // one append + one fdatasync, not one per answer.
         let c = handle
-            .create_campaign_with(published(9), FlushPolicy::EveryEvent)
+            .create_campaign(published(9, Some(FlushPolicy::EveryEvent)))
             .unwrap();
         let w = WorkerId(0);
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
@@ -961,7 +905,7 @@ pub(crate) mod tests {
             "six answers, one group commit"
         );
         drop(handle);
-        service.join();
+        service.join_all();
         // On disk: published + golden + ONE batch record; recovery replays
         // the batch and yields every answer.
         let tree = recover_tree(&dir).unwrap();
@@ -982,7 +926,9 @@ pub(crate) mod tests {
     fn a_taken_campaign_id_is_refused_before_the_log_is_touched() {
         let dir = tmp_dir("taken-id");
         let (service, handle) = DocsService::spawn_empty(ServiceConfig::durable(1, &dir)).unwrap();
-        let c = handle.create_campaign_durable(published(9)).unwrap();
+        let c = handle
+            .create_campaign(published(9, Some(FlushPolicy::Batch(64))))
+            .unwrap();
         let w = WorkerId(0);
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
             pass_golden(&handle, c, w, &g);
@@ -994,7 +940,9 @@ pub(crate) mod tests {
         let status = handle.call(Op::status(c)).unwrap();
         let truths = handle.call(Op::peek_report(c)).unwrap().truths;
         handle.next_campaign.store(c.0, Ordering::SeqCst);
-        let err = handle.create_campaign_durable(published(3)).unwrap_err();
+        let err = handle
+            .create_campaign(published(3, Some(FlushPolicy::Batch(64))))
+            .unwrap_err();
         assert!(matches!(err, ServiceError::Rejected(_)), "{err:?}");
         drop(handle);
         service.join_all();
@@ -1013,7 +961,9 @@ pub(crate) mod tests {
     fn an_unwritable_recovery_baseline_fails_recover() {
         let dir = tmp_dir("baseline-unwritable");
         let (service, handle) = DocsService::spawn_empty(ServiceConfig::durable(1, &dir)).unwrap();
-        let c = handle.create_campaign_durable(published(3)).unwrap();
+        let c = handle
+            .create_campaign(published(3, Some(FlushPolicy::Batch(64))))
+            .unwrap();
         handle.simulate_crash();
         drop(handle);
         service.join_all();
@@ -1032,16 +982,18 @@ pub(crate) mod tests {
     fn recover_on_empty_directory_yields_an_empty_pool() {
         let dir = tmp_dir("recover-empty");
         let (service, handle) = DocsService::recover(ServiceConfig::durable(2, &dir)).unwrap();
-        // No campaigns recovered: the default campaign does not exist.
+        // No campaigns recovered: not even the first id exists.
         let err = handle
-            .call(Op::request_tasks(handle.default_campaign(), WorkerId(0)))
+            .call(Op::request_tasks(CampaignId(0), WorkerId(0)))
             .unwrap_err();
         assert_eq!(
             err,
             ServiceError::Rejected(RejectReason::UnknownCampaign(CampaignId(0)))
         );
         // But new campaigns can be created (durably) right away.
-        let c = handle.create_campaign_durable(published(3)).unwrap();
+        let c = handle
+            .create_campaign(published(3, Some(FlushPolicy::Batch(64))))
+            .unwrap();
         assert_eq!(c, CampaignId(0));
         drop(handle);
         assert_eq!(service.join_all().len(), 1);
@@ -1074,7 +1026,7 @@ pub(crate) mod tests {
                 durability.snapshot_every = 3;
                 durability.adaptive = adaptive;
                 let (service, handle) = DocsService::spawn_empty(config).unwrap();
-                let c = handle.create_campaign_with(published(9), policy).unwrap();
+                let c = handle.create_campaign(published(9, Some(policy))).unwrap();
                 let w = WorkerId(0);
                 if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
                     pass_golden(&handle, c, w, &g);

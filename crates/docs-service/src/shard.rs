@@ -1,8 +1,8 @@
 //! One shard of the pool as a steppable state machine.
 //!
-//! A [`Shard`] owns all of one shard's state: the [`CampaignRegistry`] of
-//! the campaigns hashed to it, their log ([`ShardDurability`]), the
-//! [`OwnershipTable`] and the completions adaptive group commit withholds.
+//! A [`Shard`] owns all of one shard's state: the campaigns hashed to it,
+//! their log ([`ShardDurability`]), the [`OwnershipTable`] and the
+//! completions adaptive group commit withholds.
 //! Its driver (the shard thread in `server.rs`) asks [`Shard::wait`] how to
 //! receive, hands what arrives to [`Shard::step`], and ends with
 //! [`Shard::stop`]. Every transition comes from a request or an empty
@@ -17,12 +17,12 @@ use crate::server::{Inbound, ReplicationSink, RoleCell, ServiceConfig, ServiceEr
 use crossbeam::channel::Sender;
 use docs_obs::{JournalKind, SpanKind, TraceContext};
 use docs_storage::{CampaignLog, FlushPolicy};
-use docs_system::{CampaignRegistry, CampaignSnapshot, Docs, MutationAdmission, OwnershipTable};
+use docs_system::{CampaignSnapshot, Docs, MutationAdmission, OwnershipTable};
 use docs_types::{
     codec, Answer, CampaignEvent, CampaignId, Error, EventFrame, NodeId, PublishedEvent,
     RejectReason, ReplicaRole, ReplicationFrame, SnapshotFrame,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -176,7 +176,7 @@ impl ShardDurability {
     /// pruning stays safe without re-serializing idle state.
     fn snapshot_cycle(
         &mut self,
-        registry: &CampaignRegistry,
+        live: &BTreeMap<CampaignId, Docs>,
         metrics: &ServiceMetrics,
     ) -> docs_types::Result<()> {
         let campaigns: Vec<CampaignId> = self.persisted.iter().copied().collect();
@@ -186,7 +186,7 @@ impl ShardDurability {
             {
                 continue;
             }
-            if let Some(docs) = registry.get(campaign) {
+            if let Some(docs) = live.get(&campaign) {
                 self.snapshot_campaign(campaign, docs, metrics)?;
             }
         }
@@ -248,7 +248,7 @@ fn kind_of(request: &Request) -> OpKind {
 /// One shard's whole state. See the module docs for the driver contract.
 pub(crate) struct Shard {
     index: usize,
-    registry: CampaignRegistry,
+    campaigns: BTreeMap<CampaignId, Docs>,
     durability: Option<ShardDurability>,
     ownership: OwnershipTable,
     metrics: ServiceMetrics,
@@ -304,7 +304,7 @@ impl Shard {
         };
         let mut shard = Shard {
             index,
-            registry: CampaignRegistry::new(),
+            campaigns: BTreeMap::new(),
             durability,
             ownership: OwnershipTable::new(config.node),
             metrics: metrics.clone(),
@@ -352,7 +352,7 @@ impl Shard {
     /// would have acknowledged vanished with the buffer. A clean stop
     /// closes the final adaptive batch like any other: flush first, then
     /// release the withheld acks in order.
-    pub(crate) fn stop(mut self, crashed: bool) -> CampaignRegistry {
+    pub(crate) fn stop(mut self, crashed: bool) -> BTreeMap<CampaignId, Docs> {
         if let Some(d) = self.durability.as_mut() {
             if crashed {
                 d.log.abandon();
@@ -365,7 +365,7 @@ impl Shard {
                 self.release_deferred();
             }
         }
-        self.registry
+        self.campaigns
     }
 
     /// Handles one inbound request end to end: role gate, the request,
@@ -410,7 +410,7 @@ impl Shard {
             // every campaign on this shard and prune the log. A failure
             // keeps serving; the log grows until a cycle succeeds.
             if d.snapshot_every > 0 && d.events_since_snapshot >= d.snapshot_every {
-                if let Err(e) = d.snapshot_cycle(&self.registry, &self.metrics) {
+                if let Err(e) = d.snapshot_cycle(&self.campaigns, &self.metrics) {
                     let kind = JournalKind::SnapshotFailure;
                     journal_failure(&self.metrics, self.index, kind, "snapshot cycle", &e);
                 }
@@ -502,9 +502,11 @@ impl Shard {
     /// Runs one admitted request against the shard's state.
     fn handle(&mut self, campaign: CampaignId, request: Request) -> Response {
         match request {
-            Request::CreateCampaign {
-                docs, persistence, ..
-            } => self.create_campaign(campaign, *docs, persistence),
+            Request::CreateCampaign { docs, .. } => {
+                let policy = docs.config().durable_flush;
+                self.register(campaign, *docs, policy, Joining::New)
+                    .map_or_else(Response::Rejected, |()| Response::CampaignCreated(campaign))
+            }
             Request::RequestWork { worker, .. } => {
                 self.on_campaign(campaign, |docs| Response::Work(docs.request_tasks(worker)))
             }
@@ -572,7 +574,7 @@ impl Shard {
         campaign: CampaignId,
         f: impl FnOnce(&mut Docs) -> Response,
     ) -> Response {
-        match self.registry.get_mut(campaign) {
+        match self.campaigns.get_mut(&campaign) {
             Some(docs) => f(docs),
             None => Response::Rejected(RejectReason::UnknownCampaign(campaign)),
         }
@@ -592,15 +594,13 @@ impl Shard {
         policy: Option<FlushPolicy>,
         joining: Joining,
     ) -> Result<(), RejectReason> {
-        if matches!(joining, Joining::New) && self.registry.get(campaign).is_some() {
+        if matches!(joining, Joining::New) && self.campaigns.contains_key(&campaign) {
             return Err(RejectReason::Storage(format!(
                 "campaign {campaign} already exists"
             )));
         }
         if let Some(policy) = policy {
-            let unavailable = RejectReason::DurabilityUnavailable {
-                campaign: Some(campaign),
-            };
+            let unavailable = RejectReason::DurabilityUnavailable { campaign };
             let d = self.durability.as_mut().ok_or(unavailable)?;
             let seq = match joining {
                 Joining::New => 0,
@@ -619,23 +619,8 @@ impl Shard {
             }
             d.persisted.insert(campaign);
         }
-        self.registry.remove(campaign);
-        Ok(self.registry.insert(campaign, docs)?)
-    }
-
-    /// Handles `CreateCampaign`: the campaign's effective policy (the wire
-    /// override, else its own config) is pinned into its config so every
-    /// snapshot records the policy it actually runs with.
-    fn create_campaign(
-        &mut self,
-        campaign: CampaignId,
-        mut docs: Docs,
-        persistence: Option<FlushPolicy>,
-    ) -> Response {
-        let policy = persistence.or(docs.config().durable_flush);
-        docs.set_durable_flush(policy);
-        self.register(campaign, docs, policy, Joining::New)
-            .map_or_else(Response::Rejected, |()| Response::CampaignCreated(campaign))
+        self.campaigns.insert(campaign, docs);
+        Ok(())
     }
 
     /// Handles a replicated snapshot install on a follower shard: restores
@@ -676,7 +661,7 @@ impl Shard {
         event: CampaignEvent,
         success: impl FnOnce(&mut Docs) -> Response,
     ) -> Response {
-        let Some(docs) = self.registry.get_mut(campaign) else {
+        let Some(docs) = self.campaigns.get_mut(&campaign) else {
             return Response::Rejected(RejectReason::UnknownCampaign(campaign));
         };
         if let Some(d) = self
@@ -706,7 +691,7 @@ impl Shard {
     /// rejected answers are reported per position without ever reaching
     /// the log.
     fn apply_answer_batch(&mut self, campaign: CampaignId, answers: Vec<Answer>) -> Response {
-        let Some(docs) = self.registry.get(campaign) else {
+        let Some(docs) = self.campaigns.get(&campaign) else {
             return Response::Rejected(RejectReason::UnknownCampaign(campaign));
         };
         let (accepted, rejected) = docs.validate_answer_batch(&answers);
@@ -760,7 +745,7 @@ impl Shard {
     /// point. Memory-only campaigns fence at watermark 0 (a routing-only
     /// hand-off; there is no log to harden).
     fn fence(&mut self, campaign: CampaignId, owner: NodeId) -> Response {
-        if self.registry.get(campaign).is_none() {
+        if !self.campaigns.contains_key(&campaign) {
             return Response::Rejected(RejectReason::UnknownCampaign(campaign));
         }
         let mut watermark = 0;
@@ -859,7 +844,8 @@ mod tests {
         let next_campaign = Arc::new(AtomicU32::new(1));
         let mut shard = Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
         let (tx, rx) = bounded(4);
-        let (c, w, docs) = (CampaignId(0), WorkerId(0), published(9));
+        let docs = published(9, Some(FlushPolicy::EveryEvent));
+        let (c, w) = (CampaignId(0), WorkerId(0));
         let golden = docs
             .golden_ids()
             .iter()
@@ -868,7 +854,6 @@ mod tests {
         let create = Request::CreateCampaign {
             campaign: c,
             docs: Box::new(docs),
-            persistence: Some(FlushPolicy::EveryEvent),
         };
         shard.step(inbound(1, create, &tx));
         shard.step(inbound(2, Op::submit_golden(c, w, golden).request, &tx));

@@ -58,8 +58,10 @@ pub struct DocsConfig {
     /// `Some(policy)` makes the owning shard write this campaign's events
     /// to its write-ahead log (group-committed per `policy`) so the
     /// campaign survives a service crash. `None` keeps the campaign
-    /// memory-only (the paper's deployment). Orthogonal to `storage_dir`,
-    /// which persists *cross-requester* worker statistics.
+    /// memory-only (the paper's deployment). This field is the only place
+    /// a campaign's durability is decided: create, snapshot install and
+    /// recovery all read it, and every snapshot records it. Orthogonal to
+    /// `storage_dir`, which persists *cross-requester* worker statistics.
     pub durable_flush: Option<FlushPolicy>,
 }
 

@@ -15,16 +15,15 @@
 //!    evaluation's job, not the requester's: the simulated crowd and its
 //!    scoring live in `docs-crowd` and `docs-scenarios`.
 
-mod campaign;
 mod config;
 mod ownership;
 mod system;
 mod watermark;
 
-pub use campaign::{CampaignRegistry, ReplayStats};
 pub use config::DocsConfig;
 pub use ownership::{MutationAdmission, OwnershipTable};
 pub use system::{
-    BatchSubmitReport, CampaignSnapshot, CampaignStatus, Docs, RequesterReport, WorkRequest,
+    BatchSubmitReport, CampaignSnapshot, CampaignStatus, Docs, ReplayStats, RequesterReport,
+    WorkRequest,
 };
 pub use watermark::{ReplicaWatermarks, WatermarkAdmission};

@@ -9,7 +9,7 @@
 //! exactly what the service's write-ahead log records, and what
 //! [`Docs::restore`] + replay rebuild after a crash.
 
-use crate::{DocsConfig, ReplayStats};
+use crate::DocsConfig;
 use docs_core::dve;
 use docs_core::golden::select_golden_tasks;
 use docs_core::ota::{Assigner, AssignerConfig};
@@ -22,6 +22,18 @@ use docs_types::{
 use serde::{Deserialize, Serialize, Sink};
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Outcome of replaying one campaign's snapshot + log suffix
+/// ([`Docs::replay`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayStats {
+    /// Events applied to the restored state.
+    pub applied: u64,
+    /// Events whose application was rejected (deterministic rejections —
+    /// e.g. a duplicate answer that was already rejected live; a healthy
+    /// log contains none because commands are validated before logging).
+    pub rejected: u64,
+}
 
 /// Response to a worker's task request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,13 +218,6 @@ impl Docs {
     /// The publish-time configuration.
     pub fn config(&self) -> &DocsConfig {
         &self.config
-    }
-
-    /// Overrides the per-campaign durability opt-in after publish — the
-    /// service applies a wire-level persistence override here so the policy
-    /// a campaign actually runs with is the one its snapshots record.
-    pub fn set_durable_flush(&mut self, flush: Option<docs_storage::FlushPolicy>) {
-        self.config.durable_flush = flush;
     }
 
     /// The selected golden task ids.

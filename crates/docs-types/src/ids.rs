@@ -36,7 +36,7 @@ impl TaskId {
     /// Deterministic shard owner for this task among `shards` shards.
     ///
     /// The OTA benefit scan and TI ingestion partition task state with this
-    /// mapping (same mix as [`CampaignId::shard`], via [`splitmix_shard`]).
+    /// mapping (same mix as [`CampaignId::shard`], via `splitmix_shard`).
     #[inline]
     pub fn shard(self, shards: usize) -> usize {
         splitmix_shard(self.0 as u64, shards)
@@ -100,8 +100,8 @@ impl CampaignId {
 
     /// Deterministic shard owner for this campaign among `shards` shards.
     ///
-    /// The service router and each shard's registry must agree on this
-    /// mapping, so it lives here with the id type (via [`splitmix_shard`]).
+    /// The service router and each shard must agree on this mapping, so it
+    /// lives here with the id type (via `splitmix_shard`).
     #[inline]
     pub fn shard(self, shards: usize) -> usize {
         splitmix_shard(self.0 as u64, shards)

@@ -46,12 +46,11 @@ pub enum RejectReason {
     /// The campaign's collection budget is consumed and the campaign runs
     /// with strict admission (late answers refused, not absorbed).
     BudgetExhausted,
-    /// The request needs event-log durability the service cannot provide.
-    /// `campaign` names the requester when the refusal happened on the
-    /// owning shard; `None` when the handle refused before submitting.
+    /// A campaign's config names a flush policy but the service was
+    /// spawned without a durability directory; its owning shard refused it.
     DurabilityUnavailable {
-        /// Campaign that asked for durability, when known.
-        campaign: Option<CampaignId>,
+        /// Campaign that asked for durability.
+        campaign: CampaignId,
     },
     /// `DocsService::recover` was called on a configuration without a
     /// durability directory — there is nothing to recover from.
@@ -118,16 +117,11 @@ impl fmt::Display for RejectReason {
                 )
             }
             RejectReason::BudgetExhausted => write!(f, "collection budget exhausted"),
-            RejectReason::DurabilityUnavailable {
-                campaign: Some(campaign),
-            } => write!(
+            RejectReason::DurabilityUnavailable { campaign } => write!(
                 f,
                 "campaign {campaign} requests durability but the service was \
                  spawned without a durability directory"
             ),
-            RejectReason::DurabilityUnavailable { campaign: None } => {
-                write!(f, "service was spawned without durability")
-            }
             RejectReason::RecoverWithoutDurability => {
                 write!(f, "recover needs a durability directory")
             }
@@ -212,8 +206,11 @@ mod tests {
             ),
             (RejectReason::BudgetExhausted, "collection budget exhausted"),
             (
-                RejectReason::DurabilityUnavailable { campaign: None },
-                "service was spawned without durability",
+                RejectReason::DurabilityUnavailable {
+                    campaign: CampaignId(5),
+                },
+                "campaign c5 requests durability but the service was \
+                 spawned without a durability directory",
             ),
             (
                 RejectReason::RecoverWithoutDurability,

@@ -46,35 +46,11 @@ fn publish() -> Docs {
             answers_per_task: 2,
             z: 500,
             task_shards: 4,
+            durable_flush: Some(FlushPolicy::EveryEvent),
             ..Default::default()
         },
     )
     .expect("publish campaign")
-}
-
-/// A minimal default campaign for the pool — never driven.
-fn placeholder() -> Docs {
-    let tasks: Vec<Task> = (0..4)
-        .map(|i| {
-            TaskBuilder::new(i, format!("Is the NBA popular? ({i})"))
-                .yes_no()
-                .with_ground_truth(i % 2)
-                .with_true_domain(1)
-                .build()
-                .unwrap()
-        })
-        .collect();
-    Docs::publish(
-        &docs_kb::table2_example_kb(),
-        tasks,
-        DocsConfig {
-            num_golden: 2,
-            k_per_hit: 2,
-            answers_per_task: 1,
-            ..Default::default()
-        },
-    )
-    .expect("publish placeholder")
 }
 
 /// Deterministic worker choice so every run sees the same answer stream.
@@ -103,14 +79,9 @@ fn run(label: &str, batched: bool) -> RunReport {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    // The measured campaign is the durable one created below; the pool's
-    // default campaign is a tiny placeholder so each run pays DVE + golden
-    // selection for the 3000-task set only once.
     let (service, handle) =
-        DocsService::spawn_sharded(placeholder(), ServiceConfig::durable(2, &dir));
-    let campaign = handle
-        .create_campaign_with(publish(), FlushPolicy::EveryEvent)
-        .expect("durable campaign");
+        DocsService::spawn_empty(ServiceConfig::durable(2, &dir)).expect("spawn pool");
+    let campaign = handle.create_campaign(publish()).expect("durable campaign");
     let started = Instant::now();
     let mut idle_rounds = 0;
     while idle_rounds < 2 {

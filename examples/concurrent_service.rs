@@ -52,20 +52,21 @@ fn publish_campaign(task_shards: usize) -> (Docs, Arc<Vec<Task>>, usize) {
 /// Runs `CAMPAIGNS` campaigns to budget exhaustion on a pool with the given
 /// shard count; returns (wall time seconds, total answers collected).
 fn run_pool(shards: usize) -> (f64, usize, docs_service::ServiceMetrics) {
-    let (first_docs, first_tasks, m) = publish_campaign(shards);
-    let (service, handle) = DocsService::spawn_sharded(first_docs, ServiceConfig::sharded(shards));
-    let mut campaigns = vec![(handle.default_campaign(), first_tasks)];
-    for _ in 1..CAMPAIGNS {
-        let (docs, tasks, _) = publish_campaign(shards);
-        let id = handle.create_campaign(docs).expect("create campaign");
-        campaigns.push((id, tasks));
-    }
+    let (service, handle) =
+        DocsService::spawn_empty(ServiceConfig::sharded(shards)).expect("spawn pool");
+    let campaigns: Vec<_> = (0..CAMPAIGNS)
+        .map(|_| {
+            let (docs, tasks, m) = publish_campaign(shards);
+            let campaign = handle.create_campaign(docs).expect("create campaign");
+            (campaign, tasks, m)
+        })
+        .collect();
 
     let started = Instant::now();
     let drivers: Vec<_> = campaigns
         .into_iter()
         .enumerate()
-        .map(|(i, (campaign, tasks))| {
+        .map(|(i, (campaign, tasks, m))| {
             let handle = handle.clone();
             std::thread::spawn(move || {
                 let population = WorkerPopulation::generate(&PopulationConfig {

@@ -59,8 +59,8 @@ fn measure(dir: &Path, flush: Option<FlushPolicy>, label: &str) -> f64 {
         None => ServiceConfig::sharded(2),
     };
     let (docs, tasks, m) = bench_publish(2, flush);
-    let (service, handle) = DocsService::spawn_sharded(docs, config);
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).expect("spawn pool");
+    let campaign = handle.create_campaign(docs).expect("create campaign");
     let population = WorkerPopulation::generate(&PopulationConfig {
         m,
         size: 40,

@@ -67,9 +67,10 @@ fn two_nodes(shards: usize, task_shards: usize, label: &str) -> Cluster {
     let dir1 = tmp_dir(&format!("{label}-{shards}-{task_shards}-n1"));
     let (sink, feed) = replication_channel();
     let config0 = durable_node(shards, &dir0, NodeId(0)).with_replication(sink);
-    let (service0, handle0) =
-        DocsService::spawn_sharded(publish(task_shards, Some(FlushPolicy::EveryEvent)), config0);
-    let campaign = handle0.default_campaign();
+    let (service0, handle0) = DocsService::spawn_empty(config0).unwrap();
+    let campaign = handle0
+        .create_campaign(publish(task_shards, Some(FlushPolicy::EveryEvent)))
+        .unwrap();
     let hub = ReplicationHub::spawn(feed);
     let (service1, handle1) =
         DocsService::spawn_empty(durable_node(shards, &dir1, NodeId(1))).expect("spawn node 1");

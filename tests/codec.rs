@@ -421,7 +421,7 @@ proptest! {
         drive(&mut docs, 10, false);
         let record = docs.snapshot_bytes();
         let body = &record[HEADER_LEN..];
-        let (service, follower) = DocsService::spawn_replica(ServiceConfig::follower(1)).unwrap();
+        let (service, follower) = DocsService::spawn_empty(ServiceConfig::follower(1)).unwrap();
         for (i, &(at, bit)) in flips.iter().enumerate() {
             let mut flipped = record.clone();
             flipped[at as usize % record.len()] ^= 1 << bit;
@@ -508,7 +508,7 @@ fn hand_built_snapshot_records_decode_as_the_oracle_does() {
         value_record(&huge_count),
     ];
     nested.clear();
-    let (service, follower) = DocsService::spawn_replica(ServiceConfig::follower(1)).unwrap();
+    let (service, follower) = DocsService::spawn_empty(ServiceConfig::follower(1)).unwrap();
     for (i, record) in records.iter().enumerate() {
         entry_points_agree(record, &follower, i as u32);
     }

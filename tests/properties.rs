@@ -2,8 +2,7 @@
 
 use docs_core::dve::{
     domain_vector, domain_vector_correlated_exact, domain_vector_enumeration,
-    domain_vector_reranked, domain_vector_tuple_key, jensen_shannon, rerank_by_coherence,
-    top_j_recall,
+    domain_vector_reranked, jensen_shannon, rerank_by_coherence, top_j_recall,
 };
 use docs_core::golden::{allocation_objective, golden_counts};
 use docs_core::ota::{answer_probabilities, benefit, BudgetPlanner};
@@ -33,7 +32,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Algorithm 1 is exact: it agrees with brute-force enumeration of
-    /// Eq. 1 on every feasible instance, and with the tuple-keyed variant.
+    /// Eq. 1 on every feasible instance.
     #[test]
     fn dve_algorithm1_equals_enumeration(
         entities in prop::collection::vec(arb_entity(5), 1..=4)
@@ -41,10 +40,8 @@ proptest! {
         let fast = domain_vector(&entities, 5);
         let slow = domain_vector_enumeration(&entities, 5, 1 << 20)
             .expect("small instance is enumerable");
-        let tuple = domain_vector_tuple_key(&entities, 5);
         for k in 0..5 {
             prop_assert!((fast[k] - slow[k]).abs() < 1e-9);
-            prop_assert!((fast[k] - tuple[k]).abs() < 1e-12);
         }
         prop_assert!(prob::is_distribution(fast.as_slice()));
     }

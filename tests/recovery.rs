@@ -90,8 +90,10 @@ fn crash_recover_case(
 
     // Phase 1: serve the prefix durably, then die without flushing.
     let config = service_config(shards, &dir, policy, snapshot_every);
-    let (service, handle) = DocsService::spawn_sharded(publish(task_shards, Some(policy)), config);
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let campaign = handle
+        .create_campaign(publish(task_shards, Some(policy)))
+        .unwrap();
     for op in &ops[..crash_at] {
         submit(&handle, campaign, op);
     }
@@ -122,7 +124,6 @@ fn crash_recover_case(
     // the whole stream, finish.
     let config = service_config(recover_shards, &dir, policy, snapshot_every);
     let (service, handle) = DocsService::recover(config).expect("recovery succeeds");
-    assert_eq!(handle.default_campaign(), campaign, "{label}");
     assert!(
         handle.metrics().durability().snapshots_loaded >= 1,
         "{label}"
@@ -219,8 +220,8 @@ fn unfilled_batch_crash_with_unsynced_buffer_replays_to_the_last_synced_event() 
     let (ops, _) = oracle(2);
     let dir = tmp_dir("unfilled-batch-unsynced-buffer");
     let config = service_config(1, &dir, policy, 100_000);
-    let (service, handle) = DocsService::spawn_sharded(publish(2, Some(policy)), config.clone());
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config.clone()).unwrap();
+    let campaign = handle.create_campaign(publish(2, Some(policy))).unwrap();
     let split = 11.min(ops.len());
     for op in &ops[..split] {
         submit(&handle, campaign, op);
@@ -269,10 +270,10 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     let policy = FlushPolicy::EveryEvent;
     let (ops, reference) = oracle(2);
     let config = service_config(4, &dir, policy, CADENCE);
-    let (service, handle) = DocsService::spawn_sharded(publish(2, Some(policy)), config);
-    let c0 = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let c0 = handle.create_campaign(publish(2, Some(policy))).unwrap();
     // A second durable campaign (different geometry) and a memory-only one.
-    let c1 = handle.create_campaign_durable(publish(3, None)).unwrap();
+    let c1 = handle.create_campaign(publish(3, Some(policy))).unwrap();
     let c2 = handle.create_campaign(publish(1, None)).unwrap();
     for op in &ops[..20] {
         submit(&handle, c0, op);

@@ -89,8 +89,10 @@ fn byte_identity_case(shards: usize, follower_shards: usize, task_shards: usize)
     // ops) at least one snapshot cycle has re-baselined the campaign, so
     // the bootstrap genuinely starts mid-campaign.
     let config = primary_config(shards, &dir, policy, 6).with_replication(sink);
-    let (service, handle) = DocsService::spawn_sharded(publish(task_shards, Some(policy)), config);
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let campaign = handle
+        .create_campaign(publish(task_shards, Some(policy)))
+        .unwrap();
     let hub = ReplicationHub::spawn(feed);
 
     // Prefix before any follower exists.
@@ -209,8 +211,10 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     let config = primary_config(2, &dir, policy, 1024)
         .with_replication(sink)
         .with_trace_sampling(1);
-    let (service, handle) = DocsService::spawn_sharded(publish(task_shards, Some(policy)), config);
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let campaign = handle
+        .create_campaign(publish(task_shards, Some(policy)))
+        .unwrap();
     let hub = ReplicationHub::spawn(feed);
     let link = hub.subscribe("standby");
     let bootstrap = bootstrap_frames(&dir).expect("bootstrap scan");

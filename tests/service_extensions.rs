@@ -6,7 +6,7 @@ use docs_core::ota::BudgetPlanner;
 use docs_core::ti::{IncrementalTi, StoppingPolicy, StoppingRule, WorkerRegistry};
 use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_on, run_campaign};
-use docs_service::{Client, DocsService, Op, OpKind};
+use docs_service::{Client, DocsService, Op, OpKind, ServiceConfig};
 use docs_system::{Docs, DocsConfig};
 use docs_types::{Answer, TaskId, WorkerId};
 use rand::rngs::SmallRng;
@@ -36,12 +36,13 @@ fn concurrent_campaign_through_the_service_matches_protocol() {
     };
     let docs = Docs::publish(&dataset.kb, std::mem::take(&mut dataset.tasks), config).unwrap();
     let published = Arc::new(docs.tasks().to_vec());
-    let (service, handle) = DocsService::spawn(docs);
+    let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
+    let campaign = handle.create_campaign(docs).unwrap();
 
     let pop = population(m, 30, 0x11);
     let report = drive_workers_on(
         &handle,
-        handle.default_campaign(),
+        campaign,
         Arc::clone(&published),
         &pop,
         AnswerModel::DomainUniform,
@@ -58,7 +59,7 @@ fn concurrent_campaign_through_the_service_matches_protocol() {
     );
     assert_eq!(report.total_rejected(), 0, "sharded workers never race");
 
-    let final_report = handle.call(Op::finish(handle.default_campaign())).unwrap();
+    let final_report = handle.call(Op::finish(campaign)).unwrap();
     assert_eq!(final_report.truths.len(), n);
     let accuracy = accuracy_of(&final_report.truths, &published);
     assert!(accuracy > 0.5, "above chance: {accuracy}");
@@ -68,8 +69,9 @@ fn concurrent_campaign_through_the_service_matches_protocol() {
     assert!(assign.max.as_millis() < 1_000, "instant assignment");
 
     drop(handle);
-    let docs = service.join();
-    assert!(docs.budget_exhausted());
+    let campaigns = service.join_all();
+    assert_eq!(campaigns.len(), 1);
+    assert!(campaigns[0].1.budget_exhausted());
 }
 
 #[test]

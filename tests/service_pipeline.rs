@@ -68,11 +68,11 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
     let n_tasks = 21;
     let seed = 0xF1FE;
     let run = |service_shards: usize, task_shards: usize, pipelined: bool| {
-        let (service, handle) = DocsService::spawn_sharded(
-            publish(n_tasks, 3, task_shards),
-            ServiceConfig::sharded(service_shards),
-        );
-        let campaign = handle.default_campaign();
+        let (service, handle) =
+            DocsService::spawn_empty(ServiceConfig::sharded(service_shards)).unwrap();
+        let campaign = handle
+            .create_campaign(publish(n_tasks, 3, task_shards))
+            .unwrap();
         let tasks = published_tasks(n_tasks);
         let pop = population(10, seed);
         let drive = if pipelined {
@@ -99,7 +99,7 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
         .unwrap();
         let report = handle.call(Op::finish(campaign)).unwrap();
         drop(handle);
-        service.join();
+        service.join_all();
         (drive, report.truths, report.truth_distributions)
     };
     let (reference_drive, reference_truths, reference_dists) = run(1, 1, false);
@@ -136,11 +136,9 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
 /// no stuck depth or unresolved tickets.
 #[test]
 fn bounded_ingress_backpressure_loses_no_answers() {
-    let (service, handle) = DocsService::spawn_sharded(
-        publish(18, 4, 2),
-        ServiceConfig::sharded(2).with_queue_capacity(2),
-    );
-    let campaign = handle.default_campaign();
+    let (service, handle) =
+        DocsService::spawn_empty(ServiceConfig::sharded(2).with_queue_capacity(2)).unwrap();
+    let campaign = handle.create_campaign(publish(18, 4, 2)).unwrap();
     let tasks = published_tasks(18);
     let pop = population(12, 0x77);
     let report = drive_workers_on(
@@ -164,7 +162,7 @@ fn bounded_ingress_backpressure_loses_no_answers() {
     assert!(shards.iter().all(|s| s.queued == 0), "queues drained");
     assert!(shards.iter().all(|s| s.in_flight == 0), "tickets resolved");
     drop(handle);
-    service.join();
+    service.join_all();
 }
 
 /// Typed rejections over the wire: a strict-budget campaign refuses late
@@ -196,8 +194,8 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
         },
     )
     .unwrap();
-    let (service, handle) = DocsService::spawn(docs);
-    let c = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
+    let c = handle.create_campaign(docs).unwrap();
     for t in 0..2u32 {
         handle
             .call(Op::submit_answer(c, Answer::new(WorkerId(0), TaskId(t), 0)))
@@ -222,7 +220,7 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
     assert_eq!(outcome.accepted, 0);
     assert_eq!(outcome.rejected, vec![(0, RejectReason::BudgetExhausted)]);
     drop(handle);
-    service.join();
+    service.join_all();
 }
 
 /// The ticket API end to end against a live pool: submissions complete in
@@ -230,8 +228,8 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
 /// a still-pending ticket back instead of dropping the operation.
 #[test]
 fn tickets_resolve_against_a_live_service() {
-    let (service, handle) = DocsService::spawn(publish(9, 2, 1));
-    let campaign = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
+    let campaign = handle.create_campaign(publish(9, 2, 1)).unwrap();
     let w = WorkerId(0);
     // Pipeline the golden hand-shake: request ticket, poll it, submit the
     // golden answers as a ticket, then request again — two operations in
@@ -269,5 +267,5 @@ fn tickets_resolve_against_a_live_service() {
     }
     assert_eq!(handle.metrics().shard(0).in_flight, 0);
     drop(handle);
-    service.join();
+    service.join_all();
 }

@@ -79,9 +79,8 @@ fn drive_campaign(
 /// answers), and both campaigns must consume their full budget.
 #[test]
 fn concurrent_multi_campaign_drive_loses_no_answers() {
-    let (service, handle) =
-        DocsService::spawn_sharded(publish(18, 4, 1), ServiceConfig::sharded(3));
-    let c1 = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(ServiceConfig::sharded(3)).unwrap();
+    let c1 = handle.create_campaign(publish(18, 4, 1)).unwrap();
     let c2 = handle.create_campaign(publish(24, 3, 1)).unwrap();
     let tasks1 = Arc::new(published_tasks(18));
     let tasks2 = Arc::new(published_tasks(24));
@@ -144,8 +143,8 @@ fn sharded_truths_equal_single_shard_truths() {
     // run sequentially (the seed architecture).
     let mut reference = Vec::new();
     for &(n_tasks, seed) in &campaign_specs {
-        let (service, handle) = DocsService::spawn(publish(n_tasks, 3, 1));
-        let campaign = handle.default_campaign();
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
+        let campaign = handle.create_campaign(publish(n_tasks, 3, 1)).unwrap();
         let tasks = Arc::new(published_tasks(n_tasks));
         let pop = population(10, seed);
         drive_workers_on(
@@ -161,19 +160,16 @@ fn sharded_truths_equal_single_shard_truths() {
         let report = handle.call(Op::finish(campaign)).unwrap();
         reference.push((report.truths, report.truth_distributions));
         drop(handle);
-        service.join();
+        service.join_all();
     }
 
     // Sharded: all 8 campaigns live on a 4-shard pool with a 4-way
     // partitioned benefit scan, driven concurrently.
-    let (service, handle) = DocsService::spawn_sharded(
-        publish(campaign_specs[0].0, 3, 4),
-        ServiceConfig::sharded(4),
-    );
-    let mut ids = vec![handle.default_campaign()];
-    for &(n_tasks, _) in &campaign_specs[1..] {
-        ids.push(handle.create_campaign(publish(n_tasks, 3, 4)).unwrap());
-    }
+    let (service, handle) = DocsService::spawn_empty(ServiceConfig::sharded(4)).unwrap();
+    let ids: Vec<CampaignId> = campaign_specs
+        .iter()
+        .map(|&(n_tasks, _)| handle.create_campaign(publish(n_tasks, 3, 4)).unwrap())
+        .collect();
     let drivers: Vec<_> = campaign_specs
         .iter()
         .zip(&ids)
@@ -222,11 +218,11 @@ fn truths_are_identical_for_every_shard_combination() {
     let n_tasks = 21;
     let seed = 0xD0C5;
     let run = |service_shards: usize, task_shards: usize| {
-        let (service, handle) = DocsService::spawn_sharded(
-            publish(n_tasks, 3, task_shards),
-            ServiceConfig::sharded(service_shards),
-        );
-        let campaign = handle.default_campaign();
+        let (service, handle) =
+            DocsService::spawn_empty(ServiceConfig::sharded(service_shards)).unwrap();
+        let campaign = handle
+            .create_campaign(publish(n_tasks, 3, task_shards))
+            .unwrap();
         let tasks = Arc::new(published_tasks(n_tasks));
         let pop = population(10, seed);
         drive_workers_on(
@@ -241,7 +237,7 @@ fn truths_are_identical_for_every_shard_combination() {
         .unwrap();
         let report = handle.call(Op::finish(campaign)).unwrap();
         drop(handle);
-        service.join();
+        service.join_all();
         (report.truths, report.truth_distributions)
     };
     let reference = run(1, 1);
@@ -284,9 +280,8 @@ fn campaigns_sharing_a_storage_dir_keep_every_workers_statistics() {
             },
         )
     };
-    let (service, handle) =
-        DocsService::spawn_sharded(publish_shared(18), ServiceConfig::sharded(2));
-    let a = handle.default_campaign();
+    let (service, handle) = DocsService::spawn_empty(ServiceConfig::sharded(2)).unwrap();
+    let a = handle.create_campaign(publish_shared(18)).unwrap();
     let b = handle.create_campaign(publish_shared(24)).unwrap();
     // Campaign B's crowd is larger: it has workers A never sees.
     let drivers: Vec<_> = [(a, 18, 6, 0xA1), (b, 24, 14, 0xB2)]
