@@ -196,6 +196,113 @@ fn follower_is_byte_identical_at_every_acked_watermark_across_the_matrix() {
     }
 }
 
+/// Several durable campaigns on a one-shard primary, driven concurrently
+/// and pipelined: adaptive group commit closes batches that mix campaigns
+/// (and runs of one campaign), so a shipped frame carries events of several
+/// campaigns. A one-shard and a three-shard follower both end at the hub's
+/// shipped watermarks with every campaign byte-identical to the primary.
+#[test]
+fn frames_mixing_campaigns_replicate_byte_identically_at_any_follower_shard_count() {
+    const CAMPAIGNS: usize = 6;
+    const PIPELINE: usize = 4;
+    let (ops, _) = oracle(1);
+    let dir = tmp_dir("mixed-frames");
+    let policy = FlushPolicy::EveryEvent;
+
+    let (sink, feed) = replication_channel();
+    let config = primary_config(1, &dir, policy, 1024).with_replication(sink);
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let hub = ReplicationHub::spawn(feed);
+    let campaigns: Vec<CampaignId> = (0..CAMPAIGNS)
+        .map(|_| handle.create_campaign(publish(1, Some(policy))).unwrap())
+        .collect();
+    let replicas: Vec<Replica> = [1usize, 3]
+        .into_iter()
+        .map(|shards| {
+            let link = hub.subscribe(format!("replica-{shards}"));
+            let bootstrap = bootstrap_frames(&dir).expect("bootstrap scan");
+            Replica::spawn(ServiceConfig::follower(shards), link, bootstrap).expect("spawn replica")
+        })
+        .collect();
+
+    // One client thread per campaign, each keeping PIPELINE submissions in
+    // flight: the single shard serves them in arrival order, so every
+    // campaign's own order is its script's.
+    std::thread::scope(|scope| {
+        for &campaign in &campaigns {
+            let (handle, ops) = (&handle, &ops);
+            scope.spawn(move || {
+                for chunk in ops.chunks(PIPELINE) {
+                    let tickets: Vec<_> = chunk
+                        .iter()
+                        .map(|op| {
+                            let op = match op {
+                                Op::Golden(w, answers) => {
+                                    docs_service::Op::submit_golden(campaign, *w, answers.clone())
+                                }
+                                Op::Answer(answer) => {
+                                    docs_service::Op::submit_answer(campaign, *answer)
+                                }
+                            };
+                            handle.submit(op).expect("submit")
+                        })
+                        .collect();
+                    for ticket in tickets {
+                        match ticket.wait() {
+                            Ok(()) | Err(ServiceError::Rejected(_)) => {}
+                            Err(e) => panic!("service failed: {e}"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    // Every acknowledged event was handed to the hub before its ack; wait
+    // for the pump to have fanned all of them out.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let sent = handle.metrics().counter(Counter::EventsShipped);
+    while hub.stats().events_shipped < sent {
+        assert!(Instant::now() < deadline, "hub stuck below {sent} events");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = hub.stats();
+    assert!(
+        stats.events_shipped > stats.frames_shipped,
+        "group commit must ship several events per frame: {stats:?}"
+    );
+    let shipped = hub.shipped_watermarks();
+    assert_eq!(shipped.len(), CAMPAIGNS);
+    for replica in &replicas {
+        for &(campaign, seq) in &shipped {
+            await_watermark(replica, campaign, seq);
+        }
+        assert_eq!(replica.watermarks(), shipped);
+        for &campaign in &campaigns {
+            assert_eq!(
+                replica
+                    .handle()
+                    .call(docs_service::Op::snapshot_state(campaign))
+                    .unwrap(),
+                handle
+                    .call(docs_service::Op::snapshot_state(campaign))
+                    .unwrap(),
+                "campaign {campaign} diverged"
+            );
+        }
+    }
+
+    for replica in replicas {
+        let (replica_service, replica_handle) = replica.detach();
+        drop(replica_handle);
+        replica_service.join_all();
+    }
+    drop(handle);
+    service.join_all();
+    hub.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     let task_shards = 4;
