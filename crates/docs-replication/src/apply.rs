@@ -2,14 +2,19 @@
 //! drains its frame stream, and the controlled promotion that turns the
 //! follower into a serving primary during failover.
 //!
-//! The applier is the *only* writer a follower has. It decodes each
-//! CRC-checked record, classifies every event against the shared
-//! per-campaign watermark table ([`ReplicaWatermarks`]) — stale frames
-//! (bootstrap/stream overlap) are skipped, gaps abort loudly — and applies
-//! the survivors through [`ServiceHandle::replicate_apply`], which runs the
-//! same deterministic `validate_event`/`apply` transition the primary ran.
-//! Advancing the watermark *is* the ack: the primary-side hub reads the
-//! same table to compute lag.
+//! The applier is the *only* writer a follower has, and it works a frame
+//! at a time. It decodes each CRC-checked record in place (a borrowed
+//! [`FrameView`]: payloads stay slices of the shared record), classifies
+//! all of the frame's events against the shared per-campaign watermark
+//! table ([`ReplicaWatermarks`]) under one lock — stale events
+//! (bootstrap/stream overlap) are skipped, a gap refuses the whole frame
+//! before any of it is sent — and hands the decoded survivors over in one
+//! [`ServiceHandle::replicate_apply`] call: one round trip per owning
+//! shard, where each event runs the same deterministic
+//! `validate_event`/`apply` transition the primary ran. Only after that
+//! call succeeds do the watermarks advance. Advancing the watermark *is*
+//! the ack: the primary-side hub reads the same table to compute lag.
+//! Bootstrap frames and a migration's stream take the same path.
 //!
 //! **Promotion** ([`Replica::promote`]) is drain-then-flip: the applier
 //! first applies every frame already received (a crashed primary's entire
@@ -21,7 +26,7 @@
 //! old primary ever acknowledged is durable, therefore shipped, therefore
 //! at or below the promotion watermark.
 
-use crate::frame::decode_frame;
+use crate::frame::{decode_frame, encode_frame, EventsView, FrameView};
 use crate::ship::{FollowerLink, ShippedRecord};
 use crossbeam::channel::RecvTimeoutError;
 use docs_service::{DocsService, ServiceConfig, ServiceError, ServiceHandle, Stage};
@@ -190,8 +195,8 @@ fn applier_loop(
     stop: &AtomicBool,
     error: &Mutex<Option<String>>,
 ) {
-    for frame in bootstrap {
-        if let Err(e) = apply_frame(handle, &link.acked, frame) {
+    for frame in &bootstrap {
+        if let Err(e) = apply_bootstrap(handle, &link.acked, frame, None) {
             record_error(error, format!("bootstrap: {e}"));
             return;
         }
@@ -249,7 +254,7 @@ fn decode_and_apply(
     acked: &Mutex<ReplicaWatermarks>,
     record: &ShippedRecord,
 ) -> Result<()> {
-    apply_frame(handle, acked, decode_frame(record.bytes())?)?;
+    apply_frame(handle, acked, decode_frame(record.bytes())?, None)?;
     // Ship→applied lag, as the follower experienced it: the pump stamped
     // the record at fan-out, the frame is applied (and acked) now.
     handle.metrics().observe(
@@ -259,17 +264,40 @@ fn decode_and_apply(
     Ok(())
 }
 
-/// Applies one frame, advancing the shared watermark table as the ack.
-/// Shared with the migration engine: a campaign hand-off applies the same
-/// snapshot + suffix stream to the destination primary's intake.
+/// Applies one bootstrap frame through the stream's path: framed as the
+/// hub frames it and decoded as the wire is, so a directory scan passes
+/// the same checks as a shipped record.
+pub(crate) fn apply_bootstrap(
+    handle: &ServiceHandle,
+    acked: &Mutex<ReplicaWatermarks>,
+    frame: &ReplicationFrame,
+    only: Option<CampaignId>,
+) -> Result<()> {
+    apply_frame(handle, acked, decode_frame(&encode_frame(frame))?, only)
+}
+
+/// Applies one decoded frame, advancing the shared watermark table as the
+/// ack — the one apply path of the live stream, the bootstrap and a
+/// migration. `only` restricts the frame to one campaign's items (a
+/// migration takes its campaign out of the source's whole feed); `None`
+/// applies all of it.
+///
+/// An events frame costs one [`ServiceHandle::replicate_apply`] round
+/// trip per owning shard, whatever its length: its events are classified
+/// under one lock, the admitted ones decoded and handed over in one call,
+/// and only once that call succeeded do the watermarks move. A refused
+/// batch moves none — under-acking a poisoned replica is safe, over-acking
+/// is not.
 pub(crate) fn apply_frame(
     handle: &ServiceHandle,
     acked: &Mutex<ReplicaWatermarks>,
-    frame: ReplicationFrame,
+    frame: FrameView<'_>,
+    only: Option<CampaignId>,
 ) -> Result<()> {
     let lift = |e: ServiceError| Error::Storage(format!("replica apply failed: {e}"));
+    let scoped = |campaign: CampaignId| only.is_none_or(|c| c == campaign);
     match frame {
-        ReplicationFrame::Snapshot(s) => {
+        FrameView::Snapshot(s) if scoped(s.campaign) => {
             // Install when the campaign is new to this follower (a
             // creation baseline covers sequence 0, so presence — not the
             // watermark value — decides) or when the snapshot moves it
@@ -282,47 +310,241 @@ pub(crate) fn apply_frame(
             };
             if install {
                 handle
-                    .replicate_install_snapshot(s.campaign, s.seq, s.payload)
+                    .replicate_install_snapshot(s.campaign, s.seq, s.payload.to_vec())
                     .map_err(lift)?;
                 acked.lock().advance_to(s.campaign, s.seq);
             }
             Ok(())
         }
-        ReplicationFrame::Events(events) => {
-            for e in events {
-                // Classify under a scoped lock: matching on
-                // `acked.lock().classify(..)` directly would keep the
-                // guard alive across the whole match — including the
-                // re-lock in the `Next` arm, a self-deadlock.
-                let admission = {
-                    let table = acked.lock();
-                    table.classify(e.campaign, e.seq)
-                };
-                match admission {
-                    WatermarkAdmission::Stale => continue,
-                    WatermarkAdmission::Gap { expected } => {
-                        return Err(Error::Storage(format!(
-                            "replication stream gap for campaign {}: got sequence {}, \
-                             expected {expected}",
-                            e.campaign, e.seq
-                        )));
-                    }
-                    WatermarkAdmission::Next => {
-                        let event: CampaignEvent =
-                            codec::decode_event(&e.payload).map_err(|err| {
-                                Error::Storage(format!(
-                                    "campaign {} event {}: {err}",
-                                    e.campaign, e.seq
-                                ))
-                            })?;
-                        handle
-                            .replicate_apply(e.campaign, e.seq, event)
-                            .map_err(lift)?;
-                        acked.lock().advance_to(e.campaign, e.seq);
-                    }
+        FrameView::Snapshot(_) => Ok(()),
+        FrameView::Events(events) => {
+            let batch = admit(&acked.lock(), events, scoped)?;
+            if batch.is_empty() {
+                return Ok(());
+            }
+            handle.replicate_apply(batch).map_err(lift)?;
+            // The ack follows the apply. Every scoped event of the frame
+            // was either stale or applied, so each moves its campaign's
+            // watermark to at least its own sequence.
+            let mut table = acked.lock();
+            for e in events.iter().filter(|e| scoped(e.campaign)) {
+                if e.seq > table.get(e.campaign) {
+                    table.advance_to(e.campaign, e.seq);
                 }
             }
             Ok(())
         }
+    }
+}
+
+/// Classifies a frame's scoped events against the watermark table and
+/// decodes the admitted ones, in frame order. An event of a campaign that
+/// already has an admitted event earlier in the frame is classified
+/// against that one, so a run of one campaign inside a frame applies in
+/// sequence. Stale events (the bootstrap / stream overlap) are skipped; a
+/// gap anywhere refuses the whole frame before any of it is applied.
+fn admit(
+    table: &ReplicaWatermarks,
+    events: EventsView<'_>,
+    scoped: impl Fn(CampaignId) -> bool,
+) -> Result<Vec<(CampaignId, u64, CampaignEvent)>> {
+    let mut batch: Vec<(CampaignId, u64, CampaignEvent)> = Vec::with_capacity(events.len());
+    for e in events.iter().filter(|e| scoped(e.campaign)) {
+        let watermark = batch
+            .iter()
+            .rev()
+            .find(|(campaign, ..)| *campaign == e.campaign)
+            .map_or_else(|| table.get(e.campaign), |&(_, seq, _)| seq);
+        match WatermarkAdmission::of(watermark, e.seq) {
+            WatermarkAdmission::Stale => {}
+            WatermarkAdmission::Gap { expected } => {
+                return Err(Error::Storage(format!(
+                    "replication stream gap for campaign {}: got sequence {}, \
+                     expected {expected}",
+                    e.campaign, e.seq
+                )));
+            }
+            WatermarkAdmission::Next => {
+                let event = codec::decode_event(e.payload).map_err(|err| {
+                    Error::Storage(format!("campaign {} event {}: {err}", e.campaign, e.seq))
+                })?;
+                batch.push((e.campaign, e.seq, event));
+            }
+        }
+    }
+    Ok(batch)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use docs_service::{Counter, OpKind, RejectReason};
+    use docs_system::{Docs, DocsConfig};
+    use docs_types::{EventFrame, NodeId, TaskBuilder, WorkerId};
+
+    const A: CampaignId = CampaignId(0);
+    const B: CampaignId = CampaignId(1);
+
+    fn campaign() -> Docs {
+        let tasks = (0..6)
+            .map(|i| {
+                TaskBuilder::new(i, format!("task {i}"))
+                    .yes_no()
+                    .with_ground_truth(i % 2)
+                    .with_true_domain(1)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let config = DocsConfig {
+            num_golden: 2,
+            ..Default::default()
+        };
+        Docs::publish(&docs_kb::table2_example_kb(), tasks, config).unwrap()
+    }
+
+    /// Worker `seq`'s golden HIT: valid at any position of the stream, so
+    /// sequence `seq` of a campaign can carry it whatever came before.
+    fn golden(docs: &Docs, seq: u64) -> CampaignEvent {
+        let answers = docs.golden_ids().iter().map(|&g| (g, 0)).collect();
+        CampaignEvent::golden(WorkerId(seq as u32), answers)
+    }
+
+    fn events(docs: &Docs, tagged: &[(CampaignId, u64)]) -> ReplicationFrame {
+        ReplicationFrame::Events(
+            tagged
+                .iter()
+                .map(|&(campaign, seq)| EventFrame {
+                    campaign,
+                    seq,
+                    payload: codec::encode_event(&golden(docs, seq)),
+                })
+                .collect(),
+        )
+    }
+
+    /// A one-shard follower holding `campaigns` at sequence 0.
+    fn follower(docs: &Docs, campaigns: &[CampaignId]) -> (DocsService, ServiceHandle) {
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::follower(1)).unwrap();
+        for &campaign in campaigns {
+            handle
+                .replicate_install_snapshot(campaign, 0, docs.snapshot_bytes())
+                .unwrap();
+        }
+        (service, handle)
+    }
+
+    fn table(campaigns: &[CampaignId]) -> Mutex<ReplicaWatermarks> {
+        let mut table = ReplicaWatermarks::new();
+        for &campaign in campaigns {
+            table.advance_to(campaign, 0);
+        }
+        Mutex::new(table)
+    }
+
+    fn applied(handle: &ServiceHandle) -> (u64, u64) {
+        let metrics = handle.metrics();
+        (
+            metrics.counter(Counter::EventsApplied),
+            metrics.stats(OpKind::Replicate).count,
+        )
+    }
+
+    fn stop(service: DocsService, handle: ServiceHandle) {
+        drop(handle);
+        service.join_all();
+    }
+
+    #[test]
+    fn a_frame_straddling_the_bootstrap_overlap_applies_only_its_new_suffix() {
+        let docs = campaign();
+        let (service, handle) = follower(&docs, &[A]);
+        let acked = table(&[A]);
+        let bootstrap = events(&docs, &[(A, 1), (A, 2), (A, 3)]);
+        apply_bootstrap(&handle, &acked, &bootstrap, None).unwrap();
+        let before = applied(&handle);
+        let stream = events(&docs, &[(A, 2), (A, 3), (A, 4), (A, 5)]);
+        apply_bootstrap(&handle, &acked, &stream, None).unwrap();
+        assert_eq!(acked.lock().get(A), 5);
+        assert_eq!(applied(&handle), (before.0 + 2, before.1 + 1));
+        // A frame that is stale through and through costs no round trip.
+        apply_bootstrap(&handle, &acked, &stream, None).unwrap();
+        assert_eq!(applied(&handle), (before.0 + 2, before.1 + 1));
+        stop(service, handle);
+    }
+
+    #[test]
+    fn runs_of_one_campaign_inside_a_frame_apply_in_sequence() {
+        let docs = campaign();
+        let (service, handle) = follower(&docs, &[A, B]);
+        let acked = table(&[A, B]);
+        let before = applied(&handle);
+        let frame = events(&docs, &[(A, 1), (B, 1), (A, 2), (A, 3), (B, 2)]);
+        apply_bootstrap(&handle, &acked, &frame, None).unwrap();
+        assert_eq!(acked.lock().all(), vec![(A, 3), (B, 2)]);
+        assert_eq!(applied(&handle), (before.0 + 5, before.1 + 1));
+        // A migration's scope takes one campaign out of the same feed.
+        let frame = events(&docs, &[(A, 4), (B, 3), (A, 5)]);
+        apply_bootstrap(&handle, &acked, &frame, Some(B)).unwrap();
+        assert_eq!(acked.lock().all(), vec![(A, 3), (B, 3)]);
+        stop(service, handle);
+    }
+
+    #[test]
+    fn a_mid_frame_gap_refuses_the_whole_frame() {
+        let docs = campaign();
+        let (service, handle) = follower(&docs, &[A, B]);
+        let acked = table(&[A, B]);
+        let before = applied(&handle);
+        for gapped in [
+            events(&docs, &[(A, 1), (A, 2), (A, 4)]),
+            events(&docs, &[(A, 1), (B, 2), (A, 2)]),
+        ] {
+            let err = apply_bootstrap(&handle, &acked, &gapped, None).unwrap_err();
+            assert!(err.to_string().contains("gap"), "{err}");
+            assert_eq!(applied(&handle), before, "nothing of the frame applied");
+            assert_eq!(acked.lock().all(), vec![(A, 0), (B, 0)]);
+        }
+        stop(service, handle);
+    }
+
+    #[test]
+    fn a_batch_the_follower_refuses_advances_no_watermark() {
+        let docs = campaign();
+        let (service, handle) = follower(&docs, &[A]);
+        let acked = table(&[A]);
+        let mut frame = events(&docs, &[(A, 1), (A, 2)]);
+        let ReplicationFrame::Events(tagged) = &mut frame else {
+            unreachable!("events() builds an events frame");
+        };
+        tagged[1].payload = codec::encode_event(&CampaignEvent::golden(
+            WorkerId(2),
+            vec![(docs_types::TaskId(999), 0)],
+        ));
+        let err = apply_bootstrap(&handle, &acked, &frame, None).unwrap_err();
+        assert!(err.to_string().contains("replica apply failed"), "{err}");
+        assert_eq!(acked.lock().get(A), 0, "under-ack, never over-ack");
+        stop(service, handle);
+    }
+
+    #[test]
+    fn a_primary_refuses_a_batch_naming_any_campaign_outside_its_intake() {
+        let docs = campaign();
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
+        handle.prepare_migration_in(A, NodeId(1)).unwrap();
+        handle
+            .replicate_install_snapshot(A, 0, docs.snapshot_bytes())
+            .unwrap();
+        let batch = vec![(A, 1, golden(&docs, 1)), (B, 1, golden(&docs, 1))];
+        assert_eq!(
+            handle.replicate_apply(batch).unwrap_err(),
+            ServiceError::Rejected(RejectReason::NotAFollower { campaign: B })
+        );
+        assert_eq!(handle.metrics().counter(Counter::EventsApplied), 0);
+        handle
+            .replicate_apply(vec![(A, 1, golden(&docs, 1))])
+            .unwrap();
+        assert_eq!(handle.metrics().counter(Counter::EventsApplied), 1);
+        stop(service, handle);
     }
 }

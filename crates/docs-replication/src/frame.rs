@@ -16,12 +16,113 @@
 //! would replay. Decoding verifies the CRC before anything is
 //! interpreted: a flipped bit anywhere in a frame is a loud
 //! [`Error::Storage`], never a silently diverged replica.
+//!
+//! Decoding is **borrowed**: [`decode_frame`] checks the CRC, then walks
+//! every tag once to check each length against the bytes that remain, and
+//! returns a [`FrameView`] whose payloads are slices of the record itself.
+//! No payload is copied and the decode allocates nothing, however many
+//! events the frame carries; iterating an [`EventsView`] walks the checked
+//! body again. The owned [`ReplicationFrame`] stays what the shard feed
+//! carries and what [`encode_frame`] and
+//! [`bootstrap_frames`](crate::bootstrap_frames) speak.
 
 use bytes::Buf;
 use docs_types::{crc32, CampaignId, Error, EventFrame, ReplicationFrame, Result, SnapshotFrame};
+use std::fmt;
 
 const KIND_SNAPSHOT: u8 = 0x01;
 const KIND_EVENTS: u8 = 0x02;
+
+/// One tagged payload of a decoded frame — a snapshot, or one event —
+/// borrowed from the record bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tagged<'a> {
+    /// The campaign the payload belongs to.
+    pub campaign: CampaignId,
+    /// The per-campaign sequence number the primary's log assigned (for a
+    /// snapshot: the sequence it covers).
+    pub seq: u64,
+    /// The WAL record payload (an event) or snapshot record, as shipped.
+    pub payload: &'a [u8],
+}
+
+impl<'a> From<&'a EventFrame> for Tagged<'a> {
+    fn from(e: &'a EventFrame) -> Self {
+        Tagged {
+            campaign: e.campaign,
+            seq: e.seq,
+            payload: &e.payload,
+        }
+    }
+}
+
+impl<'a> From<&'a SnapshotFrame> for Tagged<'a> {
+    fn from(s: &'a SnapshotFrame) -> Self {
+        Tagged {
+            campaign: s.campaign,
+            seq: s.seq,
+            payload: &s.payload,
+        }
+    }
+}
+
+/// A decoded wire record, borrowing every payload from the record.
+/// Compares equal to the [`ReplicationFrame`] it was encoded from.
+#[derive(Debug, Clone, Copy)]
+pub enum FrameView<'a> {
+    /// A campaign snapshot.
+    Snapshot(Tagged<'a>),
+    /// A batch of events, in log order.
+    Events(EventsView<'a>),
+}
+
+/// The events of a decoded frame: the bounds-checked body and its event
+/// count. Iteration walks the body again and allocates nothing.
+#[derive(Clone, Copy)]
+pub struct EventsView<'a> {
+    count: usize,
+    body: &'a [u8],
+}
+
+impl<'a> EventsView<'a> {
+    /// Events in the frame.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True for a frame carrying no event.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The events, in frame order.
+    pub fn iter(&self) -> impl Iterator<Item = Tagged<'a>> + 'a {
+        let mut cursor = self.body;
+        // `decode_frame` walked every tag of this body before handing the
+        // view out, so no tag can be short.
+        (0..self.count).map_while(move |_| get_tagged(&mut cursor).ok())
+    }
+}
+
+impl fmt::Debug for EventsView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<ReplicationFrame> for FrameView<'_> {
+    fn eq(&self, other: &ReplicationFrame) -> bool {
+        match (self, other) {
+            (FrameView::Snapshot(view), ReplicationFrame::Snapshot(owned)) => {
+                *view == Tagged::from(owned)
+            }
+            (FrameView::Events(view), ReplicationFrame::Events(owned)) => {
+                view.iter().eq(owned.iter().map(Tagged::from))
+            }
+            _ => false,
+        }
+    }
+}
 
 fn put_tagged(buf: &mut Vec<u8>, campaign: CampaignId, seq: u64, payload: &[u8]) {
     buf.extend_from_slice(&campaign.0.to_le_bytes());
@@ -30,7 +131,7 @@ fn put_tagged(buf: &mut Vec<u8>, campaign: CampaignId, seq: u64, payload: &[u8])
     buf.extend_from_slice(payload);
 }
 
-fn get_tagged(cursor: &mut &[u8]) -> Result<(CampaignId, u64, Vec<u8>)> {
+fn get_tagged<'a>(cursor: &mut &'a [u8]) -> Result<Tagged<'a>> {
     if cursor.len() < 16 {
         return Err(Error::Storage("truncated replication frame body".into()));
     }
@@ -40,9 +141,13 @@ fn get_tagged(cursor: &mut &[u8]) -> Result<(CampaignId, u64, Vec<u8>)> {
     if cursor.len() < len {
         return Err(Error::Storage("truncated replication frame payload".into()));
     }
-    let payload = cursor[..len].to_vec();
-    cursor.advance(len);
-    Ok((campaign, seq, payload))
+    let (payload, rest) = cursor.split_at(len);
+    *cursor = rest;
+    Ok(Tagged {
+        campaign,
+        seq,
+        payload,
+    })
 }
 
 /// Encodes one frame into `record`, **reusing its allocation**: the buffer
@@ -81,9 +186,10 @@ pub fn encode_frame(frame: &ReplicationFrame) -> Vec<u8> {
     record
 }
 
-/// Decodes one wire record back into its frame, verifying length and CRC
-/// first — a corrupted record is refused before any field is trusted.
-pub fn decode_frame(record: &[u8]) -> Result<ReplicationFrame> {
+/// Decodes one wire record into a borrowed [`FrameView`], verifying length
+/// and CRC first — a corrupted record is refused before any field is
+/// trusted — then every tag's bounds, so iterating the view cannot fail.
+pub fn decode_frame(record: &[u8]) -> Result<FrameView<'_>> {
     if record.len() < 8 {
         return Err(Error::Storage(format!(
             "replication record truncated ({} bytes)",
@@ -115,38 +221,29 @@ pub fn decode_frame(record: &[u8]) -> Result<ReplicationFrame> {
     }
     let kind = cursor.get_u8();
     match kind {
-        KIND_SNAPSHOT => {
-            let (campaign, seq, payload) = get_tagged(&mut cursor)?;
-            Ok(ReplicationFrame::Snapshot(SnapshotFrame {
-                campaign,
-                seq,
-                payload,
-            }))
-        }
+        KIND_SNAPSHOT => Ok(FrameView::Snapshot(get_tagged(&mut cursor)?)),
         KIND_EVENTS => {
             if cursor.len() < 4 {
                 return Err(Error::Storage("truncated replication frame body".into()));
             }
             let count = cursor.get_u32_le() as usize;
             // Every event needs at least its 16-byte tag, so a count the
-            // remaining bytes cannot possibly satisfy is refused *before*
-            // it sizes an allocation.
+            // remaining bytes cannot possibly satisfy is refused before
+            // the walk.
             if count > cursor.len() / 16 {
                 return Err(Error::Storage(format!(
                     "replication frame claims {count} events in {} bytes",
                     cursor.len()
                 )));
             }
-            let mut events = Vec::with_capacity(count);
+            let events = EventsView {
+                count,
+                body: cursor,
+            };
             for _ in 0..count {
-                let (campaign, seq, payload) = get_tagged(&mut cursor)?;
-                events.push(EventFrame {
-                    campaign,
-                    seq,
-                    payload,
-                });
+                get_tagged(&mut cursor)?;
             }
-            Ok(ReplicationFrame::Events(events))
+            Ok(FrameView::Events(events))
         }
         other => Err(Error::Storage(format!(
             "unknown replication frame kind 0x{other:02x}"
@@ -157,19 +254,28 @@ pub fn decode_frame(record: &[u8]) -> Result<ReplicationFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use docs_types::{codec, Answer, CampaignEvent, TaskId, WorkerId};
 
+    /// Payloads as the primary ships them: codec records (a value record
+    /// standing in for the snapshot, real event records for the events).
     fn frames() -> Vec<ReplicationFrame> {
+        let answer = Answer::new(WorkerId(3), TaskId(5), 1);
         vec![
             ReplicationFrame::Snapshot(SnapshotFrame {
                 campaign: CampaignId(7),
                 seq: 42,
-                payload: b"{\"engine\":{}}".to_vec(),
+                payload: codec::to_bytes(&[(5u32, answer)][..]),
             }),
             ReplicationFrame::Events(vec![
                 EventFrame {
                     campaign: CampaignId(7),
                     seq: 43,
-                    payload: b"{\"AnswerSubmitted\":{}}".to_vec(),
+                    payload: codec::encode_event(&CampaignEvent::answer(answer)),
+                },
+                EventFrame {
+                    campaign: CampaignId(7),
+                    seq: 44,
+                    payload: codec::encode_event(&CampaignEvent::finished()),
                 },
                 EventFrame {
                     campaign: CampaignId(9),
@@ -201,6 +307,20 @@ mod tests {
         let cap = scratch.capacity();
         encode_frame_into(&frames()[2], &mut scratch);
         assert_eq!(scratch.capacity(), cap, "no reallocation on reuse");
+    }
+
+    #[test]
+    fn decoded_payloads_are_slices_of_the_record() {
+        let record = encode_frame(&frames()[1]);
+        let FrameView::Events(events) = decode_frame(&record).unwrap() else {
+            panic!("an events record decodes to an events view");
+        };
+        assert_eq!(events.len(), 3);
+        let within = record.as_ptr_range();
+        for e in events.iter().filter(|e| !e.payload.is_empty()) {
+            let payload = e.payload.as_ptr_range();
+            assert!(within.start <= payload.start && payload.end <= within.end);
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   pool in the follower role) plus an applier thread: new followers
 //!   bootstrap from the primary's snapshots
 //!   — including mid-campaign snapshots, via [`bootstrap_frames`] — then
-//!   apply the live stream through the identical deterministic
+//!   apply the live stream a frame at a time (decoded in place, one
+//!   request per owning shard) through the identical deterministic
 //!   `validate_event`/`apply` transition, advancing the per-campaign
 //!   watermark table that doubles as the ack channel. Followers refuse
 //!   mutations (`RejectReason::ReadOnlyReplica`) but serve status, truth,
@@ -44,7 +45,7 @@ mod migrate;
 mod ship;
 
 pub use apply::{Promotion, Replica};
-pub use frame::{decode_frame, encode_frame};
+pub use frame::{decode_frame, encode_frame, EventsView, FrameView, Tagged};
 pub use migrate::{migrate_campaign, MigrationOutcome, MigrationSource};
 pub use ship::{
     bootstrap_frames, replication_channel, FollowerLag, FollowerLink, HubStats, ReplicationHub,

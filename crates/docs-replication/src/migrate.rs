@@ -46,7 +46,7 @@
 //! [`ServiceHandle::fence_in`]: docs_service::ServiceHandle
 //! [`ServiceHandle::complete_migration_in`]: docs_service::ServiceHandle
 
-use crate::apply::apply_frame;
+use crate::apply::{apply_bootstrap, apply_frame};
 use crate::frame::decode_frame;
 use crate::ship::{bootstrap_frames, FollowerLink, ReplicationHub};
 use crossbeam::channel::RecvTimeoutError;
@@ -118,7 +118,7 @@ pub fn migrate_campaign(
     let link = source.hub.subscribe(format!("migrate-{campaign}"));
     let bootstrap: Vec<ReplicationFrame> = bootstrap_frames(source.dir)?
         .into_iter()
-        .filter_map(|frame| filter_frame(frame, campaign))
+        .filter(|frame| names(frame, campaign))
         .collect();
     if bootstrap.is_empty() {
         return Err(Error::Storage(format!(
@@ -132,8 +132,8 @@ pub fn migrate_campaign(
     dst.prepare_migration_in(campaign, source.node)
         .map_err(lift)?;
     let bootstrap_count = bootstrap.len();
-    for frame in bootstrap {
-        apply_frame(dst, &link.acked, frame)?;
+    for frame in &bootstrap {
+        apply_bootstrap(dst, &link.acked, frame, Some(campaign))?;
     }
     let after_bootstrap = link.acked.lock().get(campaign);
     // The source kept acknowledging answers during the copy; drain what
@@ -191,38 +191,22 @@ pub fn migrate_campaign(
 }
 
 /// Decodes one wire record and applies whatever of it belongs to the
-/// migrating campaign — the hub fans out the whole feed, and frames of
-/// co-hosted campaigns are not ours to apply.
+/// migrating campaign — the hub fans out the whole feed, and items of
+/// co-hosted campaigns are not ours to apply. Dropping foreign events
+/// cannot open a gap: each campaign's sequence numbers are its own.
 fn apply_filtered(
     dst: &ServiceHandle,
     link: &FollowerLink,
     record: &[u8],
     campaign: CampaignId,
 ) -> Result<()> {
-    if let Some(frame) = filter_frame(decode_frame(record)?, campaign) {
-        apply_frame(dst, &link.acked, frame)?;
-    }
-    Ok(())
+    apply_frame(dst, &link.acked, decode_frame(record)?, Some(campaign))
 }
 
-/// Restricts a frame to one campaign. Dropping foreign events cannot open
-/// a gap: each campaign's sequence numbers are its own.
-fn filter_frame(frame: ReplicationFrame, campaign: CampaignId) -> Option<ReplicationFrame> {
+/// Whether a bootstrap frame carries anything of `campaign`.
+fn names(frame: &ReplicationFrame, campaign: CampaignId) -> bool {
     match frame {
-        ReplicationFrame::Snapshot(s) if s.campaign == campaign => {
-            Some(ReplicationFrame::Snapshot(s))
-        }
-        ReplicationFrame::Snapshot(_) => None,
-        ReplicationFrame::Events(events) => {
-            let kept: Vec<_> = events
-                .into_iter()
-                .filter(|e| e.campaign == campaign)
-                .collect();
-            if kept.is_empty() {
-                None
-            } else {
-                Some(ReplicationFrame::Events(kept))
-            }
-        }
+        ReplicationFrame::Snapshot(s) => s.campaign == campaign,
+        ReplicationFrame::Events(events) => events.iter().any(|e| e.campaign == campaign),
     }
 }

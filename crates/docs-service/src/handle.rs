@@ -364,23 +364,48 @@ impl ServiceHandle {
         })
     }
 
-    /// Applies one replicated event at its primary-assigned sequence
-    /// number on this follower. The caller (the applier) guarantees
-    /// per-campaign gap-free order.
+    /// Applies a batch of replicated events on this follower — one
+    /// shipped frame's admitted events, `(campaign, sequence, event)` in log
+    /// order — with one [`Request::ApplyReplicated`] per owning shard,
+    /// then waits on every ticket. The caller (the applier) guarantees
+    /// per-campaign gap-free order; a shard's batch stops at its first
+    /// refused event, and the first refusal is returned.
     pub fn replicate_apply(
         &self,
-        campaign: CampaignId,
-        seq: u64,
-        event: CampaignEvent,
+        events: Vec<(CampaignId, u64, CampaignEvent)>,
     ) -> Result<(), ServiceError> {
-        self.call(Op {
-            request: Request::ApplyReplicated {
-                campaign,
-                seq,
-                event: Box::new(event),
-            },
-            decode: decode_ack,
-        })
+        let shards = self.shards.len();
+        let shard_of = |&(campaign, ..): &(CampaignId, u64, CampaignEvent)| campaign.shard(shards);
+        let Some(owner) = events.first().map(shard_of) else {
+            return Ok(());
+        };
+        let send = |shard, events| {
+            let request = Request::ApplyReplicated { events };
+            self.submit_to_shard(shard, request, Admission::Block, decode_ack)
+        };
+        if events.iter().all(|e| shard_of(e) == owner) {
+            return send(owner, events)?.wait();
+        }
+        let mut per_shard: Vec<Vec<_>> = (0..shards).map(|_| Vec::new()).collect();
+        for e in events {
+            per_shard[shard_of(&e)].push(e);
+        }
+        let tickets: Vec<Ticket<()>> = per_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(shard, batch)| send(shard, batch))
+            .collect::<Result<_, _>>()?;
+        // Wait on every shard's batch before answering, so nothing of the
+        // frame is still in flight when a refusal is reported.
+        let mut outcome = Ok(());
+        for ticket in tickets {
+            let waited = ticket.wait();
+            if outcome.is_ok() {
+                outcome = waited;
+            }
+        }
+        outcome
     }
 
     // ------------------------------------------------------------------

@@ -145,17 +145,19 @@ pub enum Request {
         /// The serialized `CampaignSnapshot` (the primary's exact bytes).
         snapshot: Vec<u8>,
     },
-    /// Replication plane: apply one replicated event at its primary-
-    /// assigned sequence number through the same deterministic
-    /// `validate_event`/`apply` transition the primary ran. Only a
-    /// follower accepts this; the applier guarantees gap-free order.
+    /// Replication plane: apply a batch of replicated events — the events
+    /// of one shipped frame that this shard owns — in order, each at its
+    /// primary-assigned sequence number, through the same deterministic
+    /// `validate_event`/`apply` transition the primary ran. The applier
+    /// sends one per owning shard per frame and guarantees gap-free order
+    /// per campaign. Only a follower accepts it, or a primary in migration
+    /// intake for *every* campaign the batch names; that admission is
+    /// checked before any event applies. The batch stops at the first
+    /// refused event, and its reply, like any other, is withheld until the
+    /// batch is durable on a durable follower.
     ApplyReplicated {
-        /// Campaign the event belongs to.
-        campaign: CampaignId,
-        /// Per-campaign sequence number assigned by the primary's log.
-        seq: u64,
-        /// The event to apply.
-        event: Box<CampaignEvent>,
+        /// `(campaign, per-campaign sequence number, event)`, in log order.
+        events: Vec<(CampaignId, u64, CampaignEvent)>,
     },
     /// Cluster control: fence a campaign away to `owner`. The owning shard
     /// hardens the campaign's log, records the hand-off, answers
@@ -208,7 +210,6 @@ impl Request {
             | Request::PeekReport { campaign }
             | Request::SnapshotState { campaign }
             | Request::InstallSnapshot { campaign, .. }
-            | Request::ApplyReplicated { campaign, .. }
             | Request::Fence { campaign, .. }
             | Request::PrepareMigration { campaign, .. }
             | Request::CompleteMigration { campaign } => *campaign,
@@ -217,6 +218,11 @@ impl Request {
             // this crate can send it down the campaign-routed path: the
             // arm only keeps the match total.
             Request::InstallMap { .. } => CampaignId(0),
+            // A replicated batch is sent to its owning shard by the handle
+            // and may name several campaigns; its first one stands in.
+            Request::ApplyReplicated { events } => events
+                .first()
+                .map_or(CampaignId(0), |&(campaign, ..)| campaign),
         }
     }
 

@@ -130,9 +130,9 @@ impl ShardDurability {
     /// Ships everything queued, provided the log's buffer is empty (all
     /// queued events are durable). Consecutive events coalesce into one
     /// [`ReplicationFrame::Events`] per group commit; snapshots ship as
-    /// their own frames, in order. Called *before* a request's completion
-    /// is sent, so an acknowledged durable event is always already on the
-    /// wire to the followers.
+    /// their own frames, in order, and each frame is sent as it closes.
+    /// Called *before* a request's completion is sent, so an acknowledged
+    /// durable event is always already on the wire to the followers.
     fn ship(&mut self, metrics: &ServiceMetrics) {
         let Some(sink) = &self.sink else {
             return;
@@ -140,32 +140,38 @@ impl ShardDurability {
         if self.unshipped.is_empty() || self.log.pending_events() != 0 {
             return;
         }
+        let send = |frame: ReplicationFrame| {
+            let events = frame.num_events() as u64;
+            let sent = sink.ship(frame);
+            if sent {
+                metrics.count(Counter::FramesShipped, 1);
+                metrics.count(Counter::EventsShipped, events);
+            }
+            sent
+        };
         let mut batch: Vec<EventFrame> = Vec::new();
-        let mut frames: Vec<ReplicationFrame> = Vec::new();
+        let mut live = true;
+        // Breaking out of the drain drops what is left of the queue.
         for item in self.unshipped.drain(..) {
             match item {
                 Unshipped::Event(event) => batch.push(event),
                 Unshipped::Snapshot(snapshot) => {
                     if !batch.is_empty() {
-                        frames.push(ReplicationFrame::Events(std::mem::take(&mut batch)));
+                        live = send(ReplicationFrame::Events(std::mem::take(&mut batch)));
                     }
-                    frames.push(ReplicationFrame::Snapshot(snapshot));
+                    live = live && send(ReplicationFrame::Snapshot(snapshot));
                 }
             }
-        }
-        if !batch.is_empty() {
-            frames.push(ReplicationFrame::Events(batch));
-        }
-        for frame in frames {
-            let events = frame.num_events() as u64;
-            if !sink.ship(frame) {
-                // Hub gone: stop feeding a dead wire but keep serving.
-                self.sink = None;
-                self.unshipped.clear();
-                return;
+            if !live {
+                break;
             }
-            metrics.count(Counter::FramesShipped, 1);
-            metrics.count(Counter::EventsShipped, events);
+        }
+        if live && !batch.is_empty() {
+            live = send(ReplicationFrame::Events(batch));
+        }
+        if !live {
+            // Hub gone: stop feeding a dead wire but keep serving.
+            self.sink = None;
         }
     }
 
@@ -477,10 +483,18 @@ impl Shard {
                     campaign,
                 }))
             }
-            ReplicaRole::Primary
-                if request.is_replication() && !self.ownership.accepts_replication(campaign) =>
-            {
-                Some(Response::Rejected(RejectReason::NotAFollower { campaign }))
+            // Migration intake admits the replication plane per campaign,
+            // so a batch is checked for every campaign it names before any
+            // event applies.
+            ReplicaRole::Primary if request.is_replication() => {
+                let foreign = match request {
+                    Request::ApplyReplicated { events } => events
+                        .iter()
+                        .map(|&(campaign, ..)| campaign)
+                        .find(|&c| !self.ownership.accepts_replication(c)),
+                    _ => Some(campaign).filter(|&c| !self.ownership.accepts_replication(c)),
+                };
+                foreign.map(|campaign| Response::Rejected(RejectReason::NotAFollower { campaign }))
             }
             ReplicaRole::Primary if mutation && !request.is_cluster_control() => {
                 match self.ownership.admit_mutation(campaign) {
@@ -536,8 +550,14 @@ impl Shard {
             Request::InstallSnapshot { seq, snapshot, .. } => {
                 self.install_snapshot(campaign, seq, &snapshot)
             }
-            Request::ApplyReplicated { seq, event, .. } => {
-                self.apply_replicated(campaign, seq, *event)
+            Request::ApplyReplicated { events } => {
+                for (campaign, seq, event) in events {
+                    let response = self.apply_replicated(campaign, seq, event);
+                    if !matches!(response, Response::Ack) {
+                        return response;
+                    }
+                }
+                Response::Ack
             }
             Request::Fence { owner, .. } => self.fence(campaign, owner),
             Request::PrepareMigration { source, .. } => {

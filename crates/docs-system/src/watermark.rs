@@ -30,6 +30,24 @@ pub enum WatermarkAdmission {
     },
 }
 
+impl WatermarkAdmission {
+    /// Classifies an incoming event sequence against a campaign's
+    /// watermark ([`ReplicaWatermarks::get`]). A campaign with no watermark
+    /// expects sequence 1 — unless a snapshot
+    /// [`ReplicaWatermarks::advance_to`]d it first.
+    pub fn of(watermark: u64, seq: u64) -> Self {
+        if seq <= watermark {
+            WatermarkAdmission::Stale
+        } else if seq == watermark + 1 {
+            WatermarkAdmission::Next
+        } else {
+            WatermarkAdmission::Gap {
+                expected: watermark + 1,
+            }
+        }
+    }
+}
+
 /// The per-campaign applied-sequence table of one follower (`BTreeMap`
 /// keeps reports deterministic).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -55,22 +73,6 @@ impl ReplicaWatermarks {
     /// *presence*, not on `get() == 0`.
     pub fn contains(&self, campaign: CampaignId) -> bool {
         self.applied.contains_key(&campaign)
-    }
-
-    /// Classifies an incoming event sequence against the campaign's
-    /// watermark. A campaign with no watermark expects sequence 1 — unless
-    /// a snapshot [`ReplicaWatermarks::advance_to`]d it first.
-    pub fn classify(&self, campaign: CampaignId, seq: u64) -> WatermarkAdmission {
-        let watermark = self.get(campaign);
-        if seq <= watermark {
-            WatermarkAdmission::Stale
-        } else if seq == watermark + 1 {
-            WatermarkAdmission::Next
-        } else {
-            WatermarkAdmission::Gap {
-                expected: watermark + 1,
-            }
-        }
     }
 
     /// Moves a campaign's watermark forward to `seq` (event applied, or
@@ -114,14 +116,29 @@ mod tests {
         assert!(wm.contains(C0));
         assert_eq!(wm.get(C0), 0);
         // A fresh campaign expects sequence 1.
-        assert_eq!(wm.classify(C0, 1), WatermarkAdmission::Next);
-        assert_eq!(wm.classify(C0, 3), WatermarkAdmission::Gap { expected: 1 });
+        assert_eq!(
+            WatermarkAdmission::of(wm.get(C0), 1),
+            WatermarkAdmission::Next
+        );
+        assert_eq!(
+            WatermarkAdmission::of(wm.get(C0), 3),
+            WatermarkAdmission::Gap { expected: 1 }
+        );
         wm.advance_to(C0, 1);
         assert_eq!(wm.get(C0), 1);
-        assert_eq!(wm.classify(C0, 1), WatermarkAdmission::Stale);
-        assert_eq!(wm.classify(C0, 2), WatermarkAdmission::Next);
+        assert_eq!(
+            WatermarkAdmission::of(wm.get(C0), 1),
+            WatermarkAdmission::Stale
+        );
+        assert_eq!(
+            WatermarkAdmission::of(wm.get(C0), 2),
+            WatermarkAdmission::Next
+        );
         // Campaigns are independent.
-        assert_eq!(wm.classify(C1, 1), WatermarkAdmission::Next);
+        assert_eq!(
+            WatermarkAdmission::of(wm.get(C1), 1),
+            WatermarkAdmission::Next
+        );
         assert_eq!(wm.len(), 1);
     }
 
@@ -130,8 +147,14 @@ mod tests {
         let mut wm = ReplicaWatermarks::new();
         // Mid-campaign bootstrap: a snapshot at seq 7 skips the prefix.
         wm.advance_to(C0, 7);
-        assert_eq!(wm.classify(C0, 7), WatermarkAdmission::Stale);
-        assert_eq!(wm.classify(C0, 8), WatermarkAdmission::Next);
+        assert_eq!(
+            WatermarkAdmission::of(wm.get(C0), 7),
+            WatermarkAdmission::Stale
+        );
+        assert_eq!(
+            WatermarkAdmission::of(wm.get(C0), 8),
+            WatermarkAdmission::Next
+        );
         // A stale snapshot resent later must not rewind the applied suffix.
         wm.advance_to(C0, 3);
         assert_eq!(wm.get(C0), 7);

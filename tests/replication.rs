@@ -412,7 +412,7 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
             >= 1
     );
     let err = handle
-        .replicate_apply(campaign, acked_seq + 1, CampaignEvent::finished())
+        .replicate_apply(vec![(campaign, acked_seq + 1, CampaignEvent::finished())])
         .unwrap_err();
     assert_eq!(
         err,
