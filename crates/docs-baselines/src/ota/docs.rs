@@ -43,28 +43,9 @@ impl AssignmentStrategy for DocsAssign {
     }
 
     fn init_worker(&mut self, worker: WorkerId, golden: &[(TaskId, ChoiceIndex)]) {
-        let infos: Vec<(TaskId, (docs_types::DomainVector, ChoiceIndex))> = golden
-            .iter()
-            .map(|&(tid, _)| {
-                let t = &self.engine.tasks()[tid.index()];
-                (
-                    tid,
-                    (
-                        t.domain_vector().clone(),
-                        t.ground_truth.expect("golden tasks have ground truth"),
-                    ),
-                )
-            })
-            .collect();
-        let lookup = move |tid: TaskId| {
-            infos
-                .iter()
-                .find(|(t, _)| *t == tid)
-                .map(|(_, info)| info.clone())
-                .expect("golden info present")
-        };
         self.engine
-            .init_worker_from_golden(worker, golden, &lookup, 1.0);
+            .grade_worker_on_golden(worker, golden, 1.0)
+            .expect("golden tasks have ground truth");
     }
 
     fn assign(&mut self, worker: WorkerId, k: usize) -> Vec<TaskId> {

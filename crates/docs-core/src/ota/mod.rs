@@ -6,6 +6,14 @@
 //! assigns the `k` tasks with the highest benefits. Theorem 4 shows the
 //! benefit of a `k`-task set is the sum of individual benefits, so the
 //! exponential set-selection collapses to a linear top-`k` scan.
+//!
+//! The scan has one body for every shard count
+//! ([`Assigner::assign_sharded_with`]). It writes each shard's candidates
+//! into a [`ScanScratch`] the caller keeps between requests (a campaign
+//! owns one), cuts them to that shard's top-`k` in place, and runs one
+//! final selection over the survivors — what [`merge_top_k`] would return
+//! for the per-shard lists, bit for bit. A warm request allocates only the
+//! list of task ids it returns.
 
 mod benefit;
 pub mod budget;
@@ -15,9 +23,7 @@ pub use benefit::{
     answer_probabilities, benefit, benefit_with, expected_posterior_entropy, BenefitScratch,
 };
 pub use budget::{BudgetPlanner, Plan};
-pub use select::{
-    merge_top_k, merge_top_k_checked, top_k_by_sort, top_k_linear, top_k_linear_pairs,
-};
+pub use select::{merge_top_k, top_k_by_sort, top_k_linear};
 
 use crate::ti::{ShardedTiState, TaskArena};
 use docs_types::{Task, TaskId};
@@ -27,6 +33,16 @@ use docs_types::{Task, TaskId};
 /// candidates, and tiny per-thread slices oversubscribe the service's own
 /// shard pool.
 const PARALLEL_SCAN_MIN_TASKS_PER_SHARD: usize = 1024;
+
+/// The buffers one request's scan writes into, kept by the caller so a
+/// warm request allocates nothing but its result: a `(benefit, task)` slot
+/// per task and the benefit kernel's [`BenefitScratch`]. Working state
+/// only — it carries nothing from one request to the next.
+#[derive(Debug, Default)]
+pub struct ScanScratch {
+    candidates: Vec<(f64, TaskId)>,
+    benefit: BenefitScratch,
+}
 
 /// Configuration of the assigner.
 #[derive(Debug, Clone, Copy)]
@@ -87,14 +103,18 @@ impl Assigner {
         mut answer_count: impl FnMut(TaskId) -> usize,
     ) -> Vec<TaskId> {
         debug_assert_eq!(tasks.len(), states.len());
-        let candidates = self.scan_candidates(
+        let mut candidates = vec![(0.0, TaskId(0)); tasks.len()];
+        let found = self.scan_candidates(
             quality,
             tasks,
             states,
             0..tasks.len(),
             &mut answered,
             &mut answer_count,
+            &mut BenefitScratch::default(),
+            &mut candidates,
         );
+        candidates.truncate(found);
         if self.config.linear_select {
             top_k_linear(candidates, self.config.k)
         } else {
@@ -103,9 +123,12 @@ impl Assigner {
     }
 
     /// The candidate walk over a set of task indices: skips the tasks the
-    /// worker already answered or that reached the answer cap and scores the
-    /// rest for the requesting worker — the one shared body of the flat scan
-    /// and every shard of the sharded scan, so the two cannot diverge.
+    /// worker already answered or that reached the answer cap, writes the
+    /// rest with their benefits for the requesting worker to the front of
+    /// `out` (one slot per index) and returns how many it wrote — the one
+    /// shared body of the flat scan and every shard of the sharded scan, so
+    /// the two cannot diverge.
+    #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &self,
         quality: &[f64],
@@ -114,35 +137,63 @@ impl Assigner {
         indices: impl IntoIterator<Item = usize>,
         answered: &mut impl FnMut(TaskId) -> bool,
         answer_count: &mut impl FnMut(TaskId) -> usize,
-    ) -> Vec<(f64, TaskId)> {
-        let indices = indices.into_iter();
-        let mut candidates = Vec::with_capacity(indices.size_hint().0);
-        let mut scratch = BenefitScratch::default();
+        scratch: &mut BenefitScratch,
+        out: &mut [(f64, TaskId)],
+    ) -> usize {
         let cap = self.config.max_answers_per_task;
+        let mut found = 0;
         for i in indices {
             let id = tasks[i].id;
             if answered(id) || cap.is_some_and(|cap| answer_count(id) >= cap) {
                 continue;
             }
-            candidates.push((benefit_with(&mut scratch, states.view(i), quality), id));
+            out[found] = (benefit_with(scratch, states.view(i), quality), id);
+            found += 1;
         }
-        candidates
+        found
     }
 
-    /// Sharded benefit scan: per-shard top-`k` selection followed by a
-    /// k-way merge ([`merge_top_k`]).
+    /// [`Assigner::assign_sharded_with`] on buffers of its own — for a
+    /// caller that keeps no [`ScanScratch`] between requests.
+    pub fn assign_sharded(
+        &self,
+        quality: &[f64],
+        tasks: &[Task],
+        states: &TaskArena,
+        sharding: &ShardedTiState,
+        answered: impl Fn(TaskId) -> bool + Sync,
+        answer_count: impl Fn(TaskId) -> usize + Sync,
+    ) -> Vec<TaskId> {
+        let mut scratch = ScanScratch::default();
+        self.assign_sharded_with(
+            &mut scratch,
+            quality,
+            tasks,
+            states,
+            sharding,
+            answered,
+            answer_count,
+        )
+    }
+
+    /// The benefit scan: each shard's candidates are cut to that shard's
+    /// top-`k` in place, then one final selection runs over the survivors.
     ///
     /// Produces exactly [`Assigner::assign`]'s result for every shard count
     /// (same benefits, same tie-breaks), because each shard's top-`k` is a
-    /// superset filter of the global winners within that shard. With more
-    /// than one shard and a large task set, shards are scanned on scoped
-    /// threads — the per-request parallelism Theorem 4's additive benefit
-    /// makes safe (no cross-task coupling in the scan).
+    /// superset filter of the global winners within that shard — the
+    /// equivalence [`merge_top_k`] documents. With more than one shard and
+    /// a large task set, shards are scanned on scoped threads — the
+    /// per-request parallelism Theorem 4's additive benefit makes safe (no
+    /// cross-task coupling in the scan).
     ///
     /// The filter closures take `&self` (`Fn`, not `FnMut`) so shards can
-    /// evaluate them concurrently.
-    pub fn assign_sharded(
+    /// evaluate them concurrently. A warm `scratch` leaves the returned
+    /// list as the only allocation of a single-threaded scan.
+    #[allow(clippy::too_many_arguments)]
+    pub fn assign_sharded_with(
         &self,
+        scratch: &mut ScanScratch,
         quality: &[f64],
         tasks: &[Task],
         states: &TaskArena,
@@ -153,40 +204,72 @@ impl Assigner {
         debug_assert_eq!(tasks.len(), states.len());
         debug_assert_eq!(tasks.len(), sharding.num_tasks());
         let k = self.config.k;
-        let scan_shard = |shard: usize| -> (Vec<(f64, TaskId)>, usize) {
+        // One shard's scan into `out` (a slot per task of the shard), cut
+        // to its top-`k` in place: returns how many survivors lead `out`.
+        let scan_shard = |shard: usize, out: &mut [(f64, TaskId)], benefit: &mut BenefitScratch| {
             // Re-borrow the shared `Fn` filters as fresh `FnMut`s so every
             // shard (possibly on its own thread) walks the same shared body.
-            let mut answered = |t| answered(t);
-            let mut answer_count = |t| answer_count(t);
-            let candidates = self.scan_candidates(
+            let available = self.scan_candidates(
                 quality,
                 tasks,
                 states,
                 sharding.tasks_of(shard).iter().copied(),
-                &mut answered,
-                &mut answer_count,
+                &mut |t| answered(t),
+                &mut |t| answer_count(t),
+                benefit,
+                out,
             );
-            let available = candidates.len();
-            (top_k_linear_pairs(candidates, k), available)
+            let survivors = select::cut_to_top_k(&mut out[..available], k);
+            select::check_shard_top_k(shard, &out[..survivors], available, k)
+                .expect("per-shard top-k lists are well-formed by construction");
+            survivors
         };
+        let ScanScratch {
+            candidates,
+            benefit,
+        } = scratch;
+        candidates.resize(tasks.len(), (0.0, TaskId(0)));
         let shards = sharding.num_shards();
-        let scanned: Vec<(Vec<(f64, TaskId)>, usize)> = if shards > 1
-            && tasks.len() / shards >= PARALLEL_SCAN_MIN_TASKS_PER_SHARD
-        {
-            std::thread::scope(|scope| {
+        let mut survivors = 0;
+        if shards > 1 && tasks.len() / shards >= PARALLEL_SCAN_MIN_TASKS_PER_SHARD {
+            // Each shard scans its own stretch of the buffer on its own
+            // thread; the survivors then move to the front in shard order.
+            let mut stretches = Vec::with_capacity(shards);
+            let mut rest = &mut candidates[..];
+            for shard in 0..shards {
+                let (stretch, tail) = rest.split_at_mut(sharding.tasks_of(shard).len());
+                stretches.push((shard, stretch));
+                rest = tail;
+            }
+            let kept: Vec<usize> = std::thread::scope(|scope| {
                 let scan = &scan_shard;
-                let handles: Vec<_> = (0..shards).map(|s| scope.spawn(move || scan(s))).collect();
+                let handles: Vec<_> = stretches
+                    .into_iter()
+                    .map(|(shard, stretch)| {
+                        scope.spawn(move || scan(shard, stretch, &mut BenefitScratch::default()))
+                    })
+                    .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("shard scan panicked"))
                     .collect()
-            })
+            });
+            let mut start = 0;
+            for (shard, kept) in kept.into_iter().enumerate() {
+                candidates.copy_within(start..start + kept, survivors);
+                survivors += kept;
+                start += sharding.tasks_of(shard).len();
+            }
         } else {
-            (0..shards).map(scan_shard).collect()
-        };
-        let (per_shard, counts): (Vec<_>, Vec<_>) = scanned.into_iter().unzip();
-        merge_top_k_checked(&per_shard, &counts, k)
-            .expect("per-shard top-k lists are well-formed by construction")
+            // Shard by shard on this thread: each shard scans into the
+            // buffer right behind the survivors of the shards before it.
+            for shard in 0..shards {
+                let end = survivors + sharding.tasks_of(shard).len();
+                survivors += scan_shard(shard, &mut candidates[survivors..end], benefit);
+            }
+        }
+        let winners = select::cut_to_top_k(&mut candidates[..survivors], k);
+        candidates[..winners].iter().map(|&(_, t)| t).collect()
     }
 }
 
@@ -319,6 +402,10 @@ mod tests {
             ..Default::default()
         });
         let caller = std::thread::current().id();
+        // One buffer serves every call below, across pool sizes and shard
+        // counts, and each scan runs twice on it: nothing a scan leaves
+        // behind may leak into the next one's picks.
+        let mut scratch = ScanScratch::default();
         // The last row reaches the scoped-thread branch: more than one shard
         // and PARALLEL_SCAN_MIN_TASKS_PER_SHARD tasks per shard.
         for (n, shard_counts, threaded) in [
@@ -341,6 +428,18 @@ mod tests {
                 let sharded =
                     assigner.assign_sharded(&q, &tasks, &states, &sharding, answered, count);
                 assert_eq!(sharded, flat, "n = {n}, shards = {shards}");
+                for call in 0..2 {
+                    let reused = assigner.assign_sharded_with(
+                        &mut scratch,
+                        &q,
+                        &tasks,
+                        &states,
+                        &sharding,
+                        answered,
+                        count,
+                    );
+                    assert_eq!(reused, flat, "n = {n}, shards = {shards}, call {call}");
+                }
             }
             assert_eq!(
                 off_thread.load(Ordering::Relaxed),

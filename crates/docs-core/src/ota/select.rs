@@ -12,7 +12,9 @@
 //! lists into the global top-`k` with a `k`-way merge: since every shard
 //! contributes its own best `k` candidates, the union provably contains the
 //! global winners, and the merge reproduces the single-scan selection
-//! bit-for-bit (same ordering, same tie-breaks).
+//! bit-for-bit (same ordering, same tie-breaks). The scan itself takes the
+//! equivalent route that needs no second buffer: [`cut_to_top_k`] on each
+//! shard's candidates in place, then once more over the survivors.
 
 use docs_types::{Error, Result, TaskId};
 use std::cmp::Ordering;
@@ -28,25 +30,24 @@ fn by_benefit_desc(a: &(f64, TaskId), b: &(f64, TaskId)) -> Ordering {
 
 /// Selects the `k` highest-benefit tasks in expected O(n) time, returned in
 /// descending benefit order (ties broken toward lower task ids).
-pub fn top_k_linear(candidates: Vec<(f64, TaskId)>, k: usize) -> Vec<TaskId> {
-    top_k_linear_pairs(candidates, k)
-        .into_iter()
-        .map(|(_, t)| t)
-        .collect()
+pub fn top_k_linear(mut candidates: Vec<(f64, TaskId)>, k: usize) -> Vec<TaskId> {
+    let kept = cut_to_top_k(&mut candidates, k);
+    candidates[..kept].iter().map(|&(_, t)| t).collect()
 }
 
-/// [`top_k_linear`] keeping the benefits — the per-shard building block of
-/// the sharded scan, whose lists feed [`merge_top_k`].
-pub fn top_k_linear_pairs(mut candidates: Vec<(f64, TaskId)>, k: usize) -> Vec<(f64, TaskId)> {
-    if candidates.is_empty() || k == 0 {
-        return Vec::new();
+/// Moves the `min(k, len)` highest-benefit candidates to the front of
+/// `candidates`, sorted by descending benefit with ties toward lower task
+/// ids, and returns how many that is. Expected O(n); allocates nothing.
+pub(crate) fn cut_to_top_k(candidates: &mut [(f64, TaskId)], k: usize) -> usize {
+    let kept = k.min(candidates.len());
+    if kept == 0 {
+        return 0;
     }
-    if candidates.len() > k {
-        candidates.select_nth_unstable_by(k - 1, by_benefit_desc);
-        candidates.truncate(k);
+    if candidates.len() > kept {
+        candidates.select_nth_unstable_by(kept - 1, by_benefit_desc);
     }
-    candidates.sort_unstable_by(by_benefit_desc);
-    candidates
+    candidates[..kept].sort_unstable_by(by_benefit_desc);
+    kept
 }
 
 /// Full-sort top-`k` — O(n log n), the ablation baseline.
@@ -87,47 +88,37 @@ impl Ord for MergeHead {
     }
 }
 
-/// [`merge_top_k`] with its documented precondition *enforced* instead of
-/// assumed: `shard_candidates[s]` is the number of candidates shard `s` had
-/// available, so its list must contribute `min(k, shard_candidates[s])`
-/// entries, sorted by descending benefit with ties toward lower task ids.
-///
-/// An under-filled list would make the merge silently diverge from the flat
-/// scan (a shard's missing candidate can be a global winner); this variant
-/// turns that silent divergence into a loud [`Error::Storage`].
-pub fn merge_top_k_checked(
-    per_shard: &[Vec<(f64, TaskId)>],
-    shard_candidates: &[usize],
+/// One shard's list against [`merge_top_k`]'s precondition, enforced
+/// instead of assumed: `available` candidates must contribute
+/// `min(k, available)` entries, sorted by descending benefit with ties
+/// toward lower task ids. An under-filled list would make the selection
+/// silently diverge from the flat scan (a shard's missing candidate can be
+/// a global winner); this turns that into a loud [`Error::Storage`].
+pub(crate) fn check_shard_top_k(
+    shard: usize,
+    list: &[(f64, TaskId)],
+    available: usize,
     k: usize,
-) -> Result<Vec<TaskId>> {
-    if per_shard.len() != shard_candidates.len() {
+) -> Result<()> {
+    let required = k.min(available);
+    if list.len() < required {
         return Err(Error::Storage(format!(
-            "merge_top_k: {} shard lists but {} candidate counts",
-            per_shard.len(),
-            shard_candidates.len()
+            "merge_top_k precondition violated: shard {shard} contributed {} of \
+             min(k = {k}, {available} available) = {required} candidates — the \
+             merged top-{k} would silently diverge from the flat scan",
+            list.len()
         )));
     }
-    for (shard, (list, &available)) in per_shard.iter().zip(shard_candidates).enumerate() {
-        let required = k.min(available);
-        if list.len() < required {
-            return Err(Error::Storage(format!(
-                "merge_top_k precondition violated: shard {shard} contributed {} of \
-                 min(k = {k}, {available} available) = {required} candidates — the \
-                 merged top-{k} would silently diverge from the flat scan",
-                list.len()
-            )));
-        }
-        if !list
-            .windows(2)
-            .all(|w| by_benefit_desc(&w[0], &w[1]) != Ordering::Greater)
-        {
-            return Err(Error::Storage(format!(
-                "merge_top_k precondition violated: shard {shard}'s list is not sorted \
-                 by descending benefit with ties toward lower task ids"
-            )));
-        }
+    if !list
+        .windows(2)
+        .all(|w| by_benefit_desc(&w[0], &w[1]) != Ordering::Greater)
+    {
+        return Err(Error::Storage(format!(
+            "merge_top_k precondition violated: shard {shard}'s list is not sorted \
+             by descending benefit with ties toward lower task ids"
+        )));
     }
-    Ok(merge_top_k(per_shard, k))
+    Ok(())
 }
 
 /// Merges per-shard descending top-`k` lists into the global top-`k`.
@@ -137,6 +128,13 @@ pub fn merge_top_k_checked(
 /// [`top_k_by_sort`] return. The output equals
 /// `top_k_linear(concat(per_shard), k)` as long as every shard contributed
 /// at least `min(k, shard_len)` candidates, at O(k log S) merge cost.
+///
+/// Because the order is total (task ids are distinct), that equality is bit
+/// for bit: one more top-`k` selection over the concatenated per-shard
+/// lists returns this merge's output exactly. The benefit scan
+/// ([`Assigner::assign_sharded_with`](super::Assigner::assign_sharded_with))
+/// takes that route so the per-shard lists can stay where the scan wrote
+/// them.
 pub fn merge_top_k(per_shard: &[Vec<(f64, TaskId)>], k: usize) -> Vec<TaskId> {
     if k == 0 {
         return Vec::new();
@@ -260,23 +258,21 @@ mod tests {
     }
 
     #[test]
-    fn checked_merge_rejects_under_filled_and_unsorted_shard_lists() {
+    fn shard_lists_are_checked_for_fill_and_order() {
         let shards = vec![cand(&[(0.9, 0), (0.4, 2)]), cand(&[(0.8, 1)])];
         // Well-formed: shard 0 had 3 candidates but k = 2 only requires 2;
         // shard 1 had exactly 1.
-        let ok = merge_top_k_checked(&shards, &[3, 1], 2).unwrap();
-        assert_eq!(ok, merge_top_k(&shards, 2));
-        assert_eq!(ok, vec![TaskId(0), TaskId(1)]);
+        assert!(check_shard_top_k(0, &shards[0], 3, 2).is_ok());
+        assert!(check_shard_top_k(1, &shards[1], 1, 2).is_ok());
+        assert_eq!(merge_top_k(&shards, 2), vec![TaskId(0), TaskId(1)]);
         // Under-filled: shard 1 had 4 candidates available but contributed
         // only 1 of the min(k, 4) = 2 required — its second-best candidate
         // could have been a global winner.
-        let err = merge_top_k_checked(&shards, &[3, 4], 2).unwrap_err();
+        let err = check_shard_top_k(1, &shards[1], 4, 2).unwrap_err();
         assert!(err.to_string().contains("precondition"), "{err}");
-        // Count/list arity mismatch.
-        assert!(merge_top_k_checked(&shards, &[3], 2).is_err());
         // Unsorted shard list.
-        let unsorted = vec![cand(&[(0.1, 0), (0.9, 1)])];
-        let err = merge_top_k_checked(&unsorted, &[2], 2).unwrap_err();
+        let unsorted = cand(&[(0.1, 0), (0.9, 1)]);
+        let err = check_shard_top_k(0, &unsorted, 2, 2).unwrap_err();
         assert!(err.to_string().contains("sorted"), "{err}");
     }
 

@@ -12,8 +12,11 @@ use super::iterative::{Converged, TiConfig, TruthInference};
 use super::sharded::ShardedTiState;
 use super::state::{TaskArena, TaskView};
 use super::stats::WorkerRegistry;
-use docs_types::{Answer, AnswerLog, ChoiceIndex, Result, Task, TaskId, WorkerId};
+use docs_types::{
+    Answer, AnswerLog, ChoiceIndex, DomainVector, Error, Result, Task, TaskId, WorkerId,
+};
 use serde::{Deserialize, Serialize, Sink};
+use std::borrow::Borrow;
 
 /// The full serializable state of an [`IncrementalTi`] engine — everything
 /// Section 4.2 stores in the parameter database plus the bookkeeping the
@@ -160,17 +163,46 @@ impl IncrementalTi {
 
     /// Registers a worker's golden-task performance (Section 5.2): both the
     /// live statistics and the baseline used by periodic full re-inference.
-    pub fn init_worker_from_golden(
+    pub fn init_worker_from_golden<D: Borrow<DomainVector>>(
         &mut self,
         worker: WorkerId,
         golden_answers: &[(TaskId, ChoiceIndex)],
-        task_info: impl Fn(TaskId) -> (docs_types::DomainVector, ChoiceIndex) + Copy,
+        task_info: impl Fn(TaskId) -> (D, ChoiceIndex) + Copy,
         smoothing: f64,
     ) {
         self.registry
             .init_from_golden(worker, golden_answers, task_info, smoothing);
         self.golden_registry
             .init_from_golden(worker, golden_answers, task_info, smoothing);
+    }
+
+    /// [`IncrementalTi::init_worker_from_golden`] graded against the
+    /// engine's own tasks: each golden task's domain vector is read in
+    /// place and its manual label is the truth. An id that names no task
+    /// ([`Error::UnknownTask`]) or a task without a label
+    /// ([`Error::GoldenRequired`]) is refused before either registry
+    /// changes.
+    pub fn grade_worker_on_golden(
+        &mut self,
+        worker: WorkerId,
+        golden_answers: &[(TaskId, ChoiceIndex)],
+        smoothing: f64,
+    ) -> Result<()> {
+        for &(tid, _) in golden_answers {
+            let task = self.tasks.get(tid.index()).ok_or(Error::UnknownTask(tid))?;
+            task.ground_truth.ok_or(Error::GoldenRequired(tid))?;
+        }
+        let tasks = &self.tasks;
+        let task_info = |tid: TaskId| {
+            let task = &tasks[tid.index()];
+            let truth = task.ground_truth.expect("checked above");
+            (task.domain_vector(), truth)
+        };
+        self.registry
+            .init_from_golden(worker, golden_answers, task_info, smoothing);
+        self.golden_registry
+            .init_from_golden(worker, golden_answers, task_info, smoothing);
+        Ok(())
     }
 
     /// Processes one answer submission with the O(m·|V(i)|) update policy.

@@ -5,9 +5,10 @@
 //! request, Section 5.1) becomes the bottleneck. [`ShardedTiState`]
 //! partitions the task index space by [`TaskId::shard`] hash so that:
 //!
-//! * the benefit scan runs as independent per-shard scans whose per-shard
-//!   top-`k` lists are k-way merged (`docs_core::ota::merge_top_k`) — same
-//!   result as the flat scan, but parallelizable,
+//! * the benefit scan runs as independent per-shard scans, each cut to its
+//!   own top-`k`, and one final top-`k` over the survivors (the result of
+//!   `docs_core::ota::merge_top_k` over the per-shard lists) — same result
+//!   as the flat scan, but parallelizable,
 //! * answer ingestion (Section 4.2's incremental Step 1) touches only the
 //!   owning shard's state, which the view records per shard so runtimes can
 //!   observe ingestion balance and schedule periodic full inference,

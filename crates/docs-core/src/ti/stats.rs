@@ -9,6 +9,7 @@
 
 use docs_types::{ChoiceIndex, DomainVector, QualityVector, TaskId, WorkerId};
 use serde::{Deserialize, Serialize};
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 
 /// Per-worker persistent statistics: quality vector and per-domain weights.
@@ -152,9 +153,15 @@ impl WorkerRegistry {
 
     /// The worker's quality vector (prior for unseen workers).
     pub fn quality(&self, w: WorkerId) -> Vec<f64> {
+        self.quality_of(w).into_owned()
+    }
+
+    /// [`WorkerRegistry::quality`] read in place: borrowed for a tracked
+    /// worker, the prior (owned) for an unseen one.
+    pub fn quality_of(&self, w: WorkerId) -> Cow<'_, [f64]> {
         match self.stats.get(&w) {
-            Some(s) => s.quality.clone(),
-            None => vec![self.prior_quality; self.m],
+            Some(s) => Cow::Borrowed(&s.quality),
+            None => Cow::Owned(vec![self.prior_quality; self.m]),
         }
     }
 
@@ -169,11 +176,14 @@ impl WorkerRegistry {
     /// (Section 5.2): per domain, quality is the `r_k`-weighted fraction of
     /// correct golden answers, smoothed toward the prior with pseudo-weight
     /// `smoothing` so a single golden task cannot set `q_k` to an extreme.
-    pub fn init_from_golden(
+    ///
+    /// `task_info` returns a golden task's domain vector and truth; the
+    /// vector may be borrowed (`&DomainVector`) or owned.
+    pub fn init_from_golden<D: Borrow<DomainVector>>(
         &mut self,
         w: WorkerId,
         golden: &[(TaskId, ChoiceIndex)],
-        task_info: impl Fn(TaskId) -> (DomainVector, ChoiceIndex),
+        task_info: impl Fn(TaskId) -> (D, ChoiceIndex),
         smoothing: f64,
     ) {
         let mut quality = vec![self.prior_quality; self.m];
@@ -182,6 +192,7 @@ impl WorkerRegistry {
         let mut den = vec![smoothing; self.m];
         for &(tid, choice) in golden {
             let (r, truth) = task_info(tid);
+            let r = r.borrow();
             let correct = if choice == truth { 1.0 } else { 0.0 };
             for k in 0..self.m {
                 num[k] += r[k] * correct;

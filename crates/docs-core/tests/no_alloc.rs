@@ -6,7 +6,7 @@
 //! iterations nor the number of tasks moves). Run with `--release` as
 //! well: the claim is about optimised code.
 
-use docs_core::ota::{benefit_with, Assigner, AssignerConfig, BenefitScratch};
+use docs_core::ota::{benefit_with, Assigner, AssignerConfig, BenefitScratch, ScanScratch};
 use docs_core::ti::{
     IncrementalTi, ShardedTiState, TaskArena, TiConfig, TruthInference, WorkerRegistry,
 };
@@ -128,7 +128,8 @@ fn benefit_on_yes_no_tasks_allocates_nothing_with_a_fresh_scratch() {
 /// What one worker request allocates — the candidate list, the scratch of
 /// the `ℓ > 2` tasks, the selection — does not grow with the pool: the flat
 /// and the sharded scan take as many allocations for 400 mixed-`ℓ` tasks as
-/// for 40.
+/// for 40. On a warm [`ScanScratch`] the scan allocates only the ids it
+/// returns.
 #[test]
 fn a_request_allocates_the_same_for_any_task_count() {
     let assigner = Assigner::new(AssignerConfig {
@@ -151,6 +152,25 @@ fn a_request_allocates_the_same_for_any_task_count() {
             assigner.assign_sharded(&quality, &tasks, &states, &sharding, answered, count)
         });
         assert_eq!(flat.1, sharded.1, "{n} tasks");
+        let mut scratch = ScanScratch::default();
+        let mut scan = || {
+            assigner.assign_sharded_with(
+                &mut scratch,
+                &quality,
+                &tasks,
+                &states,
+                &sharding,
+                answered,
+                count,
+            )
+        };
+        assert_eq!(scan(), flat.1, "{n} tasks, cold scratch");
+        let warm = allocations_during(scan);
+        assert_eq!(
+            warm,
+            (1, flat.1),
+            "{n} tasks: a warm scan allocates its result"
+        );
         (flat.0, sharded.0)
     };
     assert_eq!(

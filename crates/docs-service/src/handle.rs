@@ -12,8 +12,8 @@
 use crate::message::{BatchOutcome, Request, RequestEnvelope, Response};
 use crate::metrics::ServiceMetrics;
 use crate::server::{Inbound, RoleCell, ServiceError};
-use crate::ticket::Ticket;
-use crossbeam::channel::{bounded, Sender, TrySendError};
+use crate::ticket::{completion_slot, Ticket};
+use crossbeam::channel::{Sender, TrySendError};
 use docs_obs::{JournalKind, SpanKind};
 use docs_system::{CampaignStatus, Docs, RequesterReport, WorkRequest};
 use docs_types::{
@@ -251,7 +251,7 @@ impl ServiceHandle {
         decode: fn(Response) -> Result<T, ServiceError>,
     ) -> Result<Ticket<T>, ServiceError> {
         let correlation = self.next_correlation.fetch_add(1, Ordering::Relaxed);
-        let (completion_tx, completion_rx) = bounded(1);
+        let (completer, slot) = completion_slot();
         // Sampled tracing: the unsampled path is one relaxed load inside
         // `maybe_trace`. A sampled envelope closes its client-submit span
         // here, so everything until the shard dequeues it is queue wait.
@@ -265,7 +265,7 @@ impl ServiceHandle {
                 request,
                 trace,
             },
-            completions: completion_tx,
+            completions: completer,
         };
         let depth = self.metrics.shard_enqueued(shard);
         let outcome = match admission {
@@ -290,7 +290,7 @@ impl ServiceHandle {
         self.metrics.shard_send_recorded(shard, depth);
         self.metrics.ticket_issued(shard);
         Ok(Ticket::new(
-            completion_rx,
+            slot,
             correlation,
             shard,
             decode,
@@ -615,7 +615,7 @@ mod tests {
     use crate::server::tests::published;
     use crate::ticket::TicketWait;
     use crate::{ClusterRouter, DocsService, ServiceConfig};
-    use crossbeam::channel::Receiver;
+    use crossbeam::channel::{bounded, Receiver};
     use std::fmt::Debug;
     use std::time::Duration;
 
@@ -828,13 +828,10 @@ mod tests {
         // Serve it by hand: the completion must echo the correlation id.
         let inbound = rx.recv().unwrap();
         assert_eq!(inbound.envelope.correlation, ticket.correlation());
-        inbound
-            .completions
-            .send(Completion {
-                correlation: inbound.envelope.correlation,
-                response: Response::Work(WorkRequest::Done),
-            })
-            .unwrap();
+        inbound.completions.complete(Completion {
+            correlation: inbound.envelope.correlation,
+            response: Response::Work(WorkRequest::Done),
+        });
         assert_eq!(ticket.wait().unwrap(), WorkRequest::Done);
         assert_eq!(handle.metrics().shard(0).in_flight, 0);
         // A ticket whose shard died reports Disconnected.
@@ -846,5 +843,38 @@ mod tests {
         let ticket = handle.submit(Op::request_tasks(c, WorkerId(2)));
         assert!(matches!(ticket, Err(ServiceError::Disconnected)));
         assert_eq!(handle.metrics().shard(0).in_flight, 0);
+    }
+
+    /// A crash with answers in flight: every ticket resolves — acked if
+    /// its shard served it durably before the crash, `Disconnected` if the
+    /// crash dropped it queued or withheld — and none hangs.
+    #[test]
+    fn tickets_in_flight_at_a_crash_resolve_acked_or_disconnected() {
+        let dir = crate::server::tests::tmp_dir("handle-crash");
+        let (service, handle) = DocsService::spawn_empty(ServiceConfig::durable(1, &dir)).unwrap();
+        let docs = published(9, Some(docs_storage::FlushPolicy::EveryEvent));
+        let c = handle.create_campaign(docs).unwrap();
+        let golden = match handle.call(Op::request_tasks(c, WORKER)).unwrap() {
+            WorkRequest::Golden(g) => g,
+            other => panic!("expected golden HIT, got {other:?}"),
+        };
+        let answers = golden.iter().map(|&g| (g, g.index() % 2)).collect();
+        handle.call(Op::submit_golden(c, WORKER, answers)).unwrap();
+        let tickets: Vec<Ticket<()>> = (0..9)
+            .map(|t| {
+                let answer = Answer::new(WorkerId(1 + t as u32), TaskId::from(t), t % 2);
+                handle.submit(Op::submit_answer(c, answer)).unwrap()
+            })
+            .collect();
+        handle.simulate_crash();
+        drop(handle);
+        for ticket in tickets {
+            match ticket.wait() {
+                Ok(()) | Err(ServiceError::Disconnected) => {}
+                Err(e) => panic!("unexpected outcome {e:?}"),
+            }
+        }
+        service.join_all();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -36,9 +36,10 @@
 //!   returns every campaign's final state.
 
 use crate::handle::ServiceHandle;
-use crate::message::{Completion, RequestEnvelope};
+use crate::message::RequestEnvelope;
 use crate::metrics::{Counter, ServiceMetrics};
 use crate::shard::{Input, Recovered, Shard, Wait};
+use crate::ticket::Completer;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use docs_storage::{recover_tree, AdaptiveCommit, FlushPolicy};
 use docs_system::Docs;
@@ -295,10 +296,10 @@ impl ServiceConfig {
 }
 
 /// One admitted submission on a shard's ingress queue: the wire envelope
-/// plus the sender of the submitter's one-shot completion slot.
+/// plus the shard half of the submitter's one-shot completion slot.
 pub(crate) struct Inbound {
     pub(crate) envelope: RequestEnvelope,
-    pub(crate) completions: Sender<Completion>,
+    pub(crate) completions: Completer,
 }
 
 /// A running DOCS service (the shard-thread pool).

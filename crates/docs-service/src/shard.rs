@@ -8,13 +8,13 @@
 //! [`Shard::stop`]. Every transition comes from a request or an empty
 //! queue, never from a clock, and nothing here touches a receiver, a thread
 //! or the crash flag, so a test can step a shard by hand. Effects leave
-//! through the existing seams only: each request's completion `Sender`, the
+//! through the existing seams only: each request's [`Completer`], the
 //! [`ReplicationSink`] and the [`CampaignLog`].
 
 use crate::message::{BatchOutcome, Completion, Request, Response};
 use crate::metrics::{Counter, OpKind, ServiceMetrics, Stage};
 use crate::server::{Inbound, ReplicationSink, RoleCell, ServiceConfig, ServiceError};
-use crossbeam::channel::Sender;
+use crate::ticket::Completer;
 use docs_obs::{JournalKind, SpanKind, TraceContext};
 use docs_storage::{CampaignLog, FlushPolicy};
 use docs_system::{CampaignSnapshot, Docs, MutationAdmission, OwnershipTable};
@@ -62,7 +62,7 @@ enum Joining {
 
 /// A completion withheld by adaptive group commit, with the trace of the
 /// request it acknowledges (if that request was sampled).
-type DeferredCompletion = (Sender<Completion>, Completion, Option<Box<TraceContext>>);
+type DeferredCompletion = (Completer, Completion, Option<Box<TraceContext>>);
 
 /// A sealed-but-unshipped item of one shard's replication feed, queued in
 /// append order until the group commit that hardens it completes.
@@ -460,7 +460,7 @@ impl Shard {
                 // an unattributed tail of this trace.
                 self.metrics.flight().record(t.finish());
             }
-            let _ = inbound.completions.send(completion);
+            inbound.completions.complete(completion);
         }
     }
 
@@ -704,25 +704,26 @@ impl Shard {
         }
     }
 
-    /// Validates and applies one answer batch: the accepted sub-batch
-    /// becomes **one** [`CampaignEvent::AnswerBatchSubmitted`] — one WAL
-    /// record, one group-commit decision, one `fdatasync` — through the
-    /// same write-ahead discipline as any event ([`Shard::apply`]), while
+    /// Validates and applies one answer batch: the request's own vector is
+    /// filtered in place, and the accepted answers it keeps become **one**
+    /// [`CampaignEvent::AnswerBatchSubmitted`] — one WAL record, one
+    /// group-commit decision, one `fdatasync` — through the same
+    /// write-ahead discipline as any event ([`Shard::apply`]), while
     /// rejected answers are reported per position without ever reaching
     /// the log.
-    fn apply_answer_batch(&mut self, campaign: CampaignId, answers: Vec<Answer>) -> Response {
-        let Some(docs) = self.campaigns.get(&campaign) else {
+    fn apply_answer_batch(&mut self, campaign: CampaignId, mut answers: Vec<Answer>) -> Response {
+        let Some(docs) = self.campaigns.get_mut(&campaign) else {
             return Response::Rejected(RejectReason::UnknownCampaign(campaign));
         };
-        let (accepted, rejected) = docs.validate_answer_batch(&answers);
+        let rejected = docs.filter_answer_batch(&mut answers);
         let outcome = BatchOutcome {
-            accepted: accepted.len(),
+            accepted: answers.len(),
             rejected: rejected.into_iter().map(|(i, e)| (i, e.into())).collect(),
         };
-        if accepted.is_empty() {
+        if answers.is_empty() {
             return Response::BatchAck(outcome);
         }
-        self.apply(campaign, CampaignEvent::answer_batch(accepted), move |_| {
+        self.apply(campaign, CampaignEvent::answer_batch(answers), move |_| {
             Response::BatchAck(outcome)
         })
     }
@@ -819,12 +820,12 @@ impl Shard {
     /// counts as waiting for the flush — and lands in the flight recorder
     /// before the send, whose futex wake belongs to the client's next span.
     fn release_deferred(&mut self) {
-        for (tx, completion, trace) in self.deferred.drain(..) {
+        for (completer, completion, trace) in self.deferred.drain(..) {
             if let Some(mut t) = trace {
                 t.span(SpanKind::FlushWait);
                 self.metrics.flight().record(t.finish());
             }
-            let _ = tx.send(completion);
+            completer.complete(completion);
         }
     }
 }
@@ -835,21 +836,22 @@ mod tests {
     use crate::handle::Op;
     use crate::message::RequestEnvelope;
     use crate::server::tests::{published, tmp_dir};
-    use crossbeam::channel::bounded;
+    use crate::ticket::{completion_slot, CompletionSlot};
     use docs_types::{TaskId, WorkerId};
 
-    /// `request`, dequeued, completing on `tx`.
-    fn inbound(correlation: u64, request: Request, tx: &Sender<Completion>) -> Input {
+    /// `request`, dequeued, and the client half of its completion slot.
+    fn inbound(correlation: u64, request: Request) -> (Input, CompletionSlot) {
         let envelope = RequestEnvelope {
             correlation,
             request,
             trace: None,
         };
-        let completions = tx.clone();
-        Input::Request(Inbound {
+        let (completions, slot) = completion_slot();
+        let input = Input::Request(Inbound {
             envelope,
             completions,
-        })
+        });
+        (input, slot)
     }
 
     /// Adaptive group commit, stepped without threads: an `EveryEvent`
@@ -863,7 +865,6 @@ mod tests {
         let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(ReplicaRole::Primary));
         let next_campaign = Arc::new(AtomicU32::new(1));
         let mut shard = Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
-        let (tx, rx) = bounded(4);
         let docs = published(9, Some(FlushPolicy::EveryEvent));
         let (c, w) = (CampaignId(0), WorkerId(0));
         let golden = docs
@@ -875,25 +876,61 @@ mod tests {
             campaign: c,
             docs: Box::new(docs),
         };
-        shard.step(inbound(1, create, &tx));
-        shard.step(inbound(2, Op::submit_golden(c, w, golden).request, &tx));
+        let (create, created) = inbound(1, create);
+        shard.step(create);
+        let (golden, graded) = inbound(2, Op::submit_golden(c, w, golden).request);
+        shard.step(golden);
         shard.step(Input::QueueEmpty);
-        assert_eq!(rx.recv().unwrap().correlation, 1);
-        assert!(matches!(rx.recv().unwrap().response, Response::Ack));
+        assert_eq!(created.wait().unwrap().correlation, 1);
+        assert!(matches!(graded.wait().unwrap().response, Response::Ack));
         assert_eq!(shard.wait(), Wait::Block);
 
         let answer = Answer::new(w, TaskId(4), 0);
-        shard.step(inbound(3, Op::submit_answer(c, answer).request, &tx));
-        shard.step(inbound(4, Op::status(c).request, &tx));
-        assert!(rx.try_recv().is_err(), "both completions are withheld");
+        let (answer, answered) = inbound(3, Op::submit_answer(c, answer).request);
+        shard.step(answer);
+        let (status, read) = inbound(4, Op::status(c).request);
+        shard.step(status);
+        assert!(
+            answered.try_take().is_none() && read.try_take().is_none(),
+            "both completions are withheld"
+        );
         assert_eq!(shard.wait(), Wait::Poll);
         let flushes = metrics.durability().log_flushes;
         shard.step(Input::QueueEmpty);
         assert_eq!(metrics.durability().log_flushes, flushes + 1);
-        assert_eq!(rx.try_recv().unwrap().correlation, 3);
-        assert_eq!(rx.try_recv().unwrap().correlation, 4);
+        assert_eq!(answered.try_take().unwrap().unwrap().correlation, 3);
+        assert_eq!(read.try_take().unwrap().unwrap().correlation, 4);
         assert_eq!(shard.wait(), Wait::Block);
         shard.stop(false);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash drops withheld acks unsent: their clients see
+    /// `Disconnected`, never an ack for an event the crash lost.
+    #[test]
+    fn a_crash_disconnects_the_withheld_acks() {
+        let dir = tmp_dir("shard-crash");
+        let config = ServiceConfig::durable(1, &dir);
+        let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(ReplicaRole::Primary));
+        let next_campaign = Arc::new(AtomicU32::new(1));
+        let mut shard = Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
+        let docs = published(9, Some(FlushPolicy::EveryEvent));
+        let (c, w) = (CampaignId(0), WorkerId(0));
+        let golden = docs
+            .golden_ids()
+            .iter()
+            .map(|&g| (g, g.index() % 2))
+            .collect();
+        let create = Request::CreateCampaign {
+            campaign: c,
+            docs: Box::new(docs),
+        };
+        shard.step(inbound(1, create).0);
+        let (golden, graded) = inbound(2, Op::submit_golden(c, w, golden).request);
+        shard.step(golden);
+        assert_eq!(shard.wait(), Wait::Poll);
+        shard.stop(true);
+        assert_eq!(graded.wait().unwrap_err(), ServiceError::Disconnected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

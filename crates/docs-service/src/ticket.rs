@@ -8,20 +8,170 @@
 //! arrival order, so per-client ordering is exactly what a blocking caller
 //! would have seen, minus the idle round-trip gaps.
 //!
+//! The slot is one allocation per operation: an `Arc` holding a `Mutex`
+//! over pending (with the waiter's `Thread` once the client parks), ready
+//! (the [`Completion`]) or closed. The shard half ([`Completer`]) rides
+//! the request; filling it stores the completion and, after unlocking,
+//! unparks the client only if it is parked. A completer dropped unsent —
+//! a crash discarding withheld acks, a queue dropped with requests still
+//! in it — closes the slot, and the ticket reports
+//! [`ServiceError::Disconnected`].
+//!
 //! Tickets are consumed by value: [`Ticket::wait`] blocks until the
 //! completion arrives, while [`Ticket::wait_timeout`] and
 //! [`Ticket::try_take`] return a [`TicketWait`] that either carries the
 //! decoded result or hands the still-pending ticket back. No method
 //! panics, no completion can be taken twice, and dropping a pending ticket
-//! is a clean fire-and-forget (the shard's completion send is simply
-//! discarded).
+//! is a clean fire-and-forget (the shard's completion is simply dropped
+//! with the slot).
 
 use crate::message::{Completion, CorrelationId, Response};
 use crate::metrics::ServiceMetrics;
 use crate::server::ServiceError;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use std::cell::Cell;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
+
+/// Backoff steps [`Ticket::wait`] takes before it parks: busy-loop steps
+/// first, yields after.
+const SPIN_STEPS: u32 = 10;
+const BUSY_STEPS: u32 = 6;
+
+/// What a completion slot holds.
+enum SlotState {
+    /// Not yet completed; `Some` once the client parks on it.
+    Pending(Option<Thread>),
+    /// The shard's completion, not yet taken.
+    Ready(Completion),
+    /// The completer was dropped unsent, or the completion was taken.
+    Closed,
+}
+
+/// The shared one-shot slot between a [`Completer`] and its [`Ticket`].
+struct Slot(Mutex<SlotState>);
+
+impl Slot {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        // Nothing panics while holding the lock; a poisoned slot still
+        // holds a consistent state.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Settles a pending slot with `outcome` and wakes a parked client
+    /// after unlocking. A settled slot stays as it is.
+    fn settle(&self, outcome: SlotState) {
+        let mut state = self.lock();
+        let SlotState::Pending(waiter) = &mut *state else {
+            return;
+        };
+        let waiter = waiter.take();
+        *state = outcome;
+        drop(state);
+        if let Some(thread) = waiter {
+            thread.unpark();
+        }
+    }
+}
+
+/// The shard half of a completion slot: rides the request to the shard,
+/// which fills it once. Dropping it unsent closes the slot.
+pub(crate) struct Completer(Arc<Slot>);
+
+impl Completer {
+    /// Delivers the completion and wakes the client if it is parked.
+    pub(crate) fn complete(self, completion: Completion) {
+        self.0.settle(SlotState::Ready(completion));
+    }
+}
+
+impl Drop for Completer {
+    fn drop(&mut self) {
+        // A no-op after `complete`: only a pending slot is settled.
+        self.0.settle(SlotState::Closed);
+    }
+}
+
+/// A fresh completion slot: the shard half and the client half.
+pub(crate) fn completion_slot() -> (Completer, CompletionSlot) {
+    let slot = Arc::new(Slot(Mutex::new(SlotState::Pending(None))));
+    (Completer(Arc::clone(&slot)), CompletionSlot(slot))
+}
+
+/// The client half of a completion slot.
+pub(crate) struct CompletionSlot(Arc<Slot>);
+
+impl CompletionSlot {
+    /// Takes the completion if the slot is settled: `Some(Ok)` for a
+    /// delivered completion, `Some(Err)` for a closed slot. A pending slot
+    /// answers `None` and records `waiter` as the thread to unpark (`None`
+    /// when the caller is not about to park).
+    fn take(&self, waiter: Option<Thread>) -> Option<Result<Completion, ServiceError>> {
+        let mut state = self.0.lock();
+        match std::mem::replace(&mut *state, SlotState::Pending(waiter)) {
+            SlotState::Ready(completion) => {
+                *state = SlotState::Closed;
+                Some(Ok(completion))
+            }
+            SlotState::Closed => {
+                *state = SlotState::Closed;
+                Some(Err(ServiceError::Disconnected))
+            }
+            SlotState::Pending(_) => None,
+        }
+    }
+
+    /// Spins briefly, then parks until the slot is settled. The spin (the
+    /// std channel's backoff: 2^step busy-loop hints for six steps, then
+    /// four yields) catches a completion that lands within microseconds
+    /// without a park/unpark round trip.
+    pub(crate) fn wait(&self) -> Result<Completion, ServiceError> {
+        for step in 0..SPIN_STEPS {
+            if let Some(settled) = self.take(None) {
+                return settled;
+            }
+            if step < BUSY_STEPS {
+                for _ in 0..1u32 << step {
+                    std::hint::spin_loop();
+                }
+            } else {
+                thread::yield_now();
+            }
+        }
+        loop {
+            if let Some(settled) = self.take(Some(thread::current())) {
+                return settled;
+            }
+            thread::park();
+        }
+    }
+
+    /// Parks until the slot is settled or `timeout` elapses; a timed-out
+    /// wait leaves the slot pending with no waiter registered.
+    pub(crate) fn wait_timeout(
+        &self,
+        timeout: Duration,
+    ) -> Option<Result<Completion, ServiceError>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(settled) = self.take(Some(thread::current())) {
+                return Some(settled);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                // Unregisters the waiter: a later completion must not
+                // unpark a thread that stopped waiting on this slot.
+                return self.take(None);
+            }
+            thread::park_timeout(deadline - now);
+        }
+    }
+
+    /// Takes the completion without blocking.
+    pub(crate) fn try_take(&self) -> Option<Result<Completion, ServiceError>> {
+        self.take(None)
+    }
+}
 
 /// Decrements the per-shard in-flight gauge exactly once, however the
 /// ticket resolves (taken, timed out forever, or dropped unresolved).
@@ -61,7 +211,7 @@ impl Drop for InFlightGuard {
 /// [`ServiceError`], so `ticket.wait()` returns exactly what the blocking
 /// method for the same operation returns.
 pub struct Ticket<T> {
-    slot: Receiver<Completion>,
+    slot: CompletionSlot,
     correlation: CorrelationId,
     shard: usize,
     decode: fn(Response) -> Result<T, ServiceError>,
@@ -90,7 +240,7 @@ impl<T> TicketWait<T> {
 
 impl<T> Ticket<T> {
     pub(crate) fn new(
-        slot: Receiver<Completion>,
+        slot: CompletionSlot,
         correlation: CorrelationId,
         shard: usize,
         decode: fn(Response) -> Result<T, ServiceError>,
@@ -133,31 +283,26 @@ impl<T> Ticket<T> {
     /// Blocks until the completion arrives and returns the decoded result —
     /// the rendezvous the blocking API methods are thin wrappers over.
     pub fn wait(self) -> Result<T, ServiceError> {
-        match self.slot.recv() {
-            Ok(completion) => self.decode(completion),
-            Err(_) => Err(ServiceError::Disconnected),
-        }
+        self.slot
+            .wait()
+            .and_then(|completion| self.decode(completion))
     }
 
     /// Waits at most `timeout` for the completion. On timeout the ticket
     /// comes back untouched in [`TicketWait::Pending`] — the operation is
     /// still in flight and can be waited on again.
     pub fn wait_timeout(self, timeout: Duration) -> TicketWait<T> {
-        match self.slot.recv_timeout(timeout) {
-            Ok(completion) => TicketWait::Ready(self.decode(completion)),
-            Err(RecvTimeoutError::Timeout) => TicketWait::Pending(self),
-            Err(RecvTimeoutError::Disconnected) => {
-                TicketWait::Ready(Err(ServiceError::Disconnected))
-            }
+        match self.slot.wait_timeout(timeout) {
+            Some(settled) => TicketWait::Ready(settled.and_then(|c| self.decode(c))),
+            None => TicketWait::Pending(self),
         }
     }
 
     /// Non-blocking completion poll.
     pub fn try_take(self) -> TicketWait<T> {
-        match self.slot.try_recv() {
-            Ok(completion) => TicketWait::Ready(self.decode(completion)),
-            Err(TryRecvError::Empty) => TicketWait::Pending(self),
-            Err(TryRecvError::Disconnected) => TicketWait::Ready(Err(ServiceError::Disconnected)),
+        match self.slot.try_take() {
+            Some(settled) => TicketWait::Ready(settled.and_then(|c| self.decode(c))),
+            None => TicketWait::Pending(self),
         }
     }
 }
@@ -174,7 +319,6 @@ impl<T> std::fmt::Debug for Ticket<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{bounded, Sender};
     use docs_system::WorkRequest;
 
     fn decode_work(response: Response) -> Result<WorkRequest, ServiceError> {
@@ -188,19 +332,18 @@ mod tests {
     fn issue(
         metrics: &ServiceMetrics,
         correlation: CorrelationId,
-    ) -> (Ticket<WorkRequest>, Sender<Completion>) {
-        let (tx, rx) = bounded(1);
+    ) -> (Ticket<WorkRequest>, Completer) {
+        let (completer, slot) = completion_slot();
         metrics.ticket_issued(0);
-        let ticket = Ticket::new(rx, correlation, 0, decode_work, metrics.clone());
-        (ticket, tx)
+        let ticket = Ticket::new(slot, correlation, 0, decode_work, metrics.clone());
+        (ticket, completer)
     }
 
-    fn complete(tx: &Sender<Completion>, correlation: CorrelationId) {
-        tx.send(Completion {
+    fn complete(completer: Completer, correlation: CorrelationId) {
+        completer.complete(Completion {
             correlation,
             response: Response::Work(WorkRequest::Done),
-        })
-        .unwrap();
+        });
     }
 
     /// Regression: a completion taken through `wait_timeout`/`try_take`
@@ -222,7 +365,7 @@ mod tests {
             TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
         };
         assert_eq!(metrics.shard(0).in_flight, 2, "timeout resolves nothing");
-        complete(&tx_a, 1);
+        complete(tx_a, 1);
         match a.try_take() {
             TicketWait::Ready(Ok(WorkRequest::Done)) => {}
             other => panic!("completion not taken: {:?}", other.ready()),
@@ -235,7 +378,7 @@ mod tests {
         );
 
         // The same invariant on the blocking rendezvous.
-        complete(&tx_b, 2);
+        complete(tx_b, 2);
         assert_eq!(b.wait().unwrap(), WorkRequest::Done);
         assert_eq!(metrics.shard(0).in_flight, 0);
 
@@ -244,6 +387,112 @@ mod tests {
         assert_eq!(metrics.shard(0).in_flight, 1);
         drop(c);
         drop(tx_c);
+        assert_eq!(metrics.shard(0).in_flight, 0);
+    }
+
+    #[test]
+    fn a_completion_that_lands_before_the_wait_is_taken_at_once() {
+        let metrics = ServiceMetrics::new(1);
+        let (ticket, completer) = issue(&metrics, 7);
+        complete(completer, 7);
+        assert_eq!(ticket.wait().unwrap(), WorkRequest::Done);
+        assert_eq!(metrics.shard(0).in_flight, 0);
+    }
+
+    #[test]
+    fn wait_timeout_is_pending_then_ready() {
+        let metrics = ServiceMetrics::new(1);
+        let (ticket, completer) = issue(&metrics, 1);
+        let ticket = match ticket.wait_timeout(Duration::from_millis(2)) {
+            TicketWait::Pending(t) => t,
+            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
+        };
+        // Completed from another thread while the client waits.
+        let server = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(5));
+            complete(completer, 1);
+        });
+        match ticket.wait_timeout(Duration::from_secs(30)) {
+            TicketWait::Ready(Ok(WorkRequest::Done)) => {}
+            other => panic!("completion not delivered: {:?}", other.ready()),
+        }
+        server.join().unwrap();
+        assert_eq!(metrics.shard(0).in_flight, 0);
+    }
+
+    #[test]
+    fn try_take_is_pending_until_completed_and_takes_once() {
+        let metrics = ServiceMetrics::new(1);
+        let (ticket, completer) = issue(&metrics, 4);
+        let ticket = match ticket.try_take() {
+            TicketWait::Pending(t) => t,
+            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
+        };
+        assert_eq!(ticket.correlation(), 4);
+        complete(completer, 4);
+        assert!(matches!(
+            ticket.try_take(),
+            TicketWait::Ready(Ok(WorkRequest::Done))
+        ));
+        assert_eq!(metrics.shard(0).in_flight, 0);
+    }
+
+    #[test]
+    fn a_ticket_dropped_before_its_completion_is_fire_and_forget() {
+        let metrics = ServiceMetrics::new(1);
+        let (ticket, completer) = issue(&metrics, 5);
+        drop(ticket);
+        assert_eq!(metrics.shard(0).in_flight, 0);
+        // The late completion lands in a slot nobody reads.
+        complete(completer, 5);
+        assert_eq!(metrics.shard(0).in_flight, 0);
+    }
+
+    #[test]
+    fn a_completer_dropped_unsent_disconnects_every_way_of_waiting() {
+        let metrics = ServiceMetrics::new(1);
+        let (parked, completer) = issue(&metrics, 1);
+        let server = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(5));
+            drop(completer);
+        });
+        assert_eq!(parked.wait().unwrap_err(), ServiceError::Disconnected);
+        server.join().unwrap();
+        for poll in [true, false] {
+            let (ticket, completer) = issue(&metrics, 2);
+            drop(completer);
+            let settled = if poll {
+                ticket.try_take()
+            } else {
+                ticket.wait_timeout(Duration::from_secs(30))
+            };
+            assert!(matches!(
+                settled,
+                TicketWait::Ready(Err(ServiceError::Disconnected))
+            ));
+        }
+        assert_eq!(metrics.shard(0).in_flight, 0);
+    }
+
+    /// Two threads hand 100 000 completions across as fast as they can:
+    /// the client waits on each ticket (parking or finding it settled) and
+    /// the server completes them in order. A lost wake-up hangs the test.
+    #[test]
+    fn no_wake_up_is_lost_across_a_hundred_thousand_tickets() {
+        const TICKETS: u64 = 100_000;
+        let metrics = ServiceMetrics::new(1);
+        let (to_server, completers) = std::sync::mpsc::sync_channel::<Completer>(64);
+        let server = thread::spawn(move || {
+            for (correlation, completer) in (0..TICKETS).zip(completers) {
+                complete(completer, correlation);
+            }
+        });
+        for correlation in 0..TICKETS {
+            let (ticket, completer) = issue(&metrics, correlation);
+            to_server.send(completer).unwrap();
+            assert_eq!(ticket.wait().unwrap(), WorkRequest::Done);
+        }
+        server.join().unwrap();
         assert_eq!(metrics.shard(0).in_flight, 0);
     }
 }

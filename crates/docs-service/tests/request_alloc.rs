@@ -137,14 +137,14 @@ fn round_trip(task_shards: usize) -> (u64, u64) {
     (request, submit)
 }
 
-/// What the request path allocates today, per round trip: a per-ticket
-/// completion channel, the scan's per-request vectors and the batch
-/// validation's set and copies.
+/// A request is one completion slot plus the HIT it returns; the batch
+/// submission is its completion slot alone — the answers travel as the
+/// request's own vector, filtered in place and applied as the event.
 #[test]
-fn a_steady_state_round_trip_allocates_a_pinned_count() {
+fn a_steady_state_round_trip_allocates_one_slot_per_ticket_plus_the_hit() {
     assert_eq!(
         [round_trip(1), round_trip(4)],
-        [(10, 6), (13, 6)],
+        [(2, 1), (2, 1)],
         "(request_tasks, submit_answer_batch) allocations at task_shards = 1 and 4"
     );
 }

@@ -12,7 +12,7 @@
 use crate::DocsConfig;
 use docs_core::dve;
 use docs_core::golden::select_golden_tasks;
-use docs_core::ota::{Assigner, AssignerConfig};
+use docs_core::ota::{Assigner, AssignerConfig, ScanScratch};
 use docs_core::ti::{IncrementalTi, TiSnapshot, WorkerRegistry, WorkerStats};
 use docs_kb::{EntityLinker, KnowledgeBase};
 use docs_storage::ParamStore;
@@ -151,6 +151,12 @@ pub struct Docs {
     /// This process's one handle on `config.storage_dir`, shared with every
     /// other campaign that names the same directory.
     store: Option<Arc<ParamStore>>,
+    /// The OTA scan's buffers, reused by every request. Working state: no
+    /// snapshot records it.
+    scan: ScanScratch,
+    /// The `(worker, task)` pairs of the answer batch being filtered,
+    /// cleared per batch. Working state: no snapshot records it.
+    batch_seen: HashSet<(WorkerId, TaskId)>,
 }
 
 impl Docs {
@@ -207,6 +213,8 @@ impl Docs {
             seen_workers: HashSet::new(),
             config,
             store,
+            scan: ScanScratch::default(),
+            batch_seen: HashSet::new(),
         })
     }
 
@@ -312,7 +320,7 @@ impl Docs {
         if !known {
             return WorkRequest::Golden(self.golden_ids.clone());
         }
-        let quality = self.engine.registry().quality(worker);
+        let quality = self.engine.registry().quality_of(worker);
         let assigner = Assigner::new(AssignerConfig {
             k: self.config.k_per_hit,
             max_answers_per_task: if self.config.answers_per_task == 0 {
@@ -333,9 +341,10 @@ impl Docs {
                     policy.should_stop(states.view(t.index()), log.answer_count(t))
                 })
         };
-        // The paper's benefit scan, walked per task shard and merged (one
-        // flat list when `task_shards == 1`).
-        let picks = assigner.assign_sharded(
+        // The paper's benefit scan, walked per task shard into the
+        // campaign's own buffers.
+        let picks = assigner.assign_sharded_with(
+            &mut self.scan,
             &quality,
             engine.tasks(),
             states,
@@ -388,40 +397,59 @@ impl Docs {
     }
 
     /// Partitions a batch into the answers that would be accepted (in
-    /// order) and the rejected ones with their positions and errors — the
-    /// validation front of the batched ingestion path, shared by
-    /// [`Docs::submit_answer_batch`] and the durable service (which logs
-    /// only the accepted sub-batch). Pure: no state is touched.
-    pub fn validate_answer_batch(&self, answers: &[Answer]) -> (Vec<Answer>, Vec<(usize, Error)>) {
-        let mut accepted = Vec::with_capacity(answers.len());
+    /// order) and the rejected ones with their positions and errors:
+    /// [`Docs::filter_answer_batch`] over a copy of `answers`.
+    pub fn validate_answer_batch(
+        &mut self,
+        answers: &[Answer],
+    ) -> (Vec<Answer>, Vec<(usize, Error)>) {
+        let mut accepted = answers.to_vec();
+        let rejected = self.filter_answer_batch(&mut accepted);
+        (accepted, rejected)
+    }
+
+    /// The validation front of the batched ingestion path: keeps in
+    /// `answers`, in order, the answers that would be accepted and returns
+    /// the rejected ones with their positions and errors. The service
+    /// filters a request's own vector this way and logs what remains as
+    /// the batch event. Nothing but the campaign's working buffers is
+    /// touched.
+    pub fn filter_answer_batch(&mut self, answers: &mut Vec<Answer>) -> Vec<(usize, Error)> {
         let mut rejected = Vec::new();
-        let mut seen: HashSet<(WorkerId, TaskId)> = HashSet::with_capacity(answers.len());
-        for (i, &answer) in answers.iter().enumerate() {
-            // `accepted.len()` answers of this batch are already admitted
-            // ahead of this one — the log growth a sequential submission of
-            // the same batch would have seen — so a batch straddling the
-            // flat budget cap truncates at the same answer. (The adaptive
+        let mut seen = std::mem::take(&mut self.batch_seen);
+        seen.clear();
+        let mut accepted = 0;
+        for i in 0..answers.len() {
+            let answer = answers[i];
+            // `accepted` answers of this batch are already admitted ahead
+            // of this one — the log growth a sequential submission of the
+            // same batch would have seen — so a batch straddling the flat
+            // budget cap truncates at the same answer. (The adaptive
             // stopping condition is evaluated on pre-batch state; see
             // `budget_exhausted_with`.)
-            if let Err(e) = self.validate_answer_at(&answer, accepted.len()) {
-                rejected.push((i, e));
-                continue;
-            }
-            // A duplicate *within* the batch is rejected exactly like a
-            // duplicate against the log: the earlier answer wins.
-            if !seen.insert((answer.worker, answer.task)) {
-                rejected.push((
-                    i,
-                    Error::DuplicateAnswer {
+            let verdict = self.validate_answer_at(&answer, accepted).and_then(|()| {
+                // A duplicate *within* the batch is rejected exactly like
+                // a duplicate against the log: the earlier answer wins.
+                if seen.insert((answer.worker, answer.task)) {
+                    Ok(())
+                } else {
+                    Err(Error::DuplicateAnswer {
                         task: answer.task,
                         worker: answer.worker,
-                    },
-                ));
-                continue;
+                    })
+                }
+            });
+            match verdict {
+                Ok(()) => {
+                    answers[accepted] = answer;
+                    accepted += 1;
+                }
+                Err(e) => rejected.push((i, e)),
             }
-            accepted.push(answer);
         }
-        (accepted, rejected)
+        answers.truncate(accepted);
+        self.batch_seen = seen;
+        rejected
     }
 
     /// Validates one answer against the current state: known task, in-range
@@ -500,7 +528,7 @@ impl Docs {
                 // A loggable batch must apply *in full*: every answer valid
                 // against the state (budget capacity included, counted per
                 // position), no duplicates within the batch (the service
-                // pre-filters with `validate_answer_batch`, so a failure
+                // pre-filters with `filter_answer_batch`, so a failure
                 // here means a mispaired or tampered log).
                 let mut seen: HashSet<(WorkerId, TaskId)> = HashSet::new();
                 for (i, answer) in b.answers.iter().enumerate() {
@@ -534,32 +562,8 @@ impl Docs {
     }
 
     fn apply_golden(&mut self, worker: WorkerId, answers: &[(TaskId, ChoiceIndex)]) -> Result<()> {
-        let infos: Vec<(TaskId, (docs_types::DomainVector, ChoiceIndex))> = answers
-            .iter()
-            .map(|&(tid, _)| {
-                let t = self
-                    .engine
-                    .tasks()
-                    .get(tid.index())
-                    .ok_or(Error::UnknownTask(tid))?;
-                Ok((
-                    tid,
-                    (
-                        t.domain_vector().clone(),
-                        t.ground_truth.ok_or(Error::GoldenRequired(tid))?,
-                    ),
-                ))
-            })
-            .collect::<Result<_>>()?;
-        let lookup = move |tid: TaskId| {
-            infos
-                .iter()
-                .find(|(t, _)| *t == tid)
-                .map(|(_, info)| info.clone())
-                .expect("golden info present")
-        };
         self.engine
-            .init_worker_from_golden(worker, answers, &lookup, self.config.golden_smoothing);
+            .grade_worker_on_golden(worker, answers, self.config.golden_smoothing)?;
         self.seen_workers.insert(worker);
         self.persist_worker(worker)?;
         Ok(())
@@ -587,13 +591,15 @@ impl Docs {
             self.check_budget_admission_at(last)?;
         }
         self.engine.submit_batch(answers)?;
-        let mut workers: std::collections::BTreeSet<WorkerId> = std::collections::BTreeSet::new();
         for answer in answers {
             self.seen_workers.insert(answer.worker);
-            workers.insert(answer.worker);
         }
-        for worker in workers {
-            self.persist_worker(worker)?;
+        if self.store.is_some() {
+            let workers: std::collections::BTreeSet<WorkerId> =
+                answers.iter().map(|a| a.worker).collect();
+            for worker in workers {
+                self.persist_worker(worker)?;
+            }
         }
         Ok(())
     }
@@ -679,6 +685,8 @@ impl Docs {
             seen_workers: snapshot.seen_workers.into_iter().collect(),
             config: snapshot.config,
             store,
+            scan: ScanScratch::default(),
+            batch_seen: HashSet::new(),
         })
     }
 
