@@ -238,3 +238,53 @@ fn a_periodic_full_run_allocates_the_same_for_any_task_count() {
     let small = run_full(40);
     assert_eq!(run_full(400), small, "400 tasks against 40");
 }
+
+/// The periodic full run as `submit` reaches it, once this thread has run
+/// a campaign of the same size: the answer that crosses `z` is recorded in
+/// buffers that already have room, so what the call allocates is the full
+/// run's alone — today its index, scratch and Δ series.
+#[test]
+fn a_warm_periodic_full_run_through_submit_is_counted_exactly() {
+    let (tasks, log) = campaign(40);
+    let answers: Vec<Answer> = log.iter_answers().collect();
+    let (last, before) = answers.split_last().unwrap();
+    let mut warm = IncrementalTi::new(tasks.clone(), WorkerRegistry::new(6, 0.7), 0);
+    warm.submit_batch(&answers).unwrap();
+    warm.run_full();
+    let mut engine = IncrementalTi::new(tasks, WorkerRegistry::new(6, 0.7), answers.len());
+    engine.submit_batch(before).unwrap();
+    let (allocations, ran) = allocations_during(|| engine.submit(*last));
+    assert!(ran.unwrap(), "the last answer crosses z");
+    assert_eq!(allocations, 16, "a warm periodic full run");
+}
+
+/// Grading a new worker on golden tasks grades it twice, once into the
+/// live registry and once into the golden one, four vectors each; the only
+/// other allocations are the two maps growing (both hold the same workers,
+/// so they grow at the same insert).
+#[test]
+fn golden_grading_is_counted_exactly_per_worker() {
+    let (tasks, _) = campaign(40);
+    let mut engine = IncrementalTi::new(
+        tasks
+            .into_iter()
+            .map(|mut t| {
+                t.ground_truth = Some(0);
+                t
+            })
+            .collect(),
+        WorkerRegistry::new(6, 0.7),
+        0,
+    );
+    let golden: Vec<(TaskId, usize)> = (0..5).map(|t| (TaskId(t), t as usize % 2)).collect();
+    let counts: Vec<u64> = (0..8u32)
+        .map(|w| {
+            let (allocations, graded) =
+                allocations_during(|| engine.grade_worker_on_golden(WorkerId(w), &golden, 1.0));
+            graded.unwrap();
+            allocations
+        })
+        .collect();
+    // The maps grow at their 1st, 4th and 8th worker.
+    assert_eq!(counts, [10, 8, 8, 10, 8, 8, 8, 10], "per graded worker");
+}

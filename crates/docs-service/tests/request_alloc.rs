@@ -1,15 +1,17 @@
 //! What one worker's steady-state round trip costs the allocator, pinned
 //! exactly: a known worker's `request_tasks` and the `submit_answer_batch`
-//! of the HIT it got, on a warmed in-memory pool, for one task shard and
-//! for four. The count covers every thread of the process — the client's
-//! completion slots, and everything the shard thread does for the two
-//! requests (OTA scan, batch validation, apply). Run with `--release` as
-//! well: the claim is about optimised code.
+//! of the HIT it got, on a warmed in-memory pool for one task shard and
+//! for four, and on a warmed durable pool (`EveryEvent` under adaptive
+//! group commit). The count covers every thread of the process — the
+//! client's completion slots, and everything the shard thread does for the
+//! two requests (OTA scan, batch validation, WAL append and group commit,
+//! apply). Run with `--release` as well: the claim is about optimised code.
 //!
 //! The file holds one test on purpose: the counter is process-wide, so no
 //! neighbouring test may allocate while a round trip is measured.
 
 use docs_service::{Client, DocsService, Op, ServiceConfig};
+use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, TaskBuilder, TaskId, WorkerId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,7 +62,7 @@ const K: usize = 4;
 const CROWD: u32 = 3;
 const WORKER: WorkerId = WorkerId(100);
 
-fn campaign(task_shards: usize) -> Docs {
+fn campaign(task_shards: usize, durable_flush: Option<FlushPolicy>) -> Docs {
     let tasks = (0..TASKS)
         .map(|i| {
             TaskBuilder::new(i, format!("task {i}"))
@@ -77,6 +79,7 @@ fn campaign(task_shards: usize) -> Docs {
         // No periodic full inference inside the measured round trip.
         z: 0,
         task_shards,
+        durable_flush,
         ..Default::default()
     };
     Docs::publish(&docs_kb::table2_example_kb(), tasks, config).unwrap()
@@ -90,10 +93,17 @@ fn hit(reply: WorkRequest) -> Vec<TaskId> {
 }
 
 /// `(request_tasks, submit_answer_batch)` allocations of the measured
-/// worker's fourth HIT.
-fn round_trip(task_shards: usize) -> (u64, u64) {
-    let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
-    let c: CampaignId = handle.create_campaign(campaign(task_shards)).unwrap();
+/// worker's fourth HIT, on a pool spawned with `config` serving one
+/// campaign logged under `durable_flush`.
+fn round_trip(
+    config: ServiceConfig,
+    task_shards: usize,
+    durable_flush: Option<FlushPolicy>,
+) -> (u64, u64) {
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let c: CampaignId = handle
+        .create_campaign(campaign(task_shards, durable_flush))
+        .unwrap();
     // The crowd puts three answers on every task, so every task's answer
     // list already holds its first (four-slot) buffer.
     for w in 0..CROWD {
@@ -143,8 +153,24 @@ fn round_trip(task_shards: usize) -> (u64, u64) {
 #[test]
 fn a_steady_state_round_trip_allocates_one_slot_per_ticket_plus_the_hit() {
     assert_eq!(
-        [round_trip(1), round_trip(4)],
+        [
+            round_trip(ServiceConfig::default(), 1, None),
+            round_trip(ServiceConfig::default(), 4, None)
+        ],
         [(2, 1), (2, 1)],
         "(request_tasks, submit_answer_batch) allocations at task_shards = 1 and 4"
+    );
+    let dir = std::env::temp_dir().join(format!("docs-request-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = round_trip(
+        ServiceConfig::durable(1, &dir),
+        1,
+        Some(FlushPolicy::EveryEvent),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        durable,
+        (2, 4),
+        "(request_tasks, submit_answer_batch) allocations on a durable pool"
     );
 }
