@@ -68,7 +68,7 @@ fn bench_incremental_vs_iterative(c: &mut Criterion) {
     group.bench_function("full_iterative_rerun", |b| {
         b.iter(|| {
             let mut e = engine.clone();
-            black_box(e.run_full())
+            black_box(e.run_full());
         })
     });
     group.finish();

@@ -106,7 +106,7 @@ fn stream_fingerprint(tasks: Vec<Task>, log: &AnswerLog, registry: WorkerRegistr
     let mut h = Fnv::new();
     hash_engine(&mut h, &engine);
     let deltas = engine.run_full();
-    h.floats(&deltas);
+    h.floats(deltas);
     hash_engine(&mut h, &engine);
     h.0
 }

@@ -8,7 +8,7 @@
 //! answer streams; the full iterative approach is re-run every `z`
 //! submissions (`z = 100` in DOCS) to restore full accuracy.
 
-use super::iterative::{Converged, TiConfig, TruthInference};
+use super::iterative::{with_workspace, TiConfig, TruthInference};
 use super::sharded::ShardedTiState;
 use super::state::{TaskArena, TaskView};
 use super::stats::WorkerRegistry;
@@ -80,6 +80,8 @@ pub struct IncrementalTi {
     /// Scratch of [`IncrementalTi::submit`]: the task's truth before the
     /// answer is applied.
     s_before: Vec<f64>,
+    /// The Δ series of the latest full run, refilled in place.
+    deltas: Vec<f64>,
 }
 
 impl IncrementalTi {
@@ -104,6 +106,7 @@ impl IncrementalTi {
             ti: TruthInference::new(TiConfig::default()),
             sharding,
             s_before: Vec::new(),
+            deltas: Vec::new(),
         }
     }
 
@@ -163,24 +166,27 @@ impl IncrementalTi {
 
     /// Registers a worker's golden-task performance (Section 5.2): both the
     /// live statistics and the baseline used by periodic full re-inference.
+    /// The worker is graded once; the golden registry gets a copy.
     pub fn init_worker_from_golden<D: Borrow<DomainVector>>(
         &mut self,
         worker: WorkerId,
         golden_answers: &[(TaskId, ChoiceIndex)],
-        task_info: impl Fn(TaskId) -> (D, ChoiceIndex) + Copy,
+        task_info: impl Fn(TaskId) -> (D, ChoiceIndex),
         smoothing: f64,
     ) {
-        self.registry
-            .init_from_golden(worker, golden_answers, task_info, smoothing);
-        self.golden_registry
-            .init_from_golden(worker, golden_answers, task_info, smoothing);
+        let stats = self
+            .registry
+            .graded_on_golden(golden_answers, task_info, smoothing);
+        self.golden_registry.put(worker, stats.clone());
+        self.registry.put(worker, stats);
     }
 
     /// [`IncrementalTi::init_worker_from_golden`] graded against the
     /// engine's own tasks: each golden task's domain vector is read in
     /// place and its manual label is the truth. An id that names no task
-    /// ([`Error::UnknownTask`]) or a task without a label
-    /// ([`Error::GoldenRequired`]) is refused before either registry
+    /// ([`Error::UnknownTask`]), a task without a label
+    /// ([`Error::GoldenRequired`]) or a task named twice
+    /// ([`Error::DuplicateAnswer`]) is refused before either registry
     /// changes.
     pub fn grade_worker_on_golden(
         &mut self,
@@ -188,9 +194,14 @@ impl IncrementalTi {
         golden_answers: &[(TaskId, ChoiceIndex)],
         smoothing: f64,
     ) -> Result<()> {
-        for &(tid, _) in golden_answers {
+        for (i, &(tid, _)) in golden_answers.iter().enumerate() {
             let task = self.tasks.get(tid.index()).ok_or(Error::UnknownTask(tid))?;
             task.ground_truth.ok_or(Error::GoldenRequired(tid))?;
+            // A golden HIT is a handful of tasks: a scan of the ones before
+            // is cheaper than a set.
+            if golden_answers[..i].iter().any(|&(t, _)| t == tid) {
+                return Err(Error::DuplicateAnswer { task: tid, worker });
+            }
         }
         let tasks = &self.tasks;
         let task_info = |tid: TaskId| {
@@ -198,10 +209,11 @@ impl IncrementalTi {
             let truth = task.ground_truth.expect("checked above");
             (task.domain_vector(), truth)
         };
-        self.registry
-            .init_from_golden(worker, golden_answers, task_info, smoothing);
-        self.golden_registry
-            .init_from_golden(worker, golden_answers, task_info, smoothing);
+        let stats = self
+            .registry
+            .graded_on_golden(golden_answers, task_info, smoothing);
+        self.golden_registry.put(worker, stats.clone());
+        self.registry.put(worker, stats);
         Ok(())
     }
 
@@ -269,37 +281,40 @@ impl IncrementalTi {
     }
 
     /// Runs the full iterative approach over everything received so far,
-    /// converging into the engine's own states (no per-run state is
-    /// allocated). Each answering worker's live statistics are overwritten
-    /// in place with the converged quality — which already blends the
-    /// golden/prior evidence — and the run's Eq. 5 denominator
-    /// `û_k + Σ_{t∈T(w)} r^t_k` as the weight, keeping Theorem 1's
-    /// bookkeeping exact.
+    /// converging into the engine's own states. Each answering worker's
+    /// live statistics are overwritten in place with the converged quality
+    /// — which already blends the golden/prior evidence — and the run's
+    /// Eq. 5 denominator `û_k + Σ_{t∈T(w)} r^t_k` as the weight, keeping
+    /// Theorem 1's bookkeeping exact. The run's index and scratch are this
+    /// thread's full-inference workspace, shared by every engine the thread
+    /// runs, so a run no larger than one the thread has done allocates
+    /// nothing.
     ///
     /// Read the results back through [`IncrementalTi::states`],
     /// [`IncrementalTi::truths`] and [`IncrementalTi::registry`]; what is
     /// returned is the per-iteration Δ series of the run.
-    pub fn run_full(&mut self) -> Vec<f64> {
-        let Converged {
-            workers,
-            qualities,
-            weights,
-            deltas,
-        } = self.ti.converge(
-            &self.tasks,
-            &self.log,
-            &self.golden_registry,
-            &mut self.states,
-        );
+    pub fn run_full(&mut self) -> &[f64] {
         let m = self.registry.num_domains();
-        for (w, &id) in workers.iter().enumerate() {
-            let stats = self.registry.get_or_insert(id);
-            stats
-                .quality
-                .copy_from_slice(&qualities[w * m..(w + 1) * m]);
-            stats.weight.copy_from_slice(&weights[w * m..(w + 1) * m]);
-        }
-        deltas
+        with_workspace(|ws| {
+            let run = self.ti.converge(
+                ws,
+                &self.tasks,
+                &self.log,
+                &self.golden_registry,
+                &mut self.states,
+                &mut self.deltas,
+            );
+            for (w, &id) in run.workers.iter().enumerate() {
+                let stats = self.registry.get_or_insert(id);
+                stats
+                    .quality
+                    .copy_from_slice(&run.qualities[w * m..(w + 1) * m]);
+                stats
+                    .weight
+                    .copy_from_slice(&run.weights[w * m..(w + 1) * m]);
+            }
+        });
+        &self.deltas
     }
 
     /// Captures the engine's full state for the durable runtime.
@@ -328,7 +343,8 @@ impl IncrementalTi {
     /// one the kernels would index out of bounds is refused here, naming
     /// the field: tasks without a domain vector of one common length `m`
     /// or with fewer than two choices, registries over another `m` or
-    /// holding statistics of another length, `m_hat` / `s` that do not fit
+    /// holding statistics of another length, a golden registry whose prior
+    /// quality is not the live one's, `m_hat` / `s` that do not fit
     /// the tasks' supports and `ℓ`, and a `log` or `shard_ingested` that
     /// disagrees about the task or shard count.
     pub fn restore(snapshot: TiSnapshot) -> Result<Self> {
@@ -394,6 +410,19 @@ impl IncrementalTi {
                 }
             }
         }
+        // A golden grading is computed once, under the live registry's
+        // prior, and copied into the golden registry: the two must agree.
+        let (live, golden) = (&snapshot.registry, &snapshot.golden_registry);
+        if golden.prior_quality().to_bits() != live.prior_quality().to_bits() {
+            return refuse(
+                "golden_registry",
+                format!(
+                    "prior quality {}, the live registry's {}",
+                    golden.prior_quality(),
+                    live.prior_quality()
+                ),
+            );
+        }
         let mut states = TaskArena::for_tasks(m, &snapshot.tasks);
         let task_shards = snapshot.task_shards.max(1);
         for (field, found, expected) in [
@@ -421,6 +450,7 @@ impl IncrementalTi {
                 epsilon: snapshot.epsilon,
             }),
             s_before: Vec::new(),
+            deltas: Vec::new(),
         })
     }
 
@@ -754,7 +784,7 @@ mod tests {
         let good = inc.snapshot();
         assert!(IncrementalTi::restore(good.clone()).is_ok(), "control");
         type Tamper = fn(&mut TiSnapshot);
-        let cases: [(&str, Tamper); 10] = [
+        let cases: [(&str, Tamper); 11] = [
             ("registry", |s| s.registry = WorkerRegistry::new(2, 0.7)),
             ("golden_registry", |s| {
                 s.golden_registry = WorkerRegistry::new(4, 0.7)
@@ -767,6 +797,9 @@ mod tests {
                     .get_or_insert(WorkerId(3))
                     .weight
                     .push(1.0);
+            }),
+            ("golden_registry", |s| {
+                s.golden_registry = WorkerRegistry::new(3, 0.5)
             }),
             ("tasks", |s| s.tasks[2].domain_vector = None),
             ("tasks", |s| {
@@ -787,6 +820,31 @@ mod tests {
                 .unwrap_or_else(|| panic!("tampered `{field}` restored"));
             assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
         }
+    }
+
+    /// A golden submission that names one task twice would count its label
+    /// twice; it is refused, naming the repeated task, and neither registry
+    /// changes. Named once each, the same tasks grade the worker, and both
+    /// registries hold the same entry.
+    #[test]
+    fn a_golden_submission_naming_a_task_twice_is_refused() {
+        let mut inc = IncrementalTi::new(make_tasks(4, 2), WorkerRegistry::new(2, 0.7), 0);
+        let w = WorkerId(3);
+        let twice = [(TaskId(0), 0), (TaskId(2), 0), (TaskId(0), 0)];
+        assert_eq!(
+            inc.grade_worker_on_golden(w, &twice, 1.0),
+            Err(Error::DuplicateAnswer {
+                task: TaskId(0),
+                worker: w
+            })
+        );
+        assert!(!inc.registry().contains(w) && !inc.golden_registry.contains(w));
+        inc.grade_worker_on_golden(w, &twice[..2], 1.0).unwrap();
+        let graded = inc.registry().get(w).unwrap();
+        // Domain 0: (0.7·1 + 1 + 1) / (1 + 1 + 1) = 0.9.
+        assert_eq!(graded.quality, [0.9, 0.7]);
+        assert_eq!(graded.weight, [2.0, 0.0]);
+        assert_eq!(inc.golden_registry.get(w), Some(graded));
     }
 
     #[test]

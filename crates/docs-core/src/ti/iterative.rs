@@ -3,6 +3,7 @@
 use super::state::{clamp_quality, miss_likelihood, TaskArena};
 use super::stats::WorkerRegistry;
 use docs_types::{prob, AnswerLog, ChoiceIndex, Task, WorkerId};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Configuration of the iterative approach.
@@ -119,7 +120,9 @@ impl TruthInference {
     pub fn run(&self, tasks: &[Task], answers: &AnswerLog, registry: &WorkerRegistry) -> TiResult {
         let m = registry.num_domains();
         let mut states = TaskArena::for_tasks(m, tasks);
-        let run = self.converge(tasks, answers, registry, &mut states);
+        let mut deltas = Vec::new();
+        let mut ws = Workspace::default();
+        let run = self.converge(&mut ws, tasks, answers, registry, &mut states, &mut deltas);
         let qualities = run
             .workers
             .iter()
@@ -130,28 +133,33 @@ impl TruthInference {
             truths: states.truths(),
             states,
             qualities,
-            deltas: run.deltas,
+            deltas,
         }
     }
 
     /// The iterative approach, converged into `states`: every task restarts
     /// from the uniform prior (so Δ is measured against it, whatever the
-    /// arena held), then Steps 1 and 2 alternate until Δ < ε.
+    /// arena held), then Steps 1 and 2 alternate until Δ < ε. `deltas` is
+    /// refilled with Δ after each iteration; the per-worker results are
+    /// returned borrowed from `ws`.
     ///
     /// The loop is support-sparse and allocation-free (see "Inference
     /// kernels" in ARCHITECTURE.md): `s_i = r × M^{(i)}` reads only the rows
     /// `k` with `r_k ≠ 0`, which are the only rows the arena stores, so
     /// Steps 1 and 2 touch only those. Every stored value is the same bits
     /// the dense textbook loop produces on those rows (`ti::oracle` holds
-    /// that loop and the tests comparing the two). A run's allocations are
-    /// its index and scratch, a count the number of tasks does not move.
-    pub(super) fn converge(
+    /// that loop and the tests comparing the two). A run's index and scratch
+    /// live in `ws` and are refilled in place, so a run on a workspace that
+    /// has served a campaign at least this large allocates nothing.
+    pub(super) fn converge<'w>(
         &self,
+        ws: &'w mut Workspace,
         tasks: &[Task],
         answers: &AnswerLog,
         registry: &WorkerRegistry,
         arena: &mut TaskArena,
-    ) -> Converged {
+        deltas: &mut Vec<f64>,
+    ) -> Converged<'w> {
         // Converged as a local and put back: the loops store through other
         // pointers, after which the buffers of an arena behind a reference
         // would be reloaded on every task (measured ~10 % of Steps 1–2).
@@ -165,12 +173,24 @@ impl TruthInference {
         debug_assert_eq!(states.len(), tasks.len());
         let m = registry.num_domains();
         let n = tasks.len();
+        let Workspace {
+            workers: worker_ids,
+            votes,
+            answered,
+            qualities,
+            den,
+            init_qualities,
+            num_seed,
+            likelihoods,
+            prev_s,
+            num,
+        } = ws;
 
         // Dense worker index in sorted id order (see `AnswerLog::workers`):
         // Step 2 accumulates `delta_q` over workers, and the accumulation
         // order must not depend on hash-map layout or convergence becomes
         // process-random.
-        let worker_ids: Vec<WorkerId> = answers.workers().collect();
+        answers.workers_into(worker_ids);
         let num_workers = worker_ids.len();
         let wm = num_workers * m;
         let dense = |w: WorkerId| {
@@ -179,16 +199,15 @@ impl TruthInference {
                 .expect("every answering worker is in the log's worker set")
         };
 
-        // `V(i)` and `T(w)`, each in one allocation and in the log's
-        // arrival order.
-        let votes = Csr::from_rows(
+        // `V(i)` and `T(w)`, in the log's arrival order.
+        votes.fill(
             answers.len(),
             tasks.iter().map(|t| {
                 let v = answers.task_answers(t.id);
                 v.iter().map(|&(w, choice)| (dense(w), choice))
             }),
         );
-        let answered = Csr::from_rows(
+        answered.fill(
             answers.len(),
             worker_ids.iter().map(|&w| {
                 let t = answers.worker_answers(w);
@@ -202,9 +221,11 @@ impl TruthInference {
         // with their recorded weight `u^w_k` — the Theorem 1 merge between
         // stored statistics and the current batch. Unseen workers carry zero
         // weight and reduce to the plain Eq. 5.
-        let mut qualities: Vec<f64> = Vec::with_capacity(wm);
-        let mut den: Vec<f64> = Vec::with_capacity(wm);
-        for &w in &worker_ids {
+        qualities.clear();
+        den.clear();
+        qualities.reserve(wm);
+        den.reserve(wm);
+        for &w in worker_ids.iter() {
             match registry.get(w) {
                 Some(stats) => {
                     qualities.extend_from_slice(&stats.quality[..m]);
@@ -218,18 +239,21 @@ impl TruthInference {
                 }
             }
         }
-        let init_qualities = qualities.clone();
+        init_qualities.clear();
+        init_qualities.extend_from_slice(qualities);
         // Eq. 5's sums seeded with the registry evidence (golden answers /
         // previous batches): numerator q̂_k·û_k, denominator û_k. The
         // denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on `s`, so
         // it is summed once; it is also the worker's new weight. The
         // `+ 0.0` is what the dense loop's first `r_k · s = 0` term did to
         // a `-0.0` seed.
-        let num_seed: Vec<f64> = init_qualities
-            .iter()
-            .zip(&den)
-            .map(|(&q, &u)| q * u + 0.0)
-            .collect();
+        num_seed.clear();
+        num_seed.extend(
+            init_qualities
+                .iter()
+                .zip(den.iter())
+                .map(|(&q, &u)| q * u + 0.0),
+        );
         for w in 0..num_workers {
             for &(i, _) in answered.row(w) {
                 for &(k, rk) in states.support_of(i) {
@@ -238,19 +262,19 @@ impl TruthInference {
             }
         }
 
-        let mut likelihoods = LikelihoodTables::new(tasks, num_workers, m);
+        likelihoods.reset(tasks, num_workers, m);
 
         for i in 0..n {
             states.reset(i);
         }
-        let max_choices = tasks.iter().map(Task::num_choices).max().unwrap_or(0);
-        let mut prev_s: Vec<f64> = Vec::with_capacity(max_choices);
-        let mut num = vec![0.0; m];
+        // Seeded per worker below.
+        num.resize(m, 0.0);
 
         // (The paper's runs converge within ~20 iterations.)
-        let mut deltas = Vec::with_capacity(self.config.max_iterations.min(32));
+        deltas.clear();
+        deltas.reserve(self.config.max_iterations.min(32));
         for _ in 0..self.config.max_iterations {
-            likelihoods.refresh(&qualities);
+            likelihoods.refresh(qualities);
 
             // ---- Step 1: infer the truth (q^w → s_i), Eqs. 2-4. ----
             let mut delta_s = 0.0;
@@ -260,7 +284,7 @@ impl TruthInference {
                 let (hit, miss) = likelihoods.of_task(i);
                 states.recompute(i, votes.row(i), hit, miss);
                 let s = states.s_of(i);
-                delta_s += prob::l1_distance(&prev_s, s) / (n as f64 * s.len() as f64);
+                delta_s += prob::l1_distance(prev_s, s) / (n as f64 * s.len() as f64);
             }
 
             // ---- Step 2: estimate worker quality (s_i → q^w), Eq. 5. ----
@@ -304,46 +328,85 @@ impl TruthInference {
             workers: worker_ids,
             qualities,
             weights: den,
-            deltas,
         }
     }
 }
 
 /// What [`TruthInference::converge`] leaves beside the states, per worker
-/// of the log in ascending id order: flat `W × m` buffers.
-pub(super) struct Converged {
+/// of the log in ascending id order: flat `W × m` buffers, borrowed from
+/// the run's [`Workspace`].
+pub(super) struct Converged<'a> {
     /// The log's workers, ascending.
-    pub(super) workers: Vec<WorkerId>,
+    pub(super) workers: &'a [WorkerId],
     /// Converged qualities.
-    pub(super) qualities: Vec<f64>,
+    pub(super) qualities: &'a [f64],
     /// Eq. 5's denominators `û_k + Σ_{t ∈ T(w)} r^t_k`: the registry weight
     /// (Theorem 1) after the run.
-    pub(super) weights: Vec<f64>,
-    /// Δ after each iteration.
-    pub(super) deltas: Vec<f64>,
+    pub(super) weights: &'a [f64],
+}
+
+/// Every buffer of one full-inference run: the dense worker index, `V(i)`
+/// and `T(w)`, the flat `W × m` qualities and Eq. 5 sums, the likelihood
+/// tables and the per-task scratch. A run refills them in place, so they
+/// only ever grow to the largest campaign their owner has converged.
+/// Working memory: no snapshot records it.
+#[derive(Debug, Default)]
+pub(super) struct Workspace {
+    workers: Vec<WorkerId>,
+    votes: Csr<(usize, ChoiceIndex)>,
+    answered: Csr<(usize, ChoiceIndex)>,
+    qualities: Vec<f64>,
+    den: Vec<f64>,
+    init_qualities: Vec<f64>,
+    num_seed: Vec<f64>,
+    likelihoods: LikelihoodTables,
+    prev_s: Vec<f64>,
+    num: Vec<f64>,
+}
+
+thread_local! {
+    /// The periodic full runs' [`Workspace`], one per thread: a shard
+    /// thread converges its campaigns one at a time, so they share one
+    /// set of buffers sized by the largest of them instead of each holding
+    /// its own.
+    static WORKSPACE: RefCell<Workspace> = RefCell::default();
+}
+
+/// Runs `run` on this thread's full-inference [`Workspace`].
+pub(super) fn with_workspace<R>(run: impl FnOnce(&mut Workspace) -> R) -> R {
+    WORKSPACE.with(|ws| run(&mut ws.borrow_mut()))
 }
 
 /// Compressed sparse rows: `row(i)` is the `i`-th of a sequence of
-/// variable-length lists held in one allocation.
+/// variable-length lists held in one buffer.
+#[derive(Debug)]
 struct Csr<T> {
     ptr: Vec<usize>,
     items: Vec<T>,
 }
 
-impl<T> Csr<T> {
-    /// `len` is the total item count, so each buffer is allocated once.
-    fn from_rows<R: Iterator<Item = T>>(
-        len: usize,
-        rows: impl ExactSizeIterator<Item = R>,
-    ) -> Self {
-        let mut ptr = Vec::with_capacity(rows.len() + 1);
-        let mut items = Vec::with_capacity(len);
-        ptr.push(0);
-        for row in rows {
-            items.extend(row);
-            ptr.push(items.len());
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            ptr: Vec::new(),
+            items: Vec::new(),
         }
-        Csr { ptr, items }
+    }
+}
+
+impl<T> Csr<T> {
+    /// Refills the rows in place; `len` is the total item count, so a
+    /// buffer that is too small grows once.
+    fn fill<R: Iterator<Item = T>>(&mut self, len: usize, rows: impl ExactSizeIterator<Item = R>) {
+        self.ptr.clear();
+        self.items.clear();
+        self.ptr.reserve(rows.len() + 1);
+        self.items.reserve(len);
+        self.ptr.push(0);
+        for row in rows {
+            self.items.extend(row);
+            self.ptr.push(self.items.len());
+        }
     }
 
     #[inline]
@@ -355,6 +418,7 @@ impl<T> Csr<T> {
 /// Eq. 4 per (worker, domain), refreshed once per iteration instead of
 /// evaluated per (answer, domain, choice): `hit` for an answer that matches
 /// the truth, and one `miss` table per distinct `ℓ` in the campaign.
+#[derive(Debug, Default)]
 struct LikelihoodTables {
     /// `W × m`, worker-major like the flat quality buffer.
     hit: Vec<f64>,
@@ -367,23 +431,21 @@ struct LikelihoodTables {
 }
 
 impl LikelihoodTables {
-    fn new(tasks: &[Task], num_workers: usize, m: usize) -> Self {
-        let mut ells: Vec<usize> = tasks.iter().map(Task::num_choices).collect();
-        ells.sort_unstable();
-        ells.dedup();
-        let ell_slot = tasks
-            .iter()
-            .map(|t| {
-                ells.binary_search(&t.num_choices())
-                    .expect("collected above")
-            })
-            .collect();
-        LikelihoodTables {
-            hit: vec![0.0; num_workers * m],
-            miss: vec![0.0; ells.len() * num_workers * m],
-            ells,
-            ell_slot,
-        }
+    /// Re-shapes the tables for a run over `tasks` and `num_workers`
+    /// workers; [`LikelihoodTables::refresh`] overwrites every entry.
+    fn reset(&mut self, tasks: &[Task], num_workers: usize, m: usize) {
+        self.ells.clear();
+        self.ells.extend(tasks.iter().map(Task::num_choices));
+        self.ells.sort_unstable();
+        self.ells.dedup();
+        let ells = &self.ells;
+        self.ell_slot.clear();
+        self.ell_slot.extend(tasks.iter().map(|t| {
+            ells.binary_search(&t.num_choices())
+                .expect("collected above")
+        }));
+        self.hit.resize(num_workers * m, 0.0);
+        self.miss.resize(ells.len() * num_workers * m, 0.0);
     }
 
     fn refresh(&mut self, qualities: &[f64]) {

@@ -395,7 +395,7 @@ fn assert_bit_identical(
     snapshot.max_iterations = config.max_iterations;
     snapshot.epsilon = config.epsilon;
     let mut engine = IncrementalTi::restore(snapshot).expect("own snapshot");
-    let deltas = engine.run_full();
+    let deltas = engine.run_full().to_vec();
     // The replay is grouped by task, so `T(w)` is in another order than in
     // `log`: the dense loop runs on the engine's own log.
     let dense = run(config, tasks, engine.log(), registry);

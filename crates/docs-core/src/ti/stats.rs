@@ -173,12 +173,7 @@ impl WorkerRegistry {
     }
 
     /// Initializes a worker's statistics from her answers on golden tasks
-    /// (Section 5.2): per domain, quality is the `r_k`-weighted fraction of
-    /// correct golden answers, smoothed toward the prior with pseudo-weight
-    /// `smoothing` so a single golden task cannot set `q_k` to an extreme.
-    ///
-    /// `task_info` returns a golden task's domain vector and truth; the
-    /// vector may be borrowed (`&DomainVector`) or owned.
+    /// (Section 5.2): [`WorkerRegistry::graded_on_golden`], stored.
     pub fn init_from_golden<D: Borrow<DomainVector>>(
         &mut self,
         w: WorkerId,
@@ -186,26 +181,59 @@ impl WorkerRegistry {
         task_info: impl Fn(TaskId) -> (D, ChoiceIndex),
         smoothing: f64,
     ) {
-        let mut quality = vec![self.prior_quality; self.m];
-        let mut weight = vec![0.0; self.m];
-        let mut num = vec![self.prior_quality * smoothing; self.m];
-        let mut den = vec![smoothing; self.m];
+        let stats = self.graded_on_golden(golden, task_info, smoothing);
+        self.stats.insert(w, stats);
+    }
+
+    /// The statistics a worker's answers on golden tasks grade her with
+    /// (Section 5.2): per domain, quality is the `r_k`-weighted fraction of
+    /// correct golden answers, smoothed toward the prior with pseudo-weight
+    /// `smoothing` so a single golden task cannot set `q_k` to an extreme,
+    /// and the weight is `Σ r_k`. The entry's two vectors are the only
+    /// allocations.
+    ///
+    /// `task_info` returns a golden task's domain vector and truth; the
+    /// vector may be borrowed (`&DomainVector`) or owned. It is called twice
+    /// per answer: the smoothed denominator `smoothing + Σ r_k` and the
+    /// weight `Σ r_k` are summed in separate passes, each in answer order,
+    /// so both keep the bits of a direct sum.
+    pub fn graded_on_golden<D: Borrow<DomainVector>>(
+        &self,
+        golden: &[(TaskId, ChoiceIndex)],
+        task_info: impl Fn(TaskId) -> (D, ChoiceIndex),
+        smoothing: f64,
+    ) -> WorkerStats {
+        let (m, prior) = (self.m, self.prior_quality);
+        // First pass: the numerator in `quality`, the denominator in
+        // `weight`.
+        let mut quality = vec![prior * smoothing; m];
+        let mut weight = vec![smoothing; m];
         for &(tid, choice) in golden {
             let (r, truth) = task_info(tid);
             let r = r.borrow();
             let correct = if choice == truth { 1.0 } else { 0.0 };
-            for k in 0..self.m {
-                num[k] += r[k] * correct;
-                den[k] += r[k];
+            for k in 0..m {
+                quality[k] += r[k] * correct;
                 weight[k] += r[k];
             }
         }
-        for k in 0..self.m {
-            if den[k] > 0.0 {
-                quality[k] = num[k] / den[k];
+        for k in 0..m {
+            quality[k] = if weight[k] > 0.0 {
+                quality[k] / weight[k]
+            } else {
+                prior
+            };
+            weight[k] = 0.0;
+        }
+        // Second pass: the weight.
+        for &(tid, _) in golden {
+            let (r, _) = task_info(tid);
+            let r = r.borrow();
+            for k in 0..m {
+                weight[k] += r[k];
             }
         }
-        self.stats.insert(w, WorkerStats { quality, weight });
+        WorkerStats { quality, weight }
     }
 
     /// Iterates over all tracked workers.

@@ -109,15 +109,22 @@ impl ShardDurability {
         Ok(())
     }
 
-    /// Appends one event to the log and queues it for shipping (without a
-    /// sink the payload is dropped). The queued payload is the exact WAL
-    /// record payload, so followers replay the same bytes recovery would;
-    /// the append path is done with it, so shipping moves the allocation
-    /// instead of copying it.
+    /// Appends one event to the log, encoded once straight into the
+    /// group-commit buffer, and queues it for shipping. With a sink the
+    /// record just written is copied out as the frame's payload — the exact
+    /// WAL record payload, so followers replay the same bytes recovery
+    /// would; without one nothing is allocated.
     fn append(&mut self, campaign: CampaignId, event: &CampaignEvent) -> docs_types::Result<()> {
-        let payload = codec::encode_event(event);
-        let seq = self.log.append_event(campaign, &payload)?;
-        if self.sink.is_some() {
+        let ship = self.sink.is_some();
+        let mut payload = None;
+        let seq = self.log.append_event_with(campaign, |buf| {
+            let start = buf.len();
+            codec::encode_event_into(event, buf);
+            if ship {
+                payload = Some(buf[start..].to_vec());
+            }
+        })?;
+        if let Some(payload) = payload {
             self.unshipped.push(Unshipped::Event(EventFrame {
                 campaign,
                 seq,
@@ -901,6 +908,79 @@ mod tests {
         assert_eq!(answered.try_take().unwrap().unwrap().correlation, 3);
         assert_eq!(read.try_take().unwrap().unwrap().correlation, 4);
         assert_eq!(shard.wait(), Wait::Block);
+        shard.stop(false);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With a replication sink, every event a shard logs ships as the
+    /// record the codec encodes for it: the payload copied out of the
+    /// group-commit buffer the event was encoded into is `encode_event(e)`,
+    /// for the `Published` marker, a golden submission, a batch and the
+    /// finish, in that order.
+    #[test]
+    fn a_shipped_payload_is_the_events_codec_record() {
+        let dir = tmp_dir("shard-ship");
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let config = ServiceConfig::durable(1, &dir).with_replication(ReplicationSink::new(tx));
+        let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(ReplicaRole::Primary));
+        let next_campaign = Arc::new(AtomicU32::new(1));
+        let mut shard = Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
+        let docs = published(9, Some(FlushPolicy::EveryEvent));
+        let (c, w) = (CampaignId(0), WorkerId(0));
+        let golden: Vec<_> = docs
+            .golden_ids()
+            .iter()
+            .map(|&g| (g, g.index() % 2))
+            .collect();
+        let batch = vec![Answer::new(w, TaskId(4), 0), Answer::new(w, TaskId(7), 1)];
+        let logged = [
+            CampaignEvent::Published(PublishedEvent {
+                campaign: c,
+                num_tasks: 9,
+                num_golden: golden.len() as u32,
+            }),
+            CampaignEvent::golden(w, golden.clone()),
+            CampaignEvent::answer_batch(batch.clone()),
+            CampaignEvent::finished(),
+        ];
+        let create = Request::CreateCampaign {
+            campaign: c,
+            docs: Box::new(docs),
+        };
+        for (i, request) in [
+            create,
+            Op::submit_golden(c, w, golden).request,
+            Op::submit_answer_batch(c, batch).request,
+            Op::finish(c).request,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (input, slot) = inbound(i as u64, request);
+            shard.step(input);
+            shard.step(Input::QueueEmpty);
+            assert!(
+                !matches!(slot.wait().unwrap().response, Response::Rejected(_)),
+                "request {i}"
+            );
+        }
+        let shipped: Vec<EventFrame> = std::iter::from_fn(|| rx.try_recv().ok())
+            .filter_map(|frame| match frame {
+                ReplicationFrame::Events(events) => Some(events),
+                ReplicationFrame::Snapshot(_) => None,
+            })
+            .flatten()
+            .collect();
+        let seqs: Vec<u64> = shipped.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1, 2, 3, 4]);
+        for (frame, event) in shipped.iter().zip(&logged) {
+            assert_eq!(
+                frame.payload,
+                codec::encode_event(event),
+                "{}",
+                event.kind()
+            );
+        }
         shard.stop(false);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -149,28 +149,27 @@ fn round_trip(
 
 /// A request is one completion slot plus the HIT it returns; the batch
 /// submission is its completion slot alone — the answers travel as the
-/// request's own vector, filtered in place and applied as the event.
+/// request's own vector, filtered in place and applied as the event. A
+/// durable pool costs the same: the batch is validated in the campaign's
+/// reused set and encoded once, straight into the group-commit buffer.
 #[test]
 fn a_steady_state_round_trip_allocates_one_slot_per_ticket_plus_the_hit() {
-    assert_eq!(
-        [
-            round_trip(ServiceConfig::default(), 1, None),
-            round_trip(ServiceConfig::default(), 4, None)
-        ],
-        [(2, 1), (2, 1)],
-        "(request_tasks, submit_answer_batch) allocations at task_shards = 1 and 4"
-    );
     let dir = std::env::temp_dir().join(format!("docs-request-alloc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durable = round_trip(
-        ServiceConfig::durable(1, &dir),
-        1,
-        Some(FlushPolicy::EveryEvent),
-    );
+    let counts = [
+        round_trip(ServiceConfig::default(), 1, None),
+        round_trip(ServiceConfig::default(), 4, None),
+        round_trip(
+            ServiceConfig::durable(1, &dir),
+            1,
+            Some(FlushPolicy::EveryEvent),
+        ),
+    ];
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
-        durable,
-        (2, 4),
-        "(request_tasks, submit_answer_batch) allocations on a durable pool"
+        counts,
+        [(2, 1); 3],
+        "(request_tasks, submit_answer_batch) allocations at task_shards = 1 and 4, \
+         then on a durable pool"
     );
 }

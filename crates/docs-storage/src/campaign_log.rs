@@ -298,12 +298,24 @@ impl CampaignLog {
     /// [`CampaignLog::flush`] and handle its error — the service does so
     /// on `finish`, creation, and shutdown.
     pub fn append_event(&mut self, campaign: CampaignId, payload: &[u8]) -> Result<u64> {
+        self.append_event_with(campaign, |record| record.put_slice(payload))
+    }
+
+    /// [`CampaignLog::append_event`] with the payload written in place:
+    /// `write_payload` appends it straight to the group-commit buffer (the
+    /// record's header and campaign/sequence prefix are already there), so
+    /// an event is encoded once and never copied on its way to the segment.
+    pub fn append_event_with(
+        &mut self,
+        campaign: CampaignId,
+        write_payload: impl FnOnce(&mut BytesMut),
+    ) -> Result<u64> {
         let seq = self.last_seq(campaign) + 1;
         self.seqs.insert(campaign, seq);
         Wal::encode_record_with(&mut self.pending, |record| {
             record.put_u32_le(campaign.0);
             record.put_u64_le(seq);
-            record.put_slice(payload);
+            write_payload(record);
         });
         self.pending_events += 1;
         if self.pending_events == 1 {
@@ -711,6 +723,64 @@ mod tests {
     /// can compare against plain `Vec<u8>` literals.
     fn owned(events: &[(u64, PayloadBytes)]) -> Vec<(u64, Vec<u8>)> {
         events.iter().map(|(seq, p)| (*seq, p.to_vec())).collect()
+    }
+
+    /// An event encoded in place (`append_event_with` +
+    /// `encode_event_into`) leaves the segment byte for byte as encoding it
+    /// first and appending the record (`encode_event` + `append_event`)
+    /// does, over a stream of golden submissions, batches and finishes
+    /// interleaved across two campaigns.
+    #[test]
+    fn events_encoded_in_place_write_the_bytes_of_an_appended_record() {
+        use docs_types::{codec, Answer, CampaignEvent, TaskId, WorkerId};
+        let batch = |w: u32, tasks: &[u32]| {
+            let answers = tasks
+                .iter()
+                .map(|&t| Answer::new(WorkerId(w), TaskId(t), (t % 2) as usize))
+                .collect();
+            CampaignEvent::answer_batch(answers)
+        };
+        let stream = [
+            (
+                C0,
+                CampaignEvent::golden(WorkerId(3), vec![(TaskId(0), 1), (TaskId(5), 0)]),
+            ),
+            (
+                C1,
+                CampaignEvent::golden(WorkerId(300), vec![(TaskId(200), 2)]),
+            ),
+            (C0, batch(3, &[1, 2, 3, 4])),
+            (C1, batch(300, &[7, 128, 65_536])),
+            (C0, batch(9, &[])),
+            (C0, CampaignEvent::finished()),
+            (C1, batch(4, &[1])),
+            (C1, CampaignEvent::finished()),
+        ];
+        let segment = |name: &str, in_place: bool| -> Vec<u8> {
+            let dir = tmp_dir(name);
+            let mut log = CampaignLog::open(&dir).unwrap();
+            for c in [C0, C1] {
+                log.register(c, FlushPolicy::Batch(usize::MAX), 0);
+            }
+            for (c, event) in &stream {
+                if in_place {
+                    log.append_event_with(*c, |buf| codec::encode_event_into(event, buf))
+                } else {
+                    log.append_event(*c, &codec::encode_event(event))
+                }
+                .unwrap();
+            }
+            log.flush().unwrap();
+            let indices = segment_indices(&dir).unwrap();
+            assert_eq!(indices.len(), 1, "{name}: one segment");
+            let bytes = std::fs::read(segment_path(&dir, indices[0])).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        };
+        let in_place = segment("in-place", true);
+        let (records, tail) = Wal::scan(&in_place);
+        assert_eq!((records.len(), tail), (stream.len(), WalTail::Clean));
+        assert_eq!(in_place, segment("appended", false));
     }
 
     #[test]

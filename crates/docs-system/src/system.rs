@@ -154,8 +154,9 @@ pub struct Docs {
     /// The OTA scan's buffers, reused by every request. Working state: no
     /// snapshot records it.
     scan: ScanScratch,
-    /// The `(worker, task)` pairs of the answer batch being filtered,
-    /// cleared per batch. Working state: no snapshot records it.
+    /// The `(worker, task)` pairs of the answer batch being filtered or the
+    /// event being validated, cleared per call. Working state: no snapshot
+    /// records it.
     batch_seen: HashSet<(WorkerId, TaskId)>,
 }
 
@@ -501,10 +502,31 @@ impl Docs {
     }
 
     /// Checks whether an event would be accepted by [`Docs::apply`], without
-    /// touching any state. The durable runtime calls this *before* logging a
-    /// command so rejected requests (duplicate answers, unknown tasks) never
-    /// reach the write-ahead log.
-    pub fn validate_event(&self, event: &CampaignEvent) -> Result<()> {
+    /// touching any state but the campaign's working buffers. The durable
+    /// runtime calls this *before* logging a command so rejected requests
+    /// (duplicate answers, unknown tasks) never reach the write-ahead log.
+    pub fn validate_event(&mut self, event: &CampaignEvent) -> Result<()> {
+        // The pairs a golden submission or a batch has named so far, in the
+        // campaign's reused set (taken out so the checks can borrow `self`).
+        let mut seen = std::mem::take(&mut self.batch_seen);
+        seen.clear();
+        let verdict = self.validate_event_with(event, &mut seen);
+        self.batch_seen = seen;
+        verdict
+    }
+
+    fn validate_event_with(
+        &self,
+        event: &CampaignEvent,
+        seen: &mut HashSet<(WorkerId, TaskId)>,
+    ) -> Result<()> {
+        let mut first_time = |worker: WorkerId, task: TaskId| {
+            if seen.insert((worker, task)) {
+                Ok(())
+            } else {
+                Err(Error::DuplicateAnswer { task, worker })
+            }
+        };
         match event {
             CampaignEvent::Published(_) | CampaignEvent::Finished(_) => Ok(()),
             CampaignEvent::GoldenSubmitted(g) => {
@@ -520,6 +542,8 @@ impl Docs {
                         // worker — distinct from an id that doesn't exist.
                         return Err(Error::GoldenRequired(tid));
                     }
+                    // A task named twice would count its label twice.
+                    first_time(g.worker, tid)?;
                 }
                 Ok(())
             }
@@ -530,15 +554,9 @@ impl Docs {
                 // position), no duplicates within the batch (the service
                 // pre-filters with `filter_answer_batch`, so a failure
                 // here means a mispaired or tampered log).
-                let mut seen: HashSet<(WorkerId, TaskId)> = HashSet::new();
                 for (i, answer) in b.answers.iter().enumerate() {
                     self.validate_answer_at(answer, i)?;
-                    if !seen.insert((answer.worker, answer.task)) {
-                        return Err(Error::DuplicateAnswer {
-                            task: answer.task,
-                            worker: answer.worker,
-                        });
-                    }
+                    first_time(answer.worker, answer.task)?;
                 }
                 Ok(())
             }
@@ -1565,6 +1583,40 @@ mod tests {
             }))
             .is_ok());
         assert_eq!(docs.answers_collected(), before, "validation is pure");
+    }
+
+    /// A golden submission naming one task twice would count that label
+    /// twice. The durable runtime's front (`validate_event`) and the
+    /// transition itself (`submit_golden`) both refuse it, naming the
+    /// repeated task, and the worker stays ungraded in both registries.
+    #[test]
+    fn a_golden_submission_naming_a_task_twice_is_refused() {
+        let kb = table2_example_kb();
+        let mut docs = Docs::publish(&kb, example_tasks(6), small_config()).unwrap();
+        let w = WorkerId(7);
+        let (g, h) = (docs.golden_ids()[0], docs.golden_ids()[1]);
+        let label = |t: TaskId| docs.tasks()[t.index()].ground_truth.unwrap();
+        let (g_label, h_label) = (label(g), label(h));
+        let twice = vec![(g, g_label), (h, h_label), (g, g_label)];
+        let duplicate = Err(Error::DuplicateAnswer { task: g, worker: w });
+        assert_eq!(
+            docs.validate_event(&CampaignEvent::golden(w, twice.clone())),
+            duplicate
+        );
+        assert_eq!(docs.submit_golden(w, &twice), duplicate);
+        let engine = docs.snapshot().engine;
+        assert!(!engine.registry.contains(w) && !engine.golden_registry.contains(w));
+        assert!(docs.snapshot().seen_workers.is_empty());
+        // Once each, the same tasks grade the worker.
+        let once = &twice[..2];
+        assert_eq!(
+            docs.validate_event(&CampaignEvent::golden(w, once.to_vec())),
+            Ok(())
+        );
+        docs.submit_golden(w, once).unwrap();
+        let engine = docs.snapshot().engine;
+        assert_eq!(engine.registry.get(w), engine.golden_registry.get(w));
+        assert!(engine.registry.contains(w));
     }
 
     #[test]

@@ -131,9 +131,17 @@ impl AnswerLog {
     /// assignment stream itself) differ between *processes*, breaking the
     /// byte-reproducibility the scenario harness pins.
     pub fn workers(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        let mut ids: Vec<WorkerId> = self.by_worker.keys().copied().collect();
-        ids.sort_unstable();
+        let mut ids = Vec::new();
+        self.workers_into(&mut ids);
         ids.into_iter()
+    }
+
+    /// [`AnswerLog::workers`] written into `ids` (cleared first), so a
+    /// caller that asks again reuses its buffer.
+    pub fn workers_into(&self, ids: &mut Vec<WorkerId>) {
+        ids.clear();
+        ids.extend(self.by_worker.keys().copied());
+        ids.sort_unstable();
     }
 
     /// Number of distinct workers.
