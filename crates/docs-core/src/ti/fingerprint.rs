@@ -11,8 +11,14 @@
 //! the reason.
 
 use super::oracle::{campaign, Sparsity};
+use super::state::{clamp_quality, miss_likelihood, RESCALE_BELOW};
 use super::{IncrementalTi, TruthInference, WorkerRegistry, WorkerStats};
-use docs_types::{codec, Answer, AnswerLog, DomainVector, Task, TaskBuilder, TaskId, WorkerId};
+use docs_types::{
+    codec, Answer, AnswerLog, ChoiceIndex, DomainVector, Task, TaskBuilder, TaskId, WorkerId,
+};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -77,11 +83,17 @@ fn run_fingerprint(tasks: &[Task], log: &AnswerLog, registry: &WorkerRegistry) -
     h.0
 }
 
-/// The log replayed through an [`IncrementalTi`] with `z = 3` (so periodic
-/// full runs fire mid-stream), round-robin over the tasks, through a codec
-/// snapshot → restore halfway; hashed after the stream, then after one
-/// more explicit full run together with that run's Δ.
-fn stream_fingerprint(tasks: Vec<Task>, log: &AnswerLog, registry: WorkerRegistry) -> u64 {
+/// The log replayed through an [`IncrementalTi`] that runs full inference
+/// every `z` submissions (so periodic full runs fire mid-stream),
+/// round-robin over the tasks, through a codec snapshot → restore halfway;
+/// hashed after the stream, then after one more explicit full run together
+/// with that run's Δ.
+fn stream_fingerprint(
+    tasks: Vec<Task>,
+    log: &AnswerLog,
+    registry: WorkerRegistry,
+    z: usize,
+) -> u64 {
     let mut stream: Vec<(usize, Answer)> = log
         .iter_tasks()
         .flat_map(|(task, votes)| {
@@ -93,7 +105,7 @@ fn stream_fingerprint(tasks: Vec<Task>, log: &AnswerLog, registry: WorkerRegistr
         .collect();
     stream.sort_by_key(|&(at, a)| (at, a.task));
     let half = stream.len() / 2;
-    let mut engine = IncrementalTi::new(tasks, registry, 3);
+    let mut engine = IncrementalTi::new(tasks, registry, z);
     for &(_, answer) in &stream[..half] {
         engine.submit(answer).expect("the campaign's own answers");
     }
@@ -134,9 +146,158 @@ fn negative_zero_weight() -> (Vec<Task>, AnswerLog, WorkerRegistry) {
     (vec![task], log, registry)
 }
 
+/// The paper's deployment shape (Section 6): yes/no tasks over 26 domains,
+/// each task's domain vector on one or two of them, 8–12 answers per task
+/// from workers graded on golden tasks (Section 5.2), and one last task
+/// answered by [`BIG`] golden-graded workers. Every row of that task's
+/// likelihood product falls below the rescale threshold (see
+/// [`the_paper_shaped_case_reaches_the_rescale_fallback`]), so full
+/// inference rebuilds it through the rescale fallback in every iteration.
+fn paper_shaped() -> (Vec<Task>, AnswerLog, WorkerRegistry) {
+    const M: usize = 26;
+    const N: usize = 300;
+    const WORKERS: usize = 60;
+    const GOLDEN: usize = 20;
+    let mut rng = SmallRng::seed_from_u64(26);
+    let domain_vector = |rng: &mut SmallRng| {
+        let k = rng.gen_range(0..M);
+        if rng.gen_range(0..3) == 0 {
+            return DomainVector::one_hot(M, k);
+        }
+        let mut w = vec![0.0; M];
+        w[k] = rng.gen_range(0.5..1.0);
+        w[(k + rng.gen_range(1..M)) % M] = rng.gen_range(0.05..0.5);
+        DomainVector::from_weights(&w).expect("non-negative weights")
+    };
+    // The domain a task is mostly about: its answers follow the worker's
+    // quality there.
+    let main_domain = |r: &DomainVector| {
+        let best = r.support().max_by(|a, b| a.1.total_cmp(&b.1));
+        best.expect("a non-empty support").0
+    };
+    let tasks: Vec<Task> = (0..=N)
+        .map(|i| {
+            // The big task spans two domains, so both of its rows rescale.
+            let r = if i < N {
+                domain_vector(&mut rng)
+            } else {
+                let mut w = vec![0.0; M];
+                (w[3], w[17]) = (0.7, 0.3);
+                DomainVector::from_weights(&w).expect("non-negative weights")
+            };
+            TaskBuilder::new(i, format!("t{i}"))
+                .yes_no()
+                .with_ground_truth(rng.gen_range(0..2usize))
+                .with_domain_vector(r)
+                .build()
+                .expect("valid task")
+        })
+        .collect();
+    // Sparse ids, so the dense index is not the id itself; the big task's
+    // answerers come after the regular crowd.
+    let id = |w: usize| WorkerId::from(2 * w + 5);
+    let num_workers = WORKERS + BIG;
+    let true_quality: Vec<Vec<f64>> = (0..num_workers)
+        .map(|_| (0..M).map(|_| rng.gen_range(0.5..0.95)).collect())
+        .collect();
+    let answer = |rng: &mut SmallRng, w: usize, truth: ChoiceIndex, k: usize| {
+        if rng.gen_range(0.0..1.0) < true_quality[w][k] {
+            truth
+        } else {
+            1 - truth
+        }
+    };
+
+    let mut stream = Vec::new();
+    let mut crowd: Vec<usize> = (0..WORKERS).collect();
+    for task in &tasks[..N] {
+        let (truth, k) = (
+            task.ground_truth.unwrap(),
+            main_domain(task.domain_vector()),
+        );
+        crowd.shuffle(&mut rng);
+        for &w in &crowd[..rng.gen_range(8..=12usize)] {
+            stream.push(Answer::new(id(w), task.id, answer(&mut rng, w, truth, k)));
+        }
+    }
+    let big = &tasks[N];
+    let (truth, k) = (big.ground_truth.unwrap(), main_domain(big.domain_vector()));
+    for w in WORKERS..num_workers {
+        stream.push(Answer::new(id(w), big.id, answer(&mut rng, w, truth, k)));
+    }
+    stream.shuffle(&mut rng);
+    let mut log = AnswerLog::new(tasks.len());
+    for a in stream {
+        log.record(a).expect("one answer per (task, worker)");
+    }
+
+    // Regular workers are graded on 5 of `GOLDEN` golden tasks; the big
+    // task's answerers on 10 golden tasks of its own domain vector, which
+    // keeps their qualities there moderate through Step 2 (Theorem 1's
+    // stored weight), so its products stay small in every iteration.
+    let mut golden: Vec<(DomainVector, ChoiceIndex)> = (0..GOLDEN)
+        .map(|_| (domain_vector(&mut rng), rng.gen_range(0..2usize)))
+        .collect();
+    golden.extend((0..10).map(|_| (big.domain_vector().clone(), rng.gen_range(0..2usize))));
+    let mut registry = WorkerRegistry::new(M, 0.7);
+    let mut picks: Vec<usize> = (0..GOLDEN).collect();
+    for w in 0..num_workers {
+        picks.shuffle(&mut rng);
+        let graded_on = if w < WORKERS {
+            picks[..5].to_vec()
+        } else {
+            (GOLDEN..golden.len()).collect()
+        };
+        let given: Vec<(TaskId, ChoiceIndex)> = graded_on
+            .into_iter()
+            .map(|g| {
+                let (r, truth) = &golden[g];
+                (TaskId::from(g), answer(&mut rng, w, *truth, main_domain(r)))
+            })
+            .collect();
+        registry.init_from_golden(id(w), &given, |t| golden[t.index()].clone(), 1.0);
+    }
+    (tasks, log, registry)
+}
+
+/// How many workers answer the last task of [`paper_shaped`].
+const BIG: usize = 760;
+
+/// Every support row of the big task's plain likelihood product ends below
+/// the rescale threshold at the converged qualities, so the last iteration's
+/// Step 1 (and every one before it) rebuilds it through the fallback.
+#[test]
+fn the_paper_shaped_case_reaches_the_rescale_fallback() {
+    let (tasks, log, registry) = paper_shaped();
+    let result = TruthInference::default().run(&tasks, &log, &registry);
+    let big = tasks.last().expect("the big task");
+    let votes = log.task_answers(big.id);
+    assert!(votes.len() >= 750, "{} answers", votes.len());
+    assert_eq!(
+        big.domain_vector().support().count(),
+        2,
+        "both rows rescale"
+    );
+    for (k, _) in big.domain_vector().support() {
+        let mut hat = [1.0_f64; 2];
+        for &(w, choice) in votes {
+            let hit = clamp_quality(result.qualities[&w][k]);
+            for (j, slot) in hat.iter_mut().enumerate() {
+                *slot *= if j == choice {
+                    hit
+                } else {
+                    miss_likelihood(hit, 2)
+                };
+            }
+        }
+        let max = hat[0].max(hat[1]);
+        assert!(max < RESCALE_BELOW, "domain {k}: {hat:?}");
+    }
+}
+
 /// `(case, full-inference hash, stream hash)`, recorded at the commit that
 /// added this test.
-const EXPECTED: [(&str, u64, u64); 10] = [
+const EXPECTED: [(&str, u64, u64); 11] = [
     ("seed 8 Dense", 0x45c7d83f128150d3, 0xac66fc2c8497c007),
     ("seed 8 OneHot", 0xef0cda14ee8658ca, 0x324b5f7f8da8b1dd),
     ("seed 8 Mixed", 0x55b8e7fae987fab9, 0x7fc10537f4ab2c95),
@@ -147,23 +308,26 @@ const EXPECTED: [(&str, u64, u64); 10] = [
     ("seed 37 OneHot", 0x2be14e7a8becf806, 0x20a2843c576914d7),
     ("seed 37 Mixed", 0xe5c44ec8c2303cb1, 0x0aeabc20ed3f3419),
     ("-0.0 weight", 0x5cdd75c53034f5c7, 0x9e2215be9a913c38),
+    ("paper-shaped", 0xa455c0fc32fdf5bf, 0xa3d8ee0e4bb8515a),
 ];
 
 #[test]
 fn kernel_outputs_match_their_recorded_fingerprints() {
     let fingerprint =
-        |case: String, (tasks, log, registry): (Vec<Task>, AnswerLog, WorkerRegistry)| {
+        |case: String, z: usize, (tasks, log, registry): (Vec<Task>, AnswerLog, WorkerRegistry)| {
             let run = run_fingerprint(&tasks, &log, &registry);
-            (case, run, stream_fingerprint(tasks, &log, registry))
+            (case, run, stream_fingerprint(tasks, &log, registry, z))
         };
     let mut got = Vec::new();
     for seed in [8u64, 33, 37] {
         for sparsity in Sparsity::ALL {
             let case = format!("seed {seed} {sparsity:?}");
-            got.push(fingerprint(case, campaign(seed, sparsity)));
+            got.push(fingerprint(case, 3, campaign(seed, sparsity)));
         }
     }
-    got.push(fingerprint("-0.0 weight".into(), negative_zero_weight()));
+    got.push(fingerprint("-0.0 weight".into(), 3, negative_zero_weight()));
+    // The paper's `z = 100`: a full run every 100 answers, ~40 of them.
+    got.push(fingerprint("paper-shaped".into(), 100, paper_shaped()));
     let table: String = got
         .iter()
         .map(|(case, run, stream)| format!("    ({case:?}, {run:#018x}, {stream:#018x}),\n"))

@@ -13,7 +13,7 @@ const Q_EPS: f64 = 1e-6;
 /// A row of `M̂` whose largest entry fell below this is rescaled to max 1:
 /// a long product of likelihoods must not underflow to an all-zero row,
 /// which would read as "no evidence" and reset the row to uniform.
-const RESCALE_BELOW: f64 = 1e-100;
+pub(super) const RESCALE_BELOW: f64 = 1e-100;
 
 /// Clamps a quality value into `[Q_EPS, 1 - Q_EPS]` for use inside
 /// likelihood products — Eq. 4's likelihood of an answer that *hits* the
@@ -724,62 +724,74 @@ mod tests {
         assert!(fresh(&st) < 1e-15);
     }
 
-    /// The vote-major Step 1 leaves the bits of the per-vote `apply_answer`
-    /// chain on rows that took `absorb`'s rescale and on rows that did not.
-    /// 96 votes (60 for choice 0, 36 for choice 1) at qualities `[0.5, 1, 0]`,
-    /// two of them clamped: the `q = 1` row's plain product falls below
-    /// `RESCALE_BELOW` mid-stream, and the `q = 0` row keeps its max above it
-    /// while its choice-0 slot underflows to 0.
+    /// Full inference's Step 1 leaves the bits of the per-vote
+    /// `apply_answer` chain on rows that took `absorb`'s rescale and on rows
+    /// that did not, for `ℓ = 2` (the hot path's own instantiation), 3 and
+    /// 5. 96 votes (60 for choice 0, 36 for choice 1) at qualities
+    /// `[0.5, 1, 0]`, two of them clamped: the `q = 1` row's plain product
+    /// falls below `RESCALE_BELOW` mid-stream, and for `ℓ > 2` the `q = 0`
+    /// row keeps its max above it while its choice-0 slot underflows to 0.
     #[test]
-    fn vote_major_step1_matches_the_per_vote_chain_by_bits() {
+    fn step1_matches_the_per_vote_chain_by_bits() {
         let quality = vec![0.5, 1.0, 0.0];
         let answers: Vec<(usize, ChoiceIndex)> =
             (0..96).map(|w| (w, usize::from(w % 8 < 3))).collect();
         let qualities = vec![quality.clone(); answers.len()];
         let r = DomainVector::uniform(3);
-        let mut chain = one(&r, 3);
-        for &(_, choice) in &answers {
-            chain.apply_answer(0, &quality, choice);
-        }
-        let mut batch = one(&r, 3);
-        recompute(&mut batch, &answers, &qualities);
-
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let m_of = |st: &TaskArena| st.view(0).m_matrix.to_vec();
-        assert_eq!(bits(batch.m_hat_of(0)), bits(chain.m_hat_of(0)));
-        assert_eq!(bits(&m_of(&batch)), bits(&m_of(&chain)));
-        assert_eq!(bits(batch.view(0).s()), bits(chain.view(0).s()));
-        let (h_batch, h_chain) = (batch.view(0).entropy(), chain.view(0).entropy());
-        assert_eq!(h_batch.to_bits(), h_chain.to_bits());
+        for l in [2, 3, 5] {
+            let mut chain = one(&r, l);
+            for &(_, choice) in &answers {
+                chain.apply_answer(0, &quality, choice);
+            }
+            let mut batch = one(&r, l);
+            recompute(&mut batch, &answers, &qualities);
 
-        // The plain products the vote-major pass starts from, per domain.
-        let plain = |k: usize| {
-            let hit = clamp_quality(quality[k]);
-            let miss = miss_likelihood(hit, 3);
-            let mut hat = [1.0; 3];
-            let mut crossed_at = None;
-            for (n, &(_, choice)) in answers.iter().enumerate() {
-                for (j, slot) in hat.iter_mut().enumerate() {
-                    *slot *= if j == choice { hit } else { miss };
+            let m_of = |st: &TaskArena| st.view(0).m_matrix.to_vec();
+            assert_eq!(bits(batch.m_hat_of(0)), bits(chain.m_hat_of(0)), "ℓ = {l}");
+            assert_eq!(bits(&m_of(&batch)), bits(&m_of(&chain)), "ℓ = {l}");
+            assert_eq!(bits(batch.view(0).s()), bits(chain.view(0).s()), "ℓ = {l}");
+            let (h_batch, h_chain) = (batch.view(0).entropy(), chain.view(0).entropy());
+            assert_eq!(h_batch.to_bits(), h_chain.to_bits(), "ℓ = {l}");
+
+            // The plain products of each domain's row, and the vote after
+            // which every slot is below the threshold (no slot ever grows).
+            let plain = |k: usize| {
+                let hit = clamp_quality(quality[k]);
+                let miss = miss_likelihood(hit, l);
+                let mut hat = vec![1.0; l];
+                let mut crossed_at = None;
+                for (n, &(_, choice)) in answers.iter().enumerate() {
+                    for (j, slot) in hat.iter_mut().enumerate() {
+                        *slot *= if j == choice { hit } else { miss };
+                    }
+                    if crossed_at.is_none() && hat.iter().all(|&x| x < RESCALE_BELOW) {
+                        crossed_at = Some(n);
+                    }
                 }
-                if crossed_at.is_none() && hat.iter().all(|&x| x < RESCALE_BELOW) {
-                    crossed_at = Some(n);
+                (hat, crossed_at)
+            };
+            let crossed = plain(1).1.expect("the q = 1 row falls below the threshold");
+            assert!(
+                crossed > 0 && crossed < answers.len() / 2,
+                "ℓ = {l}: at vote {crossed}"
+            );
+            for k in 0..3 {
+                let stored = &batch.m_hat_of(0)[k * l..(k + 1) * l];
+                match plain(k) {
+                    (_, Some(_)) => assert!(
+                        stored.iter().any(|&x| x >= RESCALE_BELOW),
+                        "ℓ = {l}, row {k} rescaled: {stored:?}"
+                    ),
+                    (hat, None) => assert_eq!(bits(stored), bits(&hat), "ℓ = {l}, row {k}"),
                 }
             }
-            (hat, crossed_at)
-        };
-        let (_, crossed) = plain(1);
-        let crossed = crossed.expect("the q = 1 row falls below the threshold");
-        assert!(
-            crossed > 0 && crossed < answers.len() / 2,
-            "at vote {crossed}"
-        );
-        let rescaled = &batch.m_hat_of(0)[3..6];
-        assert!(rescaled.iter().any(|&x| x >= RESCALE_BELOW), "{rescaled:?}");
-        let (hat, crossed) = plain(2);
-        assert_eq!(crossed, None, "the q = 0 row never rescales");
-        assert_eq!(hat[0], 0.0, "its choice-0 slot underflows");
-        assert_eq!(batch.m_hat_of(0)[6], 0.0);
+            if l > 2 {
+                let (hat, crossed) = plain(2);
+                assert_eq!(crossed, None, "ℓ = {l}: the q = 0 row never rescales");
+                assert_eq!(hat[0], 0.0, "ℓ = {l}: its choice-0 slot underflows");
+            }
+        }
     }
 
     #[test]
