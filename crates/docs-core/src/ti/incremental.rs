@@ -345,8 +345,9 @@ impl IncrementalTi {
     /// or with fewer than two choices, registries over another `m` or
     /// holding statistics of another length, a golden registry whose prior
     /// quality is not the live one's, `m_hat` / `s` that do not fit
-    /// the tasks' supports and `ℓ`, and a `log` or `shard_ingested` that
-    /// disagrees about the task or shard count.
+    /// the tasks' supports and `ℓ`, a `log` or `shard_ingested` that
+    /// disagrees about the task or shard count, and a `log` answer that
+    /// names a task outside the campaign or a choice outside its task's `ℓ`.
     pub fn restore(snapshot: TiSnapshot) -> Result<Self> {
         let refuse = |field: &str, what: String| {
             Err(docs_types::Error::Storage(format!(
@@ -433,6 +434,34 @@ impl IncrementalTi {
         ] {
             if found != expected {
                 return refuse(field, format!("expected {expected} entries, found {found}"));
+            }
+        }
+        // Both views of the log index the kernels' per-task slices: every
+        // answer must name a task of the campaign and one of its choices.
+        let choices = |t: TaskId| snapshot.tasks.get(t.index()).map(Task::num_choices);
+        let by_task = snapshot
+            .log
+            .iter_tasks()
+            .flat_map(|(t, votes)| votes.iter().map(move |&(w, choice)| (t, w, choice)));
+        let by_worker = snapshot.log.workers().flat_map(|w| {
+            let answered = snapshot.log.worker_answers(w).iter();
+            answered.map(move |&(t, choice)| (t, w, choice))
+        });
+        for (t, w, choice) in by_task.chain(by_worker) {
+            match choices(t) {
+                Some(l) if choice < l => {}
+                Some(l) => {
+                    return refuse(
+                        "log",
+                        format!("worker {w} answered choice {choice} of {t}, which has {l}"),
+                    )
+                }
+                None => {
+                    return refuse(
+                        "log",
+                        format!("worker {w} answered {t}, beyond the {num_tasks} tasks"),
+                    )
+                }
             }
         }
         states.load(&snapshot.m_hat, &snapshot.s);
@@ -784,7 +813,7 @@ mod tests {
         let good = inc.snapshot();
         assert!(IncrementalTi::restore(good.clone()).is_ok(), "control");
         type Tamper = fn(&mut TiSnapshot);
-        let cases: [(&str, Tamper); 11] = [
+        let cases: [(&str, Tamper); 12] = [
             ("registry", |s| s.registry = WorkerRegistry::new(2, 0.7)),
             ("golden_registry", |s| {
                 s.golden_registry = WorkerRegistry::new(4, 0.7)
@@ -811,6 +840,9 @@ mod tests {
             }),
             ("s", |s| s.s.push(0.5)),
             ("log", |s| s.log = AnswerLog::new(3)),
+            // Recorded without a task set to check against, so any choice
+            // goes in; full inference would index `s` with it.
+            ("log", |s| s.log.record(ans(3, 9, 7)).unwrap()),
         ];
         for (field, tamper) in cases {
             let mut snapshot = good.clone();
