@@ -182,7 +182,7 @@ impl TruthInference {
             init_qualities,
             num_seed,
             likelihoods,
-            prev_s,
+            s_new,
             num,
         } = ws;
 
@@ -267,7 +267,8 @@ impl TruthInference {
         for i in 0..n {
             states.reset(i);
         }
-        // Seeded per worker below.
+        // Step 1's new `s` of one task, then seeded per worker below.
+        s_new.resize(likelihoods.ells.last().copied().unwrap_or(0), 0.0);
         num.resize(m, 0.0);
 
         // (The paper's runs converge within ~20 iterations.)
@@ -279,12 +280,9 @@ impl TruthInference {
             // ---- Step 1: infer the truth (q^w → s_i), Eqs. 2-4. ----
             let mut delta_s = 0.0;
             for i in 0..n {
-                prev_s.clear();
-                prev_s.extend_from_slice(states.s_of(i));
-                let (hit, miss) = likelihoods.of_task(i);
-                states.recompute(i, votes.row(i), hit, miss);
-                let s = states.s_of(i);
-                delta_s += prob::l1_distance(prev_s, s) / (n as f64 * s.len() as f64);
+                let (hit, miss, l) = likelihoods.of_task(i);
+                let change = states.recompute(i, votes.row(i), hit, miss, s_new);
+                delta_s += change / (n as f64 * l as f64);
             }
 
             // ---- Step 2: estimate worker quality (s_i → q^w), Eq. 5. ----
@@ -360,7 +358,7 @@ pub(super) struct Workspace {
     init_qualities: Vec<f64>,
     num_seed: Vec<f64>,
     likelihoods: LikelihoodTables,
-    prev_s: Vec<f64>,
+    s_new: Vec<f64>,
     num: Vec<f64>,
 }
 
@@ -461,10 +459,10 @@ impl LikelihoodTables {
     }
 
     /// The `hit` table and task `i`'s `miss` table (its `ℓ`'s), both
-    /// `W × m`.
-    fn of_task(&self, i: usize) -> (&[f64], &[f64]) {
-        let wm = self.hit.len();
-        (&self.hit, &self.miss[self.ell_slot[i] * wm..][..wm])
+    /// `W × m`, and that `ℓ`.
+    fn of_task(&self, i: usize) -> (&[f64], &[f64], usize) {
+        let (wm, slot) = (self.hit.len(), self.ell_slot[i]);
+        (&self.hit, &self.miss[slot * wm..][..wm], self.ells[slot])
     }
 }
 

@@ -63,30 +63,6 @@ fn absorb(hat: &mut [f64], hit: f64, miss: f64, choice: ChoiceIndex) {
     }
 }
 
-/// The plain products of Step 1: every answer `(w, choice)` of `votes`,
-/// once, multiplied into every support row of `m_hat` (`ℓ = l` wide) with
-/// its worker-major likelihood rows `hit[w·m..]` / `miss[w·m..]`.
-#[inline(always)]
-fn multiply_votes(
-    m_hat: &mut [f64],
-    support: &[(usize, f64)],
-    votes: &[(usize, ChoiceIndex)],
-    hit: &[f64],
-    miss: &[f64],
-    m: usize,
-    l: usize,
-) {
-    for &(w, choice) in votes {
-        let (hit, miss) = (&hit[w * m..][..m], &miss[w * m..][..m]);
-        for (&(k, _), hat) in support.iter().zip(m_hat.chunks_exact_mut(l)) {
-            let (hit, miss) = (hit[k], miss[k]);
-            for (j, slot) in hat.iter_mut().enumerate() {
-                *slot *= if j == choice { hit } else { miss };
-            }
-        }
-    }
-}
-
 /// Normalizes a row of `M̂` into the matching row of `M` (Eq. 3); a row
 /// without usable mass falls back to the uniform prior. Every update ends
 /// with this, so `M` is at all times a function of `M̂`.
@@ -254,12 +230,6 @@ impl TaskArena {
         (&self.support[a.support..b.support], &self.s[a.s..b.s])
     }
 
-    /// Task `i`'s `s`, without the rest of its view.
-    #[inline]
-    pub(super) fn s_of(&self, i: usize) -> &[f64] {
-        &self.s[self.offsets[i].s..self.offsets[i + 1].s]
-    }
-
     /// Every task's state, in task order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = TaskView<'_>> + '_ {
         (0..self.len()).map(|i| self.view(i))
@@ -314,51 +284,42 @@ impl TaskArena {
         *t.entropy = prob::entropy(t.s);
     }
 
-    /// Step 1 for task `i` (Eqs. 2–4), vote-major: each answer `(w, choice)`
-    /// of `votes = V(i)` is read once, and its worker-major Eq. 4 rows
-    /// `hit[w·m..]` / `miss[w·m..]` (`miss` for the task's `ℓ`) feed every
-    /// support row of `M̂` together. Then each row is normalized and `s`
-    /// recomputed; `H(s)` is left to [`TaskArena::refresh_entropy`].
+    /// Step 1 for task `i` (Eqs. 2–4), one support row at a time: row `k`
+    /// of `M̂` is the product, in `votes = V(i)` order, of each answer
+    /// `(w, choice)`'s Eq. 4 likelihoods `hit[w·m + k]` / `miss[w·m + k]`
+    /// (worker-major tables, `miss` for the task's `ℓ`); it is normalized
+    /// into `M` and added, `r_k`-weighted, into `scratch`, which normalized
+    /// becomes the new `s` (Eq. 2). Returns `Σ_j |s_old − s_new|`, the
+    /// task's part of Δ. `H(s)` is left to [`TaskArena::refresh_entropy`].
+    /// `scratch` holds at least `ℓ` entries.
     ///
-    /// No rescale test runs per answer. Every factor is at most 1, so no
-    /// slot of a row, and so not the row's max, ever grows: a row whose final
-    /// max is still `≥ RESCALE_BELOW` never fell below it, and is bit for bit
-    /// the product `absorb` builds. Only a row ending below it is rebuilt
-    /// vote by vote through `absorb` (the max skips NaN, as `absorb`'s does,
-    /// so an all-zero or all-NaN row reads 0 and is rebuilt too).
+    /// Every slot multiplies the same factors in the same order as the
+    /// per-vote `absorb` chain, and no rescale test runs per answer. Every
+    /// factor is at most 1, so no slot of a row, and so not the row's max,
+    /// ever grows: a row whose final max is still `≥ RESCALE_BELOW` never
+    /// fell below it, and is bit for bit the product `absorb` builds. Only a
+    /// row ending below it is rebuilt vote by vote through `absorb` (the max
+    /// skips NaN, as `absorb`'s does, so an all-zero or all-NaN row reads 0
+    /// and is rebuilt too).
     pub(super) fn recompute(
         &mut self,
         i: usize,
         votes: &[(usize, ChoiceIndex)],
         hit: &[f64],
         miss: &[f64],
-    ) {
+        scratch: &mut [f64],
+    ) -> f64 {
         let m = self.m;
-        let mut t = self.task_mut(i);
+        let t = self.task_mut(i);
         let l = t.s.len();
-        t.m_hat.fill(1.0);
+        let s_new = &mut scratch[..l];
         // ℓ = 2 (yes/no and every canonical workload) gets its own copy of
-        // the loop with the row width known.
+        // the body with the row width known.
         if l == 2 {
-            multiply_votes(t.m_hat, t.support, votes, hit, miss, m, 2);
+            step1_rows(t, votes, hit, miss, m, 2, s_new)
         } else {
-            multiply_votes(t.m_hat, t.support, votes, hit, miss, m, l);
+            step1_rows(t, votes, hit, miss, m, l, s_new)
         }
-        let rows = t
-            .m_hat
-            .chunks_exact_mut(l)
-            .zip(t.m_matrix.chunks_exact_mut(l));
-        for (&(k, _), (hat, row)) in t.support.iter().zip(rows) {
-            let max = hat.iter().fold(0.0_f64, |max, &x| max.max(x));
-            if max < RESCALE_BELOW {
-                hat.fill(1.0);
-                for &(w, choice) in votes {
-                    absorb(hat, hit[w * m + k], miss[w * m + k], choice);
-                }
-            }
-            normalize_row(hat, row);
-        }
-        t.refresh_s();
     }
 
     /// `H(s_i)` of every task from its current `s`. Full inference's Step 1
@@ -411,6 +372,50 @@ impl TaskArena {
     }
 }
 
+/// The body of [`TaskArena::recompute`] for a task of `ℓ = l`, inlined
+/// into its two call sites so the `ℓ = 2` one is compiled with the row
+/// width known.
+#[inline(always)]
+fn step1_rows(
+    t: TaskMut<'_>,
+    votes: &[(usize, ChoiceIndex)],
+    hit: &[f64],
+    miss: &[f64],
+    m: usize,
+    l: usize,
+    s_new: &mut [f64],
+) -> f64 {
+    s_new.fill(0.0);
+    let rows = t
+        .m_hat
+        .chunks_exact_mut(l)
+        .zip(t.m_matrix.chunks_exact_mut(l));
+    for (&(k, rk), (hat, row)) in t.support.iter().zip(rows) {
+        hat.fill(1.0);
+        for &(w, choice) in votes {
+            let (hit, miss) = (hit[w * m + k], miss[w * m + k]);
+            for (j, slot) in hat.iter_mut().enumerate() {
+                *slot *= if j == choice { hit } else { miss };
+            }
+        }
+        let max = hat.iter().fold(0.0_f64, |max, &x| max.max(x));
+        if max < RESCALE_BELOW {
+            hat.fill(1.0);
+            for &(w, choice) in votes {
+                absorb(hat, hit[w * m + k], miss[w * m + k], choice);
+            }
+        }
+        normalize_row(hat, row);
+        for (slot, &mkj) in s_new.iter_mut().zip(row.iter()) {
+            *slot += rk * mkj;
+        }
+    }
+    prob::normalize_in_place(s_new);
+    let change = prob::l1_distance(t.s, s_new);
+    t.s.copy_from_slice(s_new);
+    change
+}
+
 /// One task's slices of a [`TaskArena`], mutably.
 struct TaskMut<'a> {
     support: &'a [(usize, f64)],
@@ -422,7 +427,8 @@ struct TaskMut<'a> {
 
 impl TaskMut<'_> {
     /// `s_i = r^{t_i} × M^{(i)}` (Eq. 2) over the support rows, ascending
-    /// `k`.
+    /// `k` — the incremental update's; full inference's Step 1 sums the
+    /// same terms in the same order as it builds each row.
     #[inline]
     fn refresh_s(&mut self) {
         let l = self.s.len();
@@ -554,7 +560,7 @@ mod tests {
             .map(|&q| clamp_quality(q))
             .collect();
         let miss: Vec<f64> = hit.iter().map(|&h| miss_likelihood(h, l)).collect();
-        st.recompute(0, answers, &hit, &miss);
+        st.recompute(0, answers, &hit, &miss, &mut vec![0.0; l]);
         st.refresh_entropy();
     }
 
