@@ -176,7 +176,7 @@ impl TruthInference {
         let Workspace {
             workers: worker_ids,
             votes,
-            answered,
+            credits,
             qualities,
             den,
             init_qualities,
@@ -199,7 +199,7 @@ impl TruthInference {
                 .expect("every answering worker is in the log's worker set")
         };
 
-        // `V(i)` and `T(w)`, in the log's arrival order.
+        // `V(i)`, in the log's arrival order.
         votes.fill(
             answers.len(),
             tasks.iter().map(|t| {
@@ -207,11 +207,23 @@ impl TruthInference {
                 v.iter().map(|&(w, choice)| (dense(w), choice))
             }),
         );
-        answered.fill(
-            answers.len(),
+        // Step 2's join `T(w) ⋈ supp(i)`, which no iteration changes: per
+        // worker, in `T(w)`'s arrival order, one credit `(k, r_k, at)` per
+        // support row of each answered task, `at` the index of
+        // `s_{i,choice}` in the arena's flat `s`.
+        let num_credits = tasks
+            .iter()
+            .zip(states.iter())
+            .map(|(t, st)| answers.answer_count(t.id) * st.support().len())
+            .sum();
+        credits.fill(
+            num_credits,
             worker_ids.iter().map(|&w| {
                 let t = answers.worker_answers(w);
-                t.iter().map(|&(tid, choice)| (tid.index(), choice))
+                t.iter().flat_map(|&(tid, choice)| {
+                    let (support, at) = states.credit_of(tid.index(), choice);
+                    support.iter().map(move |&(k, rk)| (k, rk, at))
+                })
             }),
         );
 
@@ -255,10 +267,8 @@ impl TruthInference {
                 .map(|(&q, &u)| q * u + 0.0),
         );
         for w in 0..num_workers {
-            for &(i, _) in answered.row(w) {
-                for &(k, rk) in states.support_of(i) {
-                    den[w * m + k] += rk;
-                }
+            for &(k, rk, _) in credits.row(w) {
+                den[w * m + k] += rk;
             }
         }
 
@@ -287,16 +297,13 @@ impl TruthInference {
 
             // ---- Step 2: estimate worker quality (s_i → q^w), Eq. 5. ----
             let mut delta_q = 0.0;
+            let s = states.all_s();
             for w in 0..num_workers {
                 let base = w * m;
                 let q = &mut qualities[base..base + m];
                 num.copy_from_slice(&num_seed[base..base + m]);
-                for &(i, choice) in answered.row(w) {
-                    let (support, s) = states.support_and_s(i);
-                    let s_choice = s[choice];
-                    for &(k, rk) in support {
-                        num[k] += rk * s_choice;
-                    }
+                for &(k, rk, at) in credits.row(w) {
+                    num[k] += rk * s[at];
                 }
                 let mut change = 0.0;
                 for k in 0..m {
@@ -344,15 +351,17 @@ pub(super) struct Converged<'a> {
 }
 
 /// Every buffer of one full-inference run: the dense worker index, `V(i)`
-/// and `T(w)`, the flat `W × m` qualities and Eq. 5 sums, the likelihood
-/// tables and the per-task scratch. A run refills them in place, so they
-/// only ever grow to the largest campaign their owner has converged.
-/// Working memory: no snapshot records it.
+/// and Step 2's credit list, the flat `W × m` qualities and Eq. 5 sums, the
+/// likelihood tables and the per-task scratch. A run refills them in place,
+/// so they only ever grow to the largest campaign their owner has
+/// converged. Working memory: no snapshot records it.
 #[derive(Debug, Default)]
 pub(super) struct Workspace {
     workers: Vec<WorkerId>,
     votes: Csr<(usize, ChoiceIndex)>,
-    answered: Csr<(usize, ChoiceIndex)>,
+    /// Per worker: `(k, r_k, index of s_{i,choice})` for every support row
+    /// of every task it answered.
+    credits: Csr<(usize, f64, usize)>,
     qualities: Vec<f64>,
     den: Vec<f64>,
     init_qualities: Vec<f64>,

@@ -217,10 +217,18 @@ impl TaskArena {
         }
     }
 
-    /// Task `i`'s support, without the rest of its view.
+    /// Task `i`'s support and the index of `s_{i,choice}` in
+    /// [`TaskArena::all_s`], taken through the task's own `s` range: one
+    /// entry of Step 2's credit list per support row.
+    ///
+    /// # Panics
+    /// Panics if `choice` is not below the task's `ℓ`, so a bad log can
+    /// never credit a neighbouring task's `s`.
     #[inline]
-    pub(super) fn support_of(&self, i: usize) -> &[(usize, f64)] {
-        &self.support[self.offsets[i].support..self.offsets[i + 1].support]
+    pub(super) fn credit_of(&self, i: usize, choice: ChoiceIndex) -> (&[(usize, f64)], usize) {
+        let (a, b) = self.span(i);
+        let at = (a.s..b.s).nth(choice).expect("a choice below the task's ℓ");
+        (&self.support[a.support..b.support], at)
     }
 
     /// Task `i`'s support and `s`, from one read of its offsets.
