@@ -114,9 +114,10 @@ pub struct TaskArena {
     m_matrix: Vec<f64>,
     /// Probabilistic truths `s_i`, `ℓ` entries per task.
     s: Vec<f64>,
-    /// `H(s_i)` per task, current whenever the arena is readable (every
-    /// update but full inference's Step 1 refreshes it with `s`; a full run
-    /// refreshes it once at its end), so the OTA benefit scan reads it in
+    /// `H(s_i)` per task, current whenever the arena is readable (the
+    /// incremental update refreshes it with `s`; `reset` and full
+    /// inference's Step 1 leave it, and a full run refreshes it once at its
+    /// end), so the OTA benefit scan reads it in
     /// O(1) instead of recomputing the entropy of unchanged posteriors on
     /// every worker request.
     entropy: Vec<f64>,
@@ -169,6 +170,7 @@ impl TaskArena {
         for i in 0..n {
             arena.reset(i);
         }
+        arena.refresh_entropy();
         arena
     }
 
@@ -262,15 +264,16 @@ impl TaskArena {
         }
     }
 
-    /// Back to the fresh prior — `M̂ = 1`, `M = s = 1/ℓ` and `H(s)` of that,
-    /// filled in place — where every full inference starts.
+    /// Back to the fresh prior — `M̂ = 1`, `M = s = 1/ℓ`, filled in place —
+    /// where every full inference starts. `H(s)` is left to
+    /// [`TaskArena::refresh_entropy`], which [`TaskArena::new`] and every
+    /// full run call once over all tasks.
     pub(super) fn reset(&mut self, i: usize) {
         let t = self.task_mut(i);
         let uniform = 1.0 / t.s.len() as f64;
         t.m_hat.fill(1.0);
         t.m_matrix.fill(uniform);
         t.s.fill(uniform);
-        *t.entropy = prob::entropy(t.s);
     }
 
     /// Applies one newly arrived answer to task `i` in `O(|support|·ℓ)` —
@@ -735,6 +738,7 @@ mod tests {
         recompute(&mut st, &answers, &[vec![0.7, 0.9], vec![0.7, 0.9]]);
         assert!(fresh(&st) < 1e-15);
         st.reset(0);
+        st.refresh_entropy();
         assert!(fresh(&st) < 1e-15);
     }
 
