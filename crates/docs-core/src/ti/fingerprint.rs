@@ -152,7 +152,7 @@ fn negative_zero_weight() -> (Vec<Task>, AnswerLog, WorkerRegistry) {
 /// answered by [`BIG`] golden-graded workers. Every row of that task's
 /// likelihood product falls below the rescale threshold (see
 /// [`the_paper_shaped_case_reaches_the_rescale_fallback`]), so full
-/// inference rebuilds it through the rescale fallback in every iteration.
+/// inference rebuilds it through the rescale fallback.
 fn paper_shaped() -> (Vec<Task>, AnswerLog, WorkerRegistry) {
     const M: usize = 26;
     const N: usize = 300;
@@ -234,7 +234,7 @@ fn paper_shaped() -> (Vec<Task>, AnswerLog, WorkerRegistry) {
     // Regular workers are graded on 5 of `GOLDEN` golden tasks; the big
     // task's answerers on 10 golden tasks of its own domain vector, which
     // keeps their qualities there moderate through Step 2 (Theorem 1's
-    // stored weight), so its products stay small in every iteration.
+    // stored weight), so its products stay small.
     let mut golden: Vec<(DomainVector, ChoiceIndex)> = (0..GOLDEN)
         .map(|_| (domain_vector(&mut rng), rng.gen_range(0..2usize)))
         .collect();
@@ -264,8 +264,8 @@ fn paper_shaped() -> (Vec<Task>, AnswerLog, WorkerRegistry) {
 const BIG: usize = 760;
 
 /// Every support row of the big task's plain likelihood product ends below
-/// the rescale threshold at the converged qualities, so the last iteration's
-/// Step 1 (and every one before it) rebuilds it through the fallback.
+/// the rescale threshold at the converged qualities, so at least the run's
+/// last Step 1 rebuilds it through the fallback.
 #[test]
 fn the_paper_shaped_case_reaches_the_rescale_fallback() {
     let (tasks, log, registry) = paper_shaped();

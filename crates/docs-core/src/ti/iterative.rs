@@ -116,7 +116,8 @@ impl TruthInference {
     ///
     /// # Panics
     /// Panics if a task lacks a domain vector, a domain vector is not of the
-    /// registry's length `m`, or the log covers a different number of tasks.
+    /// registry's length `m`, the log covers a different number of tasks, or
+    /// a logged choice is not below its task's `ℓ`.
     pub fn run(&self, tasks: &[Task], answers: &AnswerLog, registry: &WorkerRegistry) -> TiResult {
         let m = registry.num_domains();
         let mut states = TaskArena::for_tasks(m, tasks);
@@ -256,7 +257,8 @@ impl TruthInference {
         // Eq. 5's sums seeded with the registry evidence (golden answers /
         // previous batches): numerator q̂_k·û_k, denominator û_k. The
         // denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on `s`, so
-        // it is summed once; it is also the worker's new weight. The
+        // it is summed once, over the credits; it is also the worker's new
+        // weight. The
         // `+ 0.0` is what the dense loop's first `r_k · s = 0` term did to
         // a `-0.0` seed.
         num_seed.clear();
@@ -277,7 +279,8 @@ impl TruthInference {
         for i in 0..n {
             states.reset(i);
         }
-        // Step 1's new `s` of one task, then seeded per worker below.
+        // Scratch: Step 1's new `s` of one task (at most the widest `ℓ`),
+        // and Step 2's numerator, seeded per worker below.
         s_new.resize(likelihoods.ells.last().copied().unwrap_or(0), 0.0);
         num.resize(m, 0.0);
 
@@ -673,9 +676,10 @@ mod tests {
         assert!(incremental.states().view(0).s()[0] > 0.99);
     }
 
-    /// Step 1 leaves `H(s)` stale and a run refreshes it once at its end:
-    /// after every run, whatever its iteration count (0 keeps `reset`'s),
-    /// each task's cached entropy is `prob::entropy(s)` to the bit.
+    /// `reset` and Step 1 leave `H(s)` stale and a run refreshes it once at
+    /// its end: after every run, whatever its iteration count (0 refreshes
+    /// the prior's), each task's cached entropy is `prob::entropy(s)` to the
+    /// bit.
     #[test]
     fn a_full_run_leaves_every_cached_entropy_current() {
         use crate::ti::IncrementalTi;

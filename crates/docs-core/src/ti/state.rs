@@ -333,9 +333,10 @@ impl TaskArena {
         }
     }
 
-    /// `H(s_i)` of every task from its current `s`. Full inference's Step 1
-    /// leaves it stale (neither Step 2 nor Δ reads it), so a run refreshes
-    /// it once, after its last iteration.
+    /// `H(s_i)` of every task from its current `s`. `reset` and full
+    /// inference's Step 1 leave it stale (neither Step 2 nor Δ reads it),
+    /// so a run refreshes it once, after its last iteration, and
+    /// [`TaskArena::new`] once after resetting every task.
     pub(super) fn refresh_entropy(&mut self) {
         for (h, span) in self.entropy.iter_mut().zip(self.offsets.windows(2)) {
             *h = prob::entropy(&self.s[span[0].s..span[1].s]);
