@@ -812,8 +812,17 @@ mod tests {
         inc.submit(ans(1, 0, 1)).unwrap();
         let good = inc.snapshot();
         assert!(IncrementalTi::restore(good.clone()).is_ok(), "control");
+        // The log with its per-worker view edited as JSON text, which only a
+        // hand-made record can do: that view stops agreeing with `V(i)`.
+        fn worker_view(log: &AnswerLog, from: &str, to: &str) -> AnswerLog {
+            let json = serde_json::to_string(log).unwrap();
+            let (head, view) = json.split_once("\"by_worker\"").unwrap();
+            assert!(view.contains(from), "{json}");
+            let edited = format!("{head}\"by_worker\"{}", view.replace(from, to));
+            serde_json::from_str(&edited).unwrap()
+        }
         type Tamper = fn(&mut TiSnapshot);
-        let cases: [(&str, Tamper); 12] = [
+        let cases: [(&str, Tamper); 14] = [
             ("registry", |s| s.registry = WorkerRegistry::new(2, 0.7)),
             ("golden_registry", |s| {
                 s.golden_registry = WorkerRegistry::new(4, 0.7)
@@ -843,6 +852,9 @@ mod tests {
             // Recorded without a task set to check against, so any choice
             // goes in; full inference would index `s` with it.
             ("log", |s| s.log.record(ans(3, 9, 7)).unwrap()),
+            // Worker 0's answer to task 1, moved to task 9 / choice 7.
+            ("log", |s| s.log = worker_view(&s.log, "[[1,1]]", "[[9,1]]")),
+            ("log", |s| s.log = worker_view(&s.log, "[[1,1]]", "[[1,7]]")),
         ];
         for (field, tamper) in cases {
             let mut snapshot = good.clone();
