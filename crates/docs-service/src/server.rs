@@ -39,7 +39,7 @@ use crate::handle::ServiceHandle;
 use crate::message::RequestEnvelope;
 use crate::metrics::{Counter, ServiceMetrics};
 use crate::shard::{Input, Recovered, Shard, Wait};
-use crate::ticket::Completer;
+use crate::ticket::{self, Completer, SPIN_BUDGET};
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use docs_storage::{recover_tree, AdaptiveCommit, FlushPolicy};
 use docs_system::Docs;
@@ -50,6 +50,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Errors surfaced to service clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -312,10 +313,17 @@ pub struct DocsService {
 /// checked once per input, so an adaptive batch close cannot harden the
 /// buffer a kill is meant to lose — and steps the shard. The loop ends
 /// when every handle (every sender) is dropped.
+///
+/// On [`Wait::Block`] it polls the queue for up to `spin_budget` (yielding between
+/// polls, see [`SPIN_BUDGET`]) before it parks in a blocking receive, so a
+/// closed-loop client's next request usually lands while the thread is
+/// still running and costs no futex wake. [`Wait::Poll`] never spins: the
+/// adaptive batch closes on the first empty poll.
 fn shard_loop(
     mut shard: Shard,
     rx: Receiver<Inbound>,
     crash: Arc<AtomicBool>,
+    spin_budget: Duration,
 ) -> BTreeMap<CampaignId, Docs> {
     loop {
         let input = match shard.wait() {
@@ -324,10 +332,17 @@ fn shard_loop(
                 Err(TryRecvError::Empty) => Input::QueueEmpty,
                 Err(TryRecvError::Disconnected) => break,
             },
-            Wait::Block => match rx.recv() {
-                Ok(inbound) => Input::Request(inbound),
-                Err(_) => break,
-            },
+            Wait::Block => {
+                // `Some(None)`: every sender is gone.
+                let polled = ticket::spin(spin_budget, || match rx.try_recv() {
+                    Err(TryRecvError::Empty) => None,
+                    received => Some(received.ok()),
+                });
+                match polled.unwrap_or_else(|| rx.recv().ok()) {
+                    Some(inbound) => Input::Request(inbound),
+                    None => break,
+                }
+            }
         };
         if crash.load(Ordering::SeqCst) {
             break;
@@ -447,7 +462,7 @@ impl DocsService {
                 let crash = Arc::clone(&crash);
                 let join = std::thread::Builder::new()
                     .name(format!("docs-shard-{index}"))
-                    .spawn(move || shard_loop(shard, rx, crash))
+                    .spawn(move || shard_loop(shard, rx, crash, SPIN_BUDGET))
                     .expect("spawn docs shard thread");
                 (tx, join)
             })
@@ -483,6 +498,7 @@ impl DocsService {
 pub(crate) mod tests {
     use super::*;
     use crate::handle::{Client, Op};
+    use crate::message::{Request, Response};
     use crate::metrics::OpKind;
     use crate::ticket::TicketWait;
     use docs_kb::table2_example_kb;
@@ -526,6 +542,91 @@ pub(crate) mod tests {
             std::env::temp_dir().join(format!("docs-server-test-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A one-shard memory-only `shard_loop` spinning for up to
+    /// `spin_budget` on an empty queue, on its own thread, with the sender
+    /// of its queue.
+    fn spawn_shard_loop(
+        spin_budget: Duration,
+    ) -> (Sender<Inbound>, JoinHandle<BTreeMap<CampaignId, Docs>>) {
+        let config = ServiceConfig::default();
+        let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(config.role));
+        let next_campaign = Arc::new(AtomicU32::new(0));
+        let shard = Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
+        let (tx, rx) = bounded::<Inbound>(4);
+        let crash = Arc::new(AtomicBool::new(false));
+        let join = std::thread::spawn(move || shard_loop(shard, rx, crash, spin_budget));
+        (tx, join)
+    }
+
+    /// Sends `request` to a shard loop and waits for its response.
+    fn round_trip(tx: &Sender<Inbound>, correlation: u64, request: Request) -> Response {
+        let (completions, slot) = crate::ticket::completion_slot();
+        let envelope = RequestEnvelope {
+            correlation,
+            request,
+            trace: None,
+        };
+        let sent = tx.send(Inbound {
+            envelope,
+            completions,
+        });
+        assert!(sent.is_ok(), "the shard loop is gone");
+        slot.wait().unwrap().response
+    }
+
+    /// Dropping every sender while the shard thread spins on its empty
+    /// queue ends the loop at once — the spin sees the disconnect — not
+    /// when the spin budget runs out; the campaigns come back.
+    #[test]
+    fn dropping_every_sender_ends_a_spinning_shard_loop_at_once() {
+        let budget = Duration::from_secs(60);
+        let (tx, shard) = spawn_shard_loop(budget);
+        let started = std::time::Instant::now();
+        let create = Request::CreateCampaign {
+            campaign: CampaignId(0),
+            docs: Box::new(published(9, None)),
+        };
+        assert!(matches!(
+            round_trip(&tx, 1, create),
+            Response::CampaignCreated(_)
+        ));
+        drop(tx);
+        let campaigns = shard.join().unwrap();
+        assert!(
+            started.elapsed() < budget / 2,
+            "the loop outlived its senders by {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            campaigns.keys().copied().collect::<Vec<_>>(),
+            [CampaignId(0)]
+        );
+    }
+
+    /// A request sent long after the shard's spin budget ran out — the
+    /// thread is parked in its blocking receive — is still served, and so
+    /// is one sent while the shard spins.
+    #[test]
+    fn a_request_after_the_shard_parked_is_still_served() {
+        let (tx, shard) = spawn_shard_loop(SPIN_BUDGET);
+        let c = CampaignId(0);
+        let create = Request::CreateCampaign {
+            campaign: c,
+            docs: Box::new(published(9, None)),
+        };
+        assert!(matches!(
+            round_trip(&tx, 1, create),
+            Response::CampaignCreated(_)
+        ));
+        std::thread::sleep(SPIN_BUDGET * 50);
+        let served = round_trip(&tx, 2, Op::request_tasks(c, WorkerId(0)).request);
+        assert!(matches!(served, Response::Work(WorkRequest::Golden(_))));
+        let served = round_trip(&tx, 3, Op::request_tasks(c, WorkerId(1)).request);
+        assert!(matches!(served, Response::Work(WorkRequest::Golden(_))));
+        drop(tx);
+        assert_eq!(shard.join().unwrap().len(), 1);
     }
 
     /// Answers golden tasks correctly (ground truth is i % 2 by id).

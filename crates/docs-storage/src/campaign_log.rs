@@ -35,7 +35,7 @@
 //! and ends that segment's scan cleanly; a CRC-corrupt *complete* record is
 //! data loss and fails recovery loudly instead of serving wrong state.
 
-use crate::{io_err, sync_dir, write_atomically, PayloadBytes, Wal, WalTail};
+use crate::{create_dir_durably, io_err, sync_dir, write_atomically, PayloadBytes, Wal, WalTail};
 use bytes::{Buf, BufMut, BytesMut};
 use docs_types::{crc32, CampaignId, Error, Result};
 use std::collections::{BTreeMap, HashMap};
@@ -228,7 +228,7 @@ impl CampaignLog {
     /// everything appended after it would be unreachable to replay.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        create_dir_durably(&dir)?;
         let existing = segment_indices(&dir)?;
         let mut disk_bytes = 0;
         for &idx in &existing {
@@ -723,6 +723,30 @@ mod tests {
     /// can compare against plain `Vec<u8>` literals.
     fn owned(events: &[(u64, PayloadBytes)]) -> Vec<(u64, Vec<u8>)> {
         events.iter().map(|(seq, p)| (*seq, p.to_vec())).collect()
+    }
+
+    /// `open` creates every missing directory on the way to a fresh log
+    /// and syncs each one's parent, deepest first; reopening the log
+    /// creates, and so syncs, nothing beyond its own directory.
+    #[test]
+    fn open_creates_nested_missing_directories_durably() {
+        let root = tmp_dir("nested");
+        let dir = root.join("pool").join("shard-0");
+        assert_eq!(
+            create_dir_durably(&dir).unwrap(),
+            [dir.clone(), root.join("pool"), root.clone()]
+        );
+        assert!(create_dir_durably(&dir).unwrap().is_empty());
+        std::fs::remove_dir_all(&root).unwrap();
+
+        let mut log = CampaignLog::open(&dir).unwrap();
+        log.register(C0, FlushPolicy::EveryEvent, 0);
+        log.append_event(C0, b"a").unwrap();
+        drop(log);
+        let reopened = CampaignLog::open(&dir).unwrap();
+        assert_eq!(reopened.segment_bytes().unwrap(), reopened.on_disk_bytes());
+        assert!(reopened.on_disk_bytes() > 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// An event encoded in place (`append_event_with` +

@@ -42,7 +42,7 @@ pub use wal::{Wal, WalTail};
 use docs_types::Error;
 use std::fs::File;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Maps I/O failures into the workspace error type.
 pub(crate) fn io_err(e: std::io::Error) -> Error {
@@ -53,6 +53,27 @@ pub(crate) fn io_err(e: std::io::Error) -> Error {
 /// power loss — file-content `fdatasync` alone does not pin the name.
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), Error> {
     File::open(dir).and_then(|f| f.sync_all()).map_err(io_err)
+}
+
+/// Creates `dir` and any missing ancestors, then `fsync`s the parent of
+/// each directory it created, so their entries survive power loss as well
+/// as the files later written into them. Returns the directories it
+/// created, deepest first; an existing `dir` is left alone and syncs
+/// nothing.
+pub(crate) fn create_dir_durably(dir: &Path) -> Result<Vec<PathBuf>, Error> {
+    let missing: Vec<PathBuf> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+        .map(Path::to_path_buf)
+        .collect();
+    std::fs::create_dir_all(dir).map_err(io_err)?;
+    for created in &missing {
+        match created.parent() {
+            Some(parent) if !parent.as_os_str().is_empty() => sync_dir(parent)?,
+            _ => sync_dir(Path::new("."))?,
+        }
+    }
+    Ok(missing)
 }
 
 /// Replaces `dst` with the concatenation of `parts`: written to
