@@ -26,8 +26,10 @@
 //!   `DocsConfig::durable_flush`), every mutating request is validated,
 //!   rendered into a `CampaignEvent`, appended to the log (group-committed
 //!   per the campaign's [`FlushPolicy`]), and only then applied. Periodic
-//!   snapshots (`snapshot_every`) re-baseline every campaign on the shard
-//!   and prune old segments. [`DocsService::recover`] rebuilds every
+//!   snapshots (`snapshot_every`) re-baseline the shard's campaigns that
+//!   logged events since their last snapshot and prune old segments; the
+//!   log's background write lane writes the files and deletes the
+//!   segments. [`DocsService::recover`] rebuilds every
 //!   durable campaign from snapshots + log replay — across restarts that
 //!   change the shard count.
 //! * **One way in**: a pool starts with [`DocsService::spawn_empty`] or
@@ -156,7 +158,8 @@ pub struct DurabilityConfig {
     /// policy is always its own `DocsConfig::durable_flush`.
     pub default_flush: FlushPolicy,
     /// After this many logged events, a shard snapshots every campaign it
-    /// owns and prunes its log segments (bounds replay cost).
+    /// owns that logged events since its last snapshot and prunes its log
+    /// segments (bounds replay cost). `0` never snapshots on a cadence.
     pub snapshot_every: u64,
     /// Adaptive group commit for [`FlushPolicy::EveryEvent`] campaigns:
     /// under load a shard grows the commit batch within these bounds and
@@ -1101,20 +1104,27 @@ pub(crate) mod tests {
         assert_eq!(service.join_all().len(), 1);
     }
 
-    /// Bytes across the `*.wal` segments in one shard's log directory.
-    fn wal_bytes(dir: &std::path::Path) -> u64 {
-        std::fs::read_dir(dir)
+    /// Bytes across the `*.wal` segments in one shard's log directory, and
+    /// how many segment files there are.
+    fn wal_files(dir: &std::path::Path) -> (u64, usize) {
+        let segments: Vec<u64> = std::fs::read_dir(dir)
             .unwrap()
             .map(|entry| entry.unwrap().path())
             .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
             .map(|path| std::fs::metadata(path).unwrap().len())
-            .sum()
+            .collect();
+        (segments.iter().sum(), segments.len())
     }
 
+    /// The gauges report what is on disk. A snapshot cycle every 3 events
+    /// queues snapshots and segment deletions on the log's write lane,
+    /// which is held while the answers arrive: `log_bytes` must follow
+    /// every append and keep counting the superseded segments the lane has
+    /// not deleted yet, and `snapshots_written` must not count a snapshot
+    /// that has only been queued. Released, the lane lands both snapshots
+    /// and both deletions before `finish` is acknowledged.
     #[test]
     fn shard_log_gauges_match_the_log_after_every_answer() {
-        // A snapshot cycle every 3 events prunes the segments; the gauges
-        // must follow the prune and every append, not only flushes.
         for policy in [
             FlushPolicy::EveryEvent,
             FlushPolicy::Batch(1),
@@ -1123,6 +1133,7 @@ pub(crate) mod tests {
             for adaptive in [None, Some(AdaptiveCommit::default())] {
                 let label = format!("{}-adaptive-{}", policy.label(), adaptive.is_some());
                 let dir = tmp_dir(&format!("log-gauges-{label}"));
+                let shard_dir = dir.join("shard-0");
                 let mut config = ServiceConfig::durable(1, &dir);
                 let durability = config.durability.as_mut().unwrap();
                 durability.snapshot_every = 3;
@@ -1133,6 +1144,8 @@ pub(crate) mod tests {
                 if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
                     pass_golden(&handle, c, w, &g);
                 }
+                assert_eq!(handle.metrics().durability().snapshots_written, 1);
+                let hold = docs_storage::hold_lanes(&dir);
                 for t in 0..6u32 {
                     handle
                         .call(Op::submit_answer(c, Answer::new(w, TaskId(t), 0)))
@@ -1140,12 +1153,16 @@ pub(crate) mod tests {
                     let d = handle.metrics().durability();
                     let appended = 2 + u64::from(t) + 1; // published + golden + answers
                     assert_eq!(d.events_logged, appended, "{label}: answer {t}");
-                    assert_eq!(
-                        d.log_bytes,
-                        wal_bytes(&dir.join("shard-0")),
-                        "{label}: answer {t}"
-                    );
+                    assert_eq!(d.log_bytes, wal_files(&shard_dir).0, "{label}: answer {t}");
+                    assert_eq!(d.snapshots_written, 1, "{label}: answer {t}");
                 }
+                // Cycles after answers 1 and 4: three segments on disk.
+                assert_eq!(wal_files(&shard_dir).1, 3, "{label}");
+                drop(hold);
+                handle.call(Op::finish(c)).unwrap();
+                let d = handle.metrics().durability();
+                assert_eq!(d.snapshots_written, 3, "{label}");
+                assert_eq!((d.log_bytes, 1), wal_files(&shard_dir), "{label}");
                 drop(handle);
                 service.join_all();
                 let _ = std::fs::remove_dir_all(&dir);

@@ -10,6 +10,15 @@
 //! or the crash flag, so a test can step a shard by hand. Effects leave
 //! through the existing seams only: each request's [`Completer`], the
 //! [`ReplicationSink`] and the [`CampaignLog`].
+//!
+//! Checkpoint I/O is the log's, not the shard's. Every `snapshot_every`
+//! logged events the shard flushes the WAL, encodes each dirty campaign
+//! (events past its last snapshot, or a last snapshot that failed), and
+//! queues the files and the superseded segments' deletion on the log's
+//! write lane — a thread the log owns — then goes back to serving. A
+//! campaign joining the shard waits for its baseline to land before it
+//! serves, and a `finish` is acknowledged only once the lane is idle, so
+//! the directory is settled at every final report.
 
 use crate::message::{BatchOutcome, Completion, Request, Response};
 use crate::metrics::{Counter, OpKind, ServiceMetrics, Stage};
@@ -89,16 +98,12 @@ struct ShardDurability {
 }
 
 impl ShardDurability {
-    fn snapshot_campaign(
-        &mut self,
-        campaign: CampaignId,
-        docs: &Docs,
-        metrics: &ServiceMetrics,
-    ) -> docs_types::Result<()> {
+    /// Writes a campaign's baseline snapshot and returns once it is on
+    /// disk — for callers that must not serve the campaign before then.
+    fn write_baseline(&mut self, campaign: CampaignId, docs: &Docs) -> docs_types::Result<()> {
         let bytes = docs.snapshot_bytes();
         let seq = self.log.write_snapshot(campaign, &bytes)?;
         self.snapshotted_at.insert(campaign, seq);
-        metrics.count(Counter::SnapshotsWritten, 1);
         if self.sink.is_some() {
             self.unshipped.push(Unshipped::Snapshot(SnapshotFrame {
                 campaign,
@@ -183,33 +188,48 @@ impl ShardDurability {
     }
 
     /// Re-baselines the *dirty* persisted campaigns on the shard (those
-    /// with events beyond their latest snapshot) and prunes the log
-    /// segments the snapshots superseded. Clean campaigns keep their
-    /// existing snapshot — it already covers every event they have, so
-    /// pruning stays safe without re-serializing idle state.
-    fn snapshot_cycle(
-        &mut self,
-        live: &BTreeMap<CampaignId, Docs>,
-        metrics: &ServiceMetrics,
-    ) -> docs_types::Result<()> {
-        let campaigns: Vec<CampaignId> = self.persisted.iter().copied().collect();
-        for campaign in campaigns {
-            if self.log.last_seq(campaign)
-                == self.snapshotted_at.get(&campaign).copied().unwrap_or(0)
-            {
-                continue;
-            }
-            if let Some(docs) = live.get(&campaign) {
-                self.snapshot_campaign(campaign, docs, metrics)?;
+    /// with events beyond their latest snapshot, or whose latest queued
+    /// snapshot failed) and prunes the log segments the snapshots
+    /// supersede. The WAL is flushed and each snapshot encoded here; the
+    /// files and the deletion are queued on the log's write lane, which
+    /// deletes only once every snapshot before it has landed. Clean
+    /// campaigns keep their existing snapshot — it already covers every
+    /// event they have, so pruning stays safe without re-serializing idle
+    /// state. Whatever the outcome, the next cycle waits a full cadence.
+    fn snapshot_cycle(&mut self, live: &BTreeMap<CampaignId, Docs>) -> docs_types::Result<()> {
+        self.events_since_snapshot = 0;
+        for (campaign, seq) in self.log.take_failed_snapshots() {
+            if self.snapshotted_at.get(&campaign) == Some(&seq) {
+                self.snapshotted_at.remove(&campaign);
             }
         }
-        self.log.prune_segments()?;
-        self.events_since_snapshot = 0;
-        Ok(())
+        self.log.flush()?;
+        for &campaign in &self.persisted {
+            let seq = self.log.last_seq(campaign);
+            let Some(docs) = live.get(&campaign) else {
+                continue;
+            };
+            if self.snapshotted_at.get(&campaign) == Some(&seq) {
+                continue;
+            }
+            let bytes = docs.snapshot_bytes();
+            let frame = self.sink.is_some().then(|| bytes.clone());
+            self.log.queue_snapshot(campaign, bytes)?;
+            self.snapshotted_at.insert(campaign, seq);
+            if let Some(payload) = frame {
+                self.unshipped.push(Unshipped::Snapshot(SnapshotFrame {
+                    campaign,
+                    seq,
+                    payload,
+                }));
+            }
+        }
+        self.log.prune_segments()
     }
 
     /// Publishes the log gauges. Unconditional: appends between flushes
-    /// move `events_logged`, and a prune resets `log_bytes` without one.
+    /// move `events_logged`, and the write lane's deletions lower
+    /// `log_bytes` without one.
     fn observe(&self, shard: usize, metrics: &ServiceMetrics) {
         let stats = self.log.stats();
         metrics.shard_log_observed(
@@ -303,6 +323,19 @@ impl Shard {
                     flush_metrics.observe(Stage::FlushBatch, events);
                     flush_metrics.observe(Stage::FlushSync, sync.as_nanos() as u64);
                 })));
+                // The write lane counts a snapshot when it lands and
+                // journals one that fails.
+                let lane_metrics = metrics.clone();
+                log.set_snapshot_observer(Some(Arc::new(
+                    move |campaign, seq, landed| match landed {
+                        Ok(()) => lane_metrics.count(Counter::SnapshotsWritten, 1),
+                        Err(e) => {
+                            let what = format!("snapshot of campaign {campaign} at {seq}");
+                            let kind = JournalKind::SnapshotFailure;
+                            journal_failure(&lane_metrics, index, kind, &what, e);
+                        }
+                    },
+                )));
                 Some(ShardDurability {
                     log,
                     persisted: BTreeSet::new(),
@@ -374,6 +407,7 @@ impl Shard {
                 if d.log.flush().is_ok() {
                     d.ship(&self.metrics);
                 }
+                d.log.settle();
                 d.observe(self.index, &self.metrics);
                 self.release_deferred();
             }
@@ -417,16 +451,22 @@ impl Shard {
                         cause: e.to_string(),
                     });
                 }
-                d.observe(self.index, &self.metrics);
             }
             // Snapshot cadence: after enough logged events, re-baseline
-            // every campaign on this shard and prune the log. A failure
-            // keeps serving; the log grows until a cycle succeeds.
+            // the dirty campaigns on this shard and prune the log, through
+            // the write lane. A failure keeps serving; the log grows until
+            // a cycle succeeds.
             if d.snapshot_every > 0 && d.events_since_snapshot >= d.snapshot_every {
-                if let Err(e) = d.snapshot_cycle(&self.campaigns, &self.metrics) {
+                if let Err(e) = d.snapshot_cycle(&self.campaigns) {
                     let kind = JournalKind::SnapshotFailure;
                     journal_failure(&self.metrics, self.index, kind, "snapshot cycle", &e);
                 }
+                d.observe(self.index, &self.metrics);
+            }
+            // A final report leaves the directory settled: the lane has
+            // landed every snapshot and deletion queued so far.
+            if matches!(kind, OpKind::Finish) && d.persisted.contains(&campaign) {
+                d.log.settle();
                 d.observe(self.index, &self.metrics);
             }
             // Ship everything this request's group commit made durable
@@ -634,7 +674,7 @@ impl Shard {
                 Joining::At(seq) => seq,
             };
             d.log.register(campaign, policy, seq);
-            d.snapshot_campaign(campaign, &docs, &self.metrics)?;
+            d.write_baseline(campaign, &docs)?;
             if matches!(joining, Joining::New) {
                 let published = PublishedEvent {
                     campaign,

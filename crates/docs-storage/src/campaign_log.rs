@@ -20,12 +20,30 @@
 //! Policies are per campaign — one strict campaign forces a flush that
 //! opportunistically hardens every buffered neighbor's events too.
 //!
-//! **Snapshots and truncation.** Snapshots are replaced through the same
+//! **Snapshots and truncation.** Snapshot files are written, and
+//! superseded segments deleted, by the log's write lane: one background
+//! thread per log (`lane.rs`) that runs those jobs one at a time in the
+//! order they were queued, so the appending thread never waits on
+//! checkpoint I/O. A snapshot replaces its file through the same
 //! `write_atomically` helper the parameter store compacts with (tmp file,
-//! `fdatasync`, rename, directory `fsync`). After snapshotting every
-//! campaign it owns, a shard calls [`CampaignLog::prune_segments`]: a fresh
-//! segment starts and all older ones are deleted — replay cost stays
-//! bounded by the snapshot cadence, not by campaign lifetime.
+//! `fdatasync`, rename, directory `fsync`). The rules:
+//!
+//! * a snapshot at sequence `S` is queued only after the WAL through `S`
+//!   is durable ([`CampaignLog::queue_snapshot`] flushes first);
+//! * [`CampaignLog::prune_segments`] rotates to a fresh segment and syncs
+//!   the directory on the caller's thread, so no event in the new segment
+//!   is acknowledged before its name is durable, then queues the deletion
+//!   of every older segment — replay cost stays bounded by the snapshot
+//!   cadence, not by campaign lifetime;
+//! * a deletion runs only after every snapshot queued before it has
+//!   landed, and never while a campaign's latest queued snapshot has
+//!   failed ([`CampaignLog::take_failed_snapshots`] hands those back);
+//! * a caller that needs its snapshot on disk
+//!   ([`CampaignLog::write_snapshot`]) queues on the same lane and waits
+//!   for its own job, so an older queued file never overwrites a newer one;
+//! * dropping the log drains the lane; [`CampaignLog::abandon`] (a
+//!   simulated crash) lets the running job finish and drops the queued
+//!   ones, a state recovery handles like any other crash.
 //!
 //! **Recovery.** [`recover_tree`] scans a whole durability directory (every
 //! shard subdirectory — the writing epoch may have used a different shard
@@ -35,11 +53,13 @@
 //! and ends that segment's scan cleanly; a CRC-corrupt *complete* record is
 //! data loss and fails recovery loudly instead of serving wrong state.
 
-use crate::{create_dir_durably, io_err, sync_dir, write_atomically, PayloadBytes, Wal, WalTail};
+use crate::lane::{Job, Lane, SnapshotObserver};
+use crate::{create_dir_durably, io_err, sync_dir, PayloadBytes, Wal, WalTail};
 use bytes::{Buf, BufMut, BytesMut};
 use docs_types::{crc32, CampaignId, Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -163,16 +183,17 @@ pub struct CampaignLog {
     /// Last assigned sequence number per campaign (0 = none yet).
     seqs: HashMap<CampaignId, u64>,
     stats: FlushStats,
-    /// Bytes across this log's on-disk segments, tracked so hot paths can
+    /// Writes snapshots and deletes superseded segments off this thread;
+    /// also tracks the bytes across the on-disk segments, so hot paths
     /// publish the gauge without re-scanning the directory.
-    disk_bytes: u64,
+    lane: Lane,
 }
 
-fn segment_path(dir: &Path, index: u64) -> PathBuf {
+pub(crate) fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("events-{index:06}.wal"))
 }
 
-fn snapshot_path(dir: &Path, campaign: CampaignId) -> PathBuf {
+pub(crate) fn snapshot_path(dir: &Path, campaign: CampaignId) -> PathBuf {
     dir.join(format!("snap-{}.bin", campaign.0))
 }
 
@@ -203,7 +224,7 @@ fn list_segments(dir: &Path) -> Result<Vec<PathBuf>> {
 }
 
 /// Lists the segment indices present in a directory, ascending.
-fn segment_indices(dir: &Path) -> Result<Vec<u64>> {
+pub(crate) fn segment_indices(dir: &Path) -> Result<Vec<u64>> {
     let mut indices = Vec::new();
     match std::fs::read_dir(dir) {
         Ok(entries) => {
@@ -239,6 +260,7 @@ impl CampaignLog {
         let segment_index = existing.last().map_or(0, |last| last + 1);
         let segment = Wal::open(segment_path(&dir, segment_index))?;
         sync_dir(&dir)?;
+        let lane = Lane::spawn(dir.clone(), disk_bytes)?;
         Ok(CampaignLog {
             observer: ObserverSlot::default(),
             dir,
@@ -253,7 +275,7 @@ impl CampaignLog {
             policies: HashMap::new(),
             seqs: HashMap::new(),
             stats: FlushStats::default(),
-            disk_bytes,
+            lane,
         })
     }
 
@@ -262,6 +284,12 @@ impl CampaignLog {
     /// successful group commit, so it must be cheap and lock-free.
     pub fn set_flush_observer(&mut self, observer: Option<FlushObserver>) {
         self.observer = ObserverSlot(observer);
+    }
+
+    /// Installs (or clears) the snapshot observer. It runs on the write
+    /// lane after every snapshot job, so it must be cheap and thread-safe.
+    pub fn set_snapshot_observer(&mut self, observer: Option<SnapshotObserver>) {
+        self.lane.set_observer(observer);
     }
 
     /// Registers a campaign with its flush policy and the last sequence
@@ -405,7 +433,9 @@ impl CampaignLog {
         if let Some(observer) = self.observer.0.as_ref() {
             observer(self.pending_events as u64, elapsed);
         }
-        self.disk_bytes += self.pending.len() as u64;
+        self.lane
+            .disk_bytes()
+            .fetch_add(self.pending.len() as u64, Ordering::Relaxed);
         self.pending.clear();
         self.pending_written = 0;
         self.pending_events = 0;
@@ -418,8 +448,12 @@ impl CampaignLog {
     /// fault-injection hook that makes an in-process "kill" behave like a
     /// real crash: acknowledged-but-unsynced events vanish. (Bytes a failed
     /// flush already handed to the OS stay in the file unsynced, exactly
-    /// like a real crash's torn tail.)
+    /// like a real crash's torn tail.) The write lane finishes the job it
+    /// is running and drops the queued ones, so a queued snapshot or
+    /// deletion dies with the process too; the log writes no snapshot
+    /// after this.
     pub fn abandon(&mut self) {
+        self.lane.abandon();
         self.pending.clear();
         self.pending_written = 0;
         self.pending_events = 0;
@@ -448,9 +482,10 @@ impl CampaignLog {
     }
 
     /// Bytes currently on disk across this shard's segments (excluding
-    /// buffered, unflushed bytes) — tracked, no directory scan.
+    /// buffered, unflushed bytes; including superseded segments until the
+    /// lane deletes them) — tracked, no directory scan.
     pub fn on_disk_bytes(&self) -> u64 {
-        self.disk_bytes
+        self.lane.disk_bytes().load(Ordering::Relaxed)
     }
 
     /// Like [`CampaignLog::on_disk_bytes`] but measured from the
@@ -465,46 +500,81 @@ impl CampaignLog {
         Ok(total)
     }
 
-    /// Atomically writes a campaign's snapshot, stamped with its current
-    /// last sequence number (everything at or below it is superseded).
-    /// Buffered events are flushed first so the snapshot never claims a
-    /// sequence number that could vanish in a crash.
+    /// Writes a campaign's snapshot, stamped with its current last
+    /// sequence number (everything at or below it is superseded), and
+    /// returns once the file is on disk: the job queues on the write lane
+    /// behind any earlier one and the caller waits for it. Buffered events
+    /// are flushed first so the snapshot never claims a sequence number
+    /// that could vanish in a crash.
     pub fn write_snapshot(&mut self, campaign: CampaignId, payload: &[u8]) -> Result<u64> {
-        self.flush()?;
-        let seq = self.last_seq(campaign);
-        let mut header = [0u8; 12];
-        header[..8].copy_from_slice(&seq.to_le_bytes());
-        header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
-        write_atomically(&snapshot_path(&self.dir, campaign), &[&header, payload])?;
+        let (seq, ticket) = self.snapshot_job(campaign, payload.to_vec(), true)?;
+        self.lane.wait_for(ticket)?;
         Ok(seq)
     }
 
-    /// Starts a fresh segment and deletes all older ones. Call only after
-    /// [`CampaignLog::write_snapshot`] has covered every campaign this
-    /// shard owns — pruned events are gone for good.
+    /// [`CampaignLog::write_snapshot`] without the wait: flushes the WAL,
+    /// queues the file on the write lane and returns the sequence it
+    /// covers. The lane reports landing to the snapshot observer; a
+    /// failure also comes back through
+    /// [`CampaignLog::take_failed_snapshots`] and keeps every later
+    /// deletion from running until one of the campaign's snapshots lands.
+    pub fn queue_snapshot(&mut self, campaign: CampaignId, payload: Vec<u8>) -> Result<u64> {
+        Ok(self.snapshot_job(campaign, payload, false)?.0)
+    }
+
+    /// Flushes the WAL, then queues `campaign`'s snapshot at its last
+    /// sequence; returns the sequence and the job's ticket.
+    fn snapshot_job(
+        &mut self,
+        campaign: CampaignId,
+        payload: Vec<u8>,
+        waited: bool,
+    ) -> Result<(u64, u64)> {
+        self.flush()?;
+        let seq = self.last_seq(campaign);
+        let ticket = self.lane.queue(Job::Snapshot {
+            campaign,
+            seq,
+            payload,
+            waited,
+        });
+        Ok((seq, ticket))
+    }
+
+    /// Queued snapshots that failed since the last call, as `(campaign,
+    /// seq)`: the owner re-dirties each campaign whose latest snapshot is
+    /// still that one, so the next cadence retries it.
+    pub fn take_failed_snapshots(&mut self) -> Vec<(CampaignId, u64)> {
+        self.lane.take_failed()
+    }
+
+    /// Blocks until the write lane has run every queued job, leaving the
+    /// directory settled.
+    pub fn settle(&self) {
+        self.lane.settle();
+    }
+
+    /// Starts a fresh segment, makes its name durable, and queues the
+    /// deletion of every older one. Call only after every campaign this
+    /// log records has a snapshot queued or landed that covers its events
+    /// so far — pruned events are gone for good. The lane deletes only once
+    /// the snapshots queued before it have landed.
     pub fn prune_segments(&mut self) -> Result<()> {
         self.flush()?;
         let new_index = self.segment_index + 1;
-        let new_segment = Wal::open(segment_path(&self.dir, new_index))?;
-        let old_indices = segment_indices(&self.dir)?;
-        self.segment = new_segment;
+        self.segment = Wal::open(segment_path(&self.dir, new_index))?;
         self.segment_index = new_index;
-        for idx in old_indices {
-            if idx < new_index {
-                std::fs::remove_file(segment_path(&self.dir, idx)).map_err(io_err)?;
-            }
-        }
-        // The new segment's creation (and the deletions) must survive
-        // power loss before replay cost is considered bounded.
+        // No event may be acknowledged in the new segment before its name
+        // survives power loss.
         sync_dir(&self.dir)?;
-        self.disk_bytes = 0;
+        self.lane.queue(Job::Delete { below: new_index });
         Ok(())
     }
 }
 
 impl Drop for CampaignLog {
-    /// Normal shutdown flushes the tail batch; crashes are simulated by
-    /// calling [`CampaignLog::abandon`] first.
+    /// Normal shutdown flushes the tail batch, then drains the write lane;
+    /// crashes are simulated by calling [`CampaignLog::abandon`] first.
     fn drop(&mut self) {
         let _ = self.flush();
     }
@@ -1010,6 +1080,115 @@ mod tests {
         );
         assert_eq!(owned(&c0.events), vec![(6, b"e5".to_vec())]);
         assert_eq!(c0.last_seq, 6);
+    }
+
+    /// A crash that lands while the write lane is behind drops the
+    /// snapshots and the deletion it had queued, unrun: the superseded
+    /// segment stays, the tracked bytes still count it, and recovery
+    /// rebuilds every event from the last snapshot that landed.
+    #[test]
+    fn a_crash_drops_the_queued_snapshots_and_the_deletion() {
+        let base = tmp_dir("lane-crash");
+        let shard = base.join("shard-0");
+        let mut log = CampaignLog::open(&shard).unwrap();
+        log.register(C0, FlushPolicy::EveryEvent, 0);
+        log.register(C1, FlushPolicy::EveryEvent, 0);
+        log.append_event(C0, b"a1").unwrap();
+        assert_eq!(log.write_snapshot(C0, b"c0-at-1").unwrap(), 1);
+        log.append_event(C0, b"a2").unwrap();
+        log.append_event(C1, b"b1").unwrap();
+        let hold = crate::hold_lanes(&base);
+        assert_eq!(log.queue_snapshot(C0, b"c0-at-2".to_vec()).unwrap(), 2);
+        assert_eq!(log.queue_snapshot(C1, b"c1-at-1".to_vec()).unwrap(), 1);
+        log.prune_segments().unwrap();
+        log.append_event(C0, b"a3").unwrap();
+        assert_eq!(log.on_disk_bytes(), log.segment_bytes().unwrap());
+        log.abandon();
+        drop(log);
+        drop(hold);
+        assert_eq!(segment_indices(&shard).unwrap(), [0, 1]);
+        let rec = recover_tree(&base).unwrap();
+        let c0 = &rec.campaigns[&C0];
+        let (seq, payload) = c0.snapshot.as_ref().expect("the waited snapshot landed");
+        assert_eq!((*seq, payload.to_vec()), (1, b"c0-at-1".to_vec()));
+        assert_eq!(
+            owned(&c0.events),
+            vec![(2, b"a2".to_vec()), (3, b"a3".to_vec())]
+        );
+        let c1 = &rec.campaigns[&C1];
+        assert!(c1.snapshot.is_none());
+        assert_eq!(owned(&c1.events), vec![(1, b"b1".to_vec())]);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A caller that needs its snapshot on disk waits for its own job:
+    /// queued behind a held lane, `write_snapshot` does not return while
+    /// the hold lasts, and once it returns the file is in place.
+    #[test]
+    fn write_snapshot_returns_once_its_file_has_landed() {
+        let base = tmp_dir("lane-wait");
+        let mut log = CampaignLog::open(base.join("shard-0")).unwrap();
+        log.register(C0, FlushPolicy::EveryEvent, 0);
+        log.append_event(C0, b"e1").unwrap();
+        let hold = crate::hold_lanes(&base);
+        let (returned, seq) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            returned
+                .send(log.write_snapshot(C0, b"state-at-1"))
+                .unwrap();
+            log
+        });
+        let held = seq.recv_timeout(Duration::from_millis(100));
+        assert!(held.is_err(), "returned behind a held lane: {held:?}");
+        drop(hold);
+        assert_eq!(seq.recv().unwrap().unwrap(), 1);
+        let rec = recover_tree(&base).unwrap();
+        let (seq, payload) = rec.campaigns[&C0].snapshot.as_ref().expect("landed");
+        assert_eq!((*seq, payload.to_vec()), (1, b"state-at-1".to_vec()));
+        drop(writer.join().unwrap());
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A queued snapshot that fails comes back once through
+    /// `take_failed_snapshots` and keeps every later deletion from running
+    /// — even one behind another campaign's landed snapshot — until one of
+    /// its own campaign's snapshots lands; the tracked bytes follow the
+    /// segments that are really on disk throughout.
+    #[test]
+    fn a_failed_snapshot_blocks_deletion_until_its_campaign_lands_one() {
+        let base = tmp_dir("lane-failed");
+        let shard = base.join("shard-0");
+        let mut log = CampaignLog::open(&shard).unwrap();
+        log.register(C0, FlushPolicy::EveryEvent, 0);
+        log.register(C1, FlushPolicy::EveryEvent, 0);
+        log.append_event(C0, b"a1").unwrap();
+        log.append_event(C1, b"b1").unwrap();
+        // No file can be created over a directory.
+        let obstacle = shard.join("snap-0.bin.tmp");
+        std::fs::create_dir(&obstacle).unwrap();
+        let cycle = |log: &mut CampaignLog, campaigns: &[CampaignId]| {
+            for &c in campaigns {
+                log.queue_snapshot(c, format!("{c}").into_bytes()).unwrap();
+            }
+            log.prune_segments().unwrap();
+            log.settle();
+            assert_eq!(log.on_disk_bytes(), log.segment_bytes().unwrap());
+            segment_indices(&shard).unwrap()
+        };
+        assert_eq!(cycle(&mut log, &[C0, C1]), [0, 1]);
+        assert_eq!(log.take_failed_snapshots(), [(C0, 1)]);
+        assert!(log.take_failed_snapshots().is_empty());
+        log.append_event(C1, b"b2").unwrap();
+        assert_eq!(cycle(&mut log, &[C1]), [0, 1, 2], "C0 is still uncovered");
+        std::fs::remove_dir(&obstacle).unwrap();
+        assert_eq!(cycle(&mut log, &[C0]), [3]);
+        assert!(log.take_failed_snapshots().is_empty());
+        drop(log);
+        let rec = recover_tree(&base).unwrap();
+        let snapshot_seq = |c| rec.campaigns[&c].snapshot.as_ref().map(|(seq, _)| *seq);
+        assert_eq!((snapshot_seq(C0), snapshot_seq(C1)), (Some(1), Some(2)));
+        assert!(rec.campaigns.values().all(|c| c.events.is_empty()));
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

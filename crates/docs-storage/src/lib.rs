@@ -13,8 +13,9 @@
 //!   handle per directory per process,
 //! * [`CampaignLog`] — the per-service-shard event log of the event-sourced
 //!   runtime: group-commit WAL segments ([`FlushPolicy`]), per-campaign
-//!   sequence numbers and snapshots, segment pruning, and whole-tree crash
-//!   recovery ([`recover_tree`]).
+//!   sequence numbers and snapshots written by the log's background write
+//!   lane, segment pruning, and whole-tree crash recovery
+//!   ([`recover_tree`]).
 //!
 //! Both stores replace whole files the same way (`write_atomically`: tmp
 //! file, `fdatasync`, rename, directory `fsync`) and read their logs by the
@@ -24,10 +25,12 @@
 //! Concurrency follows the paper's server model: many platform threads hit
 //! the parameter store, so it is `Send + Sync` (interior `parking_lot`
 //! locking); a `CampaignLog` is owned by exactly one shard thread and needs
-//! no lock.
+//! no lock on its append path — only its write lane's job queue is shared
+//! with the lane thread.
 
 mod arena;
 mod campaign_log;
+mod lane;
 mod params;
 mod wal;
 
@@ -36,6 +39,9 @@ pub use campaign_log::{
     recover_tree, AdaptiveCommit, CampaignLog, CampaignRecovery, FlushObserver, FlushPolicy,
     FlushStats, TreeRecovery,
 };
+pub use lane::SnapshotObserver;
+#[doc(hidden)]
+pub use lane::{hold_lanes, LaneHold};
 pub use params::ParamStore;
 pub use wal::{Wal, WalTail};
 

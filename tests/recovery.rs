@@ -306,6 +306,144 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `events-*.wal` segments in one shard's log directory.
+fn segment_count(shard_dir: &Path) -> usize {
+    std::fs::read_dir(shard_dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_str().is_some_and(|n| n.starts_with("events-"))
+        })
+        .count()
+}
+
+/// Recovers `dir`, re-drives the whole stream into `campaign` and checks
+/// the finished report against the oracle's.
+fn recover_to_the_oracle(config: ServiceConfig, campaign: CampaignId, label: &str) {
+    let (ops, reference) = oracle(2);
+    let (service, handle) = DocsService::recover(config).expect("recovery succeeds");
+    for op in &ops {
+        submit(&handle, campaign, op);
+    }
+    let report = handle
+        .call(docs_service::Op::finish(campaign))
+        .expect("finish after recovery");
+    assert_byte_identical(&report, &reference, label);
+    drop(handle);
+    let _ = service.join_all();
+}
+
+/// A crash that lands while the log's write lane is held drops the cadence
+/// snapshots and the segment deletions it had queued: none of those
+/// snapshots is on disk, the segments they would have superseded are, and
+/// recovery is byte-identical to the oracle.
+#[test]
+fn a_crash_behind_a_held_write_lane_recovers_byte_identically() {
+    let (ops, _) = oracle(2);
+    for policy in [FlushPolicy::EveryEvent, FlushPolicy::Batch(8)] {
+        let label = format!("held lane, {policy:?}");
+        let dir = tmp_dir(&format!("held-lane-{}", policy.label()));
+        let config = service_config(1, &dir, policy, CADENCE);
+        let (service, handle) = DocsService::spawn_empty(config.clone()).unwrap();
+        let campaign = handle.create_campaign(publish(2, Some(policy))).unwrap();
+        for op in &ops[..20] {
+            submit(&handle, campaign, op);
+        }
+        // Cadences at 21 and 28 events (sequences 22 and 29) queue behind
+        // the hold.
+        let hold = docs_storage::hold_lanes(&dir);
+        for op in &ops[20..34] {
+            submit(&handle, campaign, op);
+        }
+        handle.simulate_crash();
+        drop(handle);
+        let _ = service.join_all();
+        drop(hold);
+
+        assert!(segment_count(&dir.join("shard-0")) >= 3, "{label}");
+        let tree = docs_storage::recover_tree(&dir).unwrap();
+        let snapshot = tree.campaigns[&campaign].snapshot.as_ref();
+        assert!(snapshot.is_some_and(|(seq, _)| *seq < 22), "{label}");
+        recover_to_the_oracle(config, campaign, &label);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A cadence snapshot that cannot be written — its tmp path is a
+/// directory — is retried once per cadence, never per request, even at a
+/// cadence where its campaign logged nothing new; each failure is one
+/// journal entry, and no segment is deleted while the campaign has no
+/// snapshot past its baseline, so a crash then recovers byte-identically.
+/// Once the obstacle is gone, the next cadence lands the snapshot and
+/// prunes.
+#[test]
+fn a_failing_cadence_snapshot_is_retried_each_cadence_and_keeps_its_segments() {
+    let (ops, _) = oracle(2);
+    let policy = FlushPolicy::EveryEvent;
+    let dir = tmp_dir("failing-cadence-snapshot");
+    let shard_dir = dir.join("shard-0");
+    let (service, handle) =
+        DocsService::spawn_empty(service_config(1, &dir, policy, CADENCE)).unwrap();
+    let failures = || {
+        let counts = handle.metrics().journal().counts_by_kind();
+        counts
+            .iter()
+            .find(|(kind, _)| *kind == docs_obs::JournalKind::SnapshotFailure)
+            .map_or(0, |(_, n)| *n)
+    };
+    let c0 = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    let obstacle = shard_dir.join(format!("snap-{}.bin.tmp", c0.0));
+    std::fs::create_dir(&obstacle).unwrap();
+    // 27 events and the finish: four cadences, the last on the finish.
+    for op in &ops[..27] {
+        submit(&handle, c0, op);
+        let _ = handle.call(docs_service::Op::status(c0)).unwrap();
+    }
+    handle.call(docs_service::Op::finish(c0)).unwrap();
+    assert_eq!(failures(), 4);
+    // A fifth cadence driven by another campaign retries c0's snapshot
+    // although c0 logged nothing since the last one.
+    let c1 = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    for op in &ops[..7] {
+        submit(&handle, c1, op);
+    }
+    handle.call(docs_service::Op::finish(c1)).unwrap();
+    assert_eq!(failures(), 5);
+    assert_eq!(segment_count(&shard_dir), 6, "nothing pruned");
+
+    // Crash here: a copy of the directory recovers byte-identically.
+    let copy = tmp_dir("failing-cadence-snapshot-copy");
+    std::fs::create_dir_all(copy.join("shard-0")).unwrap();
+    for entry in std::fs::read_dir(&shard_dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_file() {
+            std::fs::copy(&path, copy.join("shard-0").join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    let tree = docs_storage::recover_tree(&copy).unwrap();
+    let c0_tree = &tree.campaigns[&c0];
+    assert_eq!(c0_tree.snapshot.as_ref().map(|(seq, _)| *seq), Some(0));
+    assert_eq!((c0_tree.events.len(), c0_tree.last_seq), (29, 29));
+    let label = "failing cadence snapshot";
+    recover_to_the_oracle(service_config(1, &copy, policy, CADENCE), c0, label);
+    let _ = std::fs::remove_dir_all(&copy);
+
+    // Without the obstacle the next cadence lands c0's snapshot and prunes.
+    std::fs::remove_dir(&obstacle).unwrap();
+    for op in &ops[7..14] {
+        submit(&handle, c1, op);
+    }
+    handle.call(docs_service::Op::finish(c1)).unwrap();
+    assert_eq!(failures(), 5);
+    assert_eq!(segment_count(&shard_dir), 1, "pruned");
+    let tree = docs_storage::recover_tree(&dir).unwrap();
+    let c0_snapshot = tree.campaigns[&c0].snapshot.as_ref();
+    assert_eq!(c0_snapshot.map(|(seq, _)| *seq), Some(29));
+    drop(handle);
+    let _ = service.join_all();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
