@@ -612,6 +612,89 @@ mod tests {
         assert!((acc - 0.8).abs() < 0.03, "{acc}");
     }
 
+    /// FNV-1a over the answer stream of `model`: 3 000 answers at
+    /// `ℓ = l` from a fixed seed, cycling over twelve tasks that vary the
+    /// task id (the clique hash), the truth and the domain.
+    fn stream_hash(model: AnswerModel, l: usize, is_golden: bool) -> u64 {
+        let w = SimulatedWorker {
+            id: WorkerId(0),
+            true_quality: QualityVector::new(vec![0.7, 0.4]).unwrap(),
+        };
+        let tasks: Vec<Task> = (0..12usize)
+            .map(|i| {
+                TaskBuilder::new(i, "t")
+                    .with_choices((0..l).map(|c| format!("c{c}")))
+                    .with_ground_truth(i % l)
+                    .with_true_domain(i % 2)
+                    .with_domain_vector(DomainVector::one_hot(2, i % 2))
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let ctx = AnswerContext {
+            is_golden,
+            progress: 0.0,
+        };
+        let mut rng = SmallRng::seed_from_u64(0xD0C5);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..3000 {
+            let choice = w.answer_in_context(&tasks[i % tasks.len()], model, ctx, &mut rng);
+            for byte in (choice as u64).to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the answer stream of every `AnswerModel` variant the scenario
+    /// harness drives. A change to a match arm, or to the order of its rng
+    /// draws, moves a hash here.
+    #[test]
+    fn answer_streams_are_pinned() {
+        let sleeper = AnswerModel::Sleeper {
+            golden_quality: 0.9,
+        };
+        let cases: [(&str, AnswerModel, bool); 6] = [
+            ("domain-uniform", AnswerModel::DomainUniform, false),
+            ("uniform spammer", AnswerModel::UniformSpammer, false),
+            ("sleeper, golden", sleeper, true),
+            ("sleeper, not golden", sleeper, false),
+            (
+                "clique, collusion 0",
+                AnswerModel::Clique {
+                    clique: 1,
+                    collusion: 0.0,
+                },
+                false,
+            ),
+            (
+                "clique, collusion 0.3",
+                AnswerModel::Clique {
+                    clique: 1,
+                    collusion: 0.3,
+                },
+                false,
+            ),
+        ];
+        let expected: [[u64; 2]; 6] = [
+            [0xe8f6_5b80_8ab9_7405, 0x8e76_6f8a_c525_6ee5],
+            [0x73ee_9b32_6a9c_a325, 0x46b0_0323_875c_b2e7],
+            [0xc6f3_93cc_0eea_b0e4, 0x2279_eef1_2c74_9a87],
+            // A sleeper off the golden HIT draws exactly as a spammer does.
+            [0x73ee_9b32_6a9c_a325, 0x46b0_0323_875c_b2e7],
+            [0x3d2c_de2b_1b73_4f45, 0x1318_2e56_eeef_fde6],
+            [0x4b9f_e235_4fee_a6e5, 0x0728_ec52_2ab6_bbc5],
+        ];
+        let mut actual = Vec::new();
+        for (name, model, is_golden) in cases {
+            actual.push((name, [2, 4].map(|l| stream_hash(model, l, is_golden))));
+        }
+        for ((name, got), want) in actual.iter().zip(expected) {
+            assert_eq!(*got, want, "{name} (ℓ = 2, 4): {actual:#x?}");
+        }
+    }
+
     #[test]
     fn population_mixture_shapes() {
         let cfg = PopulationConfig {
