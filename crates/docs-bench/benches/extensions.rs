@@ -1,63 +1,15 @@
-//! Benchmarks for the future-work extensions:
+//! Benchmarks for the extensions beyond the paper:
 //!
-//! * `correlated_dve`: the price of dropping Section 3.1's independence
-//!   assumption — exact correlated summation vs Gibbs sampling vs coherence
-//!   reranking + Algorithm 1, against the independent Algorithm 1 baseline,
 //! * `stopping_policy`: per-answer cost of the stable-point stopping rules
 //!   (they run inside the collection loop, so they must be ~free),
 //! * `budget_planner`: greedy marginal-benefit allocation across campaign
 //!   sizes (advisory planning, run once per campaign checkpoint).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use docs_core::dve::{
-    domain_vector, domain_vector_correlated_exact, domain_vector_correlated_gibbs,
-    domain_vector_reranked, CorrelationConfig,
-};
 use docs_core::ota::BudgetPlanner;
 use docs_core::ti::{StoppingPolicy, StoppingRule, TaskArena};
-use docs_kb::generator::synthetic_entities;
 use docs_types::DomainVector;
 use std::hint::black_box;
-
-fn bench_correlated_dve(c: &mut Criterion) {
-    let mut group = c.benchmark_group("correlated_dve");
-    // Small instances where the exact correlated sum is feasible.
-    for entities in [3usize, 5] {
-        let es = synthetic_entities(10, entities, 4, 2, 0xC0);
-        group.bench_with_input(
-            BenchmarkId::new("independent_alg1", entities),
-            &es,
-            |b, es| b.iter(|| black_box(domain_vector(es, 10))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("correlated_exact", entities),
-            &es,
-            |b, es| b.iter(|| black_box(domain_vector_correlated_exact(es, 10, 1.0, 1 << 30))),
-        );
-        group.bench_with_input(BenchmarkId::new("rerank_alg1", entities), &es, |b, es| {
-            b.iter(|| black_box(domain_vector_reranked(es, 10, 1.0)))
-        });
-    }
-    // Larger instances where only Gibbs and reranking stay feasible.
-    let config = CorrelationConfig {
-        lambda: 1.0,
-        burn_in: 20,
-        samples: 100,
-        seed: 0xC1,
-    };
-    for entities in [8usize, 12] {
-        let es = synthetic_entities(26, entities, 20, 2, 0xC2);
-        group.bench_with_input(
-            BenchmarkId::new("gibbs_120_sweeps", entities),
-            &es,
-            |b, es| b.iter(|| black_box(domain_vector_correlated_gibbs(es, 26, &config))),
-        );
-        group.bench_with_input(BenchmarkId::new("rerank_alg1", entities), &es, |b, es| {
-            b.iter(|| black_box(domain_vector_reranked(es, 26, 1.0)))
-        });
-    }
-    group.finish();
-}
 
 fn bench_stopping_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("stopping_policy");
@@ -109,10 +61,5 @@ fn bench_budget_planner(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_correlated_dve,
-    bench_stopping_policy,
-    bench_budget_planner
-);
+criterion_group!(benches, bench_stopping_policy, bench_budget_planner);
 criterion_main!(benches);

@@ -8,10 +8,10 @@
 //!
 //! Accepted selectors: `table3 fig3 fig4a fig4b fig4c fig4d fig4e fig5 fig6
 //! fig7a fig7b fig8 fig8c ext` (any subset, in any order; `ext` prints the
-//! extension experiments — robustness, correlated DVE, adaptive stopping).
+//! one extension experiment, adaptive stopping).
 
 use docs_bench::{
-    extensions, fig3, fig4, fig5, fig6, fig7, fig8, pct, population, protocol, robustness, table3,
+    extensions, fig3, fig4, fig5, fig6, fig7, fig8, pct, population, protocol, table3,
 };
 use std::time::Duration;
 
@@ -273,42 +273,6 @@ fn main() {
     }
 
     if wants(&args, "ext") {
-        println!("== Extension: robustness to answer-model mismatch (Item) ==");
-        println!(
-            "{:<30} {:>8} {:>8} {:>8}",
-            "crowd model", "MV", "DS", "DOCS"
-        );
-        for row in robustness::run(docs_datasets::item(), 10, seed) {
-            println!(
-                "{:<30} {:>8} {:>8} {:>8}",
-                row.model,
-                pct(row.mv),
-                pct(row.ds),
-                pct(row.docs)
-            );
-        }
-        println!();
-
-        println!("== Extension: correlated DVE + multi-domain metrics (lambda=1) ==");
-        println!(
-            "{:<5} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8}",
-            "", "acc(ind)", "acc(rr)", "JS(ind)", "JS(rr)", "F1(ind)", "F1(rr)"
-        );
-        for d in docs_datasets::all_datasets() {
-            let row = extensions::correlated_dve(d, 1.0);
-            println!(
-                "{:<5} {:>10} {:>10} {:>8.4} {:>8.4} {:>8.3} {:>8.3}",
-                row.dataset,
-                pct(row.independent_acc),
-                pct(row.reranked_acc),
-                row.independent_multi.mean_js,
-                row.reranked_multi.mean_js,
-                row.independent_multi.mean_mode_f1,
-                row.reranked_multi.mean_mode_f1,
-            );
-        }
-        println!();
-
         println!("== Extension: adaptive stopping vs uniform 10/task ==");
         println!(
             "{:<5} {:>14} {:>14} {:>14} {:>14} {:>12}",

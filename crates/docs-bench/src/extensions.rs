@@ -1,80 +1,12 @@
-//! Extension experiments beyond the paper's evaluation: correlated DVE,
-//! multi-domain metrics, and adaptive stopping. (The robustness sweep lives
-//! in [`crate::robustness`].)
+//! The extension experiment beyond the paper's evaluation: adaptive
+//! stopping against the uniform 10-answers-per-task cap.
 
-use docs_core::dve::{self, evaluate_corpus, MultiDomainReport};
 use docs_core::ti::{IncrementalTi, StoppingPolicy, StoppingRule, WorkerRegistry};
 use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_datasets::Dataset;
-use docs_kb::{EntityLinker, LinkerConfig};
 use docs_types::{Answer, TaskId, WorkerId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Multi-domain quality of DVE on one dataset, independent vs
-/// coherence-reranked linking.
-#[derive(Debug, Clone)]
-pub struct CorrelatedDveRow {
-    /// Dataset name.
-    pub dataset: &'static str,
-    /// Single-label detection accuracy (the Figure 3 metric), independent.
-    pub independent_acc: f64,
-    /// Single-label detection accuracy, reranked at λ.
-    pub reranked_acc: f64,
-    /// Multi-domain report (JS / top-2 recall / mode F1), independent.
-    pub independent_multi: MultiDomainReport,
-    /// Multi-domain report, reranked.
-    pub reranked_multi: MultiDomainReport,
-    /// Correlation strength used.
-    pub lambda: f64,
-}
-
-/// Runs the correlated-DVE comparison on one dataset: estimate every task's
-/// domain vector with the independent Algorithm 1 and with coherence
-/// reranking, then score both with the single-label accuracy *and* the
-/// multi-domain metrics of `dve::metrics` (truth = the dataset's labeled
-/// true domain).
-pub fn correlated_dve(mut dataset: Dataset, lambda: f64) -> CorrelatedDveRow {
-    let m = dataset.domain_set.len();
-    let linker = EntityLinker::new(
-        &dataset.kb,
-        LinkerConfig {
-            top_c: 20,
-            context_weight: 0.5,
-        },
-    );
-    let mut independent = Vec::with_capacity(dataset.len());
-    let mut reranked = Vec::with_capacity(dataset.len());
-    let mut truths: Vec<Vec<usize>> = Vec::with_capacity(dataset.len());
-    for task in &dataset.tasks {
-        let entities = linker.link(&task.text);
-        independent.push(dve::domain_vector(&entities, m));
-        reranked.push(dve::domain_vector_reranked(&entities, m, lambda));
-        truths.push(vec![task.true_domain.expect("datasets label true domains")]);
-    }
-    let single_acc = |vectors: &[docs_types::DomainVector]| {
-        let correct = vectors
-            .iter()
-            .zip(&truths)
-            .filter(|(r, t)| r.dominant_domain() == t[0])
-            .count();
-        correct as f64 / vectors.len() as f64
-    };
-    let row = CorrelatedDveRow {
-        dataset: dataset.name,
-        independent_acc: single_acc(&independent),
-        reranked_acc: single_acc(&reranked),
-        independent_multi: evaluate_corpus(&independent, &truths, 0.25),
-        reranked_multi: evaluate_corpus(&reranked, &truths, 0.25),
-        lambda,
-    };
-    // Leave the dataset with the reranked vectors installed for any caller
-    // that wants to chain experiments.
-    for (task, r) in dataset.tasks.iter_mut().zip(reranked) {
-        task.domain_vector = Some(r);
-    }
-    row
-}
 
 /// Outcome of the adaptive-stopping campaign comparison.
 #[derive(Debug, Clone)]
@@ -164,25 +96,6 @@ pub fn adaptive_stopping(mut dataset: Dataset, seed: u64) -> AdaptiveStoppingRow
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn correlated_dve_reports_are_consistent() {
-        let row = correlated_dve(docs_datasets::item(), 1.0);
-        assert_eq!(row.dataset, "Item");
-        for report in [&row.independent_multi, &row.reranked_multi] {
-            assert_eq!(report.tasks, 360);
-            assert!(report.mean_js >= 0.0 && report.mean_js <= std::f64::consts::LN_2 + 1e-12);
-            assert!((0.0..=1.0).contains(&report.mean_top2_recall));
-            assert!((0.0..=1.0).contains(&report.mean_mode_f1));
-        }
-        // Coherence reranking must not wreck single-label detection.
-        assert!(
-            row.reranked_acc >= row.independent_acc - 0.02,
-            "independent {} vs reranked {}",
-            row.independent_acc,
-            row.reranked_acc
-        );
-    }
 
     #[test]
     fn adaptive_stopping_spends_less() {

@@ -3,7 +3,7 @@
 
 use docs_datasets::Dataset;
 use docs_topics::{Lda, LdaConfig, TwitterLda, TwitterLdaConfig};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-dataset Figure 3 panel.
 #[derive(Debug, Clone)]
@@ -24,13 +24,14 @@ pub struct Fig3Panel {
 }
 
 /// Maps each latent topic to the focus domain it most frequently carries
-/// (the paper's manual latent→domain mapping, done by majority).
+/// (the paper's manual latent→domain mapping, done by majority). A tie goes
+/// to the highest domain id, so the mapping is the same in every run.
 fn map_topics_to_domains(
     detected: &[usize],
     true_domains: &[usize],
     num_topics: usize,
 ) -> HashMap<usize, usize> {
-    let mut votes: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut votes: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     for (&topic, &dom) in detected.iter().zip(true_domains) {
         *votes.entry((topic, dom)).or_default() += 1;
     }

@@ -35,7 +35,11 @@ pub fn fig4b_golden_sweep(prepared: &PreparedDataset, budgets: &[usize]) -> Vec<
             if n_golden > 0 {
                 let golden_ids =
                     docs_core::golden::select_golden_tasks(&prepared.dataset.tasks, n_golden);
-                for (&w, all_answers) in &prepared.golden_answers {
+                // In worker order: the extra golden answers below share one
+                // rng, so the order they are drawn in is part of the output.
+                let mut workers: Vec<_> = prepared.golden_answers.iter().collect();
+                workers.sort_unstable_by_key(|&(&w, _)| w);
+                for (&w, all_answers) in workers {
                     // Reuse each worker's recorded golden answers, filtered
                     // to this budget's golden set (re-answer via the cached
                     // set when the budget exceeds the recorded HIT).

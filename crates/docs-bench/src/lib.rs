@@ -1,5 +1,6 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (Section 6) on the simulated substrate.
+//! evaluation (Section 6) on the simulated substrate, plus one experiment
+//! beyond it ([`extensions`]: adaptive stopping).
 //!
 //! Each module computes one table/figure's data series and returns plain
 //! structs; the `figures` binary prints them in the paper's row/series
@@ -15,7 +16,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod population;
 pub mod protocol;
-pub mod robustness;
 pub mod table3;
 
 /// Formats a fraction as a percentage with one decimal.

@@ -15,15 +15,6 @@
 //! aggregates linking probability mass per `(nm, dm)` pair with a dynamic
 //! program, reducing the cost to `O(c · m² · |E_t|³)`.
 
-pub mod correlated;
-pub mod metrics;
-
-pub use correlated::{
-    domain_vector_correlated_exact, domain_vector_correlated_gibbs, domain_vector_reranked,
-    rerank_by_coherence, CorrelationConfig,
-};
-pub use metrics::{evaluate_corpus, jensen_shannon, mode_scores, top_j_recall, MultiDomainReport};
-
 use docs_kb::LinkedEntity;
 use docs_types::DomainVector;
 use std::collections::BTreeMap;
@@ -180,17 +171,6 @@ pub fn domain_vector_enumeration(
     }
 }
 
-/// Convenience: link a task's text against a knowledge base and estimate its
-/// domain vector in one call — the full DVE pipeline of Figure 1, step ①→②.
-pub fn estimate_from_text(
-    text: &str,
-    linker: &docs_kb::EntityLinker<'_>,
-    m: usize,
-) -> DomainVector {
-    let entities = linker.link(text);
-    domain_vector(&entities, m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,14 +280,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn estimate_from_text_end_to_end() {
-        let kb = table2_example_kb();
-        let linker = EntityLinker::with_defaults(&kb);
-        let r = estimate_from_text("Is Kobe Bryant tall?", &linker, 3);
-        // Kobe Bryant is sports-only.
-        assert_eq!(r.as_slice(), &[0.0, 1.0, 0.0]);
     }
 }

@@ -7,7 +7,7 @@
 //! from a new batch into stored ones via the weighted average
 //! `(q̂·û + q·u)/(û + u)` is exact.
 
-use docs_types::{ChoiceIndex, DomainVector, QualityVector, TaskId, WorkerId};
+use docs_types::{ChoiceIndex, DomainVector, TaskId, WorkerId};
 use serde::{Deserialize, Serialize};
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
@@ -81,12 +81,6 @@ impl WorkerStats {
             // Floating error can push q marginally outside [0,1]; clamp.
             self.quality[k] = self.quality[k].clamp(0.0, 1.0);
         }
-    }
-
-    /// View as a validated [`QualityVector`].
-    pub fn quality_vector(&self) -> QualityVector {
-        QualityVector::new(self.quality.iter().map(|q| q.clamp(0.0, 1.0)).collect())
-            .expect("maintained qualities stay within [0,1]")
     }
 }
 
@@ -343,15 +337,5 @@ mod tests {
         // Domain 0: (0.5·1 + 1·1)/(1+1) = 0.75; domain 1: (0.5·1 + 0)/(1+1) = 0.25.
         assert!((s.quality[0] - 0.75).abs() < 1e-12);
         assert!((s.quality[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quality_vector_is_valid() {
-        let stats = WorkerStats {
-            quality: vec![0.0, 1.0, 0.33],
-            weight: vec![1.0; 3],
-        };
-        let qv = stats.quality_vector();
-        assert_eq!(qv.len(), 3);
     }
 }

@@ -9,7 +9,8 @@
 //! * [`AnswerModel`] — how a worker turns her true quality into an answer;
 //!   the default is exactly the model DOCS assumes (correct with probability
 //!   `q̃_k`, otherwise uniform over the `ℓ−1` wrong choices, Eq. 4), plus
-//!   mismatch modes (confusion-biased, sloppy) for robustness experiments,
+//!   the three adversarial models (uniform spammer, sleeper, clique) that
+//!   [`AdversarialPopulation`]'s classes map to,
 //! * [`AssignmentStrategy`] — the protocol every task-assignment method
 //!   implements to talk to the platform,
 //! * [`Platform`] — the parallel-comparison experiment protocol of

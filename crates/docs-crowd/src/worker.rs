@@ -38,32 +38,6 @@ pub enum AnswerModel {
     /// `d_k` is the task's true domain; wrong answers uniform over the
     /// remaining `ℓ − 1` choices.
     DomainUniform,
-    /// Model mismatch: wrong answers concentrate on one "attractive"
-    /// distractor (choice `(truth + 1) mod ℓ` with the given bias) instead
-    /// of being uniform — the Dawid-Skene confusion-matrix world.
-    Confused {
-        /// Probability mass of the preferred distractor among wrong answers.
-        bias: f64,
-    },
-    /// Model mismatch: with the given probability the worker ignores the
-    /// task entirely and answers uniformly at random (including the truth).
-    Sloppy {
-        /// Probability of answering at random.
-        carelessness: f64,
-    },
-    /// Adversarial collusion: with probability `malice` the worker
-    /// *deliberately* answers the canonical wrong choice
-    /// (`(truth + 1) mod ℓ`) — the same one every other adversary picks, so
-    /// colluders agree with each other and look consistent to inference;
-    /// otherwise she answers per [`AnswerModel::DomainUniform`]. This is the
-    /// hardest stress for truth inference: the paper warns that weighted
-    /// majority voting "is easy to be misled by the answers given by
-    /// multiple low-quality workers", and collusion makes those answers
-    /// correlate.
-    Adversarial {
-        /// Probability of giving the colluding wrong answer.
-        malice: f64,
-    },
     /// Uniform spammer: every answer is uniform over all `ℓ` choices
     /// (truth included), regardless of the worker's nominal quality — the
     /// classic click-through worker. Expected accuracy `1/ℓ`.
@@ -83,10 +57,8 @@ pub enum AnswerModel {
     /// deterministic function of `(task id, clique)`, so every member of
     /// the same clique gives the *same* wrong answer while different
     /// cliques usually disagree. Otherwise she answers per
-    /// [`AnswerModel::DomainUniform`]. Unlike [`AnswerModel::Adversarial`]
-    /// (whose single canonical distractor is shared by every adversary in
-    /// the population), cliques let a scenario pit several internally
-    /// consistent wrong consensuses against each other.
+    /// [`AnswerModel::DomainUniform`]. Cliques let a scenario pit several
+    /// internally consistent wrong consensuses against each other.
     Clique {
         /// Which clique the worker belongs to.
         clique: u32,
@@ -169,35 +141,6 @@ impl SimulatedWorker {
         match model {
             AnswerModel::DomainUniform => {
                 if rng.gen::<f64>() < q {
-                    truth
-                } else {
-                    wrong_uniform(truth, l, rng)
-                }
-            }
-            AnswerModel::Confused { bias } => {
-                if rng.gen::<f64>() < q {
-                    truth
-                } else if l == 2 {
-                    1 - truth
-                } else if rng.gen::<f64>() < bias {
-                    (truth + 1) % l
-                } else {
-                    wrong_uniform(truth, l, rng)
-                }
-            }
-            AnswerModel::Sloppy { carelessness } => {
-                if rng.gen::<f64>() < carelessness {
-                    rng.gen_range(0..l)
-                } else if rng.gen::<f64>() < q {
-                    truth
-                } else {
-                    wrong_uniform(truth, l, rng)
-                }
-            }
-            AnswerModel::Adversarial { malice } => {
-                if rng.gen::<f64>() < malice {
-                    (truth + 1) % l
-                } else if rng.gen::<f64>() < q {
                     truth
                 } else {
                     wrong_uniform(truth, l, rng)
@@ -414,79 +357,6 @@ mod tests {
                 assert!((frac - 1.0 / 3.0).abs() < 0.03, "choice {c}: {frac}");
             }
         }
-    }
-
-    #[test]
-    fn confused_model_prefers_distractor() {
-        let w = SimulatedWorker {
-            id: WorkerId(0),
-            true_quality: QualityVector::new(vec![0.0, 0.5]).unwrap(),
-        };
-        let t = task(4, 0, 0);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut counts = [0usize; 4];
-        for _ in 0..4000 {
-            counts[w.answer(&t, AnswerModel::Confused { bias: 0.8 }, &mut rng)] += 1;
-        }
-        assert!(counts[1] > counts[2] && counts[1] > counts[3]);
-    }
-
-    #[test]
-    fn sloppy_model_dilutes_accuracy() {
-        let w = SimulatedWorker {
-            id: WorkerId(0),
-            true_quality: QualityVector::new(vec![1.0, 1.0]).unwrap(),
-        };
-        let t = task(2, 0, 0);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let trials = 4000;
-        let correct = (0..trials)
-            .filter(|_| w.answer(&t, AnswerModel::Sloppy { carelessness: 0.5 }, &mut rng) == 0)
-            .count();
-        // Expected accuracy: 0.5·1.0 + 0.5·0.5 = 0.75.
-        let acc = correct as f64 / trials as f64;
-        assert!((acc - 0.75).abs() < 0.03, "{acc}");
-    }
-
-    #[test]
-    fn adversarial_model_colludes_on_one_distractor() {
-        let w = SimulatedWorker {
-            id: WorkerId(0),
-            true_quality: QualityVector::new(vec![0.9, 0.9]).unwrap(),
-        };
-        let t = task(4, 0, 0);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut counts = [0usize; 4];
-        let trials = 6000;
-        for _ in 0..trials {
-            counts[w.answer(&t, AnswerModel::Adversarial { malice: 0.4 }, &mut rng)] += 1;
-        }
-        // Truth share ≈ (1 − 0.4)·0.9 = 0.54; colluding distractor (choice 1)
-        // ≈ 0.4 + 0.6·0.1/3 ≈ 0.42; the other distractors split the rest.
-        let truth_frac = counts[0] as f64 / trials as f64;
-        let collude_frac = counts[1] as f64 / trials as f64;
-        assert!((truth_frac - 0.54).abs() < 0.03, "truth {truth_frac}");
-        assert!(
-            (collude_frac - 0.42).abs() < 0.03,
-            "collusion {collude_frac}"
-        );
-        assert!(counts[2] < counts[1] / 4 && counts[3] < counts[1] / 4);
-    }
-
-    #[test]
-    fn adversarial_with_zero_malice_is_domain_uniform() {
-        let w = SimulatedWorker {
-            id: WorkerId(0),
-            true_quality: QualityVector::new(vec![0.8]).unwrap(),
-        };
-        let t = task(2, 0, 0);
-        let trials = 4000;
-        let mut rng = SmallRng::seed_from_u64(6);
-        let correct = (0..trials)
-            .filter(|_| w.answer(&t, AnswerModel::Adversarial { malice: 0.0 }, &mut rng) == 0)
-            .count();
-        let acc = correct as f64 / trials as f64;
-        assert!((acc - 0.8).abs() < 0.03, "{acc}");
     }
 
     #[test]

@@ -40,13 +40,6 @@ impl Default for LdaConfig {
 pub struct LdaModel {
     /// θ_d per document — a distribution over the latent topics.
     pub doc_topics: Vec<Vec<f64>>,
-    /// φ_k per topic — a distribution over the vocabulary (final Gibbs
-    /// state, smoothed by β).
-    pub topic_words: Vec<Vec<f64>>,
-    /// Number of topics.
-    pub num_topics: usize,
-    /// Total training tokens (for perplexity).
-    pub num_tokens: usize,
     /// Training pseudo log-likelihood `Σ_tokens ln Σ_k θ_dk·φ_kw` of the
     /// final state — used to pick the best of several Gibbs restarts
     /// (collapsed Gibbs is prone to local optima on small corpora).
@@ -57,45 +50,6 @@ impl LdaModel {
     /// The dominant latent topic of a document.
     pub fn dominant_topic(&self, doc: usize) -> usize {
         docs_types::prob::argmax(&self.doc_topics[doc])
-    }
-
-    /// Training-corpus perplexity `exp(−LL / #tokens)` — the standard
-    /// goodness-of-fit summary (lower is better). Returns infinity for an
-    /// empty corpus.
-    pub fn perplexity(&self) -> f64 {
-        if self.num_tokens == 0 {
-            return f64::INFINITY;
-        }
-        (-self.log_likelihood / self.num_tokens as f64).exp()
-    }
-
-    /// The `n` highest-probability word ids of a topic — the usual way to
-    /// inspect what a latent topic "means".
-    pub fn top_words(&self, topic: usize, n: usize) -> Vec<usize> {
-        let phi = &self.topic_words[topic];
-        let mut order: Vec<usize> = (0..phi.len()).collect();
-        order.sort_by(|&a, &b| {
-            phi[b]
-                .partial_cmp(&phi[a])
-                .expect("phi has no NaN")
-                .then(a.cmp(&b))
-        });
-        order.truncate(n);
-        order
-    }
-
-    /// Cosine similarity between two documents' topic distributions — the
-    /// pairwise task similarity iCrowd uses.
-    pub fn cosine_similarity(&self, a: usize, b: usize) -> f64 {
-        let (x, y) = (&self.doc_topics[a], &self.doc_topics[b]);
-        let dot: f64 = x.iter().zip(y).map(|(p, q)| p * q).sum();
-        let nx: f64 = x.iter().map(|p| p * p).sum::<f64>().sqrt();
-        let ny: f64 = y.iter().map(|p| p * p).sum::<f64>().sqrt();
-        if nx == 0.0 || ny == 0.0 {
-            0.0
-        } else {
-            dot / (nx * ny)
-        }
     }
 }
 
@@ -113,14 +67,8 @@ impl Lda {
         Lda { config }
     }
 
-    /// Fits the model to raw texts (tokenization + vocabulary included).
-    pub fn fit_texts(&self, texts: &[String]) -> LdaModel {
-        let (vocab, docs) = Vocabulary::encode_corpus(texts);
-        self.fit(&docs, vocab.len().max(1))
-    }
-
     /// Fits the model to encoded documents over a vocabulary of size `v`.
-    pub fn fit(&self, docs: &[Vec<usize>], v: usize) -> LdaModel {
+    fn fit(&self, docs: &[Vec<usize>], v: usize) -> LdaModel {
         let t = self.config.num_topics;
         let alpha = self.config.alpha;
         let beta = self.config.beta;
@@ -204,8 +152,8 @@ impl Lda {
             })
             .collect();
 
-        // Final-state topic-word distributions φ and the training
-        // pseudo log-likelihood.
+        // The training pseudo log-likelihood under the final-state
+        // topic-word distributions φ.
         let phi: Vec<Vec<f64>> = (0..t)
             .map(|k| {
                 (0..v)
@@ -223,54 +171,8 @@ impl Lda {
 
         LdaModel {
             doc_topics,
-            topic_words: phi,
-            num_topics: t,
-            num_tokens: docs.iter().map(Vec::len).sum(),
             log_likelihood,
         }
-    }
-
-    /// Picks the number of latent topics by a BIC-style criterion over the
-    /// candidate values: `LL − ½·params·ln(#tokens)` with
-    /// `params = K(V−1) + D(K−1)` free parameters.
-    ///
-    /// The paper criticizes the topic-model baselines because they
-    /// "manually set the number of latent domains"; this is the standard
-    /// data-driven alternative. Returns the winning `K` and the per-
-    /// candidate scores. Each candidate is fit `restarts` times (best of).
-    pub fn select_num_topics(
-        &self,
-        texts: &[String],
-        candidates: &[usize],
-        restarts: usize,
-    ) -> (usize, Vec<(usize, f64)>) {
-        assert!(!candidates.is_empty(), "need at least one candidate K");
-        let (vocab, docs) = Vocabulary::encode_corpus(texts);
-        let v = vocab.len().max(1);
-        let tokens: usize = docs.iter().map(Vec::len).sum();
-        let d = docs.len();
-        let mut scores = Vec::with_capacity(candidates.len());
-        for &k in candidates {
-            assert!(k >= 1, "K must be positive");
-            let mut best = f64::NEG_INFINITY;
-            for r in 0..restarts.max(1) {
-                let trainer = Lda::new(LdaConfig {
-                    num_topics: k,
-                    seed: self.config.seed ^ ((k as u64) << 8) ^ r as u64,
-                    ..self.config
-                });
-                best = best.max(trainer.fit(&docs, v).log_likelihood);
-            }
-            let params = (k * (v - 1) + d * (k - 1)) as f64;
-            let bic = best - 0.5 * params * (tokens.max(2) as f64).ln();
-            scores.push((k, bic));
-        }
-        let winner = scores
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-            .expect("candidates non-empty")
-            .0;
-        (winner, scores)
     }
 
     /// Fits the model `restarts` times with derived seeds and returns the
@@ -320,68 +222,13 @@ mod tests {
     }
 
     #[test]
-    fn perplexity_and_top_words_on_clean_clusters() {
-        let corpus = clustered_corpus();
-        let lda = Lda::new(LdaConfig {
-            num_topics: 2,
-            ..Default::default()
-        });
-        let model = lda.fit_texts_best_of(&corpus, 3);
-        // Perplexity bounded by vocabulary size (uniform model) and finite.
-        let (vocab, _) = Vocabulary::encode_corpus(&corpus);
-        let ppl = model.perplexity();
-        assert!(ppl.is_finite() && ppl > 1.0);
-        assert!(
-            ppl < vocab.len() as f64,
-            "fit must beat the uniform model: {ppl} vs V={}",
-            vocab.len()
-        );
-        // φ rows are distributions; top words exist and are distinct.
-        for k in 0..2 {
-            let sum: f64 = model.topic_words[k].iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9);
-            let top = model.top_words(k, 3);
-            assert_eq!(top.len(), 3);
-            assert!(top[0] != top[1] && top[1] != top[2]);
-        }
-    }
-
-    #[test]
-    fn model_selection_prefers_the_true_cluster_count() {
-        let corpus = clustered_corpus();
-        let lda = Lda::new(LdaConfig {
-            num_topics: 2, // base config; K is overridden per candidate
-            ..Default::default()
-        });
-        let (k, scores) = lda.select_num_topics(&corpus, &[1, 2, 6], 3);
-        assert_eq!(scores.len(), 3);
-        // BIC must not pick the grossly over-parameterized K = 6; on this
-        // cleanly two-cluster corpus the winner is 1 or 2 (the penalty can
-        // legitimately prefer 1 on six tiny documents), never 6.
-        assert!(k == 1 || k == 2, "selected K = {k}, scores: {scores:?}");
-        let score_of = |kk: usize| scores.iter().find(|(c, _)| *c == kk).unwrap().1;
-        assert!(score_of(2) > score_of(6));
-    }
-
-    #[test]
-    fn empty_corpus_has_infinite_perplexity() {
-        let lda = Lda::new(LdaConfig {
-            num_topics: 2,
-            ..Default::default()
-        });
-        let model = lda.fit_texts(&[]);
-        assert_eq!(model.num_tokens, 0);
-        assert!(model.perplexity().is_infinite());
-    }
-
-    #[test]
     fn separates_clean_clusters() {
         let corpus = clustered_corpus();
         let lda = Lda::new(LdaConfig {
             num_topics: 2,
             ..Default::default()
         });
-        let model = lda.fit_texts(&corpus);
+        let model = lda.fit_texts_best_of(&corpus, 1);
         let t0 = model.dominant_topic(0);
         assert_eq!(model.dominant_topic(1), t0);
         assert_eq!(model.dominant_topic(2), t0);
@@ -394,7 +241,7 @@ mod tests {
     #[test]
     fn doc_topics_are_distributions() {
         let corpus = clustered_corpus();
-        let model = Lda::default().fit_texts(&corpus);
+        let model = Lda::default().fit_texts_best_of(&corpus, 1);
         for theta in &model.doc_topics {
             assert!(docs_types::prob::is_distribution(theta), "{theta:?}");
         }
@@ -403,29 +250,17 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let corpus = clustered_corpus();
-        let a = Lda::default().fit_texts(&corpus);
-        let b = Lda::default().fit_texts(&corpus);
+        let a = Lda::default().fit_texts_best_of(&corpus, 1);
+        let b = Lda::default().fit_texts_best_of(&corpus, 1);
         assert_eq!(a.doc_topics, b.doc_topics);
-    }
-
-    #[test]
-    fn cosine_similarity_bounds() {
-        let corpus = clustered_corpus();
-        let model = Lda::new(LdaConfig {
-            num_topics: 2,
-            ..Default::default()
-        })
-        .fit_texts(&corpus);
-        let same = model.cosine_similarity(0, 1);
-        let cross = model.cosine_similarity(0, 3);
-        assert!(same > cross, "same-cluster {same} vs cross-cluster {cross}");
-        assert!((0.0..=1.0 + 1e-9).contains(&same));
     }
 
     #[test]
     fn handles_empty_documents() {
         let corpus = vec!["".to_string(), "curry basketball".to_string()];
-        let model = Lda::default().fit_texts(&corpus);
+        let model = Lda::default().fit_texts_best_of(&corpus, 1);
         assert!(docs_types::prob::is_distribution(&model.doc_topics[0]));
+        let empty = Lda::default().fit_texts_best_of(&[], 1);
+        assert!(empty.doc_topics.is_empty());
     }
 }

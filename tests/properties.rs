@@ -1,9 +1,6 @@
 //! Property-based tests (proptest) on the core invariants, spanning crates.
 
-use docs_core::dve::{
-    domain_vector, domain_vector_correlated_exact, domain_vector_enumeration,
-    domain_vector_reranked, jensen_shannon, rerank_by_coherence, top_j_recall,
-};
+use docs_core::dve::{domain_vector, domain_vector_enumeration};
 use docs_core::golden::{allocation_objective, golden_counts};
 use docs_core::ota::{answer_probabilities, benefit, BudgetPlanner};
 use docs_core::ti::{StoppingPolicy, StoppingRule, TaskArena, WorkerStats};
@@ -122,56 +119,6 @@ proptest! {
         let obj = allocation_objective(&counts, &tau);
         prop_assert!(obj.is_finite());
         prop_assert!(obj >= -1e-12, "KL divergence is non-negative: {obj}");
-    }
-
-    /// The correlated linking model at λ = 0 *is* the paper's independent
-    /// model, its output is always a distribution for any λ, and the
-    /// polynomial reranking pipeline preserves per-entity distributions.
-    #[test]
-    fn correlated_dve_invariants(
-        entities in prop::collection::vec(arb_entity(5), 1..=4),
-        lambda in 0.0f64..3.0
-    ) {
-        let independent = domain_vector(&entities, 5);
-        let at_zero = domain_vector_correlated_exact(&entities, 5, 0.0, 1 << 20)
-            .expect("small instance");
-        for k in 0..5 {
-            prop_assert!((independent[k] - at_zero[k]).abs() < 1e-9);
-        }
-        let correlated = domain_vector_correlated_exact(&entities, 5, lambda, 1 << 20)
-            .expect("small instance");
-        prop_assert!(prob::is_distribution(correlated.as_slice()));
-        let reranked_entities = rerank_by_coherence(&entities, lambda);
-        for e in &reranked_entities {
-            prop_assert!(prob::is_distribution(&e.probs));
-        }
-        let reranked = domain_vector_reranked(&entities, 5, lambda);
-        prop_assert!(prob::is_distribution(reranked.as_slice()));
-    }
-
-    /// Jensen–Shannon divergence is symmetric, bounded by ln 2, zero on
-    /// identical inputs; top-j recall is monotone in j.
-    #[test]
-    fn multi_domain_metrics_invariants(
-        p in arb_distribution(6),
-        q in arb_distribution(6),
-        truth in prop::collection::vec(0usize..6, 1..4)
-    ) {
-        let js = jensen_shannon(&p, &q);
-        prop_assert!((-1e-12..=std::f64::consts::LN_2 + 1e-12).contains(&js));
-        prop_assert!((js - jensen_shannon(&q, &p)).abs() < 1e-12);
-        prop_assert!(jensen_shannon(&p, &p).abs() < 1e-12);
-        let r = DomainVector::new(p).unwrap();
-        let mut truth = truth;
-        truth.sort_unstable();
-        truth.dedup();
-        let mut prev = 0.0;
-        for j in 1..=6 {
-            let rec = top_j_recall(&r, &truth, j);
-            prop_assert!(rec >= prev - 1e-12, "recall must grow with j");
-            prev = rec;
-        }
-        prop_assert!((top_j_recall(&r, &truth, 6) - 1.0).abs() < 1e-12);
     }
 
     /// Stopping policies respect their answer-count guards for any rule
