@@ -19,8 +19,7 @@
 //! overlaps client-side work with shard execution and the win is the
 //! hidden round-trip. On a **single-core** box nothing can overlap — the
 //! only saving is the halved context-switch count per HIT, so the speedup
-//! is bounded to a few percent there (same caveat as the shards=1-vs-4
-//! example; see the verify notes in `.claude/skills/verify/SKILL.md`).
+//! is bounded to a few percent there.
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_blocking_on, drive_workers_on};

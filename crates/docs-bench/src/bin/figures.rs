@@ -10,9 +10,7 @@
 //! fig7a fig7b fig8 fig8c ext` (any subset, in any order; `ext` prints the
 //! one extension experiment, adaptive stopping).
 
-use docs_bench::{
-    extensions, fig3, fig4, fig5, fig6, fig7, fig8, pct, population, protocol, table3,
-};
+use docs_bench::{extensions, fig3, fig4, fig5, fig6, fig7, fig8, pct, protocol, table3};
 use std::time::Duration;
 
 fn wants(args: &[String], key: &str) -> bool {
@@ -294,7 +292,4 @@ fn main() {
         }
         println!();
     }
-
-    // Keep the population module linked in (used by protocol internally).
-    let _ = population::dataset_population(4, &[0], 1, 0);
 }

@@ -11,9 +11,8 @@
 //! ([`Assigner::assign_sharded_with`]). It writes each shard's candidates
 //! into a [`ScanScratch`] the caller keeps between requests (a campaign
 //! owns one), cuts them to that shard's top-`k` in place, and runs one
-//! final selection over the survivors — what [`merge_top_k`] would return
-//! for the per-shard lists, bit for bit. A warm request allocates only the
-//! list of task ids it returns.
+//! final selection over the survivors — the flat scan's selection, bit for
+//! bit. A warm request allocates only the list of task ids it returns.
 
 mod benefit;
 pub mod budget;
@@ -23,7 +22,7 @@ pub use benefit::{
     answer_probabilities, benefit, benefit_with, expected_posterior_entropy, BenefitScratch,
 };
 pub use budget::{BudgetPlanner, Plan};
-pub use select::{merge_top_k, top_k_by_sort, top_k_linear};
+pub use select::{top_k_by_sort, top_k_linear};
 
 use crate::ti::{ShardedTiState, TaskArena};
 use docs_types::{Task, TaskId};
@@ -181,11 +180,11 @@ impl Assigner {
     ///
     /// Produces exactly [`Assigner::assign`]'s result for every shard count
     /// (same benefits, same tie-breaks), because each shard's top-`k` is a
-    /// superset filter of the global winners within that shard — the
-    /// equivalence [`merge_top_k`] documents. With more than one shard and
-    /// a large task set, shards are scanned on scoped threads — the
-    /// per-request parallelism Theorem 4's additive benefit makes safe (no
-    /// cross-task coupling in the scan).
+    /// superset filter of the global winners within that shard (the
+    /// argument `select`'s module docs spell out). With more than one
+    /// shard and a large task set, shards are scanned on scoped threads —
+    /// the per-request parallelism Theorem 4's additive benefit makes safe
+    /// (no cross-task coupling in the scan).
     ///
     /// The filter closures take `&self` (`Fn`, not `FnMut`) so shards can
     /// evaluate them concurrently. A warm `scratch` leaves the returned

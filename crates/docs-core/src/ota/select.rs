@@ -8,17 +8,16 @@
 //! `AssignerConfig::linear_select = false` selects (set only by a unit
 //! test).
 //!
-//! For the sharded benefit scan, [`merge_top_k`] combines per-shard top-`k`
-//! lists into the global top-`k` with a `k`-way merge: since every shard
-//! contributes its own best `k` candidates, the union provably contains the
-//! global winners, and the merge reproduces the single-scan selection
-//! bit-for-bit (same ordering, same tie-breaks). The scan itself takes the
-//! equivalent route that needs no second buffer: [`cut_to_top_k`] on each
-//! shard's candidates in place, then once more over the survivors.
+//! The sharded benefit scan runs [`cut_to_top_k`] on each shard's
+//! candidates in place, then once more over the survivors. Since every
+//! shard keeps its own best `k`, the survivors provably contain the global
+//! winners, and because the order is total (task ids are distinct) the
+//! second cut reproduces the single-scan selection bit-for-bit (same
+//! ordering, same tie-breaks); [`check_shard_top_k`] enforces the per-shard
+//! half of that argument.
 
 use docs_types::{Error, Result, TaskId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 fn by_benefit_desc(a: &(f64, TaskId), b: &(f64, TaskId)) -> Ordering {
     // Benefits are finite by construction; tie-break on TaskId for
@@ -57,38 +56,7 @@ pub fn top_k_by_sort(mut candidates: Vec<(f64, TaskId)>, k: usize) -> Vec<TaskId
     candidates.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Heap entry for the k-way merge: max-heap on benefit, ties toward the
-/// lower task id (mirroring [`by_benefit_desc`]).
-struct MergeHead {
-    benefit: f64,
-    task: TaskId,
-    shard: usize,
-    pos: usize,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for MergeHead {}
-
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap pops the maximum, so "greater" must mean "selected
-        // first": higher benefit, then lower task id.
-        by_benefit_desc(&(other.benefit, other.task), &(self.benefit, self.task))
-    }
-}
-
-/// One shard's list against [`merge_top_k`]'s precondition, enforced
+/// One shard's list against the survivors argument's precondition, enforced
 /// instead of assumed: `available` candidates must contribute
 /// `min(k, available)` entries, sorted by descending benefit with ties
 /// toward lower task ids. An under-filled list would make the selection
@@ -103,7 +71,7 @@ pub(crate) fn check_shard_top_k(
     let required = k.min(available);
     if list.len() < required {
         return Err(Error::Storage(format!(
-            "merge_top_k precondition violated: shard {shard} contributed {} of \
+            "per-shard top-k precondition violated: shard {shard} contributed {} of \
              min(k = {k}, {available} available) = {required} candidates — the \
              merged top-{k} would silently diverge from the flat scan",
             list.len()
@@ -114,61 +82,11 @@ pub(crate) fn check_shard_top_k(
         .all(|w| by_benefit_desc(&w[0], &w[1]) != Ordering::Greater)
     {
         return Err(Error::Storage(format!(
-            "merge_top_k precondition violated: shard {shard}'s list is not sorted \
+            "per-shard top-k precondition violated: shard {shard}'s list is not sorted \
              by descending benefit with ties toward lower task ids"
         )));
     }
     Ok(())
-}
-
-/// Merges per-shard descending top-`k` lists into the global top-`k`.
-///
-/// Each `per_shard[s]` must be sorted by descending benefit with ties broken
-/// toward lower task ids — exactly what [`top_k_linear`] and
-/// [`top_k_by_sort`] return. The output equals
-/// `top_k_linear(concat(per_shard), k)` as long as every shard contributed
-/// at least `min(k, shard_len)` candidates, at O(k log S) merge cost.
-///
-/// Because the order is total (task ids are distinct), that equality is bit
-/// for bit: one more top-`k` selection over the concatenated per-shard
-/// lists returns this merge's output exactly. The benefit scan
-/// ([`Assigner::assign_sharded_with`](super::Assigner::assign_sharded_with))
-/// takes that route so the per-shard lists can stay where the scan wrote
-/// them.
-pub fn merge_top_k(per_shard: &[Vec<(f64, TaskId)>], k: usize) -> Vec<TaskId> {
-    if k == 0 {
-        return Vec::new();
-    }
-    debug_assert!(per_shard.iter().all(|list| {
-        list.windows(2)
-            .all(|w| by_benefit_desc(&w[0], &w[1]) != Ordering::Greater)
-    }));
-    let mut heap: BinaryHeap<MergeHead> = per_shard
-        .iter()
-        .enumerate()
-        .filter_map(|(shard, list)| {
-            list.first().map(|&(benefit, task)| MergeHead {
-                benefit,
-                task,
-                shard,
-                pos: 0,
-            })
-        })
-        .collect();
-    let mut out = Vec::with_capacity(k.min(per_shard.iter().map(Vec::len).sum()));
-    while out.len() < k {
-        let Some(head) = heap.pop() else { break };
-        out.push(head.task);
-        if let Some(&(benefit, task)) = per_shard[head.shard].get(head.pos + 1) {
-            heap.push(MergeHead {
-                benefit,
-                task,
-                shard: head.shard,
-                pos: head.pos + 1,
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -203,11 +121,23 @@ mod tests {
         assert_eq!(top_k_linear(c, 2), vec![TaskId(1), TaskId(2)]);
     }
 
+    /// The sharded scan's route: each shard's list cut to its own top-`k`
+    /// in place, then one more cut over the survivors.
+    fn top_k_of_survivors(shards: &[Vec<(f64, TaskId)>], k: usize) -> Vec<TaskId> {
+        let mut survivors = Vec::new();
+        for list in shards {
+            let mut list = list.clone();
+            let kept = cut_to_top_k(&mut list, k);
+            survivors.extend_from_slice(&list[..kept]);
+        }
+        top_k_linear(survivors, k)
+    }
+
     #[test]
-    fn merge_top_k_equals_global_selection() {
+    fn top_k_of_shard_survivors_equals_global_selection() {
         // Deterministic pseudo-random benefits partitioned across 4 shards
-        // by task-id hash; the merged per-shard top-k must equal the
-        // single-scan top-k over the union, for every k.
+        // by task-id hash; the top-k of the per-shard survivors must equal
+        // the single-scan top-k over the union, for every k.
         let mut x: u64 = 0xABCDE;
         let mut all = Vec::new();
         for t in 0..200u32 {
@@ -222,18 +152,8 @@ mod tests {
             for &(b, t) in &all {
                 shards[(t.0 as usize * 2654435761) % 4].push((b, t));
             }
-            let per_shard: Vec<Vec<(f64, TaskId)>> = shards
-                .into_iter()
-                .map(|list| {
-                    let ids = top_k_linear(list.clone(), k);
-                    // Rebuild (benefit, id) pairs in selection order.
-                    ids.iter()
-                        .map(|id| *list.iter().find(|(_, t)| t == id).unwrap())
-                        .collect()
-                })
-                .collect();
             assert_eq!(
-                merge_top_k(&per_shard, k),
+                top_k_of_survivors(&shards, k),
                 top_k_linear(all.clone(), k),
                 "k = {k}"
             );
@@ -241,20 +161,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_top_k_handles_ties_empty_shards_and_zero_k() {
+    fn survivors_handle_ties_empty_shards_and_zero_k() {
         let shards = vec![
             cand(&[(0.5, 3), (0.5, 7)]),
             vec![],
             cand(&[(0.5, 1), (0.2, 2)]),
         ];
         assert_eq!(
-            merge_top_k(&shards, 3),
+            top_k_of_survivors(&shards, 3),
             vec![TaskId(1), TaskId(3), TaskId(7)]
         );
-        assert!(merge_top_k(&shards, 0).is_empty());
-        assert!(merge_top_k(&[], 5).is_empty());
+        assert!(top_k_of_survivors(&shards, 0).is_empty());
+        assert!(top_k_of_survivors(&[], 5).is_empty());
         // Asking for more than exists returns everything in order.
-        assert_eq!(merge_top_k(&shards, 10).len(), 4);
+        assert_eq!(top_k_of_survivors(&shards, 10).len(), 4);
     }
 
     #[test]
@@ -264,7 +184,7 @@ mod tests {
         // shard 1 had exactly 1.
         assert!(check_shard_top_k(0, &shards[0], 3, 2).is_ok());
         assert!(check_shard_top_k(1, &shards[1], 1, 2).is_ok());
-        assert_eq!(merge_top_k(&shards, 2), vec![TaskId(0), TaskId(1)]);
+        assert_eq!(top_k_of_survivors(&shards, 2), vec![TaskId(0), TaskId(1)]);
         // Under-filled: shard 1 had 4 candidates available but contributed
         // only 1 of the min(k, 4) = 2 required — its second-best candidate
         // could have been a global winner.

@@ -487,25 +487,6 @@ impl IncrementalTi {
     pub fn truths(&self) -> Vec<ChoiceIndex> {
         self.states.truths()
     }
-
-    /// Accuracy of the current truths against task ground truth.
-    pub fn accuracy(&self) -> f64 {
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for (task, state) in self.tasks.iter().zip(self.states.iter()) {
-            if let Some(gt) = task.ground_truth {
-                total += 1;
-                if gt == state.truth() {
-                    correct += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
-    }
 }
 
 /// An engine serializes as its [`TiSnapshot`]. The streamed encoding writes
@@ -696,7 +677,8 @@ mod tests {
                 inc.submit(ans(t, w, t % 2)).unwrap();
             }
         }
-        assert_eq!(inc.accuracy(), 1.0);
+        let truths: Vec<_> = (0..4).map(|t| t % 2).collect();
+        assert_eq!(inc.truths(), truths);
     }
 
     #[test]

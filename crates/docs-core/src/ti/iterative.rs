@@ -2,7 +2,7 @@
 
 use super::state::{clamp_quality, miss_likelihood, TaskArena};
 use super::stats::WorkerRegistry;
-use docs_types::{prob, AnswerLog, ChoiceIndex, Task, WorkerId};
+use docs_types::{AnswerLog, ChoiceIndex, Task, WorkerId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -59,28 +59,6 @@ impl TiResult {
             return 0.0;
         }
         correct as f64 / total as f64
-    }
-
-    /// Mean absolute deviation between estimated and true worker qualities,
-    /// `Σ_w Σ_k |q̃^w_k − q^w_k| / (m·|W|)` — the Figure 4(d) metric.
-    /// `true_quality` returns the length-`m` ground-truth vector `q̃^w`.
-    pub fn quality_deviation(&self, true_quality: impl Fn(WorkerId) -> Vec<f64>) -> f64 {
-        if self.qualities.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        let mut count = 0usize;
-        // Sorted for a process-stable float sum (same reason as `run`).
-        let mut ids: Vec<WorkerId> = self.qualities.keys().copied().collect();
-        ids.sort_unstable();
-        for w in ids {
-            let q = &self.qualities[&w];
-            let tq = true_quality(w);
-            debug_assert_eq!(tq.len(), q.len());
-            total += prob::l1_distance(q, &tq);
-            count += q.len();
-        }
-        total / count as f64
     }
 }
 
@@ -481,7 +459,7 @@ impl LikelihoodTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use docs_types::{Answer, DomainVector, TaskBuilder, TaskId};
+    use docs_types::{prob, Answer, DomainVector, TaskBuilder, TaskId};
 
     /// Tiny deterministic LCG so answer generation needs no rand dependency.
     struct Lcg(u64);
@@ -566,7 +544,13 @@ mod tests {
         let (tasks, log, true_q) = build_world();
         let registry = WorkerRegistry::new(2, 0.6);
         let result = TruthInference::default().run(&tasks, &log, &registry);
-        let dev = result.quality_deviation(|w| true_q[w.index()].clone());
+        // Mean |q − q̃| over every worker and domain (Figure 4(d)'s metric).
+        let (mut total, mut count) = (0.0, 0);
+        for (w, q) in &result.qualities {
+            total += prob::l1_distance(q, &true_q[w.index()]);
+            count += q.len();
+        }
+        let dev = total / count as f64;
         assert!(dev < 0.15, "mean quality deviation {dev}");
     }
 
@@ -772,16 +756,5 @@ mod tests {
         }
         let result = TruthInference::default().run(&tasks, &log, &registry);
         assert_eq!(result.accuracy(&tasks), 1.0);
-    }
-
-    #[test]
-    fn quality_deviation_metric() {
-        let (tasks, log, _) = build_world();
-        let registry = WorkerRegistry::new(2, 0.6);
-        let result = TruthInference::default().run(&tasks, &log, &registry);
-        let dev_self = result.quality_deviation(|w| result.qualities[&w].clone());
-        assert_eq!(dev_self, 0.0);
-        let dev_other = result.quality_deviation(|_| vec![0.0, 0.0]);
-        assert!(dev_other > 0.0);
     }
 }

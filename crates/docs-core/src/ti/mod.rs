@@ -29,7 +29,7 @@ pub(crate) mod oracle;
 mod sharded;
 mod state;
 mod stats;
-pub mod stopping;
+mod stopping;
 
 pub use incremental::{IncrementalTi, TiSnapshot};
 pub use iterative::{TiConfig, TiResult, TruthInference};
@@ -37,4 +37,4 @@ pub use sharded::ShardedTiState;
 pub(crate) use state::miss_likelihood;
 pub use state::{clamp_quality, TaskArena, TaskView};
 pub use stats::{WorkerRegistry, WorkerStats};
-pub use stopping::{stable_point_of_curve, StoppingPolicy, StoppingRule, TruthFlipTracker};
+pub use stopping::{stable_point_of_curve, StoppingPolicy, StoppingRule};

@@ -196,11 +196,6 @@ impl TaskArena {
         self.entropy.is_empty()
     }
 
-    /// Number of domains `m`.
-    pub fn num_domains(&self) -> usize {
-        self.m
-    }
-
     #[inline]
     fn span(&self, i: usize) -> (Offsets, Offsets) {
         (self.offsets[i], self.offsets[i + 1])

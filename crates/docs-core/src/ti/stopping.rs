@@ -1,26 +1,23 @@
-//! Stable-point estimation and per-task answer-collection stopping — the
-//! paper's stated future work for Section 6.3.
+//! Per-task stopping rules and the stable point of an accuracy curve —
+//! the paper's stated future work for Section 6.3.
 //!
 //! Figure 4(c) shows accuracy rising with the number of collected answers
 //! and then flattening ("for some dataset such as Item, it remains stable as
 //! ≥ 8 answers are collected. We will study the estimation of stable point
-//! in future."). This module supplies that study with two complementary
-//! tools:
+//! in future."). Two pieces serve that study:
 //!
-//! * **Per-task stopping rules** ([`StoppingRule`], [`StoppingPolicy`]) —
-//!   decide *online*, from the probabilistic truth `s_i` alone, that a task
-//!   has collected enough answers. Plugged into the assigner's answer cap,
-//!   this converts the paper's uniform "10 answers per task" budget into an
-//!   adaptive one: confident tasks release budget that hard tasks absorb
-//!   (the exact saving the paper faults iCrowd for not exploiting).
-//! * **Campaign-level stable-point estimators** — detect the flattening of
-//!   Figure 4(c)'s curve, either from a ground-truth accuracy curve
-//!   ([`stable_point_of_curve`], evaluation-side) or online without ground
-//!   truth from the rate of *truth flips* between checkpoints
-//!   ([`TruthFlipTracker`]).
+//! * **Per-task stopping** ([`StoppingRule`], [`StoppingPolicy`]) decides
+//!   online, from the probabilistic truth `s_i` alone, that a task has
+//!   collected enough answers. A campaign configured with a policy
+//!   (`DocsConfig::stopping`) stops assigning a confident task and ends
+//!   once every task has stopped, so confident tasks release budget that
+//!   hard tasks absorb.
+//! * **The stable point of a curve** ([`stable_point_of_curve`]) finds
+//!   where a ground-truth accuracy curve flattens; the `figures ext`
+//!   section reports it beside the adaptive policy's spend.
 
 use crate::ti::TaskView;
-use docs_types::{prob, ChoiceIndex};
+use docs_types::prob;
 use serde::{Deserialize, Serialize};
 
 /// A per-task confidence criterion over the probabilistic truth `s_i`.
@@ -73,31 +70,6 @@ pub struct StoppingPolicy {
 }
 
 impl StoppingPolicy {
-    /// A reasonable default mirroring the paper's protocol: entropy below
-    /// 0.15 nats (≈ s = [0.97, 0.03] for binary tasks), at least 3 answers,
-    /// at most 10.
-    ///
-    /// ```
-    /// use docs_core::ti::{StoppingPolicy, TaskArena};
-    /// use docs_types::DomainVector;
-    ///
-    /// let policy = StoppingPolicy::with_defaults();
-    /// let r = DomainVector::one_hot(1, 0);
-    /// let mut states = TaskArena::new(1, [(&r, 2), (&r, 2)]);
-    /// for _ in 0..4 {
-    ///     states.apply_answer(0, &[0.9], 0); // four agreeing experts
-    /// }
-    /// assert!(policy.should_stop(states.view(0), 4));
-    /// assert!(!policy.should_stop(states.view(1), 4)); // uncertain
-    /// ```
-    pub fn with_defaults() -> Self {
-        StoppingPolicy {
-            rule: StoppingRule::EntropyBelow(0.15),
-            min_answers: 3,
-            max_answers: 10,
-        }
-    }
-
     /// Should answer collection for this task stop?
     pub fn should_stop(&self, state: TaskView<'_>, answers_collected: usize) -> bool {
         assert!(
@@ -111,19 +83,6 @@ impl StoppingPolicy {
             return false;
         }
         self.rule.satisfied_by(state.s())
-    }
-
-    /// Counts how many answers of a uniform `max_answers`-per-task budget
-    /// this policy releases for the given task states, assuming `counts[i]`
-    /// answers were collected when task `i` first satisfied the policy.
-    ///
-    /// This is the budget-saving summary the adaptive-budget example and
-    /// the `stopping` ablation bench report.
-    pub fn budget_saved(&self, stopped_at: &[usize]) -> usize {
-        stopped_at
-            .iter()
-            .map(|&c| self.max_answers.saturating_sub(c))
-            .sum()
     }
 }
 
@@ -152,79 +111,6 @@ pub fn stable_point_of_curve(curve: &[(usize, f64)], tol: f64) -> Option<usize> 
         }
     }
     stable
-}
-
-/// Online stable-point detection *without ground truth*: track how many
-/// inferred truths flip between consecutive checkpoints; declare stability
-/// after `patience` consecutive checkpoints whose flip fraction is at or
-/// below `tol`.
-///
-/// This is usable inside a live campaign (ground-truth accuracy is not),
-/// and on the simulated datasets it closely tracks the accuracy plateau —
-/// see the `adaptive_stopping` example.
-#[derive(Debug, Clone)]
-pub struct TruthFlipTracker {
-    tol: f64,
-    patience: usize,
-    previous: Option<Vec<ChoiceIndex>>,
-    quiet_streak: usize,
-    checkpoints: usize,
-    /// Flip fraction observed at each checkpoint after the first.
-    pub flip_history: Vec<f64>,
-}
-
-impl TruthFlipTracker {
-    /// Creates a tracker; `tol` is the maximum flip fraction considered
-    /// quiet and `patience` the number of consecutive quiet checkpoints
-    /// required.
-    pub fn new(tol: f64, patience: usize) -> Self {
-        assert!((0.0..=1.0).contains(&tol), "tol must be a fraction");
-        assert!(patience >= 1, "patience must be at least 1");
-        TruthFlipTracker {
-            tol,
-            patience,
-            previous: None,
-            quiet_streak: 0,
-            checkpoints: 0,
-            flip_history: Vec::new(),
-        }
-    }
-
-    /// Records a checkpoint (the current inferred truths of all tasks) and
-    /// returns `true` once stability has been reached.
-    ///
-    /// # Panics
-    /// Panics if the number of tasks changes between checkpoints.
-    pub fn checkpoint(&mut self, truths: Vec<ChoiceIndex>) -> bool {
-        self.checkpoints += 1;
-        if let Some(prev) = &self.previous {
-            assert_eq!(prev.len(), truths.len(), "task count changed");
-            let flips = prev.iter().zip(&truths).filter(|(a, b)| a != b).count();
-            let frac = if truths.is_empty() {
-                0.0
-            } else {
-                flips as f64 / truths.len() as f64
-            };
-            self.flip_history.push(frac);
-            if frac <= self.tol {
-                self.quiet_streak += 1;
-            } else {
-                self.quiet_streak = 0;
-            }
-        }
-        self.previous = Some(truths);
-        self.is_stable()
-    }
-
-    /// True when `patience` consecutive quiet checkpoints have been seen.
-    pub fn is_stable(&self) -> bool {
-        self.quiet_streak >= self.patience
-    }
-
-    /// Number of checkpoints recorded so far.
-    pub fn checkpoints(&self) -> usize {
-        self.checkpoints
-    }
 }
 
 #[cfg(test)]
@@ -284,13 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_saved_counts_released_answers() {
-        let policy = StoppingPolicy::with_defaults();
-        // Three tasks stopped at 3, 10, 7 answers under a 10-answer cap.
-        assert_eq!(policy.budget_saved(&[3, 10, 7]), 10);
-    }
-
-    #[test]
     fn stable_point_finds_the_plateau() {
         // Figure 4(c)-shaped curve: rises then flat from x = 8.
         let curve = [
@@ -318,35 +197,5 @@ mod tests {
     fn stable_point_of_monotone_rising_curve_is_last_point() {
         let curve = [(1, 0.5), (2, 0.6), (3, 0.7)];
         assert_eq!(stable_point_of_curve(&curve, 0.05), Some(3));
-    }
-
-    #[test]
-    fn flip_tracker_detects_quiet_streak() {
-        let mut tracker = TruthFlipTracker::new(0.0, 2);
-        assert!(!tracker.checkpoint(vec![0, 1, 0]));
-        assert!(!tracker.checkpoint(vec![0, 1, 1])); // one flip
-        assert!(!tracker.checkpoint(vec![0, 1, 1])); // quiet #1
-        assert!(tracker.checkpoint(vec![0, 1, 1])); // quiet #2 → stable
-        assert_eq!(tracker.flip_history, vec![1.0 / 3.0, 0.0, 0.0]);
-        assert_eq!(tracker.checkpoints(), 4);
-    }
-
-    #[test]
-    fn flip_tracker_resets_streak_on_flips() {
-        let mut tracker = TruthFlipTracker::new(0.0, 2);
-        tracker.checkpoint(vec![0, 0]);
-        tracker.checkpoint(vec![0, 0]); // quiet #1
-        tracker.checkpoint(vec![1, 0]); // flip resets
-        tracker.checkpoint(vec![1, 0]); // quiet #1
-        assert!(!tracker.is_stable());
-        assert!(tracker.checkpoint(vec![1, 0])); // quiet #2
-    }
-
-    #[test]
-    #[should_panic(expected = "task count changed")]
-    fn flip_tracker_rejects_task_count_change() {
-        let mut tracker = TruthFlipTracker::new(0.1, 1);
-        tracker.checkpoint(vec![0, 1]);
-        tracker.checkpoint(vec![0]);
     }
 }

@@ -10,9 +10,7 @@
 //! (so classes are decorrelated from the expert-first ordering the base
 //! generator uses) and routes every answer through the class's model.
 
-use crate::worker::{
-    AnswerContext, AnswerModel, PopulationConfig, SimulatedWorker, WorkerPopulation,
-};
+use crate::worker::{AnswerContext, AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_types::{ChoiceIndex, Task, WorkerId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -99,17 +97,12 @@ pub struct AdversarialPopulation {
 }
 
 impl AdversarialPopulation {
-    /// Samples the base population and assigns behavioral classes by a
-    /// seeded shuffle. Panics when the behavioral fractions exceed 1 or a
-    /// positive colluder fraction comes with zero cliques.
-    pub fn generate(config: &AdversarialConfig) -> Self {
-        Self::with_base(WorkerPopulation::generate(&config.base), config)
-    }
-
     /// Assigns behavioral classes over a caller-supplied quality
-    /// population (e.g. a dataset's focus-domain population), ignoring the
-    /// size and quality mixture of `config.base` but keeping its seed for
-    /// the class shuffle. Same panics as [`AdversarialPopulation::generate`].
+    /// population (e.g. a dataset's focus-domain population) by a seeded
+    /// shuffle, ignoring the size and quality mixture of `config.base` but
+    /// keeping its seed for the shuffle. Panics when the behavioral
+    /// fractions exceed 1 or a positive colluder fraction comes with zero
+    /// cliques.
     pub fn with_base(base: WorkerPopulation, config: &AdversarialConfig) -> Self {
         let f_total = config.spammer_fraction
             + config.sleeper_fraction
@@ -165,20 +158,6 @@ impl AdversarialPopulation {
         }
     }
 
-    /// Wraps an existing population with everyone honest — the degenerate
-    /// case scenario specs use for pure-quality runs.
-    pub fn all_honest(base: WorkerPopulation, honest_model: AnswerModel) -> Self {
-        let classes = vec![WorkerClass::Honest; base.len()];
-        AdversarialPopulation {
-            base,
-            classes,
-            honest_model,
-            sleeper_golden_quality: 0.95,
-            collusion: 0.0,
-            drift_slope: 0.0,
-        }
-    }
-
     /// Produces worker `w`'s answer to a task under her class's behavior.
     pub fn answer(
         &self,
@@ -216,45 +195,14 @@ impl AdversarialPopulation {
         }
     }
 
-    /// Behavioral class of a worker.
-    pub fn class_of(&self, w: WorkerId) -> WorkerClass {
-        self.classes[w.index()]
-    }
-
-    /// The model a worker answers under (drifters report the honest model;
-    /// their quality shift happens in [`AdversarialPopulation::answer`]).
-    pub fn model_of(&self, w: WorkerId) -> AnswerModel {
-        self.model_of_class(self.classes[w.index()])
-    }
-
     /// Number of workers.
     pub fn len(&self) -> usize {
         self.base.len()
     }
 
-    /// True when empty (not constructible via `generate`).
+    /// True when the base population is empty.
     pub fn is_empty(&self) -> bool {
         self.base.is_empty()
-    }
-
-    /// The underlying quality population.
-    pub fn base(&self) -> &WorkerPopulation {
-        &self.base
-    }
-
-    /// One simulated worker.
-    pub fn worker(&self, w: WorkerId) -> &SimulatedWorker {
-        self.base.worker(w)
-    }
-
-    /// Workers in a given class (evaluation helpers).
-    pub fn workers_in_class(&self, want: WorkerClass) -> Vec<WorkerId> {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c == want)
-            .map(|(i, _)| WorkerId::from(i))
-            .collect()
     }
 }
 
@@ -273,6 +221,15 @@ mod tests {
             },
             ..Default::default()
         }
+    }
+
+    /// Classes over the config's own base population.
+    fn generate(config: &AdversarialConfig) -> AdversarialPopulation {
+        AdversarialPopulation::with_base(WorkerPopulation::generate(&config.base), config)
+    }
+
+    fn in_class(pop: &AdversarialPopulation, want: WorkerClass) -> Vec<usize> {
+        (0..pop.len()).filter(|&i| pop.classes[i] == want).collect()
     }
 
     fn task(l: usize, truth: usize, domain: usize) -> docs_types::Task {
@@ -295,8 +252,8 @@ mod tests {
             drifter_fraction: 0.1,
             ..config(100)
         };
-        let pop = AdversarialPopulation::generate(&cfg);
-        let count = |c: WorkerClass| pop.workers_in_class(c).len();
+        let pop = generate(&cfg);
+        let count = |c: WorkerClass| in_class(&pop, c).len();
         assert_eq!(count(WorkerClass::Spammer), 20);
         assert_eq!(count(WorkerClass::Sleeper), 10);
         assert_eq!(count(WorkerClass::Drifter), 10);
@@ -317,27 +274,22 @@ mod tests {
             spammer_fraction: 0.2,
             ..config(100)
         };
-        let a = AdversarialPopulation::generate(&cfg);
-        let b = AdversarialPopulation::generate(&cfg);
-        for i in 0..100 {
-            assert_eq!(a.class_of(WorkerId(i)), b.class_of(WorkerId(i)));
-        }
+        let a = generate(&cfg);
+        let b = generate(&cfg);
+        assert_eq!(a.classes, b.classes);
         // Spammers must not cluster on the expert-first prefix: with 20
         // spammers uniformly shuffled over 100 slots, all landing in the
         // first 40 has probability ~1e-9.
-        let spam = a.workers_in_class(WorkerClass::Spammer);
+        let spam = in_class(&a, WorkerClass::Spammer);
         assert!(
-            spam.iter().any(|w| w.index() >= 40),
+            spam.iter().any(|&w| w >= 40),
             "spammers stuck on the expert prefix: {spam:?}"
         );
         // A different base seed reshuffles.
         let mut cfg2 = cfg.clone();
         cfg2.base.seed = 0x5EED;
-        let c = AdversarialPopulation::generate(&cfg2);
-        assert!(
-            (0..100).any(|i| a.class_of(WorkerId(i)) != c.class_of(WorkerId(i))),
-            "seed change must move classes"
-        );
+        let c = generate(&cfg2);
+        assert_ne!(a.classes, c.classes, "seed change must move classes");
     }
 
     #[test]
@@ -356,9 +308,9 @@ mod tests {
             },
             ..Default::default()
         };
-        let pop = AdversarialPopulation::generate(&cfg);
+        let pop = generate(&cfg);
         let w = WorkerId(0);
-        assert_eq!(pop.class_of(w), WorkerClass::Drifter);
+        assert_eq!(pop.classes[w.index()], WorkerClass::Drifter);
         let t = task(2, 0, 0);
         let mut rng = SmallRng::seed_from_u64(11);
         let trials = 4000;
@@ -387,10 +339,12 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let pop = AdversarialPopulation::all_honest(
-            WorkerPopulation::generate(&base_cfg),
-            AnswerModel::DomainUniform,
-        );
+        // Every behavioral fraction defaults to 0: everyone is honest.
+        let pop = generate(&AdversarialConfig {
+            base: base_cfg.clone(),
+            honest_model: AnswerModel::DomainUniform,
+            ..Default::default()
+        });
         let direct = WorkerPopulation::generate(&base_cfg);
         let t = task(3, 1, 1);
         // Same rng stream → byte-identical answers.
@@ -408,19 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn with_base_matches_generate_on_the_same_base() {
-        let cfg = AdversarialConfig {
-            spammer_fraction: 0.2,
-            ..config(50)
-        };
-        let a = AdversarialPopulation::generate(&cfg);
-        let b = AdversarialPopulation::with_base(WorkerPopulation::generate(&cfg.base), &cfg);
-        for i in 0..50 {
-            assert_eq!(a.class_of(WorkerId(i)), b.class_of(WorkerId(i)));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "sum to <= 1")]
     fn rejects_oversubscribed_fractions() {
         let cfg = AdversarialConfig {
@@ -428,6 +369,6 @@ mod tests {
             colluder_fraction: 0.5,
             ..config(10)
         };
-        let _ = AdversarialPopulation::generate(&cfg);
+        let _ = generate(&cfg);
     }
 }

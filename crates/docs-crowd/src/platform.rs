@@ -179,15 +179,12 @@ pub struct ExperimentOutcome {
     pub name: &'static str,
     /// The answers this method collected.
     pub log: AnswerLog,
-    /// Truths inferred by the method's own inference procedure.
-    pub truths: Vec<ChoiceIndex>,
-    /// Accuracy against ground truth.
+    /// Accuracy of the truths the method's own inference procedure infers,
+    /// against ground truth.
     pub accuracy: f64,
     /// Worst-case single assignment latency observed (Figure 8(b) reports
     /// worst-case assignment time).
     pub worst_assign_time: Duration,
-    /// Total time spent inside `assign` calls.
-    pub total_assign_time: Duration,
 }
 
 /// The simulated crowdsourcing platform.
@@ -244,7 +241,6 @@ impl<'a> Platform<'a> {
         let mut logs: Vec<AnswerLog> = strategies.iter().map(|_| AnswerLog::new(n)).collect();
         let mut collected = vec![0usize; strategies.len()];
         let mut worst = vec![Duration::ZERO; strategies.len()];
-        let mut total = vec![Duration::ZERO; strategies.len()];
 
         // Worker arrival stream: uniformly random arrivals with replacement,
         // bounded so a stuck strategy cannot loop forever.
@@ -276,9 +272,7 @@ impl<'a> Platform<'a> {
                 let k = self.config.k_per_hit.min(budget - collected[si]);
                 let t0 = Instant::now();
                 let assigned = s.assign(w, k);
-                let dt = t0.elapsed();
-                worst[si] = worst[si].max(dt);
-                total[si] += dt;
+                worst[si] = worst[si].max(t0.elapsed());
                 for tid in assigned {
                     if logs[si].has_answered(w, tid) {
                         // Protocol violation by the strategy; skip rather
@@ -301,19 +295,12 @@ impl<'a> Platform<'a> {
         strategies
             .iter()
             .zip(logs)
-            .zip(collected)
-            .zip(worst.iter().zip(&total))
-            .map(|(((s, log), _c), (w, t))| {
-                let truths = s.truths();
-                let accuracy = accuracy_of(&truths, self.tasks);
-                ExperimentOutcome {
-                    name: s.name(),
-                    log,
-                    truths,
-                    accuracy,
-                    worst_assign_time: *w,
-                    total_assign_time: *t,
-                }
+            .zip(worst)
+            .map(|((s, log), worst_assign_time)| ExperimentOutcome {
+                name: s.name(),
+                log,
+                accuracy: accuracy_of(&s.truths(), self.tasks),
+                worst_assign_time,
             })
             .collect()
     }
@@ -367,11 +354,6 @@ impl<'a> Platform<'a> {
                 rng,
             )
         })
-    }
-
-    /// Golden-task answers for a worker (exposed for single-method runs).
-    pub fn golden_ids(&self) -> &[TaskId] {
-        &self.golden_ids
     }
 }
 
@@ -610,7 +592,6 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
         for o in &outcomes {
             assert_eq!(o.log.len(), 100, "{}", o.name);
-            assert_eq!(o.truths.len(), 20);
         }
     }
 

@@ -832,7 +832,7 @@ impl Shard {
             d.observe(self.index, &self.metrics);
             watermark = d.log.last_seq(campaign);
         }
-        self.ownership.fence(campaign, owner, watermark);
+        self.ownership.fence(campaign, owner);
         self.metrics.count(Counter::CampaignsFenced, 1);
         self.metrics.journal().info(
             JournalKind::Fence,

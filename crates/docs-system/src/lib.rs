@@ -23,7 +23,6 @@ mod watermark;
 pub use config::DocsConfig;
 pub use ownership::{MutationAdmission, OwnershipTable};
 pub use system::{
-    BatchSubmitReport, CampaignSnapshot, CampaignStatus, Docs, ReplayStats, RequesterReport,
-    WorkRequest,
+    CampaignSnapshot, CampaignStatus, Docs, ReplayStats, RequesterReport, WorkRequest,
 };
 pub use watermark::{ReplicaWatermarks, WatermarkAdmission};

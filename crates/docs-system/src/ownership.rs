@@ -11,10 +11,11 @@
 //! 1. **Intake** — the campaign is mid-migration *into* this node
 //!    (`begin_intake`): the source still owns the write path, so mutations
 //!    redirect there while the replication plane is admitted.
-//! 2. **Fence** — the campaign was migrated *away* (`fence`): the log was
-//!    hardened at a recorded watermark and every later mutation redirects
-//!    to the new owner. The fence is the linearization point of a
-//!    migration — nothing commits locally past the fenced sequence.
+//! 2. **Fence** — the campaign was migrated *away* (`fence`): the shard
+//!    hardened its log and reported the watermark, and every later
+//!    mutation redirects to the new owner. The fence is the linearization
+//!    point of a migration — nothing commits locally past the fenced
+//!    sequence.
 //! 3. **Directory** — an installed [`ClusterMap`] places the campaign on
 //!    another node: redirect to that owner. Campaigns adopted by a
 //!    completed migration are tracked locally and override a stale map
@@ -39,19 +40,12 @@ pub enum MutationAdmission {
     },
 }
 
-/// A fence record: the campaign was handed to `owner`, with the local log
-/// hardened through `watermark` at the moment of the fence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fence {
-    owner: NodeId,
-    watermark: u64,
-}
-
 /// One shard's view of campaign ownership inside a cluster.
 #[derive(Debug, Clone)]
 pub struct OwnershipTable {
     node: NodeId,
-    fences: BTreeMap<CampaignId, Fence>,
+    /// Fenced campaigns and the node each was handed to.
+    fences: BTreeMap<CampaignId, NodeId>,
     intake: BTreeMap<CampaignId, NodeId>,
     adopted: BTreeSet<CampaignId>,
     map: Option<ClusterMap>,
@@ -69,19 +63,14 @@ impl OwnershipTable {
         }
     }
 
-    /// The node this table accounts for.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Decides whether a mutation of `campaign` may apply here, or names
     /// the owner it must be redirected to.
     pub fn admit_mutation(&self, campaign: CampaignId) -> MutationAdmission {
         if let Some(&src) = self.intake.get(&campaign) {
             return MutationAdmission::Redirect { owner: src };
         }
-        if let Some(fence) = self.fences.get(&campaign) {
-            return MutationAdmission::Redirect { owner: fence.owner };
+        if let Some(&owner) = self.fences.get(&campaign) {
+            return MutationAdmission::Redirect { owner };
         }
         if self.adopted.contains(&campaign) {
             return MutationAdmission::Allowed;
@@ -102,23 +91,12 @@ impl OwnershipTable {
         self.intake.contains_key(&campaign)
     }
 
-    /// Fences `campaign` away to `owner`: the local log is hardened
-    /// through `watermark` and every later mutation redirects. Revokes any
-    /// local adoption — ownership moved on.
-    pub fn fence(&mut self, campaign: CampaignId, owner: NodeId, watermark: u64) {
+    /// Fences `campaign` away to `owner` (the caller has hardened the
+    /// local log): every later mutation redirects. Revokes any local
+    /// adoption — ownership moved on.
+    pub fn fence(&mut self, campaign: CampaignId, owner: NodeId) {
         self.adopted.remove(&campaign);
-        self.fences.insert(campaign, Fence { owner, watermark });
-    }
-
-    /// The hardened watermark recorded when `campaign` was fenced, if it
-    /// was.
-    pub fn fence_watermark(&self, campaign: CampaignId) -> Option<u64> {
-        self.fences.get(&campaign).map(|f| f.watermark)
-    }
-
-    /// Whether `campaign` is fenced away from this node.
-    pub fn is_fenced(&self, campaign: CampaignId) -> bool {
-        self.fences.contains_key(&campaign)
+        self.fences.insert(campaign, owner);
     }
 
     /// Starts migration intake: `campaign` is being shipped here from
@@ -145,16 +123,10 @@ impl OwnershipTable {
             }
         }
         let node = self.node;
-        self.fences.retain(|c, f| map.owner(*c) == f.owner);
+        self.fences.retain(|c, owner| map.owner(*c) == *owner);
         self.adopted.retain(|c| map.owner(*c) != node);
         self.map = Some(map.clone());
         true
-    }
-
-    /// Epoch of the installed directory (`0` when none was installed —
-    /// indistinguishable from a fresh epoch-0 map, and routed identically).
-    pub fn map_epoch(&self) -> u64 {
-        self.map.as_ref().map(ClusterMap::epoch).unwrap_or(0)
     }
 }
 
@@ -171,19 +143,16 @@ mod tests {
         let table = OwnershipTable::new(N0);
         assert_eq!(table.admit_mutation(C), MutationAdmission::Allowed);
         assert!(!table.accepts_replication(C));
-        assert_eq!(table.map_epoch(), 0);
     }
 
     #[test]
-    fn fencing_redirects_mutations_and_records_the_watermark() {
+    fn fencing_redirects_mutations_to_the_new_owner() {
         let mut table = OwnershipTable::new(N0);
-        table.fence(C, N1, 17);
+        table.fence(C, N1);
         assert_eq!(
             table.admit_mutation(C),
             MutationAdmission::Redirect { owner: N1 }
         );
-        assert_eq!(table.fence_watermark(C), Some(17));
-        assert!(table.is_fenced(C));
         // Other campaigns are untouched.
         assert_eq!(
             table.admit_mutation(CampaignId(4)),
@@ -224,7 +193,6 @@ mod tests {
         let mut flipped = ClusterMap::new(N0);
         flipped.assign(C, N1);
         assert!(table.install_map(&flipped));
-        assert_eq!(table.map_epoch(), 1);
         assert_eq!(table.admit_mutation(C), MutationAdmission::Allowed);
         // Re-installing the same epoch is refused.
         assert!(!table.install_map(&flipped));
@@ -235,7 +203,7 @@ mod tests {
         let mut table = OwnershipTable::new(N0);
         let base = ClusterMap::new(N0);
         assert!(table.install_map(&base));
-        table.fence(C, N1, 9);
+        table.fence(C, N1);
         // A fresher map that moves the campaign *back* to n0 revokes the
         // fence (the round-trip migration's intake already cleared it in
         // practice; the directory install is the belt to that suspender).
@@ -243,6 +211,5 @@ mod tests {
         back.assign(C, N0);
         assert!(table.install_map(&back));
         assert_eq!(table.admit_mutation(C), MutationAdmission::Allowed);
-        assert_eq!(table.fence_watermark(C), None);
     }
 }

@@ -80,15 +80,6 @@ pub struct CampaignStatus {
     pub shard_ingestion: Vec<u64>,
 }
 
-/// Per-answer outcome of [`Docs::submit_answer_batch`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchSubmitReport {
-    /// Answers accepted and applied, in submission order.
-    pub accepted: usize,
-    /// Rejected answers: their position in the submitted batch and why.
-    pub rejected: Vec<(usize, Error)>,
-}
-
 /// The full serializable state of a campaign's [`Docs`] state machine —
 /// what the durable runtime writes as the base of a campaign's log and
 /// periodically refreshes to truncate it.
@@ -131,12 +122,21 @@ impl Serialize for LiveSnapshot<'_> {
 }
 
 /// Refuses a configuration the request path cannot serve: OTA assigns
-/// `k_per_hit` tasks per request and needs at least one.
+/// `k_per_hit` tasks per request and needs at least one, and a stopping
+/// policy must not demand more answers than it caps a task at.
 fn check_config(config: &DocsConfig) -> Result<()> {
     if config.k_per_hit == 0 {
         return Err(Error::Storage(
             "config field `k_per_hit`: a HIT needs at least 1 task, found 0".into(),
         ));
+    }
+    if let Some(policy) = config.stopping {
+        if policy.min_answers > policy.max_answers {
+            return Err(Error::Storage(format!(
+                "config field `stopping`: min_answers {} exceeds max_answers {}",
+                policy.min_answers, policy.max_answers
+            )));
+        }
     }
     Ok(())
 }
@@ -376,25 +376,6 @@ impl Docs {
     /// Command wrapper over [`CampaignEvent::AnswerSubmitted`].
     pub fn submit_answer(&mut self, answer: Answer) -> Result<()> {
         self.apply(&CampaignEvent::answer(answer))
-    }
-
-    /// Batched ingestion: validates every answer up front (against the log
-    /// *and* the earlier answers of the same batch), applies the accepted
-    /// ones as a single [`CampaignEvent::AnswerBatchSubmitted`] transition,
-    /// and reports the per-answer outcome. Applying a batch is
-    /// byte-identical to submitting its accepted answers one by one — only
-    /// the bookkeeping (one event, one WAL record in the durable service) is
-    /// amortized.
-    pub fn submit_answer_batch(&mut self, answers: &[Answer]) -> Result<BatchSubmitReport> {
-        let (accepted, rejected) = self.validate_answer_batch(answers);
-        let accepted_count = accepted.len();
-        if !accepted.is_empty() {
-            self.apply(&CampaignEvent::answer_batch(accepted))?;
-        }
-        Ok(BatchSubmitReport {
-            accepted: accepted_count,
-            rejected,
-        })
     }
 
     /// Partitions a batch into the answers that would be accepted (in
@@ -1012,9 +993,9 @@ mod tests {
             Err(Error::BudgetExhausted)
         );
         // The batch front reports the refusal per position.
-        let report = docs.submit_answer_batch(&[late]).unwrap();
-        assert_eq!(report.accepted, 0);
-        assert_eq!(report.rejected, vec![(0, Error::BudgetExhausted)]);
+        let (accepted, rejected) = submit_batch(&mut docs, &[late]);
+        assert_eq!(accepted, 0);
+        assert_eq!(rejected, vec![(0, Error::BudgetExhausted)]);
         assert_eq!(docs.answers_collected(), 4, "nothing absorbed");
         // Duplicate classification outranks budget admission: a retry of an
         // already-accepted answer is told it's a duplicate (idempotent
@@ -1099,10 +1080,10 @@ mod tests {
             Err(Error::BudgetExhausted)
         );
         // …and the validation front truncates it per position.
-        let report = docs.submit_answer_batch(&batch).unwrap();
-        assert_eq!(report.accepted, 1);
+        let (accepted, rejected) = submit_batch(&mut docs, &batch);
+        assert_eq!(accepted, 1);
         assert_eq!(
-            report.rejected,
+            rejected,
             vec![(1, Error::BudgetExhausted), (2, Error::BudgetExhausted)]
         );
         assert_eq!(
@@ -1224,9 +1205,9 @@ mod tests {
         for &a in &answers {
             one_by_one.submit_answer(a).unwrap();
         }
-        let report = batched.submit_answer_batch(&answers).unwrap();
-        assert_eq!(report.accepted, answers.len());
-        assert!(report.rejected.is_empty());
+        let (accepted, rejected) = submit_batch(&mut batched, &answers);
+        assert_eq!(accepted, answers.len());
+        assert!(rejected.is_empty());
         let (a, b) = (one_by_one.finish().unwrap(), batched.finish().unwrap());
         assert_eq!(a.truths, b.truths);
         assert_eq!(a.truth_distributions, b.truth_distributions);
@@ -1276,10 +1257,10 @@ mod tests {
                 choice: 1,
             }, // fine
         ];
-        let report = docs.submit_answer_batch(&batch).unwrap();
-        assert_eq!(report.accepted, 2);
+        let (accepted, rejected) = submit_batch(&mut docs, &batch);
+        assert_eq!(accepted, 2);
         assert_eq!(
-            report.rejected.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            rejected.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             vec![0, 2, 3, 4]
         );
         assert_eq!(docs.answers_collected(), 3);
@@ -1295,8 +1276,8 @@ mod tests {
             }]))
             .is_ok());
         // An empty batch is a no-op, not an error.
-        let empty = docs.submit_answer_batch(&[]).unwrap();
-        assert_eq!((empty.accepted, empty.rejected.len()), (0, 0));
+        let (accepted, rejected) = submit_batch(&mut docs, &[]);
+        assert_eq!((accepted, rejected.len()), (0, 0));
         assert_eq!(docs.answers_collected(), 3);
     }
 
@@ -1435,6 +1416,19 @@ mod tests {
         assert!(Docs::restore(snapshot).is_ok());
     }
 
+    /// Batched ingestion the way the service's shard runs it: filter the
+    /// batch, then apply what survives as one batch event. Returns the
+    /// accepted count and the rejected positions with their errors.
+    fn submit_batch(docs: &mut Docs, answers: &[Answer]) -> (usize, Vec<(usize, Error)>) {
+        let mut accepted = answers.to_vec();
+        let rejected = docs.filter_answer_batch(&mut accepted);
+        let count = accepted.len();
+        if count > 0 {
+            docs.apply(&CampaignEvent::answer_batch(accepted)).unwrap();
+        }
+        (count, rejected)
+    }
+
     /// Restores `snapshot` the way a WAL snapshot or a follower's
     /// `install_snapshot` does: through the codec record.
     fn restore_through_codec(snapshot: &CampaignSnapshot) -> Result<Docs> {
@@ -1460,6 +1454,32 @@ mod tests {
         snapshot.config = zero;
         let err = restore_through_codec(&snapshot).unwrap_err();
         assert!(err.to_string().contains("`k_per_hit`"), "{err}");
+    }
+
+    /// A stopping policy with `min_answers > max_answers` used to pass
+    /// publish/restore and panic the owning shard thread in
+    /// `StoppingPolicy::should_stop` on the first request.
+    #[test]
+    fn publish_and_restore_refuse_a_stopping_policy_whose_minimum_exceeds_its_cap() {
+        use docs_core::ti::{StoppingPolicy, StoppingRule};
+        let kb = table2_example_kb();
+        let inverted = DocsConfig {
+            stopping: Some(StoppingPolicy {
+                rule: StoppingRule::EntropyBelow(0.1),
+                min_answers: 5,
+                max_answers: 3,
+            }),
+            ..small_config()
+        };
+        let err = Docs::publish(&kb, example_tasks(6), inverted.clone()).unwrap_err();
+        assert!(err.to_string().contains("`stopping`"), "{err}");
+        let mut snapshot = Docs::publish(&kb, example_tasks(6), small_config())
+            .unwrap()
+            .snapshot();
+        assert!(restore_through_codec(&snapshot).is_ok(), "control");
+        snapshot.config = inverted;
+        let err = restore_through_codec(&snapshot).unwrap_err();
+        assert!(err.to_string().contains("`stopping`"), "{err}");
     }
 
     /// A snapshot whose parts disagree about the task count or the shard

@@ -87,16 +87,6 @@ impl ReplicaWatermarks {
     pub fn all(&self) -> Vec<(CampaignId, u64)> {
         self.applied.iter().map(|(c, s)| (*c, *s)).collect()
     }
-
-    /// Number of campaigns with a watermark.
-    pub fn len(&self) -> usize {
-        self.applied.len()
-    }
-
-    /// True when no campaign has applied anything.
-    pub fn is_empty(&self) -> bool {
-        self.applied.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +99,7 @@ mod tests {
     #[test]
     fn classification_covers_stale_next_and_gap() {
         let mut wm = ReplicaWatermarks::new();
-        assert!(wm.is_empty());
+        assert!(wm.all().is_empty());
         assert!(!wm.contains(C0));
         // A baseline snapshot at sequence 0 still registers presence.
         wm.advance_to(C0, 0);
@@ -139,7 +129,7 @@ mod tests {
             WatermarkAdmission::of(wm.get(C1), 1),
             WatermarkAdmission::Next
         );
-        assert_eq!(wm.len(), 1);
+        assert_eq!(wm.all(), vec![(C0, 1)]);
     }
 
     #[test]

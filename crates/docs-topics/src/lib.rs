@@ -1,4 +1,4 @@
-//! Topic models — the substrate of the iCrowd and FaitCrowd baselines.
+//! Topic models — the domain detection of the iCrowd and FaitCrowd baselines.
 //!
 //! The paper's two domain-aware competitors detect task domains with topic
 //! models instead of a knowledge base: iCrowd \[18\] runs LDA \[6\] over task
@@ -9,11 +9,16 @@
 //! experiment shows losing to explicit KB domains on heterogeneous text.
 //!
 //! This crate implements both models from scratch with collapsed Gibbs
-//! sampling:
+//! sampling, for the Figure 3 reproduction (`docs-bench`'s `fig3`), their
+//! one caller:
 //!
 //! * [`Vocabulary`] / [`tokenize`] — shared text preprocessing,
 //! * [`Lda`] — standard latent Dirichlet allocation,
 //! * [`TwitterLda`] — one topic per document + background/topic word switch.
+//!
+//! Each trainer exposes one entry point, `fit_texts_best_of` (the run with
+//! the highest training log-likelihood over seeded Gibbs restarts), and
+//! each model one reading, `dominant_topic` (a task's hard topic).
 
 mod lda;
 mod twitter;

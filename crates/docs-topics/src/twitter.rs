@@ -49,15 +49,6 @@ pub struct TwitterLdaModel {
     /// Posterior distribution over the document's single topic, one row per
     /// document (relative frequency of sampled assignments after burn-in).
     pub doc_topics: Vec<Vec<f64>>,
-    /// φ_k per topic — topic-word distributions of the final Gibbs state.
-    pub topic_words: Vec<Vec<f64>>,
-    /// The shared background word distribution (TwitterLDA's extra piece
-    /// relative to plain LDA).
-    pub background_words: Vec<f64>,
-    /// Number of topics.
-    pub num_topics: usize,
-    /// Total training tokens (for perplexity).
-    pub num_tokens: usize,
     /// Training pseudo log-likelihood of the final state (each token
     /// explained by the background/topic mixture under the document's most
     /// probable topic) — used to pick the best Gibbs restart.
@@ -69,29 +60,6 @@ impl TwitterLdaModel {
     /// assignment per task.
     pub fn dominant_topic(&self, doc: usize) -> usize {
         docs_types::prob::argmax(&self.doc_topics[doc])
-    }
-
-    /// Training-corpus perplexity `exp(−LL / #tokens)` (lower is better);
-    /// infinity for an empty corpus.
-    pub fn perplexity(&self) -> f64 {
-        if self.num_tokens == 0 {
-            return f64::INFINITY;
-        }
-        (-self.log_likelihood / self.num_tokens as f64).exp()
-    }
-
-    /// The `n` highest-probability word ids of a topic.
-    pub fn top_words(&self, topic: usize, n: usize) -> Vec<usize> {
-        let phi = &self.topic_words[topic];
-        let mut order: Vec<usize> = (0..phi.len()).collect();
-        order.sort_by(|&a, &b| {
-            phi[b]
-                .partial_cmp(&phi[a])
-                .expect("phi has no NaN")
-                .then(a.cmp(&b))
-        });
-        order.truncate(n);
-        order
     }
 }
 
@@ -109,14 +77,8 @@ impl TwitterLda {
         TwitterLda { config }
     }
 
-    /// Fits the model to raw texts.
-    pub fn fit_texts(&self, texts: &[String]) -> TwitterLdaModel {
-        let (vocab, docs) = Vocabulary::encode_corpus(texts);
-        self.fit(&docs, vocab.len().max(1))
-    }
-
     /// Fits the model to encoded documents over a vocabulary of size `v`.
-    pub fn fit(&self, docs: &[Vec<usize>], v: usize) -> TwitterLdaModel {
+    fn fit(&self, docs: &[Vec<usize>], v: usize) -> TwitterLdaModel {
         let t = self.config.num_topics;
         let cfg = self.config;
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -291,23 +253,8 @@ impl TwitterLda {
             }
         }
 
-        let topic_words: Vec<Vec<f64>> = (0..t)
-            .map(|k| {
-                (0..v)
-                    .map(|w| (ntw[k][w] as f64 + cfg.beta) / (nt[k] as f64 + vb))
-                    .collect()
-            })
-            .collect();
-        let background_words: Vec<f64> = (0..v)
-            .map(|w| (nbw[w] as f64 + cfg.beta) / (nb as f64 + vb))
-            .collect();
-
         TwitterLdaModel {
             doc_topics,
-            topic_words,
-            background_words,
-            num_topics: t,
-            num_tokens: docs.iter().map(Vec::len).sum(),
             log_likelihood,
         }
     }
@@ -337,35 +284,6 @@ impl TwitterLda {
 mod tests {
     use super::*;
 
-    #[test]
-    fn model_eval_surfaces_are_consistent() {
-        let corpus: Vec<String> = [
-            "curry dunks basketball playoffs",
-            "basketball playoffs dunks curry",
-            "chocolate calories honey sugar",
-            "sugar honey chocolate calories",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let model = TwitterLda::new(TwitterLdaConfig {
-            num_topics: 2,
-            ..Default::default()
-        })
-        .fit_texts_best_of(&corpus, 2);
-        assert!(model.perplexity().is_finite() && model.perplexity() > 1.0);
-        assert_eq!(model.topic_words.len(), 2);
-        for phi in &model.topic_words {
-            let sum: f64 = phi.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9);
-        }
-        let bg_sum: f64 = model.background_words.iter().sum();
-        assert!((bg_sum - 1.0).abs() < 1e-9);
-        let top = model.top_words(0, 3);
-        assert_eq!(top.len(), 3);
-        assert_eq!(model.num_tokens, 16);
-    }
-
     fn clustered_corpus() -> Vec<String> {
         // Shared template words ("compare", "contains") act as background;
         // content words separate the clusters.
@@ -386,14 +304,38 @@ mod tests {
             .collect()
     }
 
+    /// One Gibbs run on `corpus` with the configured seed.
+    fn fit_once(config: TwitterLdaConfig, corpus: &[String]) -> TwitterLdaModel {
+        TwitterLda::new(config).fit_texts_best_of(corpus, 1)
+    }
+
+    #[test]
+    fn more_restarts_never_lower_the_likelihood() {
+        // Restart r's seed does not depend on the restart count, so
+        // best-of-n takes the maximum over a growing prefix of one run list.
+        let corpus = clustered_corpus();
+        let best_of = |restarts| {
+            TwitterLda::new(TwitterLdaConfig {
+                num_topics: 2,
+                ..Default::default()
+            })
+            .fit_texts_best_of(&corpus, restarts)
+            .log_likelihood
+        };
+        let (one, two, three) = (best_of(1), best_of(2), best_of(3));
+        assert!(one <= two && two <= three, "{one} {two} {three}");
+    }
+
     #[test]
     fn separates_clusters_despite_shared_template() {
         let corpus = clustered_corpus();
-        let model = TwitterLda::new(TwitterLdaConfig {
-            num_topics: 2,
-            ..Default::default()
-        })
-        .fit_texts(&corpus);
+        let model = fit_once(
+            TwitterLdaConfig {
+                num_topics: 2,
+                ..Default::default()
+            },
+            &corpus,
+        );
         let t0 = model.dominant_topic(0);
         assert_eq!(model.dominant_topic(1), t0);
         assert_eq!(model.dominant_topic(2), t0);
@@ -406,7 +348,7 @@ mod tests {
     #[test]
     fn doc_topics_are_distributions() {
         let corpus = clustered_corpus();
-        let model = TwitterLda::default().fit_texts(&corpus);
+        let model = fit_once(TwitterLdaConfig::default(), &corpus);
         for row in &model.doc_topics {
             assert!(docs_types::prob::is_distribution(row), "{row:?}");
         }
@@ -415,19 +357,21 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let corpus = clustered_corpus();
-        let a = TwitterLda::default().fit_texts(&corpus);
-        let b = TwitterLda::default().fit_texts(&corpus);
+        let a = fit_once(TwitterLdaConfig::default(), &corpus);
+        let b = fit_once(TwitterLdaConfig::default(), &corpus);
         assert_eq!(a.doc_topics, b.doc_topics);
     }
 
     #[test]
     fn single_topic_degenerates_gracefully() {
         let corpus = clustered_corpus();
-        let model = TwitterLda::new(TwitterLdaConfig {
-            num_topics: 1,
-            ..Default::default()
-        })
-        .fit_texts(&corpus);
+        let model = fit_once(
+            TwitterLdaConfig {
+                num_topics: 1,
+                ..Default::default()
+            },
+            &corpus,
+        );
         for d in 0..corpus.len() {
             assert_eq!(model.dominant_topic(d), 0);
         }
@@ -436,7 +380,7 @@ mod tests {
     #[test]
     fn handles_empty_documents() {
         let corpus = vec!["".to_string(), "curry basketball curry".to_string()];
-        let model = TwitterLda::default().fit_texts(&corpus);
+        let model = fit_once(TwitterLdaConfig::default(), &corpus);
         assert!(docs_types::prob::is_distribution(&model.doc_topics[0]));
     }
 }

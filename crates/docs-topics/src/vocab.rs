@@ -21,11 +21,10 @@ pub fn tokenize(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Bidirectional word ↔ id mapping over a corpus.
+/// Word → id mapping over a corpus; ids are dense, in first-seen order.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     word_to_id: HashMap<String, usize>,
-    words: Vec<String>,
 }
 
 impl Vocabulary {
@@ -42,33 +41,18 @@ impl Vocabulary {
 
     /// Returns the id of a word, inserting it if new.
     pub fn intern(&mut self, word: String) -> usize {
-        if let Some(&id) = self.word_to_id.get(&word) {
-            return id;
-        }
-        let id = self.words.len();
-        self.word_to_id.insert(word.clone(), id);
-        self.words.push(word);
-        id
-    }
-
-    /// Id of a known word.
-    pub fn id(&self, word: &str) -> Option<usize> {
-        self.word_to_id.get(word).copied()
-    }
-
-    /// Word of an id.
-    pub fn word(&self, id: usize) -> &str {
-        &self.words[id]
+        let next = self.word_to_id.len();
+        *self.word_to_id.entry(word).or_insert(next)
     }
 
     /// Vocabulary size `V`.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.word_to_id.len()
     }
 
     /// True when the vocabulary is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.word_to_id.is_empty()
     }
 }
 
@@ -90,11 +74,9 @@ mod tests {
         ];
         let (vocab, docs) = Vocabulary::encode_corpus(&texts);
         assert_eq!(vocab.len(), 2);
-        let curry = vocab.id("curry").unwrap();
-        let warriors = vocab.id("warriors").unwrap();
-        assert_eq!(docs[0], vec![curry, curry, warriors]);
-        assert_eq!(docs[1], vec![warriors, curry]);
-        assert_eq!(vocab.word(curry), "curry");
+        // Ids follow first appearance: "curry" is 0, "warriors" is 1.
+        assert_eq!(docs[0], vec![0, 0, 1]);
+        assert_eq!(docs[1], vec![1, 0]);
     }
 
     #[test]

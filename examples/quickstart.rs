@@ -15,9 +15,9 @@ use docs_system::DocsConfig;
 use docs_types::TaskBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A knowledge base. Here: the Table 2 example KB with the three
-    //    "Michael Jordan" concepts; real deployments use a large curated KB
-    //    (see `docs_datasets::curated_kb`).
+    // 1. A knowledge base. Here: the small curated KB the simulated
+    //    datasets share, with deliberately ambiguous mentions such as
+    //    "Michael Jordan"; a real deployment links against a large KB.
     let kb = docs_datasets::curated_kb();
 
     // 2. The requester's tasks: multiple-choice questions with plain-text
