@@ -30,11 +30,6 @@ impl DocsAssign {
             config,
         }
     }
-
-    /// Read access to the inference engine (for experiment harnesses).
-    pub fn engine(&self) -> &IncrementalTi {
-        &self.engine
-    }
 }
 
 impl AssignmentStrategy for DocsAssign {

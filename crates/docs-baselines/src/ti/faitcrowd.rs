@@ -20,8 +20,6 @@ pub struct FaitCrowd {
     pub prior: f64,
     /// Golden-task scalar initialization per worker (applied to all topics).
     pub init: HashMap<WorkerId, f64>,
-    /// Hard topic per task. When `None`, falls back to `true_domain`.
-    pub task_topics: Option<Vec<usize>>,
 }
 
 impl Default for FaitCrowd {
@@ -30,31 +28,21 @@ impl Default for FaitCrowd {
             iterations: 20,
             prior: 0.7,
             init: HashMap::new(),
-            task_topics: None,
         }
     }
 }
 
 impl FaitCrowd {
-    /// Uses explicit task topics (e.g. TwitterLDA-detected).
-    pub fn with_task_topics(mut self, topics: Vec<usize>) -> Self {
-        self.task_topics = Some(topics);
-        self
-    }
-
     /// Sets the golden-task initialization.
     pub fn with_init(mut self, init: HashMap<WorkerId, f64>) -> Self {
         self.init = init;
         self
     }
 
-    fn topic_of(&self, task: &Task) -> usize {
-        match &self.task_topics {
-            Some(t) => t[task.id.index()],
-            None => task
-                .true_domain
-                .expect("FaitCrowd needs task topics (set task_topics or true_domain)"),
-        }
+    /// A task's hard topic: its `true_domain` (the Section 6.3 protocol).
+    fn topic_of(task: &Task) -> usize {
+        task.true_domain
+            .expect("FaitCrowd needs each task's true_domain as its topic")
     }
 
     /// Runs EM; returns truth distributions and per-worker topic qualities.
@@ -63,7 +51,7 @@ impl FaitCrowd {
         tasks: &[Task],
         answers: &AnswerLog,
     ) -> (Vec<Vec<f64>>, HashMap<WorkerId, Vec<f64>>) {
-        let m = 1 + tasks.iter().map(|t| self.topic_of(t)).max().unwrap_or(0);
+        let m = 1 + tasks.iter().map(Self::topic_of).max().unwrap_or(0);
         let mut quality: HashMap<WorkerId, Vec<f64>> = answers
             .workers()
             .map(|w| {
@@ -80,7 +68,7 @@ impl FaitCrowd {
         for _ in 0..self.iterations {
             // E-step: per-task truth under the task's hard topic.
             for (task, si) in tasks.iter().zip(s.iter_mut()) {
-                let k = self.topic_of(task);
+                let k = Self::topic_of(task);
                 let l = task.num_choices();
                 si.iter_mut().for_each(|x| *x = 1.0);
                 for &(w, v) in answers.task_answers(task.id) {
@@ -100,7 +88,7 @@ impl FaitCrowd {
                 let mut num = vec![0.0; m];
                 let mut den = vec![0.0; m];
                 for &(t, v) in answers.worker_answers(*w) {
-                    let k = self.topic_of(&tasks[t.index()]);
+                    let k = Self::topic_of(&tasks[t.index()]);
                     num[k] += s[t.index()][v];
                     den[k] += 1.0;
                 }
@@ -151,16 +139,6 @@ mod tests {
         // Worker 0 is a domain-0 expert (true q = [0.95, 0.55]).
         let q0 = &quality[&WorkerId(0)];
         assert!(q0[0] > q0[1], "expected topic-0 expertise: {q0:?}");
-    }
-
-    #[test]
-    fn wrong_topics_hurt() {
-        let (tasks, log) = world(80, &standard_population(), 0xFE);
-        let good = accuracy(&FaitCrowd::default().infer(&tasks, &log), &tasks);
-        // Collapse all tasks into one topic: domain signal gone.
-        let collapsed = FaitCrowd::default().with_task_topics(vec![0; tasks.len()]);
-        let bad = accuracy(&collapsed.infer(&tasks, &log), &tasks);
-        assert!(good + 1e-9 >= bad, "true topics {good} vs collapsed {bad}");
     }
 
     #[test]

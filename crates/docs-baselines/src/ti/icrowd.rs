@@ -17,9 +17,6 @@ pub struct ICrowd {
     pub prior: f64,
     /// Smoothing weight of the prior.
     pub smoothing: f64,
-    /// Hard domain per task. When `None`, falls back to each task's
-    /// `true_domain` (the handicap protocol).
-    pub task_domains: Option<Vec<usize>>,
 }
 
 impl Default for ICrowd {
@@ -28,26 +25,15 @@ impl Default for ICrowd {
             iterations: 10,
             prior: 0.7,
             smoothing: 1.0,
-            task_domains: None,
         }
     }
 }
 
 impl ICrowd {
-    /// Uses explicit task domains (e.g. LDA-detected) instead of ground
-    /// truth.
-    pub fn with_task_domains(mut self, domains: Vec<usize>) -> Self {
-        self.task_domains = Some(domains);
-        self
-    }
-
-    fn domain_of(&self, task: &Task) -> usize {
-        match &self.task_domains {
-            Some(d) => d[task.id.index()],
-            None => task
-                .true_domain
-                .expect("ICrowd needs task domains (set task_domains or true_domain)"),
-        }
+    /// A task's hard domain: its `true_domain` (the handicap protocol).
+    fn domain_of(task: &Task) -> usize {
+        task.true_domain
+            .expect("ICrowd needs each task's true_domain")
     }
 }
 
@@ -57,7 +43,7 @@ impl TruthMethod for ICrowd {
     }
 
     fn infer(&self, tasks: &[Task], answers: &AnswerLog) -> Vec<ChoiceIndex> {
-        let m = 1 + tasks.iter().map(|t| self.domain_of(t)).max().unwrap_or(0);
+        let m = 1 + tasks.iter().map(Self::domain_of).max().unwrap_or(0);
         let num_workers = answers.workers().map(|w| w.index() + 1).max().unwrap_or(0);
 
         // Start from plain majority voting.
@@ -70,7 +56,7 @@ impl TruthMethod for ICrowd {
             let mut correct = vec![vec![self.prior * self.smoothing; m]; num_workers];
             let mut total = vec![vec![self.smoothing; m]; num_workers];
             for (task, &truth) in tasks.iter().zip(&truths) {
-                let k = self.domain_of(task);
+                let k = Self::domain_of(task);
                 for &(w, v) in answers.task_answers(task.id) {
                     total[w.index()][k] += 1.0;
                     if v == truth {
@@ -87,7 +73,7 @@ impl TruthMethod for ICrowd {
             // Weighted majority voting with the domain-specific accuracies.
             let mut changed = false;
             for (i, task) in tasks.iter().enumerate() {
-                let k = self.domain_of(task);
+                let k = Self::domain_of(task);
                 let mut votes = vec![0.0; task.num_choices()];
                 for &(w, v) in answers.task_answers(task.id) {
                     votes[v] += acc[w.index()][k];
@@ -118,17 +104,6 @@ mod tests {
         let mv = accuracy(&MajorityVote.infer(&tasks, &log), &tasks);
         let ic = accuracy(&ICrowd::default().infer(&tasks, &log), &tasks);
         assert!(ic + 1e-9 >= mv, "IC {ic} vs MV {mv}");
-    }
-
-    #[test]
-    fn wrong_domains_hurt() {
-        let (tasks, log) = world(60, &standard_population(), 0x1D);
-        let good = accuracy(&ICrowd::default().infer(&tasks, &log), &tasks);
-        // Scramble domains: everything assigned to one domain removes the
-        // per-domain signal.
-        let scrambled = ICrowd::default().with_task_domains(vec![0; tasks.len()]);
-        let bad = accuracy(&scrambled.infer(&tasks, &log), &tasks);
-        assert!(good + 1e-9 >= bad, "true domains {good} vs scrambled {bad}");
     }
 
     #[test]

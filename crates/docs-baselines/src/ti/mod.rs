@@ -49,12 +49,9 @@ pub fn golden_scalar_quality(
         .collect()
 }
 
-/// Accuracy of inferred truths against ground truth (shared by tests and
-/// experiment harnesses). NaN when no task carries a ground truth — see
-/// [`docs_crowd::accuracy_of`] for the policy.
-pub fn accuracy(truths: &[ChoiceIndex], tasks: &[Task]) -> f64 {
-    docs_crowd::accuracy_of(truths, tasks)
-}
+/// The baselines' tests score truths with docs-crowd's accuracy.
+#[cfg(test)]
+pub(crate) use docs_crowd::accuracy_of as accuracy;
 
 /// Fallible accuracy: `None` when no task carries a ground truth.
 /// Re-exported from `docs-crowd` so scoring harnesses comparing against

@@ -42,11 +42,11 @@ fn unpack(key: u64) -> (u32, u32) {
 /// downstream inference well-defined.
 ///
 /// ```
-/// use docs_kb::{table2_example_kb, EntityLinker};
+/// use docs_kb::{table2_example_kb, EntityLinker, LinkerConfig};
 /// use docs_core::dve::domain_vector;
 ///
 /// let kb = table2_example_kb();
-/// let linker = EntityLinker::with_defaults(&kb);
+/// let linker = EntityLinker::new(&kb, LinkerConfig::default());
 /// let entities =
 ///     linker.link("Does Michael Jordan win more NBA championships than Kobe Bryant?");
 /// let r = domain_vector(&entities, 3);
@@ -174,12 +174,55 @@ pub fn domain_vector_enumeration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use docs_kb::{table2_example_kb, EntityLinker, IndicatorVector};
+    use docs_kb::{table2_example_kb, ConceptId, EntityLinker, IndicatorVector, LinkerConfig};
     use docs_types::prob;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// An entity over the given `(weight, indicator)` candidates, weights
+    /// normalized into `p_i`.
+    fn entity(parts: &[(f64, IndicatorVector)]) -> LinkedEntity {
+        LinkedEntity {
+            candidates: (0..parts.len() as u32).map(ConceptId).collect(),
+            probs: prob::normalized(&parts.iter().map(|p| p.0).collect::<Vec<_>>()),
+            indicators: parts.iter().map(|p| p.1).collect(),
+        }
+    }
+
+    /// `n` random entities of `c` candidates each: skewed link
+    /// probabilities (as Wikifier emits) and `related` random domains per
+    /// candidate.
+    fn random_entities(
+        m: usize,
+        n: usize,
+        c: usize,
+        related: usize,
+        seed: u64,
+    ) -> Vec<LinkedEntity> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let parts: Vec<(f64, IndicatorVector)> = (0..c)
+                    .map(|j| {
+                        let w = 1.0 / (1.0 + j as f64) + rng.gen_range(0.0..0.05);
+                        let mut domains = Vec::with_capacity(related);
+                        while domains.len() < related {
+                            let k = rng.gen_range(0..m);
+                            if !domains.contains(&k) {
+                                domains.push(k);
+                            }
+                        }
+                        (w, IndicatorVector::from_domains(m, &domains))
+                    })
+                    .collect();
+                entity(&parts)
+            })
+            .collect()
+    }
 
     fn table2_entities() -> Vec<LinkedEntity> {
         let kb = table2_example_kb();
-        let linker = EntityLinker::with_defaults(&kb);
+        let linker = EntityLinker::new(&kb, LinkerConfig::default());
         linker.link("Does Michael Jordan win more NBA championships than Kobe Bryant?")
     }
 
@@ -224,13 +267,10 @@ mod tests {
 
     #[test]
     fn all_empty_indicators_yield_uniform() {
-        let e = LinkedEntity::from_parts(
-            "nothing",
-            &[
-                (0.6, IndicatorVector::empty(3)),
-                (0.4, IndicatorVector::empty(3)),
-            ],
-        );
+        let e = entity(&[
+            (0.6, IndicatorVector::empty(3)),
+            (0.4, IndicatorVector::empty(3)),
+        ]);
         let r = domain_vector(&[e], 3);
         assert_eq!(r.as_slice(), &[1.0 / 3.0; 3]);
     }
@@ -239,13 +279,10 @@ mod tests {
     fn partial_empty_mass_renormalizes() {
         // One candidate related to domain 0 (p=0.5), one related to nothing
         // (p=0.5). Conditioned on relatedness, the task is fully domain 0.
-        let e = LinkedEntity::from_parts(
-            "e",
-            &[
-                (0.5, IndicatorVector::from_bits(&[1, 0])),
-                (0.5, IndicatorVector::empty(2)),
-            ],
-        );
+        let e = entity(&[
+            (0.5, IndicatorVector::from_bits(&[1, 0])),
+            (0.5, IndicatorVector::empty(2)),
+        ]);
         let r = domain_vector(&[e], 2);
         assert!((r[0] - 1.0).abs() < 1e-12);
         assert!(r[1].abs() < 1e-12);
@@ -253,14 +290,14 @@ mod tests {
 
     #[test]
     fn single_entity_single_concept() {
-        let e = LinkedEntity::from_parts("kobe", &[(1.0, IndicatorVector::from_bits(&[0, 1, 0]))]);
+        let e = entity(&[(1.0, IndicatorVector::from_bits(&[0, 1, 0]))]);
         let r = domain_vector(&[e], 3);
         assert_eq!(r.as_slice(), &[0.0, 1.0, 0.0]);
     }
 
     #[test]
     fn enumeration_respects_cap() {
-        let es = docs_kb::generator::synthetic_entities(5, 10, 10, 1, 1);
+        let es = random_entities(5, 10, 10, 1, 1);
         // 10^10 linkings > cap.
         assert!(domain_vector_enumeration(&es, 5, 1_000_000).is_none());
     }
@@ -268,7 +305,7 @@ mod tests {
     #[test]
     fn agreement_on_random_instances() {
         for seed in 0..10 {
-            let es = docs_kb::generator::synthetic_entities(6, 4, 3, 2, seed);
+            let es = random_entities(6, 4, 3, 2, seed);
             let fast = domain_vector(&es, 6);
             let slow = domain_vector_enumeration(&es, 6, 1 << 20).unwrap();
             for k in 0..6 {

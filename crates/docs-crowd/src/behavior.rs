@@ -38,15 +38,15 @@ pub enum WorkerClass {
 
 /// Mixture configuration for an [`AdversarialPopulation`].
 ///
-/// The behavioral fractions partition the population independently of the
-/// base config's *quality* mixture (`base.spammer_fraction` describes
+/// The behavioral fractions partition the population independently of its
+/// *quality* mixture (`PopulationConfig::spammer_fraction` describes
 /// low-quality-but-honest workers; `spammer_fraction` here describes
 /// workers who ignore tasks entirely). Fractions must sum to ≤ 1; the
 /// remainder is honest.
 #[derive(Debug, Clone)]
 pub struct AdversarialConfig {
-    /// Quality mixture, size, and seed of the underlying population.
-    pub base: PopulationConfig,
+    /// Seed of the shuffle that places the behavioral classes.
+    pub seed: u64,
     /// Model honest (and drifting) workers answer under.
     pub honest_model: AnswerModel,
     /// Fraction of uniform spammers.
@@ -71,7 +71,7 @@ pub struct AdversarialConfig {
 impl Default for AdversarialConfig {
     fn default() -> Self {
         AdversarialConfig {
-            base: PopulationConfig::default(),
+            seed: PopulationConfig::default().seed,
             honest_model: AnswerModel::DomainUniform,
             spammer_fraction: 0.0,
             sleeper_fraction: 0.0,
@@ -98,11 +98,9 @@ pub struct AdversarialPopulation {
 
 impl AdversarialPopulation {
     /// Assigns behavioral classes over a caller-supplied quality
-    /// population (e.g. a dataset's focus-domain population) by a seeded
-    /// shuffle, ignoring the size and quality mixture of `config.base` but
-    /// keeping its seed for the shuffle. Panics when the behavioral
-    /// fractions exceed 1 or a positive colluder fraction comes with zero
-    /// cliques.
+    /// population (e.g. a dataset's focus-domain population) by a shuffle
+    /// seeded from `config.seed`. Panics when the behavioral fractions
+    /// exceed 1 or a positive colluder fraction comes with zero cliques.
     pub fn with_base(base: WorkerPopulation, config: &AdversarialConfig) -> Self {
         let f_total = config.spammer_fraction
             + config.sleeper_fraction
@@ -138,11 +136,11 @@ impl AdversarialPopulation {
         classes.resize(classes.len() + n_drift, WorkerClass::Drifter);
         classes.resize(size, WorkerClass::Honest);
 
-        // Fisher-Yates on a seed derived from (but distinct from) the base
-        // seed, so adversaries land uniformly across the quality mixture
-        // instead of clustering on the expert-first prefix the base
-        // generator emits.
-        let mut rng = SmallRng::seed_from_u64(config.base.seed ^ 0xAD5E_ED00_0000_0001);
+        // Fisher-Yates on a seed derived from (but distinct from) the
+        // config's seed, so adversaries land uniformly across the quality
+        // mixture instead of clustering on the expert-first prefix the
+        // population generator emits.
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xAD5E_ED00_0000_0001);
         for i in (1..size).rev() {
             let j = rng.gen_range(0..=i);
             classes.swap(i, j);
@@ -211,21 +209,23 @@ mod tests {
     use super::*;
     use docs_types::{DomainVector, TaskBuilder};
 
-    fn config(size: usize) -> AdversarialConfig {
+    fn config() -> AdversarialConfig {
         AdversarialConfig {
-            base: PopulationConfig {
-                m: 2,
-                size,
-                seed: 0xBEE5,
-                ..Default::default()
-            },
+            seed: 0xBEE5,
             ..Default::default()
         }
     }
 
-    /// Classes over the config's own base population.
-    fn generate(config: &AdversarialConfig) -> AdversarialPopulation {
-        AdversarialPopulation::with_base(WorkerPopulation::generate(&config.base), config)
+    /// Classes over a fresh 2-domain population of `size` workers
+    /// generated from the config's seed.
+    fn generate(size: usize, config: &AdversarialConfig) -> AdversarialPopulation {
+        let base = WorkerPopulation::generate(&PopulationConfig {
+            m: 2,
+            size,
+            seed: config.seed,
+            ..Default::default()
+        });
+        AdversarialPopulation::with_base(base, config)
     }
 
     fn in_class(pop: &AdversarialPopulation, want: WorkerClass) -> Vec<usize> {
@@ -250,9 +250,9 @@ mod tests {
             colluder_fraction: 0.3,
             colluder_cliques: 3,
             drifter_fraction: 0.1,
-            ..config(100)
+            ..config()
         };
-        let pop = generate(&cfg);
+        let pop = generate(100, &cfg);
         let count = |c: WorkerClass| in_class(&pop, c).len();
         assert_eq!(count(WorkerClass::Spammer), 20);
         assert_eq!(count(WorkerClass::Sleeper), 10);
@@ -272,10 +272,10 @@ mod tests {
     fn class_shuffle_is_seeded_and_decorrelated() {
         let cfg = AdversarialConfig {
             spammer_fraction: 0.2,
-            ..config(100)
+            ..config()
         };
-        let a = generate(&cfg);
-        let b = generate(&cfg);
+        let a = generate(100, &cfg);
+        let b = generate(100, &cfg);
         assert_eq!(a.classes, b.classes);
         // Spammers must not cluster on the expert-first prefix: with 20
         // spammers uniformly shuffled over 100 slots, all landing in the
@@ -285,30 +285,31 @@ mod tests {
             spam.iter().any(|&w| w >= 40),
             "spammers stuck on the expert prefix: {spam:?}"
         );
-        // A different base seed reshuffles.
+        // A different seed reshuffles.
         let mut cfg2 = cfg.clone();
-        cfg2.base.seed = 0x5EED;
-        let c = generate(&cfg2);
+        cfg2.seed = 0x5EED;
+        let c = generate(100, &cfg2);
         assert_ne!(a.classes, c.classes, "seed change must move classes");
     }
 
     #[test]
     fn drifter_quality_moves_with_progress() {
+        let base = WorkerPopulation::generate(&PopulationConfig {
+            m: 2,
+            size: 4,
+            base_quality: (0.88, 0.9),
+            expert_fraction: 0.0,
+            spammer_fraction: 0.0,
+            seed: 1,
+            ..Default::default()
+        });
         let cfg = AdversarialConfig {
             drifter_fraction: 1.0,
             drift_slope: -0.5,
-            base: PopulationConfig {
-                m: 2,
-                size: 4,
-                base_quality: (0.88, 0.9),
-                expert_fraction: 0.0,
-                spammer_fraction: 0.0,
-                seed: 1,
-                ..Default::default()
-            },
+            seed: 1,
             ..Default::default()
         };
-        let pop = generate(&cfg);
+        let pop = AdversarialPopulation::with_base(base, &cfg);
         let w = WorkerId(0);
         assert_eq!(pop.classes[w.index()], WorkerClass::Drifter);
         let t = task(2, 0, 0);
@@ -339,13 +340,16 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        // Every behavioral fraction defaults to 0: everyone is honest.
-        let pop = generate(&AdversarialConfig {
-            base: base_cfg.clone(),
-            honest_model: AnswerModel::DomainUniform,
-            ..Default::default()
-        });
         let direct = WorkerPopulation::generate(&base_cfg);
+        // Every behavioral fraction defaults to 0: everyone is honest.
+        let pop = AdversarialPopulation::with_base(
+            direct.clone(),
+            &AdversarialConfig {
+                seed: base_cfg.seed,
+                honest_model: AnswerModel::DomainUniform,
+                ..Default::default()
+            },
+        );
         let t = task(3, 1, 1);
         // Same rng stream → byte-identical answers.
         let mut rng_a = SmallRng::seed_from_u64(12);
@@ -367,8 +371,8 @@ mod tests {
         let cfg = AdversarialConfig {
             spammer_fraction: 0.7,
             colluder_fraction: 0.5,
-            ..config(10)
+            ..config()
         };
-        let _ = generate(&cfg);
+        let _ = generate(10, &cfg);
     }
 }

@@ -72,34 +72,6 @@ impl Dataset {
     pub fn worker_qualities(&self, size: usize, seed: u64) -> Vec<Vec<f64>> {
         focus_population_qualities(self.domain_set.len(), &self.focus_domains, size, seed)
     }
-
-    /// Fraction of tasks whose DVE-dominant domain equals the true domain —
-    /// the Figure 3 domain-detection accuracy. Optionally restricted to one
-    /// true domain (for the per-domain bars).
-    pub fn domain_detection_accuracy(&self, only_domain: Option<usize>) -> f64 {
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for t in &self.tasks {
-            let truth = t.true_domain.expect("datasets label true domains");
-            if only_domain.is_some_and(|d| d != truth) {
-                continue;
-            }
-            total += 1;
-            if t.domain_vector
-                .as_ref()
-                .expect("run DVE first")
-                .dominant_domain()
-                == truth
-            {
-                correct += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
-    }
 }
 
 /// Quality vectors of a worker population whose expertise concentrates on
@@ -858,11 +830,21 @@ mod tests {
         }
     }
 
+    /// Fraction of tasks whose DVE-dominant domain is the true domain —
+    /// the Figure 3 domain-detection accuracy.
+    fn detection_accuracy(d: &Dataset) -> f64 {
+        let hits = d.tasks.iter().filter(|t| {
+            let r = t.domain_vector.as_ref().expect("DVE ran");
+            Some(r.dominant_domain()) == t.true_domain
+        });
+        hits.count() as f64 / d.tasks.len() as f64
+    }
+
     #[test]
     fn dve_detects_item_domains_well() {
         let mut d = item();
         d.run_dve_default();
-        let acc = d.domain_detection_accuracy(None);
+        let acc = detection_accuracy(&d);
         assert!(acc > 0.9, "Item DVE accuracy {acc}");
     }
 
@@ -870,7 +852,7 @@ mod tests {
     fn dve_detects_4d_domains_well() {
         let mut d = four_domain();
         d.run_dve_default();
-        let acc = d.domain_detection_accuracy(None);
+        let acc = detection_accuracy(&d);
         // Paper reports >95% overall on 4D.
         assert!(acc > 0.85, "4D DVE accuracy {acc}");
     }

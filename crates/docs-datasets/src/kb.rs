@@ -201,14 +201,15 @@ pub fn curated_kb_with_distractors(distractors: usize) -> KnowledgeBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use docs_kb::EntityLinker;
+    use docs_kb::{ConceptId, EntityLinker, LinkerConfig};
 
     #[test]
     fn kb_covers_all_pools() {
         let kb = curated_kb();
         assert_eq!(kb.num_domains(), 26);
-        // 20·7 pools + 8 teams + 5 animals = 153 concepts.
-        assert_eq!(kb.num_concepts(), 153);
+        // 20·7 pools + 8 teams + 5 animals = 153 concepts, the animals last.
+        let last = kb.concept(ConceptId(152));
+        assert_eq!(last.name, pools::ANIMALS[pools::ANIMALS.len() - 1].name);
     }
 
     #[test]
@@ -226,7 +227,7 @@ mod tests {
         assert_eq!(kb.candidates("kobe bryant").unwrap().len(), 20);
         assert_eq!(kb.candidates("calories").unwrap().len(), 20);
         // The correct concept still dominates the link probability.
-        let linker = EntityLinker::with_defaults(&kb);
+        let linker = EntityLinker::new(&kb, LinkerConfig::default());
         let es = linker.link("Kobe Bryant");
         assert_eq!(es[0].num_candidates(), 20);
         assert!(es[0].probs[0] > 0.5, "correct concept keeps the mass");
@@ -235,10 +236,10 @@ mod tests {
     #[test]
     fn linker_resolves_curated_text() {
         let kb = curated_kb();
-        let linker = EntityLinker::with_defaults(&kb);
+        let linker = EntityLinker::new(&kb, LinkerConfig::default());
         let es = linker.link("Compare the height of Stephen Curry and Mount Everest");
         assert_eq!(es.len(), 2);
-        assert_eq!(es[0].mention, "stephen curry");
-        assert_eq!(es[1].mention, "mount everest");
+        assert_eq!(kb.concept(es[0].candidates[0]).name, "Stephen Curry");
+        assert_eq!(kb.concept(es[1].candidates[0]).name, "Mount Everest");
     }
 }

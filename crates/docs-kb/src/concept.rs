@@ -77,7 +77,7 @@ mod tests {
         .with_popularity(3.0);
         assert_eq!(c.id.index(), 0);
         assert_eq!(c.popularity, 3.0);
-        assert!(c.domains.contains(1));
+        assert_eq!(c.domains.get(1), 1);
         assert_eq!(c.id.to_string(), "c0");
     }
 

@@ -76,12 +76,6 @@ impl IndicatorVector {
         ((self.mask >> k) & 1) as u32
     }
 
-    /// True iff domain `k` is related.
-    #[inline]
-    pub fn contains(&self, k: usize) -> bool {
-        self.get(k) == 1
-    }
-
     /// Row sum `x_{i,j} = Σ_k h_{i,j,k}` — a popcount (Algorithm 1, line 1).
     #[inline]
     pub fn count(&self) -> u32 {
@@ -92,24 +86,6 @@ impl IndicatorVector {
     #[inline]
     pub fn num_domains(&self) -> usize {
         self.m as usize
-    }
-
-    /// Number of shared domains with another indicator — the semantic
-    ///-overlap signal the entity linker uses for disambiguation.
-    #[inline]
-    pub fn overlap(&self, other: &IndicatorVector) -> u32 {
-        (self.mask & other.mask).count_ones()
-    }
-
-    /// Expands into the explicit 0/1 vector of length `m`.
-    pub fn to_bits(&self) -> Vec<u8> {
-        (0..self.m as usize).map(|k| self.get(k) as u8).collect()
-    }
-
-    /// Raw bitmask, exposed for the DVE hash-map key ablation bench.
-    #[inline]
-    pub fn mask(&self) -> u64 {
-        self.mask
     }
 }
 
@@ -133,25 +109,17 @@ mod tests {
         // h_{1,3} = [0, 0, 1] — Michael B. Jordan: films only.
         let h13 = IndicatorVector::from_domains(3, &[2]);
         assert_eq!(h13.count(), 1);
-        assert!(h13.contains(2));
+        assert_eq!(h13.get(2), 1);
     }
 
     #[test]
     fn from_bits_roundtrip() {
         let bits = [1u8, 0, 1, 1, 0];
         let iv = IndicatorVector::from_bits(&bits);
-        assert_eq!(iv.to_bits(), bits.to_vec());
+        for (k, &b) in bits.iter().enumerate() {
+            assert_eq!(iv.get(k), b as u32);
+        }
         assert_eq!(iv.num_domains(), 5);
-    }
-
-    #[test]
-    fn overlap_counts_shared_domains() {
-        let a = IndicatorVector::from_domains(4, &[0, 1]);
-        let b = IndicatorVector::from_domains(4, &[1, 2]);
-        assert_eq!(a.overlap(&b), 1);
-        assert_eq!(a.overlap(&a), 2);
-        let c = IndicatorVector::empty(4);
-        assert_eq!(a.overlap(&c), 0);
     }
 
     #[test]
@@ -170,8 +138,8 @@ mod tests {
     #[test]
     fn supports_26_yahoo_domains() {
         let iv = IndicatorVector::from_domains(26, &[23, 8]);
-        assert!(iv.contains(23));
-        assert!(iv.contains(8));
+        assert_eq!(iv.get(23), 1);
+        assert_eq!(iv.get(8), 1);
         assert_eq!(iv.count(), 2);
     }
 }

@@ -36,34 +36,14 @@ impl KnowledgeBase {
         }
     }
 
-    /// The deployment domain set `D`.
-    pub fn domain_set(&self) -> &DomainSet {
-        &self.domain_set
-    }
-
     /// Number of domains `m`.
     pub fn num_domains(&self) -> usize {
         self.domain_set.len()
     }
 
-    /// Number of concepts stored.
-    pub fn num_concepts(&self) -> usize {
-        self.concepts.len()
-    }
-
-    /// Number of distinct aliases indexed.
-    pub fn num_aliases(&self) -> usize {
-        self.alias_index.len()
-    }
-
     /// Looks up a concept by id.
     pub fn concept(&self, id: ConceptId) -> &Concept {
         &self.concepts[id.index()]
-    }
-
-    /// All concepts.
-    pub fn concepts(&self) -> &[Concept] {
-        &self.concepts
     }
 
     /// Candidate concepts for a (lower-cased) alias, or `None` if the surface
@@ -76,23 +56,9 @@ impl KnowledgeBase {
     pub fn max_alias_words(&self) -> usize {
         self.max_alias_words
     }
-
-    /// All indexed aliases (lower-cased surface forms), in arbitrary order.
-    pub fn aliases(&self) -> impl Iterator<Item = &str> {
-        self.alias_index.keys().map(String::as_str)
-    }
-
-    /// All aliases that resolve to more than one concept — the ambiguous
-    /// surface forms. Exposed for tests and dataset generators.
-    pub fn ambiguous_aliases(&self) -> impl Iterator<Item = (&str, &[ConceptId])> {
-        self.alias_index
-            .iter()
-            .filter(|(_, v)| v.len() > 1)
-            .map(|(k, v)| (k.as_str(), v.as_slice()))
-    }
 }
 
-/// Builder used both by the curated dataset KBs and the random generator.
+/// Builder used by the curated dataset KBs and the Table 2 example.
 #[derive(Debug)]
 pub struct KbBuilder {
     kb: KnowledgeBase,
@@ -196,8 +162,7 @@ mod tests {
     fn table2_kb_shape() {
         let kb = table2_example_kb();
         assert_eq!(kb.num_domains(), 3);
-        assert_eq!(kb.num_concepts(), 6);
-        assert_eq!(kb.num_aliases(), 3);
+        assert_eq!(kb.concept(ConceptId(5)).name, "Kobe Bryant");
         let mj = kb.candidates("michael jordan").unwrap();
         assert_eq!(mj.len(), 3);
         let nba = kb.candidates("nba").unwrap();
@@ -205,15 +170,6 @@ mod tests {
         assert_eq!(kb.candidates("kobe bryant").unwrap().len(), 1);
         assert!(kb.candidates("lebron james").is_none());
         assert_eq!(kb.max_alias_words(), 2);
-    }
-
-    #[test]
-    fn ambiguous_aliases_enumerated() {
-        let kb = table2_example_kb();
-        let amb: Vec<&str> = kb.ambiguous_aliases().map(|(a, _)| a).collect();
-        assert_eq!(amb.len(), 2);
-        assert!(amb.contains(&"michael jordan"));
-        assert!(amb.contains(&"nba"));
     }
 
     #[test]

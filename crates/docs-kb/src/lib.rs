@@ -17,22 +17,17 @@
 //!   concepts in different domains, like the paper's "Michael Jordan"),
 //! * [`EntityLinker`] — longest-match mention detection plus a light
 //!   context-based disambiguation pass producing calibrated top-`c`
-//!   distributions,
-//! * [`generator`] — a seeded random KB generator for scale experiments.
+//!   distributions.
 //!
 //! [`LinkedEntity`] is exactly the `(p_i, h_{i,*})` input of Algorithm 1, so
 //! `docs-core::dve` consumes this crate's output without adaptation.
 
 mod concept;
-pub mod generator;
 mod indicator;
 mod kb;
 mod linking;
-mod stats;
 
 pub use concept::{Concept, ConceptId};
-pub use generator::{KbGenerator, KbGeneratorConfig};
 pub use indicator::IndicatorVector;
 pub use kb::{table2_example_kb, KbBuilder, KnowledgeBase};
 pub use linking::{EntityLinker, LinkedEntity, LinkerConfig};
-pub use stats::{KbIssue, KbStats};

@@ -42,8 +42,6 @@ impl Default for LinkerConfig {
 /// This is exactly the per-entity input of Algorithm 1.
 #[derive(Debug, Clone)]
 pub struct LinkedEntity {
-    /// Surface form as it appeared in the text.
-    pub mention: String,
     /// Candidate concept ids, most probable first.
     pub candidates: Vec<ConceptId>,
     /// `p_i`: probability that each candidate is the correct linking; sums
@@ -57,21 +55,6 @@ impl LinkedEntity {
     /// Number of retained candidates `|p_i|`.
     pub fn num_candidates(&self) -> usize {
         self.probs.len()
-    }
-
-    /// Builds a linked entity directly from `(prob, indicator)` pairs —
-    /// used by tests and by the synthetic workload generators that bypass
-    /// text. Probabilities are normalized defensively.
-    pub fn from_parts(mention: impl Into<String>, parts: &[(f64, IndicatorVector)]) -> Self {
-        assert!(!parts.is_empty(), "an entity needs at least one candidate");
-        let mut probs: Vec<f64> = parts.iter().map(|(p, _)| *p).collect();
-        docs_types::prob::normalize_in_place(&mut probs);
-        LinkedEntity {
-            mention: mention.into(),
-            candidates: (0..parts.len()).map(|j| ConceptId(j as u32)).collect(),
-            probs,
-            indicators: parts.iter().map(|(_, h)| *h).collect(),
-        }
     }
 }
 
@@ -89,11 +72,6 @@ impl<'kb> EntityLinker<'kb> {
         EntityLinker { kb, config }
     }
 
-    /// Creates a linker with the paper's defaults (top-20 candidates).
-    pub fn with_defaults(kb: &'kb KnowledgeBase) -> Self {
-        EntityLinker::new(kb, LinkerConfig::default())
-    }
-
     /// Detects entity mentions and links them: the full Step 1 of Section 3.
     ///
     /// Mention detection is greedy longest-match over the KB alias index:
@@ -102,7 +80,7 @@ impl<'kb> EntityLinker<'kb> {
     /// ordinary words, handled by the topic-model baselines instead.
     pub fn link(&self, text: &str) -> Vec<LinkedEntity> {
         let tokens = tokenize(text);
-        let mut mentions: Vec<(String, &[ConceptId])> = Vec::new();
+        let mut mentions: Vec<&[ConceptId]> = Vec::new();
         let max_window = self.kb.max_alias_words().max(1);
         let mut i = 0;
         while i < tokens.len() {
@@ -112,13 +90,13 @@ impl<'kb> EntityLinker<'kb> {
             for end in (i + 1..=upper).rev() {
                 let phrase = tokens[i..end].join(" ");
                 if let Some(cands) = self.kb.candidates(&phrase) {
-                    matched = Some((phrase, cands, end));
+                    matched = Some((cands, end));
                     break;
                 }
             }
             match matched {
-                Some((phrase, cands, end)) => {
-                    mentions.push((phrase, cands));
+                Some((cands, end)) => {
+                    mentions.push(cands);
                     i = end;
                 }
                 None => i += 1,
@@ -128,7 +106,7 @@ impl<'kb> EntityLinker<'kb> {
         // First pass: popularity priors per mention.
         let mut entities: Vec<LinkedEntity> = mentions
             .into_iter()
-            .map(|(mention, cands)| self.prior_distribution(mention, cands))
+            .map(|cands| self.prior_distribution(cands))
             .collect();
 
         // Second pass: context coherence (skipped when disabled or when the
@@ -144,7 +122,7 @@ impl<'kb> EntityLinker<'kb> {
         entities
     }
 
-    fn prior_distribution(&self, mention: String, cands: &[ConceptId]) -> LinkedEntity {
+    fn prior_distribution(&self, cands: &[ConceptId]) -> LinkedEntity {
         let mut probs: Vec<f64> = cands
             .iter()
             .map(|&id| self.kb.concept(id).popularity)
@@ -155,7 +133,6 @@ impl<'kb> EntityLinker<'kb> {
             .map(|&id| self.kb.concept(id).domains)
             .collect();
         let mut e = LinkedEntity {
-            mention,
             candidates: cands.to_vec(),
             probs,
             indicators,
@@ -253,18 +230,20 @@ mod tests {
     #[test]
     fn detects_table2_entities_in_order() {
         let kb = table2_example_kb();
-        let linker = EntityLinker::with_defaults(&kb);
+        let linker = EntityLinker::new(&kb, LinkerConfig::default());
         let entities = linker.link(TASK_T1);
         assert_eq!(entities.len(), 3);
-        assert_eq!(entities[0].mention, "michael jordan");
-        assert_eq!(entities[1].mention, "nba");
-        assert_eq!(entities[2].mention, "kobe bryant");
+        // Each mention's most popular candidate names it.
+        let top = |i: usize| &kb.concept(entities[i].candidates[0]).name;
+        assert_eq!(top(0), "Michael Jordan (basketball)");
+        assert_eq!(top(1), "National Basketball Association");
+        assert_eq!(top(2), "Kobe Bryant");
     }
 
     #[test]
     fn priors_match_table2() {
         let kb = table2_example_kb();
-        let linker = EntityLinker::with_defaults(&kb);
+        let linker = EntityLinker::new(&kb, LinkerConfig::default());
         let entities = linker.link(TASK_T1);
         // p_1 = [0.7, 0.2, 0.1], sorted descending.
         let p1 = &entities[0].probs;
@@ -282,7 +261,7 @@ mod tests {
     #[test]
     fn context_boost_favors_coherent_candidate() {
         let kb = table2_example_kb();
-        let plain = EntityLinker::with_defaults(&kb);
+        let plain = EntityLinker::new(&kb, LinkerConfig::default());
         let ctx = EntityLinker::new(
             &kb,
             LinkerConfig {
@@ -321,21 +300,8 @@ mod tests {
     #[test]
     fn unknown_text_yields_no_entities() {
         let kb = table2_example_kb();
-        let linker = EntityLinker::with_defaults(&kb);
+        let linker = EntityLinker::new(&kb, LinkerConfig::default());
         assert!(linker.link("completely unrelated words here").is_empty());
-    }
-
-    #[test]
-    fn from_parts_normalizes() {
-        let e = LinkedEntity::from_parts(
-            "x",
-            &[
-                (2.0, IndicatorVector::from_bits(&[1, 0])),
-                (2.0, IndicatorVector::from_bits(&[0, 1])),
-            ],
-        );
-        assert_eq!(e.probs, vec![0.5, 0.5]);
-        assert_eq!(e.num_candidates(), 2);
     }
 
     #[test]
@@ -343,9 +309,9 @@ mod tests {
         // "kobe bryant" must match as one two-word entity, not fail at
         // "kobe" (which is not an alias on its own).
         let kb = table2_example_kb();
-        let linker = EntityLinker::with_defaults(&kb);
+        let linker = EntityLinker::new(&kb, LinkerConfig::default());
         let entities = linker.link("kobe bryant and NBA");
         assert_eq!(entities.len(), 2);
-        assert_eq!(entities[0].mention, "kobe bryant");
+        assert_eq!(kb.concept(entities[0].candidates[0]).name, "Kobe Bryant");
     }
 }

@@ -143,11 +143,6 @@ impl Exposition {
         out.push('}');
         out
     }
-
-    /// Number of registered families.
-    pub fn family_count(&self) -> usize {
-        self.families.len()
-    }
 }
 
 /// Appends samples to one registered family.

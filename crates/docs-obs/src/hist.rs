@@ -266,11 +266,6 @@ impl AtomicHistogram {
         out.max_ns = self.max_ns.load(Ordering::Relaxed);
         out
     }
-
-    /// The `q`-quantile in nanoseconds, via a snapshot.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
-    }
 }
 
 impl std::fmt::Debug for AtomicHistogram {

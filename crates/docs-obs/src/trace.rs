@@ -105,11 +105,6 @@ impl TraceContext {
         }
     }
 
-    /// The trace id.
-    pub fn id(&self) -> TraceId {
-        self.id
-    }
-
     /// Closes a span covering everything since the previous mark (or the
     /// origin) and advances the mark to now. Layers call this at each
     /// hand-off point, which keeps spans contiguous.
@@ -121,13 +116,6 @@ impl TraceContext {
             dur_ns: dur_ns(self.mark, now),
         });
         self.mark = now;
-    }
-
-    /// Moves the mark to now *without* closing a span: the elapsed slice
-    /// is deliberately left unattributed (e.g. time between batches that
-    /// belongs to no single request).
-    pub fn skip(&mut self) {
-        self.mark = Instant::now();
     }
 
     /// Finishes the trace: total latency is origin→now, spans as closed.
@@ -242,11 +230,6 @@ impl FlightRecorder {
         self.ring.lock().iter().cloned().collect()
     }
 
-    /// The most recent trace, if any.
-    pub fn latest(&self) -> Option<Trace> {
-        self.ring.lock().back().cloned()
-    }
-
     /// Renders every held trace as a JSON array.
     pub fn to_json(&self) -> String {
         let traces = self.snapshot();
@@ -305,18 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_leaves_a_slice_unattributed() {
-        let mut ctx = TraceContext::start(TraceId(1));
-        std::thread::sleep(Duration::from_millis(2));
-        ctx.skip();
-        ctx.span(SpanKind::Apply);
-        let trace = ctx.finish();
-        // The skipped 2 ms is in total but not in any span.
-        assert!(trace.total_ns >= 2_000_000);
-        assert!(trace.spans_sum_ns() < 2_000_000);
-    }
-
-    #[test]
     fn recorder_is_a_bounded_ring() {
         let rec = FlightRecorder::with_capacity(3);
         for i in 0..5u64 {
@@ -326,7 +297,6 @@ mod tests {
         assert_eq!(snap.len(), 3);
         let ids: Vec<u64> = snap.iter().map(|t| t.id.0).collect();
         assert_eq!(ids, vec![2, 3, 4], "oldest traces evicted first");
-        assert_eq!(rec.latest().unwrap().id, TraceId(4));
     }
 
     #[test]

@@ -49,10 +49,6 @@ pub struct ScenarioOutcome {
     pub spec: ScenarioSpec,
     /// Published tasks (ground truth and true domains included).
     pub tasks: Vec<Task>,
-    /// Focus domains of the dataset (per-domain accuracy breakdown).
-    pub focus_domains: Vec<usize>,
-    /// Display names of the focus domains.
-    pub focus_names: Vec<&'static str>,
     /// The service's final requester report (full inference).
     pub report: RequesterReport,
     /// Client-side mirror of the acknowledged traffic.
@@ -90,15 +86,13 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     if let Some(limit) = spec.task_limit {
         dataset.tasks.truncate(limit);
     }
-    let num_domains = dataset.domain_set.len();
     let tasks = dataset.tasks.clone();
     // Quality comes from the dataset's focus-domain crowd (experts
     // concentrated where the tasks are — the Figure 6(a) shape the figure
     // benches validate DOCS ≥ MV on); behavior comes from the spec's class.
-    let cfg = spec.population_config(num_domains);
-    let base = WorkerPopulation::from_qualities(
-        dataset.worker_qualities(spec.population.size, cfg.base.seed),
-    );
+    let cfg = spec.population_config();
+    let base =
+        WorkerPopulation::from_qualities(dataset.worker_qualities(spec.population.size, cfg.seed));
     let population = AdversarialPopulation::with_base(base, &cfg);
 
     let docs_config = |durable: bool| DocsConfig {
@@ -237,8 +231,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     ScenarioOutcome {
         spec: spec.clone(),
         tasks,
-        focus_domains: dataset.focus_domains.clone(),
-        focus_names: dataset.focus_names.clone(),
         report,
         mirror,
         wall,

@@ -26,9 +26,6 @@ pub struct QualityReport {
     /// how much the golden gate's first impression lies about real
     /// behavior. Sleeper spammers are built to maximize it.
     pub golden_calibration_err: f64,
-    /// DOCS accuracy per focus domain `(name, accuracy)`; domains without
-    /// graded tasks in the run are omitted.
-    pub per_domain_accuracy: Vec<(String, f64)>,
     /// Ordinary answers spent per correctly inferred label.
     pub budget_per_correct: f64,
     /// Ordinary answers the service accepted.
@@ -87,27 +84,6 @@ pub fn score(outcome: &ScenarioOutcome) -> QualityReport {
         err_sum / err_n as f64
     };
 
-    // Per-domain accuracy over the dataset's focus domains.
-    let mut per_domain_accuracy = Vec::new();
-    for (&d, &name) in outcome.focus_domains.iter().zip(&outcome.focus_names) {
-        let mut correct = 0usize;
-        let mut graded = 0usize;
-        for (task, &truth) in tasks.iter().zip(&outcome.report.truths) {
-            if task.true_domain != Some(d) {
-                continue;
-            }
-            if let Some(gt) = task.ground_truth {
-                graded += 1;
-                if gt == truth {
-                    correct += 1;
-                }
-            }
-        }
-        if graded > 0 {
-            per_domain_accuracy.push((name.to_string(), correct as f64 / graded as f64));
-        }
-    }
-
     let graded = tasks.iter().filter(|t| t.ground_truth.is_some()).count();
     let correct_labels = (docs_accuracy * graded as f64).round().max(1.0);
     let budget_per_correct = outcome.mirror.answers_collected as f64 / correct_labels;
@@ -119,7 +95,6 @@ pub fn score(outcome: &ScenarioOutcome) -> QualityReport {
         majority_accuracy,
         accuracy_delta_vs_majority: docs_accuracy - majority_accuracy,
         golden_calibration_err,
-        per_domain_accuracy,
         budget_per_correct,
         answers_collected: outcome.mirror.answers_collected,
         answers_per_s: outcome.mirror.answers_collected as f64 / secs,

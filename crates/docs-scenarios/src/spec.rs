@@ -4,10 +4,11 @@
 //! population, arrival pattern, service topology, collection budget, and
 //! one seed — and nothing else. Two runs of the same spec produce
 //! byte-identical answer logs and truths (pinned by the `scenarios`
-//! proptest), so a spec's JSON form is a complete, shareable repro recipe
-//! for any quality number the harness reports.
+//! proptest), so a spec is a complete repro recipe for any quality number
+//! the harness reports. It derives serde's traits, so any serde format
+//! (`serde_json` in `tests/scenarios.rs`) carries it.
 
-use docs_crowd::{AdversarialConfig, AnswerModel, ArrivalProcess, PopulationConfig};
+use docs_crowd::{AdversarialConfig, AnswerModel, ArrivalProcess};
 use docs_datasets::{four_domain, item, sfv, yahoo_qa, Dataset};
 use serde::{Deserialize, Serialize};
 
@@ -32,16 +33,6 @@ impl DatasetRef {
             DatasetRef::FourDomain => four_domain(),
             DatasetRef::YahooQa => yahoo_qa(),
             DatasetRef::Sfv => sfv(),
-        }
-    }
-
-    /// Key-friendly name used in `BENCH_quality.json` metric keys.
-    pub fn key(self) -> &'static str {
-        match self {
-            DatasetRef::Item => "item",
-            DatasetRef::FourDomain => "four_domain",
-            DatasetRef::YahooQa => "yahoo_qa",
-            DatasetRef::Sfv => "sfv",
         }
     }
 }
@@ -83,17 +74,6 @@ pub enum PopulationClass {
 }
 
 impl PopulationClass {
-    /// Key-friendly class name.
-    pub fn key(self) -> &'static str {
-        match self {
-            PopulationClass::Honest => "honest",
-            PopulationClass::Spammers { .. } => "spammers",
-            PopulationClass::Sleepers { .. } => "sleepers",
-            PopulationClass::Colluders { .. } => "colluders",
-            PopulationClass::Drifters { .. } => "drifters",
-        }
-    }
-
     /// True when no adversarial class is present.
     pub fn is_honest(self) -> bool {
         matches!(self, PopulationClass::Honest)
@@ -168,18 +148,6 @@ pub enum ServiceSpec {
     },
 }
 
-impl ServiceSpec {
-    /// Shard threads on the (first) primary.
-    pub fn shards(self) -> usize {
-        match self {
-            ServiceSpec::InMemory { shards }
-            | ServiceSpec::Durable { shards }
-            | ServiceSpec::Replicated { shards }
-            | ServiceSpec::Clustered { shards } => shards,
-        }
-    }
-}
-
 /// One named, seeded, byte-reproducible scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
@@ -213,19 +181,13 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// The adversarial population this spec resolves to.
-    pub fn population_config(&self, num_domains: usize) -> AdversarialConfig {
+    pub fn population_config(&self) -> AdversarialConfig {
         let mut cfg = AdversarialConfig {
-            base: PopulationConfig {
-                m: num_domains,
-                size: self.population.size,
-                // Class fractions below describe *behavior*. The quality
-                // vectors come from the dataset's focus-domain crowd
-                // (`Dataset::worker_qualities`, seeded below); the runner
-                // passes them through `AdversarialPopulation::with_base`,
-                // so this base config contributes only size and seed.
-                seed: self.seed ^ 0x00F0_0D5E,
-                ..Default::default()
-            },
+            // Class fractions below describe *behavior*. The quality
+            // vectors come from the dataset's focus-domain crowd
+            // (`Dataset::worker_qualities`, seeded with this seed too); the
+            // runner passes them through `AdversarialPopulation::with_base`.
+            seed: self.seed ^ 0x00F0_0D5E,
             honest_model: AnswerModel::DomainUniform,
             ..Default::default()
         };
@@ -254,16 +216,6 @@ impl ScenarioSpec {
             }
         }
         cfg
-    }
-
-    /// Serializes the manifest (sorted-field JSON via serde).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("scenario specs serialize")
-    }
-
-    /// Parses a manifest back.
-    pub fn from_json(s: &str) -> Result<ScenarioSpec, serde_json::Error> {
-        serde_json::from_str(s)
     }
 
     /// Returns the spec truncated to at most `tasks` tasks with a reduced
@@ -388,9 +340,11 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate scenario names");
-        for class in ["honest", "spammers", "sleepers", "colluders", "drifters"] {
+        for class in ["Honest", "Spammers", "Sleepers", "Colluders", "Drifters"] {
             assert!(
-                specs.iter().any(|s| s.population.class.key() == class),
+                specs
+                    .iter()
+                    .any(|s| format!("{:?}", s.population.class).starts_with(class)),
                 "registry misses class {class}"
             );
         }
@@ -404,33 +358,6 @@ mod tests {
         assert!(specs
             .iter()
             .any(|s| matches!(s.service, ServiceSpec::Clustered { .. })));
-    }
-
-    #[test]
-    fn manifest_roundtrips_through_json() {
-        for spec in registry() {
-            let json = spec.to_json();
-            let back = ScenarioSpec::from_json(&json).expect("parse");
-            assert_eq!(spec, back, "manifest not stable: {json}");
-            // Byte-stable serialization: the manifest is the repro recipe.
-            assert_eq!(json, back.to_json());
-        }
-    }
-
-    #[test]
-    fn manifest_nesting_is_bounded() {
-        // A manifest is outside input: hostile nesting is an error (on an
-        // unbounded parser these two overflow the stack and abort)…
-        assert!(ScenarioSpec::from_json(&"[".repeat(1_000_000)).is_err());
-        assert!(ScenarioSpec::from_json(&"{\"a\":".repeat(200_000)).is_err());
-        // …while a legal 96-deep document still parses: unknown keys are
-        // ignored, so the nested extra rides along harmlessly.
-        let spec = registry().remove(0);
-        let extra = format!("{}{}", "[".repeat(95), "]".repeat(95));
-        let json = spec
-            .to_json()
-            .replacen('{', &format!("{{\"extra\":{extra},"), 1);
-        assert_eq!(ScenarioSpec::from_json(&json).expect("parse"), spec);
     }
 
     #[test]

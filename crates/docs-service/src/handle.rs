@@ -314,11 +314,6 @@ impl ServiceHandle {
         })
     }
 
-    /// The service's current replica role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role.get()
-    }
-
     /// Flips the service to [`ReplicaRole::Primary`]: mutations are
     /// accepted from the next request on, and the replication plane is
     /// refused. This is the *mechanism* of failover; the *policy* (drain
@@ -744,7 +739,7 @@ mod tests {
                     traces_before + 1,
                     "{label}"
                 );
-                let trace = server.metrics().flight().latest().unwrap();
+                let trace = server.metrics().flight().snapshot().pop().unwrap();
                 assert!(trace.span_ns(SpanKind::QueueWait).is_some(), "{label}");
                 replies.push((label, format!("{reply:?}")));
                 fx.shutdown();
@@ -809,20 +804,15 @@ mod tests {
     }
 
     #[test]
-    fn pending_tickets_time_out_and_resolve_once_served() {
+    fn pending_tickets_poll_pending_and_resolve_once_served() {
         let (handle, rx) = stub_handle(4);
         let c = CampaignId(0);
         let ticket = handle.submit(Op::request_tasks(c, WorkerId(0))).unwrap();
         assert_eq!(handle.metrics().shard(0).in_flight, 1);
-        // Nothing serves the queue: the wait elapses and hands the ticket
-        // back, still pending, still counted in flight.
-        let ticket = match ticket.wait_timeout(Duration::from_millis(10)) {
-            TicketWait::Pending(t) => t,
-            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
-        };
-        let ticket = match ticket.try_take() {
-            TicketWait::Pending(t) => t,
-            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
+        // Nothing serves the queue: a poll hands the ticket back, still
+        // pending, still counted in flight.
+        let TicketWait::Pending(ticket) = ticket.try_take() else {
+            panic!("unserved ticket completed");
         };
         assert_eq!(handle.metrics().shard(0).in_flight, 1);
         // Serve it by hand: the completion must echo the correlation id.

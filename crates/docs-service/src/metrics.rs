@@ -224,24 +224,6 @@ pub struct OpStats {
     pub max: Duration,
 }
 
-/// `total / count`, zero when nothing was recorded. u128 math: a count
-/// passes u32::MAX on a long-lived service, where a `Duration / u32`
-/// division truncates — and panics outright at exact multiples of 2^32.
-fn mean_duration(total: Duration, count: u64) -> Duration {
-    if count == 0 {
-        Duration::ZERO
-    } else {
-        Duration::from_nanos((total.as_nanos() / count as u128) as u64)
-    }
-}
-
-impl OpStats {
-    /// Mean service time, or zero when nothing was recorded.
-    pub fn mean(&self) -> Duration {
-        mean_duration(self.total, self.count)
-    }
-}
-
 /// Lock-free per-shard gauges behind [`ShardStats`] (same meanings; the
 /// shard thread and all handles touch these on every request). Processed
 /// count, busy time and worst service time are not here: they are read off
@@ -369,13 +351,6 @@ pub struct DurabilityStats {
     pub torn_tail_recoveries: u64,
 }
 
-impl ShardStats {
-    /// Mean per-request service time on this shard.
-    pub fn mean_latency(&self) -> Duration {
-        mean_duration(self.busy, self.processed)
-    }
-}
-
 /// One labeled exposition family read off a typed view: name, help, kind,
 /// and the field it renders.
 type Family<T> = (&'static str, &'static str, MetricKind, fn(&T) -> u64);
@@ -494,11 +469,6 @@ impl ServiceMetrics {
         }
     }
 
-    /// Number of shards being tracked.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     // ---- the three verbs -----------------------------------------------
 
     /// Records one request its shard finished serving: the service time
@@ -558,11 +528,6 @@ impl ServiceMetrics {
             merged.merge(&shard[kind.index()].snapshot());
         }
         merged
-    }
-
-    /// One kind's latency distribution on one shard.
-    pub fn op_histogram_on(&self, shard: usize, kind: OpKind) -> LatencyHistogram {
-        self.ops[shard][kind.index()].snapshot()
     }
 
     /// Total operations recorded across all kinds.
@@ -681,22 +646,12 @@ impl ServiceMetrics {
         *self.hub.lock() = Some(health);
     }
 
-    /// The most recently published hub health, if a hub is attached.
-    pub fn hub_health(&self) -> Option<HubHealth> {
-        self.hub.lock().clone()
-    }
-
     // ---- tracing and the control journal -------------------------------
 
     /// Enables trace sampling: every `every`-th submission carries a
     /// [`TraceContext`] (0 disables tracing; 1 traces everything).
     pub fn set_trace_sampling(&self, every: u64) {
         self.trace.every.store(every, Ordering::Relaxed);
-    }
-
-    /// Current sampling interval (0 = tracing disabled).
-    pub fn trace_sampling(&self) -> u64 {
-        self.trace.every.load(Ordering::Relaxed)
     }
 
     /// Starts a trace for this submission if the sampler selects it. The
@@ -843,7 +798,7 @@ impl ServiceMetrics {
         }
 
         // Replication hub health (present once a hub published it).
-        if let Some(hub) = self.hub_health() {
+        if let Some(hub) = self.hub.lock().clone() {
             for &(name, help, kind, field) in HUB_FAMILIES {
                 expo.scalar(name, help, kind, field(&hub) as f64);
             }
@@ -920,7 +875,6 @@ mod tests {
         assert_eq!(a.count, 2);
         assert_eq!(a.total, Duration::from_micros(40));
         assert_eq!(a.max, Duration::from_micros(30));
-        assert_eq!(a.mean(), Duration::from_micros(20));
         assert_eq!(m.stats(OpKind::Submit).count, 1);
         assert_eq!(m.stats(OpKind::Finish), OpStats::default());
         assert_eq!(m.total_ops(), 3);
@@ -929,7 +883,6 @@ mod tests {
         assert_eq!(s.processed, 3);
         assert_eq!(s.busy, Duration::from_micros(45));
         assert_eq!(s.max_latency, Duration::from_micros(30));
-        assert_eq!(s.mean_latency(), Duration::from_micros(15));
     }
 
     #[test]
@@ -940,10 +893,9 @@ mod tests {
         }
         m.op_done(1, OpKind::Assign, Duration::from_millis(5));
         // Per-shard: shard 1 has exactly the one slow sample.
-        let s1 = m.op_histogram_on(1, OpKind::Assign);
-        assert_eq!(s1.count(), 1);
-        assert_eq!(s1.max_ns(), 5_000_000);
-        assert_eq!(m.op_histogram_on(0, OpKind::Assign).count(), 100);
+        assert_eq!(m.shard(1).processed, 1);
+        assert_eq!(m.shard(1).max_latency, Duration::from_millis(5));
+        assert_eq!(m.shard(0).processed, 100);
         // Merged: quantiles within the histogram's 1/16 relative bound.
         let merged = m.op_histogram(OpKind::Assign);
         assert_eq!(merged.count(), 101);
@@ -952,26 +904,6 @@ mod tests {
         assert_eq!(merged.quantile(1.0), 5_000_000, "max is exact");
         // Aggregate stats stay exact.
         assert_eq!(m.stats(OpKind::Assign).max, Duration::from_millis(5));
-    }
-
-    #[test]
-    fn empty_stats_have_zero_mean() {
-        assert_eq!(OpStats::default().mean(), Duration::ZERO);
-        assert_eq!(ShardStats::default().mean_latency(), Duration::ZERO);
-    }
-
-    #[test]
-    fn op_mean_survives_counts_past_u32() {
-        // `count as u32` is 0 for the first (a `Duration / 0` panic) and 6
-        // for the second (a mean ~7e8 times too large).
-        for count in [1u64 << 32, u32::MAX as u64 + 7] {
-            let stats = OpStats {
-                count,
-                total: Duration::from_nanos(2 * count),
-                ..Default::default()
-            };
-            assert_eq!(stats.mean(), Duration::from_nanos(2), "{count}");
-        }
     }
 
     #[test]

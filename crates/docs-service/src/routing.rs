@@ -184,11 +184,6 @@ impl ClusterRouter {
         true
     }
 
-    /// The cluster nodes, in construction order.
-    pub fn nodes(&self) -> Vec<ClusterNode> {
-        self.nodes.iter().map(|e| e.node.clone()).collect()
-    }
-
     /// Routing accounting so far.
     pub fn stats(&self) -> ClusterRouterStats {
         ClusterRouterStats {

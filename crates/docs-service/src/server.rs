@@ -71,16 +71,6 @@ pub enum ServiceError {
     Rejected(RejectReason),
 }
 
-impl ServiceError {
-    /// The structured rejection, when this error is one.
-    pub fn reason(&self) -> Option<&RejectReason> {
-        match self {
-            ServiceError::Rejected(reason) => Some(reason),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -172,20 +162,6 @@ pub struct DurabilityConfig {
     pub adaptive: Option<AdaptiveCommit>,
 }
 
-impl DurabilityConfig {
-    /// Durability rooted at `dir` with a `Batch(64)` recovery fallback, a
-    /// 1024-event snapshot cadence, and adaptive commit for `EveryEvent`
-    /// campaigns.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            dir: dir.into(),
-            default_flush: FlushPolicy::Batch(64),
-            snapshot_every: 1024,
-            adaptive: Some(AdaptiveCommit::default()),
-        }
-    }
-}
-
 /// Deployment knobs of the service runtime.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -250,19 +226,20 @@ impl ServiceConfig {
         }
     }
 
-    /// A pool of `shards` shard threads with durability rooted at `dir`.
+    /// A pool of `shards` shard threads with durability rooted at `dir`:
+    /// a `Batch(64)` recovery fallback, a 1024-event snapshot cadence, and
+    /// adaptive commit for `EveryEvent` campaigns.
     pub fn durable(shards: usize, dir: impl Into<PathBuf>) -> Self {
         ServiceConfig {
             shards,
-            durability: Some(DurabilityConfig::new(dir)),
+            durability: Some(DurabilityConfig {
+                dir: dir.into(),
+                default_flush: FlushPolicy::Batch(64),
+                snapshot_every: 1024,
+                adaptive: Some(AdaptiveCommit::default()),
+            }),
             ..Default::default()
         }
-    }
-
-    /// Overrides the per-shard ingress bound.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
     }
 
     /// Samples every Nth submission into the flight recorder (`0` = off).
@@ -649,7 +626,10 @@ pub(crate) mod tests {
     fn round_trip_golden_then_tasks_then_report() {
         // A zero capacity is a one-slot queue, not an unbounded one.
         for capacity in [ServiceConfig::DEFAULT_QUEUE_CAPACITY, 0] {
-            let config = ServiceConfig::default().with_queue_capacity(capacity);
+            let config = ServiceConfig {
+                queue_capacity: capacity,
+                ..Default::default()
+            };
             let (service, handle) = DocsService::spawn_empty(config).unwrap();
             let c = handle.create_campaign(published(9, None)).unwrap();
             let w = WorkerId(0);
@@ -747,13 +727,10 @@ pub(crate) mod tests {
         // batch ack must already be in its slot.
         let work = next_ticket.wait().unwrap();
         assert!(matches!(work, WorkRequest::Tasks(_) | WorkRequest::Done));
-        match batch_ticket.try_take() {
-            TicketWait::Ready(Ok(outcome)) => assert_eq!(outcome.accepted, hit.len()),
-            other => panic!(
-                "batch ack must be ready once a later completion arrived: {:?}",
-                other.ready().map(|r| r.map(|o| o.accepted))
-            ),
-        }
+        let TicketWait::Ready(outcome) = batch_ticket.try_take() else {
+            panic!("batch ack must be ready once a later completion arrived");
+        };
+        assert_eq!(outcome.unwrap().accepted, hit.len());
         assert_eq!(
             handle.metrics().shard(0).in_flight,
             0,

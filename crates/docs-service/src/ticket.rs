@@ -20,17 +20,15 @@
 //! [`ServiceError::Disconnected`].
 //!
 //! Tickets are consumed by value: [`Ticket::wait`] blocks until the
-//! completion arrives, while [`Ticket::wait_timeout`] and
-//! [`Ticket::try_take`] return a [`TicketWait`] that either carries the
-//! decoded result or hands the still-pending ticket back. No method
-//! panics, no completion can be taken twice, and dropping a pending ticket
-//! is a clean fire-and-forget (the shard's completion is simply dropped
-//! with the slot).
+//! completion arrives, while [`Ticket::try_take`] returns a [`TicketWait`]
+//! that either carries the decoded result or hands the still-pending
+//! ticket back. No method panics, no completion can be taken twice, and
+//! dropping a pending ticket is a clean fire-and-forget (the shard's
+//! completion is simply dropped with the slot).
 
 use crate::message::{Completion, CorrelationId, Response};
 use crate::metrics::ServiceMetrics;
 use crate::server::ServiceError;
-use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
@@ -175,61 +173,24 @@ impl CompletionSlot {
         }
     }
 
-    /// Parks until the slot is settled or `timeout` elapses; a timed-out
-    /// wait leaves the slot pending with no waiter registered.
-    pub(crate) fn wait_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Option<Result<Completion, ServiceError>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(settled) = self.take(Some(thread::current())) {
-                return Some(settled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                // Unregisters the waiter: a later completion must not
-                // unpark a thread that stopped waiting on this slot.
-                return self.take(None);
-            }
-            thread::park_timeout(deadline - now);
-        }
-    }
-
     /// Takes the completion without blocking.
     pub(crate) fn try_take(&self) -> Option<Result<Completion, ServiceError>> {
         self.take(None)
     }
 }
 
-/// Decrements the per-shard in-flight gauge exactly once, however the
-/// ticket resolves (taken, timed out forever, or dropped unresolved).
-///
-/// Resolution is **idempotent**: the decode path resolves the gauge the
-/// moment a completion is taken, and the drop is a backstop for tickets
-/// that never see one. Without the `resolved` latch, a completion taken on
-/// the `wait_timeout`/`try_take` path *and* the guard's drop would each
-/// decrement — and because the gauge saturates at zero, the stray second
-/// decrement would silently steal the slot of some *other* still-pending
-/// ticket instead of underflowing visibly.
+/// Decrements the per-shard in-flight gauge when its ticket is dropped.
+/// Every way of taking a completion consumes the ticket, and a pending
+/// ticket handed back by [`Ticket::try_take`] moves rather than drops, so
+/// the drop runs exactly once per ticket, taken or abandoned.
 struct InFlightGuard {
     metrics: ServiceMetrics,
     shard: usize,
-    resolved: Cell<bool>,
-}
-
-impl InFlightGuard {
-    /// Resolves the gauge; every call after the first is a no-op.
-    fn resolve(&self) {
-        if !self.resolved.replace(true) {
-            self.metrics.ticket_resolved(self.shard);
-        }
-    }
 }
 
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
-        self.resolve();
+        self.metrics.ticket_resolved(self.shard);
     }
 }
 
@@ -242,7 +203,6 @@ impl Drop for InFlightGuard {
 pub struct Ticket<T> {
     slot: CompletionSlot,
     correlation: CorrelationId,
-    shard: usize,
     decode: fn(Response) -> Result<T, ServiceError>,
     _gauge: InFlightGuard,
 }
@@ -256,17 +216,6 @@ pub enum TicketWait<T> {
     Pending(Ticket<T>),
 }
 
-impl<T> TicketWait<T> {
-    /// The result, if the completion had arrived; `None` discards a
-    /// pending ticket (fire-and-forget).
-    pub fn ready(self) -> Option<Result<T, ServiceError>> {
-        match self {
-            TicketWait::Ready(result) => Some(result),
-            TicketWait::Pending(_) => None,
-        }
-    }
-}
-
 impl<T> Ticket<T> {
     pub(crate) fn new(
         slot: CompletionSlot,
@@ -278,13 +227,8 @@ impl<T> Ticket<T> {
         Ticket {
             slot,
             correlation,
-            shard,
             decode,
-            _gauge: InFlightGuard {
-                metrics,
-                shard,
-                resolved: Cell::new(false),
-            },
+            _gauge: InFlightGuard { metrics, shard },
         }
     }
 
@@ -293,19 +237,11 @@ impl<T> Ticket<T> {
         self.correlation
     }
 
-    /// The shard the operation was submitted to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     fn decode(&self, completion: Completion) -> Result<T, ServiceError> {
         debug_assert_eq!(
             completion.correlation, self.correlation,
             "completion correlation mismatch: per-ticket slots are one-shot"
         );
-        // The operation left flight the moment its completion was taken;
-        // the guard's drop is an idempotent backstop from here on.
-        self._gauge.resolve();
         (self.decode)(completion.response)
     }
 
@@ -317,17 +253,8 @@ impl<T> Ticket<T> {
             .and_then(|completion| self.decode(completion))
     }
 
-    /// Waits at most `timeout` for the completion. On timeout the ticket
-    /// comes back untouched in [`TicketWait::Pending`] — the operation is
-    /// still in flight and can be waited on again.
-    pub fn wait_timeout(self, timeout: Duration) -> TicketWait<T> {
-        match self.slot.wait_timeout(timeout) {
-            Some(settled) => TicketWait::Ready(settled.and_then(|c| self.decode(c))),
-            None => TicketWait::Pending(self),
-        }
-    }
-
-    /// Non-blocking completion poll.
+    /// Non-blocking completion poll: tells whether the completion has
+    /// already landed, which is how per-shard FIFO delivery is asserted.
     pub fn try_take(self) -> TicketWait<T> {
         match self.slot.try_take() {
             Some(settled) => TicketWait::Ready(settled.and_then(|c| self.decode(c))),
@@ -340,7 +267,6 @@ impl<T> std::fmt::Debug for Ticket<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
             .field("correlation", &self.correlation)
-            .field("shard", &self.shard)
             .finish()
     }
 }
@@ -375,30 +301,32 @@ mod tests {
         });
     }
 
-    /// Regression: a completion taken through `wait_timeout`/`try_take`
-    /// resolves the gauge *and* the guard still drops afterwards — before
-    /// gauge updates were idempotent, that pair of decrements silently
-    /// stole the in-flight slot of another still-pending ticket (the
-    /// saturating gauge hides the underflow).
+    /// A completion taken through `try_take` after a pending poll
+    /// decrements the gauge exactly once: a second decrement would
+    /// silently steal the in-flight slot of another still-pending ticket
+    /// (the saturating gauge hides the underflow).
     #[test]
-    fn timeout_then_resolve_decrements_the_gauge_exactly_once() {
+    fn a_pending_poll_then_a_take_decrements_the_gauge_exactly_once() {
         let metrics = ServiceMetrics::new(1);
         let (a, tx_a) = issue(&metrics, 1);
         let (b, tx_b) = issue(&metrics, 2);
         assert_eq!(metrics.shard(0).in_flight, 2);
 
-        // A timeout hands the pending ticket back without touching the
-        // gauge; the completion then arrives and is taken via try_take.
-        let a = match a.wait_timeout(Duration::from_millis(5)) {
-            TicketWait::Pending(t) => t,
-            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
+        // A pending poll hands the ticket back without touching the
+        // gauge; the completion then arrives and is taken.
+        let TicketWait::Pending(a) = a.try_take() else {
+            panic!("unserved ticket completed");
         };
-        assert_eq!(metrics.shard(0).in_flight, 2, "timeout resolves nothing");
+        assert_eq!(
+            metrics.shard(0).in_flight,
+            2,
+            "a pending poll resolves nothing"
+        );
         complete(tx_a, 1);
-        match a.try_take() {
-            TicketWait::Ready(Ok(WorkRequest::Done)) => {}
-            other => panic!("completion not taken: {:?}", other.ready()),
-        }
+        assert!(matches!(
+            a.try_take(),
+            TicketWait::Ready(Ok(WorkRequest::Done))
+        ));
         // Exactly one decrement for A: B's slot must survive.
         assert_eq!(
             metrics.shard(0).in_flight,
@@ -429,33 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_is_pending_then_ready() {
-        let metrics = ServiceMetrics::new(1);
-        let (ticket, completer) = issue(&metrics, 1);
-        let ticket = match ticket.wait_timeout(Duration::from_millis(2)) {
-            TicketWait::Pending(t) => t,
-            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
-        };
-        // Completed from another thread while the client waits.
-        let server = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(5));
-            complete(completer, 1);
-        });
-        match ticket.wait_timeout(Duration::from_secs(30)) {
-            TicketWait::Ready(Ok(WorkRequest::Done)) => {}
-            other => panic!("completion not delivered: {:?}", other.ready()),
-        }
-        server.join().unwrap();
-        assert_eq!(metrics.shard(0).in_flight, 0);
-    }
-
-    #[test]
     fn try_take_is_pending_until_completed_and_takes_once() {
         let metrics = ServiceMetrics::new(1);
         let (ticket, completer) = issue(&metrics, 4);
-        let ticket = match ticket.try_take() {
-            TicketWait::Pending(t) => t,
-            TicketWait::Ready(r) => panic!("unserved ticket completed: {r:?}"),
+        let TicketWait::Pending(ticket) = ticket.try_take() else {
+            panic!("unserved ticket completed");
         };
         assert_eq!(ticket.correlation(), 4);
         complete(completer, 4);
@@ -478,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn a_completer_dropped_unsent_disconnects_every_way_of_waiting() {
+    fn a_completer_dropped_unsent_disconnects_both_ways_of_waiting() {
         let metrics = ServiceMetrics::new(1);
         let (parked, completer) = issue(&metrics, 1);
         let server = thread::spawn(move || {
@@ -487,19 +393,12 @@ mod tests {
         });
         assert_eq!(parked.wait().unwrap_err(), ServiceError::Disconnected);
         server.join().unwrap();
-        for poll in [true, false] {
-            let (ticket, completer) = issue(&metrics, 2);
-            drop(completer);
-            let settled = if poll {
-                ticket.try_take()
-            } else {
-                ticket.wait_timeout(Duration::from_secs(30))
-            };
-            assert!(matches!(
-                settled,
-                TicketWait::Ready(Err(ServiceError::Disconnected))
-            ));
-        }
+        let (ticket, completer) = issue(&metrics, 2);
+        drop(completer);
+        assert!(matches!(
+            ticket.try_take(),
+            TicketWait::Ready(Err(ServiceError::Disconnected))
+        ));
         assert_eq!(metrics.shard(0).in_flight, 0);
     }
 

@@ -22,16 +22,6 @@ pub struct PayloadBytes {
 }
 
 impl PayloadBytes {
-    /// Wraps an owned buffer as its own single-view arena.
-    pub fn from_vec(bytes: Vec<u8>) -> Self {
-        let len = bytes.len();
-        PayloadBytes {
-            arena: Arc::new(bytes),
-            start: 0,
-            len,
-        }
-    }
-
     /// A view of `range` within a shared arena.
     ///
     /// # Panics
@@ -49,22 +39,6 @@ impl PayloadBytes {
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.arena[self.start..self.start + self.len]
-    }
-
-    /// Copies the view into a fresh `Vec<u8>` (for callers that need
-    /// ownership, e.g. wire frames).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
-
-    /// View length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -126,14 +100,14 @@ mod tests {
         assert_eq!(tail.as_slice(), b"def");
         let clone = tail.clone();
         drop(tail);
-        assert_eq!(clone.to_vec(), b"def");
+        assert_eq!(clone.as_slice(), b"def");
         // Original arena + 2 live views (head, clone).
         assert_eq!(Arc::strong_count(&arena), 3);
     }
 
     #[test]
     fn equality_compares_bytes_not_arenas() {
-        let a = PayloadBytes::from_vec(b"same".to_vec());
+        let a = PayloadBytes::slice_of(&Arc::new(b"same".to_vec()), 0..4);
         let b = PayloadBytes::slice_of(&Arc::new(b"xxsamexx".to_vec()), 2..6);
         assert_eq!(a, b);
         assert_eq!(a, b"same".to_vec());

@@ -792,7 +792,10 @@ mod tests {
     /// Copies arena-backed recovery events into owned pairs so assertions
     /// can compare against plain `Vec<u8>` literals.
     fn owned(events: &[(u64, PayloadBytes)]) -> Vec<(u64, Vec<u8>)> {
-        events.iter().map(|(seq, p)| (*seq, p.to_vec())).collect()
+        events
+            .iter()
+            .map(|(seq, p)| (*seq, p.as_slice().to_vec()))
+            .collect()
     }
 
     /// `open` creates every missing directory on the way to a fresh log

@@ -122,12 +122,18 @@ impl Serialize for LiveSnapshot<'_> {
 }
 
 /// Refuses a configuration the request path cannot serve: OTA assigns
-/// `k_per_hit` tasks per request and needs at least one, and a stopping
-/// policy must not demand more answers than it caps a task at.
+/// `k_per_hit` tasks per request and needs at least one, DVE links each
+/// mention to its top `linker.top_c` candidates and needs at least one, and
+/// a stopping policy must not demand more answers than it caps a task at.
 fn check_config(config: &DocsConfig) -> Result<()> {
     if config.k_per_hit == 0 {
         return Err(Error::Storage(
             "config field `k_per_hit`: a HIT needs at least 1 task, found 0".into(),
+        ));
+    }
+    if config.linker.top_c == 0 {
+        return Err(Error::Storage(
+            "config field `linker.top_c`: a mention needs at least 1 candidate, found 0".into(),
         ));
     }
     if let Some(policy) = config.stopping {
@@ -1480,6 +1486,23 @@ mod tests {
         snapshot.config = inverted;
         let err = restore_through_codec(&snapshot).unwrap_err();
         assert!(err.to_string().contains("`stopping`"), "{err}");
+    }
+
+    /// `linker.top_c == 0` used to pass `check_config` and panic in
+    /// `EntityLinker::new` during publish.
+    #[test]
+    fn publish_and_restore_refuse_a_linker_keeping_no_candidate() {
+        let kb = table2_example_kb();
+        let mut blind = small_config();
+        blind.linker.top_c = 0;
+        let err = Docs::publish(&kb, example_tasks(6), blind.clone()).unwrap_err();
+        assert!(err.to_string().contains("`linker.top_c`"), "{err}");
+        let mut snapshot = Docs::publish(&kb, example_tasks(6), small_config())
+            .unwrap()
+            .snapshot();
+        snapshot.config = blind;
+        let err = restore_through_codec(&snapshot).unwrap_err();
+        assert!(err.to_string().contains("`linker.top_c`"), "{err}");
     }
 
     /// A snapshot whose parts disagree about the task count or the shard

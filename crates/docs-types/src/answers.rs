@@ -144,11 +144,6 @@ impl AnswerLog {
         ids.sort_unstable();
     }
 
-    /// Number of distinct workers.
-    pub fn num_workers(&self) -> usize {
-        self.by_worker.len()
-    }
-
     /// Iterates `(task, V(task))` over all tasks, including unanswered ones.
     pub fn iter_tasks(&self) -> impl Iterator<Item = (TaskId, &TaskAnswers)> {
         self.by_task
@@ -242,7 +237,7 @@ mod tests {
             log.worker_answers(WorkerId(0)),
             &[(TaskId(0), 1), (TaskId(2), 1)]
         );
-        assert_eq!(log.num_workers(), 2);
+        assert_eq!(log.workers().count(), 2);
     }
 
     #[test]

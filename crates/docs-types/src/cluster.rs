@@ -7,7 +7,6 @@
 //! deployment constant:
 //!
 //! * [`NodeId`] — a primary node's identity inside one cluster,
-//! * [`CampaignPlacement`] — one campaign→node ownership fact,
 //! * [`ClusterMap`] — the whole directory, versioned by an epoch that is
 //!   bumped on every placement change. Routers compare epochs to decide
 //!   which of two maps is fresher; a node that fenced a campaign away
@@ -34,15 +33,6 @@ impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
     }
-}
-
-/// One campaign→node ownership fact, as carried by directory listings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CampaignPlacement {
-    /// The placed campaign.
-    pub campaign: CampaignId,
-    /// The node that owns its write path.
-    pub owner: NodeId,
 }
 
 /// The campaign→node routing directory, versioned by an epoch.
@@ -74,11 +64,6 @@ impl ClusterMap {
         self.epoch
     }
 
-    /// The node owning campaigns without an explicit placement.
-    pub fn default_owner(&self) -> NodeId {
-        self.default_owner
-    }
-
     /// The node owning `campaign`'s write path under this map.
     pub fn owner(&self, campaign: CampaignId) -> NodeId {
         self.placements
@@ -93,14 +78,6 @@ impl ClusterMap {
     pub fn assign(&mut self, campaign: CampaignId, owner: NodeId) {
         self.placements.insert(campaign, owner);
         self.epoch += 1;
-    }
-
-    /// Every explicit placement, in campaign order (campaigns on the
-    /// default owner are omitted, exactly as stored).
-    pub fn placements(&self) -> impl Iterator<Item = CampaignPlacement> + '_ {
-        self.placements
-            .iter()
-            .map(|(&campaign, &owner)| CampaignPlacement { campaign, owner })
     }
 }
 
@@ -126,7 +103,6 @@ mod tests {
         assert_eq!(map.epoch(), 0);
         assert_eq!(map.owner(CampaignId(0)), NodeId(0));
         assert_eq!(map.owner(CampaignId(41)), NodeId(0));
-        assert_eq!(map.placements().count(), 0);
     }
 
     #[test]
@@ -137,14 +113,6 @@ mod tests {
         assert_eq!(map.owner(CampaignId(3)), NodeId(1));
         // Other campaigns stay on the default owner.
         assert_eq!(map.owner(CampaignId(4)), NodeId(0));
-        let placed: Vec<_> = map.placements().collect();
-        assert_eq!(
-            placed,
-            vec![CampaignPlacement {
-                campaign: CampaignId(3),
-                owner: NodeId(1),
-            }]
-        );
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl DomainSet {
         DomainSet::new(["politics", "sports", "films"])
     }
 
-    /// Anonymous numbered domains, used by the simulation experiments
-    /// (Figures 4(e), 7(b), 8(c) set `m` to 10/20/50 without naming domains).
-    pub fn anonymous(m: usize) -> Self {
-        DomainSet::new((0..m).map(|k| format!("domain-{k}")))
-    }
-
     /// Number of domains, `m`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -92,16 +86,6 @@ impl DomainSet {
     pub fn name(&self, k: usize) -> &str {
         &self.names[k]
     }
-
-    /// All domain names in order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Index of a domain by name, if present.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
 }
 
 #[cfg(test)]
@@ -112,8 +96,7 @@ mod tests {
     fn yahoo_answers_has_26_domains() {
         let d = DomainSet::yahoo_answers();
         assert_eq!(d.len(), 26);
-        assert_eq!(d.index_of("Sports"), Some(23));
-        assert_eq!(d.index_of("Basket Weaving"), None);
+        assert_eq!(d.name(23), "Sports");
     }
 
     #[test]
@@ -126,13 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_domains_are_numbered() {
-        let d = DomainSet::anonymous(4);
-        assert_eq!(d.len(), 4);
-        assert_eq!(d.name(2), "domain-2");
-    }
-
-    #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_domain_set_rejected() {
         let _ = DomainSet::new(Vec::<String>::new());
@@ -141,7 +117,6 @@ mod tests {
     #[test]
     fn names_preserve_order() {
         let d = DomainSet::new(["b", "a", "c"]);
-        assert_eq!(d.names(), &["b".to_string(), "a".into(), "c".into()]);
-        assert_eq!(d.index_of("a"), Some(1));
+        assert_eq!([d.name(0), d.name(1), d.name(2)], ["b", "a", "c"]);
     }
 }

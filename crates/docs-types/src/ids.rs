@@ -92,12 +92,6 @@ impl From<usize> for WorkerId {
 pub struct CampaignId(pub u32);
 
 impl CampaignId {
-    /// Returns the id as a vector index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
     /// Deterministic shard owner for this campaign among `shards` shards.
     ///
     /// The service router and each shard must agree on this mapping, so it
@@ -149,9 +143,6 @@ impl From<u64> for TraceId {
 /// translate in display code.
 pub type ChoiceIndex = usize;
 
-/// Zero-based index of a domain `d_k` within a [`crate::DomainSet`].
-pub type DomainIndex = usize;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +171,7 @@ mod tests {
     #[test]
     fn campaign_id_roundtrip() {
         let id = CampaignId::from(5usize);
-        assert_eq!(id.index(), 5);
+        assert_eq!(id, CampaignId(5));
         assert_eq!(id.to_string(), "c5");
     }
 

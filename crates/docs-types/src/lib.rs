@@ -48,7 +48,7 @@ mod task;
 mod vectors;
 
 pub use answers::{Answer, AnswerLog, TaskAnswers, WorkerAnswers};
-pub use cluster::{CampaignPlacement, ClusterMap, NodeId};
+pub use cluster::{ClusterMap, NodeId};
 pub use codec::CodecError;
 pub use crc::{crc32, Crc32};
 pub use domain::DomainSet;
@@ -57,7 +57,7 @@ pub use events::{
     AnswerBatchSubmittedEvent, AnswerSubmittedEvent, CampaignEvent, FinishedEvent,
     GoldenSubmittedEvent, PublishedEvent,
 };
-pub use ids::{CampaignId, ChoiceIndex, DomainIndex, TaskId, TraceId, WorkerId};
+pub use ids::{CampaignId, ChoiceIndex, TaskId, TraceId, WorkerId};
 pub use reject::RejectReason;
 pub use replication::{EventFrame, ReplicaRole, ReplicationFrame, SnapshotFrame};
 pub use task::{Task, TaskBuilder};

@@ -126,21 +126,6 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum()
 }
 
-/// Samples an index from a distribution using a uniform draw in `[0, 1)`.
-///
-/// The caller supplies the random value so this crate stays free of RNG
-/// dependencies; `docs-crowd` wires it to a seeded `SmallRng`.
-pub fn sample_index(dist: &[f64], uniform_draw: f64) -> usize {
-    let mut acc = 0.0;
-    for (i, &p) in dist.iter().enumerate() {
-        acc += p;
-        if uniform_draw < acc {
-            return i;
-        }
-    }
-    dist.len().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,16 +194,6 @@ mod tests {
         assert!(!is_distribution(&[1.2, -0.2]));
         assert!(!is_distribution(&[f64::NAN, 1.0]));
         assert!(is_distribution(&[0.25, 0.75]));
-    }
-
-    #[test]
-    fn sample_index_covers_support() {
-        let dist = [0.25, 0.5, 0.25];
-        assert_eq!(sample_index(&dist, 0.0), 0);
-        assert_eq!(sample_index(&dist, 0.3), 1);
-        assert_eq!(sample_index(&dist, 0.74), 1);
-        assert_eq!(sample_index(&dist, 0.76), 2);
-        assert_eq!(sample_index(&dist, 0.9999), 2);
     }
 
     #[test]

@@ -91,18 +91,6 @@ impl DomainVector {
     pub fn dominant_domain(&self) -> usize {
         prob::argmax(&self.0)
     }
-
-    /// Indices of local maxima ("modes"/"peaks"); the paper's multi-domain
-    /// analysis (Section 6.2) picks out tasks whose domain vector has more
-    /// than one mode above a threshold.
-    pub fn modes(&self, threshold: f64) -> Vec<usize> {
-        self.0
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p >= threshold)
-            .map(|(k, _)| k)
-            .collect()
-    }
 }
 
 impl Index<usize> for DomainVector {
@@ -133,54 +121,6 @@ impl QualityVector {
             }
         }
         Ok(QualityVector(values))
-    }
-
-    /// A flat quality vector: the same accuracy in every domain.
-    pub fn flat(m: usize, q: f64) -> Result<Self> {
-        QualityVector::new(vec![q; m])
-    }
-
-    /// Number of domains `m`.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if the vector has no entries (never constructible).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Raw slice access.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.0
-    }
-
-    /// Mutable access, used by the incremental quality updates of
-    /// Section 4.2. Callers must keep the entries in `[0, 1]`.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
-    /// Mean quality across domains — a crude scalar summary used by
-    /// baselines that ignore domains.
-    pub fn mean(&self) -> f64 {
-        self.0.iter().sum::<f64>() / self.0.len() as f64
-    }
-
-    /// Expected accuracy of this worker on a task with domain vector `r`:
-    /// `Σ_k r_k · q_k`. This is the "matching degree" the D-Max baseline
-    /// maximizes.
-    pub fn expected_accuracy(&self, r: &DomainVector) -> f64 {
-        debug_assert_eq!(self.len(), r.len());
-        self.0
-            .iter()
-            .zip(r.as_slice())
-            .map(|(&q, &rk)| q * rk)
-            .sum()
     }
 }
 
@@ -230,32 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn modes_finds_peaks() {
-        let r = DomainVector::new(vec![0.05, 0.45, 0.45, 0.05]).unwrap();
-        assert_eq!(r.modes(0.3), vec![1, 2]);
-        assert_eq!(r.modes(0.5), Vec::<usize>::new());
-    }
-
-    #[test]
     fn quality_vector_bounds_checked() {
         assert!(QualityVector::new(vec![0.0, 1.0, 0.5]).is_ok());
         assert!(QualityVector::new(vec![1.5]).is_err());
         assert!(QualityVector::new(vec![-0.1]).is_err());
         assert!(QualityVector::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn expected_accuracy_weights_by_domain_vector() {
-        // Worker from Table 1: q = [0.3, 0.9, 0.6]; task r = [0, 0.78, 0.22].
-        let q = QualityVector::new(vec![0.3, 0.9, 0.6]).unwrap();
-        let r = DomainVector::new(vec![0.0, 0.78, 0.22]).unwrap();
-        let acc = q.expected_accuracy(&r);
-        assert!((acc - (0.78 * 0.9 + 0.22 * 0.6)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_quality() {
-        let q = QualityVector::new(vec![0.2, 0.4, 0.9]).unwrap();
-        assert!((q.mean() - 0.5).abs() < 1e-12);
     }
 }

@@ -50,6 +50,16 @@ fn durable_node(shards: usize, dir: &Path, node: NodeId) -> ServiceConfig {
     .with_node(node)
 }
 
+/// A router over the two nodes' primaries, routing by `map`.
+fn router_over(node0: &ServiceHandle, node1: &ServiceHandle, map: ClusterMap) -> ClusterRouter {
+    let node = |id, primary: &ServiceHandle| ClusterNode {
+        id: NodeId(id),
+        primary: primary.clone(),
+        replicas: vec![],
+    };
+    ClusterRouter::new(vec![node(0, node0), node(1, node1)], map)
+}
+
 /// A two-node cluster around one campaign living on node 0: pools, hub,
 /// and a router whose map says so.
 struct Cluster {
@@ -74,21 +84,7 @@ fn two_nodes(shards: usize, task_shards: usize, label: &str) -> Cluster {
     let hub = ReplicationHub::spawn(feed);
     let (service1, handle1) =
         DocsService::spawn_empty(durable_node(shards, &dir1, NodeId(1))).expect("spawn node 1");
-    let router = ClusterRouter::new(
-        vec![
-            ClusterNode {
-                id: NodeId(0),
-                primary: handle0.clone(),
-                replicas: vec![],
-            },
-            ClusterNode {
-                id: NodeId(1),
-                primary: handle1.clone(),
-                replicas: vec![],
-            },
-        ],
-        ClusterMap::new(NodeId(0)),
-    );
+    let router = router_over(&handle0, &handle1, ClusterMap::new(NodeId(0)));
     Cluster {
         node0: (service0, handle0),
         node1: (service1, handle1),
@@ -278,7 +274,11 @@ fn stale_map_case(shards: usize) {
     // A second client still routing by the epoch-0 map: its next write
     // goes to node 0, absorbs the WrongNode answer, and must land on
     // node 1 with exactly one redirect.
-    let stale = ClusterRouter::new(cluster.router.nodes(), ClusterMap::new(NodeId(0)));
+    let stale = router_over(
+        &cluster.node0.1,
+        &cluster.node1.1,
+        ClusterMap::new(NodeId(0)),
+    );
     submit_via(&stale, campaign, &ops[prefix]);
     let stats = stale.stats();
     assert_eq!(

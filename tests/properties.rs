@@ -4,19 +4,20 @@ use docs_core::dve::{domain_vector, domain_vector_enumeration};
 use docs_core::golden::{allocation_objective, golden_counts};
 use docs_core::ota::{answer_probabilities, benefit, BudgetPlanner};
 use docs_core::ti::{StoppingPolicy, StoppingRule, TaskArena, WorkerStats};
-use docs_kb::{IndicatorVector, LinkedEntity};
+use docs_kb::{ConceptId, IndicatorVector, LinkedEntity};
 use docs_types::{prob, DomainVector, WorkerId};
 use proptest::prelude::*;
 
 /// Strategy: a random entity with 1..=4 candidates over `m` domains.
 fn arb_entity(m: usize) -> impl Strategy<Value = LinkedEntity> {
     prop::collection::vec((0.01f64..1.0, prop::collection::vec(0u8..2, m)), 1..=4).prop_map(
-        move |parts| {
-            let parts: Vec<(f64, IndicatorVector)> = parts
-                .into_iter()
-                .map(|(p, bits)| (p, IndicatorVector::from_bits(&bits)))
-                .collect();
-            LinkedEntity::from_parts("e", &parts)
+        move |parts| LinkedEntity {
+            candidates: (0..parts.len() as u32).map(ConceptId).collect(),
+            probs: prob::normalized(&parts.iter().map(|p| p.0).collect::<Vec<_>>()),
+            indicators: parts
+                .iter()
+                .map(|p| IndicatorVector::from_bits(&p.1))
+                .collect(),
         },
     )
 }

@@ -14,7 +14,9 @@
 //!    answers. The full-size claim is asserted by the `quality` bench
 //!    before `BENCH_quality.json` is merged.
 
-use docs_scenarios::{registry, run_scenario, score, ArrivalSpec, PopulationClass, ServiceSpec};
+use docs_scenarios::{
+    registry, run_scenario, score, ArrivalSpec, PopulationClass, ScenarioSpec, ServiceSpec,
+};
 use proptest::prelude::*;
 
 fn spec_for(
@@ -115,14 +117,21 @@ fn repeated_runs_are_byte_identical() {
     assert_eq!(a.report.truths, b.report.truths);
 }
 
-/// The manifest round-trip carries the run: a spec parsed back from its
-/// JSON produces the same bytes as the original.
+/// The manifest round-trip carries the run: every registry spec parses
+/// back from its JSON unchanged, and a parsed spec produces the same bytes
+/// as the original.
 #[test]
 fn manifest_json_reproduces_the_run() {
+    let roundtrip = |spec: &ScenarioSpec| -> ScenarioSpec {
+        serde_json::from_str(&serde_json::to_string(spec).unwrap()).expect("parse")
+    };
+    for spec in docs_scenarios::registry() {
+        assert_eq!(roundtrip(&spec), spec);
+    }
     let spec = docs_scenarios::named("item_honest")
         .expect("registry scenario")
         .shrunk(60, 4);
-    let parsed = docs_scenarios::ScenarioSpec::from_json(&spec.to_json()).expect("parse");
+    let parsed = roundtrip(&spec);
     let a = run_scenario(&spec);
     let b = run_scenario(&parsed);
     assert_eq!(a.mirror.flat, b.mirror.flat);

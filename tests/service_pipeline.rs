@@ -5,14 +5,13 @@
 //! push back without losing work.
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
-use docs_scenarios::{drive_workers_blocking_on, drive_workers_on};
+use docs_scenarios::{drive_workers_blocking_on, drive_workers_on, DriveReport};
 use docs_service::{
     Client, DocsService, Op, RejectReason, ServiceConfig, ServiceError, TicketWait,
 };
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, Task, TaskBuilder, TaskId, WorkerId};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn publish(n_tasks: usize, answers_per_task: usize, task_shards: usize) -> Docs {
     let kb = docs_kb::table2_example_kb();
@@ -102,6 +101,12 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
         service.join_all();
         (drive, report.truths, report.truth_distributions)
     };
+    // (answers, golden HITs, rejections) summed over the drive's threads.
+    let totals = |d: &DriveReport| {
+        d.per_thread.iter().fold((0, 0, 0), |(a, g, r), o| {
+            (a + o.answers, g + o.golden_hits, r + o.rejected)
+        })
+    };
     let (reference_drive, reference_truths, reference_dists) = run(1, 1, false);
     for service_shards in [1usize, 4] {
         for task_shards in [1usize, 4] {
@@ -113,16 +118,8 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
                 assert_eq!(truths, reference_truths, "truths diverged: {label}");
                 assert_eq!(dists, reference_dists, "distributions diverged: {label}");
                 assert_eq!(
-                    (
-                        drive.total_answers(),
-                        drive.total_golden(),
-                        drive.total_rejected()
-                    ),
-                    (
-                        reference_drive.total_answers(),
-                        reference_drive.total_golden(),
-                        reference_drive.total_rejected()
-                    ),
+                    totals(&drive),
+                    totals(&reference_drive),
                     "drive accounting diverged: {label}"
                 );
             }
@@ -136,8 +133,11 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
 /// no stuck depth or unresolved tickets.
 #[test]
 fn bounded_ingress_backpressure_loses_no_answers() {
-    let (service, handle) =
-        DocsService::spawn_empty(ServiceConfig::sharded(2).with_queue_capacity(2)).unwrap();
+    let config = ServiceConfig {
+        queue_capacity: 2,
+        ..ServiceConfig::sharded(2)
+    };
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
     let campaign = handle.create_campaign(publish(18, 4, 2)).unwrap();
     let tasks = published_tasks(18);
     let pop = population(12, 0x77);
@@ -206,11 +206,6 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
         .call(Op::submit_answer(c, Answer::new(WorkerId(1), TaskId(0), 1)))
         .unwrap_err();
     assert_eq!(err, ServiceError::Rejected(RejectReason::BudgetExhausted));
-    assert_eq!(
-        err.reason(),
-        Some(&RejectReason::BudgetExhausted),
-        "reason() exposes the taxonomy"
-    );
     let outcome = handle
         .call(Op::submit_answer_batch(
             c,
@@ -224,8 +219,8 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
 }
 
 /// The ticket API end to end against a live pool: submissions complete in
-/// order, `try_take` polling eventually resolves, and `wait_timeout` hands
-/// a still-pending ticket back instead of dropping the operation.
+/// order, and `try_take` polling hands a still-pending ticket back until it
+/// resolves.
 #[test]
 fn tickets_resolve_against_a_live_service() {
     let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
@@ -239,10 +234,8 @@ fn tickets_resolve_against_a_live_service() {
         match ticket.try_take() {
             TicketWait::Ready(result) => break result.unwrap(),
             TicketWait::Pending(t) => {
-                ticket = match t.wait_timeout(Duration::from_millis(5)) {
-                    TicketWait::Ready(result) => break result.unwrap(),
-                    TicketWait::Pending(t) => t,
-                };
+                ticket = t;
+                std::thread::yield_now();
             }
         }
     };
