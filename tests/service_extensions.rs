@@ -186,6 +186,54 @@ fn full_system_campaign_with_stopping_policy_ends_early() {
     );
 }
 
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// One adaptive-stopping campaign through the deployed `Docs` loop, pinned
+/// exactly: the policy `figures ext` runs (entropy at most 0.06 nats, 5 to
+/// 10 answers per task) over 60 synthetic tasks, which stops 66 answers
+/// short of the flat 600. The answers it collects and the hash of its
+/// truths change only if the stopping decision does.
+#[test]
+fn a_stopping_policy_campaign_is_pinned() {
+    let kb = docs_datasets::curated_kb();
+    let m = kb.num_domains();
+    let tasks = docs_datasets::scalability_tasks(60, m, 0x57);
+    // Experts in six domains each, so confident tasks exist to stop early.
+    let pop = WorkerPopulation::generate(&PopulationConfig {
+        m,
+        size: 80,
+        expert_fraction: 0.5,
+        expert_domains: 6,
+        seed: 0x58,
+        ..Default::default()
+    });
+    let config = DocsConfig {
+        num_golden: 5,
+        k_per_hit: 5,
+        answers_per_task: 10,
+        z: 50,
+        stopping: Some(StoppingPolicy {
+            rule: StoppingRule::EntropyBelow(0.06),
+            min_answers: 5,
+            max_answers: 10,
+        }),
+        ..Default::default()
+    };
+    let report = run_campaign(&kb, tasks, &pop, config, 0x59).unwrap();
+    let truths = fnv1a(report.truths.iter().map(|&t| t as u64));
+    assert_eq!(
+        (report.answers_collected, format!("{truths:016x}")),
+        (534, "0b0862d4112ea345".to_string())
+    );
+}
+
 #[test]
 fn adaptive_stopping_saves_budget_without_collapse() {
     let mut dataset = docs_datasets::four_domain();
