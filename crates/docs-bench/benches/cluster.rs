@@ -98,7 +98,7 @@ fn durable_node(dir: &Path, node: NodeId) -> ServiceConfig {
             dir: dir.to_path_buf(),
             default_flush: FlushPolicy::Batch(8),
             snapshot_every: 100_000,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }

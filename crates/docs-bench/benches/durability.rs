@@ -177,11 +177,7 @@ fn write_bench_json() {
     // (acked ⇒ durable, acks deferred to the batch sync) while amortizing
     // the fdatasync like Batch(n) — the headline win of the group-commit
     // work, tracked as its own key.
-    let adaptive_tput = append_throughput_with(
-        FlushPolicy::EveryEvent,
-        Some(AdaptiveCommit::default()),
-        4000,
-    );
+    let adaptive_tput = append_throughput_with(FlushPolicy::EveryEvent, Some(AdaptiveCommit), 4000);
     updates.push((
         "wal_append_tput_adaptive_every_event_events_per_s".to_string(),
         adaptive_tput,

@@ -139,7 +139,7 @@ fn throughput_round(name: &str, sample_every: u64) -> (u64, f64) {
             dir: dir.clone(),
             default_flush: FlushPolicy::Batch(8),
             snapshot_every: 100_000,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }
@@ -242,7 +242,7 @@ fn main() {
             dir: dir.clone(),
             default_flush: FlushPolicy::EveryEvent,
             snapshot_every: 100_000,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }

@@ -95,7 +95,7 @@ fn replicated_pair(name: &str, policy: FlushPolicy) -> Pair {
             dir: dir.clone(),
             default_flush: policy,
             snapshot_every: 100_000,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }

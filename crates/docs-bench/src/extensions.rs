@@ -1,7 +1,7 @@
 //! The extension experiment beyond the paper's evaluation: adaptive
 //! stopping against the uniform 10-answers-per-task cap.
 
-use docs_core::ti::{IncrementalTi, StoppingPolicy, StoppingRule, WorkerRegistry};
+use docs_core::ti::{IncrementalTi, StoppingPolicy, WorkerRegistry};
 use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_datasets::Dataset;
 use docs_types::{Answer, TaskId, WorkerId};
@@ -38,7 +38,7 @@ pub fn adaptive_stopping(mut dataset: Dataset, seed: u64) -> AdaptiveStoppingRow
         ..Default::default()
     });
     let policy = StoppingPolicy {
-        rule: StoppingRule::EntropyBelow(0.06),
+        entropy_below: 0.06,
         min_answers: 5,
         max_answers: 10,
     };

@@ -51,10 +51,7 @@ struct SupportRow {
 /// **Eq. 8**: the expected entropy of the task's truth after the worker
 /// answers, `H(ŝ_i) = Σ_a H(r × M^{(i)}|a) · Pr(v^w_i = a | V(i))`, with
 /// `M^{(i)}|a` from Theorem 3.
-pub fn expected_posterior_entropy(state: TaskView<'_>, quality: &[f64]) -> f64 {
-    expected_posterior_entropy_with(&mut BenefitScratch::default(), state, quality)
-}
-
+///
 /// Theorem 2, Theorem 3 and Eq. 8 over the support rows `{k : r_k ≠ 0}` —
 /// `ŝ = r × (M|a)` reads no other row of `M|a`. The same bits as composing
 /// [`answer_probabilities`], [`TaskView::m_given_answer`] and
@@ -215,7 +212,7 @@ pub fn benefit_with(scratch: &mut BenefitScratch, state: TaskView<'_>, quality: 
 }
 
 /// Test oracle: Eq. 8 composed from the public textbook forms, one
-/// allocation per intermediate — what [`expected_posterior_entropy`] was
+/// allocation per intermediate — what `expected_posterior_entropy_with` was
 /// before the support-row kernel.
 #[cfg(test)]
 pub(super) fn expected_posterior_entropy_textbook(state: TaskView<'_>, quality: &[f64]) -> f64 {
@@ -367,7 +364,12 @@ mod tests {
         for choice in [0, 2, 2, 1] {
             st.apply_answer(0, &[0.8, 0.65], choice);
             let view = st.view(0);
-            let direct = prob::entropy(view.s()) - expected_posterior_entropy(view, &[0.9, 0.6]);
+            let direct = prob::entropy(view.s())
+                - expected_posterior_entropy_with(
+                    &mut BenefitScratch::default(),
+                    view,
+                    &[0.9, 0.6],
+                );
             assert!((benefit(view, &[0.9, 0.6]) - direct).abs() < 1e-15);
         }
     }

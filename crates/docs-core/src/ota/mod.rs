@@ -15,13 +15,9 @@
 //! bit. A warm request allocates only the list of task ids it returns.
 
 mod benefit;
-pub mod budget;
 mod select;
 
-pub use benefit::{
-    answer_probabilities, benefit, benefit_with, expected_posterior_entropy, BenefitScratch,
-};
-pub use budget::{BudgetPlanner, Plan};
+pub use benefit::{answer_probabilities, benefit, benefit_with, BenefitScratch};
 pub use select::{top_k_by_sort, top_k_linear};
 
 use crate::ti::{ShardedTiState, TaskArena};

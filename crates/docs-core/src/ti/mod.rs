@@ -37,4 +37,4 @@ pub use sharded::ShardedTiState;
 pub(crate) use state::miss_likelihood;
 pub use state::{clamp_quality, TaskArena, TaskView};
 pub use stats::{WorkerRegistry, WorkerStats};
-pub use stopping::{stable_point_of_curve, StoppingPolicy, StoppingRule};
+pub use stopping::{stable_point_of_curve, StoppingPolicy};

@@ -1,4 +1,4 @@
-//! Per-task stopping rules and the stable point of an accuracy curve —
+//! Per-task adaptive stopping and the stable point of an accuracy curve —
 //! the paper's stated future work for Section 6.3.
 //!
 //! Figure 4(c) shows accuracy rising with the number of collected answers
@@ -6,8 +6,8 @@
 //! ≥ 8 answers are collected. We will study the estimation of stable point
 //! in future."). Two pieces serve that study:
 //!
-//! * **Per-task stopping** ([`StoppingRule`], [`StoppingPolicy`]) decides
-//!   online, from the probabilistic truth `s_i` alone, that a task has
+//! * **Per-task stopping** ([`StoppingPolicy`]) decides online, from the
+//!   entropy of the probabilistic truth `s_i` alone, that a task has
 //!   collected enough answers. A campaign configured with a policy
 //!   (`DocsConfig::stopping`) stops assigning a confident task and ends
 //!   once every task has stopped, so confident tasks release budget that
@@ -20,50 +20,18 @@ use crate::ti::TaskView;
 use docs_types::prob;
 use serde::{Deserialize, Serialize};
 
-/// A per-task confidence criterion over the probabilistic truth `s_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum StoppingRule {
-    /// Stop when the entropy `H(s_i)` drops to or below this many nats —
-    /// the same ambiguity measure OTA's benefit function uses
-    /// (Definition 5), so "stop" means "no assignment could reduce much
-    /// ambiguity anyway".
-    EntropyBelow(f64),
-    /// Stop when the probability of the leading choice reaches this level.
-    ConfidenceAbove(f64),
-    /// Stop when the gap between the leading and runner-up choice
-    /// probabilities reaches this level.
-    MarginAbove(f64),
-}
-
-impl StoppingRule {
-    /// Evaluates the rule against a truth distribution.
-    pub fn satisfied_by(&self, s: &[f64]) -> bool {
-        debug_assert!(s.len() >= 2);
-        match *self {
-            StoppingRule::EntropyBelow(eps) => prob::entropy(s) <= eps,
-            StoppingRule::ConfidenceAbove(p) => s[prob::argmax(s)] >= p,
-            StoppingRule::MarginAbove(gap) => {
-                let top = prob::argmax(s);
-                let runner_up = s
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != top)
-                    .map(|(_, &p)| p)
-                    .fold(0.0_f64, f64::max);
-                s[top] - runner_up >= gap
-            }
-        }
-    }
-}
-
-/// A stopping rule with answer-count guards: never stop before
-/// `min_answers` (a lone confident expert is not enough evidence), always
-/// stop at `max_answers` (the paper's hard budget, 10 on every dataset).
+/// Per-task adaptive stopping: stop once the entropy `H(s_i)` drops to or
+/// below `entropy_below` nats — the same ambiguity measure OTA's benefit
+/// function uses (Definition 5), so "stop" means "no assignment could
+/// reduce much ambiguity anyway" — with answer-count guards: never stop
+/// before `min_answers` (a lone confident expert is not enough evidence),
+/// always stop at `max_answers` (the paper's hard budget, 10 on every
+/// dataset).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StoppingPolicy {
-    /// The confidence criterion.
-    pub rule: StoppingRule,
-    /// Minimum answers before the rule may fire.
+    /// Entropy bound, in nats, at or below which a task stops.
+    pub entropy_below: f64,
+    /// Minimum answers before the entropy bound may fire.
     pub min_answers: usize,
     /// Hard cap on answers per task.
     pub max_answers: usize,
@@ -82,7 +50,13 @@ impl StoppingPolicy {
         if answers_collected < self.min_answers {
             return false;
         }
-        self.rule.satisfied_by(state.s())
+        self.settled(state.s())
+    }
+
+    /// Whether a truth distribution is within the entropy bound.
+    fn settled(&self, s: &[f64]) -> bool {
+        debug_assert!(s.len() >= 2);
+        prob::entropy(s) <= self.entropy_below
     }
 }
 
@@ -129,39 +103,52 @@ mod tests {
         states
     }
 
-    #[test]
-    fn entropy_rule_fires_on_confident_distributions() {
-        let rule = StoppingRule::EntropyBelow(0.15);
-        assert!(rule.satisfied_by(&[0.98, 0.02]));
-        assert!(!rule.satisfied_by(&[0.7, 0.3]));
-        assert!(!rule.satisfied_by(&[0.5, 0.5]));
+    /// A policy whose guards never bind, so only the entropy bound decides.
+    fn bound(entropy_below: f64) -> StoppingPolicy {
+        StoppingPolicy {
+            entropy_below,
+            min_answers: 0,
+            max_answers: usize::MAX,
+        }
     }
 
     #[test]
-    fn confidence_rule_uses_leading_choice() {
-        let rule = StoppingRule::ConfidenceAbove(0.9);
-        assert!(rule.satisfied_by(&[0.05, 0.92, 0.03]));
-        assert!(!rule.satisfied_by(&[0.4, 0.45, 0.15]));
+    fn entropy_bound_fires_on_confident_distributions() {
+        let policy = bound(0.15);
+        assert!(policy.settled(&[0.98, 0.02]));
+        assert!(!policy.settled(&[0.7, 0.3]));
+        assert!(!policy.settled(&[0.5, 0.5]));
+        // The same bound read off a live task: one answer from a 0.98
+        // worker settles it, while its unanswered neighbour stays open.
+        let states = states_with_confidence(0.98);
+        assert!(policy.should_stop(states.view(0), 1));
+        assert!(!policy.should_stop(states.view(1), 1));
     }
 
+    /// The bound weighs the whole distribution over three choices: a
+    /// dominant leader (H ≈ 0.33) settles, a near tie (H ≈ 1.01) does not,
+    /// and a wide leader-to-runner-up gap with a heavy runner-up (H ≈ 0.69)
+    /// does not either.
     #[test]
-    fn margin_rule_uses_runner_up_gap() {
-        let rule = StoppingRule::MarginAbove(0.5);
-        assert!(rule.satisfied_by(&[0.75, 0.2, 0.05]));
-        // Gap 0.75 - 0.2 = 0.55 ≥ 0.5 above; here gap 0.1 fails.
-        assert!(!rule.satisfied_by(&[0.5, 0.4, 0.1]));
+    fn entropy_bound_weighs_every_choice() {
+        let policy = bound(0.35);
+        assert!(policy.settled(&[0.05, 0.92, 0.03]));
+        assert!(!policy.settled(&[0.4, 0.45, 0.15]));
+        assert!(!policy.settled(&[0.75, 0.2, 0.05]));
+        assert!(!policy.settled(&[0.5, 0.4, 0.1]));
     }
 
     #[test]
     fn policy_respects_min_and_max_answers() {
         let policy = StoppingPolicy {
-            rule: StoppingRule::ConfidenceAbove(0.9),
+            entropy_below: 0.15,
             min_answers: 3,
             max_answers: 10,
         };
+        // s = [0.97, 0.03]: H ≈ 0.135, within the bound.
         let states = states_with_confidence(0.97);
         let (confident, uncertain) = (states.view(0), states.view(1));
-        // Rule satisfied but min not reached.
+        // Bound satisfied but min not reached.
         assert!(!policy.should_stop(confident, 2));
         assert!(policy.should_stop(confident, 3));
         // Max reached stops regardless of confidence.

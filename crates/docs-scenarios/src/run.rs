@@ -70,7 +70,7 @@ fn durable_config(shards: usize, dir: &Path) -> ServiceConfig {
             dir: dir.to_path_buf(),
             default_flush: FlushPolicy::EveryEvent,
             snapshot_every: 256,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }

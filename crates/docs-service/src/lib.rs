@@ -39,7 +39,7 @@
 //!   ARCHITECTURE.md, "One dispatch path"),
 //! * **Typed errors**: every refusal carries a matchable
 //!   [`RejectReason`]
-//!   (`DuplicateAnswer`, `UnknownCampaign`, `BudgetExhausted`, …) whose
+//!   (`DuplicateAnswer`, `UnknownCampaign`, `ReadOnlyReplica`, …) whose
 //!   `Display` output preserves the pre-taxonomy message text, end to end
 //!   from docs-system validation through the wire to
 //!   [`ServiceError::Rejected`] and the per-answer [`BatchOutcome`],
@@ -104,7 +104,7 @@ pub use metrics::{
 };
 pub use routing::{ClusterNode, ClusterRouter, ClusterRouterStats};
 pub use server::{DocsService, DurabilityConfig, ReplicationSink, ServiceConfig, ServiceError};
-// Adaptive group-commit bounds appear in `DurabilityConfig`; re-exported
+// Adaptive group commit is switched on in `DurabilityConfig`; re-exported
 // so configuring a service doesn't require a direct docs-storage import.
 pub use docs_storage::AdaptiveCommit;
 pub use ticket::{Ticket, TicketWait};

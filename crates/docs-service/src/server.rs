@@ -152,13 +152,13 @@ pub struct DurabilityConfig {
     /// segments (bounds replay cost). `0` never snapshots on a cadence.
     pub snapshot_every: u64,
     /// Adaptive group commit for [`FlushPolicy::EveryEvent`] campaigns:
-    /// under load a shard grows the commit batch within these bounds and
-    /// pays one `fdatasync` for the whole batch, **deferring every
-    /// acknowledgment until the batch is durable** — the ack⇒durable
-    /// contract of `EveryEvent` survives while the sync cost amortizes
-    /// like `Batch(n)`. An idle shard flushes immediately (the batch
-    /// shrinks back to one event). `None` restores strict
-    /// one-sync-per-event behavior.
+    /// under load a shard grows the commit batch up to fixed bounds (64
+    /// events, 256 KiB, 2 ms) and pays one `fdatasync` for the whole
+    /// batch, **deferring every acknowledgment until the batch is
+    /// durable** — the ack⇒durable contract of `EveryEvent` survives while
+    /// the sync cost amortizes like `Batch(n)`. An idle shard flushes
+    /// immediately (the batch shrinks back to one event). `None` restores
+    /// strict one-sync-per-event behavior.
     pub adaptive: Option<AdaptiveCommit>,
 }
 
@@ -236,7 +236,7 @@ impl ServiceConfig {
                 dir: dir.into(),
                 default_flush: FlushPolicy::Batch(64),
                 snapshot_every: 1024,
-                adaptive: Some(AdaptiveCommit::default()),
+                adaptive: Some(AdaptiveCommit),
             }),
             ..Default::default()
         }
@@ -1107,7 +1107,7 @@ pub(crate) mod tests {
             FlushPolicy::Batch(1),
             FlushPolicy::Batch(8),
         ] {
-            for adaptive in [None, Some(AdaptiveCommit::default())] {
+            for adaptive in [None, Some(AdaptiveCommit)] {
                 let label = format!("{}-adaptive-{}", policy.label(), adaptive.is_some());
                 let dir = tmp_dir(&format!("log-gauges-{label}"));
                 let shard_dir = dir.join("shard-0");

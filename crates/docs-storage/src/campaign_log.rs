@@ -86,35 +86,25 @@ impl FlushPolicy {
 }
 
 /// Adaptive group commit: under load, [`FlushPolicy::EveryEvent`] appends
-/// accumulate into one batch (bounded by event count, buffered bytes, and a
-/// latency deadline) that is written and `fdatasync`ed once; when the load
-/// drops the batch collapses back to a single event, so an isolated append
-/// still hardens immediately.
+/// accumulate into one batch (bounded by 64 events, 256 KiB of buffered
+/// bytes and a 2 ms latency deadline) that is written and `fdatasync`ed
+/// once; when the load drops the batch collapses back to a single event,
+/// so an isolated append still hardens immediately.
 ///
 /// Durability semantics are preserved by the *owner*, not the log: the
 /// service shard withholds acknowledgements for events in an open batch and
 /// releases them only after the batch flushes — acknowledged still implies
 /// durable, but the `fdatasync` cost is amortized like `Batch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveCommit {
-    /// Flush once this many events are buffered.
-    pub max_batch_events: usize,
-    /// Flush once the buffered batch reaches this many bytes.
-    pub max_batch_bytes: usize,
-    /// Flush once the oldest buffered event has waited this long — the
-    /// worst-case added acknowledgement latency under sustained load.
-    pub max_delay: Duration,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdaptiveCommit;
 
-impl Default for AdaptiveCommit {
-    fn default() -> Self {
-        AdaptiveCommit {
-            max_batch_events: 64,
-            max_batch_bytes: 256 * 1024,
-            max_delay: Duration::from_millis(2),
-        }
-    }
-}
+/// An adaptive batch flushes once this many events are buffered.
+const ADAPTIVE_MAX_EVENTS: usize = 64;
+/// An adaptive batch flushes once it reaches this many bytes.
+const ADAPTIVE_MAX_BYTES: usize = 256 * 1024;
+/// An adaptive batch flushes once its oldest event has waited this long —
+/// the worst-case added acknowledgement latency under sustained load.
+const ADAPTIVE_MAX_DELAY: Duration = Duration::from_millis(2);
 
 /// Cumulative flush accounting of one [`CampaignLog`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -357,13 +347,13 @@ impl CampaignLog {
             // until the flush, preserving acked ⇒ durable.
             FlushPolicy::EveryEvent => match self.adaptive {
                 None => true,
-                Some(cfg) => {
+                Some(AdaptiveCommit) => {
                     self.pending_strict += 1;
-                    self.pending_events >= cfg.max_batch_events.max(1)
-                        || self.pending.len() >= cfg.max_batch_bytes
+                    self.pending_events >= ADAPTIVE_MAX_EVENTS
+                        || self.pending.len() >= ADAPTIVE_MAX_BYTES
                         || self
                             .first_pending_at
-                            .is_some_and(|t| t.elapsed() >= cfg.max_delay)
+                            .is_some_and(|t| t.elapsed() >= ADAPTIVE_MAX_DELAY)
                 }
             },
             FlushPolicy::Batch(n) => self.pending_events >= n.max(1),
@@ -927,41 +917,46 @@ mod tests {
         assert_eq!(c0.events.len(), 3);
     }
 
+    /// Holds the adaptive deadline off: the oldest buffered event counts as
+    /// appended an hour from now, so only the event and byte bounds can
+    /// make the next append due, however slowly the test runs.
+    fn hold_deadline(log: &mut CampaignLog) {
+        log.first_pending_at = Some(Instant::now() + Duration::from_secs(3600));
+    }
+
     #[test]
     fn adaptive_commit_batches_every_event_appends() {
         let base = tmp_dir("adaptive");
         let mut log = CampaignLog::open(base.join("shard-0")).unwrap();
         log.register(C0, FlushPolicy::EveryEvent, 0);
-        log.set_adaptive(Some(AdaptiveCommit {
-            max_batch_events: 4,
-            max_batch_bytes: 1 << 20,
-            max_delay: Duration::from_secs(3600), // never trip on time here
-        }));
-        // Three appends buffer; EveryEvent no longer syncs per append.
-        for payload in [b"e1", b"e2", b"e3"] {
-            log.append_event(C0, payload).unwrap();
+        log.set_adaptive(Some(AdaptiveCommit));
+        // 63 appends buffer; EveryEvent no longer syncs per append.
+        for i in 1..ADAPTIVE_MAX_EVENTS {
+            log.append_event(C0, format!("e{i}").as_bytes()).unwrap();
+            hold_deadline(&mut log);
         }
         assert_eq!(log.stats().flushes, 0);
-        assert_eq!(log.pending_events(), 3);
+        assert_eq!(log.pending_events(), 63);
         assert_eq!(
             log.pending_strict_events(),
-            3,
+            63,
             "acks must wait for the batch"
         );
-        // The fourth trips the event bound: one fdatasync for the batch.
-        log.append_event(C0, b"e4").unwrap();
+        // The 64th trips the event bound: one fdatasync for the batch.
+        log.append_event(C0, b"e64").unwrap();
         assert_eq!(log.stats().flushes, 1);
-        assert_eq!(log.stats().flushed_events, 4);
+        assert_eq!(log.stats().flushed_events, 64);
         assert_eq!(log.pending_events(), 0);
         assert_eq!(log.pending_strict_events(), 0, "nothing pending");
-        // Byte bound trips independently of the event bound.
-        log.set_adaptive(Some(AdaptiveCommit {
-            max_batch_events: 1000,
-            max_batch_bytes: 1,
-            max_delay: Duration::from_secs(3600),
-        }));
-        log.append_event(C0, b"big enough").unwrap();
+        // The byte bound trips on its own: a 256 KiB payload behind one
+        // small buffered event.
+        log.append_event(C0, b"small").unwrap();
+        hold_deadline(&mut log);
+        assert_eq!(log.stats().flushes, 1);
+        let big = vec![7u8; ADAPTIVE_MAX_BYTES];
+        log.append_event(C0, &big).unwrap();
         assert_eq!(log.stats().flushes, 2);
+        assert_eq!(log.stats().flushed_events, 66);
         // Turning adaptive off restores strict per-append durability.
         log.set_adaptive(None);
         log.append_event(C0, b"strict").unwrap();
@@ -969,16 +964,13 @@ mod tests {
         drop(log);
         // Everything flushed is recoverable, in order.
         let rec = recover_tree(&base).unwrap();
+        let events = owned(&rec.campaigns[&C0].events);
+        assert_eq!(events.len(), 67);
+        assert_eq!(events[0], (1, b"e1".to_vec()));
+        assert_eq!(events[63], (64, b"e64".to_vec()));
         assert_eq!(
-            owned(&rec.campaigns[&C0].events),
-            vec![
-                (1, b"e1".to_vec()),
-                (2, b"e2".to_vec()),
-                (3, b"e3".to_vec()),
-                (4, b"e4".to_vec()),
-                (5, b"big enough".to_vec()),
-                (6, b"strict".to_vec()),
-            ]
+            events[64..],
+            [(65, b"small".to_vec()), (66, big), (67, b"strict".to_vec())]
         );
     }
 
@@ -987,15 +979,11 @@ mod tests {
         let base = tmp_dir("adaptive-deadline");
         let mut log = CampaignLog::open(base.join("shard-0")).unwrap();
         log.register(C0, FlushPolicy::EveryEvent, 0);
-        log.set_adaptive(Some(AdaptiveCommit {
-            max_batch_events: 1000,
-            max_batch_bytes: 1 << 20,
-            max_delay: Duration::from_millis(1),
-        }));
+        log.set_adaptive(Some(AdaptiveCommit));
         log.append_event(C0, b"first").unwrap();
         assert_eq!(log.stats().flushes, 0, "within the latency window");
         assert_eq!(log.pending_events(), 1);
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(ADAPTIVE_MAX_DELAY + Duration::from_millis(3));
         // The next append observes the expired deadline and syncs the batch.
         log.append_event(C0, b"second").unwrap();
         assert_eq!(log.stats().flushes, 1);
@@ -1067,6 +1055,9 @@ mod tests {
             assert_eq!(log.write_snapshot(C0, b"state-at-5").unwrap(), 5);
             log.prune_segments().unwrap();
             log.append_event(C0, b"e5").unwrap();
+            // The lane deletes the superseded segment off this thread; let
+            // it finish before reading the directory.
+            log.settle();
             assert!(log.segment_bytes().unwrap() > 0);
             assert_eq!(
                 log.on_disk_bytes(),

@@ -39,21 +39,6 @@ pub struct DocsConfig {
     /// walk-order/parallelism knob: truths are byte-identical for every
     /// value. `1` reproduces the paper's flat scan.
     pub task_shards: usize,
-    /// Strict budget admission: when `true`, answers arriving after the
-    /// collection budget is consumed are rejected
-    /// ([`docs_types::Error::BudgetExhausted`]) instead of absorbed. The
-    /// paper's deployment absorbs late answers (workers who raced on the
-    /// final HITs still get paid), so the default is `false`; a
-    /// cost-strict requester flips it on and the service surfaces the
-    /// refusal as a matchable `RejectReason::BudgetExhausted`.
-    ///
-    /// Within one batch, admission is per answer against the **flat cap**
-    /// (a straddling batch truncates exactly where sequential submission
-    /// would). When combined with an adaptive [`StoppingPolicy`], the
-    /// stopping condition is evaluated against the state *before* the
-    /// batch — a batch whose earlier answers would tip every task into
-    /// its stopping condition does not refuse its own tail.
-    pub strict_budget: bool,
     /// Per-campaign opt-in to the service's event-sourced durability:
     /// `Some(policy)` makes the owning shard write this campaign's events
     /// to its write-ahead log (group-committed per `policy`) so the
@@ -80,7 +65,6 @@ impl Default for DocsConfig {
             storage_dir: None,
             stopping: None,
             task_shards: 1,
-            strict_budget: false,
             durable_flush: None,
         }
     }
@@ -101,7 +85,6 @@ mod tests {
         assert!(c.storage_dir.is_none());
         assert!(c.stopping.is_none(), "uniform protocol by default");
         assert_eq!(c.task_shards, 1, "flat scan by default");
-        assert!(!c.strict_budget, "late answers absorbed by default");
         assert!(c.durable_flush.is_none(), "memory-only by default");
     }
 }

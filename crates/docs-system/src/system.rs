@@ -279,27 +279,10 @@ impl Docs {
     /// or — with an adaptive stopping policy configured — every task has
     /// satisfied its stopping condition.
     pub fn budget_exhausted(&self) -> bool {
-        self.budget_exhausted_with(0)
-    }
-
-    /// [`Docs::budget_exhausted`] as seen by the `(pending + 1)`-th answer
-    /// of one submission: the flat cap counts the `pending` answers already
-    /// admitted ahead of it (batch validation admits sequentially without
-    /// mutating state), while the adaptive-stopping condition is evaluated
-    /// against the pre-submission state.
-    ///
-    /// Scope: only the **flat cap** threads `pending` through. With an
-    /// adaptive stopping policy, a batch whose earlier answers would tip
-    /// every task into its stopping condition does not refuse the batch's
-    /// own tail — validation is pure and cannot evolve the states, so
-    /// strict per-answer admission within one batch is exact for the flat
-    /// budget and pre-state for the stopping condition (documented on
-    /// `DocsConfig::strict_budget`).
-    fn budget_exhausted_with(&self, pending: usize) -> bool {
         if self.config.answers_per_task == 0 {
             return false;
         }
-        if self.answers_collected() + pending >= self.config.answers_per_task * self.tasks().len() {
+        if self.answers_collected() >= self.config.answers_per_task * self.tasks().len() {
             return true;
         }
         if let Some(policy) = self.config.stopping {
@@ -406,16 +389,11 @@ impl Docs {
         let mut rejected = Vec::new();
         let mut seen = std::mem::take(&mut self.batch_seen);
         seen.clear();
-        let mut accepted = 0;
-        for i in 0..answers.len() {
-            let answer = answers[i];
-            // `accepted` answers of this batch are already admitted ahead
-            // of this one — the log growth a sequential submission of the
-            // same batch would have seen — so a batch straddling the flat
-            // budget cap truncates at the same answer. (The adaptive
-            // stopping condition is evaluated on pre-batch state; see
-            // `budget_exhausted_with`.)
-            let verdict = self.validate_answer_at(&answer, accepted).and_then(|()| {
+        let mut next = 0;
+        answers.retain(|&answer| {
+            let position = next;
+            next += 1;
+            let verdict = self.validate_answer(&answer).and_then(|()| {
                 // A duplicate *within* the batch is rejected exactly like
                 // a duplicate against the log: the earlier answer wins.
                 if seen.insert((answer.worker, answer.task)) {
@@ -428,31 +406,22 @@ impl Docs {
                 }
             });
             match verdict {
-                Ok(()) => {
-                    answers[accepted] = answer;
-                    accepted += 1;
+                Ok(()) => true,
+                Err(e) => {
+                    rejected.push((position, e));
+                    false
                 }
-                Err(e) => rejected.push((i, e)),
             }
-        }
-        answers.truncate(accepted);
+        });
         self.batch_seen = seen;
         rejected
     }
 
     /// Validates one answer against the current state: known task, in-range
-    /// choice, not a duplicate of a logged answer — and, on strict-budget
-    /// campaigns, that the collection budget is still open.
+    /// choice, not a duplicate of a logged answer. Answers arriving after
+    /// the collection budget is consumed are absorbed, as in the paper's
+    /// deployment (workers who raced on the final HITs still get paid).
     fn validate_answer(&self, answer: &Answer) -> Result<()> {
-        self.validate_answer_at(answer, 0)
-    }
-
-    /// [`Docs::validate_answer`] for the answer arriving after `pending`
-    /// already-admitted answers of the same submission. Duplicate
-    /// classification outranks budget admission: a client retrying after a
-    /// lost ack must see [`Error::DuplicateAnswer`] (its idempotent-success
-    /// signal), never a spurious budget error.
-    fn validate_answer_at(&self, answer: &Answer, pending: usize) -> Result<()> {
         let task = self
             .engine
             .tasks()
@@ -464,18 +433,6 @@ impl Docs {
                 task: answer.task,
                 worker: answer.worker,
             });
-        }
-        self.check_budget_admission_at(pending)?;
-        Ok(())
-    }
-
-    /// Strict-budget admission for the `(pending + 1)`-th new answer of one
-    /// submission: a closed budget refuses further answers. Pure in the
-    /// state, so the live path, the batch validation front, and crash
-    /// replay all reach the same verdict for the same answer log.
-    fn check_budget_admission_at(&self, pending: usize) -> Result<()> {
-        if self.config.strict_budget && self.budget_exhausted_with(pending) {
-            return Err(Error::BudgetExhausted);
         }
         Ok(())
     }
@@ -537,12 +494,11 @@ impl Docs {
             CampaignEvent::AnswerSubmitted(a) => self.validate_answer(&a.answer),
             CampaignEvent::AnswerBatchSubmitted(b) => {
                 // A loggable batch must apply *in full*: every answer valid
-                // against the state (budget capacity included, counted per
-                // position), no duplicates within the batch (the service
-                // pre-filters with `filter_answer_batch`, so a failure
-                // here means a mispaired or tampered log).
-                for (i, answer) in b.answers.iter().enumerate() {
-                    self.validate_answer_at(answer, i)?;
+                // against the state, no duplicates within the batch (the
+                // service pre-filters with `filter_answer_batch`, so a
+                // failure here means a mispaired or tampered log).
+                for answer in &b.answers {
+                    self.validate_answer(answer)?;
                     first_time(answer.worker, answer.task)?;
                 }
                 Ok(())
@@ -576,7 +532,7 @@ impl Docs {
 
     fn apply_answer(&mut self, answer: Answer) -> Result<()> {
         // Full validation first (the same classification order the pure
-        // front uses — duplicate outranks budget), so a rejected answer
+        // front uses), so a rejected answer
         // leaves the state untouched and carries the same error whichever
         // path refused it; the engine re-validates before mutating.
         self.validate_answer(&answer)?;
@@ -589,12 +545,6 @@ impl Docs {
         // One engine pass, then one parameter-store write per distinct
         // worker — the same final store contents as per-answer persistence.
         // The BTreeSet keeps the write order deterministic.
-        // A batch applies *in full*, so admission requires budget capacity
-        // for its last answer — the validation front truncates straddling
-        // batches to exactly this capacity.
-        if let Some(last) = answers.len().checked_sub(1) {
-            self.check_budget_admission_at(last)?;
-        }
         self.engine.submit_batch(answers)?;
         for answer in answers {
             self.seen_workers.insert(answer.worker);
@@ -868,7 +818,7 @@ mod tests {
 
     #[test]
     fn adaptive_stopping_excludes_confident_tasks() {
-        use docs_core::ti::{StoppingPolicy, StoppingRule};
+        use docs_core::ti::StoppingPolicy;
         let kb = table2_example_kb();
         let config = DocsConfig {
             num_golden: 2,
@@ -876,7 +826,8 @@ mod tests {
             answers_per_task: 10,
             z: 1, // full inference after every answer, deterministic states
             stopping: Some(StoppingPolicy {
-                rule: StoppingRule::ConfidenceAbove(0.95),
+                // H([0.95, 0.05]) ≈ 0.199 nats.
+                entropy_below: 0.2,
                 min_answers: 2,
                 max_answers: 10,
             }),
@@ -924,7 +875,7 @@ mod tests {
 
     #[test]
     fn all_tasks_stopped_exhausts_the_budget() {
-        use docs_core::ti::{StoppingPolicy, StoppingRule};
+        use docs_core::ti::StoppingPolicy;
         let kb = table2_example_kb();
         let config = DocsConfig {
             num_golden: 2,
@@ -932,7 +883,8 @@ mod tests {
             answers_per_task: 10,
             z: 1,
             stopping: Some(StoppingPolicy {
-                rule: StoppingRule::ConfidenceAbove(0.9),
+                // H([0.9, 0.1]) ≈ 0.325 nats.
+                entropy_below: 0.33,
                 min_answers: 2,
                 max_answers: 10,
             }),
@@ -964,69 +916,21 @@ mod tests {
         assert!(matches!(docs.request_tasks(WorkerId(9)), WorkRequest::Done));
     }
 
+    /// The paper's deployment absorbs answers that arrive after the budget
+    /// is consumed (workers who raced on the final HITs still get paid),
+    /// on every path: a single submission, the logged event and the batch
+    /// front.
     #[test]
-    fn strict_budget_rejects_late_answers_with_a_typed_error() {
+    fn late_answers_are_absorbed_after_the_budget() {
         let kb = table2_example_kb();
         let config = DocsConfig {
-            num_golden: 2,
-            k_per_hit: 2,
-            answers_per_task: 2,
-            z: 10,
-            strict_budget: true,
-            ..Default::default()
-        };
-        let mut docs = Docs::publish(&kb, example_tasks(2), config).unwrap();
-        // Budget = 2 tasks × 2 answers.
-        for w in 0..2u32 {
-            for t in 0..2usize {
-                docs.submit_answer(Answer {
-                    task: TaskId::from(t),
-                    worker: WorkerId(w),
-                    choice: 0,
-                })
-                .unwrap();
-            }
-        }
-        assert!(docs.budget_exhausted());
-        let late = Answer {
-            task: TaskId(0),
-            worker: WorkerId(9),
-            choice: 0,
-        };
-        assert_eq!(docs.submit_answer(late), Err(Error::BudgetExhausted));
-        assert_eq!(
-            docs.validate_event(&CampaignEvent::answer(late)),
-            Err(Error::BudgetExhausted)
-        );
-        // The batch front reports the refusal per position.
-        let (accepted, rejected) = submit_batch(&mut docs, &[late]);
-        assert_eq!(accepted, 0);
-        assert_eq!(rejected, vec![(0, Error::BudgetExhausted)]);
-        assert_eq!(docs.answers_collected(), 4, "nothing absorbed");
-        // Duplicate classification outranks budget admission: a retry of an
-        // already-accepted answer is told it's a duplicate (idempotent
-        // success), not a spurious budget error.
-        assert_eq!(
-            docs.submit_answer(Answer {
-                task: TaskId(0),
-                worker: WorkerId(0),
-                choice: 1,
-            }),
-            Err(Error::DuplicateAnswer {
-                task: TaskId(0),
-                worker: WorkerId(0),
-            })
-        );
-
-        // The paper's default still absorbs late answers.
-        let lax = DocsConfig {
             num_golden: 2,
             k_per_hit: 2,
             answers_per_task: 1,
             z: 10,
             ..Default::default()
         };
-        let mut docs = Docs::publish(&kb, example_tasks(2), lax).unwrap();
+        let mut docs = Docs::publish(&kb, example_tasks(2), config).unwrap();
         for t in 0..2usize {
             docs.submit_answer(Answer {
                 task: TaskId::from(t),
@@ -1036,68 +940,16 @@ mod tests {
             .unwrap();
         }
         assert!(docs.budget_exhausted());
-        assert!(docs.submit_answer(late).is_ok());
-    }
-
-    /// A batch straddling the budget boundary truncates at exactly the
-    /// answer a sequential submission would have refused — strict admission
-    /// is per answer, not per round-trip.
-    #[test]
-    fn strict_budget_truncates_a_straddling_batch_per_answer() {
-        let kb = table2_example_kb();
-        let config = DocsConfig {
-            num_golden: 2,
-            k_per_hit: 2,
-            answers_per_task: 2,
-            z: 10,
-            strict_budget: true,
-            ..Default::default()
+        let late = |worker: u32| Answer {
+            task: TaskId(0),
+            worker: WorkerId(worker),
+            choice: 0,
         };
-        // Budget = 2 tasks × 2 = 4; burn 3 slots, leaving room for one.
-        let mut docs = Docs::publish(&kb, example_tasks(2), config).unwrap();
-        for (w, t) in [(0u32, 0u32), (0, 1), (1, 0)] {
-            docs.submit_answer(Answer {
-                task: TaskId(t),
-                worker: WorkerId(w),
-                choice: 0,
-            })
-            .unwrap();
-        }
-        let batch = [
-            Answer {
-                task: TaskId(1),
-                worker: WorkerId(1),
-                choice: 1,
-            }, // fills the last slot
-            Answer {
-                task: TaskId(0),
-                worker: WorkerId(2),
-                choice: 0,
-            }, // over budget
-            Answer {
-                task: TaskId(1),
-                worker: WorkerId(2),
-                choice: 1,
-            }, // over budget
-        ];
-        // The full-batch event can no longer apply in full…
-        assert_eq!(
-            docs.validate_event(&CampaignEvent::answer_batch(batch.to_vec())),
-            Err(Error::BudgetExhausted)
-        );
-        // …and the validation front truncates it per position.
-        let (accepted, rejected) = submit_batch(&mut docs, &batch);
-        assert_eq!(accepted, 1);
-        assert_eq!(
-            rejected,
-            vec![(1, Error::BudgetExhausted), (2, Error::BudgetExhausted)]
-        );
-        assert_eq!(
-            docs.answers_collected(),
-            4,
-            "exactly the budget, no overshoot"
-        );
-        assert!(docs.budget_exhausted());
+        assert_eq!(docs.validate_event(&CampaignEvent::answer(late(8))), Ok(()));
+        assert!(docs.submit_answer(late(9)).is_ok());
+        let (accepted, rejected) = submit_batch(&mut docs, &[late(10), late(11)]);
+        assert_eq!((accepted, rejected), (2, vec![]));
+        assert_eq!(docs.answers_collected(), 5);
     }
 
     #[test]
@@ -1467,11 +1319,11 @@ mod tests {
     /// `StoppingPolicy::should_stop` on the first request.
     #[test]
     fn publish_and_restore_refuse_a_stopping_policy_whose_minimum_exceeds_its_cap() {
-        use docs_core::ti::{StoppingPolicy, StoppingRule};
+        use docs_core::ti::StoppingPolicy;
         let kb = table2_example_kb();
         let inverted = DocsConfig {
             stopping: Some(StoppingPolicy {
-                rule: StoppingRule::EntropyBelow(0.1),
+                entropy_below: 0.1,
                 min_answers: 5,
                 max_answers: 3,
             }),

@@ -51,10 +51,6 @@ pub enum Error {
     /// A golden submission targeted a task outside the golden set — only
     /// manually labeled golden tasks can grade a new worker (Section 5.2).
     GoldenRequired(crate::TaskId),
-    /// The campaign's collection budget is already consumed; surfaced by
-    /// strict-admission campaigns that refuse late answers instead of
-    /// absorbing them.
-    BudgetExhausted,
     /// A task was built with fewer than two choices.
     TooFewChoices(usize),
     /// An empty structure was supplied where at least one element is needed.
@@ -92,7 +88,6 @@ impl fmt::Display for Error {
                     "task {t} is not a golden task (no manual label to grade against)"
                 )
             }
-            Error::BudgetExhausted => write!(f, "collection budget exhausted"),
             Error::TooFewChoices(l) => {
                 write!(f, "tasks need at least 2 choices, got {l}")
             }

@@ -43,9 +43,6 @@ pub enum RejectReason {
     /// A golden submission targeted a task outside the golden set — only
     /// manually labeled golden tasks can grade a new worker.
     GoldenRequired(TaskId),
-    /// The campaign's collection budget is consumed and the campaign runs
-    /// with strict admission (late answers refused, not absorbed).
-    BudgetExhausted,
     /// A campaign's config names a flush policy but the service was
     /// spawned without a durability directory; its owning shard refused it.
     DurabilityUnavailable {
@@ -116,7 +113,6 @@ impl fmt::Display for RejectReason {
                     "task {t} is not a golden task (no manual label to grade against)"
                 )
             }
-            RejectReason::BudgetExhausted => write!(f, "collection budget exhausted"),
             RejectReason::DurabilityUnavailable { campaign } => write!(
                 f,
                 "campaign {campaign} requests durability but the service was \
@@ -168,7 +164,6 @@ impl From<Error> for RejectReason {
                 num_choices,
             },
             Error::GoldenRequired(t) => RejectReason::GoldenRequired(t),
-            Error::BudgetExhausted => RejectReason::BudgetExhausted,
             Error::Storage(msg) => RejectReason::Storage(msg),
             other => RejectReason::Invalid(other.to_string()),
         }
@@ -204,7 +199,6 @@ mod tests {
                 },
                 "choice 4 out of range for task with 2 choices",
             ),
-            (RejectReason::BudgetExhausted, "collection budget exhausted"),
             (
                 RejectReason::DurabilityUnavailable {
                     campaign: CampaignId(5),
@@ -266,10 +260,6 @@ mod tests {
             RejectReason::from(Error::UnknownTask(TaskId(2))),
             RejectReason::UnknownTask(TaskId(2))
         );
-        assert_eq!(
-            RejectReason::from(Error::BudgetExhausted),
-            RejectReason::BudgetExhausted
-        );
         // Variants without a structural twin keep their exact message.
         let e = Error::TooFewChoices(1);
         assert_eq!(RejectReason::from(e.clone()).to_string(), e.to_string());
@@ -290,7 +280,6 @@ mod tests {
                 num_choices: 2,
             },
             Error::GoldenRequired(TaskId(4)),
-            Error::BudgetExhausted,
             Error::Storage("disk on fire".into()),
             Error::TooFewChoices(1),
             Error::Empty("task set"),

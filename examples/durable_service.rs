@@ -52,7 +52,7 @@ fn measure(dir: &Path, flush: Option<FlushPolicy>, label: &str) -> f64 {
                 dir: dir.join(label),
                 default_flush: FlushPolicy::Batch(64),
                 snapshot_every: 4096,
-                adaptive: Some(AdaptiveCommit::default()),
+                adaptive: Some(AdaptiveCommit),
             }),
             ..Default::default()
         },

@@ -43,7 +43,7 @@ fn durable_node(shards: usize, dir: &Path, node: NodeId) -> ServiceConfig {
             dir: dir.to_path_buf(),
             default_flush: FlushPolicy::EveryEvent,
             snapshot_every: 6,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }

@@ -16,7 +16,7 @@
 //! point that decodes a snapshot. Snapshot record bytes and JSON text are
 //! also pinned by hash.
 
-use docs_core::ti::{StoppingPolicy, StoppingRule, WorkerStats};
+use docs_core::ti::{StoppingPolicy, WorkerStats};
 use docs_replication::{decode_frame, encode_frame};
 use docs_service::{Client, DocsService, ServiceConfig};
 use docs_storage::FlushPolicy;
@@ -240,7 +240,7 @@ fn publish(choices: usize, options: bool) -> Docs {
         z: 5,
         task_shards: if options { 2 } else { 1 },
         stopping: options.then_some(StoppingPolicy {
-            rule: StoppingRule::EntropyBelow(0.2),
+            entropy_below: 0.2,
             min_answers: 2,
             max_answers: 4,
         }),
@@ -308,10 +308,10 @@ fn snapshot_and_json_bytes_are_pinned() {
     assert_eq!(
         actual,
         [
-            (0xc4f0_a109_4ebc_b514, 4969), // ℓ = 5, options: snapshot record
-            (0x77c3_09c0_071a_c1ed, 6932), // ℓ = 5, options: snapshot JSON
-            (0xa862_e7f0_d078_a30f, 3892), // ℓ = 2: snapshot record
-            (0x8a39_b05d_190f_0d24, 4629), // ℓ = 2: snapshot JSON
+            (0x1068_0da3_2a16_4686, 4948), // ℓ = 5, options: snapshot record
+            (0x081e_faf6_489c_be8c, 6902), // ℓ = 5, options: snapshot JSON
+            (0x8bff_744a_664b_40d2, 3877), // ℓ = 2: snapshot record
+            (0xe1c0_0068_d8c9_2690, 4607), // ℓ = 2: snapshot JSON
             (0xeeb3_7cfd_b228_ebe6, 250),  // registry()[0] as JSON
         ]
     );

@@ -2,8 +2,8 @@
 
 use docs_core::dve::{domain_vector, domain_vector_enumeration};
 use docs_core::golden::{allocation_objective, golden_counts};
-use docs_core::ota::{answer_probabilities, benefit, BudgetPlanner};
-use docs_core::ti::{StoppingPolicy, StoppingRule, TaskArena, WorkerStats};
+use docs_core::ota::{answer_probabilities, benefit};
+use docs_core::ti::{StoppingPolicy, TaskArena, WorkerStats};
 use docs_kb::{ConceptId, IndicatorVector, LinkedEntity};
 use docs_types::{prob, DomainVector, WorkerId};
 use proptest::prelude::*;
@@ -122,8 +122,8 @@ proptest! {
         prop_assert!(obj >= -1e-12, "KL divergence is non-negative: {obj}");
     }
 
-    /// Stopping policies respect their answer-count guards for any rule
-    /// parameters and any task state.
+    /// Stopping policies respect their answer-count guards for any entropy
+    /// bound and any task state.
     #[test]
     fn stopping_policy_guards_hold(
         eps in 0.0f64..1.0,
@@ -133,7 +133,7 @@ proptest! {
     ) {
         let max_answers = min_answers + extra;
         let policy = StoppingPolicy {
-            rule: StoppingRule::EntropyBelow(eps),
+            entropy_below: eps,
             min_answers,
             max_answers,
         };
@@ -149,31 +149,6 @@ proptest! {
         }
         // At max: always stop.
         prop_assert!(policy.should_stop(st, max_answers));
-    }
-
-    /// The budget planner never overspends, never exceeds per-task caps,
-    /// and its per-task caps are consistent with the collected counts.
-    #[test]
-    fn budget_planner_invariants(
-        n in 1usize..12,
-        budget in 0usize..40,
-        cap in 0usize..8,
-        quality in 0.55f64..0.95
-    ) {
-        let m = 3;
-        let rs: Vec<DomainVector> = (0..n).map(|i| DomainVector::one_hot(m, i % m)).collect();
-        let states = TaskArena::new(m, rs.iter().map(|r| (r, 2)));
-        let collected: Vec<usize> = (0..n).map(|i| i % 4).collect();
-        let plan = BudgetPlanner::new(budget, cap).plan(&states, &collected, &[quality; 3]);
-        prop_assert!(plan.spent() <= budget);
-        for (i, &e) in plan.extra_answers.iter().enumerate() {
-            prop_assert!(e <= cap);
-            prop_assert_eq!(
-                plan.cap_for(docs_types::TaskId::from(i)),
-                collected[i] + e
-            );
-        }
-        prop_assert_eq!(plan.total(), plan.spent() + collected.iter().sum::<usize>());
     }
 
     /// Worker registry quality values stay in [0, 1] under arbitrary

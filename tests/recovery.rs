@@ -56,7 +56,7 @@ fn service_config(
             dir: dir.to_path_buf(),
             default_flush: policy,
             snapshot_every,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }

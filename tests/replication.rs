@@ -53,7 +53,7 @@ fn primary_config(
             dir: dir.to_path_buf(),
             default_flush: policy,
             snapshot_every,
-            adaptive: Some(AdaptiveCommit::default()),
+            adaptive: Some(AdaptiveCommit),
         }),
         ..Default::default()
     }

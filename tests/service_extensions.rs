@@ -1,9 +1,8 @@
 //! Integration tests spanning the extension crates: the concurrent service
-//! front-end, the budget-aware planner, and adaptive stopping — wired
-//! through the same datasets and crowd simulator as the paper experiments.
+//! front-end and adaptive stopping — wired through the same datasets and
+//! crowd simulator as the paper experiments.
 
-use docs_core::ota::BudgetPlanner;
-use docs_core::ti::{IncrementalTi, StoppingPolicy, StoppingRule, WorkerRegistry};
+use docs_core::ti::{IncrementalTi, StoppingPolicy, WorkerRegistry};
 use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_on, run_campaign};
 use docs_service::{Client, DocsService, Op, OpKind, ServiceConfig};
@@ -78,68 +77,6 @@ fn concurrent_campaign_through_the_service_matches_protocol() {
 }
 
 #[test]
-fn budget_planner_puts_extra_answers_on_hard_tasks() {
-    // Collect 4 answers per task, then ask the planner to spend a small
-    // top-up budget; it must prefer the tasks whose truth is still
-    // ambiguous over tasks with unanimous answers.
-    let mut dataset = docs_datasets::item();
-    dataset.run_dve_default();
-    let m = dataset.domain_set.len();
-    let n = dataset.len();
-    let pop = population(m, 40, 0x21);
-    let mut rng = SmallRng::seed_from_u64(0x22);
-    let mut engine = IncrementalTi::new(dataset.tasks.clone(), WorkerRegistry::new(m, 0.7), 0);
-    for _ in 0..4 {
-        for i in 0..n {
-            let tid = TaskId::from(i);
-            let w = loop {
-                let w = WorkerId::from(rng.gen_range(0..pop.len()));
-                if !engine.log().has_answered(w, tid) {
-                    break w;
-                }
-            };
-            let choice =
-                pop.worker(w)
-                    .answer(&dataset.tasks[i], AnswerModel::DomainUniform, &mut rng);
-            engine.submit(Answer::new(w, tid, choice)).unwrap();
-        }
-    }
-    engine.run_full();
-
-    let collected: Vec<usize> = (0..n)
-        .map(|i| engine.log().answer_count(TaskId::from(i)))
-        .collect();
-    let budget = n; // one extra answer per task on average
-    let plan = BudgetPlanner::new(budget, 6).plan(engine.states(), &collected, &vec![0.75; m]);
-    assert!(plan.spent() <= budget);
-    assert!(plan.spent() > 0);
-
-    // Tasks split by current ambiguity: the planner's mean allocation on the
-    // most uncertain quartile must exceed the mean on the most confident
-    // quartile.
-    let mut by_entropy: Vec<(f64, usize)> = engine
-        .states()
-        .iter()
-        .enumerate()
-        .map(|(i, st)| (docs_types::prob::entropy(st.s()), i))
-        .collect();
-    by_entropy.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-    let quartile = n / 4;
-    let mean_extra = |idx: &[(f64, usize)]| {
-        idx.iter()
-            .map(|&(_, i)| plan.extra_answers[i] as f64)
-            .sum::<f64>()
-            / idx.len() as f64
-    };
-    let uncertain = mean_extra(&by_entropy[..quartile]);
-    let confident = mean_extra(&by_entropy[n - quartile..]);
-    assert!(
-        uncertain > confident,
-        "uncertain quartile {uncertain:.2} vs confident quartile {confident:.2}"
-    );
-}
-
-#[test]
 fn full_system_campaign_with_stopping_policy_ends_early() {
     // The same campaign through the *deployed* Docs loop (run_campaign),
     // once with the paper's uniform protocol and once with the adaptive
@@ -162,7 +99,7 @@ fn full_system_campaign_with_stopping_policy_ends_early() {
         &pop,
         DocsConfig {
             stopping: Some(StoppingPolicy {
-                rule: StoppingRule::EntropyBelow(0.06),
+                entropy_below: 0.06,
                 min_answers: 3,
                 max_answers: 6,
             }),
@@ -220,7 +157,7 @@ fn a_stopping_policy_campaign_is_pinned() {
         answers_per_task: 10,
         z: 50,
         stopping: Some(StoppingPolicy {
-            rule: StoppingRule::EntropyBelow(0.06),
+            entropy_below: 0.06,
             min_answers: 5,
             max_answers: 10,
         }),
@@ -242,7 +179,7 @@ fn adaptive_stopping_saves_budget_without_collapse() {
     let n = dataset.len();
     let pop = population(m, 50, 0x31);
     let policy = StoppingPolicy {
-        rule: StoppingRule::EntropyBelow(0.06),
+        entropy_below: 0.06,
         min_answers: 4,
         max_answers: 8,
     };

@@ -6,9 +6,7 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_blocking_on, drive_workers_on, DriveReport};
-use docs_service::{
-    Client, DocsService, Op, RejectReason, ServiceConfig, ServiceError, TicketWait,
-};
+use docs_service::{Client, DocsService, Op, ServiceConfig, TicketWait};
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, Task, TaskBuilder, TaskId, WorkerId};
 use std::sync::Arc;
@@ -165,11 +163,11 @@ fn bounded_ingress_backpressure_loses_no_answers() {
     service.join_all();
 }
 
-/// Typed rejections over the wire: a strict-budget campaign refuses late
-/// answers with `RejectReason::BudgetExhausted`, matchable at the client —
-/// and the per-answer batch outcome carries the same taxonomy.
+/// Answers that arrive after the budget is consumed are absorbed end to
+/// end, as in the paper's deployment: a single submission and a batch
+/// through the service both land.
 #[test]
-fn strict_budget_rejection_is_matchable_at_the_client() {
+fn late_answers_are_absorbed_at_the_client() {
     let kb = docs_kb::table2_example_kb();
     let tasks: Vec<Task> = (0..2)
         .map(|i| {
@@ -189,7 +187,6 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
             k_per_hit: 2,
             answers_per_task: 1,
             z: 10,
-            strict_budget: true,
             ..Default::default()
         },
     )
@@ -201,19 +198,19 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
             .call(Op::submit_answer(c, Answer::new(WorkerId(0), TaskId(t), 0)))
             .unwrap();
     }
-    // Budget (2 × 1) consumed: the straggler is refused, with the reason.
-    let err = handle
+    // Budget (2 × 1) consumed: the stragglers still land.
+    assert!(handle.call(Op::status(c)).unwrap().budget_exhausted);
+    handle
         .call(Op::submit_answer(c, Answer::new(WorkerId(1), TaskId(0), 1)))
-        .unwrap_err();
-    assert_eq!(err, ServiceError::Rejected(RejectReason::BudgetExhausted));
+        .unwrap();
     let outcome = handle
         .call(Op::submit_answer_batch(
             c,
             vec![Answer::new(WorkerId(1), TaskId(1), 1)],
         ))
         .unwrap();
-    assert_eq!(outcome.accepted, 0);
-    assert_eq!(outcome.rejected, vec![(0, RejectReason::BudgetExhausted)]);
+    assert_eq!((outcome.accepted, outcome.rejected), (1, vec![]));
+    assert_eq!(handle.call(Op::status(c)).unwrap().answers_collected, 4);
     drop(handle);
     service.join_all();
 }
