@@ -532,9 +532,9 @@ impl Docs {
 
     fn apply_answer(&mut self, answer: Answer) -> Result<()> {
         // Full validation first (the same classification order the pure
-        // front uses), so a rejected answer
-        // leaves the state untouched and carries the same error whichever
-        // path refused it; the engine re-validates before mutating.
+        // front uses), so a rejected answer leaves the state untouched and
+        // carries the same error whichever path refused it; the engine
+        // re-validates before mutating.
         self.validate_answer(&answer)?;
         self.engine.submit(answer)?;
         self.seen_workers.insert(answer.worker);
