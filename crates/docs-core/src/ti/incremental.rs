@@ -7,8 +7,17 @@
 //! `O(|support| · ℓ + m · |V(i)|)`, so it keeps up with high-velocity
 //! answer streams; the full iterative approach is re-run every `z`
 //! submissions (`z = 100` in DOCS) to restore full accuracy.
+//!
+//! Both are owed, not paid, when an answer is recorded: the run starts from
+//! the uniform prior and reads only the tasks, the log prefix and the
+//! golden registry, so a run, and every update before it, is dead work if
+//! a later run comes before anything reads the inference. An answer is
+//! recorded at once (log, ingestion counter, registry entry,
+//! `submissions`); a `z`-crossing marks a run owed and drops what it
+//! supersedes; [`IncrementalTi::materialize`] pays what is owed, and every
+//! `&self` reader of the inference asserts that nothing is.
 
-use super::iterative::{with_workspace, TiConfig, TruthInference};
+use super::iterative::{with_workspace, LogPrefix, TiConfig, TruthInference};
 use super::sharded::ShardedTiState;
 use super::state::{TaskArena, TaskView};
 use super::stats::WorkerRegistry;
@@ -56,6 +65,18 @@ pub struct TiSnapshot {
     pub epsilon: f64,
 }
 
+/// Full runs of the iterative approach an engine executed, and owed runs it
+/// dropped because a later run superseded them, since it was built or the
+/// counts were last taken ([`IncrementalTi::take_run_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Runs executed: periodic ones when paid, and direct
+    /// [`IncrementalTi::run_full`] calls.
+    pub executed: u64,
+    /// Owed runs dropped unrun.
+    pub superseded: u64,
+}
+
 /// Online inference engine maintaining per-task state and worker statistics
 /// across a stream of answer submissions.
 #[derive(Debug, Clone)]
@@ -77,11 +98,21 @@ pub struct IncrementalTi {
     /// ingestion is recorded against the owning shard, and the OTA scan
     /// partitions its candidate walk along the same mapping.
     sharding: ShardedTiState,
-    /// Scratch of [`IncrementalTi::submit`]: the task's truth before the
+    /// Scratch of the incremental update: the task's truth before the
     /// answer is applied.
     s_before: Vec<f64>,
     /// The Δ series of the latest full run, refilled in place.
     deltas: Vec<f64>,
+    /// Whether a full run is owed, over the log without `pending`.
+    owed: bool,
+    /// Answers recorded since the inference was last current (or since the
+    /// owed run's crossing), in arrival order, whose incremental update is
+    /// owed. A crossing empties it, so it is reserved once, at `z` answers
+    /// or the task count if that is smaller (a restored `z` is outside
+    /// input and must not size an allocation alone). Working state: a
+    /// snapshot is taken with nothing owed.
+    pending: Vec<Answer>,
+    runs: RunCounts,
 }
 
 impl IncrementalTi {
@@ -95,6 +126,7 @@ impl IncrementalTi {
         let states = TaskArena::for_tasks(registry.num_domains(), &tasks);
         let log = AnswerLog::new(tasks.len());
         let sharding = ShardedTiState::new(tasks.len(), 1);
+        let pending = Vec::with_capacity(z.min(tasks.len()));
         IncrementalTi {
             golden_registry: registry.clone(),
             registry,
@@ -107,6 +139,9 @@ impl IncrementalTi {
             sharding,
             s_before: Vec::new(),
             deltas: Vec::new(),
+            owed: false,
+            pending,
+            runs: RunCounts::default(),
         }
     }
 
@@ -132,17 +167,38 @@ impl IncrementalTi {
 
     /// Current per-task inference states.
     pub fn states(&self) -> &TaskArena {
+        self.assert_current();
         &self.states
     }
 
     /// State of one task.
     pub fn state(&self, task: TaskId) -> TaskView<'_> {
+        self.assert_current();
         self.states.view(task.index())
     }
 
     /// Live worker statistics.
     pub fn registry(&self) -> &WorkerRegistry {
+        self.assert_current();
         &self.registry
+    }
+
+    /// Workers with statistics in the registry. Recording an answer adds
+    /// its worker's entry at once, so this count is exact with work owed.
+    pub fn known_workers(&self) -> usize {
+        self.registry.len()
+    }
+
+    /// Panics when a run or an incremental update is owed: a reader that
+    /// missed [`IncrementalTi::materialize`] fails here instead of serving
+    /// stale inference.
+    fn assert_current(&self) {
+        assert!(
+            !self.owed && self.pending.is_empty(),
+            "inference read with a full run owed ({}) and {} answers pending; materialize first",
+            self.owed,
+            self.pending.len()
+        );
     }
 
     /// The answer log accumulated so far.
@@ -156,6 +212,7 @@ impl IncrementalTi {
     /// ignores the last): the trailing `()` only keeps that arity and goes
     /// when benchmark v2 moves to the accessors (ROADMAP item 1(a)).
     pub fn assign_view(&self) -> (&[Task], &TaskArena, &AnswerLog, &ShardedTiState, ()) {
+        self.assert_current();
         (&self.tasks, &self.states, &self.log, &self.sharding, ())
     }
 
@@ -174,6 +231,7 @@ impl IncrementalTi {
         task_info: impl Fn(TaskId) -> (D, ChoiceIndex),
         smoothing: f64,
     ) {
+        self.materialize();
         let stats = self
             .registry
             .graded_on_golden(golden_answers, task_info, smoothing);
@@ -203,6 +261,9 @@ impl IncrementalTi {
                 return Err(Error::DuplicateAnswer { task: tid, worker });
             }
         }
+        // The grading writes both registries, which an owed run or update
+        // reads: pay them first.
+        self.materialize();
         let tasks = &self.tasks;
         let task_info = |tid: TaskId| {
             let task = &tasks[tid.index()];
@@ -217,19 +278,89 @@ impl IncrementalTi {
         Ok(())
     }
 
-    /// Processes one answer submission with the O(m·|V(i)|) update policy.
-    /// Returns `true` when the periodic full inference ran afterwards.
+    /// Processes one answer submission with the O(m·|V(i)|) update policy:
+    /// [`IncrementalTi::record`], then [`IncrementalTi::materialize`], so
+    /// the inference is current on return. Returns `true` when the answer
+    /// crossed `z` and the periodic full inference ran.
     pub fn submit(&mut self, answer: Answer) -> Result<bool> {
+        let crossed = self.record(answer)?;
+        self.materialize();
+        Ok(crossed)
+    }
+
+    /// Processes a batch of answers, strictly in order through
+    /// [`IncrementalTi::record`], then materializes once (so the
+    /// z-periodic full inference covers exactly the same log prefixes as
+    /// individual submissions — replaying a logged batch is byte-identical
+    /// to having served it live). The first rejected answer aborts the
+    /// batch with its error; the already-recorded prefix stays applied.
+    /// Callers that must not see a partial batch validate every answer
+    /// first (the durable service does).
+    pub fn submit_batch(&mut self, answers: &[Answer]) -> Result<()> {
+        let recorded = answers.iter().try_for_each(|&a| self.record(a).map(drop));
+        self.materialize();
+        recorded
+    }
+
+    /// Records one answer and owes its inference: the log, the owning
+    /// shard's ingestion counter, the worker's registry entry and
+    /// `submissions` change at once; the incremental update waits in the
+    /// pending queue. An answer that crosses `z` instead marks the full
+    /// run owed and drops the run owed before it and every pending update,
+    /// since the new run overwrites every state and every registry entry
+    /// they touch. Returns whether the answer crossed `z`.
+    pub fn record(&mut self, answer: Answer) -> Result<bool> {
         let i = answer.task.index();
         if i >= self.tasks.len() {
             return Err(docs_types::Error::UnknownTask(answer.task));
         }
         self.tasks[i].check_choice(answer.choice)?;
         self.log.record(answer)?;
-
-        // Sharded ingestion: only the owning shard's state is touched below.
+        // Sharded ingestion: only the owning shard's state is touched.
         self.sharding.record_ingest(answer.task);
+        self.registry.get_or_insert(answer.worker);
+        self.submissions += 1;
+        if self.z > 0 && self.submissions.is_multiple_of(self.z) {
+            self.supersede();
+            self.owed = true;
+            return Ok(true);
+        }
+        self.pending.push(answer);
+        Ok(false)
+    }
 
+    /// Pays what is owed: the full run over the log as it stood at its
+    /// crossing, then each pending answer's incremental update against the
+    /// co-answerers it saw, in arrival order — the states an engine that
+    /// paid at every answer would hold.
+    pub fn materialize(&mut self) {
+        if self.owed {
+            self.owed = false;
+            self.converge();
+        }
+        let pending = std::mem::take(&mut self.pending);
+        for &answer in &pending {
+            self.update(answer);
+        }
+        self.pending = pending;
+        self.pending.clear();
+    }
+
+    /// Drops the owed run and every pending update, for a run about to
+    /// replace them.
+    fn supersede(&mut self) {
+        if self.owed {
+            self.owed = false;
+            self.runs.superseded += 1;
+        }
+        self.pending.clear();
+    }
+
+    /// The incremental update of one recorded answer (Section 4.2): the
+    /// task's `M̂`, `M` and `s`, then the submitter's and every earlier
+    /// answerer's quality.
+    fn update(&mut self, answer: Answer) {
+        let i = answer.task.index();
         // The pre-update truth s̃_i, for revising the earlier answerers.
         self.s_before.clear();
         self.s_before.extend_from_slice(self.states.view(i).s());
@@ -243,63 +374,51 @@ impl IncrementalTi {
         // Step 2 (incremental), over the task's support only: the submitting
         // worker absorbs the new task…
         submitter.absorb_answer(support, s_after[answer.choice]);
-        // …and every earlier answerer's quality is revised for the moved
-        // truth probability of their recorded choice.
-        let (_, prior) = self
-            .log
-            .task_answers(answer.task)
-            .split_last()
-            .expect("the answer was just recorded");
-        for &(w_prev, j) in prior {
+        // …and every answerer before it in `V(i)` has their quality revised
+        // for the moved truth probability of their recorded choice.
+        let answered = self.log.task_answers(answer.task);
+        let at = answered
+            .iter()
+            .position(|&(w, _)| w == answer.worker)
+            .expect("the answer is recorded");
+        for &(w_prev, j) in &answered[..at] {
             self.registry.get_or_insert(w_prev).revise_answer(
                 support,
                 self.s_before[j],
                 s_after[j],
             );
         }
-
-        self.submissions += 1;
-        if self.z > 0 && self.submissions.is_multiple_of(self.z) {
-            self.run_full();
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Processes a batch of answers, strictly in order through
-    /// [`IncrementalTi::submit`] (so the z-periodic full inference fires at
-    /// exactly the same points as individual submissions — replaying a
-    /// logged batch is byte-identical to having served it live). The first
-    /// rejected answer aborts the batch with its error; the already-applied
-    /// prefix stays applied. Callers that must not see a partial batch
-    /// validate every answer first (the durable service does).
-    pub fn submit_batch(&mut self, answers: &[Answer]) -> Result<()> {
-        for &answer in answers {
-            self.submit(answer)?;
-        }
-        Ok(())
     }
 
     /// Runs the full iterative approach over everything received so far,
-    /// converging into the engine's own states. Each answering worker's
-    /// live statistics are overwritten in place with the converged quality
-    /// — which already blends the golden/prior evidence — and the run's
-    /// Eq. 5 denominator `û_k + Σ_{t∈T(w)} r^t_k` as the weight, keeping
-    /// Theorem 1's bookkeeping exact. The run's index and scratch are this
-    /// thread's full-inference workspace, shared by every engine the thread
-    /// runs, so a run no larger than one the thread has done allocates
-    /// nothing.
+    /// converging into the engine's own states; an owed run and every
+    /// pending update are dropped, as this run supersedes them. Each
+    /// answering worker's live statistics are overwritten in place with the
+    /// converged quality — which already blends the golden/prior evidence —
+    /// and the run's Eq. 5 denominator `û_k + Σ_{t∈T(w)} r^t_k` as the
+    /// weight, keeping Theorem 1's bookkeeping exact. The run's index and
+    /// scratch are this thread's full-inference workspace, shared by every
+    /// engine the thread runs, so a run no larger than one the thread has
+    /// done allocates nothing.
     ///
     /// Read the results back through [`IncrementalTi::states`],
     /// [`IncrementalTi::truths`] and [`IncrementalTi::registry`]; what is
     /// returned is the per-iteration Δ series of the run.
     pub fn run_full(&mut self) -> &[f64] {
+        self.supersede();
+        self.converge();
+        &self.deltas
+    }
+
+    /// The full run over the log less the pending queue, into the engine's
+    /// states and live registry.
+    fn converge(&mut self) {
         let m = self.registry.num_domains();
         with_workspace(|ws| {
             let run = self.ti.converge(
                 ws,
                 &self.tasks,
-                &self.log,
+                LogPrefix::before(&self.log, &self.pending),
                 &self.golden_registry,
                 &mut self.states,
                 &mut self.deltas,
@@ -314,11 +433,17 @@ impl IncrementalTi {
                     .copy_from_slice(&run.weights[w * m..(w + 1) * m]);
             }
         });
-        &self.deltas
+        self.runs.executed += 1;
+    }
+
+    /// The run counts since the last call, reset to zero.
+    pub fn take_run_counts(&mut self) -> RunCounts {
+        std::mem::take(&mut self.runs)
     }
 
     /// Captures the engine's full state for the durable runtime.
     pub fn snapshot(&self) -> TiSnapshot {
+        self.assert_current();
         let config = self.ti.config();
         TiSnapshot {
             tasks: self.tasks.clone(),
@@ -480,11 +605,15 @@ impl IncrementalTi {
             }),
             s_before: Vec::new(),
             deltas: Vec::new(),
+            owed: false,
+            pending: Vec::with_capacity(snapshot.z.min(num_tasks)),
+            runs: RunCounts::default(),
         })
     }
 
     /// Inferred truths under the current (incremental) states.
     pub fn truths(&self) -> Vec<ChoiceIndex> {
+        self.assert_current();
         self.states.truths()
     }
 }
@@ -494,6 +623,7 @@ impl IncrementalTi {
 /// state, so a durable snapshot costs no copy of the engine.
 impl Serialize for IncrementalTi {
     fn encode<S: Sink + ?Sized>(&self, sink: &mut S) {
+        self.assert_current();
         let config = self.ti.config();
         sink.map(12);
         sink.key("tasks");
@@ -769,6 +899,78 @@ mod tests {
         for (w, stats) in one_by_one.registry().iter() {
             assert_eq!(stats, batched.registry().get(w).unwrap());
         }
+    }
+
+    /// Recording a stream and paying what it owes at any points computes
+    /// what submitting it answer by answer computes, bit for bit: with
+    /// `z = 4` the reads land before, on and after the crossings at the
+    /// 4th and 8th answers, with empty and non-empty pending queues.
+    #[test]
+    fn owed_inference_paid_at_any_point_matches_submission() {
+        use docs_types::codec;
+        let stream = [
+            ans(0, 0, 0),
+            ans(1, 1, 1),
+            ans(0, 1, 0),
+            ans(2, 0, 1),
+            ans(1, 0, 1),
+            ans(3, 2, 0),
+            ans(0, 2, 1),
+            ans(4, 1, 0),
+            ans(5, 0, 1),
+            ans(2, 2, 0),
+            ans(4, 0, 1),
+        ];
+        let engine = || IncrementalTi::new(make_tasks(6, 2), WorkerRegistry::new(2, 0.7), 4);
+        let mut eager = engine();
+        let every: Vec<Vec<u8>> = stream
+            .iter()
+            .map(|&a| {
+                eager.submit(a).unwrap();
+                codec::to_bytes(&eager)
+            })
+            .collect();
+        for read_every in [1, 2, 3, 5, 11] {
+            let mut lazy = engine();
+            for (i, &a) in stream.iter().enumerate() {
+                lazy.record(a).unwrap();
+                if (i + 1) % read_every == 0 {
+                    lazy.materialize();
+                    assert_eq!(codec::to_bytes(&lazy), every[i], "read after {i}");
+                }
+            }
+        }
+    }
+
+    /// A crossing drops the run owed before it, and `run_full` drops what
+    /// is owed; each dropped run counts as superseded, each run paid or
+    /// called as executed.
+    #[test]
+    fn a_later_run_supersedes_the_owed_one() {
+        let mut inc = IncrementalTi::new(make_tasks(6, 2), WorkerRegistry::new(2, 0.7), 2);
+        for t in 0..5 {
+            assert_eq!(inc.record(ans(t, 0, 0)).unwrap(), t % 2 == 1);
+        }
+        let runs = inc.take_run_counts();
+        assert_eq!((runs.executed, runs.superseded), (0, 1));
+        inc.materialize();
+        inc.materialize();
+        assert_eq!(inc.take_run_counts().executed, 1, "paid once");
+        inc.record(ans(5, 0, 0)).unwrap();
+        inc.run_full();
+        let runs = inc.take_run_counts();
+        assert_eq!((runs.executed, runs.superseded), (1, 1));
+    }
+
+    /// A reader of the inference with work owed panics instead of serving
+    /// the stale state; the counters it need not pay for stay readable.
+    #[test]
+    #[should_panic(expected = "materialize first")]
+    fn reading_owed_inference_panics() {
+        let mut inc = IncrementalTi::new(make_tasks(2, 2), WorkerRegistry::new(2, 0.7), 0);
+        inc.record(ans(0, 0, 0)).unwrap();
+        assert_eq!((inc.submissions(), inc.known_workers()), (1, 1));
+        inc.truths();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use super::state::{clamp_quality, miss_likelihood, TaskArena};
 use super::stats::WorkerRegistry;
-use docs_types::{AnswerLog, ChoiceIndex, Task, WorkerId};
+use docs_types::{Answer, AnswerLog, ChoiceIndex, Task, WorkerId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -101,7 +101,8 @@ impl TruthInference {
         let mut states = TaskArena::for_tasks(m, tasks);
         let mut deltas = Vec::new();
         let mut ws = Workspace::default();
-        let run = self.converge(&mut ws, tasks, answers, registry, &mut states, &mut deltas);
+        let log = LogPrefix::whole(answers);
+        let run = self.converge(&mut ws, tasks, log, registry, &mut states, &mut deltas);
         let qualities = run
             .workers
             .iter()
@@ -116,11 +117,11 @@ impl TruthInference {
         }
     }
 
-    /// The iterative approach, converged into `states`: every task restarts
-    /// from the uniform prior (so Δ is measured against it, whatever the
-    /// arena held), then Steps 1 and 2 alternate until Δ < ε. `deltas` is
-    /// refilled with Δ after each iteration; the per-worker results are
-    /// returned borrowed from `ws`.
+    /// The iterative approach over the answers of `answers`, converged into
+    /// `states`: every task restarts from the uniform prior (so Δ is
+    /// measured against it, whatever the arena held), then Steps 1 and 2
+    /// alternate until Δ < ε. `deltas` is refilled with Δ after each
+    /// iteration; the per-worker results are returned borrowed from `ws`.
     ///
     /// The loop is support-sparse and allocation-free (see "Inference
     /// kernels" in ARCHITECTURE.md): `s_i = r × M^{(i)}` reads only the rows
@@ -134,7 +135,7 @@ impl TruthInference {
         &self,
         ws: &'w mut Workspace,
         tasks: &[Task],
-        answers: &AnswerLog,
+        answers: LogPrefix<'_>,
         registry: &WorkerRegistry,
         arena: &mut TaskArena,
         deltas: &mut Vec<f64>,
@@ -144,9 +145,10 @@ impl TruthInference {
         // would be reloaded on every task (measured ~10 % of Steps 1–2).
         let mut owned = std::mem::take(arena);
         let states = &mut owned;
+        let LogPrefix { log, tail } = answers;
         assert_eq!(
             tasks.len(),
-            answers.num_tasks(),
+            log.num_tasks(),
             "answer log and task set disagree on n"
         );
         debug_assert_eq!(states.len(), tasks.len());
@@ -165,11 +167,26 @@ impl TruthInference {
             num,
         } = ws;
 
+        // Each tail answer is the last of its row so far, in `V(i)` and in
+        // `T(w)` alike, so the prefix cuts each row's tail answers off its
+        // end (a scan of the short tail per row: no buffer).
+        let v_of = |t: &Task| {
+            let v = log.task_answers(t.id);
+            &v[..v.len() - tail.iter().filter(|a| a.task == t.id).count()]
+        };
+        let t_of = |w: WorkerId| {
+            let answered = log.worker_answers(w);
+            &answered[..answered.len() - tail.iter().filter(|a| a.worker == w).count()]
+        };
         // Dense worker index in sorted id order (see `AnswerLog::workers`):
         // Step 2 accumulates `delta_q` over workers, and the accumulation
         // order must not depend on hash-map layout or convergence becomes
-        // process-random.
-        answers.workers_into(worker_ids);
+        // process-random. A worker whose answers are all in the tail is not
+        // in the prefix.
+        log.workers_into(worker_ids);
+        if !tail.is_empty() {
+            worker_ids.retain(|&w| !t_of(w).is_empty());
+        }
         let num_workers = worker_ids.len();
         let wm = num_workers * m;
         let dense = |w: WorkerId| {
@@ -180,11 +197,10 @@ impl TruthInference {
 
         // `V(i)`, in the log's arrival order.
         votes.fill(
-            answers.len(),
-            tasks.iter().map(|t| {
-                let v = answers.task_answers(t.id);
-                v.iter().map(|&(w, choice)| (dense(w), choice))
-            }),
+            log.len() - tail.len(),
+            tasks
+                .iter()
+                .map(|t| v_of(t).iter().map(|&(w, choice)| (dense(w), choice))),
         );
         // Step 2's join `T(w) ⋈ supp(i)`, which no iteration changes: per
         // worker, in `T(w)`'s arrival order, one credit `(k, r_k, at)` per
@@ -193,13 +209,12 @@ impl TruthInference {
         let num_credits = tasks
             .iter()
             .zip(states.iter())
-            .map(|(t, st)| answers.answer_count(t.id) * st.support().len())
+            .map(|(t, st)| v_of(t).len() * st.support().len())
             .sum();
         credits.fill(
             num_credits,
             worker_ids.iter().map(|&w| {
-                let t = answers.worker_answers(w);
-                t.iter().flat_map(|&(tid, choice)| {
+                t_of(w).iter().flat_map(|&(tid, choice)| {
                     let (support, at) = states.credit_of(tid.index(), choice);
                     support.iter().map(move |&(k, rk)| (k, rk, at))
                 })
@@ -315,6 +330,29 @@ impl TruthInference {
             qualities,
             weights: den,
         }
+    }
+}
+
+/// The answer log as it stood before its last `tail.len()` answers: what a
+/// run owed at an earlier crossing reads once more answers have arrived.
+/// The log is append-only, so the prefix is every row cut to its length
+/// at the crossing; nothing is copied or allocated.
+#[derive(Clone, Copy)]
+pub(super) struct LogPrefix<'a> {
+    log: &'a AnswerLog,
+    /// The answers recorded after the prefix, in arrival order.
+    tail: &'a [Answer],
+}
+
+impl<'a> LogPrefix<'a> {
+    /// Every answer of `log`.
+    pub(super) fn whole(log: &'a AnswerLog) -> Self {
+        LogPrefix { log, tail: &[] }
+    }
+
+    /// `log` without `tail`, its latest answers in arrival order.
+    pub(super) fn before(log: &'a AnswerLog, tail: &'a [Answer]) -> Self {
+        LogPrefix { log, tail }
     }
 }
 

@@ -31,7 +31,7 @@ mod state;
 mod stats;
 mod stopping;
 
-pub use incremental::{IncrementalTi, TiSnapshot};
+pub use incremental::{IncrementalTi, RunCounts, TiSnapshot};
 pub use iterative::{TiConfig, TiResult, TruthInference};
 pub use sharded::ShardedTiState;
 pub(crate) use state::miss_likelihood;

@@ -424,7 +424,7 @@ mod tests {
     }
 
     /// A one-shard follower holding `campaigns` at sequence 0.
-    fn follower(docs: &Docs, campaigns: &[CampaignId]) -> (DocsService, ServiceHandle) {
+    fn follower(docs: &mut Docs, campaigns: &[CampaignId]) -> (DocsService, ServiceHandle) {
         let (service, handle) = DocsService::spawn_empty(ServiceConfig::follower(1)).unwrap();
         for &campaign in campaigns {
             handle
@@ -457,8 +457,8 @@ mod tests {
 
     #[test]
     fn a_frame_straddling_the_bootstrap_overlap_applies_only_its_new_suffix() {
-        let docs = campaign();
-        let (service, handle) = follower(&docs, &[A]);
+        let mut docs = campaign();
+        let (service, handle) = follower(&mut docs, &[A]);
         let acked = table(&[A]);
         let bootstrap = events(&docs, &[(A, 1), (A, 2), (A, 3)]);
         apply_bootstrap(&handle, &acked, &bootstrap, None).unwrap();
@@ -475,8 +475,8 @@ mod tests {
 
     #[test]
     fn runs_of_one_campaign_inside_a_frame_apply_in_sequence() {
-        let docs = campaign();
-        let (service, handle) = follower(&docs, &[A, B]);
+        let mut docs = campaign();
+        let (service, handle) = follower(&mut docs, &[A, B]);
         let acked = table(&[A, B]);
         let before = applied(&handle);
         let frame = events(&docs, &[(A, 1), (B, 1), (A, 2), (A, 3), (B, 2)]);
@@ -492,8 +492,8 @@ mod tests {
 
     #[test]
     fn a_mid_frame_gap_refuses_the_whole_frame() {
-        let docs = campaign();
-        let (service, handle) = follower(&docs, &[A, B]);
+        let mut docs = campaign();
+        let (service, handle) = follower(&mut docs, &[A, B]);
         let acked = table(&[A, B]);
         let before = applied(&handle);
         for gapped in [
@@ -510,8 +510,8 @@ mod tests {
 
     #[test]
     fn a_batch_the_follower_refuses_advances_no_watermark() {
-        let docs = campaign();
-        let (service, handle) = follower(&docs, &[A]);
+        let mut docs = campaign();
+        let (service, handle) = follower(&mut docs, &[A]);
         let acked = table(&[A]);
         let mut frame = events(&docs, &[(A, 1), (A, 2)]);
         let ReplicationFrame::Events(tagged) = &mut frame else {
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn a_primary_refuses_a_batch_naming_any_campaign_outside_its_intake() {
-        let docs = campaign();
+        let mut docs = campaign();
         let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
         handle.prepare_migration_in(A, NodeId(1)).unwrap();
         handle

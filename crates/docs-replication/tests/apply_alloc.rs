@@ -112,7 +112,7 @@ fn decoding_a_frame_allocates_the_same_for_one_event_and_for_eight() {
 
 #[test]
 fn an_eight_event_frame_is_one_replicated_request_on_a_one_shard_follower() {
-    let docs = campaign();
+    let mut docs = campaign();
     let (feed, stream) = unbounded();
     let hub = ReplicationHub::spawn(stream);
     let snapshot = ReplicationFrame::Snapshot(SnapshotFrame {

@@ -241,6 +241,8 @@ struct ShardCounters {
     last_flush_nanos: AtomicU64,
     max_flush_nanos: AtomicU64,
     log_bytes: AtomicU64,
+    ti_full_runs: AtomicU64,
+    ti_full_runs_superseded: AtomicU64,
 }
 
 /// Snapshot of one shard's counters.
@@ -275,6 +277,11 @@ pub struct ShardStats {
     pub max_flush: Duration,
     /// Bytes across the shard's on-disk log segments.
     pub log_bytes: u64,
+    /// Full truth-inference runs the shard's campaigns executed.
+    pub ti_full_runs: u64,
+    /// Owed full runs the shard's campaigns dropped unrun, because a later
+    /// run replaced them before anything read the inference.
+    pub ti_full_runs_superseded: u64,
 }
 
 /// Trace sampling state: `every == 0` disables tracing; `every == n`
@@ -385,6 +392,10 @@ family_table! {
             "Group-commit flushes performed by the shard's log.";
         "docs_shard_log_bytes", Gauge, |s| s.log_bytes,
             "Bytes across the shard's on-disk log segments.";
+        "docs_shard_ti_full_runs_total", Counter, |s| s.ti_full_runs,
+            "Full truth-inference runs executed by the shard's campaigns.";
+        "docs_shard_ti_full_runs_superseded_total", Counter, |s| s.ti_full_runs_superseded,
+            "Owed full runs dropped unrun because a later run replaced them.";
     }
 }
 
@@ -638,6 +649,15 @@ impl ServiceMetrics {
         c.log_bytes.store(log_bytes, Ordering::Relaxed);
     }
 
+    /// Adds to a shard's full-inference counts: runs its campaigns
+    /// executed, and owed runs they dropped unrun.
+    pub fn shard_full_runs(&self, shard: usize, executed: u64, superseded: u64) {
+        let c = &self.shards[shard];
+        c.ti_full_runs.fetch_add(executed, Ordering::Relaxed);
+        c.ti_full_runs_superseded
+            .fetch_add(superseded, Ordering::Relaxed);
+    }
+
     // ---- hub health ----------------------------------------------------
 
     /// Publishes the replication hub's health (called by the hub pump, so
@@ -721,6 +741,8 @@ impl ServiceMetrics {
             last_flush: Duration::from_nanos(c.last_flush_nanos.load(Ordering::Relaxed)),
             max_flush: Duration::from_nanos(c.max_flush_nanos.load(Ordering::Relaxed)),
             log_bytes: c.log_bytes.load(Ordering::Relaxed),
+            ti_full_runs: c.ti_full_runs.load(Ordering::Relaxed),
+            ti_full_runs_superseded: c.ti_full_runs_superseded.load(Ordering::Relaxed),
         }
     }
 

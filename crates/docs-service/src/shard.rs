@@ -100,7 +100,7 @@ struct ShardDurability {
 impl ShardDurability {
     /// Writes a campaign's baseline snapshot and returns once it is on
     /// disk — for callers that must not serve the campaign before then.
-    fn write_baseline(&mut self, campaign: CampaignId, docs: &Docs) -> docs_types::Result<()> {
+    fn write_baseline(&mut self, campaign: CampaignId, docs: &mut Docs) -> docs_types::Result<()> {
         let bytes = docs.snapshot_bytes();
         let seq = self.log.write_snapshot(campaign, &bytes)?;
         self.snapshotted_at.insert(campaign, seq);
@@ -196,7 +196,8 @@ impl ShardDurability {
     /// campaigns keep their existing snapshot — it already covers every
     /// event they have, so pruning stays safe without re-serializing idle
     /// state. Whatever the outcome, the next cycle waits a full cadence.
-    fn snapshot_cycle(&mut self, live: &BTreeMap<CampaignId, Docs>) -> docs_types::Result<()> {
+    /// Encoding a campaign pays its owed inference.
+    fn snapshot_cycle(&mut self, live: &mut BTreeMap<CampaignId, Docs>) -> docs_types::Result<()> {
         self.events_since_snapshot = 0;
         for (campaign, seq) in self.log.take_failed_snapshots() {
             if self.snapshotted_at.get(&campaign) == Some(&seq) {
@@ -206,7 +207,7 @@ impl ShardDurability {
         self.log.flush()?;
         for &campaign in &self.persisted {
             let seq = self.log.last_seq(campaign);
-            let Some(docs) = live.get(&campaign) else {
+            let Some(docs) = live.get_mut(&campaign) else {
                 continue;
             };
             if self.snapshotted_at.get(&campaign) == Some(&seq) {
@@ -256,6 +257,15 @@ fn journal_failure(
     metrics
         .journal()
         .error(kind, format!("shard {shard}: {what} failed: {e}"));
+}
+
+/// Publishes the full-inference runs `docs` executed and superseded since
+/// the last call, into `shard`'s counters.
+fn count_runs(metrics: &ServiceMetrics, shard: usize, docs: &mut Docs) {
+    let runs = docs.take_run_counts();
+    if runs.executed + runs.superseded > 0 {
+        metrics.shard_full_runs(shard, runs.executed, runs.superseded);
+    }
 }
 
 /// The metrics bucket each request kind lands in.
@@ -391,7 +401,8 @@ impl Shard {
         }
     }
 
-    /// Ends the shard and hands back its campaigns. A crashed shard drops
+    /// Ends the shard and hands back its campaigns, their owed inference
+    /// paid. A crashed shard drops
     /// its unflushed group-commit buffer and the frames queued behind it —
     /// a dead process ships nothing either — and its withheld completions
     /// unsent: a dead process never acknowledged them, and the events they
@@ -411,6 +422,10 @@ impl Shard {
                 d.observe(self.index, &self.metrics);
                 self.release_deferred();
             }
+        }
+        for docs in self.campaigns.values_mut() {
+            docs.materialize();
+            count_runs(&self.metrics, self.index, docs);
         }
         self.campaigns
     }
@@ -457,11 +472,14 @@ impl Shard {
             // the write lane. A failure keeps serving; the log grows until
             // a cycle succeeds.
             if d.snapshot_every > 0 && d.events_since_snapshot >= d.snapshot_every {
-                if let Err(e) = d.snapshot_cycle(&self.campaigns) {
+                if let Err(e) = d.snapshot_cycle(&mut self.campaigns) {
                     let kind = JournalKind::SnapshotFailure;
                     journal_failure(&self.metrics, self.index, kind, "snapshot cycle", &e);
                 }
                 d.observe(self.index, &self.metrics);
+                for docs in self.campaigns.values_mut() {
+                    count_runs(&self.metrics, self.index, docs);
+                }
             }
             // A final report leaves the directory settled: the lane has
             // landed every snapshot and deletion queued so far.
@@ -642,7 +660,11 @@ impl Shard {
         f: impl FnOnce(&mut Docs) -> Response,
     ) -> Response {
         match self.campaigns.get_mut(&campaign) {
-            Some(docs) => f(docs),
+            Some(docs) => {
+                let response = f(docs);
+                count_runs(&self.metrics, self.index, docs);
+                response
+            }
             None => Response::Rejected(RejectReason::UnknownCampaign(campaign)),
         }
     }
@@ -657,7 +679,7 @@ impl Shard {
     fn register(
         &mut self,
         campaign: CampaignId,
-        docs: Docs,
+        mut docs: Docs,
         policy: Option<FlushPolicy>,
         joining: Joining,
     ) -> Result<(), RejectReason> {
@@ -674,7 +696,7 @@ impl Shard {
                 Joining::At(seq) => seq,
             };
             d.log.register(campaign, policy, seq);
-            d.write_baseline(campaign, &docs)?;
+            d.write_baseline(campaign, &mut docs)?;
             if matches!(joining, Joining::New) {
                 let published = PublishedEvent {
                     campaign,
@@ -686,6 +708,7 @@ impl Shard {
             }
             d.persisted.insert(campaign);
         }
+        count_runs(&self.metrics, self.index, &mut docs);
         self.campaigns.insert(campaign, docs);
         Ok(())
     }
@@ -745,10 +768,12 @@ impl Shard {
             d.events_since_snapshot += 1;
             d.observe(self.index, &self.metrics);
         }
-        match docs.apply(&event) {
+        let response = match docs.apply(&event) {
             Ok(()) => success(docs),
             Err(e) => Response::Rejected(e.into()),
-        }
+        };
+        count_runs(&self.metrics, self.index, docs);
+        response
     }
 
     /// Validates and applies one answer batch: the request's own vector is

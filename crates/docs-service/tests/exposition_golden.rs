@@ -1,9 +1,10 @@
 //! Golden bytes for the metrics exposition.
 //!
 //! One fixture populates every family `ServiceMetrics` renders — op
-//! latencies on three shards, the queue / ticket / busy / log gauges, each
-//! service counter at a distinct value, every pipeline stage, a hub with
-//! two followers (one name needing escapes) and two journal kinds — and the
+//! latencies on three shards, the queue / ticket / busy / log gauges and
+//! full-inference run counts, each service counter at a distinct value,
+//! every pipeline stage, a hub with two followers (one name needing
+//! escapes) and two journal kinds — and the
 //! Prometheus text, the JSON snapshot, the typed views and the empty pool's
 //! exposition must match the committed files byte for byte. The expected
 //! files were generated once and are never edited by a refactor of the
@@ -69,6 +70,10 @@ fn populated() -> ServiceMetrics {
         Duration::from_micros(80),
         512,
     );
+    // Full-inference runs executed and superseded; shard 2 ran none.
+    m.shard_full_runs(0, 5, 2);
+    m.shard_full_runs(1, 1, 9);
+    m.shard_full_runs(0, 3, 0);
     // Each service counter at a distinct value.
     for (counter, n) in [
         (Counter::EventsReplayed, 11),

@@ -13,7 +13,7 @@ use crate::DocsConfig;
 use docs_core::dve;
 use docs_core::golden::select_golden_tasks;
 use docs_core::ota::{Assigner, AssignerConfig, ScanScratch};
-use docs_core::ti::{IncrementalTi, TiSnapshot, WorkerRegistry, WorkerStats};
+use docs_core::ti::{IncrementalTi, RunCounts, TiSnapshot, WorkerRegistry, WorkerStats};
 use docs_kb::{EntityLinker, KnowledgeBase};
 use docs_storage::ParamStore;
 use docs_types::{
@@ -59,7 +59,8 @@ pub struct RequesterReport {
 }
 
 /// A campaign's observable serving state — the read-path summary a
-/// follower replica can answer locally (no mutation, no inference run).
+/// follower replica can answer locally (no mutation, no inference run, no
+/// owed inference paid).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignStatus {
     /// Published tasks.
@@ -124,7 +125,9 @@ impl Serialize for LiveSnapshot<'_> {
 /// Refuses a configuration the request path cannot serve: OTA assigns
 /// `k_per_hit` tasks per request and needs at least one, DVE links each
 /// mention to its top `linker.top_c` candidates and needs at least one, and
-/// a stopping policy must not demand more answers than it caps a task at.
+/// a stopping policy must not demand more answers than it caps a task at,
+/// nor cap a task above the flat `answers_per_task` budget (when that is
+/// on), which stops assigning the task first.
 fn check_config(config: &DocsConfig) -> Result<()> {
     if config.k_per_hit == 0 {
         return Err(Error::Storage(
@@ -141,6 +144,13 @@ fn check_config(config: &DocsConfig) -> Result<()> {
             return Err(Error::Storage(format!(
                 "config field `stopping`: min_answers {} exceeds max_answers {}",
                 policy.min_answers, policy.max_answers
+            )));
+        }
+        if config.answers_per_task != 0 && policy.max_answers > config.answers_per_task {
+            return Err(Error::Storage(format!(
+                "config field `stopping`: max_answers {} exceeds answers_per_task {}, \
+                 which caps every task first",
+                policy.max_answers, config.answers_per_task
             )));
         }
     }
@@ -240,9 +250,26 @@ impl Docs {
         &self.golden_ids
     }
 
-    /// The inference engine (read access for experiment harnesses).
+    /// The inference engine (read access for experiment harnesses). Its
+    /// inference readers assert that nothing is owed: call
+    /// [`Docs::materialize`] after applying events.
     pub fn engine(&self) -> &IncrementalTi {
         &self.engine
+    }
+
+    /// Pays the inference the applied events owe (the periodic full run,
+    /// the pending incremental updates), so that `&self` readers of it —
+    /// [`Docs::snapshot`], [`Docs::engine`]'s — see it current.
+    /// [`Docs::request_tasks`], [`Docs::report`] and
+    /// [`Docs::snapshot_bytes`] call it themselves.
+    pub fn materialize(&mut self) {
+        self.engine.materialize();
+    }
+
+    /// Full inference runs executed and owed runs superseded since the
+    /// last call, reset to zero.
+    pub fn take_run_counts(&mut self) -> RunCounts {
+        self.engine.take_run_counts()
     }
 
     /// Answers ingested per task shard (length = `task_shards`): the
@@ -262,14 +289,15 @@ impl Docs {
 
     /// The campaign's observable serving state — a pure read over the live
     /// state, cheap enough for status polling and safe to serve from a
-    /// follower replica (nothing is mutated, no inference runs).
+    /// follower replica (nothing is mutated, no inference runs, and owed
+    /// inference stays owed: only counters are read).
     pub fn status(&self) -> CampaignStatus {
         CampaignStatus {
             tasks: self.tasks().len(),
             golden: self.golden_ids.len(),
             answers_collected: self.answers_collected(),
             seen_workers: self.seen_workers.len(),
-            known_workers: self.engine.registry().len(),
+            known_workers: self.engine.known_workers(),
             budget_exhausted: self.budget_exhausted(),
             shard_ingestion: self.shard_ingestion(),
         }
@@ -277,7 +305,8 @@ impl Docs {
 
     /// Whether the collection budget is consumed: the flat budget is spent,
     /// or — with an adaptive stopping policy configured — every task has
-    /// satisfied its stopping condition.
+    /// satisfied its stopping condition (a campaign with a policy pays its
+    /// inference at every event, so this read finds nothing owed).
     pub fn budget_exhausted(&self) -> bool {
         if self.config.answers_per_task == 0 {
             return false;
@@ -306,6 +335,7 @@ impl Docs {
         if self.budget_exhausted() {
             return WorkRequest::Done;
         }
+        self.engine.materialize();
         let known = self.seen_workers.contains(&worker) || self.engine.registry().contains(worker);
         if !known {
             return WorkRequest::Golden(self.golden_ids.clone());
@@ -510,8 +540,15 @@ impl Docs {
     /// machine. Replaying a logged event sequence over a restored snapshot
     /// reproduces the live state exactly — the transition reads no clock, no
     /// randomness, and no iteration order of unordered containers.
+    ///
+    /// An answer's inference is owed, not paid (see
+    /// [`IncrementalTi::record`]): the next read pays it. A campaign whose
+    /// apply path itself reads the inference stays eager — one with a
+    /// parameter store writes each answering worker's statistics, and one
+    /// with a stopping policy reads the states in every
+    /// [`Docs::budget_exhausted`].
     pub fn apply(&mut self, event: &CampaignEvent) -> Result<()> {
-        match event {
+        let applied = match event {
             // `Published` marks the birth of the log; the state it describes
             // is the snapshot it rides with, so applying it is a no-op.
             CampaignEvent::Published(_) => Ok(()),
@@ -519,7 +556,11 @@ impl Docs {
             CampaignEvent::AnswerSubmitted(a) => self.apply_answer(a.answer),
             CampaignEvent::AnswerBatchSubmitted(b) => self.apply_answer_batch(&b.answers),
             CampaignEvent::Finished(_) => self.apply_finished(),
+        };
+        if self.config.stopping.is_some() {
+            self.engine.materialize();
         }
+        applied
     }
 
     fn apply_golden(&mut self, worker: WorkerId, answers: &[(TaskId, ChoiceIndex)]) -> Result<()> {
@@ -536,7 +577,7 @@ impl Docs {
         // carries the same error whichever path refused it; the engine
         // re-validates before mutating.
         self.validate_answer(&answer)?;
-        self.engine.submit(answer)?;
+        self.engine.record(answer)?;
         self.seen_workers.insert(answer.worker);
         self.persist_worker(answer.worker)
     }
@@ -545,7 +586,9 @@ impl Docs {
         // One engine pass, then one parameter-store write per distinct
         // worker — the same final store contents as per-answer persistence.
         // The BTreeSet keeps the write order deterministic.
-        self.engine.submit_batch(answers)?;
+        for &answer in answers {
+            self.engine.record(answer)?;
+        }
         for answer in answers {
             self.seen_workers.insert(answer.worker);
         }
@@ -564,7 +607,7 @@ impl Docs {
     /// updated since — then compacts the store.
     fn apply_finished(&mut self) -> Result<()> {
         self.engine.run_full();
-        if let Some(store) = &self.store {
+        if let Some(store) = self.store.clone() {
             for worker in self.sorted_seen_workers() {
                 self.persist_worker(worker)?;
             }
@@ -573,12 +616,13 @@ impl Docs {
         Ok(())
     }
 
-    /// The requester report under the current state — a pure read. The
-    /// report after [`CampaignEvent::Finished`] depends only on the tasks,
-    /// the answer log, and the golden registry (the full inference
-    /// recomputes everything from them), so a recovered campaign that
-    /// reaches the same log reports byte-identical truths.
-    pub fn report(&self) -> RequesterReport {
+    /// The requester report under the current state, once the owed
+    /// inference is paid. The report after [`CampaignEvent::Finished`]
+    /// depends only on the tasks, the answer log, and the golden registry
+    /// (the full inference recomputes everything from them), so a recovered
+    /// campaign that reaches the same log reports byte-identical truths.
+    pub fn report(&mut self) -> RequesterReport {
+        self.engine.materialize();
         RequesterReport {
             truth_distributions: self
                 .engine
@@ -591,7 +635,8 @@ impl Docs {
         }
     }
 
-    /// Captures the campaign's full state for the durable runtime.
+    /// Captures the campaign's full state. Panics with inference owed: call
+    /// [`Docs::materialize`] first, or take [`Docs::snapshot_bytes`].
     pub fn snapshot(&self) -> CampaignSnapshot {
         CampaignSnapshot {
             engine: self.engine.snapshot(),
@@ -601,11 +646,12 @@ impl Docs {
         }
     }
 
-    /// The campaign's snapshot record: the bytes of
-    /// `codec::to_bytes(&self.snapshot())`, streamed from the live state
-    /// without copying it into a [`CampaignSnapshot`] first. This is what
-    /// the durable service writes and ships.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
+    /// The campaign's snapshot record, once the owed inference is paid: the
+    /// bytes of `codec::to_bytes(&self.snapshot())`, streamed from the live
+    /// state without copying it into a [`CampaignSnapshot`] first. This is
+    /// what the durable service writes and ships.
+    pub fn snapshot_bytes(&mut self) -> Vec<u8> {
+        self.engine.materialize();
         codec::to_bytes(&LiveSnapshot {
             docs: self,
             seen_workers: self.sorted_seen_workers(),
@@ -696,7 +742,13 @@ impl Docs {
         Ok((docs, stats))
     }
 
-    fn persist_worker(&self, worker: WorkerId) -> Result<()> {
+    /// Writes the worker's live statistics to the parameter store, if the
+    /// campaign has one — a read of the inference, so it is paid first.
+    fn persist_worker(&mut self, worker: WorkerId) -> Result<()> {
+        if self.store.is_none() {
+            return Ok(());
+        }
+        self.engine.materialize();
         if let (Some(store), Some(stats)) = (&self.store, self.engine.registry().get(worker)) {
             store.put_worker(worker, stats)?;
         }
@@ -1160,8 +1212,8 @@ mod tests {
         // Snapshot → record → restore: every probability must round-trip
         // exactly, and the restored machine must serve identically. The
         // record streamed from the live campaign is the copy's, byte for byte.
-        let bytes = codec::to_bytes(&docs.snapshot());
-        assert_eq!(docs.snapshot_bytes(), bytes);
+        let bytes = docs.snapshot_bytes();
+        assert_eq!(codec::to_bytes(&docs.snapshot()), bytes);
         let mut restored = Docs::restore(codec::from_bytes(&bytes).unwrap()).unwrap();
         assert_eq!(restored.answers_collected(), docs.answers_collected());
         assert_eq!(restored.golden_ids(), docs.golden_ids());
@@ -1340,6 +1392,36 @@ mod tests {
         assert!(err.to_string().contains("`stopping`"), "{err}");
     }
 
+    /// A stopping cap above the flat per-task budget is never reached (OTA
+    /// stops assigning a task at `answers_per_task`), so publish and restore
+    /// refuse it; with the flat budget off (0), or at the budget, it stands.
+    #[test]
+    fn publish_and_restore_refuse_a_stopping_cap_above_the_flat_budget() {
+        use docs_core::ti::StoppingPolicy;
+        let kb = table2_example_kb();
+        let capped = |answers_per_task, max_answers| DocsConfig {
+            answers_per_task,
+            stopping: Some(StoppingPolicy {
+                entropy_below: 0.1,
+                min_answers: 2,
+                max_answers,
+            }),
+            ..small_config()
+        };
+        let err = Docs::publish(&kb, example_tasks(6), capped(3, 4)).unwrap_err();
+        assert!(err.to_string().contains("`stopping`"), "{err}");
+        assert!(err.to_string().contains("answers_per_task 3"), "{err}");
+        for (flat, cap) in [(3, 3), (0, 4)] {
+            assert!(Docs::publish(&kb, example_tasks(6), capped(flat, cap)).is_ok());
+        }
+        let mut snapshot = Docs::publish(&kb, example_tasks(6), small_config())
+            .unwrap()
+            .snapshot();
+        snapshot.config = capped(3, 4);
+        let err = restore_through_codec(&snapshot).unwrap_err();
+        assert!(err.to_string().contains("`stopping`"), "{err}");
+    }
+
     /// `linker.top_c == 0` used to pass `check_config` and panic in
     /// `EntityLinker::new` during publish.
     #[test]
@@ -1420,7 +1502,7 @@ mod tests {
         .unwrap();
         let reference = live.finish().unwrap();
 
-        let (docs, stats) = Docs::replay(CampaignId(3), &snapshot, &payloads).unwrap();
+        let (mut docs, stats) = Docs::replay(CampaignId(3), &snapshot, &payloads).unwrap();
         assert_eq!(stats.applied, 3);
         assert_eq!(stats.rejected, 1, "duplicate answer skipped");
         let replayed = docs.report();

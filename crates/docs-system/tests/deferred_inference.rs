@@ -187,3 +187,21 @@ const EVENTS: usize = 141;
 const EVERY_EVENT: u64 = 15641427822566852179;
 const FINAL: u64 = 17353757929496845228;
 const SPARSE_READS: usize = 17;
+
+/// Replayed with no read in between, as a follower replays its primary's
+/// log, the campaign executes one full run, `Finished`'s: each of the nine
+/// `z`-crossings only owes a run, and the next crossing (or `Finished`)
+/// drops it unrun. A synchronous engine runs all ten. Reading afterwards
+/// runs nothing more, and reads what the every-event replay read.
+#[test]
+fn a_campaign_nobody_reads_runs_full_inference_once() {
+    let events = recorded_events();
+    let mut docs = publish();
+    for e in &events {
+        docs.apply(e).unwrap();
+    }
+    let runs = docs.take_run_counts();
+    assert_eq!((runs.executed, runs.superseded), (1, 9));
+    assert_eq!(read(&mut docs), FINAL);
+    assert_eq!(docs.take_run_counts(), Default::default());
+}

@@ -347,18 +347,18 @@ fn entry_points_agree(record: &[u8], follower: &docs_service::ServiceHandle, id:
         decodes_agree::<CampaignSnapshot>(record),
         "codec::from_bytes"
     );
-    let oracle = tree::from_bytes::<CampaignSnapshot>(record)
+    let mut oracle = tree::from_bytes::<CampaignSnapshot>(record)
         .map_err(|e| e.to_string())
         .and_then(|s| Docs::restore(s).map_err(|e| e.to_string()));
-    let replayed = Docs::replay(CampaignId(id), record, &[] as &[Vec<u8>]);
+    let mut replayed = Docs::replay(CampaignId(id), record, &[] as &[Vec<u8>]);
     assert_eq!(replayed.is_ok(), oracle.is_ok(), "Docs::replay");
-    if let (Ok((docs, _)), Ok(expected)) = (&replayed, &oracle) {
+    if let (Ok((docs, _)), Ok(expected)) = (&mut replayed, &mut oracle) {
         assert_eq!(docs.snapshot_bytes(), expected.snapshot_bytes());
     }
     let installed = follower.replicate_install_snapshot(CampaignId(id), 1, record.to_vec());
     assert_eq!(installed.is_ok(), oracle.is_ok(), "install_snapshot");
     let state = follower.call(docs_service::Op::snapshot_state(CampaignId(id)));
-    if let Ok(expected) = &oracle {
+    if let Ok(expected) = &mut oracle {
         assert_eq!(state.unwrap(), expected.snapshot_bytes(), "installed state");
     }
 }
@@ -384,7 +384,7 @@ proptest! {
         prop_assert_eq!(&bytes, &codec::to_bytes(&docs.snapshot()));
         let streamed = codec::from_bytes::<CampaignSnapshot>(&bytes).expect("own snapshot");
         prop_assert_eq!(&tree::to_bytes(&streamed), &bytes);
-        let restored = Docs::restore(streamed).expect("own snapshot restores");
+        let mut restored = Docs::restore(streamed).expect("own snapshot restores");
         prop_assert_eq!(restored.snapshot_bytes(), bytes);
     }
 

@@ -291,6 +291,39 @@ fn frames_mixing_campaigns_replicate_byte_identically_at_any_follower_shard_coun
             );
         }
     }
+    // Nothing read a follower's campaigns before those snapshots: a
+    // `z`-crossing's run is owed until the next crossing drops it, so
+    // every crossing's run is either executed or superseded, and most
+    // were superseded. The exposition carries both per shard.
+    let z = publish(1, None).config().z;
+    let crossings: usize = campaigns
+        .iter()
+        .map(|&c| {
+            let status = handle.call(docs_service::Op::status(c)).unwrap();
+            status.answers_collected / z
+        })
+        .sum();
+    for replica in &replicas {
+        let metrics = replica.handle().metrics();
+        let shards = metrics.all_shards();
+        let executed: u64 = shards.iter().map(|s| s.ti_full_runs).sum();
+        let superseded: u64 = shards.iter().map(|s| s.ti_full_runs_superseded).sum();
+        assert_eq!(executed + superseded, crossings as u64);
+        assert!(
+            superseded > executed,
+            "{executed} runs, {superseded} superseded"
+        );
+        let text = metrics.render_prometheus();
+        for family in [
+            "docs_shard_ti_full_runs_total",
+            "docs_shard_ti_full_runs_superseded_total",
+        ] {
+            assert!(
+                text.contains(&format!("{family}{{shard=\"0\"}}")),
+                "{family}"
+            );
+        }
+    }
 
     for replica in replicas {
         let (replica_service, replica_handle) = replica.detach();
