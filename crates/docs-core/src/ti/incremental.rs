@@ -962,6 +962,31 @@ mod tests {
         assert_eq!((runs.executed, runs.superseded), (1, 1));
     }
 
+    /// Golden grading writes both registries, which an owed run and the
+    /// pending updates read, so it pays them first: grading a worker who
+    /// already answered, with a run owed and an update pending, leaves the
+    /// engine that paid at every answer's bytes.
+    #[test]
+    fn golden_grading_pays_what_is_owed_first() {
+        use docs_types::codec;
+        let engine = || IncrementalTi::new(make_tasks(4, 2), WorkerRegistry::new(2, 0.7), 2);
+        let stream = [ans(0, 0, 0), ans(1, 0, 1), ans(2, 0, 0)];
+        let golden = [(TaskId(1), 1), (TaskId(3), 0)];
+        let mut eager = engine();
+        let mut lazy = engine();
+        for a in stream {
+            eager.submit(a).unwrap();
+            lazy.record(a).unwrap();
+        }
+        eager
+            .grade_worker_on_golden(WorkerId(0), &golden, 1.0)
+            .unwrap();
+        lazy.grade_worker_on_golden(WorkerId(0), &golden, 1.0)
+            .unwrap();
+        lazy.materialize();
+        assert_eq!(codec::to_bytes(&lazy), codec::to_bytes(&eager));
+    }
+
     /// A reader of the inference with work owed panics instead of serving
     /// the stale state; the counters it need not pay for stay readable.
     #[test]
