@@ -117,11 +117,12 @@ impl TruthInference {
         }
     }
 
-    /// The iterative approach over the answers of `answers`, converged into
-    /// `states`: every task restarts from the uniform prior (so Δ is
-    /// measured against it, whatever the arena held), then Steps 1 and 2
-    /// alternate until Δ < ε. `deltas` is refilled with Δ after each
-    /// iteration; the per-worker results are returned borrowed from `ws`.
+    /// The iterative approach over `answers` (a whole log, or a log less
+    /// its latest answers), converged into `states`: every task restarts
+    /// from the uniform prior (so Δ is measured against it, whatever the
+    /// arena held), then Steps 1 and 2 alternate until Δ < ε. `deltas` is
+    /// refilled with Δ after each iteration; the per-worker results are
+    /// returned borrowed from `ws`.
     ///
     /// The loop is support-sparse and allocation-free (see "Inference
     /// kernels" in ARCHITECTURE.md): `s_i = r × M^{(i)}` reads only the rows
@@ -337,7 +338,6 @@ impl TruthInference {
 /// run owed at an earlier crossing reads once more answers have arrived.
 /// The log is append-only, so the prefix is every row cut to its length
 /// at the crossing; nothing is copied or allocated.
-#[derive(Clone, Copy)]
 pub(super) struct LogPrefix<'a> {
     log: &'a AnswerLog,
     /// The answers recorded after the prefix, in arrival order.

@@ -402,13 +402,13 @@ impl Shard {
     }
 
     /// Ends the shard and hands back its campaigns, their owed inference
-    /// paid. A crashed shard drops
-    /// its unflushed group-commit buffer and the frames queued behind it —
-    /// a dead process ships nothing either — and its withheld completions
-    /// unsent: a dead process never acknowledged them, and the events they
-    /// would have acknowledged vanished with the buffer. A clean stop
-    /// closes the final adaptive batch like any other: flush first, then
-    /// release the withheld acks in order.
+    /// paid. A crashed shard drops its unflushed group-commit buffer and
+    /// the frames queued behind it — a dead process ships nothing either —
+    /// and its withheld completions unsent: a dead process never
+    /// acknowledged them, and the events they would have acknowledged
+    /// vanished with the buffer. A clean stop closes the final adaptive
+    /// batch like any other: flush first, then release the withheld acks
+    /// in order.
     pub(crate) fn stop(mut self, crashed: bool) -> BTreeMap<CampaignId, Docs> {
         if let Some(d) = self.durability.as_mut() {
             if crashed {
