@@ -28,7 +28,7 @@
 use docs_obs::{AtomicHistogram, SpanKind};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, Client, DocsService, DurabilityConfig, Op, ServiceConfig, ServiceHandle,
+    AdaptiveCommit, DocsService, DurabilityConfig, Op, ServiceConfig, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};

@@ -35,7 +35,7 @@
 //! trajectory.
 
 use docs_obs::LatencyHistogram;
-use docs_service::{Client, DocsService, Op, ServiceConfig, ServiceHandle};
+use docs_service::{DocsService, Op, ServiceConfig, ServiceHandle};
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, TaskId, WorkerId};
 use rand::{rngs::SmallRng, Rng, SeedableRng};

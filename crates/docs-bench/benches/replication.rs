@@ -22,7 +22,7 @@
 //! for a diverged replica would be meaningless.
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
-use docs_service::{AdaptiveCommit, Client, DocsService, DurabilityConfig, Op, ServiceConfig};
+use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, Op, ServiceConfig};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, WorkerId};

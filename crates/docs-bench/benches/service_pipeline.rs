@@ -23,7 +23,7 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_blocking_on, drive_workers_on};
-use docs_service::{Client, DocsService, Op, ServiceConfig, ServiceHandle};
+use docs_service::{DocsService, Op, ServiceConfig, ServiceHandle};
 use docs_system::{Docs, DocsConfig};
 use docs_types::{CampaignId, ChoiceIndex, Task, TaskBuilder};
 use std::sync::Arc;

@@ -1,8 +1,7 @@
 //! Control-plane journal: a bounded ring of timestamped, severity-tagged
 //! events for everything that changes the *shape* of the service — role
-//! promotions, campaign fences, migrations, map installs — plus the rare
-//! bad news (flush failures, follower disconnects, wrong-node redirects)
-//! that previously went to `eprintln!` and vanished.
+//! promotions — plus the rare bad news (flush failures, snapshot failures,
+//! follower disconnects) that previously went to `eprintln!` and vanished.
 //!
 //! The journal is the operator's answer to "what happened around 12:04?":
 //! data-plane volume goes to histograms and counters, control-plane
@@ -19,9 +18,9 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// How loudly an entry should be treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Expected control-plane activity (promotion, map install, ...).
+    /// Expected control-plane activity (a promotion).
     Info,
-    /// Degraded but self-healing (follower cut, wrong-node redirect, ...).
+    /// Degraded but self-healing (a follower cut from the stream).
     Warn,
     /// Something was lost or refused that should not have been.
     Error,
@@ -45,47 +44,30 @@ impl Severity {
 pub enum JournalKind {
     /// A node changed replica role (follower → primary).
     Promotion,
-    /// A campaign's write path was fenced (migration hand-off).
-    Fence,
-    /// A migration adopted a campaign on its destination node.
-    MigrationAdopted,
-    /// A new cluster map epoch was installed on a node.
-    MapInstall,
     /// A WAL flush (write or fdatasync) failed.
     FlushFailure,
     /// A snapshot cycle failed.
     SnapshotFailure,
     /// A follower was cut from the replication stream for lagging.
     FollowerDisconnect,
-    /// A submission was refused because this node does not own the
-    /// campaign (the `WrongNode` redirect).
-    WrongNodeRejection,
 }
 
 impl JournalKind {
     /// Every kind, for exposition rendering.
-    pub const ALL: [JournalKind; 8] = [
+    pub const ALL: [JournalKind; 4] = [
         JournalKind::Promotion,
-        JournalKind::Fence,
-        JournalKind::MigrationAdopted,
-        JournalKind::MapInstall,
         JournalKind::FlushFailure,
         JournalKind::SnapshotFailure,
         JournalKind::FollowerDisconnect,
-        JournalKind::WrongNodeRejection,
     ];
 
     /// Stable snake_case label for JSON and the exposition.
     pub fn name(self) -> &'static str {
         match self {
             JournalKind::Promotion => "promotion",
-            JournalKind::Fence => "fence",
-            JournalKind::MigrationAdopted => "migration_adopted",
-            JournalKind::MapInstall => "map_install",
             JournalKind::FlushFailure => "flush_failure",
             JournalKind::SnapshotFailure => "snapshot_failure",
             JournalKind::FollowerDisconnect => "follower_disconnect",
-            JournalKind::WrongNodeRejection => "wrong_node_rejection",
         }
     }
 }
@@ -100,7 +82,7 @@ pub struct JournalEntry {
     pub unix_ms: u64,
     pub severity: Severity,
     pub kind: JournalKind,
-    /// Free-form context ("campaign c3 fenced at watermark 8812", ...).
+    /// Free-form context ("shard 0: adaptive batch flush failed: ...", ...).
     pub detail: String,
 }
 
@@ -109,7 +91,7 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 512;
 
 /// Bounded ring of control-plane events.
 ///
-/// Control-plane events are rare (per migration / failure, not per
+/// Control-plane events are rare (per promotion / failure, not per
 /// request), so a mutex-guarded ring is the right cost model: the data
 /// plane never touches it.
 pub struct ControlJournal {
@@ -290,7 +272,7 @@ mod tests {
     fn ring_evicts_oldest_but_keeps_sequence() {
         let j = ControlJournal::with_capacity(2);
         for i in 0..5 {
-            j.info(JournalKind::MapInstall, format!("epoch {i}"));
+            j.info(JournalKind::Promotion, format!("promotion {i}"));
         }
         let snap = j.snapshot();
         assert_eq!(snap.len(), 2);
@@ -301,12 +283,12 @@ mod tests {
     #[test]
     fn counts_by_kind_cover_the_window() {
         let j = ControlJournal::new();
-        j.info(JournalKind::Fence, "c1");
-        j.info(JournalKind::Fence, "c2");
+        j.warn(JournalKind::FollowerDisconnect, "f1");
+        j.warn(JournalKind::FollowerDisconnect, "f2");
         j.error(JournalKind::FlushFailure, "shard 0: sync failed");
         let counts = j.counts_by_kind();
         let get = |k: JournalKind| counts.iter().find(|(kk, _)| *kk == k).unwrap().1;
-        assert_eq!(get(JournalKind::Fence), 2);
+        assert_eq!(get(JournalKind::FollowerDisconnect), 2);
         assert_eq!(get(JournalKind::FlushFailure), 1);
         assert_eq!(get(JournalKind::Promotion), 0);
     }
@@ -314,7 +296,7 @@ mod tests {
     #[test]
     fn json_escapes_details() {
         let j = ControlJournal::new();
-        j.info(JournalKind::MapInstall, "path \"a\\b\"\nnew line");
+        j.info(JournalKind::Promotion, "path \"a\\b\"\nnew line");
         let json = j.to_json();
         assert!(json.contains("\\\"a\\\\b\\\"\\nnew line"));
         assert!(json.starts_with('[') && json.ends_with(']'));

@@ -13,11 +13,11 @@
 //!   quantiles and harness quantiles can never drift.
 //! * [`trace`] — sampled request tracing: a [`TraceContext`] rides a
 //!   request's envelope and accumulates typed [`Span`]s (client submit →
-//!   router hop → queue wait → apply → flush wait → ship); finished
+//!   queue wait → apply → flush wait → ship); finished
 //!   traces land in a bounded [`FlightRecorder`] harvestable as JSON.
 //! * [`journal`] — the [`ControlJournal`]: timestamped, severity-tagged
-//!   control-plane events (promotions, fences, migrations, map installs,
-//!   flush failures, follower disconnects, wrong-node redirects).
+//!   control-plane events (promotions, flush and snapshot failures,
+//!   follower disconnects).
 //! * [`expo`] — [`Exposition`]: renders one coherent snapshot of every
 //!   counter/gauge/histogram as Prometheus text (`render_prometheus`)
 //!   and JSON, with [`validate_prometheus`] for smoke assertions.

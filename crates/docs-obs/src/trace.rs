@@ -3,8 +3,8 @@
 //!
 //! A [`TraceContext`] rides the correlation-id envelope of a sampled
 //! request. Each layer that touches the request closes a [`Span`] on it —
-//! client submit, router hop, shard queue wait, validate/apply, flush
-//! wait, replication ship — and when the completion is released the
+//! client submit, shard queue wait, validate/apply, flush wait,
+//! replication ship — and when the completion is released the
 //! finished [`Trace`] lands in the service's [`FlightRecorder`], a
 //! bounded ring that keeps the most recent traces and can be harvested as
 //! structured JSON at any time.
@@ -29,9 +29,6 @@ pub enum SpanKind {
     /// Client-side work before the envelope entered the ingress queue
     /// (encode, correlation allocation, channel send).
     ClientSubmit,
-    /// A routing hop: the router consulted its map, or absorbed a
-    /// `WrongNode` redirect and retried on the new owner.
-    RouterHop,
     /// Sitting in the shard's bounded ingress queue before the shard
     /// thread picked the envelope up.
     QueueWait,
@@ -47,9 +44,8 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// All kinds in pipeline order.
-    pub const ALL: [SpanKind; 6] = [
+    pub const ALL: [SpanKind; 5] = [
         SpanKind::ClientSubmit,
-        SpanKind::RouterHop,
         SpanKind::QueueWait,
         SpanKind::Apply,
         SpanKind::FlushWait,
@@ -60,7 +56,6 @@ impl SpanKind {
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::ClientSubmit => "client_submit",
-            SpanKind::RouterHop => "router_hop",
             SpanKind::QueueWait => "queue_wait",
             SpanKind::Apply => "apply",
             SpanKind::FlushWait => "flush_wait",

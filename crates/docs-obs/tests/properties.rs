@@ -7,7 +7,7 @@ use docs_obs::hist::{AtomicHistogram, LatencyHistogram, SUBS};
 use proptest::prelude::*;
 
 /// Strategy: latency samples spanning nanoseconds to seconds — the range
-/// the service actually records (hot-path ops through fence windows).
+/// the service actually records (hot-path ops through WAL syncs).
 fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(1u64..2_000_000_000, 1..400)
 }

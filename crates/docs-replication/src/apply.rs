@@ -14,7 +14,7 @@
 //! `validate_event`/`apply` transition the primary ran. Only after that
 //! call succeeds do the watermarks advance. Advancing the watermark *is*
 //! the ack: the primary-side hub reads the same table to compute lag.
-//! Bootstrap frames and a migration's stream take the same path.
+//! Bootstrap frames take the same path.
 //!
 //! **Promotion** ([`Replica::promote`]) is drain-then-flip: the applier
 //! first applies every frame already received (a crashed primary's entire
@@ -196,7 +196,7 @@ fn applier_loop(
     error: &Mutex<Option<String>>,
 ) {
     for frame in &bootstrap {
-        if let Err(e) = apply_bootstrap(handle, &link.acked, frame, None) {
+        if let Err(e) = apply_bootstrap(handle, &link.acked, frame) {
             record_error(error, format!("bootstrap: {e}"));
             return;
         }
@@ -254,7 +254,7 @@ fn decode_and_apply(
     acked: &Mutex<ReplicaWatermarks>,
     record: &ShippedRecord,
 ) -> Result<()> {
-    apply_frame(handle, acked, decode_frame(record.bytes())?, None)?;
+    apply_frame(handle, acked, decode_frame(record.bytes())?)?;
     // Ship→applied lag, as the follower experienced it: the pump stamped
     // the record at fan-out, the frame is applied (and acked) now.
     handle.metrics().observe(
@@ -267,20 +267,16 @@ fn decode_and_apply(
 /// Applies one bootstrap frame through the stream's path: framed as the
 /// hub frames it and decoded as the wire is, so a directory scan passes
 /// the same checks as a shipped record.
-pub(crate) fn apply_bootstrap(
+fn apply_bootstrap(
     handle: &ServiceHandle,
     acked: &Mutex<ReplicaWatermarks>,
     frame: &ReplicationFrame,
-    only: Option<CampaignId>,
 ) -> Result<()> {
-    apply_frame(handle, acked, decode_frame(&encode_frame(frame))?, only)
+    apply_frame(handle, acked, decode_frame(&encode_frame(frame))?)
 }
 
 /// Applies one decoded frame, advancing the shared watermark table as the
-/// ack — the one apply path of the live stream, the bootstrap and a
-/// migration. `only` restricts the frame to one campaign's items (a
-/// migration takes its campaign out of the source's whole feed); `None`
-/// applies all of it.
+/// ack — the one apply path of the live stream and the bootstrap.
 ///
 /// An events frame costs one [`ServiceHandle::replicate_apply`] round
 /// trip per owning shard, whatever its length: its events are classified
@@ -288,16 +284,14 @@ pub(crate) fn apply_bootstrap(
 /// and only once that call succeeded do the watermarks move. A refused
 /// batch moves none — under-acking a poisoned replica is safe, over-acking
 /// is not.
-pub(crate) fn apply_frame(
+fn apply_frame(
     handle: &ServiceHandle,
     acked: &Mutex<ReplicaWatermarks>,
     frame: FrameView<'_>,
-    only: Option<CampaignId>,
 ) -> Result<()> {
     let lift = |e: ServiceError| Error::Storage(format!("replica apply failed: {e}"));
-    let scoped = |campaign: CampaignId| only.is_none_or(|c| c == campaign);
     match frame {
-        FrameView::Snapshot(s) if scoped(s.campaign) => {
+        FrameView::Snapshot(s) => {
             // Install when the campaign is new to this follower (a
             // creation baseline covers sequence 0, so presence — not the
             // watermark value — decides) or when the snapshot moves it
@@ -316,18 +310,17 @@ pub(crate) fn apply_frame(
             }
             Ok(())
         }
-        FrameView::Snapshot(_) => Ok(()),
         FrameView::Events(events) => {
-            let batch = admit(&acked.lock(), events, scoped)?;
+            let batch = admit(&acked.lock(), events)?;
             if batch.is_empty() {
                 return Ok(());
             }
             handle.replicate_apply(batch).map_err(lift)?;
-            // The ack follows the apply. Every scoped event of the frame
-            // was either stale or applied, so each moves its campaign's
+            // The ack follows the apply. Every event of the frame was
+            // either stale or applied, so each moves its campaign's
             // watermark to at least its own sequence.
             let mut table = acked.lock();
-            for e in events.iter().filter(|e| scoped(e.campaign)) {
+            for e in events.iter() {
                 if e.seq > table.get(e.campaign) {
                     table.advance_to(e.campaign, e.seq);
                 }
@@ -337,7 +330,7 @@ pub(crate) fn apply_frame(
     }
 }
 
-/// Classifies a frame's scoped events against the watermark table and
+/// Classifies a frame's events against the watermark table and
 /// decodes the admitted ones, in frame order. An event of a campaign that
 /// already has an admitted event earlier in the frame is classified
 /// against that one, so a run of one campaign inside a frame applies in
@@ -346,10 +339,9 @@ pub(crate) fn apply_frame(
 fn admit(
     table: &ReplicaWatermarks,
     events: EventsView<'_>,
-    scoped: impl Fn(CampaignId) -> bool,
 ) -> Result<Vec<(CampaignId, u64, CampaignEvent)>> {
     let mut batch: Vec<(CampaignId, u64, CampaignEvent)> = Vec::with_capacity(events.len());
-    for e in events.iter().filter(|e| scoped(e.campaign)) {
+    for e in events.iter() {
         let watermark = batch
             .iter()
             .rev()
@@ -380,7 +372,7 @@ mod tests {
     use super::*;
     use docs_service::{Counter, OpKind, RejectReason};
     use docs_system::{Docs, DocsConfig};
-    use docs_types::{EventFrame, NodeId, TaskBuilder, WorkerId};
+    use docs_types::{EventFrame, TaskBuilder, WorkerId};
 
     const A: CampaignId = CampaignId(0);
     const B: CampaignId = CampaignId(1);
@@ -461,14 +453,14 @@ mod tests {
         let (service, handle) = follower(&mut docs, &[A]);
         let acked = table(&[A]);
         let bootstrap = events(&docs, &[(A, 1), (A, 2), (A, 3)]);
-        apply_bootstrap(&handle, &acked, &bootstrap, None).unwrap();
+        apply_bootstrap(&handle, &acked, &bootstrap).unwrap();
         let before = applied(&handle);
         let stream = events(&docs, &[(A, 2), (A, 3), (A, 4), (A, 5)]);
-        apply_bootstrap(&handle, &acked, &stream, None).unwrap();
+        apply_bootstrap(&handle, &acked, &stream).unwrap();
         assert_eq!(acked.lock().get(A), 5);
         assert_eq!(applied(&handle), (before.0 + 2, before.1 + 1));
         // A frame that is stale through and through costs no round trip.
-        apply_bootstrap(&handle, &acked, &stream, None).unwrap();
+        apply_bootstrap(&handle, &acked, &stream).unwrap();
         assert_eq!(applied(&handle), (before.0 + 2, before.1 + 1));
         stop(service, handle);
     }
@@ -480,13 +472,9 @@ mod tests {
         let acked = table(&[A, B]);
         let before = applied(&handle);
         let frame = events(&docs, &[(A, 1), (B, 1), (A, 2), (A, 3), (B, 2)]);
-        apply_bootstrap(&handle, &acked, &frame, None).unwrap();
+        apply_bootstrap(&handle, &acked, &frame).unwrap();
         assert_eq!(acked.lock().all(), vec![(A, 3), (B, 2)]);
         assert_eq!(applied(&handle), (before.0 + 5, before.1 + 1));
-        // A migration's scope takes one campaign out of the same feed.
-        let frame = events(&docs, &[(A, 4), (B, 3), (A, 5)]);
-        apply_bootstrap(&handle, &acked, &frame, Some(B)).unwrap();
-        assert_eq!(acked.lock().all(), vec![(A, 3), (B, 3)]);
         stop(service, handle);
     }
 
@@ -500,7 +488,7 @@ mod tests {
             events(&docs, &[(A, 1), (A, 2), (A, 4)]),
             events(&docs, &[(A, 1), (B, 2), (A, 2)]),
         ] {
-            let err = apply_bootstrap(&handle, &acked, &gapped, None).unwrap_err();
+            let err = apply_bootstrap(&handle, &acked, &gapped).unwrap_err();
             assert!(err.to_string().contains("gap"), "{err}");
             assert_eq!(applied(&handle), before, "nothing of the frame applied");
             assert_eq!(acked.lock().all(), vec![(A, 0), (B, 0)]);
@@ -521,30 +509,26 @@ mod tests {
             WorkerId(2),
             vec![(docs_types::TaskId(999), 0)],
         ));
-        let err = apply_bootstrap(&handle, &acked, &frame, None).unwrap_err();
+        let err = apply_bootstrap(&handle, &acked, &frame).unwrap_err();
         assert!(err.to_string().contains("replica apply failed"), "{err}");
         assert_eq!(acked.lock().get(A), 0, "under-ack, never over-ack");
         stop(service, handle);
     }
 
     #[test]
-    fn a_primary_refuses_a_batch_naming_any_campaign_outside_its_intake() {
+    fn a_primary_refuses_the_replication_plane_naming_the_first_campaign() {
         let mut docs = campaign();
         let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
-        handle.prepare_migration_in(A, NodeId(1)).unwrap();
-        handle
-            .replicate_install_snapshot(A, 0, docs.snapshot_bytes())
-            .unwrap();
-        let batch = vec![(A, 1, golden(&docs, 1)), (B, 1, golden(&docs, 1))];
+        let refused = |campaign| ServiceError::Rejected(RejectReason::NotAFollower { campaign });
         assert_eq!(
-            handle.replicate_apply(batch).unwrap_err(),
-            ServiceError::Rejected(RejectReason::NotAFollower { campaign: B })
+            handle
+                .replicate_install_snapshot(A, 0, docs.snapshot_bytes())
+                .unwrap_err(),
+            refused(A)
         );
+        let batch = vec![(B, 1, golden(&docs, 1)), (A, 1, golden(&docs, 1))];
+        assert_eq!(handle.replicate_apply(batch).unwrap_err(), refused(B));
         assert_eq!(handle.metrics().counter(Counter::EventsApplied), 0);
-        handle
-            .replicate_apply(vec![(A, 1, golden(&docs, 1))])
-            .unwrap();
-        assert_eq!(handle.metrics().counter(Counter::EventsApplied), 1);
         stop(service, handle);
     }
 }

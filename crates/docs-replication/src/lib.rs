@@ -26,27 +26,19 @@
 //!   `validate_event`/`apply` transition, advancing the per-campaign
 //!   watermark table that doubles as the ack channel. Followers refuse
 //!   mutations (`RejectReason::ReadOnlyReplica`) but serve status, truth,
-//!   and state reads locally — a one-node
-//!   [`ClusterRouter`](docs_service::ClusterRouter) fans reads out to them;
+//!   and state reads locally through their own handle ([`Replica::handle`]);
 //! * **failover**: [`Replica::promote`] drains every shipped frame, flips
 //!   the pool to primary at a recorded watermark, and the service resumes
 //!   accepting writes. Under `FlushPolicy::EveryEvent`, no event the old
 //!   primary ever acknowledged can be lost across the crash → promotion →
-//!   resume cycle (`tests/replication.rs` pins this with fault injection);
-//! * **migration**: [`migrate_campaign`] reuses the snapshot + suffix
-//!   shipment as a live hand-off between two *primaries* — copy, fence
-//!   the source at a recorded watermark, chase the tail, adopt — so a
-//!   campaign can move nodes mid-traffic with no acknowledged event lost
-//!   (see ARCHITECTURE.md, "Cluster & migration").
+//!   resume cycle (`tests/replication.rs` pins this with fault injection).
 
 mod apply;
 mod frame;
-mod migrate;
 mod ship;
 
 pub use apply::{Promotion, Replica};
 pub use frame::{decode_frame, encode_frame, EventsView, FrameView, Tagged};
-pub use migrate::{migrate_campaign, MigrationOutcome, MigrationSource};
 pub use ship::{
     bootstrap_frames, replication_channel, FollowerLag, FollowerLink, HubStats, ReplicationHub,
     ShippedRecord,

@@ -20,9 +20,9 @@
 //! `service_pipeline` bench measures the two against each other.
 
 use docs_crowd::{AnswerModel, WorkerPopulation};
-use docs_service::{BatchOutcome, Client, Op, ServiceError, Ticket};
+use docs_service::{BatchOutcome, Op, ServiceError, ServiceHandle, Ticket};
 use docs_system::WorkRequest;
-use docs_types::{Answer, CampaignId, RejectReason, Task, WorkerId};
+use docs_types::{Answer, CampaignId, Task, WorkerId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -86,8 +86,8 @@ enum DriveMode {
 ///
 /// # Panics
 /// Panics if `threads` is zero or the population is empty.
-pub fn drive_workers_on<C: Client>(
-    client: &C,
+pub fn drive_workers_on(
+    client: &ServiceHandle,
     campaign: CampaignId,
     tasks: Arc<Vec<Task>>,
     population: &WorkerPopulation,
@@ -111,8 +111,8 @@ pub fn drive_workers_on<C: Client>(
 /// round-trip, exactly like the paper's HTTP clients. Kept as the
 /// reference the pipelined driver is measured — and pinned byte-identical
 /// — against.
-pub fn drive_workers_blocking_on<C: Client>(
-    client: &C,
+pub fn drive_workers_blocking_on(
+    client: &ServiceHandle,
     campaign: CampaignId,
     tasks: Arc<Vec<Task>>,
     population: &WorkerPopulation,
@@ -133,8 +133,8 @@ pub fn drive_workers_blocking_on<C: Client>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_drive<C: Client>(
-    client: &C,
+fn run_drive(
+    client: &ServiceHandle,
     campaign: CampaignId,
     tasks: Arc<Vec<Task>>,
     population: &WorkerPopulation,
@@ -186,48 +186,32 @@ fn run_drive<C: Client>(
 }
 
 /// A submission whose ack is still in flight, with what its settlement
-/// contributes to the drive accounting. The op rides along so a stale-map
-/// redirect can be re-sent (a `WrongNode` answer guarantees the submission
-/// was *not* applied, so the retry cannot double-count).
+/// contributes to the drive accounting.
 enum PendingAck {
     /// A golden HIT; counts one golden submission when acked.
-    Golden(Op<()>, Ticket<()>),
+    Golden(Ticket<()>),
     /// A batch of `len` answers; counts per-answer outcomes.
     Batch {
-        op: Op<BatchOutcome>,
         ticket: Ticket<BatchOutcome>,
         len: usize,
     },
 }
 
-/// Waits on a pipelined completion. A stale-map `WrongNode` answer is a
-/// *retry* signal, not a failure: the op goes back through
-/// [`Client::call`], whose retry policy re-aims it — a router learns the
-/// named owner and forwards; a bare handle has nowhere else to send it, so
-/// the rejection comes straight back.
-fn harvest<C: Client, T>(client: &C, op: Op<T>, ticket: Ticket<T>) -> Result<T, ServiceError> {
-    match ticket.wait() {
-        Err(ServiceError::Rejected(RejectReason::WrongNode { .. })) => client.call(op),
-        settled => settled,
-    }
-}
-
 /// Harvests a pending ack into the outcome. Ordinary rejections are
 /// absorbed (they are per-worker races, exactly what the deployment
 /// sees); anything else aborts the drive.
-fn settle<C: Client>(
-    client: &C,
+fn settle(
     pending: &mut Option<PendingAck>,
     outcome: &mut DriveOutcome,
 ) -> Result<(), ServiceError> {
     match pending.take() {
         None => {}
-        Some(PendingAck::Golden(op, ticket)) => match harvest(client, op, ticket) {
+        Some(PendingAck::Golden(ticket)) => match ticket.wait() {
             Ok(()) => outcome.golden_hits += 1,
             Err(ServiceError::Rejected(_)) => outcome.rejected += 1,
             Err(e) => return Err(e),
         },
-        Some(PendingAck::Batch { op, ticket, len }) => match harvest(client, op, ticket) {
+        Some(PendingAck::Batch { ticket, len }) => match ticket.wait() {
             Ok(batch) => {
                 outcome.answers += batch.accepted;
                 outcome.rejected += batch.rejected.len();
@@ -240,8 +224,8 @@ fn settle<C: Client>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive_shard<C: Client>(
-    client: &C,
+fn drive_shard(
+    client: &ServiceHandle,
     campaign: CampaignId,
     tasks: &[Task],
     population: &WorkerPopulation,
@@ -273,9 +257,8 @@ fn drive_shard<C: Client>(
     while outcome.arrivals < max_arrivals {
         outcome.arrivals += 1;
         let w = my_workers[rng.gen_range(0..my_workers.len())];
-        let request = Op::request_tasks(campaign, w);
-        let work = harvest(client, request.clone(), client.submit(request)?)?;
-        settle(client, &mut pending, &mut outcome)?;
+        let work = client.call(Op::request_tasks(campaign, w))?;
+        settle(&mut pending, &mut outcome)?;
         match work {
             WorkRequest::Golden(golden) => {
                 let worker = population.worker(w);
@@ -284,7 +267,7 @@ fn drive_shard<C: Client>(
                     .map(|&gid| (gid, worker.answer(&tasks[gid.index()], model, &mut rng)))
                     .collect();
                 let op = Op::submit_golden(campaign, w, answers);
-                pending = Some(PendingAck::Golden(op.clone(), client.submit(op)?));
+                pending = Some(PendingAck::Golden(client.submit(op)?));
             }
             WorkRequest::Tasks(hit) => {
                 // The whole HIT goes back in one batched round-trip — the
@@ -302,7 +285,6 @@ fn drive_shard<C: Client>(
                 let len = answers.len();
                 let op = Op::submit_answer_batch(campaign, answers);
                 pending = Some(PendingAck::Batch {
-                    op: op.clone(),
                     ticket: client.submit(op)?,
                     len,
                 });
@@ -312,10 +294,10 @@ fn drive_shard<C: Client>(
         if matches!(mode, DriveMode::Blocking) {
             // Strict request/response: the ack rendezvous happens before
             // the next arrival, like the paper's HTTP clients.
-            settle(client, &mut pending, &mut outcome)?;
+            settle(&mut pending, &mut outcome)?;
         }
     }
-    settle(client, &mut pending, &mut outcome)?;
+    settle(&mut pending, &mut outcome)?;
     Ok(outcome)
 }
 
@@ -324,9 +306,9 @@ mod tests {
     use super::*;
     use docs_crowd::PopulationConfig;
     use docs_kb::table2_example_kb;
-    use docs_service::{ClusterRouter, DocsService, ServiceConfig, ServiceHandle};
+    use docs_service::{DocsService, ServiceConfig};
     use docs_system::{Docs, DocsConfig};
-    use docs_types::{NodeId, TaskBuilder};
+    use docs_types::TaskBuilder;
 
     /// A one-shard pool serving one published `n`-task campaign.
     fn publish(
@@ -420,38 +402,6 @@ mod tests {
         let rejected: usize = report.per_thread.iter().map(|o| o.rejected).sum();
         assert!(report.total_answers() >= 8 * 2 || rejected > 0);
         drop(handle);
-        service.join_all();
-    }
-
-    /// Regression: a `WrongNode` answer naming an owner the client cannot
-    /// reach used to be retried through the whole redirect budget (10,000
-    /// absorbed redirects, ~13 s) by a one-node router and by a drive over
-    /// a bare handle. Nowhere to forward to means the rejection comes back
-    /// at once.
-    #[test]
-    fn an_unreachable_owner_is_rejected_at_once_not_retried() {
-        let (service, handle, c, tasks) = publish(6, 2);
-        handle.fence_in(c, NodeId(7)).unwrap();
-        let gone = ServiceError::Rejected(RejectReason::WrongNode { owner: NodeId(7) });
-        let started = std::time::Instant::now();
-
-        let router = ClusterRouter::single(NodeId(0), handle.clone(), vec![]);
-        let answer = Answer::new(WorkerId(0), docs_types::TaskId(0), 0);
-        let err = router.call(Op::submit_answer(c, answer)).unwrap_err();
-        assert_eq!(err, gone);
-        assert_eq!(router.stats().wrong_node_redirects, 1);
-        assert_eq!(router.stats().forwarded_writes, 0);
-
-        let pop = population(2);
-        let err = drive_workers_on(&handle, c, tasks, &pop, AnswerModel::DomainUniform, 1, 3)
-            .unwrap_err();
-        assert_eq!(err, gone);
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(1),
-            "rejections took {:?}",
-            started.elapsed()
-        );
-        drop((router, handle));
         service.join_all();
     }
 

@@ -13,8 +13,8 @@
 //!   honest, uniform spammers, golden-gaming sleepers, colluding cliques,
 //!   quality drifters),
 //! * an arrival pattern ([`ArrivalSpec`], including flash-crowd bursts),
-//! * a service topology ([`ServiceSpec`]: in-memory, durable, replicated,
-//!   or a two-primary cluster) — the run goes through the *real*
+//! * a service topology ([`ServiceSpec`]: in-memory, durable, or
+//!   replicated) — the run goes through the *real*
 //!   `docs-service` request path, not a simulation shortcut,
 //! * budget knobs and a single seed.
 //!

@@ -15,14 +15,11 @@ use crate::spec::{ScenarioSpec, ServiceSpec};
 use docs_crowd::{AdversarialPopulation, AnswerContext, ArrivalSampler, WorkerPopulation};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, Client, ClusterNode, ClusterRouter, DocsService, DurabilityConfig, Op,
-    ServiceConfig,
+    AdaptiveCommit, DocsService, DurabilityConfig, Op, ServiceConfig, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport};
-use docs_types::{
-    Answer, AnswerLog, CampaignId, ChoiceIndex, ClusterMap, NodeId, Task, TaskId, WorkerId,
-};
+use docs_types::{Answer, AnswerLog, CampaignId, ChoiceIndex, Task, TaskId, WorkerId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -190,42 +187,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             let _ = std::fs::remove_dir_all(&dir);
             (report, mirror, wall)
         }
-        ServiceSpec::Clustered { shards } => {
-            let (service0, handle0) =
-                DocsService::spawn_empty(ServiceConfig::sharded(shards).with_node(NodeId(0)))
-                    .expect("spawn node 0");
-            let campaign = handle0
-                .create_campaign(publish(false))
-                .expect("create campaign");
-            let (service1, handle1) =
-                DocsService::spawn_empty(ServiceConfig::sharded(shards).with_node(NodeId(1)))
-                    .expect("spawn node 1");
-            let router = ClusterRouter::new(
-                vec![
-                    ClusterNode {
-                        id: NodeId(0),
-                        primary: handle0.clone(),
-                        replicas: vec![],
-                    },
-                    ClusterNode {
-                        id: NodeId(1),
-                        primary: handle1.clone(),
-                        replicas: vec![],
-                    },
-                ],
-                ClusterMap::new(NodeId(0)),
-            );
-            let started = Instant::now();
-            let mirror = drive(&router, campaign, &tasks, &population, spec, budget);
-            let report = router.call(Op::finish(campaign)).expect("finish");
-            let wall = started.elapsed();
-            drop(router);
-            drop(handle0);
-            service0.join_all();
-            drop(handle1);
-            service1.join_all();
-            (report, mirror, wall)
-        }
     };
 
     ScenarioOutcome {
@@ -238,8 +199,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 }
 
 /// The deterministic single-client drive loop shared by every topology.
-fn drive<C: Client>(
-    target: &C,
+fn drive(
+    target: &ServiceHandle,
     campaign: CampaignId,
     tasks: &[Task],
     population: &AdversarialPopulation,

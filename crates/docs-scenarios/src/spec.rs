@@ -140,12 +140,6 @@ pub enum ServiceSpec {
         /// Shard threads on the primary.
         shards: usize,
     },
-    /// Two-primary cluster; the campaign lives on node 0 and the drive
-    /// goes through the [`docs_service::ClusterRouter`].
-    Clustered {
-        /// Shard threads per node.
-        shards: usize,
-    },
 }
 
 /// One named, seeded, byte-reproducible scenario.
@@ -291,7 +285,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             },
         ),
         ScenarioSpec {
-            service: ServiceSpec::Clustered { shards: 2 },
+            service: ServiceSpec::InMemory { shards: 2 },
             ..base_spec(
                 "four_domain_colluders",
                 DatasetRef::FourDomain,
@@ -355,9 +349,6 @@ mod tests {
         assert!(specs
             .iter()
             .any(|s| matches!(s.service, ServiceSpec::Replicated { .. })));
-        assert!(specs
-            .iter()
-            .any(|s| matches!(s.service, ServiceSpec::Clustered { .. })));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! worker requests tasks", ⑤ "a worker submits answers") plus the
 //! requester's finish. Each client operation is described exactly once, as
 //! an [`Op`] value pairing its wire [`Request`] with the decoder of its
-//! reply; how it is *sent* is one of the three verbs of the [`Client`]
-//! trait, which [`ServiceHandle`] implements for one shard pool and
-//! [`ClusterRouter`](crate::ClusterRouter) for a whole cluster.
+//! reply; how it is *sent* is one of the three verbs of [`ServiceHandle`]:
+//! [`ServiceHandle::call`], [`ServiceHandle::submit`] and
+//! [`ServiceHandle::try_submit`].
 
 use crate::message::{BatchOutcome, Request, RequestEnvelope, Response};
 use crate::metrics::ServiceMetrics;
@@ -16,10 +16,7 @@ use crate::ticket::{completion_slot, Ticket};
 use crossbeam::channel::{Sender, TrySendError};
 use docs_obs::{JournalKind, SpanKind};
 use docs_system::{CampaignStatus, Docs, RequesterReport, WorkRequest};
-use docs_types::{
-    Answer, CampaignEvent, CampaignId, ChoiceIndex, ClusterMap, NodeId, ReplicaRole, TaskId,
-    WorkerId,
-};
+use docs_types::{Answer, CampaignEvent, CampaignId, ChoiceIndex, ReplicaRole, TaskId, WorkerId};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,55 +28,6 @@ use std::sync::Arc;
 pub struct Op<T> {
     pub(crate) request: Request,
     decode: fn(Response) -> Result<T, ServiceError>,
-}
-
-impl<T> Op<T> {
-    /// The campaign the operation targets (and is routed by).
-    pub(crate) fn campaign(&self) -> CampaignId {
-        self.request.campaign()
-    }
-
-    /// Whether the operation is a pure read ([`Request::is_read`]) — the
-    /// class a follower replica serves locally.
-    pub(crate) fn is_read(&self) -> bool {
-        self.request.is_read()
-    }
-}
-
-/// Retrying an op (a redirected write, a read falling back to the
-/// primary) resubmits a copy. `Request` as a whole is not `Clone` (a
-/// `CreateCampaign` owns its `Docs`), but every request an `Op` constructor
-/// builds is; the handle's control-plane round-trips are never retried.
-impl<T> Clone for Op<T> {
-    fn clone(&self) -> Self {
-        use Request::*;
-        let request = match &self.request {
-            &RequestWork { campaign, worker } => RequestWork { campaign, worker },
-            SubmitGolden {
-                campaign,
-                worker,
-                answers,
-            } => SubmitGolden {
-                campaign: *campaign,
-                worker: *worker,
-                answers: answers.clone(),
-            },
-            &SubmitAnswer { campaign, answer } => SubmitAnswer { campaign, answer },
-            SubmitAnswerBatch { campaign, answers } => SubmitAnswerBatch {
-                campaign: *campaign,
-                answers: answers.clone(),
-            },
-            &Finish { campaign } => Finish { campaign },
-            &Status { campaign } => Status { campaign },
-            &PeekReport { campaign } => PeekReport { campaign },
-            &SnapshotState { campaign } => SnapshotState { campaign },
-            other => unreachable!("no Op constructor builds {other:?}"),
-        };
-        Op {
-            request,
-            decode: self.decode,
-        }
-    }
 }
 
 impl Op<WorkRequest> {
@@ -178,27 +126,6 @@ impl Op<Vec<u8>> {
     }
 }
 
-/// Anything client operations can be sent through: one shard pool
-/// ([`ServiceHandle`]) or a whole multi-primary cluster
-/// ([`ClusterRouter`](crate::ClusterRouter)). Clients are cheap to clone and
-/// safe to share: the crowd drivers hand one clone to each client thread.
-pub trait Client: Clone + Send + Sync + 'static {
-    /// Enqueues `op` and returns its completion handle without waiting;
-    /// parks while the owning shard's ingress queue is full (backpressure).
-    fn submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError>;
-
-    /// Fail-fast [`submit`](Client::submit): returns
-    /// [`ServiceError::Busy`] instead of parking when the owning shard's
-    /// ingress queue is at capacity. The op was *not* enqueued.
-    fn try_submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError>;
-
-    /// Submits `op` and waits for its reply: one synchronous round-trip,
-    /// plus the implementor's retry policy (none by default).
-    fn call<T>(&self, op: Op<T>) -> Result<T, ServiceError> {
-        self.submit(op)?.wait()
-    }
-}
-
 /// How a submission behaves when the shard's ingress queue is full.
 #[derive(Clone, Copy)]
 enum Admission {
@@ -212,8 +139,9 @@ enum Admission {
 /// [`DocsService`](crate::DocsService) pool: computes the owning shard
 /// client-side ([`CampaignId::shard`]) and enqueues directly on that
 /// shard's channel — routing adds no extra hop or thread. Client
-/// operations go through the [`Client`] verbs; the inherent methods are
-/// the pool's lifecycle and its replication / cluster control planes.
+/// operations go through the three verbs ([`call`](Self::call),
+/// [`submit`](Self::submit), [`try_submit`](Self::try_submit)); the other
+/// methods are the pool's lifecycle and its replication plane.
 ///
 /// Handles are cheap to clone and safe to use from many threads.
 #[derive(Clone)]
@@ -227,6 +155,24 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
+    /// Enqueues `op` and returns its completion handle without waiting;
+    /// parks while the owning shard's ingress queue is full (backpressure).
+    pub fn submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError> {
+        self.submit_with(op.request, Admission::Block, op.decode)
+    }
+
+    /// Fail-fast [`submit`](Self::submit): returns
+    /// [`ServiceError::Busy`] instead of parking when the owning shard's
+    /// ingress queue is at capacity. The op was *not* enqueued.
+    pub fn try_submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError> {
+        self.submit_with(op.request, Admission::FailFast, op.decode)
+    }
+
+    /// Submits `op` and waits for its reply: one synchronous round-trip.
+    pub fn call<T>(&self, op: Op<T>) -> Result<T, ServiceError> {
+        self.submit(op)?.wait()
+    }
+
     /// The submission half of every operation: tags the request with a
     /// fresh correlation id, admits it onto the owning shard's bounded
     /// queue under `admission`, and returns the typed completion handle.
@@ -241,8 +187,8 @@ impl ServiceHandle {
     }
 
     /// Like [`submit_with`](Self::submit_with) but with an explicit target
-    /// shard — the broadcast path (`InstallMap`) sends one copy per shard
-    /// instead of routing by campaign.
+    /// shard — [`replicate_apply`](Self::replicate_apply) sends one batch
+    /// per owning shard.
     fn submit_to_shard<T>(
         &self,
         shard: usize,
@@ -404,69 +350,6 @@ impl ServiceHandle {
     }
 
     // ------------------------------------------------------------------
-    // Cluster control plane: fencing, migration intake, directory
-    // installs (see ARCHITECTURE.md, "Cluster & migration").
-    // ------------------------------------------------------------------
-
-    /// Fences `campaign` away to `owner`: the owning shard hardens the
-    /// campaign's buffered events, ships them, records the hand-off, and
-    /// returns the hardened watermark — every later mutation of the
-    /// campaign is refused with [`RejectReason::WrongNode`](crate::RejectReason::WrongNode) naming
-    /// `owner`. The linearization point of a live migration.
-    pub fn fence_in(&self, campaign: CampaignId, owner: NodeId) -> Result<u64, ServiceError> {
-        self.call(Op {
-            request: Request::Fence { campaign, owner },
-            decode: decode_fenced,
-        })
-    }
-
-    /// Begins migration intake for `campaign`: this pool admits the
-    /// replication plane for it (despite running as a primary) and
-    /// redirects mutations back to `source` until
-    /// [`ServiceHandle::complete_migration_in`].
-    pub fn prepare_migration_in(
-        &self,
-        campaign: CampaignId,
-        source: NodeId,
-    ) -> Result<(), ServiceError> {
-        self.call(Op {
-            request: Request::PrepareMigration { campaign, source },
-            decode: decode_ack,
-        })
-    }
-
-    /// Adopts the migrated campaign's write path: ends intake, clears any
-    /// stale fence from a previous round-trip.
-    pub fn complete_migration_in(&self, campaign: CampaignId) -> Result<(), ServiceError> {
-        self.call(Op {
-            request: Request::CompleteMigration { campaign },
-            decode: decode_ack,
-        })
-    }
-
-    /// Installs a routing directory on **every** shard of this pool
-    /// (broadcast — the one request not routed by campaign). Fresher
-    /// epochs win per shard; stale installs are acknowledged and dropped.
-    pub fn install_cluster_map(&self, map: &ClusterMap) -> Result<(), ServiceError> {
-        let tickets: Vec<Ticket<()>> = (0..self.shards.len())
-            .map(|shard| {
-                self.submit_to_shard(
-                    shard,
-                    Request::InstallMap {
-                        map: Box::new(map.clone()),
-                    },
-                    Admission::Block,
-                    decode_ack,
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        for ticket in tickets {
-            ticket.wait()?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
     // Pinned forwards: `bench/` (frozen between benchmark PRs) calls these
     // six spellings of `submit(op)` / `call(op)` by name. No other in-tree
     // caller; they go away when `bench/` moves to the verbs.
@@ -521,16 +404,6 @@ impl ServiceHandle {
     /// The shared latency/queue/durability metrics.
     pub fn metrics(&self) -> &ServiceMetrics {
         &self.metrics
-    }
-}
-
-impl Client for ServiceHandle {
-    fn submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError> {
-        self.submit_with(op.request, Admission::Block, op.decode)
-    }
-
-    fn try_submit<T>(&self, op: Op<T>) -> Result<Ticket<T>, ServiceError> {
-        self.submit_with(op.request, Admission::FailFast, op.decode)
     }
 }
 
@@ -594,14 +467,6 @@ fn decode_state(response: Response) -> Result<Vec<u8>, ServiceError> {
     }
 }
 
-fn decode_fenced(response: Response) -> Result<u64, ServiceError> {
-    match response {
-        Response::Fenced { watermark } => Ok(watermark),
-        Response::Rejected(reason) => Err(ServiceError::Rejected(reason)),
-        other => unreachable!("protocol violation: {other:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,7 +474,7 @@ mod tests {
     use crate::metrics::OpKind;
     use crate::server::tests::published;
     use crate::ticket::TicketWait;
-    use crate::{ClusterRouter, DocsService, ServiceConfig};
+    use crate::{DocsService, ServiceConfig};
     use crossbeam::channel::{bounded, Receiver};
     use std::fmt::Debug;
     use std::time::Duration;
@@ -677,63 +542,50 @@ mod tests {
         }
     }
 
-    fn send<C: Client, T>(client: &C, verb: &str, op: Op<T>) -> Result<T, ServiceError> {
+    fn send<T>(handle: &ServiceHandle, verb: &str, op: Op<T>) -> Result<T, ServiceError> {
         match verb {
-            "call" => client.call(op),
-            "submit" => client.submit(op)?.wait(),
-            _ => client.try_submit(op)?.wait(),
+            "call" => handle.call(op),
+            "submit" => handle.submit(op)?.wait(),
+            _ => handle.try_submit(op)?.wait(),
         }
     }
 
-    /// One row of the op table: `op` must behave the same through every
-    /// verb and both clients, route by its read/write class, end in one
-    /// completion and one closed trace on the pool that served it, and
-    /// bounce off a full queue without leaving a ticket behind.
-    fn check_op<T: Debug>(name: &str, read: bool, op: Op<T>) {
-        assert_eq!(op.is_read(), read, "{name}: class is Request::is_read");
+    /// One row of the op table: the op `op()` builds must behave the same
+    /// through every verb, whether a read is served by the primary or by
+    /// the follower holding the same state, end in one completion and one
+    /// closed trace on the pool that served it, and bounce off a full
+    /// queue without leaving a ticket behind.
+    fn check_op<T: Debug>(name: &str, read: bool, op: impl Fn() -> Op<T>) {
+        let request = op().request;
+        assert_eq!(request.is_read(), read, "{name}: class is Request::is_read");
         let mut replies = Vec::new();
-        for routed in [false, true] {
+        for reads_to_follower in [false, true] {
             for verb in ["call", "submit", "try_submit"] {
-                let label = format!("{name} via {verb}, routed: {routed}");
+                let label =
+                    format!("{name} via {verb}, reads to the follower: {reads_to_follower}");
                 let fx = fixture();
-                assert_eq!(op.campaign(), fx.campaign, "{label}");
+                assert_eq!(request.campaign(), fx.campaign, "{label}");
                 let served = |h: &ServiceHandle| h.metrics().total_ops();
                 let before = (served(&fx.primary), served(&fx.follower));
                 let traced = |h: &ServiceHandle| h.metrics().flight().len();
                 let traces_before = traced(&fx.primary) + traced(&fx.follower);
-                let reply = if routed {
-                    let router = ClusterRouter::single(
-                        NodeId(0),
-                        fx.primary.clone(),
-                        vec![fx.follower.clone()],
-                    );
-                    let reply = send(&router, verb, op.clone());
-                    // Reads go to the attached replica, writes to the
-                    // primary — on every verb.
-                    let stats = router.stats();
-                    assert_eq!(
-                        (stats.replica_reads, stats.primary_reads),
-                        (read as u64, 0),
-                        "{label}"
-                    );
-                    let after = (served(&fx.primary), served(&fx.follower));
-                    assert_eq!(
-                        (after.0 - before.0, after.1 - before.1),
-                        (!read as u64, read as u64),
-                        "{label}"
-                    );
-                    reply
-                } else {
-                    send(&fx.primary, verb, op.clone())
-                };
-                assert!(reply.is_ok(), "{label}: {reply:?}");
-                // The dequeued request left exactly one finished trace, on
-                // the pool that served it, with its queue wait closed.
-                let server = if routed && read {
+                // Writes always go to the primary.
+                let by_follower = reads_to_follower && read;
+                let server = if by_follower {
                     &fx.follower
                 } else {
                     &fx.primary
                 };
+                let reply = send(server, verb, op());
+                assert!(reply.is_ok(), "{label}: {reply:?}");
+                let after = (served(&fx.primary), served(&fx.follower));
+                assert_eq!(
+                    (after.0 - before.0, after.1 - before.1),
+                    (!by_follower as u64, by_follower as u64),
+                    "{label}"
+                );
+                // The dequeued request left exactly one finished trace, on
+                // the pool that served it, with its queue wait closed.
                 assert_eq!(
                     traced(&fx.primary) + traced(&fx.follower),
                     traces_before + 1,
@@ -751,9 +603,9 @@ mod tests {
 
         // Admission: two ops fill a two-slot queue nothing serves.
         let (handle, rx) = stub_handle(2);
-        let _t1 = handle.try_submit(op.clone()).unwrap();
-        let _t2 = handle.try_submit(op.clone()).unwrap();
-        let err = handle.try_submit(op.clone()).unwrap_err();
+        let _t1 = handle.try_submit(op()).unwrap();
+        let _t2 = handle.try_submit(op()).unwrap();
+        let err = handle.try_submit(op()).unwrap_err();
         assert_eq!(err, ServiceError::Busy { shard: 0 }, "{name}");
         assert_eq!(err.to_string(), "shard 0 ingress queue is full");
         let stats = handle.metrics().shard(0);
@@ -766,12 +618,12 @@ mod tests {
         handle
             .metrics()
             .op_done(0, OpKind::Read, Duration::from_micros(1));
-        let _t3 = handle.try_submit(op.clone()).unwrap();
+        let _t3 = handle.try_submit(op()).unwrap();
         assert_eq!(handle.metrics().shard(0).busy_rejections, 1, "{name}");
         // A dead shard is Disconnected, not Busy.
         drop(rx);
         drop(served);
-        let err = handle.try_submit(op).unwrap_err();
+        let err = handle.try_submit(op()).unwrap_err();
         assert_eq!(err, ServiceError::Disconnected, "{name}");
     }
 
@@ -783,24 +635,20 @@ mod tests {
         // of the reply every path must agree on.
         let batch = vec![answer(3), answer(4), answer(3)];
 
-        check_op("request_tasks", false, Op::request_tasks(c, WORKER));
+        check_op("request_tasks", false, || Op::request_tasks(c, WORKER));
         // Any labeled task can grade a new worker.
         let golden = vec![(TaskId(0), 0), (TaskId(1), 1)];
-        check_op(
-            "submit_golden",
-            false,
-            Op::submit_golden(c, WorkerId(1), golden),
-        );
-        check_op("submit_answer", false, Op::submit_answer(c, answer(3)));
-        check_op(
-            "submit_answer_batch",
-            false,
-            Op::submit_answer_batch(c, batch),
-        );
-        check_op("finish", false, Op::finish(c));
-        check_op("status", true, Op::status(c));
-        check_op("peek_report", true, Op::peek_report(c));
-        check_op("snapshot_state", true, Op::snapshot_state(c));
+        check_op("submit_golden", false, || {
+            Op::submit_golden(c, WorkerId(1), golden.clone())
+        });
+        check_op("submit_answer", false, || Op::submit_answer(c, answer(3)));
+        check_op("submit_answer_batch", false, || {
+            Op::submit_answer_batch(c, batch.clone())
+        });
+        check_op("finish", false, || Op::finish(c));
+        check_op("status", true, || Op::status(c));
+        check_op("peek_report", true, || Op::peek_report(c));
+        check_op("snapshot_state", true, || Op::snapshot_state(c));
     }
 
     #[test]

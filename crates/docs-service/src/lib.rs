@@ -21,12 +21,11 @@
 //!   different shards,
 //! * **One op-typed call path**: each client operation is declared once,
 //!   as an [`Op`] value (`Op::request_tasks`, `Op::submit_answer_batch`,
-//!   `Op::finish`, …), and sent through one of three verbs on the
-//!   [`Client`] trait that [`ServiceHandle`] (one pool) and
-//!   [`ClusterRouter`] both implement: [`Client::call`] (one synchronous
-//!   round-trip), [`Client::submit`] (returns a [`Ticket`] — a one-shot
-//!   completion handle — so one client thread can keep many requests in
-//!   flight per shard) and [`Client::try_submit`],
+//!   `Op::finish`, …), and sent through one of three verbs on
+//!   [`ServiceHandle`]: [`ServiceHandle::call`] (one synchronous
+//!   round-trip), [`ServiceHandle::submit`] (returns a [`Ticket`] — a
+//!   one-shot completion handle — so one client thread can keep many
+//!   requests in flight per shard) and [`ServiceHandle::try_submit`],
 //! * **Backpressure**: per-shard ingress queues are bounded
 //!   ([`ServiceConfig::queue_capacity`]); `submit` and `call` park on a
 //!   full queue while `try_submit` fails fast with
@@ -69,21 +68,11 @@
 //!   mutations with
 //!   [`RejectReason::ReadOnlyReplica`](docs_types::RejectReason) while
 //!   serving the pure reads (`Op::status`, `Op::peek_report`,
-//!   `Op::snapshot_state`) locally, and [`ClusterRouter::single`] fans
-//!   client reads out to replicas while pinning writes to the primary.
-//!   The streaming hub, applier, and
-//!   promotion/failover live in the `docs-replication` crate (see
-//!   ARCHITECTURE.md, "Replication & failover"),
-//! * **Cluster routing** ([`ClusterRouter`]): campaigns partition across
-//!   multiple primary nodes by a versioned
-//!   [`ClusterMap`](docs_types::ClusterMap); writes go to the owning
-//!   primary, reads fan out replica-first on the owning node, and a
-//!   stale map self-heals — a
-//!   [`RejectReason::WrongNode`](docs_types::RejectReason) answer names
-//!   the owner and the router retries there. Live campaign migration
-//!   (fence → chase tail → adopt → flip the directory epoch) lives in
-//!   `docs-replication::migrate_campaign` (see ARCHITECTURE.md,
-//!   "Cluster & migration").
+//!   `Op::snapshot_state`) locally: a client sends its writes to the
+//!   primary's handle and may send its reads to a follower's. The
+//!   streaming hub, applier, and promotion/failover live in the
+//!   `docs-replication` crate (see ARCHITECTURE.md, "Replication &
+//!   failover").
 //!
 //! The simulated crowd that drives the service in tests and experiments
 //! (`drive_workers_on`, `run_campaign`) lives in `docs-scenarios`.
@@ -91,18 +80,16 @@
 mod handle;
 mod message;
 mod metrics;
-mod routing;
 mod server;
 mod shard;
 mod ticket;
 
-pub use handle::{Client, Op, ServiceHandle};
+pub use handle::{Op, ServiceHandle};
 pub use message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
 pub use metrics::{
     Counter, DurabilityStats, FollowerLagSample, HubHealth, OpKind, OpStats, ServiceMetrics,
     ShardStats, Stage,
 };
-pub use routing::{ClusterNode, ClusterRouter, ClusterRouterStats};
 pub use server::{DocsService, DurabilityConfig, ReplicationSink, ServiceConfig, ServiceError};
 // Adaptive group commit is switched on in `DurabilityConfig`; re-exported
 // so configuring a service doesn't require a direct docs-storage import.

@@ -21,10 +21,7 @@
 
 use docs_obs::TraceContext;
 use docs_system::{CampaignStatus, Docs, RequesterReport, WorkRequest};
-use docs_types::{
-    Answer, CampaignEvent, CampaignId, ChoiceIndex, ClusterMap, NodeId, RejectReason, TaskId,
-    WorkerId,
-};
+use docs_types::{Answer, CampaignEvent, CampaignId, ChoiceIndex, RejectReason, TaskId, WorkerId};
 
 /// Client-assigned tag pairing a submission with its completion. Allocated
 /// monotonically per handle; the shard never interprets it, only echoes it.
@@ -150,49 +147,12 @@ pub enum Request {
     /// primary-assigned sequence number, through the same deterministic
     /// `validate_event`/`apply` transition the primary ran. The applier
     /// sends one per owning shard per frame and guarantees gap-free order
-    /// per campaign. Only a follower accepts it, or a primary in migration
-    /// intake for *every* campaign the batch names; that admission is
-    /// checked before any event applies. The batch stops at the first
-    /// refused event, and its reply, like any other, is withheld until the
-    /// batch is durable on a durable follower.
+    /// per campaign. Only a follower accepts it. The batch stops at the
+    /// first refused event, and its reply, like any other, is withheld
+    /// until the batch is durable on a durable follower.
     ApplyReplicated {
         /// `(campaign, per-campaign sequence number, event)`, in log order.
         events: Vec<(CampaignId, u64, CampaignEvent)>,
-    },
-    /// Cluster control: fence a campaign away to `owner`. The owning shard
-    /// hardens the campaign's log, records the hand-off, answers
-    /// [`Response::Fenced`] with the hardened watermark, and refuses every
-    /// later mutation of the campaign with [`RejectReason::WrongNode`].
-    Fence {
-        /// Campaign being handed off.
-        campaign: CampaignId,
-        /// The node that owns the campaign from now on.
-        owner: NodeId,
-    },
-    /// Cluster control: begin migration intake — the campaign is being
-    /// shipped here from `source`, which keeps the write path until
-    /// [`Request::CompleteMigration`]. While in intake the shard admits the
-    /// replication plane for this campaign (despite running as a primary)
-    /// and redirects mutations back to the source.
-    PrepareMigration {
-        /// Campaign being shipped in.
-        campaign: CampaignId,
-        /// The node that still owns the write path.
-        source: NodeId,
-    },
-    /// Cluster control: the migrated campaign's tail is fully applied —
-    /// adopt its write path (end intake, clear any stale fence).
-    CompleteMigration {
-        /// Campaign being adopted.
-        campaign: CampaignId,
-    },
-    /// Cluster control: install a routing directory on the shard. Fresher
-    /// epochs win; stale installs are acknowledged and dropped. Unlike
-    /// every other request this is *broadcast* — the handle sends one copy
-    /// to each shard rather than routing by campaign.
-    InstallMap {
-        /// The directory to install.
-        map: Box<ClusterMap>,
     },
 }
 
@@ -209,15 +169,7 @@ impl Request {
             | Request::Status { campaign }
             | Request::PeekReport { campaign }
             | Request::SnapshotState { campaign }
-            | Request::InstallSnapshot { campaign, .. }
-            | Request::Fence { campaign, .. }
-            | Request::PrepareMigration { campaign, .. }
-            | Request::CompleteMigration { campaign } => *campaign,
-            // A directory install is broadcast by the handle (one copy per
-            // shard) and no `Op` constructor builds one, so nothing outside
-            // this crate can send it down the campaign-routed path: the
-            // arm only keeps the match total.
-            Request::InstallMap { .. } => CampaignId(0),
+            | Request::InstallSnapshot { campaign, .. } => *campaign,
             // A replicated batch is sent to its owning shard by the handle
             // and may name several campaigns; its first one stands in.
             Request::ApplyReplicated { events } => events
@@ -240,25 +192,11 @@ impl Request {
 
     /// Whether the request belongs to the replication plane (snapshot
     /// install / replicated apply) — accepted only on a follower, fed only
-    /// by its applier. A primary shard in migration intake admits it for
-    /// the campaign being shipped in.
+    /// by its applier.
     pub fn is_replication(&self) -> bool {
         matches!(
             self,
             Request::InstallSnapshot { .. } | Request::ApplyReplicated { .. }
-        )
-    }
-
-    /// Whether the request is cluster control (fencing, migration intake,
-    /// directory install) — ownership bookkeeping that bypasses the
-    /// campaign state machine and the ownership admission check itself.
-    pub fn is_cluster_control(&self) -> bool {
-        matches!(
-            self,
-            Request::Fence { .. }
-                | Request::PrepareMigration { .. }
-                | Request::CompleteMigration { .. }
-                | Request::InstallMap { .. }
         )
     }
 }
@@ -295,13 +233,6 @@ pub enum Response {
     /// `CampaignSnapshot`, byte-identical across primary and caught-up
     /// followers.
     State(Vec<u8>),
-    /// Reply to [`Request::Fence`]: the campaign's log was hardened
-    /// through this per-campaign sequence number before the fence took
-    /// effect — the migration's linearization watermark.
-    Fenced {
-        /// Highest durable sequence at the moment of the fence.
-        watermark: u64,
-    },
     /// The system refused the request; the reason is matchable data, not
     /// prose (e.g. `RejectReason::DuplicateAnswer`,
     /// `RejectReason::UnknownCampaign`).

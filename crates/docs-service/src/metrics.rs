@@ -19,14 +19,13 @@
 //!   enqueue/dequeue hot path,
 //! * **one table per metric family**: every service-wide [`Counter`] and
 //!   pipeline [`Stage`] (group-commit batch size and fdatasync duration,
-//!   replication ship→applied lag, router hop time, migration fence
-//!   windows) is declared once — variant, exposition name, help — and owns
-//!   its atomic or histogram. [`ServiceMetrics::count`] /
+//!   replication ship→applied lag) is declared once — variant, exposition
+//!   name, help — and owns its atomic or histogram. [`ServiceMetrics::count`] /
 //!   [`ServiceMetrics::counter`] and [`ServiceMetrics::observe`] /
 //!   [`ServiceMetrics::histogram`] are their only verbs; the exposition
 //!   and the typed views ([`DurabilityStats`]) walk the tables,
 //! * a sampled-request [`FlightRecorder`] and a [`ControlJournal`] of
-//!   promotions / fences / migrations / failures,
+//!   promotions and failures,
 //! * [`ServiceMetrics::render_prometheus`] and
 //!   [`ServiceMetrics::snapshot_json`]: every counter, gauge, and
 //!   histogram above in one coherent exposition.
@@ -86,9 +85,7 @@ metric_table! {
     /// read with [`ServiceMetrics::counter`]. Recovery rows move before the
     /// pool runs; replication rows count the shipping side on a primary and
     /// the applying side on a follower (a service plays one role at a
-    /// time, so the other side's rows stay zero); routing rows count what
-    /// the ownership admission check decided and what migrations did to
-    /// this node.
+    /// time, so the other side's rows stay zero).
     Counter {
         EventsReplayed => "docs_replay_events_total",
             "Events replayed during recovery.";
@@ -110,25 +107,15 @@ metric_table! {
             "Snapshots installed from the stream (follower side).";
         ReadOnlyRejections => "docs_replication_read_only_rejections_total",
             "Mutations refused on a read-only follower.";
-        WrongNodeRejections => "docs_routing_wrong_node_rejections_total",
-            "Mutations refused with WrongNode (fenced, intake, or placed elsewhere).";
-        MapsInstalled => "docs_routing_maps_installed_total",
-            "Cluster maps installed (per shard per accepted install).";
-        CampaignsFenced => "docs_routing_campaigns_fenced_total",
-            "Campaigns fenced away from this node.";
-        MigrationsAdopted => "docs_routing_migrations_adopted_total",
-            "Campaigns adopted through migration intake.";
-        ForwardedSubmissions => "docs_routing_forwarded_submissions_total",
-            "Submissions that landed here after a WrongNode redirect elsewhere.";
     }
 }
 
 metric_table! {
     /// Pipeline stages: where a durable replicated request's time goes
-    /// *between* the per-operation service times — group commit, the
-    /// replication stream, routing, and migrations. Each owns one
-    /// lock-free histogram, fed in nanoseconds (events, for
-    /// [`Stage::FlushBatch`]) by [`ServiceMetrics::observe`].
+    /// *between* the per-operation service times — group commit and the
+    /// replication stream. Each owns one lock-free histogram, fed in
+    /// nanoseconds (events, for [`Stage::FlushBatch`]) by
+    /// [`ServiceMetrics::observe`].
     Stage {
         FlushBatch => "docs_flush_batch_events",
             "Events per group-commit flush (unitless).";
@@ -136,10 +123,6 @@ metric_table! {
             "WAL flush (write + fdatasync) wall time.";
         ReplicationLag => "docs_replication_lag_ns",
             "Replicated event ship-to-applied lag.";
-        RouterHop => "docs_router_hop_ns",
-            "Routing hop time (map consult or redirect absorb).";
-        FenceWindow => "docs_migration_fence_window_ns",
-            "Write-unavailability window of campaign migrations.";
     }
 }
 
@@ -164,9 +147,6 @@ pub enum OpKind {
     /// Replication plane: snapshot install or replicated event apply on a
     /// follower.
     Replicate,
-    /// Cluster control plane: fencing, migration intake, directory
-    /// installs — ownership bookkeeping, not campaign work.
-    Cluster,
 }
 
 impl OpKind {
@@ -174,7 +154,7 @@ impl OpKind {
     /// and `OpKind::index` are all derived from this array, so adding a
     /// variant means adding it here (and the cross-check test fails if the
     /// orders drift).
-    pub const ALL: [OpKind; 9] = [
+    pub const ALL: [OpKind; 8] = [
         OpKind::Assign,
         OpKind::Golden,
         OpKind::Submit,
@@ -183,7 +163,6 @@ impl OpKind {
         OpKind::Create,
         OpKind::Read,
         OpKind::Replicate,
-        OpKind::Cluster,
     ];
 
     #[inline]
@@ -202,7 +181,6 @@ impl OpKind {
             OpKind::Create => "create",
             OpKind::Read => "read",
             OpKind::Replicate => "replicate",
-            OpKind::Cluster => "cluster",
         }
     }
 }
@@ -934,10 +912,10 @@ mod tests {
         let m2 = m.clone();
         m2.op_done(0, OpKind::Golden, Duration::from_micros(1));
         m2.shard_enqueued(1);
-        m2.count(Counter::MapsInstalled, 1);
+        m2.count(Counter::SnapshotsInstalled, 1);
         assert_eq!(m.stats(OpKind::Golden).count, 1);
         assert_eq!(m.shard(1).queued, 1);
-        assert_eq!(m.counter(Counter::MapsInstalled), 1);
+        assert_eq!(m.counter(Counter::SnapshotsInstalled), 1);
     }
 
     /// Successful enqueue: provisional depth, then recorded mark.
@@ -1161,15 +1139,17 @@ mod tests {
         let m = ServiceMetrics::new(2);
         m.count(Counter::EventsShipped, 4);
         m.observe(Stage::FlushBatch, 16);
-        m.journal()
-            .info(docs_obs::JournalKind::Fence, "campaign c1 fenced");
+        m.journal().info(
+            docs_obs::JournalKind::Promotion,
+            "replica promoted to primary",
+        );
         let text = m.render_prometheus();
         docs_obs::validate_prometheus(&text).expect("valid exposition");
         for needle in [
             "docs_replication_events_shipped_total 4\n",
             "docs_flush_batch_events{quantile=\"1\"} 16\n",
             "docs_flush_batch_events_count 1\n",
-            "docs_journal_events{kind=\"fence\"} 1\n",
+            "docs_journal_events{kind=\"promotion\"} 1\n",
         ] {
             assert!(text.contains(needle), "missing {needle:?}\n{text}");
         }

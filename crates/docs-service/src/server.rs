@@ -45,7 +45,7 @@ use crate::ticket::{self, Completer, SPIN_BUDGET};
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use docs_storage::{recover_tree, AdaptiveCommit, FlushPolicy};
 use docs_system::Docs;
-use docs_types::{CampaignId, NodeId, RejectReason, ReplicaRole, ReplicationFrame};
+use docs_types::{CampaignId, RejectReason, ReplicaRole, ReplicationFrame};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -191,11 +191,6 @@ pub struct ServiceConfig {
     /// leave on in production at, say, `1024`; traced requests pay one
     /// heap allocation plus a handful of clock reads.
     pub trace_sample_every: u64,
-    /// This pool's identity inside a multi-primary cluster. Single-node
-    /// deployments keep the default `NodeId(0)` and never notice it; in a
-    /// cluster each primary pool gets a distinct id, which fencing records
-    /// as the redirect target of [`RejectReason::WrongNode`].
-    pub node: NodeId,
 }
 
 impl Default for ServiceConfig {
@@ -207,7 +202,6 @@ impl Default for ServiceConfig {
             role: ReplicaRole::Primary,
             replication: None,
             trace_sample_every: 0,
-            node: NodeId(0),
         }
     }
 }
@@ -262,12 +256,6 @@ impl ServiceConfig {
     /// through it as frames (see [`ReplicationSink`]).
     pub fn with_replication(mut self, sink: ReplicationSink) -> Self {
         self.replication = Some(sink);
-        self
-    }
-
-    /// Sets this pool's cluster node identity.
-    pub fn with_node(mut self, node: NodeId) -> Self {
-        self.node = node;
         self
     }
 
@@ -334,9 +322,7 @@ fn shard_loop(
 
 impl DocsService {
     /// Spawns a pool in `config.role` with no campaigns. A primary gains
-    /// them through [`ServiceHandle::create_campaign`] or a migration's
-    /// intake (`docs-replication::migrate_campaign` ships a campaign in
-    /// over the replication plane and then hands it the write path); a
+    /// them through [`ServiceHandle::create_campaign`]; a
     /// [`ReplicaRole::Follower`] refuses every mutation with
     /// [`RejectReason::ReadOnlyReplica`], gains campaigns through the
     /// replication plane (snapshot installs + replicated applies, normally
@@ -477,7 +463,7 @@ impl DocsService {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::handle::{Client, Op};
+    use crate::handle::Op;
     use crate::message::{Request, Response};
     use crate::metrics::OpKind;
     use crate::ticket::TicketWait;

@@ -1,8 +1,8 @@
 //! One shard of the pool as a steppable state machine.
 //!
 //! A [`Shard`] owns all of one shard's state: the campaigns hashed to it,
-//! their log ([`ShardDurability`]), the [`OwnershipTable`] and the
-//! completions adaptive group commit withholds.
+//! their log ([`ShardDurability`]) and the completions adaptive group
+//! commit withholds.
 //! Its driver (the shard thread in `server.rs`) asks [`Shard::wait`] how to
 //! receive, hands what arrives to [`Shard::step`], and ends with
 //! [`Shard::stop`]. Every transition comes from a request or an empty
@@ -26,10 +26,10 @@ use crate::server::{Inbound, ReplicationSink, RoleCell, ServiceConfig, ServiceEr
 use crate::ticket::Completer;
 use docs_obs::{JournalKind, SpanKind, TraceContext};
 use docs_storage::{CampaignLog, FlushPolicy};
-use docs_system::{CampaignSnapshot, Docs, MutationAdmission, OwnershipTable};
+use docs_system::{CampaignSnapshot, Docs};
 use docs_types::{
-    codec, Answer, CampaignEvent, CampaignId, Error, EventFrame, NodeId, PublishedEvent,
-    RejectReason, ReplicaRole, ReplicationFrame, SnapshotFrame,
+    codec, Answer, CampaignEvent, CampaignId, Error, EventFrame, PublishedEvent, RejectReason,
+    ReplicaRole, ReplicationFrame, SnapshotFrame,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -281,10 +281,6 @@ fn kind_of(request: &Request) -> OpKind {
             OpKind::Read
         }
         Request::InstallSnapshot { .. } | Request::ApplyReplicated { .. } => OpKind::Replicate,
-        Request::Fence { .. }
-        | Request::PrepareMigration { .. }
-        | Request::CompleteMigration { .. }
-        | Request::InstallMap { .. } => OpKind::Cluster,
     }
 }
 
@@ -293,7 +289,6 @@ pub(crate) struct Shard {
     index: usize,
     campaigns: BTreeMap<CampaignId, Docs>,
     durability: Option<ShardDurability>,
-    ownership: OwnershipTable,
     metrics: ServiceMetrics,
     role: RoleCell,
     /// The handle-level campaign-id allocator, shared so snapshot installs
@@ -362,7 +357,6 @@ impl Shard {
             index,
             campaigns: BTreeMap::new(),
             durability,
-            ownership: OwnershipTable::new(config.node),
             metrics: metrics.clone(),
             role: role.clone(),
             next_campaign: Arc::clone(next_campaign),
@@ -531,48 +525,18 @@ impl Shard {
 
     /// The role gate: a follower refuses every external mutation (pure
     /// reads and the replication plane pass), a primary refuses the
-    /// replication plane — unless the campaign is in migration intake,
-    /// whose shipping feed is the one legitimate primary-side source.
-    /// Behind the role, the ownership gate: a primary mutation for a
-    /// campaign this node fenced away (or never owned under the installed
-    /// directory) is redirected with `WrongNode` instead of applied. Reads
-    /// stay served locally — a fenced campaign's state is exactly a
-    /// consistent-but-stale replica of its new owner.
+    /// replication plane, naming the request's (a batch's first) campaign.
     fn refusal(&self, request: &Request) -> Option<Response> {
         let campaign = request.campaign();
-        let mutation = !request.is_read() && !request.is_replication();
         match self.role.get() {
-            ReplicaRole::Follower if mutation => {
+            ReplicaRole::Follower if !request.is_read() && !request.is_replication() => {
                 self.metrics.count(Counter::ReadOnlyRejections, 1);
                 Some(Response::Rejected(RejectReason::ReadOnlyReplica {
                     campaign,
                 }))
             }
-            // Migration intake admits the replication plane per campaign,
-            // so a batch is checked for every campaign it names before any
-            // event applies.
             ReplicaRole::Primary if request.is_replication() => {
-                let foreign = match request {
-                    Request::ApplyReplicated { events } => events
-                        .iter()
-                        .map(|&(campaign, ..)| campaign)
-                        .find(|&c| !self.ownership.accepts_replication(c)),
-                    _ => Some(campaign).filter(|&c| !self.ownership.accepts_replication(c)),
-                };
-                foreign.map(|campaign| Response::Rejected(RejectReason::NotAFollower { campaign }))
-            }
-            ReplicaRole::Primary if mutation && !request.is_cluster_control() => {
-                match self.ownership.admit_mutation(campaign) {
-                    MutationAdmission::Allowed => None,
-                    MutationAdmission::Redirect { owner } => {
-                        self.metrics.count(Counter::WrongNodeRejections, 1);
-                        self.metrics.journal().warn(
-                            JournalKind::WrongNodeRejection,
-                            format!("campaign {campaign}: mutation redirected to {owner}"),
-                        );
-                        Some(Response::Rejected(RejectReason::WrongNode { owner }))
-                    }
-                }
+                Some(Response::Rejected(RejectReason::NotAFollower { campaign }))
             }
             _ => None,
         }
@@ -621,30 +585,6 @@ impl Shard {
                     if !matches!(response, Response::Ack) {
                         return response;
                     }
-                }
-                Response::Ack
-            }
-            Request::Fence { owner, .. } => self.fence(campaign, owner),
-            Request::PrepareMigration { source, .. } => {
-                self.ownership.begin_intake(campaign, source);
-                Response::Ack
-            }
-            Request::CompleteMigration { .. } => {
-                self.ownership.complete_intake(campaign);
-                self.metrics.count(Counter::MigrationsAdopted, 1);
-                self.metrics.journal().info(
-                    JournalKind::MigrationAdopted,
-                    format!("campaign {campaign} adopted after migration intake"),
-                );
-                Response::Ack
-            }
-            Request::InstallMap { map } => {
-                if self.ownership.install_map(&map) {
-                    self.metrics.count(Counter::MapsInstalled, 1);
-                    self.metrics.journal().info(
-                        JournalKind::MapInstall,
-                        format!("cluster map epoch {} installed", map.epoch()),
-                    );
                 }
                 Response::Ack
             }
@@ -829,41 +769,6 @@ impl Shard {
             self.metrics.count(Counter::EventsApplied, 1);
         }
         response
-    }
-
-    /// Handles `Fence`: hardens and ships everything the campaign still has
-    /// buffered, records the hand-off at the resulting watermark, and
-    /// answers [`Response::Fenced`]. After this no mutation of the campaign
-    /// can commit locally — the watermark is the migration's linearization
-    /// point. Memory-only campaigns fence at watermark 0 (a routing-only
-    /// hand-off; there is no log to harden).
-    fn fence(&mut self, campaign: CampaignId, owner: NodeId) -> Response {
-        if !self.campaigns.contains_key(&campaign) {
-            return Response::Rejected(RejectReason::UnknownCampaign(campaign));
-        }
-        let mut watermark = 0;
-        if let Some(d) = self
-            .durability
-            .as_mut()
-            .filter(|d| d.persisted.contains(&campaign))
-        {
-            // Flush-then-ship before recording the watermark: every event
-            // the new owner must chase is durable *and* on the wire when
-            // the fence answer (carrying the watermark) leaves this shard.
-            if let Err(e) = d.log.flush() {
-                return Response::Rejected(RejectReason::Storage(e.to_string()));
-            }
-            d.ship(&self.metrics);
-            d.observe(self.index, &self.metrics);
-            watermark = d.log.last_seq(campaign);
-        }
-        self.ownership.fence(campaign, owner);
-        self.metrics.count(Counter::CampaignsFenced, 1);
-        self.metrics.journal().info(
-            JournalKind::Fence,
-            format!("campaign {campaign} fenced to {owner} at watermark {watermark}"),
-        );
-        Response::Fenced { watermark }
     }
 
     /// [`Input::QueueEmpty`]: flushes the adaptive group-commit batch,

@@ -3,15 +3,15 @@
 //! One fixture populates every family `ServiceMetrics` renders — op
 //! latencies on three shards, the queue / ticket / busy / log gauges and
 //! full-inference run counts, each service counter at a distinct value,
-//! every pipeline stage, a hub with two followers (one name needing
-//! escapes) and two journal kinds — and the
+//! every pipeline stage and a hub with two followers (one name needing
+//! escapes) — and the
 //! Prometheus text, the JSON snapshot, the typed views and the empty pool's
 //! exposition must match the committed files byte for byte. The expected
 //! files were generated once and are never edited by a refactor of the
 //! metrics surface; on a mismatch the actual bytes land in the cargo
 //! target's tmp dir for diffing.
 
-use docs_obs::{JournalKind, TraceContext};
+use docs_obs::TraceContext;
 use docs_service::{Counter, FollowerLagSample, HubHealth, OpKind, ServiceMetrics, Stage};
 use docs_types::TraceId;
 use std::path::Path;
@@ -86,11 +86,6 @@ fn populated() -> ServiceMetrics {
         (Counter::EventsApplied, 8),
         (Counter::SnapshotsInstalled, 9),
         (Counter::ReadOnlyRejections, 10),
-        (Counter::WrongNodeRejections, 12),
-        (Counter::MapsInstalled, 13),
-        (Counter::CampaignsFenced, 14),
-        (Counter::MigrationsAdopted, 15),
-        (Counter::ForwardedSubmissions, 16),
     ] {
         m.count(counter, n);
     }
@@ -101,12 +96,6 @@ fn populated() -> ServiceMetrics {
     }
     for us in [40, 55, 70, 3_000] {
         m.observe(Stage::ReplicationLag, us * 1_000);
-    }
-    for ns in [900, 1_500, 250_000] {
-        m.observe(Stage::RouterHop, ns);
-    }
-    for ms in [2, 7] {
-        m.observe(Stage::FenceWindow, ms * 1_000_000);
     }
     m.hub_observed(HubHealth {
         frames_shipped: 21,
@@ -128,10 +117,6 @@ fn populated() -> ServiceMetrics {
             },
         ],
     });
-    m.journal().info(JournalKind::Fence, "campaign c1 fenced");
-    m.journal().info(JournalKind::Fence, "campaign c2 fenced");
-    m.journal()
-        .warn(JournalKind::WrongNodeRejection, "campaign c1 redirected");
     m.flight().record(TraceContext::start(TraceId(7)).finish());
     m
 }

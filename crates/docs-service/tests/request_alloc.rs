@@ -10,7 +10,7 @@
 //! The file holds one test on purpose: the counter is process-wide, so no
 //! neighbouring test may allocate while a round trip is measured.
 
-use docs_service::{Client, DocsService, Op, ServiceConfig};
+use docs_service::{DocsService, Op, ServiceConfig};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, TaskBuilder, TaskId, WorkerId};

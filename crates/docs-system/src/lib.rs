@@ -16,12 +16,10 @@
 //!    scoring live in `docs-crowd` and `docs-scenarios`.
 
 mod config;
-mod ownership;
 mod system;
 mod watermark;
 
 pub use config::DocsConfig;
-pub use ownership::{MutationAdmission, OwnershipTable};
 pub use system::{
     CampaignSnapshot, CampaignStatus, Docs, ReplayStats, RequesterReport, WorkRequest,
 };

@@ -94,7 +94,7 @@ pub struct CampaignId(pub u32);
 impl CampaignId {
     /// Deterministic shard owner for this campaign among `shards` shards.
     ///
-    /// The service router and each shard must agree on this mapping, so it
+    /// The service handle and each shard must agree on this mapping, so it
     /// lives here with the id type (via `splitmix_shard`).
     #[inline]
     pub fn shard(self, shards: usize) -> usize {
@@ -118,8 +118,8 @@ impl From<usize> for CampaignId {
 ///
 /// Allocated by the service when a request is chosen for tracing (a
 /// sampled subset of correlation ids); every span the request accumulates
-/// across layers — client submit, router hop, queue wait, apply, flush
-/// wait, ship — carries this id into the flight recorder. Unlike the
+/// across layers — client submit, queue wait, apply, flush wait, ship —
+/// carries this id into the flight recorder. Unlike the
 /// dense ids above it is a plain opaque `u64` tag: traces are sparse and
 /// never used as vector indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

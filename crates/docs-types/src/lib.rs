@@ -24,17 +24,13 @@
 //! * [`ReplicaRole`] / [`ReplicationFrame`] — the replication vocabulary:
 //!   primary vs read-only follower, and the logical frames (snapshots,
 //!   durable event batches with per-campaign sequence watermarks) the
-//!   WAL-shipping protocol streams between them,
-//! * [`NodeId`] / [`ClusterMap`] — the cluster vocabulary: which primary
-//!   node owns each campaign's write path, as a versioned (epoch-stamped)
-//!   directory that live migration updates and routers follow.
+//!   WAL-shipping protocol streams between them.
 //!
 //! Everything downstream (`docs-kb`, `docs-core`, `docs-baselines`,
 //! `docs-crowd`, ...) builds on these types, so they deliberately stay free of
 //! any algorithmic policy.
 
 mod answers;
-mod cluster;
 pub mod codec;
 pub mod crc;
 pub mod domain;
@@ -48,7 +44,6 @@ mod task;
 mod vectors;
 
 pub use answers::{Answer, AnswerLog, TaskAnswers, WorkerAnswers};
-pub use cluster::{ClusterMap, NodeId};
 pub use codec::CodecError;
 pub use crc::{crc32, Crc32};
 pub use domain::DomainSet;

@@ -11,7 +11,7 @@
 //!
 //! [`Display`]: std::fmt::Display
 
-use crate::{CampaignId, Error, NodeId, TaskId, WorkerId};
+use crate::{CampaignId, Error, TaskId, WorkerId};
 use std::fmt;
 
 /// Why the service refused a request, as a matchable value.
@@ -65,13 +65,6 @@ pub enum RejectReason {
     NotAFollower {
         /// The campaign the refused replication request addressed.
         campaign: CampaignId,
-    },
-    /// The addressed campaign's write path is owned by another cluster
-    /// node — the client's `ClusterMap` is stale (a migration fenced the
-    /// campaign away) and the request should be retried against `owner`.
-    WrongNode {
-        /// The node that owns the campaign now.
-        owner: NodeId,
     },
     /// A requester's `finish` could not harden the campaign's buffered
     /// events; the report was withheld (the requester can retry — the
@@ -130,11 +123,6 @@ impl fmt::Display for RejectReason {
                 f,
                 "replication apply for campaign {campaign} refused: this service \
                  is not a follower"
-            ),
-            RejectReason::WrongNode { owner } => write!(
-                f,
-                "campaign is owned by cluster node {owner}; retry there with a \
-                 refreshed cluster map"
             ),
             RejectReason::ReportNotDurable { campaign, cause } => write!(
                 f,
@@ -232,11 +220,6 @@ mod tests {
                 },
                 "replication apply for campaign c4 refused: this service \
                  is not a follower",
-            ),
-            (
-                RejectReason::WrongNode { owner: NodeId(1) },
-                "campaign is owned by cluster node n1; retry there with a \
-                 refreshed cluster map",
             ),
         ];
         for (reason, expected) in cases {

@@ -18,7 +18,7 @@
 
 use docs_core::ti::{StoppingPolicy, WorkerStats};
 use docs_replication::{decode_frame, encode_frame};
-use docs_service::{Client, DocsService, ServiceConfig};
+use docs_service::{DocsService, ServiceConfig};
 use docs_storage::FlushPolicy;
 use docs_system::{CampaignSnapshot, Docs, DocsConfig, WorkRequest};
 use docs_types::codec::{CODEC_MAGIC, CODEC_VERSION, HEADER_LEN, KIND_VALUE};

@@ -1,13 +1,13 @@
-//! The scripted crowd and the single-node oracle shared by the recovery,
-//! replication and cluster suites.
+//! The scripted crowd and the single-node oracle shared by the recovery
+//! and replication suites.
 //!
 //! [`oracle`] drives one uninterrupted in-memory campaign with a fixed
 //! worker script and records every submission as an [`Op`]; a suite
-//! replays that stream against a service that crashes, fails over or
-//! migrates, and [`assert_byte_identical`] checks the finished report
-//! against the oracle's.
+//! replays that stream against a service that crashes or fails over, and
+//! [`assert_byte_identical`] checks the finished report against the
+//! oracle's.
 
-use docs_service::{Client, ServiceError};
+use docs_service::{ServiceError, ServiceHandle};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
 use docs_types::{Answer, CampaignId, ChoiceIndex, Task, TaskBuilder, TaskId, WorkerId};
@@ -101,16 +101,16 @@ pub fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
     (ops, report)
 }
 
-/// Sends one recorded op to `campaign` through any client (a pool handle
-/// or a cluster router). Which errors are acceptable is the caller's call.
-pub fn send<C: Client>(client: &C, campaign: CampaignId, op: &Op) -> Result<(), ServiceError> {
+/// Sends one recorded op to `campaign` through a pool handle. Which
+/// errors are acceptable is the caller's call.
+pub fn send(handle: &ServiceHandle, campaign: CampaignId, op: &Op) -> Result<(), ServiceError> {
     match op {
-        Op::Golden(w, answers) => client.call(docs_service::Op::submit_golden(
+        Op::Golden(w, answers) => handle.call(docs_service::Op::submit_golden(
             campaign,
             *w,
             answers.clone(),
         )),
-        Op::Answer(answer) => client.call(docs_service::Op::submit_answer(campaign, *answer)),
+        Op::Answer(answer) => handle.call(docs_service::Op::submit_answer(campaign, *answer)),
     }
 }
 

@@ -22,8 +22,8 @@ mod common;
 use common::{assert_byte_identical, oracle, publish, send, tmp_dir, Op, NUM_TASKS};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, Client, DocsService, DurabilityConfig, RejectReason, ServiceConfig,
-    ServiceError, ServiceHandle,
+    AdaptiveCommit, DocsService, DurabilityConfig, RejectReason, ServiceConfig, ServiceError,
+    ServiceHandle,
 };
 use docs_storage::FlushPolicy;
 use docs_system::CampaignSnapshot;

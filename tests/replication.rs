@@ -24,11 +24,11 @@ use common::{assert_byte_identical, oracle, publish, send, tmp_dir, Op};
 use docs_obs::{JournalKind, SpanKind};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, Client, ClusterRouter, Counter, DocsService, DurabilityConfig, RejectReason,
-    ServiceConfig, ServiceError, ServiceHandle,
+    AdaptiveCommit, Counter, DocsService, DurabilityConfig, RejectReason, ServiceConfig,
+    ServiceError, ServiceHandle,
 };
 use docs_storage::FlushPolicy;
-use docs_types::{Answer, CampaignEvent, CampaignId, NodeId, ReplicationFrame, TaskId, WorkerId};
+use docs_types::{Answer, CampaignEvent, CampaignId, ReplicationFrame, TaskId, WorkerId};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -102,17 +102,26 @@ fn byte_identity_case(shards: usize, follower_shards: usize, task_shards: usize)
     }
 
     // Subscribe FIRST, scan SECOND: the overlap is deduplicated by the
-    // watermark table, a gap is impossible.
+    // watermark table, a gap is impossible. The cadence snapshot is written
+    // by the log's write lane, off the shard thread, so the scan is
+    // repeated until it has landed (or the deadline passes).
     let link = hub.subscribe("replica-0");
-    let bootstrap = bootstrap_frames(&dir).expect("bootstrap scan");
-    let snapshot_seq = bootstrap
-        .iter()
-        .filter_map(|f| match f {
-            ReplicationFrame::Snapshot(s) if s.campaign == campaign => Some(s.seq),
-            _ => None,
-        })
-        .max()
-        .expect("bootstrap carries the campaign snapshot");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (bootstrap, snapshot_seq) = loop {
+        let bootstrap = bootstrap_frames(&dir).expect("bootstrap scan");
+        let snapshot_seq = bootstrap
+            .iter()
+            .filter_map(|f| match f {
+                ReplicationFrame::Snapshot(s) if s.campaign == campaign => Some(s.seq),
+                _ => None,
+            })
+            .max()
+            .expect("bootstrap carries the campaign snapshot");
+        if snapshot_seq > 0 || Instant::now() > deadline {
+            break (bootstrap, snapshot_seq);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     assert!(
         snapshot_seq > 0,
         "{label}: follower must bootstrap from a mid-campaign snapshot, got seq 0"
@@ -389,39 +398,34 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
         traced.to_json()
     );
 
-    // Reads fan out to the replica through the router; writes pin to the
-    // primary.
+    // At the acked watermark the follower serves the primary's reads.
     await_watermark(&replica, campaign, acked_seq);
-    let router = ClusterRouter::single(NodeId(0), handle.clone(), vec![replica.handle().clone()]);
-    let routed_status = router.call(docs_service::Op::status(campaign)).unwrap();
+    let follower = replica.handle();
+    let follower_status = follower.call(docs_service::Op::status(campaign)).unwrap();
     assert_eq!(
-        routed_status,
+        follower_status,
         handle.call(docs_service::Op::status(campaign)).unwrap()
     );
-    assert_eq!(routed_status.answers_collected, prefix - 5); // 5 golden HITs
-    let routed_report = router
+    assert_eq!(follower_status.answers_collected, prefix - 5); // 5 golden HITs
+    let follower_report = follower
         .call(docs_service::Op::peek_report(campaign))
         .unwrap();
     let primary_report = handle
         .call(docs_service::Op::peek_report(campaign))
         .unwrap();
-    assert_eq!(routed_report.truths, primary_report.truths);
+    assert_eq!(follower_report.truths, primary_report.truths);
     assert_eq!(
-        routed_report.truth_distributions,
+        follower_report.truth_distributions,
         primary_report.truth_distributions
     );
-    let routing = router.stats();
-    assert_eq!(routing.replica_reads, 2, "reads served by the follower");
-    assert_eq!(routing.primary_reads, 0);
-    // A read for a campaign the replica never bootstrapped falls back.
-    let err = router
+    // A campaign the follower never bootstrapped is unknown there.
+    let err = follower
         .call(docs_service::Op::status(CampaignId(99)))
         .unwrap_err();
-    assert!(matches!(
+    assert_eq!(
         err,
-        ServiceError::Rejected(RejectReason::UnknownCampaign(_))
-    ));
-    assert_eq!(router.stats().fallbacks, 1);
+        ServiceError::Rejected(RejectReason::UnknownCampaign(CampaignId(99)))
+    );
 
     // Role enforcement end to end.
     let err = replica
@@ -457,7 +461,6 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
         .call(docs_service::Op::peek_report(campaign))
         .unwrap();
     handle.simulate_crash();
-    drop(router);
     drop(handle);
     service.join_all();
     hub.join();

@@ -5,7 +5,7 @@
 use docs_core::ti::{IncrementalTi, StoppingPolicy, WorkerRegistry};
 use docs_crowd::{accuracy_of, AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_on, run_campaign};
-use docs_service::{Client, DocsService, Op, OpKind, ServiceConfig};
+use docs_service::{DocsService, Op, OpKind, ServiceConfig};
 use docs_system::{Docs, DocsConfig};
 use docs_types::{Answer, TaskId, WorkerId};
 use rand::rngs::SmallRng;

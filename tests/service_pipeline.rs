@@ -6,7 +6,7 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_blocking_on, drive_workers_on, DriveReport};
-use docs_service::{Client, DocsService, Op, ServiceConfig, TicketWait};
+use docs_service::{DocsService, Op, ServiceConfig, TicketWait};
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, Task, TaskBuilder, TaskId, WorkerId};
 use std::sync::Arc;

@@ -6,7 +6,7 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_on, DriveReport};
-use docs_service::{Client, DocsService, Op, ServiceConfig, ServiceHandle};
+use docs_service::{DocsService, Op, ServiceConfig, ServiceHandle};
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{CampaignId, Task, TaskBuilder, WorkerId};
 use std::collections::BTreeSet;
