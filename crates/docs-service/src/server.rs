@@ -1094,7 +1094,7 @@ pub(crate) mod tests {
             FlushPolicy::Batch(8),
         ] {
             for adaptive in [None, Some(AdaptiveCommit)] {
-                let label = format!("{}-adaptive-{}", policy.label(), adaptive.is_some());
+                let label = format!("{policy:?}-adaptive-{}", adaptive.is_some());
                 let dir = tmp_dir(&format!("log-gauges-{label}"));
                 let shard_dir = dir.join("shard-0");
                 let mut config = ServiceConfig::durable(1, &dir);

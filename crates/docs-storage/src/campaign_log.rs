@@ -75,16 +75,6 @@ pub enum FlushPolicy {
     Batch(usize),
 }
 
-impl FlushPolicy {
-    /// Short label for metrics and bench output.
-    pub fn label(&self) -> String {
-        match self {
-            FlushPolicy::EveryEvent => "every_event".to_string(),
-            FlushPolicy::Batch(n) => format!("batch_{n}"),
-        }
-    }
-}
-
 /// Adaptive group commit: under load, [`FlushPolicy::EveryEvent`] appends
 /// accumulate into one batch (bounded by 64 events, 256 KiB of buffered
 /// bytes and a 2 ms latency deadline) that is written and `fdatasync`ed
@@ -594,10 +584,6 @@ pub struct TreeRecovery {
     pub segments_scanned: u64,
     /// Segments that ended in a torn record (crash artifacts, tolerated).
     pub torn_tails: u64,
-    /// Payload buffers allocated while reading (one per file arena) —
-    /// before the shared-arena read path this was one per event plus one
-    /// per snapshot; the durability bench reports both counts.
-    pub payload_allocations: u64,
     /// Event records decoded across all scanned segments.
     pub events_recovered: u64,
 }
@@ -679,7 +665,6 @@ pub fn recover_tree(base: impl AsRef<Path>) -> Result<TreeRecovery> {
             };
             if let Some(campaign) = parse_snapshot_id(&name) {
                 let (seq, payload) = read_snapshot_file(&entry.path())?;
-                recovery.payload_allocations += 1;
                 let slot = recovery.campaigns.entry(campaign).or_default();
                 if slot.snapshot.as_ref().is_none_or(|(s, _)| *s < seq) {
                     slot.snapshot = Some((seq, payload));
@@ -693,7 +678,6 @@ pub fn recover_tree(base: impl AsRef<Path>) -> Result<TreeRecovery> {
             let arena = Arc::new(Wal::load(&path)?);
             let (records, tail) = Wal::scan(&arena);
             recovery.segments_scanned += 1;
-            recovery.payload_allocations += 1;
             match tail {
                 WalTail::Clean => {}
                 WalTail::Torn => recovery.torn_tails += 1,

@@ -66,11 +66,11 @@ class RetiredFiles(unittest.TestCase):
     def test_a_whole_file_missing_from_the_tree_is_reported(self):
         # The baseline's root tree holds more than bench files; only a
         # BENCH_*.json the working tree lost is retired.
-        tree = ["BENCH_codec.json", "BENCH_ota.json", "Cargo.toml", "README.md"]
-        self.assertEqual(retired_files(tree, ["BENCH_codec.json"]), ["BENCH_ota.json"])
-        self.assertEqual(retired_files(tree, ["BENCH_codec.json", "BENCH_ota.json"]), [])
+        tree = ["BENCH_obs.json", "BENCH_ota.json", "Cargo.toml", "README.md"]
+        self.assertEqual(retired_files(tree, ["BENCH_obs.json"]), ["BENCH_ota.json"])
+        self.assertEqual(retired_files(tree, ["BENCH_obs.json", "BENCH_ota.json"]), [])
         # A file new in the tree is not the baseline's to retire.
-        self.assertEqual(retired_files(["BENCH_codec.json"], ["BENCH_codec.json", "BENCH_new.json"]), [])
+        self.assertEqual(retired_files(["BENCH_obs.json"], ["BENCH_obs.json", "BENCH_new.json"]), [])
 
 
 class RetiredKeys(unittest.TestCase):

@@ -84,8 +84,7 @@ fn crash_recover_case(
     assert!(!ops.is_empty());
     let crash_at = crash_at.min(ops.len());
     let dir = tmp_dir(&format!(
-        "crash-{shards}-{recover_shards}-{task_shards}-{}-{snapshot_every}-{crash_at}-{tear_tail}",
-        policy.label()
+        "crash-{shards}-{recover_shards}-{task_shards}-{policy:?}-{snapshot_every}-{crash_at}-{tear_tail}"
     ));
 
     // Phase 1: serve the prefix durably, then die without flushing.
@@ -342,7 +341,7 @@ fn a_crash_behind_a_held_write_lane_recovers_byte_identically() {
     let (ops, _) = oracle(2);
     for policy in [FlushPolicy::EveryEvent, FlushPolicy::Batch(8)] {
         let label = format!("held lane, {policy:?}");
-        let dir = tmp_dir(&format!("held-lane-{}", policy.label()));
+        let dir = tmp_dir(&format!("held-lane-{policy:?}"));
         let config = service_config(1, &dir, policy, CADENCE);
         let (service, handle) = DocsService::spawn_empty(config.clone()).unwrap();
         let campaign = handle.create_campaign(publish(2, Some(policy))).unwrap();
