@@ -17,7 +17,6 @@ fn bench_stopping_policy(c: &mut Criterion) {
     let policy = StoppingPolicy {
         entropy_below: 0.15,
         min_answers: 3,
-        max_answers: 10,
     };
     group.bench_function("entropy", |b| {
         b.iter(|| black_box(policy.should_stop(black_box(states.view(0)), 5)))

@@ -37,10 +37,11 @@ pub fn adaptive_stopping(mut dataset: Dataset, seed: u64) -> AdaptiveStoppingRow
         seed,
         ..Default::default()
     });
+    // The paper's flat budget caps both arms.
+    let max_answers = 10;
     let policy = StoppingPolicy {
         entropy_below: 0.06,
         min_answers: 5,
-        max_answers: 10,
     };
 
     let mut curve = Vec::new();
@@ -49,15 +50,12 @@ pub fn adaptive_stopping(mut dataset: Dataset, seed: u64) -> AdaptiveStoppingRow
         let mut engine =
             IncrementalTi::new(dataset.tasks.clone(), WorkerRegistry::new(m, 0.7), 200);
         let mut curve_out = Vec::new();
-        for round in 1..=policy.max_answers {
+        for round in 1..=max_answers {
             for i in 0..n {
                 let tid = TaskId::from(i);
                 let count = engine.log().answer_count(tid);
-                let stop = if adaptive {
-                    policy.should_stop(engine.state(tid), count)
-                } else {
-                    count >= policy.max_answers
-                };
+                let stop = count >= max_answers
+                    || (adaptive && policy.should_stop(engine.state(tid), count));
                 if stop {
                     continue;
                 }

@@ -23,30 +23,22 @@ use serde::{Deserialize, Serialize};
 /// Per-task adaptive stopping: stop once the entropy `H(s_i)` drops to or
 /// below `entropy_below` nats — the same ambiguity measure OTA's benefit
 /// function uses (Definition 5), so "stop" means "no assignment could
-/// reduce much ambiguity anyway" — with answer-count guards: never stop
-/// before `min_answers` (a lone confident expert is not enough evidence),
-/// always stop at `max_answers` (the paper's hard budget, 10 on every
-/// dataset).
+/// reduce much ambiguity anyway" — with one answer-count guard: never stop
+/// before `min_answers` (a lone confident expert is not enough evidence).
+/// The hard cap is the caller's: in a campaign it is
+/// `DocsConfig::answers_per_task` (the paper's budget, 10 on every
+/// dataset), which stops assigning a task whatever the policy says.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StoppingPolicy {
     /// Entropy bound, in nats, at or below which a task stops.
     pub entropy_below: f64,
     /// Minimum answers before the entropy bound may fire.
     pub min_answers: usize,
-    /// Hard cap on answers per task.
-    pub max_answers: usize,
 }
 
 impl StoppingPolicy {
-    /// Should answer collection for this task stop?
+    /// Should answer collection for this task stop before its cap?
     pub fn should_stop(&self, state: TaskView<'_>, answers_collected: usize) -> bool {
-        assert!(
-            self.min_answers <= self.max_answers,
-            "min_answers must not exceed max_answers"
-        );
-        if answers_collected >= self.max_answers {
-            return true;
-        }
         if answers_collected < self.min_answers {
             return false;
         }
@@ -103,12 +95,11 @@ mod tests {
         states
     }
 
-    /// A policy whose guards never bind, so only the entropy bound decides.
+    /// A policy whose guard never binds, so only the entropy bound decides.
     fn bound(entropy_below: f64) -> StoppingPolicy {
         StoppingPolicy {
             entropy_below,
             min_answers: 0,
-            max_answers: usize::MAX,
         }
     }
 
@@ -139,11 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_respects_min_and_max_answers() {
+    fn policy_respects_min_answers() {
         let policy = StoppingPolicy {
             entropy_below: 0.15,
             min_answers: 3,
-            max_answers: 10,
         };
         // s = [0.97, 0.03]: H ≈ 0.135, within the bound.
         let states = states_with_confidence(0.97);
@@ -151,9 +141,9 @@ mod tests {
         // Bound satisfied but min not reached.
         assert!(!policy.should_stop(confident, 2));
         assert!(policy.should_stop(confident, 3));
-        // Max reached stops regardless of confidence.
-        assert!(policy.should_stop(uncertain, 10));
-        assert!(!policy.should_stop(uncertain, 9));
+        // No count alone stops an uncertain task: the cap is the caller's.
+        assert!(!policy.should_stop(uncertain, 10));
+        assert!(!policy.should_stop(uncertain, usize::MAX));
     }
 
     #[test]

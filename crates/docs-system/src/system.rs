@@ -125,9 +125,9 @@ impl Serialize for LiveSnapshot<'_> {
 /// Refuses a configuration the request path cannot serve: OTA assigns
 /// `k_per_hit` tasks per request and needs at least one, DVE links each
 /// mention to its top `linker.top_c` candidates and needs at least one, and
-/// a stopping policy must not demand more answers than it caps a task at,
-/// nor cap a task above the flat `answers_per_task` budget (when that is
-/// on), which stops assigning the task first.
+/// a stopping policy must not demand more answers than the flat
+/// `answers_per_task` cap (when that is on), which stops assigning the task
+/// before the policy could fire.
 fn check_config(config: &DocsConfig) -> Result<()> {
     if config.k_per_hit == 0 {
         return Err(Error::Storage(
@@ -140,17 +140,11 @@ fn check_config(config: &DocsConfig) -> Result<()> {
         ));
     }
     if let Some(policy) = config.stopping {
-        if policy.min_answers > policy.max_answers {
+        if config.answers_per_task != 0 && policy.min_answers > config.answers_per_task {
             return Err(Error::Storage(format!(
-                "config field `stopping`: min_answers {} exceeds max_answers {}",
-                policy.min_answers, policy.max_answers
-            )));
-        }
-        if config.answers_per_task != 0 && policy.max_answers > config.answers_per_task {
-            return Err(Error::Storage(format!(
-                "config field `stopping`: max_answers {} exceeds answers_per_task {}, \
+                "config field `stopping`: min_answers {} exceeds answers_per_task {}, \
                  which caps every task first",
-                policy.max_answers, config.answers_per_task
+                policy.min_answers, config.answers_per_task
             )));
         }
     }
@@ -305,13 +299,15 @@ impl Docs {
 
     /// Whether the collection budget is consumed: the flat budget is spent,
     /// or — with an adaptive stopping policy configured — every task has
-    /// satisfied its stopping condition (a campaign with a policy pays its
-    /// inference at every event, so this read finds nothing owed).
+    /// reached its cap or satisfied its stopping condition (a campaign with
+    /// a policy pays its inference at every event, so this read finds
+    /// nothing owed).
     pub fn budget_exhausted(&self) -> bool {
-        if self.config.answers_per_task == 0 {
+        let cap = self.config.answers_per_task;
+        if cap == 0 {
             return false;
         }
-        if self.answers_collected() >= self.config.answers_per_task * self.tasks().len() {
+        if self.answers_collected() >= cap * self.tasks().len() {
             return true;
         }
         if let Some(policy) = self.config.stopping {
@@ -321,7 +317,10 @@ impl Docs {
                 .states()
                 .iter()
                 .zip(self.engine.tasks())
-                .all(|(state, task)| policy.should_stop(state, log.answer_count(task.id)));
+                .all(|(state, task)| {
+                    let answers = log.answer_count(task.id);
+                    answers >= cap || policy.should_stop(state, answers)
+                });
         }
         false
     }
@@ -881,7 +880,6 @@ mod tests {
                 // H([0.95, 0.05]) ≈ 0.199 nats.
                 entropy_below: 0.2,
                 min_answers: 2,
-                max_answers: 10,
             }),
             ..Default::default()
         };
@@ -938,7 +936,6 @@ mod tests {
                 // H([0.9, 0.1]) ≈ 0.325 nats.
                 entropy_below: 0.33,
                 min_answers: 2,
-                max_answers: 10,
             }),
             ..Default::default()
         };
@@ -1366,57 +1363,32 @@ mod tests {
         assert!(err.to_string().contains("`k_per_hit`"), "{err}");
     }
 
-    /// A stopping policy with `min_answers > max_answers` used to pass
-    /// publish/restore and panic the owning shard thread in
-    /// `StoppingPolicy::should_stop` on the first request.
+    /// A stopping minimum above the flat per-task budget can never fire
+    /// (OTA stops assigning a task at `answers_per_task` first), so publish
+    /// and restore refuse it; with the flat budget off (0), or at the
+    /// budget, it stands.
     #[test]
-    fn publish_and_restore_refuse_a_stopping_policy_whose_minimum_exceeds_its_cap() {
+    fn publish_and_restore_refuse_a_stopping_minimum_above_the_flat_budget() {
         use docs_core::ti::StoppingPolicy;
         let kb = table2_example_kb();
-        let inverted = DocsConfig {
-            stopping: Some(StoppingPolicy {
-                entropy_below: 0.1,
-                min_answers: 5,
-                max_answers: 3,
-            }),
-            ..small_config()
-        };
-        let err = Docs::publish(&kb, example_tasks(6), inverted.clone()).unwrap_err();
-        assert!(err.to_string().contains("`stopping`"), "{err}");
-        let mut snapshot = Docs::publish(&kb, example_tasks(6), small_config())
-            .unwrap()
-            .snapshot();
-        assert!(restore_through_codec(&snapshot).is_ok(), "control");
-        snapshot.config = inverted;
-        let err = restore_through_codec(&snapshot).unwrap_err();
-        assert!(err.to_string().contains("`stopping`"), "{err}");
-    }
-
-    /// A stopping cap above the flat per-task budget is never reached (OTA
-    /// stops assigning a task at `answers_per_task`), so publish and restore
-    /// refuse it; with the flat budget off (0), or at the budget, it stands.
-    #[test]
-    fn publish_and_restore_refuse_a_stopping_cap_above_the_flat_budget() {
-        use docs_core::ti::StoppingPolicy;
-        let kb = table2_example_kb();
-        let capped = |answers_per_task, max_answers| DocsConfig {
+        let capped = |answers_per_task, min_answers| DocsConfig {
             answers_per_task,
             stopping: Some(StoppingPolicy {
                 entropy_below: 0.1,
-                min_answers: 2,
-                max_answers,
+                min_answers,
             }),
             ..small_config()
         };
         let err = Docs::publish(&kb, example_tasks(6), capped(3, 4)).unwrap_err();
         assert!(err.to_string().contains("`stopping`"), "{err}");
         assert!(err.to_string().contains("answers_per_task 3"), "{err}");
-        for (flat, cap) in [(3, 3), (0, 4)] {
-            assert!(Docs::publish(&kb, example_tasks(6), capped(flat, cap)).is_ok());
+        for (flat, min) in [(3, 3), (0, 4)] {
+            assert!(Docs::publish(&kb, example_tasks(6), capped(flat, min)).is_ok());
         }
         let mut snapshot = Docs::publish(&kb, example_tasks(6), small_config())
             .unwrap()
             .snapshot();
+        assert!(restore_through_codec(&snapshot).is_ok(), "control");
         snapshot.config = capped(3, 4);
         let err = restore_through_codec(&snapshot).unwrap_err();
         assert!(err.to_string().contains("`stopping`"), "{err}");

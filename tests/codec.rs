@@ -242,7 +242,6 @@ fn publish(choices: usize, options: bool) -> Docs {
         stopping: options.then_some(StoppingPolicy {
             entropy_below: 0.2,
             min_answers: 2,
-            max_answers: 4,
         }),
         durable_flush: options.then_some(FlushPolicy::Batch(8)),
         ..Default::default()
@@ -308,8 +307,9 @@ fn snapshot_and_json_bytes_are_pinned() {
     assert_eq!(
         actual,
         [
-            (0x1068_0da3_2a16_4686, 4948), // ℓ = 5, options: snapshot record
-            (0x081e_faf6_489c_be8c, 6902), // ℓ = 5, options: snapshot JSON
+            // Re-pinned when `StoppingPolicy::max_answers` left the options config.
+            (0xb432_abc3_b660_5b9f, 4934), // ℓ = 5, options: snapshot record
+            (0x3a1a_cdc8_f3c7_ca5c, 6886), // ℓ = 5, options: snapshot JSON
             (0x8bff_744a_664b_40d2, 3877), // ℓ = 2: snapshot record
             (0xe1c0_0068_d8c9_2690, 4607), // ℓ = 2: snapshot JSON
             (0xeeb3_7cfd_b228_ebe6, 250),  // registry()[0] as JSON

@@ -122,8 +122,10 @@ proptest! {
         prop_assert!(obj >= -1e-12, "KL divergence is non-negative: {obj}");
     }
 
-    /// Stopping policies respect their answer-count guards for any entropy
-    /// bound and any task state.
+    /// Stopping policies respect their answer-count guard for any entropy
+    /// bound and any task state: below `min_answers` a task never stops,
+    /// and from there on the entropy bound alone decides, however many
+    /// answers it has (the cap is the caller's).
     #[test]
     fn stopping_policy_guards_hold(
         eps in 0.0f64..1.0,
@@ -131,11 +133,9 @@ proptest! {
         extra in 0usize..6,
         answers in prop::collection::vec((0usize..2, 0.05f64..0.95), 0..8)
     ) {
-        let max_answers = min_answers + extra;
         let policy = StoppingPolicy {
             entropy_below: eps,
             min_answers,
-            max_answers,
         };
         let r = DomainVector::new(vec![0.5, 0.5]).unwrap();
         let mut states = TaskArena::new(2, [(&r, 2)]);
@@ -143,12 +143,12 @@ proptest! {
             states.apply_answer(0, &[q, q], choice);
         }
         let st = states.view(0);
-        // Below min: never stop (unless max == min forces it).
-        if min_answers > 0 && max_answers > min_answers - 1 {
-            prop_assert!(!policy.should_stop(st, min_answers - 1) || min_answers > max_answers);
+        if min_answers > 0 {
+            prop_assert!(!policy.should_stop(st, min_answers - 1));
         }
-        // At max: always stop.
-        prop_assert!(policy.should_stop(st, max_answers));
+        let settled = prob::entropy(st.s()) <= eps;
+        prop_assert_eq!(policy.should_stop(st, min_answers), settled);
+        prop_assert_eq!(policy.should_stop(st, min_answers + extra), settled);
     }
 
     /// Worker registry quality values stay in [0, 1] under arbitrary

@@ -101,7 +101,6 @@ fn full_system_campaign_with_stopping_policy_ends_early() {
             stopping: Some(StoppingPolicy {
                 entropy_below: 0.06,
                 min_answers: 3,
-                max_answers: 6,
             }),
             ..base
         },
@@ -159,7 +158,6 @@ fn a_stopping_policy_campaign_is_pinned() {
         stopping: Some(StoppingPolicy {
             entropy_below: 0.06,
             min_answers: 5,
-            max_answers: 10,
         }),
         ..Default::default()
     };
@@ -178,25 +176,22 @@ fn adaptive_stopping_saves_budget_without_collapse() {
     let m = dataset.domain_set.len();
     let n = dataset.len();
     let pop = population(m, 50, 0x31);
+    let max_answers = 8;
     let policy = StoppingPolicy {
         entropy_below: 0.06,
         min_answers: 4,
-        max_answers: 8,
     };
 
     let run = |stop_early: bool, seed: u64| {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut engine =
             IncrementalTi::new(dataset.tasks.clone(), WorkerRegistry::new(m, 0.7), 150);
-        for _round in 0..policy.max_answers {
+        for _round in 0..max_answers {
             for i in 0..n {
                 let tid = TaskId::from(i);
                 let count = engine.log().answer_count(tid);
-                let stop = if stop_early {
-                    policy.should_stop(engine.state(tid), count)
-                } else {
-                    count >= policy.max_answers
-                };
+                let stop = count >= max_answers
+                    || (stop_early && policy.should_stop(engine.state(tid), count));
                 if stop {
                     continue;
                 }
