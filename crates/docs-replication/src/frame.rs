@@ -254,7 +254,7 @@ pub fn decode_frame(record: &[u8]) -> Result<FrameView<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use docs_types::{codec, Answer, CampaignEvent, TaskId, WorkerId};
+    use docs_types::{codec, Answer, AnswerSubmittedEvent, CampaignEvent, TaskId, WorkerId};
 
     /// Payloads as the primary ships them: codec records (a value record
     /// standing in for the snapshot, real event records for the events).
@@ -270,7 +270,9 @@ mod tests {
                 EventFrame {
                     campaign: CampaignId(7),
                     seq: 43,
-                    payload: codec::encode_event(&CampaignEvent::answer(answer)),
+                    payload: codec::encode_event(&CampaignEvent::AnswerSubmitted(
+                        AnswerSubmittedEvent { answer },
+                    )),
                 },
                 EventFrame {
                     campaign: CampaignId(7),

@@ -759,7 +759,7 @@ impl Docs {
 mod tests {
     use super::*;
     use docs_kb::table2_example_kb;
-    use docs_types::{codec, DomainVector, TaskBuilder};
+    use docs_types::{codec, AnswerSubmittedEvent, DomainVector, TaskBuilder};
 
     fn example_tasks(n: usize) -> Vec<Task> {
         // Texts built from the Table 2 KB aliases so DVE has signal.
@@ -1109,13 +1109,72 @@ mod tests {
                 })
             })
             .collect();
-        for &a in &answers {
-            one_by_one.submit_answer(a).unwrap();
+        // The per-answer side applies raw `AnswerSubmitted` records, the
+        // form older logs hold, so the decode-only arm stays pinned.
+        for &answer in &answers {
+            one_by_one
+                .apply(&CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent {
+                    answer,
+                }))
+                .unwrap();
         }
-        let (accepted, rejected) = submit_batch(&mut batched, &answers);
-        assert_eq!(accepted, answers.len());
-        assert!(rejected.is_empty());
+        batched
+            .apply(&CampaignEvent::answer_batch(answers.clone()))
+            .unwrap();
+        assert_eq!(one_by_one.snapshot_bytes(), batched.snapshot_bytes());
         let (a, b) = (one_by_one.finish().unwrap(), batched.finish().unwrap());
+        assert_eq!(a.truths, b.truths);
+        assert_eq!(a.truth_distributions, b.truth_distributions);
+        assert_eq!(a.answers_collected, b.answers_collected);
+    }
+
+    /// The replay twin of the test above: one log of per-answer
+    /// `AnswerSubmitted` records and one of the same answers as one-answer
+    /// `AnswerBatchSubmitted` records, a duplicate among them, replay over
+    /// one snapshot to the same bytes, report and stats.
+    #[test]
+    fn replaying_per_answer_records_equals_replaying_one_answer_batches() {
+        let kb = table2_example_kb();
+        let config = DocsConfig {
+            z: 3, // the periodic full inference fires mid-log
+            ..small_config()
+        };
+        let docs = Docs::publish(&kb, example_tasks(6), config).unwrap();
+        let snapshot = codec::to_bytes(&docs.snapshot());
+        let mut answers: Vec<Answer> = (0..6)
+            .flat_map(|t| {
+                (0..2u32).map(move |w| Answer {
+                    task: TaskId::from(t),
+                    worker: WorkerId(w),
+                    choice: (t * 3 + w as usize) % 2,
+                })
+            })
+            .collect();
+        // Worker 1 answers task 2 a second time: rejected on replay.
+        answers.insert(
+            5,
+            Answer {
+                task: TaskId(2),
+                worker: WorkerId(1),
+                choice: 0,
+            },
+        );
+        let log = |event: fn(Answer) -> CampaignEvent| {
+            let mut log: Vec<Vec<u8>> = answers
+                .iter()
+                .map(|&a| codec::encode_event(&event(a)))
+                .collect();
+            log.push(codec::encode_event(&CampaignEvent::finished()));
+            log
+        };
+        let single = log(|answer| CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent { answer }));
+        let batched = log(|answer| CampaignEvent::answer_batch(vec![answer]));
+        let (mut a, a_stats) = Docs::replay(CampaignId(1), &snapshot, &single).unwrap();
+        let (mut b, b_stats) = Docs::replay(CampaignId(1), &snapshot, &batched).unwrap();
+        assert_eq!(a_stats.rejected, 1, "the duplicate is rejected");
+        assert_eq!(a_stats, b_stats);
+        assert_eq!(a.snapshot_bytes(), b.snapshot_bytes());
+        let (a, b) = (a.report(), b.report());
         assert_eq!(a.truths, b.truths);
         assert_eq!(a.truth_distributions, b.truth_distributions);
         assert_eq!(a.answers_collected, b.answers_collected);

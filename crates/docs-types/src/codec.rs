@@ -594,7 +594,9 @@ mod tests {
             }),
             CampaignEvent::golden(WorkerId(7), vec![(TaskId(0), 1), (TaskId(200), 0)]),
             CampaignEvent::golden(WorkerId(0), Vec::new()),
-            CampaignEvent::answer(Answer::new(WorkerId(1), TaskId(9), 2)),
+            CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent {
+                answer: Answer::new(WorkerId(1), TaskId(9), 2),
+            }),
             CampaignEvent::answer_batch(vec![
                 Answer::new(WorkerId(2), TaskId(3), 0),
                 Answer::new(WorkerId(400), TaskId(70_000), 1),
@@ -628,16 +630,12 @@ mod tests {
 
     #[test]
     fn binary_events_are_compact() {
-        let single = encode_event(&CampaignEvent::answer(Answer::new(
-            WorkerId(3),
-            TaskId(90),
-            1,
-        )));
-        let json = serde_json::to_vec(&CampaignEvent::answer(Answer::new(
-            WorkerId(3),
-            TaskId(90),
-            1,
-        )))
+        let single = encode_event(&CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent {
+            answer: Answer::new(WorkerId(3), TaskId(90), 1),
+        }));
+        let json = serde_json::to_vec(&CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent {
+            answer: Answer::new(WorkerId(3), TaskId(90), 1),
+        }))
         .unwrap();
         assert!(
             single.len() < json.len() / 3,

@@ -135,7 +135,9 @@ mod tests {
                 num_golden: 5,
             }),
             CampaignEvent::golden(WorkerId(7), vec![(TaskId(0), 1), (TaskId(2), 0)]),
-            CampaignEvent::answer(Answer::new(WorkerId(1), TaskId(9), 2)),
+            CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent {
+                answer: Answer::new(WorkerId(1), TaskId(9), 2),
+            }),
             CampaignEvent::answer_batch(vec![
                 Answer::new(WorkerId(2), TaskId(3), 0),
                 Answer::new(WorkerId(4), TaskId(5), 1),
@@ -152,7 +154,10 @@ mod tests {
     fn kinds_name_every_variant() {
         assert_eq!(CampaignEvent::finished().kind(), "finished");
         assert_eq!(
-            CampaignEvent::answer(Answer::new(WorkerId(0), TaskId(0), 0)).kind(),
+            CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent {
+                answer: Answer::new(WorkerId(0), TaskId(0), 0)
+            })
+            .kind(),
             "answer_submitted"
         );
         assert_eq!(

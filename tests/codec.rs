@@ -23,8 +23,8 @@ use docs_storage::FlushPolicy;
 use docs_system::{CampaignSnapshot, Docs, DocsConfig, WorkRequest};
 use docs_types::codec::{CODEC_MAGIC, CODEC_VERSION, HEADER_LEN, KIND_VALUE};
 use docs_types::{
-    codec, crc32, Answer, CampaignEvent, CampaignId, CodecError, EventFrame, PublishedEvent,
-    ReplicationFrame, SnapshotFrame, TaskBuilder, TaskId, WorkerId,
+    codec, crc32, Answer, AnswerSubmittedEvent, CampaignEvent, CampaignId, CodecError, EventFrame,
+    PublishedEvent, ReplicationFrame, SnapshotFrame, TaskBuilder, TaskId, WorkerId,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -67,11 +67,9 @@ fn arb_event() -> impl Strategy<Value = CampaignEvent> {
                     .map(|(t, choice)| (TaskId(t), choice))
                     .collect(),
             ),
-            2 => CampaignEvent::answer(Answer::new(
-                WorkerId(a),
-                TaskId(b % 10_000),
-                (c % 6) as usize,
-            )),
+            2 => CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent {
+                answer: Answer::new(WorkerId(a), TaskId(b % 10_000), (c % 6) as usize),
+            }),
             3 => CampaignEvent::answer_batch(answers),
             _ => CampaignEvent::finished(),
         })
