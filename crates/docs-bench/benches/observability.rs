@@ -302,7 +302,8 @@ fn main() {
         e2e_p99 / 1e3
     );
 
-    // Teardown (replication bench order: follower, primary, hub, dir).
+    // Teardown: the follower, then the primary (its shards hold the hub's
+    // feed, so the pump ends only after them), the hub, the directory.
     let (replica_service, replica_handle) = replica.detach();
     drop(replica_handle);
     replica_service.join_all();

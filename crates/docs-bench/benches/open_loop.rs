@@ -120,8 +120,8 @@ fn publish_campaign() -> Docs {
     .expect("publish open-loop campaign")
 }
 
-/// The deterministic answer a worker gives a task (same rule as the
-/// replication bench: a worker-dependent half of each HIT is "yes").
+/// The deterministic answer a worker gives a task: a worker-dependent half
+/// of each HIT is "yes", so inference has disagreement to resolve.
 fn answers_for(worker: WorkerId, hit: &[TaskId]) -> Vec<Answer> {
     hit.iter()
         .map(|&t| Answer::new(worker, t, (t.index() + worker.0 as usize) % 2))
@@ -293,10 +293,10 @@ fn main() {
 
     let mut merged: Vec<(String, f64)> = Vec::new();
 
-    // Best-of-N repeats, the same noise-resistant estimator as the
-    // `service_pipeline` bench: on a loaded (or single-core) runner a
-    // scheduler hiccup lands directly in a single run's tail, so the
-    // reported run is the repeat with the lowest p99 assignment latency.
+    // Best-of-N repeats, a noise-resistant estimator: on a loaded (or
+    // single-core) runner a scheduler hiccup lands directly in a single
+    // run's tail, so the reported run is the repeat with the lowest p99
+    // assignment latency.
     let repeats = if smoke() { 1 } else { 3 };
 
     for cell in cells() {

@@ -28,12 +28,12 @@
 
 use crate::frame::{decode_frame, encode_frame, EventsView, FrameView};
 use crate::ship::{FollowerLink, ShippedRecord};
-use crossbeam::channel::RecvTimeoutError;
 use docs_service::{DocsService, ServiceConfig, ServiceError, ServiceHandle, Stage};
 use docs_system::{ReplicaWatermarks, WatermarkAdmission};
 use docs_types::{codec, CampaignEvent, CampaignId, Error, ReplicaRole, ReplicationFrame, Result};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;

@@ -16,7 +16,6 @@
 //! summed — the replication-lag gauge the bench and the example report.
 
 use crate::frame::encode_frame_into;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use docs_obs::JournalKind;
 use docs_service::{FollowerLagSample, HubHealth, ReplicationSink, ServiceMetrics};
 use docs_storage::recover_tree;
@@ -26,6 +25,7 @@ use parking_lot::Mutex;
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -40,7 +40,7 @@ use std::time::Instant;
 /// so the feed's depth is bounded by how far the pump trails the shards,
 /// not by the slowest follower.
 pub fn replication_channel() -> (ReplicationSink, Receiver<ReplicationFrame>) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     (ReplicationSink::new(tx), rx)
 }
 
@@ -93,7 +93,7 @@ pub struct FollowerLink {
 
 struct FollowerSlot {
     name: String,
-    tx: Sender<ShippedRecord>,
+    tx: SyncSender<ShippedRecord>,
     acked: Arc<Mutex<ReplicaWatermarks>>,
     cut_for_lag: Arc<AtomicBool>,
 }
@@ -248,7 +248,7 @@ impl ReplicationHub {
         name: impl Into<String>,
         capacity: usize,
     ) -> FollowerLink {
-        let (tx, rx) = bounded(capacity.max(1));
+        let (tx, rx) = sync_channel(capacity.max(1));
         let acked = Arc::new(Mutex::new(ReplicaWatermarks::new()));
         let cut_for_lag = Arc::new(AtomicBool::new(false));
         self.inner.followers.lock().push(FollowerSlot {
@@ -527,7 +527,7 @@ mod tests {
         // A raw feed channel stands in for the primary's shard sinks (the
         // service-facing `ReplicationSink` wraps exactly this sender; the
         // integration tests cover the full service path).
-        let (feed_tx, feed_rx) = unbounded();
+        let (feed_tx, feed_rx) = channel();
         let hub = ReplicationHub::spawn(feed_rx);
         let a = hub.subscribe("a");
         let b = hub.subscribe("b");
@@ -567,7 +567,7 @@ mod tests {
 
     #[test]
     fn a_follower_trailing_past_its_stream_bound_is_cut_off_not_buffered() {
-        let (feed_tx, feed_rx) = unbounded();
+        let (feed_tx, feed_rx) = channel();
         let hub = ReplicationHub::spawn(feed_rx);
         // A tiny bound and an applier that never drains.
         let slow = hub.subscribe_with_capacity("slow", 2);

@@ -5,7 +5,6 @@
 //! request for the whole frame). Run with `--release` as well: the claim
 //! is about optimised code.
 
-use crossbeam::channel::unbounded;
 use docs_replication::{decode_frame, encode_frame, Replica, ReplicationHub};
 use docs_service::{Counter, OpKind, ServiceConfig};
 use docs_system::{Docs, DocsConfig};
@@ -15,6 +14,7 @@ use docs_types::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 /// Counts this thread's allocations (the test harness runs tests on
@@ -113,7 +113,7 @@ fn decoding_a_frame_allocates_the_same_for_one_event_and_for_eight() {
 #[test]
 fn an_eight_event_frame_is_one_replicated_request_on_a_one_shard_follower() {
     let mut docs = campaign();
-    let (feed, stream) = unbounded();
+    let (feed, stream) = channel();
     let hub = ReplicationHub::spawn(stream);
     let snapshot = ReplicationFrame::Snapshot(SnapshotFrame {
         campaign: CAMPAIGN,

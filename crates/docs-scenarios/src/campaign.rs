@@ -60,17 +60,21 @@ pub fn run_campaign(
             }
             WorkRequest::Tasks(assigned) => {
                 participated.insert(w);
-                for tid in assigned {
-                    let task = &docs.tasks()[tid.index()];
-                    let choice =
-                        population
-                            .worker(w)
-                            .answer(task, AnswerModel::DomainUniform, &mut rng);
-                    docs.submit_answer(Answer {
+                // The HIT goes in as one batch, as a served worker sends it.
+                let hit = assigned
+                    .into_iter()
+                    .map(|tid| Answer {
                         task: tid,
                         worker: w,
-                        choice,
-                    })?;
+                        choice: population.worker(w).answer(
+                            &docs.tasks()[tid.index()],
+                            AnswerModel::DomainUniform,
+                            &mut rng,
+                        ),
+                    })
+                    .collect();
+                if let Some((_, rejected)) = docs.submit_answer_batch(hit)?.into_iter().next() {
+                    return Err(rejected);
                 }
             }
             WorkRequest::Done => {

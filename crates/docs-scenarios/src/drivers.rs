@@ -16,8 +16,8 @@
 //! order, so the request stream (and therefore every truth) is
 //! byte-identical to the blocking driver's — only the idle client-side
 //! round-trip gaps disappear. [`drive_workers_blocking_on`] keeps the
-//! strict request/response loop as the seed-architecture reference; the
-//! `service_pipeline` bench measures the two against each other.
+//! strict request/response loop as the byte-identity reference the
+//! pipelined driver is tested against.
 
 use docs_crowd::{AnswerModel, WorkerPopulation};
 use docs_service::{BatchOutcome, Op, ServiceError, ServiceHandle, Ticket};

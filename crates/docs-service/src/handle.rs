@@ -13,15 +13,15 @@ use crate::message::{BatchOutcome, Request, RequestEnvelope, Response};
 use crate::metrics::ServiceMetrics;
 use crate::server::{Inbound, RoleCell, ServiceError};
 use crate::ticket::{completion_slot, Ticket};
-use crossbeam::channel::{Sender, TrySendError};
 use docs_obs::{JournalKind, SpanKind};
 use docs_system::{CampaignStatus, Docs, RequesterReport, WorkRequest};
 use docs_types::{Answer, CampaignEvent, CampaignId, ChoiceIndex, ReplicaRole, TaskId, WorkerId};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
 
 /// One client operation: the wire request plus the decoder that turns the
-/// shard's response into the operation's typed reply `T`. The eight
+/// shard's response into the operation's typed reply `T`. The seven
 /// constructors below are the whole client-facing protocol; everything
 /// else about an operation — where it is routed, whether a follower may
 /// serve it — is read off the request.
@@ -56,19 +56,11 @@ impl Op<()> {
             decode: decode_ack,
         }
     }
-
-    /// "A worker accomplishes tasks and submits answers" (arrow ⑤), one
-    /// answer at a time.
-    pub fn submit_answer(campaign: CampaignId, answer: Answer) -> Self {
-        Op {
-            request: Request::SubmitAnswer { campaign, answer },
-            decode: decode_ack,
-        }
-    }
 }
 
 impl Op<BatchOutcome> {
-    /// A whole HIT's answers in a single round-trip (one WAL record, one
+    /// "A worker accomplishes tasks and submits answers" (arrow ⑤): a
+    /// whole HIT's answers in a single round-trip (one WAL record, one
     /// group-commit sync).
     /// Rejection is per answer: the [`BatchOutcome`] names which answers
     /// were refused and why, exactly as individual submissions would have
@@ -146,7 +138,7 @@ enum Admission {
 /// Handles are cheap to clone and safe to use from many threads.
 #[derive(Clone)]
 pub struct ServiceHandle {
-    pub(crate) shards: Arc<Vec<Sender<Inbound>>>,
+    pub(crate) shards: Arc<Vec<SyncSender<Inbound>>>,
     pub(crate) next_campaign: Arc<AtomicU32>,
     pub(crate) next_correlation: Arc<AtomicU64>,
     pub(crate) metrics: ServiceMetrics,
@@ -475,15 +467,15 @@ mod tests {
     use crate::server::tests::published;
     use crate::ticket::TicketWait;
     use crate::{DocsService, ServiceConfig};
-    use crossbeam::channel::{bounded, Receiver};
     use std::fmt::Debug;
+    use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
 
     /// A handle whose single "shard" is a queue the test holds the
     /// receiving end of — nothing is ever served, which makes admission
     /// control and pending-ticket behavior deterministic.
     fn stub_handle(capacity: usize) -> (ServiceHandle, Receiver<Inbound>) {
-        let (tx, rx) = bounded(capacity);
+        let (tx, rx) = sync_channel(capacity);
         let handle = ServiceHandle {
             shards: Arc::new(vec![tx]),
             next_campaign: Arc::new(AtomicU32::new(1)),
@@ -641,7 +633,6 @@ mod tests {
         check_op("submit_golden", false, || {
             Op::submit_golden(c, WorkerId(1), golden.clone())
         });
-        check_op("submit_answer", false, || Op::submit_answer(c, answer(3)));
         check_op("submit_answer_batch", false, || {
             Op::submit_answer_batch(c, batch.clone())
         });
@@ -698,17 +689,19 @@ mod tests {
         };
         let answers = golden.iter().map(|&g| (g, g.index() % 2)).collect();
         handle.call(Op::submit_golden(c, WORKER, answers)).unwrap();
-        let tickets: Vec<Ticket<()>> = (0..9)
+        let tickets: Vec<Ticket<BatchOutcome>> = (0..9)
             .map(|t| {
                 let answer = Answer::new(WorkerId(1 + t as u32), TaskId::from(t), t % 2);
-                handle.submit(Op::submit_answer(c, answer)).unwrap()
+                handle
+                    .submit(Op::submit_answer_batch(c, vec![answer]))
+                    .unwrap()
             })
             .collect();
         handle.simulate_crash();
         drop(handle);
         for ticket in tickets {
             match ticket.wait() {
-                Ok(()) | Err(ServiceError::Disconnected) => {}
+                Ok(_) | Err(ServiceError::Disconnected) => {}
                 Err(e) => panic!("unexpected outcome {e:?}"),
             }
         }

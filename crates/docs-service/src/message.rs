@@ -84,15 +84,8 @@ pub enum Request {
         /// Her answers to the golden tasks.
         answers: Vec<(TaskId, ChoiceIndex)>,
     },
-    /// "A worker accomplishes tasks and submits answers" (arrow ⑤).
-    SubmitAnswer {
-        /// Campaign the answered task belongs to.
-        campaign: CampaignId,
-        /// The submitted answer.
-        answer: Answer,
-    },
-    /// A whole HIT's worth of answers in one round-trip: the batched
-    /// ingestion path. The shard validates every answer up front, logs the
+    /// "A worker accomplishes tasks and submits answers" (arrow ⑤): a
+    /// whole HIT's worth of answers in one round-trip. The shard validates every answer up front, logs the
     /// accepted sub-batch as **one** write-ahead-log record (one group
     /// commit, one `fdatasync`), applies it as one transition, and reports
     /// the per-answer outcome in [`Response::BatchAck`].
@@ -163,7 +156,6 @@ impl Request {
             Request::CreateCampaign { campaign, .. }
             | Request::RequestWork { campaign, .. }
             | Request::SubmitGolden { campaign, .. }
-            | Request::SubmitAnswer { campaign, .. }
             | Request::SubmitAnswerBatch { campaign, .. }
             | Request::Finish { campaign }
             | Request::Status { campaign }

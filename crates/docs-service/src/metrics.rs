@@ -133,9 +133,8 @@ pub enum OpKind {
     Assign,
     /// Golden-HIT submission.
     Golden,
-    /// Answer submission (incremental TI).
-    Submit,
-    /// Batched answer submission (one round-trip, one log record).
+    /// Answer submission: one HIT's answers in one round-trip and one log
+    /// record.
     SubmitBatch,
     /// Final inference + report.
     Finish,
@@ -154,10 +153,9 @@ impl OpKind {
     /// and `OpKind::index` are all derived from this array, so adding a
     /// variant means adding it here (and the cross-check test fails if the
     /// orders drift).
-    pub const ALL: [OpKind; 8] = [
+    pub const ALL: [OpKind; 7] = [
         OpKind::Assign,
         OpKind::Golden,
-        OpKind::Submit,
         OpKind::SubmitBatch,
         OpKind::Finish,
         OpKind::Create,
@@ -175,7 +173,6 @@ impl OpKind {
         match self {
             OpKind::Assign => "assign",
             OpKind::Golden => "golden",
-            OpKind::Submit => "submit",
             OpKind::SubmitBatch => "submit_batch",
             OpKind::Finish => "finish",
             OpKind::Create => "create",
@@ -870,12 +867,12 @@ mod tests {
         let m = ServiceMetrics::new(1);
         m.op_done(0, OpKind::Assign, Duration::from_micros(10));
         m.op_done(0, OpKind::Assign, Duration::from_micros(30));
-        m.op_done(0, OpKind::Submit, Duration::from_micros(5));
+        m.op_done(0, OpKind::SubmitBatch, Duration::from_micros(5));
         let a = m.stats(OpKind::Assign);
         assert_eq!(a.count, 2);
         assert_eq!(a.total, Duration::from_micros(40));
         assert_eq!(a.max, Duration::from_micros(30));
-        assert_eq!(m.stats(OpKind::Submit).count, 1);
+        assert_eq!(m.stats(OpKind::SubmitBatch).count, 1);
         assert_eq!(m.stats(OpKind::Finish), OpStats::default());
         assert_eq!(m.total_ops(), 3);
         // The shard's view reads the same histograms.
@@ -1106,7 +1103,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
                         m.shard_enqueued(t % 4);
-                        m.op_done(t % 4, OpKind::Submit, Duration::from_nanos(100));
+                        m.op_done(t % 4, OpKind::SubmitBatch, Duration::from_nanos(100));
                     }
                 })
             })
@@ -1114,7 +1111,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(m.stats(OpKind::Submit).count, 8000);
+        assert_eq!(m.stats(OpKind::SubmitBatch).count, 8000);
         let total: u64 = m.all_shards().iter().map(|s| s.processed).sum();
         assert_eq!(total, 8000);
         assert!(m.all_shards().iter().all(|s| s.queued == 0));

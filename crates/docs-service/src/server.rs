@@ -42,7 +42,6 @@ use crate::message::RequestEnvelope;
 use crate::metrics::{Counter, ServiceMetrics};
 use crate::shard::{Input, Recovered, Shard, Wait};
 use crate::ticket::{self, Completer, SPIN_BUDGET};
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use docs_storage::{recover_tree, AdaptiveCommit, FlushPolicy};
 use docs_system::Docs;
 use docs_types::{CampaignId, RejectReason, ReplicaRole, ReplicationFrame};
@@ -50,6 +49,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -424,7 +424,7 @@ impl DocsService {
                 // The ingress bound is the pool's admission control:
                 // blocking submissions park on a full queue, fail-fast ones
                 // bounce.
-                let (tx, rx) = bounded::<Inbound>(config.queue_capacity.max(1));
+                let (tx, rx) = sync_channel::<Inbound>(config.queue_capacity.max(1));
                 let crash = Arc::clone(&crash);
                 let join = std::thread::Builder::new()
                     .name(format!("docs-shard-{index}"))
@@ -470,6 +470,7 @@ pub(crate) mod tests {
     use docs_kb::table2_example_kb;
     use docs_system::{DocsConfig, WorkRequest};
     use docs_types::{Answer, TaskBuilder, TaskId, WorkerId};
+    use std::sync::mpsc::SyncSender;
 
     /// A published `n`-task campaign whose config names `durable_flush`.
     pub(crate) fn published(n: usize, durable_flush: Option<FlushPolicy>) -> Docs {
@@ -515,19 +516,19 @@ pub(crate) mod tests {
     /// of its queue.
     fn spawn_shard_loop(
         spin_budget: Duration,
-    ) -> (Sender<Inbound>, JoinHandle<BTreeMap<CampaignId, Docs>>) {
+    ) -> (SyncSender<Inbound>, JoinHandle<BTreeMap<CampaignId, Docs>>) {
         let config = ServiceConfig::default();
         let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(config.role));
         let next_campaign = Arc::new(AtomicU32::new(0));
         let shard = Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
-        let (tx, rx) = bounded::<Inbound>(4);
+        let (tx, rx) = sync_channel::<Inbound>(4);
         let crash = Arc::new(AtomicBool::new(false));
         let join = std::thread::spawn(move || shard_loop(shard, rx, crash, spin_budget));
         (tx, join)
     }
 
     /// Sends `request` to a shard loop and waits for its response.
-    fn round_trip(tx: &Sender<Inbound>, correlation: u64, request: Request) -> Response {
+    fn round_trip(tx: &SyncSender<Inbound>, correlation: u64, request: Request) -> Response {
         let (completions, slot) = crate::ticket::completion_slot();
         let envelope = RequestEnvelope {
             correlation,
@@ -608,6 +609,14 @@ pub(crate) mod tests {
             .unwrap();
     }
 
+    /// Submits `answer` as a one-answer HIT and asserts it was accepted.
+    fn submit_one(handle: &ServiceHandle, campaign: CampaignId, answer: Answer) {
+        let outcome = handle
+            .call(Op::submit_answer_batch(campaign, vec![answer]))
+            .unwrap();
+        assert_eq!((outcome.accepted, outcome.rejected), (1, vec![]));
+    }
+
     #[test]
     fn round_trip_golden_then_tasks_then_report() {
         // A zero capacity is a one-slot queue, not an unbounded one.
@@ -630,11 +639,12 @@ pub(crate) mod tests {
                 other => panic!("expected task HIT, got {other:?}"),
             };
             assert_eq!(tasks.len(), 3);
-            for t in tasks {
-                handle
-                    .call(Op::submit_answer(c, Answer::new(w, t, t.index() % 2)))
-                    .unwrap();
-            }
+            let hit = tasks
+                .into_iter()
+                .map(|t| Answer::new(w, t, t.index() % 2))
+                .collect();
+            let outcome = handle.call(Op::submit_answer_batch(c, hit)).unwrap();
+            assert_eq!((outcome.accepted, outcome.rejected), (3, vec![]));
             let report = handle.call(Op::finish(c)).unwrap();
             assert_eq!(report.truths.len(), 9);
             assert_eq!(report.answers_collected, 3);
@@ -662,19 +672,22 @@ pub(crate) mod tests {
             pass_golden(&handle, c, w, &g);
         }
         let answer = Answer::new(w, TaskId(0), 0);
-        handle.call(Op::submit_answer(c, answer)).unwrap();
-        let err = handle.call(Op::submit_answer(c, answer)).unwrap_err();
+        submit_one(&handle, c, answer);
+        let outcome = handle
+            .call(Op::submit_answer_batch(c, vec![answer]))
+            .unwrap();
         // The rejection is typed end to end…
+        let reason = RejectReason::DuplicateAnswer {
+            worker: w,
+            task: TaskId(0),
+        };
         assert_eq!(
-            err,
-            ServiceError::Rejected(RejectReason::DuplicateAnswer {
-                worker: w,
-                task: TaskId(0),
-            })
+            (outcome.accepted, outcome.rejected),
+            (0, vec![(0, reason.clone())])
         );
         // …and its rendering matches the pre-taxonomy message.
         assert_eq!(
-            err.to_string(),
+            ServiceError::Rejected(reason).to_string(),
             "request rejected: worker w1 already answered task t0"
         );
         // The service keeps serving after the rejection.
@@ -889,9 +902,7 @@ pub(crate) mod tests {
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
             pass_golden(&handle, c, w, &g);
         }
-        handle
-            .call(Op::submit_answer(c, Answer::new(w, TaskId(0), 0)))
-            .unwrap();
+        submit_one(&handle, c, Answer::new(w, TaskId(0), 0));
         let d = handle.metrics().durability();
         assert!(
             d.events_logged >= 3,
@@ -915,9 +926,7 @@ pub(crate) mod tests {
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
             pass_golden(&handle, c, w, &g);
         }
-        handle
-            .call(Op::submit_answer(c, Answer::new(w, TaskId(0), 0)))
-            .unwrap();
+        submit_one(&handle, c, Answer::new(w, TaskId(0), 0));
         let batch = vec![
             Answer::new(w, TaskId(0), 1), // duplicate against the log
             Answer::new(w, TaskId(1), 1),
@@ -942,7 +951,8 @@ pub(crate) mod tests {
             .1
             .to_string()
             .contains("already answered"));
-        assert_eq!(handle.metrics().stats(OpKind::SubmitBatch).count, 1);
+        // The one-answer batch before it and this one.
+        assert_eq!(handle.metrics().stats(OpKind::SubmitBatch).count, 2);
         let report = handle.call(Op::finish(c)).unwrap();
         assert_eq!(report.answers_collected, 3);
         drop(handle);
@@ -1002,8 +1012,7 @@ pub(crate) mod tests {
             pass_golden(&handle, c, w, &g);
         }
         for t in 2..6 {
-            let answer = Answer::new(w, TaskId::from(t), t % 2);
-            handle.call(Op::submit_answer(c, answer)).unwrap();
+            submit_one(&handle, c, Answer::new(w, TaskId::from(t), t % 2));
         }
         let status = handle.call(Op::status(c)).unwrap();
         let truths = handle.call(Op::peek_report(c)).unwrap().truths;
@@ -1110,9 +1119,7 @@ pub(crate) mod tests {
                 assert_eq!(handle.metrics().durability().snapshots_written, 1);
                 let hold = docs_storage::hold_lanes(&dir);
                 for t in 0..6u32 {
-                    handle
-                        .call(Op::submit_answer(c, Answer::new(w, TaskId(t), 0)))
-                        .unwrap();
+                    submit_one(&handle, c, Answer::new(w, TaskId(t), 0));
                     let d = handle.metrics().durability();
                     let appended = 2 + u64::from(t) + 1; // published + golden + answers
                     assert_eq!(d.events_logged, appended, "{label}: answer {t}");

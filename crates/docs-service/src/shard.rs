@@ -274,7 +274,6 @@ fn kind_of(request: &Request) -> OpKind {
         Request::CreateCampaign { .. } => OpKind::Create,
         Request::RequestWork { .. } => OpKind::Assign,
         Request::SubmitGolden { .. } => OpKind::Golden,
-        Request::SubmitAnswer { .. } => OpKind::Submit,
         Request::SubmitAnswerBatch { .. } => OpKind::SubmitBatch,
         Request::Finish { .. } => OpKind::Finish,
         Request::Status { .. } | Request::PeekReport { .. } | Request::SnapshotState { .. } => {
@@ -558,9 +557,6 @@ impl Shard {
             } => self.apply(campaign, CampaignEvent::golden(worker, answers), |_| {
                 Response::Ack
             }),
-            Request::SubmitAnswer { answer, .. } => {
-                self.apply(campaign, CampaignEvent::answer(answer), |_| Response::Ack)
-            }
             Request::SubmitAnswerBatch { answers, .. } => {
                 self.apply_answer_batch(campaign, answers)
             }
@@ -863,7 +859,7 @@ mod tests {
         assert_eq!(shard.wait(), Wait::Block);
 
         let answer = Answer::new(w, TaskId(4), 0);
-        let (answer, answered) = inbound(3, Op::submit_answer(c, answer).request);
+        let (answer, answered) = inbound(3, Op::submit_answer_batch(c, vec![answer]).request);
         shard.step(answer);
         let (status, read) = inbound(4, Op::status(c).request);
         shard.step(status);
@@ -890,7 +886,7 @@ mod tests {
     #[test]
     fn a_shipped_payload_is_the_events_codec_record() {
         let dir = tmp_dir("shard-ship");
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let config = ServiceConfig::durable(1, &dir).with_replication(ReplicationSink::new(tx));
         let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(ReplicaRole::Primary));
         let next_campaign = Arc::new(AtomicU32::new(1));

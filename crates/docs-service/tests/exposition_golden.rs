@@ -20,8 +20,10 @@ use std::time::Duration;
 fn populated() -> ServiceMetrics {
     let m = ServiceMetrics::new(3);
     // Every kind on some shard, a growing number of requests per kind with
-    // spread-out service times so the quantiles differ.
-    for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+    // spread-out service times so the quantiles differ. Each kind keeps the
+    // index `i` the committed files were generated with; 2 belonged to the
+    // retired one-answer `submit` kind and stays unused.
+    for (i, kind) in [0, 1, 3, 4, 5, 6, 7].into_iter().zip(OpKind::ALL) {
         let shard = i % 3;
         for j in 0..=(i as u64) {
             let depth = m.shard_enqueued(shard);

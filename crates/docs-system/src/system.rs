@@ -2,7 +2,7 @@
 //!
 //! Since the durable-runtime refactor, every state change flows through the
 //! deterministic [`Docs::apply`] transition over [`CampaignEvent`]s: the
-//! public command methods ([`Docs::submit_answer`], [`Docs::submit_golden`],
+//! public command methods ([`Docs::submit_answer_batch`], [`Docs::submit_golden`],
 //! [`Docs::finish`]) are thin wrappers that render their input into an
 //! event and apply it. A campaign is therefore fully described by its
 //! initial [`CampaignSnapshot`] plus the ordered event sequence — which is
@@ -390,10 +390,17 @@ impl Docs {
     }
 
     /// Handles "a worker accomplishes tasks and submits answers"
-    /// (Figure 1, arrow ⑤): incremental TI plus periodic full inference.
-    /// Command wrapper over [`CampaignEvent::AnswerSubmitted`].
-    pub fn submit_answer(&mut self, answer: Answer) -> Result<()> {
-        self.apply(&CampaignEvent::answer(answer))
+    /// (Figure 1, arrow ⑤) for a whole HIT, the way the service's shard
+    /// does: [`Docs::filter_answer_batch`], then what is left applied as one
+    /// [`CampaignEvent::AnswerBatchSubmitted`] (incremental TI plus periodic
+    /// full inference, in order). Returns the rejected answers with their
+    /// positions and errors; an empty remainder applies no event.
+    pub fn submit_answer_batch(&mut self, mut answers: Vec<Answer>) -> Result<Vec<(usize, Error)>> {
+        let rejected = self.filter_answer_batch(&mut answers);
+        if !answers.is_empty() {
+            self.apply(&CampaignEvent::answer_batch(answers))?;
+        }
+        Ok(rejected)
     }
 
     /// Partitions a batch into the answers that would be accepted (in
@@ -552,7 +559,12 @@ impl Docs {
             // is the snapshot it rides with, so applying it is a no-op.
             CampaignEvent::Published(_) => Ok(()),
             CampaignEvent::GoldenSubmitted(g) => self.apply_golden(g.worker, &g.answers),
-            CampaignEvent::AnswerSubmitted(a) => self.apply_answer(a.answer),
+            // Decode-only: older logs hold one record per answer. Full
+            // validation first, so a rejected answer leaves the state
+            // untouched and carries the same error as on the batch front.
+            CampaignEvent::AnswerSubmitted(a) => self
+                .validate_answer(&a.answer)
+                .and_then(|()| self.apply_answer_batch(std::slice::from_ref(&a.answer))),
             CampaignEvent::AnswerBatchSubmitted(b) => self.apply_answer_batch(&b.answers),
             CampaignEvent::Finished(_) => self.apply_finished(),
         };
@@ -568,17 +580,6 @@ impl Docs {
         self.seen_workers.insert(worker);
         self.persist_worker(worker)?;
         Ok(())
-    }
-
-    fn apply_answer(&mut self, answer: Answer) -> Result<()> {
-        // Full validation first (the same classification order the pure
-        // front uses), so a rejected answer leaves the state untouched and
-        // carries the same error whichever path refused it; the engine
-        // re-validates before mutating.
-        self.validate_answer(&answer)?;
-        self.engine.record(answer)?;
-        self.seen_workers.insert(answer.worker);
-        self.persist_worker(answer.worker)
     }
 
     fn apply_answer_batch(&mut self, answers: &[Answer]) -> Result<()> {
@@ -842,18 +843,19 @@ mod tests {
             loop {
                 match docs.request_tasks(w) {
                     WorkRequest::Tasks(tasks) => {
-                        for t in tasks {
-                            docs.submit_answer(Answer {
-                                task: t,
+                        served += tasks.len();
+                        if served > 100 {
+                            panic!("budget never exhausted");
+                        }
+                        let hit = tasks
+                            .into_iter()
+                            .map(|task| Answer {
+                                task,
                                 worker: w,
                                 choice: 0,
                             })
-                            .unwrap();
-                            served += 1;
-                            if served > 100 {
-                                panic!("budget never exhausted");
-                            }
-                        }
+                            .collect();
+                        assert_eq!(docs.submit_answer_batch(hit), Ok(vec![]));
                     }
                     _ => continue 'outer,
                 }
@@ -894,12 +896,12 @@ mod tests {
                     .collect();
                 docs.submit_golden(w, &answers).unwrap();
             }
-            docs.submit_answer(Answer {
+            let answer = Answer {
                 task: TaskId(0),
                 worker: w,
                 choice: docs.tasks()[0].ground_truth.unwrap(),
-            })
-            .unwrap();
+            };
+            assert_eq!(docs.submit_answer_batch(vec![answer]), Ok(vec![]));
         }
         // Task 0 is now confident; a fresh (golden-initialized) worker's
         // HIT must not contain it, even though its flat cap (10) is far off.
@@ -949,14 +951,14 @@ mod tests {
                     .collect();
                 docs.submit_golden(w, &answers).unwrap();
             }
-            for t in 0..2usize {
-                docs.submit_answer(Answer {
+            let hit = (0..2usize)
+                .map(|t| Answer {
                     task: TaskId::from(t),
                     worker: w,
                     choice: docs.tasks()[t].ground_truth.unwrap(),
                 })
-                .unwrap();
-            }
+                .collect();
+            assert_eq!(docs.submit_answer_batch(hit), Ok(vec![]));
         }
         // 3 unanimous expert answers per task: both tasks stop well short
         // of the 10-answer flat budget (6 of 20 answers spent).
@@ -967,8 +969,7 @@ mod tests {
 
     /// The paper's deployment absorbs answers that arrive after the budget
     /// is consumed (workers who raced on the final HITs still get paid),
-    /// on every path: a single submission, the logged event and the batch
-    /// front.
+    /// on every path: the logged event, a one-answer HIT and a larger one.
     #[test]
     fn late_answers_are_absorbed_after_the_budget() {
         let kb = table2_example_kb();
@@ -980,24 +981,29 @@ mod tests {
             ..Default::default()
         };
         let mut docs = Docs::publish(&kb, example_tasks(2), config).unwrap();
-        for t in 0..2usize {
-            docs.submit_answer(Answer {
+        let hit = (0..2usize)
+            .map(|t| Answer {
                 task: TaskId::from(t),
                 worker: WorkerId(0),
                 choice: 0,
             })
-            .unwrap();
-        }
+            .collect();
+        assert_eq!(docs.submit_answer_batch(hit), Ok(vec![]));
         assert!(docs.budget_exhausted());
         let late = |worker: u32| Answer {
             task: TaskId(0),
             worker: WorkerId(worker),
             choice: 0,
         };
-        assert_eq!(docs.validate_event(&CampaignEvent::answer(late(8))), Ok(()));
-        assert!(docs.submit_answer(late(9)).is_ok());
-        let (accepted, rejected) = submit_batch(&mut docs, &[late(10), late(11)]);
-        assert_eq!((accepted, rejected), (2, vec![]));
+        assert_eq!(
+            docs.validate_event(&CampaignEvent::answer_batch(vec![late(8)])),
+            Ok(())
+        );
+        assert_eq!(docs.submit_answer_batch(vec![late(9)]), Ok(vec![]));
+        assert_eq!(
+            docs.submit_answer_batch(vec![late(10), late(11)]),
+            Ok(vec![])
+        );
         assert_eq!(docs.answers_collected(), 5);
     }
 
@@ -1043,14 +1049,14 @@ mod tests {
         };
         let mut docs = Docs::publish(&kb, example_tasks(6), config).unwrap();
         assert_eq!(docs.shard_ingestion(), vec![0, 0, 0]);
-        for t in 0..6usize {
-            docs.submit_answer(Answer {
+        let hit = (0..6usize)
+            .map(|t| Answer {
                 task: TaskId::from(t),
                 worker: WorkerId(0),
                 choice: 0,
             })
-            .unwrap();
-        }
+            .collect();
+        assert_eq!(docs.submit_answer_batch(hit), Ok(vec![]));
         let ingestion = docs.shard_ingestion();
         assert_eq!(ingestion.len(), 3);
         assert_eq!(ingestion.iter().sum::<u64>(), 6);
@@ -1069,17 +1075,16 @@ mod tests {
                     .collect();
                 docs.submit_golden(w, &answers).unwrap();
             }
-            for t in 0..4usize {
-                let tid = TaskId::from(t);
-                if !docs.engine().log().has_answered(w, tid) {
-                    docs.submit_answer(Answer {
-                        task: tid,
-                        worker: w,
-                        choice: docs.tasks()[t].ground_truth.unwrap(),
-                    })
-                    .unwrap();
-                }
-            }
+            let hit = (0..4usize)
+                .map(TaskId::from)
+                .filter(|&tid| !docs.engine().log().has_answered(w, tid))
+                .map(|tid| Answer {
+                    task: tid,
+                    worker: w,
+                    choice: docs.tasks()[tid.index()].ground_truth.unwrap(),
+                })
+                .collect();
+            assert_eq!(docs.submit_answer_batch(hit), Ok(vec![]));
         }
         let report = docs.finish().unwrap();
         let ground: Vec<_> = docs
@@ -1185,12 +1190,12 @@ mod tests {
         let kb = table2_example_kb();
         let mut docs = Docs::publish(&kb, example_tasks(4), small_config()).unwrap();
         let w = WorkerId(0);
-        docs.submit_answer(Answer {
+        let first = Answer {
             task: TaskId(0),
             worker: w,
             choice: 0,
-        })
-        .unwrap();
+        };
+        assert_eq!(docs.submit_answer_batch(vec![first]), Ok(vec![]));
         let batch = [
             Answer {
                 task: TaskId(0),
@@ -1223,8 +1228,7 @@ mod tests {
                 choice: 1,
             }, // fine
         ];
-        let (accepted, rejected) = submit_batch(&mut docs, &batch);
-        assert_eq!(accepted, 2);
+        let rejected = docs.submit_answer_batch(batch.to_vec()).unwrap();
         assert_eq!(
             rejected.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             vec![0, 2, 3, 4]
@@ -1242,8 +1246,7 @@ mod tests {
             }]))
             .is_ok());
         // An empty batch is a no-op, not an error.
-        let (accepted, rejected) = submit_batch(&mut docs, &[]);
-        assert_eq!((accepted, rejected.len()), (0, 0));
+        assert_eq!(docs.submit_answer_batch(Vec::new()), Ok(vec![]));
         assert_eq!(docs.answers_collected(), 3);
     }
 
@@ -1259,12 +1262,12 @@ mod tests {
                 .collect();
             docs.submit_golden(w, &answers).unwrap();
         }
-        docs.submit_answer(Answer {
+        let answer = Answer {
             task: TaskId(0),
             worker: w,
             choice: 0,
-        })
-        .unwrap();
+        };
+        assert_eq!(docs.submit_answer_batch(vec![answer]), Ok(vec![]));
         // Snapshot → record → restore: every probability must round-trip
         // exactly, and the restored machine must serve identically. The
         // record streamed from the live campaign is the copy's, byte for byte.
@@ -1382,19 +1385,6 @@ mod tests {
         assert!(Docs::restore(snapshot).is_ok());
     }
 
-    /// Batched ingestion the way the service's shard runs it: filter the
-    /// batch, then apply what survives as one batch event. Returns the
-    /// accepted count and the rejected positions with their errors.
-    fn submit_batch(docs: &mut Docs, answers: &[Answer]) -> (usize, Vec<(usize, Error)>) {
-        let mut accepted = answers.to_vec();
-        let rejected = docs.filter_answer_batch(&mut accepted);
-        let count = accepted.len();
-        if count > 0 {
-            docs.apply(&CampaignEvent::answer_batch(accepted)).unwrap();
-        }
-        (count, rejected)
-    }
-
     /// Restores `snapshot` the way a WAL snapshot or a follower's
     /// `install_snapshot` does: through the codec record.
     fn restore_through_codec(snapshot: &CampaignSnapshot) -> Result<Docs> {
@@ -1506,31 +1496,27 @@ mod tests {
             .map(|&gid| (gid, live.tasks()[gid.index()].ground_truth.unwrap()))
             .collect();
         let snapshot = codec::to_bytes(&live.snapshot());
+        let answer = Answer {
+            task: TaskId(1),
+            worker: w,
+            choice: 1,
+        };
+        let duplicate = Answer {
+            choice: 0,
+            ..answer
+        };
         // Events after the snapshot: golden init, one answer, one duplicate
         // (a deterministic rejection), finish.
         let events = [
             CampaignEvent::golden(w, golden_answers.clone()),
-            CampaignEvent::answer(Answer {
-                task: TaskId(1),
-                worker: w,
-                choice: 1,
-            }),
-            CampaignEvent::answer(Answer {
-                task: TaskId(1),
-                worker: w,
-                choice: 0,
-            }),
+            CampaignEvent::answer_batch(vec![answer]),
+            CampaignEvent::answer_batch(vec![duplicate]),
             CampaignEvent::finished(),
         ];
         let payloads: Vec<Vec<u8>> = events.iter().map(codec::encode_event).collect();
         // Drive the live machine through the same (accepted) transitions.
         live.submit_golden(w, &golden_answers).unwrap();
-        live.submit_answer(Answer {
-            task: TaskId(1),
-            worker: w,
-            choice: 1,
-        })
-        .unwrap();
+        assert_eq!(live.submit_answer_batch(vec![answer]), Ok(vec![]));
         let reference = live.finish().unwrap();
 
         let (mut docs, stats) = Docs::replay(CampaignId(3), &snapshot, &payloads).unwrap();
@@ -1563,28 +1549,27 @@ mod tests {
             worker: WorkerId(0),
             choice: 0,
         };
-        docs.submit_answer(good).unwrap();
+        assert_eq!(docs.submit_answer_batch(vec![good]), Ok(vec![]));
         let before = docs.answers_collected();
+        let one = |answer| CampaignEvent::answer_batch(vec![answer]);
         // Duplicate, unknown task, out-of-range choice.
+        assert!(docs.validate_event(&one(good)).is_err());
         assert!(docs
-            .validate_event(&docs_types::CampaignEvent::answer(good))
-            .is_err());
-        assert!(docs
-            .validate_event(&docs_types::CampaignEvent::answer(Answer {
+            .validate_event(&one(Answer {
                 task: TaskId(99),
                 worker: WorkerId(1),
                 choice: 0,
             }))
             .is_err());
         assert!(docs
-            .validate_event(&docs_types::CampaignEvent::answer(Answer {
+            .validate_event(&one(Answer {
                 task: TaskId(1),
                 worker: WorkerId(1),
                 choice: 9,
             }))
             .is_err());
         assert!(docs
-            .validate_event(&docs_types::CampaignEvent::answer(Answer {
+            .validate_event(&one(Answer {
                 task: TaskId(1),
                 worker: WorkerId(1),
                 choice: 1,
@@ -1648,12 +1633,12 @@ mod tests {
                     .collect();
                 docs.submit_golden(w, &answers).unwrap();
             }
-            docs.submit_answer(Answer {
+            let answer = Answer {
                 task: TaskId(0),
                 worker: w,
                 choice: 0,
-            })
-            .unwrap();
+            };
+            assert_eq!(docs.submit_answer_batch(vec![answer]), Ok(vec![]));
             docs.finish().unwrap();
         }
         // Second requester: the same worker is recognized — no golden HIT.

@@ -84,12 +84,15 @@ fn campaign(n: usize, answered: bool) -> Docs {
         docs.submit_golden(w, &answers).unwrap();
     }
     if answered {
-        for i in 0..n {
-            for &w in &workers {
-                let answer = Answer::new(w, i.into(), (i + w.index()) % 2);
-                docs.submit_answer(answer).unwrap();
-            }
-        }
+        let answers = (0..n)
+            .flat_map(|i| {
+                let workers = &workers;
+                workers
+                    .iter()
+                    .map(move |&w| Answer::new(w, i.into(), (i + w.index()) % 2))
+            })
+            .collect();
+        assert_eq!(docs.submit_answer_batch(answers), Ok(vec![]));
     }
     docs.materialize();
     docs

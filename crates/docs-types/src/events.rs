@@ -1,8 +1,8 @@
 //! The campaign event model: every state change of a served campaign as a
 //! serializable fact.
 //!
-//! The durable service runtime is event-sourced: commands (`request_tasks`,
-//! `submit_answer`, …) are validated against the current state, rendered
+//! The durable service runtime is event-sourced: commands (`submit_golden`,
+//! `submit_answer_batch`, …) are validated against the current state, rendered
 //! into one of these events, appended to the campaign's write-ahead log,
 //! and only then applied. Replaying the same events over the same starting
 //! snapshot is the *only* recovery path, so every payload here must capture
@@ -10,8 +10,13 @@
 //! apply time may depend on wall clock, randomness, or map iteration order.
 //!
 //! On disk and on the wire an event is one [`crate::codec`] event record;
-//! the serde derives remain for diagnostics and the codec bench's JSON
-//! comparison.
+//! the serde derives remain for diagnostics and for tests that check the
+//! record is smaller than its JSON.
+//!
+//! [`CampaignEvent::AnswerSubmitted`] is decode-only: answers enter a
+//! campaign as [`CampaignEvent::AnswerBatchSubmitted`], one per HIT, and
+//! nothing writes the one-answer record any more. Replay and a follower
+//! still apply it, so a log written by an older build recovers.
 
 use crate::{Answer, CampaignId, ChoiceIndex, TaskId, WorkerId};
 use serde::{Deserialize, Serialize};
@@ -42,7 +47,8 @@ pub struct GoldenSubmittedEvent {
     pub answers: Vec<(TaskId, ChoiceIndex)>,
 }
 
-/// A worker submitted one ordinary answer (Figure 1, arrow ⑤).
+/// A worker submitted one ordinary answer (Figure 1, arrow ⑤). Decode-only:
+/// older logs hold this record; nothing writes it now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnswerSubmittedEvent {
     /// The submitted answer.
@@ -77,7 +83,8 @@ pub enum CampaignEvent {
     Published(PublishedEvent),
     /// Golden-HIT submission initializing a worker's quality.
     GoldenSubmitted(GoldenSubmittedEvent),
-    /// One incremental truth-inference update.
+    /// One incremental truth-inference update (decode-only, see the
+    /// module docs).
     AnswerSubmitted(AnswerSubmittedEvent),
     /// A validated answer batch applied in order as one transition.
     AnswerBatchSubmitted(AnswerBatchSubmittedEvent),
@@ -86,11 +93,6 @@ pub enum CampaignEvent {
 }
 
 impl CampaignEvent {
-    /// Convenience constructor for [`CampaignEvent::AnswerSubmitted`].
-    pub fn answer(answer: Answer) -> Self {
-        CampaignEvent::AnswerSubmitted(AnswerSubmittedEvent { answer })
-    }
-
     /// Convenience constructor for [`CampaignEvent::AnswerBatchSubmitted`].
     pub fn answer_batch(answers: Vec<Answer>) -> Self {
         CampaignEvent::AnswerBatchSubmitted(AnswerBatchSubmittedEvent { answers })

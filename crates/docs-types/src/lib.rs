@@ -16,7 +16,8 @@
 //!   output preserves the historical message text,
 //! * [`CampaignEvent`] — the event model of the durable service runtime:
 //!   every state change of a served campaign (`Published`,
-//!   `GoldenSubmitted`, `AnswerSubmitted`, `Finished`) as a serializable
+//!   `GoldenSubmitted`, `AnswerBatchSubmitted`, `Finished`, and the
+//!   decode-only `AnswerSubmitted` of older logs) as a serializable
 //!   fact. Commands are validated, logged, then applied; replaying the
 //!   event sequence over a campaign snapshot is the crash-recovery path,
 //!   so each payload carries the *complete* input of its deterministic

@@ -264,10 +264,15 @@ fn drive(docs: &mut Docs, steps: usize, finish: bool) {
                 idle = 0;
             }
             WorkRequest::Tasks(hit) => {
-                for t in hit {
-                    let choice = (t.index() + w.0 as usize) % docs.tasks()[t.index()].num_choices();
-                    docs.submit_answer(Answer::new(w, t, choice)).unwrap();
-                }
+                let answers = hit
+                    .into_iter()
+                    .map(|t| {
+                        let choice =
+                            (t.index() + w.0 as usize) % docs.tasks()[t.index()].num_choices();
+                        Answer::new(w, t, choice)
+                    })
+                    .collect();
+                assert_eq!(docs.submit_answer_batch(answers), Ok(vec![]));
                 idle = 0;
             }
             WorkRequest::Done => idle += 1,

@@ -87,7 +87,7 @@ pub fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
                 WorkRequest::Tasks(hit) => {
                     for t in hit {
                         let answer = Answer::new(w, t, choice_of(w, t));
-                        docs.submit_answer(answer).unwrap();
+                        assert_eq!(docs.submit_answer_batch(vec![answer]), Ok(vec![]));
                         ops.push(Op::Answer(answer));
                         progressed = true;
                     }
@@ -101,8 +101,10 @@ pub fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
     (ops, report)
 }
 
-/// Sends one recorded op to `campaign` through a pool handle. Which
-/// errors are acceptable is the caller's call.
+/// Sends one recorded op to `campaign` through a pool handle, an answer
+/// as a one-answer batch whose rejection comes back as
+/// `ServiceError::Rejected`. Which errors are acceptable is the caller's
+/// call.
 pub fn send(handle: &ServiceHandle, campaign: CampaignId, op: &Op) -> Result<(), ServiceError> {
     match op {
         Op::Golden(w, answers) => handle.call(docs_service::Op::submit_golden(
@@ -110,7 +112,13 @@ pub fn send(handle: &ServiceHandle, campaign: CampaignId, op: &Op) -> Result<(),
             *w,
             answers.clone(),
         )),
-        Op::Answer(answer) => handle.call(docs_service::Op::submit_answer(campaign, *answer)),
+        Op::Answer(answer) => {
+            let batch = docs_service::Op::submit_answer_batch(campaign, vec![*answer]);
+            match handle.call(batch)?.rejected.pop() {
+                Some((_, reason)) => Err(ServiceError::Rejected(reason)),
+                None => Ok(()),
+            }
+        }
     }
 }
 

@@ -145,14 +145,15 @@ fn requester_flow_with_manual_platform_interaction() {
         other => panic!("expected tasks, got {other:?}"),
     };
     assert_eq!(assigned.len(), 5);
-    for t in assigned {
-        docs.submit_answer(Answer {
+    let hit = assigned
+        .into_iter()
+        .map(|t| Answer {
             task: t,
             worker: w,
             choice: docs.tasks()[t.index()].ground_truth.unwrap(),
         })
-        .unwrap();
-    }
+        .collect();
+    assert_eq!(docs.submit_answer_batch(hit), Ok(vec![]));
     // The worker cannot receive a task twice.
     if let WorkRequest::Tasks(more) = docs.request_tasks(w) {
         for t in &more {
@@ -218,15 +219,15 @@ fn finish_writes_back_only_the_workers_the_campaign_saw() {
     let WorkRequest::Tasks(hit) = b.request_tasks(w7) else {
         panic!("worker 7 is on file and should skip golden");
     };
-    for task in hit {
-        let choice = b.tasks()[task.index()].ground_truth.unwrap();
-        b.submit_answer(Answer {
+    let answers = hit
+        .into_iter()
+        .map(|task| Answer {
             task,
             worker: w7,
-            choice,
+            choice: b.tasks()[task.index()].ground_truth.unwrap(),
         })
-        .unwrap();
-    }
+        .collect();
+    assert_eq!(b.submit_answer_batch(answers), Ok(vec![]));
     b.finish().unwrap();
     let from_b = b.engine().registry().get(w7).unwrap().clone();
     assert_ne!(from_b, on_file, "precondition: B's answers moved worker 7");

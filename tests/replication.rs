@@ -242,22 +242,35 @@ fn frames_mixing_campaigns_replicate_byte_identically_at_any_follower_shard_coun
             let (handle, ops) = (&handle, &ops);
             scope.spawn(move || {
                 for chunk in ops.chunks(PIPELINE) {
-                    let tickets: Vec<_> = chunk
+                    // Each in-flight op as the wait for its reply; an
+                    // answer goes as a one-answer batch.
+                    type Pending<'a> = Box<dyn FnOnce() -> Result<(), ServiceError> + 'a>;
+                    let tickets: Vec<Pending> = chunk
                         .iter()
-                        .map(|op| {
-                            let op = match op {
+                        .map(|op| -> Pending {
+                            match op {
                                 Op::Golden(w, answers) => {
-                                    docs_service::Op::submit_golden(campaign, *w, answers.clone())
+                                    let op = docs_service::Op::submit_golden(
+                                        campaign,
+                                        *w,
+                                        answers.clone(),
+                                    );
+                                    let ticket = handle.submit(op).expect("submit");
+                                    Box::new(move || ticket.wait())
                                 }
                                 Op::Answer(answer) => {
-                                    docs_service::Op::submit_answer(campaign, *answer)
+                                    let op = docs_service::Op::submit_answer_batch(
+                                        campaign,
+                                        vec![*answer],
+                                    );
+                                    let ticket = handle.submit(op).expect("submit");
+                                    Box::new(move || ticket.wait().map(drop))
                                 }
-                            };
-                            handle.submit(op).expect("submit")
+                            }
                         })
                         .collect();
-                    for ticket in tickets {
-                        match ticket.wait() {
+                    for wait in tickets {
+                        match wait() {
                             Ok(()) | Err(ServiceError::Rejected(_)) => {}
                             Err(e) => panic!("service failed: {e}"),
                         }
@@ -430,9 +443,9 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     // Role enforcement end to end.
     let err = replica
         .handle()
-        .call(docs_service::Op::submit_answer(
+        .call(docs_service::Op::submit_answer_batch(
             campaign,
-            Answer::new(WorkerId(0), TaskId(0), 0),
+            vec![Answer::new(WorkerId(0), TaskId(0), 0)],
         ))
         .unwrap_err();
     assert_eq!(

@@ -164,7 +164,7 @@ fn bounded_ingress_backpressure_loses_no_answers() {
 }
 
 /// Answers that arrive after the budget is consumed are absorbed end to
-/// end, as in the paper's deployment: a single submission and a batch
+/// end, as in the paper's deployment: a one-answer batch and a larger one
 /// through the service both land.
 #[test]
 fn late_answers_are_absorbed_at_the_client() {
@@ -193,16 +193,20 @@ fn late_answers_are_absorbed_at_the_client() {
     .unwrap();
     let (service, handle) = DocsService::spawn_empty(ServiceConfig::default()).unwrap();
     let c = handle.create_campaign(docs).unwrap();
-    for t in 0..2u32 {
-        handle
-            .call(Op::submit_answer(c, Answer::new(WorkerId(0), TaskId(t), 0)))
-            .unwrap();
-    }
+    let hit = (0..2u32)
+        .map(|t| Answer::new(WorkerId(0), TaskId(t), 0))
+        .collect();
+    let outcome = handle.call(Op::submit_answer_batch(c, hit)).unwrap();
+    assert_eq!((outcome.accepted, outcome.rejected), (2, vec![]));
     // Budget (2 × 1) consumed: the stragglers still land.
     assert!(handle.call(Op::status(c)).unwrap().budget_exhausted);
-    handle
-        .call(Op::submit_answer(c, Answer::new(WorkerId(1), TaskId(0), 1)))
+    let outcome = handle
+        .call(Op::submit_answer_batch(
+            c,
+            vec![Answer::new(WorkerId(1), TaskId(0), 1)],
+        ))
         .unwrap();
+    assert_eq!((outcome.accepted, outcome.rejected), (1, vec![]));
     let outcome = handle
         .call(Op::submit_answer_batch(
             c,
