@@ -87,6 +87,20 @@ impl IndicatorVector {
     pub fn num_domains(&self) -> usize {
         self.m as usize
     }
+
+    /// The related domains `k` (those with `h_{i,j,k} = 1`), ascending.
+    #[inline]
+    pub fn ones(&self) -> impl Iterator<Item = usize> {
+        let mut mask = self.mask;
+        std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            Some(k)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +147,19 @@ mod tests {
     #[should_panic(expected = "1..=64")]
     fn too_many_domains_rejected() {
         let _ = IndicatorVector::empty(65);
+    }
+
+    #[test]
+    fn ones_lists_the_set_domains_ascending() {
+        let iv = IndicatorVector::from_domains(64, &[63, 0, 17, 5]);
+        assert_eq!(iv.ones().collect::<Vec<_>>(), vec![0, 5, 17, 63]);
+        assert_eq!(IndicatorVector::empty(3).ones().next(), None);
+        for mask in [0b1011_0110u8, 0, 0xff, 1] {
+            let bits: Vec<u8> = (0..8).map(|k| mask >> k & 1).collect();
+            let iv = IndicatorVector::from_bits(&bits);
+            let expected: Vec<usize> = (0..8).filter(|&k| iv.get(k) == 1).collect();
+            assert_eq!(iv.ones().collect::<Vec<_>>(), expected);
+        }
     }
 
     #[test]

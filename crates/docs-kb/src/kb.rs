@@ -19,8 +19,10 @@ pub struct KnowledgeBase {
     concepts: Vec<Concept>,
     /// Lower-cased alias → candidate concept ids.
     alias_index: HashMap<String, Vec<ConceptId>>,
-    /// Longest alias length in words, bounding the linker's match window.
-    max_alias_words: usize,
+    /// First word of a lower-cased alias → the longest alias starting with
+    /// it, in words: the linker's match window at a token, and the one
+    /// probe a token that starts no alias costs.
+    longest_from: HashMap<String, usize>,
 }
 
 impl KnowledgeBase {
@@ -31,7 +33,7 @@ impl KnowledgeBase {
                 domain_set,
                 concepts: Vec::new(),
                 alias_index: HashMap::new(),
-                max_alias_words: 0,
+                longest_from: HashMap::new(),
             },
         }
     }
@@ -52,9 +54,13 @@ impl KnowledgeBase {
         self.alias_index.get(alias_lower).map(|v| v.as_slice())
     }
 
-    /// Longest indexed alias, in whitespace-separated words.
-    pub fn max_alias_words(&self) -> usize {
-        self.max_alias_words
+    /// Words in the longest alias whose first word is `word` (lower-cased),
+    /// or `0` if no alias starts with it.
+    ///
+    /// Words are split at `' '`, the separator the linker joins tokens
+    /// with, so every alias a phrase of tokens can equal is counted.
+    pub fn longest_alias_from(&self, word: &str) -> usize {
+        self.longest_from.get(word).copied().unwrap_or(0)
     }
 }
 
@@ -92,9 +98,14 @@ impl KbBuilder {
             .push(Concept::new(id, name, domains).with_popularity(popularity));
         for alias in aliases {
             let alias_lower = alias.as_ref().to_lowercase();
-            let words = alias_lower.split_whitespace().count();
-            assert!(words > 0, "aliases must be non-empty");
-            self.kb.max_alias_words = self.kb.max_alias_words.max(words);
+            assert!(
+                alias_lower.split_whitespace().next().is_some(),
+                "aliases must be non-empty"
+            );
+            let first = alias_lower.split(' ').next().unwrap_or_default();
+            let words = alias_lower.split(' ').count();
+            let longest = self.kb.longest_from.entry(first.to_owned()).or_default();
+            *longest = (*longest).max(words);
             self.kb.alias_index.entry(alias_lower).or_default().push(id);
         }
         id
@@ -169,7 +180,11 @@ mod tests {
         assert_eq!(nba.len(), 2);
         assert_eq!(kb.candidates("kobe bryant").unwrap().len(), 1);
         assert!(kb.candidates("lebron james").is_none());
-        assert_eq!(kb.max_alias_words(), 2);
+        assert_eq!(kb.longest_alias_from("michael"), 2);
+        assert_eq!(kb.longest_alias_from("nba"), 1);
+        assert_eq!(kb.longest_alias_from("kobe"), 2);
+        assert_eq!(kb.longest_alias_from("bryant"), 0);
+        assert_eq!(kb.longest_alias_from("jordan"), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use docs_core::dve;
 use docs_core::golden::select_golden_tasks;
 use docs_core::ota::{Assigner, AssignerConfig, ScanScratch};
 use docs_core::ti::{IncrementalTi, RunCounts, TiSnapshot, WorkerRegistry, WorkerStats};
-use docs_kb::{EntityLinker, KnowledgeBase};
+use docs_kb::{EntityLinker, KnowledgeBase, LinkerConfig};
 use docs_storage::ParamStore;
 use docs_types::{
     codec, Answer, CampaignEvent, CampaignId, ChoiceIndex, Error, Result, Task, TaskId, WorkerId,
@@ -138,6 +138,14 @@ fn check_config(config: &DocsConfig) -> Result<()> {
         return Err(Error::Storage(
             "config field `linker.top_c`: a mention needs at least 1 candidate, found 0".into(),
         ));
+    }
+    let w = config.linker.context_weight;
+    if !(0.0..=LinkerConfig::MAX_CONTEXT_WEIGHT).contains(&w) {
+        return Err(Error::Storage(format!(
+            "config field `linker.context_weight`: the context boost needs a finite weight \
+             in 0..={:e}, or it overflows; found {w}",
+            LinkerConfig::MAX_CONTEXT_WEIGHT
+        )));
     }
     if let Some(policy) = config.stopping {
         if config.answers_per_task != 0 && policy.min_answers > config.answers_per_task {
@@ -1458,6 +1466,61 @@ mod tests {
         snapshot.config = blind;
         let err = restore_through_codec(&snapshot).unwrap_err();
         assert!(err.to_string().contains("`linker.top_c`"), "{err}");
+    }
+
+    /// A context weight of `1e308` used to overflow the linker's boost and
+    /// panic in publish ("probs are finite"); at infinity the Table 2 task
+    /// got a NaN candidate probability. Both, a NaN and a negative weight
+    /// are refused at publish and restore, naming the field; the largest
+    /// allowed weight links the Table 2 task to finite probabilities.
+    #[test]
+    fn publish_and_restore_refuse_a_context_weight_that_can_overflow() {
+        let kb = table2_example_kb();
+        let table2 = || {
+            vec![TaskBuilder::new(
+                0,
+                "Does Michael Jordan win more NBA championships than Kobe Bryant?",
+            )
+            .yes_no()
+            .with_ground_truth(1)
+            .build()
+            .unwrap()]
+        };
+        let weighted = |context_weight| {
+            let mut config = small_config();
+            config.num_golden = 0;
+            config.linker.context_weight = context_weight;
+            config
+        };
+        for w in [1e308, f64::INFINITY, f64::NAN, -0.5] {
+            let err = Docs::publish(&kb, table2(), weighted(w)).unwrap_err();
+            assert!(
+                err.to_string().contains("`linker.context_weight`"),
+                "{w}: {err}"
+            );
+            let mut snapshot = Docs::publish(&kb, example_tasks(6), small_config())
+                .unwrap()
+                .snapshot();
+            snapshot.config = weighted(w);
+            let err = restore_through_codec(&snapshot).unwrap_err();
+            assert!(
+                err.to_string().contains("`linker.context_weight`"),
+                "{w}: {err}"
+            );
+        }
+        for w in [0.0, 0.5, LinkerConfig::MAX_CONTEXT_WEIGHT] {
+            let docs = Docs::publish(&kb, table2(), weighted(w)).unwrap();
+            let r = docs.tasks()[0].domain_vector.as_ref().unwrap();
+            assert!(r.as_slice().iter().all(|v| v.is_finite()), "{w}: {r:?}");
+            let entities = EntityLinker::new(&kb, weighted(w).linker).link(&docs.tasks()[0].text);
+            assert!(
+                entities
+                    .iter()
+                    .flat_map(|e| &e.probs)
+                    .all(|p| p.is_finite()),
+                "{w}"
+            );
+        }
     }
 
     /// A snapshot whose parts disagree about the task count or the shard
