@@ -443,21 +443,27 @@ mod tests {
 
     /// Overlapping multi-word aliases over 5 domains: a 3-word alias whose
     /// 2-word prefix is another alias, a 4-word alias whose prefix and
-    /// middle are aliases, shared and empty indicators.
+    /// middle are aliases, shared and empty indicators. Most aliases are
+    /// ambiguous, with popularities whose probabilities are not dyadic, so
+    /// the context sums round and their order shows in the bits.
     fn overlapping_kb() -> KnowledgeBase {
         let mut b =
             KnowledgeBase::builder(docs_types::DomainSet::new(["d0", "d1", "d2", "d3", "d4"]));
         let h = |domains: &[usize]| IndicatorVector::from_domains(5, domains);
         b.add_concept("NYC", h(&[0, 1]), 2.0, ["New York City"]);
-        b.add_concept("NY state", h(&[1]), 1.0, ["New York"]);
+        b.add_concept("NYC (song)", h(&[2, 4]), 0.7, ["New York City"]);
+        b.add_concept("NY state", h(&[1]), 1.1, ["New York"]);
         b.add_concept("NY film", h(&[2]), 3.0, ["new york", "The Big Apple"]);
-        b.add_concept("York", h(&[3]), 1.0, ["York"]);
+        b.add_concept("York", h(&[3]), 1.3, ["York"]);
+        b.add_concept("York (ship)", h(&[1, 3]), 0.9, ["York"]);
         b.add_concept("City", h(&[]), 1.0, ["city"]);
-        b.add_concept("City (band)", h(&[4]), 0.5, ["City"]);
+        b.add_concept("City (band)", h(&[4]), 0.3, ["City"]);
         b.add_concept("ABCD", h(&[0, 4]), 1.0, ["a b c d"]);
         b.add_concept("BC", h(&[2, 3]), 2.0, ["b c"]);
+        b.add_concept("BC (province)", h(&[0, 1, 3]), 1.7, ["b c"]);
         b.add_concept("AB", h(&[1]), 1.0, ["a b", "the big"]);
         b.add_concept("Michael", h(&[0, 2, 3]), 1.0, ["michael"]);
+        b.add_concept("Michael (angel)", h(&[3, 4]), 0.6, ["michael"]);
         b.build()
     }
 
