@@ -417,14 +417,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Dense, one-hot and mixed-sparsity campaigns; 0 and 1 iterations
-        /// (the prior the arena is reset to, one Step 1 from it), and up
-        /// to 20.
+        /// Dense, one-hot and mixed-sparsity campaigns; 0, 1 and 2
+        /// iterations (the prior the arena is reset to, one Step 1 from it,
+        /// the first iteration after every cell has moved once), and up to
+        /// 20.
         #[test]
         fn full_inference_is_bit_identical_to_the_dense_loop(seed in any::<u64>()) {
             for sparsity in Sparsity::ALL {
                 let (tasks, log, registry) = campaign(seed, sparsity);
-                for max_iterations in [0, 1, 20] {
+                for max_iterations in [0, 1, 2, 20] {
                     let config = TiConfig { max_iterations, ..TiConfig::default() };
                     assert_bit_identical(
                         config,
@@ -465,6 +466,165 @@ mod tests {
         };
         registry.put(WorkerId(5), stats);
         assert_bit_identical(TiConfig::default(), &[task], &log, &registry, "-0.0");
+    }
+
+    /// Worker 4 holds registry weight in domain 1, which none of its tasks
+    /// touch: Eq. 5 gives it `q·u/u` there, which is not `q` (0.1 · 3 / 3
+    /// is 0.10000000000000002). The first iteration moves that quality and
+    /// adds the move to Δ; no later iteration moves it again.
+    #[test]
+    fn a_weighted_domain_no_task_touches_moves_once() {
+        let tasks: Vec<Task> = (0..3usize)
+            .map(|i| {
+                TaskBuilder::new(i, format!("t{i}"))
+                    .yes_no()
+                    .with_domain_vector(DomainVector::new(vec![0.8, 0.0, 0.2]).unwrap())
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let mut log = AnswerLog::new(tasks.len());
+        for (i, choices) in [[0, 1], [1, 1], [0, 0]].into_iter().enumerate() {
+            for (w, choice) in [4u32, 7].into_iter().zip(choices) {
+                log.record(Answer::new(WorkerId(w), TaskId::from(i), choice))
+                    .unwrap();
+            }
+        }
+        let mut registry = WorkerRegistry::new(3, 0.7);
+        registry.put(
+            WorkerId(4),
+            crate::ti::WorkerStats {
+                quality: vec![0.6, 0.1, 0.9],
+                weight: vec![1.0, 3.0, 0.5],
+            },
+        );
+        let moved = 0.1_f64 * 3.0 / 3.0;
+        assert_ne!(moved.to_bits(), 0.1_f64.to_bits(), "q·u/u is not q");
+        for max_iterations in [0, 1, 2, 3, 20] {
+            let config = TiConfig {
+                max_iterations,
+                ..TiConfig::default()
+            };
+            let context = format!("untouched domain × {max_iterations}");
+            assert_bit_identical(config, &tasks, &log, &registry, &context);
+            let run = TruthInference::new(config).run(&tasks, &log, &registry);
+            let want = if max_iterations == 0 { 0.1 } else { moved };
+            let got = run.qualities[&WorkerId(4)][1];
+            assert_eq!(got.to_bits(), want.to_bits(), "{context}");
+            if max_iterations == 20 {
+                assert!(run.deltas.len() > 2, "{context}: Δ {:?}", run.deltas);
+            }
+        }
+    }
+
+    /// A NaN quality, and an infinite weight, in domains none of the
+    /// worker's tasks touch: Eq. 5 gives NaN there in every iteration, and
+    /// `|NaN − NaN|` makes every Δ NaN, so the run never converges and
+    /// takes all its iterations, as the dense loop does.
+    #[test]
+    fn a_non_finite_untouched_domain_keeps_every_delta_nan() {
+        let task = TaskBuilder::new(0usize, "t")
+            .yes_no()
+            .with_domain_vector(DomainVector::one_hot(3, 0))
+            .build()
+            .unwrap();
+        let mut log = AnswerLog::new(1);
+        log.record(Answer::new(WorkerId(2), TaskId(0), 0)).unwrap();
+        log.record(Answer::new(WorkerId(3), TaskId(0), 1)).unwrap();
+        let mut registry = WorkerRegistry::new(3, 0.7);
+        let stats = crate::ti::WorkerStats {
+            quality: vec![0.8, f64::NAN, 0.6],
+            weight: vec![1.0, 1.0, 1.0],
+        };
+        registry.put(WorkerId(2), stats);
+        let stats = crate::ti::WorkerStats {
+            quality: vec![0.6, 0.6, 0.6],
+            weight: vec![0.0, 0.0, f64::INFINITY],
+        };
+        registry.put(WorkerId(3), stats);
+        for max_iterations in [1, 2, 20] {
+            let config = TiConfig {
+                max_iterations,
+                ..TiConfig::default()
+            };
+            let context = format!("non-finite × {max_iterations}");
+            assert_bit_identical(
+                config,
+                std::slice::from_ref(&task),
+                &log,
+                &registry,
+                &context,
+            );
+            let run = TruthInference::new(config).run(std::slice::from_ref(&task), &log, &registry);
+            assert_eq!(run.deltas.len(), max_iterations, "{context}");
+            assert!(run.deltas.iter().all(|d| d.is_nan()), "{context}");
+        }
+    }
+
+    /// Tasks of `ℓ = 2, 3, 5` in one campaign, with worker 9 answering
+    /// only the `ℓ = 5` ones: each answer's miss likelihood is its own
+    /// task's `(1 − hit)/(ℓ − 1)` whatever else its worker answered.
+    #[test]
+    fn a_worker_who_answers_only_five_choice_tasks_follows_the_dense_loop() {
+        let shapes: [(usize, [f64; 3]); 6] = [
+            (2, [0.7, 0.3, 0.0]),
+            (5, [0.0, 0.6, 0.4]),
+            (3, [0.2, 0.2, 0.6]),
+            (5, [1.0, 0.0, 0.0]),
+            (2, [0.0, 0.0, 1.0]),
+            (3, [0.5, 0.5, 0.0]),
+        ];
+        let tasks: Vec<Task> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(l, r))| {
+                TaskBuilder::new(i, format!("t{i}"))
+                    .with_choices((0..l).map(|c| format!("c{c}")))
+                    .with_domain_vector(DomainVector::new(r.to_vec()).unwrap())
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let mut log = AnswerLog::new(tasks.len());
+        let answers = [
+            (3, 9, 4),
+            (0, 2, 1),
+            (1, 9, 2),
+            (2, 2, 2),
+            (1, 2, 2),
+            (4, 5, 0),
+            (3, 5, 4),
+            (5, 2, 1),
+            (0, 5, 0),
+            (2, 5, 0),
+            (5, 5, 1),
+            (1, 5, 3),
+            (3, 2, 0),
+        ];
+        for (task, worker, choice) in answers {
+            log.record(Answer::new(WorkerId(worker), TaskId::from(task), choice))
+                .unwrap();
+        }
+        assert!(log
+            .worker_answers(WorkerId(9))
+            .iter()
+            .all(|&(t, _)| tasks[t.index()].num_choices() == 5));
+        let mut registry = WorkerRegistry::new(3, 0.65);
+        registry.put(
+            WorkerId(9),
+            crate::ti::WorkerStats {
+                quality: vec![0.55, 0.9, 0.3],
+                weight: vec![2.0, 1.5, 0.0],
+            },
+        );
+        for max_iterations in [0, 1, 2, 20] {
+            let config = TiConfig {
+                max_iterations,
+                ..TiConfig::default()
+            };
+            let context = format!("ℓ = 5 only × {max_iterations}");
+            assert_bit_identical(config, &tasks, &log, &registry, &context);
+        }
     }
 
     #[test]
