@@ -94,6 +94,29 @@ fn stream_fingerprint(
     registry: WorkerRegistry,
     z: usize,
 ) -> u64 {
+    let stream = round_robin(log);
+    let half = stream.len() / 2;
+    let mut engine = IncrementalTi::new(tasks, registry, z);
+    for &answer in &stream[..half] {
+        engine.submit(answer).expect("the campaign's own answers");
+    }
+    let bytes = codec::to_bytes(&engine.snapshot());
+    let mut engine = IncrementalTi::restore(codec::from_bytes(&bytes).expect("own snapshot"))
+        .expect("own snapshot restores");
+    for &answer in &stream[half..] {
+        engine.submit(answer).expect("the campaign's own answers");
+    }
+    let mut h = Fnv::new();
+    hash_engine(&mut h, &engine);
+    let deltas = engine.run_full();
+    h.floats(deltas);
+    hash_engine(&mut h, &engine);
+    h.0
+}
+
+/// The log's answers round-robin over the tasks: every task's first answer,
+/// then every task's second, and so on.
+fn round_robin(log: &AnswerLog) -> Vec<Answer> {
     let mut stream: Vec<(usize, Answer)> = log
         .iter_tasks()
         .flat_map(|(task, votes)| {
@@ -104,23 +127,7 @@ fn stream_fingerprint(
         })
         .collect();
     stream.sort_by_key(|&(at, a)| (at, a.task));
-    let half = stream.len() / 2;
-    let mut engine = IncrementalTi::new(tasks, registry, z);
-    for &(_, answer) in &stream[..half] {
-        engine.submit(answer).expect("the campaign's own answers");
-    }
-    let bytes = codec::to_bytes(&engine.snapshot());
-    let mut engine = IncrementalTi::restore(codec::from_bytes(&bytes).expect("own snapshot"))
-        .expect("own snapshot restores");
-    for &(_, answer) in &stream[half..] {
-        engine.submit(answer).expect("the campaign's own answers");
-    }
-    let mut h = Fnv::new();
-    hash_engine(&mut h, &engine);
-    let deltas = engine.run_full();
-    h.floats(deltas);
-    hash_engine(&mut h, &engine);
-    h.0
+    stream.into_iter().map(|(_, answer)| answer).collect()
 }
 
 /// One task in domain 0 of 2, answered by a worker whose stored weight in
@@ -293,6 +300,60 @@ fn the_paper_shaped_case_reaches_the_rescale_fallback() {
         let max = hat[0].max(hat[1]);
         assert!(max < RESCALE_BELOW, "domain {k}: {hat:?}");
     }
+}
+
+/// The work of full inference on the paper-shaped case, as exact counts: per
+/// run `W × m` (every quality the first iteration finalizes), the active
+/// cells (the distinct (worker, domain) pairs of `V(i) ⋈ supp(i)`, each
+/// refreshed and finalized once per later iteration), the plan's length
+/// (`Σ |V(i)|·|supp(i)|`, Step 1's factor pairs and Step 2's credits) and
+/// the iterations. Pinned for the last run over the whole log, whose active
+/// cells the test also counts from the log itself, and summed over the
+/// periodic runs of the log replayed at `z = 100`.
+#[test]
+fn the_paper_shaped_runs_do_the_pinned_work() {
+    use super::iterative::last_run_shape;
+    let (tasks, log, registry) = paper_shaped();
+    let mut pairs = std::collections::BTreeSet::new();
+    let mut plan = 0;
+    for task in &tasks {
+        let support: Vec<usize> = task.domain_vector().support().map(|(k, _)| k).collect();
+        for &(w, _) in log.task_answers(task.id) {
+            pairs.extend(support.iter().map(|&k| (w, k)));
+        }
+        plan += log.answer_count(task.id) * support.len();
+    }
+
+    let (mut runs, mut dense, mut cells, mut planned, mut iterations) = (0, 0, 0, 0, 0);
+    let mut engine = IncrementalTi::new(tasks, registry, 100);
+    for answer in round_robin(&log) {
+        if engine.submit(answer).expect("the campaign's own answers") {
+            let shape = last_run_shape();
+            runs += 1;
+            dense += shape.dense_cells;
+            cells += shape.cells;
+            planned += shape.plan;
+            iterations += engine.last_deltas().len();
+        }
+    }
+    let last = engine.run_full().len();
+    let shape = last_run_shape();
+    assert_eq!(
+        shape.cells,
+        pairs.len(),
+        "the active cells, counted from the log"
+    );
+    assert_eq!(shape.plan, plan, "Σ |V(i)|·|supp(i)|, counted from the log");
+    assert_eq!(
+        (shape.dense_cells, shape.cells, shape.plan, last),
+        (21_320, 3_008, 6_518, 16),
+        "the last run: W × m, active cells, plan, iterations"
+    );
+    assert_eq!(
+        (runs, dense, cells, planned, iterations),
+        (37, 126_568, 49_175, 116_728, 665),
+        "the periodic runs: count, Σ W × m, Σ active cells, Σ plan, Σ iterations"
+    );
 }
 
 /// `(case, full-inference hash, stream hash)`, recorded at the commit that

@@ -436,6 +436,12 @@ impl IncrementalTi {
         self.runs.executed += 1;
     }
 
+    /// The Δ series of the last full run.
+    #[cfg(test)]
+    pub(super) fn last_deltas(&self) -> &[f64] {
+        &self.deltas
+    }
+
     /// The run counts since the last call, reset to zero.
     pub fn take_run_counts(&mut self) -> RunCounts {
         std::mem::take(&mut self.runs)

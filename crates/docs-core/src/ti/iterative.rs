@@ -124,14 +124,19 @@ impl TruthInference {
     /// refilled with Δ after each iteration; the per-worker results are
     /// returned borrowed from `ws`.
     ///
-    /// The loop is support-sparse and allocation-free (see "Inference
-    /// kernels" in ARCHITECTURE.md): `s_i = r × M^{(i)}` reads only the rows
-    /// `k` with `r_k ≠ 0`, which are the only rows the arena stores, so
-    /// Steps 1 and 2 touch only those. Every stored value is the same bits
-    /// the dense textbook loop produces on those rows (`ti::oracle` holds
-    /// that loop and the tests comparing the two). A run's index and scratch
-    /// live in `ws` and are refilled in place, so a run on a workspace that
-    /// has served a campaign at least this large allocates nothing.
+    /// The loop runs over the *active cells* (see "Inference kernels" in
+    /// ARCHITECTURE.md): the distinct (worker, domain) pairs of the join
+    /// `V(i) ⋈ supp(i)`, which [`Workspace::index`] derives once per run.
+    /// Step 1 reads Eq. 4's likelihoods only there, through a per-row plan,
+    /// and Step 2 credits only there. Step 2's first iteration finalizes
+    /// every one of the `W × m` qualities, as the dense loop does; an
+    /// inactive cell then holds its fixed Eq. 5 value, so its term of every
+    /// later Δ is an exact `+0.0` and later iterations visit the active
+    /// cells alone. Every stored value is the same bits the dense textbook
+    /// loop produces (`ti::oracle` holds that loop and the tests comparing
+    /// the two). A run's index and scratch live in `ws` and are refilled in
+    /// place, so a run on a workspace that has served a campaign at least
+    /// this large allocates nothing.
     pub(super) fn converge<'w>(
         &self,
         ws: &'w mut Workspace,
@@ -155,166 +160,69 @@ impl TruthInference {
         debug_assert_eq!(states.len(), tasks.len());
         let m = registry.num_domains();
         let n = tasks.len();
+        ws.index(tasks, log, tail, registry, states);
         let Workspace {
             workers: worker_ids,
-            votes,
-            credits,
             qualities,
             den,
-            init_qualities,
-            num_seed,
+            cells,
             likelihoods,
+            plan,
+            task_plans,
             s_new,
-            num,
+            ..
         } = ws;
-
-        // Each tail answer is the last of its row so far, in `V(i)` and in
-        // `T(w)` alike, so the prefix cuts each row's tail answers off its
-        // end (a scan of the short tail per row: no buffer).
-        let v_of = |t: &Task| {
-            let v = log.task_answers(t.id);
-            &v[..v.len() - tail.iter().filter(|a| a.task == t.id).count()]
-        };
-        let t_of = |w: WorkerId| {
-            let answered = log.worker_answers(w);
-            &answered[..answered.len() - tail.iter().filter(|a| a.worker == w).count()]
-        };
-        // Dense worker index in sorted id order (see `AnswerLog::workers`):
-        // Step 2 accumulates `delta_q` over workers, and the accumulation
-        // order must not depend on hash-map layout or convergence becomes
-        // process-random. A worker whose answers are all in the tail is not
-        // in the prefix.
-        log.workers_into(worker_ids);
-        if !tail.is_empty() {
-            worker_ids.retain(|&w| !t_of(w).is_empty());
-        }
         let num_workers = worker_ids.len();
-        let wm = num_workers * m;
-        let dense = |w: WorkerId| {
-            worker_ids
-                .binary_search(&w)
-                .expect("every answering worker is in the log's worker set")
-        };
-
-        // `V(i)`, in the log's arrival order.
-        votes.fill(
-            log.len() - tail.len(),
-            tasks
-                .iter()
-                .map(|t| v_of(t).iter().map(|&(w, choice)| (dense(w), choice))),
-        );
-        // Step 2's join `T(w) ⋈ supp(i)`, which no iteration changes: per
-        // worker, in `T(w)`'s arrival order, one credit `(k, r_k, at)` per
-        // support row of each answered task, `at` the index of
-        // `s_{i,choice}` in the arena's flat `s`.
-        let num_credits = tasks
-            .iter()
-            .zip(states.iter())
-            .map(|(t, st)| v_of(t).len() * st.support().len())
-            .sum();
-        credits.fill(
-            num_credits,
-            worker_ids.iter().map(|&w| {
-                t_of(w).iter().flat_map(|&(tid, choice)| {
-                    let (support, at) = states.credit_of(tid.index(), choice);
-                    support.iter().map(move |&(k, rk)| (k, rk, at))
-                })
-            }),
-        );
-
-        // Initial qualities from the registry (golden-task initialized), and
-        // the registry's evidence weights. Golden tasks are tasks the worker
-        // *answered*, so Step 2 keeps them in `T(w)` as pseudo-observations
-        // with their recorded weight `u^w_k` — the Theorem 1 merge between
-        // stored statistics and the current batch. Unseen workers carry zero
-        // weight and reduce to the plain Eq. 5.
-        qualities.clear();
-        den.clear();
-        qualities.reserve(wm);
-        den.reserve(wm);
-        for &w in worker_ids.iter() {
-            match registry.get(w) {
-                Some(stats) => {
-                    qualities.extend_from_slice(&stats.quality[..m]);
-                    // `+ 0.0`: a `-0.0` weight leaves as `+0.0`, as the
-                    // dense loop's first `+ r_k` left it in every domain.
-                    den.extend(stats.weight[..m].iter().map(|&u| u + 0.0));
-                }
-                None => {
-                    qualities.extend(std::iter::repeat_n(registry.prior_quality(), m));
-                    den.extend(std::iter::repeat_n(0.0, m));
-                }
-            }
-        }
-        init_qualities.clear();
-        init_qualities.extend_from_slice(qualities);
-        // Eq. 5's sums seeded with the registry evidence (golden answers /
-        // previous batches): numerator q̂_k·û_k, denominator û_k. The
-        // denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on `s`, so
-        // it is summed once, over the credits; it is also the worker's new
-        // weight. The
-        // `+ 0.0` is what the dense loop's first `r_k · s = 0` term did to
-        // a `-0.0` seed.
-        num_seed.clear();
-        num_seed.extend(
-            init_qualities
-                .iter()
-                .zip(den.iter())
-                .map(|(&q, &u)| q * u + 0.0),
-        );
-        for w in 0..num_workers {
-            for &(k, rk, _) in credits.row(w) {
-                den[w * m + k] += rk;
-            }
-        }
-
-        likelihoods.reset(tasks, num_workers, m);
 
         for i in 0..n {
             states.reset(i);
         }
-        // Scratch: Step 1's new `s` of one task (at most the widest `ℓ`),
-        // and Step 2's numerator, seeded per worker below.
-        s_new.resize(likelihoods.ells.last().copied().unwrap_or(0), 0.0);
-        num.resize(m, 0.0);
+        // Scratch of Step 1's generic row width: a row of `M̂` and the new
+        // `s`, each at most the widest `ℓ`.
+        s_new.resize(2 * likelihoods.ells.last().copied().unwrap_or(0), 0.0);
+        let norm = num_workers as f64 * m as f64;
 
         // (The paper's runs converge within ~20 iterations.)
         deltas.clear();
         deltas.reserve(self.config.max_iterations.min(32));
         for _ in 0..self.config.max_iterations {
-            likelihoods.refresh(qualities);
+            likelihoods.refresh(&cells.q);
 
             // ---- Step 1: infer the truth (q^w → s_i), Eqs. 2-4. ----
-            let mut delta_s = 0.0;
-            for i in 0..n {
-                let (hit, miss, l) = likelihoods.of_task(i);
-                let change = states.recompute(i, votes.row(i), hit, miss, s_new);
-                delta_s += change / (n as f64 * l as f64);
-            }
+            let width = likelihoods.width();
+            let per_task = task_plans
+                .iter()
+                .map(|task| (task.votes as usize, (1 + task.slot as usize) * width));
+            let factors = &likelihoods.factors;
+            let delta_s = states.step1(per_task, plan, factors, width - 1, s_new);
 
             // ---- Step 2: estimate worker quality (s_i → q^w), Eq. 5. ----
-            let mut delta_q = 0.0;
             let s = states.all_s();
+            let first = deltas.is_empty();
+            let mut delta_q = 0.0;
             for w in 0..num_workers {
-                let base = w * m;
-                let q = &mut qualities[base..base + m];
-                num.copy_from_slice(&num_seed[base..base + m]);
-                for &(k, rk, at) in credits.row(w) {
-                    num[k] += rk * s[at];
-                }
+                let own = cells.ptr[w] as usize..cells.ptr[w + 1] as usize;
                 let mut change = 0.0;
-                for k in 0..m {
-                    let new_q = if den[base + k] > 0.0 {
-                        num[k] / den[base + k]
-                    } else {
-                        // No evidence at all for this domain: keep the
-                        // initial (prior) value.
-                        init_qualities[base + k]
-                    };
-                    change += (new_q - q[k]).abs();
-                    q[k] = new_q;
+                if first {
+                    // Every domain in ascending `k`; an inactive one moves
+                    // from its initial quality to its fixed Eq. 5 value.
+                    let mut next = own.start;
+                    for d in w * m..(w + 1) * m {
+                        if next < own.end && cells.at[next] as usize == d {
+                            change += cells.finalize(next, s);
+                            next += 1;
+                        } else {
+                            let fixed = eq5_without_credits(qualities[d], den[d]);
+                            change += (fixed - qualities[d]).abs();
+                            qualities[d] = fixed;
+                        }
+                    }
+                } else {
+                    for c in own {
+                        change += cells.finalize(c, s);
+                    }
                 }
-                delta_q += change / (num_workers as f64 * m as f64);
+                delta_q += change / norm;
             }
 
             let delta = delta_s + delta_q;
@@ -324,6 +232,9 @@ impl TruthInference {
             }
         }
         states.refresh_entropy();
+        for (&d, &q) in cells.at.iter().zip(&cells.q) {
+            qualities[d as usize] = q;
+        }
 
         *arena = owned;
         Converged {
@@ -331,6 +242,28 @@ impl TruthInference {
             qualities,
             weights: den,
         }
+    }
+}
+
+/// Whether a domain the worker's tasks do not touch keeps its first Eq. 5
+/// value's term of Δ at `+0.0` after the first iteration, `|v − v|`: true
+/// unless that value is not finite. A quality in `[0, 1]` under a finite
+/// denominator settles without the division.
+#[inline]
+fn settles(q: f64, den: f64) -> bool {
+    ((0.0..=1.0).contains(&q) && den < f64::INFINITY) || eq5_without_credits(q, den).is_finite()
+}
+
+/// Eq. 5 for a domain the worker's tasks do not touch: the registry
+/// evidence alone, `q̂·û/û` (the numerator as the dense loop seeds it), or
+/// the initial quality where there is no weight. `den` is `û + 0.0`;
+/// `q̂·(û + 0.0) + 0.0` is `q̂·û + 0.0` to the bit.
+#[inline]
+fn eq5_without_credits(q: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        (q * den + 0.0) / den
+    } else {
+        q
     }
 }
 
@@ -369,25 +302,371 @@ pub(super) struct Converged<'a> {
     pub(super) weights: &'a [f64],
 }
 
-/// Every buffer of one full-inference run: the dense worker index, `V(i)`
-/// and Step 2's credit list, the flat `W × m` qualities and Eq. 5 sums, the
-/// likelihood tables and the per-task scratch. A run refills them in place,
-/// so they only ever grow to the largest campaign their owner has
-/// converged. Working memory: no snapshot records it.
+/// Every buffer of one full-inference run: the dense worker index and the
+/// flat `W × m` qualities and Eq. 5 denominators (the run's output), the
+/// active cells with their likelihood table, Step 2's credits, Step 1's
+/// plan and the per-task scratch. A run refills them in place, so they
+/// only ever grow to the largest campaign their owner has converged.
+/// Working memory: no snapshot records it.
 #[derive(Debug, Default)]
 pub(super) struct Workspace {
+    /// The prefix's workers, ascending id: worker `w` is `workers[w]`.
     workers: Vec<WorkerId>,
-    votes: Csr<(usize, ChoiceIndex)>,
-    /// Per worker: `(k, r_k, index of s_{i,choice})` for every support row
-    /// of every task it answered.
-    credits: Csr<(usize, f64, usize)>,
+    /// Per worker, `m` qualities: the initial ones until the run writes
+    /// the converged ones back.
     qualities: Vec<f64>,
+    /// Per worker, Eq. 5's denominators `û_k + Σ_{t ∈ T(w)} r^t_k`.
     den: Vec<f64>,
-    init_qualities: Vec<f64>,
-    num_seed: Vec<f64>,
-    likelihoods: LikelihoodTables,
+    cells: Cells,
+    likelihoods: Likelihoods,
+    /// Step 1's plan: per task, per support row in ascending `k`, one
+    /// `(cell, choice)` per answer in `V(i)` order.
+    plan: Vec<(u32, u32)>,
+    task_plans: Vec<TaskPlan>,
     s_new: Vec<f64>,
-    num: Vec<f64>,
+    /// Set-up scratch: per worker of the whole log, its answers in the
+    /// tail; per domain, the last worker (plus one) that credits it and
+    /// the worker's credits there; per `(worker, domain)`, its cell, valid
+    /// only where one was made.
+    tail_answers: Vec<u32>,
+    marks: Vec<(u32, u32)>,
+    cell_of: Vec<u32>,
+    /// Set-up scratch: one task's answers `(w·m, choice)` in `V(i)` order.
+    staged: Vec<(u32, u32)>,
+    /// Set-up scratch: per task, its answering workers `(id, w)` in
+    /// ascending id, filled from the workers' side; per task, where its
+    /// run of them ends.
+    voters: Vec<(WorkerId, u32)>,
+    voters_end: Vec<u32>,
+}
+
+/// The active cells of a run — each worker's credited domains, ascending
+/// `k`, worker after worker — with what Eq. 5 needs per cell. A domain
+/// whose registry evidence alone gives a non-finite Eq. 5 value is a cell
+/// too: its term of every Δ is NaN, never `+0.0`, so Step 2 must revisit it.
+#[derive(Debug, Default)]
+struct Cells {
+    /// `W + 1` entries: worker `w`'s cells are `ptr[w]..ptr[w + 1]`.
+    ptr: Vec<u32>,
+    /// Each cell's `w·m + k` in the dense per-worker buffers.
+    at: Vec<u32>,
+    /// The current quality.
+    q: Vec<f64>,
+    /// The initial quality: Eq. 5's value where there is no weight.
+    init: Vec<f64>,
+    /// Eq. 5's denominator.
+    den: Vec<f64>,
+    /// Eq. 5's numerator seeded with the registry evidence, `q̂·û + 0.0`.
+    seed: Vec<f64>,
+    /// `len() + 1` entries: cell `c`'s credits are
+    /// `credits[credit_ptr[c]..credit_ptr[c + 1]]`.
+    credit_ptr: Vec<u32>,
+    /// Step 2's join `T(w) ⋈ supp(i)`, which no iteration changes: per
+    /// cell `(w, k)`, one credit per task of `T(w)` with `r_k ≠ 0`, in
+    /// `T(w)`'s arrival order.
+    credits: Vec<Credit>,
+}
+
+impl Cells {
+    fn clear(&mut self) {
+        for buffer in [&mut self.ptr, &mut self.at, &mut self.credit_ptr] {
+            buffer.clear();
+        }
+        for buffer in [&mut self.q, &mut self.init, &mut self.den, &mut self.seed] {
+            buffer.clear();
+        }
+    }
+
+    fn reserve(&mut self, workers: usize, cells: usize) {
+        self.ptr.reserve(workers + 1);
+        for buffer in [&mut self.at, &mut self.credit_ptr] {
+            buffer.reserve(cells + 1);
+        }
+        for buffer in [&mut self.q, &mut self.init, &mut self.den, &mut self.seed] {
+            buffer.reserve(cells);
+        }
+    }
+
+    /// A cell at `w·m + k` with the initial quality and weight there, whose
+    /// credits start at `credits`.
+    fn push(&mut self, at: usize, q: f64, den: f64, credits: usize) {
+        self.at.push(at as u32);
+        self.q.push(q);
+        self.init.push(q);
+        self.den.push(den);
+        self.seed.push(q * den + 0.0);
+        self.credit_ptr.push(credits as u32);
+    }
+
+    fn len(&self) -> usize {
+        self.at.len()
+    }
+
+    /// Eq. 5 for cell `c` at the truths `s`: the numerator summed over the
+    /// cell's credits in `T(w)` order, as the dense loop sums it. Returns
+    /// the cell's term of its worker's Δ.
+    #[inline]
+    fn finalize(&mut self, c: usize, s: &[f64]) -> f64 {
+        let credits = &self.credits[self.credit_ptr[c] as usize..self.credit_ptr[c + 1] as usize];
+        let mut num = self.seed[c];
+        for credit in credits {
+            num += credit.rk * s[credit.at as usize];
+        }
+        let new_q = if self.den[c] > 0.0 {
+            num / self.den[c]
+        } else {
+            // No evidence at all for this domain: keep the initial (prior)
+            // value.
+            self.init[c]
+        };
+        let change = (new_q - self.q[c]).abs();
+        self.q[c] = new_q;
+        change
+    }
+}
+
+/// One credit of Step 2: `r_k · s[at]`, `at` the index of `s_{i,choice}`
+/// in the arena's flat `s`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Credit {
+    at: u32,
+    rk: f64,
+}
+
+/// One task's part of Step 1's plan.
+#[derive(Debug, Clone, Copy)]
+struct TaskPlan {
+    /// `|V(i)|` of the prefix: the entries per support row.
+    votes: u32,
+    /// Its `ℓ`'s slot in [`Likelihoods::ells`].
+    slot: u32,
+}
+
+impl Workspace {
+    /// Derives the run's index from the log prefix, once per run: the cut
+    /// lengths (each tail answer is the last of its `V(i)` and `T(w)` rows
+    /// so far, so the prefix cuts it off their ends), the dense worker
+    /// index, the initial qualities and weights, the active cells with
+    /// their credits, and the plan. The tail is counted once, each worker's
+    /// `T(w)` is looked up once, and each answer's worker is found once.
+    fn index(
+        &mut self,
+        tasks: &[Task],
+        log: &AnswerLog,
+        tail: &[Answer],
+        registry: &WorkerRegistry,
+        states: &TaskArena,
+    ) {
+        let m = registry.num_domains();
+        let ells = &mut self.likelihoods.ells;
+        ells.clear();
+        ells.extend(tasks.iter().map(Task::num_choices));
+        ells.sort_unstable();
+        ells.dedup();
+
+        // `|V(i)|` of the prefix, and the plan's length: Σ |V(i)|·|supp(i)|.
+        self.task_plans.clear();
+        self.task_plans.reserve(tasks.len());
+        for task in tasks {
+            let slot = ells.binary_search(&task.num_choices());
+            self.task_plans.push(TaskPlan {
+                votes: log.answer_count(task.id) as u32,
+                slot: slot.expect("collected above") as u32,
+            });
+        }
+        for answer in tail {
+            self.task_plans[answer.task.index()].votes -= 1;
+        }
+        let (mut num_credits, mut num_votes, mut most_votes) = (0, 0, 0);
+        self.voters_end.clear();
+        self.voters_end.reserve(tasks.len());
+        for (i, task) in self.task_plans.iter().enumerate() {
+            let votes = task.votes as usize;
+            num_credits += votes * states.support_and_s(i).0.len();
+            most_votes = most_votes.max(votes);
+            self.voters_end.push(num_votes as u32);
+            num_votes += votes;
+        }
+
+        // Dense worker index in sorted id order (see `AnswerLog::workers`):
+        // Step 2 accumulates `delta_q` over workers, and the accumulation
+        // order must not depend on hash-map layout or convergence becomes
+        // process-random. A worker whose answers are all in the tail is not
+        // in the prefix.
+        log.workers_into(&mut self.workers);
+        self.tail_answers.clear();
+        self.tail_answers.resize(self.workers.len(), 0);
+        for answer in tail {
+            let r = self.workers.binary_search(&answer.worker);
+            self.tail_answers[r.expect("a tail answer is in the log")] += 1;
+        }
+        let bound = self.workers.len() * m;
+        assert!(
+            bound * (1 + ells.len()) <= u32::MAX as usize
+                && states.all_s().len() <= u32::MAX as usize
+                && num_credits <= u32::MAX as usize,
+            "a campaign indexable by u32"
+        );
+        self.qualities.clear();
+        self.den.clear();
+        self.qualities.reserve(bound);
+        self.den.reserve(bound);
+        let cells = &mut self.cells;
+        cells.clear();
+        cells.reserve(self.workers.len(), bound.min(num_credits));
+        cells.ptr.push(0);
+        cells.credits.clear();
+        cells.credits.resize(num_credits, Credit::default());
+        self.staged.clear();
+        self.staged.reserve(most_votes);
+        self.voters.clear();
+        self.voters.resize(num_votes, (WorkerId(0), 0));
+        self.marks.clear();
+        self.marks.resize(m, (0, 0));
+        self.cell_of.resize(bound, 0);
+
+        let (mut num_workers, mut next) = (0, 0);
+        for r in 0..self.workers.len() {
+            let id = self.workers[r];
+            let answered = log.worker_answers(id);
+            let answered = &answered[..answered.len() - self.tail_answers[r] as usize];
+            if answered.is_empty() {
+                continue;
+            }
+            let w = num_workers;
+            num_workers += 1;
+            self.workers[w] = id;
+            // Step 2's join `T(w) ⋈ supp(i)`, which no iteration changes,
+            // counted per domain; the worker joins each answered task's
+            // answerers.
+            let stamp = w as u32 + 1;
+            for &(task, choice) in answered {
+                let end = &mut self.voters_end[task.index()];
+                self.voters[*end as usize] = (id, w as u32);
+                *end += 1;
+                for &(k, _) in states.credit_of(task.index(), choice).0 {
+                    let mark = &mut self.marks[k];
+                    *mark = if mark.0 == stamp {
+                        (stamp, mark.1 + 1)
+                    } else {
+                        (stamp, 1)
+                    };
+                }
+            }
+            // Initial qualities from the registry (golden-task initialized),
+            // and the registry's evidence weights. Golden tasks are tasks
+            // the worker *answered*, so Step 2 keeps them in `T(w)` as
+            // pseudo-observations with their recorded weight `u^w_k` — the
+            // Theorem 1 merge between stored statistics and the current
+            // batch. Unseen workers carry zero weight and reduce to the
+            // plain Eq. 5.
+            let base = w * m;
+            match registry.get(id) {
+                Some(stats) => {
+                    self.qualities.extend_from_slice(&stats.quality[..m]);
+                    // `+ 0.0`: a `-0.0` weight leaves as `+0.0`, as the
+                    // dense loop's first `+ r_k` left it in every domain.
+                    let weights = stats.weight[..m].iter();
+                    self.den.extend(weights.map(|&u| u + 0.0));
+                }
+                None => {
+                    let prior = registry.prior_quality();
+                    self.qualities.extend(std::iter::repeat_n(prior, m));
+                    self.den.extend(std::iter::repeat_n(0.0, m));
+                }
+            }
+            // The worker's cells in ascending `k`, each owning the next run
+            // of credits; from here on a credited domain's mark holds its
+            // cell's next free credit.
+            let rows = self.qualities[base..].iter().zip(&self.den[base..]);
+            for (k, (&q, &den)) in rows.enumerate() {
+                let (stamped, count) = self.marks[k];
+                let credited = stamped == stamp;
+                if credited || !settles(q, den) {
+                    self.cell_of[base + k] = cells.len() as u32;
+                    cells.push(base + k, q, den, next as usize);
+                    if credited {
+                        self.marks[k].1 = next;
+                        next += count;
+                    }
+                }
+            }
+            cells.ptr.push(cells.len() as u32);
+            // Each credit into its cell's run, in `T(w)`'s arrival order.
+            // The denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on
+            // `s`, so it is summed once, here; it is also the worker's new
+            // weight.
+            for &(task, choice) in answered {
+                let (support, at) = states.credit_of(task.index(), choice);
+                for &(k, rk) in support {
+                    let slot = &mut self.marks[k].1;
+                    let at = at as u32;
+                    cells.credits[*slot as usize] = Credit { at, rk };
+                    *slot += 1;
+                    cells.den[self.cell_of[base + k] as usize] += rk;
+                }
+            }
+        }
+        cells.credit_ptr.push(num_credits as u32);
+        self.workers.truncate(num_workers);
+        for (&d, &den) in cells.at.iter().zip(&cells.den) {
+            self.den[d as usize] = den;
+        }
+
+        // Step 1's plan, row-major per task: each answer's worker is found
+        // among the task's own answerers, and its cell read per support row.
+        self.plan.clear();
+        self.plan.reserve(num_credits);
+        for (i, (task, shape)) in tasks.iter().zip(&self.task_plans).enumerate() {
+            let votes = &log.task_answers(task.id)[..shape.votes as usize];
+            let end = self.voters_end[i] as usize;
+            let voters = &self.voters[end - votes.len()..end];
+            self.staged.clear();
+            for &(id, choice) in votes {
+                let at = voters.binary_search_by_key(&id, |&(voter, _)| voter);
+                let w = voters[at.expect("`V(i)` and `T(w)` hold the same answers")].1;
+                self.staged.push((w * m as u32, choice as u32));
+            }
+            for &(k, _) in states.support_and_s(i).0 {
+                let answers = self.staged.iter();
+                let cell = |&(base, choice): &(u32, u32)| (self.cell_of[base as usize + k], choice);
+                self.plan.extend(answers.map(cell));
+            }
+        }
+        let width = cells.len().next_power_of_two();
+        let factors = (1 + self.likelihoods.ells.len()) * width;
+        self.likelihoods.factors.resize(factors, 0.0);
+    }
+
+    /// The run's shape: `W × m`, its active cells and its plan's length.
+    #[cfg(test)]
+    fn shape(&self) -> RunShape {
+        RunShape {
+            dense_cells: self.qualities.len(),
+            cells: self.cells.len(),
+            plan: self.plan.len(),
+        }
+    }
+}
+
+/// The shape of a full run, for the tests that pin its work.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct RunShape {
+    /// `W × m`: every (worker, domain) of the log prefix.
+    pub(super) dense_cells: usize,
+    /// The active cells, each refreshed and finalized once per iteration
+    /// after the first.
+    pub(super) cells: usize,
+    /// Step 1's plan: one factor pair per answer per support row, as many
+    /// as Step 2's credits.
+    pub(super) plan: usize,
+}
+
+/// The shape of the last full run on this thread's workspace.
+#[cfg(test)]
+pub(super) fn last_run_shape() -> RunShape {
+    with_workspace(|ws| ws.shape())
 }
 
 thread_local! {
@@ -403,94 +682,37 @@ pub(super) fn with_workspace<R>(run: impl FnOnce(&mut Workspace) -> R) -> R {
     WORKSPACE.with(|ws| run(&mut ws.borrow_mut()))
 }
 
-/// Compressed sparse rows: `row(i)` is the `i`-th of a sequence of
-/// variable-length lists held in one buffer.
-#[derive(Debug)]
-struct Csr<T> {
-    ptr: Vec<usize>,
-    items: Vec<T>,
-}
-
-impl<T> Default for Csr<T> {
-    fn default() -> Self {
-        Csr {
-            ptr: Vec::new(),
-            items: Vec::new(),
-        }
-    }
-}
-
-impl<T> Csr<T> {
-    /// Refills the rows in place; `len` is the total item count, so a
-    /// buffer that is too small grows once.
-    fn fill<R: Iterator<Item = T>>(&mut self, len: usize, rows: impl ExactSizeIterator<Item = R>) {
-        self.ptr.clear();
-        self.items.clear();
-        self.ptr.reserve(rows.len() + 1);
-        self.items.reserve(len);
-        self.ptr.push(0);
-        for row in rows {
-            self.items.extend(row);
-            self.ptr.push(self.items.len());
-        }
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> &[T] {
-        &self.items[self.ptr[i]..self.ptr[i + 1]]
-    }
-}
-
-/// Eq. 4 per (worker, domain), refreshed once per iteration instead of
+/// Eq. 4 per active cell, refreshed once per iteration instead of
 /// evaluated per (answer, domain, choice): `hit` for an answer that matches
-/// the truth, and one `miss` table per distinct `ℓ` in the campaign.
+/// the truth, and one `miss` per distinct `ℓ` in the campaign.
 #[derive(Debug, Default)]
-struct LikelihoodTables {
-    /// `W × m`, worker-major like the flat quality buffer.
-    hit: Vec<f64>,
-    /// One `W × m` table per entry of `ells`, in that order.
-    miss: Vec<f64>,
+struct Likelihoods {
+    /// `1 + ells.len()` tables of [`Likelihoods::width`] entries, one per
+    /// cell and the rest unused: the hits, then the misses of each `ℓ` of
+    /// `ells`, in that order.
+    factors: Vec<f64>,
     /// The distinct `ℓ` of the campaign, ascending.
     ells: Vec<usize>,
-    /// Per task: which `miss` table its `ℓ` selects.
-    ell_slot: Vec<usize>,
 }
 
-impl LikelihoodTables {
-    /// Re-shapes the tables for a run over `tasks` and `num_workers`
-    /// workers; [`LikelihoodTables::refresh`] overwrites every entry.
-    fn reset(&mut self, tasks: &[Task], num_workers: usize, m: usize) {
-        self.ells.clear();
-        self.ells.extend(tasks.iter().map(Task::num_choices));
-        self.ells.sort_unstable();
-        self.ells.dedup();
-        let ells = &self.ells;
-        self.ell_slot.clear();
-        self.ell_slot.extend(tasks.iter().map(|t| {
-            ells.binary_search(&t.num_choices())
-                .expect("collected above")
-        }));
-        self.hit.resize(num_workers * m, 0.0);
-        self.miss.resize(ells.len() * num_workers * m, 0.0);
+impl Likelihoods {
+    /// Each table's length: the cell count rounded up to a power of two,
+    /// so Step 1 can mask a cell into range instead of checking it.
+    fn width(&self) -> usize {
+        self.factors.len() / (1 + self.ells.len())
     }
 
     fn refresh(&mut self, qualities: &[f64]) {
-        for (hit, &q) in self.hit.iter_mut().zip(qualities) {
+        let width = self.width();
+        let (hits, misses) = self.factors.split_at_mut(width);
+        for (hit, &q) in hits.iter_mut().zip(qualities) {
             *hit = clamp_quality(q);
         }
-        let wm = self.hit.len();
-        for (slot, &l) in self.ells.iter().enumerate() {
-            for (miss, &hit) in self.miss[slot * wm..][..wm].iter_mut().zip(&self.hit) {
+        for (table, &l) in misses.chunks_exact_mut(width).zip(&self.ells) {
+            for (miss, &hit) in table.iter_mut().zip(&hits[..qualities.len()]) {
                 *miss = miss_likelihood(hit, l);
             }
         }
-    }
-
-    /// The `hit` table and task `i`'s `miss` table (its `ℓ`'s), both
-    /// `W × m`, and that `ℓ`.
-    fn of_task(&self, i: usize) -> (&[f64], &[f64], usize) {
-        let (wm, slot) = (self.hit.len(), self.ell_slot[i]);
-        (&self.hit, &self.miss[slot * wm..][..wm], self.ells[slot])
     }
 }
 

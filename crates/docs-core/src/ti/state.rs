@@ -69,13 +69,23 @@ fn absorb(hat: &mut [f64], hit: f64, miss: f64, choice: ChoiceIndex) {
 #[inline]
 fn normalize_row(hat: &[f64], row: &mut [f64]) {
     let sum: f64 = hat.iter().sum();
-    if sum > 0.0 && sum.is_finite() {
+    if positive_finite(sum) {
         for (slot, &h) in row.iter_mut().zip(hat) {
             *slot = h / sum;
         }
     } else {
         row.fill(1.0 / hat.len() as f64);
     }
+}
+
+/// `x > 0.0 && x.is_finite()`: the bits of every positive finite double,
+/// less one, are below those of `f64::MAX`, and those of `+0.0`, of every
+/// negative value, of `∞` and of NaN are not. One subtraction and one
+/// comparison, where the float form compiles to a float-class test of some
+/// twenty integer instructions.
+#[inline]
+fn positive_finite(x: f64) -> bool {
+    x.to_bits().wrapping_sub(1) < f64::MAX.to_bits()
 }
 
 /// Where one task's slices start in the arena's flat buffers; they end
@@ -216,7 +226,7 @@ impl TaskArena {
 
     /// Task `i`'s support and the index of `s_{i,choice}` in
     /// [`TaskArena::all_s`], taken through the task's own `s` range: one
-    /// entry of Step 2's credit list per support row.
+    /// of Step 2's credits per support row.
     ///
     /// # Panics
     /// Panics if `choice` is not below the task's `ℓ`, so a bad log can
@@ -290,42 +300,81 @@ impl TaskArena {
         *t.entropy = prob::entropy(t.s);
     }
 
-    /// Step 1 for task `i` (Eqs. 2–4), one support row at a time: row `k`
-    /// of `M̂` is the product, in `votes = V(i)` order, of each answer
-    /// `(w, choice)`'s Eq. 4 likelihoods `hit[w·m + k]` / `miss[w·m + k]`
-    /// (worker-major tables, `miss` for the task's `ℓ`); it is normalized
-    /// into `M` and added, `r_k`-weighted, into `scratch`, which normalized
-    /// becomes the new `s` (Eq. 2). Returns `Σ_j |s_old − s_new|`, the
-    /// task's part of Δ. `H(s)` is left to [`TaskArena::refresh_entropy`].
-    /// `scratch` holds at least `ℓ` entries.
+    /// Step 1 (Eqs. 2–4) over every task, in task order, one support row
+    /// at a time: row `k` of `M̂` is the product, in `V(i)` order, of each
+    /// answer's Eq. 4 likelihoods. `factors` starts with the table of hits
+    /// and holds one table of misses per `ℓ`, each `mask + 1` long (a power
+    /// of two). `tasks` gives per task the answers per row (`|V(i)|`) and
+    /// where its `ℓ`'s misses start in `factors`; `plan` holds every task's
+    /// `|support| × |V(i)|` entries, task after task and row after row, one
+    /// `(cell, choice)` per answer: the answering worker's `hit` in domain
+    /// `k` is the hits' entry `cell`, its `miss` the misses'. Each row is
+    /// normalized into `M` and added, `r_k`-weighted, into the new `s`,
+    /// which normalized replaces the old one (Eq. 2). Returns Step 1's part
+    /// of Δ, `Σ_i Σ_j |s_old − s_new| / (n·ℓ_i)`. `H(s)` is left to
+    /// [`TaskArena::refresh_entropy`]. `scratch` holds at least `2ℓ`
+    /// entries for the widest `ℓ`.
     ///
     /// Every slot multiplies the same factors in the same order as the
     /// per-vote `absorb` chain, and no rescale test runs per answer. Every
     /// factor is at most 1, so no slot of a row, and so not the row's max,
     /// ever grows: a row whose final max is still `≥ RESCALE_BELOW` never
     /// fell below it, and is bit for bit the product `absorb` builds. Only a
-    /// row ending below it is rebuilt vote by vote through `absorb` (the max
-    /// skips NaN, as `absorb`'s does, so an all-zero or all-NaN row reads 0
-    /// and is rebuilt too).
-    pub(super) fn recompute(
+    /// row ending below it is rebuilt from the same plan through `absorb`
+    /// (the max skips NaN, as `absorb`'s does, so an all-zero or all-NaN row
+    /// reads 0 and is rebuilt too).
+    pub(super) fn step1(
         &mut self,
-        i: usize,
-        votes: &[(usize, ChoiceIndex)],
-        hit: &[f64],
-        miss: &[f64],
+        tasks: impl Iterator<Item = (usize, usize)>,
+        mut plan: &[(u32, u32)],
+        factors: &[f64],
+        mask: usize,
         scratch: &mut [f64],
     ) -> f64 {
-        let m = self.m;
-        let t = self.task_mut(i);
-        let l = t.s.len();
-        let s_new = &mut scratch[..l];
-        // ℓ = 2 (yes/no and every canonical workload) gets its own copy of
-        // the body with the row width known.
-        if l == 2 {
-            step1_rows(t, votes, hit, miss, m, 2, s_new)
-        } else {
-            step1_rows(t, votes, hit, miss, m, l, s_new)
+        let n = self.len() as f64;
+        let mut support = &self.support[..];
+        let mut m_hat = &mut self.m_hat[..];
+        let mut m_matrix = &mut self.m_matrix[..];
+        let mut s = &mut self.s[..];
+        let mut entropy = &mut self.entropy[..];
+        let hits = &factors[..=mask];
+        let mut delta_s = 0.0;
+        // Each task's slices are carved off the front of the flat buffers.
+        for (span, (votes, miss)) in self.offsets.windows(2).zip(tasks) {
+            let (rows, l) = (span[1].support - span[0].support, span[1].s - span[0].s);
+            let (task_support, rest) = support.split_at(rows);
+            support = rest;
+            let (task_hat, rest) = std::mem::take(&mut m_hat).split_at_mut(rows * l);
+            m_hat = rest;
+            let (task_m, rest) = std::mem::take(&mut m_matrix).split_at_mut(rows * l);
+            m_matrix = rest;
+            let (task_s, rest) = std::mem::take(&mut s).split_at_mut(l);
+            s = rest;
+            let (task_entropy, rest) = std::mem::take(&mut entropy)
+                .split_first_mut()
+                .expect("one entropy per task");
+            entropy = rest;
+            let (task_plan, rest) = plan.split_at(rows * votes);
+            plan = rest;
+            let t = TaskMut {
+                support: task_support,
+                m_hat: task_hat,
+                m_matrix: task_m,
+                s: task_s,
+                entropy: task_entropy,
+            };
+            let misses = &factors[miss..][..=mask];
+            // ℓ = 2 (yes/no and every canonical workload) gets its own copy
+            // of the body, with the row and `s` in locals of the known
+            // width.
+            let change = if l == 2 {
+                step1_rows::<2>(t, task_plan, votes, hits, misses, scratch)
+            } else {
+                step1_rows::<0>(t, task_plan, votes, hits, misses, scratch)
+            };
+            delta_s += change / (n * l as f64);
         }
+        delta_s
     }
 
     /// `H(s_i)` of every task from its current `s`. `reset` and full
@@ -379,39 +428,58 @@ impl TaskArena {
     }
 }
 
-/// The body of [`TaskArena::recompute`] for a task of `ℓ = l`, inlined
-/// into its two call sites so the `ℓ = 2` one is compiled with the row
-/// width known.
+/// One task's Step 1 for [`TaskArena::step1`], inlined into its two call
+/// sites: `N = 2` holds the row of `M̂` and the new `s` in arrays of that
+/// width, `N = 0` in `scratch`, for any `ℓ`. `plan` is the task's entries,
+/// `votes` per row; `hits` and `misses` are the likelihood tables of the
+/// task's `ℓ`, of one power-of-two length. Returns `Σ_j |s_old − s_new|`.
 #[inline(always)]
-fn step1_rows(
+fn step1_rows<const N: usize>(
     t: TaskMut<'_>,
-    votes: &[(usize, ChoiceIndex)],
-    hit: &[f64],
-    miss: &[f64],
-    m: usize,
-    l: usize,
-    s_new: &mut [f64],
+    plan: &[(u32, u32)],
+    votes: usize,
+    hits: &[f64],
+    misses: &[f64],
+    scratch: &mut [f64],
 ) -> f64 {
+    let l = if N > 0 { N } else { t.s.len() };
+    debug_assert_eq!(t.s.len(), l);
+    // Every cell is below the tables' length, a power of two: `cell & mask`
+    // is the cell, and the compiler drops the bounds checks.
+    let mask = hits.len() - 1;
+    debug_assert!(hits.len().is_power_of_two() && misses.len() == hits.len());
+    let (mut hat_local, mut s_local) = ([0.0; N], [0.0; N]);
+    let (hat, s_new) = if N > 0 {
+        (&mut hat_local[..], &mut s_local[..])
+    } else {
+        scratch[..2 * l].split_at_mut(l)
+    };
     s_new.fill(0.0);
     let rows = t
         .m_hat
         .chunks_exact_mut(l)
         .zip(t.m_matrix.chunks_exact_mut(l));
-    for (&(k, rk), (hat, row)) in t.support.iter().zip(rows) {
+    let mut plan = plan;
+    for (&(_, rk), (stored, row)) in t.support.iter().zip(rows) {
+        let (answers, rest) = plan.split_at(votes);
+        plan = rest;
         hat.fill(1.0);
-        for &(w, choice) in votes {
-            let (hit, miss) = (hit[w * m + k], miss[w * m + k]);
+        for &(cell, choice) in answers {
+            let cell = cell as usize & mask;
+            let (hit, miss) = (hits[cell], misses[cell]);
             for (j, slot) in hat.iter_mut().enumerate() {
-                *slot *= if j == choice { hit } else { miss };
+                *slot *= if j == choice as usize { hit } else { miss };
             }
         }
         let max = hat.iter().fold(0.0_f64, |max, &x| max.max(x));
         if max < RESCALE_BELOW {
             hat.fill(1.0);
-            for &(w, choice) in votes {
-                absorb(hat, hit[w * m + k], miss[w * m + k], choice);
+            for &(cell, choice) in answers {
+                let cell = cell as usize & mask;
+                absorb(hat, hits[cell], misses[cell], choice as usize);
             }
         }
+        stored.copy_from_slice(hat);
         normalize_row(hat, row);
         for (slot, &mkj) in s_new.iter_mut().zip(row.iter()) {
             *slot += rk * mkj;
@@ -557,17 +625,41 @@ mod tests {
     }
 
     /// Step 1 for task 0 from `answers = [(worker, choice)]` and
-    /// `qualities[worker]`, through the worker-major likelihood tables full
-    /// inference builds, then its entropy.
+    /// `qualities[worker]`, through a likelihood table and plan shaped as
+    /// full inference builds them (one cell per (worker, domain): the hits,
+    /// then the misses, each table a power of two long), then its entropy.
     fn recompute(st: &mut TaskArena, answers: &[(usize, ChoiceIndex)], qualities: &[Vec<f64>]) {
         let l = st.view(0).num_choices();
-        let hit: Vec<f64> = qualities
+        let m = st.view(0).num_domains();
+        let mut hits: Vec<f64> = qualities
             .iter()
             .flatten()
             .map(|&q| clamp_quality(q))
             .collect();
-        let miss: Vec<f64> = hit.iter().map(|&h| miss_likelihood(h, l)).collect();
-        st.recompute(0, answers, &hit, &miss, &mut vec![0.0; l]);
+        let width = hits.len().next_power_of_two();
+        let mut misses: Vec<f64> = hits.iter().map(|&hit| miss_likelihood(hit, l)).collect();
+        hits.resize(width, 0.0);
+        misses.resize(width, 0.0);
+        let factors = [hits, misses].concat();
+        let plan: Vec<(u32, u32)> = st
+            .view(0)
+            .support()
+            .iter()
+            .flat_map(|&(k, _)| {
+                let cell = move |w: usize| (w * m + k) as u32;
+                answers
+                    .iter()
+                    .map(move |&(w, choice)| (cell(w), choice as u32))
+            })
+            .collect();
+        let task = (answers.len(), width);
+        st.step1(
+            std::iter::once(task),
+            &plan,
+            &factors,
+            width - 1,
+            &mut vec![0.0; 2 * l],
+        );
         st.refresh_entropy();
     }
 
@@ -805,6 +897,28 @@ mod tests {
                 assert_eq!(crossed, None, "ℓ = {l}: the q = 0 row never rescales");
                 assert_eq!(hat[0], 0.0, "ℓ = {l}: its choice-0 slot underflows");
             }
+        }
+    }
+
+    #[test]
+    fn positive_finite_is_the_float_test() {
+        let values = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -1.0,
+            -f64::from_bits(1),
+            f64::MIN,
+        ];
+        for x in values {
+            assert_eq!(positive_finite(x), x > 0.0 && x.is_finite(), "{x:e}");
         }
     }
 

@@ -59,6 +59,7 @@ pub fn kl_divergence(sigma: &[f64], tau: &[f64]) -> f64 {
 /// Returns the original sum. If the sum is zero (all weights zero) the vector
 /// is set to the uniform distribution, which is the conventional fallback in
 /// the EM-style updates of Section 4 (uniform priors, Eq. 3).
+#[inline]
 pub fn normalize_in_place(weights: &mut [f64]) -> f64 {
     let sum: f64 = weights.iter().sum();
     if sum > 0.0 {
@@ -121,6 +122,7 @@ pub fn uniform(len: usize) -> Vec<f64> {
 /// L1 distance between two equal-length vectors, `Σ |a_i - b_i|`.
 ///
 /// Used by the convergence measure Δ in Section 6.3.
+#[inline]
 pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum()
