@@ -208,7 +208,7 @@ impl TruthInference {
                     // from its initial quality to its fixed Eq. 5 value.
                     let mut next = own.start;
                     for d in w * m..(w + 1) * m {
-                        if next < own.end && cells.at[next] as usize == d {
+                        if next < own.end && cells.eq5[next].at == d {
                             change += cells.finalize(next, s);
                             next += 1;
                         } else {
@@ -232,8 +232,8 @@ impl TruthInference {
             }
         }
         states.refresh_entropy();
-        for (&d, &q) in cells.at.iter().zip(&cells.q) {
-            qualities[d as usize] = q;
+        for (cell, &q) in cells.eq5.iter().zip(&cells.q) {
+            qualities[cell.at] = q;
         }
 
         *arena = owned;
@@ -243,15 +243,6 @@ impl TruthInference {
             weights: den,
         }
     }
-}
-
-/// Whether a domain the worker's tasks do not touch keeps its first Eq. 5
-/// value's term of Δ at `+0.0` after the first iteration, `|v − v|`: true
-/// unless that value is not finite. A quality in `[0, 1]` under a finite
-/// denominator settles without the division.
-#[inline]
-fn settles(q: f64, den: f64) -> bool {
-    ((0.0..=1.0).contains(&q) && den < f64::INFINITY) || eq5_without_credits(q, den).is_finite()
 }
 
 /// Eq. 5 for a domain the worker's tasks do not touch: the registry
@@ -334,10 +325,8 @@ pub(super) struct Workspace {
     /// Set-up scratch: one task's answers `(w·m, choice)` in `V(i)` order.
     staged: Vec<(u32, u32)>,
     /// Set-up scratch: per task, its answering workers `(id, w)` in
-    /// ascending id, filled from the workers' side; per task, where its
-    /// run of them ends.
+    /// ascending id, filled from the workers' side.
     voters: Vec<(WorkerId, u32)>,
-    voters_end: Vec<u32>,
 }
 
 /// The active cells of a run — each worker's credited domains, ascending
@@ -348,16 +337,10 @@ pub(super) struct Workspace {
 struct Cells {
     /// `W + 1` entries: worker `w`'s cells are `ptr[w]..ptr[w + 1]`.
     ptr: Vec<u32>,
-    /// Each cell's `w·m + k` in the dense per-worker buffers.
-    at: Vec<u32>,
     /// The current quality.
     q: Vec<f64>,
-    /// The initial quality: Eq. 5's value where there is no weight.
-    init: Vec<f64>,
-    /// Eq. 5's denominator.
-    den: Vec<f64>,
-    /// Eq. 5's numerator seeded with the registry evidence, `q̂·û + 0.0`.
-    seed: Vec<f64>,
+    /// What Eq. 5 reads of each cell besides its credits.
+    eq5: Vec<Eq5>,
     /// `len() + 1` entries: cell `c`'s credits are
     /// `credits[credit_ptr[c]..credit_ptr[c + 1]]`.
     credit_ptr: Vec<u32>,
@@ -367,39 +350,51 @@ struct Cells {
     credits: Vec<Credit>,
 }
 
+/// One cell's fixed part of Eq. 5.
+#[derive(Debug, Clone, Copy)]
+struct Eq5 {
+    /// The cell's `w·m + k` in the dense per-worker buffers.
+    at: usize,
+    /// The initial quality: Eq. 5's value where there is no weight.
+    init: f64,
+    /// The denominator.
+    den: f64,
+    /// The numerator seeded with the registry evidence, `q̂·û + 0.0`.
+    seed: f64,
+}
+
 impl Cells {
     fn clear(&mut self) {
-        for buffer in [&mut self.ptr, &mut self.at, &mut self.credit_ptr] {
+        for buffer in [&mut self.ptr, &mut self.credit_ptr] {
             buffer.clear();
         }
-        for buffer in [&mut self.q, &mut self.init, &mut self.den, &mut self.seed] {
-            buffer.clear();
-        }
+        self.q.clear();
+        self.eq5.clear();
     }
 
     fn reserve(&mut self, workers: usize, cells: usize) {
         self.ptr.reserve(workers + 1);
-        for buffer in [&mut self.at, &mut self.credit_ptr] {
-            buffer.reserve(cells + 1);
-        }
-        for buffer in [&mut self.q, &mut self.init, &mut self.den, &mut self.seed] {
-            buffer.reserve(cells);
-        }
+        self.credit_ptr.reserve(cells + 1);
+        self.q.reserve(cells);
+        self.eq5.reserve(cells);
     }
 
     /// A cell at `w·m + k` with the initial quality and weight there, whose
     /// credits start at `credits`.
     fn push(&mut self, at: usize, q: f64, den: f64, credits: usize) {
-        self.at.push(at as u32);
         self.q.push(q);
-        self.init.push(q);
-        self.den.push(den);
-        self.seed.push(q * den + 0.0);
+        let seed = q * den + 0.0;
+        self.eq5.push(Eq5 {
+            at,
+            init: q,
+            den,
+            seed,
+        });
         self.credit_ptr.push(credits as u32);
     }
 
     fn len(&self) -> usize {
-        self.at.len()
+        self.q.len()
     }
 
     /// Eq. 5 for cell `c` at the truths `s`: the numerator summed over the
@@ -408,16 +403,19 @@ impl Cells {
     #[inline]
     fn finalize(&mut self, c: usize, s: &[f64]) -> f64 {
         let credits = &self.credits[self.credit_ptr[c] as usize..self.credit_ptr[c + 1] as usize];
-        let mut num = self.seed[c];
+        let Eq5 {
+            init, den, seed, ..
+        } = self.eq5[c];
+        let mut num = seed;
         for credit in credits {
             num += credit.rk * s[credit.at as usize];
         }
-        let new_q = if self.den[c] > 0.0 {
-            num / self.den[c]
+        let new_q = if den > 0.0 {
+            num / den
         } else {
             // No evidence at all for this domain: keep the initial (prior)
             // value.
-            self.init[c]
+            init
         };
         let change = (new_q - self.q[c]).abs();
         self.q[c] = new_q;
@@ -440,6 +438,8 @@ struct TaskPlan {
     votes: u32,
     /// Its `ℓ`'s slot in [`Likelihoods::ells`].
     slot: u32,
+    /// Set-up only: where the task's run of [`Workspace::voters`] ends.
+    voters_end: u32,
 }
 
 impl Workspace {
@@ -472,19 +472,18 @@ impl Workspace {
             self.task_plans.push(TaskPlan {
                 votes: log.answer_count(task.id) as u32,
                 slot: slot.expect("collected above") as u32,
+                voters_end: 0,
             });
         }
         for answer in tail {
             self.task_plans[answer.task.index()].votes -= 1;
         }
         let (mut num_credits, mut num_votes, mut most_votes) = (0, 0, 0);
-        self.voters_end.clear();
-        self.voters_end.reserve(tasks.len());
-        for (i, task) in self.task_plans.iter().enumerate() {
+        for (i, task) in self.task_plans.iter_mut().enumerate() {
             let votes = task.votes as usize;
             num_credits += votes * states.support_and_s(i).0.len();
             most_votes = most_votes.max(votes);
-            self.voters_end.push(num_votes as u32);
+            task.voters_end = num_votes as u32;
             num_votes += votes;
         }
 
@@ -541,7 +540,7 @@ impl Workspace {
             // answerers.
             let stamp = w as u32 + 1;
             for &(task, choice) in answered {
-                let end = &mut self.voters_end[task.index()];
+                let end = &mut self.task_plans[task.index()].voters_end;
                 self.voters[*end as usize] = (id, w as u32);
                 *end += 1;
                 for &(k, _) in states.credit_of(task.index(), choice).0 {
@@ -582,7 +581,10 @@ impl Workspace {
             for (k, (&q, &den)) in rows.enumerate() {
                 let (stamped, count) = self.marks[k];
                 let credited = stamped == stamp;
-                if credited || !settles(q, den) {
+                // An uncredited domain's term of every Δ after the first is
+                // `|v − v|` for its fixed Eq. 5 value `v`: `+0.0` unless `v`
+                // is not finite.
+                if credited || !eq5_without_credits(q, den).is_finite() {
                     self.cell_of[base + k] = cells.len() as u32;
                     cells.push(base + k, q, den, next as usize);
                     if credited {
@@ -603,14 +605,14 @@ impl Workspace {
                     let at = at as u32;
                     cells.credits[*slot as usize] = Credit { at, rk };
                     *slot += 1;
-                    cells.den[self.cell_of[base + k] as usize] += rk;
+                    cells.eq5[self.cell_of[base + k] as usize].den += rk;
                 }
             }
         }
         cells.credit_ptr.push(num_credits as u32);
         self.workers.truncate(num_workers);
-        for (&d, &den) in cells.at.iter().zip(&cells.den) {
-            self.den[d as usize] = den;
+        for cell in &cells.eq5 {
+            self.den[cell.at] = cell.den;
         }
 
         // Step 1's plan, row-major per task: each answer's worker is found
@@ -619,7 +621,7 @@ impl Workspace {
         self.plan.reserve(num_credits);
         for (i, (task, shape)) in tasks.iter().zip(&self.task_plans).enumerate() {
             let votes = &log.task_answers(task.id)[..shape.votes as usize];
-            let end = self.voters_end[i] as usize;
+            let end = shape.voters_end as usize;
             let voters = &self.voters[end - votes.len()..end];
             self.staged.clear();
             for &(id, choice) in votes {
