@@ -365,9 +365,8 @@ struct Eq5 {
 
 impl Cells {
     fn clear(&mut self) {
-        for buffer in [&mut self.ptr, &mut self.credit_ptr] {
-            buffer.clear();
-        }
+        self.ptr.clear();
+        self.credit_ptr.clear();
         self.q.clear();
         self.eq5.clear();
     }
