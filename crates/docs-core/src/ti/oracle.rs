@@ -412,6 +412,7 @@ fn assert_bit_identical(
 
 mod tests {
     use super::*;
+    use docs_types::codec;
     use proptest::prelude::*;
 
     proptest! {
@@ -624,6 +625,227 @@ mod tests {
             };
             let context = format!("ℓ = 5 only × {max_iterations}");
             assert_bit_identical(config, &tasks, &log, &registry, &context);
+        }
+    }
+
+    /// An engine with the answers it was fed, in order, and a mirror of its
+    /// golden registry: what a fresh run over any prefix of its stream
+    /// reads.
+    #[derive(Clone)]
+    struct Tracked {
+        engine: IncrementalTi,
+        tasks: Vec<Task>,
+        fed: Vec<Answer>,
+        golden: WorkerRegistry,
+    }
+
+    impl Tracked {
+        fn new(tasks: &[Task], registry: &WorkerRegistry, z: usize) -> Self {
+            Tracked {
+                engine: IncrementalTi::new(tasks.to_vec(), registry.clone(), z),
+                tasks: tasks.to_vec(),
+                fed: Vec::new(),
+                golden: registry.clone(),
+            }
+        }
+
+        /// The first `n` answers fed, recorded in the order they came.
+        fn prefix(&self, n: usize) -> AnswerLog {
+            let mut log = AnswerLog::new(self.tasks.len());
+            for &answer in &self.fed[..n] {
+                log.record(answer).expect("the engine took it");
+            }
+            log
+        }
+
+        /// Submits one answer; a crossing's run is checked.
+        fn submit(&mut self, answer: Answer, context: &str) {
+            self.fed.push(answer);
+            if self
+                .engine
+                .submit(answer)
+                .expect("the campaign's own answers")
+            {
+                self.check(self.fed.len(), &format!("{context}: crossing"));
+            }
+        }
+
+        fn run_full(&mut self, context: &str) {
+            self.engine.run_full();
+            self.check(self.fed.len(), &format!("{context}: run_full"));
+        }
+
+        /// Records `answers` and only then pays: a crossing among them
+        /// leaves a run owed over the prefix it closes, with the answers
+        /// after it pending. The run's Δ is a fresh run's over that prefix,
+        /// and the engine ends in the bytes of a clone taken before paying.
+        fn record_then_pay(&mut self, answers: &[Answer], context: &str) {
+            let mut crossing = None;
+            for &answer in answers {
+                self.fed.push(answer);
+                if self
+                    .engine
+                    .record(answer)
+                    .expect("the campaign's own answers")
+                {
+                    crossing = Some(self.fed.len());
+                }
+            }
+            let mut twin = self.engine.clone();
+            self.engine.materialize();
+            if let Some(n) = crossing {
+                let want =
+                    TruthInference::default().run(&self.tasks, &self.prefix(n), &self.golden);
+                let context = format!("{context}: crossing at {n} with a pending tail");
+                assert_eq!(
+                    bits(self.engine.last_deltas()),
+                    bits(&want.deltas),
+                    "{context}: Δ"
+                );
+            }
+            twin.materialize();
+            assert_eq!(
+                codec::to_bytes(&self.engine),
+                codec::to_bytes(&twin),
+                "{context}: paid against a clone"
+            );
+        }
+
+        /// Grades `worker` on golden tasks in the engine and in the mirror.
+        fn grade(&mut self, worker: WorkerId, rng: &mut SmallRng) {
+            let m = self.golden.num_domains();
+            let golden: Vec<(DomainVector, ChoiceIndex)> = (0..rng.gen_range(1..=3usize))
+                .map(|_| {
+                    (
+                        DomainVector::one_hot(m, rng.gen_range(0..m)),
+                        rng.gen_range(0..2),
+                    )
+                })
+                .collect();
+            let given: Vec<(TaskId, ChoiceIndex)> = (0..golden.len())
+                .map(|g| (TaskId::from(g), rng.gen_range(0..2usize)))
+                .collect();
+            let info = |t: TaskId| golden[t.index()].clone();
+            self.engine
+                .init_worker_from_golden(worker, &given, info, 1.0);
+            self.golden.init_from_golden(worker, &given, info, 1.0);
+        }
+
+        /// The run that just ended, over the first `n` answers fed, left
+        /// the arena, the live registry's qualities and weights and Δ of a
+        /// fresh run over that prefix, bit for bit.
+        fn check(&self, n: usize, context: &str) {
+            let prefix = self.prefix(n);
+            let want = TruthInference::default().run(&self.tasks, &prefix, &self.golden);
+            assert_eq!(
+                bits(self.engine.last_deltas()),
+                bits(&want.deltas),
+                "{context}: Δ"
+            );
+            let states = self.engine.states();
+            for (i, (got, fresh)) in states.iter().zip(want.states.iter()).enumerate() {
+                let m_hat = (states.m_hat_of(i), want.states.m_hat_of(i));
+                assert_eq!(bits(m_hat.0), bits(m_hat.1), "{context}: M̂ of task {i}");
+                assert_eq!(bits(got.s()), bits(fresh.s()), "{context}: s of task {i}");
+                assert_eq!(
+                    got.entropy().to_bits(),
+                    fresh.entropy().to_bits(),
+                    "{context}: H(s) of task {i}"
+                );
+            }
+            let weights = run(TiConfig::default(), &self.tasks, &prefix, &self.golden).weights;
+            for (w, q) in &want.qualities {
+                let stats = self.engine.registry().get(*w).expect("a live answerer");
+                assert_eq!(bits(&stats.quality), bits(q), "{context}: q of {w:?}");
+                let weight = &weights[w];
+                assert_eq!(bits(&stats.weight), bits(weight), "{context}: u of {w:?}");
+            }
+        }
+    }
+
+    /// One campaign through every way a run can follow another on one
+    /// thread: periodic runs at a random `z`, a second campaign's engine
+    /// interleaved, golden grading of a worker who already answered and
+    /// of one who has not, a crossing paid with a pending tail, `run_full`
+    /// between crossings, a clone that diverges from its original and a
+    /// restore mid-campaign. Every run leaves what a fresh run over its
+    /// prefix leaves.
+    fn runs_follow_runs(seed: u64, sparsity: Sparsity) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x0E57_E4D5);
+        let z = rng.gen_range(1..=6usize);
+        let shuffled = |log: &AnswerLog, rng: &mut SmallRng| {
+            let mut stream: Vec<Answer> = log.iter_answers().collect();
+            for i in (1..stream.len()).rev() {
+                stream.swap(i, rng.gen_range(0..=i));
+            }
+            stream
+        };
+        let (tasks, log, registry) = campaign(seed, sparsity);
+        let stream = shuffled(&log, &mut rng);
+        let (other_tasks, other_log, other_registry) = campaign(seed.wrapping_add(1), sparsity);
+        let other_stream = shuffled(&other_log, &mut rng);
+        let mut other = Tracked::new(&other_tasks, &other_registry, rng.gen_range(1..=6));
+        let mut others = other_stream.iter();
+        let mut a = Tracked::new(&tasks, &registry, z);
+        let context = format!("seed {seed} {sparsity:?}, z = {z}");
+        let quarter = stream.len() / 4;
+
+        // Periodic runs, with the other engine's runs in between.
+        for &answer in &stream[..quarter] {
+            a.submit(answer, &context);
+            if let Some(&b) = others.next() {
+                other.submit(b, &format!("{context}, the other engine"));
+            }
+        }
+        // Golden grading of a worker who answered, and of one who has not
+        // yet (or, if every worker has, of one outside the campaign).
+        if let Some(answered) = a.fed.first().map(|x| x.worker) {
+            a.grade(answered, &mut rng);
+        }
+        let unseen = stream[quarter..]
+            .iter()
+            .map(|x| x.worker)
+            .find(|&w| a.fed.iter().all(|x| x.worker != w))
+            .unwrap_or(WorkerId(1000));
+        a.grade(unseen, &mut rng);
+        // A crossing paid with answers pending after it, then `run_full`
+        // between crossings.
+        let pay_at = (quarter + z + 2).min(stream.len());
+        a.record_then_pay(&stream[quarter..pay_at], &context);
+        a.run_full(&context);
+
+        // A clone takes the rest of the stream in reverse, its original in
+        // order, interleaved; the original is restored from its snapshot
+        // halfway.
+        let mut clone = a.clone();
+        let rest = &stream[pay_at..];
+        let restore_at = rest.len() / 2;
+        for (j, (&answer, &reversed)) in rest.iter().zip(rest.iter().rev()).enumerate() {
+            if j == restore_at {
+                let snapshot = a.engine.snapshot();
+                a.engine = IncrementalTi::restore(snapshot).expect("own snapshot");
+            }
+            a.submit(answer, &context);
+            clone.submit(reversed, &format!("{context}, the clone"));
+            if let Some(&b) = others.next() {
+                other.submit(b, &format!("{context}, the other engine"));
+            }
+        }
+        a.run_full(&context);
+        clone.run_full(&format!("{context}, the clone"));
+        other.run_full(&format!("{context}, the other engine"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every periodic and direct run of an engine matches a fresh run
+        /// over the same prefix, whatever ran on the thread before it.
+        #[test]
+        fn every_run_matches_a_fresh_run_over_its_prefix(seed in any::<u64>()) {
+            for sparsity in Sparsity::ALL {
+                runs_follow_runs(seed, sparsity);
+            }
         }
     }
 
