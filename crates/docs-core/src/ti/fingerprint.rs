@@ -309,7 +309,8 @@ fn the_paper_shaped_case_reaches_the_rescale_fallback() {
 /// (`Σ |V(i)|·|supp(i)|`, Step 1's factor pairs and Step 2's credits) and
 /// the iterations. Pinned for the last run over the whole log, whose active
 /// cells the test also counts from the log itself, and summed over the
-/// periodic runs of the log replayed at `z = 100`.
+/// periodic runs of the log replayed at `z = 100`; with them the (answer,
+/// support row) entries each run's set-up indexed, summed over all runs.
 #[test]
 fn the_paper_shaped_runs_do_the_pinned_work() {
     use super::iterative::last_run_shape;
@@ -325,6 +326,7 @@ fn the_paper_shaped_runs_do_the_pinned_work() {
     }
 
     let (mut runs, mut dense, mut cells, mut planned, mut iterations) = (0, 0, 0, 0, 0);
+    let mut indexed = 0;
     let mut engine = IncrementalTi::new(tasks, registry, 100);
     for answer in round_robin(&log) {
         if engine.submit(answer).expect("the campaign's own answers") {
@@ -333,11 +335,13 @@ fn the_paper_shaped_runs_do_the_pinned_work() {
             dense += shape.dense_cells;
             cells += shape.cells;
             planned += shape.plan;
+            indexed += shape.indexed;
             iterations += engine.last_deltas().len();
         }
     }
     let last = engine.run_full().len();
     let shape = last_run_shape();
+    indexed += shape.indexed;
     assert_eq!(
         shape.cells,
         pairs.len(),
@@ -353,6 +357,12 @@ fn the_paper_shaped_runs_do_the_pinned_work() {
         (runs, dense, cells, planned, iterations),
         (37, 126_568, 49_175, 116_728, 665),
         "the periodic runs: count, Σ W × m, Σ active cells, Σ plan, Σ iterations"
+    );
+    // Each run indexes only the answers that arrived since the one before
+    // it: over all the runs, every entry of the last plan once.
+    assert_eq!(
+        indexed, 6_518,
+        "the entries the periodic runs and the last one indexed"
     );
 }
 

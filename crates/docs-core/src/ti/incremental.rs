@@ -17,10 +17,10 @@
 //! supersedes; [`IncrementalTi::materialize`] pays what is owed, and every
 //! `&self` reader of the inference asserts that nothing is.
 
-use super::iterative::{with_workspace, LogPrefix, TiConfig, TruthInference};
+use super::iterative::{with_workspace, IndexKey, LogPrefix, TiConfig, TruthInference};
 use super::sharded::ShardedTiState;
 use super::state::{TaskArena, TaskView};
-use super::stats::WorkerRegistry;
+use super::stats::{WorkerRegistry, WorkerStats};
 use docs_types::{
     Answer, AnswerLog, ChoiceIndex, DomainVector, Error, Result, Task, TaskId, WorkerId,
 };
@@ -113,6 +113,11 @@ pub struct IncrementalTi {
     /// snapshot is taken with nothing owed.
     pending: Vec<Answer>,
     runs: RunCounts,
+    /// What this thread's full-inference workspace keys the run index by:
+    /// a run may extend the index of an earlier run of the same key. A
+    /// clone mints its own; a golden grading of a worker who has answered
+    /// mints a new one.
+    key: IndexKey,
 }
 
 impl IncrementalTi {
@@ -142,6 +147,7 @@ impl IncrementalTi {
             owed: false,
             pending,
             runs: RunCounts::default(),
+            key: IndexKey::mint(),
         }
     }
 
@@ -235,6 +241,17 @@ impl IncrementalTi {
         let stats = self
             .registry
             .graded_on_golden(golden_answers, task_info, smoothing);
+        self.put_golden(worker, stats);
+    }
+
+    /// Writes a worker's golden grading into both registries. The initial
+    /// qualities and weights of a worker who has answered are in the run
+    /// index the thread's workspace may keep for this engine, so the engine
+    /// takes a new key and its next run rebuilds the index.
+    fn put_golden(&mut self, worker: WorkerId, stats: WorkerStats) {
+        if !self.log.worker_answers(worker).is_empty() {
+            self.key = IndexKey::mint();
+        }
         self.golden_registry.put(worker, stats.clone());
         self.registry.put(worker, stats);
     }
@@ -273,8 +290,7 @@ impl IncrementalTi {
         let stats = self
             .registry
             .graded_on_golden(golden_answers, task_info, smoothing);
-        self.golden_registry.put(worker, stats.clone());
-        self.registry.put(worker, stats);
+        self.put_golden(worker, stats);
         Ok(())
     }
 
@@ -418,7 +434,7 @@ impl IncrementalTi {
             let run = self.ti.converge(
                 ws,
                 &self.tasks,
-                LogPrefix::before(&self.log, &self.pending),
+                LogPrefix::before(&self.log, &self.pending, &self.key),
                 &self.golden_registry,
                 &mut self.states,
                 &mut self.deltas,
@@ -614,6 +630,7 @@ impl IncrementalTi {
             owed: false,
             pending: Vec::with_capacity(snapshot.z.min(num_tasks)),
             runs: RunCounts::default(),
+            key: IndexKey::mint(),
         })
     }
 

@@ -5,6 +5,7 @@ use super::stats::WorkerRegistry;
 use docs_types::{Answer, AnswerLog, ChoiceIndex, Task, WorkerId};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the iterative approach.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +127,8 @@ impl TruthInference {
     ///
     /// The loop runs over the *active cells* (see "Inference kernels" in
     /// ARCHITECTURE.md): the distinct (worker, domain) pairs of the join
-    /// `V(i) ⋈ supp(i)`, which [`Workspace::index`] derives once per run.
+    /// `V(i) ⋈ supp(i)`, which [`Workspace::index`] keeps in `ws` and
+    /// extends by the answers that arrived since the run that built it.
     /// Step 1 reads Eq. 4's likelihoods only there, through a per-row plan,
     /// and Step 2 credits only there. Step 2's first iteration finalizes
     /// every one of the `W × m` qualities, as the dense loop does; an
@@ -134,9 +136,9 @@ impl TruthInference {
     /// later Δ is an exact `+0.0` and later iterations visit the active
     /// cells alone. Every stored value is the same bits the dense textbook
     /// loop produces (`ti::oracle` holds that loop and the tests comparing
-    /// the two). A run's index and scratch live in `ws` and are refilled in
-    /// place, so a run on a workspace that has served a campaign at least
-    /// this large allocates nothing.
+    /// the two). The index and the run's scratch only ever grow, so a run
+    /// on a workspace that has served a campaign at least this large
+    /// allocates nothing.
     pub(super) fn converge<'w>(
         &self,
         ws: &'w mut Workspace,
@@ -151,7 +153,7 @@ impl TruthInference {
         // would be reloaded on every task (measured ~10 % of Steps 1–2).
         let mut owned = std::mem::take(arena);
         let states = &mut owned;
-        let LogPrefix { log, tail } = answers;
+        let LogPrefix { log, tail, key } = answers;
         assert_eq!(
             tasks.len(),
             log.num_tasks(),
@@ -159,11 +161,11 @@ impl TruthInference {
         );
         debug_assert_eq!(states.len(), tasks.len());
         let m = registry.num_domains();
-        let n = tasks.len();
-        ws.index(tasks, log, tail, registry, states);
+        ws.index(key, tasks, log, tail, registry, states);
         let Workspace {
             workers: worker_ids,
             qualities,
+            converged,
             den,
             cells,
             likelihoods,
@@ -174,9 +176,7 @@ impl TruthInference {
         } = ws;
         let num_workers = worker_ids.len();
 
-        for i in 0..n {
-            states.reset(i);
-        }
+        states.reset();
         // Scratch of Step 1's generic row width: a row of `M̂` and the new
         // `s`, each at most the widest `ℓ`.
         s_new.resize(2 * likelihoods.ells.last().copied().unwrap_or(0), 0.0);
@@ -214,7 +214,7 @@ impl TruthInference {
                         } else {
                             let fixed = eq5_without_credits(qualities[d], den[d]);
                             change += (fixed - qualities[d]).abs();
-                            qualities[d] = fixed;
+                            converged[d] = fixed;
                         }
                     }
                 } else {
@@ -232,14 +232,18 @@ impl TruthInference {
             }
         }
         states.refresh_entropy();
+        if deltas.is_empty() {
+            // No iteration ran: every quality is still its initial one.
+            converged.copy_from_slice(qualities);
+        }
         for (cell, &q) in cells.eq5.iter().zip(&cells.q) {
-            qualities[cell.at] = q;
+            converged[cell.at] = q;
         }
 
         *arena = owned;
         Converged {
             workers: worker_ids,
-            qualities,
+            qualities: converged,
             weights: den,
         }
     }
@@ -258,6 +262,34 @@ fn eq5_without_credits(q: f64, den: f64) -> f64 {
     }
 }
 
+/// What a [`Workspace`]'s index is keyed by, beside the per-task and
+/// per-worker counts of the prefix it describes: one engine's answer log,
+/// and the golden-registry entries of the workers in it. A key is minted
+/// when an engine is built, restored or cloned (a clone may diverge from
+/// its original), and again when a golden grading rewrites the entry of a
+/// worker who has answered, so one key never names two histories: under
+/// one key the log only grows, and the registry entries the index read do
+/// not change.
+#[derive(Debug)]
+pub(super) struct IndexKey(u64);
+
+impl IndexKey {
+    /// A key no engine has held.
+    pub(super) fn mint() -> Self {
+        // Relaxed: the counter publishes no other data, and `fetch_add`
+        // alone makes each key unique.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        IndexKey(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for IndexKey {
+    /// A fresh key: the clone's log may diverge from its original's.
+    fn clone(&self) -> Self {
+        IndexKey::mint()
+    }
+}
+
 /// The answer log as it stood before its last `tail.len()` answers: what a
 /// run owed at an earlier crossing reads once more answers have arrived.
 /// The log is append-only, so the prefix is every row cut to its length
@@ -266,17 +298,29 @@ pub(super) struct LogPrefix<'a> {
     log: &'a AnswerLog,
     /// The answers recorded after the prefix, in arrival order.
     tail: &'a [Answer],
+    /// The key of the engine whose log this is; `None` for a one-off run,
+    /// whose index nothing extends.
+    key: Option<u64>,
 }
 
 impl<'a> LogPrefix<'a> {
-    /// Every answer of `log`.
+    /// Every answer of `log`, for one run.
     pub(super) fn whole(log: &'a AnswerLog) -> Self {
-        LogPrefix { log, tail: &[] }
+        LogPrefix {
+            log,
+            tail: &[],
+            key: None,
+        }
     }
 
-    /// `log` without `tail`, its latest answers in arrival order.
-    pub(super) fn before(log: &'a AnswerLog, tail: &'a [Answer]) -> Self {
-        LogPrefix { log, tail }
+    /// `log` without `tail`, its latest answers in arrival order: the log
+    /// of the engine holding `key`.
+    pub(super) fn before(log: &'a AnswerLog, tail: &'a [Answer], key: &IndexKey) -> Self {
+        LogPrefix {
+            log,
+            tail,
+            key: Some(key.0),
+        }
     }
 }
 
@@ -293,21 +337,35 @@ pub(super) struct Converged<'a> {
     pub(super) weights: &'a [f64],
 }
 
-/// Every buffer of one full-inference run: the dense worker index and the
-/// flat `W × m` qualities and Eq. 5 denominators (the run's output), the
-/// active cells with their likelihood table, Step 2's credits, Step 1's
-/// plan and the per-task scratch. A run refills them in place, so they
-/// only ever grow to the largest campaign their owner has converged.
-/// Working memory: no snapshot records it.
+/// Every buffer of full inference: the run index over a log prefix — the
+/// dense worker index, the flat `W × m` initial qualities and Eq. 5
+/// denominators, the active cells with Step 2's credits, and Step 1's plan
+/// — beside the run's output qualities, likelihood table and scratch.
+///
+/// The index is kept between runs, keyed by the [`IndexKey`] of the
+/// engine whose log it describes and by that prefix's per-task and
+/// per-worker counts. A run of the same key over a prefix no row of which
+/// is shorter extends it by the new answers alone; any other run clears it
+/// and extends it from empty, so a rebuild is the same code. Either way the
+/// index ends element for element what a fresh workspace builds over the
+/// prefix. Every buffer only ever grows, to the largest campaign its thread
+/// has converged. Working memory: no snapshot records it.
 #[derive(Debug, Default)]
 pub(super) struct Workspace {
+    /// The key of the log the index describes; `None` while nothing may
+    /// extend it (a fresh workspace, a one-off run, a set-up that did not
+    /// finish).
+    key: Option<u64>,
     /// The prefix's workers, ascending id: worker `w` is `workers[w]`.
     workers: Vec<WorkerId>,
-    /// Per worker, `m` qualities: the initial ones until the run writes
-    /// the converged ones back.
+    /// Per worker, `|T(w)|` of the prefix.
+    answered: Vec<u32>,
+    /// Per worker, `m` initial qualities.
     qualities: Vec<f64>,
     /// Per worker, Eq. 5's denominators `û_k + Σ_{t ∈ T(w)} r^t_k`.
     den: Vec<f64>,
+    /// Per worker, `m` converged qualities: the run's output.
+    converged: Vec<f64>,
     cells: Cells,
     likelihoods: Likelihoods,
     /// Step 1's plan: per task, per support row in ascending `k`, one
@@ -315,18 +373,32 @@ pub(super) struct Workspace {
     plan: Vec<(u32, u32)>,
     task_plans: Vec<TaskPlan>,
     s_new: Vec<f64>,
-    /// Set-up scratch: per worker of the whole log, its answers in the
-    /// tail; per domain, the last worker (plus one) that credits it and
-    /// the worker's credits there; per `(worker, domain)`, its cell, valid
-    /// only where one was made.
-    tail_answers: Vec<u32>,
+    /// The plan entries (answer, support row) the last set-up added.
+    indexed: usize,
+    /// Set-up scratch: per task, `|V(i)|` of the new prefix; per task with
+    /// new answers, its index and where its rows start in the old plan;
+    /// per worker of the log, `|T(w)|` of the new prefix; per worker of the
+    /// new prefix, its [`Move`]; per worker with new answers, its cells
+    /// after the extension and its new credits `(k, credit)` in `T(w)`
+    /// order; per old cell, its new id.
+    cut: Vec<u32>,
+    grew: Vec<(u32, u32)>,
+    counts: Vec<(WorkerId, usize)>,
+    moves: Vec<Move>,
+    grown: Vec<Grown>,
+    fresh: Vec<(u32, Credit)>,
+    remap: Vec<u32>,
+    /// Set-up scratch: per domain, the last worker (plus one) that credits
+    /// it and the worker's new credits there, then their next free slot;
+    /// per `(worker, domain)` of a worker with new answers, its cell.
     marks: Vec<(u32, u32)>,
     cell_of: Vec<u32>,
-    /// Set-up scratch: one task's answers `(w·m, choice)` in `V(i)` order.
+    /// Set-up scratch: one task's new answers `(w·m, choice)` in `V(i)`
+    /// order.
     staged: Vec<(u32, u32)>,
-    /// Set-up scratch: per task, its answering workers `(id, w)` in
-    /// ascending id, filled from the workers' side.
-    voters: Vec<(WorkerId, u32)>,
+    /// Set-up scratch: per task, its new answers `(id, w·m, choice)` in
+    /// ascending worker id, filled from the workers' side.
+    voters: Vec<(WorkerId, u32, u32)>,
 }
 
 /// The active cells of a run — each worker's credited domains, ascending
@@ -351,7 +423,7 @@ struct Cells {
 }
 
 /// One cell's fixed part of Eq. 5.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Eq5 {
     /// The cell's `w·m + k` in the dense per-worker buffers.
     at: usize,
@@ -364,32 +436,15 @@ struct Eq5 {
 }
 
 impl Cells {
+    /// No worker, no cell.
     fn clear(&mut self) {
         self.ptr.clear();
-        self.credit_ptr.clear();
+        self.ptr.push(0);
         self.q.clear();
         self.eq5.clear();
-    }
-
-    fn reserve(&mut self, workers: usize, cells: usize) {
-        self.ptr.reserve(workers + 1);
-        self.credit_ptr.reserve(cells + 1);
-        self.q.reserve(cells);
-        self.eq5.reserve(cells);
-    }
-
-    /// A cell at `w·m + k` with the initial quality and weight there, whose
-    /// credits start at `credits`.
-    fn push(&mut self, at: usize, q: f64, den: f64, credits: usize) {
-        self.q.push(q);
-        let seed = q * den + 0.0;
-        self.eq5.push(Eq5 {
-            at,
-            init: q,
-            den,
-            seed,
-        });
-        self.credit_ptr.push(credits as u32);
+        self.credit_ptr.clear();
+        self.credit_ptr.push(0);
+        self.credits.clear();
     }
 
     fn len(&self) -> usize {
@@ -437,18 +492,117 @@ struct TaskPlan {
     votes: u32,
     /// Its `ℓ`'s slot in [`Likelihoods::ells`].
     slot: u32,
+    /// Set-up only: `|supp(i)|`, the rows.
+    rows: u32,
     /// Set-up only: where the task's run of [`Workspace::voters`] ends.
     voters_end: u32,
 }
 
+/// A worker of the new prefix, during set-up: where its row and cells were
+/// in the old index, and its `|T(w)|` there and now.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    /// Its index in the old index, or [`NEW`].
+    from: u32,
+    /// `|T(w)|` of the old prefix (0 for a new worker).
+    before: u32,
+    /// `|T(w)|` of the new prefix.
+    after: u32,
+    /// For a worker with new answers, its cells after the extension: its
+    /// run of [`Workspace::grown`].
+    cells: u32,
+}
+
+/// One cell, after the extension, of a worker with new answers.
+#[derive(Debug, Clone, Copy)]
+struct Grown {
+    k: u32,
+    /// Its id in the old index, or [`NEW`].
+    old: u32,
+    /// The credits the new answers add to it.
+    added: u32,
+}
+
+/// No index in the old index: a new worker or cell.
+const NEW: u32 = u32::MAX;
+
 impl Workspace {
-    /// Derives the run's index from the log prefix, once per run: the cut
-    /// lengths (each tail answer is the last of its `V(i)` and `T(w)` rows
-    /// so far, so the prefix cuts it off their ends), the dense worker
-    /// index, the initial qualities and weights, the active cells with
-    /// their credits, and the plan. The tail is counted once, each worker's
-    /// `T(w)` is looked up once, and each answer's worker is found once.
+    /// Brings the index to the log prefix. A workspace keyed with `key`
+    /// whose counts no row of the prefix falls below already describes an
+    /// earlier prefix of the same log, and is extended by the new answers
+    /// alone; any other is cleared and extended from empty. The key is
+    /// dropped before any buffer changes and set once the index is whole.
     fn index(
+        &mut self,
+        key: Option<u64>,
+        tasks: &[Task],
+        log: &AnswerLog,
+        tail: &[Answer],
+        registry: &WorkerRegistry,
+        states: &TaskArena,
+    ) {
+        // `|V(i)|` of the prefix: each tail answer is the last of its
+        // `V(i)` so far, so the prefix cuts it off the end.
+        self.cut.clear();
+        self.cut
+            .extend(tasks.iter().map(|task| log.answer_count(task.id) as u32));
+        for answer in tail {
+            self.cut[answer.task.index()] -= 1;
+        }
+        let extends = key.is_some()
+            && self.key == key
+            && self.task_plans.len() == tasks.len()
+            && self
+                .task_plans
+                .iter()
+                .zip(&self.cut)
+                .all(|(t, &cut)| t.votes <= cut);
+        self.key = None;
+        if !extends {
+            self.clear(tasks, states);
+        }
+        self.extend(tasks, log, tail, registry, states);
+        self.key = key;
+    }
+
+    /// The empty index over `tasks`: no worker, cell, credit or plan entry.
+    fn clear(&mut self, tasks: &[Task], states: &TaskArena) {
+        let ells = &mut self.likelihoods.ells;
+        ells.clear();
+        ells.extend(tasks.iter().map(Task::num_choices));
+        ells.sort_unstable();
+        ells.dedup();
+        self.task_plans.clear();
+        self.task_plans
+            .extend(tasks.iter().enumerate().map(|(i, task)| {
+                let slot = ells.binary_search(&task.num_choices());
+                TaskPlan {
+                    votes: 0,
+                    slot: slot.expect("collected above") as u32,
+                    rows: states.support_and_s(i).0.len() as u32,
+                    voters_end: 0,
+                }
+            }));
+        self.workers.clear();
+        self.answered.clear();
+        self.qualities.clear();
+        self.den.clear();
+        self.cells.clear();
+        self.plan.clear();
+    }
+
+    /// Extends the index from the prefix its counts describe to the one
+    /// `self.cut` and `tail` cut from `log`, by the answers in between: a
+    /// row of initial qualities and weights per new worker, in its sorted
+    /// place; the cells those answers credit, each in its sorted place,
+    /// with their credits at the end of each cell's run; one entry per new
+    /// answer at the end of each of its task's rows of Step 1's plan; and
+    /// every old cell id remapped. The rows, cells and credits move in one
+    /// pass from their end down to the first place that changes, the plan
+    /// in one remapping pass and one pass of block moves. Each new answer's
+    /// `T(w)` entry is read once, its credits counted and kept until they
+    /// are placed, and it is found once among its task's new answers.
+    fn extend(
         &mut self,
         tasks: &[Task],
         log: &AnswerLog,
@@ -457,195 +611,411 @@ impl Workspace {
         states: &TaskArena,
     ) {
         let m = registry.num_domains();
-        let ells = &mut self.likelihoods.ells;
-        ells.clear();
-        ells.extend(tasks.iter().map(Task::num_choices));
-        ells.sort_unstable();
-        ells.dedup();
+        let Workspace {
+            workers,
+            answered,
+            qualities,
+            den,
+            converged,
+            cells,
+            likelihoods,
+            plan,
+            task_plans,
+            indexed,
+            cut,
+            grew,
+            counts,
+            moves,
+            grown,
+            fresh,
+            remap,
+            marks,
+            cell_of,
+            staged,
+            voters,
+            ..
+        } = self;
 
-        // `|V(i)|` of the prefix, and the plan's length: Σ |V(i)|·|supp(i)|.
-        self.task_plans.clear();
-        self.task_plans.reserve(tasks.len());
-        for task in tasks {
-            let slot = ells.binary_search(&task.num_choices());
-            self.task_plans.push(TaskPlan {
-                votes: log.answer_count(task.id) as u32,
-                slot: slot.expect("collected above") as u32,
-                voters_end: 0,
-            });
+        // The new answers per task, the plan entries they add, and each
+        // task's run of the voters; the tasks with new answers, each with
+        // where its rows start in the old plan.
+        grew.clear();
+        grew.reserve(task_plans.len());
+        let (mut new_votes, mut new_entries, mut most_votes) = (0, 0, 0);
+        let mut start = 0;
+        for (i, (task, &cut)) in task_plans.iter_mut().zip(cut.iter()).enumerate() {
+            let (old, new, rows) = (task.votes, cut - task.votes, task.rows as usize);
+            if new > 0 {
+                grew.push((i as u32, start as u32));
+                new_entries += new as usize * rows;
+                most_votes = most_votes.max(new as usize);
+            }
+            start += old as usize * rows;
+            task.voters_end = new_votes as u32;
+            new_votes += new as usize;
         }
+        let num_entries = plan.len() + new_entries;
+
+        // The dense worker index of the new prefix, in sorted id order (see
+        // `AnswerLog::workers`): Step 2 accumulates `delta_q` over workers,
+        // and the accumulation order must not depend on hash-map layout or
+        // convergence becomes process-random. A worker whose answers are
+        // all in the tail is not in the prefix. Each keeps its `|T(w)|`
+        // before and after, and where it was.
+        log.worker_counts_into(counts);
         for answer in tail {
-            self.task_plans[answer.task.index()].votes -= 1;
+            let r = counts.binary_search_by_key(&answer.worker, |&(w, _)| w);
+            counts[r.expect("a tail answer is in the log")].1 -= 1;
         }
-        let (mut num_credits, mut num_votes, mut most_votes) = (0, 0, 0);
-        for (i, task) in self.task_plans.iter_mut().enumerate() {
-            let votes = task.votes as usize;
-            num_credits += votes * states.support_and_s(i).0.len();
-            most_votes = most_votes.max(votes);
-            task.voters_end = num_votes as u32;
-            num_votes += votes;
-        }
-
-        // Dense worker index in sorted id order (see `AnswerLog::workers`):
-        // Step 2 accumulates `delta_q` over workers, and the accumulation
-        // order must not depend on hash-map layout or convergence becomes
-        // process-random. A worker whose answers are all in the tail is not
-        // in the prefix.
-        log.workers_into(&mut self.workers);
-        self.tail_answers.clear();
-        self.tail_answers.resize(self.workers.len(), 0);
-        for answer in tail {
-            let r = self.workers.binary_search(&answer.worker);
-            self.tail_answers[r.expect("a tail answer is in the log")] += 1;
-        }
-        let bound = self.workers.len() * m;
-        assert!(
-            bound * (1 + ells.len()) <= u32::MAX as usize
-                && states.all_s().len() <= u32::MAX as usize
-                && num_credits <= u32::MAX as usize,
-            "a campaign indexable by u32"
-        );
-        self.qualities.clear();
-        self.den.clear();
-        self.qualities.reserve(bound);
-        self.den.reserve(bound);
-        let cells = &mut self.cells;
-        cells.clear();
-        cells.reserve(self.workers.len(), bound.min(num_credits));
-        cells.ptr.push(0);
-        cells.credits.clear();
-        cells.credits.resize(num_credits, Credit::default());
-        self.staged.clear();
-        self.staged.reserve(most_votes);
-        self.voters.clear();
-        self.voters.resize(num_votes, (WorkerId(0), 0));
-        self.marks.clear();
-        self.marks.resize(m, (0, 0));
-        self.cell_of.resize(bound, 0);
-
-        let (mut num_workers, mut next) = (0, 0);
-        for r in 0..self.workers.len() {
-            let id = self.workers[r];
-            let answered = log.worker_answers(id);
-            let answered = &answered[..answered.len() - self.tail_answers[r] as usize];
-            if answered.is_empty() {
+        moves.clear();
+        moves.reserve(counts.len());
+        let (mut old, mut kept, mut with_new) = (0, 0, 0);
+        for r in 0..counts.len() {
+            let (id, after) = counts[r];
+            let (from, before) = match workers.get(old) {
+                Some(&w) if w == id => {
+                    old += 1;
+                    (old as u32 - 1, answered[old - 1])
+                }
+                _ => (NEW, 0),
+            };
+            let after = after as u32;
+            assert!(after >= before, "`V(i)` and `T(w)` hold the same answers");
+            if after == 0 {
                 continue;
             }
-            let w = num_workers;
-            num_workers += 1;
-            self.workers[w] = id;
-            // Step 2's join `T(w) ⋈ supp(i)`, which no iteration changes,
-            // counted per domain; the worker joins each answered task's
-            // answerers.
+            counts[kept] = counts[r];
+            kept += 1;
+            with_new += usize::from(after > before);
+            moves.push(Move {
+                from,
+                before,
+                after,
+                cells: 0,
+            });
+        }
+        assert_eq!(old, workers.len(), "every indexed worker is in the prefix");
+        counts.truncate(kept);
+        workers.clear();
+        workers.extend(counts.iter().map(|&(id, _)| id));
+        answered.clear();
+        answered.extend(moves.iter().map(|mv| mv.after));
+        let num_workers = workers.len();
+        let bound = num_workers * m;
+        assert!(
+            bound * (1 + likelihoods.ells.len()) <= u32::MAX as usize
+                && states.all_s().len() <= u32::MAX as usize
+                && num_entries <= u32::MAX as usize,
+            "a campaign indexable by u32"
+        );
+
+        // Each worker's row of initial qualities and weights moves to its
+        // new place, from the end down to the first worker that keeps its
+        // place. A new worker's comes from the registry (golden-task
+        // initialized), with the registry's evidence weights. Golden tasks
+        // are tasks the worker *answered*, so Step 2 keeps them in `T(w)`
+        // as pseudo-observations with their recorded weight `u^w_k` — the
+        // Theorem 1 merge between stored statistics and the current batch.
+        // Unseen workers carry zero weight and reduce to the plain Eq. 5.
+        qualities.resize(bound, 0.0);
+        den.resize(bound, 0.0);
+        converged.resize(bound, 0.0);
+        for (w, mv) in moves.iter().enumerate().rev() {
+            if mv.from == w as u32 {
+                break;
+            }
+            let row = w * m..(w + 1) * m;
+            if mv.from == NEW {
+                let (q, u) = (&mut qualities[row.clone()], &mut den[row]);
+                match registry.get(workers[w]) {
+                    Some(stats) => {
+                        q.copy_from_slice(&stats.quality[..m]);
+                        // `+ 0.0`: a `-0.0` weight leaves as `+0.0`, as the
+                        // dense loop's first `+ r_k` left it in every
+                        // domain.
+                        for (u, &weight) in u.iter_mut().zip(&stats.weight[..m]) {
+                            *u = weight + 0.0;
+                        }
+                    }
+                    None => {
+                        q.fill(registry.prior_quality());
+                        u.fill(0.0);
+                    }
+                }
+            } else {
+                let from = mv.from as usize * m;
+                qualities.copy_within(from..from + m, row.start);
+                den.copy_within(from..from + m, row.start);
+            }
+        }
+
+        // Per worker with new answers: the new answers join their tasks'
+        // voters, and their credits are counted per domain; then its cells
+        // after the extension, in ascending `k` — its old cells, every
+        // newly credited domain, and for a new worker every domain whose
+        // fixed Eq. 5 value is not finite (its term of every Δ is NaN, not
+        // `+0.0`, so Step 2 must revisit it).
+        marks.clear();
+        marks.resize(m, (0, 0));
+        voters.clear();
+        voters.resize(new_votes, (WorkerId(0), 0, 0));
+        grown.clear();
+        grown.reserve(with_new * m);
+        fresh.clear();
+        fresh.reserve(new_entries);
+        let mut new_cells = 0;
+        for w in 0..num_workers {
+            let mv = moves[w];
+            if mv.after == mv.before {
+                continue;
+            }
+            let id = workers[w];
             let stamp = w as u32 + 1;
-            for &(task, choice) in answered {
-                let end = &mut self.task_plans[task.index()].voters_end;
-                self.voters[*end as usize] = (id, w as u32);
+            let answers = &log.worker_answers(id)[mv.before as usize..mv.after as usize];
+            for &(task, choice) in answers {
+                let end = &mut task_plans[task.index()].voters_end;
+                voters[*end as usize] = (id, (w * m) as u32, choice as u32);
                 *end += 1;
-                for &(k, _) in states.credit_of(task.index(), choice).0 {
-                    let mark = &mut self.marks[k];
+                let (support, at) = states.credit_of(task.index(), choice);
+                for &(k, rk) in support {
+                    let mark = &mut marks[k];
                     *mark = if mark.0 == stamp {
                         (stamp, mark.1 + 1)
                     } else {
                         (stamp, 1)
                     };
+                    fresh.push((k as u32, Credit { at: at as u32, rk }));
                 }
             }
-            // Initial qualities from the registry (golden-task initialized),
-            // and the registry's evidence weights. Golden tasks are tasks
-            // the worker *answered*, so Step 2 keeps them in `T(w)` as
-            // pseudo-observations with their recorded weight `u^w_k` — the
-            // Theorem 1 merge between stored statistics and the current
-            // batch. Unseen workers carry zero weight and reduce to the
-            // plain Eq. 5.
-            let base = w * m;
-            match registry.get(id) {
-                Some(stats) => {
-                    self.qualities.extend_from_slice(&stats.quality[..m]);
-                    // `+ 0.0`: a `-0.0` weight leaves as `+0.0`, as the
-                    // dense loop's first `+ r_k` left it in every domain.
-                    let weights = stats.weight[..m].iter();
-                    self.den.extend(weights.map(|&u| u + 0.0));
+            // Its old cells, ascending `k`, and where its old row began.
+            let (mut held, old_row) = match mv.from {
+                NEW => (0..0, 0),
+                from => {
+                    let from = from as usize;
+                    let held = cells.ptr[from] as usize..cells.ptr[from + 1] as usize;
+                    (held, from * m)
                 }
-                None => {
-                    let prior = registry.prior_quality();
-                    self.qualities.extend(std::iter::repeat_n(prior, m));
-                    self.den.extend(std::iter::repeat_n(0.0, m));
-                }
-            }
-            // The worker's cells in ascending `k`, each owning the next run
-            // of credits; from here on a credited domain's mark holds its
-            // cell's next free credit.
-            let rows = self.qualities[base..].iter().zip(&self.den[base..]);
-            for (k, (&q, &den)) in rows.enumerate() {
-                let (stamped, count) = self.marks[k];
-                let credited = stamped == stamp;
-                // An uncredited domain's term of every Δ after the first is
-                // `|v − v|` for its fixed Eq. 5 value `v`: `+0.0` unless `v`
-                // is not finite.
-                if credited || !eq5_without_credits(q, den).is_finite() {
-                    self.cell_of[base + k] = cells.len() as u32;
-                    cells.push(base + k, q, den, next as usize);
-                    if credited {
-                        self.marks[k].1 = next;
-                        next += count;
-                    }
+            };
+            let before = grown.len();
+            for (k, &(stamped, count)) in marks.iter().enumerate() {
+                let old = if held.start < held.end && cells.eq5[held.start].at == old_row + k {
+                    held.start += 1;
+                    held.start as u32 - 1
+                } else {
+                    NEW
+                };
+                let added = if stamped == stamp { count } else { 0 };
+                let at = w * m + k;
+                let non_finite = || !eq5_without_credits(qualities[at], den[at]).is_finite();
+                if old != NEW || added > 0 || (mv.from == NEW && non_finite()) {
+                    new_cells += usize::from(old == NEW);
+                    grown.push(Grown {
+                        k: k as u32,
+                        old,
+                        added,
+                    });
                 }
             }
-            cells.ptr.push(cells.len() as u32);
-            // Each credit into its cell's run, in `T(w)`'s arrival order.
-            // The denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on
-            // `s`, so it is summed once, here; it is also the worker's new
-            // weight.
-            for &(task, choice) in answered {
-                let (support, at) = states.credit_of(task.index(), choice);
-                for &(k, rk) in support {
-                    let slot = &mut self.marks[k].1;
-                    let at = at as u32;
-                    cells.credits[*slot as usize] = Credit { at, rk };
-                    *slot += 1;
-                    cells.eq5[self.cell_of[base + k] as usize].den += rk;
-                }
-            }
-        }
-        cells.credit_ptr.push(num_credits as u32);
-        self.workers.truncate(num_workers);
-        for cell in &cells.eq5 {
-            self.den[cell.at] = cell.den;
+            moves[w].cells = (grown.len() - before) as u32;
         }
 
-        // Step 1's plan, row-major per task: each answer's worker is found
-        // among the task's own answerers, and its cell read per support row.
-        self.plan.clear();
-        self.plan.reserve(num_credits);
-        for (i, (task, shape)) in tasks.iter().zip(&self.task_plans).enumerate() {
-            let votes = &log.task_answers(task.id)[..shape.votes as usize];
-            let end = shape.voters_end as usize;
-            let voters = &self.voters[end - votes.len()..end];
-            self.staged.clear();
-            for &(id, choice) in votes {
-                let at = voters.binary_search_by_key(&id, |&(voter, _)| voter);
-                let w = voters[at.expect("`V(i)` and `T(w)` hold the same answers")].1;
-                self.staged.push((w * m as u32, choice as u32));
+        // The cells and their credits, from the end down to the first
+        // worker that keeps its place and gains nothing: a run of workers
+        // without new answers moves as one block (each of them moves by
+        // the same rows, cells and credits); any other worker is rebuilt
+        // cell by cell, each old run of credits moved up and the new
+        // credits, placed in `T(w)`'s arrival order, after it. The
+        // denominator `û_k + Σ_{t ∈ T(w)} r^t_k` does not depend on `s`, so
+        // it is summed here, once per credit; it is also the worker's new
+        // weight.
+        let (old_cells, old_credits) = (cells.len(), cells.credits.len());
+        let num_cells = old_cells + new_cells;
+        let num_credits = old_credits + new_entries;
+        remap.clear();
+        remap.resize(old_cells, 0);
+        cells.ptr.resize(num_workers + 1, 0);
+        cells.q.resize(num_cells, 0.0);
+        cells.eq5.resize(num_cells, Eq5::default());
+        cells.credit_ptr.resize(num_cells + 1, 0);
+        cells.credit_ptr[num_cells] = num_credits as u32;
+        cells.credits.resize(num_credits, Credit::default());
+        cell_of.resize(bound, 0);
+        // Read and write ends: of the old and new cells, and of the old and
+        // new credits.
+        let (mut read, mut write) = (old_cells, num_cells);
+        let (mut read_credit, mut write_credit) = (old_credits, num_credits);
+        let (mut grown_end, mut fresh_end) = (grown.len(), fresh.len());
+        let mut w = num_workers;
+        while w > 0 {
+            let mv = moves[w - 1];
+            if mv.from == (w - 1) as u32 && write == read && write_credit == read_credit {
+                break;
             }
-            for &(k, _) in states.support_and_s(i).0 {
-                let answers = self.staged.iter();
-                let cell = |&(base, choice): &(u32, u32)| (self.cell_of[base as usize + k], choice);
-                self.plan.extend(answers.map(cell));
+            if mv.after == mv.before {
+                let top = w;
+                while w > 0 && moves[w - 1].after == moves[w - 1].before {
+                    w -= 1;
+                }
+                let start = cells.ptr[moves[w].from as usize] as usize;
+                let first_credit = cells.credit_ptr[start] as usize;
+                let (shift, credit_shift) = (write - read, write_credit - read_credit);
+                for v in (w..top).rev() {
+                    cells.ptr[v + 1] = cells.ptr[moves[v].from as usize + 1] + shift as u32;
+                }
+                let credits = first_credit..read_credit;
+                cells
+                    .credits
+                    .copy_within(credits, first_credit + credit_shift);
+                cells.eq5.copy_within(start..read, start + shift);
+                cells.credit_ptr.copy_within(start..read, start + shift);
+                for (c, to) in remap[start..read].iter_mut().enumerate() {
+                    *to = (start + c + shift) as u32;
+                }
+                let at = (top - 1 - mv.from as usize) * m;
+                let moved = start + shift..write;
+                let ptrs = cells.credit_ptr[moved.clone()].iter_mut();
+                for (cell, ptr) in cells.eq5[moved].iter_mut().zip(ptrs) {
+                    cell.at += at;
+                    *ptr += credit_shift as u32;
+                }
+                (read, write) = (start, start + shift);
+                (read_credit, write_credit) = (first_credit, first_credit + credit_shift);
+                continue;
+            }
+            w -= 1;
+            cells.ptr[w + 1] = write as u32;
+            let stamp = w as u32 + 1;
+            let own = &grown[grown_end - mv.cells as usize..grown_end];
+            grown_end -= own.len();
+            for g in own.iter().rev() {
+                let (k, added) = (g.k as usize, g.added as usize);
+                let at = w * m + k;
+                write -= 1;
+                let start = if g.old == NEW {
+                    let (q, u) = (qualities[at], den[at]);
+                    cells.eq5[write] = Eq5 {
+                        at,
+                        init: q,
+                        den: u,
+                        seed: q * u + 0.0,
+                    };
+                    write_credit - added
+                } else {
+                    let c = g.old as usize;
+                    read -= 1;
+                    debug_assert_eq!(c, read, "a worker's old cells in order");
+                    let old_start = cells.credit_ptr[c] as usize;
+                    let start = write_credit - added - (read_credit - old_start);
+                    cells.credits.copy_within(old_start..read_credit, start);
+                    cells.eq5[write] = Eq5 { at, ..cells.eq5[c] };
+                    remap[c] = write as u32;
+                    read_credit = old_start;
+                    start
+                };
+                cells.credit_ptr[write] = start as u32;
+                marks[k] = (stamp, (write_credit - added) as u32);
+                cell_of[at] = write as u32;
+                write_credit = start;
+            }
+            let added: usize = own.iter().map(|g| g.added as usize).sum();
+            for &(k, credit) in &fresh[fresh_end - added..fresh_end] {
+                let slot = &mut marks[k as usize].1;
+                cells.credits[*slot as usize] = credit;
+                *slot += 1;
+                cells.eq5[cell_of[w * m + k as usize] as usize].den += credit.rk;
+            }
+            fresh_end -= added;
+            for g in own {
+                let at = w * m + g.k as usize;
+                den[at] = cells.eq5[cell_of[at] as usize].den;
             }
         }
-        let width = cells.len().next_power_of_two();
-        let factors = (1 + self.likelihoods.ells.len()) * width;
-        self.likelihoods.factors.resize(factors, 0.0);
+        // Below where the walk stopped no cell moved.
+        let unmoved = read;
+        for (c, to) in remap[..unmoved].iter_mut().enumerate() {
+            *to = c as u32;
+        }
+        for (q, eq5) in cells.q.iter_mut().zip(&cells.eq5) {
+            *q = eq5.init;
+        }
+
+        // Step 1's plan, row-major per task: every old entry's cell
+        // remapped in one pass, then from the last task with new answers
+        // down to the first, the old entries after it moved up as one block
+        // and its rows rebuilt, each row's old entries and then one entry
+        // per new answer. Each new answer's worker is found among the
+        // task's new answerers, and its cell read per support row.
+        let old_entries = plan.len();
+        plan.resize(num_entries, (0, 0));
+        if unmoved < old_cells {
+            for entry in &mut plan[..old_entries] {
+                entry.0 = remap[entry.0 as usize];
+            }
+        }
+        let (mut read, mut write) = (old_entries, num_entries);
+        staged.clear();
+        staged.reserve(most_votes);
+        for &(i, start) in grew.iter().rev() {
+            let (i, start) = (i as usize, start as usize);
+            let shape = task_plans[i];
+            let (old, cut) = (shape.votes as usize, cut[i] as usize);
+            let end = start + shape.rows as usize * old;
+            if read > end {
+                write -= read - end;
+                plan.copy_within(end..read, write);
+            }
+            let voters = &voters[..shape.voters_end as usize];
+            let voters = &voters[voters.len() - (cut - old)..];
+            staged.clear();
+            if let [(_, base, choice)] = *voters {
+                // One new answer: `V(i)` has no order to give it.
+                staged.push((base, choice));
+            } else {
+                for &(id, choice) in &log.task_answers(tasks[i].id)[old..cut] {
+                    let at = voters.binary_search_by_key(&id, |&(voter, ..)| voter);
+                    let (_, base, _) = voters[at.expect("`V(i)` and `T(w)` hold the same answers")];
+                    staged.push((base, choice as u32));
+                }
+            }
+            let support = states.support_and_s(i).0;
+            for (r, &(k, _)) in support.iter().enumerate().rev() {
+                write -= staged.len();
+                let entries = staged
+                    .iter()
+                    .map(|&(base, choice)| (cell_of[base as usize + k], choice));
+                for (slot, entry) in plan[write..].iter_mut().zip(entries) {
+                    *slot = entry;
+                }
+                if old > 0 {
+                    write -= old;
+                    plan.copy_within(start + r * old..start + (r + 1) * old, write);
+                }
+            }
+            read = start;
+        }
+        debug_assert_eq!(read, write, "nothing moves below the first new answer");
+        for (task, &cut) in task_plans.iter_mut().zip(cut.iter()) {
+            task.votes = cut;
+        }
+
+        let width = num_cells.next_power_of_two();
+        let factors = (1 + likelihoods.ells.len()) * width;
+        likelihoods.factors.resize(factors, 0.0);
+        *indexed = new_entries;
+        // A later extension remaps every cell of this index.
+        remap.clear();
+        remap.reserve(num_cells);
     }
 
-    /// The run's shape: `W × m`, its active cells and its plan's length.
+    /// The run's shape: `W × m`, its active cells, its plan's length and
+    /// the entries its set-up added.
     #[cfg(test)]
     fn shape(&self) -> RunShape {
         RunShape {
             dense_cells: self.qualities.len(),
             cells: self.cells.len(),
             plan: self.plan.len(),
+            indexed: self.indexed,
         }
     }
 }
@@ -662,6 +1032,10 @@ pub(super) struct RunShape {
     /// Step 1's plan: one factor pair per answer per support row, as many
     /// as Step 2's credits.
     pub(super) plan: usize,
+    /// The plan entries (answer, support row) the run's set-up indexed:
+    /// the whole plan from empty, the new answers' entries when it extended
+    /// the index of an earlier run.
+    pub(super) indexed: usize,
 }
 
 /// The shape of the last full run on this thread's workspace.
@@ -670,11 +1044,88 @@ pub(super) fn last_run_shape() -> RunShape {
     with_workspace(|ws| ws.shape())
 }
 
+/// Everything of a [`Workspace`]'s index that Steps 1 and 2 read or that a
+/// later extension starts from, floats as bits: the workers and their
+/// counts, the `W × m` initial qualities and weights, the cells without
+/// their current quality, the credits, the plan and the task plans, and
+/// the likelihood tables' length.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(super) struct IndexImage {
+    workers: Vec<(WorkerId, u32)>,
+    rows: Vec<(u64, u64)>,
+    ptr: Vec<u32>,
+    cells: Vec<(usize, u64, u64, u64)>,
+    credit_ptr: Vec<u32>,
+    credits: Vec<(u32, u64)>,
+    plan: Vec<(u32, u32)>,
+    task_plans: Vec<(u32, u32)>,
+    ells: Vec<usize>,
+    factors: usize,
+}
+
+#[cfg(test)]
+impl Workspace {
+    fn image(&self) -> IndexImage {
+        let cells = &self.cells;
+        IndexImage {
+            workers: self
+                .workers
+                .iter()
+                .copied()
+                .zip(self.answered.iter().copied())
+                .collect(),
+            rows: self
+                .qualities
+                .iter()
+                .zip(&self.den)
+                .map(|(q, u)| (q.to_bits(), u.to_bits()))
+                .collect(),
+            ptr: cells.ptr.clone(),
+            cells: cells
+                .eq5
+                .iter()
+                .map(|c| (c.at, c.init.to_bits(), c.den.to_bits(), c.seed.to_bits()))
+                .collect(),
+            credit_ptr: cells.credit_ptr.clone(),
+            credits: cells
+                .credits
+                .iter()
+                .map(|c| (c.at, c.rk.to_bits()))
+                .collect(),
+            plan: self.plan.clone(),
+            task_plans: self.task_plans.iter().map(|t| (t.votes, t.slot)).collect(),
+            ells: self.likelihoods.ells.clone(),
+            factors: self.likelihoods.factors.len(),
+        }
+    }
+}
+
+/// The index of the last full run on this thread's workspace.
+#[cfg(test)]
+pub(super) fn last_index() -> IndexImage {
+    with_workspace(|ws| ws.image())
+}
+
+/// The index a fresh workspace builds over all of `log`.
+#[cfg(test)]
+pub(super) fn fresh_index(
+    tasks: &[Task],
+    log: &AnswerLog,
+    registry: &WorkerRegistry,
+) -> IndexImage {
+    let mut ws = Workspace::default();
+    let states = TaskArena::for_tasks(registry.num_domains(), tasks);
+    ws.index(None, tasks, log, &[], registry, &states);
+    ws.image()
+}
+
 thread_local! {
     /// The periodic full runs' [`Workspace`], one per thread: a shard
     /// thread converges its campaigns one at a time, so they share one
     /// set of buffers sized by the largest of them instead of each holding
-    /// its own.
+    /// its own. Its index is the last run's: the next run extends it when
+    /// it is the same engine's, and rebuilds it from empty when not.
     static WORKSPACE: RefCell<Workspace> = RefCell::default();
 }
 

@@ -11,7 +11,7 @@
 // The loops stay index-for-index what the dense form was.
 #![allow(clippy::needless_range_loop)]
 
-use super::iterative::{TiConfig, TruthInference};
+use super::iterative::{fresh_index, last_index, TiConfig, TruthInference};
 use super::state::{clamp_quality, TaskArena};
 use super::stats::WorkerRegistry;
 use super::IncrementalTi;
@@ -637,6 +637,8 @@ mod tests {
         tasks: Vec<Task>,
         fed: Vec<Answer>,
         golden: WorkerRegistry,
+        /// Whether each run's index is also compared with a fresh build's.
+        index_too: bool,
     }
 
     impl Tracked {
@@ -646,6 +648,17 @@ mod tests {
                 tasks: tasks.to_vec(),
                 fed: Vec::new(),
                 golden: registry.clone(),
+                index_too: false,
+            }
+        }
+
+        /// The run that just ended, over the first `n` answers fed, left
+        /// the index a fresh workspace builds over them: the same workers,
+        /// `W × m` rows, cells, credits and plan.
+        fn check_index(&self, n: usize, context: &str) {
+            if self.index_too {
+                let fresh = fresh_index(&self.tasks, &self.prefix(n), &self.golden);
+                assert_eq!(last_index(), fresh, "{context}: the index");
             }
         }
 
@@ -694,6 +707,7 @@ mod tests {
             let mut twin = self.engine.clone();
             self.engine.materialize();
             if let Some(n) = crossing {
+                self.check_index(n, context);
                 let want =
                     TruthInference::default().run(&self.tasks, &self.prefix(n), &self.golden);
                 let context = format!("{context}: crossing at {n} with a pending tail");
@@ -735,6 +749,7 @@ mod tests {
         /// the arena, the live registry's qualities and weights and Δ of a
         /// fresh run over that prefix, bit for bit.
         fn check(&self, n: usize, context: &str) {
+            self.check_index(n, context);
             let prefix = self.prefix(n);
             let want = TruthInference::default().run(&self.tasks, &prefix, &self.golden);
             assert_eq!(
@@ -770,7 +785,7 @@ mod tests {
     /// between crossings, a clone that diverges from its original and a
     /// restore mid-campaign. Every run leaves what a fresh run over its
     /// prefix leaves.
-    fn runs_follow_runs(seed: u64, sparsity: Sparsity) {
+    fn runs_follow_runs(seed: u64, sparsity: Sparsity, index_too: bool) {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x0E57_E4D5);
         let z = rng.gen_range(1..=6usize);
         let shuffled = |log: &AnswerLog, rng: &mut SmallRng| {
@@ -787,6 +802,7 @@ mod tests {
         let mut other = Tracked::new(&other_tasks, &other_registry, rng.gen_range(1..=6));
         let mut others = other_stream.iter();
         let mut a = Tracked::new(&tasks, &registry, z);
+        (a.index_too, other.index_too) = (index_too, index_too);
         let context = format!("seed {seed} {sparsity:?}, z = {z}");
         let quarter = stream.len() / 4;
 
@@ -844,7 +860,18 @@ mod tests {
         #[test]
         fn every_run_matches_a_fresh_run_over_its_prefix(seed in any::<u64>()) {
             for sparsity in Sparsity::ALL {
-                runs_follow_runs(seed, sparsity);
+                runs_follow_runs(seed, sparsity, false);
+            }
+        }
+
+        /// The structural twin: after every run in the same sequence, the
+        /// index the thread's workspace kept (extended, or rebuilt where
+        /// the run followed another engine's) is element for element the
+        /// one a fresh workspace builds over the run's prefix.
+        #[test]
+        fn every_kept_index_is_a_fresh_build(seed in any::<u64>()) {
+            for sparsity in Sparsity::ALL {
+                runs_follow_runs(seed, sparsity, true);
             }
         }
     }

@@ -177,9 +177,7 @@ impl TaskArena {
             s: vec![0.0; end.s],
             entropy: vec![0.0; n],
         };
-        for i in 0..n {
-            arena.reset(i);
-        }
+        arena.reset();
         arena.refresh_entropy();
         arena
     }
@@ -269,16 +267,26 @@ impl TaskArena {
         }
     }
 
-    /// Back to the fresh prior — `M̂ = 1`, `M = s = 1/ℓ`, filled in place —
-    /// where every full inference starts. `H(s)` is left to
+    /// Every task back to the fresh prior — `M̂ = 1`, `M = s = 1/ℓ`, filled
+    /// in place — where every full inference starts: `M̂` in one fill, then
+    /// each task's `M` and `s` carved off the front of the flat buffers, as
+    /// [`TaskArena::step1`] carves them. `H(s)` is left to
     /// [`TaskArena::refresh_entropy`], which [`TaskArena::new`] and every
     /// full run call once over all tasks.
-    pub(super) fn reset(&mut self, i: usize) {
-        let t = self.task_mut(i);
-        let uniform = 1.0 / t.s.len() as f64;
-        t.m_hat.fill(1.0);
-        t.m_matrix.fill(uniform);
-        t.s.fill(uniform);
+    pub(super) fn reset(&mut self) {
+        self.m_hat.fill(1.0);
+        let mut m_matrix = &mut self.m_matrix[..];
+        let mut s = &mut self.s[..];
+        for span in self.offsets.windows(2) {
+            let (cells, l) = (span[1].cells - span[0].cells, span[1].s - span[0].s);
+            let uniform = 1.0 / l as f64;
+            let (task_m, rest) = std::mem::take(&mut m_matrix).split_at_mut(cells);
+            m_matrix = rest;
+            task_m.fill(uniform);
+            let (task_s, rest) = std::mem::take(&mut s).split_at_mut(l);
+            s = rest;
+            task_s.fill(uniform);
+        }
     }
 
     /// Applies one newly arrived answer to task `i` in `O(|support|·ℓ)` —
@@ -825,7 +833,7 @@ mod tests {
         let answers = [(0, 2usize), (1, 2usize)];
         recompute(&mut st, &answers, &[vec![0.7, 0.9], vec![0.7, 0.9]]);
         assert!(fresh(&st) < 1e-15);
-        st.reset(0);
+        st.reset();
         st.refresh_entropy();
         assert!(fresh(&st) < 1e-15);
     }

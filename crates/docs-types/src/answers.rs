@@ -131,17 +131,22 @@ impl AnswerLog {
     /// assignment stream itself) differ between *processes*, breaking the
     /// byte-reproducibility the scenario harness pins.
     pub fn workers(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        let mut ids = Vec::new();
-        self.workers_into(&mut ids);
+        let mut ids: Vec<WorkerId> = self.by_worker.keys().copied().collect();
+        ids.sort_unstable();
         ids.into_iter()
     }
 
-    /// [`AnswerLog::workers`] written into `ids` (cleared first), so a
-    /// caller that asks again reuses its buffer.
-    pub fn workers_into(&self, ids: &mut Vec<WorkerId>) {
-        ids.clear();
-        ids.extend(self.by_worker.keys().copied());
-        ids.sort_unstable();
+    /// [`AnswerLog::workers`] with each worker's `|T(w)|`, written into
+    /// `out` (cleared first), so a caller that asks again reuses its buffer
+    /// and reads no `T(w)` to learn its length.
+    pub fn worker_counts_into(&self, out: &mut Vec<(WorkerId, usize)>) {
+        out.clear();
+        out.extend(
+            self.by_worker
+                .iter()
+                .map(|(&w, answers)| (w, answers.len())),
+        );
+        out.sort_unstable_by_key(|&(w, _)| w);
     }
 
     /// Iterates `(task, V(task))` over all tasks, including unanswered ones.
@@ -238,6 +243,9 @@ mod tests {
             &[(TaskId(0), 1), (TaskId(2), 1)]
         );
         assert_eq!(log.workers().count(), 2);
+        let mut counts = vec![(WorkerId(9), 9)];
+        log.worker_counts_into(&mut counts);
+        assert_eq!(counts, [(WorkerId(0), 2), (WorkerId(1), 1)]);
     }
 
     #[test]
