@@ -931,8 +931,7 @@ impl Workspace {
             }
         }
         // Below where the walk stopped no cell moved.
-        let unmoved = read;
-        for (c, to) in remap[..unmoved].iter_mut().enumerate() {
+        for (c, to) in remap[..read].iter_mut().enumerate() {
             *to = c as u32;
         }
         for (q, eq5) in cells.q.iter_mut().zip(&cells.eq5) {
@@ -947,10 +946,8 @@ impl Workspace {
         // task's new answerers, and its cell read per support row.
         let old_entries = plan.len();
         plan.resize(num_entries, (0, 0));
-        if unmoved < old_cells {
-            for entry in &mut plan[..old_entries] {
-                entry.0 = remap[entry.0 as usize];
-            }
+        for entry in &mut plan[..old_entries] {
+            entry.0 = remap[entry.0 as usize];
         }
         let (mut read, mut write) = (old_entries, num_entries);
         staged.clear();
@@ -960,22 +957,15 @@ impl Workspace {
             let shape = task_plans[i];
             let (old, cut) = (shape.votes as usize, cut[i] as usize);
             let end = start + shape.rows as usize * old;
-            if read > end {
-                write -= read - end;
-                plan.copy_within(end..read, write);
-            }
+            write -= read - end;
+            plan.copy_within(end..read, write);
             let voters = &voters[..shape.voters_end as usize];
             let voters = &voters[voters.len() - (cut - old)..];
             staged.clear();
-            if let [(_, base, choice)] = *voters {
-                // One new answer: `V(i)` has no order to give it.
-                staged.push((base, choice));
-            } else {
-                for &(id, choice) in &log.task_answers(tasks[i].id)[old..cut] {
-                    let at = voters.binary_search_by_key(&id, |&(voter, ..)| voter);
-                    let (_, base, _) = voters[at.expect("`V(i)` and `T(w)` hold the same answers")];
-                    staged.push((base, choice as u32));
-                }
+            for &(id, choice) in &log.task_answers(tasks[i].id)[old..cut] {
+                let at = voters.binary_search_by_key(&id, |&(voter, ..)| voter);
+                let (_, base, _) = voters[at.expect("`V(i)` and `T(w)` hold the same answers")];
+                staged.push((base, choice as u32));
             }
             let support = states.support_and_s(i).0;
             for (r, &(k, _)) in support.iter().enumerate().rev() {
@@ -986,10 +976,8 @@ impl Workspace {
                 for (slot, entry) in plan[write..].iter_mut().zip(entries) {
                     *slot = entry;
                 }
-                if old > 0 {
-                    write -= old;
-                    plan.copy_within(start + r * old..start + (r + 1) * old, write);
-                }
+                write -= old;
+                plan.copy_within(start + r * old..start + (r + 1) * old, write);
             }
             read = start;
         }

@@ -876,6 +876,77 @@ mod tests {
         }
     }
 
+    /// Non-finite registry entries through extensions, one run per answer,
+    /// in domains no task touches (a NaN that reaches `M̂` has no sign the
+    /// two loops agree on across builds): worker 2's NaN domain is a cell
+    /// without credits from the first run, moved as it is while others
+    /// answer and carried through while worker 2 answers again; worker 3,
+    /// with a NaN quality and an `∞` weight, first answers after four runs
+    /// and lands between two indexed workers with both non-finite domains
+    /// cells, carried through when it answers again. Each run leaves Δ and
+    /// the index of a fresh run, and the fresh run is the dense loop's.
+    #[test]
+    fn non_finite_cells_extend_like_a_fresh_build() {
+        let rows: [[f64; 4]; 3] = [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.7, 0.3, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0],
+        ];
+        let tasks: Vec<Task> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                TaskBuilder::new(i, format!("t{i}"))
+                    .yes_no()
+                    .with_domain_vector(DomainVector::new(r.to_vec()).unwrap())
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let mut registry = WorkerRegistry::new(4, 0.7);
+        let stats = crate::ti::WorkerStats {
+            quality: vec![0.8, 0.7, 0.6, f64::NAN],
+            weight: vec![1.0, 1.0, 1.0, 1.0],
+        };
+        registry.put(WorkerId(2), stats);
+        let stats = crate::ti::WorkerStats {
+            quality: vec![0.6, 0.6, f64::NAN, 0.6],
+            weight: vec![0.0, 1.0, 0.0, f64::INFINITY],
+        };
+        registry.put(WorkerId(3), stats);
+        let stream = [
+            (2, 0, 0),
+            (4, 1, 1),
+            (2, 1, 0),
+            (4, 0, 1),
+            (3, 0, 1),
+            (2, 2, 1),
+            (3, 2, 0),
+        ];
+        let mut engine = Tracked::new(&tasks, &registry, 1);
+        engine.index_too = true;
+        for (j, (worker, task, choice)) in stream.into_iter().enumerate() {
+            let answer = Answer::new(WorkerId(worker), TaskId::from(task), choice);
+            engine.submit(answer, &format!("non-finite, answer {j}"));
+        }
+        assert!(
+            engine.engine.last_deltas().iter().all(|d| d.is_nan()),
+            "a non-finite cell keeps every Δ NaN"
+        );
+        // Only now: the dense check runs an engine of its own on the
+        // thread, so between the runs above it would make each a rebuild.
+        for n in 1..=stream.len() {
+            let context = format!("non-finite, {n} answers");
+            assert_bit_identical(
+                TiConfig::default(),
+                &tasks,
+                &engine.prefix(n),
+                &registry,
+                &context,
+            );
+        }
+    }
+
     #[test]
     fn an_empty_campaign_and_an_empty_log_agree_too() {
         let registry = WorkerRegistry::new(3, 0.7);
