@@ -313,7 +313,6 @@ fn the_paper_shaped_case_reaches_the_rescale_fallback() {
 /// support row) entries each run's set-up indexed, summed over all runs.
 #[test]
 fn the_paper_shaped_runs_do_the_pinned_work() {
-    use super::iterative::last_run_shape;
     let (tasks, log, registry) = paper_shaped();
     let mut pairs = std::collections::BTreeSet::new();
     let mut plan = 0;
@@ -330,7 +329,7 @@ fn the_paper_shaped_runs_do_the_pinned_work() {
     let mut engine = IncrementalTi::new(tasks, registry, 100);
     for answer in round_robin(&log) {
         if engine.submit(answer).expect("the campaign's own answers") {
-            let shape = last_run_shape();
+            let shape = engine.run_shape();
             runs += 1;
             dense += shape.dense_cells;
             cells += shape.cells;
@@ -340,7 +339,7 @@ fn the_paper_shaped_runs_do_the_pinned_work() {
         }
     }
     let last = engine.run_full().len();
-    let shape = last_run_shape();
+    let shape = engine.run_shape();
     indexed += shape.indexed;
     assert_eq!(
         shape.cells,
@@ -364,6 +363,90 @@ fn the_paper_shaped_runs_do_the_pinned_work() {
         indexed, 6_518,
         "the entries the periodic runs and the last one indexed"
     );
+}
+
+/// A `tenants_*` campaign's shape: 120 yes/no tasks over 3 domains, each
+/// task's domain vector on one or two of them, 4 answers per task from a
+/// crowd of 20 workers graded on 4 golden tasks, the answers in a random
+/// order.
+fn tenants_shaped(seed: u64) -> (Vec<Task>, Vec<Answer>, WorkerRegistry) {
+    const M: usize = 3;
+    const WORKERS: usize = 20;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let domain_vector = |rng: &mut SmallRng| {
+        let mut w = vec![0.0; M];
+        let k = rng.gen_range(0..M);
+        w[k] = 1.0;
+        if rng.gen_range(0..2) == 0 {
+            w[(k + rng.gen_range(1..M)) % M] = rng.gen_range(0.1..0.9);
+        }
+        DomainVector::from_weights(&w).expect("non-negative weights")
+    };
+    let tasks: Vec<Task> = (0..120usize)
+        .map(|i| {
+            TaskBuilder::new(i, format!("t{i}"))
+                .yes_no()
+                .with_domain_vector(domain_vector(&mut rng))
+                .build()
+                .expect("valid task")
+        })
+        .collect();
+    let mut crowd: Vec<usize> = (0..WORKERS).collect();
+    let mut stream = Vec::new();
+    for task in &tasks {
+        crowd.shuffle(&mut rng);
+        for &w in &crowd[..4] {
+            let choice = rng.gen_range(0..2usize);
+            stream.push(Answer::new(WorkerId::from(w), task.id, choice));
+        }
+    }
+    stream.shuffle(&mut rng);
+    let golden: Vec<(DomainVector, ChoiceIndex)> = (0..4)
+        .map(|_| (domain_vector(&mut rng), rng.gen_range(0..2usize)))
+        .collect();
+    let mut registry = WorkerRegistry::new(M, 0.7);
+    for w in 0..WORKERS {
+        let given: Vec<(TaskId, ChoiceIndex)> = (0..golden.len())
+            .map(|g| (TaskId::from(g), rng.gen_range(0..2usize)))
+            .collect();
+        registry.init_from_golden(
+            WorkerId::from(w),
+            &given,
+            |t| golden[t.index()].clone(),
+            1.0,
+        );
+    }
+    (tasks, stream, registry)
+}
+
+/// Two tenants-shaped campaigns fed alternately on one thread, an answer to
+/// each in turn, as campaigns alternate on a shard thread: each engine's
+/// runs extend its own run index, whatever ran on the thread between them,
+/// so the (answer, support row) entries its set-ups index, summed over its
+/// runs, are its last plan, each entry indexed once.
+#[test]
+fn alternating_engines_each_index_their_plan_once() {
+    let campaigns = [tenants_shaped(1), tenants_shaped(2)];
+    let mut engines: Vec<(IncrementalTi, usize, usize, usize)> = campaigns
+        .iter()
+        .map(|(tasks, _, registry)| {
+            let engine = IncrementalTi::new(tasks.clone(), registry.clone(), 50);
+            (engine, 0, 0, 0)
+        })
+        .collect();
+    for j in 0..campaigns[0].1.len() {
+        for (c, (engine, runs, indexed, plan)) in engines.iter_mut().enumerate() {
+            let answer = campaigns[c].1[j];
+            if engine.submit(answer).expect("the campaign's own answers") {
+                let shape = engine.run_shape();
+                (*runs, *indexed, *plan) = (*runs + 1, *indexed + shape.indexed, shape.plan);
+            }
+        }
+    }
+    for (c, &(_, runs, indexed, plan)) in engines.iter().enumerate() {
+        assert_eq!(runs, 9, "campaign {c}: 480 answers at z = 50");
+        assert_eq!(indexed, plan, "campaign {c}: each entry indexed once");
+    }
 }
 
 /// `(case, full-inference hash, stream hash)`, recorded at the commit that

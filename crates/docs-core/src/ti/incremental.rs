@@ -17,7 +17,7 @@
 //! supersedes; [`IncrementalTi::materialize`] pays what is owed, and every
 //! `&self` reader of the inference asserts that nothing is.
 
-use super::iterative::{with_workspace, IndexKey, LogPrefix, TiConfig, TruthInference};
+use super::iterative::{with_workspace, LogPrefix, RunIndex, TiConfig, TruthInference};
 use super::sharded::ShardedTiState;
 use super::state::{TaskArena, TaskView};
 use super::stats::{WorkerRegistry, WorkerStats};
@@ -113,11 +113,10 @@ pub struct IncrementalTi {
     /// snapshot is taken with nothing owed.
     pending: Vec<Answer>,
     runs: RunCounts,
-    /// What this thread's full-inference workspace keys the run index by:
-    /// a run may extend the index of an earlier run of the same key. A
-    /// clone mints its own; a golden grading of a worker who has answered
-    /// mints a new one.
-    key: IndexKey,
+    /// The run index over the log prefix of the last full run, which the
+    /// next run extends by the answers since. A clone copies it (both logs
+    /// start with that prefix); a restored engine starts with an empty one.
+    index: RunIndex,
 }
 
 impl IncrementalTi {
@@ -147,7 +146,7 @@ impl IncrementalTi {
             owed: false,
             pending,
             runs: RunCounts::default(),
-            key: IndexKey::mint(),
+            index: RunIndex::default(),
         }
     }
 
@@ -246,11 +245,10 @@ impl IncrementalTi {
 
     /// Writes a worker's golden grading into both registries. The initial
     /// qualities and weights of a worker who has answered are in the run
-    /// index the thread's workspace may keep for this engine, so the engine
-    /// takes a new key and its next run rebuilds the index.
+    /// index, so the index is emptied and the next run rebuilds it.
     fn put_golden(&mut self, worker: WorkerId, stats: WorkerStats) {
         if !self.log.worker_answers(worker).is_empty() {
-            self.key = IndexKey::mint();
+            self.index = RunIndex::default();
         }
         self.golden_registry.put(worker, stats.clone());
         self.registry.put(worker, stats);
@@ -412,10 +410,10 @@ impl IncrementalTi {
     /// answering worker's live statistics are overwritten in place with the
     /// converged quality — which already blends the golden/prior evidence —
     /// and the run's Eq. 5 denominator `û_k + Σ_{t∈T(w)} r^t_k` as the
-    /// weight, keeping Theorem 1's bookkeeping exact. The run's index and
-    /// scratch are this thread's full-inference workspace, shared by every
-    /// engine the thread runs, so a run no larger than one the thread has
-    /// done allocates nothing.
+    /// weight, keeping Theorem 1's bookkeeping exact. The run extends the
+    /// engine's run index by the answers since its last run; its scratch is
+    /// this thread's full-inference workspace, shared by every engine the
+    /// thread runs.
     ///
     /// Read the results back through [`IncrementalTi::states`],
     /// [`IncrementalTi::truths`] and [`IncrementalTi::registry`]; what is
@@ -432,9 +430,9 @@ impl IncrementalTi {
         let m = self.registry.num_domains();
         with_workspace(|ws| {
             let run = self.ti.converge(
+                &mut self.index,
                 ws,
-                &self.tasks,
-                LogPrefix::before(&self.log, &self.pending, &self.key),
+                LogPrefix::before(&self.log, &self.pending),
                 &self.golden_registry,
                 &mut self.states,
                 &mut self.deltas,
@@ -456,6 +454,26 @@ impl IncrementalTi {
     #[cfg(test)]
     pub(super) fn last_deltas(&self) -> &[f64] {
         &self.deltas
+    }
+
+    /// The engine's full runs from now on under `config` instead of the
+    /// default every engine is built with.
+    #[cfg(test)]
+    pub(super) fn with_config(mut self, config: TiConfig) -> Self {
+        self.ti = TruthInference::new(config);
+        self
+    }
+
+    /// The shape of the last full run: its run index's.
+    #[cfg(test)]
+    pub(super) fn run_shape(&self) -> super::iterative::RunShape {
+        self.index.shape()
+    }
+
+    /// The run index the last full run left.
+    #[cfg(test)]
+    pub(super) fn index_image(&self) -> super::iterative::IndexImage {
+        self.index.image()
     }
 
     /// The run counts since the last call, reset to zero.
@@ -493,8 +511,11 @@ impl IncrementalTi {
     /// holding statistics of another length, a golden registry whose prior
     /// quality is not the live one's, `m_hat` / `s` that do not fit
     /// the tasks' supports and `ℓ`, a `log` or `shard_ingested` that
-    /// disagrees about the task or shard count, and a `log` answer that
-    /// names a task outside the campaign or a choice outside its task's `ℓ`.
+    /// disagrees about the task or shard count, a `log` answer that names
+    /// a task outside the campaign or a choice outside its task's `ℓ`, and
+    /// a `max_iterations` or `epsilon` other than the default every engine
+    /// is built with (`max_iterations = usize::MAX` would pin the thread
+    /// in its next full run).
     pub fn restore(snapshot: TiSnapshot) -> Result<Self> {
         let refuse = |field: &str, what: String| {
             Err(docs_types::Error::Storage(format!(
@@ -611,6 +632,16 @@ impl IncrementalTi {
                 }
             }
         }
+        let config = TiConfig::default();
+        if snapshot.max_iterations != config.max_iterations {
+            let found = snapshot.max_iterations;
+            let what = format!("{found}, not the default {}", config.max_iterations);
+            return refuse("max_iterations", what);
+        }
+        if snapshot.epsilon.to_bits() != config.epsilon.to_bits() {
+            let what = format!("{}, not the default {}", snapshot.epsilon, config.epsilon);
+            return refuse("epsilon", what);
+        }
         states.load(&snapshot.m_hat, &snapshot.s);
         Ok(IncrementalTi {
             sharding: ShardedTiState::restore(num_tasks, task_shards, snapshot.shard_ingested),
@@ -621,16 +652,13 @@ impl IncrementalTi {
             log: snapshot.log,
             z: snapshot.z,
             submissions: snapshot.submissions,
-            ti: TruthInference::new(TiConfig {
-                max_iterations: snapshot.max_iterations,
-                epsilon: snapshot.epsilon,
-            }),
+            ti: TruthInference::new(config),
             s_before: Vec::new(),
             deltas: Vec::new(),
             owed: false,
             pending: Vec::with_capacity(snapshot.z.min(num_tasks)),
             runs: RunCounts::default(),
-            key: IndexKey::mint(),
+            index: RunIndex::default(),
         })
     }
 
@@ -1054,7 +1082,7 @@ mod tests {
             serde_json::from_str(&edited).unwrap()
         }
         type Tamper = fn(&mut TiSnapshot);
-        let cases: [(&str, Tamper); 14] = [
+        let cases: [(&str, Tamper); 16] = [
             ("registry", |s| s.registry = WorkerRegistry::new(2, 0.7)),
             ("golden_registry", |s| {
                 s.golden_registry = WorkerRegistry::new(4, 0.7)
@@ -1087,6 +1115,10 @@ mod tests {
             // Worker 0's answer to task 1, moved to task 9 / choice 7.
             ("log", |s| s.log = worker_view(&s.log, "[[1,1]]", "[[9,1]]")),
             ("log", |s| s.log = worker_view(&s.log, "[[1,1]]", "[[1,7]]")),
+            // A run capped at `usize::MAX` iterations, or that never meets
+            // a NaN threshold, would hold its thread.
+            ("max_iterations", |s| s.max_iterations = usize::MAX),
+            ("epsilon", |s| s.epsilon = f64::NAN),
         ];
         for (field, tamper) in cases {
             let mut snapshot = good.clone();

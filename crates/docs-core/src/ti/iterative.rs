@@ -2,10 +2,9 @@
 
 use super::state::{clamp_quality, miss_likelihood, TaskArena};
 use super::stats::WorkerRegistry;
-use docs_types::{Answer, AnswerLog, ChoiceIndex, Task, WorkerId};
+use docs_types::{Answer, AnswerLog, ChoiceIndex, Task, TaskId, WorkerId};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the iterative approach.
 #[derive(Debug, Clone, Copy)]
@@ -89,9 +88,10 @@ impl TruthInference {
     /// * `registry` — initial worker qualities (golden-task initialization
     ///   per Section 5.2; unseen workers get the registry prior).
     ///
-    /// Converges a fresh [`TaskArena`] with the body
+    /// Converges a fresh [`TaskArena`], on a fresh run index and scratch,
+    /// with the body
     /// [`IncrementalTi::run_full`](super::IncrementalTi::run_full) runs on
-    /// the engine's own arena.
+    /// the engine's own arena and index.
     ///
     /// # Panics
     /// Panics if a task lacks a domain vector, a domain vector is not of the
@@ -101,9 +101,9 @@ impl TruthInference {
         let m = registry.num_domains();
         let mut states = TaskArena::for_tasks(m, tasks);
         let mut deltas = Vec::new();
-        let mut ws = Workspace::default();
+        let (mut index, mut ws) = (RunIndex::default(), Workspace::default());
         let log = LogPrefix::whole(answers);
-        let run = self.converge(&mut ws, tasks, log, registry, &mut states, &mut deltas);
+        let run = self.converge(&mut index, &mut ws, log, registry, &mut states, &mut deltas);
         let qualities = run
             .workers
             .iter()
@@ -123,12 +123,12 @@ impl TruthInference {
     /// from the uniform prior (so Δ is measured against it, whatever the
     /// arena held), then Steps 1 and 2 alternate until Δ < ε. `deltas` is
     /// refilled with Δ after each iteration; the per-worker results are
-    /// returned borrowed from `ws`.
+    /// returned borrowed from `index` and `ws`.
     ///
     /// The loop runs over the *active cells* (see "Inference kernels" in
     /// ARCHITECTURE.md): the distinct (worker, domain) pairs of the join
-    /// `V(i) ⋈ supp(i)`, which [`Workspace::index`] keeps in `ws` and
-    /// extends by the answers that arrived since the run that built it.
+    /// `V(i) ⋈ supp(i)`, which `index` holds for an earlier prefix of the
+    /// same log and [`RunIndex::update`] extends by the answers since.
     /// Step 1 reads Eq. 4's likelihoods only there, through a per-row plan,
     /// and Step 2 credits only there. Step 2's first iteration finalizes
     /// every one of the `W × m` qualities, as the dense loop does; an
@@ -136,13 +136,13 @@ impl TruthInference {
     /// later Δ is an exact `+0.0` and later iterations visit the active
     /// cells alone. Every stored value is the same bits the dense textbook
     /// loop produces (`ti::oracle` holds that loop and the tests comparing
-    /// the two). The index and the run's scratch only ever grow, so a run
-    /// on a workspace that has served a campaign at least this large
-    /// allocates nothing.
+    /// the two). The index and the scratch only ever grow, so a run whose
+    /// index has room for the new answers, on scratch that has served a
+    /// campaign at least this large, allocates nothing.
     pub(super) fn converge<'w>(
         &self,
+        index: &'w mut RunIndex,
         ws: &'w mut Workspace,
-        tasks: &[Task],
         answers: LogPrefix<'_>,
         registry: &WorkerRegistry,
         arena: &mut TaskArena,
@@ -153,47 +153,53 @@ impl TruthInference {
         // would be reloaded on every task (measured ~10 % of Steps 1–2).
         let mut owned = std::mem::take(arena);
         let states = &mut owned;
-        let LogPrefix { log, tail, key } = answers;
+        let LogPrefix { log, tail } = answers;
         assert_eq!(
-            tasks.len(),
+            states.len(),
             log.num_tasks(),
             "answer log and task set disagree on n"
         );
-        debug_assert_eq!(states.len(), tasks.len());
         let m = registry.num_domains();
-        ws.index(key, tasks, log, tail, registry, states);
-        let Workspace {
+        index.update(ws, log, tail, registry, states);
+        let RunIndex {
             workers: worker_ids,
             qualities,
-            converged,
             den,
             cells,
-            likelihoods,
+            ells,
             plan,
             task_plans,
+            ..
+        } = index;
+        let Workspace {
+            converged,
+            factors,
             s_new,
             ..
         } = ws;
         let num_workers = worker_ids.len();
+        converged.resize(num_workers * m, 0.0);
+        // The likelihood tables: one per cell, rounded up to a power of
+        // two so Step 1 can mask a cell into range instead of checking it.
+        let width = cells.len().next_power_of_two();
+        factors.resize((1 + ells.len()) * width, 0.0);
 
         states.reset();
         // Scratch of Step 1's generic row width: a row of `M̂` and the new
         // `s`, each at most the widest `ℓ`.
-        s_new.resize(2 * likelihoods.ells.last().copied().unwrap_or(0), 0.0);
+        s_new.resize(2 * ells.last().copied().unwrap_or(0), 0.0);
         let norm = num_workers as f64 * m as f64;
 
         // (The paper's runs converge within ~20 iterations.)
         deltas.clear();
         deltas.reserve(self.config.max_iterations.min(32));
         for _ in 0..self.config.max_iterations {
-            likelihoods.refresh(&cells.q);
+            refresh_likelihoods(factors, width, ells, &cells.q);
 
             // ---- Step 1: infer the truth (q^w → s_i), Eqs. 2-4. ----
-            let width = likelihoods.width();
             let per_task = task_plans
                 .iter()
                 .map(|task| (task.votes as usize, (1 + task.slot as usize) * width));
-            let factors = &likelihoods.factors;
             let delta_s = states.step1(per_task, plan, factors, width - 1, s_new);
 
             // ---- Step 2: estimate worker quality (s_i → q^w), Eq. 5. ----
@@ -262,34 +268,6 @@ fn eq5_without_credits(q: f64, den: f64) -> f64 {
     }
 }
 
-/// What a [`Workspace`]'s index is keyed by, beside the per-task and
-/// per-worker counts of the prefix it describes: one engine's answer log,
-/// and the golden-registry entries of the workers in it. A key is minted
-/// when an engine is built, restored or cloned (a clone may diverge from
-/// its original), and again when a golden grading rewrites the entry of a
-/// worker who has answered, so one key never names two histories: under
-/// one key the log only grows, and the registry entries the index read do
-/// not change.
-#[derive(Debug)]
-pub(super) struct IndexKey(u64);
-
-impl IndexKey {
-    /// A key no engine has held.
-    pub(super) fn mint() -> Self {
-        // Relaxed: the counter publishes no other data, and `fetch_add`
-        // alone makes each key unique.
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        IndexKey(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl Clone for IndexKey {
-    /// A fresh key: the clone's log may diverge from its original's.
-    fn clone(&self) -> Self {
-        IndexKey::mint()
-    }
-}
-
 /// The answer log as it stood before its last `tail.len()` answers: what a
 /// run owed at an earlier crossing reads once more answers have arrived.
 /// The log is append-only, so the prefix is every row cut to its length
@@ -298,35 +276,23 @@ pub(super) struct LogPrefix<'a> {
     log: &'a AnswerLog,
     /// The answers recorded after the prefix, in arrival order.
     tail: &'a [Answer],
-    /// The key of the engine whose log this is; `None` for a one-off run,
-    /// whose index nothing extends.
-    key: Option<u64>,
 }
 
 impl<'a> LogPrefix<'a> {
-    /// Every answer of `log`, for one run.
+    /// Every answer of `log`.
     pub(super) fn whole(log: &'a AnswerLog) -> Self {
-        LogPrefix {
-            log,
-            tail: &[],
-            key: None,
-        }
+        LogPrefix::before(log, &[])
     }
 
-    /// `log` without `tail`, its latest answers in arrival order: the log
-    /// of the engine holding `key`.
-    pub(super) fn before(log: &'a AnswerLog, tail: &'a [Answer], key: &IndexKey) -> Self {
-        LogPrefix {
-            log,
-            tail,
-            key: Some(key.0),
-        }
+    /// `log` without `tail`, its latest answers in arrival order.
+    pub(super) fn before(log: &'a AnswerLog, tail: &'a [Answer]) -> Self {
+        LogPrefix { log, tail }
     }
 }
 
 /// What [`TruthInference::converge`] leaves beside the states, per worker
 /// of the log in ascending id order: flat `W × m` buffers, borrowed from
-/// the run's [`Workspace`].
+/// the run's [`RunIndex`] and [`Workspace`].
 pub(super) struct Converged<'a> {
     /// The log's workers, ascending.
     pub(super) workers: &'a [WorkerId],
@@ -337,25 +303,21 @@ pub(super) struct Converged<'a> {
     pub(super) weights: &'a [f64],
 }
 
-/// Every buffer of full inference: the run index over a log prefix — the
-/// dense worker index, the flat `W × m` initial qualities and Eq. 5
-/// denominators, the active cells with Step 2's credits, and Step 1's plan
-/// — beside the run's output qualities, likelihood table and scratch.
+/// The run index over a prefix of one engine's answer log: the dense
+/// worker index with each worker's `|T(w)|`, the flat `W × m` initial
+/// qualities and Eq. 5 denominators, the active cells with Step 2's
+/// credits, the `ℓ` slots of the likelihood tables, and Step 1's plan.
 ///
-/// The index is kept between runs, keyed by the [`IndexKey`] of the
-/// engine whose log it describes and by that prefix's per-task and
-/// per-worker counts. A run of the same key over a prefix no row of which
-/// is shorter extends it by the new answers alone; any other run clears it
-/// and extends it from empty, so a rebuild is the same code. Either way the
-/// index ends element for element what a fresh workspace builds over the
-/// prefix. Every buffer only ever grows, to the largest campaign its thread
-/// has converged. Working memory: no snapshot records it.
-#[derive(Debug, Default)]
-pub(super) struct Workspace {
-    /// The key of the log the index describes; `None` while nothing may
-    /// extend it (a fresh workspace, a one-off run, a set-up that did not
-    /// finish).
-    key: Option<u64>,
+/// The engine that owns the log keeps it between runs, and each run
+/// extends it by the answers that arrived since the prefix it describes;
+/// an empty index extends from empty, so a rebuild is the same code.
+/// Either way the index ends element for element what an empty index
+/// extends to over the prefix. It reads the golden-registry entries of the
+/// workers it holds, so a golden grading of a worker who has answered
+/// empties it. Every buffer only grows. Working memory: no snapshot
+/// records it, and a restored engine starts with an empty one.
+#[derive(Debug, Clone, Default)]
+pub(super) struct RunIndex {
     /// The prefix's workers, ascending id: worker `w` is `workers[w]`.
     workers: Vec<WorkerId>,
     /// Per worker, `|T(w)|` of the prefix.
@@ -364,17 +326,34 @@ pub(super) struct Workspace {
     qualities: Vec<f64>,
     /// Per worker, Eq. 5's denominators `û_k + Σ_{t ∈ T(w)} r^t_k`.
     den: Vec<f64>,
-    /// Per worker, `m` converged qualities: the run's output.
-    converged: Vec<f64>,
     cells: Cells,
-    likelihoods: Likelihoods,
+    /// The distinct `ℓ` of the campaign, ascending: the likelihood tables
+    /// after the hits hold the misses of each, in this order.
+    ells: Vec<usize>,
     /// Step 1's plan: per task, per support row in ascending `k`, one
     /// `(cell, choice)` per answer in `V(i)` order.
     plan: Vec<(u32, u32)>,
     task_plans: Vec<TaskPlan>,
-    s_new: Vec<f64>,
     /// The plan entries (answer, support row) the last set-up added.
     indexed: usize,
+}
+
+/// The scratch of full inference: the run's output qualities, its
+/// likelihood tables and the set-up's buffers. Nothing in it outlives a
+/// run, so every engine a thread runs shares one (see [`with_workspace`]);
+/// every buffer only grows, to the largest campaign its thread has
+/// converged.
+#[derive(Debug, Default)]
+pub(super) struct Workspace {
+    /// Per worker, `m` converged qualities: the run's output.
+    converged: Vec<f64>,
+    /// Eq. 4 per active cell, refreshed once per iteration instead of
+    /// evaluated per (answer, domain, choice): `1 + ℓ slots` tables of the
+    /// run's table width, one entry per cell and the rest unused — the
+    /// hits (an answer that matches the truth), then the misses of each
+    /// `ℓ` of [`RunIndex::ells`].
+    factors: Vec<f64>,
+    s_new: Vec<f64>,
     /// Set-up scratch: per task, `|V(i)|` of the new prefix; per task with
     /// new answers, its index and where its rows start in the old plan;
     /// per worker of the log, `|T(w)|` of the new prefix; per worker of the
@@ -405,7 +384,7 @@ pub(super) struct Workspace {
 /// `k`, worker after worker — with what Eq. 5 needs per cell. A domain
 /// whose registry evidence alone gives a non-finite Eq. 5 value is a cell
 /// too: its term of every Δ is NaN, never `+0.0`, so Step 2 must revisit it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Cells {
     /// `W + 1` entries: worker `w`'s cells are `ptr[w]..ptr[w + 1]`.
     ptr: Vec<u32>,
@@ -490,7 +469,7 @@ struct Credit {
 struct TaskPlan {
     /// `|V(i)|` of the prefix: the entries per support row.
     votes: u32,
-    /// Its `ℓ`'s slot in [`Likelihoods::ells`].
+    /// Its `ℓ`'s slot in [`RunIndex::ells`].
     slot: u32,
     /// Set-up only: `|supp(i)|`, the rows.
     rows: u32,
@@ -526,16 +505,14 @@ struct Grown {
 /// No index in the old index: a new worker or cell.
 const NEW: u32 = u32::MAX;
 
-impl Workspace {
-    /// Brings the index to the log prefix. A workspace keyed with `key`
-    /// whose counts no row of the prefix falls below already describes an
-    /// earlier prefix of the same log, and is extended by the new answers
-    /// alone; any other is cleared and extended from empty. The key is
-    /// dropped before any buffer changes and set once the index is whole.
-    fn index(
+impl RunIndex {
+    /// Brings the index to the log prefix, which no earlier prefix it
+    /// described is longer than: an index over no tasks yet (a new or
+    /// restored engine's, or one a golden grading emptied) is set up over
+    /// the arena's tasks first, then extended by the answers since.
+    fn update(
         &mut self,
-        key: Option<u64>,
-        tasks: &[Task],
+        ws: &mut Workspace,
         log: &AnswerLog,
         tail: &[Answer],
         registry: &WorkerRegistry,
@@ -543,46 +520,37 @@ impl Workspace {
     ) {
         // `|V(i)|` of the prefix: each tail answer is the last of its
         // `V(i)` so far, so the prefix cuts it off the end.
-        self.cut.clear();
-        self.cut
-            .extend(tasks.iter().map(|task| log.answer_count(task.id) as u32));
+        ws.cut.clear();
+        ws.cut
+            .extend(log.iter_tasks().map(|(_, votes)| votes.len() as u32));
         for answer in tail {
-            self.cut[answer.task.index()] -= 1;
+            ws.cut[answer.task.index()] -= 1;
         }
-        let extends = key.is_some()
-            && self.key == key
-            && self.task_plans.len() == tasks.len()
-            && self
-                .task_plans
-                .iter()
-                .zip(&self.cut)
-                .all(|(t, &cut)| t.votes <= cut);
-        self.key = None;
-        if !extends {
-            self.clear(tasks, states);
+        if self.task_plans.len() != states.len() {
+            self.clear(states);
         }
-        self.extend(tasks, log, tail, registry, states);
-        self.key = key;
+        self.extend(ws, log, tail, registry, states);
     }
 
-    /// The empty index over `tasks`: no worker, cell, credit or plan entry.
-    fn clear(&mut self, tasks: &[Task], states: &TaskArena) {
-        let ells = &mut self.likelihoods.ells;
+    /// The empty index over the arena's tasks: no worker, cell, credit or
+    /// plan entry.
+    fn clear(&mut self, states: &TaskArena) {
+        let num_choices = |i| states.support_and_s(i).1.len();
+        let ells = &mut self.ells;
         ells.clear();
-        ells.extend(tasks.iter().map(Task::num_choices));
+        ells.extend((0..states.len()).map(num_choices));
         ells.sort_unstable();
         ells.dedup();
         self.task_plans.clear();
-        self.task_plans
-            .extend(tasks.iter().enumerate().map(|(i, task)| {
-                let slot = ells.binary_search(&task.num_choices());
-                TaskPlan {
-                    votes: 0,
-                    slot: slot.expect("collected above") as u32,
-                    rows: states.support_and_s(i).0.len() as u32,
-                    voters_end: 0,
-                }
-            }));
+        self.task_plans.extend((0..states.len()).map(|i| {
+            let slot = ells.binary_search(&num_choices(i));
+            TaskPlan {
+                votes: 0,
+                slot: slot.expect("collected above") as u32,
+                rows: states.support_and_s(i).0.len() as u32,
+                voters_end: 0,
+            }
+        }));
         self.workers.clear();
         self.answered.clear();
         self.qualities.clear();
@@ -592,7 +560,7 @@ impl Workspace {
     }
 
     /// Extends the index from the prefix its counts describe to the one
-    /// `self.cut` and `tail` cut from `log`, by the answers in between: a
+    /// `ws.cut` and `tail` cut from `log`, by the answers in between: a
     /// row of initial qualities and weights per new worker, in its sorted
     /// place; the cells those answers credit, each in its sorted place,
     /// with their credits at the end of each cell's run; one entry per new
@@ -604,24 +572,25 @@ impl Workspace {
     /// are placed, and it is found once among its task's new answers.
     fn extend(
         &mut self,
-        tasks: &[Task],
+        ws: &mut Workspace,
         log: &AnswerLog,
         tail: &[Answer],
         registry: &WorkerRegistry,
         states: &TaskArena,
     ) {
         let m = registry.num_domains();
-        let Workspace {
+        let RunIndex {
             workers,
             answered,
             qualities,
             den,
-            converged,
             cells,
-            likelihoods,
+            ells,
             plan,
             task_plans,
             indexed,
+        } = self;
+        let Workspace {
             cut,
             grew,
             counts,
@@ -634,7 +603,7 @@ impl Workspace {
             staged,
             voters,
             ..
-        } = self;
+        } = ws;
 
         // The new answers per task, the plan entries they add, and each
         // task's run of the voters; the tasks with new answers, each with
@@ -644,7 +613,8 @@ impl Workspace {
         let (mut new_votes, mut new_entries, mut most_votes) = (0, 0, 0);
         let mut start = 0;
         for (i, (task, &cut)) in task_plans.iter_mut().zip(cut.iter()).enumerate() {
-            let (old, new, rows) = (task.votes, cut - task.votes, task.rows as usize);
+            let new = cut.checked_sub(task.votes).expect("the log only grows");
+            let (old, rows) = (task.votes, task.rows as usize);
             if new > 0 {
                 grew.push((i as u32, start as u32));
                 new_entries += new as usize * rows;
@@ -703,7 +673,7 @@ impl Workspace {
         let num_workers = workers.len();
         let bound = num_workers * m;
         assert!(
-            bound * (1 + likelihoods.ells.len()) <= u32::MAX as usize
+            bound * (1 + ells.len()) <= u32::MAX as usize
                 && states.all_s().len() <= u32::MAX as usize
                 && num_entries <= u32::MAX as usize,
             "a campaign indexable by u32"
@@ -719,7 +689,6 @@ impl Workspace {
         // Unseen workers carry zero weight and reduce to the plain Eq. 5.
         qualities.resize(bound, 0.0);
         den.resize(bound, 0.0);
-        converged.resize(bound, 0.0);
         for (w, mv) in moves.iter().enumerate().rev() {
             if mv.from == w as u32 {
                 break;
@@ -962,7 +931,7 @@ impl Workspace {
             let voters = &voters[..shape.voters_end as usize];
             let voters = &voters[voters.len() - (cut - old)..];
             staged.clear();
-            for &(id, choice) in &log.task_answers(tasks[i].id)[old..cut] {
+            for &(id, choice) in &log.task_answers(TaskId::from(i))[old..cut] {
                 let at = voters.binary_search_by_key(&id, |&(voter, ..)| voter);
                 let (_, base, _) = voters[at.expect("`V(i)` and `T(w)` hold the same answers")];
                 staged.push((base, choice as u32));
@@ -986,9 +955,6 @@ impl Workspace {
             task.votes = cut;
         }
 
-        let width = num_cells.next_power_of_two();
-        let factors = (1 + likelihoods.ells.len()) * width;
-        likelihoods.factors.resize(factors, 0.0);
         *indexed = new_entries;
         // A later extension remaps every cell of this index.
         remap.clear();
@@ -998,7 +964,7 @@ impl Workspace {
     /// The run's shape: `W × m`, its active cells, its plan's length and
     /// the entries its set-up added.
     #[cfg(test)]
-    fn shape(&self) -> RunShape {
+    pub(super) fn shape(&self) -> RunShape {
         RunShape {
             dense_cells: self.qualities.len(),
             cells: self.cells.len(),
@@ -1026,17 +992,11 @@ pub(super) struct RunShape {
     pub(super) indexed: usize,
 }
 
-/// The shape of the last full run on this thread's workspace.
-#[cfg(test)]
-pub(super) fn last_run_shape() -> RunShape {
-    with_workspace(|ws| ws.shape())
-}
-
-/// Everything of a [`Workspace`]'s index that Steps 1 and 2 read or that a
-/// later extension starts from, floats as bits: the workers and their
-/// counts, the `W × m` initial qualities and weights, the cells without
-/// their current quality, the credits, the plan and the task plans, and
-/// the likelihood tables' length.
+/// Everything of a [`RunIndex`] that Steps 1 and 2 read or that a later
+/// extension starts from, floats as bits: the workers and their counts,
+/// the `W × m` initial qualities and weights, the cells without their
+/// current quality, the credits, the plan, the task plans and the `ℓ`
+/// slots.
 #[cfg(test)]
 #[derive(Debug, PartialEq, Eq)]
 pub(super) struct IndexImage {
@@ -1049,12 +1009,11 @@ pub(super) struct IndexImage {
     plan: Vec<(u32, u32)>,
     task_plans: Vec<(u32, u32)>,
     ells: Vec<usize>,
-    factors: usize,
 }
 
 #[cfg(test)]
-impl Workspace {
-    fn image(&self) -> IndexImage {
+impl RunIndex {
+    pub(super) fn image(&self) -> IndexImage {
         let cells = &self.cells;
         IndexImage {
             workers: self
@@ -1083,37 +1042,29 @@ impl Workspace {
                 .collect(),
             plan: self.plan.clone(),
             task_plans: self.task_plans.iter().map(|t| (t.votes, t.slot)).collect(),
-            ells: self.likelihoods.ells.clone(),
-            factors: self.likelihoods.factors.len(),
+            ells: self.ells.clone(),
         }
     }
 }
 
-/// The index of the last full run on this thread's workspace.
-#[cfg(test)]
-pub(super) fn last_index() -> IndexImage {
-    with_workspace(|ws| ws.image())
-}
-
-/// The index a fresh workspace builds over all of `log`.
+/// The index an empty one extends to over all of `log`.
 #[cfg(test)]
 pub(super) fn fresh_index(
     tasks: &[Task],
     log: &AnswerLog,
     registry: &WorkerRegistry,
 ) -> IndexImage {
-    let mut ws = Workspace::default();
+    let mut index = RunIndex::default();
     let states = TaskArena::for_tasks(registry.num_domains(), tasks);
-    ws.index(None, tasks, log, &[], registry, &states);
-    ws.image()
+    index.update(&mut Workspace::default(), log, &[], registry, &states);
+    index.image()
 }
 
 thread_local! {
     /// The periodic full runs' [`Workspace`], one per thread: a shard
     /// thread converges its campaigns one at a time, so they share one
-    /// set of buffers sized by the largest of them instead of each holding
-    /// its own. Its index is the last run's: the next run extends it when
-    /// it is the same engine's, and rebuilds it from empty when not.
+    /// set of scratch buffers sized by the largest of them instead of each
+    /// holding its own.
     static WORKSPACE: RefCell<Workspace> = RefCell::default();
 }
 
@@ -1122,36 +1073,17 @@ pub(super) fn with_workspace<R>(run: impl FnOnce(&mut Workspace) -> R) -> R {
     WORKSPACE.with(|ws| run(&mut ws.borrow_mut()))
 }
 
-/// Eq. 4 per active cell, refreshed once per iteration instead of
-/// evaluated per (answer, domain, choice): `hit` for an answer that matches
-/// the truth, and one `miss` per distinct `ℓ` in the campaign.
-#[derive(Debug, Default)]
-struct Likelihoods {
-    /// `1 + ells.len()` tables of [`Likelihoods::width`] entries, one per
-    /// cell and the rest unused: the hits, then the misses of each `ℓ` of
-    /// `ells`, in that order.
-    factors: Vec<f64>,
-    /// The distinct `ℓ` of the campaign, ascending.
-    ells: Vec<usize>,
-}
-
-impl Likelihoods {
-    /// Each table's length: the cell count rounded up to a power of two,
-    /// so Step 1 can mask a cell into range instead of checking it.
-    fn width(&self) -> usize {
-        self.factors.len() / (1 + self.ells.len())
+/// Refreshes the likelihood tables of [`Workspace::factors`], each `width`
+/// entries, at the cells' `qualities`: Eq. 4's `hit` for an answer that
+/// matches the truth, then one `miss` per `ℓ` of `ells`.
+fn refresh_likelihoods(factors: &mut [f64], width: usize, ells: &[usize], qualities: &[f64]) {
+    let (hits, misses) = factors.split_at_mut(width);
+    for (hit, &q) in hits.iter_mut().zip(qualities) {
+        *hit = clamp_quality(q);
     }
-
-    fn refresh(&mut self, qualities: &[f64]) {
-        let width = self.width();
-        let (hits, misses) = self.factors.split_at_mut(width);
-        for (hit, &q) in hits.iter_mut().zip(qualities) {
-            *hit = clamp_quality(q);
-        }
-        for (table, &l) in misses.chunks_exact_mut(width).zip(&self.ells) {
-            for (miss, &hit) in table.iter_mut().zip(&hits[..qualities.len()]) {
-                *miss = miss_likelihood(hit, l);
-            }
+    for (table, &l) in misses.chunks_exact_mut(width).zip(ells) {
+        for (miss, &hit) in table.iter_mut().zip(&hits[..qualities.len()]) {
+            *miss = miss_likelihood(hit, l);
         }
     }
 }
@@ -1395,9 +1327,8 @@ mod tests {
             assert_eq!(run.deltas.is_empty(), max_iterations == 0);
             assert!(current(&run.states), "run, {max_iterations} iterations");
 
-            let mut snapshot = live.snapshot();
-            snapshot.max_iterations = max_iterations;
-            let mut engine = IncrementalTi::restore(snapshot).unwrap();
+            let restored = IncrementalTi::restore(live.snapshot()).unwrap();
+            let mut engine = restored.with_config(config);
             engine.run_full();
             assert!(current(engine.states()), "run_full, {max_iterations}");
         }

@@ -11,7 +11,7 @@
 // The loops stay index-for-index what the dense form was.
 #![allow(clippy::needless_range_loop)]
 
-use super::iterative::{fresh_index, last_index, TiConfig, TruthInference};
+use super::iterative::{fresh_index, TiConfig, TruthInference};
 use super::state::{clamp_quality, TaskArena};
 use super::stats::WorkerRegistry;
 use super::IncrementalTi;
@@ -391,10 +391,8 @@ fn assert_bit_identical(
     for answer in log.iter_answers() {
         engine.submit(answer).expect("the campaign's own answers");
     }
-    let mut snapshot = engine.snapshot();
-    snapshot.max_iterations = config.max_iterations;
-    snapshot.epsilon = config.epsilon;
-    let mut engine = IncrementalTi::restore(snapshot).expect("own snapshot");
+    let restored = IncrementalTi::restore(engine.snapshot()).expect("own snapshot");
+    let mut engine = restored.with_config(config);
     let deltas = engine.run_full().to_vec();
     // The replay is grouped by task, so `T(w)` is in another order than in
     // `log`: the dense loop runs on the engine's own log.
@@ -653,12 +651,12 @@ mod tests {
         }
 
         /// The run that just ended, over the first `n` answers fed, left
-        /// the index a fresh workspace builds over them: the same workers,
-        /// `W × m` rows, cells, credits and plan.
+        /// the engine the index an empty one extends to over them: the
+        /// same workers, `W × m` rows, cells, credits and plan.
         fn check_index(&self, n: usize, context: &str) {
             if self.index_too {
                 let fresh = fresh_index(&self.tasks, &self.prefix(n), &self.golden);
-                assert_eq!(last_index(), fresh, "{context}: the index");
+                assert_eq!(self.engine.index_image(), fresh, "{context}: the index");
             }
         }
 
@@ -784,7 +782,10 @@ mod tests {
     /// of one who has not, a crossing paid with a pending tail, `run_full`
     /// between crossings, a clone that diverges from its original and a
     /// restore mid-campaign. Every run leaves what a fresh run over its
-    /// prefix leaves.
+    /// prefix leaves: the other engine's runs on the thread do not disturb
+    /// an engine's index, a clone extends the index it copied along its own
+    /// log, and a golden grading of a worker who answered or a restore
+    /// empties the index.
     fn runs_follow_runs(seed: u64, sparsity: Sparsity, index_too: bool) {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x0E57_E4D5);
         let z = rng.gen_range(1..=6usize);
@@ -865,9 +866,9 @@ mod tests {
         }
 
         /// The structural twin: after every run in the same sequence, the
-        /// index the thread's workspace kept (extended, or rebuilt where
-        /// the run followed another engine's) is element for element the
-        /// one a fresh workspace builds over the run's prefix.
+        /// index the engine kept (extended, or rebuilt where a golden
+        /// grading or a restore emptied it) is element for element the one
+        /// an empty index extends to over the run's prefix.
         #[test]
         fn every_kept_index_is_a_fresh_build(seed in any::<u64>()) {
             for sparsity in Sparsity::ALL {
@@ -933,8 +934,8 @@ mod tests {
             engine.engine.last_deltas().iter().all(|d| d.is_nan()),
             "a non-finite cell keeps every Δ NaN"
         );
-        // Only now: the dense check runs an engine of its own on the
-        // thread, so between the runs above it would make each a rebuild.
+        // Then each prefix through the dense loop, which runs engines of
+        // its own on the thread.
         for n in 1..=stream.len() {
             let context = format!("non-finite, {n} answers");
             assert_bit_identical(

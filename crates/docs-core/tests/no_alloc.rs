@@ -4,7 +4,8 @@
 //! and a worker request's scan (a fixed number whatever the task count),
 //! full inference (an allocation count that neither the number of
 //! iterations nor the number of tasks moves, and none at all for a periodic
-//! run on a warm thread) and golden grading (the two registry entries).
+//! run whose engine's run index has room, on a thread whose scratch is
+//! warm) and golden grading (the two registry entries).
 //! Run with `--release` as well: the claim is about optimised code.
 
 use docs_core::ota::{benefit_with, Assigner, AssignerConfig, BenefitScratch, ScanScratch};
@@ -224,10 +225,11 @@ fn full_inference_allocations_do_not_grow_with_the_iteration_count() {
 
 /// The periodic full run converges into the engine's own arena and writes
 /// qualities and weights into the live registry in place: what it
-/// allocates, on a thread that has run nothing yet, is its workspace, as
+/// allocates, for an engine that has not run yet on a thread that has run
+/// nothing yet, is the engine's run index and the thread's scratch, as
 /// many buffers for 400 tasks as for 40. (Each count is taken on a fresh
-/// thread: the workspace is the thread's, so a second run on one thread
-/// would find it warm.)
+/// thread: the scratch is the thread's, so a second engine's run on one
+/// thread would find it warm.)
 #[test]
 fn a_periodic_full_run_allocates_the_same_for_any_task_count() {
     let run_full = |n| {
@@ -249,23 +251,24 @@ fn a_periodic_full_run_allocates_the_same_for_any_task_count() {
     assert_eq!(run_full(400), small, "400 tasks against 40");
 }
 
-/// The periodic full run as `submit` reaches it, once this thread has run
-/// a campaign of the same size and the engine has run once: the answer
-/// that crosses `z` the second time is recorded in buffers that already
-/// have room, and the run refills the thread's workspace and the engine's
+/// The periodic full run as `submit` reaches it, once the engine's run
+/// index has room for the run's new answer and this thread's scratch has
+/// served the campaign. At `z = 1` every answer crosses: the batch of all
+/// but the last two answers pays one run, which builds the index and sizes
+/// the scratch; the next answer's run extends the index by one answer,
+/// growing its plan and credits as `Vec` grows, geometrically. The last
+/// answer's run, counted, is recorded in buffers that already have room,
+/// extends the index within them and refills the scratch and the engine's
 /// Δ buffer in place.
 #[test]
 fn a_warm_periodic_full_run_through_submit_allocates_nothing() {
     let (tasks, log) = campaign(40);
     let answers: Vec<Answer> = log.iter_answers().collect();
     let (last, before) = answers.split_last().unwrap();
-    let mut warm = IncrementalTi::new(tasks.clone(), WorkerRegistry::new(6, 0.7), 0);
-    warm.submit_batch(&answers).unwrap();
-    warm.run_full();
-    let z = answers.len() / 2;
-    let mut engine = IncrementalTi::new(tasks, WorkerRegistry::new(6, 0.7), z);
-    engine.submit_batch(before).unwrap();
-    assert_eq!(engine.submissions(), 2 * z - 1);
+    let (next, batch) = before.split_last().unwrap();
+    let mut engine = IncrementalTi::new(tasks, WorkerRegistry::new(6, 0.7), 1);
+    engine.submit_batch(batch).unwrap();
+    assert!(engine.submit(*next).unwrap(), "every answer crosses z");
     let (allocations, ran) = allocations_during(|| engine.submit(*last));
     assert!(ran.unwrap(), "the last answer crosses z");
     assert_eq!(allocations, 0, "a warm periodic full run");

@@ -26,8 +26,8 @@
 //!   round-trip), [`ServiceHandle::submit`] (returns a [`Ticket`] — a
 //!   one-shot completion handle — so one client thread can keep many
 //!   requests in flight per shard) and [`ServiceHandle::try_submit`],
-//! * **Backpressure**: per-shard ingress queues are bounded
-//!   ([`ServiceConfig::queue_capacity`]); `submit` and `call` park on a
+//! * **Backpressure**: per-shard ingress queues are bounded (1 024
+//!   requests); `submit` and `call` park on a
 //!   full queue while `try_submit` fails fast with
 //!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections`
 //!   counter,

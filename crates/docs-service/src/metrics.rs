@@ -225,8 +225,8 @@ struct ShardCounters {
 pub struct ShardStats {
     /// Requests currently queued on (or executing at) the shard, plus
     /// blocking submitters parked on its bounded ingress queue — total
-    /// demand, which can exceed `ServiceConfig::queue_capacity` while
-    /// backpressure is engaged.
+    /// demand, which can exceed the queue's bound while backpressure is
+    /// engaged.
     pub queued: usize,
     /// Deepest `queued` has ever been (demand high-water mark; same
     /// parked-submitter caveat as `queued`).

@@ -13,7 +13,7 @@
 //!   and requests for one campaign keep the paper's strict arrival-order
 //!   serialization.
 //! * **Ingress is bounded**: each shard's queue admits at most
-//!   [`ServiceConfig::queue_capacity`] requests. `submit` and `call` park
+//!   `QUEUE_CAPACITY` (1 024) requests. `submit` and `call` park
 //!   until a slot frees (backpressure); `try_submit` fails fast with
 //!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections` counter
 //!   instead of letting the queue grow without limit.
@@ -171,12 +171,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Event-log durability; `None` keeps every campaign memory-only.
     pub durability: Option<DurabilityConfig>,
-    /// Per-shard ingress-queue bound: at most this many requests can sit
-    /// in a shard's queue (one more may already be executing on the shard
-    /// thread, so worst-case in-shard demand is `queue_capacity + 1`).
-    /// `submit` and `call` park until a slot frees; `try_submit` fails
-    /// fast with [`ServiceError::Busy`]. `0` is treated as `1`.
-    pub queue_capacity: usize,
     /// The role the pool starts in. A [`ReplicaRole::Follower`] refuses
     /// every mutation with [`RejectReason::ReadOnlyReplica`], serves the
     /// pure reads locally, and accepts the replication plane (snapshot
@@ -198,7 +192,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 0,
             durability: None,
-            queue_capacity: Self::DEFAULT_QUEUE_CAPACITY,
             role: ReplicaRole::Primary,
             replication: None,
             trace_sample_every: 0,
@@ -206,12 +199,15 @@ impl Default for ServiceConfig {
     }
 }
 
-impl ServiceConfig {
-    /// Default per-shard ingress bound: deep enough that pipelined clients
-    /// never notice it, shallow enough that a stalled shard pushes back
-    /// instead of buffering unboundedly.
-    pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
+/// Per-shard ingress bound: at most this many requests sit in a shard's
+/// queue (one more may be executing on the shard thread, so worst-case
+/// in-shard demand is one more). Deep enough that pipelined clients never
+/// notice it, shallow enough that a stalled shard pushes back instead of
+/// buffering unboundedly: `submit` and `call` park until a slot frees,
+/// `try_submit` fails fast with [`ServiceError::Busy`].
+pub(crate) const QUEUE_CAPACITY: usize = 1024;
 
+impl ServiceConfig {
     /// A memory-only pool of `shards` shard threads.
     pub fn sharded(shards: usize) -> Self {
         ServiceConfig {
@@ -334,7 +330,7 @@ impl DocsService {
         config: ServiceConfig,
     ) -> Result<(DocsService, ServiceHandle), ServiceError> {
         let metrics = ServiceMetrics::new(config.num_shards());
-        Self::spawn_pool(&config, Vec::new(), metrics)
+        Self::spawn_pool(&config, Vec::new(), metrics, QUEUE_CAPACITY)
     }
 
     /// Rebuilds the full multi-campaign service from its durability
@@ -385,17 +381,20 @@ impl DocsService {
                 .unwrap_or(durability.default_flush);
             recovered.push((*id, docs, policy, campaign.last_seq));
         }
-        Self::spawn_pool(&config, recovered, metrics)
+        Self::spawn_pool(&config, recovered, metrics, QUEUE_CAPACITY)
     }
 
     /// Builds every shard — opening its log and writing its recovery
     /// baselines, so a failure is the caller's error rather than a dead
-    /// shard thread — then starts one thread per shard. The handle-level id
-    /// allocator starts past every recovered id.
+    /// shard thread — then starts one thread per shard, its ingress queue
+    /// bounded at `queue_capacity` requests ([`QUEUE_CAPACITY`]; tests pass
+    /// others). The handle-level id allocator starts past every recovered
+    /// id.
     fn spawn_pool(
         config: &ServiceConfig,
         recovered: Vec<Recovered>,
         metrics: ServiceMetrics,
+        queue_capacity: usize,
     ) -> Result<(DocsService, ServiceHandle), ServiceError> {
         let shards = config.num_shards();
         metrics.set_trace_sampling(config.trace_sample_every);
@@ -424,7 +423,7 @@ impl DocsService {
                 // The ingress bound is the pool's admission control:
                 // blocking submissions park on a full queue, fail-fast ones
                 // bounce.
-                let (tx, rx) = sync_channel::<Inbound>(config.queue_capacity.max(1));
+                let (tx, rx) = sync_channel::<Inbound>(queue_capacity);
                 let crash = Arc::clone(&crash);
                 let join = std::thread::Builder::new()
                     .name(format!("docs-shard-{index}"))
@@ -464,9 +463,9 @@ impl DocsService {
 pub(crate) mod tests {
     use super::*;
     use crate::handle::Op;
-    use crate::message::{Request, Response};
+    use crate::message::{BatchOutcome, Request, Response};
     use crate::metrics::OpKind;
-    use crate::ticket::TicketWait;
+    use crate::ticket::{Ticket, TicketWait};
     use docs_kb::table2_example_kb;
     use docs_system::{DocsConfig, WorkRequest};
     use docs_types::{Answer, TaskBuilder, TaskId, WorkerId};
@@ -617,15 +616,18 @@ pub(crate) mod tests {
         assert_eq!((outcome.accepted, outcome.rejected), (1, vec![]));
     }
 
+    /// A pool of `config`'s shards whose ingress queues hold `capacity`
+    /// requests each.
+    fn spawn_with_capacity(config: ServiceConfig, capacity: usize) -> (DocsService, ServiceHandle) {
+        let metrics = ServiceMetrics::new(config.num_shards());
+        DocsService::spawn_pool(&config, Vec::new(), metrics, capacity).unwrap()
+    }
+
     #[test]
     fn round_trip_golden_then_tasks_then_report() {
-        // A zero capacity is a one-slot queue, not an unbounded one.
-        for capacity in [ServiceConfig::DEFAULT_QUEUE_CAPACITY, 0] {
-            let config = ServiceConfig {
-                queue_capacity: capacity,
-                ..Default::default()
-            };
-            let (service, handle) = DocsService::spawn_empty(config).unwrap();
+        // The deployed bound, and a one-slot queue.
+        for capacity in [QUEUE_CAPACITY, 1] {
+            let (service, handle) = spawn_with_capacity(ServiceConfig::default(), capacity);
             let c = handle.create_campaign(published(9, None)).unwrap();
             let w = WorkerId(0);
             let golden = match handle.call(Op::request_tasks(c, w)).unwrap() {
@@ -658,10 +660,81 @@ pub(crate) mod tests {
                 assert_eq!(ticket.wait().unwrap().answers_collected, 3);
             }
             let demand = handle.metrics().shard(0).max_queued;
-            assert!(demand <= capacity.max(1) + 2, "{capacity}: {demand}");
+            assert!(demand <= capacity + 2, "{capacity}: {demand}");
             drop(handle);
             service.join_all();
         }
+    }
+
+    /// A multi-client pipelined drive through a tiny bounded ingress queue:
+    /// four client threads, each keeping its last submission's ticket in
+    /// flight behind its next HIT request, on a two-shard pool whose queues
+    /// hold two requests. Backpressure may park submitters but must lose
+    /// nothing: the final report accounts for every accepted answer, and
+    /// the drained pool shows no stuck depth or unresolved tickets.
+    #[test]
+    fn bounded_ingress_backpressure_loses_no_answers() {
+        let (service, handle) = spawn_with_capacity(ServiceConfig::sharded(2), 2);
+        let n = 18;
+        let campaign = handle.create_campaign(published(n, None)).unwrap();
+        let clients: Vec<_> = (0..4u32)
+            .map(|client| {
+                let handle = handle.clone();
+                std::thread::spawn(move || {
+                    // Three workers per client, arriving in turn; a
+                    // submission's ack is harvested after the next request.
+                    let workers = [0, 4, 8].map(|w| WorkerId(w + client));
+                    let mut accepted = 0;
+                    let mut golden_ack: Option<Ticket<()>> = None;
+                    let mut batch_ack: Option<Ticket<BatchOutcome>> = None;
+                    for arrival in 0..200 {
+                        let w = workers[arrival % workers.len()];
+                        let work = handle.call(Op::request_tasks(campaign, w)).unwrap();
+                        if let Some(ticket) = golden_ack.take() {
+                            ticket.wait().unwrap();
+                        }
+                        if let Some(ticket) = batch_ack.take() {
+                            accepted += ticket.wait().unwrap().accepted;
+                        }
+                        match work {
+                            WorkRequest::Golden(golden) => {
+                                let answers = golden.iter().map(|&g| (g, g.index() % 2)).collect();
+                                let op = Op::submit_golden(campaign, w, answers);
+                                golden_ack = Some(handle.submit(op).unwrap());
+                            }
+                            WorkRequest::Tasks(hit) => {
+                                let answers = hit
+                                    .into_iter()
+                                    .map(|t| Answer::new(w, t, (t.index() + w.0 as usize) % 2))
+                                    .collect();
+                                let op = Op::submit_answer_batch(campaign, answers);
+                                batch_ack = Some(handle.submit(op).unwrap());
+                            }
+                            WorkRequest::Done => break,
+                        }
+                    }
+                    if let Some(ticket) = golden_ack {
+                        ticket.wait().unwrap();
+                    }
+                    if let Some(ticket) = batch_ack {
+                        accepted += ticket.wait().unwrap().accepted;
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        let accepted: usize = clients.into_iter().map(|c| c.join().unwrap()).sum();
+        let report = handle.call(Op::finish(campaign)).unwrap();
+        assert_eq!(
+            accepted, report.answers_collected,
+            "backpressure lost answers"
+        );
+        assert!(report.answers_collected >= n * 2, "budget consumed");
+        let shards = handle.metrics().all_shards();
+        assert!(shards.iter().all(|s| s.queued == 0), "queues drained");
+        assert!(shards.iter().all(|s| s.in_flight == 0), "tickets resolved");
+        drop(handle);
+        service.join_all();
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Integration tests for the pipelined submission/completion service API:
 //! the pipelined crowd driver must be **byte-identical** to the blocking
-//! driver for every `service shards × task_shards` combination, typed
-//! rejections must travel the wire intact, and bounded ingress queues must
-//! push back without losing work.
+//! driver for every `service shards × task_shards` combination, and typed
+//! rejections must travel the wire intact.
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_scenarios::{drive_workers_blocking_on, drive_workers_on, DriveReport};
@@ -123,44 +122,6 @@ fn pipelined_truths_equal_blocking_truths_for_every_shard_combination() {
             }
         }
     }
-}
-
-/// A multi-client pipelined drive through a tiny bounded ingress queue:
-/// backpressure may park submitters but must lose nothing — the final
-/// report accounts for every accepted answer, and the drained pool shows
-/// no stuck depth or unresolved tickets.
-#[test]
-fn bounded_ingress_backpressure_loses_no_answers() {
-    let config = ServiceConfig {
-        queue_capacity: 2,
-        ..ServiceConfig::sharded(2)
-    };
-    let (service, handle) = DocsService::spawn_empty(config).unwrap();
-    let campaign = handle.create_campaign(publish(18, 4, 2)).unwrap();
-    let tasks = published_tasks(18);
-    let pop = population(12, 0x77);
-    let report = drive_workers_on(
-        &handle,
-        campaign,
-        tasks,
-        &pop,
-        AnswerModel::DomainUniform,
-        4,
-        0x77,
-    )
-    .unwrap();
-    let final_report = handle.call(Op::finish(campaign)).unwrap();
-    assert_eq!(
-        report.total_answers(),
-        final_report.answers_collected,
-        "backpressure lost answers"
-    );
-    assert!(final_report.answers_collected >= 18 * 4, "budget consumed");
-    let shards = handle.metrics().all_shards();
-    assert!(shards.iter().all(|s| s.queued == 0), "queues drained");
-    assert!(shards.iter().all(|s| s.in_flight == 0), "tickets resolved");
-    drop(handle);
-    service.join_all();
 }
 
 /// Answers that arrive after the budget is consumed are absorbed end to
