@@ -211,6 +211,68 @@ pub fn benefit_with(scratch: &mut BenefitScratch, state: TaskView<'_>, quality: 
     state.entropy() - expected_posterior_entropy_with(scratch, state, quality)
 }
 
+/// How far below the running `k`-th benefit a task's bound must fall before
+/// the scan skips the task's kernel. Each bound below is a theorem about
+/// the exact benefit; the kernel's float result can overshoot it by a few
+/// ulps of `ln 2`, far below this margin, so a skipped task's benefit is
+/// strictly below the `k`-th and cannot change the picks.
+pub(super) const BOUND_MARGIN: f64 = 1e-9;
+
+/// Upper bounds on [`benefit_with`] for one requesting worker, from the
+/// task's cached `H(s)` and the worker's per-domain channel:
+///
+/// * every task: `B ≤ H(s)`, since Definition 5 subtracts an expected
+///   entropy, which is `≥ 0`;
+/// * an `ℓ = 2` task with one support row `k`: Eq. 8 is then an exact Bayes
+///   update of that row through a binary symmetric channel with
+///   `hit = clamp_quality(q_k)`, so `B` is the mutual information between
+///   the truth and the answer, at most the channel's capacity
+///   `C = ln 2 − H(hit, 1 − hit)` and at most `(2·hit − 1)²·H(s)`, the
+///   strong data-processing bound of Ahlswede & Gács.
+///
+/// A task with several support rows or `ℓ > 2` keeps `H(s)` only: Eq. 2's
+/// `ŝ` mixes the rows' posteriors, and a mixture can exceed the capacity
+/// of every row's channel (`ota::tests::a_mixture_can_exceed_the_capacity`).
+/// `C` and `(2·hit − 1)²` are computed per domain on first use in a
+/// request, into buffers the scan reuses.
+#[derive(Debug, Default)]
+pub(super) struct BenefitBounds {
+    /// Per domain, `[C, (2·hit − 1)²]` once computed for this request's
+    /// worker.
+    by_domain: Vec<Option<[f64; 2]>>,
+}
+
+impl BenefitBounds {
+    /// Forgets the last worker's bounds: `m` domains, none computed.
+    pub(super) fn reset(&mut self, m: usize) {
+        self.by_domain.clear();
+        self.by_domain.resize(m, None);
+    }
+
+    /// An upper bound on `benefit_with(_, state, quality)`, up to the
+    /// kernel's rounding. NaN (a NaN quality) bounds nothing.
+    #[inline]
+    pub(super) fn bound(&mut self, state: TaskView<'_>, quality: &[f64]) -> f64 {
+        let h = state.entropy();
+        match *state.support() {
+            [(k, _)] if state.num_choices() == 2 => {
+                let [capacity, contraction] =
+                    *self.by_domain[k].get_or_insert_with(|| binary_channel(quality[k]));
+                capacity.min(contraction * h)
+            }
+            _ => h,
+        }
+    }
+}
+
+/// `[C, (2·hit − 1)²]` of the binary symmetric channel of a worker with
+/// quality `q`: its capacity and its strong data-processing coefficient.
+pub(super) fn binary_channel(q: f64) -> [f64; 2] {
+    let hit = clamp_quality(q);
+    let capacity = std::f64::consts::LN_2 - entropy_2([hit, miss_likelihood(hit, 2)]);
+    [capacity, (2.0 * hit - 1.0) * (2.0 * hit - 1.0)]
+}
+
 /// Test oracle: Eq. 8 composed from the public textbook forms, one
 /// allocation per intermediate — what `expected_posterior_entropy_with` was
 /// before the support-row kernel.

@@ -1,20 +1,18 @@
 //! Top-`k` selection of `(benefit, task)` pairs.
 //!
-//! The paper selects the top `k` benefits with a linear-time selection
-//! algorithm (the PICK algorithm of Blum et al. [7]); we use the standard
-//! library's introselect (`select_nth_unstable_by`), which has the same
-//! expected-linear behaviour. The full-sort variant [`top_k_by_sort`] is the
-//! baseline the `ablation_topk` bench calls directly, and what
-//! `AssignerConfig::linear_select = false` selects (set only by a unit
-//! test).
+//! The benefit scan keeps each shard's running top-`k` in a `k`-slot
+//! buffer ([`offer`]) instead of a slot per candidate, then runs
+//! [`cut_to_top_k`] once over the shards' survivors. Since every shard
+//! keeps its own best `k`, the survivors provably contain the global
+//! winners, and because the order is total (task ids are distinct) the cut
+//! reproduces a single top-`k` over every candidate bit-for-bit (same
+//! ordering, same tie-breaks); [`check_shard_top_k`] enforces the
+//! per-shard half of that argument.
 //!
-//! The sharded benefit scan runs [`cut_to_top_k`] on each shard's
-//! candidates in place, then once more over the survivors. Since every
-//! shard keeps its own best `k`, the survivors provably contain the global
-//! winners, and because the order is total (task ids are distinct) the
-//! second cut reproduces the single-scan selection bit-for-bit (same
-//! ordering, same tie-breaks); [`check_shard_top_k`] enforces the per-shard
-//! half of that argument.
+//! [`top_k_linear`] (the paper's linear-time selection, here the standard
+//! library's introselect) and the full-sort [`top_k_by_sort`] select over
+//! a whole candidate list: the tests' textbook top-`k` and the baselines
+//! the `ablation_topk` bench calls directly.
 
 use docs_types::{Error, Result, TaskId};
 use std::cmp::Ordering;
@@ -47,6 +45,28 @@ pub(crate) fn cut_to_top_k(candidates: &mut [(f64, TaskId)], k: usize) -> usize 
     }
     candidates[..kept].sort_unstable_by(by_benefit_desc);
     kept
+}
+
+/// Offers a candidate to a running top-`k`: `top[..*len]` holds the best
+/// candidates offered so far, sorted by descending benefit with ties toward
+/// lower task ids, and `top.len()` is `k`. The candidate is inserted in its
+/// place, pushing out the last one when the buffer is full, or dropped if
+/// it ranks after all `k`. Allocates nothing.
+#[inline]
+pub(crate) fn offer(top: &mut [(f64, TaskId)], len: &mut usize, candidate: (f64, TaskId)) {
+    let mut at = if *len < top.len() {
+        *len += 1;
+        *len - 1
+    } else if by_benefit_desc(&candidate, &top[top.len() - 1]) == Ordering::Less {
+        top.len() - 1
+    } else {
+        return;
+    };
+    while at > 0 && by_benefit_desc(&candidate, &top[at - 1]) == Ordering::Less {
+        top[at] = top[at - 1];
+        at -= 1;
+    }
+    top[at] = candidate;
 }
 
 /// Full-sort top-`k` — O(n log n), the ablation baseline.
@@ -194,6 +214,28 @@ mod tests {
         let unsorted = cand(&[(0.1, 0), (0.9, 1)]);
         let err = check_shard_top_k(0, &unsorted, 2, 2).unwrap_err();
         assert!(err.to_string().contains("sorted"), "{err}");
+    }
+
+    #[test]
+    fn a_running_top_k_equals_the_selection_over_every_offer() {
+        let mut x: u64 = 0x5EED;
+        let mut all = Vec::new();
+        for t in 0..300u32 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Few distinct benefits, so ties are common.
+            all.push(((x >> 60) as f64 / 16.0, TaskId(t)));
+        }
+        for k in [1, 2, 7, 299, 300, 400] {
+            let mut top = vec![(0.0, TaskId(0)); k];
+            let mut len = 0;
+            for &candidate in &all {
+                offer(&mut top, &mut len, candidate);
+            }
+            let running: Vec<TaskId> = top[..len].iter().map(|&(_, t)| t).collect();
+            assert_eq!(running, top_k_linear(all.clone(), k), "k = {k}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use super::oracle::{campaign, Sparsity};
 use super::state::{clamp_quality, miss_likelihood, RESCALE_BELOW};
 use super::{IncrementalTi, TruthInference, WorkerRegistry, WorkerStats};
+use crate::ota::{Assigner, AssignerConfig, ScanScratch};
 use docs_types::{
     codec, Answer, AnswerLog, ChoiceIndex, DomainVector, Task, TaskBuilder, TaskId, WorkerId,
 };
@@ -362,6 +363,70 @@ fn the_paper_shaped_runs_do_the_pinned_work() {
     assert_eq!(
         indexed, 6_518,
         "the entries the periodic runs and the last one indexed"
+    );
+}
+
+/// The OTA scan's work over a campaign replayed through one engine at
+/// period `z`: before every `every`-th answer its worker requests a HIT
+/// of `k` tasks under the answer cap, through one reused [`ScanScratch`].
+/// Returns the requests, the eligible tasks summed over them and the
+/// benefit-kernel evaluations the bounds left.
+fn scan_work(
+    (tasks, stream, registry): (Vec<Task>, Vec<Answer>, WorkerRegistry),
+    z: usize,
+    (k, cap, every): (usize, usize, usize),
+) -> (usize, usize, usize) {
+    let assigner = Assigner::new(AssignerConfig {
+        k,
+        max_answers_per_task: Some(cap),
+        ..Default::default()
+    });
+    let mut scratch = ScanScratch::new(registry.num_domains());
+    let mut engine = IncrementalTi::new(tasks, registry, z);
+    let (mut requests, mut eligible, mut evaluated) = (0, 0, 0);
+    for (j, &answer) in stream.iter().enumerate() {
+        if j % every == 0 {
+            let quality = engine.registry().quality(answer.worker);
+            let (tasks, states, log, sharding, ()) = engine.assign_view();
+            let picks = assigner.assign_sharded_with(
+                &mut scratch,
+                &quality,
+                tasks,
+                states,
+                sharding,
+                |t| log.has_answered(answer.worker, t),
+                |t| log.answer_count(t),
+            );
+            let (e, v) = scratch.last_work();
+            assert!(picks.len() == k.min(e) && v <= e, "request {requests}");
+            (requests, eligible, evaluated) = (requests + 1, eligible + e, evaluated + v);
+        }
+        engine.submit(answer).expect("the campaign's own answers");
+    }
+    (requests, eligible, evaluated)
+}
+
+/// The OTA scan's work as exact counts, so a change to it shows up as
+/// "did less work" whatever the machine's noise: eligible tasks and
+/// benefit-kernel evaluations summed over the requests of the
+/// paper-shaped campaign (`k = 20`, 10 answers per task, `z = 100`, a
+/// request every 20 answers of its round-robin stream) and of a
+/// tenants-shaped one (`k = 4`, 4 answers per task, `z = 50`, a request
+/// every 4 answers). Every eligible task not evaluated was skipped on its
+/// benefit bound.
+#[test]
+fn the_replayed_requests_do_the_pinned_scan_work() {
+    let (tasks, log, registry) = paper_shaped();
+    let stream = round_robin(&log);
+    assert_eq!(
+        scan_work((tasks, stream, registry), 100, (20, 10, 20)),
+        (190, 44_024, 28_180),
+        "paper-shaped: requests, Σ eligible, Σ evaluated"
+    );
+    assert_eq!(
+        scan_work(tenants_shaped(1), 50, (4, 4, 4)),
+        (120, 10_752, 7_085),
+        "tenants-shaped: requests, Σ eligible, Σ evaluated"
     );
 }
 

@@ -124,9 +124,14 @@ impl IncrementalTi {
     /// `z = 100`).
     ///
     /// # Panics
-    /// Panics if a task lacks its domain vector or that vector is not of the
-    /// registry's length `m`.
+    /// Panics if a task's id is not its position (the OTA scan names task
+    /// `i` by `i`; [`IncrementalTi::restore`] refuses the same), or a task
+    /// lacks its domain vector or that vector is not of the registry's
+    /// length `m`.
     pub fn new(tasks: Vec<Task>, registry: WorkerRegistry, z: usize) -> Self {
+        if let Some((i, task)) = tasks.iter().enumerate().find(|(i, t)| t.id.index() != *i) {
+            panic!("task {i} has id {}: ids are positions", task.id);
+        }
         let states = TaskArena::for_tasks(registry.num_domains(), &tasks);
         let log = AnswerLog::new(tasks.len());
         let sharding = ShardedTiState::new(tasks.len(), 1);
@@ -421,6 +426,16 @@ impl IncrementalTi {
     pub fn run_full(&mut self) -> &[f64] {
         self.supersede();
         self.converge();
+        &self.deltas
+    }
+
+    /// A finished campaign's last full run: [`IncrementalTi::run_full`],
+    /// then the run index is released, as no periodic run follows. Should
+    /// one ever be needed, the empty index rebuilds from empty, as a
+    /// restored engine's does.
+    pub fn run_final(&mut self) -> &[f64] {
+        self.run_full();
+        self.index = RunIndex::default();
         &self.deltas
     }
 

@@ -11,7 +11,7 @@
 // The loops stay index-for-index what the dense form was.
 #![allow(clippy::needless_range_loop)]
 
-use super::iterative::{fresh_index, TiConfig, TruthInference};
+use super::iterative::{fresh_index, RunIndex, TiConfig, TruthInference};
 use super::state::{clamp_quality, TaskArena};
 use super::stats::WorkerRegistry;
 use super::IncrementalTi;
@@ -946,6 +946,34 @@ mod tests {
                 &context,
             );
         }
+    }
+
+    /// A finished campaign's last run releases the run index: the engine
+    /// holds an empty one afterwards, and any run that still follows
+    /// rebuilds it from empty into what a fresh run over its prefix leaves.
+    #[test]
+    fn a_final_run_releases_the_index_and_a_later_run_is_a_fresh_run() {
+        let (tasks, log, registry) = campaign(5, Sparsity::Mixed);
+        let stream: Vec<Answer> = log.iter_answers().collect();
+        let half = stream.len() / 2;
+        let mut a = Tracked::new(&tasks, &registry, 4);
+        a.index_too = true;
+        for &answer in &stream[..half] {
+            a.submit(answer, "before the final run");
+        }
+        a.engine.run_final();
+        assert_eq!(
+            a.engine.index_image(),
+            RunIndex::default().image(),
+            "the index after the final run"
+        );
+        a.index_too = false;
+        a.check(half, "the final run");
+        a.index_too = true;
+        for &answer in &stream[half..] {
+            a.submit(answer, "after the final run");
+        }
+        a.run_full("after the final run");
     }
 
     #[test]

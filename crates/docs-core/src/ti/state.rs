@@ -421,7 +421,7 @@ impl TaskArena {
     /// # Panics
     /// Panics if either length differs from this arena's (restore checks
     /// them first, naming the field).
-    pub(super) fn load(&mut self, m_hat: &[f64], s: &[f64]) {
+    pub(crate) fn load(&mut self, m_hat: &[f64], s: &[f64]) {
         self.m_hat.copy_from_slice(m_hat);
         self.s.copy_from_slice(s);
         for i in 0..self.len() {

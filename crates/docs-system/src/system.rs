@@ -172,6 +172,11 @@ pub struct Docs {
     /// The OTA scan's buffers, reused by every request. Working state: no
     /// snapshot records it.
     scan: ScanScratch,
+    /// Per task, whether the requesting worker answered it: `T(w)` marked
+    /// at the start of a request and unmarked at its end, so the scan reads
+    /// one flag per task. Sized at publish or restore; working state: no
+    /// snapshot records it.
+    answered: Vec<bool>,
     /// The `(worker, task)` pairs of the answer batch being filtered or the
     /// event being validated, cleared per call. Working state: no snapshot
     /// records it.
@@ -190,6 +195,13 @@ impl Docs {
         check_config(&config)?;
         if tasks.is_empty() {
             return Err(Error::Empty("task set"));
+        }
+        // Golden selection and the OTA scan name task `i` by its position.
+        if let Some((i, task)) = tasks.iter().enumerate().find(|(i, t)| t.id.index() != *i) {
+            return Err(Error::Storage(format!(
+                "task {i} has id {}: task ids are positions",
+                task.id
+            )));
         }
         let m = kb.num_domains();
         // ① DVE.
@@ -227,12 +239,14 @@ impl Docs {
         let engine =
             IncrementalTi::new(tasks, registry, config.z).with_shards(config.task_shards.max(1));
         Ok(Docs {
+            // The request buffers, sized from the engine it then takes.
+            scan: ScanScratch::new(engine.registry().num_domains()),
+            answered: vec![false; engine.tasks().len()],
             engine,
             golden_ids,
             seen_workers: HashSet::new(),
             config,
             store,
-            scan: ScanScratch::default(),
             batch_seen: HashSet::new(),
         })
     }
@@ -360,10 +374,16 @@ impl Docs {
         let stopping = self.config.stopping;
         let engine = &self.engine;
         let (states, log) = (engine.states(), engine.log());
+        let marks = &mut self.answered;
+        let own = log.worker_answers(worker);
+        for &(t, _) in own {
+            marks[t.index()] = true;
+        }
+        let marked = &*marks;
         // Adaptive stopping excludes confident tasks the same way an
         // already-answered task is excluded.
         let answered = |t: docs_types::TaskId| {
-            log.has_answered(worker, t)
+            marked[t.index()]
                 || stopping.is_some_and(|policy| {
                     policy.should_stop(states.view(t.index()), log.answer_count(t))
                 })
@@ -379,6 +399,9 @@ impl Docs {
             answered,
             |t| log.answer_count(t),
         );
+        for &(t, _) in own {
+            marks[t.index()] = false;
+        }
         if picks.is_empty() {
             WorkRequest::Done
         } else {
@@ -614,7 +637,7 @@ impl Docs {
     /// loaded at publish, whose stored copy another requester may have
     /// updated since — then compacts the store.
     fn apply_finished(&mut self) -> Result<()> {
-        self.engine.run_full();
+        self.engine.run_final();
         if let Some(store) = self.store.clone() {
             for worker in self.sorted_seen_workers() {
                 self.persist_worker(worker)?;
@@ -689,12 +712,14 @@ impl Docs {
             None => None,
         };
         Ok(Docs {
+            // The request buffers, sized from the engine it then takes.
+            scan: ScanScratch::new(engine.registry().num_domains()),
+            answered: vec![false; engine.tasks().len()],
             engine,
             golden_ids: snapshot.golden_ids,
             seen_workers: snapshot.seen_workers.into_iter().collect(),
             config: snapshot.config,
             store,
-            scan: ScanScratch::default(),
             batch_seen: HashSet::new(),
         })
     }
@@ -1418,6 +1443,18 @@ mod tests {
         snapshot.config = zero;
         let err = restore_through_codec(&snapshot).unwrap_err();
         assert!(err.to_string().contains("`k_per_hit`"), "{err}");
+    }
+
+    /// Task ids are positions: publish refuses a task set whose ids are
+    /// not, naming the first task out of place, instead of assigning by
+    /// the wrong ids.
+    #[test]
+    fn publish_refuses_task_ids_that_are_not_positions() {
+        let kb = table2_example_kb();
+        let mut tasks = example_tasks(6);
+        tasks.swap(2, 4);
+        let err = Docs::publish(&kb, tasks, small_config()).unwrap_err();
+        assert!(err.to_string().contains("task 2 has id"), "{err}");
     }
 
     /// A stopping minimum above the flat per-task budget can never fire
