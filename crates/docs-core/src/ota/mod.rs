@@ -440,6 +440,33 @@ mod tests {
         assert_eq!(picks, vec![TaskId(1)]);
     }
 
+    #[test]
+    fn linear_and_sort_selection_agree() {
+        let m = 3;
+        let tasks: Vec<Task> = (0..30).map(|i| task(i, i % m, m)).collect();
+        let mut states = TaskArena::for_tasks(m, &tasks);
+        // Give tasks varying confidence.
+        for i in 0..30 {
+            for _ in 0..(i % 5) {
+                states.apply_answer(i, &[0.8, 0.6, 0.7], 0);
+            }
+        }
+        let q = vec![0.9, 0.55, 0.7];
+        let linear = Assigner::new(AssignerConfig {
+            k: 7,
+            linear_select: true,
+            ..Default::default()
+        })
+        .assign(&q, &tasks, &states, |_| false, |_| 0);
+        let sorted = Assigner::new(AssignerConfig {
+            k: 7,
+            linear_select: false,
+            ..Default::default()
+        })
+        .assign(&q, &tasks, &states, |_| false, |_| 0);
+        assert_eq!(linear, sorted);
+    }
+
     /// `n` three-domain tasks of mixed warmth: task `i` has absorbed
     /// `i % 7` answers, so benefits repeat and tie-breaks matter.
     fn mixed_warmth_pool(n: usize) -> (Vec<Task>, TaskArena) {
