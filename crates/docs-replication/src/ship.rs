@@ -424,10 +424,10 @@ fn pump_loop(inner: &HubInner, feed: Receiver<ReplicationFrame>) {
 
 /// Scans a primary's durability directory into bootstrap frames: per
 /// campaign, its latest intact snapshot (possibly mid-campaign — the
-/// snapshot cadence and creation baselines both qualify) followed by the
-/// event suffix beyond it. New followers apply these before their live
-/// stream; the shared watermark table silently drops whatever the two
-/// overlap on.
+/// snapshot cadence's files and the baseline records a join appends to
+/// the log both qualify) followed by the event suffix beyond it. New
+/// followers apply these before their live stream; the shared watermark
+/// table silently drops whatever the two overlap on.
 ///
 /// The directory may belong to a **live** primary, whose snapshot cycle
 /// can rewrite snapshots and prune segments mid-scan — a single scan

@@ -323,8 +323,9 @@ pub struct DurabilityStats {
     pub replay_rejected: u64,
     /// Campaign snapshots loaded during recovery.
     pub snapshots_loaded: u64,
-    /// Campaign snapshots written while serving (creation, cadence,
-    /// recovery re-baseline).
+    /// Campaign snapshot files the write lane landed while serving (the
+    /// cadence's; a joining campaign's baseline is a WAL record, not a
+    /// file).
     pub snapshots_written: u64,
     /// Log segments whose recovery scan ended in a torn record — the
     /// expected artifact of a crash mid-append, tolerated and counted

@@ -25,11 +25,12 @@
 //!   campaign that opted in (per campaign, through its own
 //!   `DocsConfig::durable_flush`), every mutating request is validated,
 //!   rendered into a `CampaignEvent`, appended to the log (group-committed
-//!   per the campaign's [`FlushPolicy`]), and only then applied. Periodic
-//!   snapshots (`snapshot_every`) re-baseline the shard's campaigns that
-//!   logged events since their last snapshot and prune old segments; the
-//!   log's background write lane writes the files and deletes the
-//!   segments. [`DocsService::recover`] rebuilds every
+//!   per the campaign's [`FlushPolicy`]), and only then applied. A
+//!   campaign joins the log with a baseline record (its encoded state) in
+//!   the same group commit. Periodic snapshots (`snapshot_every`)
+//!   re-baseline the shard's campaigns that logged events or joined since
+//!   their last snapshot file and prune old segments; the log's
+//!   background write lane writes the files and deletes the segments. [`DocsService::recover`] rebuilds every
 //!   durable campaign from snapshots + log replay — across restarts that
 //!   change the shard count.
 //! * **One way in**: a pool starts with [`DocsService::spawn_empty`] or
@@ -342,8 +343,9 @@ impl DocsService {
     /// that wrote the directory — campaigns are re-homed by
     /// [`CampaignId::shard`] and the logs of every past epoch are merged by
     /// per-campaign sequence number. Every campaign's fresh baseline
-    /// snapshot is written before this returns; one that cannot be written
-    /// is this call's error, naming the campaign.
+    /// record is appended to its new shard's log and synced before this
+    /// returns; a sync that fails is this call's error, naming the
+    /// campaigns.
     pub fn recover(config: ServiceConfig) -> Result<(DocsService, ServiceHandle), ServiceError> {
         let durability = config.durability.clone().ok_or(ServiceError::Rejected(
             RejectReason::RecoverWithoutDurability,
@@ -357,9 +359,9 @@ impl DocsService {
         let mut recovered = Vec::new();
         for (id, campaign) in &tree.campaigns {
             let Some((_, snapshot)) = &campaign.snapshot else {
-                // A crash between registering the campaign and writing its
-                // baseline snapshot: the creation was never acknowledged,
-                // so there is nothing to resurrect.
+                // A crash before the campaign's baseline record was synced
+                // (it is torn or missing): the creation was never
+                // acknowledged, so there is nothing to resurrect.
                 continue;
             };
             // Arena-backed views out of the recovered tree: cloning a
@@ -384,7 +386,7 @@ impl DocsService {
         Self::spawn_pool(&config, recovered, metrics, QUEUE_CAPACITY)
     }
 
-    /// Builds every shard — opening its log and writing its recovery
+    /// Builds every shard — opening its log and syncing its recovery
     /// baselines, so a failure is the caller's error rather than a dead
     /// shard thread — then starts one thread per shard, its ingress queue
     /// bounded at `queue_capacity` requests ([`QUEUE_CAPACITY`]; tests pass
@@ -964,6 +966,10 @@ pub(crate) mod tests {
         service.join_all();
     }
 
+    /// A durable campaign's creation writes its baseline into the WAL, not
+    /// a snapshot file: the recovered tree has the campaign's snapshot, at
+    /// sequence 0 and equal to the state it was created with, and its
+    /// events after it.
     #[test]
     fn durable_round_trip_writes_events_and_snapshots() {
         let dir = tmp_dir("durable-roundtrip");
@@ -971,25 +977,26 @@ pub(crate) mod tests {
         let c = handle
             .create_campaign(published(6, Some(FlushPolicy::EveryEvent)))
             .unwrap();
+        let created = handle.call(Op::snapshot_state(c)).unwrap();
         let w = WorkerId(0);
         if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
             pass_golden(&handle, c, w, &g);
         }
         submit_one(&handle, c, Answer::new(w, TaskId(0), 0));
         let d = handle.metrics().durability();
-        assert!(
-            d.events_logged >= 3,
-            "published + golden + answer logged, got {d:?}"
-        );
-        assert!(d.snapshots_written >= 1);
-        assert!(d.log_bytes > 0);
+        assert_eq!(d.events_logged, 3, "published + golden + answer");
+        assert_eq!(d.snapshots_written, 0, "no file is written at creation");
+        assert!(d.log_bytes > created.len() as u64, "the baseline is logged");
         drop(handle);
         service.join_all();
         // The on-disk tree recovers the campaign with its events.
         let tree = recover_tree(&dir).unwrap();
         let rec = &tree.campaigns[&c];
-        assert!(rec.snapshot.is_some());
+        let (seq, snapshot) = rec.snapshot.as_ref().expect("the baseline is a snapshot");
+        assert_eq!((*seq, snapshot.to_vec()), (0, created));
         assert_eq!(rec.events.len(), 3, "published + golden + answer");
+        assert_eq!(tree.events_recovered, 3, "the baseline is not an event");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1104,27 +1111,41 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A recovery baseline that cannot be written fails `recover` itself,
-    /// naming the campaign, instead of killing its shard thread behind an
-    /// `Ok`.
+    /// Recovery baselines that cannot be made durable fail `recover`
+    /// itself, naming every campaign whose baseline the failed flush held,
+    /// instead of killing a shard thread behind an `Ok` or serving state
+    /// that is not on disk. Once the disk takes writes again the same
+    /// directory recovers.
     #[test]
     fn an_unwritable_recovery_baseline_fails_recover() {
         let dir = tmp_dir("baseline-unwritable");
         let (service, handle) = DocsService::spawn_empty(ServiceConfig::durable(1, &dir)).unwrap();
-        let c = handle
-            .create_campaign(published(3, Some(FlushPolicy::Batch(64))))
-            .unwrap();
+        let campaigns: Vec<CampaignId> = (0..2)
+            .map(|_| {
+                handle
+                    .create_campaign(published(3, Some(FlushPolicy::Batch(64))))
+                    .unwrap()
+            })
+            .collect();
         handle.simulate_crash();
         drop(handle);
         service.join_all();
-        // `recover_tree` skips a leftover `.tmp`, but no file can be
-        // created over a directory.
-        let tmp = dir.join(format!("shard-0/snap-{}.bin.tmp", c.0));
-        std::fs::create_dir_all(tmp).unwrap();
+        let fault = docs_storage::fail_flushes(&dir);
         match DocsService::recover(ServiceConfig::durable(1, &dir)) {
-            Ok(_) => panic!("recover succeeded without writing the baseline"),
-            Err(e) => assert!(e.to_string().contains(&format!("campaign {c}")), "{e}"),
+            Ok(_) => panic!("recover succeeded without syncing the baselines"),
+            Err(e) => {
+                for c in &campaigns {
+                    assert!(e.to_string().contains(&format!("campaign {c}")), "{e}");
+                }
+            }
         }
+        drop(fault);
+        let (service, handle) = DocsService::recover(ServiceConfig::durable(1, &dir)).unwrap();
+        for &c in &campaigns {
+            handle.call(Op::status(c)).unwrap();
+        }
+        drop(handle);
+        service.join_all();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1161,13 +1182,15 @@ pub(crate) mod tests {
         (segments.iter().sum(), segments.len())
     }
 
-    /// The gauges report what is on disk. A snapshot cycle every 3 events
-    /// queues snapshots and segment deletions on the log's write lane,
-    /// which is held while the answers arrive: `log_bytes` must follow
-    /// every append and keep counting the superseded segments the lane has
-    /// not deleted yet, and `snapshots_written` must not count a snapshot
-    /// that has only been queued. Released, the lane lands both snapshots
-    /// and both deletions before `finish` is acknowledged.
+    /// The gauges report what is on disk. The creation's baseline record
+    /// is counted in `log_bytes` as soon as the creation is acknowledged,
+    /// and no snapshot file is written for it. A snapshot cycle every 3
+    /// events queues snapshots and segment deletions on the log's write
+    /// lane, which is held while the answers arrive: `log_bytes` must
+    /// follow every append and keep counting the superseded segments the
+    /// lane has not deleted yet, and `snapshots_written` must not count a
+    /// snapshot that has only been queued. Released, the lane lands both
+    /// snapshots and both deletions before `finish` is acknowledged.
     #[test]
     fn shard_log_gauges_match_the_log_after_every_answer() {
         for policy in [
@@ -1185,11 +1208,16 @@ pub(crate) mod tests {
                 durability.adaptive = adaptive;
                 let (service, handle) = DocsService::spawn_empty(config).unwrap();
                 let c = handle.create_campaign(published(9, Some(policy))).unwrap();
+                let d = handle.metrics().durability();
+                let baseline = handle.call(Op::snapshot_state(c)).unwrap().len() as u64;
+                assert_eq!(d.log_bytes, wal_files(&shard_dir).0, "{label}: created");
+                assert!(d.log_bytes > baseline, "{label}: the baseline is logged");
+                assert_eq!(d.events_logged, 1, "{label}: only `Published` is an event");
                 let w = WorkerId(0);
                 if let WorkRequest::Golden(g) = handle.call(Op::request_tasks(c, w)).unwrap() {
                     pass_golden(&handle, c, w, &g);
                 }
-                assert_eq!(handle.metrics().durability().snapshots_written, 1);
+                assert_eq!(handle.metrics().durability().snapshots_written, 0);
                 let hold = docs_storage::hold_lanes(&dir);
                 for t in 0..6u32 {
                     submit_one(&handle, c, Answer::new(w, TaskId(t), 0));
@@ -1197,14 +1225,14 @@ pub(crate) mod tests {
                     let appended = 2 + u64::from(t) + 1; // published + golden + answers
                     assert_eq!(d.events_logged, appended, "{label}: answer {t}");
                     assert_eq!(d.log_bytes, wal_files(&shard_dir).0, "{label}: answer {t}");
-                    assert_eq!(d.snapshots_written, 1, "{label}: answer {t}");
+                    assert_eq!(d.snapshots_written, 0, "{label}: answer {t}");
                 }
                 // Cycles after answers 1 and 4: three segments on disk.
                 assert_eq!(wal_files(&shard_dir).1, 3, "{label}");
                 drop(hold);
                 handle.call(Op::finish(c)).unwrap();
                 let d = handle.metrics().durability();
-                assert_eq!(d.snapshots_written, 3, "{label}");
+                assert_eq!(d.snapshots_written, 2, "{label}");
                 assert_eq!((d.log_bytes, 1), wal_files(&shard_dir), "{label}");
                 drop(handle);
                 service.join_all();

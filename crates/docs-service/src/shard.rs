@@ -11,14 +11,16 @@
 //! through the existing seams only: each request's [`Completer`], the
 //! [`ReplicationSink`] and the [`CampaignLog`].
 //!
-//! Checkpoint I/O is the log's, not the shard's. Every `snapshot_every`
-//! logged events the shard flushes the WAL, encodes each dirty campaign
-//! (events past its last snapshot, or a last snapshot that failed), and
-//! queues the files and the superseded segments' deletion on the log's
-//! write lane — a thread the log owns — then goes back to serving. A
-//! campaign joining the shard waits for its baseline to land before it
-//! serves, and a `finish` is acknowledged only once the lane is idle, so
-//! the directory is settled at every final report.
+//! Checkpoint I/O is the log's, not the shard's. A campaign joining the
+//! shard appends its baseline to the WAL as one record that rides the
+//! group commit, and the join is acknowledged only once that record is
+//! synced. Every `snapshot_every` logged events the shard flushes the WAL,
+//! encodes each dirty campaign (events past its last snapshot, a last
+//! snapshot that failed, or no snapshot file since it joined), and queues
+//! the files and the superseded segments' deletion on the log's write lane
+//! — a thread the log owns — then goes back to serving. A `finish` is
+//! acknowledged only once the lane is idle, so the directory is settled at
+//! every final report.
 
 use crate::message::{BatchOutcome, Completion, Request, Response};
 use crate::metrics::{Counter, OpKind, ServiceMetrics, Stage};
@@ -62,16 +64,44 @@ pub(crate) type Recovered = (CampaignId, Docs, FlushPolicy, u64);
 #[derive(Debug, Clone, Copy)]
 enum Joining {
     /// A requester's new campaign: the id must be free, and a durable log
-    /// starts at sequence 0 with a flushed `Published` marker.
+    /// starts at sequence 0 with a `Published` marker behind the baseline.
     New,
-    /// State that already covers sequence `seq` (a replicated snapshot
-    /// install, or a recovery replay); it replaces the id's earlier state.
-    At(u64),
+    /// A replicated snapshot install covering sequence `seq`; it replaces
+    /// the id's earlier state.
+    Installed(u64),
+    /// A recovery replay covering sequence `seq`. [`Shard::new`] flushes
+    /// every recovered baseline at once, before the shard serves.
+    Recovered(u64),
 }
 
 /// A completion withheld by adaptive group commit, with the trace of the
-/// request it acknowledges (if that request was sampled).
-type DeferredCompletion = (Completer, Completion, Option<Box<TraceContext>>);
+/// request it acknowledges (if that request was sampled) and, for a join,
+/// the campaign whose baseline the batch holds.
+type DeferredCompletion = (
+    Completer,
+    Completion,
+    Option<Box<TraceContext>>,
+    Option<CampaignId>,
+);
+
+/// The refusal of a join whose baseline record did not sync.
+fn baseline_not_durable(campaign: CampaignId, e: &Error) -> RejectReason {
+    RejectReason::Storage(format!("campaign {campaign}: baseline not durable: {e}"))
+}
+
+/// After a batch flush failed, turns each withheld join acknowledgement
+/// into its refusal: an event's ack is released anyway (a durability
+/// delay), but a join's ack promises that its baseline is on disk. The
+/// campaign stays joined; its records harden at the next flush.
+fn refuse_joins(deferred: &mut [DeferredCompletion], e: &Error) {
+    for (_, completion, _, join) in deferred {
+        if let Some(campaign) = *join {
+            if !matches!(completion.response, Response::Rejected(_)) {
+                completion.response = Response::Rejected(baseline_not_durable(campaign, e));
+            }
+        }
+    }
+}
 
 /// A sealed-but-unshipped item of one shard's replication feed, queued in
 /// append order until the group commit that hardens it completes.
@@ -85,8 +115,11 @@ enum Unshipped {
 struct ShardDurability {
     log: CampaignLog,
     persisted: BTreeSet<CampaignId>,
-    /// Sequence each campaign's latest snapshot covers — clean campaigns
-    /// (no events since) are skipped by the snapshot cycle.
+    /// Sequence each campaign's latest snapshot file covers — clean
+    /// campaigns (no events since) are skipped by the snapshot cycle. A
+    /// joining campaign has no entry: its baseline is a WAL record, so the
+    /// next cycle writes its first file before any prune can delete the
+    /// segment holding the record.
     snapshotted_at: HashMap<CampaignId, u64>,
     snapshot_every: u64,
     events_since_snapshot: u64,
@@ -98,12 +131,13 @@ struct ShardDurability {
 }
 
 impl ShardDurability {
-    /// Writes a campaign's baseline snapshot and returns once it is on
-    /// disk — for callers that must not serve the campaign before then.
-    fn write_baseline(&mut self, campaign: CampaignId, docs: &mut Docs) -> docs_types::Result<()> {
+    /// Appends a joining campaign's baseline — its state encoded once — to
+    /// the log as one record, and queues it for shipping. It rides the
+    /// group commit like an event; the join is durable once that flushes.
+    fn append_baseline(&mut self, campaign: CampaignId, docs: &mut Docs) {
         let bytes = docs.snapshot_bytes();
-        let seq = self.log.write_snapshot(campaign, &bytes)?;
-        self.snapshotted_at.insert(campaign, seq);
+        let seq = self.log.append_baseline(campaign, &bytes);
+        self.snapshotted_at.remove(&campaign);
         if self.sink.is_some() {
             self.unshipped.push(Unshipped::Snapshot(SnapshotFrame {
                 campaign,
@@ -111,7 +145,6 @@ impl ShardDurability {
                 payload: bytes,
             }));
         }
-        Ok(())
     }
 
     /// Appends one event to the log, encoded once straight into the
@@ -303,10 +336,11 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Builds shard `index` of a pool: opens its log when the pool is
-    /// durable, then registers each recovered campaign, which writes a
-    /// fresh baseline snapshot into *this* epoch's directory so the next
-    /// recovery replays only events from now on. A baseline that cannot be
-    /// written fails the build, naming the campaign.
+    /// durable, then registers each recovered campaign, which appends a
+    /// fresh baseline record to *this* epoch's log so the next recovery
+    /// replays only events from now on, and flushes them all at once. A
+    /// flush that fails fails the build, naming the campaigns whose
+    /// baselines it held, so no shard serves a baseline that is not durable.
     pub(crate) fn new(
         index: usize,
         config: &ServiceConfig,
@@ -361,14 +395,24 @@ impl Shard {
             next_campaign: Arc::clone(next_campaign),
             deferred: Vec::new(),
         };
+        let mut joined = Vec::with_capacity(recovered.len());
         for (campaign, docs, policy, seq) in recovered {
             shard
-                .register(campaign, docs, Some(policy), Joining::At(seq))
+                .register(campaign, docs, Some(policy), Joining::Recovered(seq))
                 .map_err(|e| {
                     ServiceError::Rejected(RejectReason::Storage(format!(
                         "campaign {campaign}: recovery baseline: {e}"
                     )))
                 })?;
+            joined.push(format!("campaign {campaign}"));
+        }
+        if let Some(d) = shard.durability.as_mut() {
+            d.log.flush().map_err(|e| {
+                ServiceError::Rejected(RejectReason::Storage(format!(
+                    "{}: recovery baseline not durable: {e}",
+                    joined.join(", ")
+                )))
+            })?;
         }
         Ok(shard)
     }
@@ -408,8 +452,9 @@ impl Shard {
                 d.log.abandon();
                 self.deferred.clear();
             } else {
-                if d.log.flush().is_ok() {
-                    d.ship(&self.metrics);
+                match d.log.flush() {
+                    Ok(()) => d.ship(&self.metrics),
+                    Err(e) => refuse_joins(&mut self.deferred, &e),
                 }
                 d.log.settle();
                 d.observe(self.index, &self.metrics);
@@ -437,6 +482,10 @@ impl Shard {
         }
         let campaign = request.campaign();
         let kind = kind_of(&request);
+        let joins = matches!(
+            request,
+            Request::CreateCampaign { .. } | Request::InstallSnapshot { .. }
+        );
         let mut response = match self.refusal(&request) {
             Some(refused) => refused,
             None => self.handle(campaign, request),
@@ -507,7 +556,9 @@ impl Shard {
             // Adaptive group commit still holds the event this completion
             // acknowledges (or an earlier one — FIFO) in the unsynced
             // batch: withhold the ack until the batch's fdatasync lands.
-            self.deferred.push((inbound.completions, completion, trace));
+            let join = joins.then_some(campaign);
+            self.deferred
+                .push((inbound.completions, completion, trace, join));
         } else {
             // Everything acknowledged so far is durable; release any batch
             // acks first so completions leave in arrival order.
@@ -609,9 +660,14 @@ impl Shard {
     /// snapshot installs and the recovery baseline all come through here.
     /// A new campaign's taken id is refused before any side effect. A
     /// durable campaign (`policy`) then has its log registered and its
-    /// baseline snapshot written (a new one also its `Published` marker,
-    /// synced at once whatever its data-plane policy) before its state
-    /// serves, so nothing is served whose baseline is not on disk.
+    /// baseline record appended (a new one also its `Published` marker),
+    /// whatever its data-plane policy, and the join is acknowledged only
+    /// once they are synced: under adaptive commit the baseline is strict,
+    /// so the batch's flush releases the acknowledgement; otherwise the
+    /// join flushes here. A recovered campaign's baseline is flushed by
+    /// [`Shard::new`]. A flush that fails leaves the campaign joined — its
+    /// records stay buffered and harden at the next flush, like an
+    /// event's — and is the join's error.
     fn register(
         &mut self,
         campaign: CampaignId,
@@ -624,15 +680,16 @@ impl Shard {
                 "campaign {campaign} already exists"
             )));
         }
+        let mut hardened = Ok(());
         if let Some(policy) = policy {
             let unavailable = RejectReason::DurabilityUnavailable { campaign };
             let d = self.durability.as_mut().ok_or(unavailable)?;
             let seq = match joining {
                 Joining::New => 0,
-                Joining::At(seq) => seq,
+                Joining::Installed(seq) | Joining::Recovered(seq) => seq,
             };
             d.log.register(campaign, policy, seq);
-            d.write_baseline(campaign, &mut docs)?;
+            d.append_baseline(campaign, &mut docs);
             if matches!(joining, Joining::New) {
                 let published = PublishedEvent {
                     campaign,
@@ -640,19 +697,26 @@ impl Shard {
                     num_golden: docs.golden_ids().len() as u32,
                 };
                 d.append(campaign, &CampaignEvent::Published(published))?;
-                d.log.flush()?;
             }
             d.persisted.insert(campaign);
+            let acked = !matches!(joining, Joining::Recovered(_));
+            if acked && d.log.pending_strict_events() == 0 {
+                hardened = d
+                    .log
+                    .flush()
+                    .map_err(|e| baseline_not_durable(campaign, &e));
+            }
+            d.observe(self.index, &self.metrics);
         }
         count_runs(&self.metrics, self.index, &mut docs);
         self.campaigns.insert(campaign, docs);
-        Ok(())
+        hardened
     }
 
     /// Handles a replicated snapshot install on a follower shard: restores
     /// the campaign, replacing any earlier registration (a fast-forward).
     /// On a durable follower a campaign that opts in registers its log at
-    /// the shipped sequence with its own baseline, so the follower is
+    /// the shipped sequence with its own baseline record, so the follower is
     /// independently recoverable (and can itself be a shipping primary
     /// after promotion).
     fn install_snapshot(&mut self, campaign: CampaignId, seq: u64, snapshot: &[u8]) -> Response {
@@ -673,7 +737,7 @@ impl Shard {
             .config()
             .durable_flush
             .filter(|_| self.durability.is_some());
-        self.register(campaign, docs, policy, Joining::At(seq))
+        self.register(campaign, docs, policy, Joining::Installed(seq))
             .map_or_else(Response::Rejected, |()| Response::Ack)
     }
 
@@ -773,13 +837,14 @@ impl Shard {
     /// append path's policy flush: the buffer resumes at the next trigger,
     /// and the acks are released anyway (holding them hostage to a broken
     /// disk would deadlock clients without making the events any more
-    /// durable).
+    /// durable) — except a join's, which is refused ([`refuse_joins`]).
     fn close_adaptive_batch(&mut self) {
         if let Some(d) = self.durability.as_mut() {
             if let Err(e) = d.log.flush() {
                 let kind = JournalKind::FlushFailure;
                 journal_failure(&self.metrics, self.index, kind, "adaptive batch flush", &e);
                 d.log.clear_strict_pending();
+                refuse_joins(&mut self.deferred, &e);
             }
             d.ship(&self.metrics);
             d.observe(self.index, &self.metrics);
@@ -793,7 +858,7 @@ impl Shard {
     /// counts as waiting for the flush — and lands in the flight recorder
     /// before the send, whose futex wake belongs to the client's next span.
     fn release_deferred(&mut self) {
-        for (completer, completion, trace) in self.deferred.drain(..) {
+        for (completer, completion, trace, _) in self.deferred.drain(..) {
             if let Some(mut t) = trace {
                 t.span(SpanKind::FlushWait);
                 self.metrics.flight().record(t.finish());
@@ -949,6 +1014,101 @@ mod tests {
         }
         shard.stop(false);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A creation's acknowledgement implies its baseline record is synced.
+    /// Under adaptive commit the baseline is strict whatever the campaign's
+    /// policy: the ack waits for the empty queue to flush the batch, and a
+    /// crash before that drops both the ack and the campaign. Without
+    /// adaptive commit the creation flushes before it is acknowledged.
+    #[test]
+    fn a_creation_is_acknowledged_only_once_its_baseline_is_synced() {
+        for adaptive in [true, false] {
+            let dir = tmp_dir(&format!("shard-join-{adaptive}"));
+            let mut config = ServiceConfig::durable(1, &dir);
+            if !adaptive {
+                config.durability.as_mut().unwrap().adaptive = None;
+            }
+            let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(ReplicaRole::Primary));
+            let next_campaign = Arc::new(AtomicU32::new(2));
+            let mut shard =
+                Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
+            let create = |c| Request::CreateCampaign {
+                campaign: CampaignId(c),
+                docs: Box::new(published(9, Some(FlushPolicy::Batch(64)))),
+            };
+            let (input, created) = inbound(1, create(0));
+            shard.step(input);
+            if adaptive {
+                assert!(created.try_take().is_none(), "withheld while buffered");
+                assert_eq!(shard.wait(), Wait::Poll);
+                assert_eq!(metrics.durability().log_flushes, 0);
+                shard.step(Input::QueueEmpty);
+            }
+            assert_eq!(metrics.durability().log_flushes, 1, "adaptive {adaptive}");
+            let response = created.try_take().unwrap().unwrap().response;
+            assert!(
+                matches!(response, Response::CampaignCreated(_)),
+                "{response:?}"
+            );
+
+            let (input, second) = inbound(2, create(1));
+            shard.step(input);
+            shard.stop(true);
+            let tree = docs_storage::recover_tree(&dir).unwrap();
+            assert!(tree.campaigns[&CampaignId(0)].snapshot.is_some());
+            if adaptive {
+                assert_eq!(second.wait().unwrap_err(), ServiceError::Disconnected);
+                assert!(!tree.campaigns.contains_key(&CampaignId(1)));
+            } else {
+                assert!(second.wait().is_ok());
+                assert!(tree.campaigns[&CampaignId(1)].snapshot.is_some());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A join whose baseline does not sync is refused, naming the
+    /// campaign, with or without adaptive commit (where the batch's failed
+    /// flush releases event acks but not a join's). The campaign stays
+    /// joined, and its records harden at the next flush that succeeds.
+    #[test]
+    fn a_join_whose_baseline_does_not_sync_is_refused() {
+        for adaptive in [true, false] {
+            let dir = tmp_dir(&format!("shard-join-fault-{adaptive}"));
+            let mut config = ServiceConfig::durable(1, &dir);
+            if !adaptive {
+                config.durability.as_mut().unwrap().adaptive = None;
+            }
+            let (metrics, role) = (ServiceMetrics::new(1), RoleCell::new(ReplicaRole::Primary));
+            let next_campaign = Arc::new(AtomicU32::new(1));
+            let mut shard =
+                Shard::new(0, &config, vec![], &metrics, &role, &next_campaign).unwrap();
+            let c = CampaignId(0);
+            let create = Request::CreateCampaign {
+                campaign: c,
+                docs: Box::new(published(9, Some(FlushPolicy::EveryEvent))),
+            };
+            let fault = docs_storage::fail_flushes(&dir);
+            let (input, created) = inbound(1, create);
+            shard.step(input);
+            shard.step(Input::QueueEmpty);
+            match created.try_take().unwrap().unwrap().response {
+                Response::Rejected(e) => {
+                    let e = e.to_string();
+                    assert!(e.contains("campaign c0: baseline not durable"), "{e}");
+                }
+                other => panic!("adaptive {adaptive}: acknowledged {other:?}"),
+            }
+            drop(fault);
+            let (input, status) = inbound(2, Op::status(c).request);
+            shard.step(input);
+            assert!(status.wait().is_ok(), "the campaign stays joined");
+            shard.stop(false);
+            let tree = docs_storage::recover_tree(&dir).unwrap();
+            assert!(tree.campaigns[&c].snapshot.is_some(), "hardened later");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// A crash drops withheld acks unsent: their clients see

@@ -20,6 +20,13 @@
 //! Policies are per campaign — one strict campaign forces a flush that
 //! opportunistically hardens every buffered neighbor's events too.
 //!
+//! **Baselines.** A campaign joins the log with a *baseline record*
+//! ([`CampaignLog::append_baseline`]): its encoded state (a codec value
+//! record), tagged with the sequence it already covers, in the segment
+//! beside the events and hardened by the same group commit. Recovery reads
+//! a segment record whose payload is a value record as a snapshot at its
+//! sequence; every other record is an event.
+//!
 //! **Snapshots and truncation.** Snapshot files are written, and
 //! superseded segments deleted, by the log's write lane: one background
 //! thread per log (`lane.rs`) that runs those jobs one at a time in the
@@ -34,13 +41,16 @@
 //!   the directory on the caller's thread, so no event in the new segment
 //!   is acknowledged before its name is durable, then queues the deletion
 //!   of every older segment — replay cost stays bounded by the snapshot
-//!   cadence, not by campaign lifetime;
+//!   cadence, not by campaign lifetime. A baseline record lives in a
+//!   segment, so its campaign needs a snapshot queued before the first
+//!   prune after it joins;
 //! * a deletion runs only after every snapshot queued before it has
 //!   landed, and never while a campaign's latest queued snapshot has
 //!   failed ([`CampaignLog::take_failed_snapshots`] hands those back);
-//! * a caller that needs its snapshot on disk
-//!   ([`CampaignLog::write_snapshot`]) queues on the same lane and waits
-//!   for its own job, so an older queued file never overwrites a newer one;
+//! * a caller that needs its snapshot file on disk
+//!   ([`CampaignLog::write_snapshot`], which the service no longer takes)
+//!   queues on the same lane and waits for its own job, so an older queued
+//!   file never overwrites a newer one;
 //! * dropping the log drains the lane; [`CampaignLog::abandon`] (a
 //!   simulated crash) lets the running job finish and drops the queued
 //!   ones, a state recovery handles like any other crash.
@@ -48,19 +58,20 @@
 //! **Recovery.** [`recover_tree`] scans a whole durability directory (every
 //! shard subdirectory — the writing epoch may have used a different shard
 //! count than the recovering one), keeps each campaign's highest-sequence
-//! intact snapshot, and merges the event suffix beyond it from all
-//! segments. A torn record at a segment tail is the expected crash artifact
-//! and ends that segment's scan cleanly; a CRC-corrupt *complete* record is
-//! data loss and fails recovery loudly instead of serving wrong state.
+//! intact snapshot (a file or a baseline record), and merges the event
+//! suffix beyond it from all segments. A torn record at a segment tail is
+//! the expected crash artifact and ends that segment's scan cleanly; a
+//! CRC-corrupt *complete* record is data loss and fails recovery loudly
+//! instead of serving wrong state.
 
 use crate::lane::{Job, Lane, SnapshotObserver};
 use crate::{create_dir_durably, io_err, sync_dir, PayloadBytes, Wal, WalTail};
 use bytes::{Buf, BufMut, BytesMut};
-use docs_types::{crc32, CampaignId, Error, Result};
+use docs_types::{codec, crc32, CampaignId, Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// When a shard's buffered events are written and `fdatasync`ed.
@@ -103,7 +114,7 @@ pub struct FlushStats {
     pub appended: u64,
     /// Flush (write + `fdatasync`) calls that hit the disk.
     pub flushes: u64,
-    /// Events made durable across those flushes.
+    /// Records (events and baselines) made durable across those flushes.
     pub flushed_events: u64,
     /// Policy-triggered flushes that failed at append time; the buffered
     /// events stay pending and the next flush trigger (append, batch
@@ -116,7 +127,7 @@ pub struct FlushStats {
 }
 
 /// Callback invoked after every successful [`CampaignLog::flush`] with the
-/// number of events the group commit hardened and the wall time the
+/// number of records the group commit hardened and the wall time the
 /// write + `fdatasync` took. Owners use it to feed batch-size and sync
 /// latency histograms without polling [`FlushStats`].
 pub type FlushObserver = Arc<dyn Fn(u64, Duration) + Send + Sync>;
@@ -149,14 +160,15 @@ pub struct CampaignLog {
     /// then failed — the next flush resumes here instead of re-writing
     /// (which would duplicate records in the segment).
     pending_written: usize,
+    /// Records in `pending`: events and baselines.
     pending_events: usize,
-    /// When the oldest event still in `pending` was appended — the anchor
+    /// When the oldest record still in `pending` was appended — the anchor
     /// of the adaptive latency deadline.
     first_pending_at: Option<Instant>,
     /// Adaptive group commit for `EveryEvent` campaigns, when enabled.
     adaptive: Option<AdaptiveCommit>,
-    /// Buffered events appended under `EveryEvent` while adaptive commit
-    /// deferred their sync. The owner must withhold these events'
+    /// Buffered events appended under `EveryEvent`, and baselines, while
+    /// adaptive commit deferred their sync. The owner must withhold their
     /// acknowledgements until the batch flushes (acked ⇒ durable).
     pending_strict: usize,
     policies: HashMap<CampaignId, FlushPolicy>,
@@ -325,10 +337,7 @@ impl CampaignLog {
             record.put_u64_le(seq);
             write_payload(record);
         });
-        self.pending_events += 1;
-        if self.pending_events == 1 {
-            self.first_pending_at = Some(Instant::now());
-        }
+        self.buffered();
         self.stats.appended += 1;
         let due = match self.policy(campaign).unwrap_or(FlushPolicy::EveryEvent) {
             // Adaptive group commit defers the per-append sync: the batch
@@ -354,6 +363,44 @@ impl CampaignLog {
         Ok(seq)
     }
 
+    /// Appends a campaign's *baseline record*: `payload`, its encoded state
+    /// (a codec value record, which is how recovery tells it from an
+    /// event), tagged with the campaign's current last sequence number —
+    /// the state covers every event so far, so no new number is assigned.
+    /// Returns that sequence.
+    ///
+    /// The record rides the group commit like an event. Under adaptive
+    /// commit it is strict whatever the campaign's policy: the owner
+    /// withholds the acknowledgement of the join until the batch flushes.
+    /// Without adaptive commit nothing here syncs it; the owner flushes.
+    /// Either way the buffer is flushed once it holds 256 KiB, so joining
+    /// many campaigns in a row (recovery) never buffers every baseline at
+    /// once; a failure there is a delay, as for [`CampaignLog::append_event`].
+    pub fn append_baseline(&mut self, campaign: CampaignId, payload: &[u8]) -> u64 {
+        let seq = self.last_seq(campaign);
+        Wal::encode_record_with(&mut self.pending, |record| {
+            record.put_u32_le(campaign.0);
+            record.put_u64_le(seq);
+            record.put_slice(payload);
+        });
+        self.buffered();
+        if self.adaptive.is_some() {
+            self.pending_strict += 1;
+        }
+        if self.pending.len() >= ADAPTIVE_MAX_BYTES && self.flush().is_err() {
+            self.stats.flush_failures += 1;
+        }
+        seq
+    }
+
+    /// Counts one record just encoded into the buffer.
+    fn buffered(&mut self) {
+        self.pending_events += 1;
+        if self.pending_events == 1 {
+            self.first_pending_at = Some(Instant::now());
+        }
+    }
+
     /// Enables (or disables, with `None`) adaptive group commit for this
     /// log's `EveryEvent` campaigns.
     pub fn set_adaptive(&mut self, adaptive: Option<AdaptiveCommit>) {
@@ -363,10 +410,10 @@ impl CampaignLog {
         }
     }
 
-    /// Buffered `EveryEvent` events whose sync was deferred by adaptive
-    /// commit — the owner must withhold their acknowledgements (and, for
-    /// FIFO ordering, everything queued behind them) until the next
-    /// successful [`CampaignLog::flush`] drops this to zero.
+    /// Buffered `EveryEvent` events and baselines whose sync was deferred
+    /// by adaptive commit — the owner must withhold their acknowledgements
+    /// (and, for FIFO ordering, everything queued behind them) until the
+    /// next successful [`CampaignLog::flush`] drops this to zero.
     pub fn pending_strict_events(&self) -> usize {
         self.pending_strict
     }
@@ -380,7 +427,8 @@ impl CampaignLog {
         self.pending_strict = 0;
     }
 
-    /// Events buffered but not yet written + synced.
+    /// Records (events and baselines) buffered but not yet written +
+    /// synced.
     pub fn pending_events(&self) -> usize {
         self.pending_events
     }
@@ -396,6 +444,12 @@ impl CampaignLog {
     pub fn flush(&mut self) -> Result<()> {
         if self.pending_events == 0 {
             return Ok(());
+        }
+        if flush_faulted(&self.dir) {
+            return Err(Error::Storage(format!(
+                "injected flush failure in {}",
+                self.dir.display()
+            )));
         }
         let started = Instant::now();
         while self.pending_written < self.pending.len() {
@@ -560,12 +614,58 @@ impl Drop for CampaignLog {
     }
 }
 
+/// Directories whose logs fail every flush, one entry per live
+/// [`FlushFault`]; `FAULTS_LIVE` lets a flush skip the lock when there is
+/// none.
+static FAULTS: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+static FAULTS_LIVE: AtomicUsize = AtomicUsize::new(0);
+
+fn flush_faulted(dir: &Path) -> bool {
+    FAULTS_LIVE.load(Ordering::Acquire) > 0
+        && FAULTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .any(|root| dir.starts_with(root))
+}
+
+/// Test seam: while it lives, every flush of a log whose directory lies
+/// under the faulted root fails before it writes, the way a full or failing
+/// disk refuses a group commit: the buffered records stay pending and the
+/// flush's caller sees the error.
+#[doc(hidden)]
+#[must_use = "the logs flush again once the fault is dropped"]
+pub struct FlushFault(PathBuf);
+
+/// Fails the flushes of every log under `root` (see [`FlushFault`]).
+#[doc(hidden)]
+pub fn fail_flushes(root: impl Into<PathBuf>) -> FlushFault {
+    let root = root.into();
+    FAULTS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(root.clone());
+    FAULTS_LIVE.fetch_add(1, Ordering::Release);
+    FlushFault(root)
+}
+
+impl Drop for FlushFault {
+    fn drop(&mut self) {
+        let mut faults = FAULTS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(at) = faults.iter().position(|root| *root == self.0) {
+            faults.swap_remove(at);
+            FAULTS_LIVE.fetch_sub(1, Ordering::Release);
+        }
+    }
+}
+
 /// One campaign's recovered durable state. Payloads are [`PayloadBytes`]
 /// views into per-file arenas: recovery allocates one buffer per segment or
 /// snapshot *file*, not one per event.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignRecovery {
-    /// Highest-sequence intact snapshot payload, if any snapshot was taken.
+    /// Highest-sequence intact snapshot payload (a snapshot file's or a
+    /// baseline record's), if the campaign has one.
     pub snapshot: Option<(u64, PayloadBytes)>,
     /// Event payloads with sequence numbers strictly beyond the snapshot,
     /// ascending and gap-free.
@@ -610,7 +710,21 @@ fn read_snapshot_file(path: &Path) -> Result<(u64, PayloadBytes)> {
     Ok((seq, PayloadBytes::slice_of(&Arc::new(data), 12..len)))
 }
 
-/// Decodes the campaign/sequence tag of one event record, borrowed — the
+/// Keeps `payload` as the campaign's snapshot if it covers a higher
+/// sequence than the one kept so far; on a tie the first one read stays.
+fn keep_snapshot(
+    campaigns: &mut BTreeMap<CampaignId, CampaignRecovery>,
+    campaign: CampaignId,
+    seq: u64,
+    payload: PayloadBytes,
+) {
+    let slot = campaigns.entry(campaign).or_default();
+    if slot.snapshot.as_ref().is_none_or(|(s, _)| *s < seq) {
+        slot.snapshot = Some((seq, payload));
+    }
+}
+
+/// Decodes the campaign/sequence tag of one segment record, borrowed — the
 /// payload is the remainder of the record, sliced by the caller.
 fn decode_event_tag(record: &[u8], path: &Path) -> Result<(CampaignId, u64)> {
     if record.len() < 12 {
@@ -626,7 +740,9 @@ fn decode_event_tag(record: &[u8], path: &Path) -> Result<(CampaignId, u64)> {
 }
 
 /// Recovers every campaign under `base`: the directory itself plus each
-/// immediate subdirectory is scanned as one shard log. Shard counts may
+/// immediate subdirectory is scanned as one shard log. A segment record
+/// whose payload is a codec value record is a baseline, read as a snapshot
+/// at its sequence; every other record is an event. Shard counts may
 /// differ between the writing and the recovering service — events are
 /// merged per campaign by sequence number, duplicates (identical records
 /// reachable through two epochs' directories) collapse, and a sequence gap
@@ -665,10 +781,7 @@ pub fn recover_tree(base: impl AsRef<Path>) -> Result<TreeRecovery> {
             };
             if let Some(campaign) = parse_snapshot_id(&name) {
                 let (seq, payload) = read_snapshot_file(&entry.path())?;
-                let slot = recovery.campaigns.entry(campaign).or_default();
-                if slot.snapshot.as_ref().is_none_or(|(s, _)| *s < seq) {
-                    slot.snapshot = Some((seq, payload));
-                }
+                keep_snapshot(&mut recovery.campaigns, campaign, seq, payload);
             }
         }
         // Segments: load each file into one shared arena and hand out
@@ -691,11 +804,15 @@ pub fn recover_tree(base: impl AsRef<Path>) -> Result<TreeRecovery> {
             }
             for range in records {
                 let (campaign, seq) = decode_event_tag(&arena[range.clone()], &path)?;
+                let payload = PayloadBytes::slice_of(&arena, range.start + 12..range.end);
+                if codec::record_kind(&payload) == Some(codec::KIND_VALUE) {
+                    // A baseline record: a snapshot at `seq`, under the
+                    // same highest-sequence rule as the files.
+                    keep_snapshot(&mut recovery.campaigns, campaign, seq, payload);
+                    continue;
+                }
                 recovery.events_recovered += 1;
-                raw_events.entry(campaign).or_default().push((
-                    seq,
-                    PayloadBytes::slice_of(&arena, range.start + 12..range.end),
-                ));
+                raw_events.entry(campaign).or_default().push((seq, payload));
             }
         }
     }
@@ -1058,6 +1175,58 @@ mod tests {
         );
         assert_eq!(owned(&c0.events), vec![(6, b"e5".to_vec())]);
         assert_eq!(c0.last_seq, 6);
+    }
+
+    /// A baseline record is tagged with the campaign's current sequence
+    /// and assigns none, counts as strict under adaptive commit whatever
+    /// the campaign's policy, is no event, and recovers as the snapshot at
+    /// its sequence, with the events after it.
+    #[test]
+    fn a_baseline_record_recovers_as_the_snapshot_at_its_sequence() {
+        let base = tmp_dir("baseline");
+        let value = |s: &str| codec::to_bytes(s);
+        let mut log = CampaignLog::open(base.join("shard-0")).unwrap();
+        log.register(C0, FlushPolicy::Batch(usize::MAX), 0);
+        log.set_adaptive(Some(AdaptiveCommit));
+        assert_eq!(log.append_baseline(C0, &value("at-0")), 0);
+        assert_eq!(log.pending_strict_events(), 1, "the join's ack waits");
+        assert_eq!(log.append_event(C0, b"e1").unwrap(), 1);
+        assert_eq!(log.append_baseline(C0, &value("at-1")), 1);
+        assert_eq!(log.last_seq(C0), 1, "a baseline assigns no sequence");
+        assert_eq!((log.pending_events(), log.stats().appended), (3, 1));
+        log.flush().unwrap();
+        assert_eq!(log.pending_strict_events(), 0);
+        assert_eq!(log.stats().flushed_events, 3);
+        assert_eq!(log.append_event(C0, b"e2").unwrap(), 2);
+        drop(log);
+        let rec = recover_tree(&base).unwrap();
+        let c0 = &rec.campaigns[&C0];
+        let (seq, payload) = c0.snapshot.as_ref().expect("baseline recovered");
+        assert_eq!((*seq, payload.to_vec()), (1, value("at-1")));
+        assert_eq!(owned(&c0.events), vec![(2, b"e2".to_vec())]);
+        assert_eq!((c0.last_seq, rec.events_recovered), (2, 2));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// Baselines flush once the buffer holds `ADAPTIVE_MAX_BYTES`, with or
+    /// without adaptive commit, so joining many campaigns in a row never
+    /// buffers every baseline at once.
+    #[test]
+    fn baselines_flush_once_the_buffer_reaches_its_byte_bound() {
+        let base = tmp_dir("baseline-bound");
+        let mut log = CampaignLog::open(base.join("shard-0")).unwrap();
+        let half = codec::to_bytes("x".repeat(ADAPTIVE_MAX_BYTES / 2).as_str());
+        for c in [C0, C1] {
+            log.register(c, FlushPolicy::Batch(usize::MAX), 0);
+        }
+        log.append_baseline(C0, &half);
+        assert_eq!((log.stats().flushes, log.pending_events()), (0, 1));
+        log.append_baseline(C1, &half);
+        assert_eq!((log.stats().flushes, log.pending_events()), (1, 0));
+        drop(log);
+        let rec = recover_tree(&base).unwrap();
+        assert!(rec.campaigns.values().all(|c| c.snapshot.is_some()));
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     /// A crash that lands while the write lane is behind drops the

@@ -13,9 +13,9 @@
 //!   handle per directory per process,
 //! * [`CampaignLog`] — the per-service-shard event log of the event-sourced
 //!   runtime: group-commit WAL segments ([`FlushPolicy`]), per-campaign
-//!   sequence numbers and snapshots written by the log's background write
-//!   lane, segment pruning, and whole-tree crash recovery
-//!   ([`recover_tree`]).
+//!   sequence numbers, baseline records a campaign joins with, snapshots
+//!   written by the log's background write lane, segment pruning, and
+//!   whole-tree crash recovery ([`recover_tree`]).
 //!
 //! Both stores replace whole files the same way (`write_atomically`: tmp
 //! file, `fdatasync`, rename, directory `fsync`) and read their logs by the
@@ -35,6 +35,8 @@ mod params;
 mod wal;
 
 pub use arena::PayloadBytes;
+#[doc(hidden)]
+pub use campaign_log::{fail_flushes, FlushFault};
 pub use campaign_log::{
     recover_tree, AdaptiveCommit, CampaignLog, CampaignRecovery, FlushObserver, FlushPolicy,
     FlushStats, TreeRecovery,

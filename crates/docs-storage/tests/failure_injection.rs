@@ -10,12 +10,12 @@
 //! Every store-level damage test writes after the damage, drops every
 //! handle and reopens: a write that only lives in memory proves nothing.
 //! Coverage spans all three durability layers: the raw `Wal`, the
-//! `ParamStore` log, and the `CampaignLog` (torn tail records, truncated
-//! snapshot tmp files, CRC-corrupted mid-log entries → clean error, not a
-//! panic).
+//! `ParamStore` log, and the `CampaignLog` (torn tail records, torn
+//! baseline records, stale baselines, truncated snapshot tmp files,
+//! CRC-corrupted mid-log entries → clean error, not a panic).
 
 use docs_storage::{recover_tree, CampaignLog, FlushPolicy, ParamStore, Wal};
-use docs_types::{CampaignId, WorkerId};
+use docs_types::{codec, CampaignId, WorkerId};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -383,6 +383,70 @@ fn campaign_log_corrupted_snapshot_fails_loudly() {
     flip_byte(&shard.join("snap-6.bin"), 14);
     let err = recover_tree(&base).expect_err("corrupt snapshot must not load");
     assert!(err.to_string().contains("CRC"), "{err}");
+}
+
+/// A baseline record torn at a segment tail is a join whose sync never
+/// completed, so it was never acknowledged: its campaign is absent after
+/// recovery, while a campaign synced before it keeps its baseline and its
+/// events.
+#[test]
+fn campaign_log_torn_baseline_record_leaves_its_campaign_absent() {
+    let base = tmp_dir("clog-torn-baseline");
+    let shard = base.join("shard-0");
+    let (kept, torn) = (CampaignId(0), CampaignId(1));
+    let state = |c: CampaignId| codec::to_bytes(format!("state of {c}").as_str());
+    {
+        let mut log = CampaignLog::open(&shard).unwrap();
+        for c in [kept, torn] {
+            log.register(c, FlushPolicy::Batch(usize::MAX), 0);
+            log.append_baseline(c, &state(c));
+            log.append_event(c, b"published").unwrap();
+            log.flush().unwrap();
+        }
+    }
+    // Cut the second campaign's baseline (the third record) mid-payload.
+    let segment = shard.join("events-000000.wal");
+    let data = fs::read(&segment).unwrap();
+    let (records, _) = Wal::scan(&data);
+    fs::write(&segment, &data[..records[2].start + 12 + 3]).unwrap();
+    let rec = recover_tree(&base).unwrap();
+    assert_eq!(rec.torn_tails, 1);
+    assert!(!rec.campaigns.contains_key(&torn));
+    let c = &rec.campaigns[&kept];
+    let snapshot = c.snapshot.as_ref().map(|(seq, p)| (*seq, p.to_vec()));
+    assert_eq!(snapshot, Some((0, state(kept))));
+    assert_eq!((c.events.len(), c.last_seq), (1, 1));
+}
+
+/// A baseline record at a lower sequence than the campaign's snapshot file
+/// holds older state: recovery keeps the file and the sequence it covers.
+#[test]
+fn campaign_log_baseline_below_a_snapshot_file_is_ignored() {
+    let base = tmp_dir("clog-stale-baseline");
+    let shard = base.join("shard-0");
+    let campaign = CampaignId(3);
+    let state = |s: &str| codec::to_bytes(s);
+    {
+        let mut log = CampaignLog::open(&shard).unwrap();
+        log.register(campaign, FlushPolicy::EveryEvent, 0);
+        for event in [b"e1", b"e2", b"e3"] {
+            log.append_event(campaign, event).unwrap();
+        }
+        assert_eq!(log.write_snapshot(campaign, &state("at-3")).unwrap(), 3);
+    }
+    {
+        // A later epoch whose log stood at sequence 1 for the campaign.
+        let mut log = CampaignLog::open(&shard).unwrap();
+        log.register(campaign, FlushPolicy::EveryEvent, 1);
+        assert_eq!(log.append_baseline(campaign, &state("at-1")), 1);
+        log.flush().unwrap();
+    }
+    let rec = recover_tree(&base).unwrap();
+    let c = &rec.campaigns[&campaign];
+    let snapshot = c.snapshot.as_ref().map(|(seq, p)| (*seq, p.to_vec()));
+    assert_eq!(snapshot, Some((3, state("at-3"))));
+    assert!(c.events.is_empty());
+    assert_eq!(c.last_seq, 3);
 }
 
 proptest! {

@@ -148,6 +148,17 @@ impl BufMut for Measure {
     }
 }
 
+/// The body kind a record's header declares ([`KIND_EVENT`] or
+/// [`KIND_VALUE`]), or `None` when `bytes` does not open with this
+/// version's header. Reads the header only: the body is checked by the
+/// decode that follows.
+pub fn record_kind(bytes: &[u8]) -> Option<u8> {
+    match bytes {
+        [CODEC_MAGIC, CODEC_VERSION, kind, ..] if bytes.len() >= HEADER_LEN => Some(*kind),
+        _ => None,
+    }
+}
+
 /// Verifies magic / version / kind / length / CRC and returns the body.
 fn unframe(expected_kind: u8, bytes: &[u8]) -> Result<&[u8], CodecError> {
     if let Some(first) = bytes.first().filter(|&&b| b != CODEC_MAGIC) {
@@ -680,6 +691,22 @@ mod tests {
         bytes[1] = CODEC_VERSION + 1;
         let err = decode_event(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    /// `record_kind` names the kind of either record and nothing for a
+    /// header that is short, foreign or of another version.
+    #[test]
+    fn record_kind_reads_the_header_only() {
+        let event = encode_event(&CampaignEvent::finished());
+        let value = to_bytes(&7u32);
+        assert_eq!(record_kind(&event), Some(KIND_EVENT));
+        assert_eq!(record_kind(&value), Some(KIND_VALUE));
+        assert_eq!(record_kind(&value[..HEADER_LEN]), Some(KIND_VALUE));
+        assert_eq!(record_kind(&value[..HEADER_LEN - 1]), None);
+        assert_eq!(record_kind(b"state-at-5"), None);
+        let mut future = value.clone();
+        future[1] = CODEC_VERSION + 1;
+        assert_eq!(record_kind(&future), None);
     }
 
     /// Every node shape, the extreme integers and floats whose bits matter

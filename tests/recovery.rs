@@ -25,7 +25,7 @@ use docs_service::{
     AdaptiveCommit, DocsService, DurabilityConfig, RejectReason, ServiceConfig, ServiceError,
     ServiceHandle,
 };
-use docs_storage::FlushPolicy;
+use docs_storage::{CampaignLog, FlushPolicy, Wal};
 use docs_system::CampaignSnapshot;
 use docs_types::{codec, CampaignId, WorkerId};
 use std::path::{Path, PathBuf};
@@ -316,20 +316,137 @@ fn segment_count(shard_dir: &Path) -> usize {
         .count()
 }
 
-/// Recovers `dir`, re-drives the whole stream into `campaign` and checks
-/// the finished report against the oracle's.
-fn recover_to_the_oracle(config: ServiceConfig, campaign: CampaignId, label: &str) {
+/// Recovers `dir`, re-drives the whole stream into each of `campaigns` and
+/// checks every finished report against the oracle's.
+fn recover_to_the_oracle(config: ServiceConfig, campaigns: &[CampaignId], label: &str) {
     let (ops, reference) = oracle(2);
     let (service, handle) = DocsService::recover(config).expect("recovery succeeds");
-    for op in &ops {
-        submit(&handle, campaign, op);
+    for &campaign in campaigns {
+        for op in &ops {
+            submit(&handle, campaign, op);
+        }
+        let report = handle
+            .call(docs_service::Op::finish(campaign))
+            .unwrap_or_else(|e| panic!("{label}: finish {campaign} after recovery: {e}"));
+        assert_byte_identical(&report, &reference, &format!("{label}, {campaign}"));
     }
-    let report = handle
-        .call(docs_service::Op::finish(campaign))
-        .expect("finish after recovery");
-    assert_byte_identical(&report, &reference, label);
     drop(handle);
     let _ = service.join_all();
+}
+
+/// Polls until `shard_dir` holds a single segment: every deletion the
+/// prunes so far queued has landed.
+fn await_one_segment(shard_dir: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while segment_count(shard_dir) > 1 {
+        assert!(Instant::now() < deadline, "the prunes never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Campaigns that join a shard and then sit idle while a neighbour drives
+/// two cadence cycles, whose prunes land, survive the next crash
+/// byte-identically: one recovered from a directory that held nothing but
+/// its creation, and one created after that recovery. Neither logs an
+/// event after it joins, so the cycles must still write each one's
+/// snapshot before deleting the segments that held its join.
+#[test]
+fn idle_campaigns_survive_the_prunes_of_a_busy_neighbour() {
+    let (ops, _) = oracle(2);
+    let policy = FlushPolicy::EveryEvent;
+    let dir = tmp_dir("idle-through-prunes");
+    let config = service_config(1, &dir, policy, CADENCE);
+    // First epoch: two creations, then a crash.
+    let (service, handle) = DocsService::spawn_empty(config.clone()).unwrap();
+    let recovered = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    let busy = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    handle.simulate_crash();
+    drop(handle);
+    let _ = service.join_all();
+    // Second epoch: both recover, a third campaign is created, and the busy
+    // one alone logs two cadences of events.
+    let (service, handle) = DocsService::recover(config.clone()).unwrap();
+    let created = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    for op in &ops[..2 * CADENCE as usize] {
+        submit(&handle, busy, op);
+    }
+    await_one_segment(&dir.join("shard-0"));
+    handle.simulate_crash();
+    drop(handle);
+    let _ = service.join_all();
+    recover_to_the_oracle(config, &[recovered, created], "idle through two prunes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment record that is a codec value record, but not a campaign
+/// snapshot, is the campaign's latest baseline by its sequence: `recover`
+/// refuses it with an error naming the campaign instead of panicking.
+#[test]
+fn an_undecodable_baseline_record_fails_recover_naming_its_campaign() {
+    let policy = FlushPolicy::EveryEvent;
+    let dir = tmp_dir("undecodable-baseline");
+    let config = service_config(1, &dir, policy, CADENCE);
+    let (service, handle) = DocsService::spawn_empty(config.clone()).unwrap();
+    let campaign = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    handle.simulate_crash();
+    drop(handle);
+    let _ = service.join_all();
+    let last_seq = docs_storage::recover_tree(&dir).unwrap().campaigns[&campaign].last_seq;
+    {
+        let mut log = CampaignLog::open(dir.join("shard-0")).unwrap();
+        log.register(campaign, policy, last_seq);
+        log.append_baseline(campaign, &codec::to_bytes("not a campaign snapshot"));
+        log.flush().unwrap();
+    }
+    match DocsService::recover(config) {
+        Ok(_) => panic!("recovered from a baseline that is no snapshot"),
+        Err(e) => assert!(
+            e.to_string().contains(&format!("campaign {campaign}")),
+            "{e}"
+        ),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A creation whose baseline record is torn at the segment tail never
+/// completed its sync, so it was never acknowledged: after recovery that
+/// campaign is unknown, and the one created before it recovers
+/// byte-identically.
+#[test]
+fn a_torn_baseline_record_is_a_creation_that_never_happened() {
+    let policy = FlushPolicy::EveryEvent;
+    let dir = tmp_dir("torn-baseline");
+    let config = service_config(1, &dir, policy, CADENCE);
+    let (service, handle) = DocsService::spawn_empty(config.clone()).unwrap();
+    let kept = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    let torn = handle.create_campaign(publish(2, Some(policy))).unwrap();
+    handle.simulate_crash();
+    drop(handle);
+    let _ = service.join_all();
+    // Cut the segment inside the second campaign's baseline record.
+    let segment = dir.join("shard-0").join("events-000000.wal");
+    let data = std::fs::read(&segment).unwrap();
+    let (records, _) = Wal::scan(&data);
+    let baseline = records
+        .iter()
+        .find(|r| {
+            let tag = u32::from_le_bytes(data[r.start..r.start + 4].try_into().unwrap());
+            let kind = codec::record_kind(&data[r.start + 12..r.end]);
+            tag == torn.0 && kind == Some(codec::KIND_VALUE)
+        })
+        .expect("the creation logged a baseline record");
+    std::fs::write(&segment, &data[..baseline.start + 12 + 5]).unwrap();
+    let (service, handle) = DocsService::recover(config.clone()).expect("recovery succeeds");
+    assert_eq!(handle.metrics().durability().torn_tail_recoveries, 1);
+    let err = handle.call(docs_service::Op::status(torn)).unwrap_err();
+    assert_eq!(
+        err,
+        ServiceError::Rejected(RejectReason::UnknownCampaign(torn))
+    );
+    drop(handle);
+    let _ = service.join_all();
+    recover_to_the_oracle(config, &[kept], "torn baseline");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A crash that lands while the log's write lane is held drops the cadence
@@ -363,7 +480,7 @@ fn a_crash_behind_a_held_write_lane_recovers_byte_identically() {
         let tree = docs_storage::recover_tree(&dir).unwrap();
         let snapshot = tree.campaigns[&campaign].snapshot.as_ref();
         assert!(snapshot.is_some_and(|(seq, _)| *seq < 22), "{label}");
-        recover_to_the_oracle(config, campaign, &label);
+        recover_to_the_oracle(config, &[campaign], &label);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -424,7 +541,7 @@ fn a_failing_cadence_snapshot_is_retried_each_cadence_and_keeps_its_segments() {
     assert_eq!(c0_tree.snapshot.as_ref().map(|(seq, _)| *seq), Some(0));
     assert_eq!((c0_tree.events.len(), c0_tree.last_seq), (29, 29));
     let label = "failing cadence snapshot";
-    recover_to_the_oracle(service_config(1, &copy, policy, CADENCE), c0, label);
+    recover_to_the_oracle(service_config(1, &copy, policy, CADENCE), &[c0], label);
     let _ = std::fs::remove_dir_all(&copy);
 
     // Without the obstacle the next cadence lands c0's snapshot and prunes.

@@ -205,6 +205,84 @@ fn follower_is_byte_identical_at_every_acked_watermark_across_the_matrix() {
     }
 }
 
+/// A durable follower bootstrapped before the primary's first snapshot
+/// cadence, while each campaign's only baseline is the one its creation
+/// logged, installs every campaign from it and stays byte-identical to the
+/// primary through the rest of the stream; its own log, recovered after it
+/// stops, holds the same states.
+#[test]
+fn a_follower_bootstrapped_before_the_first_cadence_installs_every_campaign() {
+    const CAMPAIGNS: usize = 3;
+    let (ops, _) = oracle(1);
+    let dir = tmp_dir("bootstrap-before-cadence");
+    let follower_dir = tmp_dir("bootstrap-before-cadence-follower");
+    let policy = FlushPolicy::EveryEvent;
+    let (sink, feed) = replication_channel();
+    let config = primary_config(2, &dir, policy, 1024).with_replication(sink);
+    let (service, handle) = DocsService::spawn_empty(config).unwrap();
+    let hub = ReplicationHub::spawn(feed);
+    let campaigns: Vec<CampaignId> = (0..CAMPAIGNS)
+        .map(|_| handle.create_campaign(publish(1, Some(policy))).unwrap())
+        .collect();
+    let prefix = 6;
+    for op in &ops[..prefix] {
+        for &c in &campaigns {
+            submit(&handle, c, op);
+        }
+    }
+    let link = hub.subscribe("early-follower");
+    let bootstrap = bootstrap_frames(&dir).expect("bootstrap scan");
+    let baselines: Vec<(CampaignId, u64)> = bootstrap
+        .iter()
+        .filter_map(|f| match f {
+            ReplicationFrame::Snapshot(s) => Some((s.campaign, s.seq)),
+            ReplicationFrame::Events(_) => None,
+        })
+        .collect();
+    let created: Vec<(CampaignId, u64)> = campaigns.iter().map(|&c| (c, 0)).collect();
+    assert_eq!(
+        baselines, created,
+        "every campaign from its creation baseline"
+    );
+    let replica = Replica::spawn(ServiceConfig::durable(3, &follower_dir), link, bootstrap)
+        .expect("spawn replica");
+    let state = |h: &ServiceHandle, c| h.call(docs_service::Op::snapshot_state(c)).unwrap();
+    let agree_at = |seq: u64| {
+        for &c in &campaigns {
+            await_watermark(&replica, c, seq);
+            assert_eq!(
+                state(replica.handle(), c),
+                state(&handle, c),
+                "{c} diverged at {seq}"
+            );
+        }
+    };
+    // Published + one event per op.
+    agree_at(1 + prefix as u64);
+    for op in &ops[prefix..] {
+        for &c in &campaigns {
+            submit(&handle, c, op);
+        }
+    }
+    agree_at(1 + ops.len() as u64);
+
+    let (replica_service, replica_handle) = replica.detach();
+    drop(replica_handle);
+    replica_service.join_all();
+    let (recovered_service, recovered) =
+        DocsService::recover(ServiceConfig::durable(1, &follower_dir)).expect("recover follower");
+    for &c in &campaigns {
+        assert_eq!(state(&recovered, c), state(&handle, c), "{c} recovered");
+    }
+    drop(recovered);
+    recovered_service.join_all();
+    drop(handle);
+    service.join_all();
+    hub.join();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
 /// Several durable campaigns on a one-shard primary, driven concurrently
 /// and pipelined: adaptive group commit closes batches that mix campaigns
 /// (and runs of one campaign), so a shipped frame carries events of several
